@@ -57,6 +57,7 @@ func TestValidateFlags(t *testing.T) {
 		{"warm kind portfolio with share", flagConfig{engine: "kind", order: "portfolio", incremental: true, shareSet: true}, ""},
 		{"warm kind single order", flagConfig{engine: "kind", order: "dynamic", incremental: true}, ""},
 		{"warm kind timeaxis", flagConfig{engine: "kind", order: "timeaxis", incremental: true}, ""},
+		{"cold kind timeaxis", flagConfig{engine: "kind", order: "timeaxis"}, ""},
 		{"kind portfolio with strategies", flagConfig{engine: "kind", order: "portfolio", strategies: "vsids,dynamic"}, ""},
 		{"portfolio with jobs", flagConfig{engine: "bmc", order: "portfolio", jobs: 4}, ""},
 		{"every score mode", flagConfig{engine: "bmc", order: "static", score: "exp-decay"}, ""},
@@ -73,7 +74,6 @@ func TestValidateFlags(t *testing.T) {
 		{"share without incremental", flagConfig{engine: "bmc", order: "portfolio", shareSet: true}, "exchange requires"},
 		{"share without portfolio", flagConfig{engine: "bmc", order: "dynamic", incremental: true, shareSet: true}, "exchange requires"},
 		{"share on single-order kind", flagConfig{engine: "kind", order: "dynamic", incremental: true, shareSet: true}, "exchange requires"},
-		{"cold kind timeaxis", flagConfig{engine: "kind", order: "timeaxis"}, "timeaxis"},
 	}
 	for _, tc := range cases {
 		err := validate(defaults(tc.fc))

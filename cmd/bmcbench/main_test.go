@@ -13,7 +13,9 @@ import (
 
 // TestRunWriteAndSelfBaseline is the acceptance path end to end: run the
 // smoke suite, write the artifact, and a second run compared against
-// that artifact exits 0.
+// that artifact exits 0 with no FAIL row. (Warn rows are allowed: wall
+// time on a 3 ms cell doubles whenever another package's tests run
+// beside this one.)
 func TestRunWriteAndSelfBaseline(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_smoke.json")
@@ -34,8 +36,8 @@ func TestRunWriteAndSelfBaseline(t *testing.T) {
 	if code := run([]string{"run", "-suite=smoke", "-out=" + second, "-baseline=" + path}, &out, &errb); code != 0 {
 		t.Fatalf("self-baseline run exited %d: %s%s", code, out.String(), errb.String())
 	}
-	if !strings.Contains(out.String(), "no divergence from baseline") {
-		t.Errorf("self-baseline output:\n%s", out.String())
+	if strings.Contains(out.String(), "FAIL") {
+		t.Errorf("self-baseline output has fail-level rows:\n%s", out.String())
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // demands must be present in the registry the multichecker serves, so
 // a future refactor cannot silently drop one from the gate.
 func TestAllAnalyzersRegistered(t *testing.T) {
-	want := []string{"litsafe", "hotpath", "ctxflow", "metricname", "nodeprecated", "eventexhaustive", "lockorder", "atomicsafe"}
+	want := []string{"litsafe", "hotpath", "ctxflow", "metricname", "eventexhaustive", "lockorder", "atomicsafe"}
 	got := map[string]bool{}
 	for _, a := range lint.All() {
 		if a.Name == "" || a.Doc == "" || a.Run == nil {

@@ -17,9 +17,11 @@
 //	                     local/remote race execution (LocalExecutor wraps
 //	                     the in-process goroutine pool; remote.Executor
 //	                     fans races out to worker daemons), a per-depth
-//	                     progress event stream, and all seven depth loops
-//	                     (BMC scratch/incremental/portfolio/warm;
-//	                     k-induction sequential/portfolio/warm)
+//	                     progress event stream, and the one depth loop
+//	                     (loop.go) over instance sequence (BMC; k-induction
+//	                     base + step) × solver lifetime (fresh per depth;
+//	                     warm pools) × attempt set (a strategy set; a
+//	                     single ordering is a portfolio of one)
 //	internal/obs         zero-dependency observability layer: lock-cheap
 //	                     metrics registry (atomic counters/gauges/
 //	                     histograms, nil-safe no-op handles when off) with
@@ -39,9 +41,8 @@
 //	                     StepDelta (incremental induction-step encoding
 //	                     with monotone simple-path constraints), and the
 //	                     scratch step instance StepFormula
-//	internal/bmc         deprecated thin wrappers over engine for the four
-//	                     legacy BMC entrypoints (Run, RunIncremental,
-//	                     RunPortfolio, RunPortfolioIncremental)
+//	internal/bmc         test-only: the behavioural suite of the four BMC
+//	                     shapes, driven through engine
 //	internal/portfolio   strategy-racing engine: cancellable solver race
 //	                     (cold Race, live-solver RaceLive), worker pool,
 //	                     win/loss and clause-bus telemetry
@@ -57,9 +58,8 @@
 //	                     heartbeats, reconnect + frame replay, clause-bus
 //	                     forwarding under per-link diets, local re-race
 //	                     fallback when a worker dies mid-depth)
-//	internal/induction   deprecated thin wrappers over engine for the three
-//	                     legacy k-induction entrypoints (Prove,
-//	                     ProvePortfolio, ProvePortfolioIncremental)
+//	internal/induction   test-only: the behavioural suite of the three
+//	                     k-induction shapes and the step-query encodings
 //	internal/experiments paper tables/figures plus ablations (portfolio vs
 //	                     best single order, incremental vs scratch, cold vs
 //	                     warm vs warm+sharing), driven through engine

@@ -292,8 +292,10 @@ func build(p *parsed, name string) (*circuit.Circuit, error) {
 		return sigOf[v], nil
 	}
 
-	for v := range andIdx {
-		if _, err := resolve(2 * v); err != nil {
+	// In file order, so the same bytes always number the AND gates — and
+	// with them the CNF variables of every unrolling — the same way.
+	for _, lhs := range p.andLHS {
+		if _, err := resolve(lhs); err != nil {
 			return nil, err
 		}
 	}

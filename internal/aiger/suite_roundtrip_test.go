@@ -1,13 +1,15 @@
 package aiger
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/bmc"
-	"repro/internal/core"
-	"repro/internal/sat"
+	"repro/internal/circuit"
+	"repro/internal/cnf"
+	"repro/internal/engine"
+	"repro/internal/unroll"
 )
 
 // TestSuiteRoundTripStructure writes every benchmark model to AIGER text
@@ -59,17 +61,52 @@ func TestSuiteRoundTripVerdicts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		orig, err := bmc.Run(m.Build(), 0, bmc.Options{MaxDepth: depth, Strategy: core.OrderDynamic, Solver: sat.Defaults()})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		check := func(c *circuit.Circuit) *engine.Result {
+			sess, err := engine.New(c, 0, engine.WithBudgets(depth, 0))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			res, err := sess.Check(context.Background())
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return res
 		}
-		rt, err := bmc.Run(back, 0, bmc.Options{MaxDepth: depth, Strategy: core.OrderDynamic, Solver: sat.Defaults()})
-		if err != nil {
-			t.Fatalf("%s (round-tripped): %v", name, err)
-		}
-		if orig.Verdict != rt.Verdict || orig.Depth != rt.Depth {
+		orig, rt := check(m.Build()), check(back)
+		if orig.Verdict != rt.Verdict || orig.K != rt.K {
 			t.Errorf("%s: verdict changed on round trip: %v@%d -> %v@%d",
-				name, orig.Verdict, orig.Depth, rt.Verdict, rt.Depth)
+				name, orig.Verdict, orig.K, rt.Verdict, rt.K)
+		}
+	}
+}
+
+// TestReadIsDeterministic: parsing the same bytes must number the AND
+// gates the same way every time, or the CNF variable order — and with it
+// the search — changes from run to run on the same file.
+func TestReadIsDeterministic(t *testing.T) {
+	m, ok := bench.ByName("add_w8")
+	if !ok {
+		t.Fatal("add_w8 missing")
+	}
+	src, err := WriteString(m.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for i := 0; i < 20; i++ {
+		c, err := ReadString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := unroll.New(c, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dimacs := cnf.DimacsString(u.Formula(3))
+		if i == 0 {
+			first = dimacs
+		} else if dimacs != first {
+			t.Fatalf("parse %d of the same bytes unrolls to a different depth-3 formula", i)
 		}
 	}
 }

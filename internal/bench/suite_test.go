@@ -1,12 +1,26 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
-	"repro/internal/bmc"
 	"repro/internal/core"
-	"repro/internal/sat"
+	"repro/internal/engine"
 )
+
+// checkBMC model-checks m to the given depth under one ordering.
+func checkBMC(t *testing.T, m Model, depth int, st core.Strategy) *engine.Result {
+	t.Helper()
+	sess, err := engine.New(m.Build(), 0, engine.WithBudgets(depth, 0), engine.WithOrdering(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Check(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func TestSuiteShape(t *testing.T) {
 	ms := Suite()
@@ -70,16 +84,9 @@ func TestFailingModelsFailAtDeclaredDepth(t *testing.T) {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
 			t.Parallel()
-			res, err := bmc.Run(m.Build(), 0, bmc.Options{
-				MaxDepth: m.FailDepth,
-				Strategy: core.OrderVSIDS,
-				Solver:   sat.Defaults(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Verdict != bmc.Falsified || res.Depth != m.FailDepth {
-				t.Fatalf("verdict=%v depth=%d, want falsified at %d", res.Verdict, res.Depth, m.FailDepth)
+			res := checkBMC(t, m, m.FailDepth, core.OrderVSIDS)
+			if res.Verdict != engine.Falsified || res.K != m.FailDepth {
+				t.Fatalf("verdict=%v depth=%d, want falsified at %d", res.Verdict, res.K, m.FailDepth)
 			}
 		})
 	}
@@ -94,16 +101,9 @@ func TestPassingModelsHoldAtShallowDepths(t *testing.T) {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
 			t.Parallel()
-			res, err := bmc.Run(m.Build(), 0, bmc.Options{
-				MaxDepth: testDepth,
-				Strategy: core.OrderVSIDS,
-				Solver:   sat.Defaults(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Verdict != bmc.Holds {
-				t.Fatalf("verdict=%v at depth %d, want holds", res.Verdict, res.Depth)
+			res := checkBMC(t, m, testDepth, core.OrderVSIDS)
+			if res.Verdict != engine.Holds {
+				t.Fatalf("verdict=%v at depth %d, want holds", res.Verdict, res.K)
 			}
 		})
 	}
@@ -122,19 +122,16 @@ func TestRefinedStrategiesAgreeOnSample(t *testing.T) {
 		if depth > 8 {
 			depth = 8
 		}
-		var base *bmc.Result
+		var base *engine.Result
 		for _, st := range []core.Strategy{core.OrderVSIDS, core.OrderStatic, core.OrderDynamic} {
-			res, err := bmc.Run(m.Build(), 0, bmc.Options{MaxDepth: depth, Strategy: st, Solver: sat.Defaults()})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", name, st, err)
-			}
+			res := checkBMC(t, m, depth, st)
 			if base == nil {
 				base = res
 				continue
 			}
-			if res.Verdict != base.Verdict || res.Depth != base.Depth {
+			if res.Verdict != base.Verdict || res.K != base.K {
 				t.Errorf("%s: %v disagrees with baseline (%v@%d vs %v@%d)",
-					name, st, res.Verdict, res.Depth, base.Verdict, base.Depth)
+					name, st, res.Verdict, res.K, base.Verdict, base.K)
 			}
 		}
 	}

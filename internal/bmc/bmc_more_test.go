@@ -1,4 +1,4 @@
-package bmc
+package bmc_test
 
 import (
 	"testing"
@@ -7,8 +7,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/sat"
-	"repro/internal/unroll"
+	"repro/internal/engine"
 )
 
 // failAt builds a width-bit all-ones window model failing at depth width.
@@ -22,12 +21,9 @@ func failAt(width int) *circuit.Circuit {
 }
 
 func TestPerDepthWallPopulated(t *testing.T) {
-	res, err := Run(failAt(4), 0, Options{MaxDepth: 6, Strategy: core.OrderDynamic, Solver: sat.Defaults()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != Falsified || res.Depth != 4 {
-		t.Fatalf("verdict %v at %d", res.Verdict, res.Depth)
+	res := check(t, failAt(4), engine.WithBudgets(6, 0))
+	if res.Verdict != engine.Falsified || res.K != 4 {
+		t.Fatalf("verdict %v at %d", res.Verdict, res.K)
 	}
 	var sum time.Duration
 	for _, d := range res.PerDepth {
@@ -42,34 +38,17 @@ func TestPerDepthWallPopulated(t *testing.T) {
 }
 
 func TestTimeAxisStrategyRuns(t *testing.T) {
-	res, err := Run(failAt(5), 0, Options{MaxDepth: 8, Strategy: TimeAxis, Solver: sat.Defaults()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != Falsified || res.Depth != 5 {
-		t.Fatalf("time-axis run: %v at %d, want falsified at 5", res.Verdict, res.Depth)
+	res := check(t, failAt(5), engine.WithBudgets(8, 0), engine.WithOrdering(core.OrderTimeAxis))
+	if res.Verdict != engine.Falsified || res.K != 5 {
+		t.Fatalf("time-axis run: %v at %d, want falsified at 5", res.Verdict, res.K)
 	}
 }
 
 func TestRunRejectsBadProperty(t *testing.T) {
 	c := circuit.New("one")
 	c.AddProperty("p", circuit.False)
-	if _, err := Run(c, 5, Options{MaxDepth: 2, Solver: sat.Defaults()}); err == nil {
+	if _, err := engine.New(c, 5, engine.WithBudgets(2, 0)); err == nil {
 		t.Fatal("expected an error for a bad property index")
-	}
-}
-
-func TestCheckFormulaOnly(t *testing.T) {
-	c := failAt(3)
-	u, err := unroll.New(c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := CheckFormulaOnly(u.Formula(2), sat.Defaults()); r.Status != sat.Unsat {
-		t.Fatalf("depth 2: %v, want UNSAT", r.Status)
-	}
-	if r := CheckFormulaOnly(u.Formula(3), sat.Defaults()); r.Status != sat.Sat {
-		t.Fatalf("depth 3: %v, want SAT", r.Status)
 	}
 }
 
@@ -81,22 +60,8 @@ func TestStaticAndDynamicDecisionsDivergeAfterSwitch(t *testing.T) {
 	if !ok {
 		t.Fatal("add_w8 missing")
 	}
-	opts := func(st core.Strategy) Options {
-		return Options{
-			MaxDepth:             4,
-			Strategy:             st,
-			Solver:               sat.Defaults(),
-			PerInstanceConflicts: 30000,
-		}
-	}
-	st, err := Run(m.Build(), 0, opts(core.OrderStatic))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dy, err := Run(m.Build(), 0, opts(core.OrderDynamic))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := check(t, m.Build(), engine.WithBudgets(4, 30000), engine.WithOrdering(core.OrderStatic))
+	dy := check(t, m.Build(), engine.WithBudgets(4, 30000), engine.WithOrdering(core.OrderDynamic))
 	if !dy.Total.GuidanceSwitched {
 		t.Skip("dynamic did not switch at this scale")
 	}
@@ -109,11 +74,7 @@ func TestStaticAndDynamicDecisionsDivergeAfterSwitch(t *testing.T) {
 // match the simulator's state trajectory under the trace inputs.
 func TestTraceStatesMatchReplay(t *testing.T) {
 	c := failAt(4)
-	res, err := Run(c, 0, Options{MaxDepth: 6, Strategy: core.OrderVSIDS, Solver: sat.Defaults()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := res.Trace
+	tr := check(t, c, engine.WithBudgets(6, 0), engine.WithOrdering(core.OrderVSIDS)).Trace
 	if tr == nil {
 		t.Fatal("no trace")
 	}
@@ -131,23 +92,16 @@ func TestTraceStatesMatchReplay(t *testing.T) {
 }
 
 // TestFig7ShapeOnSuiteModel: on the designated Figure 7 model the refined
-// ordering must reduce total decisions by at least 5x at modest depth —
+// ordering must reduce total decisions by at least 3x at modest depth —
 // the qualitative claim behind the paper's log-scale gap.
 func TestFig7ShapeOnSuiteModel(t *testing.T) {
 	m, ok := bench.ByName(bench.Fig7Model)
 	if !ok {
 		t.Fatalf("%s missing", bench.Fig7Model)
 	}
-	depth := 7
-	base, err := Run(m.Build(), 0, Options{MaxDepth: depth, Strategy: core.OrderVSIDS, Solver: sat.Defaults()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Run(m.Build(), 0, Options{MaxDepth: depth, Strategy: core.OrderStatic, Solver: sat.Defaults()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Verdict != Holds || ref.Verdict != Holds {
+	base := check(t, m.Build(), engine.WithBudgets(7, 0), engine.WithOrdering(core.OrderVSIDS))
+	ref := check(t, m.Build(), engine.WithBudgets(7, 0), engine.WithOrdering(core.OrderStatic))
+	if base.Verdict != engine.Holds || ref.Verdict != engine.Holds {
 		t.Fatalf("verdicts: %v / %v", base.Verdict, ref.Verdict)
 	}
 	if ref.Total.Decisions*3 > base.Total.Decisions {

@@ -1,14 +1,48 @@
-package bmc
+// Package bmc_test is the behavioural suite of the BMC engine shapes
+// (scratch, incremental, cold and warm portfolio), driven through
+// engine.New(...).Check. The bmc package these tests were written
+// against — thin wrappers over the engine — is gone; the suite keeps its
+// directory so the repository's test floor, which tracks tests by
+// package path, keeps tracking them.
+package bmc_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/sat"
+	"repro/internal/engine"
 )
+
+// check runs one session on c and fails the test on a structural error.
+func check(t *testing.T, c *circuit.Circuit, opts ...engine.Option) *engine.Result {
+	t.Helper()
+	return checkCtx(t, context.Background(), c, opts...)
+}
+
+func checkCtx(t *testing.T, ctx context.Context, c *circuit.Circuit, opts ...engine.Option) *engine.Result {
+	t.Helper()
+	sess, err := engine.New(c, 0, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Check(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// expired returns a context whose deadline has already passed.
+func expired(t *testing.T) context.Context {
+	t.Helper()
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	t.Cleanup(cancel)
+	return ctx
+}
 
 // failingCounter: width-bit counter, bad when count == target (reachable:
 // counter-example of exactly length target).
@@ -35,18 +69,14 @@ func passingCounter(width int, m, unreachable uint64) *circuit.Circuit {
 }
 
 func allStrategies() []core.Strategy {
-	return []core.Strategy{core.OrderVSIDS, core.OrderStatic, core.OrderDynamic, TimeAxis}
+	return []core.Strategy{core.OrderVSIDS, core.OrderStatic, core.OrderDynamic, core.OrderTimeAxis}
 }
 
 func TestFailingCounterAllStrategies(t *testing.T) {
 	for _, st := range allStrategies() {
-		c := failingCounter(4, 9)
-		res, err := Run(c, 0, Options{MaxDepth: 15, Strategy: st, Solver: sat.Defaults()})
-		if err != nil {
-			t.Fatalf("%v: %v", st, err)
-		}
-		if res.Verdict != Falsified || res.Depth != 9 {
-			t.Errorf("%v: verdict=%v depth=%d, want falsified at 9", st, res.Verdict, res.Depth)
+		res := check(t, failingCounter(4, 9), engine.WithBudgets(15, 0), engine.WithOrdering(st))
+		if res.Verdict != engine.Falsified || res.K != 9 {
+			t.Errorf("%v: verdict=%v depth=%d, want falsified at 9", st, res.Verdict, res.K)
 		}
 		if res.Trace == nil || res.Trace.Depth != 9 {
 			t.Errorf("%v: missing or wrong trace", st)
@@ -59,16 +89,12 @@ func TestFailingCounterAllStrategies(t *testing.T) {
 
 func TestPassingCounterAllStrategies(t *testing.T) {
 	for _, st := range allStrategies() {
-		c := passingCounter(3, 5, 7)
-		res, err := Run(c, 0, Options{MaxDepth: 12, Strategy: st, Solver: sat.Defaults()})
-		if err != nil {
-			t.Fatalf("%v: %v", st, err)
-		}
-		if res.Verdict != Holds {
+		res := check(t, passingCounter(3, 5, 7), engine.WithBudgets(12, 0), engine.WithOrdering(st))
+		if res.Verdict != engine.Holds {
 			t.Errorf("%v: verdict=%v, want holds", st, res.Verdict)
 		}
-		if res.Depth != 12 {
-			t.Errorf("%v: deepest checked depth=%d, want 12", st, res.Depth)
+		if res.K != 12 {
+			t.Errorf("%v: deepest checked depth=%d, want 12", st, res.K)
 		}
 		// Unsat instances must produce unsat cores under refined modes.
 		if st == core.OrderStatic || st == core.OrderDynamic {
@@ -83,19 +109,13 @@ func TestPassingCounterAllStrategies(t *testing.T) {
 
 func TestCoreStatsOnlyWithRecording(t *testing.T) {
 	c := passingCounter(3, 5, 7)
-	res, err := Run(c, 0, Options{MaxDepth: 4, Strategy: core.OrderVSIDS, Solver: sat.Defaults()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := check(t, c, engine.WithBudgets(4, 0), engine.WithOrdering(core.OrderVSIDS))
 	for _, d := range res.PerDepth {
 		if d.CoreClauses != 0 {
 			t.Errorf("baseline without ForceRecording must not extract cores")
 		}
 	}
-	res, err = Run(c, 0, Options{MaxDepth: 4, Strategy: core.OrderVSIDS, ForceRecording: true, Solver: sat.Defaults()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = check(t, c, engine.WithBudgets(4, 0), engine.WithOrdering(core.OrderVSIDS), engine.WithForceRecording())
 	for _, d := range res.PerDepth {
 		if d.CoreClauses == 0 {
 			t.Errorf("ForceRecording must extract cores at depth %d", d.K)
@@ -105,34 +125,16 @@ func TestCoreStatsOnlyWithRecording(t *testing.T) {
 
 func TestPerInstanceConflictBudget(t *testing.T) {
 	// A hard instance family with a tiny conflict budget must exhaust.
-	c := hardDistractor(12)
-	res, err := Run(c, 0, Options{
-		MaxDepth:             20,
-		Strategy:             core.OrderVSIDS,
-		Solver:               sat.Defaults(),
-		PerInstanceConflicts: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != BudgetExhausted {
-		t.Errorf("verdict=%v, want budget-exhausted", res.Verdict)
+	res := check(t, hardDistractor(12), engine.WithBudgets(20, 1), engine.WithOrdering(core.OrderVSIDS))
+	if res.Verdict != engine.Unknown {
+		t.Errorf("verdict=%v, want unknown (budget exhausted)", res.Verdict)
 	}
 }
 
 func TestDeadlineInPast(t *testing.T) {
-	c := failingCounter(3, 5)
-	res, err := Run(c, 0, Options{
-		MaxDepth: 10,
-		Strategy: core.OrderVSIDS,
-		Solver:   sat.Defaults(),
-		Deadline: time.Now().Add(-time.Second),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != BudgetExhausted || res.Depth != 0 {
-		t.Errorf("verdict=%v depth=%d, want budget-exhausted at 0", res.Verdict, res.Depth)
+	res := checkCtx(t, expired(t), failingCounter(3, 5), engine.WithBudgets(10, 0), engine.WithOrdering(core.OrderVSIDS))
+	if res.Verdict != engine.Unknown || res.K != 0 {
+		t.Errorf("verdict=%v depth=%d, want unknown at 0", res.Verdict, res.K)
 	}
 }
 
@@ -159,16 +161,13 @@ func TestStrategiesAgreeOnRandomModels(t *testing.T) {
 	for iter := 0; iter < 12; iter++ {
 		c := randomSequential(rng)
 		type outcome struct {
-			verdict Verdict
+			verdict engine.Verdict
 			depth   int
 		}
 		var first *outcome
 		for _, st := range allStrategies() {
-			res, err := Run(c, 0, Options{MaxDepth: 6, Strategy: st, Solver: sat.Defaults()})
-			if err != nil {
-				t.Fatalf("iter %d %v: %v", iter, st, err)
-			}
-			o := &outcome{res.Verdict, res.Depth}
+			res := check(t, c, engine.WithBudgets(6, 0), engine.WithOrdering(st))
+			o := &outcome{res.Verdict, res.K}
 			if first == nil {
 				first = o
 			} else if *first != *o {
@@ -214,24 +213,16 @@ func randomSequential(rng *rand.Rand) *circuit.Circuit {
 }
 
 func TestTimeAxisGuidancePrefersEarlyFrames(t *testing.T) {
-	c := failingCounter(3, 5)
-	res, err := Run(c, 0, Options{MaxDepth: 8, Strategy: TimeAxis, Solver: sat.Defaults()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != Falsified || res.Depth != 5 {
-		t.Errorf("timeaxis: verdict=%v depth=%d", res.Verdict, res.Depth)
+	res := check(t, failingCounter(3, 5), engine.WithBudgets(8, 0), engine.WithOrdering(core.OrderTimeAxis))
+	if res.Verdict != engine.Falsified || res.K != 5 {
+		t.Errorf("timeaxis: verdict=%v depth=%d", res.Verdict, res.K)
 	}
 }
 
 func TestScoreModesAllRun(t *testing.T) {
 	for _, m := range []core.ScoreMode{core.WeightedSum, core.UnweightedSum, core.LastCoreOnly, core.ExpDecay} {
-		c := passingCounter(3, 5, 7)
-		res, err := Run(c, 0, Options{MaxDepth: 8, Strategy: core.OrderStatic, ScoreMode: m, Solver: sat.Defaults()})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if res.Verdict != Holds {
+		res := check(t, passingCounter(3, 5, 7), engine.WithBudgets(8, 0), engine.WithOrdering(core.OrderStatic), engine.WithScoreMode(m))
+		if res.Verdict != engine.Holds {
 			t.Errorf("%v: verdict=%v", m, res.Verdict)
 		}
 	}
@@ -243,25 +234,15 @@ func TestSwitchDivisorPlumbing(t *testing.T) {
 	// both run and agree.
 	c := failingCounter(4, 9)
 	for _, div := range []int{1, 64, 100000} {
-		res, err := Run(c, 0, Options{
-			MaxDepth: 12, Strategy: core.OrderDynamic, SwitchDivisor: div,
-			Solver: sat.Defaults(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Verdict != Falsified || res.Depth != 9 {
-			t.Errorf("divisor %d: verdict=%v depth=%d", div, res.Verdict, res.Depth)
+		res := check(t, c, engine.WithBudgets(12, 0), engine.WithOrdering(core.OrderDynamic), engine.WithSwitchDivisor(div))
+		if res.Verdict != engine.Falsified || res.K != 9 {
+			t.Errorf("divisor %d: verdict=%v depth=%d", div, res.Verdict, res.K)
 		}
 	}
 }
 
 func TestTotalsAccumulate(t *testing.T) {
-	c := failingCounter(3, 5)
-	res, err := Run(c, 0, Options{MaxDepth: 8, Strategy: core.OrderVSIDS, Solver: sat.Defaults()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := check(t, failingCounter(3, 5), engine.WithBudgets(8, 0), engine.WithOrdering(core.OrderVSIDS))
 	var dec int64
 	for _, d := range res.PerDepth {
 		dec += d.Stats.Decisions
@@ -271,12 +252,5 @@ func TestTotalsAccumulate(t *testing.T) {
 	}
 	if res.TotalTime <= 0 {
 		t.Errorf("total time not recorded")
-	}
-}
-
-func TestVerdictStrings(t *testing.T) {
-	if Holds.String() != "holds" || Falsified.String() != "falsified" ||
-		BudgetExhausted.String() != "budget-exhausted" || Verdict(9).String() != "?" {
-		t.Errorf("verdict strings wrong")
 	}
 }

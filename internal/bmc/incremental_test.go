@@ -2,11 +2,11 @@ package bmc_test
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/bench"
-	"repro/internal/bmc"
+	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/portfolio"
 	"repro/internal/sat"
 )
@@ -20,10 +20,19 @@ func mustParseSet(t *testing.T, s string) portfolio.StrategySet {
 	return set
 }
 
+func suiteModel(t *testing.T, name string) *circuit.Circuit {
+	t.Helper()
+	m, ok := bench.ByName(name)
+	if !ok {
+		t.Fatalf("model %s missing", name)
+	}
+	return m.Build()
+}
+
 // TestIncrementalAgreesWithScratchSuite is the acceptance criterion of the
-// incremental engine: on every internal/bench family, RunIncremental must
-// return the verdict and counter-example depth of the scratch Run. Failing
-// rows run to their full suite depth (the counter-example length must match
+// incremental shape: on every internal/bench family it must return the
+// verdict and counter-example depth of the scratch shape. Failing rows
+// run to their full suite depth (the counter-example length must match
 // exactly); passing rows are depth-capped to keep the sweep fast.
 func TestIncrementalAgreesWithScratchSuite(t *testing.T) {
 	for _, m := range bench.Suite() {
@@ -34,25 +43,14 @@ func TestIncrementalAgreesWithScratchSuite(t *testing.T) {
 		if testing.Short() && m.ExpectFail && depth > 10 {
 			depth = 10
 		}
-		opts := bmc.Options{
-			MaxDepth: depth,
-			Strategy: core.OrderDynamic,
-			Solver:   sat.Defaults(),
-		}
-		sres, err := bmc.Run(m.Build(), 0, opts)
-		if err != nil {
-			t.Fatalf("%s scratch: %v", m.Name, err)
-		}
-		ires, err := bmc.RunIncremental(m.Build(), 0, opts)
-		if err != nil {
-			t.Fatalf("%s incremental: %v", m.Name, err)
-		}
-		if sres.Verdict != ires.Verdict || sres.Depth != ires.Depth {
+		sres := check(t, m.Build(), engine.WithBudgets(depth, 0))
+		ires := check(t, m.Build(), engine.WithBudgets(depth, 0), engine.WithIncremental())
+		if sres.Verdict != ires.Verdict || sres.K != ires.K {
 			t.Errorf("%s: incremental (%v, depth %d) disagrees with scratch (%v, depth %d)",
-				m.Name, ires.Verdict, ires.Depth, sres.Verdict, sres.Depth)
+				m.Name, ires.Verdict, ires.K, sres.Verdict, sres.K)
 		}
-		if m.ExpectFail && !testing.Short() && ires.Verdict == bmc.Falsified && ires.Depth != m.FailDepth {
-			t.Errorf("%s: counter-example at depth %d, ground truth %d", m.Name, ires.Depth, m.FailDepth)
+		if m.ExpectFail && !testing.Short() && ires.Verdict == engine.Falsified && ires.K != m.FailDepth {
+			t.Errorf("%s: counter-example at depth %d, ground truth %d", m.Name, ires.K, m.FailDepth)
 		}
 	}
 }
@@ -60,54 +58,30 @@ func TestIncrementalAgreesWithScratchSuite(t *testing.T) {
 // TestIncrementalAllStrategies checks verdict agreement for every ordering
 // strategy on one model from each verdict class.
 func TestIncrementalAllStrategies(t *testing.T) {
-	models := []struct {
+	for _, tc := range []struct {
 		name    string
 		depth   int
-		verdict bmc.Verdict
-		vDepth  int
+		verdict engine.Verdict
+		k       int
 	}{
-		{"cnt_w4_t9", 12, bmc.Falsified, 9},
-		{"twin_w8", 6, bmc.Holds, 6},
-	}
-	for _, tc := range models {
-		m, ok := bench.ByName(tc.name)
-		if !ok {
-			t.Fatalf("model %s missing", tc.name)
-		}
-		for _, st := range []core.Strategy{core.OrderVSIDS, core.OrderStatic, core.OrderDynamic, bmc.TimeAxis} {
-			res, err := bmc.RunIncremental(m.Build(), 0, bmc.Options{
-				MaxDepth: tc.depth,
-				Strategy: st,
-				Solver:   sat.Defaults(),
-			})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", tc.name, st, err)
-			}
-			if res.Verdict != tc.verdict || res.Depth != tc.vDepth {
+		{"cnt_w4_t9", 12, engine.Falsified, 9},
+		{"twin_w8", 6, engine.Holds, 6},
+	} {
+		for _, st := range allStrategies() {
+			res := check(t, suiteModel(t, tc.name), engine.WithBudgets(tc.depth, 0), engine.WithOrdering(st), engine.WithIncremental())
+			if res.Verdict != tc.verdict || res.K != tc.k {
 				t.Errorf("%s/%v: verdict=%v depth=%d, want %v at %d",
-					tc.name, st, res.Verdict, res.Depth, tc.verdict, tc.vDepth)
+					tc.name, st, res.Verdict, res.K, tc.verdict, tc.k)
 			}
 		}
 	}
 }
 
 // TestIncrementalExtractsCores: the incremental CDG must yield a nonempty
-// core at every UNSAT depth under the core-consuming strategies, and the
-// trace of a falsifying run must replay (checked inside RunIncremental).
+// core at every UNSAT depth under the core-consuming strategies.
 func TestIncrementalExtractsCores(t *testing.T) {
-	m, ok := bench.ByName("twin_w8")
-	if !ok {
-		t.Fatal("model twin_w8 missing")
-	}
-	res, err := bmc.RunIncremental(m.Build(), 0, bmc.Options{
-		MaxDepth: 5,
-		Strategy: core.OrderStatic,
-		Solver:   sat.Defaults(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != bmc.Holds {
+	res := check(t, suiteModel(t, "twin_w8"), engine.WithBudgets(5, 0), engine.WithOrdering(core.OrderStatic), engine.WithIncremental())
+	if res.Verdict != engine.Holds {
 		t.Fatalf("verdict=%v", res.Verdict)
 	}
 	for _, d := range res.PerDepth {
@@ -124,18 +98,7 @@ func TestIncrementalExtractsCores(t *testing.T) {
 // TestIncrementalPerDepthStatsAreDeltas: DepthStats must record per-call
 // deltas whose sum is the run total, not cumulative lifetime counters.
 func TestIncrementalPerDepthStatsAreDeltas(t *testing.T) {
-	m, ok := bench.ByName("mix_w5")
-	if !ok {
-		t.Fatal("model mix_w5 missing")
-	}
-	res, err := bmc.RunIncremental(m.Build(), 0, bmc.Options{
-		MaxDepth: 4,
-		Strategy: core.OrderVSIDS,
-		Solver:   sat.Defaults(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := check(t, suiteModel(t, "mix_w5"), engine.WithBudgets(4, 0), engine.WithOrdering(core.OrderVSIDS), engine.WithIncremental())
 	var conf, dec int64
 	for _, d := range res.PerDepth {
 		conf += d.Stats.Conflicts
@@ -148,40 +111,22 @@ func TestIncrementalPerDepthStatsAreDeltas(t *testing.T) {
 }
 
 func TestIncrementalBudgetExhausted(t *testing.T) {
-	m, ok := bench.ByName("mix_w8")
-	if !ok {
-		t.Fatal("model mix_w8 missing")
+	res := check(t, suiteModel(t, "mix_w8"), engine.WithBudgets(8, 1), engine.WithOrdering(core.OrderVSIDS), engine.WithIncremental())
+	if res.Verdict != engine.Unknown {
+		t.Errorf("verdict=%v, want unknown (budget exhausted)", res.Verdict)
 	}
-	res, err := bmc.RunIncremental(m.Build(), 0, bmc.Options{
-		MaxDepth:             8,
-		Strategy:             core.OrderVSIDS,
-		Solver:               sat.Defaults(),
-		PerInstanceConflicts: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != bmc.BudgetExhausted {
-		t.Errorf("verdict=%v, want budget-exhausted", res.Verdict)
+	// A single-ordering run reports the effort of the depth its budget
+	// ran out in.
+	last := res.PerDepth[len(res.PerDepth)-1]
+	if last.Status.Decided() || last.Stats.Conflicts == 0 || res.Total.Conflicts == 0 {
+		t.Errorf("exhausted depth %+v, total %+v: want an undecided row that counts its conflicts", last, res.Total)
 	}
 }
 
 func TestIncrementalDeadlineInPast(t *testing.T) {
-	m, ok := bench.ByName("twin_w8")
-	if !ok {
-		t.Fatal("model twin_w8 missing")
-	}
-	res, err := bmc.RunIncremental(m.Build(), 0, bmc.Options{
-		MaxDepth: 10,
-		Strategy: core.OrderVSIDS,
-		Solver:   sat.Defaults(),
-		Deadline: time.Now().Add(-time.Second),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != bmc.BudgetExhausted || res.Depth != 0 {
-		t.Errorf("verdict=%v depth=%d, want budget-exhausted at 0", res.Verdict, res.Depth)
+	res := checkCtx(t, expired(t), suiteModel(t, "twin_w8"), engine.WithBudgets(10, 0), engine.WithOrdering(core.OrderVSIDS), engine.WithIncremental())
+	if res.Verdict != engine.Unknown || res.K != 0 {
+		t.Errorf("verdict=%v depth=%d, want unknown at 0", res.Verdict, res.K)
 	}
 }
 
@@ -189,29 +134,15 @@ func TestIncrementalDeadlineInPast(t *testing.T) {
 // recorder data race: a caller-supplied Recorder on a vsids/timeaxis-only
 // strategy set used to be shared verbatim by all racing goroutines (a data
 // race on core.Recorder's slices, visible under -race and as out-of-order
-// clause-ID panics). RunPortfolio must clear it like Run does.
+// clause-ID panics). The session must clear it.
 func TestPortfolioClearsCallerRecorder(t *testing.T) {
-	m, ok := bench.ByName("cnt_w4_t9")
-	if !ok {
-		t.Fatal("model cnt_w4_t9 missing")
-	}
-	set := mustParseSet(t, "vsids,timeaxis")
-	opts := bmc.PortfolioOptions{
-		Options: bmc.Options{
-			MaxDepth: 9,
-			Solver:   sat.Defaults(),
-		},
-		Strategies: set,
-		Jobs:       2,
-	}
 	// The dangerous input: a recorder in the base solver options while no
 	// strategy in the set consumes cores.
-	opts.Solver.Recorder = core.NewRecorder(0)
-	res, err := bmc.RunPortfolio(m.Build(), 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != bmc.Falsified || res.Depth != 9 {
-		t.Errorf("verdict=%v depth=%d, want falsified at 9", res.Verdict, res.Depth)
+	solver := sat.Defaults()
+	solver.Recorder = core.NewRecorder(0)
+	res := check(t, suiteModel(t, "cnt_w4_t9"), engine.WithBudgets(9, 0), engine.WithSolver(solver),
+		engine.WithPortfolio(mustParseSet(t, "vsids,timeaxis"), 2))
+	if res.Verdict != engine.Falsified || res.K != 9 {
+		t.Errorf("verdict=%v depth=%d, want falsified at 9", res.Verdict, res.K)
 	}
 }

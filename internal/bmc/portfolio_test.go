@@ -4,28 +4,16 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
-	"repro/internal/bmc"
+	"repro/internal/engine"
 	"repro/internal/portfolio"
 	"repro/internal/sat"
 )
-
-// portfolioOpts builds a default portfolio configuration for tests.
-func portfolioOpts(depth, jobs int) bmc.PortfolioOptions {
-	return bmc.PortfolioOptions{
-		Options: bmc.Options{
-			MaxDepth: depth,
-			Solver:   sat.Defaults(),
-		},
-		Jobs: jobs,
-	}
-}
 
 // TestPortfolioAgreesWithSingleOrders runs the portfolio and every single
 // ordering on models from both verdict classes and checks they agree —
 // the acceptance criterion that racing never changes the answer.
 func TestPortfolioAgreesWithSingleOrders(t *testing.T) {
-	models := []struct {
+	for _, tc := range []struct {
 		name  string
 		depth int
 	}{
@@ -33,28 +21,13 @@ func TestPortfolioAgreesWithSingleOrders(t *testing.T) {
 		{"cnt_w4_t9", 10}, // falsified
 		{"lock_s8", 10},   // falsified
 		{"mix_w5", 4},     // holds, conflict-heavy
-	}
-	for _, tc := range models {
-		m, ok := bench.ByName(tc.name)
-		if !ok {
-			t.Fatalf("model %s missing", tc.name)
-		}
-		pres, err := bmc.RunPortfolio(m.Build(), 0, portfolioOpts(tc.depth, 4))
-		if err != nil {
-			t.Fatalf("%s portfolio: %v", tc.name, err)
-		}
+	} {
+		pres := check(t, suiteModel(t, tc.name), engine.WithBudgets(tc.depth, 0), engine.WithPortfolio(nil, 4))
 		for _, st := range portfolio.DefaultSet() {
-			sres, err := bmc.Run(m.Build(), 0, bmc.Options{
-				MaxDepth: tc.depth,
-				Strategy: st,
-				Solver:   sat.Defaults(),
-			})
-			if err != nil {
-				t.Fatalf("%s %s: %v", tc.name, st, err)
-			}
-			if sres.Verdict != pres.Verdict || sres.Depth != pres.Depth {
+			sres := check(t, suiteModel(t, tc.name), engine.WithBudgets(tc.depth, 0), engine.WithOrdering(st))
+			if sres.Verdict != pres.Verdict || sres.K != pres.K {
 				t.Errorf("%s: portfolio (%v, depth %d) disagrees with %s (%v, depth %d)",
-					tc.name, pres.Verdict, pres.Depth, st, sres.Verdict, sres.Depth)
+					tc.name, pres.Verdict, pres.K, st, sres.Verdict, sres.K)
 			}
 		}
 	}
@@ -65,15 +38,8 @@ func TestPortfolioAgreesWithSingleOrders(t *testing.T) {
 // recorded cores (visible as nonzero CoreVars on the per-depth stats) and
 // every depth must name a winner.
 func TestPortfolioSeedsScoreBoard(t *testing.T) {
-	m, ok := bench.ByName("mix_w5")
-	if !ok {
-		t.Fatal("model mix_w5 missing")
-	}
-	res, err := bmc.RunPortfolio(m.Build(), 0, portfolioOpts(4, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != bmc.Holds {
+	res := check(t, suiteModel(t, "mix_w5"), engine.WithBudgets(4, 0), engine.WithPortfolio(nil, 2))
+	if res.Verdict != engine.Holds {
 		t.Fatalf("verdict = %v, want Holds", res.Verdict)
 	}
 	if len(res.PerDepth) != 5 {
@@ -96,38 +62,20 @@ func TestPortfolioSeedsScoreBoard(t *testing.T) {
 }
 
 // TestPortfolioBudgetExhausted forces tiny budgets so no racer can decide
-// and checks the run reports BudgetExhausted at the first stuck depth.
+// and checks the run reports Unknown at the first stuck depth.
 func TestPortfolioBudgetExhausted(t *testing.T) {
-	m, ok := bench.ByName("mix_w8")
-	if !ok {
-		t.Fatal("model mix_w8 missing")
-	}
-	opts := portfolioOpts(6, 4)
-	opts.PerInstanceConflicts = 1
-	res, err := bmc.RunPortfolio(m.Build(), 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != bmc.BudgetExhausted {
-		t.Fatalf("verdict = %v, want BudgetExhausted", res.Verdict)
+	res := check(t, suiteModel(t, "mix_w8"), engine.WithBudgets(6, 1), engine.WithPortfolio(nil, 4))
+	if res.Verdict != engine.Unknown {
+		t.Fatalf("verdict = %v, want unknown (budget exhausted)", res.Verdict)
 	}
 }
 
 // TestPortfolioDeadline checks that a pre-expired deadline stops the run
 // before any depth is attempted.
 func TestPortfolioDeadline(t *testing.T) {
-	m, ok := bench.ByName("twin_w8")
-	if !ok {
-		t.Fatal("model twin_w8 missing")
-	}
-	opts := portfolioOpts(10, 2)
-	opts.Deadline = time.Now().Add(-time.Second)
-	res, err := bmc.RunPortfolio(m.Build(), 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != bmc.BudgetExhausted || res.Depth != 0 {
-		t.Fatalf("verdict = %v depth %d, want BudgetExhausted at 0", res.Verdict, res.Depth)
+	res := checkCtx(t, expired(t), suiteModel(t, "twin_w8"), engine.WithBudgets(10, 0), engine.WithPortfolio(nil, 2))
+	if res.Verdict != engine.Unknown || res.K != 0 {
+		t.Fatalf("verdict = %v depth %d, want unknown at 0", res.Verdict, res.K)
 	}
 	if len(res.PerDepth) != 0 {
 		t.Fatalf("expired deadline still ran %d depths", len(res.PerDepth))
@@ -144,31 +92,12 @@ func TestPortfolioNotSlowerThanWorst(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison; skipped in -short")
 	}
-	m, ok := bench.ByName("mix_w5")
-	if !ok {
-		t.Fatal("model mix_w5 missing")
-	}
 	const depth = 7
-	set, err := portfolio.ParseSet("vsids,static")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := portfolioOpts(depth, 0)
-	opts.Strategies = set
-	pres, err := bmc.RunPortfolio(m.Build(), 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := mustParseSet(t, "vsids,static")
+	pres := check(t, suiteModel(t, "mix_w5"), engine.WithBudgets(depth, 0), engine.WithPortfolio(set, 0))
 	worst := time.Duration(0)
 	for _, st := range set {
-		sres, err := bmc.Run(m.Build(), 0, bmc.Options{
-			MaxDepth: depth,
-			Strategy: st,
-			Solver:   sat.Defaults(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sres := check(t, suiteModel(t, "mix_w5"), engine.WithBudgets(depth, 0), engine.WithOrdering(st))
 		if sres.Verdict != pres.Verdict {
 			t.Fatalf("%s verdict %v != portfolio %v", st, sres.Verdict, pres.Verdict)
 		}
@@ -185,21 +114,9 @@ func TestPortfolioNotSlowerThanWorst(t *testing.T) {
 // TestPortfolioSubset races a two-strategy set and checks the telemetry
 // only ever names members of the set.
 func TestPortfolioSubset(t *testing.T) {
-	m, ok := bench.ByName("cnt_w4_t9")
-	if !ok {
-		t.Fatal("model cnt_w4_t9 missing")
-	}
-	set, err := portfolio.ParseSet("vsids,timeaxis")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := portfolioOpts(10, 2)
-	opts.Strategies = set
-	res, err := bmc.RunPortfolio(m.Build(), 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != bmc.Falsified {
+	res := check(t, suiteModel(t, "cnt_w4_t9"), engine.WithBudgets(10, 0),
+		engine.WithPortfolio(mustParseSet(t, "vsids,timeaxis"), 2))
+	if res.Verdict != engine.Falsified {
 		t.Fatalf("verdict = %v, want Falsified", res.Verdict)
 	}
 	allowed := map[string]bool{"vsids": true, "timeaxis": true}

@@ -1,4 +1,4 @@
-package bmc
+package bmc_test
 
 import (
 	"testing"
@@ -6,19 +6,25 @@ import (
 	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/portfolio"
 	"repro/internal/racer"
-	"repro/internal/sat"
 )
 
-// warmModels are the equivalence workload: a failing row (counter-example
-// at a known depth), a passing row, and a conflict-heavy UNSAT row.
-func warmModels() []struct {
-	name  string
-	build func() *circuit.Circuit
-	depth int
-} {
-	return []struct {
+// warm is the warm-portfolio shape: the default strategy set on
+// persistent solvers, with the clause bus on or off.
+func warm(share bool) []engine.Option {
+	return []engine.Option{engine.WithPortfolio(nil, 0), engine.WithIncremental(),
+		engine.WithExchange(racer.ExchangeOptions{Enabled: share})}
+}
+
+// TestWarmPortfolioMatchesColdAndIncremental: the acceptance bar — the
+// warm pool (with and without the clause bus) must return the same
+// verdict and depth as both the cold portfolio and the single incremental
+// solver, on a failing row (counter-example at a known depth), a passing
+// row, and a conflict-heavy UNSAT row.
+func TestWarmPortfolioMatchesColdAndIncremental(t *testing.T) {
+	for _, m := range []struct {
 		name  string
 		build func() *circuit.Circuit
 		depth int
@@ -26,43 +32,24 @@ func warmModels() []struct {
 		{"cnt_w4_t9", func() *circuit.Circuit { return bench.Counter(4, 9, 2, 6) }, 12},
 		{"tlc", func() *circuit.Circuit { return bench.TrafficLight(false, 2, 6) }, 8},
 		{"add_w4", func() *circuit.Circuit { return bench.AdderTwin(4, 6, 16) }, 3},
-	}
-}
-
-// TestWarmPortfolioMatchesColdAndIncremental: the acceptance bar — the
-// warm pool (with and without the clause bus) must return the same
-// verdict and depth as both RunPortfolio and RunIncremental.
-func TestWarmPortfolioMatchesColdAndIncremental(t *testing.T) {
-	for _, m := range warmModels() {
-		opts := Options{MaxDepth: m.depth, Strategy: core.OrderDynamic, Solver: sat.Defaults()}
-		popts := PortfolioOptions{Options: opts}
-
-		cold, err := RunPortfolio(m.build(), 0, popts)
-		if err != nil {
-			t.Fatalf("%s cold: %v", m.name, err)
-		}
-		incr, err := RunIncremental(m.build(), 0, opts)
-		if err != nil {
-			t.Fatalf("%s incremental: %v", m.name, err)
-		}
+	} {
+		depth := engine.WithBudgets(m.depth, 0)
+		cold := check(t, m.build(), depth, engine.WithPortfolio(nil, 0))
+		incr := check(t, m.build(), depth, engine.WithIncremental())
 		for _, share := range []bool{false, true} {
-			popts.Exchange = racer.ExchangeOptions{Enabled: share}
-			warm, err := RunPortfolioIncremental(m.build(), 0, popts)
-			if err != nil {
-				t.Fatalf("%s warm share=%v: %v", m.name, share, err)
-			}
-			if !warm.Warm {
+			res := check(t, m.build(), append(warm(share), depth)...)
+			if !res.Warm {
 				t.Fatalf("%s: Warm flag not set", m.name)
 			}
-			if warm.Verdict != cold.Verdict || warm.Depth != cold.Depth {
+			if res.Verdict != cold.Verdict || res.K != cold.K {
 				t.Fatalf("%s share=%v: warm %v@%d vs cold %v@%d",
-					m.name, share, warm.Verdict, warm.Depth, cold.Verdict, cold.Depth)
+					m.name, share, res.Verdict, res.K, cold.Verdict, cold.K)
 			}
-			if warm.Verdict != incr.Verdict || warm.Depth != incr.Depth {
+			if res.Verdict != incr.Verdict || res.K != incr.K {
 				t.Fatalf("%s share=%v: warm %v@%d vs incremental %v@%d",
-					m.name, share, warm.Verdict, warm.Depth, incr.Verdict, incr.Depth)
+					m.name, share, res.Verdict, res.K, incr.Verdict, incr.K)
 			}
-			if warm.Verdict == Falsified && warm.Trace == nil {
+			if res.Verdict == engine.Falsified && res.Trace == nil {
 				t.Fatalf("%s share=%v: falsified without trace", m.name, share)
 			}
 		}
@@ -72,14 +59,8 @@ func TestWarmPortfolioMatchesColdAndIncremental(t *testing.T) {
 // TestWarmPortfolioTelemetry: the telemetry must carry per-depth wins and
 // — with the bus on — exchange traffic and warm attribution.
 func TestWarmPortfolioTelemetry(t *testing.T) {
-	res, err := RunPortfolioIncremental(bench.AdderTwin(4, 6, 16), 0, PortfolioOptions{
-		Options:  Options{MaxDepth: 4, Strategy: core.OrderDynamic, Solver: sat.Defaults()},
-		Exchange: racer.ExchangeOptions{Enabled: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != Holds {
+	res := check(t, bench.AdderTwin(4, 6, 16), append(warm(true), engine.WithBudgets(4, 0))...)
+	if res.Verdict != engine.Holds {
 		t.Fatalf("verdict %v, want holds", res.Verdict)
 	}
 	if got := len(res.Telemetry.Depths); got != 5 {
@@ -111,20 +92,11 @@ func TestWarmPortfolioTelemetry(t *testing.T) {
 }
 
 // TestWarmPortfolioBudget: a tiny per-instance conflict budget must
-// surface as BudgetExhausted, exactly like the other engines.
+// surface as Unknown, exactly like the other shapes.
 func TestWarmPortfolioBudget(t *testing.T) {
-	res, err := RunPortfolioIncremental(bench.AdderTwin(8, 0, 0), 0, PortfolioOptions{
-		Options: Options{
-			MaxDepth:             6,
-			Solver:               sat.Defaults(),
-			PerInstanceConflicts: 1,
-		},
-		Strategies: portfolio.StrategySet{core.OrderVSIDS, core.OrderDynamic},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != BudgetExhausted {
-		t.Fatalf("verdict %v under a 1-conflict budget, want budget-exhausted", res.Verdict)
+	res := check(t, bench.AdderTwin(8, 0, 0), engine.WithBudgets(6, 1), engine.WithIncremental(),
+		engine.WithPortfolio(portfolio.StrategySet{core.OrderVSIDS, core.OrderDynamic}, 0))
+	if res.Verdict != engine.Unknown {
+		t.Fatalf("verdict %v under a 1-conflict budget, want unknown", res.Verdict)
 	}
 }

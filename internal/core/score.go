@@ -51,8 +51,8 @@ func (m ScoreMode) String() string {
 // depth j+1.
 //
 // A ScoreBoard is safe for concurrent use: the portfolio engine
-// (internal/portfolio, bmc.RunPortfolio) shares one board across racing
-// solver goroutines, folding each depth's winning core in while the next
+// (internal/portfolio, driven by internal/engine) shares one board across
+// racing solver goroutines, folding each depth's winning core in while the next
 // depth's attempts may already be reading guidance snapshots. All methods
 // take the internal mutex; Guidance returns an independent copy, so
 // solvers never observe a board mid-update.

@@ -27,8 +27,8 @@ const (
 // OrderTimeAxis is the Shtrichman-style frame ordering (earliest frames
 // first), the related-work comparator discussed in the paper's
 // introduction. Its guidance scores depend on the unrolling, so it is
-// configured by internal/bmc rather than by Configure; the value lives at
-// an offset so Strategy stays a single field across packages (and so the
+// configured by internal/engine rather than by Configure; the value lives
+// at an offset so Strategy stays a single field across packages (and so the
 // portfolio engine can list it in a StrategySet).
 const OrderTimeAxis Strategy = 100
 

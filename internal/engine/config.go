@@ -57,30 +57,24 @@ type Config struct {
 	// Jobs caps concurrent solvers per race (Portfolio only; <= 0 means
 	// one per strategy).
 	Jobs int
-	// Incremental keeps live solvers across depths: a single persistent
-	// solver for single-strategy runs, the warm racer pool when combined
-	// with Portfolio.
+	// Incremental keeps live solvers across depths — the warm racer pool:
+	// one persistent solver per raced strategy (a pool of one for
+	// single-strategy runs).
 	Incremental bool
 	// Exchange configures the warm pool's clause bus (Incremental +
-	// Portfolio only). For KInduction it drives the base-query pool.
+	// Portfolio only). For KInduction it drives the base-query pool; the
+	// step pool's bus stays off.
 	Exchange racer.ExchangeOptions
 	// ExchangeSet records that Exchange was configured explicitly, so
 	// Validate can reject it on engines that have no bus rather than
 	// silently ignoring it (racer.ExchangeOptions' zero value is
 	// indistinguishable from "never mentioned" otherwise).
 	ExchangeSet bool
-	// StepExchange configures the k-induction step pool's own bus; left
-	// zero it stays off even when Exchange is on (step sequences are
-	// SAT-dominated, where sharing perturbs phase-saving momentum).
-	StepExchange racer.ExchangeOptions
-	// StepExchangeSet mirrors ExchangeSet for StepExchange.
-	StepExchangeSet bool
-	// ScoreMode selects the bmc_score accumulation rule (BMC engine; the
-	// k-induction boards always use core.WeightedSum, as the legacy
-	// entrypoints did).
+	// ScoreMode selects the bmc_score accumulation rule of every score
+	// board (bmc, base and step).
 	ScoreMode core.ScoreMode
 	// SwitchDivisor overrides the dynamic strategy's switch threshold
-	// divisor (0 selects core.SwitchDivisor; BMC engine only).
+	// divisor (0 selects core.SwitchDivisor).
 	SwitchDivisor int
 	// Solver carries the base solver options; per-strategy fields
 	// (Guidance, SwitchAfterDecisions, Recorder, Stop) are managed by the
@@ -91,9 +85,6 @@ type Config struct {
 	// ForceRecording attaches proof recorders even for strategies that do
 	// not consume cores (the §3.1 overhead experiment).
 	ForceRecording bool
-	// SkipTraceVerification disables the counter-example replay check
-	// (benchmarks only).
-	SkipTraceVerification bool
 	// Progress, when non-nil, receives per-depth events as the check
 	// runs. It is called synchronously from the depth loop's goroutine,
 	// never concurrently.
@@ -147,15 +138,6 @@ func WithExchange(ex racer.ExchangeOptions) Option {
 	}
 }
 
-// WithStepExchange configures the k-induction step pool's own clause bus
-// (off by default even when WithExchange is on).
-func WithStepExchange(ex racer.ExchangeOptions) Option {
-	return func(c *Config) {
-		c.StepExchange = ex
-		c.StepExchangeSet = true
-	}
-}
-
 // WithBudgets sets the depth bound and the per-SAT-call conflict budget
 // (0 = unlimited conflicts). Wall-clock budgets are carried by the
 // context passed to Session.Check.
@@ -177,9 +159,6 @@ func WithSwitchDivisor(d int) Option { return func(c *Config) { c.SwitchDivisor 
 
 // WithForceRecording attaches proof recorders unconditionally.
 func WithForceRecording() Option { return func(c *Config) { c.ForceRecording = true } }
-
-// WithoutTraceVerification disables counter-example replay (benchmarks).
-func WithoutTraceVerification() Option { return func(c *Config) { c.SkipTraceVerification = true } }
 
 // WithProgress streams per-depth events to fn while the check runs.
 func WithProgress(fn func(Event)) Option { return func(c *Config) { c.Progress = fn } }
@@ -216,10 +195,9 @@ func NewConfig(opts ...Option) Config {
 	return cfg
 }
 
-// Validate vets the configuration matrix in one place — every
-// combination the legacy entrypoints (and cmd/bmc's flag parsing) used
-// to reject ad hoc errors out here with a message naming the offending
-// knob. A nil error means Check can run the configuration.
+// Validate vets the configuration matrix in one place: every rejected
+// combination errors out here with a message naming the offending knob.
+// A nil error means Check can run the configuration.
 func (c *Config) Validate() error {
 	if c.Kind != BMC && c.Kind != KInduction {
 		return fmt.Errorf("engine: unknown engine kind %d (valid: BMC, KInduction)", int(c.Kind))
@@ -246,17 +224,6 @@ func (c *Config) Validate() error {
 	}
 	if c.ExchangeSet && !(c.Portfolio && c.Incremental) {
 		return fmt.Errorf("engine: clause exchange requires an incremental portfolio (the bus runs between multiple persistent racers)")
-	}
-	if c.StepExchangeSet {
-		if c.Kind != KInduction {
-			return fmt.Errorf("engine: step-query clause exchange only applies to the k-induction engine")
-		}
-		if !(c.Portfolio && c.Incremental) {
-			return fmt.Errorf("engine: step-query clause exchange requires an incremental portfolio")
-		}
-	}
-	if c.Kind == KInduction && !c.Incremental && !c.Portfolio && c.Ordering == core.OrderTimeAxis {
-		return fmt.Errorf("engine: the sequential k-induction engine supports vsids|static|dynamic orderings (timeaxis needs a portfolio or the incremental warm pools)")
 	}
 	return nil
 }

@@ -11,9 +11,7 @@ import (
 
 // TestConfigValidate enumerates the engine×ordering×incremental×sharing
 // matrix: every rejected combination errors out with a message naming
-// the offending knob, and every supported combination passes. This is
-// the single validation point that replaced cmd/bmc's hand-rolled
-// flag.Visit matrix.
+// the offending knob, and every supported combination passes.
 func TestConfigValidate(t *testing.T) {
 	mk := func(opts ...Option) Config {
 		cfg := defaultConfig()
@@ -41,8 +39,9 @@ func TestConfigValidate(t *testing.T) {
 		{"kind incremental timeaxis", mk(WithEngine(KInduction), WithIncremental(), WithOrdering(core.OrderTimeAxis)), ""},
 		{"kind portfolio", mk(WithEngine(KInduction), WithPortfolio(nil, 0)), ""},
 		{"kind warm portfolio", mk(WithEngine(KInduction), WithPortfolio(nil, 2), WithIncremental()), ""},
-		{"kind warm with both buses", mk(WithEngine(KInduction), WithPortfolio(nil, 0), WithIncremental(),
-			WithExchange(exchange), WithStepExchange(exchange)), ""},
+		{"kind sequential timeaxis", mk(WithEngine(KInduction), WithOrdering(core.OrderTimeAxis)), ""},
+		{"kind warm with exchange", mk(WithEngine(KInduction), WithPortfolio(nil, 0), WithIncremental(),
+			WithExchange(exchange)), ""},
 
 		{"unknown engine", mk(WithEngine(Kind(42))), "unknown engine kind"},
 		{"negative depth", mk(WithBudgets(-1, 0)), "max depth"},
@@ -58,12 +57,6 @@ func TestConfigValidate(t *testing.T) {
 			"exchange requires an incremental portfolio"},
 		{"exchange disabled still needs warm portfolio", mk(WithExchange(racer.ExchangeOptions{})),
 			"exchange requires an incremental portfolio"},
-		{"step exchange on bmc", mk(WithPortfolio(nil, 0), WithIncremental(), WithStepExchange(exchange)),
-			"only applies to the k-induction engine"},
-		{"step exchange cold kind", mk(WithEngine(KInduction), WithPortfolio(nil, 0), WithStepExchange(exchange)),
-			"requires an incremental portfolio"},
-		{"sequential kind timeaxis", mk(WithEngine(KInduction), WithOrdering(core.OrderTimeAxis)),
-			"timeaxis"},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()

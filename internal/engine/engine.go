@@ -1,4 +1,4 @@
-// Package engine is the unified session API over every verification
+// Package engine is the session API over every verification
 // configuration in this repository: one context-aware entrypoint
 //
 //	sess, err := engine.New(circ, propIdx,
@@ -8,24 +8,27 @@
 //	        engine.WithExchange(racer.ExchangeOptions{Enabled: true}))
 //	res, err := sess.Check(ctx)
 //
-// subsumes the seven legacy entrypoints (bmc.Run, bmc.RunIncremental,
-// bmc.RunPortfolio, bmc.RunPortfolioIncremental, induction.Prove,
-// induction.ProvePortfolio, induction.ProvePortfolioIncremental), which
-// remain as thin deprecated wrappers. The engine×ordering×incremental×
-// sharing matrix is validated in one place (Config.Validate), results
-// come back as one Result (verdict, depth, trace, per-depth stats,
-// portfolio telemetry, warm/exchange attribution), cancellation and
-// deadlines are carried by the context.Context passed to Check and
-// plumbed down to every solver through sat.Options.Stop/Deadline, and
-// per-depth progress streams through WithProgress.
+// and, behind it, one depth loop (loop.go) — the paper's Fig. 5 — over
+// three independent choices: the instance sequence (BMC checks one;
+// k-induction checks a base and a step sequence and cancels a step race
+// its base verdict made moot), the solver lifetime (fresh solvers per
+// depth, or persistent ones fed per-depth deltas with WithIncremental),
+// and the attempt set (a portfolio's strategy set; a single ordering is
+// a portfolio of one). The engine×ordering×incremental×sharing matrix is
+// validated in one place (Config.Validate), results come back as one
+// Result (verdict, depth, trace, per-depth stats, portfolio telemetry,
+// warm/exchange attribution), cancellation and deadlines are carried by
+// the context.Context passed to Check and plumbed down to every solver
+// through sat.Options.Stop/Deadline, and per-depth progress streams
+// through WithProgress.
 //
-// Behind the session sits the Executor seam: every race — cold or warm —
-// is submitted through the Executor interface, and every clause-bus
-// payload flows through its hook, so a remote executor (the ROADMAP's
-// distributed portfolio: gRPC/TCP workers racing the same CNF, first
-// verdict cancels the rest, clauses as the wire payload) slots in behind
-// the same session API via WithExecutor. LocalExecutor, the default,
-// wraps the in-process goroutine pool.
+// Behind the session sits the Executor seam: every race of every shape —
+// cold or warm, four strategies or one — is submitted through the
+// Executor interface, and every clause-bus payload flows through its
+// hook, so a remote executor (internal/remote: TCP workers racing the
+// same CNF, first verdict cancels the rest, clauses as the wire payload)
+// slots in behind the same session API via WithExecutor. LocalExecutor,
+// the default, wraps the in-process goroutine pool.
 package engine
 
 import (
@@ -47,8 +50,8 @@ const (
 	// Unknown: a budget (conflicts, deadline, context cancellation, or
 	// the k-induction depth bound) ran out before a verdict.
 	Unknown Verdict = iota
-	// Falsified: a counter-example was found (and replayed, unless
-	// verification is off).
+	// Falsified: a counter-example was found and replayed on the circuit
+	// simulator.
 	Falsified
 	// Holds: no counter-example up to the BMC depth bound — a bounded
 	// guarantee (BMC engine only).
@@ -243,28 +246,7 @@ func (s *Session) Check(ctx context.Context) (*Result, error) {
 	}
 	root := s.cfg.Tracer.Begin("engine", "check")
 	root.SetArg("engine", s.cfg.Kind.String())
-	var res *Result
-	if s.cfg.Kind == KInduction {
-		switch {
-		case s.cfg.Incremental:
-			res, err = s.runKindWarm(ctx, u)
-		case s.cfg.Portfolio:
-			res, err = s.runKindPortfolio(ctx, u)
-		default:
-			res, err = s.runKindSequential(ctx, u)
-		}
-	} else {
-		switch {
-		case s.cfg.Portfolio && s.cfg.Incremental:
-			res, err = s.runBMCWarm(ctx, u)
-		case s.cfg.Portfolio:
-			res, err = s.runBMCPortfolio(ctx, u)
-		case s.cfg.Incremental:
-			res, err = s.runBMCIncremental(ctx, u)
-		default:
-			res, err = s.runBMCScratch(ctx, u)
-		}
-	}
+	res, err := s.run(ctx, u)
 	if err != nil {
 		root.SetArg("error", err.Error())
 		root.End()
@@ -288,17 +270,6 @@ func (s *Session) Check(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// DeadlineContext translates a legacy deadline field (zero = none) into
-// the context Check understands — the shared shim of the deprecated
-// bmc/induction wrappers, whose Options carry a time.Time instead of a
-// context. Callers must call cancel once the check returns.
-func DeadlineContext(deadline time.Time) (context.Context, context.CancelFunc) {
-	if deadline.IsZero() {
-		return context.Background(), func() {}
-	}
-	return context.WithDeadline(context.Background(), deadline)
-}
-
 // executor resolves the configured executor (default LocalExecutor).
 func (s *Session) executor() Executor {
 	if s.cfg.Executor != nil {
@@ -314,11 +285,11 @@ func (s *Session) emit(e Event) {
 	}
 }
 
-// solverBase derives the per-call solver options every loop starts from:
-// the config's base options with the session-managed fields cleared, the
-// per-instance conflict budget applied, and the context's deadline and
-// Done channel plumbed into sat.Options.Deadline/Stop — the single place
-// cancellation enters the solver layer.
+// solverBase derives the solver options every fresh-solver attempt
+// starts from: the config's base options with the session-managed fields
+// cleared, the per-instance conflict budget applied, and the context's
+// deadline and Done channel plumbed into sat.Options.Deadline/Stop (the
+// warm pools get the same three through poolConfig and the race's stop).
 func (s *Session) solverBase(ctx context.Context) sat.Options {
 	so := s.cfg.Solver
 	so.Guidance = nil

@@ -3,15 +3,13 @@ package engine_test
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/bmc"
 	"repro/internal/circuit"
 	"repro/internal/cnf"
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/induction"
 	"repro/internal/lits"
 	"repro/internal/portfolio"
 	"repro/internal/racer"
@@ -33,12 +31,10 @@ func checkModel(t *testing.T, m bench.Model, opts ...engine.Option) *engine.Resu
 	return res
 }
 
-// TestSessionEquivalenceSuite is the redesign's acceptance criterion: on
-// every internal/bench family, all four BMC session configurations
-// (scratch, incremental, cold portfolio, warm portfolio) return the
-// identical verdict, depth, and counter-example trace through the one
-// session API — and they match the legacy bmc.Run wrapper, i.e. the
-// pre-redesign path's pinned behavior.
+// TestSessionEquivalenceSuite: on every internal/bench family, all four
+// BMC session configurations (scratch, incremental, cold portfolio, warm
+// portfolio) return the identical verdict, depth, and counter-example
+// trace, and failing rows fail at their ground-truth depth.
 func TestSessionEquivalenceSuite(t *testing.T) {
 	for _, m := range bench.Suite() {
 		depth := m.MaxDepth
@@ -50,17 +46,6 @@ func TestSessionEquivalenceSuite(t *testing.T) {
 		}
 		base := []engine.Option{engine.WithBudgets(depth, 0)}
 		ref := checkModel(t, m, base...)
-
-		legacy, err := bmc.Run(m.Build(), 0, bmc.Options{
-			MaxDepth: depth, Strategy: core.OrderDynamic, Solver: sat.Defaults(),
-		})
-		if err != nil {
-			t.Fatalf("%s legacy: %v", m.Name, err)
-		}
-		if legacy.Verdict.String() != ref.Verdict.String() || legacy.Depth != ref.K {
-			t.Errorf("%s: session (%v@%d) disagrees with legacy Run (%v@%d)",
-				m.Name, ref.Verdict, ref.K, legacy.Verdict, legacy.Depth)
-		}
 
 		configs := []struct {
 			name string
@@ -93,8 +78,7 @@ func TestSessionEquivalenceSuite(t *testing.T) {
 // configuration must agree on the verdict — and, when the run decides,
 // on its depth. The depth at which an Unknown budget bites is engine
 // state-dependent (a warm solver's carried clauses change per-depth
-// effort), so only decided outcomes pin K, exactly as the legacy suites
-// did.
+// effort), so only decided outcomes pin K.
 func TestSessionTightBudgetEquivalence(t *testing.T) {
 	for _, name := range []string{"add_w8", "cnt_w4_t9", "twin_w8"} {
 		m, ok := bench.ByName(name)
@@ -123,9 +107,8 @@ func TestSessionTightBudgetEquivalence(t *testing.T) {
 	}
 }
 
-// TestKindSessionEquivalence: the three k-induction configurations agree
-// on status and K across the proved / deeper-k / falsified regimes, and
-// match the legacy induction.Prove wrapper.
+// TestKindSessionEquivalence: the k-induction configurations agree on
+// status and K across the proved / deeper-k / falsified regimes.
 func TestKindSessionEquivalence(t *testing.T) {
 	models := []struct {
 		name  string
@@ -139,17 +122,6 @@ func TestKindSessionEquivalence(t *testing.T) {
 	for _, tc := range models {
 		kind := []engine.Option{engine.WithEngine(engine.KInduction), engine.WithBudgets(tc.maxK, 0)}
 		ref := checkModel(t, tc.build, kind...)
-
-		legacy, err := induction.Prove(tc.build.Build(), 0, induction.Options{
-			MaxK: tc.maxK, Strategy: core.OrderDynamic, Solver: sat.Defaults(),
-		})
-		if err != nil {
-			t.Fatalf("%s legacy: %v", tc.name, err)
-		}
-		if legacy.Status.String() != ref.Verdict.String() || legacy.K != ref.K {
-			t.Errorf("%s: session (%v@%d) disagrees with legacy Prove (%v@%d)",
-				tc.name, ref.Verdict, ref.K, legacy.Status, legacy.K)
-		}
 
 		for _, cfg := range []struct {
 			name string
@@ -170,30 +142,32 @@ func TestKindSessionEquivalence(t *testing.T) {
 }
 
 // countingExecutor wraps LocalExecutor and counts what flows through the
-// seam.
+// seam. The counters are atomic: the k-induction queries race side by
+// side.
 type countingExecutor struct {
 	engine.LocalExecutor
-	races, liveRaces, payloads int
+	races, liveRaces, payloads atomic.Int64
 }
 
 func (e *countingExecutor) Race(q engine.Query, f *cnf.Formula, attempts []portfolio.Attempt, jobs int, stop <-chan struct{}) portfolio.RaceResult {
-	e.races++
+	e.races.Add(1)
 	return e.LocalExecutor.Race(q, f, attempts, jobs, stop)
 }
 
 func (e *countingExecutor) RaceLive(q engine.Query, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
-	e.liveRaces++
+	e.liveRaces.Add(1)
 	return e.LocalExecutor.RaceLive(q, attempts, assumps, jobs, stop)
 }
 
 func (e *countingExecutor) OnClausePayload(q engine.Query, k int, from string, clauses []cnf.Clause) {
-	e.payloads += len(clauses)
+	e.payloads.Add(int64(len(clauses)))
 }
 
-// TestExecutorSeam: every race of a portfolio session — cold and warm —
-// is submitted through the configured Executor, and the warm pool's
-// clause-bus payloads flow through its hook; swapping the executor does
-// not change the verdict.
+// TestExecutorSeam: every race of a session — cold and warm, a portfolio
+// or a single ordering — is submitted through the configured Executor,
+// one race per depth and query, and the warm pool's clause-bus payloads
+// flow through its hook; swapping the executor does not change the
+// verdict.
 func TestExecutorSeam(t *testing.T) {
 	m, ok := bench.ByName("add_w8")
 	if !ok {
@@ -205,8 +179,8 @@ func TestExecutorSeam(t *testing.T) {
 	cold := &countingExecutor{}
 	res := checkModel(t, m, engine.WithBudgets(depth, 0), engine.WithPortfolio(nil, 0),
 		engine.WithExecutor(cold))
-	if cold.races != depth+1 {
-		t.Errorf("cold: %d races through the executor, want %d", cold.races, depth+1)
+	if cold.races.Load() != depth+1 {
+		t.Errorf("cold: %d races through the executor, want %d", cold.races.Load(), depth+1)
 	}
 	if res.Verdict != ref.Verdict || res.K != ref.K {
 		t.Errorf("cold: verdict changed behind a custom executor: (%v@%d) vs (%v@%d)",
@@ -217,15 +191,40 @@ func TestExecutorSeam(t *testing.T) {
 	res = checkModel(t, m, engine.WithBudgets(depth, 0), engine.WithPortfolio(nil, 0),
 		engine.WithIncremental(), engine.WithExchange(racer.ExchangeOptions{Enabled: true}),
 		engine.WithExecutor(warm))
-	if warm.liveRaces != depth+1 {
-		t.Errorf("warm: %d live races through the executor, want %d", warm.liveRaces, depth+1)
+	if warm.liveRaces.Load() != depth+1 {
+		t.Errorf("warm: %d live races through the executor, want %d", warm.liveRaces.Load(), depth+1)
 	}
-	if warm.payloads == 0 {
+	if warm.payloads.Load() == 0 {
 		t.Error("warm: no clause-bus payloads reached the executor hook")
 	}
 	if res.Verdict != ref.Verdict || res.K != ref.K {
 		t.Errorf("warm: verdict changed behind a custom executor: (%v@%d) vs (%v@%d)",
 			res.Verdict, res.K, ref.Verdict, ref.K)
+	}
+
+	// A single ordering is a portfolio of one: the same seam, one race
+	// per depth (and per query for k-induction, which proves add_w8's
+	// twin adders equal at k = 0).
+	kind := engine.WithEngine(engine.KInduction)
+	for _, tc := range []struct {
+		name        string
+		opts        []engine.Option
+		races, live int64
+	}{
+		{"scratch", nil, depth + 1, 0},
+		{"incremental", []engine.Option{engine.WithIncremental()}, 0, depth + 1},
+		{"kind-sequential", []engine.Option{kind}, 2, 0},
+		{"kind-incremental", []engine.Option{kind, engine.WithIncremental()}, 0, 2},
+	} {
+		single := &countingExecutor{}
+		res := checkModel(t, m, append([]engine.Option{engine.WithBudgets(depth, 0), engine.WithExecutor(single)}, tc.opts...)...)
+		if single.races.Load() != tc.races || single.liveRaces.Load() != tc.live {
+			t.Errorf("%s: %d cold and %d live races through the executor, want %d and %d",
+				tc.name, single.races.Load(), single.liveRaces.Load(), tc.races, tc.live)
+		}
+		if res.Verdict == engine.Unknown || res.Verdict == engine.Falsified {
+			t.Errorf("%s: verdict %v behind a custom executor", tc.name, res.Verdict)
+		}
 	}
 }
 
@@ -264,29 +263,96 @@ func TestProgressEvents(t *testing.T) {
 	}
 }
 
-// TestKindProgressEvents: the k-induction engines emit base and step
-// events per depth.
+// TestKindProgressEvents: all three k-induction shapes emit base and step
+// events per depth, and every DepthFinished carries the depth's encode
+// and solve walls, formula size and — on UNSAT depths, the default
+// ordering records proofs — the extracted core.
 func TestKindProgressEvents(t *testing.T) {
-	var base, step int
 	m := bench.Model{Name: "twin", Build: func() *circuit.Circuit { return bench.Twin(6, 0, 0) }}
-	res := checkModel(t, m, engine.WithEngine(engine.KInduction), engine.WithBudgets(4, 0),
-		engine.WithPortfolio(nil, 0), engine.WithIncremental(),
-		engine.WithProgress(func(e engine.Event) {
-			if e.Kind != engine.DepthFinished {
-				return
-			}
-			switch e.Query {
-			case engine.QueryBase:
-				base++
-			case engine.QueryStep:
-				step++
-			}
-		}))
-	if res.Verdict != engine.Proved {
-		t.Fatalf("unexpected verdict %v", res.Verdict)
+	for name, opts := range map[string][]engine.Option{
+		"sequential": nil,
+		"portfolio":  {engine.WithPortfolio(nil, 0)},
+		"warm":       {engine.WithPortfolio(nil, 0), engine.WithIncremental()},
+	} {
+		var base, step int
+		opts = append(opts, engine.WithEngine(engine.KInduction), engine.WithBudgets(4, 0),
+			engine.WithProgress(func(e engine.Event) {
+				if e.Kind != engine.DepthFinished {
+					return
+				}
+				switch e.Query {
+				case engine.QueryBase:
+					base++
+				case engine.QueryStep:
+					step++
+				}
+				d := e.Depth
+				if d.EncodeWall <= 0 || d.SolveWall <= 0 || d.FormulaVars == 0 || d.FormulaClauses == 0 || d.FormulaLits == 0 {
+					t.Errorf("%s: %s depth %d misses walls or formula size: %+v", name, e.Query, e.K, d)
+				}
+				if d.Status == sat.Unsat && (d.CoreClauses == 0 || d.CoreVars == 0) {
+					t.Errorf("%s: UNSAT %s depth %d misses its core: %+v", name, e.Query, e.K, d)
+				}
+			}))
+		res := checkModel(t, m, opts...)
+		if res.Verdict != engine.Proved {
+			t.Fatalf("%s: unexpected verdict %v", name, res.Verdict)
+		}
+		if base == 0 || base != step {
+			t.Errorf("%s: expected matching base/step event counts, got base=%d step=%d", name, base, step)
+		}
 	}
-	if base == 0 || base != step {
-		t.Errorf("expected matching base/step event counts, got base=%d step=%d", base, step)
+}
+
+// nominalWinnerExecutor answers the races of one query with what a
+// misbehaving (pluggable, possibly remote) executor could: a winner index
+// whose result carries no verdict. Every other race runs locally.
+type nominalWinnerExecutor struct {
+	engine.LocalExecutor
+	query engine.Query
+}
+
+// nominalWinner is that answer for a race of n attempts.
+func nominalWinner(n int) portfolio.RaceResult {
+	return portfolio.RaceResult{Winner: 0, Result: sat.Result{Status: sat.Unknown},
+		Outcomes: make([]portfolio.AttemptOutcome, n)}
+}
+
+func (e nominalWinnerExecutor) Race(q engine.Query, f *cnf.Formula, attempts []portfolio.Attempt, jobs int, stop <-chan struct{}) portfolio.RaceResult {
+	if q != e.query {
+		return e.LocalExecutor.Race(q, f, attempts, jobs, stop)
+	}
+	return nominalWinner(len(attempts))
+}
+
+func (e nominalWinnerExecutor) RaceLive(q engine.Query, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
+	if q != e.query {
+		return e.LocalExecutor.RaceLive(q, attempts, assumps, jobs, stop)
+	}
+	return nominalWinner(len(attempts))
+}
+
+// TestUndecidedDepthIsUnknown: a depth whose race names a winner without
+// a verdict is undecided, and an undecided depth ends the check as
+// Unknown at that depth on every shape — never as Holds or Proved over
+// a depth nobody decided.
+func TestUndecidedDepthIsUnknown(t *testing.T) {
+	m := goldenModel(t, "gcnt_offset") // base UNSAT at every depth, 2-inductive
+	for name, opts := range goldenShapes() {
+		queries := []engine.Query{engine.QueryBMC}
+		if engine.NewConfig(opts...).Kind == engine.KInduction {
+			queries = []engine.Query{engine.QueryBase, engine.QueryStep}
+		}
+		for _, q := range queries {
+			res := checkModel(t, m, append([]engine.Option{engine.WithBudgets(8, 0),
+				engine.WithExecutor(nominalWinnerExecutor{query: q})}, opts...)...)
+			if res.Verdict != engine.Unknown || res.K != 0 {
+				t.Errorf("%s, %s undecided at depth 0: %v@%d, want unknown@0", name, q, res.Verdict, res.K)
+			}
+			if q == engine.QueryBMC && (len(res.PerDepth) != 1 || res.PerDepth[0].Status.Decided()) {
+				t.Errorf("%s: %d per-depth rows, want one undecided row", name, len(res.PerDepth))
+			}
+		}
 	}
 }
 

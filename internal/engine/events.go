@@ -39,9 +39,9 @@ const (
 	// reports its winner empty and its status undecided.
 	DepthFinished
 	// RaceFinished fires after a depth's race has fully joined (portfolio
-	// configurations only), before the depth's DepthFinished, with one
-	// row per racer in Event.Racers — the per-strategy view DepthFinished
-	// collapses into its winner column.
+	// configurations and incremental k-induction), before the depth's
+	// DepthFinished, with one row per racer in Event.Racers — the
+	// per-strategy view DepthFinished collapses into its winner column.
 	RaceFinished
 	// ExchangeFlushed fires after a depth-boundary clause-bus round moved
 	// (or dropped) any clauses (warm pools with the bus enabled), with

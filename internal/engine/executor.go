@@ -14,7 +14,7 @@ import (
 // remote.Executor (internal/remote) fans the same calls out across a
 // fleet of bmcworker daemons over TCP. Both are installed through
 // WithExecutor and observed through the same session API, so the depth
-// loops never know where their solvers actually run.
+// loop never knows where its solvers actually run.
 //
 // # The contract, method by method
 //
@@ -82,8 +82,8 @@ type FrameSink interface {
 // LocalExecutor runs races on the in-process goroutine pool
 // (portfolio.Race / portfolio.RaceLive). It is the default and the only
 // code path that constructs racer goroutines in-process; every engine
-// configuration routes through it unless WithExecutor installs a
-// replacement.
+// configuration — single orderings included, as races of one — routes
+// through it unless WithExecutor installs a replacement.
 type LocalExecutor struct{}
 
 // Race implements Executor with portfolio.Race.

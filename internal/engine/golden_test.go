@@ -1,0 +1,134 @@
+package engine_test
+
+import (
+	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/circuit"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/portfolio"
+	"repro/internal/racer"
+)
+
+// goldenShapes are the seven engine shapes (plus three that pin a path of
+// their own: time-axis guidance on base and step formulas, and the
+// one-strategy warm k-induction pools), in the configurations whose
+// search is exactly repeatable: the portfolio shapes race {dynamic,
+// vsids} with jobs = 1, so the attempts run in order and dynamic — the
+// ordering fed by the score board — decides every depth.
+func goldenShapes() map[string][]engine.Option {
+	exchange := engine.WithExchange(racer.ExchangeOptions{Enabled: true})
+	kind := engine.WithEngine(engine.KInduction)
+	race := engine.WithPortfolio(portfolio.StrategySet{core.OrderDynamic, core.OrderVSIDS}, 1)
+	return map[string][]engine.Option{
+		"bmc-scratch":             nil,
+		"bmc-incremental":         {engine.WithIncremental()},
+		"bmc-portfolio":           {race},
+		"bmc-warm":                {race, engine.WithIncremental(), exchange},
+		"kind-sequential":         {kind},
+		"kind-portfolio":          {kind, race},
+		"kind-warm":               {kind, race, engine.WithIncremental(), exchange},
+		"bmc-scratch-timeaxis":    {engine.WithOrdering(core.OrderTimeAxis)},
+		"kind-portfolio-timeaxis": {kind, engine.WithPortfolio(portfolio.StrategySet{core.OrderTimeAxis}, 1)},
+		"kind-warm-single":        {kind, engine.WithIncremental()},
+	}
+}
+
+func goldenModel(t *testing.T, name string) bench.Model {
+	t.Helper()
+	if name == "gcnt_offset" {
+		return bench.Model{Name: name, Build: func() *circuit.Circuit { return bench.OffsetCounter(4, 10, 12) }}
+	}
+	m, ok := bench.ByName(name)
+	if !ok {
+		t.Fatalf("model %s missing", name)
+	}
+	return m
+}
+
+// TestGoldenCounters pins verdict, K and the search counters of every
+// engine shape to the values the seven hand-written depth loops produced
+// before they were folded into one (captured at commit 7c8bd11): a
+// change to the loop that moves a counter fails here, not only in the CI
+// bench gate. The counters sum Total, BaseStats and StepStats; Falsified
+// k-induction rows leave StepStats out, because how far the cancelled
+// step race got depends on timing.
+func TestGoldenCounters(t *testing.T) {
+	shapes := goldenShapes()
+	for _, row := range []struct {
+		shape, model string
+		depth        int
+		verdict      engine.Verdict
+		k            int
+		conflicts    int64
+		decisions    int64
+		propagations int64
+	}{
+		{"bmc-scratch", "cnt_w4_t9", 12, engine.Falsified, 9, 38, 111, 7963},
+		{"bmc-scratch", "mix_w5", 6, engine.Holds, 6, 325, 1537, 204938},
+		{"bmc-scratch", "twin_w8", 8, engine.Holds, 8, 73, 384, 20441},
+		{"bmc-scratch", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824},
+		{"bmc-scratch", "gcnt_offset", 16, engine.Holds, 16, 420, 601, 61307},
+		{"bmc-incremental", "cnt_w4_t9", 12, engine.Falsified, 9, 30, 106, 5611},
+		{"bmc-incremental", "mix_w5", 6, engine.Holds, 6, 321, 1445, 185979},
+		{"bmc-incremental", "twin_w8", 8, engine.Holds, 8, 72, 384, 16198},
+		{"bmc-incremental", "tlc_bug", 5, engine.Falsified, 1, 0, 14, 717},
+		{"bmc-incremental", "gcnt_offset", 16, engine.Holds, 16, 295, 514, 42005},
+		{"bmc-portfolio", "cnt_w4_t9", 12, engine.Falsified, 9, 38, 111, 7963},
+		{"bmc-portfolio", "mix_w5", 6, engine.Holds, 6, 325, 1537, 204938},
+		{"bmc-portfolio", "twin_w8", 8, engine.Holds, 8, 73, 384, 20441},
+		{"bmc-portfolio", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824},
+		{"bmc-portfolio", "gcnt_offset", 16, engine.Holds, 16, 420, 601, 61307},
+		{"bmc-warm", "cnt_w4_t9", 12, engine.Falsified, 9, 30, 106, 5611},
+		{"bmc-warm", "mix_w5", 6, engine.Holds, 6, 321, 1445, 185979},
+		{"bmc-warm", "twin_w8", 8, engine.Holds, 8, 72, 384, 16198},
+		{"bmc-warm", "tlc_bug", 5, engine.Falsified, 1, 0, 14, 717},
+		{"bmc-warm", "gcnt_offset", 16, engine.Holds, 16, 295, 514, 42005},
+		{"kind-sequential", "cnt_w4_t9", 12, engine.Falsified, 9, 38, 111, 7963},
+		{"kind-sequential", "mix_w5", 6, engine.Proved, 0, 35, 516, 12016},
+		{"kind-sequential", "twin_w8", 8, engine.Proved, 0, 17, 356, 5633},
+		{"kind-sequential", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824},
+		{"kind-sequential", "gcnt_offset", 16, engine.Proved, 2, 8, 11, 651},
+		{"kind-portfolio", "cnt_w4_t9", 12, engine.Falsified, 9, 38, 111, 7963},
+		{"kind-portfolio", "mix_w5", 6, engine.Proved, 0, 35, 516, 12016},
+		{"kind-portfolio", "twin_w8", 8, engine.Proved, 0, 17, 356, 5633},
+		{"kind-portfolio", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824},
+		{"kind-portfolio", "gcnt_offset", 16, engine.Proved, 2, 8, 11, 651},
+		{"kind-warm", "cnt_w4_t9", 12, engine.Falsified, 9, 30, 106, 5611},
+		{"kind-warm", "mix_w5", 6, engine.Proved, 0, 34, 516, 12039},
+		{"kind-warm", "twin_w8", 8, engine.Proved, 0, 16, 356, 5680},
+		{"kind-warm", "tlc_bug", 5, engine.Falsified, 1, 0, 14, 717},
+		{"kind-warm", "gcnt_offset", 16, engine.Proved, 2, 5, 11, 575},
+		{"bmc-scratch-timeaxis", "cnt_w4_t9", 12, engine.Falsified, 9, 29, 287, 17845},
+		{"bmc-scratch-timeaxis", "mix_w5", 6, engine.Holds, 6, 313, 1801, 194335},
+		{"bmc-scratch-timeaxis", "twin_w8", 8, engine.Holds, 8, 73, 840, 46949},
+		{"bmc-scratch-timeaxis", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824},
+		{"bmc-scratch-timeaxis", "gcnt_offset", 16, engine.Holds, 16, 389, 488, 64948},
+		{"kind-portfolio-timeaxis", "cnt_w4_t9", 12, engine.Falsified, 9, 29, 287, 17845},
+		{"kind-portfolio-timeaxis", "mix_w5", 6, engine.Proved, 0, 35, 466, 9961},
+		{"kind-portfolio-timeaxis", "twin_w8", 8, engine.Proved, 0, 17, 292, 4081},
+		{"kind-portfolio-timeaxis", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824},
+		{"kind-portfolio-timeaxis", "gcnt_offset", 16, engine.Proved, 2, 26, 33, 1306},
+		{"kind-warm-single", "cnt_w4_t9", 12, engine.Falsified, 9, 30, 106, 5611},
+		{"kind-warm-single", "mix_w5", 6, engine.Proved, 0, 34, 516, 12039},
+		{"kind-warm-single", "twin_w8", 8, engine.Proved, 0, 16, 356, 5680},
+		{"kind-warm-single", "tlc_bug", 5, engine.Falsified, 1, 0, 14, 717},
+		{"kind-warm-single", "gcnt_offset", 16, engine.Proved, 2, 5, 11, 575},
+	} {
+		opts := append([]engine.Option{engine.WithBudgets(row.depth, 0)}, shapes[row.shape]...)
+		res := checkModel(t, goldenModel(t, row.model), opts...)
+		st := res.Total
+		st.Add(res.BaseStats)
+		if !(res.Engine == engine.KInduction && res.Verdict == engine.Falsified) {
+			st.Add(res.StepStats)
+		}
+		if res.Verdict != row.verdict || res.K != row.k {
+			t.Errorf("%s/%s: %v@%d, want %v@%d", row.shape, row.model, res.Verdict, res.K, row.verdict, row.k)
+		}
+		if st.Conflicts != row.conflicts || st.Decisions != row.decisions || st.Implications != row.propagations {
+			t.Errorf("%s/%s: %d conflicts, %d decisions, %d propagations; want %d, %d, %d", row.shape, row.model,
+				st.Conflicts, st.Decisions, st.Implications, row.conflicts, row.decisions, row.propagations)
+		}
+	}
+}

@@ -1,0 +1,458 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"repro/internal/cnf"
+	"repro/internal/core"
+	"repro/internal/lits"
+	"repro/internal/obs"
+	"repro/internal/portfolio"
+	"repro/internal/racer"
+	"repro/internal/sat"
+	"repro/internal/unroll"
+)
+
+// The depth loop — the paper's Fig. 5 (refine_order_bmc) with the three
+// things a configuration can vary factored out of it:
+//
+//   - the instance sequence: BMC checks one (counter-examples of length
+//     exactly k); k-induction checks two, the same base sequence plus the
+//     simple-path step sequence, and stops a step race whose base verdict
+//     made it moot;
+//   - the solver lifetime: fresh solvers over each depth's whole formula
+//     (freshSeq) or persistent solvers fed each depth's delta (warmSeq);
+//   - the attempt set: the portfolio's strategy set, or the one-element
+//     set of a single ordering — a single ordering is a portfolio of one.
+//
+// Every race of every shape goes through the Executor.
+
+// sequence is one query's instance sequence under one solver lifetime.
+type sequence interface {
+	// raceDepth encodes (or feeds) the depth-k instance, configures one
+	// attempt per strategy, races them through the Executor until a
+	// verdict lands or stop closes, and folds the winner's unsat core
+	// into the sequence's score board. Depths are raced in order from 0.
+	raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome
+	// trace turns a model of the depth-k instance into a counter-example.
+	trace(model lits.Assignment, k int) *unroll.Trace
+}
+
+// freshSeq builds every depth's formula from scratch and races throwaway
+// solvers over it (Executor.Race); only the score board survives a depth.
+type freshSeq struct {
+	exec    Executor
+	query   Query
+	u       *unroll.Unroller
+	set     portfolio.StrategySet
+	jobs    int
+	opts    sat.Options    // per-attempt starting point (solverBase)
+	metrics []*sat.Metrics // per strategy, nil without a registry
+	board   *core.ScoreBoard
+	divisor int
+	// record attaches a proof recorder to every attempt, so whichever
+	// racer wins an UNSAT depth has a core to contribute.
+	record bool
+}
+
+func (q *freshSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
+	encodeStart := time.Now()
+	var f *cnf.Formula
+	frames := k + 1
+	if q.query == QueryStep {
+		f, frames = unroll.StepFormula(q.u, k), k+2
+	} else {
+		f = q.u.Formula(k)
+	}
+	encodeWall := time.Since(encodeStart)
+
+	attempts := make([]portfolio.Attempt, len(q.set))
+	recs := make([]*core.Recorder, len(q.set))
+	for i, st := range q.set {
+		so := q.opts
+		so.Metrics = q.metrics[i]
+		if st == core.OrderTimeAxis {
+			so.Guidance = frameGuidance(q.u, frames, f.NumVars)
+		} else {
+			st.ConfigureWithDivisor(&so, q.board, f, q.divisor)
+		}
+		if q.record {
+			recs[i] = core.NewRecorder(f.NumClauses())
+			so.Recorder = recs[i]
+		}
+		attempts[i] = portfolio.Attempt{Name: st.String(), Opts: so}
+	}
+
+	out := racer.DepthOutcome{
+		Race:         q.exec.Race(q.query, f, attempts, q.jobs, stop),
+		FrameVars:    f.NumVars,
+		TotalClauses: f.NumClauses(),
+		TotalLits:    f.NumLiterals(),
+		EncodeWall:   encodeWall,
+	}
+
+	// update_ranking, weighted by the 1-based instance number (the
+	// paper's j). A winner that ran elsewhere (remote executors keep
+	// cores worker-side) left its local recorder without a proof.
+	if w := out.Race.Winner; w >= 0 && out.Race.Result.Status == sat.Unsat {
+		if rec := recs[w]; rec != nil && rec.HasProof() {
+			coreVars := rec.CoreVars(f)
+			out.CoreClauses = len(rec.Core())
+			out.CoreVars = len(coreVars)
+			out.RecorderBytes = rec.ApproxBytes()
+			q.board.Update(coreVars, k+1)
+		}
+	}
+	return out
+}
+
+func (q *freshSeq) trace(model lits.Assignment, k int) *unroll.Trace {
+	return q.u.ExtractTrace(model, k)
+}
+
+// frameGuidance builds the Shtrichman-style time-axis scores for an
+// instance spanning the given number of frames: variables of frame 0
+// score highest, later frames lower, and variables past the unroller's
+// frame-stable range (the step encoding's disequality auxiliaries) score
+// zero.
+func frameGuidance(u *unroll.Unroller, frames, nVars int) []float64 {
+	g := make([]float64, nVars+1)
+	framed := u.NumVars(frames - 1)
+	for v := 1; v <= nVars && v <= framed; v++ {
+		_, frame := u.NodeOf(lits.Var(v))
+		g[v] = float64(frames - frame)
+	}
+	return g
+}
+
+// warmSeq keeps one persistent solver per strategy alive across the whole
+// check (racer.Pool, raced through Executor.RaceLive): each depth feeds
+// only the new frame's clauses and solves under the depth's activation
+// literal, so learned clauses, VSIDS scores and saved phases compound.
+type warmSeq struct {
+	pool *racer.Pool
+	// d decodes models; nil on the step sequence, whose models are
+	// induction counter-witnesses, never traces.
+	d *unroll.Delta
+}
+
+func (w warmSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
+	return w.pool.RaceDepthStop(k, stop)
+}
+
+func (w warmSeq) trace(model lits.Assignment, k int) *unroll.Trace {
+	return w.d.ExtractTrace(model, k)
+}
+
+// newSequence builds the query's sequence under the session's solver
+// lifetime. Every sequence — bmc, base, step — gets the session's score
+// mode, switch divisor and recording knobs.
+func (s *Session) newSequence(ctx context.Context, u *unroll.Unroller, query Query, set portfolio.StrategySet) sequence {
+	if s.cfg.Incremental {
+		// The step bus stays off: step sequences are SAT-dominated, where
+		// sharing perturbs phase-saving momentum.
+		var ex racer.ExchangeOptions
+		if query != QueryStep {
+			ex = s.cfg.Exchange
+		}
+		// The k-induction sequences spend stretches hunting models (the
+		// base instance at a failure depth is SAT), where a full-mesh bus
+		// can converge all racers onto the same wrong turn: keep one
+		// racer import-free as the diversity reserve.
+		ex.ReserveFirst = s.cfg.Kind == KInduction
+		cfg := s.poolConfig(ctx, query, set, ex)
+		if query == QueryStep {
+			sd := u.StepDelta()
+			sd.SetMetrics(s.unrollMetrics(query))
+			return warmSeq{pool: racer.NewPool(racer.StepSource(sd), cfg)}
+		}
+		d := u.Delta()
+		d.SetMetrics(s.unrollMetrics(query))
+		return warmSeq{pool: racer.NewPool(racer.DeltaSource(d), cfg), d: d}
+	}
+	q := &freshSeq{
+		exec:    s.executor(),
+		query:   query,
+		u:       u,
+		set:     set,
+		jobs:    s.cfg.Jobs,
+		opts:    s.solverBase(ctx),
+		metrics: make([]*sat.Metrics, len(set)),
+		board:   core.NewScoreBoard(s.cfg.ScoreMode),
+		divisor: s.cfg.SwitchDivisor,
+		record:  s.cfg.ForceRecording,
+	}
+	if q.divisor == 0 {
+		q.divisor = core.SwitchDivisor
+	}
+	for i, st := range set {
+		q.metrics[i] = s.solverMetrics(query, st.String())
+		// Proof recording (and the board it feeds) only pays off when
+		// some attempt will consume the scores at the next depth.
+		if st == core.OrderStatic || st == core.OrderDynamic {
+			q.record = true
+		}
+	}
+	return q
+}
+
+// poolConfig translates the session config into a warm racer pool
+// configuration, routing races, frames and clause-bus payloads through
+// the Executor seam. query labels them for the executor.
+func (s *Session) poolConfig(ctx context.Context, query Query, set portfolio.StrategySet, exchange racer.ExchangeOptions) racer.Config {
+	exec := s.executor()
+	exchange.OnExport = func(k int, from string, clauses []cnf.Clause) {
+		exec.OnClausePayload(query, k, from, clauses)
+	}
+	var onFrame func(k int, frame *cnf.Formula)
+	if sink, ok := exec.(FrameSink); ok {
+		onFrame = func(k int, frame *cnf.Formula) {
+			sink.OnFrame(query, k, frame)
+		}
+	}
+	cfg := racer.Config{
+		Strategies:           set,
+		Jobs:                 s.cfg.Jobs,
+		Solver:               s.cfg.Solver,
+		ScoreMode:            s.cfg.ScoreMode,
+		SwitchDivisor:        s.cfg.SwitchDivisor,
+		PerInstanceConflicts: s.cfg.PerInstanceConflicts,
+		ForceRecording:       s.cfg.ForceRecording,
+		Exchange:             exchange,
+		Race: func(q string, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
+			return exec.RaceLive(Query(q), attempts, assumps, jobs, stop)
+		},
+		OnFrame: onFrame,
+		Metrics: s.cfg.Metrics,
+		Query:   string(query),
+	}
+	if dl, ok := ctx.Deadline(); ok {
+		cfg.Deadline = dl
+	}
+	return cfg
+}
+
+// lane is one query's side of the depth loop: its sequence and where its
+// outputs land in the Result.
+type lane struct {
+	query Query
+	seq   sequence
+	// stats accumulates the lane's per-depth solver statistics:
+	// Result.Total, BaseStats or StepStats.
+	stats *sat.Stats
+	// tel is the lane's race telemetry; nil on shapes that report none.
+	tel *portfolio.Telemetry
+}
+
+// depthRun is one lane's pass through one depth.
+type depthRun struct {
+	*lane
+	k     int
+	start time.Time
+	span  *obs.Span
+	out   racer.DepthOutcome
+	// aborted marks a step race cancelled because the base verdict made
+	// it moot: it carries no win/loss signal.
+	aborted bool
+}
+
+// status is the single verdict classifier: a race decides its depth only
+// through a winner holding Sat or Unsat. Everything else — no winner, or
+// an executor's nominal winner with an undecided status — is Unknown.
+func (r *depthRun) status() sat.Status {
+	if race := &r.out.Race; race.Winner >= 0 && race.Result.Status.Decided() {
+		return race.Result.Status
+	}
+	return sat.Unknown
+}
+
+// run is the depth loop. BMC walks one lane; k-induction walks base and
+// step, side by side on the racing shapes and base-then-step otherwise.
+// The verdict logic is the same everywhere: Falsified needs a SAT base,
+// Proved needs the step UNSAT at a k whose base cases are all clean, and
+// an undecided depth ends the check as Unknown.
+func (s *Session) run(ctx context.Context, u *unroll.Unroller) (*Result, error) {
+	set := portfolio.StrategySet{s.cfg.Ordering}
+	if s.cfg.Portfolio {
+		set = s.cfg.Strategies
+		if len(set) == 0 {
+			set = portfolio.DefaultSet()
+		}
+	}
+	// racing is the one predicate behind everything a shape reports as a
+	// race — telemetry, the strategy echo, per-depth winners, RaceFinished
+	// events — and behind running the k-induction queries side by side:
+	// the portfolio shapes and incremental k-induction.
+	racing := s.cfg.Portfolio || (s.cfg.Kind == KInduction && s.cfg.Incremental)
+
+	res := &Result{Verdict: Unknown, K: -1}
+	newLane := func(query Query, stats *sat.Stats) *lane {
+		l := &lane{query: query, seq: s.newSequence(ctx, u, query, set), stats: stats}
+		if racing {
+			l.tel = portfolio.NewTelemetry()
+			l.tel.SetMetrics(s.cfg.Metrics, string(query))
+		}
+		return l
+	}
+	var base, step *lane
+	if s.cfg.Kind == KInduction {
+		base, step = newLane(QueryBase, &res.BaseStats), newLane(QueryStep, &res.StepStats)
+		res.BaseTelemetry, res.StepTelemetry = base.tel, step.tel
+	} else {
+		base = newLane(QueryBMC, &res.Total)
+		res.Telemetry = base.tel
+	}
+	if racing {
+		res.Strategies, res.Jobs, res.Warm = set.Names(), s.cfg.Jobs, s.cfg.Incremental
+	}
+
+	for k := 0; k <= s.cfg.MaxDepth; k++ {
+		if ctx.Err() != nil {
+			// The budget expired before depth k was attempted. BMC reports
+			// the first unfinished depth; k-induction keeps the last depth
+			// whose queries ran.
+			if step == nil {
+				res.K = k
+			}
+			return res, nil
+		}
+		res.K = k
+
+		b := s.startDepth(base, k)
+		var st *depthRun
+		if step != nil && racing {
+			st = s.startDepth(step, k)
+			raceBoth(ctx, b, st)
+			s.finishDepths(res, b, st)
+		} else {
+			b.out = base.seq.raceDepth(k, ctx.Done())
+			s.finishDepths(res, b)
+		}
+
+		switch b.status() {
+		case sat.Sat:
+			res.Verdict = Falsified
+			res.Trace = base.seq.trace(b.out.Race.Result.Model, k)
+			if !u.Replay(res.Trace) {
+				return nil, fmt.Errorf("engine: depth-%d counter-example (%s) failed replay on %s",
+					k, b.out.Race.WinnerName(), s.circ.Name())
+			}
+			return res, nil
+		case sat.Unsat:
+			// No counter-example of length k.
+		default:
+			return res, nil
+		}
+		if step == nil {
+			continue
+		}
+
+		// Step case: P-states s_0..s_k, pairwise distinct, with a
+		// transition into ¬P at s_{k+1}. UNSAT closes the proof.
+		if st == nil {
+			st = s.startDepth(step, k)
+			st.out = step.seq.raceDepth(k, ctx.Done())
+			s.finishDepths(res, st)
+		}
+		switch st.status() {
+		case sat.Unsat:
+			res.Verdict = Proved
+			return res, nil
+		case sat.Sat:
+			// Not k-inductive yet: go deeper.
+		default:
+			return res, nil
+		}
+	}
+	if step == nil {
+		res.Verdict = Holds
+	}
+	return res, nil
+}
+
+// startDepth opens a lane's depth: the DepthStarted event and the span.
+func (s *Session) startDepth(l *lane, k int) *depthRun {
+	s.emit(Event{Kind: DepthStarted, Query: l.query, K: k})
+	return &depthRun{lane: l, k: k, start: time.Now(), span: s.beginDepth(l.query, k)}
+}
+
+// raceBoth races one depth's base and step queries side by side. A base
+// verdict that makes the step moot — SAT falsifies outright, undecided
+// ends the attempt — cancels the step race so it stops burning cores on
+// a moot question (a warm step pool keeps the conflicts: its solvers and
+// clause bus survive cancellation). Cancelling ctx stops both.
+func raceBoth(ctx context.Context, b, st *depthRun) {
+	stepCtx, cancelStep := context.WithCancel(ctx)
+	defer cancelStep()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		st.out = st.seq.raceDepth(st.k, stepCtx.Done())
+	}()
+	b.out = b.seq.raceDepth(b.k, ctx.Done())
+	if b.status() != sat.Unsat {
+		st.aborted = true
+		cancelStep()
+	}
+	<-done
+}
+
+// finishDepths closes the depth's joined runs (one query, or base and
+// step) in the event order consumers rely on: every RaceFinished, then
+// every ExchangeFlushed, then every DepthFinished.
+func (s *Session) finishDepths(res *Result, runs ...*depthRun) {
+	for _, r := range runs {
+		if r.tel == nil {
+			continue
+		}
+		race, warm, shared := &r.out.Race, r.out.WinnerWarm, r.out.WinnerShared
+		if r.aborted {
+			// A deliberately cancelled race is no evidence about any
+			// strategy — folding it into Observe would count every racer
+			// as a loser — but its bus traffic is real.
+			r.tel.ObserveAborted(r.k, race)
+			warm, shared = false, false
+		} else {
+			r.tel.Observe(r.k, race)
+		}
+		r.tel.ObserveExchange(r.out.Exported, r.out.Imported, r.out.DedupDropped, warm, shared)
+		s.observeRace(r.query, r.k, race)
+	}
+	for _, r := range runs {
+		s.observeExchange(r.query, r.k, &r.out)
+	}
+	for _, r := range runs {
+		race := &r.out.Race
+		ds := DepthStats{
+			K:              r.k,
+			Status:         sat.Unknown,
+			EncodeWall:     r.out.EncodeWall,
+			SolveWall:      race.Wall,
+			FormulaVars:    r.out.FrameVars,
+			FormulaClauses: r.out.TotalClauses,
+			FormulaLits:    r.out.TotalLits,
+			CoreClauses:    r.out.CoreClauses,
+			CoreVars:       r.out.CoreVars,
+			RecorderBytes:  r.out.RecorderBytes,
+		}
+		switch {
+		case race.Winner >= 0:
+			ds.Status, ds.Stats = race.Result.Status, race.Result.Stats
+		case r.tel == nil && len(race.Outcomes) == 1:
+			// A single-ordering run reports its one solver's effort even
+			// when the budget ran out first; races count winners only.
+			ds.Status, ds.Stats = race.Outcomes[0].Status, race.Outcomes[0].Stats
+		}
+		if r.tel != nil {
+			ds.Winner = race.WinnerName()
+		}
+		ds.Wall = time.Since(r.start)
+		s.finishDepth(r.span, r.query, &ds)
+		r.stats.Add(ds.Stats)
+		if r.query == QueryBMC {
+			res.PerDepth = append(res.PerDepth, ds)
+		}
+	}
+}

@@ -31,10 +31,10 @@ func (s *Session) beginDepth(query Query, k int) *obs.Span {
 }
 
 // finishDepth closes the depth span with the depth's outcome and emits
-// the DepthFinished event — the single exit point of every depth branch.
+// the DepthFinished event — the single exit point of every depth.
 // Instrumented sessions also stamp the depth's memory columns here: one
 // ReadMemStats per depth boundary, far from any solver loop, which is
-// why the call sites pass ds before appending it to Result.PerDepth.
+// why the loop passes ds before appending it to Result.PerDepth.
 func (s *Session) finishDepth(sp *obs.Span, query Query, ds *DepthStats) {
 	if s.mem != nil {
 		m := s.mem.Sample()

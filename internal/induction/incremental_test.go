@@ -1,13 +1,13 @@
-package induction
+package induction_test
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/lits"
 	"repro/internal/portfolio"
 	"repro/internal/racer"
@@ -15,10 +15,15 @@ import (
 	"repro/internal/unroll"
 )
 
-// offsetCounter is the non-0-inductive invariant used across the
-// induction tests: true, but the step case only closes at deeper k under
-// the simple-path constraint.
-func offsetCounter() *circuit.Circuit { return bench.OffsetCounter(4, 10, 12) }
+// The racing k-induction shapes (sequential is prove's default): the
+// cold portfolio, and the warm pools with the base pool's clause bus on
+// or off.
+var coldPortfolio = []engine.Option{engine.WithPortfolio(nil, 0)}
+
+func warmPools(share bool) []engine.Option {
+	return []engine.Option{engine.WithPortfolio(nil, 0), engine.WithIncremental(),
+		engine.WithExchange(racer.ExchangeOptions{Enabled: share})}
+}
 
 // TestStepDeltaEquisatisfiableWithStepFormula is the step encoding's
 // defining property: a live solver accumulating unroll.StepDelta frames
@@ -34,7 +39,7 @@ func TestStepDeltaEquisatisfiableWithStepFormula(t *testing.T) {
 	}{
 		{"twin", func() *circuit.Circuit { return bench.Twin(6, 0, 0) }, 4},
 		{"gcnt", func() *circuit.Circuit { return bench.GatedCounter(4, 10, 0, 0) }, 4},
-		{"gcnt_offset", func() *circuit.Circuit { return offsetCounter() }, 8},
+		{"gcnt_offset", offsetCounter, 8},
 		{"tlc_bug", func() *circuit.Circuit { return bench.TrafficLight(true, 0, 0) }, 4},
 	}
 	for _, m := range models {
@@ -51,7 +56,7 @@ func TestStepDeltaEquisatisfiableWithStepFormula(t *testing.T) {
 				live.AddClause(cl)
 			}
 			got := live.SolveAssuming([]lits.Lit{sd.ActLit(k)})
-			want := sat.New(StepFormula(u, k), sat.Defaults()).Solve()
+			want := sat.New(unroll.StepFormula(u, k), sat.Defaults()).Solve()
 			if got.Status != want.Status {
 				t.Fatalf("%s depth %d: delta=%v scratch=%v", m.name, k, got.Status, want.Status)
 			}
@@ -59,68 +64,39 @@ func TestStepDeltaEquisatisfiableWithStepFormula(t *testing.T) {
 	}
 }
 
-// kindModels is the cross-engine equivalence workload: immediately
-// inductive, deeper-k inductive, and falsified properties.
-func kindModels() []struct {
-	name  string
-	build func() *circuit.Circuit
-	maxK  int
-} {
-	return []struct {
+// TestWarmInductionMatchesSequentialAndPortfolio is the acceptance bar for
+// the warm k-induction shape: with and without the clause bus it must
+// report the same status and depth as the sequential prover and the cold
+// portfolio on immediately inductive, deeper-k inductive, and falsified
+// properties.
+func TestWarmInductionMatchesSequentialAndPortfolio(t *testing.T) {
+	for _, m := range []struct {
 		name  string
 		build func() *circuit.Circuit
 		maxK  int
 	}{
 		{"twin", func() *circuit.Circuit { return bench.Twin(8, 0, 0) }, 4},
 		{"gcnt", func() *circuit.Circuit { return bench.GatedCounter(4, 10, 0, 0) }, 6},
-		{"gcnt_offset", func() *circuit.Circuit { return offsetCounter() }, 16},
+		{"gcnt_offset", offsetCounter, 16},
 		{"tlc_bug", func() *circuit.Circuit { return bench.TrafficLight(true, 0, 0) }, 4},
 		{"pipe_s5_bug", func() *circuit.Circuit { return bench.Pipeline(5, 8, true) }, 8},
-	}
-}
-
-// TestWarmInductionMatchesSequentialAndPortfolio is the acceptance bar for
-// the warm k-induction engine: ProvePortfolioIncremental (with and
-// without the clause bus) must report the same status and depth as Prove
-// and ProvePortfolio on every suite regime.
-func TestWarmInductionMatchesSequentialAndPortfolio(t *testing.T) {
-	for _, m := range kindModels() {
-		opts := Options{
-			MaxK:     m.maxK,
-			Strategy: core.OrderVSIDS,
-			Solver:   sat.Defaults(),
-			Deadline: time.Now().Add(60 * time.Second),
-		}
-		seq, err := Prove(m.build(), 0, opts)
-		if err != nil {
-			t.Fatalf("%s sequential: %v", m.name, err)
-		}
-		cold, err := ProvePortfolio(m.build(), 0, PortfolioOptions{Options: opts})
-		if err != nil {
-			t.Fatalf("%s cold portfolio: %v", m.name, err)
-		}
-		if cold.Status != seq.Status || cold.K != seq.K {
+	} {
+		seq := prove(t, m.build(), 0, m.maxK)
+		cold := prove(t, m.build(), 0, m.maxK, coldPortfolio...)
+		if cold.Verdict != seq.Verdict || cold.K != seq.K {
 			t.Fatalf("%s: cold portfolio %v@%d vs sequential %v@%d",
-				m.name, cold.Status, cold.K, seq.Status, seq.K)
+				m.name, cold.Verdict, cold.K, seq.Verdict, seq.K)
 		}
 		for _, share := range []bool{false, true} {
-			warm, err := ProvePortfolioIncremental(m.build(), 0, PortfolioOptions{
-				Options:  opts,
-				Exchange: racer.ExchangeOptions{Enabled: share},
-				// Exercise the step pool's own (default-off) bus too.
-				StepExchange: racer.ExchangeOptions{Enabled: share},
-			})
-			if err != nil {
-				t.Fatalf("%s warm share=%v: %v", m.name, share, err)
-			}
+			warm := prove(t, m.build(), 0, m.maxK, warmPools(share)...)
 			if !warm.Warm {
 				t.Fatalf("%s: Warm flag not set", m.name)
 			}
-			if warm.Status != seq.Status || warm.K != seq.K {
+			if warm.Verdict != seq.Verdict || warm.K != seq.K {
 				t.Fatalf("%s share=%v: warm %v@%d vs sequential %v@%d",
-					m.name, share, warm.Status, warm.K, seq.Status, seq.K)
+					m.name, share, warm.Verdict, warm.K, seq.Verdict, seq.K)
 			}
-			if warm.Status == Falsified && warm.Trace == nil {
+			if warm.Verdict == engine.Falsified && warm.Trace == nil {
 				t.Fatalf("%s share=%v: falsified without trace", m.name, share)
 			}
 			// Every completed depth raced the base query; the step races
@@ -138,42 +114,23 @@ func TestWarmInductionMatchesSequentialAndPortfolio(t *testing.T) {
 }
 
 // TestWarmInductionTightBudgetMatches: under a 1-conflict budget every
-// engine hits the wall at the first depth whose queries need real search
+// shape hits the wall at the first depth whose queries need real search
 // — where all solvers are still equally cold, so the Unknown status and
 // the reported K must agree exactly. (Looser budgets can legitimately
 // diverge: a warm solver may decide within a budget that stops a cold
-// one, which is the engine's whole point.)
+// one, which is the warm pools' whole point.)
 func TestWarmInductionTightBudgetMatches(t *testing.T) {
 	build := func() *circuit.Circuit { return bench.AdderTwin(4, 6, 16) }
-	opts := Options{
-		MaxK:                 4,
-		Strategy:             core.OrderVSIDS,
-		Solver:               sat.Defaults(),
-		PerInstanceConflicts: 1,
+	budget := engine.WithBudgets(4, 1)
+	seq := prove(t, build(), 0, 4, budget)
+	if seq.Verdict != engine.Unknown {
+		t.Fatalf("sequential verdict %v under a 1-conflict budget, want unknown", seq.Verdict)
 	}
-	seq, err := Prove(build(), 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := ProvePortfolio(build(), 0, PortfolioOptions{Options: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := ProvePortfolioIncremental(build(), 0, PortfolioOptions{
-		Options:  opts,
-		Exchange: racer.ExchangeOptions{Enabled: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Status != Unknown {
-		t.Fatalf("sequential status %v under a 1-conflict budget, want unknown", seq.Status)
-	}
-	if cold.Status != seq.Status || cold.K != seq.K {
-		t.Fatalf("cold portfolio %v@%d vs sequential %v@%d", cold.Status, cold.K, seq.Status, seq.K)
-	}
-	if warm.Status != seq.Status || warm.K != seq.K {
-		t.Fatalf("warm %v@%d vs sequential %v@%d", warm.Status, warm.K, seq.Status, seq.K)
+	for name, opts := range map[string][]engine.Option{"cold portfolio": coldPortfolio, "warm": warmPools(true)} {
+		res := prove(t, build(), 0, 4, append(opts, budget)...)
+		if res.Verdict != seq.Verdict || res.K != seq.K {
+			t.Fatalf("%s %v@%d vs sequential %v@%d", name, res.Verdict, res.K, seq.Verdict, seq.K)
+		}
 	}
 }
 
@@ -181,31 +138,23 @@ func TestWarmInductionTightBudgetMatches(t *testing.T) {
 // for the off-by-one: a deadline that expires before any depth is
 // attempted must report K = -1 (no depth ran), not K = 0.
 func TestPortfolioDeadlineReportsLastAttemptedDepth(t *testing.T) {
-	expired := time.Now().Add(-time.Second)
-	opts := Options{MaxK: 8, Solver: sat.Defaults(), Deadline: expired}
-
-	seq, err := Prove(bench.Twin(8, 0, 0), 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := ProvePortfolio(bench.Twin(8, 0, 0), 0, PortfolioOptions{Options: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := ProvePortfolioIncremental(bench.Twin(8, 0, 0), 0, PortfolioOptions{Options: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, res := range map[string]*Result{"sequential": seq, "cold": &cold.Result, "warm": &warm.Result} {
-		if res.Status != Unknown {
-			t.Fatalf("%s: status %v with an expired deadline, want unknown", name, res.Status)
+	for name, opts := range map[string][]engine.Option{
+		"sequential": nil,
+		"cold":       coldPortfolio,
+		"warm":       {engine.WithPortfolio(nil, 0), engine.WithIncremental()},
+	} {
+		ctx, cancel := expired()
+		res := proveCtx(t, ctx, bench.Twin(8, 0, 0), 0, 8, opts...)
+		cancel()
+		if res.Verdict != engine.Unknown {
+			t.Fatalf("%s: verdict %v with an expired deadline, want unknown", name, res.Verdict)
 		}
 		if res.K != -1 {
 			t.Fatalf("%s: K = %d with an expired deadline, want -1 (no depth ran)", name, res.K)
 		}
-	}
-	if got := len(cold.BaseTelemetry.Depths); got != 0 {
-		t.Fatalf("cold: %d base races observed under an expired deadline", got)
+		if res.BaseTelemetry != nil && len(res.BaseTelemetry.Depths) != 0 {
+			t.Fatalf("%s: %d base races observed under an expired deadline", name, len(res.BaseTelemetry.Depths))
+		}
 	}
 }
 
@@ -214,10 +163,10 @@ func TestPortfolioDeadlineReportsLastAttemptedDepth(t *testing.T) {
 // SAT (or undecided) is cancelled deliberately, and must land in
 // AbortedRaces — not in the per-strategy loss columns or the depth log.
 func TestPortfolioAbortedStepRacesNotCountedAsLosses(t *testing.T) {
-	check := func(name string, res *PortfolioResult) {
-		t.Helper()
-		if res.Status != Falsified {
-			t.Fatalf("%s: status %v, want falsified", name, res.Status)
+	for name, opts := range map[string][]engine.Option{"cold": coldPortfolio, "warm": warmPools(true)} {
+		res := prove(t, bench.TrafficLight(true, 0, 0), 0, 4, opts...)
+		if res.Verdict != engine.Falsified {
+			t.Fatalf("%s: verdict %v, want falsified", name, res.Verdict)
 		}
 		if res.StepTelemetry.AbortedRaces == 0 {
 			t.Fatalf("%s: the falsifying depth's step race was not recorded as aborted", name)
@@ -242,51 +191,24 @@ func TestPortfolioAbortedStepRacesNotCountedAsLosses(t *testing.T) {
 				name, spent, observed)
 		}
 	}
-
-	cold, err := ProvePortfolio(bench.TrafficLight(true, 0, 0), 0, PortfolioOptions{
-		Options: Options{MaxK: 4, Solver: sat.Defaults(), Deadline: time.Now().Add(30 * time.Second)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("cold", cold)
-
-	warm, err := ProvePortfolioIncremental(bench.TrafficLight(true, 0, 0), 0, PortfolioOptions{
-		Options:  Options{MaxK: 4, Solver: sat.Defaults(), Deadline: time.Now().Add(30 * time.Second)},
-		Exchange: racer.ExchangeOptions{Enabled: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("warm", warm)
 }
 
 // TestWarmInductionTimeaxisOnly: the step pool's time-axis guidance must
 // classify every step-delta variable (auxiliaries unscored) without
 // panicking, and still prove the deeper-k model.
 func TestWarmInductionTimeaxisOnly(t *testing.T) {
-	res, err := ProvePortfolioIncremental(bench.GatedCounter(4, 10, 0, 0), 0, PortfolioOptions{
-		Options: Options{
-			MaxK:     6,
-			Solver:   sat.Defaults(),
-			Deadline: time.Now().Add(30 * time.Second),
-		},
-		Strategies: portfolio.StrategySet{core.OrderTimeAxis, core.OrderVSIDS},
-		Jobs:       1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != Proved {
-		t.Fatalf("status %v, want proved", res.Status)
+	res := prove(t, bench.GatedCounter(4, 10, 0, 0), 0, 6, engine.WithIncremental(),
+		engine.WithPortfolio(portfolio.StrategySet{core.OrderTimeAxis, core.OrderVSIDS}, 1))
+	if res.Verdict != engine.Proved {
+		t.Fatalf("verdict %v, want proved", res.Verdict)
 	}
 }
 
 // TestStepFormulaHonorsPropertyIndex is the regression test for the
 // hardcoded property 0: with a 0-inductive property 0 and a genuinely
-// reachable property 1, an engine that builds step instances for the
+// reachable property 1, a shape that builds step instances for the
 // wrong property would return an unsound Proved@0 for property 1 (base
-// UNSAT at k=0, wrong-step UNSAT at k=0). Every engine must falsify
+// UNSAT at k=0, wrong-step UNSAT at k=0). Every shape must falsify
 // property 1 at its real counter-example depth instead.
 func TestStepFormulaHonorsPropertyIndex(t *testing.T) {
 	build := func() *circuit.Circuit {
@@ -304,34 +226,18 @@ func TestStepFormulaHonorsPropertyIndex(t *testing.T) {
 		c.AddProperty("reachable", c.EqConst(w, 5))
 		return c
 	}
-	opts := Options{MaxK: 8, Solver: sat.Defaults(), Deadline: time.Now().Add(30 * time.Second)}
-
-	seq, err := Prove(build(), 1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Status != Falsified || seq.K != 5 {
-		t.Fatalf("sequential: %v@%d for the reachable property, want falsified@5", seq.Status, seq.K)
-	}
-	cold, err := ProvePortfolio(build(), 1, PortfolioOptions{Options: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := ProvePortfolioIncremental(build(), 1, PortfolioOptions{Options: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, res := range map[string]*Result{"cold": &cold.Result, "warm": &warm.Result} {
-		if res.Status != Falsified || res.K != 5 {
-			t.Fatalf("%s: %v@%d for the reachable property, want falsified@5", name, res.Status, res.K)
+	for name, opts := range map[string][]engine.Option{
+		"sequential": nil,
+		"cold":       coldPortfolio,
+		"warm":       {engine.WithPortfolio(nil, 0), engine.WithIncremental()},
+	} {
+		res := prove(t, build(), 1, 8, opts...)
+		if res.Verdict != engine.Falsified || res.K != 5 {
+			t.Fatalf("%s: %v@%d for the reachable property, want falsified@5", name, res.Verdict, res.K)
 		}
 	}
 	// Property 0 must still prove immediately.
-	p0, err := Prove(build(), 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p0.Status != Proved {
-		t.Fatalf("property 0: %v, want proved", p0.Status)
+	if p0 := prove(t, build(), 0, 8); p0.Verdict != engine.Proved {
+		t.Fatalf("property 0: %v, want proved", p0.Verdict)
 	}
 }

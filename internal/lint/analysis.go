@@ -91,9 +91,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // InTestFile reports whether pos lies in a _test.go file. Several
-// analyzers relax their invariant inside tests (tests exercise
-// deprecated wrappers on purpose, and partial event switches in tests
-// are assertions, not consumers).
+// analyzers relax their invariant inside tests (partial event switches
+// in tests are assertions, not consumers).
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }

@@ -92,11 +92,6 @@
 //     lower_snake identifiers. Keeps the metrics namespace greppable
 //     and the dashboards stable.
 //
-//   - nodeprecated: the pre-session entrypoints (bmc.Run*,
-//     induction.Prove*) are frozen compatibility shims; new code must
-//     go through engine.Session. Any use outside the defining packages
-//     and their tests is flagged, including taking a function value.
-//
 //   - eventexhaustive: switches over engine.EventKind must name every
 //     member — a default clause does not excuse omissions, because
 //     observers silently dropping a new event kind is exactly how the

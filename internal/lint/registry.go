@@ -10,7 +10,6 @@ func All() []*Analyzer {
 		HotPath,
 		CtxFlow,
 		MetricName,
-		NoDeprecated,
 		EventExhaustive,
 		LockOrder,
 		AtomicSafe,

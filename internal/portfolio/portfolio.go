@@ -8,7 +8,7 @@
 // static, dynamic, timeaxis) dominates across benchmarks; racing them
 // buys min-of-strategies latency at the price of extra cores. The BMC
 // depth loop that feeds races and folds the winner's unsat core back into
-// the shared core.ScoreBoard lives in internal/bmc (RunPortfolio); this
+// the shared core.ScoreBoard lives in internal/engine (loop.go); this
 // package is instance-level and strategy-agnostic — it races whatever
 // solver configurations it is handed.
 //

@@ -4,7 +4,7 @@
 // exchange bus that redistributes their best learned clauses between
 // depths.
 //
-// The cold portfolio (portfolio.Race driven by bmc.RunPortfolio) builds
+// The cold portfolio (portfolio.Race driven by internal/engine) builds
 // one solver per strategy per depth: when the race is decided, every
 // cancelled loser's learned clauses — reported as WastedConflicts — and
 // even the winner's warm VSIDS and phase state are thrown away. The pool
@@ -61,9 +61,7 @@ type RaceFunc func(query string, attempts []portfolio.LiveAttempt, assumps []lit
 
 // Config configures a warm racer pool. The zero value is not usable on
 // its own — Strategies and the base Solver options come from the caller
-// (engine.Session translates its configuration; the legacy
-// bmc.RunPortfolioIncremental and induction.ProvePortfolioIncremental
-// wrappers go through engine).
+// (engine.Session translates its configuration).
 type Config struct {
 	// Strategies is the raced set, one persistent solver each (default:
 	// the full four-way portfolio.DefaultSet).

@@ -75,9 +75,9 @@ func equivalenceModel(t *testing.T, name string) bench.Model {
 	return m
 }
 
-// remoteShapes are the executor-using engine configurations: every
-// portfolio shape, cold and warm, both engines, plus the single-solver
-// warm k-induction pool.
+// remoteShapes are the engine configurations, all of which submit their
+// races through the executor: every portfolio shape, cold and warm, both
+// engines, and the single-ordering shapes (portfolios of one).
 func remoteShapes() []struct {
 	name   string
 	models []string
@@ -106,6 +106,9 @@ func remoteShapes() []struct {
 			engine.WithIncremental(), exchange}},
 		{"kind-warm-single", kindModels, 6, []engine.Option{
 			engine.WithEngine(engine.KInduction), engine.WithIncremental()}},
+		{"bmc-scratch-single", bmcModels, 4, nil},
+		{"bmc-incremental-single", bmcModels, 6, []engine.Option{engine.WithIncremental()}},
+		{"kind-sequential", kindModels, 6, []engine.Option{engine.WithEngine(engine.KInduction)}},
 	}
 }
 

@@ -34,7 +34,7 @@ import (
 // assumption list. Learned clauses, VSIDS scores, and saved phases persist
 // across calls, which is what lets a BMC loop compound its clause database
 // across unrolling depths instead of rebuilding every instance from scratch
-// (bmc.RunIncremental). Plain Solve is SolveAssuming(nil); single-use
+// (engine.WithIncremental). Plain Solve is SolveAssuming(nil); single-use
 // callers need not know about any of this.
 type Solver struct {
 	opts  Options
