@@ -1,21 +1,15 @@
 // Package repro's root benchmarks regenerate every table and figure of the
 // paper on scaled-down configurations (depth-capped, conflict-budgeted) so
 // `go test -bench=.` finishes in minutes. The full-scale artifacts are
-// produced by cmd/tablegen; EXPERIMENTS.md records both.
+// produced by cmd/tablegen (README, "Reproducing the paper's artifacts").
 //
-// One benchmark per paper artifact:
-//
-//	BenchmarkTable1          — Table 1 (plain vs static vs dynamic, 37 models)
-//	BenchmarkFigure6         — Figure 6 (the same data as scatter points)
-//	BenchmarkFigure7         — Figure 7 (per-depth decisions/implications)
-//	BenchmarkCDGOverhead     — §3.1 bookkeeping overhead
-//	BenchmarkScoreAblation   — §3.2 score-rule ablation
-//	BenchmarkSwitchThreshold — §3.3 switch-divisor sweep
-//	BenchmarkTimeAxis        — related-work time-axis comparison
-//	BenchmarkPortfolio       — concurrent portfolio vs single orderings
-//	BenchmarkIncremental     — incremental (one live solver) vs scratch loop
-//	BenchmarkWarmPortfolio   — cold portfolio vs warm racer pool vs warm+sharing
-//	BenchmarkWarmKInduction  — cold k-induction portfolio vs warm base/step pools
+// BenchmarkExperiment/<name> runs one entry of the experiments registry —
+// table1, fig6, fig7, overhead, obs-overhead, ablation, threshold,
+// timeaxis, portfolio, incremental, warm, warm-kind, refine — renders it,
+// reports each column's total wall time, and fails on any verdict or
+// depth disagreement between the columns of a row (the soundness canary
+// for the racing, incremental and clause-exchange shapes).
+// BenchmarkCDGMemory is the one artifact measured below the engine.
 //
 // Per-configuration solver micro-benchmarks live in internal/sat.
 package repro
@@ -27,8 +21,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/experiments"
 )
 
@@ -42,67 +34,32 @@ func quickCfg() experiments.Config {
 	}
 }
 
-// report attaches experiment-level counters to the benchmark output.
-func report(b *testing.B, name string, v float64) {
-	b.ReportMetric(v, name)
-}
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable1(quickCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 37 {
-			b.Fatalf("got %d rows, want 37", len(res.Rows))
-		}
-		if i == b.N-1 {
-			report(b, "ratio_static_%", 100*res.TotalTime[experiments.ConfStatic].Seconds()/res.TotalTime[experiments.ConfBase].Seconds())
-			report(b, "ratio_dynamic_%", 100*res.TotalTime[experiments.ConfDynamic].Seconds()/res.TotalTime[experiments.ConfBase].Seconds())
-			report(b, "wins_static", float64(res.Wins[experiments.ConfStatic]))
-			report(b, "wins_dynamic", float64(res.Wins[experiments.ConfDynamic]))
-		}
-	}
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable1(quickCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.WriteFigure6(io.Discard)
-		res.WriteFigure6CSV(io.Discard)
-	}
-}
-
-func BenchmarkFigure7(b *testing.B) {
-	cfg := quickCfg()
-	cfg.DepthCap = 8
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure7(cfg, bench.Fig7Model, core.OrderDynamic)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			dec, imp := res.TotalReduction()
-			report(b, "dec_ratio", dec)
-			report(b, "imp_ratio", imp)
-		}
-	}
-}
-
-func BenchmarkCDGOverhead(b *testing.B) {
-	cfg := quickCfg()
-	cfg.Models = experiments.OverheadModels()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunOverhead(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			report(b, "overhead_%", res.PercentOverhead)
-		}
+// BenchmarkExperiment runs every registry entry once per iteration (see
+// the package comment). Reading portfolio's columns: on multi-core
+// hardware the race beats the worst single ordering by construction (it
+// ends at the first verdict); on a single core the racers are
+// time-sliced, so it only does where the spread between strategies
+// exceeds the portfolio width — the hard rows' regime, not every
+// ablation model's.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g, err := e.Run(context.Background(), quickCfg())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n := g.Disagreements(); n > 0 {
+					b.Fatalf("%d verdict disagreements", n)
+				}
+				e.Write(io.Discard, g)
+				if i == b.N-1 {
+					for c, col := range g.Columns {
+						b.ReportMetric(g.TotalTime(c).Seconds(), col.Name+"_s")
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -115,187 +72,33 @@ func BenchmarkCDGMemory(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			report(b, "full_vs_simplified_x", res.MeanRatio)
-		}
-	}
-}
-
-func BenchmarkScoreAblation(b *testing.B) {
-	cfg := quickCfg()
-	cfg.Models = experiments.AblationModels()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunScoreAblation(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSwitchThreshold(b *testing.B) {
-	cfg := quickCfg()
-	cfg.Models = experiments.AblationModels()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunThresholdSweep(cfg, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTimeAxis(b *testing.B) {
-	cfg := quickCfg()
-	cfg.Models = experiments.AblationModels()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTimeAxis(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPortfolio runs the portfolio ablation (concurrent race of all
-// orderings vs each ordering alone) and reports the headline ratios. On
-// multi-core hardware speedup_vs_worst_x is >= 1 by construction (the
-// race ends at the first verdict); on a single core the racers are
-// time-sliced, so the portfolio only beats the worst ordering where the
-// spread between strategies exceeds the portfolio width — the hard rows'
-// regime, not every ablation model's.
-func BenchmarkPortfolio(b *testing.B) {
-	cfg := quickCfg()
-	cfg.Models = experiments.AblationModels()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunPortfolioAblation(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Disagreements > 0 {
-			b.Fatalf("%d verdict disagreements", res.Disagreements)
-		}
-		if i == b.N-1 {
-			report(b, "portfolio_s", res.TotalPortfolio.Seconds())
-			report(b, "best_single_s", res.TotalBest.Seconds())
-			report(b, "worst_single_s", res.TotalWorst.Seconds())
-			if res.TotalPortfolio > 0 {
-				report(b, "speedup_vs_worst_x", float64(res.TotalWorst)/float64(res.TotalPortfolio))
-			}
-		}
-	}
-}
-
-// BenchmarkIncremental runs the incremental-vs-scratch ablation (one live
-// solver accumulating clauses across depths vs per-depth rebuilds) and
-// reports the headline totals. Conflicts saved is the direct measure of the
-// clause-database compounding; wall time folds in the avoided rebuild work.
-func BenchmarkIncremental(b *testing.B) {
-	cfg := quickCfg()
-	cfg.Models = experiments.AblationModels()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunIncrementalAblation(cfg, core.OrderDynamic)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Disagreements > 0 {
-			b.Fatalf("%d verdict disagreements", res.Disagreements)
-		}
-		if i == b.N-1 {
-			report(b, "scratch_s", res.TotalScratch.Seconds())
-			report(b, "incremental_s", res.TotalIncremental.Seconds())
-			report(b, "conflicts_saved", float64(res.ConflictsSaved))
-			if res.TotalIncremental > 0 {
-				report(b, "speedup_x", float64(res.TotalScratch)/float64(res.TotalIncremental))
-			}
-		}
-	}
-}
-
-// BenchmarkWarmPortfolio runs the warm-pool ablation (cold per-depth
-// portfolio vs persistent racers vs persistent racers with the clause
-// bus) and reports the headline totals. Conflicts count every racer —
-// winners and cancelled losers — so conf_shared < conf_cold is the direct
-// measure of wasted conflicts turned into warm-start capital.
-func BenchmarkWarmPortfolio(b *testing.B) {
-	cfg := quickCfg()
-	cfg.Models = experiments.AblationModels()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunWarmAblation(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Disagreements > 0 {
-			b.Fatalf("%d verdict disagreements", res.Disagreements)
-		}
-		if i == b.N-1 {
-			report(b, "cold_s", res.TotalCold.Seconds())
-			report(b, "warm_s", res.TotalWarm.Seconds())
-			report(b, "shared_s", res.TotalShared.Seconds())
-			report(b, "conf_cold", float64(res.ConfCold))
-			report(b, "conf_shared", float64(res.ConfShared))
-			if res.ConfCold > 0 {
-				report(b, "conf_shared_vs_cold_%", 100*float64(res.ConfShared)/float64(res.ConfCold))
-			}
-		}
-	}
-}
-
-// BenchmarkWarmKInduction runs the k-induction warm-pool ablation (cold
-// per-depth base/step portfolios vs two persistent racer pools, without
-// and with each pool's clause bus) and reports the headline totals. As in
-// BenchmarkWarmPortfolio, conflicts count every racer of both query
-// sequences, so conf_shared < conf_cold is the direct measure of wasted
-// conflicts turned into warm-start capital; any verdict disagreement
-// between the engines fails the benchmark outright.
-func BenchmarkWarmKInduction(b *testing.B) {
-	cfg := quickCfg()
-	cfg.Models = experiments.KindAblationModels()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunWarmKindAblation(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Disagreements > 0 {
-			b.Fatalf("%d verdict disagreements", res.Disagreements)
-		}
-		if i == b.N-1 {
-			report(b, "cold_s", res.TotalCold.Seconds())
-			report(b, "shared_s", res.TotalShared.Seconds())
-			report(b, "conf_cold", float64(res.ConfCold))
-			report(b, "conf_shared", float64(res.ConfShared))
-			if res.ConfCold > 0 {
-				report(b, "conf_shared_vs_cold_%", 100*float64(res.ConfShared)/float64(res.ConfCold))
-			}
+			b.ReportMetric(res.MeanRatio, "full_vs_simplified_x")
 		}
 	}
 }
 
 // BenchmarkBMCPerOrdering times one full BMC run of the Figure 7 model per
-// ordering — the per-row cost underlying Table 1.
+// ordering — the per-row cost underlying Table 1 — as 1×1 grids over the
+// portfolio experiment's single-ordering columns.
 func BenchmarkBMCPerOrdering(b *testing.B) {
 	m, ok := bench.ByName(bench.Fig7Model)
 	if !ok {
 		b.Fatalf("model %s missing", bench.Fig7Model)
 	}
-	for _, cfg := range []struct {
-		name string
-		st   core.Strategy
-	}{
-		{"vsids", core.OrderVSIDS},
-		{"static", core.OrderStatic},
-		{"dynamic", core.OrderDynamic},
-		{"timeaxis", core.OrderTimeAxis},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
+	cfg := quickCfg()
+	cfg.Models = []bench.Model{m}
+	portfolio, _ := experiments.ByName("portfolio")
+	for _, col := range portfolio.Columns[:len(portfolio.Columns)-1] {
+		b.Run(col.Name, func(b *testing.B) {
 			var dec int64
 			for i := 0; i < b.N; i++ {
-				sess, err := engine.New(m.Build(), 0,
-					engine.WithOrdering(cfg.st),
-					engine.WithBudgets(6, 50000))
+				g, err := cfg.Run(context.Background(), []experiments.Column{col})
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := sess.Check(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				dec = res.Total.Decisions
+				dec = g.Cells[0][0].Total.Decisions
 			}
-			report(b, "decisions", float64(dec))
+			b.ReportMetric(float64(dec), "decisions")
 		})
 	}
 }

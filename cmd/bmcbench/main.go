@@ -1,9 +1,9 @@
-// Command bmcbench is the benchmark observatory's CLI: it runs a
+// Command bmcbench is the exact-regression gate's CLI: it runs a
 // perfbench suite through the engine session API and writes the
 // versioned BENCH_<suite>.json artifact, optionally comparing it against
-// a committed baseline under the per-metric noise policy (exact
-// deterministic counters, percentage tolerances for wall time and
-// memory).
+// a committed baseline — verdict, depth, the cell set and the search
+// counters of deterministic cells must match exactly; wall time and
+// memory are recorded, not judged.
 //
 //	bmcbench run -suite=quick                      # write BENCH_quick.json
 //	bmcbench run -suite=quick -baseline=baselines/BENCH_quick.json
@@ -65,20 +65,6 @@ run 'bmcbench <command> -h' for the command's flags
 `)
 }
 
-// policyFlags registers the shared noise-policy flags on fs.
-func policyFlags(fs *flag.FlagSet) *perfbench.Policy {
-	pol := perfbench.DefaultPolicy()
-	fs.Float64Var(&pol.WallTolerancePct, "wall-tol", pol.WallTolerancePct,
-		"wall-time growth tolerance in percent (<= 0 disables)")
-	fs.Float64Var(&pol.MemTolerancePct, "mem-tol", pol.MemTolerancePct,
-		"memory growth tolerance in percent (<= 0 disables)")
-	fs.BoolVar(&pol.FailOnWall, "fail-on-wall", pol.FailOnWall,
-		"treat wall-time tolerance breaches as failures, not warnings")
-	fs.BoolVar(&pol.FailOnMem, "fail-on-mem", pol.FailOnMem,
-		"treat memory tolerance breaches as failures, not warnings")
-	return &pol
-}
-
 func runSuite(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bmcbench run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -87,7 +73,6 @@ func runSuite(args []string, stdout, stderr io.Writer) int {
 	out := fs.String("out", "", "artifact path (default BENCH_<suite>.json)")
 	baseline := fs.String("baseline", "", "baseline artifact to compare against")
 	verbose := fs.Bool("v", false, "print each cell as it finishes")
-	pol := policyFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -112,17 +97,8 @@ func runSuite(args []string, stdout, stderr io.Writer) int {
 	if path == "" {
 		path = "BENCH_" + suite.Name + ".json"
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "bmcbench: %v\n", err)
-		return 2
-	}
-	werr := art.WriteJSON(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		fmt.Fprintf(stderr, "bmcbench: write %s: %v\n", path, werr)
+	if err := art.WriteFile(path); err != nil {
+		fmt.Fprintf(stderr, "bmcbench: write %s: %v\n", path, err)
 		return 2
 	}
 	fmt.Fprintf(stdout, "wrote %s (%d cells)\n", path, len(art.Cells))
@@ -134,14 +110,13 @@ func runSuite(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bmcbench: %v\n", err)
 		return 2
 	}
-	return report(perfbench.Compare(base, art, *pol), stdout)
+	return report(perfbench.Compare(base, art), stdout)
 }
 
 func runCompare(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bmcbench compare", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	baseline := fs.String("baseline", "", "baseline artifact (required)")
-	pol := policyFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -159,7 +134,7 @@ func runCompare(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bmcbench: %v\n", err)
 		return 2
 	}
-	return report(perfbench.Compare(base, cur, *pol), stdout)
+	return report(perfbench.Compare(base, cur), stdout)
 }
 
 // report renders the findings table and maps it to an exit status.

@@ -1,37 +1,43 @@
 // Command tablegen reruns the paper's evaluation and renders each artifact
-// in the layout of the paper:
+// in the layout of the paper. -experiment names an entry of the
+// experiments registry:
 //
-//	tablegen -experiment=table1      # Table 1  (the headline comparison)
-//	tablegen -experiment=fig6        # Figure 6 (scatter panes)
-//	tablegen -experiment=fig7        # Figure 7 (per-depth statistics)
-//	tablegen -experiment=overhead    # §3.1 CDG bookkeeping overhead
-//	tablegen -experiment=obs-overhead # observability layer overhead (metrics+tracer)
-//	tablegen -experiment=ablation    # §3.2 score-rule ablation
-//	tablegen -experiment=threshold   # §3.3 switch-divisor sweep
-//	tablegen -experiment=timeaxis    # related-work time-axis comparison
-//	tablegen -experiment=incremental # incremental vs scratch depth loop
-//	tablegen -experiment=warm        # cold portfolio vs warm pool vs warm+sharing
-//	                                 # (BMC depth loop AND k-induction base/step pools)
-//	tablegen -experiment=all         # everything
+//	table1       Table 1  (the headline comparison)
+//	fig6         Figure 6 (scatter panes)
+//	fig7         Figure 7 (per-depth statistics; -model picks the model)
+//	overhead     §3.1 CDG bookkeeping overhead
+//	obs-overhead observability layer overhead (metrics+tracer)
+//	ablation     §3.2 score-rule ablation
+//	threshold    §3.3 switch-divisor sweep
+//	timeaxis     related-work time-axis comparison
+//	portfolio    concurrent portfolio vs single orderings
+//	incremental  incremental vs scratch depth loop
+//	warm         cold portfolio vs warm pool vs warm+sharing (BMC depth loop)
+//	warm-kind    the same over the k-induction base/step pools
+//	refine       conflicts under vsids vs the refined ordering, whole suite
+//
+// plus cdgmemory (§3.1 simplified vs complete CDG, measured below the
+// engine) and all (everything).
 //
 // -csv switches the output to machine-readable CSV where available, -quick
 // caps depths and budgets for a fast smoke run, and -budget sets the
 // per-model wall-clock cap (the analogue of the paper's 2-hour timeout).
-// For the engine-shape ablations (portfolio, incremental, warm),
-// -bench-json additionally writes the result as a perfbench artifact —
-// the same schema-versioned JSON cmd/bmcbench emits — so ablation trends
-// feed the same baseline/Compare machinery as the bench observatory.
+// -bench-json additionally writes each experiment's grid as a perfbench
+// artifact — the same schema-versioned JSON cmd/bmcbench emits — so every
+// table feeds the same baseline/Compare machinery.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/perfbench"
 )
@@ -40,253 +46,107 @@ import (
 // the flag's usage string and the unknown-name error both render it, the
 // same ValidNames discipline portfolio.ParseSet applies to strategy sets.
 func validExperiments() []string {
-	return []string{
-		"table1", "fig6", "fig7", "overhead", "obs-overhead", "cdgmemory",
-		"ablation", "threshold", "timeaxis", "portfolio", "incremental",
-		"warm", "all",
+	var names []string
+	for _, e := range experiments.All() {
+		names = append(names, e.Name)
 	}
+	return append(names, "cdgmemory", "all")
 }
 
-// kindPath derives the k-induction half's artifact path from the BMC
-// one: BENCH_warm.json -> BENCH_warm-kind.json. Empty stays empty
-// (-bench-json unset).
-func kindPath(path string) string {
-	if path == "" {
-		return ""
+// benchJSONPath is where an experiment's artifact goes: the -bench-json
+// path itself when one experiment was selected, <stem>-<experiment><ext>
+// beside it when several were (so none overwrites another).
+func benchJSONPath(path, experiment string, several bool) string {
+	if !several {
+		return path
 	}
-	if strings.HasSuffix(path, ".json") {
-		return strings.TrimSuffix(path, ".json") + "-kind.json"
-	}
-	return path + "-kind"
+	ext := filepath.Ext(path)
+	return strings.TrimSuffix(path, ext) + "-" + experiment + ext
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is the testable entrypoint.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tablegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("experiment", "table1", "one of "+strings.Join(validExperiments(), "|"))
-		budget    = flag.Duration("budget", 20*time.Second, "per-(model,strategy) wall-clock budget")
-		quick     = flag.Bool("quick", false, "cap depths for a fast smoke run")
-		csv       = flag.Bool("csv", false, "emit CSV instead of the text table")
-		model     = flag.String("model", bench.Fig7Model, "model for -experiment=fig7")
-		benchJSON = flag.String("bench-json", "", "also write the ablation as a perfbench artifact (schema-versioned JSON) to this path; applies to portfolio|incremental|warm (warm writes a second *-kind file)")
+		exp       = fs.String("experiment", "table1", "one of "+strings.Join(validExperiments(), "|"))
+		budget    = fs.Duration("budget", 20*time.Second, "per-(model,strategy) wall-clock budget")
+		quick     = fs.Bool("quick", false, "cap depths for a fast smoke run")
+		csv       = fs.Bool("csv", false, "emit CSV instead of the text table")
+		model     = fs.String("model", bench.Fig7Model, "model for -experiment=fig7")
+		benchJSON = fs.String("bench-json", "", "also write each experiment's grid as a perfbench artifact (schema-versioned JSON) to this path (<stem>-<experiment>.json each under -experiment=all)")
 	)
-	flag.Parse()
-
-	cfg := experiments.Config{
-		PerModelBudget: *budget,
-		Repeats:        3,
-		RepeatBelow:    500 * time.Millisecond,
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+
+	cfg := experiments.Config{PerModelBudget: *budget, Repeats: 3}
 	if *quick {
 		cfg.DepthCap = 6
 		cfg.PerModelBudget = 5 * time.Second
 		cfg.PerInstanceConflicts = 50000
 	}
 
-	runTable1 := func() error {
-		res, err := experiments.RunTable1(cfg)
-		if err != nil {
-			return err
-		}
-		if *csv {
-			res.WriteCSV(os.Stdout)
-		} else {
-			res.WriteTable(os.Stdout)
-		}
-		return nil
-	}
-	runFig6 := func() error {
-		res, err := experiments.RunTable1(cfg)
-		if err != nil {
-			return err
-		}
-		if *csv {
-			res.WriteFigure6CSV(os.Stdout)
-		} else {
-			res.WriteFigure6(os.Stdout)
-		}
-		return nil
-	}
-	runFig7 := func() error {
-		res, err := experiments.RunFigure7(cfg, *model, core.OrderDynamic)
-		if err != nil {
-			return err
-		}
-		if *csv {
-			res.WriteCSV(os.Stdout)
-		} else {
-			res.Write(os.Stdout)
-		}
-		return nil
-	}
-	// The ablations run on representative subsets (like the paper's
-	// follow-up analyses); the headline table runs the whole suite.
-	overheadCfg := cfg
-	overheadCfg.Models = experiments.OverheadModels()
-	ablationCfg := cfg
-	ablationCfg.Models = experiments.AblationModels()
-
-	runOverhead := func() error {
-		res, err := experiments.RunOverhead(overheadCfg)
-		if err != nil {
-			return err
-		}
-		res.Write(os.Stdout)
-		return nil
-	}
-	runObsOverhead := func() error {
-		res, err := experiments.RunObsOverhead(overheadCfg)
-		if err != nil {
-			return err
-		}
-		res.Write(os.Stdout)
-		return nil
-	}
-	runAblation := func() error {
-		res, err := experiments.RunScoreAblation(ablationCfg)
-		if err != nil {
-			return err
-		}
-		res.Write(os.Stdout)
-		return nil
-	}
-	runThreshold := func() error {
-		res, err := experiments.RunThresholdSweep(ablationCfg, nil)
-		if err != nil {
-			return err
-		}
-		res.Write(os.Stdout)
-		return nil
-	}
-	runTimeAxis := func() error {
-		res, err := experiments.RunTimeAxis(ablationCfg)
-		if err != nil {
-			return err
-		}
-		res.Write(os.Stdout)
-		return nil
-	}
-	runCDGMemory := func() error {
-		res, err := experiments.RunCDGMemory(overheadCfg)
-		if err != nil {
-			return err
-		}
-		res.Write(os.Stdout)
-		return nil
-	}
-	// writeBenchJSON persists a converted ablation artifact when
-	// -bench-json asks for one; the path lands on stderr so it never
-	// disturbs piped table/CSV output.
-	writeBenchJSON := func(path string, art *perfbench.Artifact) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := art.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "tablegen: wrote %s (%d cells)\n", path, len(art.Cells))
-		return nil
-	}
-	runPortfolio := func() error {
-		res, err := experiments.RunPortfolioAblation(ablationCfg)
-		if err != nil {
-			return err
-		}
-		res.Write(os.Stdout)
-		return writeBenchJSON(*benchJSON, perfbench.FromPortfolioAblation(res))
-	}
-	runIncremental := func() error {
-		res, err := experiments.RunIncrementalAblation(ablationCfg, core.OrderDynamic)
-		if err != nil {
-			return err
-		}
-		res.Write(os.Stdout)
-		return writeBenchJSON(*benchJSON, perfbench.FromIncrementalAblation(res))
-	}
-	runWarm := func() error {
-		res, err := experiments.RunWarmAblation(ablationCfg)
-		if err != nil {
-			return err
-		}
-		res.Write(os.Stdout)
-		if err := writeBenchJSON(*benchJSON, perfbench.FromWarmAblation(res)); err != nil {
-			return err
-		}
-		// The k-induction half of the warm story: the same persistent
-		// pools over the base and step query sequences. The per-instance
-		// conflict cap never binds a race winner (hundreds of conflicts on
-		// these models) — it only cuts the tail of doomed losers hunting
-		// models after the verdict is already in reach, which would
-		// otherwise drown the comparison in SAT-search lottery noise.
-		kindCfg := cfg
-		kindCfg.Models = experiments.KindAblationModels()
-		if kindCfg.PerInstanceConflicts == 0 {
-			kindCfg.PerInstanceConflicts = 3000
-		}
-		kres, err := experiments.RunWarmKindAblation(kindCfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		kres.Write(os.Stdout)
-		// The two warm halves share model names and cold/warm/shared shapes,
-		// so they cannot share one artifact (duplicate cell keys); the
-		// k-induction half goes to a sibling *-kind file.
-		return writeBenchJSON(kindPath(*benchJSON), perfbench.FromWarmKindAblation(kres))
-	}
-
-	var err error
+	var selected []experiments.Experiment
+	cdgMemory := false
 	switch *exp {
-	case "table1":
-		err = runTable1()
-	case "fig6":
-		err = runFig6()
-	case "fig7":
-		err = runFig7()
-	case "overhead":
-		err = runOverhead()
-	case "obs-overhead":
-		err = runObsOverhead()
-	case "ablation":
-		err = runAblation()
-	case "threshold":
-		err = runThreshold()
-	case "timeaxis":
-		err = runTimeAxis()
-	case "cdgmemory":
-		err = runCDGMemory()
-	case "portfolio":
-		err = runPortfolio()
-	case "incremental":
-		err = runIncremental()
-	case "warm":
-		err = runWarm()
 	case "all":
-		for _, step := range []func() error{runTable1, runFig6, runFig7, runOverhead, runObsOverhead, runCDGMemory, runAblation, runThreshold, runTimeAxis, runPortfolio, runIncremental, runWarm} {
-			if err = step(); err != nil {
-				break
-			}
-			fmt.Println()
-		}
+		selected, cdgMemory = experiments.All(), true
+	case "cdgmemory":
+		cdgMemory = true
 	default:
-		fmt.Fprintf(os.Stderr, "tablegen: unknown experiment %q (valid: %s)\n",
-			*exp, strings.Join(validExperiments(), ", "))
-		return 2
+		e, ok := experiments.ByName(*exp)
+		if !ok {
+			fmt.Fprintf(stderr, "tablegen: unknown experiment %q (valid: %s)\n",
+				*exp, strings.Join(validExperiments(), ", "))
+			return 2
+		}
+		selected = []experiments.Experiment{e}
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tablegen:", err)
+
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "tablegen:", err)
 		return 1
+	}
+	for _, e := range selected {
+		if e.Name == "fig7" {
+			var err error
+			if e, err = experiments.Figure7(*model); err != nil {
+				return fail(err)
+			}
+		}
+		g, err := e.Run(context.Background(), cfg)
+		if err != nil {
+			return fail(err)
+		}
+		if *csv && e.WriteCSV != nil {
+			e.WriteCSV(stdout, g)
+		} else {
+			e.Write(stdout, g)
+		}
+		if *benchJSON != "" {
+			path, art := benchJSONPath(*benchJSON, e.Name, len(selected) > 1), perfbench.FromGrid(e.Name, g)
+			if err := art.WriteFile(path); err != nil {
+				return fail(err)
+			}
+			// On stderr, so it never disturbs piped table/CSV output.
+			fmt.Fprintf(stderr, "tablegen: wrote %s (%d cells)\n", path, len(art.Cells))
+		}
+		if len(selected) > 1 {
+			fmt.Fprintln(stdout)
+		}
+	}
+	if cdgMemory {
+		cfg.Models = experiments.OverheadModels()
+		res, err := experiments.RunCDGMemory(cfg)
+		if err != nil {
+			return fail(err)
+		}
+		res.Write(stdout)
 	}
 	return 0
 }

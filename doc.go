@@ -60,10 +60,18 @@
 //	                     fallback when a worker dies mid-depth)
 //	internal/induction   test-only: the behavioural suite of the three
 //	                     k-induction shapes and the step-query encodings
-//	internal/experiments paper tables/figures plus ablations (portfolio vs
-//	                     best single order, incremental vs scratch, cold vs
-//	                     warm vs warm+sharing), driven through engine
-//	                     sessions
+//	internal/experiments the evaluation as one (model × column) grid runner
+//	                     over engine sessions plus a registry of
+//	                     declarative experiment specs: paper tables/figures
+//	                     and ablations (portfolio vs best single order,
+//	                     incremental vs scratch, cold vs warm vs
+//	                     warm+sharing, refine), each a column list and a
+//	                     renderer
+//	internal/perfbench   the exact-regression gate: suites of (model ×
+//	                     shape) cells run as 1×1 experiment grids,
+//	                     schema-versioned BENCH_*.json artifacts, and a
+//	                     baseline compare pinning verdict, K, the cell set
+//	                     and deterministic search counters
 //	internal/bench       the 37-model synthetic evaluation suite
 //	cmd/bmc              CLI front end (-engine=bmc|kind, -order=vsids|
 //	                     static|dynamic|timeaxis|portfolio, -incremental,
@@ -76,6 +84,16 @@
 //	cmd/bmcworker        the distributed portfolio's worker daemon
 //	                     (-listen accepts coordinators; -metrics-addr
 //	                     serves its wire/race counters as Prometheus)
+//	cmd/tablegen         paper artifacts: a lookup in the experiments
+//	                     registry and one run-render loop
+//	cmd/bmcbench         perfbench's CLI: run a suite (optionally gated
+//	                     against baselines/BENCH_quick.json), compare two
+//	                     artifacts, list the cells
+//	benchmark            the performance contract (BENCHMARK.json): four
+//	                     fixed workloads, gated end-to-end metrics and
+//	                     per-layer spans; imports internal/..., is
+//	                     imported by nothing
 //
-// The root package holds the paper-artifact benchmarks (bench_test.go).
+// The root package holds the paper-artifact benchmarks (bench_test.go:
+// BenchmarkExperiment/<name>, one per registry entry).
 package repro

@@ -3,296 +3,135 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/engine"
 )
 
-// AblationModels returns the representative suite subset the ablation
-// experiments (A1-A3) run on: a few models from each regime, so one sweep
-// stays minutes-scale while still covering the behaviours the full table
-// exhibits.
-func AblationModels() []bench.Model {
-	names := []string{
-		"mix_w7", "pipe_s4", "add_w4", "add_w8",
-		"twin_w10", "gcnt_m12", "tlc",
-		"cnt_w5_t13", "lock_s8", "phase_d5_f",
-	}
-	return subset(names)
-}
-
-// OverheadModels returns the subset for the §3.1 bookkeeping-overhead
-// measurement: search-heavy models where the recorder has real work to do
-// (on BCP-trivial rows the overhead would drown in formula-build noise).
-func OverheadModels() []bench.Model {
-	names := []string{
-		"mix_w6", "mix_w7", "mix_w10", "pipe_s4",
-		"add_w4", "add_w8", "twin_w12", "cnt_w6_t24",
-	}
-	return subset(names)
-}
-
-func subset(names []string) []bench.Model {
-	out := make([]bench.Model, 0, len(names))
-	for _, n := range names {
-		m, ok := bench.ByName(n)
-		if !ok {
-			panic(fmt.Sprintf("experiments: suite model %q missing", n))
-		}
-		out = append(out, m)
-	}
-	return out
-}
-
 // --- §3.1 overhead: CDG bookkeeping cost ---
 
-// OverheadRow measures one model with the proof recorder off and on, both
+// overhead measures each model with the proof recorder off and on, both
 // under the plain VSIDS ordering so the search is identical and only the
-// bookkeeping differs.
-type OverheadRow struct {
-	Name          string
-	TimeOff       time.Duration
-	TimeOn        time.Duration
-	RecorderBytes int64 // peak CDG footprint across instances
-	// DecisionsOff/On verify the searches really were identical.
-	DecisionsOff, DecisionsOn int64
-}
-
-// OverheadResult is the §3.1 measurement: the paper reports ~5% runtime
-// overhead and negligible memory for maintaining the simplified CDG.
-type OverheadResult struct {
-	Rows []OverheadRow
-	// PercentOverhead is the aggregate (timeOn-timeOff)/timeOff in percent.
-	PercentOverhead float64
-}
-
-// RunOverhead executes the §3.1 overhead measurement.
-func RunOverhead(cfg Config) (*OverheadResult, error) {
-	res := &OverheadResult{}
-	var totOff, totOn time.Duration
-	for _, m := range cfg.models() {
-		run := func(record bool) (*engine.Result, error) {
-			opts := []engine.Option{engine.WithOrdering(core.OrderVSIDS)}
-			if record {
-				opts = append(opts, engine.WithForceRecording())
-			}
-			return cfg.checkOne(m, opts...)
-		}
-		off, err := run(false)
-		if err != nil {
-			return nil, fmt.Errorf("overhead %s: %w", m.Name, err)
-		}
-		on, err := run(true)
-		if err != nil {
-			return nil, fmt.Errorf("overhead %s: %w", m.Name, err)
-		}
-		row := OverheadRow{
-			Name:         m.Name,
-			TimeOff:      off.TotalTime,
-			TimeOn:       on.TotalTime,
-			DecisionsOff: off.Total.Decisions,
-			DecisionsOn:  on.Total.Decisions,
-		}
-		for _, d := range on.PerDepth {
-			if d.RecorderBytes > row.RecorderBytes {
-				row.RecorderBytes = d.RecorderBytes
-			}
-		}
-		totOff += off.TotalTime
-		totOn += on.TotalTime
-		res.Rows = append(res.Rows, row)
+// bookkeeping differs. The paper reports ~5% runtime overhead and
+// negligible memory for maintaining the simplified CDG.
+func overhead() Experiment {
+	return Experiment{
+		Name:   "overhead",
+		Models: OverheadModels(),
+		Columns: []Column{
+			fixed("off", true, engine.WithOrdering(core.OrderVSIDS)),
+			fixed("on", true, engine.WithOrdering(core.OrderVSIDS), engine.WithForceRecording()),
+		},
+		Write: writeOverhead,
 	}
-	if totOff > 0 {
-		res.PercentOverhead = 100 * (totOn.Seconds() - totOff.Seconds()) / totOff.Seconds()
-	}
-	return res, nil
 }
 
-// Write renders the overhead table.
-func (r *OverheadResult) Write(w io.Writer) {
+func writeOverhead(w io.Writer, g *Grid) {
 	fmt.Fprintln(w, "Sec. 3.1: CDG bookkeeping overhead (identical searches, recorder off vs on)")
 	fmt.Fprintf(w, "%-16s %12s %12s %10s %14s\n", "model", "off (s)", "on (s)", "overhead", "CDG bytes")
 	writeRule(w, 68)
-	for _, row := range r.Rows {
+	for i, m := range g.Models {
+		off, on := g.Cells[i][0], g.Cells[i][1]
+		var peak int64 // peak CDG footprint across instances
+		for _, d := range on.PerDepth {
+			peak = max(peak, d.RecorderBytes)
+		}
 		fmt.Fprintf(w, "%-16s %12s %12s %10s %14d\n",
-			row.Name, fmtDuration(row.TimeOff), fmtDuration(row.TimeOn),
-			ratio(row.TimeOff, row.TimeOn), row.RecorderBytes)
+			m.Name, fmtDuration(off.TotalTime), fmtDuration(on.TotalTime),
+			ratio(off.TotalTime, on.TotalTime), peak)
 	}
 	writeRule(w, 68)
-	fmt.Fprintf(w, "aggregate overhead: %+.1f%% (paper reports about +5%%)\n", r.PercentOverhead)
-}
-
-// --- §3.2 ablation: score accumulation rules ---
-
-// ScoreAblationResult compares the paper's weighted-sum bmc_score against
-// the alternatives discussed in §3.2 (unweighted, last-core-only,
-// exponential decay), all under the static application.
-type ScoreAblationResult struct {
-	Modes []core.ScoreMode
-	// Time[m][i]: mode m on model i; Models mirror cfg order.
-	Models []string
-	Time   [][]time.Duration
-	Total  []time.Duration
-}
-
-// RunScoreAblation executes the A1 ablation.
-func RunScoreAblation(cfg Config) (*ScoreAblationResult, error) {
-	modes := []core.ScoreMode{core.WeightedSum, core.UnweightedSum, core.LastCoreOnly, core.ExpDecay}
-	res := &ScoreAblationResult{Modes: modes}
-	res.Time = make([][]time.Duration, len(modes))
-	res.Total = make([]time.Duration, len(modes))
-	for _, m := range cfg.models() {
-		res.Models = append(res.Models, m.Name)
-		for mi, mode := range modes {
-			r, err := cfg.checkOne(m, engine.WithOrdering(core.OrderStatic), engine.WithScoreMode(mode))
-			if err != nil {
-				return nil, fmt.Errorf("score ablation %s/%v: %w", m.Name, mode, err)
-			}
-			res.Time[mi] = append(res.Time[mi], r.TotalTime)
-			res.Total[mi] += r.TotalTime
-		}
+	var pct float64
+	if off, on := g.TotalTime(0).Seconds(), g.TotalTime(1).Seconds(); off > 0 {
+		pct = 100 * (on - off) / off
 	}
-	return res, nil
+	fmt.Fprintf(w, "aggregate overhead: %+.1f%% (paper reports about +5%%)\n", pct)
 }
 
-// Write renders the ablation table.
-func (r *ScoreAblationResult) Write(w io.Writer) {
-	fmt.Fprintln(w, "Sec. 3.2 ablation: bmc_score accumulation rule (static ordering)")
+// --- wall-time sweeps: §3.2 score rules, §3.3 switch threshold, time axis ---
+
+// writeTimes renders a wall-time grid: one row per model, one column per
+// configuration headed by its name plus unit, and a TOTAL row. mark, when
+// non-nil, flags a cell with a trailing character.
+func writeTimes(w io.Writer, g *Grid, title, unit string, mark func(*engine.Result) string) {
+	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "%-16s", "model")
-	for _, m := range r.Modes {
-		fmt.Fprintf(w, " %14s", m)
+	for _, col := range g.Columns {
+		fmt.Fprintf(w, " %14s", col.Name+unit)
 	}
 	fmt.Fprintln(w)
-	writeRule(w, 16+15*len(r.Modes))
-	for i, name := range r.Models {
-		fmt.Fprintf(w, "%-16s", name)
-		for mi := range r.Modes {
-			fmt.Fprintf(w, " %14s", fmtDuration(r.Time[mi][i]))
+	writeRule(w, 16+15*len(g.Columns))
+	for i, m := range g.Models {
+		fmt.Fprintf(w, "%-16s", m.Name)
+		for _, r := range g.Cells[i] {
+			cell := fmtDuration(r.TotalTime)
+			if mark != nil {
+				cell += mark(r)
+			}
+			fmt.Fprintf(w, " %14s", cell)
 		}
 		fmt.Fprintln(w)
 	}
-	writeRule(w, 16+15*len(r.Modes))
+	writeRule(w, 16+15*len(g.Columns))
 	fmt.Fprintf(w, "%-16s", "TOTAL")
-	for mi := range r.Modes {
-		fmt.Fprintf(w, " %14s", fmtDuration(r.Total[mi]))
+	for c := range g.Columns {
+		fmt.Fprintf(w, " %14s", fmtDuration(g.TotalTime(c)))
 	}
 	fmt.Fprintln(w)
 }
 
-// --- §3.3 ablation: dynamic switch threshold ---
+// scoreAblation compares the paper's weighted-sum bmc_score against the
+// alternatives discussed in §3.2 (unweighted, last-core-only, exponential
+// decay), all under the static application.
+func scoreAblation() Experiment {
+	var cols []Column
+	for _, mode := range []core.ScoreMode{core.WeightedSum, core.UnweightedSum, core.LastCoreOnly, core.ExpDecay} {
+		cols = append(cols, fixed(mode.String(), true,
+			engine.WithOrdering(core.OrderStatic), engine.WithScoreMode(mode)))
+	}
+	return Experiment{Name: "ablation", Models: AblationModels(), Columns: cols,
+		Write: func(w io.Writer, g *Grid) {
+			writeTimes(w, g, "Sec. 3.2 ablation: bmc_score accumulation rule (static ordering)", "", nil)
+		}}
+}
 
-// ThresholdResult sweeps the dynamic configuration's switch divisor
+// ThresholdSweep sweeps the dynamic configuration's switch divisor
 // (decisions > #literals/divisor triggers the fallback to VSIDS; the paper
 // uses 64; divisor 0 means "never switch", i.e. pure static).
-type ThresholdResult struct {
-	Divisors []int
-	Models   []string
-	Time     [][]time.Duration // [divisor][model]
-	Switched [][]bool          // whether any instance switched
-	Total    []time.Duration
+func ThresholdSweep(divisors ...int) Experiment {
+	var cols []Column
+	for _, div := range divisors {
+		name, st := fmt.Sprintf("lits/%d", div), core.OrderDynamic
+		if div == 0 {
+			name, st = "never(static)", core.OrderStatic
+		}
+		cols = append(cols, fixed(name, true, engine.WithOrdering(st), engine.WithSwitchDivisor(div)))
+	}
+	return Experiment{Name: "threshold", Models: AblationModels(), Columns: cols,
+		Write: func(w io.Writer, g *Grid) {
+			writeTimes(w, g, "Sec. 3.3 ablation: dynamic switch divisor (decisions > lits/divisor)", "",
+				func(r *engine.Result) string {
+					if r.Total.GuidanceSwitched {
+						return "*"
+					}
+					return " "
+				})
+			fmt.Fprintln(w, "(* = the VSIDS fallback fired on at least one instance)")
+		}}
 }
 
-// RunThresholdSweep executes the A2 ablation.
-func RunThresholdSweep(cfg Config, divisors []int) (*ThresholdResult, error) {
-	if len(divisors) == 0 {
-		divisors = []int{16, 64, 256, 0}
-	}
-	res := &ThresholdResult{Divisors: divisors}
-	res.Time = make([][]time.Duration, len(divisors))
-	res.Switched = make([][]bool, len(divisors))
-	res.Total = make([]time.Duration, len(divisors))
-	for _, m := range cfg.models() {
-		res.Models = append(res.Models, m.Name)
-		for di, div := range divisors {
-			st := core.OrderDynamic
-			if div == 0 {
-				st = core.OrderStatic
-			}
-			r, err := cfg.checkOne(m, engine.WithOrdering(st), engine.WithSwitchDivisor(div))
-			if err != nil {
-				return nil, fmt.Errorf("threshold %s/%d: %w", m.Name, div, err)
-			}
-			res.Time[di] = append(res.Time[di], r.TotalTime)
-			res.Switched[di] = append(res.Switched[di], r.Total.GuidanceSwitched)
-			res.Total[di] += r.TotalTime
-		}
-	}
-	return res, nil
-}
-
-// Write renders the sweep table.
-func (r *ThresholdResult) Write(w io.Writer) {
-	fmt.Fprintln(w, "Sec. 3.3 ablation: dynamic switch divisor (decisions > lits/divisor)")
-	fmt.Fprintf(w, "%-16s", "model")
-	for _, d := range r.Divisors {
-		if d == 0 {
-			fmt.Fprintf(w, " %14s", "never(static)")
-		} else {
-			fmt.Fprintf(w, " %11s/%2d", "lits", d)
-		}
-	}
-	fmt.Fprintln(w)
-	writeRule(w, 16+15*len(r.Divisors))
-	for i, name := range r.Models {
-		fmt.Fprintf(w, "%-16s", name)
-		for di := range r.Divisors {
-			mark := " "
-			if r.Switched[di][i] {
-				mark = "*"
-			}
-			fmt.Fprintf(w, " %13s%s", fmtDuration(r.Time[di][i]), mark)
-		}
-		fmt.Fprintln(w)
-	}
-	writeRule(w, 16+15*len(r.Divisors))
-	fmt.Fprintf(w, "%-16s", "TOTAL")
-	for di := range r.Divisors {
-		fmt.Fprintf(w, " %14s", fmtDuration(r.Total[di]))
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "(* = the VSIDS fallback fired on at least one instance)")
-}
-
-// --- related work: Shtrichman time-axis ordering ---
-
-// TimeAxisResult compares baseline, the paper's dynamic refinement, and a
+// timeAxis compares baseline, the paper's dynamic refinement, and a
 // Shtrichman-style time-axis static ordering.
-type TimeAxisResult struct {
-	Models []string
-	Time   [3][]time.Duration // baseline, dynamic, timeaxis
-	Total  [3]time.Duration
-}
-
-// RunTimeAxis executes the A3 comparison.
-func RunTimeAxis(cfg Config) (*TimeAxisResult, error) {
-	strategies := []core.Strategy{core.OrderVSIDS, core.OrderDynamic, core.OrderTimeAxis}
-	res := &TimeAxisResult{}
-	for _, m := range cfg.models() {
-		res.Models = append(res.Models, m.Name)
-		for si, st := range strategies {
-			r, err := cfg.runOne(m, st)
-			if err != nil {
-				return nil, fmt.Errorf("timeaxis %s: %w", m.Name, err)
-			}
-			res.Time[si] = append(res.Time[si], r.TotalTime)
-			res.Total[si] += r.TotalTime
-		}
-	}
-	return res, nil
-}
-
-// Write renders the comparison table.
-func (r *TimeAxisResult) Write(w io.Writer) {
-	fmt.Fprintln(w, "Related work: time-axis (Shtrichman-style) vs register-axis (this paper)")
-	fmt.Fprintf(w, "%-16s %14s %14s %14s\n", "model", "bmc (s)", "dynamic (s)", "timeaxis (s)")
-	writeRule(w, 62)
-	for i, name := range r.Models {
-		fmt.Fprintf(w, "%-16s %14s %14s %14s\n", name,
-			fmtDuration(r.Time[0][i]), fmtDuration(r.Time[1][i]), fmtDuration(r.Time[2][i]))
-	}
-	writeRule(w, 62)
-	fmt.Fprintf(w, "%-16s %14s %14s %14s\n", "TOTAL",
-		fmtDuration(r.Total[0]), fmtDuration(r.Total[1]), fmtDuration(r.Total[2]))
+func timeAxis() Experiment {
+	return Experiment{
+		Name:   "timeaxis",
+		Models: AblationModels(),
+		Columns: []Column{
+			fixed("bmc", true, engine.WithOrdering(core.OrderVSIDS)),
+			fixed("dynamic", true, engine.WithOrdering(core.OrderDynamic)),
+			fixed("timeaxis", true, engine.WithOrdering(core.OrderTimeAxis)),
+		},
+		Write: func(w io.Writer, g *Grid) {
+			writeTimes(w, g, "Related work: time-axis (Shtrichman-style) vs register-axis (this paper)", " (s)", nil)
+		}}
 }

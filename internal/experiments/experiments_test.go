@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/sat"
 )
 
@@ -21,207 +22,195 @@ func tinyCfg() Config {
 	}
 }
 
-func TestRunTable1Small(t *testing.T) {
-	res, err := RunTable1(tinyCfg())
+// runSmall fills the named registry experiment's grid under cfg and
+// renders it as text.
+func runSmall(t *testing.T, name string, cfg Config) (*Grid, string) {
+	t.Helper()
+	e, ok := ByName(name)
+	if !ok {
+		t.Fatalf("experiment %q not in the registry", name)
+	}
+	return runExperiment(t, e, cfg)
+}
+
+func runExperiment(t *testing.T, e Experiment, cfg Config) (*Grid, string) {
+	t.Helper()
+	g, err := e.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(res.Rows))
+	if len(g.Cells) != len(cfg.models()) {
+		t.Fatalf("got %d rows, want %d", len(g.Cells), len(cfg.models()))
 	}
-	for _, row := range res.Rows {
-		for c := 0; c < numConfs; c++ {
-			if row.Verdict[c] == engine.Unknown {
-				t.Errorf("%s/%s: budget exhausted in a tiny config", row.Name, ConfNames[c])
-			}
-			if row.Time[c] <= 0 {
-				t.Errorf("%s/%s: nonpositive aligned time", row.Name, ConfNames[c])
+	for i, row := range g.Cells {
+		if len(row) != len(e.Columns) {
+			t.Fatalf("row %d has %d cells for %d columns", i, len(row), len(e.Columns))
+		}
+		for c, r := range row {
+			if r.TotalTime <= 0 {
+				t.Errorf("%s/%s: nonpositive wall time", g.Models[i].Name, e.Columns[c].Name)
 			}
 		}
-		// All three configurations must agree on the verdict.
-		if row.Verdict[ConfStatic] != row.Verdict[ConfBase] || row.Verdict[ConfDynamic] != row.Verdict[ConfBase] {
-			t.Errorf("%s: verdict disagreement %v", row.Name, row.Verdict)
+	}
+	if n := g.Disagreements(); n != 0 {
+		t.Fatalf("%d verdict disagreements between columns", n)
+	}
+	var out strings.Builder
+	e.Write(&out, g)
+	return g, out.String()
+}
+
+// wantAll fails unless the rendered table contains every fragment.
+func wantAll(t *testing.T, out string, fragments ...string) {
+	t.Helper()
+	for _, want := range fragments {
+		if !strings.Contains(out, want) {
+			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}
 	}
+}
+
+func decisions(r *engine.Result) int64 { return r.Total.Decisions }
+
+func TestRunTable1Small(t *testing.T) {
+	g, _ := runSmall(t, "table1", tinyCfg())
 	// cnt_w4_t9 fails at depth 9 > cap 5, so here it should hold; tlc_bug
 	// fails at depth 1 and must be an F row.
-	for _, row := range res.Rows {
-		switch row.Name {
-		case "tlc_bug":
-			if row.TF != "F" {
-				t.Errorf("tlc_bug: TF=%q, want F", row.TF)
+	wantTF := map[string]string{"tlc_bug": "F", "cnt_w4_t9": "(5)"}
+	for i, row := range alignRows(g) {
+		name := g.Models[i].Name
+		for c := 0; c < numConfs; c++ {
+			if g.Cells[i][c].Verdict == engine.Unknown {
+				t.Errorf("%s/%s: budget exhausted in a tiny config", name, ConfNames[c])
 			}
-		case "cnt_w4_t9":
-			if row.TF != "(5)" {
-				t.Errorf("cnt_w4_t9: TF=%q, want (5) at cap", row.TF)
+			if row.Time[c] <= 0 {
+				t.Errorf("%s/%s: nonpositive aligned time", name, ConfNames[c])
 			}
+		}
+		if want, ok := wantTF[name]; ok && row.TF != want {
+			t.Errorf("%s: TF=%q, want %q", name, row.TF, want)
 		}
 	}
 }
 
 func TestTable1Render(t *testing.T) {
-	res, err := RunTable1(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tb, csv, f6, f6csv strings.Builder
-	res.WriteTable(&tb)
-	res.WriteCSV(&csv)
-	res.WriteFigure6(&f6)
-	res.WriteFigure6CSV(&f6csv)
+	g, tb := runSmall(t, "table1", tinyCfg())
+	var csv, f6, f6csv strings.Builder
+	writeTable1CSV(&csv, g)
+	writeFigure6(&f6, g)
+	writeFigure6CSV(&f6csv, g)
 
-	if !strings.Contains(tb.String(), "TOTAL") || !strings.Contains(tb.String(), "RATIO") {
-		t.Errorf("table missing TOTAL/RATIO rows:\n%s", tb.String())
-	}
+	wantAll(t, tb, "TOTAL", "RATIO")
 	if got := strings.Count(csv.String(), "\n"); got != 5 { // header + 4 rows
 		t.Errorf("csv has %d lines, want 5", got)
 	}
-	if !strings.Contains(f6.String(), "pane: static vs bmc") ||
-		!strings.Contains(f6.String(), "pane: dynamic vs bmc") {
-		t.Errorf("figure 6 missing panes:\n%s", f6.String())
-	}
+	wantAll(t, f6.String(), "pane: static vs bmc", "pane: dynamic vs bmc")
 	if !strings.HasPrefix(f6csv.String(), "model,time_bmc_s") {
 		t.Errorf("figure 6 csv header wrong: %q", f6csv.String()[:40])
 	}
 }
 
 func TestRunFigure7Small(t *testing.T) {
-	cfg := tinyCfg()
-	cfg.Models = nil // Fig7 looks the model up by name
-	res, err := RunFigure7(cfg, "twin_w8", core.OrderDynamic)
+	e, err := Figure7("twin_w8")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Model != "twin_w8" {
-		t.Fatalf("model = %q", res.Model)
+	cfg := tinyCfg()
+	cfg.Models = nil // the experiment carries the model it was built for
+	g, err := e.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(res.Depths) == 0 || len(res.DecBase) != len(res.Depths) {
-		t.Fatalf("series lengths inconsistent: %d depths, %d dec", len(res.Depths), len(res.DecBase))
+	if len(g.Models) != 1 || g.Models[0].Name != "twin_w8" {
+		t.Fatalf("ran %d models, want twin_w8 alone", len(g.Models))
 	}
-	dec, imp := res.TotalReduction()
-	if dec <= 0 || imp <= 0 {
-		t.Errorf("reductions must be positive, got dec=%f imp=%f", dec, imp)
+	base, ref := fig7Series(g)
+	if len(base) == 0 || len(base) != len(ref) {
+		t.Fatalf("series lengths inconsistent: %d base, %d ref", len(base), len(ref))
 	}
-	if dec >= 1 {
-		t.Errorf("refined ordering should reduce decisions on twin_w8, ratio=%f", dec)
+	decBase, decRef := g.Total(0, decisions), g.Total(1, decisions)
+	if decBase <= 0 || decRef <= 0 {
+		t.Errorf("decision counts must be positive, got bmc=%d ref=%d", decBase, decRef)
+	}
+	if decRef >= decBase {
+		t.Errorf("refined ordering should reduce decisions on twin_w8: %d vs %d", decRef, decBase)
 	}
 	var out, csv strings.Builder
-	res.Write(&out)
-	res.WriteCSV(&csv)
-	if !strings.Contains(out.String(), "Number of Decisions") {
-		t.Errorf("figure 7 text missing decisions panel")
-	}
+	e.Write(&out, g)
+	e.WriteCSV(&csv, g)
+	wantAll(t, out.String(), "Number of Decisions")
 	if !strings.HasPrefix(csv.String(), "k,dec_bmc") {
 		t.Errorf("figure 7 csv header wrong")
 	}
 }
 
 func TestRunFigure7UnknownModel(t *testing.T) {
-	if _, err := RunFigure7(tinyCfg(), "no_such_model", core.OrderDynamic); err == nil {
+	if _, err := Figure7("no_such_model"); err == nil {
 		t.Fatal("expected an error for an unknown model")
 	}
 }
 
 func TestRunOverheadSmall(t *testing.T) {
-	res, err := RunOverhead(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("got %d rows", len(res.Rows))
-	}
-	for _, row := range res.Rows {
+	g, out := runSmall(t, "overhead", tinyCfg())
+	for i, row := range g.Cells {
 		// The §3.1 design point: recording must not change the search.
-		if row.DecisionsOff != row.DecisionsOn {
-			t.Errorf("%s: recording changed the search (%d vs %d decisions)",
-				row.Name, row.DecisionsOff, row.DecisionsOn)
+		if off, on := decisions(row[0]), decisions(row[1]); off != on {
+			t.Errorf("%s: recording changed the search (%d vs %d decisions)", g.Models[i].Name, off, on)
 		}
 	}
-	var out strings.Builder
-	res.Write(&out)
-	if !strings.Contains(out.String(), "aggregate overhead") {
-		t.Errorf("overhead table missing summary")
-	}
+	wantAll(t, out, "aggregate overhead")
 }
 
 func TestRunObsOverheadSmall(t *testing.T) {
-	res, err := RunObsOverhead(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("got %d rows", len(res.Rows))
-	}
-	for _, row := range res.Rows {
+	g, out := runSmall(t, "obs-overhead", tinyCfg())
+	for i, row := range g.Cells {
 		// Instrumentation must not change the search.
-		if row.DecisionsOff != row.DecisionsOn {
-			t.Errorf("%s: instrumentation changed the search (%d vs %d decisions)",
-				row.Name, row.DecisionsOff, row.DecisionsOn)
+		if off, on := decisions(row[0]), decisions(row[1]); off != on {
+			t.Errorf("%s: instrumentation changed the search (%d vs %d decisions)", g.Models[i].Name, off, on)
 		}
 		// The instrumented run must actually have recorded something, or
 		// the comparison is vacuous.
-		if row.Spans == 0 {
-			t.Errorf("%s: instrumented run recorded no spans", row.Name)
-		}
-		if row.Counters == 0 {
-			t.Errorf("%s: instrumented run registered no counters", row.Name)
+		if row[0].Metrics != nil || len(row[1].Metrics.Counters) == 0 {
+			t.Errorf("%s: off/on columns are not bare/instrumented", g.Models[i].Name)
 		}
 	}
-	var out strings.Builder
-	res.Write(&out)
-	if !strings.Contains(out.String(), "aggregate conflicts-normalized overhead") {
-		t.Errorf("obs-overhead table missing summary")
+	wantAll(t, out, "aggregate conflicts-normalized overhead")
+
+	// Spans land on the tracer, not in the result: one direct cell of the
+	// same configuration shows the tracer half records too.
+	tr := obs.NewTracer()
+	col := Column{Name: "traced", Options: func() []engine.Option {
+		return append(g.Columns[0].Options(), engine.WithTracer(tr))
+	}}
+	cfg := tinyCfg()
+	cfg.Models = cfg.Models[:1]
+	if _, err := cfg.Run(context.Background(), []Column{col}); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() == 0 {
+		t.Error("instrumented run recorded no spans")
 	}
 }
 
 func TestRunScoreAblationSmall(t *testing.T) {
-	res, err := RunScoreAblation(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
+	g, out := runSmall(t, "ablation", tinyCfg())
+	if len(g.Columns) != 4 {
+		t.Fatalf("got %d score modes, want 4", len(g.Columns))
 	}
-	if len(res.Modes) != 4 || len(res.Models) != 4 {
-		t.Fatalf("shape: %d modes, %d models", len(res.Modes), len(res.Models))
-	}
-	for mi := range res.Modes {
-		if len(res.Time[mi]) != len(res.Models) {
-			t.Fatalf("mode %v has %d times", res.Modes[mi], len(res.Time[mi]))
-		}
-	}
-	var out strings.Builder
-	res.Write(&out)
-	if !strings.Contains(out.String(), "TOTAL") {
-		t.Errorf("ablation table missing TOTAL")
-	}
+	wantAll(t, out, "TOTAL", "weighted-sum", "exp-decay")
 }
 
 func TestRunThresholdSweepSmall(t *testing.T) {
-	res, err := RunThresholdSweep(tinyCfg(), []int{16, 64, 0})
-	if err != nil {
-		t.Fatal(err)
+	g, out := runExperiment(t, ThresholdSweep(16, 64, 0), tinyCfg())
+	if len(g.Columns) != 3 {
+		t.Fatalf("columns: %v", g.Columns)
 	}
-	if len(res.Divisors) != 3 {
-		t.Fatalf("divisors: %v", res.Divisors)
-	}
-	var out strings.Builder
-	res.Write(&out)
-	if !strings.Contains(out.String(), "never(static)") {
-		t.Errorf("threshold table missing the never column")
-	}
+	wantAll(t, out, "lits/16", "never(static)")
 }
 
 func TestRunTimeAxisSmall(t *testing.T) {
-	res, err := RunTimeAxis(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Models) != 4 {
-		t.Fatalf("models: %v", res.Models)
-	}
-	var out strings.Builder
-	res.Write(&out)
-	if !strings.Contains(out.String(), "timeaxis") {
-		t.Errorf("time-axis table missing column")
-	}
+	_, out := runSmall(t, "timeaxis", tinyCfg())
+	wantAll(t, out, "timeaxis")
 }
 
 func TestRunCDGMemorySmall(t *testing.T) {
@@ -281,7 +270,7 @@ func TestAlignRowCommonDepth(t *testing.T) {
 		mk(2, 5, 5, 5),
 		mk(2, 6, 6, 6),
 	}
-	row := alignRow(1, "m", runs)
+	row := alignRow(runs)
 	if row.TF != "(1)" || row.Depth != 1 {
 		t.Fatalf("TF=%q depth=%d, want (1)", row.TF, row.Depth)
 	}
@@ -312,7 +301,7 @@ func TestAlignRowAllFalsified(t *testing.T) {
 		}
 	}
 	runs := [numConfs]*engine.Result{mk(40 * time.Millisecond), mk(20 * time.Millisecond), mk(30 * time.Millisecond)}
-	row := alignRow(2, "f", runs)
+	row := alignRow(runs)
 	if row.TF != "F" {
 		t.Fatalf("TF=%q, want F", row.TF)
 	}
@@ -358,140 +347,53 @@ func TestFmtHelpers(t *testing.T) {
 }
 
 func TestRunPortfolioAblationSmall(t *testing.T) {
-	res, err := RunPortfolioAblation(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(res.Rows))
-	}
-	if res.Disagreements != 0 {
-		t.Fatalf("%d verdict disagreements between portfolio and single orders", res.Disagreements)
-	}
-	for i := range res.Rows {
-		row := &res.Rows[i]
-		if len(row.Single) != len(res.Strategies) {
-			t.Fatalf("%s: %d single times for %d strategies", row.Name, len(row.Single), len(res.Strategies))
-		}
-		if row.Portfolio <= 0 {
-			t.Errorf("%s: nonpositive portfolio time", row.Name)
-		}
-		if row.Best() > row.Worst() {
-			t.Errorf("%s: best %v > worst %v", row.Name, row.Best(), row.Worst())
-		}
+	g, out := runSmall(t, "portfolio", tinyCfg())
+	last := len(g.Columns) - 1
+	for i, row := range g.Cells {
 		wins := 0
-		for _, n := range row.Winners {
+		for _, n := range row[last].Telemetry.Wins {
 			wins += n
 		}
 		if wins == 0 {
-			t.Errorf("%s: portfolio recorded no winning races", row.Name)
+			t.Errorf("%s: portfolio recorded no winning races", g.Models[i].Name)
 		}
 	}
-	var sb strings.Builder
-	res.Write(&sb)
-	for _, want := range []string{"portfolio", "TOTAL", "vsids"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("rendered table missing %q", want)
-		}
-	}
+	wantAll(t, out, "portfolio", "TOTAL", "vsids")
 }
 
 func TestRunIncrementalAblationSmall(t *testing.T) {
-	res, err := RunIncrementalAblation(tinyCfg(), core.OrderDynamic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(res.Rows))
-	}
-	if res.Disagreements != 0 {
-		t.Fatalf("%d verdict disagreements between incremental and scratch", res.Disagreements)
-	}
-	for i := range res.Rows {
-		row := &res.Rows[i]
-		if row.TimeScratch <= 0 || row.TimeIncremental <= 0 {
-			t.Errorf("%s: nonpositive wall time", row.Name)
-		}
-		if row.ConflictsScratch < 0 || row.ConflictsIncremental < 0 {
-			t.Errorf("%s: negative conflict counts", row.Name)
-		}
-	}
-	if res.UnsatRows == 0 {
-		t.Fatalf("tiny config must contain UNSAT-heavy rows")
-	}
-	var sb strings.Builder
-	res.Write(&sb)
-	for _, want := range []string{"Incremental vs scratch", "TOTAL", "conflicts saved"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("rendered table missing %q", want)
-		}
+	_, out := runSmall(t, "incremental", tinyCfg())
+	wantAll(t, out, "Incremental vs scratch", "TOTAL", "conflicts saved", "incremental wins: ")
+	if strings.Contains(out, "wins: 0/0") {
+		t.Fatalf("tiny config must contain UNSAT-heavy rows:\n%s", out)
 	}
 }
 
 func TestRunWarmAblationSmall(t *testing.T) {
-	res, err := RunWarmAblation(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(res.Rows))
-	}
-	if res.Disagreements != 0 {
-		t.Fatalf("%d verdict disagreements between cold, warm, and shared", res.Disagreements)
-	}
-	for i := range res.Rows {
-		row := &res.Rows[i]
-		if row.TimeCold <= 0 || row.TimeWarm <= 0 || row.TimeShared <= 0 {
-			t.Errorf("%s: nonpositive wall time", row.Name)
-		}
-		if row.ConfCold < 0 || row.ConfWarm < 0 || row.ConfShared < 0 {
-			t.Errorf("%s: negative conflict counts", row.Name)
+	g, out := runSmall(t, "warm", tinyCfg())
+	for i, row := range g.Cells {
+		for c, r := range row {
+			if r.Telemetry == nil || SpentConflicts(r) < Conflicts(r) {
+				t.Errorf("%s/%s: all-racer conflicts %d below the winners' %d",
+					g.Models[i].Name, g.Columns[c].Name, SpentConflicts(r), Conflicts(r))
+			}
 		}
 	}
-	if res.UnsatRows == 0 {
-		t.Fatalf("tiny config must contain UNSAT-heavy rows")
-	}
-	var sb strings.Builder
-	res.Write(&sb)
-	for _, want := range []string{"Warm racer pool", "TOTAL", "total conflicts vs cold"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("rendered table missing %q", want)
-		}
-	}
+	wantAll(t, out, "Warm racer pool", "TOTAL", "total conflicts vs cold", "UNSAT-heavy rows where warm+sharing")
 }
 
 func TestRunWarmKindAblationSmall(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Models = subset([]string{"twin_w8", "gcnt_m10", "tlc_bug"})
-	res, err := RunWarmKindAblation(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(res.Rows))
-	}
-	if res.Disagreements != 0 {
-		t.Fatalf("%d verdict disagreements between cold, warm, and shared", res.Disagreements)
-	}
-	for i := range res.Rows {
-		row := &res.Rows[i]
-		if row.TimeCold <= 0 || row.TimeWarm <= 0 || row.TimeShared <= 0 {
-			t.Errorf("%s: nonpositive wall time", row.Name)
-		}
-		if row.ConfCold < 0 || row.ConfWarm < 0 || row.ConfShared < 0 {
-			t.Errorf("%s: negative conflict counts", row.Name)
-		}
-		if row.Status == engine.Unknown {
-			t.Errorf("%s: undecided within the tiny budget", row.Name)
+	g, out := runSmall(t, "warm-kind", cfg)
+	for i, row := range g.Cells {
+		for c, r := range row {
+			if r.Engine != engine.KInduction || r.Verdict == engine.Unknown {
+				t.Errorf("%s/%s: %v run undecided within the tiny budget", g.Models[i].Name, g.Columns[c].Name, r.Engine)
+			}
 		}
 	}
-	var sb strings.Builder
-	res.Write(&sb)
-	for _, want := range []string{"Warm k-induction", "TOTAL", "rows where warm+sharing"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("rendered table missing %q", want)
-		}
-	}
+	wantAll(t, out, "Warm k-induction", "TOTAL", "rows where warm+sharing", "proved@")
 }
 
 func TestKindAblationModelsResolve(t *testing.T) {
@@ -509,4 +411,135 @@ func TestKindAblationModelsResolve(t *testing.T) {
 			t.Errorf("%s: nil build", m.Name)
 		}
 	}
+}
+
+// TestRegistryWellFormed pins what every front end assumes of the
+// registry: unique experiment names, unique non-empty column names, a
+// text renderer, and default model sets that resolve to buildable models.
+func TestRegistryWellFormed(t *testing.T) {
+	names := map[string]bool{}
+	for _, e := range All() {
+		if e.Name == "" || names[e.Name] {
+			t.Errorf("experiment name %q empty or duplicated", e.Name)
+		}
+		names[e.Name] = true
+		if e.Write == nil {
+			t.Errorf("%s: no text renderer", e.Name)
+		}
+		if len(e.Columns) == 0 {
+			t.Errorf("%s: no columns", e.Name)
+		}
+		cols := map[string]bool{}
+		for _, c := range e.Columns {
+			if c.Name == "" || cols[c.Name] {
+				t.Errorf("%s: column name %q empty or duplicated", e.Name, c.Name)
+			}
+			cols[c.Name] = true
+			if (c.Options == nil) == (c.Setup == nil) {
+				t.Errorf("%s/%s: want exactly one of Options and Setup", e.Name, c.Name)
+			}
+		}
+		models := map[string]bool{}
+		for _, m := range (Config{Models: e.Models}).models() {
+			if models[m.Name] || m.Build == nil || m.Build() == nil || m.MaxDepth <= 0 {
+				t.Errorf("%s: model %q duplicated or unbuildable", e.Name, m.Name)
+			}
+			models[m.Name] = true
+		}
+		if got, ok := ByName(e.Name); !ok || got.Name != e.Name {
+			t.Errorf("ByName(%q) does not resolve", e.Name)
+		}
+	}
+	if _, ok := ByName("cdgmemory"); ok {
+		t.Error("cdgmemory is not a grid and must stay out of the registry")
+	}
+}
+
+// TestGridAgreed pins the one cross-run agreement rule on hand-built
+// results.
+func TestGridAgreed(t *testing.T) {
+	r := func(v engine.Verdict, k int) *engine.Result { return &engine.Result{Verdict: v, K: k} }
+	g := &Grid{Cells: [][]*engine.Result{
+		{r(engine.Holds, 5), r(engine.Holds, 5), r(engine.Holds, 5)},             // agree
+		{r(engine.Holds, 5), r(engine.Falsified, 5), r(engine.Holds, 5)},         // verdict mismatch
+		{r(engine.Falsified, 3), r(engine.Falsified, 3), r(engine.Falsified, 4)}, // K mismatch
+		{r(engine.Unknown, 2), r(engine.Falsified, 7), r(engine.Falsified, 7)},   // Unknown cell excluded
+		{r(engine.Falsified, 7), r(engine.Unknown, 2), r(engine.Falsified, 8)},   // ... but not the rest
+		{r(engine.Unknown, 1), r(engine.Unknown, 2), r(engine.Unknown, 3)},       // nothing to disagree on
+	}}
+	for i, want := range []bool{true, false, false, true, false, true} {
+		if got := g.Agreed(i); got != want {
+			t.Errorf("row %d: Agreed = %v, want %v", i, got, want)
+		}
+	}
+	if n := g.Disagreements(); n != 3 {
+		t.Errorf("Disagreements = %d, want 3", n)
+	}
+}
+
+// TestGridKeepsFastestRepeat pins the one repeat rule: a fast row is run
+// Repeats times and every cell keeps its fastest run — neither the first
+// nor the last — while a row whose first column is slow runs once.
+func TestGridKeepsFastestRepeat(t *testing.T) {
+	// delayed is a column whose n-th run stalls delays[n] inside the check
+	// (progress events are delivered synchronously from the depth loop).
+	delayed := func(runs *int, delays ...time.Duration) Column {
+		return Column{Name: "delayed", Options: func() []engine.Option {
+			delay := delays[min(*runs, len(delays)-1)]
+			*runs++
+			return []engine.Option{engine.WithProgress(func(e engine.Event) {
+				if e.Kind == engine.DepthStarted && e.K == 0 {
+					time.Sleep(delay)
+				}
+			})}
+		}}
+	}
+	cfg := tinyCfg()
+	cfg.Models = subset([]string{"tlc_bug"})
+	cfg.Repeats = 3
+
+	const stall = 100 * time.Millisecond
+	var runs int
+	g, err := cfg.Run(context.Background(), []Column{delayed(&runs, stall, 0, stall)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs != 3 {
+		t.Errorf("fast row ran %d times, want %d", runs, cfg.Repeats)
+	}
+	if got := g.Cells[0][0].TotalTime; got >= stall {
+		t.Errorf("kept run took %v: not the fastest of the three", got)
+	}
+
+	runs = 0
+	if _, err := cfg.Run(context.Background(), []Column{delayed(&runs, repeatBelow)}); err != nil {
+		t.Fatal(err)
+	}
+	if runs != 1 {
+		t.Errorf("slow row ran %d times, want 1", runs)
+	}
+}
+
+// TestRefineDeterministic: the refine table's claim to exact units rests
+// on single-strategy searches being reproducible — two runs of a 3-model
+// grid must agree on every count, under both solver lifetimes.
+func TestRefineDeterministic(t *testing.T) {
+	cfg := tinyCfg()
+	cfg.Models = subset([]string{"mix_w5", "add_w4", "cnt_w4_t9"})
+	a, out := runSmall(t, "refine", cfg)
+	b, _ := runSmall(t, "refine", cfg)
+	for i, row := range a.Cells {
+		for c, r := range row {
+			other := b.Cells[i][c]
+			x, y := r.Total, other.Total
+			x.SolveTime, y.SolveTime = 0, 0 // the one field that is a clock, not a count
+			if x != y || r.Verdict != other.Verdict || r.K != other.K {
+				t.Errorf("%s/%s differs across runs: %+v vs %+v", a.Models[i].Name, a.Columns[c].Name, x, y)
+			}
+		}
+	}
+	if a.Total(0, Conflicts) == 0 {
+		t.Error("refine grid spent no conflicts: the comparison is vacuous")
+	}
+	wantAll(t, out, "TOTAL", "rows where refinement spends fewer conflicts", "x")
 }

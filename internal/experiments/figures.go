@@ -9,90 +9,67 @@ import (
 	"repro/internal/engine"
 )
 
-// Fig7Result holds the per-depth search statistics of the paper's Figure 7:
-// the number of decisions and implications at each unrolling depth, for the
-// standard BMC and the refined ordering (ref_ord_BMC).
-type Fig7Result struct {
-	Model  string
-	Depths []int
-	// Indexed like the Depths slice.
-	DecBase, DecRef []int64
-	ImpBase, ImpRef []int64
-}
-
-// RunFigure7 reproduces Figure 7 on the given model (the suite's
-// bench.Fig7Model is the designated analogue of the paper's 02_3_b2) using
-// the given refined strategy (the paper plots the dynamic configuration).
-func RunFigure7(cfg Config, modelName string, refined core.Strategy) (*Fig7Result, error) {
-	m, ok := bench.ByName(modelName)
+// Figure7 reproduces the paper's Figure 7 on the given model (the suite's
+// bench.Fig7Model is the designated analogue of the paper's 02_3_b2): the
+// number of decisions and implications at each unrolling depth, for the
+// standard BMC and the refined ordering (ref_ord_BMC; the paper plots the
+// dynamic configuration).
+func Figure7(model string) (Experiment, error) {
+	m, ok := bench.ByName(model)
 	if !ok {
-		return nil, fmt.Errorf("fig7: unknown model %q", modelName)
+		return Experiment{}, fmt.Errorf("fig7: unknown model %q", model)
 	}
-	base, err := cfg.runOne(m, core.OrderVSIDS)
-	if err != nil {
-		return nil, fmt.Errorf("fig7 baseline: %w", err)
-	}
-	ref, err := cfg.runOne(m, refined)
-	if err != nil {
-		return nil, fmt.Errorf("fig7 refined: %w", err)
-	}
-	res := &Fig7Result{Model: m.Name}
-	n := len(base.PerDepth)
-	if len(ref.PerDepth) < n {
-		n = len(ref.PerDepth)
-	}
-	for i := 0; i < n; i++ {
-		res.Depths = append(res.Depths, base.PerDepth[i].K)
-		res.DecBase = append(res.DecBase, base.PerDepth[i].Stats.Decisions)
-		res.DecRef = append(res.DecRef, ref.PerDepth[i].Stats.Decisions)
-		res.ImpBase = append(res.ImpBase, base.PerDepth[i].Stats.Implications)
-		res.ImpRef = append(res.ImpRef, ref.PerDepth[i].Stats.Implications)
-	}
-	return res, nil
+	return Experiment{
+		Name:   "fig7",
+		Models: []bench.Model{m},
+		Columns: []Column{
+			fixed("bmc", true, engine.WithOrdering(core.OrderVSIDS)),
+			fixed("ref", true, engine.WithOrdering(core.OrderDynamic)),
+		},
+		Write:    writeFigure7,
+		WriteCSV: writeFigure7CSV,
+	}, nil
 }
 
-// Write renders both panels (decisions, implications) as text charts plus
-// the raw series.
-func (r *Fig7Result) Write(w io.Writer) {
-	fmt.Fprintf(w, "Figure 7: statistics on %s (x-axis is the unrolling depth)\n\n", r.Model)
-	seriesASCII(w, "Number of Decisions", r.Depths, r.DecBase, r.DecRef, "BMC", "ref_ord_BMC", 16)
+// fig7Series pairs the two runs' per-depth statistics over the depths
+// both reached.
+func fig7Series(g *Grid) (base, ref []engine.DepthStats) {
+	base, ref = g.Cells[0][0].PerDepth, g.Cells[0][1].PerDepth
+	n := min(len(base), len(ref))
+	return base[:n], ref[:n]
+}
+
+// writeFigure7 renders both panels (decisions, implications) as text
+// charts plus the raw series.
+func writeFigure7(w io.Writer, g *Grid) {
+	base, ref := fig7Series(g)
+	var depths []int
+	var decBase, decRef, impBase, impRef []int64
+	for i := range base {
+		depths = append(depths, base[i].K)
+		decBase = append(decBase, base[i].Stats.Decisions)
+		decRef = append(decRef, ref[i].Stats.Decisions)
+		impBase = append(impBase, base[i].Stats.Implications)
+		impRef = append(impRef, ref[i].Stats.Implications)
+	}
+	fmt.Fprintf(w, "Figure 7: statistics on %s (x-axis is the unrolling depth)\n\n", g.Models[0].Name)
+	seriesASCII(w, "Number of Decisions", depths, decBase, decRef, "BMC", "ref_ord_BMC", 16)
 	fmt.Fprintln(w)
-	seriesASCII(w, "Number of Implications", r.Depths, r.ImpBase, r.ImpRef, "BMC", "ref_ord_BMC", 16)
+	seriesASCII(w, "Number of Implications", depths, impBase, impRef, "BMC", "ref_ord_BMC", 16)
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-6s %14s %14s %14s %14s\n", "k", "dec.bmc", "dec.ref", "imp.bmc", "imp.ref")
-	for i, k := range r.Depths {
-		fmt.Fprintf(w, "%-6d %14d %14d %14d %14d\n", k, r.DecBase[i], r.DecRef[i], r.ImpBase[i], r.ImpRef[i])
+	for i, k := range depths {
+		fmt.Fprintf(w, "%-6d %14d %14d %14d %14d\n", k, decBase[i], decRef[i], impBase[i], impRef[i])
 	}
 }
 
-// WriteCSV emits the per-depth series.
-func (r *Fig7Result) WriteCSV(w io.Writer) {
+// writeFigure7CSV emits the per-depth series.
+func writeFigure7CSV(w io.Writer, g *Grid) {
+	base, ref := fig7Series(g)
 	fmt.Fprintln(w, "k,dec_bmc,dec_ref,imp_bmc,imp_ref")
-	for i, k := range r.Depths {
-		fmt.Fprintf(w, "%d,%d,%d,%d,%d\n", k, r.DecBase[i], r.DecRef[i], r.ImpBase[i], r.ImpRef[i])
+	for i := range base {
+		fmt.Fprintf(w, "%d,%d,%d,%d,%d\n", base[i].K,
+			base[i].Stats.Decisions, ref[i].Stats.Decisions,
+			base[i].Stats.Implications, ref[i].Stats.Implications)
 	}
 }
-
-// TotalReduction returns the decision- and implication-count ratios
-// (refined/baseline) over the whole run; both < 1 when refinement shrinks
-// the search trees, the paper's stated cause of the speed-up.
-func (r *Fig7Result) TotalReduction() (dec, imp float64) {
-	var db, dr, ib, ir int64
-	for i := range r.Depths {
-		db += r.DecBase[i]
-		dr += r.DecRef[i]
-		ib += r.ImpBase[i]
-		ir += r.ImpRef[i]
-	}
-	if db > 0 {
-		dec = float64(dr) / float64(db)
-	}
-	if ib > 0 {
-		imp = float64(ir) / float64(ib)
-	}
-	return dec, imp
-}
-
-// Fig7DepthStats re-exports the underlying per-depth data of a BMC run for
-// tools that need the raw rows.
-type Fig7DepthStats = engine.DepthStats

@@ -3,120 +3,54 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 )
 
-// --- incremental vs scratch ablation ---
-
-// IncrementalRow compares, on one model, the scratch depth loop (every
-// instance rebuilt and solved from nothing) against the incremental loop
+// incrementalAblation compares the scratch depth loop (every instance
+// rebuilt and solved from nothing) against the incremental loop
 // (engine.WithIncremental: one live solver whose clause database and
-// scores compound across depths), both under the same ordering strategy.
-type IncrementalRow struct {
-	Name string
-	// Unsat marks a row whose run is dominated by UNSAT depths (a passing
-	// property) — the regime where keeping learned clauses should pay.
-	Unsat                bool
-	TimeScratch          time.Duration
-	TimeIncremental      time.Duration
-	ConflictsScratch     int64
-	ConflictsIncremental int64
-	// Agreed reports that verdict and depth matched (the correctness half
-	// of the acceptance bar); budget-exhausted runs are excluded since the
-	// engines may exhaust at different depths.
-	Agreed bool
-}
-
-// IncrementalResult is the incremental-vs-scratch table.
-type IncrementalResult struct {
-	Strategy core.Strategy
-	Rows     []IncrementalRow
-	// Totals across rows.
-	TotalScratch        time.Duration
-	TotalIncremental    time.Duration
-	ConflictsSaved      int64 // scratch − incremental, over all rows
-	UnsatRows           int
-	UnsatRowsFewerConf  int // UNSAT-heavy rows where incremental had fewer conflicts
-	UnsatRowsFasterWall int // ... or lower wall time
-	Disagreements       int
-}
-
-// RunIncrementalAblation executes the comparison on the config's model set
-// under the given strategy (the paper's dynamic refinement by default —
-// pass core.OrderVSIDS to measure the pure clause-reuse effect without
-// guidance in the mix).
-func RunIncrementalAblation(cfg Config, st core.Strategy) (*IncrementalResult, error) {
-	res := &IncrementalResult{Strategy: st}
-	for _, m := range cfg.models() {
-		sr, err := cfg.checkOne(m, engine.WithOrdering(st))
-		if err != nil {
-			return nil, fmt.Errorf("incremental ablation %s scratch: %w", m.Name, err)
-		}
-		ir, err := cfg.checkOne(m, engine.WithOrdering(st), engine.WithIncremental())
-		if err != nil {
-			return nil, fmt.Errorf("incremental ablation %s incremental: %w", m.Name, err)
-		}
-		row := IncrementalRow{
-			Name:                 m.Name,
-			Unsat:                !m.ExpectFail,
-			TimeScratch:          sr.TotalTime,
-			TimeIncremental:      ir.TotalTime,
-			ConflictsScratch:     sr.Total.Conflicts,
-			ConflictsIncremental: ir.Total.Conflicts,
-			Agreed:               true,
-		}
-		bothDecided := sr.Verdict != engine.Unknown && ir.Verdict != engine.Unknown
-		if bothDecided && (sr.Verdict != ir.Verdict || sr.K != ir.K) {
-			row.Agreed = false
-			res.Disagreements++
-		}
-		res.TotalScratch += row.TimeScratch
-		res.TotalIncremental += row.TimeIncremental
-		res.ConflictsSaved += row.ConflictsScratch - row.ConflictsIncremental
-		if row.Unsat {
-			res.UnsatRows++
-			if row.ConflictsIncremental < row.ConflictsScratch {
-				res.UnsatRowsFewerConf++
-			}
-			if row.TimeIncremental < row.TimeScratch {
-				res.UnsatRowsFasterWall++
-			}
-		}
-		res.Rows = append(res.Rows, row)
+// scores compound across depths), both under the paper's dynamic
+// refinement.
+func incrementalAblation() Experiment {
+	return Experiment{
+		Name:   "incremental",
+		Models: AblationModels(),
+		Columns: []Column{
+			fixed("scratch", true, engine.WithOrdering(core.OrderDynamic)),
+			fixed("incremental", true, engine.WithOrdering(core.OrderDynamic), engine.WithIncremental()),
+		},
+		Write: writeIncremental,
 	}
-	return res, nil
 }
 
-// Write renders the comparison table.
-func (r *IncrementalResult) Write(w io.Writer) {
-	fmt.Fprintf(w, "Incremental vs scratch depth loop (strategy %s; one live solver vs per-depth rebuilds)\n", r.Strategy)
+func writeIncremental(w io.Writer, g *Grid) {
+	fmt.Fprintln(w, "Incremental vs scratch depth loop (strategy dynamic; one live solver vs per-depth rebuilds)")
 	fmt.Fprintf(w, "%-16s %-4s %12s %12s %12s %12s %6s\n",
 		"model", "T/F", "scratch (s)", "incr (s)", "conf.scr", "conf.incr", "agree")
 	writeRule(w, 80)
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		tf := "F"
-		if row.Unsat {
-			tf = "T"
-		}
-		agree := "yes"
-		if !row.Agreed {
-			agree = "NO"
-		}
+	var unsat, fewerConf, fasterWall int
+	for i, m := range g.Models {
+		sr, ir := g.Cells[i][0], g.Cells[i][1]
 		fmt.Fprintf(w, "%-16s %-4s %12s %12s %12d %12d %6s\n",
-			row.Name, tf, fmtDuration(row.TimeScratch), fmtDuration(row.TimeIncremental),
-			row.ConflictsScratch, row.ConflictsIncremental, agree)
+			m.Name, tf(m), fmtDuration(sr.TotalTime), fmtDuration(ir.TotalTime),
+			Conflicts(sr), Conflicts(ir), agree(g, i))
+		if !m.ExpectFail {
+			unsat++
+			if Conflicts(ir) < Conflicts(sr) {
+				fewerConf++
+			}
+			if ir.TotalTime < sr.TotalTime {
+				fasterWall++
+			}
+		}
 	}
 	writeRule(w, 80)
 	fmt.Fprintf(w, "%-16s %-4s %12s %12s\n", "TOTAL", "",
-		fmtDuration(r.TotalScratch), fmtDuration(r.TotalIncremental))
-	fmt.Fprintf(w, "conflicts saved by incrementality: %d\n", r.ConflictsSaved)
+		fmtDuration(g.TotalTime(0)), fmtDuration(g.TotalTime(1)))
+	fmt.Fprintf(w, "conflicts saved by incrementality: %d\n", g.Total(0, Conflicts)-g.Total(1, Conflicts))
 	fmt.Fprintf(w, "UNSAT-heavy rows where incremental wins: %d/%d on conflicts, %d/%d on wall time\n",
-		r.UnsatRowsFewerConf, r.UnsatRows, r.UnsatRowsFasterWall, r.UnsatRows)
-	if r.Disagreements > 0 {
-		fmt.Fprintf(w, "WARNING: %d verdict disagreements\n", r.Disagreements)
-	}
+		fewerConf, unsat, fasterWall, unsat)
+	writeDisagreements(w, g)
 }

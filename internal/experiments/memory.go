@@ -34,7 +34,9 @@ type CDGMemoryResult struct {
 }
 
 // RunCDGMemory executes the comparison on the config's models, solving each
-// model's deepest in-budget instance once per recorder.
+// model's deepest in-budget instance once per recorder. It works below
+// the engine — one formula, two proof recorders — so it is not a Grid of
+// engine configurations and not in the registry.
 func RunCDGMemory(cfg Config) (*CDGMemoryResult, error) {
 	res := &CDGMemoryResult{}
 	var ratioSum float64

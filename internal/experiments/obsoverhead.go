@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -12,130 +12,60 @@ import (
 
 // --- observability overhead: metrics + tracing vs the no-op path ---
 
-// ObsOverheadRow measures one model with the observability layer off and
-// fully on (metrics registry plus tracer), both under the same
-// deterministic single-strategy incremental run, so the searches are
-// identical and only the instrumentation differs. The comparison is
-// normalized per conflict: the solver flushes its counters once per
-// Solve call, so ns/conflict isolates the instrumentation cost from how
-// hard the model happens to be.
-type ObsOverheadRow struct {
-	Name          string
-	TimeOff       time.Duration
-	TimeOn        time.Duration
-	Conflicts     int64
-	NsPerConflOff float64
-	NsPerConflOn  float64
-	// DecisionsOff/On verify the searches really were identical.
-	DecisionsOff, DecisionsOn int64
-	// Spans/Counters report what the instrumented run actually recorded
-	// (a run that recorded nothing would make the comparison vacuous).
-	Spans    int
-	Counters int
+// obsOverhead measures each model with the observability layer off and
+// fully on (a fresh metrics registry plus tracer per run), both under the
+// dynamic ordering with the incremental (persistent-solver) loop — the
+// configuration with the most instrumentation sites per depth — so the
+// searches are identical and only the instrumentation differs. The
+// acceptance target is an aggregate overhead < 2%: the registry's hot
+// path is one nil-check branch when off and a handful of atomic adds per
+// Solve call when on.
+func obsOverhead() Experiment {
+	bare := []engine.Option{engine.WithOrdering(core.OrderDynamic), engine.WithIncremental()}
+	return Experiment{
+		Name:   "obs-overhead",
+		Models: OverheadModels(),
+		Columns: []Column{
+			fixed("off", true, bare...),
+			{Name: "on", Deterministic: true, Options: func() []engine.Option {
+				return append(slices.Clone(bare),
+					engine.WithMetrics(obs.NewRegistry()), engine.WithTracer(obs.NewTracer()))
+			}},
+		},
+		Write: writeObsOverhead,
+	}
 }
 
-// ObsOverheadResult aggregates the measurement. The acceptance target is
-// PercentOverhead < 2: the registry's hot path is one nil-check branch
-// when off and a handful of atomic adds per Solve call when on.
-type ObsOverheadResult struct {
-	Rows []ObsOverheadRow
-	// PercentOverhead is the aggregate conflicts-normalized overhead:
-	// 100 * (nsPerConflictOn - nsPerConflictOff) / nsPerConflictOff over
-	// the summed times and conflicts of all rows.
-	PercentOverhead float64
-}
-
-// RunObsOverhead executes the observability-overhead measurement: every
-// model runs twice under the dynamic ordering with the incremental
-// (persistent-solver) loop — the configuration with the most
-// instrumentation sites per depth — once bare and once with a metrics
-// registry and tracer attached. Each variant runs cfg.Repeats times
-// (minimum 1) and keeps the minimum wall time, suppressing timer noise
-// on rows that finish in milliseconds.
-func RunObsOverhead(cfg Config) (*ObsOverheadResult, error) {
-	res := &ObsOverheadResult{}
-	repeats := cfg.Repeats
-	if repeats < 1 {
-		repeats = 1
+// writeObsOverhead normalizes the comparison per conflict: the solver
+// flushes its counters once per Solve call, so ns/conflict isolates the
+// instrumentation cost from how hard the model happens to be. The last
+// column is the number of counters the instrumented run registered (a run
+// that recorded nothing would make the comparison vacuous).
+func writeObsOverhead(w io.Writer, g *Grid) {
+	perConflict := func(ns, conflicts int64) float64 {
+		if conflicts == 0 {
+			return 0
+		}
+		return float64(ns) / float64(conflicts)
 	}
-	var totOff, totOn time.Duration
-	var totConfl int64
-	for _, m := range cfg.models() {
-		run := func(instrument bool) (*engine.Result, int, int, error) {
-			var best *engine.Result
-			spans, counters := 0, 0
-			for i := 0; i < repeats; i++ {
-				opts := []engine.Option{
-					engine.WithOrdering(core.OrderDynamic),
-					engine.WithIncremental(),
-				}
-				var tr *obs.Tracer
-				if instrument {
-					tr = obs.NewTracer()
-					opts = append(opts,
-						engine.WithMetrics(obs.NewRegistry()),
-						engine.WithTracer(tr))
-				}
-				r, err := cfg.checkOne(m, opts...)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				if instrument {
-					spans = tr.Len()
-					counters = len(r.Metrics.Counters)
-				}
-				if best == nil || r.TotalTime < best.TotalTime {
-					best = r
-				}
-			}
-			return best, spans, counters, nil
-		}
-		off, _, _, err := run(false)
-		if err != nil {
-			return nil, fmt.Errorf("obs-overhead %s: %w", m.Name, err)
-		}
-		on, spans, counters, err := run(true)
-		if err != nil {
-			return nil, fmt.Errorf("obs-overhead %s: %w", m.Name, err)
-		}
-		row := ObsOverheadRow{
-			Name:         m.Name,
-			TimeOff:      off.TotalTime,
-			TimeOn:       on.TotalTime,
-			Conflicts:    off.Total.Conflicts,
-			DecisionsOff: off.Total.Decisions,
-			DecisionsOn:  on.Total.Decisions,
-			Spans:        spans,
-			Counters:     counters,
-		}
-		if row.Conflicts > 0 {
-			row.NsPerConflOff = float64(off.TotalTime.Nanoseconds()) / float64(row.Conflicts)
-			row.NsPerConflOn = float64(on.TotalTime.Nanoseconds()) / float64(row.Conflicts)
-		}
-		totOff += off.TotalTime
-		totOn += on.TotalTime
-		totConfl += row.Conflicts
-		res.Rows = append(res.Rows, row)
-	}
-	if totConfl > 0 && totOff > 0 {
-		nsOff := float64(totOff.Nanoseconds()) / float64(totConfl)
-		nsOn := float64(totOn.Nanoseconds()) / float64(totConfl)
-		res.PercentOverhead = 100 * (nsOn - nsOff) / nsOff
-	}
-	return res, nil
-}
-
-// Write renders the overhead table.
-func (r *ObsOverheadResult) Write(w io.Writer) {
 	fmt.Fprintln(w, "Observability overhead (identical searches, metrics+tracer off vs on)")
 	fmt.Fprintf(w, "%-16s %12s %12s %12s %12s %12s %8s\n",
-		"model", "off (s)", "on (s)", "conflicts", "ns/confl off", "ns/confl on", "spans")
+		"model", "off (s)", "on (s)", "conflicts", "ns/confl off", "ns/confl on", "counters")
 	writeRule(w, 90)
-	for _, row := range r.Rows {
+	for i, m := range g.Models {
+		off, on := g.Cells[i][0], g.Cells[i][1]
 		fmt.Fprintf(w, "%-16s %12s %12s %12d %12.0f %12.0f %8d\n",
-			row.Name, fmtDuration(row.TimeOff), fmtDuration(row.TimeOn),
-			row.Conflicts, row.NsPerConflOff, row.NsPerConflOn, row.Spans)
+			m.Name, fmtDuration(off.TotalTime), fmtDuration(on.TotalTime), Conflicts(off),
+			perConflict(off.TotalTime.Nanoseconds(), Conflicts(off)),
+			perConflict(on.TotalTime.Nanoseconds(), Conflicts(off)),
+			len(on.Metrics.Counters))
 	}
 	writeRule(w, 90)
-	fmt.Fprintf(w, "aggregate conflicts-normalized overhead: %+.1f%% (target: < 2%%)\n", r.PercentOverhead)
+	// Both columns ran the same searches, so the conflicts-normalized
+	// aggregate reduces to the ratio of the summed times.
+	var pct float64
+	if off, on := g.TotalTime(0), g.TotalTime(1); off > 0 && g.Total(0, Conflicts) > 0 {
+		pct = 100 * float64(on-off) / float64(off)
+	}
+	fmt.Fprintf(w, "aggregate conflicts-normalized overhead: %+.1f%% (target: < 2%%)\n", pct)
 }

@@ -3,155 +3,64 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/portfolio"
 )
 
-// --- portfolio vs best-single-order ablation ---
-
-// PortfolioRow compares, on one model, every single-ordering run against
-// the concurrent portfolio that races all of them.
-type PortfolioRow struct {
-	Name string
-	// Single holds one wall time per strategy, in set order.
-	Single []time.Duration
-	// Portfolio is the racing run's wall time; Winners tallies which
-	// strategy won how many of its depths; WastedConflicts is the search
-	// effort burned by cancelled racers.
-	Portfolio       time.Duration
-	Winners         map[string]int
-	WastedConflicts int64
-	// Agreed reports that the portfolio verdict and depth matched every
-	// single-ordering run that reached a verdict (the correctness half of
-	// the acceptance bar). Runs that exhausted their budget are excluded:
-	// the portfolio finishing where a slow ordering timed out is the
-	// expected win, not a disagreement.
-	Agreed bool
-}
-
-// Best and Worst return the fastest and slowest single-ordering times.
-func (r *PortfolioRow) Best() time.Duration {
-	best := r.Single[0]
-	for _, d := range r.Single[1:] {
-		if d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-func (r *PortfolioRow) Worst() time.Duration {
-	worst := r.Single[0]
-	for _, d := range r.Single[1:] {
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-// PortfolioAblationResult is the "portfolio vs best-single-order" table:
-// how close racing gets to the per-instance best strategy (which no fixed
-// single ordering achieves, per Table 1) and what it costs.
-type PortfolioAblationResult struct {
-	Strategies []string
-	Rows       []PortfolioRow
-	// Totals across rows.
-	TotalSingle    []time.Duration
-	TotalPortfolio time.Duration
-	TotalBest      time.Duration // sum of per-row best single times
-	TotalWorst     time.Duration // sum of per-row worst single times
-	Disagreements  int
-}
-
-// RunPortfolioAblation executes the comparison on the config's model set
-// with the full default strategy portfolio.
-func RunPortfolioAblation(cfg Config) (*PortfolioAblationResult, error) {
+// portfolioAblation is the "portfolio vs best-single-order" table: every
+// single-ordering run against the concurrent portfolio that races all of
+// them — how close racing gets to the per-instance best strategy (which
+// no fixed single ordering achieves, per Table 1) and what it costs. The
+// racing column comes last.
+func portfolioAblation() Experiment {
 	set := portfolio.DefaultSet()
-	res := &PortfolioAblationResult{
-		Strategies:  set.Names(),
-		TotalSingle: make([]time.Duration, len(set)),
+	var cols []Column
+	for _, st := range set {
+		cols = append(cols, fixed(st.String(), true, engine.WithOrdering(st)))
 	}
-	for _, m := range cfg.models() {
-		row := PortfolioRow{Name: m.Name, Winners: map[string]int{}, Agreed: true}
-
-		pr, err := cfg.runPortfolio(m, set)
-		if err != nil {
-			return nil, fmt.Errorf("portfolio %s: %w", m.Name, err)
-		}
-		row.Portfolio = pr.TotalTime
-		row.WastedConflicts = pr.Telemetry.WastedConflicts
-		for name, wins := range pr.Telemetry.Wins {
-			row.Winners[name] += wins
-		}
-
-		for si, st := range set {
-			sr, err := cfg.runOne(m, st)
-			if err != nil {
-				return nil, fmt.Errorf("portfolio ablation %s/%s: %w", m.Name, st, err)
-			}
-			row.Single = append(row.Single, sr.TotalTime)
-			res.TotalSingle[si] += sr.TotalTime
-			bothDecided := sr.Verdict != engine.Unknown && pr.Verdict != engine.Unknown
-			if bothDecided && (sr.Verdict != pr.Verdict || sr.K != pr.K) {
-				row.Agreed = false
-			}
-		}
-		if !row.Agreed {
-			res.Disagreements++
-		}
-		res.TotalPortfolio += row.Portfolio
-		res.TotalBest += row.Best()
-		res.TotalWorst += row.Worst()
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+	cols = append(cols, fixed("portfolio", false, engine.WithPortfolio(set, 0)))
+	return Experiment{Name: "portfolio", Models: AblationModels(), Columns: cols, Write: writePortfolio}
 }
 
-// runPortfolio executes one model under the racing engine with the
-// config's budgets (the portfolio analogue of runOne).
-func (cfg Config) runPortfolio(m bench.Model, set portfolio.StrategySet) (*engine.Result, error) {
-	return cfg.checkOne(m, engine.WithPortfolio(set, 0))
-}
-
-// Write renders the comparison table.
-func (r *PortfolioAblationResult) Write(w io.Writer) {
+func writePortfolio(w io.Writer, g *Grid) {
+	last := len(g.Columns) - 1
 	fmt.Fprintln(w, "Portfolio vs best single order (concurrent race of all strategies)")
 	fmt.Fprintf(w, "%-14s", "model")
-	for _, s := range r.Strategies {
-		fmt.Fprintf(w, " %12s", s+" (s)")
+	for _, col := range g.Columns[:last] {
+		fmt.Fprintf(w, " %12s", col.Name+" (s)")
 	}
 	fmt.Fprintf(w, " %12s %12s %8s %6s\n", "portfolio(s)", "vs worst", "wasted", "agree")
-	width := 14 + 13*len(r.Strategies) + 13 + 13 + 9 + 7
+	width := 14 + 13*last + 13 + 13 + 9 + 7
 	writeRule(w, width)
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		fmt.Fprintf(w, "%-14s", row.Name)
-		for _, d := range row.Single {
-			fmt.Fprintf(w, " %12s", fmtDuration(d))
+	var totalBest, totalWorst time.Duration // sums of per-row best/worst single times
+	for i, m := range g.Models {
+		fmt.Fprintf(w, "%-14s", m.Name)
+		var single []time.Duration
+		for _, r := range g.Cells[i][:last] {
+			single = append(single, r.TotalTime)
+			fmt.Fprintf(w, " %12s", fmtDuration(r.TotalTime))
 		}
-		agree := "yes"
-		if !row.Agreed {
-			agree = "NO"
-		}
+		pr := g.Cells[i][last]
+		worst := slices.Max(single)
+		totalBest += slices.Min(single)
+		totalWorst += worst
+		// wasted: the search effort burned by cancelled racers.
 		fmt.Fprintf(w, " %12s %11.1fx %8d %6s\n",
-			fmtDuration(row.Portfolio), speedup(row.Worst(), row.Portfolio),
-			row.WastedConflicts, agree)
+			fmtDuration(pr.TotalTime), speedup(worst, pr.TotalTime),
+			pr.Telemetry.WastedConflicts, agree(g, i))
 	}
 	writeRule(w, width)
 	fmt.Fprintf(w, "%-14s", "TOTAL")
-	for _, d := range r.TotalSingle {
-		fmt.Fprintf(w, " %12s", fmtDuration(d))
+	for c := range g.Columns[:last] {
+		fmt.Fprintf(w, " %12s", fmtDuration(g.TotalTime(c)))
 	}
-	fmt.Fprintf(w, " %12s %11.1fx\n", fmtDuration(r.TotalPortfolio), speedup(r.TotalWorst, r.TotalPortfolio))
+	fmt.Fprintf(w, " %12s %11.1fx\n", fmtDuration(g.TotalTime(last)), speedup(totalWorst, g.TotalTime(last)))
 	fmt.Fprintf(w, "sum of per-row best singles: %s (the oracle no fixed order reaches)\n",
-		fmtDuration(r.TotalBest))
-	if r.Disagreements > 0 {
-		fmt.Fprintf(w, "WARNING: %d verdict disagreements\n", r.Disagreements)
-	}
+		fmtDuration(totalBest))
+	writeDisagreements(w, g)
 }
 
 // speedup returns a/b as a factor (0 when b is zero).

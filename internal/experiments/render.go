@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"time"
+
+	"repro/internal/bench"
 )
 
 // fmtDuration renders a duration in seconds with millisecond resolution,
@@ -143,19 +145,35 @@ func seriesASCII(w io.Writer, title string, depths []int, a, b []int64, aName, b
 	fmt.Fprintf(w, "           k = %d .. %d\n", depths[0], depths[len(depths)-1])
 }
 
+// tf renders a model's ground truth: "T" marks a row dominated by UNSAT
+// depths (a passing property) — the regime where keeping learned clauses
+// and warm solvers should pay.
+func tf(m bench.Model) string {
+	if m.ExpectFail {
+		return "F"
+	}
+	return "T"
+}
+
+// agree renders row i's agreement flag.
+func agree(g *Grid, i int) string {
+	if g.Agreed(i) {
+		return "yes"
+	}
+	return "NO"
+}
+
+// writeDisagreements closes a comparison table with its warning line.
+func writeDisagreements(w io.Writer, g *Grid) {
+	if n := g.Disagreements(); n > 0 {
+		fmt.Fprintf(w, "WARNING: %d verdict disagreements\n", n)
+	}
+}
+
 // writeRule prints a horizontal rule of the given width.
 func writeRule(w io.Writer, width int) {
 	fmt.Fprintln(w, strings.Repeat("-", width))
 }
 
-// FmtDuration renders a duration in seconds with millisecond resolution,
-// matching the paper's CPU-seconds columns — the exported form of the
-// tables' duration formatting, shared with the perfbench regression
-// renderer.
-func FmtDuration(d time.Duration) string { return fmtDuration(d) }
-
-// Ratio renders b/a as a percentage string ("62%"); "-" when a is zero.
-func Ratio(a, b time.Duration) string { return ratio(a, b) }
-
-// WriteRule prints a horizontal rule of the given width.
+// WriteRule is writeRule for the perfbench regression renderer.
 func WriteRule(w io.Writer, width int) { writeRule(w, width) }

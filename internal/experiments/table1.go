@@ -1,97 +1,22 @@
-// Package experiments reproduces every table and figure of the paper's
-// evaluation section on the synthetic benchmark suite:
-//
-//	Table 1  — CPU time of plain BMC vs the refined orderings (static and
-//	           dynamic) on all 37 models, with TOTAL and RATIO rows;
-//	Figure 6 — the same data as scatter plots (one pane per configuration);
-//	Figure 7 — per-depth decision and implication counts on one hard model;
-//	§3.1     — the bookkeeping-overhead measurement (recorder on vs off);
-//	plus ablations of the score rule and the dynamic switch threshold.
-//
-// Each experiment returns a result struct that renders itself as text (the
-// paper's layout) and CSV (for external plotting).
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/sat"
 )
 
-// Config controls an experiment run.
-type Config struct {
-	// Models is the benchmark subset to run (default: the full suite).
-	Models []bench.Model
-	// DepthCap, when > 0, caps every model's depth bound (used to scale
-	// experiments down for quick runs and Go benchmarks).
-	DepthCap int
-	// PerInstanceConflicts bounds each SAT call; 0 = unlimited.
-	PerInstanceConflicts int64
-	// PerModelBudget bounds the wall-clock time of each (model, strategy)
-	// run — the analogue of the paper's 2-hour timeout. 0 = none.
-	PerModelBudget time.Duration
-	// Repeats re-runs fast models up to this many times per configuration
-	// and keeps the per-configuration minimum time, suppressing timer noise
-	// on rows that finish in milliseconds (searches are deterministic, so
-	// only the wall clock varies between repeats). Only models whose
-	// baseline run finishes under RepeatBelow are repeated. Zero means run
-	// once.
-	Repeats     int
-	RepeatBelow time.Duration
-}
-
-func (cfg Config) models() []bench.Model {
-	if cfg.Models == nil {
-		return bench.Suite()
-	}
-	return cfg.Models
-}
-
-func (cfg Config) depthFor(m bench.Model) int {
-	d := m.MaxDepth
-	if cfg.DepthCap > 0 && cfg.DepthCap < d {
-		d = cfg.DepthCap
-	}
-	return d
-}
-
-// checkOne builds one engine session on a model under the config's
-// budgets (the per-model wall-clock budget rides on the context) and
-// runs it.
-func (cfg Config) checkOne(m bench.Model, opts ...engine.Option) (*engine.Result, error) {
-	opts = append(opts, engine.WithBudgets(cfg.depthFor(m), cfg.PerInstanceConflicts))
-	sess, err := engine.New(m.Build(), 0, opts...)
-	if err != nil {
-		return nil, err
-	}
-	ctx := context.Background()
-	if cfg.PerModelBudget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.PerModelBudget)
-		defer cancel()
-	}
-	return sess.Check(ctx)
-}
-
-// runOne executes one (model, strategy) BMC run under the config's budgets.
-func (cfg Config) runOne(m bench.Model, st core.Strategy) (*engine.Result, error) {
-	return cfg.checkOne(m, engine.WithOrdering(st))
-}
-
-// Table1Row is one model's measurements across the three configurations.
-// Following the paper, when any configuration runs out of budget the
-// comparison is restricted to the deepest unrolling depth that all three
-// configurations completed (the depth is then shown in parentheses in the
-// T/F column); Time/Dec/Imp/Conf are the per-depth sums up to that depth.
+// Table1Row is one model's aligned measurements across the three
+// configurations. Following the paper, when any configuration runs out of
+// budget the comparison is restricted to the deepest unrolling depth that
+// all three configurations completed (the depth is then shown in
+// parentheses in the T/F column); Time/Dec/Imp/Conf are the per-depth sums
+// up to that depth.
 type Table1Row struct {
-	Index int
-	Name  string
 	// TF is "F" for falsified properties, or "(k)" with the deepest
 	// commonly completed depth, mirroring the paper's second column.
 	TF    string
@@ -101,11 +26,6 @@ type Table1Row struct {
 	Dec  [3]int64
 	Imp  [3]int64
 	Conf [3]int64
-	// FullTime is the unaligned whole-run wall time (for the CSV).
-	FullTime [3]time.Duration
-	// Verdicts per configuration (should agree on falsification; recorded
-	// for honesty).
-	Verdict [3]engine.Verdict
 }
 
 // Configuration indices into Table1Row arrays.
@@ -121,62 +41,32 @@ var ConfNames = [numConfs]string{"bmc", "static", "dynamic"}
 
 var confStrategies = [numConfs]core.Strategy{core.OrderVSIDS, core.OrderStatic, core.OrderDynamic}
 
-// Table1Result is the full Table 1 reproduction.
-type Table1Result struct {
-	Rows      []Table1Row
-	TotalTime [numConfs]time.Duration
-	TotalDec  [numConfs]int64
-	// Wins[c] counts models where configuration c beat the baseline time.
-	Wins [numConfs]int
+// table1 is the headline comparison — every model of the suite under all
+// three configurations — and figure6 the same grid as scatter panes.
+func table1() Experiment {
+	return Experiment{Name: "table1", Columns: confColumns(), Write: writeTable1, WriteCSV: writeTable1CSV}
 }
 
-// RunTable1 executes the Table 1 experiment: every model in the config's
-// suite under all three configurations.
-func RunTable1(cfg Config) (*Table1Result, error) {
-	res := &Table1Result{}
-	for _, m := range cfg.models() {
-		var runs [numConfs]*engine.Result
-		for c := 0; c < numConfs; c++ {
-			r, err := cfg.runOne(m, confStrategies[c])
-			if err != nil {
-				return nil, fmt.Errorf("table1 %s/%s: %w", m.Name, ConfNames[c], err)
-			}
-			runs[c] = r
-		}
-		row := alignRow(m.Index, m.Name, runs)
-		for rep := 1; rep < cfg.Repeats; rep++ {
-			if runs[ConfBase].TotalTime >= cfg.RepeatBelow {
-				break
-			}
-			for c := 0; c < numConfs; c++ {
-				r, err := cfg.runOne(m, confStrategies[c])
-				if err != nil {
-					return nil, fmt.Errorf("table1 %s/%s: %w", m.Name, ConfNames[c], err)
-				}
-				runs[c] = r
-			}
-			again := alignRow(m.Index, m.Name, runs)
-			for c := 0; c < numConfs; c++ {
-				if again.Time[c] < row.Time[c] {
-					row.Time[c] = again.Time[c]
-				}
-				if again.FullTime[c] < row.FullTime[c] {
-					row.FullTime[c] = again.FullTime[c]
-				}
-			}
-		}
-		for c := 0; c < numConfs; c++ {
-			res.TotalTime[c] += row.Time[c]
-			res.TotalDec[c] += row.Dec[c]
-		}
-		for c := 1; c < numConfs; c++ {
-			if row.Time[c] < row.Time[ConfBase] {
-				res.Wins[c]++
-			}
-		}
-		res.Rows = append(res.Rows, row)
+func figure6() Experiment {
+	return Experiment{Name: "fig6", Columns: confColumns(), Write: writeFigure6, WriteCSV: writeFigure6CSV}
+}
+
+func confColumns() []Column {
+	cols := make([]Column, numConfs)
+	for c := range cols {
+		cols[c] = fixed(ConfNames[c], true, engine.WithOrdering(confStrategies[c]))
 	}
-	return res, nil
+	return cols
+}
+
+// alignRows applies the paper's common-depth convention to every row of
+// a three-configuration grid.
+func alignRows(g *Grid) []Table1Row {
+	rows := make([]Table1Row, len(g.Cells))
+	for i, runs := range g.Cells {
+		rows[i] = alignRow([numConfs]*engine.Result(runs))
+	}
+	return rows
 }
 
 // alignRow builds a Table1Row from three runs of the same model. When every
@@ -184,13 +74,11 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 // any configuration ran out of budget, the comparison is truncated to the
 // deepest depth all configurations completed (the paper's parenthesised-k
 // convention).
-func alignRow(index int, name string, runs [numConfs]*engine.Result) Table1Row {
-	row := Table1Row{Index: index, Name: name}
+func alignRow(runs [numConfs]*engine.Result) Table1Row {
+	var row Table1Row
 	allFalsified := true
 	common := -1
 	for c, r := range runs {
-		row.Verdict[c] = r.Verdict
-		row.FullTime[c] = r.TotalTime
 		if r.Verdict != engine.Falsified {
 			allFalsified = false
 		}
@@ -233,55 +121,68 @@ func alignRow(index int, name string, runs [numConfs]*engine.Result) Table1Row {
 	return row
 }
 
-// WriteTable renders the result in the paper's Table 1 layout.
-func (r *Table1Result) WriteTable(w io.Writer) {
+// writeTable1 renders the grid in the paper's Table 1 layout.
+func writeTable1(w io.Writer, g *Grid) {
+	rows := alignRows(g)
+	var totalTime [numConfs]time.Duration
+	var totalDec [numConfs]int64
+	var wins [numConfs]int // models where the configuration beat the baseline time
 	fmt.Fprintln(w, "Table 1: BMC vs refine_order BMC (both static and dynamic)")
 	fmt.Fprintf(w, "%-4s %-16s %-6s %12s %12s %12s %14s %14s %14s\n",
 		"#", "model", "T/F", "bmc (s)", "static (s)", "dynamic (s)", "dec.bmc", "dec.static", "dec.dynamic")
 	writeRule(w, 112)
-	for _, row := range r.Rows {
+	for i, row := range rows {
 		fmt.Fprintf(w, "%-4d %-16s %-6s %12s %12s %12s %14d %14d %14d\n",
-			row.Index, row.Name, row.TF,
+			g.Models[i].Index, g.Models[i].Name, row.TF,
 			fmtDuration(row.Time[ConfBase]), fmtDuration(row.Time[ConfStatic]), fmtDuration(row.Time[ConfDynamic]),
 			row.Dec[ConfBase], row.Dec[ConfStatic], row.Dec[ConfDynamic])
+		for c := 0; c < numConfs; c++ {
+			totalTime[c] += row.Time[c]
+			totalDec[c] += row.Dec[c]
+			if row.Time[c] < row.Time[ConfBase] {
+				wins[c]++
+			}
+		}
 	}
 	writeRule(w, 112)
 	fmt.Fprintf(w, "%-4s %-16s %-6s %12s %12s %12s %14d %14d %14d\n",
 		"", "TOTAL", "",
-		fmtDuration(r.TotalTime[ConfBase]), fmtDuration(r.TotalTime[ConfStatic]), fmtDuration(r.TotalTime[ConfDynamic]),
-		r.TotalDec[ConfBase], r.TotalDec[ConfStatic], r.TotalDec[ConfDynamic])
+		fmtDuration(totalTime[ConfBase]), fmtDuration(totalTime[ConfStatic]), fmtDuration(totalTime[ConfDynamic]),
+		totalDec[ConfBase], totalDec[ConfStatic], totalDec[ConfDynamic])
 	fmt.Fprintf(w, "%-4s %-16s %-6s %12s %12s %12s\n",
 		"", "RATIO", "", "100%",
-		ratio(r.TotalTime[ConfBase], r.TotalTime[ConfStatic]),
-		ratio(r.TotalTime[ConfBase], r.TotalTime[ConfDynamic]))
+		ratio(totalTime[ConfBase], totalTime[ConfStatic]),
+		ratio(totalTime[ConfBase], totalTime[ConfDynamic]))
 	fmt.Fprintf(w, "\nwins vs baseline: static %d/%d, dynamic %d/%d\n",
-		r.Wins[ConfStatic], len(r.Rows), r.Wins[ConfDynamic], len(r.Rows))
+		wins[ConfStatic], len(rows), wins[ConfDynamic], len(rows))
 }
 
-// WriteCSV emits the raw rows for external tooling. Aligned times follow
-// the table's common-depth convention; full times are the unaligned
-// whole-run wall clocks.
-func (r *Table1Result) WriteCSV(w io.Writer) {
+// writeTable1CSV emits the raw rows for external tooling. Aligned times
+// follow the table's common-depth convention; full times are the
+// unaligned whole-run wall clocks.
+func writeTable1CSV(w io.Writer, g *Grid) {
 	fmt.Fprintln(w, "index,model,tf,time_bmc_s,time_static_s,time_dynamic_s,full_bmc_s,full_static_s,full_dynamic_s,dec_bmc,dec_static,dec_dynamic,imp_bmc,imp_static,imp_dynamic,conf_bmc,conf_static,conf_dynamic")
-	for _, row := range r.Rows {
+	for i, row := range alignRows(g) {
+		full := g.Cells[i]
 		fmt.Fprintf(w, "%d,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			row.Index, row.Name, row.TF,
+			g.Models[i].Index, g.Models[i].Name, row.TF,
 			row.Time[ConfBase].Seconds(), row.Time[ConfStatic].Seconds(), row.Time[ConfDynamic].Seconds(),
-			row.FullTime[ConfBase].Seconds(), row.FullTime[ConfStatic].Seconds(), row.FullTime[ConfDynamic].Seconds(),
+			full[ConfBase].TotalTime.Seconds(), full[ConfStatic].TotalTime.Seconds(), full[ConfDynamic].TotalTime.Seconds(),
 			row.Dec[ConfBase], row.Dec[ConfStatic], row.Dec[ConfDynamic],
 			row.Imp[ConfBase], row.Imp[ConfStatic], row.Imp[ConfDynamic],
 			row.Conf[ConfBase], row.Conf[ConfStatic], row.Conf[ConfDynamic])
 	}
 }
 
-// WriteFigure6 renders the Table 1 data as the paper's Fig. 6 scatter
+// writeFigure6 renders the Table 1 grid as the paper's Fig. 6 scatter
 // panes (static and dynamic vs baseline).
-func (r *Table1Result) WriteFigure6(w io.Writer) {
+func writeFigure6(w io.Writer, g *Grid) {
+	rows := alignRows(g)
 	fmt.Fprintln(w, "Figure 6: CPU time, BMC vs refine_order BMC")
 	for _, c := range []int{ConfStatic, ConfDynamic} {
-		xs := make([]float64, 0, len(r.Rows))
-		ys := make([]float64, 0, len(r.Rows))
-		for _, row := range r.Rows {
+		xs := make([]float64, 0, len(rows))
+		ys := make([]float64, 0, len(rows))
+		for _, row := range rows {
 			xs = append(xs, row.Time[ConfBase].Seconds())
 			ys = append(ys, row.Time[c].Seconds())
 		}
@@ -290,11 +191,11 @@ func (r *Table1Result) WriteFigure6(w io.Writer) {
 	}
 }
 
-// WriteFigure6CSV emits the scatter points.
-func (r *Table1Result) WriteFigure6CSV(w io.Writer) {
+// writeFigure6CSV emits the scatter points.
+func writeFigure6CSV(w io.Writer, g *Grid) {
 	fmt.Fprintln(w, "model,time_bmc_s,time_static_s,time_dynamic_s")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%s,%.6f,%.6f,%.6f\n", row.Name,
+	for i, row := range alignRows(g) {
+		fmt.Fprintf(w, "%s,%.6f,%.6f,%.6f\n", g.Models[i].Name,
 			row.Time[ConfBase].Seconds(), row.Time[ConfStatic].Seconds(), row.Time[ConfDynamic].Seconds())
 	}
 }

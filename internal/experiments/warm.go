@@ -3,159 +3,145 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
+	"slices"
 
 	"repro/internal/bench"
+	"repro/internal/circuit"
 	"repro/internal/engine"
 	"repro/internal/portfolio"
 	"repro/internal/racer"
 )
 
-// --- warm pool ablation: cold portfolio vs warm pool vs warm+sharing ---
+// --- warm pool ablations: cold portfolio vs warm pool vs warm+sharing ---
 
-// WarmRow compares, on one model, the per-depth-rebuild portfolio
-// against the warm racer pool without and with the clause-exchange bus
-// (engine.WithIncremental + WithExchange). Conflicts count the
-// total search effort of ALL racers — winners and cancelled losers alike
-// (the sum of the telemetry's per-strategy ConflictsSpent) — because the
-// pool's whole point is turning loser conflicts into reusable work, which
-// winner-only counters cannot see.
-type WarmRow struct {
-	Name string
-	// Unsat marks a row dominated by UNSAT depths (a passing property) —
-	// the regime where warm clause databases and sharing should pay.
-	Unsat                            bool
-	TimeCold, TimeWarm, TimeShared   time.Duration
-	ConfCold, ConfWarm, ConfShared   int64
-	Exported, Imported               int64 // the shared run's bus volume
-	WarmWinsShared, SharedWinsShared int   // the shared run's attribution
-	// Agreed reports that verdict and depth matched across all three
-	// engines (budget-exhausted runs excluded, as in the other ablations).
-	Agreed bool
+// coldWarmShared is the column triple of both warm ablations: the
+// per-depth-rebuild portfolio against the warm racer pool without and
+// with the clause-exchange bus (engine.WithIncremental + WithExchange),
+// on top of the given base options.
+func coldWarmShared(conflicts int64, base ...engine.Option) []Column {
+	col := func(name string, extra ...engine.Option) Column {
+		c := fixed(name, false, slices.Concat(base,
+			[]engine.Option{engine.WithPortfolio(portfolio.DefaultSet(), 0)}, extra)...)
+		c.Conflicts = conflicts
+		return c
+	}
+	bus := func(share bool) engine.Option {
+		return engine.WithExchange(racer.ExchangeOptions{Enabled: share})
+	}
+	return []Column{
+		col("cold"),
+		col("warm", engine.WithIncremental(), bus(false)),
+		col("shared", engine.WithIncremental(), bus(true)),
+	}
 }
 
-// WarmResult is the cold-vs-warm-vs-shared table.
-type WarmResult struct {
-	Strategies []string
-	Rows       []WarmRow
-	// Totals across rows.
-	TotalCold, TotalWarm, TotalShared time.Duration
-	ConfCold, ConfWarm, ConfShared    int64
-	UnsatRows                         int
-	// UnsatRowsSharedFewerConf counts UNSAT-heavy rows where warm+sharing
-	// spent fewer total conflicts than the cold portfolio — the
-	// wasted-conflicts-to-capital claim, row by row.
-	UnsatRowsSharedFewerConf int
-	Disagreements            int
+// warmAblation runs the triple over the BMC depth loop.
+func warmAblation() Experiment {
+	return Experiment{Name: "warm", Models: AblationModels(), Columns: coldWarmShared(0),
+		Write: func(w io.Writer, g *Grid) { writeColdWarmShared(w, g, false) }}
 }
 
-// RunWarmAblation executes the comparison on the config's model set with
-// the full default strategy portfolio.
-func RunWarmAblation(cfg Config) (*WarmResult, error) {
-	set := portfolio.DefaultSet()
-	res := &WarmResult{Strategies: set.Names()}
-	for _, m := range cfg.models() {
-		row := WarmRow{Name: m.Name, Unsat: !m.ExpectFail, Agreed: true}
+// warmKindAblation runs the triple over the k-induction base and step
+// pools. The per-instance conflict cap never binds a race winner
+// (hundreds of conflicts on these models) — it only cuts the tail of
+// doomed losers hunting models after the verdict is already in reach,
+// which would otherwise drown the comparison in SAT-search lottery noise.
+func warmKindAblation() Experiment {
+	return Experiment{Name: "warm-kind", Models: KindAblationModels(),
+		Columns: coldWarmShared(3000, engine.WithEngine(engine.KInduction)),
+		Write:   func(w io.Writer, g *Grid) { writeColdWarmShared(w, g, true) }}
+}
 
-		cold, err := cfg.runPortfolio(m, set)
-		if err != nil {
-			return nil, fmt.Errorf("warm ablation %s cold: %w", m.Name, err)
-		}
-		warm, err := cfg.runWarm(m, set, false)
-		if err != nil {
-			return nil, fmt.Errorf("warm ablation %s warm: %w", m.Name, err)
-		}
-		shared, err := cfg.runWarm(m, set, true)
-		if err != nil {
-			return nil, fmt.Errorf("warm ablation %s shared: %w", m.Name, err)
-		}
+// KindAblationModels returns the k-induction ablation subset: immediately
+// inductive rows (the warm step pool's one-shot UNSAT regime), a deeper-k
+// inductive row where the simple-path constraint has to accumulate, a
+// conflict-heavy inductive adder, and falsified rows at several depths
+// (the base pool's BMC-like regime — every depth before the failure is an
+// UNSAT base instance, with the step race aborted at the failing depth).
+func KindAblationModels() []bench.Model {
+	models := subset([]string{
+		"twin_w10", "gcnt_m12", "add_w4",
+		"tlc_bug", "arb_5_bug", "fifo_c6_bug", "lock_s8", "pipe_s5_bug",
+	})
+	// Two models beyond the 37-row BMC suite. The deeper buggy pipeline is
+	// the conflict-heavy multi-depth regime (seven UNSAT base depths
+	// before the failure) where the warm base pool's clause database has
+	// room to compound; the offset-counter invariant (true, but only
+	// k=2-inductive under the simple-path constraint) exercises the regime
+	// where the step pool stays warm across depths.
+	models = append(models,
+		bench.Model{
+			Name: "pipe_s7_bug", MaxDepth: 12,
+			Build: func() *circuit.Circuit { return bench.Pipeline(7, 10, true) },
+		},
+		bench.Model{
+			Name: "gcnt_offset", MaxDepth: 8,
+			Build: func() *circuit.Circuit { return bench.OffsetCounter(4, 10, 12) },
+		})
+	return models
+}
 
-		row.TimeCold, row.ConfCold = cold.TotalTime, spentConflicts(cold)
-		row.TimeWarm, row.ConfWarm = warm.TotalTime, spentConflicts(warm)
-		row.TimeShared, row.ConfShared = shared.TotalTime, spentConflicts(shared)
-		for _, n := range shared.Telemetry.ExportedClauses {
-			row.Exported += n
-		}
-		for _, n := range shared.Telemetry.ImportedClauses {
-			row.Imported += n
-		}
-		row.WarmWinsShared = shared.Telemetry.WarmWins
-		row.SharedWinsShared = shared.Telemetry.SharedWins
-
-		for _, other := range []*engine.Result{warm, shared} {
-			bothDecided := cold.Verdict != engine.Unknown && other.Verdict != engine.Unknown
-			if bothDecided && (cold.Verdict != other.Verdict || cold.K != other.K) {
-				row.Agreed = false
+// writeColdWarmShared renders a cold/warm/shared grid. Conflicts are
+// SpentConflicts — every racer of every query, since the pools' whole
+// point is turning loser conflicts into reusable work. The BMC table
+// tags rows T/F, shows the shared run's imported bus volume and tallies
+// the UNSAT-heavy rows (where warm databases and sharing should pay);
+// the k-induction table shows the cold engine's verdict (all engines
+// must agree) and tallies every row.
+func writeColdWarmShared(w io.Writer, g *Grid, kind bool) {
+	title := "Warm racer pool vs cold portfolio (persistent per-strategy solvers; conflicts count ALL racers)"
+	tagHead, tagWidth, tallied := "T/F", 4, "UNSAT-heavy rows"
+	if kind {
+		title = "Warm k-induction pools vs cold portfolio (persistent base+step racers; conflicts count ALL racers of BOTH queries)"
+		tagHead, tagWidth, tallied = "verdict", 12, "rows"
+	}
+	fmt.Fprintln(w, title)
+	fmt.Fprintf(w, "%-16s %-*s %9s %9s %9s %11s %11s %11s", "model", tagWidth, tagHead,
+		"cold (s)", "warm (s)", "shared(s)", "conf.cold", "conf.warm", "conf.shared")
+	width := 16 + 1 + tagWidth + 3*10 + 3*12 + 7
+	if !kind {
+		fmt.Fprintf(w, " %9s", "bus")
+		width += 10
+	}
+	fmt.Fprintf(w, " %6s\n", "agree")
+	writeRule(w, width)
+	var rows, fewer int
+	for i, m := range g.Models {
+		cold, warm, shared := g.Cells[i][0], g.Cells[i][1], g.Cells[i][2]
+		tag := tf(m)
+		if kind {
+			tag = "unknown"
+			if cold.Verdict != engine.Unknown {
+				tag = fmt.Sprintf("%s@%d", cold.Verdict, cold.K)
 			}
 		}
-		if !row.Agreed {
-			res.Disagreements++
+		fmt.Fprintf(w, "%-16s %-*s %9s %9s %9s %11d %11d %11d", m.Name, tagWidth, tag,
+			fmtDuration(cold.TotalTime), fmtDuration(warm.TotalTime), fmtDuration(shared.TotalTime),
+			SpentConflicts(cold), SpentConflicts(warm), SpentConflicts(shared))
+		if !kind {
+			var imported int64
+			for _, n := range shared.Telemetry.ImportedClauses {
+				imported += n
+			}
+			fmt.Fprintf(w, " %9d", imported)
 		}
-		res.TotalCold += row.TimeCold
-		res.TotalWarm += row.TimeWarm
-		res.TotalShared += row.TimeShared
-		res.ConfCold += row.ConfCold
-		res.ConfWarm += row.ConfWarm
-		res.ConfShared += row.ConfShared
-		if row.Unsat {
-			res.UnsatRows++
-			if row.ConfShared < row.ConfCold {
-				res.UnsatRowsSharedFewerConf++
+		fmt.Fprintf(w, " %6s\n", agree(g, i))
+		if kind || !m.ExpectFail {
+			rows++
+			if SpentConflicts(shared) < SpentConflicts(cold) {
+				fewer++
 			}
 		}
-		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
-}
-
-// runWarm executes one model under the warm pool with the config's
-// budgets (the warm analogue of runPortfolio).
-func (cfg Config) runWarm(m bench.Model, set portfolio.StrategySet, share bool) (*engine.Result, error) {
-	return cfg.checkOne(m, engine.WithPortfolio(set, 0), engine.WithIncremental(),
-		engine.WithExchange(racer.ExchangeOptions{Enabled: share}))
-}
-
-// spentConflicts sums every racer's conflicts across all depths — winners
-// and losers.
-func spentConflicts(r *engine.Result) int64 {
-	var n int64
-	for _, c := range r.Telemetry.ConflictsSpent {
-		n += c
-	}
-	return n
-}
-
-// Write renders the comparison table.
-func (r *WarmResult) Write(w io.Writer) {
-	fmt.Fprintln(w, "Warm racer pool vs cold portfolio (persistent per-strategy solvers; conflicts count ALL racers)")
-	fmt.Fprintf(w, "%-16s %-4s %9s %9s %9s %11s %11s %11s %9s %6s\n",
-		"model", "T/F", "cold (s)", "warm (s)", "shared(s)", "conf.cold", "conf.warm", "conf.shared", "bus", "agree")
-	writeRule(w, 110)
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		tf := "F"
-		if row.Unsat {
-			tf = "T"
-		}
-		agree := "yes"
-		if !row.Agreed {
-			agree = "NO"
-		}
-		fmt.Fprintf(w, "%-16s %-4s %9s %9s %9s %11d %11d %11d %9d %6s\n",
-			row.Name, tf, fmtDuration(row.TimeCold), fmtDuration(row.TimeWarm), fmtDuration(row.TimeShared),
-			row.ConfCold, row.ConfWarm, row.ConfShared, row.Imported, agree)
-	}
-	writeRule(w, 110)
-	fmt.Fprintf(w, "%-16s %-4s %9s %9s %9s %11d %11d %11d\n", "TOTAL", "",
-		fmtDuration(r.TotalCold), fmtDuration(r.TotalWarm), fmtDuration(r.TotalShared),
-		r.ConfCold, r.ConfWarm, r.ConfShared)
-	if r.ConfCold > 0 {
+	writeRule(w, width)
+	confCold, confWarm, confShared := g.Total(0, SpentConflicts), g.Total(1, SpentConflicts), g.Total(2, SpentConflicts)
+	fmt.Fprintf(w, "%-16s %-*s %9s %9s %9s %11d %11d %11d\n", "TOTAL", tagWidth, "",
+		fmtDuration(g.TotalTime(0)), fmtDuration(g.TotalTime(1)), fmtDuration(g.TotalTime(2)),
+		confCold, confWarm, confShared)
+	if confCold > 0 {
 		fmt.Fprintf(w, "total conflicts vs cold: warm %.0f%%, warm+sharing %.0f%%\n",
-			100*float64(r.ConfWarm)/float64(r.ConfCold), 100*float64(r.ConfShared)/float64(r.ConfCold))
+			100*float64(confWarm)/float64(confCold), 100*float64(confShared)/float64(confCold))
 	}
-	fmt.Fprintf(w, "UNSAT-heavy rows where warm+sharing spends fewer conflicts than cold: %d/%d\n",
-		r.UnsatRowsSharedFewerConf, r.UnsatRows)
-	if r.Disagreements > 0 {
-		fmt.Fprintf(w, "WARNING: %d verdict disagreements\n", r.Disagreements)
-	}
+	fmt.Fprintf(w, "%s where warm+sharing spends fewer conflicts than cold: %d/%d\n", tallied, fewer, rows)
+	writeDisagreements(w, g)
 }

@@ -92,6 +92,19 @@ func (a *Artifact) WriteJSON(w io.Writer) error {
 	return enc.Encode(a)
 }
 
+// WriteFile writes the artifact to path — ReadArtifact's counterpart.
+func (a *Artifact) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := a.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // ReadArtifact loads and validates an artifact file.
 func ReadArtifact(path string) (*Artifact, error) {
 	data, err := os.ReadFile(path)

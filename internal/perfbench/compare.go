@@ -4,37 +4,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"repro/internal/experiments"
 )
-
-// Policy is the per-metric noise policy of a baseline comparison.
-// Verdict and K always compare exactly, as do the search counters of
-// cells both sides mark deterministic; wall time and memory — noisy by
-// nature — compare against percentage tolerances and default to
-// warnings, which is how CI runs the gate (fail on counter regressions,
-// warn on drift).
-type Policy struct {
-	// WallTolerancePct flags wall-time growth beyond this percentage of
-	// the baseline (<= 0 disables wall comparison).
-	WallTolerancePct float64
-	// MemTolerancePct is the same for the memory figures that track the
-	// run itself (mem_total_alloc, solver_clauses_bytes_est);
-	// mem_heap_alloc and mem_gc_count are GC-timing artifacts, recorded
-	// but never compared.
-	MemTolerancePct float64
-	// FailOnWall/FailOnMem escalate tolerance breaches from warnings to
-	// failures.
-	FailOnWall bool
-	FailOnMem  bool
-}
-
-// DefaultPolicy is the CI gate's policy: exact counters, generous
-// wall/memory tolerances, drift warns without failing.
-func DefaultPolicy() Policy {
-	return Policy{WallTolerancePct: 50, MemTolerancePct: 75}
-}
 
 // Finding is one divergence between baseline and current.
 type Finding struct {
@@ -48,9 +20,12 @@ type Finding struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// Compare diffs current against baseline under the policy. Findings come
-// back sorted: failures first, then by cell and metric.
-func Compare(baseline, current *Artifact, pol Policy) []Finding {
+// Compare diffs current against baseline: verdict and K compare exactly,
+// as do the search counters of cells both sides mark deterministic, and a
+// baseline cell missing from current fails. Nothing else is judged — wall
+// time and memory are noisy by nature and stay recorded only. Findings
+// come back sorted: failures first, then by cell and metric.
+func Compare(baseline, current *Artifact) []Finding {
 	var fs []Finding
 	cur := map[string]*CellResult{}
 	for i := range current.Cells {
@@ -66,7 +41,7 @@ func Compare(baseline, current *Artifact, pol Policy) []Finding {
 				Detail: "cell present in baseline but missing from this run"})
 			continue
 		}
-		fs = append(fs, compareCell(b, c, pol)...)
+		fs = append(fs, compareCell(b, c)...)
 	}
 	for i := range current.Cells {
 		if c := &current.Cells[i]; !seen[c.Key()] {
@@ -87,7 +62,7 @@ func Compare(baseline, current *Artifact, pol Policy) []Finding {
 }
 
 // compareCell diffs one cell pair.
-func compareCell(b, c *CellResult, pol Policy) []Finding {
+func compareCell(b, c *CellResult) []Finding {
 	var fs []Finding
 	key := b.Key()
 	if b.Verdict != c.Verdict {
@@ -114,53 +89,7 @@ func compareCell(b, c *CellResult, pol Policy) []Finding {
 			}
 		}
 	}
-	if pol.WallTolerancePct > 0 && b.WallNanos > 0 {
-		if over, pct := overTolerance(b.WallNanos, c.WallNanos, pol.WallTolerancePct); over {
-			fs = append(fs, Finding{Cell: key, Metric: "wall_nanos",
-				Baseline: b.WallNanos, Current: c.WallNanos, Fail: pol.FailOnWall,
-				Detail: fmt.Sprintf("wall time %s -> %s (+%.0f%%, tolerance %.0f%%)",
-					experiments.FmtDuration(time.Duration(b.WallNanos)),
-					experiments.FmtDuration(time.Duration(c.WallNanos)), pct, pol.WallTolerancePct)})
-		}
-	}
-	if pol.MemTolerancePct > 0 {
-		for _, name := range sortedCounterNames(b.Memory) {
-			switch name {
-			case "mem_gc_count", "solver_clauses_learnt", "mem_heap_alloc":
-				// Cycle/clause counts and the live-heap level are
-				// informational: the first two are sizes of nothing, the
-				// last is a GC-timing artifact.
-				continue
-			case "solver_clauses_bytes_est":
-				// The clause database tracks the search; on
-				// nondeterministic cells (portfolio races) its size rides
-				// on race timing and can legitimately double run to run.
-				if !b.Deterministic || !c.Deterministic {
-					continue
-				}
-			}
-			bv := b.Memory[name]
-			if bv <= 0 {
-				continue
-			}
-			if over, pct := overTolerance(bv, c.Memory[name], pol.MemTolerancePct); over {
-				fs = append(fs, Finding{Cell: key, Metric: name,
-					Baseline: bv, Current: c.Memory[name], Fail: pol.FailOnMem,
-					Detail: fmt.Sprintf("memory +%.0f%% over the %.0f%% tolerance", pct, pol.MemTolerancePct)})
-			}
-		}
-	}
 	return fs
-}
-
-// overTolerance reports whether cur exceeds base by more than tolPct
-// percent, and by how much. Improvements never flag.
-func overTolerance(base, cur int64, tolPct float64) (bool, float64) {
-	if cur <= base {
-		return false, 0
-	}
-	pct := 100 * float64(cur-base) / float64(base)
-	return pct > tolPct, pct
 }
 
 // HasFailure reports whether any finding is a failure.

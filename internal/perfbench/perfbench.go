@@ -1,103 +1,86 @@
-// Package perfbench is the repository's benchmark observatory: it runs a
-// declarative matrix of (model × engine shape) cells through the engine
-// session API with an obs registry attached and reduces each run to a
-// versioned, diffable artifact (BENCH_<suite>.json) — deterministic
-// search counters, wall-time splits, and memory telemetry — which the
-// compare side (Compare, cmd/bmcbench -baseline) diffs against a
-// committed baseline under a per-metric noise policy: exact equality for
-// verdict/depth and for the search counters of deterministic cells,
-// percentage tolerances for wall time and memory. CI runs the quick
-// suite against baselines/BENCH_quick.json, so a performance claim that
-// regresses fails the build instead of rotting in prose.
+// Package perfbench is the repository's exact-regression gate: it runs a
+// declarative list of (model × engine shape) cells through the
+// experiments grid runner with an obs registry attached and reduces each
+// run to a versioned, diffable artifact (BENCH_<suite>.json) —
+// deterministic search counters, wall-time splits, and memory telemetry —
+// which the compare side (Compare, cmd/bmcbench -baseline) diffs against
+// a committed baseline: exact equality for verdict/depth, for the search
+// counters of deterministic cells and for the cell set. Wall time and
+// memory are recorded, not judged (timing is benchmark/'s contract, under
+// alternating pairs at its own bounds). CI runs the quick suite against
+// baselines/BENCH_quick.json, so a search-behaviour change fails the
+// build instead of rotting in prose.
 package perfbench
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/racer"
 	"repro/internal/remote"
 )
 
-// Shape is one engine configuration of the benchmark matrix, named so
-// cells stay stable across runs. Deterministic marks shapes whose search
-// counters are reproducible run to run (single-strategy, no racing):
-// those cells are compared exactly, while portfolio/warm cells — whose
-// stats depend on race timing — only pin verdict and depth.
-type Shape struct {
-	Name          string
-	Deterministic bool
-	Options       func() []engine.Option
-	// Setup, when non-nil, replaces Options for shapes whose options
-	// need paired teardown — the remote-loopback shape spins up worker
-	// daemons per cell and must close them after it.
-	Setup func() (opts []engine.Option, cleanup func(), err error)
+// shape is an instrumented experiments.Column: the given options plus a
+// fresh metrics registry per run, which is where a cell's memory and bus
+// figures come from.
+func shape(name string, deterministic bool, opts ...engine.Option) experiments.Column {
+	return experiments.Column{Name: name, Deterministic: deterministic,
+		Options: func() []engine.Option {
+			return append(slices.Clone(opts), engine.WithMetrics(obs.NewRegistry()))
+		}}
 }
 
 // Shapes returns the benchmark matrix's engine shapes in a fixed order.
-func Shapes() []Shape {
-	return []Shape{
-		{Name: "bmc-dynamic", Deterministic: true, Options: func() []engine.Option {
-			return nil // the session defaults: BMC, refined dynamic ordering
-		}},
-		{Name: "bmc-vsids", Deterministic: true, Options: func() []engine.Option {
-			return []engine.Option{engine.WithOrdering(core.OrderVSIDS)}
-		}},
-		{Name: "bmc-incremental", Deterministic: true, Options: func() []engine.Option {
-			return []engine.Option{engine.WithIncremental()}
-		}},
-		{Name: "kind-sequential", Deterministic: true, Options: func() []engine.Option {
-			return []engine.Option{engine.WithEngine(engine.KInduction)}
-		}},
-		{Name: "bmc-warm-shared", Deterministic: false, Options: func() []engine.Option {
-			return []engine.Option{
-				engine.WithPortfolio(nil, 0),
-				engine.WithIncremental(),
-				engine.WithExchange(racer.ExchangeOptions{Enabled: true}),
-			}
-		}},
-		{Name: "kind-warm", Deterministic: false, Options: func() []engine.Option {
-			return []engine.Option{
-				engine.WithEngine(engine.KInduction),
-				engine.WithPortfolio(nil, 0),
-				engine.WithIncremental(),
-			}
-		}},
+// Single-strategy shapes are deterministic and compared exactly;
+// portfolio/warm shapes — whose stats depend on race timing — only pin
+// verdict and depth.
+func Shapes() []experiments.Column {
+	warmShared := []engine.Option{
+		engine.WithPortfolio(nil, 0),
+		engine.WithIncremental(),
+		engine.WithExchange(racer.ExchangeOptions{Enabled: true}),
+	}
+	return []experiments.Column{
+		shape("bmc-dynamic", true), // the session defaults: BMC, refined dynamic ordering
+		shape("bmc-vsids", true, engine.WithOrdering(core.OrderVSIDS)),
+		shape("bmc-incremental", true, engine.WithIncremental()),
+		shape("kind-sequential", true, engine.WithEngine(engine.KInduction)),
+		shape("bmc-warm-shared", false, warmShared...),
+		shape("kind-warm", false,
+			engine.WithEngine(engine.KInduction), engine.WithPortfolio(nil, 0), engine.WithIncremental()),
 		// The warm portfolio with its races shipped to two in-process
 		// loopback workers: bmc-warm-shared plus the full wire layer
 		// (gob framing, mirror feeding, clause forwarding), so remote
 		// overhead is trendable against the local shape on the same
 		// cells.
-		{Name: "bmc-warm-remote", Deterministic: false, Setup: func() ([]engine.Option, func(), error) {
+		{Name: "bmc-warm-remote", Setup: func() ([]engine.Option, func(), error) {
 			ex, err := remote.NewLoopback(2, remote.Options{Session: "perfbench"}, remote.WorkerOptions{})
 			if err != nil {
 				return nil, nil, err
 			}
-			return []engine.Option{
-				engine.WithPortfolio(nil, 0),
-				engine.WithIncremental(),
-				engine.WithExchange(racer.ExchangeOptions{Enabled: true}),
-				engine.WithExecutor(ex),
-			}, func() { ex.Close() }, nil
+			return append(slices.Clone(warmShared),
+				engine.WithMetrics(obs.NewRegistry()), engine.WithExecutor(ex)), func() { ex.Close() }, nil
 		}},
 	}
 }
 
 // ShapeByName resolves a shape by name.
-func ShapeByName(name string) (Shape, bool) {
+func ShapeByName(name string) (experiments.Column, bool) {
 	for _, s := range Shapes() {
 		if s.Name == name {
 			return s, true
 		}
 	}
-	return Shape{}, false
+	return experiments.Column{}, false
 }
 
 // Cell is one benchmark run: a model from internal/bench checked under
@@ -178,82 +161,71 @@ func SuiteByName(name string) (Suite, bool) {
 	return Suite{}, false
 }
 
-// Run executes every cell of the suite in order and reduces the results
-// to an artifact. Cells run sequentially, each with its own registry, so
-// one cell's racing never perturbs another's counters. Progress, when
-// non-nil, is called with each finished cell.
-func Run(ctx context.Context, suite Suite, progress func(CellResult)) (*Artifact, error) {
-	art := &Artifact{
+// newArtifact stamps an artifact's envelope.
+func newArtifact(suite string) *Artifact {
+	return &Artifact{
 		Schema:    SchemaVersion,
-		Suite:     suite.Name,
+		Suite:     suite,
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 	}
+}
+
+// Run executes every cell of the suite in order — each a 1×1 grid with
+// its own registry, so one cell's racing never perturbs another's
+// counters — and reduces the results to an artifact. Progress, when
+// non-nil, is called with each finished cell.
+func Run(ctx context.Context, suite Suite, progress func(CellResult)) (*Artifact, error) {
+	art := newArtifact(suite.Name)
 	for _, cell := range suite.Cells {
-		cr, err := runCell(ctx, cell)
-		if err != nil {
-			return nil, fmt.Errorf("cell %s/%s: %w", cell.Model, cell.Shape, err)
+		m, ok := bench.ByName(cell.Model)
+		if !ok {
+			return nil, fmt.Errorf("cell %s/%s: unknown model (see internal/bench)", cell.Model, cell.Shape)
 		}
-		art.Cells = append(art.Cells, *cr)
+		col, ok := ShapeByName(cell.Shape)
+		if !ok {
+			return nil, fmt.Errorf("cell %s/%s: unknown shape (valid: %s)",
+				cell.Model, cell.Shape, strings.Join(shapeNames(), ", "))
+		}
+		col.MaxDepth, col.Conflicts = cell.MaxDepth, cell.Conflicts
+		g, err := experiments.Config{Models: []bench.Model{m}}.Run(ctx, []experiments.Column{col})
+		if err != nil {
+			return nil, fmt.Errorf("cell %w", err)
+		}
+		cr := reduce(m.Name, col, g.Cells[0][0])
+		art.Cells = append(art.Cells, cr)
 		if progress != nil {
-			progress(*cr)
+			progress(cr)
 		}
 	}
 	return art, nil
 }
 
-// runCell checks one cell's model under its shape with a fresh registry.
-func runCell(ctx context.Context, cell Cell) (*CellResult, error) {
-	m, ok := bench.ByName(cell.Model)
-	if !ok {
-		return nil, fmt.Errorf("unknown model (see internal/bench)")
-	}
-	shape, ok := ShapeByName(cell.Shape)
-	if !ok {
-		return nil, fmt.Errorf("unknown shape (valid: %s)", strings.Join(shapeNames(), ", "))
-	}
-	depth := m.MaxDepth
-	if cell.MaxDepth > 0 && cell.MaxDepth < depth {
-		depth = cell.MaxDepth
-	}
-	reg := obs.NewRegistry()
-	var shapeOpts []engine.Option
-	if shape.Setup != nil {
-		so, cleanup, err := shape.Setup()
-		if err != nil {
-			return nil, err
+// FromGrid reduces a finished experiment grid to the same artifact
+// schema, one cell per (model, column), so tablegen -bench-json feeds
+// every experiment through the same Compare/baseline machinery.
+func FromGrid(suite string, g *experiments.Grid) *Artifact {
+	art := newArtifact(suite)
+	for i, m := range g.Models {
+		for c, col := range g.Columns {
+			art.Cells = append(art.Cells, reduce(m.Name, col, g.Cells[i][c]))
 		}
-		defer cleanup()
-		shapeOpts = so
-	} else {
-		shapeOpts = shape.Options()
 	}
-	opts := append(shapeOpts,
-		engine.WithBudgets(depth, cell.Conflicts),
-		engine.WithMetrics(reg))
-	sess, err := engine.New(m.Build(), 0, opts...)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sess.Check(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return reduce(cell, shape, res), nil
+	return art
 }
 
-// reduce folds one engine result into the cell's artifact row.
-func reduce(cell Cell, shape Shape, res *engine.Result) *CellResult {
+// reduce folds one engine result into its artifact row.
+func reduce(model string, col experiments.Column, res *engine.Result) CellResult {
 	st := res.Total
 	if res.Engine == engine.KInduction {
 		st.Add(res.BaseStats)
 		st.Add(res.StepStats)
 	}
-	cr := &CellResult{
-		Model:         cell.Model,
-		Shape:         cell.Shape,
-		Deterministic: shape.Deterministic,
+	cr := CellResult{
+		Model:         model,
+		Shape:         col.Name,
+		Deterministic: col.Deterministic,
 		Verdict:       res.Verdict.String(),
 		K:             res.K,
 		Counters: map[string]int64{
@@ -272,6 +244,11 @@ func reduce(cell Cell, shape Shape, res *engine.Result) *CellResult {
 	}
 	cr.EncodeWallNanos = int64(encode)
 	cr.SolveWallNanos = int64(solve)
+	if len(res.Strategies) > 0 {
+		// Racing cells: the all-racer effort the winner-only counters
+		// above cannot see.
+		cr.Counters["spent_conflicts"] = experiments.SpentConflicts(res)
+	}
 	if res.Metrics != nil {
 		// Per-link clause-bus traffic (warm shapes with the bus on):
 		// nondeterministic volumes, recorded for trend lines.

@@ -3,13 +3,13 @@ package perfbench
 import (
 	"bytes"
 	"context"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/experiments"
 )
 
@@ -87,21 +87,16 @@ func TestRunDeterministicCounters(t *testing.T) {
 func TestArtifactRoundTripAndCompare(t *testing.T) {
 	art := runSmoke(t)
 	path := filepath.Join(t.TempDir(), "BENCH_smoke.json")
-	f, err := os.Create(path)
-	if err != nil {
+	if err := art.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := art.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	loaded, err := ReadArtifact(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Self-comparison is clean.
-	if fs := Compare(loaded, art, DefaultPolicy()); len(fs) != 0 {
+	if fs := Compare(loaded, art); len(fs) != 0 {
 		t.Fatalf("self-compare found %d findings: %+v", len(fs), fs)
 	}
 
@@ -114,7 +109,7 @@ func TestArtifactRoundTripAndCompare(t *testing.T) {
 		perturbed.Cells[0].Counters[k] = v
 	}
 	perturbed.Cells[0].Counters["conflicts"] += 5
-	fs := Compare(&perturbed, art, DefaultPolicy())
+	fs := Compare(&perturbed, art)
 	if !HasFailure(fs) {
 		t.Fatalf("perturbed baseline produced no failure: %+v", fs)
 	}
@@ -141,7 +136,7 @@ func TestCompareCellSetChanges(t *testing.T) {
 	cur := &Artifact{Schema: SchemaVersion, Suite: "s", Cells: []CellResult{
 		{Model: "m2", Shape: "bmc-dynamic", Verdict: "holds", Counters: map[string]int64{}},
 	}}
-	fs := Compare(base, cur, DefaultPolicy())
+	fs := Compare(base, cur)
 	if len(fs) != 2 {
 		t.Fatalf("want missing-cell failure + new-cell warning, got %+v", fs)
 	}
@@ -153,23 +148,35 @@ func TestCompareCellSetChanges(t *testing.T) {
 	}
 }
 
+// TestCompareWallTolerance pins the gate's contract on the noisy figures:
+// wall time and memory are recorded in the artifact and survive the JSON
+// round trip, but no difference in them — here 2x on both — is a finding.
 func TestCompareWallTolerance(t *testing.T) {
-	base := &Artifact{Schema: SchemaVersion, Suite: "s", Cells: []CellResult{
-		{Model: "m", Shape: "bmc-dynamic", Verdict: "holds", WallNanos: int64(time.Second)},
-	}}
-	cur := &Artifact{Schema: SchemaVersion, Suite: "s", Cells: []CellResult{
-		{Model: "m", Shape: "bmc-dynamic", Verdict: "holds", WallNanos: int64(2 * time.Second)},
-	}}
-	fs := Compare(base, cur, Policy{WallTolerancePct: 50})
-	if len(fs) != 1 || fs[0].Metric != "wall_nanos" || fs[0].Fail {
-		t.Fatalf("want one wall warning, got %+v", fs)
+	cell := func(scale int64) CellResult {
+		return CellResult{Model: "m", Shape: "bmc-dynamic", Deterministic: true, Verdict: "holds",
+			Counters:  map[string]int64{"conflicts": 7},
+			WallNanos: scale * int64(time.Second),
+			Memory:    map[string]int64{"mem_total_alloc": scale << 20, "solver_clauses_bytes_est": scale << 10}}
 	}
-	if fs := Compare(base, cur, Policy{WallTolerancePct: 50, FailOnWall: true}); !HasFailure(fs) {
-		t.Fatalf("FailOnWall must escalate: %+v", fs)
+	base := &Artifact{Schema: SchemaVersion, Suite: "s", Cells: []CellResult{cell(1)}}
+	cur := &Artifact{Schema: SchemaVersion, Suite: "s", Cells: []CellResult{cell(2)}}
+
+	path := filepath.Join(t.TempDir(), "BENCH_s.json")
+	if err := cur.WriteFile(path); err != nil {
+		t.Fatal(err)
 	}
-	// Improvements never flag.
-	if fs := Compare(cur, base, Policy{WallTolerancePct: 50}); len(fs) != 0 {
-		t.Fatalf("faster run flagged: %+v", fs)
+	loaded, err := ReadArtifact(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.Cells[0]; got.WallNanos != cur.Cells[0].WallNanos ||
+		got.Memory["mem_total_alloc"] != 2<<20 || got.Memory["solver_clauses_bytes_est"] != 2<<10 {
+		t.Fatalf("wall/memory lost in the round trip: %+v", got)
+	}
+	for _, pair := range [][2]*Artifact{{base, loaded}, {loaded, base}} {
+		if fs := Compare(pair[0], pair[1]); len(fs) != 0 {
+			t.Fatalf("wall/memory difference produced findings: %+v", fs)
+		}
 	}
 }
 
@@ -181,41 +188,48 @@ func TestSchemaVersionRejected(t *testing.T) {
 	}
 }
 
+// TestAblationConverters: FromGrid reduces a real warm grid through the
+// same reduce as the suite cells — real verdict and depth, the full
+// counter set, and the all-racer total on racing cells.
 func TestAblationConverters(t *testing.T) {
-	warm := FromWarmAblation(&experiments.WarmResult{Rows: []experiments.WarmRow{{
-		Name: "m", TimeCold: time.Second, TimeWarm: time.Second, TimeShared: time.Second,
-		ConfCold: 10, ConfWarm: 8, ConfShared: 6, Exported: 4, Imported: 3, Agreed: true,
-	}}})
-	if err := warm.Validate(); err != nil {
+	warm, ok := experiments.ByName("warm")
+	if !ok {
+		t.Fatal("warm experiment missing")
+	}
+	m, _ := bench.ByName("cnt_w4_t9")
+	g, err := warm.Run(context.Background(), experiments.Config{Models: []bench.Model{m}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := FromGrid("warm", g)
+	if err := art.Validate(); err != nil {
 		t.Fatalf("warm artifact invalid: %v", err)
 	}
-	if len(warm.Cells) != 3 || warm.Cells[2].Counters["bus_imported"] != 3 {
-		t.Fatalf("warm conversion wrong: %+v", warm.Cells)
+	if art.Suite != "warm" || len(art.Cells) != 3 {
+		t.Fatalf("warm conversion wrong: %+v", art)
 	}
-
-	incr := FromIncrementalAblation(&experiments.IncrementalResult{Rows: []experiments.IncrementalRow{{
-		Name: "m", TimeScratch: time.Second, TimeIncremental: time.Second,
-		ConflictsScratch: 9, ConflictsIncremental: 4, Agreed: true,
-	}}})
-	if err := incr.Validate(); err != nil {
-		t.Fatalf("incremental artifact invalid: %v", err)
+	for i, shape := range []string{"cold", "warm", "shared"} {
+		c := &art.Cells[i]
+		if c.Key() != "cnt_w4_t9/"+shape || c.Deterministic {
+			t.Errorf("cell %d is %s (deterministic=%v), want racing cnt_w4_t9/%s", i, c.Key(), c.Deterministic, shape)
+		}
+		if c.Verdict != "falsified" || c.K != 9 {
+			t.Errorf("%s: verdict %s@%d, want the real falsified@9", c.Key(), c.Verdict, c.K)
+		}
+		if c.Counters["decisions"] <= 0 || c.WallNanos <= 0 {
+			t.Errorf("%s: empty search counters %v", c.Key(), c.Counters)
+		}
+		if spent, ok := c.Counters["spent_conflicts"]; !ok || spent < c.Counters["conflicts"] {
+			t.Errorf("%s: all-racer conflicts %d (present=%v) below the winners' %d",
+				c.Key(), spent, ok, c.Counters["conflicts"])
+		}
 	}
-	if !incr.Cells[0].Deterministic || !incr.Cells[1].Deterministic {
-		t.Error("incremental ablation cells are single-strategy, must be deterministic")
+	if fs := Compare(art, art); len(fs) != 0 {
+		t.Errorf("self-compare of a converted grid found %+v", fs)
 	}
-
-	pf := FromPortfolioAblation(&experiments.PortfolioAblationResult{
-		Strategies: []string{"vsids", "dynamic"},
-		Rows: []experiments.PortfolioRow{{
-			Name: "m", Single: []time.Duration{time.Second, time.Second},
-			Portfolio: time.Second, WastedConflicts: 7, Agreed: true,
-		}},
-	})
-	if err := pf.Validate(); err != nil {
-		t.Fatalf("portfolio artifact invalid: %v", err)
-	}
-	if len(pf.Cells) != 3 {
-		t.Fatalf("portfolio conversion wrong: %+v", pf.Cells)
+	// Non-racing cells carry no all-racer counter.
+	if _, ok := runSmoke(t).Cells[0].Counters["spent_conflicts"]; ok {
+		t.Error("single-strategy cell reports spent_conflicts")
 	}
 }
 

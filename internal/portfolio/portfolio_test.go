@@ -136,8 +136,9 @@ func TestRaceEmptyAttempts(t *testing.T) {
 }
 
 // TestRaceSharedScoreBoard hammers one mutex-guarded core.ScoreBoard from
-// concurrent races the way bmc.RunPortfolio does across depths — guidance
-// snapshots are read while winner cores are folded in. Run under -race.
+// concurrent races the way the engine's depth loop does across depths —
+// guidance snapshots are read while winner cores are folded in. Run under
+// -race.
 func TestRaceSharedScoreBoard(t *testing.T) {
 	board := core.NewScoreBoard(core.WeightedSum)
 	f := php(6, 5)

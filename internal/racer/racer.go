@@ -158,10 +158,10 @@ type Pool struct {
 // NewPool builds one persistent solver per strategy over an empty clause
 // set; frames arrive depth by depth through RaceDepth, pulled from the
 // given query sequence (DeltaSource for BMC / induction base cases,
-// StepSource for induction step cases). Mirroring RunPortfolio, recorders
-// are attached to every racer as soon as any strategy in the set consumes
-// cores, so whichever racer wins an UNSAT depth has a core to contribute
-// to the board.
+// StepSource for induction step cases). Mirroring the engine's
+// fresh-solver sequence, recorders are attached to every racer as soon as
+// any strategy in the set consumes cores, so whichever racer wins an
+// UNSAT depth has a core to contribute to the board.
 func NewPool(src Source, cfg Config) *Pool {
 	if len(cfg.Strategies) == 0 {
 		cfg.Strategies = portfolio.DefaultSet()
@@ -362,9 +362,9 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 }
 
 // foldWinnerCore extracts the winning racer's unsat core and folds its
-// variables into the shared score board, exactly as the sequential
-// incremental loop does (update_ranking weighted by the 1-based instance
-// number).
+// variables into the shared score board, exactly as the engine's
+// fresh-solver sequence does (update_ranking weighted by the 1-based
+// instance number).
 func (p *Pool) foldWinnerCore(out *DepthOutcome, r *racerState, nVars, k int) {
 	if r.rec == nil || !r.rec.HasProof() {
 		return
@@ -385,9 +385,9 @@ func (p *Pool) foldWinnerCore(out *DepthOutcome, r *racerState, nVars, k int) {
 // threshold derived from totalLits/divisor), frame scores for timeaxis
 // (earlier frames higher; the encoding's auxiliary variables — activation
 // guards, disequality helpers — are left unscored), plain VSIDS
-// otherwise. Shared by the warm pools and the engine's single-solver
-// incremental loop — the single place the live-solver strategy semantics
-// live.
+// otherwise. Every live solver is configured here (the engine's
+// single-strategy incremental shape is a pool of one; the benchmark's layer
+// driver calls it directly): the one place the strategy semantics live.
 func ApplyStrategy(s *sat.Solver, st core.Strategy, board *core.ScoreBoard, src Source, k, totalLits, divisor int) {
 	nVars := src.NumVars(k)
 	switch st {
@@ -425,8 +425,8 @@ func ApplyStrategy(s *sat.Solver, st core.Strategy, board *core.ScoreBoard, src 
 // caller's ID-to-literals registry (originals plus imported clauses,
 // which appear as core leaves like originals — acceptable for the
 // heuristic score board). Sorted ascending, mirroring
-// core.Recorder.CoreVars. Shared by the warm pools and the engine's
-// single-solver incremental loop.
+// core.Recorder.CoreVars. Exported for the benchmark's layer driver, which
+// folds cores the way the pool does.
 func CoreVars(src Source, coreIDs []sat.ClauseID, clausesByID map[sat.ClauseID]cnf.Clause, nVars int) []lits.Var {
 	seen := make([]bool, nVars+1)
 	var out []lits.Var
