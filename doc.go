@@ -28,11 +28,14 @@
 //	                     text/JSON/Prometheus export, and a span tracer
 //	                     emitting Chrome-trace JSON; every layer below
 //	                     hangs its instrumentation off these two types
-//	internal/sat         incremental CDCL solver (Chaff lineage): clause
-//	                     addition and assumption solving on a live solver,
-//	                     proof recording, guidance scores, cancellation,
-//	                     learned-clause export/import for cross-solver
-//	                     sharing (ExportLearned/ImportClause)
+//	internal/sat         incremental CDCL solver (Chaff lineage) over a
+//	                     flat clause arena (one pointer-free []uint32 per
+//	                     solver, index watchers, bulk load, in-place
+//	                     compaction): clause addition and assumption
+//	                     solving on a live solver, proof recording,
+//	                     guidance scores, cancellation, learned-clause
+//	                     export/import for cross-solver sharing
+//	                     (ExportLearned/ImportClause)
 //	internal/core        simplified CDG (per-instance and cross-depth
 //	                     incremental recorders), unsat cores, bmc_score
 //	                     board, ordering strategies (§3.1-§3.3)

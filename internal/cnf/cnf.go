@@ -39,7 +39,11 @@ func (c Clause) Copy() Clause {
 // Normalize sorts the literals, removes duplicates, and reports whether the
 // clause is a tautology (contains both x and ¬x). The returned clause
 // shares the receiver's backing array.
-func (c Clause) Normalize() (Clause, bool) {
+func (c Clause) Normalize() (Clause, bool) { return NormalizeLits(c) }
+
+// NormalizeLits is Normalize over any slice of packed literals: the solver
+// keeps its clauses in a []uint32 store and normalises them where they lie.
+func NormalizeLits[S ~[]E, E ~int32 | ~uint32](c S) (S, bool) {
 	if len(c) == 0 {
 		return c, false
 	}
@@ -50,8 +54,8 @@ func (c Clause) Normalize() (Clause, bool) {
 		if l == last {
 			continue // duplicate
 		}
-		if l == last.Neg() {
-			return c, true // tautology
+		if l == last^1 {
+			return c, true // tautology: x and ¬x differ in the low bit and sort adjacent
 		}
 		out = append(out, l)
 	}

@@ -51,9 +51,10 @@
 //     is reported at the internal/sat call site that reaches it. This
 //     is the mechanized form of the obs-overhead ablation's contract
 //     (cmd/tablegen -experiment=obs-overhead). The solver's
-//     rate-limited deadline poll and the clause-database insertions
-//     (one long-lived allocation per learned/imported clause is CDCL,
-//     not overhead) carry //bmclint:ignore directives.
+//     rate-limited deadline poll and analyzeFinal's once-per-answer
+//     antecedent list carry //bmclint:ignore directives; learned and
+//     imported clauses go into the solver's arena and its per-conflict
+//     buffers and need none.
 //
 //   - lockorder: the whole-program lock-acquisition graph over
 //     sync.Mutex/RWMutex struct fields must be acyclic — two functions

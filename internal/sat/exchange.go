@@ -35,13 +35,14 @@ func (s *Solver) NextClauseID() ClauseID { return s.nextID }
 // literal order inside clauses (watch swaps). The racer pool exports only
 // at depth boundaries, after every racer has come to rest.
 func (s *Solver) ExportLearned(since ClauseID, maxLen, maxLBD, limit int) []cnf.Clause {
-	var cands []*clause
+	ca := &s.ca
+	var cands []cref
 	for _, c := range s.learnts {
-		if c.id < since || c.foreign {
+		if ca.id(c) < since || ca.foreign(c) {
 			continue
 		}
-		byLen := maxLen > 0 && len(c.lits) <= maxLen
-		byLBD := maxLBD > 0 && c.lbd <= int32(maxLBD)
+		byLen := maxLen > 0 && ca.size(c) <= maxLen
+		byLBD := maxLBD > 0 && ca.lbd(c) <= int32(maxLBD)
 		if byLen || byLBD {
 			cands = append(cands, c)
 		}
@@ -49,20 +50,24 @@ func (s *Solver) ExportLearned(since ClauseID, maxLen, maxLBD, limit int) []cnf.
 	if limit > 0 && len(cands) > limit {
 		sort.Slice(cands, func(i, j int) bool {
 			a, b := cands[i], cands[j]
-			if a.lbd != b.lbd {
-				return a.lbd < b.lbd
+			if ca.lbd(a) != ca.lbd(b) {
+				return ca.lbd(a) < ca.lbd(b)
 			}
-			if len(a.lits) != len(b.lits) {
-				return len(a.lits) < len(b.lits)
+			if ca.size(a) != ca.size(b) {
+				return ca.size(a) < ca.size(b)
 			}
-			return a.id < b.id
+			return ca.id(a) < ca.id(b)
 		})
 		cands = cands[:limit]
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].id < cands[j].id })
+	sort.Slice(cands, func(i, j int) bool { return ca.id(cands[i]) < ca.id(cands[j]) })
 	out := make([]cnf.Clause, len(cands))
 	for i, c := range cands {
-		out[i] = cnf.Clause(append([]lits.Lit(nil), c.lits...))
+		ls := ca.lits(c)
+		out[i] = make(cnf.Clause, len(ls))
+		for k, w := range ls {
+			out[i][k] = lits.Lit(w)
+		}
 	}
 	return out
 }
@@ -87,33 +92,33 @@ func (s *Solver) ExportLearned(since ClauseID, maxLen, maxLBD, limit int) []cnf.
 // Must not be called while a Solve is in progress. The racer pool imports
 // only at depth boundaries, while no solver is mid-search.
 func (s *Solver) ImportClause(raw cnf.Clause) (ClauseID, bool) {
-	norm, taut := raw.Copy().Normalize()
-	if taut || len(norm) == 0 {
+	// Normalise a tentative copy at the arena's tail; it stays only if it
+	// is neither empty, a tautology nor a repeat.
+	const flags = flagLearnt | flagForeign
+	s.reserve(wordsFor(len(raw), flags))
+	id := s.nextID
+	c := s.ca.push(id, flags, s.conflictStamp(), raw)
+	if s.ca.normalizeTail(c) || s.ca.size(c) == 0 {
+		s.ca.pop(c)
 		return 0, false
 	}
+	norm := s.ca.lits(c)
 	key := clauseKey(norm)
 	if _, dup := s.importSeen[key]; dup {
+		s.ca.pop(c)
 		return 0, false
 	}
 	s.importSeen[key] = struct{}{}
 
 	s.cancelUntil(0)
-	if mv := int(norm.MaxVar()); mv > s.nVars {
+	// Normalised literals are sorted, so the last one has the largest variable.
+	if mv := int(lits.Lit(norm[len(norm)-1]).Var()); mv > s.nVars {
 		s.AddVars(mv)
 	}
-	id := s.nextID
 	s.nextID++
-	//bmclint:ignore hotpath the imported clause joins the long-lived clause database; one allocation per exchanged clause is the design, and imports happen at depth boundaries, not per decision
-	c := &clause{
-		id:      id,
-		learnt:  true,
-		foreign: true,
-		act:     s.conflictStamp(),
-		// The sender's LBD is stale in this solver's search; the length is
-		// the pessimistic stand-in (LBD <= length always holds).
-		lbd:  int32(len(norm)),
-		lits: norm,
-	}
+	// The sender's LBD is stale in this solver's search; the length is the
+	// pessimistic stand-in (LBD <= length always holds).
+	s.ca.mem[c+hdrFlags] |= uint32(len(norm)) << lbdShift
 	s.learnts = append(s.learnts, c)
 	s.install(c)
 	return id, true
@@ -122,14 +127,14 @@ func (s *Solver) ImportClause(raw cnf.Clause) (ClauseID, bool) {
 // clauseKey hashes a normalized (sorted, deduplicated) clause with FNV-1a.
 // A collision makes the dedup drop a distinct clause — a lost heuristic
 // opportunity, never an unsoundness, so 64 bits are plenty.
-func clauseKey(c cnf.Clause) uint64 {
+func clauseKey(c []uint32) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for _, l := range c {
-		x := uint64(uint32(l))
+	for _, w := range c {
+		x := uint64(w)
 		for i := 0; i < 4; i++ {
 			h ^= x & 0xff
 			h *= prime64

@@ -18,10 +18,16 @@ type litHeap struct {
 	pos  []int32 // indexed by lit.Index(); -1 when absent
 }
 
+// newLitHeap returns the heap holding every literal of variables 1..nVars,
+// in index order: New rebuilds it once the scores it orders by are seeded.
 func newLitHeap(s *Solver, nVars int) *litHeap {
-	h := &litHeap{s: s, pos: make([]int32, 2*nVars+2)}
-	for i := range h.pos {
-		h.pos[i] = -1
+	h := &litHeap{s: s, heap: make([]lits.Lit, 0, 2*nVars), pos: make([]int32, 2*nVars+2)}
+	h.pos[0], h.pos[1] = -1, -1 // no literal has these indices
+	for v := lits.Var(1); int(v) <= nVars; v++ {
+		for _, l := range [2]lits.Lit{lits.PosLit(v), lits.NegLit(v)} {
+			h.pos[l.Index()] = int32(len(h.heap))
+			h.heap = append(h.heap, l)
+		}
 	}
 	return h
 }
@@ -71,21 +77,6 @@ func (h *litHeap) rebuild() {
 	for i := len(h.heap)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
-}
-
-// fill inserts every literal of variables 1..nVars.
-func (h *litHeap) fill(nVars int) {
-	h.heap = h.heap[:0]
-	for i := range h.pos {
-		h.pos[i] = -1
-	}
-	for v := lits.Var(1); int(v) <= nVars; v++ {
-		h.heap = append(h.heap, lits.PosLit(v), lits.NegLit(v))
-	}
-	for i, l := range h.heap {
-		h.pos[l.Index()] = int32(i)
-	}
-	h.rebuild()
 }
 
 func (h *litHeap) up(i int) {

@@ -24,9 +24,10 @@ type Metrics struct {
 	ConflictsPerSolve *obs.Histogram
 
 	// ClausesLearnt and ClausesBytesEst are clause-database gauges: the
-	// learnt clauses currently installed and an estimate of the whole
-	// database's heap footprint, refreshed once per solve call from
-	// flushDB. Gauges, not counters: reduceDB shrinks them.
+	// learnt clauses currently installed and the bytes the whole database
+	// occupies (4 per arena word in use, 8 per watcher; the name predates
+	// the arena, when it was an estimate), refreshed once per solve call
+	// from flushDB. Gauges, not counters: reduceDB shrinks them.
 	ClausesLearnt   *obs.Gauge
 	ClausesBytesEst *obs.Gauge
 }
@@ -85,12 +86,11 @@ func (m *Metrics) flush(st Stats) {
 }
 
 // flushDB refreshes the clause-database gauges. Called once per solve
-// call, never from the search loop — the O(database) walk behind the
-// bytes estimate stays off the hot path.
-func (m *Metrics) flushDB(learnt int, bytesEst int64) {
+// call, never from the search loop.
+func (m *Metrics) flushDB(learnt int, bytes int64) {
 	if m == nil {
 		return
 	}
 	m.ClausesLearnt.Set(int64(learnt))
-	m.ClausesBytesEst.Set(bytesEst)
+	m.ClausesBytesEst.Set(bytes)
 }

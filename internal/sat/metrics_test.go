@@ -10,7 +10,8 @@ func TestMetricsFlush(t *testing.T) {
 	reg := obs.NewRegistry()
 	opts := Defaults()
 	opts.Metrics = NewMetrics(reg, "strategy", "vsids")
-	res := New(pigeonhole(5, 4), opts).Solve()
+	s := New(pigeonhole(5, 4), opts)
+	res := s.Solve()
 	if res.Status != Unsat {
 		t.Fatalf("status=%v", res.Status)
 	}
@@ -31,13 +32,17 @@ func TestMetricsFlush(t *testing.T) {
 	}
 	// The clause-database gauges are flushed alongside the counters: a
 	// pigeonhole refutation must have learnt clauses installed, and the
-	// bytes estimate must at least cover them.
+	// byte gauge is an accounting of the arena's words and the watchers.
 	learnt := opts.Metrics.ClausesLearnt.Value()
 	if learnt <= 0 {
 		t.Errorf("clauses-learnt gauge = %d, want > 0", learnt)
 	}
-	if est := opts.Metrics.ClausesBytesEst.Value(); est < learnt {
-		t.Errorf("clauses-bytes-est gauge = %d, implausibly small for %d learnts", est, learnt)
+	watchers := 0
+	for _, ws := range s.watches {
+		watchers += len(ws)
+	}
+	if est, want := opts.Metrics.ClausesBytesEst.Value(), int64(4*len(s.ca.mem)+8*watchers); est != want {
+		t.Errorf("clauses-bytes-est gauge = %d, want %d (%d arena words, %d watchers)", est, want, len(s.ca.mem), watchers)
 	}
 	names := reg.Snapshot().Gauges
 	for _, want := range []string{

@@ -76,7 +76,9 @@ type ProofRecorder interface {
 	// IDs of every antecedent clause used in the resolution that derived
 	// it (the conflicting clause, the reason clauses resolved on, clauses
 	// used by learned-clause minimization, and the level-0 implication
-	// chains of dropped literals).
+	// chains of dropped literals). The slice is the solver's per-conflict
+	// buffer: it is only valid during the call and must be copied if
+	// retained.
 	RecordLearned(id ClauseID, antecedents []ClauseID)
 	// RecordFinal reports that unsatisfiability was established, with the
 	// antecedents of the final (empty-clause) conflict. It is called at
@@ -87,8 +89,9 @@ type ProofRecorder interface {
 // LearnedClauseRecorder optionally extends ProofRecorder with the learned
 // clause's literals. Recorders implementing it (the "complete CDG" of the
 // paper's §3.1, used for proof checking and the memory-overhead comparison)
-// receive RecordLearnedClause instead of RecordLearned. The literal slice
-// is only valid during the call and must be copied if retained.
+// receive RecordLearnedClause instead of RecordLearned. Like the
+// antecedents, the literal slice is only valid during the call and must be
+// copied if retained.
 type LearnedClauseRecorder interface {
 	ProofRecorder
 	RecordLearnedClause(id ClauseID, literals []lits.Lit, antecedents []ClauseID)

@@ -40,14 +40,16 @@ type Solver struct {
 	opts  Options
 	nVars int
 
-	clauses []*clause // original clauses (tautologies excluded)
-	learnts []*clause
+	ca       arena  // every clause, original and learnt
+	nClauses int    // original clauses in ca (tautologies excluded)
+	learnts  []cref // the live learnt clauses, oldest first
+	moves    []move // compact's scratch
 
 	watches [][]watcher // indexed by lit.Index()
 
 	assigns  lits.Assignment
-	reason   []*clause // per var
-	level    []int32   // per var
+	reason   []cref  // per var; crefUndef for decisions and unassigned variables
+	level    []int32 // per var
 	trail    []lits.Lit
 	trailLim []int
 	qhead    int
@@ -64,6 +66,12 @@ type Solver struct {
 
 	seen    []bool // per var scratch for analyze
 	toClear []lits.Var
+
+	// learntBuf and antsBuf hold the clause analyze is deriving and its
+	// antecedent IDs. Both are overwritten by the next conflict: addLearned
+	// copies the clause into the arena and recorders copy what they keep.
+	learntBuf []lits.Lit
+	antsBuf   []ClauseID
 
 	// lbdMark/lbdGen are the per-level stamp scratch for LBD computation
 	// (Glucose's permDiff); lastLBD carries the value from analyze to
@@ -110,11 +118,17 @@ type Solver struct {
 	// restart bookkeeping
 	restartIdx    int
 	conflictsLeft int64
+
+	compactions int // arena compactions so far; tests read it
 }
 
 // New builds a solver for the formula with the given options. The formula
 // is copied into internal storage; it is not modified and may be reused.
 // Clause IDs reported to the proof recorder match indices into f.Clauses.
+//
+// The load allocates per solver, not per clause: one arena sized from the
+// formula's literal count, one slab holding every watch list at its exact
+// length, and the per-variable tables.
 func New(f *cnf.Formula, opts Options) *Solver {
 	opts = opts.withDefaults()
 	n := f.NumVars
@@ -124,8 +138,9 @@ func New(f *cnf.Formula, opts Options) *Solver {
 		importSeen:  make(map[uint64]struct{}),
 		watches:     make([][]watcher, 2*n+2),
 		assigns:     lits.NewAssignment(n),
-		reason:      make([]*clause, n+1),
+		reason:      make([]cref, n+1),
 		level:       make([]int32, n+1),
+		trail:       make([]lits.Lit, 0, n),
 		chaScore:    make([]float64, 2*n+2),
 		newCount:    make([]int32, 2*n+2),
 		savedPhase:  make([]int8, n+1),
@@ -138,36 +153,63 @@ func New(f *cnf.Formula, opts Options) *Solver {
 		hasDeadline: !opts.Deadline.IsZero(),
 		status:      Unknown,
 	}
+	for v := range s.reason {
+		s.reason[v] = crefUndef
+	}
 	s.heap = newLitHeap(s, n)
 
-	// cha_score initial value: the literal's occurrence count in the input
-	// formula (paper §3.3).
-	for _, c := range f.Clauses {
-		for _, l := range c {
-			s.chaScore[l.Index()]++
+	words := 0
+	for _, raw := range f.Clauses {
+		words += wordsFor(len(raw), 0)
+	}
+	s.ca.grow(words + words/loadSlackDen)
+
+	// Copy the clauses in, normalising each where it lands. IDs are formula
+	// indices. Tautologies can never be falsified, so they are skipped
+	// entirely (they cannot appear in any unsat core). A literal's cha_score
+	// starts at its occurrence count in what is stored (paper §3.3), the
+	// rule install applies to clauses added later. newCount is all zero
+	// until the first conflict; until then it is this load's scratch, here
+	// the number of watchers each list will hold.
+	next := s.newCount
+	for i, raw := range f.Clauses {
+		c := s.ca.push(ClauseID(i), 0, 0, raw)
+		if s.ca.normalizeTail(c) {
+			s.ca.pop(c)
+			continue
+		}
+		s.nClauses++
+		ls := s.ca.lits(c)
+		for _, w := range ls {
+			s.chaScore[lits.Lit(w).Index()]++
+		}
+		if len(ls) >= 2 {
+			next[lits.Lit(ls[0]).Neg().Index()]++
+			next[lits.Lit(ls[1]).Neg().Index()]++
 		}
 	}
 
-	// Attach original clauses. IDs are formula indices. Tautologies can
-	// never be falsified, so they are skipped entirely (they cannot appear
-	// in any unsat core). Unit clauses are enqueued at level 0.
-	for i, raw := range f.Clauses {
-		id := ClauseID(i)
-		norm, taut := raw.Copy().Normalize()
-		if taut {
-			continue
-		}
-		c := &clause{id: id, lits: norm}
-		s.clauses = append(s.clauses, c)
-		switch len(norm) {
+	// All watch lists lie back to back in one slab; next[i] becomes where
+	// list i's next watcher goes.
+	var off int32
+	for i, k := range next {
+		next[i] = off
+		off += k
+	}
+	slab := make([]watcher, off)
+
+	// Attach in formula order, which fixes the order of every watch list
+	// and of the level-0 trail. Unit clauses are enqueued at level 0.
+	for c := cref(0); int(c) < len(s.ca.mem); c += s.ca.words(c) {
+		switch ls := s.ca.lits(c); len(ls) {
 		case 0:
 			// Empty clause: immediately unsatisfiable.
 			if s.status != Unsat {
 				s.status = Unsat
-				s.finalAnts = []ClauseID{id}
+				s.finalAnts = []ClauseID{s.ca.id(c)}
 			}
 		case 1:
-			l := norm[0]
+			l := lits.Lit(ls[0])
 			switch s.assigns.LitValue(l) {
 			case lits.Undef:
 				s.uncheckedEnqueue(l, c)
@@ -178,16 +220,29 @@ func New(f *cnf.Formula, opts Options) *Solver {
 				}
 			}
 		default:
-			s.attach(c)
+			l0, l1 := lits.Lit(ls[0]), lits.Lit(ls[1])
+			slab[next[l0.Neg().Index()]] = watcher{c, l1}
+			next[l0.Neg().Index()]++
+			slab[next[l1.Neg().Index()]] = watcher{c, l0}
+			next[l1.Neg().Index()]++
 		}
 	}
 
-	s.maxLearnts = float64(len(s.clauses)) * opts.MaxLearntFrac
+	// Every list gets its length as its capacity too, so an append past it
+	// moves that list and can never write into the next one.
+	off = 0
+	for i, end := range next {
+		s.watches[i] = slab[off:end:end]
+		off = end
+		next[i] = 0
+	}
+
+	s.maxLearnts = float64(s.nClauses) * opts.MaxLearntFrac
 	if s.maxLearnts < 1000 {
 		s.maxLearnts = 1000
 	}
 	s.nextID = ClauseID(len(f.Clauses))
-	s.heap.fill(n)
+	s.heap.rebuild()
 	return s
 }
 
@@ -221,7 +276,7 @@ func (s *Solver) AddVars(n int) {
 	}
 	for len(s.assigns) < n+1 {
 		s.assigns = append(s.assigns, lits.Undef)
-		s.reason = append(s.reason, nil)
+		s.reason = append(s.reason, crefUndef)
 		s.level = append(s.level, 0)
 		s.savedPhase = append(s.savedPhase, 0)
 		s.seen = append(s.seen, false)
@@ -254,13 +309,14 @@ func (s *Solver) AddClause(raw cnf.Clause) ClauseID {
 	}
 	id := s.nextID
 	s.nextID++
-	norm, taut := raw.Copy().Normalize()
-	if taut {
+	s.reserve(wordsFor(len(raw), 0))
+	c := s.ca.push(id, 0, 0, raw)
+	if s.ca.normalizeTail(c) {
+		s.ca.pop(c)
 		return id
 	}
-	c := &clause{id: id, lits: norm}
-	s.clauses = append(s.clauses, c)
-	if m := float64(len(s.clauses)) * s.opts.MaxLearntFrac; m > s.maxLearnts {
+	s.nClauses++
+	if m := float64(s.nClauses) * s.opts.MaxLearntFrac; m > s.maxLearnts {
 		s.maxLearnts = m
 	}
 	s.install(c)
@@ -273,11 +329,12 @@ func (s *Solver) AddClause(raw cnf.Clause) ClauseID {
 // enqueued, and a fully falsified clause makes the solver unsatisfiable.
 // Shared by AddClause and ImportClause; the solver must be at decision
 // level 0.
-func (s *Solver) install(c *clause) {
-	norm := c.lits
+func (s *Solver) install(c cref) {
+	norm := s.ca.lits(c)
 	// Occurrence-count scoring, exactly as New seeds cha_score; raising a
 	// key in the max-heap only needs an up-fix.
-	for _, l := range norm {
+	for _, w := range norm {
+		l := lits.Lit(w)
 		s.chaScore[l.Index()]++
 		if pos := s.heap.pos[l.Index()]; pos >= 0 {
 			s.heap.up(int(pos))
@@ -285,8 +342,8 @@ func (s *Solver) install(c *clause) {
 	}
 
 	nonFalse, satisfied := 0, false
-	for i, l := range norm {
-		switch s.assigns.LitValue(l) {
+	for i, w := range norm {
+		switch s.assigns.LitValue(lits.Lit(w)) {
 		case lits.True:
 			satisfied = true
 			fallthrough
@@ -301,7 +358,7 @@ func (s *Solver) install(c *clause) {
 		if s.status != Unsat {
 			s.status = Unsat
 			if len(norm) == 0 {
-				s.finalAnts = []ClauseID{c.id}
+				s.finalAnts = []ClauseID{s.ca.id(c)}
 			} else {
 				s.finalAnts = s.collectFinal(c)
 			}
@@ -310,10 +367,88 @@ func (s *Solver) install(c *clause) {
 		if len(norm) >= 2 {
 			s.attach(c)
 		}
-		s.uncheckedEnqueue(norm[0], c)
+		s.uncheckedEnqueue(lits.Lit(norm[0]), c)
 	case len(norm) >= 2:
 		s.attach(c)
 	}
+}
+
+// reserve makes room in the arena for words more words. It compacts when
+// the deleted clauses alone hold that much — growing would keep the old
+// store alive beside the new one until the collector runs — and grows
+// otherwise. Compaction moves clauses, so reserve runs before its caller
+// takes any cref into a local.
+func (s *Solver) reserve(words int) {
+	switch {
+	case s.ca.fits(words):
+	case s.ca.wasted >= words:
+		s.compact()
+	default:
+		s.ca.grow(words)
+	}
+}
+
+// move says that the clauses from one run of deleted clauses up to the next
+// go down by shift words.
+type move struct{ from, shift cref }
+
+// compact slides the live clauses down over the deleted ones, in place and
+// in order, and rewrites every cref the solver holds: the watch lists, the
+// reasons of the trail and learnts. Nothing is reordered, so the search
+// cannot observe it.
+func (s *Solver) compact() {
+	ca := &s.ca
+	s.moves = s.moves[:0]
+	var to cref
+	for c, end := cref(0), cref(len(ca.mem)); c < end; {
+		w := ca.words(c)
+		if ca.deleted(c) {
+			if n := len(s.moves); n > 0 && s.moves[n-1].from == c {
+				s.moves = s.moves[:n-1] // the run goes on
+			}
+			s.moves = append(s.moves, move{c + w, c + w - to})
+		} else {
+			if to != c {
+				copy(ca.mem[to:to+w], ca.mem[c:c+w])
+			}
+			to += w
+		}
+		c += w
+	}
+	ca.mem = ca.mem[:to]
+	ca.wasted = 0
+
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].c = s.moved(ws[i].c)
+		}
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != crefUndef {
+			s.reason[l.Var()] = s.moved(r)
+		}
+	}
+	for i, c := range s.learnts {
+		s.learnts[i] = s.moved(c)
+	}
+	s.compactions++
+}
+
+// moved returns where compact has put the clause that was at c: down by the
+// shift of the last run of deleted clauses below it.
+func (s *Solver) moved(c cref) cref {
+	lo, hi := 0, len(s.moves) // the first move above c is in [lo, hi]
+	for lo < hi {
+		if mid := (lo + hi) / 2; s.moves[mid].from <= c {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == 0 {
+		return c
+	}
+	return c - s.moves[lo-1].shift
 }
 
 // SetGuidance replaces the guidance scores and the dynamic-switch threshold
@@ -357,15 +492,22 @@ func (s *Solver) SetStop(stop <-chan struct{}) {
 	s.stopping = stop != nil
 }
 
-// attach registers the clause's first two literals in the watch lists.
-func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0].Neg().Index()] = append(s.watches[c.lits[0].Neg().Index()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Neg().Index()] = append(s.watches[c.lits[1].Neg().Index()], watcher{c, c.lits[0]})
+// attach registers the clause's first two literals in the watch lists: a
+// clause watching literal w is filed under ¬w, the literal whose assignment
+// falsifies w.
+func (s *Solver) attach(c cref) {
+	ls := s.ca.lits(c)
+	l0, l1 := lits.Lit(ls[0]), lits.Lit(ls[1])
+	s.watches[l0.Neg().Index()] = append(s.watches[l0.Neg().Index()], watcher{c, l1})
+	s.watches[l1.Neg().Index()] = append(s.watches[l1.Neg().Index()], watcher{c, l0})
 }
 
-// detach removes the clause from both watch lists (used by reduceDB).
-func (s *Solver) detach(c *clause) {
-	for _, w := range []lits.Lit{c.lits[0].Neg(), c.lits[1].Neg()} {
+// detach removes the clause from both watch lists (used by reduceDB). The
+// last watcher takes the removed one's place; list order is something the
+// search observes, so this stays a swap.
+func (s *Solver) detach(c cref) {
+	ls := s.ca.lits(c)
+	for _, w := range [2]lits.Lit{lits.Lit(ls[0]).Neg(), lits.Lit(ls[1]).Neg()} {
 		ws := s.watches[w.Index()]
 		for i := range ws {
 			if ws[i].c == c {
@@ -380,25 +522,28 @@ func (s *Solver) detach(c *clause) {
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 // uncheckedEnqueue records the assignment making l true. from is the reason
-// clause (nil for decisions).
-func (s *Solver) uncheckedEnqueue(l lits.Lit, from *clause) {
+// clause (crefUndef for decisions).
+func (s *Solver) uncheckedEnqueue(l lits.Lit, from cref) {
 	v := l.Var()
 	s.assigns.SetLit(l)
 	s.reason[v] = from
 	s.level[v] = int32(s.decisionLevel())
 	s.trail = append(s.trail, l)
-	if from != nil {
+	if from != crefUndef {
 		s.stats.Implications++
 	}
 }
 
 // propagate runs Boolean constraint propagation until fixpoint; it returns
-// the first falsified clause, or nil.
-func (s *Solver) propagate() *clause {
+// the first falsified clause, or crefUndef.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true; scan clauses watching ¬p
 		s.qhead++
-		ws := s.watches[p.Index()] // watchers keyed by the literal that became true's... see attach: clause watching lit w is stored under w.Neg(); so the list for p holds clauses in which p's negation is watched
+		// attach files a clause under the negation of each literal it
+		// watches, so p's list is the clauses watching ¬p.
+		ws := s.watches[p.Index()]
+		falseLit := uint32(p.Neg())
 		i, j := 0, 0
 		n := len(ws)
 	nextWatcher:
@@ -411,22 +556,23 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			c := w.c
+			ls := s.ca.lits(c)
 			// Ensure the false literal (¬p) is at position 1.
-			falseLit := p.Neg()
-			if c.lits[0] == falseLit {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if ls[0] == falseLit {
+				ls[0], ls[1] = ls[1], ls[0]
 			}
-			first := c.lits[0]
+			first := lits.Lit(ls[0])
 			if first != w.blocker && s.assigns.LitValue(first) == lits.True {
 				ws[j] = watcher{c, first}
 				j++
 				continue
 			}
 			// Look for a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.assigns.LitValue(c.lits[k]) != lits.False {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Neg().Index()] = append(s.watches[c.lits[1].Neg().Index()], watcher{c, first})
+			for k := 2; k < len(ls); k++ {
+				if s.assigns.LitValue(lits.Lit(ls[k])) != lits.False {
+					ls[1], ls[k] = ls[k], ls[1]
+					nw := lits.Lit(ls[1]).Neg().Index()
+					s.watches[nw] = append(s.watches[nw], watcher{c, first})
 					continue nextWatcher
 				}
 			}
@@ -448,7 +594,7 @@ func (s *Solver) propagate() *clause {
 		}
 		s.watches[p.Index()] = ws[:j]
 	}
-	return nil
+	return crefUndef
 }
 
 // newDecisionLevel opens a decision level.
@@ -475,7 +621,7 @@ func (s *Solver) cancelUntil(level int) {
 			s.savedPhase[v] = 1
 		}
 		s.assigns.Set(v, lits.Undef)
-		s.reason[v] = nil
+		s.reason[v] = crefUndef
 		s.heap.insert(lits.PosLit(v))
 		s.heap.insert(lits.NegLit(v))
 	}
@@ -523,25 +669,28 @@ func (s *Solver) pickBranch() lits.Lit {
 
 // analyze performs first-UIP conflict analysis, returning the learned
 // clause (asserting literal first), the backtrack level, and — when proof
-// recording is enabled — the antecedent clause IDs of the derivation.
-func (s *Solver) analyze(confl *clause) (learnt []lits.Lit, btLevel int, ants []ClauseID) {
-	learnt = append(learnt, lits.LitUndef) // slot for the asserting literal
+// recording is enabled — the antecedent clause IDs of the derivation. Both
+// slices are the solver's per-conflict buffers, valid until the next call.
+func (s *Solver) analyze(confl cref) (learnt []lits.Lit, btLevel int, ants []ClauseID) {
+	learnt = append(s.learntBuf[:0], lits.LitUndef) // slot for the asserting literal
+	ants = s.antsBuf[:0]
 	pathC := 0
 	p := lits.LitUndef
 	idx := len(s.trail) - 1
 	c := confl
+	stamp := s.conflictStamp()
 
 	for {
 		if s.recording {
-			//bmclint:ignore hotpath antecedent count is conflict-dependent and unbounded; recording is off in racing runs, and amortized append growth beats a worst-case preallocation
-			ants = append(ants, c.id)
+			ants = append(ants, s.ca.id(c))
 		}
-		c.act = s.conflictStamp()
-		start := 0
+		s.ca.touch(c, stamp)
+		ls := s.ca.lits(c)
 		if p != lits.LitUndef {
-			start = 1
+			ls = ls[1:]
 		}
-		for _, q := range c.lits[start:] {
+		for _, w := range ls {
+			q := lits.Lit(w)
 			v := q.Var()
 			if s.seen[v] {
 				continue
@@ -608,6 +757,8 @@ func (s *Solver) analyze(confl *clause) (learnt []lits.Lit, btLevel int, ants []
 		s.seen[v] = false
 	}
 	s.toClear = s.toClear[:0]
+	// Keep whatever the buffers grew to.
+	s.learntBuf, s.antsBuf = learnt, ants
 	return learnt, btLevel, ants
 }
 
@@ -619,12 +770,13 @@ func (s *Solver) minimize(learnt []lits.Lit, ants *[]ClauseID) []lits.Lit {
 	out := learnt[:1]
 	for _, l := range learnt[1:] {
 		r := s.reason[l.Var()]
-		if r == nil {
+		if r == crefUndef {
 			out = append(out, l)
 			continue
 		}
 		redundant := true
-		for _, q := range r.lits {
+		for _, w := range s.ca.lits(r) {
+			q := lits.Lit(w)
 			if q.Var() == l.Var() {
 				continue
 			}
@@ -642,7 +794,7 @@ func (s *Solver) minimize(learnt []lits.Lit, ants *[]ClauseID) []lits.Lit {
 		}
 		if redundant {
 			if s.recording {
-				*ants = append(*ants, r.id)
+				*ants = append(*ants, s.ca.id(r))
 			}
 		} else {
 			out = append(out, l)
@@ -666,12 +818,12 @@ func (s *Solver) recordLevel0Chain(v lits.Var, ants *[]ClauseID) {
 		s.seen[v] = true
 		s.toClear = append(s.toClear, v)
 		r := s.reason[v]
-		if r == nil {
+		if r == crefUndef {
 			continue
 		}
-		*ants = append(*ants, r.id)
-		for _, q := range r.lits {
-			if q.Var() != v && !s.seen[q.Var()] {
+		*ants = append(*ants, s.ca.id(r))
+		for _, w := range s.ca.lits(r) {
+			if q := lits.Lit(w); q.Var() != v && !s.seen[q.Var()] {
 				stack = append(stack, q.Var())
 			}
 		}
@@ -680,10 +832,10 @@ func (s *Solver) recordLevel0Chain(v lits.Var, ants *[]ClauseID) {
 
 // collectFinal gathers the antecedents of a level-0 conflict on clause c:
 // c itself plus the implication chains of all its literals.
-func (s *Solver) collectFinal(c *clause) []ClauseID {
-	ants := []ClauseID{c.id}
-	for _, q := range c.lits {
-		s.recordLevel0Chain(q.Var(), &ants)
+func (s *Solver) collectFinal(c cref) []ClauseID {
+	ants := []ClauseID{s.ca.id(c)}
+	for _, w := range s.ca.lits(c) {
+		s.recordLevel0Chain(lits.Lit(w).Var(), &ants)
 	}
 	for _, v := range s.toClear {
 		s.seen[v] = false
@@ -717,19 +869,21 @@ func (s *Solver) computeLBD(cl []lits.Lit) int32 {
 	return n
 }
 
-// addLearned installs the learned clause, notifies the recorder, and
-// enqueues the asserting literal.
+// addLearned copies the learned clause into the arena, notifies the
+// recorder, and enqueues the asserting literal.
 func (s *Solver) addLearned(learnt []lits.Lit, ants []ClauseID) {
-	//bmclint:ignore hotpath the learned clause joins the long-lived clause database; one allocation per conflict is inherent to CDCL, not avoidable overhead
-	c := &clause{id: s.nextID, learnt: true, act: s.conflictStamp(), lbd: s.lastLBD, lits: learnt}
+	flags := flagLearnt | uint32(s.lastLBD)<<lbdShift
+	s.reserve(wordsFor(len(learnt), flags))
+	id := s.nextID
 	s.nextID++
+	c := s.ca.push(id, flags, s.conflictStamp(), learnt)
 	s.stats.Learned++
 	s.stats.LearnedLits += int64(len(learnt))
 	if s.recording {
 		if lr, ok := s.opts.Recorder.(LearnedClauseRecorder); ok {
-			lr.RecordLearnedClause(c.id, learnt, ants)
+			lr.RecordLearnedClause(id, learnt, ants)
 		} else {
-			s.opts.Recorder.RecordLearned(c.id, ants)
+			s.opts.Recorder.RecordLearned(id, ants)
 		}
 	}
 	s.learnts = append(s.learnts, c)
@@ -751,16 +905,19 @@ func (s *Solver) rescore() {
 
 // locked reports whether c is the reason of its first literal's assignment
 // (such clauses must not be deleted).
-func (s *Solver) locked(c *clause) bool {
-	return len(c.lits) > 0 &&
-		s.assigns.LitValue(c.lits[0]) == lits.True &&
-		s.reason[c.lits[0].Var()] == c
+func (s *Solver) locked(c cref) bool {
+	if s.ca.size(c) == 0 {
+		return false
+	}
+	first := lits.Lit(s.ca.lits(c)[0])
+	return s.assigns.LitValue(first) == lits.True && s.reason[first.Var()] == c
 }
 
 // reduceDB deletes roughly half of the learned clauses, preferring the
 // stalest (by last-use conflict stamp) and sparing binary, unit, and locked
 // clauses. The proof recorder's dependency records are untouched — that is
-// the point of the pseudo-ID CDG.
+// the point of the pseudo-ID CDG. A deleted clause leaves the watch lists
+// at once and the arena at the next compaction.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) == 0 {
 		return
@@ -769,7 +926,7 @@ func (s *Solver) reduceDB() {
 	// over stamps is overkill here — sort a stamp slice.
 	stamps := make([]int64, 0, len(s.learnts))
 	for _, c := range s.learnts {
-		stamps = append(stamps, c.act)
+		stamps = append(stamps, s.ca.act(c))
 	}
 	// insertion-free median: sort
 	sortInt64(stamps)
@@ -777,15 +934,19 @@ func (s *Solver) reduceDB() {
 
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
-		if len(c.lits) <= 2 || s.locked(c) || c.act > median {
+		if s.ca.size(c) <= 2 || s.locked(c) || s.ca.act(c) > median {
 			kept = append(kept, c)
 			continue
 		}
 		s.detach(c)
+		s.ca.free(c)
 		s.stats.Deleted++
 	}
 	s.learnts = kept
 	s.maxLearnts *= s.opts.MaxLearntInc
+	if s.ca.wasted*garbageDen >= len(s.ca.mem) {
+		s.compact()
+	}
 }
 
 // restartLimit returns the conflict budget of restart interval i.
@@ -854,7 +1015,7 @@ func (s *Solver) SolveAssuming(assumptions []lits.Lit) Result {
 	res.Stats.SolveTime = time.Since(start)
 	s.opts.Metrics.flush(res.Stats)
 	if s.opts.Metrics != nil {
-		s.opts.Metrics.flushDB(len(s.learnts), s.approxClauseBytes())
+		s.opts.Metrics.flushDB(len(s.learnts), s.clauseBytes())
 	}
 	// Fold this call into the lifetime totals and reset the per-call
 	// counters; enqueues made by New/AddClause before a call count toward
@@ -865,21 +1026,14 @@ func (s *Solver) SolveAssuming(assumptions []lits.Lit) Result {
 	return res
 }
 
-// approxClauseBytes estimates the clause database's heap footprint:
-// per-clause fixed cost (struct, pointer slot, watcher entries) plus the
-// 4-byte literal payloads, over originals and learnts alike. An estimate,
-// not an accounting — it feeds the solver_clauses_bytes_est gauge, whose
-// job is trend lines across runs, and it is only computed outside the
-// search loop (once per solve call).
-func (s *Solver) approxClauseBytes() int64 {
-	// clause struct (~40B) + *clause slot + two watcher list entries.
-	const perClause = 72
-	n := int64(len(s.clauses)+len(s.learnts)) * perClause
-	for _, c := range s.clauses {
-		n += int64(len(c.lits)) * 4
-	}
-	for _, c := range s.learnts {
-		n += int64(len(c.lits)) * 4
+// clauseBytes is the clause database's footprint: the arena's words in use
+// (headers, literals and not yet compacted garbage, originals and learnts
+// alike) plus every watcher. It feeds the solver_clauses_bytes_est gauge
+// and is only computed outside the search loop (once per solve call).
+func (s *Solver) clauseBytes() int64 {
+	n := int64(len(s.ca.mem)) * 4
+	for _, ws := range s.watches {
+		n += int64(len(ws)) * 8
 	}
 	return n
 }
@@ -955,7 +1109,7 @@ func (s *Solver) analyzeFinal(p lits.Lit) (failed []lits.Lit, ants []ClauseID) {
 			continue
 		}
 		s.seen[v] = false
-		if r := s.reason[v]; r == nil {
+		if r := s.reason[v]; r == crefUndef {
 			// A decision above level 0 is an assumption (analyzeFinal only
 			// runs before ordinary branching resumes); the trail holds ¬p,
 			// never p itself, so no literal is double-counted.
@@ -963,9 +1117,10 @@ func (s *Solver) analyzeFinal(p lits.Lit) (failed []lits.Lit, ants []ClauseID) {
 		} else {
 			if s.recording {
 				//bmclint:ignore hotpath analyzeFinal runs once per UNSAT answer, not per decision; the antecedent list is unbounded and recording is off in racing runs
-				ants = append(ants, r.id)
+				ants = append(ants, s.ca.id(r))
 			}
-			for _, q := range r.lits {
+			for _, w := range s.ca.lits(r) {
+				q := lits.Lit(w)
 				if q.Var() == v {
 					continue
 				}
@@ -1000,7 +1155,7 @@ func (s *Solver) solve() Result {
 
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.stats.Conflicts++
 			s.sinceRescore++
 			s.conflictsLeft--
@@ -1072,7 +1227,7 @@ func (s *Solver) solve() Result {
 				return Result{Status: Unsat, FailedAssumptions: failed, Stats: s.stats}
 			default:
 				s.newDecisionLevel()
-				s.uncheckedEnqueue(p, nil)
+				s.uncheckedEnqueue(p, crefUndef)
 			}
 			continue
 		}
@@ -1099,7 +1254,7 @@ func (s *Solver) solve() Result {
 			return Result{Status: Interrupted, Stats: s.stats}
 		}
 		s.newDecisionLevel()
-		s.uncheckedEnqueue(l, nil)
+		s.uncheckedEnqueue(l, crefUndef)
 	}
 }
 

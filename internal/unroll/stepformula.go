@@ -20,6 +20,10 @@ func StepFormula(u *Unroller, k int) *cnf.Formula {
 	c := u.Circuit()
 	frames := k + 2 // frames 0..k+1
 	f := cnf.New(u.NumVars(k + 1))
+	// Gates and transitions, one property unit per frame, and for each of
+	// the (k+1)k/2 frame pairs two clauses per latch and their disjunction.
+	f.Clauses = make([]cnf.Clause, 0,
+		u.maxClauses(frames)+frames+(k+1)*k/2*(2*c.NumLatches()+1))
 
 	// Gate relations in every frame.
 	for frame := 0; frame < frames; frame++ {

@@ -76,6 +76,16 @@ func (u *Unroller) LitFor(s circuit.Signal, frame int) lits.Lit {
 	return lits.MkLit(u.VarFor(s.Node(), frame), s.IsNeg())
 }
 
+// maxClauses bounds the clauses of the gate relations of the given number of
+// frames and the latch transitions between them: three per AND gate and
+// frame, two per latch and step (one where the next state is constant).
+// Formula and StepFormula size their clause list from it once; grown by
+// append, the list's 24-byte headers cost about five times their final size
+// in reallocated copies.
+func (u *Unroller) maxClauses(frames int) int {
+	return 3*u.c.NumAnds()*frames + 2*u.c.NumLatches()*(frames-1)
+}
+
 // Formula builds the length-k BMC instance (gen_cnf_formula in the paper's
 // Fig. 5). The formula asserts that the property's bad signal holds in
 // frame k, so SAT means a counter-example of length k exists.
@@ -85,6 +95,8 @@ func (u *Unroller) Formula(k int) *cnf.Formula {
 	}
 	c := u.c
 	f := cnf.New(u.NumVars(k))
+	// Initial values, gates and transitions, the property.
+	f.Clauses = make([]cnf.Clause, 0, c.NumLatches()+u.maxClauses(k+1)+1)
 
 	// I(V⁰): initial latch values.
 	for _, id := range c.Latches() {

@@ -302,3 +302,33 @@ func TestFormulaGrowsLinearly(t *testing.T) {
 		t.Errorf("per-frame variable growth must equal stride")
 	}
 }
+
+// TestFormulaClauseListSizedOnce: Formula and StepFormula allocate their
+// clause list at its closed-form bound. A list that still has that capacity
+// was never regrown by append; one that fell short would have another.
+func TestFormulaClauseListSizedOnce(t *testing.T) {
+	constNext := circuit.New("const-next")
+	l := constNext.Latch("l", false)
+	m := constNext.Latch("m", false)
+	constNext.SetNext(l, circuit.True)
+	constNext.SetNext(m, constNext.And(l, m.Not()))
+	constNext.AddProperty("p", constNext.And(l, m))
+
+	for _, c := range []*circuit.Circuit{counterCircuit(4, 9), constNext} {
+		u, err := New(c, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		latches := c.NumLatches()
+		for k := 0; k <= 4; k++ {
+			f := u.Formula(k)
+			if bound := latches + u.maxClauses(k+1) + 1; cap(f.Clauses) != bound || len(f.Clauses) > bound {
+				t.Errorf("%s: Formula(%d) has %d clauses in capacity %d, sized for %d", c.Name(), k, len(f.Clauses), cap(f.Clauses), bound)
+			}
+			sf := StepFormula(u, k)
+			if bound := u.maxClauses(k+2) + k + 2 + (k+1)*k/2*(2*latches+1); cap(sf.Clauses) != bound || len(sf.Clauses) > bound {
+				t.Errorf("%s: StepFormula(%d) has %d clauses in capacity %d, sized for %d", c.Name(), k, len(sf.Clauses), cap(sf.Clauses), bound)
+			}
+		}
+	}
+}
