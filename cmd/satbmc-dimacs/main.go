@@ -116,12 +116,11 @@ func printModel(m lits.Assignment) {
 // unsatisfiable.
 func emitCore(f *cnf.Formula, rec *core.Recorder) int {
 	ids := rec.Core()
-	sub := rec.CoreFormula(f)
-	if sub == nil {
+	if ids == nil {
 		fmt.Fprintln(os.Stderr, "satbmc-dimacs: no proof recorded")
 		return 2
 	}
-	check := sat.New(sub, sat.Defaults()).Solve()
+	check := sat.New(f.Subset(ids), sat.Defaults()).Solve()
 	if check.Status != sat.Unsat {
 		fmt.Fprintln(os.Stderr, "satbmc-dimacs: internal error: extracted core is not UNSAT")
 		return 2

@@ -36,9 +36,10 @@
 //	                     guidance scores, cancellation, learned-clause
 //	                     export/import for cross-solver sharing
 //	                     (ExportLearned/ImportClause)
-//	internal/core        simplified CDG (per-instance and cross-depth
-//	                     incremental recorders), unsat cores, bmc_score
-//	                     board, ordering strategies (§3.1-§3.3)
+//	internal/core        the conflict dependency graph (one flat recorder
+//	                     for fresh and persistent solvers, optional literal
+//	                     payload), unsat cores, bmc_score board, ordering
+//	                     strategies (§3.1-§3.3)
 //	internal/unroll      time-frame expansion: whole-instance Formula,
 //	                     per-frame Delta (activation-guarded properties),
 //	                     StepDelta (incremental induction-step encoding

@@ -45,12 +45,12 @@ func main() {
 		}
 
 		coreIDs := rec.Core()
-		coreVars := rec.CoreVars(f)
+		coreVars := rec.CoreVarsOf(coreIDs, f, f.NumVars, nil)
 
 		// Re-verify: the core alone must still be unsatisfiable (it is the
 		// over-approximate abstraction sufficient to exclude length-k
 		// counter-examples).
-		sub := rec.CoreFormula(f)
+		sub := f.Subset(coreIDs)
 		if check := sat.New(sub, sat.Defaults()).Solve(); check.Status != sat.Unsat {
 			log.Fatalf("depth %d: extracted core is not UNSAT", k)
 		}

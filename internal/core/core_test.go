@@ -23,8 +23,8 @@ func TestRecorderSyntheticTraversal(t *testing.T) {
 	// 4 original clauses (0..3); learned 4 <- {0,1}; learned 5 <- {4,2};
 	// final <- {5}. Core must be {0,1,2}; clause 3 stays out.
 	r := NewRecorder(4)
-	r.RecordLearned(4, []sat.ClauseID{0, 1})
-	r.RecordLearned(5, []sat.ClauseID{4, 2})
+	r.RecordLearned(4, nil, []sat.ClauseID{0, 1})
+	r.RecordLearned(5, nil, []sat.ClauseID{4, 2})
 	r.RecordFinal([]sat.ClauseID{5})
 	got := r.Core()
 	want := []int{0, 1, 2}
@@ -42,8 +42,8 @@ func TestRecorderSharedAntecedentVisitedOnce(t *testing.T) {
 	// Diamond: 3 <- {0,1}, 4 <- {0,2}, final <- {3,4,3}. All originals in
 	// core despite repeated references.
 	r := NewRecorder(3)
-	r.RecordLearned(3, []sat.ClauseID{0, 1})
-	r.RecordLearned(4, []sat.ClauseID{0, 2})
+	r.RecordLearned(3, nil, []sat.ClauseID{0, 1})
+	r.RecordLearned(4, nil, []sat.ClauseID{0, 2})
 	r.RecordFinal([]sat.ClauseID{3, 4, 3})
 	got := r.Core()
 	if len(got) != 3 {
@@ -62,13 +62,17 @@ func TestRecorderNoProof(t *testing.T) {
 }
 
 func TestRecorderOutOfOrderPanics(t *testing.T) {
+	// Clause IDs come from one counter and only grow; the IDs skipped on
+	// the way (2..4 here) are leaves. An ID at or below a recorded one —
+	// two solvers sharing a recorder, say — is a bug.
 	r := NewRecorder(2)
+	r.RecordLearned(5, nil, []sat.ClauseID{0, 3})
 	defer func() {
 		if recover() == nil {
 			t.Errorf("expected panic on out-of-order learned ID")
 		}
 	}()
-	r.RecordLearned(5, nil)
+	r.RecordLearned(4, nil, []sat.ClauseID{1})
 }
 
 func TestCoreOfPropagationChainExcludesPadding(t *testing.T) {
@@ -116,10 +120,10 @@ func TestCoreIsUnsatOnPigeonhole(t *testing.T) {
 	if res.Status != sat.Unsat {
 		t.Fatalf("status=%v", res.Status)
 	}
-	coreF := rec.CoreFormula(f)
-	if coreF == nil {
+	if !rec.HasProof() {
 		t.Fatal("no core")
 	}
+	coreF := f.Subset(rec.Core())
 	if coreF.NumClauses() > f.NumClauses() {
 		t.Fatalf("core bigger than formula")
 	}
@@ -143,7 +147,7 @@ func TestCoreSurvivesClauseDeletion(t *testing.T) {
 	if res.Stats.Deleted == 0 {
 		t.Logf("warning: no clauses were deleted; deletion path unexercised")
 	}
-	coreF := rec.CoreFormula(f)
+	coreF := f.Subset(rec.Core())
 	res2, _ := solveWithCore(coreF, sat.Defaults())
 	if res2.Status != sat.Unsat {
 		t.Fatalf("core must remain unsat under clause deletion, got %v", res2.Status)
@@ -168,7 +172,7 @@ func TestRandomUnsatCoresAreUnsat(t *testing.T) {
 		if res.Status != sat.Unsat {
 			t.Fatalf("solver disagrees with brute force")
 		}
-		coreF := rec.CoreFormula(f)
+		coreF := f.Subset(rec.Core())
 		coreSat, _, err := bruteforce.Solve(coreF)
 		if err != nil {
 			t.Fatal(err)
@@ -200,9 +204,30 @@ func TestRecorderApproxBytes(t *testing.T) {
 	if r.ApproxBytes() != 0 {
 		t.Errorf("fresh recorder should report 0 bytes")
 	}
-	r.RecordLearned(10, []sat.ClauseID{1, 2, 3})
-	if r.ApproxBytes() <= 0 {
-		t.Errorf("bytes should grow with records")
+	r.RecordLearned(10, nil, []sat.ClauseID{1, 2, 3})
+	one := r.ApproxBytes()
+	if one < 3*4+4 {
+		t.Errorf("%d bytes cannot hold three antecedent IDs and a table entry", one)
+	}
+	// An accounting, not an estimate: what is reported is what is held.
+	// 1000 more clauses of 40 antecedents fill two 64 KB chunks and part of
+	// a third, and every chunk is counted whole.
+	ants := make([]sat.ClauseID, 40)
+	for i := 0; i < 1000; i++ {
+		r.RecordLearned(sat.ClauseID(11+i), nil, ants)
+	}
+	held := int64(cap(r.antEnd))*4 + int64(cap(r.ants.chunks))*24
+	for _, c := range r.ants.chunks {
+		held += int64(cap(c)) * 4
+	}
+	if got := r.ApproxBytes(); got != held || len(r.ants.chunks) != 3 || held < 3*chunkLen*4 {
+		t.Errorf("ApproxBytes = %d with %d chunks, recorder holds %d", got, len(r.ants.chunks), held)
+	}
+	// Extraction scratch stays with the recorder and is counted too.
+	r.RecordFinal([]sat.ClauseID{1010})
+	r.Core()
+	if got := r.ApproxBytes(); got <= held {
+		t.Errorf("ApproxBytes = %d after an extraction, want above %d", got, held)
 	}
 }
 

@@ -13,9 +13,12 @@ import (
 // unsatisfiable, with real search, the canonical proof-logging workout.
 func php(n int) *cnf.Formula { return pigeonhole(n+1, n) }
 
-func solveWithFull(t *testing.T, f *cnf.Formula) (*FullRecorder, sat.Result) {
+// The tests below exercise the Complete payload — the complete CDG, which
+// keeps learned-clause literals and can replay its proof.
+
+func solveWithFull(t *testing.T, f *cnf.Formula) (*Recorder, sat.Result) {
 	t.Helper()
-	rec := NewFullRecorder(f)
+	rec := NewRecorderWith(f.NumClauses(), Complete)
 	opts := sat.Defaults()
 	opts.Recorder = rec
 	res := sat.New(f, opts).Solve()
@@ -32,7 +35,7 @@ func TestFullRecorderProofChecksOnPigeonhole(t *testing.T) {
 		if !rec.HasProof() {
 			t.Fatalf("php(%d): no proof", n)
 		}
-		if err := rec.Check(); err != nil {
+		if err := rec.Check(f); err != nil {
 			t.Fatalf("php(%d): proof check failed: %v", n, err)
 		}
 	}
@@ -41,10 +44,8 @@ func TestFullRecorderProofChecksOnPigeonhole(t *testing.T) {
 func TestFullRecorderCoreMatchesSimplified(t *testing.T) {
 	f := php(4)
 
-	full := NewFullRecorder(f)
-	optsF := sat.Defaults()
-	optsF.Recorder = full
-	if res := sat.New(f, optsF).Solve(); res.Status != sat.Unsat {
+	full, res := solveWithFull(t, f)
+	if res.Status != sat.Unsat {
 		t.Fatalf("full: %v", res.Status)
 	}
 
@@ -76,14 +77,10 @@ func TestFullRecorderDetectsCorruptedProof(t *testing.T) {
 	}
 	// Corrupt one learned clause: flip its first literal to a fresh
 	// variable that occurs nowhere else. RUP from the recorded
-	// antecedents must now fail somewhere.
-	for i := range rec.learned {
-		if len(rec.learned[i]) > 0 {
-			rec.learned[i][0] = lits.PosLit(lits.Var(f.NumVars + 1000))
-			break
-		}
-	}
-	if err := rec.Check(); err == nil {
+	// antecedents must now fail somewhere. (The first stored literal is the
+	// first learned clause's: a fresh solver's recorder is given no leaves.)
+	rec.lits.chunks[0][0] = lits.PosLit(lits.Var(f.NumVars + 1000))
+	if err := rec.Check(f); err == nil {
 		t.Fatal("corrupted proof passed the checker")
 	} else if !strings.Contains(err.Error(), "RUP") {
 		t.Fatalf("unexpected error: %v", err)
@@ -96,20 +93,17 @@ func TestFullRecorderDetectsDroppedAntecedents(t *testing.T) {
 	if res.Status != sat.Unsat {
 		t.Fatal(res.Status)
 	}
-	// Empty out every antecedent list of a clause with a non-empty one:
-	// its derivation can no longer be justified.
-	corrupted := false
-	for i := range rec.deps {
-		if len(rec.deps[i]) > 0 && len(rec.learned[i]) > 0 {
-			rec.deps[i] = nil
-			corrupted = true
-			break
-		}
-	}
-	if !corrupted {
+	// Drop the antecedents of the first learned clause down to one (the
+	// flat store cannot hold an empty list — that is a leaf — so the
+	// survivor is repeated): its derivation can no longer be justified.
+	if rec.NumLearnedRecorded() == 0 || rec.antEnd[0] < 2 {
 		t.Skip("no suitable record")
 	}
-	if err := rec.Check(); err == nil {
+	first := rec.ants.chunks[0][:rec.antEnd[0]]
+	for i := range first {
+		first[i] = first[0]
+	}
+	if err := rec.Check(f); err == nil {
 		t.Fatal("proof with dropped antecedents passed the checker")
 	}
 }
@@ -124,7 +118,7 @@ func TestFullRecorderNoProofOnSat(t *testing.T) {
 	if rec.HasProof() {
 		t.Fatal("SAT run must not record a final conflict")
 	}
-	if err := rec.Check(); err == nil {
+	if err := rec.Check(f); err == nil {
 		t.Fatal("Check must fail without a final conflict")
 	}
 	if rec.Core() != nil {
@@ -156,8 +150,9 @@ func TestFullRecorderOutOfOrderPanics(t *testing.T) {
 			t.Fatal("expected panic on out-of-order IDs")
 		}
 	}()
-	rec := NewFullRecorder(cnf.New(1))
-	rec.RecordLearnedClause(5, nil, nil) // expected ID is 0
+	rec := NewRecorderWith(0, Complete)
+	rec.RecordLearned(5, nil, []sat.ClauseID{0})
+	rec.RecordLearned(5, nil, []sat.ClauseID{0}) // IDs only grow
 }
 
 func TestFullRecorderLevel0OnlyProof(t *testing.T) {
@@ -175,7 +170,7 @@ func TestFullRecorderLevel0OnlyProof(t *testing.T) {
 	if rec.NumLearnedRecorded() != 0 {
 		t.Fatalf("BCP-only refutation learned %d clauses", rec.NumLearnedRecorded())
 	}
-	if err := rec.Check(); err != nil {
+	if err := rec.Check(f); err != nil {
 		t.Fatalf("level-0 proof rejected: %v", err)
 	}
 	core := rec.Core()
@@ -187,10 +182,10 @@ func TestFullRecorderLevel0OnlyProof(t *testing.T) {
 func TestCheckRUPRejectsForwardReference(t *testing.T) {
 	f := cnf.New(1)
 	f.Add(1)
-	rec := NewFullRecorder(f)
-	rec.RecordLearnedClause(1, cnf.Clause{lits.NegLit(1)}, []sat.ClauseID{2})
+	rec := NewRecorderWith(f.NumClauses(), Complete)
+	rec.RecordLearned(1, cnf.Clause{lits.NegLit(1)}, []sat.ClauseID{2})
 	rec.RecordFinal([]sat.ClauseID{0, 1})
-	if err := rec.Check(); err == nil {
+	if err := rec.Check(f); err == nil {
 		t.Fatal("forward antecedent reference must fail the check")
 	}
 }
@@ -207,7 +202,7 @@ func TestFullRecorderOnRandomUnsat(t *testing.T) {
 			continue
 		}
 		unsatSeen++
-		if err := rec.Check(); err != nil {
+		if err := rec.Check(f); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		sub := f.Subset(rec.Core())

@@ -118,7 +118,7 @@ type DepthStats struct {
 	// or when recording is off).
 	CoreClauses int `json:"core_clauses"`
 	CoreVars    int `json:"core_vars"`
-	// RecorderBytes approximates the CDG memory footprint.
+	// RecorderBytes is what the CDG holds (core.Recorder.ApproxBytes).
 	RecorderBytes int64 `json:"recorder_bytes"`
 	// HeapAllocBytes/TotalAllocBytes/GCCount are runtime memory readings
 	// (runtime.ReadMemStats) sampled as the depth finished — instrumented

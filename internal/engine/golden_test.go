@@ -54,6 +54,11 @@ func goldenModel(t *testing.T, name string) bench.Model {
 // bench gate. The counters sum Total, BaseStats and StepStats; Falsified
 // k-induction rows leave StepStats out, because how far the cancelled
 // step race got depends on timing.
+//
+// The two core columns (captured at commit f72a146, before the three
+// recorders became one) pin core extraction directly on the shapes that
+// report PerDepth: the dynamic ordering feeds on these cores, but a wrong
+// core that happens not to move the search would pass the counters alone.
 func TestGoldenCounters(t *testing.T) {
 	shapes := goldenShapes()
 	for _, row := range []struct {
@@ -64,57 +69,59 @@ func TestGoldenCounters(t *testing.T) {
 		conflicts    int64
 		decisions    int64
 		propagations int64
+		// CoreClauses and CoreVars summed over PerDepth.
+		coreClauses, coreVars int
 	}{
-		{"bmc-scratch", "cnt_w4_t9", 12, engine.Falsified, 9, 38, 111, 7963},
-		{"bmc-scratch", "mix_w5", 6, engine.Holds, 6, 325, 1537, 204938},
-		{"bmc-scratch", "twin_w8", 8, engine.Holds, 8, 73, 384, 20441},
-		{"bmc-scratch", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824},
-		{"bmc-scratch", "gcnt_offset", 16, engine.Holds, 16, 420, 601, 61307},
-		{"bmc-incremental", "cnt_w4_t9", 12, engine.Falsified, 9, 30, 106, 5611},
-		{"bmc-incremental", "mix_w5", 6, engine.Holds, 6, 321, 1445, 185979},
-		{"bmc-incremental", "twin_w8", 8, engine.Holds, 8, 72, 384, 16198},
-		{"bmc-incremental", "tlc_bug", 5, engine.Falsified, 1, 0, 14, 717},
-		{"bmc-incremental", "gcnt_offset", 16, engine.Holds, 16, 295, 514, 42005},
-		{"bmc-portfolio", "cnt_w4_t9", 12, engine.Falsified, 9, 38, 111, 7963},
-		{"bmc-portfolio", "mix_w5", 6, engine.Holds, 6, 325, 1537, 204938},
-		{"bmc-portfolio", "twin_w8", 8, engine.Holds, 8, 73, 384, 20441},
-		{"bmc-portfolio", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824},
-		{"bmc-portfolio", "gcnt_offset", 16, engine.Holds, 16, 420, 601, 61307},
-		{"bmc-warm", "cnt_w4_t9", 12, engine.Falsified, 9, 30, 106, 5611},
-		{"bmc-warm", "mix_w5", 6, engine.Holds, 6, 321, 1445, 185979},
-		{"bmc-warm", "twin_w8", 8, engine.Holds, 8, 72, 384, 16198},
-		{"bmc-warm", "tlc_bug", 5, engine.Falsified, 1, 0, 14, 717},
-		{"bmc-warm", "gcnt_offset", 16, engine.Holds, 16, 295, 514, 42005},
-		{"kind-sequential", "cnt_w4_t9", 12, engine.Falsified, 9, 38, 111, 7963},
-		{"kind-sequential", "mix_w5", 6, engine.Proved, 0, 35, 516, 12016},
-		{"kind-sequential", "twin_w8", 8, engine.Proved, 0, 17, 356, 5633},
-		{"kind-sequential", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824},
-		{"kind-sequential", "gcnt_offset", 16, engine.Proved, 2, 8, 11, 651},
-		{"kind-portfolio", "cnt_w4_t9", 12, engine.Falsified, 9, 38, 111, 7963},
-		{"kind-portfolio", "mix_w5", 6, engine.Proved, 0, 35, 516, 12016},
-		{"kind-portfolio", "twin_w8", 8, engine.Proved, 0, 17, 356, 5633},
-		{"kind-portfolio", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824},
-		{"kind-portfolio", "gcnt_offset", 16, engine.Proved, 2, 8, 11, 651},
-		{"kind-warm", "cnt_w4_t9", 12, engine.Falsified, 9, 30, 106, 5611},
-		{"kind-warm", "mix_w5", 6, engine.Proved, 0, 34, 516, 12039},
-		{"kind-warm", "twin_w8", 8, engine.Proved, 0, 16, 356, 5680},
-		{"kind-warm", "tlc_bug", 5, engine.Falsified, 1, 0, 14, 717},
-		{"kind-warm", "gcnt_offset", 16, engine.Proved, 2, 5, 11, 575},
-		{"bmc-scratch-timeaxis", "cnt_w4_t9", 12, engine.Falsified, 9, 29, 287, 17845},
-		{"bmc-scratch-timeaxis", "mix_w5", 6, engine.Holds, 6, 313, 1801, 194335},
-		{"bmc-scratch-timeaxis", "twin_w8", 8, engine.Holds, 8, 73, 840, 46949},
-		{"bmc-scratch-timeaxis", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824},
-		{"bmc-scratch-timeaxis", "gcnt_offset", 16, engine.Holds, 16, 389, 488, 64948},
-		{"kind-portfolio-timeaxis", "cnt_w4_t9", 12, engine.Falsified, 9, 29, 287, 17845},
-		{"kind-portfolio-timeaxis", "mix_w5", 6, engine.Proved, 0, 35, 466, 9961},
-		{"kind-portfolio-timeaxis", "twin_w8", 8, engine.Proved, 0, 17, 292, 4081},
-		{"kind-portfolio-timeaxis", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824},
-		{"kind-portfolio-timeaxis", "gcnt_offset", 16, engine.Proved, 2, 26, 33, 1306},
-		{"kind-warm-single", "cnt_w4_t9", 12, engine.Falsified, 9, 30, 106, 5611},
-		{"kind-warm-single", "mix_w5", 6, engine.Proved, 0, 34, 516, 12039},
-		{"kind-warm-single", "twin_w8", 8, engine.Proved, 0, 16, 356, 5680},
-		{"kind-warm-single", "tlc_bug", 5, engine.Falsified, 1, 0, 14, 717},
-		{"kind-warm-single", "gcnt_offset", 16, engine.Proved, 2, 5, 11, 575},
+		{"bmc-scratch", "cnt_w4_t9", 12, engine.Falsified, 9, 38, 111, 7963, 942, 866},
+		{"bmc-scratch", "mix_w5", 6, engine.Holds, 6, 325, 1537, 204938, 2531, 1155},
+		{"bmc-scratch", "twin_w8", 8, engine.Holds, 8, 73, 384, 20441, 1179, 894},
+		{"bmc-scratch", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824, 6, 5},
+		{"bmc-scratch", "gcnt_offset", 16, engine.Holds, 16, 420, 601, 61307, 6528, 4076},
+		{"bmc-incremental", "cnt_w4_t9", 12, engine.Falsified, 9, 30, 106, 5611, 1599, 1495},
+		{"bmc-incremental", "mix_w5", 6, engine.Holds, 6, 321, 1445, 185979, 3903, 2446},
+		{"bmc-incremental", "twin_w8", 8, engine.Holds, 8, 72, 384, 16198, 2061, 1608},
+		{"bmc-incremental", "tlc_bug", 5, engine.Falsified, 1, 0, 14, 717, 76, 75},
+		{"bmc-incremental", "gcnt_offset", 16, engine.Holds, 16, 295, 514, 42005, 6047, 4020},
+		{"bmc-portfolio", "cnt_w4_t9", 12, engine.Falsified, 9, 38, 111, 7963, 942, 866},
+		{"bmc-portfolio", "mix_w5", 6, engine.Holds, 6, 325, 1537, 204938, 2531, 1155},
+		{"bmc-portfolio", "twin_w8", 8, engine.Holds, 8, 73, 384, 20441, 1179, 894},
+		{"bmc-portfolio", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824, 6, 5},
+		{"bmc-portfolio", "gcnt_offset", 16, engine.Holds, 16, 420, 601, 61307, 6528, 4076},
+		{"bmc-warm", "cnt_w4_t9", 12, engine.Falsified, 9, 30, 106, 5611, 1599, 1495},
+		{"bmc-warm", "mix_w5", 6, engine.Holds, 6, 321, 1445, 185979, 3903, 2446},
+		{"bmc-warm", "twin_w8", 8, engine.Holds, 8, 72, 384, 16198, 2061, 1608},
+		{"bmc-warm", "tlc_bug", 5, engine.Falsified, 1, 0, 14, 717, 76, 75},
+		{"bmc-warm", "gcnt_offset", 16, engine.Holds, 16, 295, 514, 42005, 6047, 4020},
+		{"kind-sequential", "cnt_w4_t9", 12, engine.Falsified, 9, 38, 111, 7963, 0, 0},
+		{"kind-sequential", "mix_w5", 6, engine.Proved, 0, 35, 516, 12016, 0, 0},
+		{"kind-sequential", "twin_w8", 8, engine.Proved, 0, 17, 356, 5633, 0, 0},
+		{"kind-sequential", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824, 0, 0},
+		{"kind-sequential", "gcnt_offset", 16, engine.Proved, 2, 8, 11, 651, 0, 0},
+		{"kind-portfolio", "cnt_w4_t9", 12, engine.Falsified, 9, 38, 111, 7963, 0, 0},
+		{"kind-portfolio", "mix_w5", 6, engine.Proved, 0, 35, 516, 12016, 0, 0},
+		{"kind-portfolio", "twin_w8", 8, engine.Proved, 0, 17, 356, 5633, 0, 0},
+		{"kind-portfolio", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824, 0, 0},
+		{"kind-portfolio", "gcnt_offset", 16, engine.Proved, 2, 8, 11, 651, 0, 0},
+		{"kind-warm", "cnt_w4_t9", 12, engine.Falsified, 9, 30, 106, 5611, 0, 0},
+		{"kind-warm", "mix_w5", 6, engine.Proved, 0, 34, 516, 12039, 0, 0},
+		{"kind-warm", "twin_w8", 8, engine.Proved, 0, 16, 356, 5680, 0, 0},
+		{"kind-warm", "tlc_bug", 5, engine.Falsified, 1, 0, 14, 717, 0, 0},
+		{"kind-warm", "gcnt_offset", 16, engine.Proved, 2, 5, 11, 575, 0, 0},
+		{"bmc-scratch-timeaxis", "cnt_w4_t9", 12, engine.Falsified, 9, 29, 287, 17845, 0, 0},
+		{"bmc-scratch-timeaxis", "mix_w5", 6, engine.Holds, 6, 313, 1801, 194335, 0, 0},
+		{"bmc-scratch-timeaxis", "twin_w8", 8, engine.Holds, 8, 73, 840, 46949, 0, 0},
+		{"bmc-scratch-timeaxis", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824, 0, 0},
+		{"bmc-scratch-timeaxis", "gcnt_offset", 16, engine.Holds, 16, 389, 488, 64948, 0, 0},
+		{"kind-portfolio-timeaxis", "cnt_w4_t9", 12, engine.Falsified, 9, 29, 287, 17845, 0, 0},
+		{"kind-portfolio-timeaxis", "mix_w5", 6, engine.Proved, 0, 35, 466, 9961, 0, 0},
+		{"kind-portfolio-timeaxis", "twin_w8", 8, engine.Proved, 0, 17, 292, 4081, 0, 0},
+		{"kind-portfolio-timeaxis", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824, 0, 0},
+		{"kind-portfolio-timeaxis", "gcnt_offset", 16, engine.Proved, 2, 26, 33, 1306, 0, 0},
+		{"kind-warm-single", "cnt_w4_t9", 12, engine.Falsified, 9, 30, 106, 5611, 0, 0},
+		{"kind-warm-single", "mix_w5", 6, engine.Proved, 0, 34, 516, 12039, 0, 0},
+		{"kind-warm-single", "twin_w8", 8, engine.Proved, 0, 16, 356, 5680, 0, 0},
+		{"kind-warm-single", "tlc_bug", 5, engine.Falsified, 1, 0, 14, 717, 0, 0},
+		{"kind-warm-single", "gcnt_offset", 16, engine.Proved, 2, 5, 11, 575, 0, 0},
 	} {
 		opts := append([]engine.Option{engine.WithBudgets(row.depth, 0)}, shapes[row.shape]...)
 		res := checkModel(t, goldenModel(t, row.model), opts...)
@@ -129,6 +136,15 @@ func TestGoldenCounters(t *testing.T) {
 		if st.Conflicts != row.conflicts || st.Decisions != row.decisions || st.Implications != row.propagations {
 			t.Errorf("%s/%s: %d conflicts, %d decisions, %d propagations; want %d, %d, %d", row.shape, row.model,
 				st.Conflicts, st.Decisions, st.Implications, row.conflicts, row.decisions, row.propagations)
+		}
+		coreClauses, coreVars := 0, 0
+		for _, d := range res.PerDepth {
+			coreClauses += d.CoreClauses
+			coreVars += d.CoreVars
+		}
+		if coreClauses != row.coreClauses || coreVars != row.coreVars {
+			t.Errorf("%s/%s: cores sum to %d clauses over %d variables; want %d, %d", row.shape, row.model,
+				coreClauses, coreVars, row.coreClauses, row.coreVars)
 		}
 	}
 }

@@ -93,17 +93,9 @@ func (q *freshSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
 		EncodeWall:   encodeWall,
 	}
 
-	// update_ranking, weighted by the 1-based instance number (the
-	// paper's j). A winner that ran elsewhere (remote executors keep
-	// cores worker-side) left its local recorder without a proof.
+	// Scratch numbering has no auxiliary variables to keep out of a core.
 	if w := out.Race.Winner; w >= 0 && out.Race.Result.Status == sat.Unsat {
-		if rec := recs[w]; rec != nil && rec.HasProof() {
-			coreVars := rec.CoreVars(f)
-			out.CoreClauses = len(rec.Core())
-			out.CoreVars = len(coreVars)
-			out.RecorderBytes = rec.ApproxBytes()
-			q.board.Update(coreVars, k+1)
-		}
+		out.FoldCore(recs[w], q.board, k, f, f.NumVars, nil)
 	}
 	return out
 }

@@ -99,11 +99,11 @@ func cdgMemoryOne(cfg Config, m bench.Model) (CDGMemoryRow, error) {
 		f = u.Formula(depth)
 		row.Depth = depth
 	}
-	full := core.NewFullRecorder(f)
+	full := core.NewRecorderWith(f.NumClauses(), core.Complete)
 	if st := solve(full); st != sat.Unsat {
 		return row, fmt.Errorf("depth-%d re-solve not UNSAT (%v)", depth, st)
 	}
-	if err := full.Check(); err != nil {
+	if err := full.Check(f); err != nil {
 		return row, err
 	}
 

@@ -113,10 +113,9 @@ func (p *Pool) exchange(out *DepthOutcome, k int) {
 				accepted++
 				to.imported++
 				if to.rec != nil {
-					// Imported IDs are core leaves for the incremental
-					// CDG; register the literals so core extraction can
-					// resolve them.
-					to.clausesByID[id] = cl
+					// An import is a leaf of the recipient's CDG, like an
+					// original: core extraction resolves it to variables.
+					to.rec.AddLeaf(id, cl)
 				}
 			}
 			out.Imported[to.name] += accepted

@@ -85,8 +85,8 @@ type Config struct {
 	PerInstanceConflicts int64
 	// Deadline bounds every solve (zero = none).
 	Deadline time.Time
-	// ForceRecording attaches incremental CDG recorders even when no
-	// strategy consumes cores.
+	// ForceRecording attaches CDG recorders even when no strategy
+	// consumes cores.
 	ForceRecording bool
 	// Exchange configures the clause bus; the zero value leaves it off.
 	Exchange ExchangeOptions
@@ -117,11 +117,10 @@ type racerState struct {
 	strategy core.Strategy
 	solver   *sat.Solver
 	// rec is the racer's own cross-depth CDG (recorders are per-goroutine
-	// state and must never be shared between racers); clausesByID maps
-	// original and imported proof IDs back to literals for core
-	// extraction. Both nil when no strategy consumes cores.
-	rec         *core.IncrementalRecorder
-	clausesByID map[sat.ClauseID]cnf.Clause
+	// state and must never be shared between racers). It also holds the
+	// literals of its leaves — frame clauses and bus imports — which is
+	// what resolves a core to variables. Nil when no strategy uses cores.
+	rec *core.Recorder
 	// exportMark is the clause-ID high-water mark of the last export;
 	// only clauses learned after it leave through the bus.
 	exportMark sat.ClauseID
@@ -142,12 +141,11 @@ type racerState struct {
 // loop drives it sequentially, and concurrency happens only inside
 // RaceDepth's portfolio.RaceLive call.
 type Pool struct {
-	src      Source
-	cfg      Config
-	board    *core.ScoreBoard
-	racers   []*racerState
-	useCores bool
-	divisor  int
+	src     Source
+	cfg     Config
+	board   *core.ScoreBoard
+	racers  []*racerState
+	divisor int
 
 	// Cumulative formula size across fed frames (every racer holds the
 	// same original clause set, so one set of counters serves all).
@@ -181,10 +179,10 @@ func NewPool(src Source, cfg Config) *Pool {
 	if p.divisor == 0 {
 		p.divisor = core.SwitchDivisor
 	}
-	p.useCores = cfg.ForceRecording
+	useCores := cfg.ForceRecording
 	for _, st := range cfg.Strategies {
 		if st == core.OrderStatic || st == core.OrderDynamic {
-			p.useCores = true
+			useCores = true
 		}
 	}
 	for _, st := range cfg.Strategies {
@@ -200,10 +198,9 @@ func NewPool(src Source, cfg Config) *Pool {
 			solverOpts.Deadline = cfg.Deadline
 		}
 		r := &racerState{name: st.String(), strategy: st}
-		if p.useCores {
-			r.rec = core.NewIncrementalRecorder()
+		if useCores {
+			r.rec = core.NewRecorderWith(0, core.WithLeaves)
 			solverOpts.Recorder = r.rec
-			r.clausesByID = make(map[sat.ClauseID]cnf.Clause)
 		}
 		if cfg.Metrics != nil {
 			solverOpts.Metrics = sat.NewMetrics(cfg.Metrics, p.labels("strategy", r.name)...)
@@ -290,7 +287,7 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 		for _, cl := range frame.Clauses {
 			id := r.solver.AddClause(cl)
 			if r.rec != nil {
-				r.clausesByID[id] = cl
+				r.rec.AddLeaf(id, cl)
 			}
 		}
 	}
@@ -343,14 +340,14 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 		out.WinnerShared = sharedState[w]
 		p.racers[w].mWins.Inc()
 		if out.Race.Result.Status == sat.Unsat {
-			p.foldWinnerCore(&out, p.racers[w], frame.NumVars, k)
+			out.FoldCore(p.racers[w].rec, p.board, k, nil, frame.NumVars, auxOf(p.src))
 		}
 	}
 	// Clear every racer's final-conflict marker: losers that decided
 	// Unsat after the winner (or the winner itself) must not leak this
 	// depth's proof into the next one.
 	for _, r := range p.racers {
-		if r.rec != nil && r.rec.HasProof() {
+		if r.rec != nil {
 			r.rec.ResetFinal()
 		}
 	}
@@ -361,22 +358,32 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 	return out
 }
 
-// foldWinnerCore extracts the winning racer's unsat core and folds its
-// variables into the shared score board, exactly as the engine's
-// fresh-solver sequence does (update_ranking weighted by the 1-based
-// instance number).
-func (p *Pool) foldWinnerCore(out *DepthOutcome, r *racerState, nVars, k int) {
-	if r.rec == nil || !r.rec.HasProof() {
+// auxOf returns the predicate for the source's auxiliary variables, which
+// stay out of core variable sets.
+func auxOf(src Source) func(lits.Var) bool {
+	return func(v lits.Var) bool {
+		_, aux := src.VarInfo(v)
+		return aux
+	}
+}
+
+// FoldCore is the paper's update_ranking for the depth-k instance: it
+// extracts the unsat core the winner's recorder holds — one traversal —
+// reports its size, and folds its variables into the score board weighted
+// by the 1-based instance number. The engine's freshSeq and the warm pool
+// both end an UNSAT depth here; originals, nVars and aux are
+// core.Recorder.CoreVarsOf's. A nil recorder, or one without a proof (the
+// winner ran on a remote worker), folds nothing.
+func (out *DepthOutcome) FoldCore(rec *core.Recorder, board *core.ScoreBoard, k int, originals *cnf.Formula, nVars int, aux func(lits.Var) bool) {
+	if rec == nil || !rec.HasProof() {
 		return
 	}
-	coreIDs := r.rec.Core()
-	coreVars := CoreVars(p.src, coreIDs, r.clausesByID, nVars)
-	out.CoreClauses = len(coreIDs)
-	out.CoreVars = len(coreVars)
-	out.RecorderBytes = r.rec.ApproxBytes()
-	if p.useCores {
-		p.board.Update(coreVars, k+1)
-	}
+	ids := rec.Core()
+	vars := rec.CoreVarsOf(ids, originals, nVars, aux)
+	out.CoreClauses = len(ids)
+	out.CoreVars = len(vars)
+	out.RecorderBytes = rec.ApproxBytes()
+	board.Update(vars, k+1)
 }
 
 // ApplyStrategy re-applies one ordering strategy to a live solver before
@@ -418,36 +425,9 @@ func ApplyStrategy(s *sat.Solver, st core.Strategy, board *core.ScoreBoard, src 
 	}
 }
 
-// CoreVars maps unsat-core clause IDs back to the distinct circuit
-// variables occurring in them, excluding the encoding's auxiliary
-// variables (guard and disequality plumbing, not circuit state — the
-// paper's bmc_score ranks circuit variables only). clausesByID is the
-// caller's ID-to-literals registry (originals plus imported clauses,
-// which appear as core leaves like originals — acceptable for the
-// heuristic score board). Sorted ascending, mirroring
-// core.Recorder.CoreVars. Exported for the benchmark's layer driver, which
-// folds cores the way the pool does.
+// CoreVars is core.Vars over a caller-kept ID-to-literals map, with the
+// source's auxiliary variables excluded. Kept for benchmark/driver.go,
+// which keeps such a map beside its recorder; the benchmark PR deletes it.
 func CoreVars(src Source, coreIDs []sat.ClauseID, clausesByID map[sat.ClauseID]cnf.Clause, nVars int) []lits.Var {
-	seen := make([]bool, nVars+1)
-	var out []lits.Var
-	for _, id := range coreIDs {
-		for _, l := range clausesByID[id] {
-			v := l.Var()
-			if int(v) > nVars || seen[v] {
-				continue
-			}
-			seen[v] = true
-			if _, aux := src.VarInfo(v); aux {
-				continue
-			}
-			out = append(out, v)
-		}
-	}
-	// insertion sort — core variable sets are small relative to formulas
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return core.Vars(len(coreIDs), func(i int) []lits.Lit { return clausesByID[coreIDs[i]] }, nVars, auxOf(src))
 }

@@ -5,7 +5,9 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
+	"repro/internal/cnf"
 	"repro/internal/core"
+	"repro/internal/lits"
 	"repro/internal/portfolio"
 	"repro/internal/sat"
 	"repro/internal/unroll"
@@ -176,4 +178,46 @@ func TestExchangeOptionDefaults(t *testing.T) {
 	if e.MaxLen != 3 || e.MaxLBD != 2 || e.PerRacerBudget != 10 {
 		t.Fatalf("explicit values must survive: %+v", e)
 	}
+}
+
+// cachedFrames serves a delta's frames from memory, so a benchmark can feed
+// the same sequence to one pool after another.
+type cachedFrames struct {
+	Source
+	frames []*cnf.Formula
+}
+
+func (c cachedFrames) Frame(k int) *cnf.Formula { return c.frames[k] }
+
+// BenchmarkPoolFeed is the feed half of the benchmark's incremental
+// workloads in small: a one-racer pool, recording on, takes 30 frames of
+// mix_w8 — AddVars, AddClause and the recorder's leaf registration per
+// clause — with the races stubbed out.
+func BenchmarkPoolFeed(b *testing.B) {
+	u, err := unroll.New(bench.ParityMixer(8, 3, 12), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := cachedFrames{Source: DeltaSource(u.Delta())}
+	clauses := 0
+	for k := 0; k < 30; k++ {
+		src.frames = append(src.frames, src.Source.Frame(k))
+		clauses += src.frames[k].NumClauses()
+	}
+	cfg := Config{
+		Strategies: portfolio.StrategySet{core.OrderDynamic},
+		Solver:     sat.Defaults(),
+		Race: func(string, []portfolio.LiveAttempt, []lits.Lit, int, <-chan struct{}) portfolio.RaceResult {
+			return portfolio.RaceResult{Winner: -1}
+		},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pool := NewPool(src, cfg)
+		for k := range src.frames {
+			pool.RaceDepth(k)
+		}
+	}
+	b.ReportMetric(float64(clauses)*float64(b.N)/b.Elapsed().Seconds(), "clauses/s")
 }

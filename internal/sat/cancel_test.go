@@ -14,8 +14,8 @@ type stubRecorder struct {
 	final   bool
 }
 
-func (r *stubRecorder) RecordLearned(id ClauseID, ants []ClauseID) { r.learned++ }
-func (r *stubRecorder) RecordFinal(ants []ClauseID)                { r.final = true }
+func (r *stubRecorder) RecordLearned(ClauseID, []lits.Lit, []ClauseID) { r.learned++ }
+func (r *stubRecorder) RecordFinal([]ClauseID)                         { r.final = true }
 
 // TestCancelMidSearch starts a hard UNSAT instance (PHP(11,10) takes far
 // longer than the test budget), cancels it mid-search, and checks that the

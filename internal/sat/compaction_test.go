@@ -63,7 +63,7 @@ func TestCompactionKeepsSearch(t *testing.T) {
 
 	// Proof IDs travel with the clauses: the recorded core is still a
 	// refutation.
-	coreF := rec.CoreFormula(f)
+	coreF := f.Subset(rec.Core())
 	if cr := sat.New(coreF, sat.Defaults()).Solve(); cr.Status != sat.Unsat {
 		t.Errorf("core of %d clauses = %v, want Unsat", coreF.NumClauses(), cr.Status)
 	}

@@ -83,9 +83,10 @@ func (s *Solver) ExportLearned(since ClauseID, maxLen, maxLBD, limit int) []cnf.
 // then. Like AddClause, importing backtracks to decision level 0, and a
 // unit or falsified-at-level-0 clause takes effect immediately.
 //
-// The proof recorder is NOT notified, so an incremental CDG treats the
-// imported ID exactly like an original-clause leaf; callers that extract
-// cores must register the literals under the returned ID (bmc does).
+// The proof recorder is NOT notified, so the CDG treats the imported ID
+// exactly like an original-clause leaf; callers that extract cores must
+// register the literals under the returned ID (core.Recorder.AddLeaf; the
+// racer pool does).
 // Cores may then name imported clauses — acceptable for the bmc_score
 // board, which is heuristic guidance, not a minimal proof.
 //

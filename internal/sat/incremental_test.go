@@ -386,3 +386,24 @@ func TestConstantIntervalRestarts(t *testing.T) {
 		t.Errorf("expected restarts at constant interval 16")
 	}
 }
+
+// TestAddVarsGrowsWatchTableAmortised: a warm solver takes one frame's
+// variables per depth, so what AddVars allocates for the watch table over a
+// run must be a small multiple of the table's final size. Reallocating it
+// at its exact size on every call (as AddVars once did) allocates about
+// depth/2 times that — 20x here.
+func TestAddVarsGrowsWatchTableAmortised(t *testing.T) {
+	s := New(cnf.New(0), Defaults())
+	allocated := 0
+	var backing *[]watcher
+	for frame := 1; frame <= 40; frame++ {
+		s.AddVars(500 * frame)
+		if first := &s.watches[0]; first != backing {
+			backing = first
+			allocated += cap(s.watches)
+		}
+	}
+	if final := len(s.watches); final != 2*40*500+2 || allocated > 8*final {
+		t.Errorf("40 frames of 500 variables allocated %d watch lists for a table of %d", allocated, final)
+	}
+}

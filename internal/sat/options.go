@@ -65,36 +65,26 @@ func (s *Status) UnmarshalJSON(b []byte) error {
 
 // ProofRecorder receives the resolution-dependency events the solver emits
 // while searching. It is the hook through which the refinement layer
-// (internal/core) maintains the paper's simplified Conflict Dependency
-// Graph: only clause pseudo IDs flow through this interface, never literals,
-// so the recorder's memory footprint stays small and the solver remains free
-// to delete learned clauses.
+// (internal/core) maintains the paper's Conflict Dependency Graph. The
+// graph needs clause pseudo IDs only; a learned clause's literals are
+// passed along and the recorder decides whether to keep them — the paper's
+// simplified CDG does not, so it stays small and the solver stays free to
+// delete learned clauses; the complete CDG (proof checking) does.
 //
 // A nil recorder disables all bookkeeping (and its runtime overhead).
 type ProofRecorder interface {
-	// RecordLearned reports a newly learned clause: its pseudo ID and the
-	// IDs of every antecedent clause used in the resolution that derived
-	// it (the conflicting clause, the reason clauses resolved on, clauses
-	// used by learned-clause minimization, and the level-0 implication
-	// chains of dropped literals). The slice is the solver's per-conflict
-	// buffer: it is only valid during the call and must be copied if
-	// retained.
-	RecordLearned(id ClauseID, antecedents []ClauseID)
+	// RecordLearned reports a newly learned clause: its pseudo ID, its
+	// literals, and the IDs of every antecedent clause used in the
+	// resolution that derived it (the conflicting clause, the reason
+	// clauses resolved on, clauses used by learned-clause minimization,
+	// and the level-0 implication chains of dropped literals). Both slices
+	// are the solver's per-conflict buffers: they are only valid during
+	// the call and must be copied if retained.
+	RecordLearned(id ClauseID, literals []lits.Lit, antecedents []ClauseID)
 	// RecordFinal reports that unsatisfiability was established, with the
 	// antecedents of the final (empty-clause) conflict. It is called at
 	// most once per Solve.
 	RecordFinal(antecedents []ClauseID)
-}
-
-// LearnedClauseRecorder optionally extends ProofRecorder with the learned
-// clause's literals. Recorders implementing it (the "complete CDG" of the
-// paper's §3.1, used for proof checking and the memory-overhead comparison)
-// receive RecordLearnedClause instead of RecordLearned. Like the
-// antecedents, the literal slice is only valid during the call and must be
-// copied if retained.
-type LearnedClauseRecorder interface {
-	ProofRecorder
-	RecordLearnedClause(id ClauseID, literals []lits.Lit, antecedents []ClauseID)
 }
 
 // Options configures a Solver. The zero value is usable: Defaults are

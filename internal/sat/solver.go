@@ -267,10 +267,8 @@ func (s *Solver) AddVars(n int) {
 	if n <= s.nVars {
 		return
 	}
-	grown := make([][]watcher, 2*n+2)
-	copy(grown, s.watches)
-	s.watches = grown
 	for len(s.chaScore) < 2*n+2 {
+		s.watches = append(s.watches, nil)
 		s.chaScore = append(s.chaScore, 0)
 		s.newCount = append(s.newCount, 0)
 	}
@@ -296,8 +294,8 @@ func (s *Solver) AddVars(n int) {
 }
 
 // AddClause attaches an original clause to a live solver and returns its
-// proof ID (unique across originals and learnts, so incremental recorders
-// can map IDs back to clauses). The clause is copied. Variables beyond the
+// proof ID (unique across originals and learnts, so a recorder that is
+// told the ID can map it back to the clause: core.Recorder.AddLeaf). The clause is copied. Variables beyond the
 // current count are added automatically. The solver first backtracks to
 // decision level 0 (discarding any model left by a previous Sat call);
 // implications of the new clause are enqueued immediately but only
@@ -880,11 +878,7 @@ func (s *Solver) addLearned(learnt []lits.Lit, ants []ClauseID) {
 	s.stats.Learned++
 	s.stats.LearnedLits += int64(len(learnt))
 	if s.recording {
-		if lr, ok := s.opts.Recorder.(LearnedClauseRecorder); ok {
-			lr.RecordLearnedClause(id, learnt, ants)
-		} else {
-			s.opts.Recorder.RecordLearned(id, ants)
-		}
+		s.opts.Recorder.RecordLearned(id, learnt, ants)
 	}
 	s.learnts = append(s.learnts, c)
 	if len(learnt) >= 2 {
@@ -1085,9 +1079,9 @@ func (s *Solver) pollDeadline() bool {
 // already false under the current trail (MiniSat's analyzeFinal): walking
 // the implication graph of ¬p backward, every decision reached is an
 // assumption that participates in the inconsistency. When proof recording
-// is on it also collects the antecedent clause IDs of the derivation, so an
-// incremental recorder can extract the unsat core over the clause database
-// exactly as for a level-0 refutation.
+// is on it also collects the antecedent clause IDs of the derivation, so the
+// recorder of a persistent solver can extract the unsat core over the
+// clause database exactly as for a level-0 refutation.
 func (s *Solver) analyzeFinal(p lits.Lit) (failed []lits.Lit, ants []ClauseID) {
 	failed = []lits.Lit{p}
 	if s.level[p.Var()] == 0 || s.decisionLevel() == 0 {
