@@ -1,9 +1,10 @@
 // Command bmcworker is the distributed portfolio's worker daemon: it
 // listens for bmc coordinators (cmd/bmc -remote=...) and executes their
 // races — cold portfolio races from scratch, and warm races on
-// per-(connection, query, strategy) persistent mirror solvers fed the
-// coordinator's unrolled frames, so a worker's solvers carry learned
-// clauses across depths exactly like the local warm pool's.
+// per-(connection, query, strategy) persistent mirror solvers loaded from
+// the coordinator's unrolled frames when they are about to search, so a
+// worker's solvers carry learned clauses across depths exactly like the
+// local warm pool's.
 //
 //	bmcworker -listen :9100
 //	bmc -order=portfolio -incremental -remote host1:9100,host2:9100 design.aag

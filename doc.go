@@ -53,7 +53,9 @@
 //	internal/racer       warm portfolio pool: persistent per-strategy
 //	                     solvers living across the depths of one query
 //	                     sequence (Source: BMC/base or induction-step
-//	                     frames) plus the depth-boundary clause exchange bus
+//	                     frames), each loaded when it is about to search
+//	                     (Feed.CatchUp, shared with the worker's mirrors),
+//	                     plus the depth-boundary clause exchange bus
 //	internal/remote      the distributed portfolio: length-prefixed gob
 //	                     wire protocol (bounded decode, fuzzed), the
 //	                     worker daemon holding warm per-connection mirror

@@ -106,8 +106,12 @@ type DepthStats struct {
 	Winner string `json:"winner,omitempty"`
 	// Wall is the wall-clock time of this depth, including CNF
 	// generation, the SAT call(s), and score maintenance. EncodeWall and
-	// SolveWall split out its two dominant parts: building/feeding the
-	// depth's CNF, and the SAT call (the race's wall for portfolio runs).
+	// SolveWall split out its two dominant parts: building the depth's
+	// CNF (the whole formula on scratch shapes, the delta frame on
+	// incremental ones), and the SAT call (the race's wall for portfolio
+	// runs). Loading a solver belongs to SolveWall on every shape: sat.New
+	// on scratch shapes and, on incremental ones, the catch-up a solver
+	// does when it is about to search.
 	Wall           time.Duration `json:"wall"`
 	EncodeWall     time.Duration `json:"encode_wall,omitempty"`
 	SolveWall      time.Duration `json:"solve_wall,omitempty"`

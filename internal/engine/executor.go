@@ -26,30 +26,40 @@ import (
 // instance sequence the race belongs to (bmc, base, step) — pure
 // routing/telemetry context, it does not change the formula.
 //
-// RaceLive races caller-owned persistent solvers on an assumption list;
-// the solvers' clause databases and heuristic state survive the race
-// (the warm pool's per-depth race). The solvers are single-threaded:
-// the executor may drive each one from at most one goroutine at a time,
-// and when the call returns every solver must be at rest — the caller
-// immediately runs depth-boundary work (clause exchange, core folding)
-// on them. An implementation that executes attempts elsewhere (remote
-// mirrors) may leave the local solvers untouched, but must still return
-// outcomes indexed exactly like the attempts slice.
+// RaceLive races the warm pool's persistent solvers on an assumption
+// list; their clause databases and heuristic state survive the race (the
+// warm pool's per-depth race). An attempt does not carry a solver but the
+// means to get one: Opts is what it runs under at this depth — tuning,
+// budgets, deadline, the depth's guidance, no process-local hooks — and
+// Solver returns the caller's solver for it, loaded with every frame up
+// to this depth on the calling goroutine. An executor that runs an
+// attempt in-process calls Solver from the goroutine that then solves,
+// at most once per race and not at all for an attempt it skips
+// (portfolio.RaceLive does exactly this); an executor that runs it
+// elsewhere ships Opts and never calls Solver, so the caller's solver
+// stays unloaded and costs nothing until a fallback needs it. The solvers
+// are single-threaded: the executor may drive each one from at most one
+// goroutine at a time, and when the call returns every solver it asked
+// for must be at rest — the caller immediately runs depth-boundary work
+// (clause exchange, core folding) on them. Outcomes are indexed exactly
+// like the attempts slice either way, and clauses learned on solvers the
+// caller does not own travel back in RaceResult.Foreign.
 //
 // Both race methods block until the race is settled. They return the
 // first Sat/Unsat verdict in RaceResult.Result with Winner set to the
 // deciding attempt's index, or Winner == -1 when no attempt reached a
 // verdict (budgets exhausted, or stop closed first). When stop closes,
 // the implementation must cancel outstanding attempts cooperatively and
-// return promptly — bounded by the solvers' stop-poll interval, not by
+// return promptly — bounded by the solvers' stop-poll interval (and by a
+// solver load already in progress, which is not interrupted), not by
 // the remaining search — with every attempt at rest. Closing stop is
 // the caller's only cancellation channel; implementations must never
 // require a second call to unwind a race.
 //
 // OnClausePayload observes one racer's exported clause-bus payload at a
 // depth boundary: query names the instance sequence, k the depth, from
-// the exporting strategy. The pool has already redistributed the
-// payload locally; the hook exists so a distributing executor can
+// the exporting strategy. The pool redistributes the payload locally
+// itself; the hook exists so a distributing executor can
 // forward it to its workers (the clauses are plain literal slices — the
 // designed wire format). The payload is shared with the local
 // importing side: implementations may retain the slices but must not
@@ -70,11 +80,12 @@ type Executor interface {
 // FrameSink is an optional Executor extension for implementations that
 // mirror the warm pools' solver state elsewhere. When the configured
 // executor implements it, the session reports every unrolled frame —
-// query, depth, and the frame's delta formula — right after the local
-// pool has fed it to its own solvers and before the depth's RaceLive
-// call. The frame is owned by the pool and must not be mutated; an
-// implementation may retain it (remote.Executor replays retained frames
-// to reconnecting workers, whose mirrors restart empty).
+// query, depth, and the frame's delta formula — right after it is built
+// and before the depth's RaceLive call; at that point no local solver has
+// loaded it, and under a healthy fleet none ever will. The frame is owned
+// by the pool and must not be mutated; an implementation may retain it
+// (remote.Executor replays retained frames to reconnecting workers, whose
+// mirrors restart empty).
 type FrameSink interface {
 	OnFrame(query Query, k int, frame *cnf.Formula)
 }
@@ -91,7 +102,8 @@ func (LocalExecutor) Race(_ Query, f *cnf.Formula, attempts []portfolio.Attempt,
 	return portfolio.Race(f, attempts, jobs, stop)
 }
 
-// RaceLive implements Executor with portfolio.RaceLive.
+// RaceLive implements Executor with portfolio.RaceLive, which loads each
+// attempt's solver in the worker slot that races it.
 func (LocalExecutor) RaceLive(_ Query, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
 	return portfolio.RaceLive(attempts, assumps, jobs, stop)
 }

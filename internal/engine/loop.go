@@ -31,10 +31,11 @@ import (
 
 // sequence is one query's instance sequence under one solver lifetime.
 type sequence interface {
-	// raceDepth encodes (or feeds) the depth-k instance, configures one
-	// attempt per strategy, races them through the Executor until a
-	// verdict lands or stop closes, and folds the winner's unsat core
-	// into the sequence's score board. Depths are raced in order from 0.
+	// raceDepth encodes the depth-k instance (or its delta frame),
+	// configures one attempt per strategy, races them through the
+	// Executor until a verdict lands or stop closes, and folds the
+	// winner's unsat core into the sequence's score board. Depths are
+	// raced in order from 0.
 	raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome
 	// trace turns a model of the depth-k instance into a counter-example.
 	trace(model lits.Assignment, k int) *unroll.Trace
@@ -120,8 +121,9 @@ func frameGuidance(u *unroll.Unroller, frames, nVars int) []float64 {
 }
 
 // warmSeq keeps one persistent solver per strategy alive across the whole
-// check (racer.Pool, raced through Executor.RaceLive): each depth feeds
-// only the new frame's clauses and solves under the depth's activation
+// check (racer.Pool, raced through Executor.RaceLive): each depth builds
+// only the new frame's clauses, a solver takes the frames it is missing
+// when it is about to search and solves under the depth's activation
 // literal, so learned clauses, VSIDS scores and saved phases compound.
 type warmSeq struct {
 	pool *racer.Pool

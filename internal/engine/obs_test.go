@@ -11,6 +11,9 @@ import (
 	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/portfolio"
+	"repro/internal/racer"
+	"repro/internal/remote"
 )
 
 // TestProgressEventsUnderCancellation cancels every engine shape mid-race
@@ -156,5 +159,71 @@ func TestProgressEventsUnderCancellation(t *testing.T) {
 				t.Errorf("trace missing the closed root check span")
 			}
 		})
+	}
+}
+
+// TestIdleRacersStayEmpty: a pool solver is loaded when it is about to
+// search, and racer_frames_loaded_total says which were. Four strategies
+// share one worker slot and the first decides every depth, so it alone
+// holds the seven frames; over a loopback fleet the races run on the
+// worker's mirrors and, with no fallback, the coordinator's pool holds
+// nothing at all.
+func TestIdleRacersStayEmpty(t *testing.T) {
+	m, ok := bench.ByName("mix_w5")
+	if !ok {
+		t.Fatal("model mix_w5 missing")
+	}
+	const depth = 6
+	names := portfolio.DefaultSet().Names()
+	series := func(reg *obs.Registry) (loaded, clauseBytes []int64) {
+		snap := reg.Snapshot()
+		for _, n := range names {
+			loaded = append(loaded, snap.Counters[obs.Name("racer_frames_loaded_total", "query", "bmc", "strategy", n)])
+			clauseBytes = append(clauseBytes, snap.Gauges[obs.Name("solver_clauses_bytes_est", "query", "bmc", "strategy", n)])
+		}
+		return loaded, clauseBytes
+	}
+	warm := []engine.Option{
+		engine.WithBudgets(depth, 0), engine.WithPortfolio(nil, 1), engine.WithIncremental(),
+		engine.WithExchange(racer.ExchangeOptions{Enabled: true}),
+	}
+
+	reg := obs.NewRegistry()
+	res := checkModel(t, m, append(warm, engine.WithMetrics(reg))...)
+	if res.Verdict != engine.Holds || res.K != depth {
+		t.Fatalf("local: %v@%d, want Holds@%d", res.Verdict, res.K, depth)
+	}
+	loaded, clauseBytes := series(reg)
+	for i, n := range names {
+		switch {
+		case i == 0 && (loaded[i] != depth+1 || clauseBytes[i] == 0):
+			t.Errorf("%s raced every depth: %d frames loaded, %d clause bytes; want %d frames and a non-empty database",
+				n, loaded[i], clauseBytes[i], depth+1)
+		case i > 0 && (loaded[i] != 0 || clauseBytes[i] != 0):
+			t.Errorf("%s never raced, yet it loaded %d frames and holds %d clause bytes", n, loaded[i], clauseBytes[i])
+		}
+	}
+
+	reg = obs.NewRegistry()
+	ex, err := remote.NewLoopback(1, remote.Options{Metrics: reg}, remote.WorkerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	res = checkModel(t, m, append(warm, engine.WithMetrics(reg), engine.WithExecutor(ex))...)
+	if res.Verdict != engine.Holds || res.K != depth {
+		t.Fatalf("loopback: %v@%d, want Holds@%d", res.Verdict, res.K, depth)
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["remote_races_total"] != depth+1 || snap.Counters["remote_fallback_races_total"] != 0 {
+		t.Fatalf("loopback: %d remote races and %d fallbacks, want %d and 0",
+			snap.Counters["remote_races_total"], snap.Counters["remote_fallback_races_total"], depth+1)
+	}
+	loaded, clauseBytes = series(reg)
+	for i, n := range names {
+		if loaded[i] != 0 || clauseBytes[i] != 0 {
+			t.Errorf("loopback: the coordinator's %s loaded %d frames and holds %d clause bytes under a healthy fleet",
+				n, loaded[i], clauseBytes[i])
+		}
 	}
 }

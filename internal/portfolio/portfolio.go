@@ -21,10 +21,14 @@
 // all BMC depths, races them through RaceLive at each depth, and after
 // the race exchanges short learned clauses between them — winners and
 // cancelled losers alike — so wasted conflicts become the next depth's
-// warm-start capital. Telemetry records both regimes: wins, cancelled and
-// skipped runs, and conflicts per strategy always; exported/imported
-// clause counts and warm-vs-cold win attribution when the pool's clause
-// bus is active.
+// warm-start capital. A live attempt does not hand over a solver but a
+// function that produces it, loaded up to the depth being raced; RaceLive
+// calls it in the attempt's worker slot, so an attempt that is skipped, or
+// that an executor runs somewhere else, never loads anything here.
+//
+// Telemetry records both regimes: wins, cancelled and skipped runs, and
+// conflicts per strategy always; exported/imported clause counts and
+// warm-vs-cold win attribution when the pool's clause bus is active.
 package portfolio
 
 import (
@@ -80,6 +84,12 @@ type RaceResult struct {
 	// race.
 	Start time.Time
 	Wall  time.Duration
+	// Foreign carries learned clauses that came out of the race but are in
+	// none of the caller's solvers: a distributing executor's workers
+	// learned them on their mirrors. They are consequences of the raced
+	// clause set, and the caller — the warm pool — imports them at the
+	// depth boundary like any other bus clause. Nil for in-process races.
+	Foreign []cnf.Clause
 }
 
 // WinnerName returns the winning attempt's label, or "" when no attempt won.
@@ -130,24 +140,38 @@ func Race(f *cnf.Formula, attempts []Attempt, jobs int, stop <-chan struct{}) Ra
 	})
 }
 
-// LiveAttempt is one racer in a live-solver race: a label plus a
-// persistent incremental solver whose clause database and heuristic state
-// survive the race. The warm pool (internal/racer) builds one per
-// strategy and races the same solvers at every BMC depth.
+// LiveAttempt is one racer in a live-solver race. The solver behind it is
+// persistent — its clause database and heuristic state survive the race —
+// but it is handed over as a function, not a value: being loaded is a
+// consequence of being about to search. The warm pool (internal/racer)
+// builds one attempt per strategy per depth.
 type LiveAttempt struct {
-	Name   string
-	Solver *sat.Solver
+	Name string
+	// Opts is what the attempt's solver runs under at this depth: tuning
+	// parameters, budgets, deadline, and the depth's guidance and switch
+	// threshold, with the process-local hooks (Stop, Recorder, Metrics)
+	// left out. It is plain data — what an executor that runs the attempt
+	// in another process puts on the wire.
+	Opts sat.Options
+	// Solver returns the attempt's solver holding every clause of the
+	// depth being raced, Opts' guidance applied. The solver is
+	// single-threaded and the call may do the whole load: call it at most
+	// once per race, from the goroutine that then solves.
+	Solver func() *sat.Solver
 }
 
 // RaceLive is the live-solver counterpart of Race: it runs
 // SolveAssuming(assumps) on every attempt's solver concurrently, keeps
 // the first Sat/Unsat verdict, and cancels the rest cooperatively.
-// Nothing is constructed or torn down — each racing solver gets a fresh
-// cancellation channel installed (sat.Solver.SetStop) and keeps its
-// learned clauses, scores, and saved phases afterwards, so a cancelled
-// loser resumes from exactly this state at the next race instead of
-// burning its conflicts. Skipped attempts (race decided before a worker
-// slot reached them) simply sit the race out; their state is untouched.
+// Nothing is torn down — each racing solver gets a fresh cancellation
+// channel installed (sat.Solver.SetStop) and keeps its learned clauses,
+// scores, and saved phases afterwards, so a cancelled loser resumes from
+// exactly this state at the next race instead of burning its conflicts.
+// An attempt's Solver function runs in its worker slot, after the slot
+// has seen that the race is still open and right before SolveAssuming:
+// attempts load side by side, the load counts toward the attempt's Wall,
+// and a skipped attempt (race decided before a slot reached it) is never
+// asked for its solver at all.
 //
 // Every solver must be exclusive to the race while it runs (a solver is
 // single-threaded, and RaceLive touches each one from one worker only).
@@ -158,7 +182,7 @@ func RaceLive(attempts []LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan 
 		names[i] = attempts[i].Name
 	}
 	return runRace(names, jobs, stop, func(idx int, cancel <-chan struct{}) sat.Result {
-		s := attempts[idx].Solver
+		s := attempts[idx].Solver()
 		s.SetStop(cancel)
 		return s.SolveAssuming(assumps)
 	})

@@ -3,6 +3,7 @@ package portfolio
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -222,9 +223,38 @@ func TestTelemetryAggregation(t *testing.T) {
 func liveAttempts(n int, f *cnf.Formula, opts sat.Options) []LiveAttempt {
 	out := make([]LiveAttempt, n)
 	for i := range out {
-		out[i] = LiveAttempt{Name: DefaultSet()[i%4].String(), Solver: sat.New(f, opts)}
+		s := sat.New(f, opts)
+		out[i] = LiveAttempt{Name: DefaultSet()[i%4].String(), Solver: func() *sat.Solver { return s }}
 	}
 	return out
+}
+
+// TestRaceLiveAsksOnlyRacingAttempts: an attempt's solver is produced in
+// its worker slot, so an attempt the race skips is never asked for one.
+func TestRaceLiveAsksOnlyRacingAttempts(t *testing.T) {
+	f := php(5, 4)
+	var asked [3]atomic.Int32
+	live := make([]LiveAttempt, len(asked))
+	for i := range live {
+		s := sat.New(f, sat.Defaults())
+		live[i] = LiveAttempt{Name: DefaultSet()[i].String(), Solver: func() *sat.Solver {
+			asked[i].Add(1)
+			return s
+		}}
+	}
+	res := RaceLive(live, nil, 1, nil)
+	if res.Winner != 0 || res.Result.Status != sat.Unsat {
+		t.Fatalf("want attempt 0 to decide Unsat, got winner=%d status=%v", res.Winner, res.Result.Status)
+	}
+	for i := range asked {
+		want := int32(0)
+		if i == 0 {
+			want = 1
+		}
+		if got := asked[i].Load(); got != want {
+			t.Errorf("attempt %d: solver asked for %d times, want %d (skipped=%v)", i, got, want, res.Outcomes[i].Skipped)
+		}
+	}
 }
 
 func TestRaceLiveVerdictAndReuse(t *testing.T) {

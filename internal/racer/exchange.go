@@ -2,10 +2,12 @@ package racer
 
 // The clause exchange bus: after each depth's race has fully joined, every
 // racer's fresh learned clauses that pass the quality filter are broadcast
-// into every other racer. Sharing is sound because all racers hold the
-// identical original clause set (the pool feeds every frame to everyone),
-// making each learned clause a logical consequence valid in any of them;
-// see sat.Solver.ImportClause for the contract.
+// to every other racer. Sharing is sound because a racer brought to depth k
+// holds the identical original clause set as every other (frames 0..k, fed
+// by Feed.CatchUp) and a clause learned at depth k is imported only by a
+// solver that holds those frames, making each learned clause a logical
+// consequence valid in any of them; see sat.Solver.ImportClause for the
+// contract.
 
 import "repro/internal/cnf"
 
@@ -77,6 +79,10 @@ func (e ExchangeOptions) withDefaults() ExchangeOptions {
 	return e
 }
 
+// foreignSource labels, on the per-link bus series, clauses that no racer
+// of the pool exported: portfolio.RaceResult.Foreign.
+const foreignSource = "remote"
+
 // exchange runs one depth-boundary round of the bus. Every solver is at
 // rest here — RaceDepth calls it only after portfolio.RaceLive has joined
 // all workers — so export and import touch each solver from this single
@@ -86,46 +92,47 @@ func (e ExchangeOptions) withDefaults() ExchangeOptions {
 func (p *Pool) exchange(out *DepthOutcome, k int) {
 	ex := p.cfg.Exchange
 	for i, from := range p.racers {
-		clauses := from.solver.ExportLearned(from.exportMark, ex.MaxLen, ex.MaxLBD, ex.PerRacerBudget)
-		from.exportMark = from.solver.NextClauseID()
+		clauses := from.feed.Solver.ExportLearned(from.exportMark, ex.MaxLen, ex.MaxLBD, ex.PerRacerBudget)
+		from.exportMark = from.feed.Solver.NextClauseID()
 		if len(clauses) == 0 {
 			continue
 		}
 		if ex.OnExport != nil {
 			ex.OnExport(k, from.name, clauses)
 		}
-		from.exported += int64(len(clauses))
 		out.Exported[from.name] += int64(len(clauses))
 		if p.cfg.Metrics != nil {
 			p.cfg.Metrics.Counter(p.name(metricBusExported, "from", from.name)).Add(int64(len(clauses)))
 		}
-		for j, to := range p.racers {
-			if j == i || (ex.ReserveFirst && j == 0) {
-				continue
-			}
-			var accepted, dropped int64
-			for _, cl := range clauses {
-				id, ok := to.solver.ImportClause(cl)
-				if !ok {
-					dropped++
-					continue
-				}
-				accepted++
-				to.imported++
-				if to.rec != nil {
-					// An import is a leaf of the recipient's CDG, like an
-					// original: core extraction resolves it to variables.
-					to.rec.AddLeaf(id, cl)
-				}
-			}
-			out.Imported[to.name] += accepted
-			out.DedupDropped[to.name] += dropped
-			if p.cfg.Metrics != nil {
-				// Per-link series: the wire-visible health signal of each
-				// from→to edge of the bus mesh.
-				p.cfg.Metrics.Counter(p.name(metricBusImported, "from", from.name, "to", to.name)).Add(accepted)
-				p.cfg.Metrics.Counter(p.name(metricBusDedupDropped, "from", from.name, "to", to.name)).Add(dropped)
-			}
+		p.deliver(out, k, from.name, clauses, func(to int) bool {
+			return to == i || (ex.ReserveFirst && to == 0)
+		})
+	}
+}
+
+// deliver is the pool's one import path: a batch of clauses that arrived at
+// depth boundary k goes to every racer skip does not exempt. A racer that
+// raced this depth imports it now; one that is behind gets it when it
+// catches up, and it is booked then (RaceDepthStop).
+func (p *Pool) deliver(out *DepthOutcome, k int, from string, clauses []cnf.Clause, skip func(to int) bool) {
+	for j, to := range p.racers {
+		if skip(j) {
+			continue
 		}
+		if rc, now := to.feed.Deliver(k, from, clauses); now {
+			p.book(out, to, rc)
+		}
+	}
+}
+
+// book counts one imported batch toward the depth's traffic.
+func (p *Pool) book(out *DepthOutcome, to *racerState, rc Receipt) {
+	out.Imported[to.name] += rc.Accepted
+	out.DedupDropped[to.name] += rc.Dropped
+	if p.cfg.Metrics != nil {
+		// Per-link series: the wire-visible health signal of each
+		// from→to edge of the bus mesh.
+		p.cfg.Metrics.Counter(p.name(metricBusImported, "from", rc.From, "to", to.name)).Add(rc.Accepted)
+		p.cfg.Metrics.Counter(p.name(metricBusDedupDropped, "from", rc.From, "to", to.name)).Add(rc.Dropped)
 	}
 }

@@ -10,21 +10,26 @@
 // even the winner's warm VSIDS and phase state are thrown away. The pool
 // keeps each racer alive instead. Every depth it
 //
-//   - feeds the new frame's clauses (unroll.Delta.Frame) to every racer,
-//   - re-applies the strategy's per-depth guidance (sat.SetGuidance),
+//   - builds the new frame's clauses (unroll.Delta.Frame) once and loads
+//     nobody: a racer takes the frames it is missing, and the strategy's
+//     guidance for the depth (sat.SetGuidance), when it is about to search
+//     (Feed.CatchUp, from its race goroutine) — a racer that no worker
+//     slot ever reaches, or whose races all run on a fleet, stays empty,
 //   - races SolveAssuming on the depth's activation literal through
 //     portfolio.RaceLive (first verdict cancels the rest cooperatively),
 //   - folds the winner's unsat core into the shared score board, and
 //   - runs the clause bus: short (length/LBD-filtered) learned clauses
 //     from all racers — the winner and the cancelled losers alike — are
-//     exported (sat.Solver.ExportLearned) and imported into every other
-//     racer (sat.Solver.ImportClause), so one racer's conflicts become
-//     every racer's warm-start capital at the next depth.
+//     exported (sat.Solver.ExportLearned) and delivered to every other
+//     racer (sat.Solver.ImportClause now if it holds this depth, its
+//     inbox otherwise), so one racer's conflicts become every racer's
+//     warm-start capital at the next depth it races.
 //
 // Clause import into a live solver is only sound while the solver is at
 // rest, so the bus runs strictly at depth boundaries: RaceDepth exchanges
-// only after portfolio.RaceLive has joined every worker goroutine, which
-// keeps the pool race-detector-clean without any locking inside the
+// only after portfolio.RaceLive has joined every worker goroutine, and a
+// racer's catch-up touches only that racer's solver, recorder and inbox,
+// which keeps the pool race-detector-clean without any locking inside the
 // solver.
 package racer
 
@@ -44,19 +49,21 @@ import (
 const (
 	metricRacerConflicts  = "racer_conflicts_total"
 	metricRacerWins       = "racer_wins_total"
+	metricRacerLoaded     = "racer_frames_loaded_total"
 	metricBusExported     = "bus_exported_total"
 	metricBusImported     = "bus_imported_total"
 	metricBusDedupDropped = "bus_dedup_dropped_total"
 )
 
-// RaceFunc races a set of live solvers under an assumption list and
+// RaceFunc races a set of live attempts under an assumption list and
 // returns the first verdict, cancelling the rest — portfolio.RaceLive
 // with the pool's query label prepended. The pool calls it for every
 // depth; injecting a different implementation (engine.Executor) is how
 // race execution is swapped without the pool knowing where the solvers
-// actually run. query is Config.Query verbatim, so a distributing
-// implementation can route the attempts to the mirrors of the right
-// instance sequence.
+// actually run: an implementation that never calls an attempt's Solver
+// function leaves that racer unloaded. query is Config.Query verbatim, so
+// a distributing implementation can route the attempts to the mirrors of
+// the right instance sequence.
 type RaceFunc func(query string, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult
 
 // Config configures a warm racer pool. The zero value is not usable on
@@ -94,39 +101,42 @@ type Config struct {
 	// in-process goroutine pool). engine.LocalExecutor injects itself
 	// here so the Executor seam covers warm races too.
 	Race RaceFunc
-	// OnFrame, when non-nil, observes every frame right after the pool
-	// has fed it to its own solvers and before the depth's race: depth k
-	// and the frame's delta formula. The frame must not be mutated but
-	// may be retained — this is how a frame-mirroring executor
-	// (engine.FrameSink) keeps remote solver mirrors in sync with the
-	// pool's solvers.
+	// OnFrame, when non-nil, observes every frame right after it is built
+	// and before the depth's race: depth k and the frame's delta formula.
+	// The frame must not be mutated but may be retained — this is how a
+	// frame-mirroring executor (engine.FrameSink) gets what its remote
+	// solver mirrors load.
 	OnFrame func(k int, frame *cnf.Formula)
 	// Metrics, when non-nil, receives the pool's instrumentation: each
-	// racer's solver counters (via sat.Options.Metrics), per-racer
-	// warm/cold conflict attribution, and per-link clause-bus traffic.
+	// racer's solver counters (via sat.Options.Metrics), the frames each
+	// racer loaded, per-racer warm/cold conflict attribution, and per-link
+	// clause-bus traffic.
 	// Query labels every series ("bmc", "base", "step"; empty means the
 	// query label is omitted).
 	Metrics *obs.Registry
 	Query   string
 }
 
-// racerState is one persistent racer: a named strategy, its live solver,
-// and the cross-depth bookkeeping the pool keeps per racer.
+// racerState is one persistent racer: a named strategy, its live solver
+// with its load state, and the cross-depth bookkeeping the pool keeps per
+// racer.
 type racerState struct {
 	name     string
 	strategy core.Strategy
-	solver   *sat.Solver
-	// rec is the racer's own cross-depth CDG (recorders are per-goroutine
-	// state and must never be shared between racers). It also holds the
-	// literals of its leaves — frame clauses and bus imports — which is
-	// what resolves a core to variables. Nil when no strategy uses cores.
-	rec *core.Recorder
+	// feed is the solver, how far it is loaded, and its bus inbox. Its
+	// recorder is the racer's own cross-depth CDG (recorders are
+	// per-goroutine state and must never be shared between racers); nil
+	// when no strategy uses cores.
+	feed Feed
+	// opts is what the racer's solver was built with, minus the hooks: the
+	// depth's guidance is added to a copy of it for each attempt.
+	opts sat.Options
+	// receipts are the imports the racer's catch-up made during the
+	// running race; the pool books them once the race has joined.
+	receipts []Receipt
 	// exportMark is the clause-ID high-water mark of the last export;
 	// only clauses learned after it leave through the bus.
 	exportMark sat.ClauseID
-	// exported/imported are lifetime bus counters (telemetry and the
-	// sharing half of win attribution).
-	exported, imported int64
 	// obs handles (nil when Config.Metrics is off). Warm/cold split the
 	// racer's conflicts by whether its solver carried state from earlier
 	// depths into the solve.
@@ -136,9 +146,9 @@ type racerState struct {
 }
 
 // Pool owns the racers for one BMC run: it manages their lifecycle
-// (create once, feed every frame, race every depth), the shared score
-// board, and the clause bus. A Pool is not goroutine-safe — the depth
-// loop drives it sequentially, and concurrency happens only inside
+// (create once and empty, race every depth, load on demand), the shared
+// score board, and the clause bus. A Pool is not goroutine-safe — the
+// depth loop drives it sequentially, and concurrency happens only inside
 // RaceDepth's portfolio.RaceLive call.
 type Pool struct {
 	src     Source
@@ -147,19 +157,22 @@ type Pool struct {
 	racers  []*racerState
 	divisor int
 
-	// Cumulative formula size across fed frames (every racer holds the
-	// same original clause set, so one set of counters serves all).
+	// Cumulative formula size across the frames built so far (a racer
+	// brought to this depth holds exactly this original clause set, so one
+	// set of counters serves all).
 	totalClauses int
 	totalLits    int
 }
 
 // NewPool builds one persistent solver per strategy over an empty clause
-// set; frames arrive depth by depth through RaceDepth, pulled from the
-// given query sequence (DeltaSource for BMC / induction base cases,
-// StepSource for induction step cases). Mirroring the engine's
-// fresh-solver sequence, recorders are attached to every racer as soon as
-// any strategy in the set consumes cores, so whichever racer wins an
-// UNSAT depth has a core to contribute to the board.
+// set; frames are pulled depth by depth through RaceDepth from the given
+// query sequence (DeltaSource for BMC / induction base cases, StepSource
+// for induction step cases), and re-pulled for a racer that starts late:
+// Source.Frame must be a pure function of k, callable from several
+// goroutines at once. Mirroring the engine's fresh-solver sequence,
+// recorders are attached to every racer as soon as any strategy in the set
+// consumes cores, so whichever racer wins an UNSAT depth has a core to
+// contribute to the board.
 func NewPool(src Source, cfg Config) *Pool {
 	if len(cfg.Strategies) == 0 {
 		cfg.Strategies = portfolio.DefaultSet()
@@ -197,18 +210,20 @@ func NewPool(src Source, cfg Config) *Pool {
 		if !cfg.Deadline.IsZero() {
 			solverOpts.Deadline = cfg.Deadline
 		}
-		r := &racerState{name: st.String(), strategy: st}
+		r := &racerState{name: st.String(), strategy: st, opts: solverOpts}
+		r.opts.Metrics = nil
 		if useCores {
-			r.rec = core.NewRecorderWith(0, core.WithLeaves)
-			solverOpts.Recorder = r.rec
+			r.feed.Rec = core.NewRecorderWith(0, core.WithLeaves)
+			solverOpts.Recorder = r.feed.Rec
 		}
 		if cfg.Metrics != nil {
 			solverOpts.Metrics = sat.NewMetrics(cfg.Metrics, p.labels("strategy", r.name)...)
+			r.feed.Loaded = cfg.Metrics.Counter(p.name(metricRacerLoaded, "strategy", r.name))
 			r.mWarmConflicts = cfg.Metrics.Counter(p.name(metricRacerConflicts, "strategy", r.name, "state", "warm"))
 			r.mColdConflicts = cfg.Metrics.Counter(p.name(metricRacerConflicts, "strategy", r.name, "state", "cold"))
 			r.mWins = cfg.Metrics.Counter(p.name(metricRacerWins, "strategy", r.name))
 		}
-		r.solver = sat.New(cnf.New(0), solverOpts)
+		r.feed.Solver = sat.New(cnf.New(0), solverOpts)
 		p.racers = append(p.racers, r)
 	}
 	return p
@@ -251,12 +266,16 @@ type DepthOutcome struct {
 	// Exported/Imported count this depth's clause-bus traffic per
 	// strategy (empty maps when the bus is off or idle); DedupDropped
 	// counts, per recipient strategy, inbound clauses its solver rejected
-	// as duplicates it already held.
+	// as duplicates it already held. A clause counts as imported or
+	// dropped at the depth whose race or boundary put it into the
+	// recipient's solver: for a racer that was behind when the clause was
+	// exported, that is the depth of its next race.
 	Exported     map[string]int64
 	Imported     map[string]int64
 	DedupDropped map[string]int64
-	// EncodeWall is the time spent feeding this depth's frame into every
-	// racer (the depth's encode cost; the race's solve cost is Race.Wall).
+	// EncodeWall is the time spent building this depth's frame. Loading it
+	// — and, for a racer that starts late, every frame before it — happens
+	// inside the race and is part of the attempt's Wall and of Race.Wall.
 	EncodeWall time.Duration
 	// WinnerWarm reports that the winning racer had searched at earlier
 	// depths (its solver carried learned clauses in); WinnerShared that
@@ -265,11 +284,11 @@ type DepthOutcome struct {
 	WinnerShared bool
 }
 
-// RaceDepth runs one full depth: feed the depth-k frame to every racer,
-// re-apply per-depth guidance, race SolveAssuming(actₖ), fold the
-// winner's core into the board, and — with the bus enabled — exchange
-// learned clauses between the racers. Depths must be raced in order
-// starting at 0.
+// RaceDepth runs one full depth: build the depth-k frame, compute every
+// strategy's guidance for it, race SolveAssuming(actₖ) over attempts that
+// load their solver when a worker slot reaches them, fold the winner's
+// core into the board, and — with the bus enabled — exchange learned
+// clauses between the racers. Depths must be raced in order starting at 0.
 func (p *Pool) RaceDepth(k int) DepthOutcome { return p.RaceDepthStop(k, nil) }
 
 // RaceDepthStop is RaceDepth with an external cancellation channel: when
@@ -282,30 +301,32 @@ func (p *Pool) RaceDepth(k int) DepthOutcome { return p.RaceDepthStop(k, nil) }
 func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 	encodeStart := time.Now()
 	frame := p.src.Frame(k)
-	for _, r := range p.racers {
-		r.solver.AddVars(frame.NumVars)
-		for _, cl := range frame.Clauses {
-			id := r.solver.AddClause(cl)
-			if r.rec != nil {
-				r.rec.AddLeaf(id, cl)
-			}
-		}
-	}
+	encodeWall := time.Since(encodeStart)
 	p.totalClauses += frame.NumClauses()
 	p.totalLits += frame.NumLiterals()
 	if p.cfg.OnFrame != nil {
 		p.cfg.OnFrame(k, frame)
 	}
-	encodeWall := time.Since(encodeStart)
+	// This depth's frame is shared read-only by every racer that loads it;
+	// a racer that is further behind re-encodes the frames it missed.
+	frames := func(d int) *cnf.Formula {
+		if d == k {
+			return frame
+		}
+		return p.src.Frame(d)
+	}
 
 	attempts := make([]portfolio.LiveAttempt, len(p.racers))
 	warm := make([]bool, len(p.racers))
-	sharedState := make([]bool, len(p.racers))
 	for i, r := range p.racers {
-		ApplyStrategy(r.solver, r.strategy, p.board, p.src, k, p.totalLits, p.divisor)
-		attempts[i] = portfolio.LiveAttempt{Name: r.name, Solver: r.solver}
-		warm[i] = r.solver.Stats().Conflicts > 0
-		sharedState[i] = r.imported > 0
+		opts := r.opts
+		opts.Guidance, opts.SwitchAfterDecisions = Guidance(r.strategy, p.board, p.src, k, p.totalLits, p.divisor)
+		attempts[i] = portfolio.LiveAttempt{Name: r.name, Opts: opts, Solver: func() *sat.Solver {
+			s, got := r.feed.CatchUp(k, frames, opts.Guidance, opts.SwitchAfterDecisions)
+			r.receipts = got
+			return s
+		}}
+		warm[i] = r.feed.Solver.Stats().Conflicts > 0
 	}
 
 	out := DepthOutcome{
@@ -317,6 +338,14 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 		Imported:     map[string]int64{},
 		DedupDropped: map[string]int64{},
 		EncodeWall:   encodeWall,
+	}
+	// The race has joined: what the racers' catch-ups imported is booked to
+	// this depth.
+	for _, r := range p.racers {
+		for _, rc := range r.receipts {
+			p.book(&out, r, rc)
+		}
+		r.receipts = nil
 	}
 
 	if p.cfg.Metrics != nil {
@@ -337,21 +366,27 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 
 	if w := out.Race.Winner; w >= 0 {
 		out.WinnerWarm = warm[w]
-		out.WinnerShared = sharedState[w]
+		out.WinnerShared = p.racers[w].feed.Imported() > 0
 		p.racers[w].mWins.Inc()
 		if out.Race.Result.Status == sat.Unsat {
-			out.FoldCore(p.racers[w].rec, p.board, k, nil, frame.NumVars, auxOf(p.src))
+			out.FoldCore(p.racers[w].feed.Rec, p.board, k, nil, frame.NumVars, auxOf(p.src))
 		}
 	}
 	// Clear every racer's final-conflict marker: losers that decided
 	// Unsat after the winner (or the winner itself) must not leak this
 	// depth's proof into the next one.
 	for _, r := range p.racers {
-		if r.rec != nil {
-			r.rec.ResetFinal()
+		if r.feed.Rec != nil {
+			r.feed.Rec.ResetFinal()
 		}
 	}
 
+	if len(out.Race.Foreign) > 0 {
+		// Clauses learned where the race really ran (a fleet's workers).
+		// The first racer takes none: it is the fleet's import-free
+		// diversity slot, as the reserve link is among the workers.
+		p.deliver(&out, k, foreignSource, out.Race.Foreign, func(to int) bool { return to == 0 })
+	}
 	if p.cfg.Exchange.Enabled {
 		p.exchange(&out, k)
 	}
@@ -386,29 +421,28 @@ func (out *DepthOutcome) FoldCore(rec *core.Recorder, board *core.ScoreBoard, k 
 	board.Update(vars, k+1)
 }
 
-// ApplyStrategy re-applies one ordering strategy to a live solver before
-// a depth-k SolveAssuming, using the source's numbering throughout:
-// board-fed guidance for static/dynamic (with the dynamic switch
-// threshold derived from totalLits/divisor), frame scores for timeaxis
-// (earlier frames higher; the encoding's auxiliary variables — activation
-// guards, disequality helpers — are left unscored), plain VSIDS
-// otherwise. Every live solver is configured here (the engine's
-// single-strategy incremental shape is a pool of one; the benchmark's layer
-// driver calls it directly): the one place the strategy semantics live.
-func ApplyStrategy(s *sat.Solver, st core.Strategy, board *core.ScoreBoard, src Source, k, totalLits, divisor int) {
+// Guidance computes one ordering strategy's guidance scores and
+// dynamic-switch threshold for a depth-k SolveAssuming, using the source's
+// numbering throughout: board-fed scores for static/dynamic (with the
+// dynamic switch threshold derived from totalLits/divisor), frame scores
+// for timeaxis (earlier frames higher; the encoding's auxiliary variables
+// — activation guards, disequality helpers — are left unscored), none for
+// plain VSIDS. This is the one place the strategy semantics of a live
+// solver live; the result fills the depth's attempt options and is what
+// Feed.CatchUp applies. Every call returns a slice of its own.
+func Guidance(st core.Strategy, board *core.ScoreBoard, src Source, k, totalLits, divisor int) (scores []float64, switchAfter int64) {
 	nVars := src.NumVars(k)
 	switch st {
 	case core.OrderStatic:
-		s.SetGuidance(board.Guidance(nVars), 0)
+		return board.Guidance(nVars), 0
 	case core.OrderDynamic:
-		var switchAfter int64
 		if divisor > 0 {
 			switchAfter = int64(totalLits / divisor)
 			if switchAfter < 1 {
 				switchAfter = 1
 			}
 		}
-		s.SetGuidance(board.Guidance(nVars), switchAfter)
+		return board.Guidance(nVars), switchAfter
 	case core.OrderTimeAxis:
 		frames := src.Frames(k)
 		g := make([]float64, nVars+1)
@@ -419,10 +453,17 @@ func ApplyStrategy(s *sat.Solver, st core.Strategy, board *core.ScoreBoard, src 
 			}
 			g[v] = float64(frames - frame)
 		}
-		s.SetGuidance(g, 0)
+		return g, 0
 	default: // OrderVSIDS: plain Chaff ordering
-		s.SetGuidance(nil, 0)
+		return nil, 0
 	}
+}
+
+// ApplyStrategy is Guidance applied to a caller-owned live solver. Kept
+// for benchmark/driver.go, which drives one solver by hand; the benchmark
+// PR deletes it.
+func ApplyStrategy(s *sat.Solver, st core.Strategy, board *core.ScoreBoard, src Source, k, totalLits, divisor int) {
+	s.SetGuidance(Guidance(st, board, src, k, totalLits, divisor))
 }
 
 // CoreVars is core.Vars over a caller-kept ID-to-literals map, with the

@@ -192,24 +192,14 @@ func (c cachedFrames) Frame(k int) *cnf.Formula { return c.frames[k] }
 // BenchmarkPoolFeed is the feed half of the benchmark's incremental
 // workloads in small: a one-racer pool, recording on, takes 30 frames of
 // mix_w8 — AddVars, AddClause and the recorder's leaf registration per
-// clause — with the races stubbed out.
+// clause, one frame per catch-up — with the search stubbed out: the race
+// asks every attempt for its solver and solves nothing.
 func BenchmarkPoolFeed(b *testing.B) {
-	u, err := unroll.New(bench.ParityMixer(8, 3, 12), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := cachedFrames{Source: DeltaSource(u.Delta())}
-	clauses := 0
-	for k := 0; k < 30; k++ {
-		src.frames = append(src.frames, src.Source.Frame(k))
-		clauses += src.frames[k].NumClauses()
-	}
+	src, clauses := cachedMixer(b, 30)
 	cfg := Config{
 		Strategies: portfolio.StrategySet{core.OrderDynamic},
 		Solver:     sat.Defaults(),
-		Race: func(string, []portfolio.LiveAttempt, []lits.Lit, int, <-chan struct{}) portfolio.RaceResult {
-			return portfolio.RaceResult{Winner: -1}
-		},
+		Race:       loadOnly,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -220,4 +210,58 @@ func BenchmarkPoolFeed(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(clauses)*float64(b.N)/b.Elapsed().Seconds(), "clauses/s")
+}
+
+// BenchmarkPoolLateStart is the other shape of the same load: the racer is
+// skipped for 29 depths of mix_w8 and then brought to depth 29 in one
+// catch-up, 30 frames at once.
+func BenchmarkPoolLateStart(b *testing.B) {
+	src, clauses := cachedMixer(b, 30)
+	var k int // the depth being raced
+	cfg := Config{
+		Strategies: portfolio.StrategySet{core.OrderDynamic},
+		Solver:     sat.Defaults(),
+		Race: func(q string, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
+			if k < len(src.frames)-1 {
+				return portfolio.RaceResult{Winner: -1}
+			}
+			return loadOnly(q, attempts, assumps, jobs, stop)
+		},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pool := NewPool(src, cfg)
+		for k = range src.frames {
+			pool.RaceDepth(k)
+		}
+		if fed := pool.racers[0].feed.Fed(); fed != len(src.frames) {
+			b.Fatalf("racer holds %d frames after the late start, want %d", fed, len(src.frames))
+		}
+	}
+	b.ReportMetric(float64(clauses)*float64(b.N)/b.Elapsed().Seconds(), "clauses/s")
+}
+
+// cachedMixer encodes the first n frames of mix_w8 once.
+func cachedMixer(b *testing.B, n int) (cachedFrames, int) {
+	u, err := unroll.New(bench.ParityMixer(8, 3, 12), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := cachedFrames{Source: DeltaSource(u.Delta())}
+	clauses := 0
+	for k := 0; k < n; k++ {
+		src.frames = append(src.frames, src.Source.Frame(k))
+		clauses += src.frames[k].NumClauses()
+	}
+	return src, clauses
+}
+
+// loadOnly is a RaceFunc that brings every attempt's solver to the depth
+// and decides nothing.
+func loadOnly(_ string, attempts []portfolio.LiveAttempt, _ []lits.Lit, _ int, _ <-chan struct{}) portfolio.RaceResult {
+	for _, a := range attempts {
+		a.Solver()
+	}
+	return portfolio.RaceResult{Winner: -1}
 }

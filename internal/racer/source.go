@@ -16,8 +16,10 @@ import (
 
 // Source is the query sequence a Pool races across depths.
 type Source interface {
-	// Frame returns the clauses new at depth k; depths are fed in order
-	// starting at 0.
+	// Frame returns the clauses new at depth k. The pool asks for each
+	// depth once, in order from 0, and again for an older depth whenever a
+	// racer that starts late has to load it — possibly from several race
+	// goroutines at once: the result must depend on k alone.
 	Frame(k int) *cnf.Formula
 	// Assumption returns the activation literal assumed when solving
 	// depth k.

@@ -144,12 +144,16 @@ func (o Options) withDefaults() Options {
 // fresh worker replays the whole unrolling); clause-bus payloads flow
 // both directions under ShareOptions filters.
 //
-// Remote mirrors are fed the same frames, options, and guidance the
-// local pool's solvers see, so verdicts and depths are equivalent to
-// LocalExecutor by construction. One documented divergence: winner
-// unsat cores stay worker-side, so strategy-score feedback derived from
-// cores sees no updates under this executor — ordering guidance stays
-// flat, verdicts are unaffected.
+// A live attempt carries the options and guidance it runs under and a
+// function that loads its local solver; the executor ships the former and
+// calls the latter only in a fallback, so under a healthy fleet the
+// coordinator's pool holds no clause at all and a lost worker's slice
+// catches up locally at the moment it is needed. Remote mirrors load the
+// same frames, options, and guidance the local solver would, so verdicts
+// and depths are equivalent to LocalExecutor by construction. One
+// documented divergence: winner unsat cores stay worker-side, so
+// strategy-score feedback derived from cores sees no updates under this
+// executor — ordering guidance stays flat, verdicts are unaffected.
 type Executor struct {
 	opts  Options
 	links []*link
@@ -502,10 +506,12 @@ func (e *Executor) Race(query engine.Query, f *cnf.Formula, attempts []portfolio
 }
 
 // RaceLive implements engine.Executor: the warm race, distributed. Each
-// worker races its per-(session, query, strategy) mirror solvers —
-// fed any frames it is missing first — and the local solvers stay
-// untouched unless a worker is lost mid-race, in which case the lost
-// slice re-races on them.
+// worker races its per-(session, query, strategy) mirror solvers, loading
+// the ones that get to search with the frames they are missing. No local
+// solver is asked for unless a worker is lost mid-race: the lost slice then
+// re-races through portfolio.RaceLive, which is where its solvers load.
+// Clauses the mirrors learned come back in RaceResult.Foreign for the
+// caller to import.
 func (e *Executor) RaceLive(query engine.Query, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
 	qs := string(query)
 	e.mRaces.Inc()
@@ -516,7 +522,7 @@ func (e *Executor) RaceLive(query engine.Query, attempts []portfolio.LiveAttempt
 	wire := make([]WireAttempt, len(attempts))
 	for i, a := range attempts {
 		names[i] = a.Name
-		wire[i] = WireAttempt{Name: a.Name, Opts: toWireOptions(a.Solver.OptionsSnapshot())}
+		wire[i] = WireAttempt{Name: a.Name, Opts: toWireOptions(a.Opts)}
 	}
 	shareOn := !e.opts.Share.Off
 	res, exports := e.distribute(names,
@@ -543,7 +549,7 @@ func (e *Executor) RaceLive(query engine.Query, attempts []portfolio.LiveAttempt
 		},
 		stop)
 	if shareOn && len(exports) > 0 {
-		e.redistribute(qs, exports, attempts)
+		res.Foreign = e.redistribute(qs, exports)
 	}
 	sp.SetArg("winner", res.WinnerName())
 	return res
@@ -771,17 +777,17 @@ func (e *Executor) OnClausePayload(query engine.Query, k int, from string, claus
 	}
 }
 
-// redistribute rebroadcasts worker-exported clauses to the other
-// workers (minus the origin and the reserve link) and imports them into
-// the local pool's solvers so the fallback path stays warm. The local
-// import skips attempt 0, mirroring the pool's ReserveFirst diversity
-// slot.
-func (e *Executor) redistribute(qs string, exports []linkExport, attempts []portfolio.LiveAttempt) {
+// redistribute rebroadcasts worker-exported clauses to the other workers
+// (minus the origin and the reserve link) and returns them, filtered, for
+// the local pool: its solvers import them at the depth boundary — or when
+// a fallback first loads them — so the fallback path stays warm.
+func (e *Executor) redistribute(qs string, exports []linkExport) []cnf.Clause {
 	k := e.depthOf(qs)
 	reserve := e.reserveLink()
 	maxLen := e.opts.Share.MaxLen
 	budget := e.opts.Share.PerLinkBudget
 	healthy := e.healthyLinks()
+	var back []cnf.Clause
 	for _, ex := range exports {
 		filtered := filterClauses(ex.clauses, maxLen, budget)
 		if len(filtered) == 0 {
@@ -795,15 +801,9 @@ func (e *Executor) redistribute(qs string, exports []linkExport, attempts []port
 			}
 			e.forwardClauses(l, qs, k, from, filtered)
 		}
-		for i, a := range attempts {
-			if i == 0 {
-				continue
-			}
-			for _, cl := range filtered {
-				a.Solver.ImportClause(cl)
-			}
-		}
+		back = append(back, filtered...)
 	}
+	return back
 }
 
 // forwardClauses ships one clause payload to a worker; a failed write
@@ -872,10 +872,9 @@ func (e *Executor) logf(format string, args ...any) {
 }
 
 // sanitizeOptions strips the process-local hooks from cold-race options
-// before they cross the wire (live options come pre-sanitized from
-// sat.Solver.OptionsSnapshot). Recorder traces of remotely executed
-// attempts are therefore not produced — a documented cost of shipping
-// the race elsewhere.
+// before they cross the wire (a live attempt's options never carry them).
+// Recorder traces of remotely executed attempts are therefore not
+// produced — a documented cost of shipping the race elsewhere.
 func sanitizeOptions(o sat.Options) sat.Options {
 	o.Stop = nil
 	o.Recorder = nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -212,18 +213,17 @@ func (c *failingConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// TestWorkerLostMidCheck: a worker that dies between depths is evicted
-// and the stranded attempts re-race locally; the check completes with
-// the correct verdict. Reconnects are disabled, so every later depth
-// exercises the zero-healthy-links degradation too.
-func TestWorkerLostMidCheck(t *testing.T) {
+// newDyingWorkerExecutor builds a one-worker executor ("w0", reconnects
+// off) whose worker dies after limit successful writes, wired to a fresh
+// registry and closed via t.Cleanup.
+func newDyingWorkerExecutor(t *testing.T, limit int64) (*Executor, *obs.Registry) {
+	t.Helper()
 	w := NewWorker(WorkerOptions{})
 	var handlers sync.WaitGroup
 	opts := fastOpts()
 	opts.Dial = func(string) (net.Conn, error) {
 		coord, worker := net.Pipe()
-		// HelloAck + two race responses, then the "process" dies.
-		fc := &failingConn{Conn: worker, limit: 3}
+		fc := &failingConn{Conn: worker, limit: limit}
 		handlers.Add(1)
 		go func() {
 			defer handlers.Done()
@@ -237,8 +237,18 @@ func TestWorkerLostMidCheck(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer e.Close()
 	e.onClose = handlers.Wait
+	t.Cleanup(func() { e.Close() })
+	return e, reg
+}
+
+// TestWorkerLostMidCheck: a worker that dies between depths is evicted
+// and the stranded attempts re-race locally; the check completes with
+// the correct verdict. Reconnects are disabled, so every later depth
+// exercises the zero-healthy-links degradation too.
+func TestWorkerLostMidCheck(t *testing.T) {
+	// HelloAck + two race responses, then the "process" dies.
+	e, reg := newDyingWorkerExecutor(t, 3)
 
 	m, ok := bench.ByName("cnt_w4_t9")
 	if !ok {
@@ -257,6 +267,65 @@ func TestWorkerLostMidCheck(t *testing.T) {
 	if n := snap.Counters[metricRemoteFallbacks]; n == 0 {
 		t.Error("stranded attempts never re-raced locally")
 	}
+}
+
+// TestWorkerLostMidCheckWarm is the warm shape of the same loss, and the
+// only reader of the coordinator's pool solvers there is: while the worker
+// lives the races run on its mirrors and no coordinator-side solver holds
+// a clause; when it dies the stranded attempts load from the unrolling, at
+// that depth, and finish the check locally with the all-local verdict.
+func TestWorkerLostMidCheckWarm(t *testing.T) {
+	// HelloAck + three race responses, then the "process" dies.
+	e, reg := newDyingWorkerExecutor(t, 4)
+
+	m, ok := bench.ByName("cnt_w4_t9")
+	if !ok {
+		t.Fatal("model cnt_w4_t9 missing")
+	}
+	base := []engine.Option{
+		engine.WithBudgets(9, 0), engine.WithPortfolio(nil, 0),
+		engine.WithIncremental(), engine.WithExchange(racer.ExchangeOptions{Enabled: true}),
+	}
+	ref := checkWith(t, m, base...)
+
+	// Every depth's end looks at the coordinator's pool: frames loaded by
+	// any of its four racers, against whether a fallback has happened yet.
+	loadedFrames := func() (n int64) {
+		for name, v := range reg.Snapshot().Counters {
+			if strings.HasPrefix(name, "racer_frames_loaded_total{") {
+				n += v
+			}
+		}
+		return n
+	}
+	healthyDepths := 0
+	watch := func(ev engine.Event) {
+		if ev.Kind != engine.DepthFinished {
+			return
+		}
+		if reg.Snapshot().Counters[metricRemoteFallbacks] > 0 {
+			return
+		}
+		healthyDepths++
+		if n := loadedFrames(); n != 0 {
+			t.Errorf("depth %d: no fallback yet, but the coordinator's racers loaded %d frames", ev.K, n)
+		}
+	}
+	res := checkWith(t, m, append(base, engine.WithExecutor(e), engine.WithMetrics(reg), engine.WithProgress(watch))...)
+	if res.Verdict != ref.Verdict || res.K != ref.K {
+		t.Errorf("after worker loss: (%v@%d), want (%v@%d)", res.Verdict, res.K, ref.Verdict, ref.K)
+	}
+	snap := reg.Snapshot()
+	if n := snap.Counters[metricRemoteFallbacks]; n == 0 {
+		t.Error("stranded attempts never re-raced locally")
+	}
+	if healthyDepths == 0 {
+		t.Error("the worker was lost before any depth finished remotely: nothing checked the healthy phase")
+	}
+	if loadedFrames() == 0 {
+		t.Error("the fallback races decided the check without loading a single frame")
+	}
+	t.Logf("%d depths finished on the worker; the fallback loaded %d frames across the pool", healthyDepths, loadedFrames())
 }
 
 // TestWorkerReconnect: with reconnects enabled, a transiently failing

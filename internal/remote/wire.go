@@ -33,11 +33,12 @@
 // what built them instead: each RaceRequest carries the unrolled frames
 // the worker has not seen yet (the coordinator tracks a per-link
 // high-water mark, reset on reconnect so a fresh worker replays from
-// frame zero) plus each attempt's sanitized solver options — guidance,
-// budgets, deadline — snapshot at race time. The worker feeds frames to
-// its mirrors exactly as racer.Pool feeds its own solvers, so a mirror
-// is the same solver the pool would have raced locally, and verdicts
-// are equivalent by construction.
+// frame zero) plus each attempt's hook-free solver options — guidance,
+// budgets, deadline — as the pool computed them for the depth. The worker
+// keeps the frames and loads a mirror through the routine racer.Pool loads
+// its own solvers with (racer.Feed.CatchUp), when the mirror is about to
+// search, so a mirror is the same solver the pool would have raced
+// locally, and verdicts are equivalent by construction.
 package remote
 
 import (
@@ -163,8 +164,8 @@ type WireOptions struct {
 	StopCheckEvery       int
 }
 
-// toWireOptions flattens a sanitized sat.Options (see
-// sat.Solver.OptionsSnapshot) into its wire mirror.
+// toWireOptions flattens a sat.Options into its wire mirror; the hooks do
+// not cross.
 func toWireOptions(o sat.Options) WireOptions {
 	w := WireOptions{
 		RescoreInterval:      o.RescoreInterval,

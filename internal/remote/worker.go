@@ -9,6 +9,7 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/obs"
 	"repro/internal/portfolio"
+	"repro/internal/racer"
 	"repro/internal/sat"
 )
 
@@ -58,8 +59,9 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 }
 
 // Worker executes races for remote coordinators. Each connection gets
-// its own isolated solver state — per-(query, strategy) persistent
-// mirror solvers fed frame by frame, exactly as racer.Pool feeds its
+// its own isolated solver state — the frames of each query and
+// per-(query, strategy) persistent mirror solvers, loaded from those
+// frames when they are about to search, exactly as racer.Pool loads its
 // local racers — so one daemon serves many concurrent sessions, and a
 // session's mirrors die with its connection. A Worker is safe for
 // concurrent use; Serve and ServeConn may be called from any number of
@@ -209,27 +211,28 @@ func (w *Worker) runRace(sess *connSession, req *RaceRequest, stop <-chan struct
 	defer sess.endLive(req.Query)
 
 	// The query is marked busy: this goroutine owns its mirrors until
-	// endLive, so everything below runs lock-free. Imports happen before
-	// the race while every mirror is at rest (the import contract).
+	// endLive, and hands each to at most one race goroutine. Imports are
+	// queued for the mirrors of this request at this depth's boundary and
+	// go in, with the frames a mirror is missing, when it is about to
+	// search (the import contract: it is at rest then).
+	k := len(q.history) - 1
+	frames := func(d int) *cnf.Formula {
+		return &cnf.Formula{NumVars: q.history[d].NumVars, Clauses: q.history[d].Clauses}
+	}
 	attempts := make([]portfolio.LiveAttempt, len(req.Attempts))
 	for i, a := range req.Attempts {
 		m := q.mirrors[a.Name]
 		if m == nil {
-			m = &mirror{s: sat.New(cnf.New(0), a.Opts.toSatOptions())}
+			m = &mirror{feed: racer.Feed{Solver: sat.New(cnf.New(0), a.Opts.toSatOptions())}}
 			q.mirrors[a.Name] = m
 		}
-		for _, fr := range q.history[m.fed:] {
-			m.s.AddVars(fr.NumVars)
-			for _, cl := range fr.Clauses {
-				m.s.AddClause(cl)
-			}
+		if len(pending) > 0 {
+			m.feed.Deliver(k, "", pending)
 		}
-		m.fed = len(q.history)
-		for _, cl := range pending {
-			m.s.ImportClause(cl)
-		}
-		m.s.SetGuidance(a.Opts.Guidance, a.Opts.SwitchAfterDecisions)
-		attempts[i] = portfolio.LiveAttempt{Name: a.Name, Solver: m.s}
+		attempts[i] = portfolio.LiveAttempt{Name: a.Name, Solver: func() *sat.Solver {
+			s, _ := m.feed.CatchUp(k, frames, a.Opts.Guidance, a.Opts.SwitchAfterDecisions)
+			return s
+		}}
 	}
 
 	race := portfolio.RaceLive(attempts, req.Assumps, req.Jobs, stop)
@@ -238,8 +241,8 @@ func (w *Worker) runRace(sess *connSession, req *RaceRequest, stop <-chan struct
 	if req.ExportMaxLen > 0 || req.ExportMaxLBD > 0 {
 		for _, a := range req.Attempts {
 			m := q.mirrors[a.Name]
-			exported = append(exported, m.s.ExportLearned(m.mark, req.ExportMaxLen, req.ExportMaxLBD, req.ExportBudget)...)
-			m.mark = m.s.NextClauseID()
+			exported = append(exported, m.feed.Solver.ExportLearned(m.mark, req.ExportMaxLen, req.ExportMaxLBD, req.ExportBudget)...)
+			m.mark = m.feed.Solver.NextClauseID()
 		}
 	}
 	return &RaceResponse{ID: req.ID, Race: race, Exported: exported}
@@ -255,11 +258,11 @@ type connSession struct {
 }
 
 // workerQuery is one instance sequence's mirror state: the full frame
-// history (so a strategy first raced at depth k can replay frames
-// 0..k), the per-strategy mirrors, and clause imports awaiting the next
-// race. busy serializes races per query — the coordinator never
-// overlaps them, so a second race for a busy query is protocol misuse
-// and is rejected rather than queued.
+// history (a mirror loads from it when it first gets to search, at
+// whatever depth that is), the per-strategy mirrors, and clause imports
+// awaiting the next race. busy serializes races per query — the
+// coordinator never overlaps them, so a second race for a busy query is
+// protocol misuse and is rejected rather than queued.
 type workerQuery struct {
 	history []WireFrame
 	mirrors map[string]*mirror
@@ -267,12 +270,11 @@ type workerQuery struct {
 	busy    bool
 }
 
-// mirror is one strategy's persistent worker-side solver: the solver,
-// the number of history frames already fed, and the learned-clause
-// export high-water mark.
+// mirror is one strategy's persistent worker-side solver: the solver with
+// its load state (frames of the history held, imports waiting), and the
+// learned-clause export high-water mark.
 type mirror struct {
-	s    *sat.Solver
-	fed  int
+	feed racer.Feed
 	mark sat.ClauseID
 }
 

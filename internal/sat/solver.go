@@ -467,20 +467,6 @@ func (s *Solver) SetGuidance(g []float64, switchAfterDecisions int64) {
 	s.heap.rebuild()
 }
 
-// OptionsSnapshot returns a copy of the solver's effective options with
-// the process-local hooks — Stop, Recorder, Metrics — cleared. What
-// remains (tuning parameters, budgets, deadline, and the guidance state
-// of the most recent SetGuidance call) is plain serializable data: a
-// distributing executor snapshots it per attempt to configure an
-// equivalent solver in another process.
-func (s *Solver) OptionsSnapshot() Options {
-	o := s.opts
-	o.Stop = nil
-	o.Recorder = nil
-	o.Metrics = nil
-	return o
-}
-
 // SetStop replaces the cooperative-cancellation channel consulted by
 // subsequent solve calls. Closed channels cannot be reopened, so a
 // persistent racer gets a fresh channel installed before every race

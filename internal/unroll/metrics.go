@@ -9,8 +9,9 @@ import (
 
 // Metrics is the unroller's bundle of obs handles, observed once per
 // Frame build (encode cost is per depth, not per clause, so nothing here
-// is hot). A nil *Metrics — the default on Delta and StepDelta — skips
-// even the clock read.
+// is hot). The handles are atomic: Frame may be called from several
+// goroutines at once. A nil *Metrics — the default on Delta and StepDelta
+// — skips even the clock read.
 type Metrics struct {
 	Frames     *obs.Counter // Frame(k) calls
 	BuildNanos *obs.Counter // wall time inside Frame builds
@@ -59,7 +60,11 @@ func (m *Metrics) observe(start time.Time, f *cnf.Formula) {
 	m.BuildNanos.Add(int64(time.Since(start)))
 	m.Clauses.Add(int64(f.NumClauses()))
 	m.Literals.Add(int64(f.NumLiterals()))
-	m.Vars.Set(int64(f.NumVars))
+	// A late-starting racer re-encodes frames below the current depth
+	// (racer.Feed.CatchUp): the gauge follows the deepest frame built.
+	if n := int64(f.NumVars); n > m.Vars.Value() {
+		m.Vars.Set(n)
+	}
 	m.FrameClauses.Observe(int64(f.NumClauses()))
 }
 
