@@ -60,6 +60,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"time"
 
@@ -189,8 +190,8 @@ func progressPrinter(w io.Writer) func(engine.Event) {
 			// Quiet: the finished row carries everything worth a line.
 		case engine.DepthFinished:
 			if !headerDone {
-				fmt.Fprintf(w, "%-4s %-5s %-8s %-10s %10s %12s %12s %10s %10s %9s %9s\n",
-					"k", "query", "status", "winner", "decisions", "implications", "conflicts", "coreCls", "coreVars", "encode", "solve")
+				fmt.Fprintf(w, "%-4s %-5s %-8s %-10s %10s %8s %12s %12s %10s %10s %9s %9s\n",
+					"k", "query", "status", "winner", "decisions", "switch", "implications", "conflicts", "coreCls", "coreVars", "encode", "solve")
 				headerDone = true
 			}
 			d := e.Depth
@@ -198,8 +199,14 @@ func progressPrinter(w io.Writer) func(engine.Event) {
 			if winner == "" {
 				winner = "-"
 			}
-			fmt.Fprintf(w, "%-4d %-5s %-8s %-10s %10d %12d %12d %10d %10d %9s %9s\n",
-				e.K, e.Query, d.Status, winner, d.Stats.Decisions, d.Stats.Implications,
+			// The decision count at which the dynamic ordering handed over
+			// from bmc_score to VSIDS, when it did.
+			switched := "-"
+			if d.Stats.GuidanceSwitched {
+				switched = strconv.FormatInt(d.Stats.SwitchDecision, 10)
+			}
+			fmt.Fprintf(w, "%-4d %-5s %-8s %-10s %10d %8s %12d %12d %10d %10d %9s %9s\n",
+				e.K, e.Query, d.Status, winner, d.Stats.Decisions, switched, d.Stats.Implications,
 				d.Stats.Conflicts, d.CoreClauses, d.CoreVars,
 				d.EncodeWall.Round(10*time.Microsecond), d.SolveWall.Round(10*time.Microsecond))
 		case engine.RaceFinished:
@@ -253,7 +260,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scoreMode  = fs.String("score", "weighted-sum", "bmc_score rule: weighted-sum|unweighted-sum|last-core-only|exp-decay")
 		divisor    = fs.Int("switch-divisor", core.SwitchDivisor, "dynamic switch divisor (decisions > lits/divisor)")
 		jsonOut    = fs.Bool("json", false, "emit the unified engine.Result as JSON on stdout")
-		verbose    = fs.Bool("v", false, "stream per-depth statistics as the check runs")
+		verbose    = fs.Bool("v", false, "stream per-depth statistics as the check runs (switch: the decision count at which the dynamic ordering fell back to VSIDS at that depth, - if it did not; -json has it as stats.SwitchDecision in each per_depth row)")
 		witness    = fs.Bool("witness", false, "print the counter-example trace")
 		metricsOut = fs.Bool("metrics", false, "dump the session's metric registry after the check")
 		metricAddr = fs.String("metrics-addr", "", "serve /metrics (Prometheus) and /debug/pprof/ on this address while the check runs (e.g. :9090)")

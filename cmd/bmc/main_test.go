@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -140,6 +141,42 @@ func TestCLIEndToEnd(t *testing.T) {
 				t.Errorf("stdout does not contain %q:\n%s", tc.wantOut, stdout.String())
 			}
 		})
+	}
+}
+
+// TestCLIVerboseSwitchColumn: -v shows, per depth, whether the dynamic
+// ordering handed over to VSIDS and at which decision. On add_w8 the cores
+// cover the whole formula and the search outruns the threshold at every
+// depth past the first; a parity mixer's cores keep it inside.
+func TestCLIVerboseSwitchColumn(t *testing.T) {
+	switchColumn := func(model string) []string {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-depth=3", "-v", writeModel(t, model)}, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit code %d (stderr: %s)", model, code, stderr.String())
+		}
+		var header, col []string
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			f := strings.Fields(line)
+			switch {
+			case len(f) > 0 && f[0] == "k":
+				header = f
+			case header != nil && len(f) == len(header):
+				col = append(col, f[5])
+			}
+		}
+		if len(header) < 6 || header[5] != "switch" || len(col) != 4 {
+			t.Fatalf("%s: want a switch column with one row per depth:\n%s", model, stdout.String())
+		}
+		return col
+	}
+	fired := switchColumn("add_w8")
+	for k, v := range fired {
+		if _, err := strconv.Atoi(v); (err == nil) != (k > 0) {
+			t.Errorf("add_w8 depth %d: switch column %q, want a decision count at every depth but the first (%v)", k, v, fired)
+		}
+	}
+	if quiet := switchColumn("mix_w5"); strings.Join(quiet, "") != "----" {
+		t.Errorf("mix_w5: switch column %v, want - at every depth", quiet)
 	}
 }
 

@@ -30,21 +30,22 @@
 //	                     hangs its instrumentation off these two types
 //	internal/sat         incremental CDCL solver (Chaff lineage) over a
 //	                     flat clause arena (one pointer-free []uint32 per
-//	                     solver, index watchers, bulk load, in-place
-//	                     compaction): clause addition and assumption
-//	                     solving on a live solver, proof recording,
-//	                     guidance scores, cancellation, learned-clause
-//	                     export/import for cross-solver sharing
-//	                     (ExportLearned/ImportClause)
+//	                     solver, index watchers, bulk load into a new or
+//	                     a used solver's storage, in-place compaction):
+//	                     clause addition and assumption solving on a
+//	                     live solver, proof recording, guidance scores,
+//	                     cancellation, learned-clause export/import for
+//	                     cross-solver sharing (ExportLearned/ImportClause)
 //	internal/core        the conflict dependency graph (one flat recorder
 //	                     for fresh and persistent solvers, optional literal
 //	                     payload), unsat cores, bmc_score board, ordering
 //	                     strategies (§3.1-§3.3)
-//	internal/unroll      time-frame expansion: whole-instance Formula,
-//	                     per-frame Delta (activation-guarded properties),
+//	internal/unroll      time-frame expansion: the whole-instance Instance,
+//	                     grown in place from depth to depth (Formula and
+//	                     StepFormula are its one-shot forms), per-frame
+//	                     Delta (activation-guarded properties), and
 //	                     StepDelta (incremental induction-step encoding
-//	                     with monotone simple-path constraints), and the
-//	                     scratch step instance StepFormula
+//	                     with monotone simple-path constraints)
 //	internal/bmc         test-only: the behavioural suite of the four BMC
 //	                     shapes, driven through engine
 //	internal/portfolio   strategy-racing engine: cancellable solver race

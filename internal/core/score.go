@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/lits"
@@ -131,11 +132,17 @@ func (b *ScoreBoard) Score(v lits.Var) float64 {
 // Guidance returns a per-variable score slice (entry 0 unused) sized for a
 // formula with nVars variables, suitable for sat.Options.Guidance. The
 // returned slice is a copy; later Updates do not affect it.
-func (b *ScoreBoard) Guidance(nVars int) []float64 {
+func (b *ScoreBoard) Guidance(nVars int) []float64 { return b.GuidanceInto(nil, nVars) }
+
+// GuidanceInto is Guidance written over buf's array where that is large
+// enough — for a caller that asks at every depth of a check and is done
+// with the last answer by then. An array that is too small is replaced by
+// append's amortised rule; none at all by one of exactly the size.
+func (b *ScoreBoard) GuidanceInto(buf []float64, nVars int) []float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	g := make([]float64, nVars+1)
-	copy(g, b.score)
+	g := slices.Grow(buf[:0], nVars+1)[:nVars+1]
+	clear(g[copy(g, b.score):])
 	return g
 }
 
@@ -152,10 +159,11 @@ func (b *ScoreBoard) NumScored() int {
 	return n
 }
 
+// grow extends the scores to cover maxVar. A core names a higher variable
+// at every depth: append's amortised growth keeps what all the depths of a
+// check allocate proportional to the final size.
 func (b *ScoreBoard) grow(maxVar int) {
-	if maxVar+1 > len(b.score) {
-		next := make([]float64, maxVar+1)
-		copy(next, b.score)
-		b.score = next
+	for len(b.score) <= maxVar {
+		b.score = append(b.score, 0)
 	}
 }

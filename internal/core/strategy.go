@@ -80,18 +80,34 @@ func (s Strategy) Configure(opts *sat.Options, board *ScoreBoard, f *cnf.Formula
 // ConfigureWithDivisor is Configure with an explicit switch divisor
 // (dynamic strategy only; divisor <= 0 disables the switch).
 func (s Strategy) ConfigureWithDivisor(opts *sat.Options, board *ScoreBoard, f *cnf.Formula, divisor int) {
+	numLits := 0
+	if s == OrderDynamic && divisor > 0 {
+		numLits = f.NumLiterals()
+	}
+	opts.Guidance = nil
+	s.ConfigureSized(opts, board, f.NumVars, numLits, divisor)
+}
+
+// ConfigureSized is ConfigureWithDivisor for a depth loop that configures
+// a growing instance again and again: the formula is known by its variable
+// and literal counts, so a caller that keeps the literal count as the
+// instance grows need not have every clause walked for it, and the scores
+// are written over the array of the guidance opts comes with where that is
+// large enough (ScoreBoard.GuidanceInto) — the caller's last one, which it
+// must be done with.
+func (s Strategy) ConfigureSized(opts *sat.Options, board *ScoreBoard, numVars, numLits, divisor int) {
 	switch s {
 	case OrderVSIDS, OrderTimeAxis:
 		// Deliberate no-ops: VSIDS is the solver's own heuristic, and
 		// the time-axis ordering is encoded by the unroller's variable
 		// numbering, not by solver options.
 	case OrderStatic:
-		opts.Guidance = board.Guidance(f.NumVars)
+		opts.Guidance = board.GuidanceInto(opts.Guidance, numVars)
 		opts.SwitchAfterDecisions = 0
 	case OrderDynamic:
-		opts.Guidance = board.Guidance(f.NumVars)
+		opts.Guidance = board.GuidanceInto(opts.Guidance, numVars)
 		if divisor > 0 {
-			opts.SwitchAfterDecisions = int64(f.NumLiterals() / divisor)
+			opts.SwitchAfterDecisions = int64(numLits / divisor)
 			if opts.SwitchAfterDecisions < 1 {
 				opts.SwitchAfterDecisions = 1
 			}

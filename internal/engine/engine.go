@@ -107,17 +107,21 @@ type DepthStats struct {
 	// Wall is the wall-clock time of this depth, including CNF
 	// generation, the SAT call(s), and score maintenance. EncodeWall and
 	// SolveWall split out its two dominant parts: building the depth's
-	// CNF (the whole formula on scratch shapes, the delta frame on
-	// incremental ones), and the SAT call (the race's wall for portfolio
-	// runs). Loading a solver belongs to SolveWall on every shape: sat.New
-	// on scratch shapes and, on incremental ones, the catch-up a solver
-	// does when it is about to search.
-	Wall           time.Duration `json:"wall"`
-	EncodeWall     time.Duration `json:"encode_wall,omitempty"`
-	SolveWall      time.Duration `json:"solve_wall,omitempty"`
-	FormulaVars    int           `json:"formula_vars"`
-	FormulaClauses int           `json:"formula_clauses"`
-	FormulaLits    int           `json:"formula_lits"`
+	// CNF (on every shape the cost of the depth's frame: scratch shapes
+	// grow their whole-instance formula in place by it, incremental ones
+	// build it as a delta), and the SAT call (the race's wall for portfolio
+	// runs). Loading a solver belongs to SolveWall on every shape: the
+	// whole formula's sat.Solver.Load on scratch shapes and, on incremental
+	// ones, the catch-up a solver does when it is about to search.
+	Wall       time.Duration `json:"wall"`
+	EncodeWall time.Duration `json:"encode_wall,omitempty"`
+	SolveWall  time.Duration `json:"solve_wall,omitempty"`
+	// FormulaVars/Clauses/Lits size the whole instance the depth solved —
+	// every clause it holds, not the ones encoded at this depth: a scratch
+	// depth's grown formula, a persistent solver's frames so far.
+	FormulaVars    int `json:"formula_vars"`
+	FormulaClauses int `json:"formula_clauses"`
+	FormulaLits    int `json:"formula_lits"`
 	// CoreClauses/CoreVars describe the extracted unsat core (0 on SAT
 	// or when recording is off).
 	CoreClauses int `json:"core_clauses"`

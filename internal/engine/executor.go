@@ -7,7 +7,7 @@ import (
 )
 
 // Executor is the session's execution seam: every race a Session runs —
-// cold (throwaway solvers over one formula) or live (the warm pool's
+// cold (fresh solvers over one formula) or live (the warm pool's
 // persistent solvers under an assumption) — is submitted through this
 // interface, and every depth-boundary clause-bus payload flows through
 // its hook. LocalExecutor wraps the in-process goroutine pool;
@@ -18,13 +18,24 @@ import (
 //
 // # The contract, method by method
 //
-// Race runs a cold race: one throwaway solver per attempt, all solving
-// the same formula f, at most jobs concurrently (jobs <= 0 means one
-// per attempt). The attempts' sat.Options carry everything a solver
-// needs (guidance, budgets, deadline, recorder); f and the options are
-// owned by the caller and must not be mutated. query labels which
-// instance sequence the race belongs to (bmc, base, step) — pure
-// routing/telemetry context, it does not change the formula.
+// Race runs a cold race: one fresh solver per attempt, all solving the
+// same formula f, at most jobs concurrently (jobs <= 0 means one per
+// attempt). The attempts' sat.Options carry everything a solver needs
+// (guidance, budgets, deadline, recorder); f and the options are owned
+// by the caller and must not be mutated. An attempt may name the solver
+// to load f into (portfolio.Attempt.Solver): an executor that runs the
+// attempt in-process hands it to portfolio.Race, one that runs it
+// elsewhere ignores it. query labels which instance sequence the race
+// belongs to (bmc, base, step) — pure routing/telemetry context, it
+// does not change the formula.
+//
+// Race borrows f, the options' guidance slices and the attempts' solvers
+// only until it returns: the depth loop grows the same formula in place,
+// overwrites the same guidance and reloads the same solvers for the next
+// depth. Whatever reads them — a racing solver's load, a wire encoder —
+// must have finished by then, on every path including a lost worker's;
+// nothing an implementation keeps past the call (results, telemetry,
+// retained payloads) may alias them.
 //
 // RaceLive races the warm pool's persistent solvers on an assumption
 // list; their clause databases and heuristic state survive the race (the

@@ -22,7 +22,7 @@ func TestFrameGuidanceLeavesStepAuxUnscored(t *testing.T) {
 	if f.NumVars <= u.NumVars(k+1) {
 		t.Fatalf("step formula has no aux variables: %d <= %d", f.NumVars, u.NumVars(k+1))
 	}
-	g := frameGuidance(u, k+2, f.NumVars)
+	g := frameGuidance(nil, u, k+2, f.NumVars)
 	if len(g) != f.NumVars+1 {
 		t.Fatalf("guidance length %d, want %d", len(g), f.NumVars+1)
 	}

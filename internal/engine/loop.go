@@ -23,7 +23,8 @@ import (
 //     simple-path step sequence, and stops a step race whose base verdict
 //     made it moot;
 //   - the solver lifetime: fresh solvers over each depth's whole formula
-//     (freshSeq) or persistent solvers fed each depth's delta (warmSeq);
+//     (freshSeq; the formula grown, the solvers reloaded, in place) or
+//     persistent solvers fed each depth's delta (warmSeq);
 //   - the attempt set: the portfolio's strategy set, or the one-element
 //     set of a single ordering — a single ordering is a portfolio of one.
 //
@@ -41,18 +42,30 @@ type sequence interface {
 	trace(model lits.Assignment, k int) *unroll.Trace
 }
 
-// freshSeq builds every depth's formula from scratch and races throwaway
-// solvers over it (Executor.Race); only the score board survives a depth.
+// freshSeq races fresh solvers over each depth's whole formula
+// (Executor.Race) — the paper's Fig. 5 loop, gen_cnf_formula and a new
+// solver per k — and pays for a depth what is new at it: the instance
+// grows in place by the depth's frame, and each strategy's solver is loaded
+// into the storage its last depth left behind (sat.Solver.Load), coming out
+// exactly the solver sat.New would build. Only the score board's contents
+// survive a depth; formula and solvers are rewritten by the next one, which
+// they may be because every Executor is done with both when Race returns.
 type freshSeq struct {
-	exec    Executor
-	query   Query
-	u       *unroll.Unroller
-	set     portfolio.StrategySet
-	jobs    int
-	opts    sat.Options    // per-attempt starting point (solverBase)
-	metrics []*sat.Metrics // per strategy, nil without a registry
-	board   *core.ScoreBoard
-	divisor int
+	exec  Executor
+	query Query
+	u     *unroll.Unroller
+	inst  *unroll.Instance // the query's instance, at the last depth raced
+	set   portfolio.StrategySet
+	// solvers and guidance are per strategy and live as long as the check:
+	// each depth loads the one and writes the other over what the last
+	// depth left.
+	solvers  []*sat.Solver
+	guidance [][]float64
+	jobs     int
+	opts     sat.Options    // per-attempt starting point (solverBase)
+	metrics  []*sat.Metrics // per strategy, nil without a registry
+	board    *core.ScoreBoard
+	divisor  int
 	// record attaches a proof recorder to every attempt, so whichever
 	// racer wins an UNSAT depth has a core to contribute.
 	record bool
@@ -60,13 +73,7 @@ type freshSeq struct {
 
 func (q *freshSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
 	encodeStart := time.Now()
-	var f *cnf.Formula
-	frames := k + 1
-	if q.query == QueryStep {
-		f, frames = unroll.StepFormula(q.u, k), k+2
-	} else {
-		f = q.u.Formula(k)
-	}
+	f := q.inst.Extend(k)
 	encodeWall := time.Since(encodeStart)
 
 	attempts := make([]portfolio.Attempt, len(q.set))
@@ -74,23 +81,25 @@ func (q *freshSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
 	for i, st := range q.set {
 		so := q.opts
 		so.Metrics = q.metrics[i]
+		so.Guidance = q.guidance[i]
 		if st == core.OrderTimeAxis {
-			so.Guidance = frameGuidance(q.u, frames, f.NumVars)
+			so.Guidance = frameGuidance(so.Guidance, q.u, q.inst.Frames(), f.NumVars)
 		} else {
-			st.ConfigureWithDivisor(&so, q.board, f, q.divisor)
+			st.ConfigureSized(&so, q.board, f.NumVars, q.inst.NumLiterals(), q.divisor)
 		}
+		q.guidance[i] = so.Guidance
 		if q.record {
 			recs[i] = core.NewRecorder(f.NumClauses())
 			so.Recorder = recs[i]
 		}
-		attempts[i] = portfolio.Attempt{Name: st.String(), Opts: so}
+		attempts[i] = portfolio.Attempt{Name: st.String(), Opts: so, Solver: q.solvers[i]}
 	}
 
 	out := racer.DepthOutcome{
 		Race:         q.exec.Race(q.query, f, attempts, q.jobs, stop),
 		FrameVars:    f.NumVars,
 		TotalClauses: f.NumClauses(),
-		TotalLits:    f.NumLiterals(),
+		TotalLits:    q.inst.NumLiterals(),
 		EncodeWall:   encodeWall,
 	}
 
@@ -109,13 +118,17 @@ func (q *freshSeq) trace(model lits.Assignment, k int) *unroll.Trace {
 // instance spanning the given number of frames: variables of frame 0
 // score highest, later frames lower, and variables past the unroller's
 // frame-stable range (the step encoding's disequality auxiliaries) score
-// zero.
-func frameGuidance(u *unroll.Unroller, frames, nVars int) []float64 {
-	g := make([]float64, nVars+1)
+// zero. The scores are written over buf's array where it is large enough.
+func frameGuidance(buf []float64, u *unroll.Unroller, frames, nVars int) []float64 {
+	g := append(buf[:0], 0)
 	framed := u.NumVars(frames - 1)
-	for v := 1; v <= nVars && v <= framed; v++ {
-		_, frame := u.NodeOf(lits.Var(v))
-		g[v] = float64(frames - frame)
+	for v := 1; v <= nVars; v++ {
+		score := 0.0
+		if v <= framed {
+			_, frame := u.NodeOf(lits.Var(v))
+			score = float64(frames - frame)
+		}
+		g = append(g, score)
 	}
 	return g
 }
@@ -166,22 +179,30 @@ func (s *Session) newSequence(ctx context.Context, u *unroll.Unroller, query Que
 		d.SetMetrics(s.unrollMetrics(query))
 		return warmSeq{pool: racer.NewPool(racer.DeltaSource(d), cfg), d: d}
 	}
+	inst := u.Instance()
+	if query == QueryStep {
+		inst = u.StepInstance()
+	}
 	q := &freshSeq{
-		exec:    s.executor(),
-		query:   query,
-		u:       u,
-		set:     set,
-		jobs:    s.cfg.Jobs,
-		opts:    s.solverBase(ctx),
-		metrics: make([]*sat.Metrics, len(set)),
-		board:   core.NewScoreBoard(s.cfg.ScoreMode),
-		divisor: s.cfg.SwitchDivisor,
-		record:  s.cfg.ForceRecording,
+		exec:     s.executor(),
+		query:    query,
+		u:        u,
+		inst:     inst,
+		set:      set,
+		solvers:  make([]*sat.Solver, len(set)),
+		guidance: make([][]float64, len(set)),
+		jobs:     s.cfg.Jobs,
+		opts:     s.solverBase(ctx),
+		metrics:  make([]*sat.Metrics, len(set)),
+		board:    core.NewScoreBoard(s.cfg.ScoreMode),
+		divisor:  s.cfg.SwitchDivisor,
+		record:   s.cfg.ForceRecording,
 	}
 	if q.divisor == 0 {
 		q.divisor = core.SwitchDivisor
 	}
 	for i, st := range set {
+		q.solvers[i] = new(sat.Solver)
 		q.metrics[i] = s.solverMetrics(query, st.String())
 		// Proof recording (and the board it feeds) only pays off when
 		// some attempt will consume the scores at the next depth.

@@ -12,19 +12,20 @@
 // package is instance-level and strategy-agnostic — it races whatever
 // solver configurations it is handed.
 //
-// Races come in two flavours. Race builds one throwaway solver per
-// attempt from a formula — the cold portfolio, where every depth starts
-// from scratch and a cancelled loser's learned clauses die with it
-// (reported as WastedConflicts). RaceLive instead races caller-owned
-// persistent solvers on an assumption list: the warm pool
-// (internal/racer) keeps one incremental solver per strategy alive across
-// all BMC depths, races them through RaceLive at each depth, and after
-// the race exchanges short learned clauses between them — winners and
-// cancelled losers alike — so wasted conflicts become the next depth's
-// warm-start capital. A live attempt does not hand over a solver but a
-// function that produces it, loaded up to the depth being raced; RaceLive
-// calls it in the attempt's worker slot, so an attempt that is skipped, or
-// that an executor runs somewhere else, never loads anything here.
+// Races come in two flavours. Race loads one solver per attempt from a
+// formula — the cold portfolio, where every depth starts from scratch (in
+// a new solver, or loaded into the storage of one the caller keeps) and a
+// cancelled loser's learned clauses die with it (reported as
+// WastedConflicts). RaceLive instead races caller-owned persistent solvers
+// on an assumption list: the warm pool (internal/racer) keeps one
+// incremental solver per strategy alive across all BMC depths, races them
+// through RaceLive at each depth, and after the race exchanges short
+// learned clauses between them — winners and cancelled losers alike — so
+// wasted conflicts become the next depth's warm-start capital. A live
+// attempt does not hand over a solver but a function that produces it,
+// loaded up to the depth being raced; RaceLive calls it in the attempt's
+// worker slot, so an attempt that is skipped, or that an executor runs
+// somewhere else, never loads anything here.
 //
 // Telemetry records both regimes: wins, cancelled and skipped runs, and
 // conflicts per strategy always; exported/imported clause counts and
@@ -41,14 +42,24 @@ import (
 	"repro/internal/sat"
 )
 
-// Attempt is one racer: a label (usually the strategy name) plus fully
-// configured solver options. The race overrides Opts.Stop to wire in its
-// own cancellation; every other field — guidance, recorder, budgets — is
-// the caller's. Recorders must not be shared between attempts: each
-// solver calls its recorder from its own goroutine.
+// Attempt is one racer: a label (usually the strategy name), fully
+// configured solver options, and optionally the solver to run them in. The
+// race overrides Opts.Stop to wire in its own cancellation; every other
+// field — guidance, recorder, budgets — is the caller's. Recorders must not
+// be shared between attempts: each solver calls its recorder from its own
+// goroutine.
 type Attempt struct {
 	Name string
 	Opts sat.Options
+	// Solver is the solver the race loads the formula into
+	// (sat.Solver.Load): it comes out of the load exactly the solver
+	// sat.New would have built, in the storage its last use left behind. A
+	// caller racing a sequence of growing instances keeps one per attempt
+	// and pays for each table once instead of once per instance. The solver
+	// is the race's from the call to its return and must not be shared
+	// between attempts; whatever state it is in — searched, cancelled
+	// mid-search, never loaded — does not matter. Nil means a new solver.
+	Solver *sat.Solver
 }
 
 // AttemptOutcome is the per-racer telemetry of one race.
@@ -126,8 +137,13 @@ func (r *RaceResult) LoserConflicts() int64 {
 //
 // stop, when non-nil, cancels the whole race from outside (deadline or
 // caller shutdown); the race then reports Winner == -1 unless a verdict
-// landed first. The formula is shared read-only: sat.New copies clauses
-// into per-solver storage, so racers never touch f after construction.
+// landed first. The formula is shared read-only, and only until Race
+// returns: each attempt's load (sat.Solver.Load, in the attempt's worker
+// slot, into Attempt.Solver or a new solver) copies the clauses into
+// per-solver storage and the search never looks at f again, every worker
+// has joined by the time Race returns, and a skipped attempt never loads at
+// all — so the caller may rewrite f, and reuse the solvers, for its next
+// race.
 func Race(f *cnf.Formula, attempts []Attempt, jobs int, stop <-chan struct{}) RaceResult {
 	names := make([]string, len(attempts))
 	for i := range attempts {
@@ -136,7 +152,12 @@ func Race(f *cnf.Formula, attempts []Attempt, jobs int, stop <-chan struct{}) Ra
 	return runRace(names, jobs, stop, func(idx int, cancel <-chan struct{}) sat.Result {
 		opts := attempts[idx].Opts
 		opts.Stop = cancel
-		return sat.New(f, opts).Solve()
+		s := attempts[idx].Solver
+		if s == nil {
+			s = new(sat.Solver)
+		}
+		s.Load(f, opts)
+		return s.Solve()
 	})
 }
 

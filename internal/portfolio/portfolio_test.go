@@ -76,6 +76,28 @@ func TestRaceSatVerdictAndModel(t *testing.T) {
 	}
 }
 
+// TestRaceLoadsIntoKeptSolver: an attempt that names a solver gets the race
+// a new solver would have run, formula after formula, and a model an
+// earlier race returned stays valid when the solver is loaded again.
+func TestRaceLoadsIntoKeptSolver(t *testing.T) {
+	kept := new(sat.Solver)
+	var model lits.Assignment
+	for _, f := range []*cnf.Formula{php(7, 6), php(5, 5), php(6, 5)} {
+		want := Race(f, []Attempt{{Name: "new", Opts: sat.Defaults()}}, 1, nil)
+		got := Race(f, []Attempt{{Name: "kept", Opts: sat.Defaults(), Solver: kept}}, 1, nil)
+		want.Result.Stats.SolveTime, got.Result.Stats.SolveTime = 0, 0
+		if got.Winner != 0 || got.Result.Status != want.Result.Status || got.Result.Stats != want.Result.Stats {
+			t.Errorf("kept solver: %v %+v, a new one: %v %+v", got.Result.Status, got.Result.Stats, want.Result.Status, want.Result.Stats)
+		}
+		if got.Result.Status == sat.Sat {
+			model = got.Result.Model
+		}
+	}
+	if err := sat.VerifyModel(php(5, 5), model); err != nil {
+		t.Errorf("the model of an earlier race did not survive the next load: %v", err)
+	}
+}
+
 func TestRaceNoWinnerOnBudget(t *testing.T) {
 	opts := sat.Defaults()
 	opts.MaxConflicts = 1

@@ -473,6 +473,14 @@ func (e *Executor) reconnectLoop(l *link) {
 // Race implements engine.Executor: the cold race, distributed. Each
 // worker builds throwaway solvers over the full formula for its slice
 // of the attempts.
+//
+// f is the caller's again when Race returns, as the contract requires: a
+// request is encoded, clauses and guidance included, inside the sendRace
+// call that distribute makes on this goroutine (Conn.Send stages the whole
+// frame before it writes), so no sender outlives the call holding f — a
+// lost link fails the send or the flight, it does not defer the encoding —
+// and the local fallback is portfolio.Race, which joins its workers. An
+// attempt's Solver is used by that fallback only; workers load new solvers.
 func (e *Executor) Race(query engine.Query, f *cnf.Formula, attempts []portfolio.Attempt, jobs int, stop <-chan struct{}) portfolio.RaceResult {
 	qs := string(query)
 	e.mRaces.Inc()

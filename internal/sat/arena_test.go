@@ -53,8 +53,9 @@ func BenchmarkPropagateAdder(b *testing.B) {
 }
 
 // TestLoadAllocsBounded pins the bulk load: New allocates per solver, not
-// per clause, and AddClause into a solver that has grown allocates only
-// when the arena or a watch list doubles.
+// per clause, Load into a solver that has held the formula before allocates
+// nothing to speak of, and AddClause into a solver that has grown allocates
+// only when the arena or a watch list doubles.
 func TestLoadAllocsBounded(t *testing.T) {
 	const perSolver = 32
 	gcnt := bench.GatedCounter(4, 10, 6, 16)
@@ -66,6 +67,10 @@ func TestLoadAllocsBounded(t *testing.T) {
 		allocs := testing.AllocsPerRun(3, func() { sinkSolver = New(f, Defaults()) })
 		if allocs >= perSolver {
 			t.Errorf("New over %d clauses: %.0f allocations, want fewer than %d", f.NumClauses(), allocs, perSolver)
+		}
+		s := New(f, Defaults())
+		if reload := testing.AllocsPerRun(3, func() { s.Load(f, Defaults()) }); reload >= 4 {
+			t.Errorf("Load over %d clauses into a solver that has held them: %.0f allocations, want fewer than 4", f.NumClauses(), reload)
 		}
 	}
 

@@ -18,10 +18,13 @@ type litHeap struct {
 	pos  []int32 // indexed by lit.Index(); -1 when absent
 }
 
-// newLitHeap returns the heap holding every literal of variables 1..nVars,
-// in index order: New rebuilds it once the scores it orders by are seeded.
-func newLitHeap(s *Solver, nVars int) *litHeap {
-	h := &litHeap{s: s, heap: make([]lits.Lit, 0, 2*nVars), pos: make([]int32, 2*nVars+2)}
+// reset makes h the heap of solver s holding every literal of variables
+// 1..nVars, in index order and in the arrays it already has where they are
+// large enough: Load rebuilds it once the scores it orders by are seeded.
+func (h *litHeap) reset(s *Solver, nVars int) {
+	h.s = s
+	h.heap = fit(&h.heap, 2*nVars)[:0]
+	h.pos = fit(&h.pos, 2*nVars+2)
 	h.pos[0], h.pos[1] = -1, -1 // no literal has these indices
 	for v := lits.Var(1); int(v) <= nVars; v++ {
 		for _, l := range [2]lits.Lit{lits.PosLit(v), lits.NegLit(v)} {
@@ -29,7 +32,6 @@ func newLitHeap(s *Solver, nVars int) *litHeap {
 			h.heap = append(h.heap, l)
 		}
 	}
-	return h
 }
 
 func (h *litHeap) len() int    { return len(h.heap) }

@@ -27,39 +27,28 @@ import (
 	"repro/internal/lits"
 )
 
-// Solver holds the complete search state for one formula. A Solver is
-// reusable and incremental: build with New, then alternate AddVars/AddClause
-// (which grow the watch lists, scores, and decision heap in place) with
-// SolveAssuming calls that solve the current clause set under a literal
-// assumption list. Learned clauses, VSIDS scores, and saved phases persist
-// across calls, which is what lets a BMC loop compound its clause database
-// across unrolling depths instead of rebuilding every instance from scratch
-// (engine.WithIncremental). Plain Solve is SolveAssuming(nil); single-use
-// callers need not know about any of this.
-type Solver struct {
-	opts  Options
-	nVars int
-
-	ca       arena  // every clause, original and learnt
-	nClauses int    // original clauses in ca (tautologies excluded)
-	learnts  []cref // the live learnt clauses, oldest first
-	moves    []move // compact's scratch
+// tables is the storage of a Solver: every array whose size follows the
+// formula's. It is what Load keeps — emptied, and replaced where it has
+// become too small; every Solver field outside it starts from zero.
+type tables struct {
+	ca      arena  // every clause, original and learnt
+	learnts []cref // the live learnt clauses, oldest first
+	moves   []move // compact's scratch
 
 	watches [][]watcher // indexed by lit.Index()
+	// watchSlab is the array Load carves every watch list from. A list that
+	// outgrows its share moves out of it; the next Load lays them all out
+	// in it again.
+	watchSlab []watcher
 
 	assigns  lits.Assignment
 	reason   []cref  // per var; crefUndef for decisions and unassigned variables
 	level    []int32 // per var
 	trail    []lits.Lit
 	trailLim []int
-	qhead    int
 
-	chaScore     []float64 // per lit: Chaff decaying sum
-	newCount     []int32   // per lit: conflict-clause literal counts since last rescore
-	sinceRescore int
-
-	guid       []float64 // per var; nil when no guidance
-	guidActive bool
+	chaScore []float64 // per lit: Chaff decaying sum
+	newCount []int32   // per lit: conflict-clause literal counts since last rescore
 
 	heap       *litHeap
 	savedPhase []int8 // per var: 0 unknown, +1 true, -1 false
@@ -73,17 +62,43 @@ type Solver struct {
 	learntBuf []lits.Lit
 	antsBuf   []ClauseID
 
-	// lbdMark/lbdGen are the per-level stamp scratch for LBD computation
-	// (Glucose's permDiff); lastLBD carries the value from analyze to
-	// addLearned within one conflict.
+	// lbdMark is the per-level stamp scratch for LBD computation (Glucose's
+	// permDiff).
 	lbdMark []int64
-	lbdGen  int64
-	lastLBD int32
 
 	// importSeen holds canonical hashes of every clause accepted by
 	// ImportClause, so the clause-sharing bus can broadcast the same clause
 	// from several senders without installing duplicates.
 	importSeen map[uint64]struct{}
+}
+
+// Solver holds the complete search state for one formula. A Solver is
+// reusable and incremental: build with New (or Load a formula into one a
+// finished search has left behind), then alternate AddVars/AddClause
+// (which grow the watch lists, scores, and decision heap in place) with
+// SolveAssuming calls that solve the current clause set under a literal
+// assumption list. Learned clauses, VSIDS scores, and saved phases persist
+// across calls, which is what lets a BMC loop compound its clause database
+// across unrolling depths instead of rebuilding every instance from scratch
+// (engine.WithIncremental). Plain Solve is SolveAssuming(nil); single-use
+// callers need not know about any of this.
+type Solver struct {
+	opts  Options
+	nVars int
+
+	tables
+
+	nClauses     int // original clauses in ca (tautologies excluded)
+	qhead        int
+	sinceRescore int
+
+	guid       []float64 // per var; nil when no guidance
+	guidActive bool
+
+	// lbdGen is the current stamp of the lbdMark scratch; lastLBD carries
+	// the value from analyze to addLearned within one conflict.
+	lbdGen  int64
+	lastLBD int32
 
 	maxLearnts float64
 	// nextID is the shared clause-ID counter: original clauses added after
@@ -122,30 +137,62 @@ type Solver struct {
 	compactions int // arena compactions so far; tests read it
 }
 
-// New builds a solver for the formula with the given options. The formula
-// is copied into internal storage; it is not modified and may be reused.
-// Clause IDs reported to the proof recorder match indices into f.Clauses.
-//
-// The load allocates per solver, not per clause: one arena sized from the
-// formula's literal count, one slab holding every watch list at its exact
-// length, and the per-variable tables.
+// New builds a solver for the formula with the given options: Load on an
+// empty solver, whose every table is then allocated at exactly its size.
 func New(f *cnf.Formula, opts Options) *Solver {
-	opts = opts.withDefaults()
-	n := f.NumVars
-	s := &Solver{
+	s := new(Solver)
+	s.Load(f, opts)
+	return s
+}
+
+// reloadSlackDen: a table Load finds too small is replaced by one
+// 1/reloadSlackDen larger than the formula needs. A solver reloaded with an
+// instance that grows by a frame per depth then moves its tables a number
+// of times logarithmic in the final depth, and all it ever allocates is a
+// small multiple of its final size — at the price of holding up to that
+// fraction more than it uses.
+const reloadSlackDen = 8
+
+// fit returns a slice of length n, its contents undefined: over *p's array
+// when that is large enough, over a new one otherwise — of exactly n where
+// *p had none, with the reload slack where it was too small. *p lets go of
+// the array it had before the new one is made, so the two are never live
+// together; p must point into the heap, or the compiler drops that store as
+// dead.
+func fit[S ~[]T, T any](p *S, n int) S {
+	if cap(*p) >= n {
+		return (*p)[:n]
+	}
+	room := n
+	if cap(*p) > 0 {
+		room += n / reloadSlackDen
+	}
+	*p = nil
+	return make(S, n, room)
+}
+
+// zeroed is fit with every element zero.
+func zeroed[S ~[]T, T any](p *S, n int) S {
+	reused := cap(*p) >= n
+	s := fit(p, n)
+	if reused {
+		clear(s)
+	}
+	return s
+}
+
+// reset zeroes every field of s but the tables, as in a new solver, and
+// sets what the options set. It is not inlined: the struct is built in a
+// stack temporary holding the old tables' pointers, and in Load's frame —
+// which the collector scans conservatively when it preempts one of Load's
+// loops — that would keep every table Load replaces alive for a cycle more.
+//
+//go:noinline
+func (s *Solver) reset(opts Options, nVars int) {
+	*s = Solver{
+		tables:      s.tables,
 		opts:        opts,
-		nVars:       n,
-		importSeen:  make(map[uint64]struct{}),
-		watches:     make([][]watcher, 2*n+2),
-		assigns:     lits.NewAssignment(n),
-		reason:      make([]cref, n+1),
-		level:       make([]int32, n+1),
-		trail:       make([]lits.Lit, 0, n),
-		chaScore:    make([]float64, 2*n+2),
-		newCount:    make([]int32, 2*n+2),
-		savedPhase:  make([]int8, n+1),
-		seen:        make([]bool, n+1),
-		lbdMark:     make([]int64, n+1),
+		nVars:       nVars,
 		guid:        opts.Guidance,
 		guidActive:  opts.Guidance != nil,
 		recording:   opts.Recorder != nil,
@@ -153,16 +200,67 @@ func New(f *cnf.Formula, opts Options) *Solver {
 		hasDeadline: !opts.Deadline.IsZero(),
 		status:      Unknown,
 	}
-	for v := range s.reason {
-		s.reason[v] = crefUndef
-	}
-	s.heap = newLitHeap(s, n)
+}
 
+// Load makes s the solver New(f, opts) builds, whatever it held and
+// wherever its last search stopped, out of the storage it already has:
+// the clause arena, the watch lists and the slab they are carved from, the
+// trail, the per-variable and per-literal tables, the decision heap and the
+// analysis scratch are reused where they are large enough and replaced,
+// with head-room (reloadSlackDen), where they are not. Nothing else
+// survives — learnt clauses, scores, saved phases, the import filter,
+// counters and status all start as New starts them, so the search that
+// follows cannot tell a loaded solver from a new one. It is a reload and
+// not a reset because a search permutes the watch lists and the literals
+// inside clauses; only loading the formula again restores the order a fresh
+// solver would search in.
+//
+// The formula is copied into internal storage; it is not modified and may
+// be reused. Clause IDs reported to the proof recorder match indices into
+// f.Clauses. Results the solver returned earlier (models, failed
+// assumptions) and what its recorder was handed are copies and stay valid.
+//
+// The load allocates per solver, not per clause, and nothing at all when
+// the storage suffices: one arena sized from the formula's literal count,
+// one slab holding every watch list at its exact length, and the
+// per-variable tables.
+func (s *Solver) Load(f *cnf.Formula, opts Options) {
+	opts = opts.withDefaults()
+	n := f.NumVars
 	words := 0
 	for _, raw := range f.Clauses {
 		words += wordsFor(len(raw), 0)
 	}
-	s.ca.grow(words + words/loadSlackDen)
+	words += words / loadSlackDen
+	if uint64(words) >= uint64(crefUndef) {
+		panic("sat: clause arena exceeds 2^32 words")
+	}
+
+	s.reset(opts, n)
+	s.ca = arena{mem: fit(&s.ca.mem, words)[:0]}
+	s.learnts, s.moves = s.learnts[:0], s.moves[:0]
+	s.watches = fit(&s.watches, 2*n+2) // every list is set below
+	s.assigns = zeroed(&s.assigns, n+1)
+	s.reason = fit(&s.reason, n+1)
+	for v := range s.reason {
+		s.reason[v] = crefUndef
+	}
+	s.level = zeroed(&s.level, n+1)
+	s.trail, s.trailLim = fit(&s.trail, n)[:0], s.trailLim[:0]
+	s.chaScore = zeroed(&s.chaScore, 2*n+2)
+	s.newCount = zeroed(&s.newCount, 2*n+2)
+	s.savedPhase = zeroed(&s.savedPhase, n+1)
+	s.seen, s.toClear = zeroed(&s.seen, n+1), s.toClear[:0]
+	s.learntBuf, s.antsBuf = s.learntBuf[:0], s.antsBuf[:0]
+	s.lbdMark = zeroed(&s.lbdMark, n+1)
+	if s.importSeen == nil {
+		s.importSeen = make(map[uint64]struct{})
+	}
+	clear(s.importSeen)
+	if s.heap == nil {
+		s.heap = new(litHeap)
+	}
+	s.heap.reset(s, n)
 
 	// Copy the clauses in, normalising each where it lands. IDs are formula
 	// indices. Tautologies can never be falsified, so they are skipped
@@ -196,7 +294,13 @@ func New(f *cnf.Formula, opts Options) *Solver {
 		next[i] = off
 		off += k
 	}
-	slab := make([]watcher, off)
+	if cap(s.watchSlab) < int(off) {
+		// The lists still lie in the slab about to be replaced; without
+		// them it is garbage before its successor is made.
+		clear(s.watches)
+	}
+	slab := fit(&s.watchSlab, int(off)) // every watcher is set below
+	s.watchSlab = slab
 
 	// Attach in formula order, which fixes the order of every watch list
 	// and of the level-0 trail. Unit clauses are enqueued at level 0.
@@ -243,7 +347,6 @@ func New(f *cnf.Formula, opts Options) *Solver {
 	}
 	s.nextID = ClauseID(len(f.Clauses))
 	s.heap.rebuild()
-	return s
 }
 
 // NumVars returns the variable count of the underlying formula.

@@ -12,6 +12,13 @@
 // This stability is what lets unsat-core scores learned at depth j transfer
 // verbatim to depth j+1 — the identification of variables across instances
 // that the paper's bmc_score relies on.
+//
+// The whole-instance formulas of that numbering — the BMC query's and the
+// k-induction step query's — come from one encoder, Instance, which grows
+// an instance in place from one depth to the next, so a depth loop over
+// fresh solvers encodes each frame once; Formula and StepFormula are its
+// one-shot forms. Delta and StepDelta encode the same queries frame by
+// frame for persistent solvers, under numberings of their own.
 package unroll
 
 import (
@@ -76,75 +83,12 @@ func (u *Unroller) LitFor(s circuit.Signal, frame int) lits.Lit {
 	return lits.MkLit(u.VarFor(s.Node(), frame), s.IsNeg())
 }
 
-// maxClauses bounds the clauses of the gate relations of the given number of
-// frames and the latch transitions between them: three per AND gate and
-// frame, two per latch and step (one where the next state is constant).
-// Formula and StepFormula size their clause list from it once; grown by
-// append, the list's 24-byte headers cost about five times their final size
-// in reallocated copies.
-func (u *Unroller) maxClauses(frames int) int {
-	return 3*u.c.NumAnds()*frames + 2*u.c.NumLatches()*(frames-1)
-}
-
 // Formula builds the length-k BMC instance (gen_cnf_formula in the paper's
-// Fig. 5). The formula asserts that the property's bad signal holds in
-// frame k, so SAT means a counter-example of length k exists.
+// Fig. 5): a new Instance grown to k in one extension. The formula asserts
+// that the property's bad signal holds in frame k, so SAT means a
+// counter-example of length k exists.
 func (u *Unroller) Formula(k int) *cnf.Formula {
-	if k < 0 {
-		panic(fmt.Sprintf("unroll: negative depth %d", k))
-	}
-	c := u.c
-	f := cnf.New(u.NumVars(k))
-	// Initial values, gates and transitions, the property.
-	f.Clauses = make([]cnf.Clause, 0, c.NumLatches()+u.maxClauses(k+1)+1)
-
-	// I(V⁰): initial latch values.
-	for _, id := range c.Latches() {
-		v := u.VarFor(id, 0)
-		f.AddUnit(lits.MkLit(v, !c.LatchInit(id).IsTrue()))
-	}
-
-	// Gate relations in every frame (the combinational part of T, plus
-	// the property cone).
-	for frame := 0; frame <= k; frame++ {
-		for n := circuit.NodeID(1); int(n) < c.NumNodes(); n++ {
-			if c.Kind(n) != circuit.KindAnd {
-				continue
-			}
-			f0, f1 := c.Fanins(n)
-			out := lits.PosLit(u.VarFor(n, frame))
-			f.AddAnd2(out, u.LitFor(f0, frame), u.LitFor(f1, frame))
-		}
-	}
-
-	// Latch transitions between consecutive frames.
-	for frame := 0; frame < k; frame++ {
-		for _, id := range c.Latches() {
-			next := c.LatchNext(id)
-			lhs := lits.PosLit(u.VarFor(id, frame+1))
-			switch next {
-			case circuit.True:
-				f.AddUnit(lhs)
-			case circuit.False:
-				f.AddUnit(lhs.Neg())
-			default:
-				f.AddEq(lhs, u.LitFor(next, frame))
-			}
-		}
-	}
-
-	// ¬P(Vᵏ): the bad signal asserted in the final frame.
-	bad := c.Properties()[u.propIdx].Bad
-	switch bad {
-	case circuit.True:
-		// Property is constantly violated: every execution is a witness.
-	case circuit.False:
-		// Property can never be violated: instance is trivially unsat.
-		f.AddClause(cnf.Clause{})
-	default:
-		f.AddUnit(u.LitFor(bad, k))
-	}
-	return f
+	return u.Instance().Extend(k)
 }
 
 // Trace is a decoded counter-example: per-frame primary-input values and

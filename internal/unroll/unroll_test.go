@@ -303,9 +303,11 @@ func TestFormulaGrowsLinearly(t *testing.T) {
 	}
 }
 
-// TestFormulaClauseListSizedOnce: Formula and StepFormula allocate their
-// clause list at its closed-form bound. A list that still has that capacity
-// was never regrown by append; one that fell short would have another.
+// TestFormulaClauseListSizedOnce: Formula and StepFormula are an instance's
+// first extension, which allocates the clause list at exactly its size —
+// constant next states, which take one clause instead of two, included. A
+// list with capacity to spare was sized by a bound; one regrown by append
+// would have some too.
 func TestFormulaClauseListSizedOnce(t *testing.T) {
 	constNext := circuit.New("const-next")
 	l := constNext.Latch("l", false)
@@ -319,15 +321,12 @@ func TestFormulaClauseListSizedOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		latches := c.NumLatches()
 		for k := 0; k <= 4; k++ {
-			f := u.Formula(k)
-			if bound := latches + u.maxClauses(k+1) + 1; cap(f.Clauses) != bound || len(f.Clauses) > bound {
-				t.Errorf("%s: Formula(%d) has %d clauses in capacity %d, sized for %d", c.Name(), k, len(f.Clauses), cap(f.Clauses), bound)
+			if f := u.Formula(k); cap(f.Clauses) != len(f.Clauses) {
+				t.Errorf("%s: Formula(%d) has %d clauses in capacity %d", c.Name(), k, len(f.Clauses), cap(f.Clauses))
 			}
-			sf := StepFormula(u, k)
-			if bound := u.maxClauses(k+2) + k + 2 + (k+1)*k/2*(2*latches+1); cap(sf.Clauses) != bound || len(sf.Clauses) > bound {
-				t.Errorf("%s: StepFormula(%d) has %d clauses in capacity %d, sized for %d", c.Name(), k, len(sf.Clauses), cap(sf.Clauses), bound)
+			if sf := StepFormula(u, k); cap(sf.Clauses) != len(sf.Clauses) {
+				t.Errorf("%s: StepFormula(%d) has %d clauses in capacity %d", c.Name(), k, len(sf.Clauses), cap(sf.Clauses))
 			}
 		}
 	}
