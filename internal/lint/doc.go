@@ -111,7 +111,8 @@
 // what code does regardless, so an op in a dependency still surfaces
 // at the hot-path call sites that reach it — the fix for those is
 // changing the dependency (as was done for the fmt.Sprintf that lived
-// in lits.Assignment.Set's panic path), not suppressing.
+// in lits.Assignment.Set's panic path while the solver still assigned
+// through it; it now writes a truth table of its own), not suppressing.
 //
 // Adding an analyzer: write a run function with the signature
 // func(*Pass) error that walks pass.Files and calls pass.Reportf,

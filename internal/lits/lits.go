@@ -194,8 +194,9 @@ func (a Assignment) LitValue(l Lit) TriBool {
 // because that is always a programming error in this codebase.
 func (a Assignment) Set(v Var, t TriBool) {
 	if int(v) >= len(a) || v <= 0 {
-		// A constant panic message keeps Set inlinable and fmt off the
-		// solver hot path; the stack trace identifies the bad caller.
+		// A constant panic message keeps Set inlinable and free of fmt;
+		// the stack trace identifies the bad caller. (The solver keeps its
+		// own per-literal table and does not come through here.)
 		panic("lits: Set out of range")
 	}
 	a[v] = t

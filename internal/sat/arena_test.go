@@ -275,3 +275,85 @@ func TestCompactRelocatesEveryReference(t *testing.T) {
 		t.Fatalf("after compaction: %v, want Unsat", r.Status)
 	}
 }
+
+// stopAfter closes a solver's Stop channel once it has learnt n clauses, so
+// a search is interrupted at the same conflict every time.
+type stopAfter struct {
+	n    int
+	stop chan struct{}
+}
+
+func (r *stopAfter) RecordLearned(ClauseID, []lits.Lit, []ClauseID) {
+	if r.n--; r.n == 0 {
+		close(r.stop)
+	}
+}
+func (r *stopAfter) RecordFinal([]ClauseID) {}
+
+// TestLoadClearsTruthTable: a search stopped by Options.Stop leaves its
+// trail, many levels deep, in the truth table. Loading a smaller formula
+// over it must leave a table of the new length that holds the new formula's
+// units and nothing else — no value of the old trail inside it — and the
+// search over it is the one a new solver runs.
+func TestLoadClearsTruthTable(t *testing.T) {
+	rec := &stopAfter{n: 300, stop: make(chan struct{})}
+	opts := Defaults()
+	opts.Stop, opts.StopCheckEvery, opts.Recorder = rec.stop, 1, rec
+	s := New(pigeonhole(9, 8), opts)
+	if r := s.Solve(); r.Status != Interrupted {
+		t.Fatalf("status %v, want the search interrupted", r.Status)
+	}
+	if s.decisionLevel() < 3 || len(s.trail) < 20 {
+		t.Fatalf("stopped at level %d with %d literals assigned, want a deep trail", s.decisionLevel(), len(s.trail))
+	}
+	checkTruthTable(t, s, "interrupted")
+	held := cap(s.vals)
+
+	for _, small := range []*cnf.Formula{pigeonhole(4, 4), randomFormula(11, 9, 14, 3)} {
+		s.Load(small, Defaults())
+		if cap(s.vals) != held {
+			t.Fatalf("the table moved: room for %d literals, had %d", cap(s.vals), held)
+		}
+		checkTruthTable(t, s, "loaded") // PHP(4,4) has no unit: all zero
+		got, want := s.Solve(), New(small, Defaults()).Solve()
+		checkTruthTable(t, s, "solved")
+		got.Stats.SolveTime, want.Stats.SolveTime = 0, 0
+		if got.Status != want.Status || got.Stats != want.Stats || !slices.Equal(got.Model, want.Model) {
+			t.Fatalf("loaded solver returned\n%+v\na new one\n%+v", got, want)
+		}
+	}
+}
+
+// TestAddVarsGrowsTruthTable: growing keeps what is assigned and adds
+// unassigned literals, whether the table grows into room an earlier, larger
+// formula left full of its own values or has to move.
+func TestAddVarsGrowsTruthTable(t *testing.T) {
+	big := cnf.New(40)
+	for v := 1; v <= 40; v++ {
+		big.Add(-v) // the stale values: every literal of 40 variables assigned
+	}
+	s := New(big, Defaults())
+	units := cnf.New(3)
+	units.Add(1)
+	units.Add(-3)
+	s.Load(units, Defaults())
+
+	for _, n := range []int{25, 4 * 40} { // inside the old table, then past it
+		fits := 2*n+2 <= cap(s.vals)
+		at, before := &s.vals[0], slices.Clone(s.vals)
+		s.AddVars(n)
+		if moved := &s.vals[0] != at; moved == fits {
+			t.Fatalf("AddVars(%d): table moved: %v, had room: %v — the case is not what it says", n, moved, fits)
+		}
+		checkTruthTable(t, s, "grown")
+		if !slices.Equal(s.vals[:len(before)], before) {
+			t.Fatalf("AddVars(%d) rewrote existing values:\n%v\nwas\n%v", n, s.vals[:len(before)], before)
+		}
+	}
+	if s.vals[lits.PosLit(1).Index()] != 1 || s.vals[lits.NegLit(3).Index()] != 1 || len(s.trail) != 2 {
+		t.Fatalf("the loaded units are gone: trail %v", s.trail)
+	}
+	if r := s.Solve(); r.Status != Sat || r.Model.Value(1) != lits.True || r.Model.Value(3) != lits.False {
+		t.Fatalf("status %v, model %v", r.Status, r.Model)
+	}
+}

@@ -41,7 +41,13 @@ type tables struct {
 	// in it again.
 	watchSlab []watcher
 
-	assigns  lits.Assignment
+	// vals is the truth table, indexed by lit.Index(): +1 where the literal
+	// is true, -1 where it is false, 0 where its variable is unassigned, so
+	// vals[l] == -vals[l.Neg()] always. uncheckedEnqueue writes both
+	// polarities and cancelUntil clears both; it is the only record of the
+	// current assignment, and everything that asks for a literal's value —
+	// propagate above all — reads one byte of it.
+	vals     []int8
 	reason   []cref  // per var; crefUndef for decisions and unassigned variables
 	level    []int32 // per var
 	trail    []lits.Lit
@@ -63,8 +69,11 @@ type tables struct {
 	antsBuf   []ClauseID
 
 	// lbdMark is the per-level stamp scratch for LBD computation (Glucose's
-	// permDiff).
+	// permDiff), as long as the deepest decision level a conflict has been
+	// analysed at.
 	lbdMark []int64
+
+	stamps []int64 // reduceDB's scratch
 
 	// importSeen holds canonical hashes of every clause accepted by
 	// ImportClause, so the clause-sharing bus can broadcast the same clause
@@ -240,7 +249,7 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 	s.ca = arena{mem: fit(&s.ca.mem, words)[:0]}
 	s.learnts, s.moves = s.learnts[:0], s.moves[:0]
 	s.watches = fit(&s.watches, 2*n+2) // every list is set below
-	s.assigns = zeroed(&s.assigns, n+1)
+	s.vals = zeroed(&s.vals, 2*n+2)
 	s.reason = fit(&s.reason, n+1)
 	for v := range s.reason {
 		s.reason[v] = crefUndef
@@ -252,7 +261,7 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 	s.savedPhase = zeroed(&s.savedPhase, n+1)
 	s.seen, s.toClear = zeroed(&s.seen, n+1), s.toClear[:0]
 	s.learntBuf, s.antsBuf = s.learntBuf[:0], s.antsBuf[:0]
-	s.lbdMark = zeroed(&s.lbdMark, n+1)
+	s.lbdMark, s.stamps = s.lbdMark[:0], s.stamps[:0]
 	if s.importSeen == nil {
 		s.importSeen = make(map[uint64]struct{})
 	}
@@ -314,10 +323,10 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 			}
 		case 1:
 			l := lits.Lit(ls[0])
-			switch s.assigns.LitValue(l) {
-			case lits.Undef:
+			switch v := s.vals[l.Index()]; {
+			case v == 0:
 				s.uncheckedEnqueue(l, c)
-			case lits.False:
+			case v < 0:
 				if s.status != Unsat {
 					s.status = Unsat
 					s.finalAnts = s.collectFinal(c)
@@ -374,14 +383,13 @@ func (s *Solver) AddVars(n int) {
 		s.watches = append(s.watches, nil)
 		s.chaScore = append(s.chaScore, 0)
 		s.newCount = append(s.newCount, 0)
+		s.vals = append(s.vals, 0)
 	}
-	for len(s.assigns) < n+1 {
-		s.assigns = append(s.assigns, lits.Undef)
+	for len(s.reason) < n+1 {
 		s.reason = append(s.reason, crefUndef)
 		s.level = append(s.level, 0)
 		s.savedPhase = append(s.savedPhase, 0)
 		s.seen = append(s.seen, false)
-		s.lbdMark = append(s.lbdMark, 0)
 	}
 	if s.guid != nil {
 		for len(s.guid) < n+1 {
@@ -444,11 +452,8 @@ func (s *Solver) install(c cref) {
 
 	nonFalse, satisfied := 0, false
 	for i, w := range norm {
-		switch s.assigns.LitValue(lits.Lit(w)) {
-		case lits.True:
-			satisfied = true
-			fallthrough
-		case lits.Undef:
+		if v := s.vals[w]; v >= 0 {
+			satisfied = satisfied || v > 0
 			norm[i], norm[nonFalse] = norm[nonFalse], norm[i]
 			nonFalse++
 		}
@@ -612,7 +617,7 @@ func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 // clause (crefUndef for decisions).
 func (s *Solver) uncheckedEnqueue(l lits.Lit, from cref) {
 	v := l.Var()
-	s.assigns.SetLit(l)
+	s.vals[l.Index()], s.vals[l.Neg().Index()] = 1, -1
 	s.reason[v] = from
 	s.level[v] = int32(s.decisionLevel())
 	s.trail = append(s.trail, l)
@@ -624,6 +629,9 @@ func (s *Solver) uncheckedEnqueue(l lits.Lit, from cref) {
 // propagate runs Boolean constraint propagation until fixpoint; it returns
 // the first falsified clause, or crefUndef.
 func (s *Solver) propagate() cref {
+	// Enqueueing writes through s.vals but never moves it, so one load of
+	// the slice header serves the whole call.
+	vals := s.vals
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true; scan clauses watching ¬p
 		s.qhead++
@@ -637,7 +645,7 @@ func (s *Solver) propagate() cref {
 		for i < n {
 			w := ws[i]
 			i++
-			if s.assigns.LitValue(w.blocker) == lits.True {
+			if vals[w.blocker] > 0 {
 				ws[j] = w
 				j++
 				continue
@@ -649,14 +657,14 @@ func (s *Solver) propagate() cref {
 				ls[0], ls[1] = ls[1], ls[0]
 			}
 			first := lits.Lit(ls[0])
-			if first != w.blocker && s.assigns.LitValue(first) == lits.True {
+			if first != w.blocker && vals[first] > 0 {
 				ws[j] = watcher{c, first}
 				j++
 				continue
 			}
 			// Look for a new literal to watch.
 			for k := 2; k < len(ls); k++ {
-				if s.assigns.LitValue(lits.Lit(ls[k])) != lits.False {
+				if vals[ls[k]] >= 0 {
 					ls[1], ls[k] = ls[k], ls[1]
 					nw := lits.Lit(ls[1]).Neg().Index()
 					s.watches[nw] = append(s.watches[nw], watcher{c, first})
@@ -666,7 +674,7 @@ func (s *Solver) propagate() cref {
 			// No new watch: clause is unit or falsified.
 			ws[j] = watcher{c, first}
 			j++
-			if s.assigns.LitValue(first) == lits.False {
+			if vals[first] < 0 {
 				// Conflict: copy back remaining watchers and report.
 				for i < n {
 					ws[j] = ws[i]
@@ -682,6 +690,18 @@ func (s *Solver) propagate() cref {
 		s.watches[p.Index()] = ws[:j]
 	}
 	return crefUndef
+}
+
+// model materialises the truth table as the assignment a Sat answer hands
+// out. Only then does anybody need one value per variable in a slice of
+// their own; the search reads vals. A variable the search left unassigned
+// (there is none when pickBranch has run dry) reads false.
+func (s *Solver) model() lits.Assignment {
+	m := lits.NewAssignment(s.nVars)
+	for v := lits.Var(1); int(v) <= s.nVars; v++ {
+		m[v] = lits.BoolToTri(s.vals[lits.PosLit(v).Index()] > 0)
+	}
+	return m
 }
 
 // newDecisionLevel opens a decision level.
@@ -707,7 +727,7 @@ func (s *Solver) cancelUntil(level int) {
 		} else {
 			s.savedPhase[v] = 1
 		}
-		s.assigns.Set(v, lits.Undef)
+		s.vals[l.Index()], s.vals[l.Neg().Index()] = 0, 0
 		s.reason[v] = crefUndef
 		s.heap.insert(lits.PosLit(v))
 		s.heap.insert(lits.NegLit(v))
@@ -738,7 +758,7 @@ func (s *Solver) better(a, b lits.Lit) bool {
 func (s *Solver) pickBranch() lits.Lit {
 	for !s.heap.empty() {
 		l := s.heap.popMax()
-		if s.assigns.Value(l.Var()) != lits.Undef {
+		if s.vals[l.Index()] != 0 {
 			continue
 		}
 		if s.opts.PhaseSaving {
@@ -870,7 +890,7 @@ func (s *Solver) minimize(learnt []lits.Lit, ants *[]ClauseID) []lits.Lit {
 			if s.seen[q.Var()] {
 				continue
 			}
-			if s.level[q.Var()] == 0 && s.assigns.LitValue(q) == lits.False {
+			if s.level[q.Var()] == 0 && s.vals[q.Index()] < 0 {
 				if s.recording {
 					s.recordLevel0Chain(q.Var(), ants)
 				}
@@ -944,6 +964,11 @@ func (s *Solver) conflictStamp() int64 {
 // literal is assigned (i.e. inside analyze, before backtracking). The
 // per-level stamp scratch makes it O(len) without allocation.
 func (s *Solver) computeLBD(cl []lits.Lit) int32 {
+	// No literal lies above the current level, and few searches go as deep
+	// as they have variables: the scratch follows the levels reached.
+	for len(s.lbdMark) <= s.decisionLevel() {
+		s.lbdMark = append(s.lbdMark, 0)
+	}
 	s.lbdGen++
 	var n int32
 	for _, l := range cl {
@@ -993,7 +1018,7 @@ func (s *Solver) locked(c cref) bool {
 		return false
 	}
 	first := lits.Lit(s.ca.lits(c)[0])
-	return s.assigns.LitValue(first) == lits.True && s.reason[first.Var()] == c
+	return s.vals[first.Index()] > 0 && s.reason[first.Var()] == c
 }
 
 // reduceDB deletes roughly half of the learned clauses, preferring the
@@ -1005,15 +1030,15 @@ func (s *Solver) reduceDB() {
 	if len(s.learnts) == 0 {
 		return
 	}
-	// Median act via copy-and-sort would allocate; a simple nth-element
-	// over stamps is overkill here — sort a stamp slice.
-	stamps := make([]int64, 0, len(s.learnts))
+	// The median stamp, by sorting a copy of them all — a selection would
+	// do, but this runs once per thousands of conflicts.
+	stamps := s.stamps[:0]
 	for _, c := range s.learnts {
 		stamps = append(stamps, s.ca.act(c))
 	}
-	// insertion-free median: sort
 	sortInt64(stamps)
 	median := stamps[len(stamps)/2]
+	s.stamps = stamps
 
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
@@ -1297,12 +1322,12 @@ func (s *Solver) solve() Result {
 		// re-assumed here on every descent).
 		if dl := s.decisionLevel(); dl < len(s.assumps) {
 			p := s.assumps[dl]
-			switch s.assigns.LitValue(p) {
-			case lits.True:
+			switch v := s.vals[p.Index()]; {
+			case v > 0:
 				// Already implied: open a dummy level so assumption i always
 				// lives at decision level i+1.
 				s.newDecisionLevel()
-			case lits.False:
+			case v < 0:
 				failed, ants := s.analyzeFinal(p)
 				if s.recording {
 					s.opts.Recorder.RecordFinal(ants)
@@ -1317,14 +1342,8 @@ func (s *Solver) solve() Result {
 
 		l := s.pickBranch()
 		if l == lits.LitUndef {
-			model := s.assigns.Copy()
-			for v := lits.Var(1); int(v) <= s.nVars; v++ {
-				if model.Value(v) == lits.Undef {
-					model.Set(v, lits.False)
-				}
-			}
 			s.status = Sat
-			return Result{Status: Sat, Model: model, Stats: s.stats}
+			return Result{Status: Sat, Model: s.model(), Stats: s.stats}
 		}
 		s.stats.Decisions++
 		if s.opts.MaxDecisions > 0 && s.stats.Decisions > s.opts.MaxDecisions {

@@ -282,3 +282,94 @@ func TestPropertyMaxConflictsMonotone(t *testing.T) {
 		}
 	}
 }
+
+// checkTruthTable asserts what every reader of s.vals relies on: the table
+// covers exactly the solver's literals, a literal and its complement read
+// opposite values, and a variable reads non-zero exactly when it is on the
+// trail, the trail's literal being the true one.
+func checkTruthTable(t *testing.T, s *Solver, when string) {
+	t.Helper()
+	if len(s.vals) != 2*s.nVars+2 {
+		t.Fatalf("%s: table of %d entries for %d variables, want %d", when, len(s.vals), s.nVars, 2*s.nVars+2)
+	}
+	if s.vals[0] != 0 || s.vals[1] != 0 {
+		t.Fatalf("%s: the undefined variable reads %d/%d", when, s.vals[0], s.vals[1])
+	}
+	onTrail := make([]bool, s.nVars+1)
+	for _, l := range s.trail {
+		if s.vals[l.Index()] != 1 {
+			t.Fatalf("%s: %v is on the trail and reads %d", when, l, s.vals[l.Index()])
+		}
+		onTrail[l.Var()] = true
+	}
+	for v := lits.Var(1); int(v) <= s.nVars; v++ {
+		pos, neg := s.vals[lits.PosLit(v).Index()], s.vals[lits.NegLit(v).Index()]
+		if pos != -neg || pos < -1 || pos > 1 {
+			t.Fatalf("%s: %v reads %d, its complement %d", when, v, pos, neg)
+		}
+		if (pos != 0) != onTrail[v] {
+			t.Fatalf("%s: %v reads %d, on the trail: %v", when, v, pos, onTrail[v])
+		}
+	}
+}
+
+// TestPropertyTruthTableFollowsTrail drives a live solver through random
+// interleavings of AddVars, AddClause, ImportClause and SolveAssuming — over
+// the whole option matrix, so with restarts, database reduction and phase
+// saving in play — and checks the truth table after every call, every answer
+// against enumeration and every model against the clauses and assumptions
+// it was asked under.
+func TestPropertyTruthTableFollowsTrail(t *testing.T) {
+	opts := optionMatrix()
+	for seed := uint64(1); seed <= 60; seed++ {
+		r := rng(seed*0xC2B2AE3D27D4EB4F | 1)
+		nVars := 3 + r.intn(4)
+		f := randomFormula(uint64(r.next()), nVars, 2+r.intn(6), 3)
+		s := New(f, opts[int(seed)%len(opts)]) // f goes on to hold everything s is given
+		checkTruthTable(t, s, "after New")
+
+		randomLits := func(n int) []lits.Lit {
+			ls := make([]lits.Lit, n)
+			for i := range ls {
+				ls[i] = lits.MkLit(lits.Var(1+r.intn(nVars)), r.next()&1 == 0)
+			}
+			return ls
+		}
+		for step := 0; step < 40; step++ {
+			switch op := r.intn(8); {
+			case op == 0 && nVars < 12:
+				nVars += 1 + r.intn(2)
+				s.AddVars(nVars)
+				f.NumVars = nVars
+				checkTruthTable(t, s, "after AddVars")
+			case op <= 3:
+				c := cnf.Clause(randomLits(1 + r.intn(3)))
+				s.AddClause(c)
+				f.AddClause(c)
+				checkTruthTable(t, s, "after AddClause")
+			case op == 4:
+				c := cnf.Clause(randomLits(1 + r.intn(3)))
+				if _, ok := s.ImportClause(c); ok {
+					f.AddClause(c)
+				}
+				checkTruthTable(t, s, "after ImportClause")
+			default:
+				assumps := randomLits(r.intn(3))
+				asked := f.Copy()
+				for _, a := range assumps {
+					asked.AddUnit(a)
+				}
+				res := s.SolveAssuming(assumps)
+				checkTruthTable(t, s, "after SolveAssuming")
+				if want := bruteStatus(asked); res.Status != want {
+					t.Fatalf("seed %d step %d: %v under %v, want %v\n%s", seed, step, res.Status, assumps, want, f)
+				}
+				if res.Status == Sat {
+					if err := VerifyModel(asked, res.Model); err != nil {
+						t.Fatalf("seed %d step %d: %v", seed, step, err)
+					}
+				}
+			}
+		}
+	}
+}
