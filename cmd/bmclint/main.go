@@ -1,14 +1,13 @@
-// Command bmclint is the repo's custom static-analysis suite. It runs
-// in two modes:
+// Command bmclint is the repo's custom static-analysis suite, run as a
+// vet tool:
 //
-//	bmclint ./...                      # standalone, from the module root
-//	bmclint -json ./...                # standalone, SARIF 2.1.0 output
-//	go vet -vettool=$(which bmclint) ./...   # as a vet tool
+//	go build -o /tmp/bmclint ./cmd/bmclint
+//	go vet -vettool=/tmp/bmclint ./...
 //
-// The vet-tool mode speaks cmd/go's unitchecker protocol (-V=full,
-// -flags, and per-package vet.cfg invocations), so findings integrate
-// with go vet's caching and output. See internal/lint for the
-// analyzers.
+// It speaks cmd/go's unitchecker protocol (-V=full, -flags, and one
+// vet .cfg invocation per package), so findings integrate with go vet's
+// caching and output. Any other invocation prints a usage line and
+// exits 2. See internal/lint for the analyzers.
 package main
 
 import (
@@ -26,8 +25,6 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	analyzers := lint.All()
-
 	// cmd/go probes vet tools for identity and flags before use.
 	for _, a := range args {
 		switch {
@@ -39,63 +36,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 	}
-
-	if len(args) > 0 && args[0] == "-list" {
-		for _, a := range analyzers {
-			fmt.Fprintf(stdout, "%s: %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-
-	// Vet mode: the final argument is the per-package config file.
+	// The final argument is the per-package config file.
 	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
-		return lint.RunVetTool(stderr, args[n-1], analyzers)
+		return lint.RunVetTool(stderr, args[n-1], lint.All())
 	}
-
-	// Standalone mode: treat args as package patterns under the cwd;
-	// -json switches the output to SARIF 2.1.0 for CI ingestion (the
-	// exit code still reports findings).
-	sarif := false
-	var patterns []string
-	for _, a := range args {
-		if a == "-json" || a == "--json" {
-			sarif = true
-			continue
-		}
-		patterns = append(patterns, a)
-	}
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	dir, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintf(stderr, "bmclint: %v\n", err)
-		return 1
-	}
-	if sarif {
-		diags, err := lint.AnalyzeDir(dir, patterns, analyzers)
-		if err != nil {
-			fmt.Fprintf(stderr, "bmclint: %v\n", err)
-			return 1
-		}
-		if err := lint.WriteSARIF(stdout, analyzers, diags); err != nil {
-			fmt.Fprintf(stderr, "bmclint: %v\n", err)
-			return 1
-		}
-		if len(diags) > 0 {
-			return 2
-		}
-		return 0
-	}
-	count, err := lint.RunDir(stdout, dir, patterns, analyzers)
-	if err != nil {
-		fmt.Fprintf(stderr, "bmclint: %v\n", err)
-		return 1
-	}
-	if count > 0 {
-		return 2
-	}
-	return 0
+	fmt.Fprintln(stderr, "usage: go vet -vettool=$(which bmclint) [packages]")
+	return 2
 }
 
 // selfID hashes the executable so go vet's build cache invalidates

@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,10 +12,10 @@ import (
 )
 
 // TestAllAnalyzersRegistered pins the roster: every analyzer the issue
-// demands must be present in the registry the multichecker serves, so
+// demands must be present in the registry the vet tool serves, so
 // a future refactor cannot silently drop one from the gate.
 func TestAllAnalyzersRegistered(t *testing.T) {
-	want := []string{"litsafe", "hotpath", "ctxflow", "metricname", "eventexhaustive", "lockorder", "atomicsafe"}
+	want := []string{"litsafe", "hotpath", "ctxflow", "metricname", "eventexhaustive", "lockorder"}
 	got := map[string]bool{}
 	for _, a := range lint.All() {
 		if a.Name == "" || a.Doc == "" || a.Run == nil {
@@ -39,8 +37,8 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 }
 
 // TestVetToolProbe checks the cmd/go handshake: -V=full must identify
-// the tool in the "name version ..." form vet accepts, and -flags must
-// emit a JSON flag list.
+// the tool in the "name version ..." form vet accepts, -flags must emit
+// a JSON flag list, and anything else is a usage error.
 func TestVetToolProbe(t *testing.T) {
 	var out bytes.Buffer
 	if code := run([]string{"-V=full"}, &out, &out); code != 0 {
@@ -61,14 +59,19 @@ func TestVetToolProbe(t *testing.T) {
 	if strings.TrimSpace(out.String()) != "[]" {
 		t.Fatalf("-flags output %q, want []", out.String())
 	}
+
+	out.Reset()
+	if code := run([]string{"./..."}, &out, &out); code != 2 || !strings.Contains(out.String(), "go vet -vettool=") {
+		t.Fatalf("bare package pattern exited %d with %q, want 2 and a go vet usage line", code, out.String())
+	}
 }
 
-// TestEndToEnd builds the tool and drives both modes over a scratch
-// module containing one clean encoding package and two violations —
-// a same-package litsafe one and a cross-package atomicsafe one that
-// only the facts machinery can see: standalone, `go vet -vettool`, and
-// -json (SARIF) must all report both and exit nonzero, and a clean
-// package must pass.
+// TestEndToEnd builds the tool and runs it through `go vet -vettool`
+// over a scratch module with two violations — a same-package litsafe
+// one and a cross-package hotpath one that only the facts machinery can
+// see. Both must be reported, also when the solver package is vetted
+// alone (its clock dependency is then a fact-only unit), and the clean
+// packages must pass.
 func TestEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and runs go vet")
@@ -94,80 +97,53 @@ import "scratch/internal/lits"
 
 func Flip(l lits.Lit) lits.Lit { return l ^ 1 }
 `)
-	// The atomicsafe violation spans a package boundary: only the obs
-	// package knows N is atomic, so the finding in reader exists only
-	// when facts flow — through the shared store (standalone) or the
-	// vetx files (vet mode).
+	// The hotpath violation spans a package boundary: only obs's fact
+	// knows Tick reaches time.Now, so the finding at the solver's call
+	// site exists only when the vetx files carry it.
 	writeFile(t, filepath.Join(mod, "internal", "obs", "obs.go"), `package obs
 
-import "sync/atomic"
+import "time"
 
-type Counter struct{ N int64 }
+func Tick() int64 { return now() }
 
-func (c *Counter) Inc() { atomic.AddInt64(&c.N, 1) }
+func now() int64 { return time.Now().UnixNano() }
 `)
-	writeFile(t, filepath.Join(mod, "reader", "reader.go"), `package reader
+	writeFile(t, filepath.Join(mod, "internal", "sat", "solver.go"), `package sat
 
 import "scratch/internal/obs"
 
-func Peek(c *obs.Counter) int64 { return c.N }
+type Solver struct{ t int64 }
+
+func (s *Solver) solve() { s.t = obs.Tick() }
 `)
 
-	standalone := exec.Command(tool, "./...")
-	standalone.Dir = mod
-	out, err := standalone.CombinedOutput()
-	if code := exitCodeOf(t, err); code != 2 {
-		t.Fatalf("standalone exit %d, want 2\n%s", code, out)
+	vet := func(patterns ...string) (string, error) {
+		cmd := exec.Command("go", append([]string{"vet", "-vettool=" + tool}, patterns...)...)
+		cmd.Dir = mod
+		out, err := cmd.CombinedOutput()
+		return string(out), err
 	}
-	for _, finding := range []string{"bmclint/litsafe", "bmclint/atomicsafe"} {
-		if !strings.Contains(string(out), finding) {
-			t.Fatalf("standalone output lacks the %s finding:\n%s", finding, out)
+	for _, arm := range []struct {
+		pattern  string
+		findings []string
+	}{
+		// First, so obs's fact file comes from a fact-only unit rather
+		// than from the cache of a run that vetted obs itself.
+		{"./internal/sat", []string{"bmclint/hotpath"}},
+		{"./...", []string{"bmclint/litsafe", "bmclint/hotpath"}},
+	} {
+		out, err := vet(arm.pattern)
+		if err == nil {
+			t.Fatalf("go vet -vettool %s passed on a violating module:\n%s", arm.pattern, out)
+		}
+		for _, finding := range arm.findings {
+			if !strings.Contains(out, finding) {
+				t.Fatalf("go vet %s output lacks the %s finding:\n%s", arm.pattern, finding, out)
+			}
 		}
 	}
 
-	sarifRun := exec.Command(tool, "-json", "./...")
-	sarifRun.Dir = mod
-	out, err = sarifRun.CombinedOutput()
-	if code := exitCodeOf(t, err); code != 2 {
-		t.Fatalf("-json exit %d, want 2\n%s", code, out)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Results []struct {
-				RuleID string `json:"ruleId"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(out, &log); err != nil {
-		t.Fatalf("-json output is not JSON: %v\n%s", err, out)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("-json output is not a single SARIF 2.1.0 run:\n%s", out)
-	}
-	rules := map[string]bool{}
-	for _, r := range log.Runs[0].Results {
-		rules[r.RuleID] = true
-	}
-	if !rules["litsafe"] || !rules["atomicsafe"] {
-		t.Fatalf("SARIF results %v lack litsafe/atomicsafe", rules)
-	}
-
-	vet := exec.Command("go", "vet", "-vettool="+tool, "./...")
-	vet.Dir = mod
-	out, err = vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool passed on a violating module:\n%s", out)
-	}
-	for _, finding := range []string{"bmclint/litsafe", "bmclint/atomicsafe"} {
-		if !strings.Contains(string(out), finding) {
-			t.Fatalf("go vet output lacks the %s finding:\n%s", finding, out)
-		}
-	}
-
-	vetClean := exec.Command("go", "vet", "-vettool="+tool, "./internal/...")
-	vetClean.Dir = mod
-	if out, err := vetClean.CombinedOutput(); err != nil {
+	if out, err := vet("./internal/lits", "./internal/obs"); err != nil {
 		t.Fatalf("go vet -vettool failed on the clean packages: %v\n%s", err, out)
 	}
 }
@@ -180,16 +156,4 @@ func writeFile(t *testing.T, path, content string) {
 	if err := os.WriteFile(path, []byte(content), 0o666); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func exitCodeOf(t *testing.T, err error) int {
-	t.Helper()
-	if err == nil {
-		return 0
-	}
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) {
-		t.Fatalf("running tool: %v", err)
-	}
-	return ee.ExitCode()
 }

@@ -13,15 +13,14 @@ import (
 // Analyzer is one named static check. The shape deliberately mirrors
 // golang.org/x/tools/go/analysis so the suite could migrate onto the
 // upstream framework if the dependency ever becomes available; until
-// then the driver in this package (standalone, vet-tool, and test
-// harness) is the only runner.
+// then RunAnalyzers is the only runner, called by the vet-tool driver
+// (RunVetTool) and the corpus harness (linttest).
 type Analyzer struct {
 	// Name is the analyzer's identifier: the suppression key
 	// (//bmclint:ignore <name> <reason>) and the suffix shown on every
 	// diagnostic.
 	Name string
-	// Doc is a one-paragraph description of the invariant enforced,
-	// shown by bmclint -list.
+	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
 	// Run inspects one type-checked package and reports findings
 	// through the pass.
@@ -97,17 +96,13 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
-// Package is one loaded, type-checked package — the unit every driver
-// (standalone, vet-tool, tests) hands to RunAnalyzers.
+// Package is one loaded, type-checked package — the unit the vet-tool
+// driver and linttest hand to RunAnalyzers.
 type Package struct {
 	Fset      *token.FileSet
 	Syntax    []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
-
-	// FactsOnly marks a dependency loaded solely so its facts feed the
-	// packages under analysis; its own diagnostics are discarded.
-	FactsOnly bool
 }
 
 // NewTypesInfo allocates the types.Info with every map the analyzers

@@ -1,10 +1,9 @@
 // Package lint is the repo's own go/analysis-style checker suite,
 // built on the standard library alone (go/ast, go/types, go/importer)
-// so it carries no module dependencies. cmd/bmclint serves it both as
-// a standalone multichecker (`bmclint ./...`, with -json for SARIF
-// 2.1.0 output) and as a vet tool
-// (`go vet -vettool=$(which bmclint) ./...`); the CI lint job runs the
-// latter, so a finding gates the build exactly like vet's own.
+// so it carries no module dependencies. cmd/bmclint serves it as a vet
+// tool and nothing else (`go vet -vettool=$(which bmclint) ./...`); the
+// CI lint job runs exactly that, so a finding gates the build like
+// vet's own.
 //
 // # Whole-program analysis via package facts
 //
@@ -12,20 +11,17 @@
 // at a time, but an analyzer that declares a FactType may export one
 // gob-serialized package fact per package (Pass.ExportPackageFact) and
 // import the facts of every dependency analyzed before it
-// (Pass.ImportPackageFact / Pass.FactPackages). Packages are always
-// visited in dependency order — the standalone driver orders the
-// `go list -export` load and threads one FactStore through the run;
-// the vet driver reads each dependency's fact file from the .cfg's
-// PackageVetx table and writes the merged store (dependencies' facts
-// plus its own) to VetxOutput, so cmd/go's build cache gives both
-// modes the same whole-program view. Fact files carry a versioned
-// magic header; a foreign or stale blob degrades to "no facts", never
-// an error, and FuzzUnitcheckerCfg pins that both decoders reject
-// garbage without panicking. Cross-package fact consumption is gated
-// by sameFactDomain (first path segment), which keeps the two modes
-// consistent: the vet driver is handed all of std as fact-only units,
-// the standalone loader never analyzes std, and neither may let that
-// difference change the findings.
+// (Pass.ImportPackageFact / Pass.FactPackages). cmd/go visits packages
+// in dependency order; RunVetTool reads each dependency's fact file
+// from the .cfg's PackageVetx table and writes the merged store
+// (dependencies' facts plus its own) to VetxOutput, so cmd/go's build
+// cache carries the whole-program view from unit to unit. Only the main
+// module produces facts: fact-only units from std or a dependency
+// module are skipped before typechecking, so a fact names a package of
+// this module or does not exist. Fact files carry a versioned magic
+// header; a foreign or stale blob is rejected, an undecodable fact
+// degrades to "no fact", and FuzzUnitcheckerCfg pins that both
+// decoders reject garbage without panicking.
 //
 // The analyzers mechanize invariants that code review has had to carry
 // by hand:
@@ -66,14 +62,6 @@
 //     lock set at a local closing edge, and channel sends or
 //     sat SolveAssuming calls while holding any lock are flagged
 //     (a send can block indefinitely; a solve runs unbounded search).
-//
-//   - atomicsafe: a struct field accessed through sync/atomic anywhere
-//     in the program must be accessed atomically everywhere. The
-//     AtomicFact carries each field's atomic-access sites (and bounded
-//     plain sites for exported fields) across packages, so a plain
-//     read in a consumer package of a counter its producer increments
-//     atomically is reported at the plain read. Typed atomics
-//     (atomic.Int64 and friends) are inherently safe and exempt.
 //
 //   - ctxflow: in the solver layers (internal/sat, internal/racer,
 //     internal/portfolio, internal/engine) a function holding a
@@ -121,7 +109,8 @@
 // testdata/src/<dir>/ with // want comments — multi-package corpora
 // run through linttest.RunDeps, which threads facts in listed order —
 // a linttest test, and add its name to the roster pin in cmd/bmclint's
-// TestAllAnalyzersRegistered. Both drivers (load.go for directory
-// mode, unitchecker.go for the vet protocol) pick it up from All()
-// with no further wiring.
+// TestAllAnalyzersRegistered. The vet-tool driver picks it up from
+// All() with no further wiring. An analyzer needs a subject: a
+// construct the tree actually contains that the type system does not
+// already rule out.
 package lint

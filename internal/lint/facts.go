@@ -11,10 +11,10 @@ import (
 // per analyzed package (its "package fact") and import the facts its
 // dependencies exported, which is what turns the per-package checkers
 // into a whole-program analysis. Packages are always analyzed in
-// dependency order — the standalone driver gets that order from
-// `go list -deps`, the vet-tool driver gets it from cmd/go's action
-// graph — so by the time an analyzer sees a package, every fact of
-// every (transitive) dependency is already in the store.
+// dependency order — the vet-tool driver gets that order from cmd/go's
+// action graph, linttest from the caller's package list — so by the
+// time an analyzer sees a package, every fact of every (transitive)
+// dependency in the main module is already in the store.
 //
 // Facts are serialized with encoding/gob, one blob per
 // (package, analyzer) pair, inside a single versioned container file:

@@ -416,10 +416,6 @@ func hotScanCall(pass *Pass, decls map[*types.Func]*ast.FuncDecl, fn *hotFn, nam
 		return // same-package callee without a body (declared in a test file, etc.)
 	}
 	cs := hotCrossSite{pos: x.Pos(), name: cp.Name() + "." + funcKey(callee)}
-	if !sameFactDomain(pass.Pkg.Path(), cp.Path()) {
-		fn.cross = append(fn.cross, cs)
-		return
-	}
 	if v, ok := pass.ImportPackageFact(cp.Path()); ok {
 		if f, ok := v.(*HotPathFact); ok {
 			cs.ops = f.Funcs[funcKey(callee)]

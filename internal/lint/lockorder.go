@@ -211,7 +211,7 @@ func (w *lockWalker) call(x *ast.CallExpr, held []string) {
 	var sum LockSummary
 	if _, local := w.decls[callee]; local {
 		sum = w.sums[callee]
-	} else if callee.Pkg() != w.pass.Pkg && sameFactDomain(w.pass.Pkg.Path(), callee.Pkg().Path()) {
+	} else if callee.Pkg() != w.pass.Pkg {
 		if v, ok := w.pass.ImportPackageFact(callee.Pkg().Path()); ok {
 			if f, ok := v.(*LockFact); ok {
 				sum = f.Funcs[funcKey(callee)]
@@ -500,7 +500,7 @@ func reportLockCycles(pass *Pass, local []localLockEdge) {
 	}
 	self := pass.Pkg.Path()
 	for _, pkgPath := range pass.FactPackages() {
-		if pkgPath == self || !sameFactDomain(self, pkgPath) {
+		if pkgPath == self {
 			continue
 		}
 		if v, ok := pass.ImportPackageFact(pkgPath); ok {

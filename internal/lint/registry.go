@@ -1,9 +1,9 @@
 package lint
 
-// All returns every analyzer in the suite, in stable order. The
-// cmd/bmclint multichecker, the vet-tool driver, and the meta-test that
-// pins the roster all consume this single registry — adding an analyzer
-// here is the one required registration step.
+// All returns every analyzer in the suite, in stable order. The vet-tool
+// driver and the meta-test that pins the roster both consume this single
+// registry — adding an analyzer here is the one required registration
+// step.
 func All() []*Analyzer {
 	return []*Analyzer{
 		LitSafe,
@@ -12,6 +12,5 @@ func All() []*Analyzer {
 		MetricName,
 		EventExhaustive,
 		LockOrder,
-		AtomicSafe,
 	}
 }

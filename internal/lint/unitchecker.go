@@ -23,21 +23,21 @@ import (
 // (VetxOutput). Dependencies are visited first — with VetxOnly set when
 // cmd/go only needs their facts — so by the time the target package's
 // invocation runs, the merged dependency stores carry every transitive
-// fact, and the cross-package analyzers see the same whole-program view
-// the standalone driver builds in one process.
+// fact of the main module. Fact-only units outside the main module
+// (std, dependency modules) are not typechecked at all: facts are only
+// ever consumed inside the main module, so such a unit just writes the
+// (empty) store its own dependencies handed it.
 
-// vetConfig mirrors the JSON written by cmd/go for vet tools.
+// vetConfig is the subset of the JSON cmd/go writes for vet tools that
+// RunVetTool consumes.
 type vetConfig struct {
-	ID                        string
 	Compiler                  string
-	Dir                       string
 	ImportPath                string
+	ModulePath                string // "" for std
+	ModuleVersion             string // "" for the main module
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
 	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
@@ -75,11 +75,10 @@ func RunVetTool(w io.Writer, cfgPath string, analyzers []*Analyzer) int {
 		}
 	}
 
-	// bail writes the facts gathered so far and succeeds. Fact-only
-	// dependency invocations cover all of std and every third-party
-	// package; a dependency this loader cannot typecheck (cgo, assembly
-	// quirks) must degrade to "no facts from here" rather than fail the
-	// whole vet run.
+	// bail writes the facts gathered so far and succeeds: a fact-only
+	// unit this loader cannot typecheck (cgo, assembly quirks) or an
+	// analyzer crashes on must degrade to "no facts from here" rather
+	// than fail the whole vet run.
 	bail := func() int {
 		if err := writeVetx(cfg.VetxOutput, facts); err != nil {
 			fmt.Fprintf(w, "bmclint: %v\n", err)
@@ -88,10 +87,9 @@ func RunVetTool(w io.Writer, cfgPath string, analyzers []*Analyzer) int {
 		return 0
 	}
 
-	// Standard-library dependencies are outside every fact domain (see
-	// sameFactDomain): analyzing them would produce facts no consumer
-	// reads, so skip the work when cmd/go identifies the unit as std.
-	if cfg.VetxOnly && cfg.Standard[cfg.ImportPath] {
+	// A fact-only unit from std (no module) or a dependency module
+	// (versioned) produces facts nothing reads.
+	if cfg.VetxOnly && (cfg.ModulePath == "" || cfg.ModuleVersion != "") {
 		return bail()
 	}
 
@@ -125,15 +123,14 @@ func RunVetTool(w io.Writer, cfgPath string, analyzers []*Analyzer) int {
 	}
 	for _, d := range diags {
 		// go vet prefixes the package; emit position and message only.
-		fmt.Fprintf(w, "%s: %s (bmclint/%s)\n", d.Pos, d.Message, d.Analyzer)
+		fmt.Fprintln(w, d)
 	}
 	return 2
 }
 
-// runAnalyzersGuarded converts an analyzer panic into an error. The
-// vet driver is handed every transitive dependency, including code this
-// tool was never tuned on — a crash there must degrade to "no facts
-// from here", not kill the whole go vet run.
+// runAnalyzersGuarded converts an analyzer panic into an error, so a
+// crash on a fact-only dependency degrades to "no facts from here"
+// instead of killing the whole go vet run.
 func runAnalyzersGuarded(pkg *Package, analyzers []*Analyzer, facts *FactStore) (diags []Diagnostic, err error) {
 	defer func() {
 		if r := recover(); r != nil {

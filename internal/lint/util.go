@@ -22,18 +22,6 @@ func pkgHasSuffix(pkg *types.Package, suffix string) bool {
 	return pkg != nil && pathHasSuffix(pkg.Path(), suffix)
 }
 
-// sameFactDomain reports whether two import paths share their leading
-// path element. Cross-package analyzers consume facts only within one
-// domain (≈ one module): the standalone driver never analyzes std at
-// all, while the vet driver is handed every transitive std dependency —
-// without this filter the two modes would disagree about which facts
-// exist, and a finding could appear in one gate but not the other.
-func sameFactDomain(a, b string) bool {
-	fa, _, _ := strings.Cut(a, "/")
-	fb, _, _ := strings.Cut(b, "/")
-	return fa == fb
-}
-
 // namedFrom returns the named type behind t (through aliases and one
 // level of pointer), or nil.
 func namedFrom(t types.Type) *types.Named {
