@@ -190,8 +190,8 @@ func progressPrinter(w io.Writer) func(engine.Event) {
 			// Quiet: the finished row carries everything worth a line.
 		case engine.DepthFinished:
 			if !headerDone {
-				fmt.Fprintf(w, "%-4s %-5s %-8s %-10s %10s %8s %12s %12s %10s %10s %9s %9s\n",
-					"k", "query", "status", "winner", "decisions", "switch", "implications", "conflicts", "coreCls", "coreVars", "encode", "solve")
+				fmt.Fprintf(w, "%-4s %-5s %-8s %-10s %10s %8s %12s %12s %10s %10s %7s %9s %9s\n",
+					"k", "query", "status", "winner", "decisions", "switch", "implications", "conflicts", "coreCls", "coreVars", "overlap", "encode", "solve")
 				headerDone = true
 			}
 			d := e.Depth
@@ -205,9 +205,15 @@ func progressPrinter(w io.Writer) func(engine.Event) {
 			if d.Stats.GuidanceSwitched {
 				switched = strconv.FormatInt(d.Stats.SwitchDecision, 10)
 			}
-			fmt.Fprintf(w, "%-4d %-5s %-8s %-10s %10d %8s %12d %12d %10d %10d %9s %9s\n",
+			// The Jaccard overlap of this depth's core variables with the last
+			// depth's, when both folded a core.
+			overlap := "-"
+			if d.CoreOverlap != nil {
+				overlap = strconv.FormatFloat(*d.CoreOverlap, 'f', 3, 64)
+			}
+			fmt.Fprintf(w, "%-4d %-5s %-8s %-10s %10d %8s %12d %12d %10d %10d %7s %9s %9s\n",
 				e.K, e.Query, d.Status, winner, d.Stats.Decisions, switched, d.Stats.Implications,
-				d.Stats.Conflicts, d.CoreClauses, d.CoreVars,
+				d.Stats.Conflicts, d.CoreClauses, d.CoreVars, overlap,
 				d.EncodeWall.Round(10*time.Microsecond), d.SolveWall.Round(10*time.Microsecond))
 		case engine.RaceFinished:
 			fmt.Fprintf(w, "     race  k=%-4d %-5s %s\n", e.K, e.Query, raceSummary(e.Racers))

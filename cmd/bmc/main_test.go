@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -144,6 +145,13 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 }
 
+// isDepth reports whether a -v line's first field is a depth, which makes
+// it a per-depth row; the verdict line can have as many fields.
+func isDepth(field string) bool {
+	_, err := strconv.Atoi(field)
+	return err == nil
+}
+
 // TestCLIVerboseSwitchColumn: -v shows, per depth, whether the dynamic
 // ordering handed over to VSIDS and at which decision. On add_w8 the cores
 // cover the whole formula and the search outruns the threshold at every
@@ -160,7 +168,7 @@ func TestCLIVerboseSwitchColumn(t *testing.T) {
 			switch {
 			case len(f) > 0 && f[0] == "k":
 				header = f
-			case header != nil && len(f) == len(header):
+			case header != nil && len(f) == len(header) && isDepth(f[0]):
 				col = append(col, f[5])
 			}
 		}
@@ -177,6 +185,52 @@ func TestCLIVerboseSwitchColumn(t *testing.T) {
 	}
 	if quiet := switchColumn("mix_w5"); strings.Join(quiet, "") != "----" {
 		t.Errorf("mix_w5: switch column %v, want - at every depth", quiet)
+	}
+}
+
+// TestCLICoreOverlap: -json reports, per depth, the Jaccard overlap of the
+// core variables with the previous depth's as core_overlap, absent at depth
+// 0, and -v prints the same figures in its overlap column, "-" at depth 0.
+// Consecutive cores share variables on both the adder and the parity mixer.
+func TestCLICoreOverlap(t *testing.T) {
+	for _, model := range []string{"add_w8", "mix_w5"} {
+		path := writeModel(t, model)
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-json", "-depth=3", path}, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s -json: exit code %d (stderr: %s)", model, code, stderr.String())
+		}
+		if strings.Count(stdout.String(), `"core_overlap"`) != 3 {
+			t.Errorf("%s: want core_overlap at depths 1-3 only:\n%s", model, stdout.String())
+		}
+		var res engine.Result
+		if err := json.Unmarshal(stdout.Bytes(), &res); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"-"}
+		for _, d := range res.PerDepth[1:] {
+			if d.CoreOverlap == nil || *d.CoreOverlap <= 0 || *d.CoreOverlap > 1 {
+				t.Fatalf("%s depth %d: core overlap %v, want one in (0, 1]", model, d.K, d.CoreOverlap)
+			}
+			want = append(want, strconv.FormatFloat(*d.CoreOverlap, 'f', 3, 64))
+		}
+
+		stdout.Reset()
+		if code := run([]string{"-v", "-depth=3", path}, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s -v: exit code %d (stderr: %s)", model, code, stderr.String())
+		}
+		var header, col []string
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			f := strings.Fields(line)
+			switch {
+			case len(f) > 0 && f[0] == "k":
+				header = f
+			case header != nil && len(f) == len(header) && isDepth(f[0]):
+				col = append(col, f[slices.Index(header, "overlap")])
+			}
+		}
+		if !slices.Equal(col, want) {
+			t.Errorf("%s: -v overlap column %v, -json %v", model, col, want)
+		}
 	}
 }
 

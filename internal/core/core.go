@@ -54,23 +54,30 @@ const (
 	chunkLen   = 1 << chunkShift
 )
 
-// chunked is an append-only sequence of 4-byte values held in fixed-size
-// chunks. Growing it adds a chunk and copies nothing, so a recorder never
-// holds two copies of its graph: one append-grown slice keeps the old and
-// the new backing array alive side by side while it grows, and at 12 MB of
-// antecedent IDs in a 20 MB heap that alone is far past a 10 % higher peak.
+// chunked is a sequence of 4-byte values held in fixed-size chunks. Growing
+// it adds a chunk and copies nothing, so a recorder never holds two copies
+// of its graph: one append-grown slice keeps the old and the new backing
+// array alive side by side while it grows, and with the antecedent IDs the
+// largest thing a scratch check holds, that alone would lift its peak heap
+// past a 10 % bound. Truncating it hands the chunks it no longer needs to a
+// spare list, which later growth draws from before it allocates.
 type chunked[T ~int32] struct {
 	chunks [][]T // every chunk but the last holds exactly chunkLen values
+	spare  [][]T // emptied chunks, taken last in first out
 	n      int
 }
 
 func (c *chunked[T]) append(xs []T) {
 	for len(xs) > 0 {
 		if k := len(c.chunks); k == 0 || len(c.chunks[k-1]) == chunkLen {
-			// The first chunk grows by append, so a small graph stays
-			// small; every later one is allocated whole.
+			// A spare comes first. Otherwise the first chunk grows by
+			// append, so a small graph stays small, and every later one is
+			// allocated whole.
 			var next []T
-			if k > 0 {
+			if s := len(c.spare); s > 0 {
+				next, c.spare[s-1] = c.spare[s-1], nil
+				c.spare = c.spare[:s-1]
+			} else if k > 0 {
 				next = make([]T, 0, chunkLen)
 			}
 			c.chunks = append(c.chunks, next)
@@ -97,9 +104,44 @@ func (c *chunked[T]) appendTo(dst []T, lo, hi int) []T {
 	return dst
 }
 
+// moveDown copies the n values at from to to, which lies at or below from;
+// the two ranges may overlap.
+func (c *chunked[T]) moveDown(to, from, n int) {
+	for n > 0 {
+		src := c.chunks[from>>chunkShift][from&(chunkLen-1):]
+		dst := c.chunks[to>>chunkShift][to&(chunkLen-1):]
+		// Within one chunk copy is a memmove; across two the ranges are
+		// disjoint. Either way no value is read after it is overwritten.
+		m := copy(dst[:min(n, len(dst))], src[:min(n, len(src))])
+		to, from, n = to+m, from+m, n-m
+	}
+}
+
+// truncate keeps the first n values and moves the chunks past them to the
+// spare list — all but a first chunk that append has not yet grown to
+// full size, which is small and goes to the collector.
+func (c *chunked[T]) truncate(n int) {
+	keep := (n + chunkLen - 1) >> chunkShift
+	for k := len(c.chunks) - 1; k >= keep; k-- {
+		if cap(c.chunks[k]) >= chunkLen {
+			c.spare = append(c.spare, c.chunks[k][:0])
+		}
+		c.chunks[k] = nil
+	}
+	c.chunks = c.chunks[:keep]
+	if keep > 0 {
+		c.chunks[keep-1] = c.chunks[keep-1][:n-(keep-1)<<chunkShift]
+	}
+	c.n = n
+}
+
+// bytes is what the store holds, spare chunks included.
 func (c *chunked[T]) bytes() int64 {
-	b := int64(cap(c.chunks)) * 24
+	b := int64(cap(c.chunks)+cap(c.spare)) * 24
 	for _, chunk := range c.chunks {
+		b += int64(cap(chunk)) * 4
+	}
+	for _, chunk := range c.spare {
 		b += int64(cap(chunk)) * 4
 	}
 	return b
@@ -118,8 +160,15 @@ func (c *chunked[T]) bytes() int64 {
 // clauses and get an empty one. litEnd and lits hold the Payload's clause
 // literals the same way.
 //
-// Records are never removed, even when the solver deletes the clause —
-// that is what makes core extraction compatible with database reduction.
+// A record lives while a live clause's derivation can reach it. Deleting a
+// clause does not delete its record — a live clause derived from it still
+// leads there, which is what makes core extraction compatible with
+// database reduction — but when the solver compacts its clause store it
+// names its live learned clauses (Forget), and the records no live clause
+// and no recorded final conflict can reach are dropped: their antecedent
+// runs leave the store and their antEnd entries are marked forgotten. A
+// final conflict only ever names live clauses, so no later traversal can
+// reach a forgotten record; one that does panics.
 type Recorder struct {
 	payload Payload
 	base    sat.ClauseID
@@ -132,11 +181,15 @@ type Recorder struct {
 	final  []sat.ClauseID
 	proved bool
 
-	// Core's scratch, reused across extractions: one bit per clause ID and
-	// the leaves found, highest ID first.
+	// The sweep's scratch, reused across extractions and collections: one
+	// bit per clause ID and the leaves Core found, highest ID first.
 	seen   []uint64
 	leaves []sat.ClauseID
 }
+
+// forgottenBit marks an antEnd entry whose record Forget dropped; the rest
+// of the entry is still where its (now empty) run ends.
+const forgottenBit = 1 << 31
 
 // NewRecorder creates a simplified-CDG recorder for one solve of a formula
 // with the given number of original clauses (clause IDs 0..n-1 are
@@ -148,6 +201,21 @@ func NewRecorder(numOriginals int) *Recorder { return NewRecorderWith(numOrigina
 // arrive through AddLeaf.
 func NewRecorderWith(numOriginals int, payload Payload) *Recorder {
 	return &Recorder{base: sat.ClauseID(numOriginals), payload: payload}
+}
+
+// Reload makes r the recorder NewRecorderWith(numOriginals, payload) builds
+// with r's payload, out of the storage it already has: every chunk becomes
+// a spare, and the tables and the sweep's scratch keep their arrays. No
+// record and no final conflict survive. A scratch depth loop reloads one
+// recorder per solver at every depth, as it loads the solver
+// (sat.Solver.Load), so each depth grows only what the last left short.
+func (r *Recorder) Reload(numOriginals int) {
+	r.base = sat.ClauseID(numOriginals)
+	r.antEnd, r.litEnd = r.antEnd[:0], r.litEnd[:0]
+	r.ants.truncate(0)
+	r.lits.truncate(0)
+	r.learned = 0
+	r.final, r.proved = r.final[:0], false
 }
 
 // advance moves the table up to id: the IDs skipped are leaves nobody
@@ -164,6 +232,9 @@ func (r *Recorder) advance(id sat.ClauseID) {
 
 // closeEntry ends the next clause's runs where the stores end now.
 func (r *Recorder) closeEntry() {
+	if uint(r.ants.n) >= forgottenBit {
+		panic("core: more than 2^31 antecedent IDs on record")
+	}
 	r.antEnd = append(r.antEnd, uint32(r.ants.n))
 	if r.payload != IDsOnly {
 		r.litEnd = append(r.litEnd, uint32(r.lits.n))
@@ -212,12 +283,14 @@ func (r *Recorder) HasProof() bool { return r.proved }
 // clauses from earlier frames legitimately appear in later proofs.
 func (r *Recorder) ResetFinal() { r.proved = false }
 
-// NumLearnedRecorded returns the number of learned-clause records.
+// NumLearnedRecorded returns the number of learned-clause records made,
+// forgotten ones included.
 func (r *Recorder) NumLearnedRecorded() int { return r.learned }
 
 // ApproxBytes returns the bytes the recorder holds: the capacity of its
-// chunks, tables and traversal scratch. The paper's §3.1 claims this is
-// negligible beside the clause database; the overhead experiment checks.
+// chunks (spare ones included), tables and traversal scratch. The paper's
+// §3.1 claims this is negligible beside the clause database; the overhead
+// experiment checks.
 func (r *Recorder) ApproxBytes() int64 {
 	return r.ants.bytes() + r.lits.bytes() +
 		4*int64(cap(r.antEnd)+cap(r.litEnd)+cap(r.final)+cap(r.leaves)) +
@@ -232,37 +305,113 @@ func (r *Recorder) span(end []uint32, id sat.ClauseID) (lo, hi int) {
 		return 0, 0
 	}
 	if i > 0 {
-		lo = int(end[i-1])
+		lo = int(end[i-1] &^ forgottenBit)
 	}
-	return lo, int(end[i])
+	return lo, int(end[i] &^ forgottenBit)
 }
 
 // Core traverses the CDG backward from the final conflict and returns the
 // IDs of the leaves it reaches — the unsat core — in ascending order. It
 // returns nil if no final conflict is recorded.
-//
-// A clause is derived from clauses that already exist, so every antecedent
-// ID is below its dependant's: one descending sweep over the marked IDs
-// visits each clause after everything that depends on it, with no stack.
 func (r *Recorder) Core() []int {
 	if !r.proved {
 		return nil
 	}
+	top := r.above(r.final)
+	r.clearSeen(top)
+	r.mark(r.final)
+	r.sweep(top, 0, true)
+	out := make([]int, len(r.leaves))
+	for i, id := range r.leaves {
+		out[len(out)-1-i] = int(id)
+	}
+	return out
+}
+
+// Forget implements sat.ProofRecorder: live names every learned clause the
+// solver still holds, and the records neither they nor a recorded final
+// conflict can reach are dropped. The reachable antecedent runs slide down
+// over the dropped ones inside the chunks they occupy, and the chunks the
+// store no longer needs become spares. A Complete recorder keeps every
+// record, because Check replays them all.
+func (r *Recorder) Forget(live []sat.ClauseID) {
+	if r.payload == Complete {
+		return
+	}
+	top := r.above(live)
+	if r.proved {
+		top = max(top, r.above(r.final))
+	}
+	r.clearSeen(top)
+	r.mark(live)
+	if r.proved {
+		r.mark(r.final)
+	}
+	// Below base are only leaves, which hold no record.
+	r.sweep(top, int(r.base), false)
+
+	to, lo := 0, 0
+	for i, end := range r.antEnd {
+		hi := int(end &^ forgottenBit)
+		id := int(r.base) + i
+		switch {
+		case lo == hi:
+			// A leaf, or a record forgotten before: its run stays empty.
+			r.antEnd[i] = uint32(to) | end&forgottenBit
+		case r.seen[id>>6]&(1<<(id&63)) != 0:
+			if to != lo {
+				r.ants.moveDown(to, lo, hi-lo)
+			}
+			to += hi - lo
+			r.antEnd[i] = uint32(to)
+		default:
+			r.antEnd[i] = uint32(to) | forgottenBit
+		}
+		lo = hi
+	}
+	r.ants.truncate(to)
+}
+
+// above returns the lowest ID above every record and every ID in ids.
+func (r *Recorder) above(ids []sat.ClauseID) int {
 	top := int(r.base) + len(r.antEnd)
-	for _, a := range r.final {
-		top = max(top, int(a)+1)
+	for _, id := range ids {
+		top = max(top, int(id)+1)
 	}
-	if words := (top + 63) / 64; cap(r.seen) < words {
-		r.seen = make([]uint64, words)
-	} else {
-		r.seen = r.seen[:words]
-		clear(r.seen)
+	return top
+}
+
+// clearSeen makes the sweep's bitset cover IDs below top, every bit clear.
+// A new one gets head-room: the graph grows between sweeps, and a bitset
+// made to measure would be made again at nearly every one.
+func (r *Recorder) clearSeen(top int) {
+	words := (top + 63) / 64
+	if cap(r.seen) < words {
+		r.seen = nil
+		r.seen = make([]uint64, words, words+words/2)
+		return
 	}
-	for _, a := range r.final {
+	r.seen = r.seen[:words]
+	clear(r.seen)
+}
+
+// mark sets the bits of ids.
+func (r *Recorder) mark(ids []sat.ClauseID) {
+	for _, a := range ids {
 		r.seen[a>>6] |= 1 << (a & 63)
 	}
+}
+
+// sweep visits the marked IDs in [bottom, top) from the highest down and
+// marks the antecedents of each; with collect, the marked IDs that have
+// none — the leaves — are gathered in r.leaves, highest first. A clause is
+// derived from clauses that already exist, so every antecedent ID is below
+// its dependant's: one descending sweep visits each clause after everything
+// that depends on it, with no stack. Reaching a forgotten record means a
+// live clause or a final conflict was not named to Forget, and panics.
+func (r *Recorder) sweep(top, bottom int, collect bool) {
 	r.leaves = r.leaves[:0]
-	for id := top - 1; id >= 0; id-- {
+	for id := top - 1; id >= bottom; id-- {
 		word := r.seen[id>>6]
 		if word == 0 {
 			id &^= 63 // nothing marked in this word: on to the one below
@@ -273,7 +422,12 @@ func (r *Recorder) Core() []int {
 		}
 		lo, hi := r.span(r.antEnd, sat.ClauseID(id))
 		if lo == hi {
-			r.leaves = append(r.leaves, sat.ClauseID(id))
+			if i := id - int(r.base); i >= 0 && i < len(r.antEnd) && r.antEnd[i]&forgottenBit != 0 {
+				panic(fmt.Sprintf("core: the CDG reached clause %d, whose record was forgotten", id))
+			}
+			if collect {
+				r.leaves = append(r.leaves, sat.ClauseID(id))
+			}
 			continue
 		}
 		for i := lo; i < hi; i++ {
@@ -281,11 +435,6 @@ func (r *Recorder) Core() []int {
 			r.seen[a>>6] |= 1 << (a & 63)
 		}
 	}
-	out := make([]int, len(r.leaves))
-	for i, id := range r.leaves {
-		out[len(out)-1-i] = int(id)
-	}
-	return out
 }
 
 // clause resolves id to its literals: the payload's when the recorder

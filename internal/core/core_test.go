@@ -229,6 +229,18 @@ func TestRecorderApproxBytes(t *testing.T) {
 	if got := r.ApproxBytes(); got <= held {
 		t.Errorf("ApproxBytes = %d after an extraction, want above %d", got, held)
 	}
+	// A collection that reaches nothing empties the store into spare chunks,
+	// which the recorder still holds: only the spare list's own headers are
+	// new.
+	held = r.ApproxBytes()
+	r.ResetFinal()
+	r.Forget(nil)
+	if r.ants.n != 0 || len(r.ants.spare) < 2 {
+		t.Fatalf("a collection with nothing live kept %d antecedent IDs and spared %d chunks", r.ants.n, len(r.ants.spare))
+	}
+	if got, want := r.ApproxBytes(), held+24*int64(cap(r.ants.spare)); got != want {
+		t.Errorf("ApproxBytes = %d with %d spare chunks, recorder holds %d", got, len(r.ants.spare), want)
+	}
 }
 
 // --- helpers shared with sat tests (duplicated deliberately: internal test

@@ -1,0 +1,402 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/cnf"
+	"repro/internal/lits"
+	"repro/internal/sat"
+	"repro/internal/unroll"
+)
+
+// keepAll records a solve without ever forgetting: the reference a
+// forgetting recorder's cores are compared against.
+type keepAll struct{ *Recorder }
+
+func (keepAll) Forget([]sat.ClauseID) {}
+
+// forgetting counts the collections the solver asks its recorder for.
+type forgetting struct {
+	*Recorder
+	calls int
+}
+
+func (f *forgetting) Forget(live []sat.ClauseID) {
+	f.calls++
+	f.Recorder.Forget(live)
+}
+
+// withholding drops the newest live ID from every collection: the solver
+// bug the forgotten-record assertion is there to catch.
+type withholding struct{ *Recorder }
+
+func (w withholding) Forget(live []sat.ClauseID) { w.Recorder.Forget(live[:len(live)-1]) }
+
+// answer is the core of one UNSAT answer: its clause IDs and variables.
+type answer struct {
+	ids  []int
+	vars []lits.Var
+}
+
+// scenario runs one solve sequence, its recorder attached through wrap,
+// and returns the core of every UNSAT answer along with the recorder.
+type scenario func(opts sat.Options, wrap func(*Recorder) sat.ProofRecorder) ([]answer, *Recorder)
+
+// freshSolve is one sat.New(f).Solve.
+func freshSolve(f *cnf.Formula) scenario {
+	return func(opts sat.Options, wrap func(*Recorder) sat.ProofRecorder) ([]answer, *Recorder) {
+		r := NewRecorder(f.NumClauses())
+		opts.Recorder = wrap(r)
+		if sat.New(f, opts).Solve().Status != sat.Unsat {
+			return nil, r
+		}
+		ids := r.Core()
+		return []answer{{ids, r.CoreVarsOf(ids, f, f.NumVars, nil)}}, r
+	}
+}
+
+// persistentBMC feeds add_w4's frames to one persistent solver, depth by
+// depth as the warm pool does, and solves each depth under its activation
+// literal: every answer comes out of analyzeFinal. With imports, a second
+// solver searches the same depths, and the first imports a few of its short
+// learnt clauses at the next depth, registering them as leaves.
+func persistentBMC(depths int, imports bool) scenario {
+	return func(opts sat.Options, wrap func(*Recorder) sat.ProofRecorder) ([]answer, *Recorder) {
+		u, err := unroll.New(bench.AdderTwin(4, 0, 0), 0)
+		if err != nil {
+			panic(err)
+		}
+		d := u.Delta()
+		r := NewRecorderWith(0, WithLeaves)
+		opts.Recorder = wrap(r)
+		s := sat.New(cnf.New(0), opts)
+		senderOpts := opts
+		senderOpts.Recorder = nil
+		senderOpts.RestartFirst = 37 // a different search, so it learns what s has not
+		sender := sat.New(cnf.New(0), senderOpts)
+		var pending []cnf.Clause
+		var out []answer
+		for k := 0; k < depths; k++ {
+			for _, c := range d.Frame(k).Clauses {
+				r.AddLeaf(s.AddClause(c), c)
+				if imports {
+					sender.AddClause(c)
+				}
+			}
+			// What the sender learnt at the depth before, as the warm pool's
+			// bus delivers it.
+			for _, c := range pending {
+				if id, ok := s.ImportClause(c); ok {
+					r.AddLeaf(id, c)
+				}
+			}
+			assume := []lits.Lit{d.ActLit(k)}
+			if s.SolveAssuming(assume).Status != sat.Unsat {
+				panic("add_w4 holds at every depth")
+			}
+			if imports {
+				mark := sender.NextClauseID()
+				sender.SolveAssuming(assume)
+				pending = sender.ExportLearned(mark, 4, 0, 8)
+			}
+			ids := r.Core()
+			out = append(out, answer{ids, r.CoreVarsOf(ids, nil, d.NumVars(k), nil)})
+			r.ResetFinal()
+		}
+		return out, r
+	}
+}
+
+// TestForgetKeepsCores: a recorder that forgets at every compaction gives
+// the cores, clause for clause and variable for variable, of one that
+// keeps every record — on fresh solves of random formulas, pigeonholes and
+// add_w4, and on a persistent solver answering under assumptions with and
+// without imported clauses. A learnt-clause limit at its floor makes
+// reduceDB compact the arena many times per run. And a collection that
+// withholds one live clause trips the forgotten-record assertion.
+func TestForgetKeepsCores(t *testing.T) {
+	opts := sat.Defaults()
+	opts.MaxLearntFrac = 1e-6
+	u, err := unroll.New(bench.AdderTwin(4, 0, 0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]scenario{
+		"php 8":                   freshSolve(php(8)),
+		"add_w4 depth 8":          freshSolve(u.Formula(8)),
+		"persistent add_w4":       persistentBMC(25, false),
+		"persistent add_w4 + bus": persistentBMC(25, true),
+	}
+	for _, seed := range []int64{1, 3, 4, 7} { // UNSAT after 2 000 to 9 000 conflicts
+		cases[fmt.Sprintf("random 3-sat %d", seed)] = freshSolve(randomCNF(rand.New(rand.NewSource(seed)), 150, 680, 3))
+	}
+	total := 0
+	for name, run := range cases {
+		want, ref := run(opts, func(r *Recorder) sat.ProofRecorder { return keepAll{r} })
+		var counted *forgetting
+		got, rec := run(opts, func(r *Recorder) sat.ProofRecorder {
+			counted = &forgetting{Recorder: r}
+			return counted
+		})
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d UNSAT answers forgetting, %d keeping every record", name, len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i].ids, want[i].ids) || !slices.Equal(got[i].vars, want[i].vars) {
+				t.Fatalf("%s: answer %d has a core of %d clauses / %d variables forgetting, %d / %d keeping every record",
+					name, i, len(got[i].ids), len(got[i].vars), len(want[i].ids), len(want[i].vars))
+			}
+		}
+		if counted.calls > 0 && rec.ants.n >= ref.ants.n {
+			t.Errorf("%s: %d collections left %d antecedent IDs of %d", name, counted.calls, rec.ants.n, ref.ants.n)
+		}
+		total += counted.calls
+		t.Logf("%s: %d UNSAT answers, %d collections, %d of %d antecedent IDs kept", name, len(got), counted.calls, rec.ants.n, ref.ants.n)
+	}
+	if total < 20 {
+		t.Errorf("%d collections across every case: the deletion path is barely exercised", total)
+	}
+
+	t.Run("withheld live clause", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Error("a collection that withheld a live clause went unnoticed")
+			}
+		}()
+		freshSolve(u.Formula(8))(opts, func(r *Recorder) sat.ProofRecorder { return withholding{r} })
+	})
+}
+
+// TestForgetMatchesReferenceTraversal grows random graphs over several
+// storage chunks under the solver's contract — a new clause's antecedents
+// are leaves or clauses still live — forgets at random points with the
+// live set, and after every round compares the core with the reference
+// traversal of the whole graph. Antecedent runs slide across chunk
+// boundaries, and records forgotten at one collection stay forgotten at
+// the next.
+func TestForgetMatchesReferenceTraversal(t *testing.T) {
+	const nVars = 40
+	none := func(lits.Var) bool { return false }
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		maxAnts := 6
+		if seed%3 == 0 {
+			maxAnts = 150 // past one chunk within a few hundred clauses
+		}
+		rec := NewRecorderWith(0, WithLeaves)
+		ref := &refGraph{deps: map[sat.ClauseID][]sat.ClauseID{}, leaves: map[sat.ClauseID][]lits.Lit{}}
+		var leaves, live []sat.ClauseID
+		next := sat.ClauseID(0)
+		pick := func() sat.ClauseID {
+			if len(live) > 0 && rng.Intn(3) > 0 {
+				return live[rng.Intn(len(live))]
+			}
+			return leaves[rng.Intn(len(leaves))]
+		}
+		for round := 0; round < 8; round++ {
+			for step := 0; step < 300; step++ {
+				id := next
+				next++
+				if len(leaves) < 3 || rng.Intn(4) == 0 {
+					cl := []lits.Lit{lits.MkLit(lits.Var(1+rng.Intn(nVars)), rng.Intn(2) == 0)}
+					rec.AddLeaf(id, cl)
+					ref.leaves[id] = cl
+					leaves = append(leaves, id)
+					continue
+				}
+				ants := make([]sat.ClauseID, 1+rng.Intn(maxAnts))
+				for i := range ants {
+					ants[i] = pick()
+				}
+				rec.RecordLearned(id, nil, ants)
+				ref.deps[id] = ants
+				live = append(live, id)
+			}
+			// The solver deletes about half its learnt clauses and names the
+			// rest.
+			live = slices.DeleteFunc(live, func(sat.ClauseID) bool { return rng.Intn(2) == 0 })
+			rec.Forget(live)
+
+			final := make([]sat.ClauseID, 1+rng.Intn(4))
+			for i := range final {
+				final[i] = pick()
+			}
+			rec.RecordFinal(final)
+			want := ref.core(final)
+			if got := rec.Core(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d round %d: core %v, reference %v", seed, round, got, want)
+			}
+			if got, wantVars := rec.CoreVarsOf(want, nil, nVars, none), ref.vars(want, nVars, none); !slices.Equal(got, wantVars) {
+				t.Fatalf("seed %d round %d: core vars %v, reference %v", seed, round, got, wantVars)
+			}
+			// A final conflict still recorded is a root of the next
+			// collection: extracting it again after one gives the same core.
+			rec.Forget(live[:len(live)/2])
+			if got := rec.Core(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d round %d: core %v after a collection under the final conflict, reference %v", seed, round, got, want)
+			}
+			rec.ResetFinal()
+			live = live[:len(live)/2]
+		}
+		if maxAnts > 6 && len(rec.ants.spare) == 0 {
+			t.Errorf("seed %d: collections over %d chunks freed none", seed, len(rec.ants.chunks))
+		}
+		if rec.NumLearnedRecorded() != len(ref.deps) {
+			t.Errorf("seed %d: %d learned records, reference %d", seed, rec.NumLearnedRecorded(), len(ref.deps))
+		}
+	}
+}
+
+// TestForgetDropsUnreachableRecords pins one collection: the record no
+// live clause reaches loses its run and is marked forgotten, the others
+// slide down, and a traversal that reaches the forgotten one panics.
+func TestForgetDropsUnreachableRecords(t *testing.T) {
+	// Originals 0..3; 4 <- {0,1}; 5 <- {4,2}; 6 <- {3,3,3}; 7 <- {5}.
+	r := NewRecorder(4)
+	r.RecordLearned(4, nil, []sat.ClauseID{0, 1})
+	r.RecordLearned(5, nil, []sat.ClauseID{4, 2})
+	r.RecordLearned(6, nil, []sat.ClauseID{3, 3, 3})
+	r.RecordLearned(7, nil, []sat.ClauseID{5})
+	r.Forget([]sat.ClauseID{7})
+	if want := []uint32{2, 4, 4 | forgottenBit, 5}; !slices.Equal(r.antEnd, want) {
+		t.Fatalf("antEnd = %#x, want %#x", r.antEnd, want)
+	}
+	if got := r.ants.appendTo(nil, 0, r.ants.n); !slices.Equal(got, []sat.ClauseID{0, 1, 4, 2, 5}) {
+		t.Fatalf("antecedent store = %v after the collection", got)
+	}
+	r.RecordFinal([]sat.ClauseID{7})
+	if got := r.Core(); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("core = %v, want [0 1 2]", got)
+	}
+
+	r.RecordFinal([]sat.ClauseID{6})
+	defer func() {
+		if recover() == nil {
+			t.Error("a core through a forgotten record did not panic")
+		}
+	}()
+	r.Core()
+}
+
+// TestCompleteRecorderNeverForgets: Check replays every record, so a
+// Complete recorder keeps them all.
+func TestCompleteRecorderNeverForgets(t *testing.T) {
+	r := NewRecorderWith(2, Complete)
+	r.RecordLearned(2, []lits.Lit{lits.PosLit(1)}, []sat.ClauseID{0, 1})
+	r.RecordLearned(3, []lits.Lit{lits.PosLit(2)}, []sat.ClauseID{1})
+	r.Forget([]sat.ClauseID{3})
+	if !slices.Equal(r.antEnd, []uint32{2, 3}) || r.ants.n != 3 {
+		t.Fatalf("a Complete recorder forgot: antEnd %v, %d antecedents", r.antEnd, r.ants.n)
+	}
+}
+
+// TestChunkedTruncate: truncating at a chunk boundary keeps exactly the
+// chunks below it, to zero keeps none, and growth takes the spares back
+// before it allocates anything.
+func TestChunkedTruncate(t *testing.T) {
+	var c chunked[sat.ClauseID]
+	fill := func(n int) {
+		xs := make([]sat.ClauseID, n)
+		for i := range xs {
+			xs[i] = sat.ClauseID(c.n + i)
+		}
+		c.append(xs)
+	}
+	check := func(what string, n int) {
+		t.Helper()
+		if c.n != n {
+			t.Fatalf("%s: %d values, want %d", what, c.n, n)
+		}
+		for i := 0; i < n; i++ {
+			if c.at(i) != sat.ClauseID(i) {
+				t.Fatalf("%s: value %d reads %d", what, i, c.at(i))
+			}
+		}
+	}
+	// What the chunks hold, spares included; bytes adds the slice headers.
+	held := func() int64 { return c.bytes() - 24*int64(cap(c.chunks)+cap(c.spare)) }
+	fill(3*chunkLen + 5)
+	before := held()
+
+	c.truncate(chunkLen)
+	if len(c.chunks) != 1 || len(c.chunks[0]) != chunkLen || len(c.spare) != 3 {
+		t.Fatalf("truncated at the first chunk boundary: %d chunks (the first of %d), %d spares", len(c.chunks), len(c.chunks[0]), len(c.spare))
+	}
+	check("at a chunk boundary", chunkLen)
+	if held() != before {
+		t.Errorf("the chunks hold %d bytes after the truncation, %d before", held(), before)
+	}
+	fill(chunkLen + 1)
+	check("grown past the boundary", 2*chunkLen+1)
+
+	c.truncate(0)
+	if len(c.chunks) != 0 || len(c.spare) != 4 {
+		t.Fatalf("truncated to zero: %d chunks, %d spares", len(c.chunks), len(c.spare))
+	}
+	xs := make([]sat.ClauseID, 3*chunkLen)
+	for i := range xs {
+		xs[i] = sat.ClauseID(i)
+	}
+	if allocs := testing.AllocsPerRun(3, func() {
+		c.truncate(0)
+		c.append(xs)
+	}); allocs != 0 {
+		t.Errorf("regrowing from the spares allocated %.0f times", allocs)
+	}
+	check("regrown from the spares", 3*chunkLen)
+	if held() != before {
+		t.Errorf("the chunks hold %d bytes after regrowth, %d before", held(), before)
+	}
+}
+
+// TestReloadAfterMultiChunkGraph: Reload leaves the recorder NewRecorder
+// would build — no record, no final conflict — holding the storage the
+// last graph grew, and the next graph grows into it.
+func TestReloadAfterMultiChunkGraph(t *testing.T) {
+	ants := make([]sat.ClauseID, 50)
+	record := func(r *Recorder, base int) {
+		for i := range ants {
+			ants[i] = sat.ClauseID(i)
+		}
+		for i := 0; i < 1400; i++ { // 70 000 IDs: four chunks and part of a fifth
+			r.RecordLearned(sat.ClauseID(base+i), nil, ants)
+			ants[i%len(ants)] = sat.ClauseID(base + i)
+		}
+		r.RecordFinal([]sat.ClauseID{sat.ClauseID(base + 1399)})
+	}
+	r := NewRecorder(100)
+	record(r, 100)
+	if len(r.ants.chunks) < 4 {
+		t.Fatalf("%d chunks: the graph is not multi-chunk", len(r.ants.chunks))
+	}
+	r.Core()
+	before := r.ApproxBytes()
+
+	r.Reload(60)
+	held := r.ApproxBytes()
+	if held < before {
+		t.Errorf("ApproxBytes = %d after Reload, %d before: the storage is still held", held, before)
+	}
+	if r.HasProof() || r.Core() != nil || r.NumLearnedRecorded() != 0 || len(r.antEnd) != 0 || r.ants.n != 0 {
+		t.Fatalf("Reload kept the last graph: proof %v, %d learned, %d entries, %d antecedents",
+			r.HasProof(), r.NumLearnedRecorded(), len(r.antEnd), r.ants.n)
+	}
+	if allocs := testing.AllocsPerRun(3, func() {
+		r.Reload(60)
+		record(r, 60)
+	}); allocs != 0 {
+		t.Errorf("a graph of the same size grown after Reload allocated %.0f times", allocs)
+	}
+	if got := r.ApproxBytes(); got != held {
+		t.Errorf("ApproxBytes = %d after regrowth, %d after Reload", got, held)
+	}
+	want := NewRecorder(60)
+	record(want, 60)
+	if got, wantCore := r.Core(), want.Core(); !slices.Equal(got, wantCore) {
+		t.Fatalf("core after Reload has %d clauses, a new recorder's %d", len(got), len(wantCore))
+	}
+}

@@ -212,6 +212,8 @@ func (p *proofTape) RecordLearned(id sat.ClauseID, _ []lits.Lit, ants []sat.Clau
 
 func (p *proofTape) RecordFinal(ants []sat.ClauseID) { p.final = slices.Clone(ants) }
 
+func (p *proofTape) Forget([]sat.ClauseID) {}
+
 var sinkCore []int
 
 // BenchmarkRecorderExtract is the recorder's share of the benchmark's

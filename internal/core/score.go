@@ -62,6 +62,10 @@ type ScoreBoard struct {
 	mode  ScoreMode
 	score []float64 // indexed by variable; grows as deeper instances add variables
 	cores int       // number of cores folded in
+	// last is the variable list of the core folded in last, from the
+	// instance numbered lastJ; Overlap compares the next core with it.
+	last  []lits.Var
+	lastJ int
 }
 
 // NewScoreBoard creates an empty score board with the given mode.
@@ -117,6 +121,35 @@ func (b *ScoreBoard) Update(coreVars []lits.Var, k int) {
 		}
 	}
 	b.cores++
+	b.last, b.lastJ = append(b.last[:0], coreVars...), k
+}
+
+// Overlap returns the Jaccard overlap |A∩B| / |A∪B| between the variables
+// of the depth-j instance's unsat core and those of the core folded in last
+// — the locality of consecutive cores that the paper's ordering rests on.
+// Both lists are sorted ascending, as Vars returns them. ok is false unless
+// the last fold was instance j−1's: at the first depth, and after a depth
+// that folded no core.
+func (b *ScoreBoard) Overlap(coreVars []lits.Var, j int) (overlap float64, ok bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.cores == 0 || b.lastJ != j-1 {
+		return 0, false
+	}
+	both, i := 0, 0
+	for _, v := range coreVars {
+		for i < len(b.last) && b.last[i] < v {
+			i++
+		}
+		if i < len(b.last) && b.last[i] == v {
+			both++
+		}
+	}
+	union := len(coreVars) + len(b.last) - both
+	if union == 0 {
+		return 1, true
+	}
+	return float64(both) / float64(union), true
 }
 
 // Score returns the current bmc_score of variable v (0 when never seen).

@@ -128,6 +128,12 @@ type DepthStats struct {
 	CoreVars    int `json:"core_vars"`
 	// RecorderBytes is what the CDG holds (core.Recorder.ApproxBytes).
 	RecorderBytes int64 `json:"recorder_bytes"`
+	// CoreOverlap is the Jaccard overlap |A∩B| / |A∪B| between this
+	// depth's core variables and the previous depth's — how stable the
+	// cores the refined ordering learns from are. nil (absent from JSON) at
+	// depth 0 and wherever this depth or the one before folded no core: a
+	// SAT or undecided depth, recording off, or a win on a remote worker.
+	CoreOverlap *float64 `json:"core_overlap,omitempty"`
 	// HeapAllocBytes/TotalAllocBytes/GCCount are runtime memory readings
 	// (runtime.ReadMemStats) sampled as the depth finished — instrumented
 	// (WithMetrics) sessions only, zero otherwise. HeapAllocBytes is the

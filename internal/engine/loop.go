@@ -47,19 +47,22 @@ type sequence interface {
 // solver per k — and pays for a depth what is new at it: the instance
 // grows in place by the depth's frame, and each strategy's solver is loaded
 // into the storage its last depth left behind (sat.Solver.Load), coming out
-// exactly the solver sat.New would build. Only the score board's contents
-// survive a depth; formula and solvers are rewritten by the next one, which
-// they may be because every Executor is done with both when Race returns.
+// exactly the solver sat.New would build; its recorder is reloaded the same
+// way. Only the score board's contents survive a depth; formula, solvers and
+// recorders are rewritten by the next one, which they may be because every
+// Executor is done with them when Race returns.
 type freshSeq struct {
 	exec  Executor
 	query Query
 	u     *unroll.Unroller
 	inst  *unroll.Instance // the query's instance, at the last depth raced
 	set   portfolio.StrategySet
-	// solvers and guidance are per strategy and live as long as the check:
-	// each depth loads the one and writes the other over what the last
+	// solvers, recs and guidance are per strategy and live as long as the
+	// check: each depth loads the solver, reloads its recorder
+	// (core.Recorder.Reload) and writes the guidance over what the last
 	// depth left.
 	solvers  []*sat.Solver
+	recs     []*core.Recorder // nil entries unless record
 	guidance [][]float64
 	jobs     int
 	opts     sat.Options    // per-attempt starting point (solverBase)
@@ -77,7 +80,6 @@ func (q *freshSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
 	encodeWall := time.Since(encodeStart)
 
 	attempts := make([]portfolio.Attempt, len(q.set))
-	recs := make([]*core.Recorder, len(q.set))
 	for i, st := range q.set {
 		so := q.opts
 		so.Metrics = q.metrics[i]
@@ -89,8 +91,8 @@ func (q *freshSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
 		}
 		q.guidance[i] = so.Guidance
 		if q.record {
-			recs[i] = core.NewRecorder(f.NumClauses())
-			so.Recorder = recs[i]
+			q.recs[i].Reload(f.NumClauses())
+			so.Recorder = q.recs[i]
 		}
 		attempts[i] = portfolio.Attempt{Name: st.String(), Opts: so, Solver: q.solvers[i]}
 	}
@@ -105,7 +107,7 @@ func (q *freshSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
 
 	// Scratch numbering has no auxiliary variables to keep out of a core.
 	if w := out.Race.Winner; w >= 0 && out.Race.Result.Status == sat.Unsat {
-		out.FoldCore(recs[w], q.board, k, f, f.NumVars, nil)
+		out.FoldCore(q.recs[w], q.board, k, f, f.NumVars, nil)
 	}
 	return out
 }
@@ -190,6 +192,7 @@ func (s *Session) newSequence(ctx context.Context, u *unroll.Unroller, query Que
 		inst:     inst,
 		set:      set,
 		solvers:  make([]*sat.Solver, len(set)),
+		recs:     make([]*core.Recorder, len(set)),
 		guidance: make([][]float64, len(set)),
 		jobs:     s.cfg.Jobs,
 		opts:     s.solverBase(ctx),
@@ -208,6 +211,11 @@ func (s *Session) newSequence(ctx context.Context, u *unroll.Unroller, query Que
 		// some attempt will consume the scores at the next depth.
 		if st == core.OrderStatic || st == core.OrderDynamic {
 			q.record = true
+		}
+	}
+	if q.record {
+		for i := range q.recs {
+			q.recs[i] = core.NewRecorder(0)
 		}
 	}
 	return q
@@ -451,6 +459,7 @@ func (s *Session) finishDepths(res *Result, runs ...*depthRun) {
 			CoreClauses:    r.out.CoreClauses,
 			CoreVars:       r.out.CoreVars,
 			RecorderBytes:  r.out.RecorderBytes,
+			CoreOverlap:    r.out.CoreOverlap,
 		}
 		switch {
 		case race.Winner >= 0:

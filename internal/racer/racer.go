@@ -258,6 +258,10 @@ type DepthOutcome struct {
 	CoreClauses   int
 	CoreVars      int
 	RecorderBytes int64
+	// CoreOverlap is the Jaccard overlap of the core's variables with the
+	// previous depth's (core.ScoreBoard.Overlap); nil at the first depth
+	// and wherever this depth or the one before folded no core.
+	CoreOverlap *float64
 	// FrameVars is the variable count after this depth's frame;
 	// TotalClauses/TotalLits the cumulative original-clause footprint.
 	FrameVars    int
@@ -404,11 +408,12 @@ func auxOf(src Source) func(lits.Var) bool {
 
 // FoldCore is the paper's update_ranking for the depth-k instance: it
 // extracts the unsat core the winner's recorder holds — one traversal —
-// reports its size, and folds its variables into the score board weighted
-// by the 1-based instance number. The engine's freshSeq and the warm pool
-// both end an UNSAT depth here; originals, nVars and aux are
-// core.Recorder.CoreVarsOf's. A nil recorder, or one without a proof (the
-// winner ran on a remote worker), folds nothing.
+// reports its size and its overlap with the previous depth's core, and
+// folds its variables into the score board weighted by the 1-based
+// instance number. The engine's freshSeq and the warm pool both end an
+// UNSAT depth here; originals, nVars and aux are core.Recorder.CoreVarsOf's.
+// A nil recorder, or one without a proof (the winner ran on a remote
+// worker), folds nothing.
 func (out *DepthOutcome) FoldCore(rec *core.Recorder, board *core.ScoreBoard, k int, originals *cnf.Formula, nVars int, aux func(lits.Var) bool) {
 	if rec == nil || !rec.HasProof() {
 		return
@@ -418,6 +423,9 @@ func (out *DepthOutcome) FoldCore(rec *core.Recorder, board *core.ScoreBoard, k 
 	out.CoreClauses = len(ids)
 	out.CoreVars = len(vars)
 	out.RecorderBytes = rec.ApproxBytes()
+	if overlap, ok := board.Overlap(vars, k+1); ok {
+		out.CoreOverlap = &overlap
+	}
 	board.Update(vars, k+1)
 }
 

@@ -265,3 +265,50 @@ func loadOnly(_ string, attempts []portfolio.LiveAttempt, _ []lits.Lit, _ int, _
 	}
 	return portfolio.RaceResult{Winner: -1}
 }
+
+// TestFoldCoreOverlap: each fold reports the Jaccard overlap of its core
+// variables with the previous depth's, and none where there is no previous
+// depth's core to compare with — at depth 0, at a depth won on a remote
+// worker (a recorder without a proof), and at the depth after one.
+func TestFoldCoreOverlap(t *testing.T) {
+	board := core.NewScoreBoard(core.WeightedSum)
+	fold := func(k int, vars ...int) *float64 {
+		rec := core.NewRecorderWith(0, core.WithLeaves)
+		final := make([]sat.ClauseID, len(vars))
+		for i, v := range vars {
+			rec.AddLeaf(sat.ClauseID(i), []lits.Lit{lits.PosLit(lits.Var(v))})
+			final[i] = sat.ClauseID(i)
+		}
+		if len(vars) > 0 {
+			rec.RecordFinal(final)
+		}
+		var out DepthOutcome
+		out.FoldCore(rec, board, k, nil, 10, nil)
+		return out.CoreOverlap
+	}
+	for _, c := range []struct {
+		k    int
+		vars []int // none: the depth was won remotely
+		want float64
+		some bool
+	}{
+		{k: 0, vars: []int{1, 2}},
+		{k: 1, vars: []int{2, 3}, want: 1.0 / 3, some: true},
+		{k: 2},
+		{k: 3, vars: []int{2, 3}},
+		{k: 4, vars: []int{2, 3, 4}, want: 2.0 / 3, some: true},
+		{k: 5, vars: []int{2, 3, 4}, want: 1, some: true},
+	} {
+		var got float64
+		p := fold(c.k, c.vars...)
+		if p != nil {
+			got = *p
+		}
+		if (p != nil) != c.some || got != c.want {
+			t.Errorf("depth %d: overlap %v (reported: %v), want %v (%v)", c.k, got, p != nil, c.want, c.some)
+		}
+	}
+	if board.NumCores() != 5 {
+		t.Errorf("%d cores folded, want 5", board.NumCores())
+	}
+}

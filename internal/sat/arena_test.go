@@ -289,6 +289,7 @@ func (r *stopAfter) RecordLearned(ClauseID, []lits.Lit, []ClauseID) {
 	}
 }
 func (r *stopAfter) RecordFinal([]ClauseID) {}
+func (r *stopAfter) Forget([]ClauseID)      {}
 
 // TestLoadClearsTruthTable: a search stopped by Options.Stop leaves its
 // trail, many levels deep, in the truth table. Loading a smaller formula

@@ -16,6 +16,7 @@ type stubRecorder struct {
 
 func (r *stubRecorder) RecordLearned(ClauseID, []lits.Lit, []ClauseID) { r.learned++ }
 func (r *stubRecorder) RecordFinal([]ClauseID)                         { r.final = true }
+func (r *stubRecorder) Forget([]ClauseID)                              {}
 
 // TestCancelMidSearch starts a hard UNSAT instance (PHP(11,10) takes far
 // longer than the test budget), cancels it mid-search, and checks that the

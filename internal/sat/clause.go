@@ -37,10 +37,12 @@ const crefUndef cref = math.MaxUint32
 //
 // The proof ID is the clause's pseudo ID for the proof recorder: original
 // clauses keep their index in the input formula, learned clauses get
-// sequential IDs following the originals. The ID outlives the clause — the
-// conflict dependency graph kept by the recorder references deleted clauses
-// by ID, which is the paper's §3.1 trick for extracting unsat cores without
-// disabling clause deletion.
+// sequential IDs following the originals. The ID can outlive the clause —
+// the conflict dependency graph kept by the recorder references deleted
+// clauses by ID, which is the paper's §3.1 trick for extracting unsat cores
+// without disabling clause deletion. A record lives while a live clause's
+// derivation can reach it; the recorder drops the others when reduceDB
+// compacts (ProofRecorder.Forget).
 const (
 	hdrID = iota
 	hdrSize

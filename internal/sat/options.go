@@ -71,6 +71,11 @@ func (s *Status) UnmarshalJSON(b []byte) error {
 // simplified CDG does not, so it stays small and the solver stays free to
 // delete learned clauses; the complete CDG (proof checking) does.
 //
+// A record lives while a live clause's derivation can reach it: deleting a
+// learned clause does not end its record, but once no clause the solver
+// holds was derived from it, no later conflict and no final conflict can
+// name it, and Forget lets the recorder drop it.
+//
 // A nil recorder disables all bookkeeping (and its runtime overhead).
 type ProofRecorder interface {
 	// RecordLearned reports a newly learned clause: its pseudo ID, its
@@ -85,6 +90,13 @@ type ProofRecorder interface {
 	// antecedents of the final (empty-clause) conflict. It is called at
 	// most once per Solve.
 	RecordFinal(antecedents []ClauseID)
+	// Forget reports, each time clause-database reduction compacts the
+	// clause store, the IDs of every learned clause the solver still holds
+	// — the reasons of the trail and the imported clauses among them. Any
+	// later antecedent is one of these, a clause added after the call, or
+	// an original. The slice is the solver's scratch, valid only during the
+	// call.
+	Forget(live []ClauseID)
 }
 
 // Options configures a Solver. The zero value is usable: Defaults are

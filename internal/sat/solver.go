@@ -73,7 +73,10 @@ type tables struct {
 	// analysed at.
 	lbdMark []int64
 
-	stamps []int64 // reduceDB's scratch
+	// reduceDB's scratch: the learnt clauses' stamps, and their IDs for the
+	// proof recorder.
+	stamps  []int64
+	liveIDs []ClauseID
 
 	// importSeen holds canonical hashes of every clause accepted by
 	// ImportClause, so the clause-sharing bus can broadcast the same clause
@@ -261,7 +264,7 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 	s.savedPhase = zeroed(&s.savedPhase, n+1)
 	s.seen, s.toClear = zeroed(&s.seen, n+1), s.toClear[:0]
 	s.learntBuf, s.antsBuf = s.learntBuf[:0], s.antsBuf[:0]
-	s.lbdMark, s.stamps = s.lbdMark[:0], s.stamps[:0]
+	s.lbdMark, s.stamps, s.liveIDs = s.lbdMark[:0], s.stamps[:0], s.liveIDs[:0]
 	if s.importSeen == nil {
 		s.importSeen = make(map[uint64]struct{})
 	}
@@ -1023,9 +1026,12 @@ func (s *Solver) locked(c cref) bool {
 
 // reduceDB deletes roughly half of the learned clauses, preferring the
 // stalest (by last-use conflict stamp) and sparing binary, unit, and locked
-// clauses. The proof recorder's dependency records are untouched — that is
-// the point of the pseudo-ID CDG. A deleted clause leaves the watch lists
-// at once and the arena at the next compaction.
+// clauses. A deleted clause leaves the watch lists at once and the arena at
+// the next compaction; its dependency record stays as long as a live
+// clause's derivation can reach it — that is the point of the pseudo-ID
+// CDG. When the deletions make reduceDB compact the arena, it names the
+// surviving learned clauses to the proof recorder (Forget), which drops
+// the records none of them reaches.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) == 0 {
 		return
@@ -1054,6 +1060,14 @@ func (s *Solver) reduceDB() {
 	s.maxLearnts *= s.opts.MaxLearntInc
 	if s.ca.wasted*garbageDen >= len(s.ca.mem) {
 		s.compact()
+		if s.recording {
+			live := s.liveIDs[:0]
+			for _, c := range s.learnts {
+				live = append(live, s.ca.id(c))
+			}
+			s.liveIDs = live
+			s.opts.Recorder.Forget(live)
+		}
 	}
 }
 
