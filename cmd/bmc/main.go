@@ -190,8 +190,8 @@ func progressPrinter(w io.Writer) func(engine.Event) {
 			// Quiet: the finished row carries everything worth a line.
 		case engine.DepthFinished:
 			if !headerDone {
-				fmt.Fprintf(w, "%-4s %-5s %-8s %-10s %10s %8s %12s %12s %10s %10s %7s %9s %9s\n",
-					"k", "query", "status", "winner", "decisions", "switch", "implications", "conflicts", "coreCls", "coreVars", "overlap", "encode", "solve")
+				fmt.Fprintf(w, "%-4s %-5s %-8s %-10s %10s %8s %6s %12s %12s %10s %10s %7s %9s %9s\n",
+					"k", "query", "status", "winner", "decisions", "switch", "guided", "implications", "conflicts", "coreCls", "coreVars", "overlap", "encode", "solve")
 				headerDone = true
 			}
 			d := e.Depth
@@ -205,14 +205,20 @@ func progressPrinter(w io.Writer) func(engine.Event) {
 			if d.Stats.GuidanceSwitched {
 				switched = strconv.FormatInt(d.Stats.SwitchDecision, 10)
 			}
+			// The share of the decisions the refined ordering took: on a
+			// variable with a positive score while guidance was active.
+			guided := "-"
+			if d.Stats.Decisions > 0 {
+				guided = strconv.FormatFloat(float64(d.Stats.GuidedDecisions)/float64(d.Stats.Decisions), 'f', 3, 64)
+			}
 			// The Jaccard overlap of this depth's core variables with the last
 			// depth's, when both folded a core.
 			overlap := "-"
 			if d.CoreOverlap != nil {
 				overlap = strconv.FormatFloat(*d.CoreOverlap, 'f', 3, 64)
 			}
-			fmt.Fprintf(w, "%-4d %-5s %-8s %-10s %10d %8s %12d %12d %10d %10d %7s %9s %9s\n",
-				e.K, e.Query, d.Status, winner, d.Stats.Decisions, switched, d.Stats.Implications,
+			fmt.Fprintf(w, "%-4d %-5s %-8s %-10s %10d %8s %6s %12d %12d %10d %10d %7s %9s %9s\n",
+				e.K, e.Query, d.Status, winner, d.Stats.Decisions, switched, guided, d.Stats.Implications,
 				d.Stats.Conflicts, d.CoreClauses, d.CoreVars, overlap,
 				d.EncodeWall.Round(10*time.Microsecond), d.SolveWall.Round(10*time.Microsecond))
 		case engine.RaceFinished:
@@ -266,7 +272,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scoreMode  = fs.String("score", "weighted-sum", "bmc_score rule: weighted-sum|unweighted-sum|last-core-only|exp-decay")
 		divisor    = fs.Int("switch-divisor", core.SwitchDivisor, "dynamic switch divisor (decisions > lits/divisor)")
 		jsonOut    = fs.Bool("json", false, "emit the unified engine.Result as JSON on stdout")
-		verbose    = fs.Bool("v", false, "stream per-depth statistics as the check runs (switch: the decision count at which the dynamic ordering fell back to VSIDS at that depth, - if it did not; -json has it as stats.SwitchDecision in each per_depth row)")
+		verbose    = fs.Bool("v", false, "stream per-depth statistics as the check runs (switch: the decision count at which the dynamic ordering fell back to VSIDS at that depth, - if it did not; guided: the share of decisions taken on a variable with a positive bmc_score while guidance was active; -json has them as stats.SwitchDecision and stats.GuidedDecisions in each per_depth row)")
 		witness    = fs.Bool("witness", false, "print the counter-example trace")
 		metricsOut = fs.Bool("metrics", false, "dump the session's metric registry after the check")
 		metricAddr = fs.String("metrics-addr", "", "serve /metrics (Prometheus) and /debug/pprof/ on this address while the check runs (e.g. :9090)")

@@ -234,6 +234,65 @@ func TestCLICoreOverlap(t *testing.T) {
 	}
 }
 
+// TestCLIGuidedShare: -json reports per depth how many decisions the
+// refined ordering took (stats.GuidedDecisions), and -v prints their share
+// of the depth's decisions in its guided column. On add_w8 under the
+// dynamic ordering the share is positive from depth 2 on: depth 0 is
+// refuted by propagation alone, so its core lies on variables that depth
+// 1's level-0 propagation fixes before any decision; and none of it comes
+// after the switch to VSIDS. Under VSIDS, which has no guidance, it is zero
+// at every depth.
+func TestCLIGuidedShare(t *testing.T) {
+	path := writeModel(t, "add_w8")
+	for _, order := range []string{"dynamic", "vsids"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-json", "-order=" + order, "-depth=3", path}, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s -json: exit code %d (stderr: %s)", order, code, stderr.String())
+		}
+		var res engine.Result
+		if err := json.Unmarshal(stdout.Bytes(), &res); err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, d := range res.PerDepth {
+			guided, all := d.Stats.GuidedDecisions, d.Stats.Decisions
+			switch {
+			case guided < 0 || guided > all:
+				t.Fatalf("%s depth %d: %d guided decisions of %d", order, d.K, guided, all)
+			case order == "vsids" && guided != 0:
+				t.Errorf("vsids depth %d: %d guided decisions without guidance", d.K, guided)
+			case d.Stats.GuidanceSwitched && guided > d.Stats.SwitchDecision:
+				t.Errorf("dynamic depth %d: %d guided decisions, but guidance ended after %d", d.K, guided, d.Stats.SwitchDecision)
+			case order == "dynamic" && d.K >= 2 && guided == 0:
+				t.Errorf("dynamic depth %d: none of %d decisions guided", d.K, all)
+			}
+			share := "-"
+			if all > 0 {
+				share = strconv.FormatFloat(float64(guided)/float64(all), 'f', 3, 64)
+			}
+			want = append(want, share)
+		}
+
+		stdout.Reset()
+		if code := run([]string{"-v", "-order=" + order, "-depth=3", path}, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s -v: exit code %d (stderr: %s)", order, code, stderr.String())
+		}
+		var header, col []string
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			f := strings.Fields(line)
+			switch {
+			case len(f) > 0 && f[0] == "k":
+				header = f
+			case header != nil && len(f) == len(header) && isDepth(f[0]):
+				col = append(col, f[slices.Index(header, "guided")])
+			}
+		}
+		if !slices.Equal(col, want) {
+			t.Errorf("%s: -v guided column %v, -json %v", order, col, want)
+		}
+	}
+}
+
 // TestCLIJSON: -json emits exactly one JSON document on stdout that
 // round-trips into engine.Result with the verdict, depth, per-depth
 // stats, and portfolio telemetry filled in.

@@ -29,7 +29,7 @@ func (r *Recorder) Check(originals *cnf.Formula) error {
 		if lo == hi {
 			continue // a leaf: taken as given
 		}
-		ants = r.ants.appendTo(ants[:0], lo, hi)
+		ants = decodeRun(&r.ants, ants[:0], lo, hi, id)
 		target, _ = r.clause(id, nil, target)
 		// A clause is derived from clauses that exist: IDs below its own.
 		if err := r.checkRUP(target, ants, id, originals); err != nil {

@@ -24,7 +24,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cnf"
 	"repro/internal/lits"
@@ -48,84 +50,243 @@ const (
 	Complete
 )
 
-// chunkLen is the number of 4-byte values per storage chunk (64 KB).
+// chunkLen is the number of bytes per storage chunk (64 KB).
 const (
-	chunkShift = 14
+	chunkShift = 16
 	chunkLen   = 1 << chunkShift
 )
 
-// chunked is a sequence of 4-byte values held in fixed-size chunks. Growing
-// it adds a chunk and copies nothing, so a recorder never holds two copies
-// of its graph: one append-grown slice keeps the old and the new backing
-// array alive side by side while it grows, and with the antecedent IDs the
-// largest thing a scratch check holds, that alone would lift its peak heap
+// chunked is a byte sequence held in fixed-size chunks. Growing it adds a
+// chunk and copies nothing, so a recorder never holds two copies of its
+// graph: one append-grown slice keeps the old and the new backing array
+// alive side by side while it grows, and with the antecedent IDs the
+// largest thing a long check holds, that alone would lift its peak heap
 // past a 10 % bound. Truncating it hands the chunks it no longer needs to a
 // spare list, which later growth draws from before it allocates.
-type chunked[T ~int32] struct {
-	chunks [][]T // every chunk but the last holds exactly chunkLen values
-	spare  [][]T // emptied chunks, taken last in first out
+//
+// The bytes are coded runs (appendRun): a value may begin in one chunk and
+// end in the next, and so may a run.
+type chunked struct {
+	chunks [][]byte // every chunk but the last holds exactly chunkLen bytes
+	spare  [][]byte // emptied chunks, taken last in first out
 	n      int
 }
 
-func (c *chunked[T]) append(xs []T) {
+// tail returns the chunk appends go to, opening a new one when the last is
+// full.
+func (c *chunked) tail() *[]byte {
+	if k := len(c.chunks); k == 0 || len(c.chunks[k-1]) == chunkLen {
+		c.open()
+	}
+	return &c.chunks[len(c.chunks)-1]
+}
+
+// open adds a chunk. A spare comes first. Otherwise the first chunk grows by
+// append, so a small graph stays small, and every later one is allocated
+// whole.
+func (c *chunked) open() {
+	var next []byte
+	if s := len(c.spare); s > 0 {
+		next, c.spare[s-1] = c.spare[s-1], nil
+		c.spare = c.spare[:s-1]
+	} else if len(c.chunks) > 0 {
+		next = make([]byte, 0, chunkLen)
+	}
+	c.chunks = append(c.chunks, next)
+}
+
+// putByte appends one byte.
+func (c *chunked) putByte(b byte) {
+	last := c.tail()
+	*last = append(*last, b)
+	c.n++
+}
+
+// maxVarint is the longest coding of one value: the zigzag delta between
+// two int32 values takes 33 bits, which LEB128 spreads over five bytes.
+const maxVarint = 5
+
+// zigzag maps a signed delta to an unsigned one whose size follows the
+// delta's magnitude: 0, -1, 1, -2, ... become 0, 1, 2, 3, ...
+func zigzag(d int64) uint64 { return uint64(d<<1 ^ d>>63) }
+
+// unzigzag inverts zigzag.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// spread lays u's seven-bit groups out one to a byte, low first, and sets
+// the top bit of every byte but the last of the k its coding takes: the
+// LEB128 coding of u, in the low k bytes of w. u must fit in 35 bits. It
+// does not branch on the length, which a mix of one-, two- and three-byte
+// deltas would mispredict at most values.
+func spread(u uint64) (w uint64, k int) {
+	l := bits.Len64(u)
+	// Open a zero bit above each group, the lowest first.
+	w = u + u&^0x7f
+	w += w &^ 0x7fff
+	w += w &^ 0x7fffff
+	w += w &^ 0x7fffffff
+	return w | lebCont[l], int(lebLen[l])
+}
+
+// gather inverts spread on the little-endian word read at a value's first
+// byte: the value, and the k bytes its coding took. The bytes past them
+// are ignored.
+func gather(w uint64) (u uint64, k int) {
+	k = bits.TrailingZeros64(^w&0x8080808080808080|1<<63)>>3 + 1
+	return squeeze(w & lebData[k]), k
+}
+
+// squeeze closes the gaps spread opened, the highest first: u is a coding
+// with its continuation bits cleared.
+func squeeze(u uint64) uint64 {
+	u -= u &^ 0x7fffffff >> 1
+	u -= u &^ 0x7fffff >> 1
+	u -= u &^ 0x7fff >> 1
+	return u - u&^0x7f>>1
+}
+
+// The tables the codec looks lengths and masks up in: by the bit length of
+// a value, the bytes its coding takes and their continuation bits; by a
+// coding's length in bytes, its data bits. Sized past any index their
+// callers can form.
+var lebLen, lebCont, lebData = func() (n [65]uint8, cont [65]uint64, data [16]uint64) {
+	for l := range n {
+		k := max((l+6)/7, 1)
+		n[l] = uint8(k)
+		cont[l] = 0x8080808080808080 & (1<<(8*(k-1)) - 1)
+	}
+	for k := range data {
+		data[k] = 0x7f7f7f7f7f7f7f7f & (1<<(8*min(k, 8)) - 1)
+	}
+	return
+}()
+
+// appendRun codes xs onto the store as one run: each value as the zigzag
+// delta from the one before it — the first from prev — in an unsigned
+// LEB128 varint, seven bits a byte, low bits first, the top bit set on
+// every byte but a value's last. A clause's antecedents cluster near each
+// other and near the clause itself, so most deltas take one to three bytes
+// where the values took four. The values the last chunk surely has room for
+// are coded straight into it, a word at a time; the one that may not fit
+// goes a byte at a time, on into the next chunk, or, in a first chunk that
+// is still growing, into what append grows it to.
+func appendRun[T ~int32](c *chunked, xs []T, prev T) {
 	for len(xs) > 0 {
-		if k := len(c.chunks); k == 0 || len(c.chunks[k-1]) == chunkLen {
-			// A spare comes first. Otherwise the first chunk grows by
-			// append, so a small graph stays small, and every later one is
-			// allocated whole.
-			var next []T
-			if s := len(c.spare); s > 0 {
-				next, c.spare[s-1] = c.spare[s-1], nil
-				c.spare = c.spare[:s-1]
-			} else if k > 0 {
-				next = make([]T, 0, chunkLen)
+		last := c.tail()
+		// spread's word reaches three bytes past the longest coding.
+		fit := min(len(xs), (min(cap(*last), chunkLen)-len(*last)-3)/maxVarint)
+		if fit <= 0 {
+			w, k := spread(zigzag(int64(xs[0]) - int64(prev)))
+			prev, xs = xs[0], xs[1:]
+			for ; k > 0; k-- {
+				c.putByte(byte(w))
+				w >>= 8
 			}
-			c.chunks = append(c.chunks, next)
+			continue
 		}
-		last := &c.chunks[len(c.chunks)-1]
-		take := min(len(xs), chunkLen-len(*last))
-		*last = append(*last, xs[:take]...)
-		xs = xs[take:]
-		c.n += take
+		// Room for the longest coding of each, then cut to what they took.
+		b, n := *last, len(*last)
+		b = b[:n+maxVarint*fit+3]
+		for _, x := range xs[:fit] {
+			w, k := spread(zigzag(int64(x) - int64(prev)))
+			prev = x
+			binary.LittleEndian.PutUint64(b[n:], w)
+			n += k
+		}
+		c.n += n - len(*last)
+		*last = b[:n]
+		xs = xs[fit:]
 	}
 }
 
-func (c *chunked[T]) at(i int) T { return c.chunks[i>>chunkShift][i&(chunkLen-1)] }
+// value decodes the coding that starts at byte p: its value, and the k
+// bytes it takes. It reads them where they lie — a word at once while a
+// whole word lies inside the chunk, a byte at a time near the chunk's end,
+// on into the next chunk — and copies nothing.
+func (c *chunked) value(p int) (u uint64, k int) {
+	if chunk, i := c.chunks[p>>chunkShift], p&(chunkLen-1); i+8 <= len(chunk) {
+		return gather(binary.LittleEndian.Uint64(chunk[i:]))
+	}
+	for shift := uint(0); ; shift += 7 {
+		b := c.chunks[(p+k)>>chunkShift][(p+k)&(chunkLen-1)]
+		k++
+		u |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			return u, k
+		}
+	}
+}
 
-// appendTo appends the values in [lo, hi) to dst.
-func (c *chunked[T]) appendTo(dst []T, lo, hi int) []T {
-	for lo < hi {
-		chunk := c.chunks[lo>>chunkShift]
-		from := lo & (chunkLen - 1)
-		to := min(len(chunk), from+hi-lo)
-		dst = append(dst, chunk[from:to]...)
-		lo += to - from
+// decodeRun appends to dst the values of the run coded in [lo, hi), whose
+// first value was coded against prev.
+func decodeRun[T ~int32](c *chunked, dst []T, lo, hi int, prev T) []T {
+	x := int64(prev)
+	for p := lo; p < hi; {
+		u, k := c.value(p)
+		x += unzigzag(u)
+		dst = append(dst, T(x))
+		p += k
 	}
 	return dst
 }
 
-// moveDown copies the n values at from to to, which lies at or below from;
+// markRun is decodeRun for the sweep, which decodes every run a traversal
+// reaches, at every extraction and collection: it sets each value's bit in
+// seen instead of keeping the value. Where a value ends is known only once
+// the one before it is decoded, so a load per value would have each value
+// wait for the last one's load; markRun reads two values to a word load
+// wherever both end inside the word.
+func markRun(c *chunked, seen []uint64, lo, hi int, x int64) {
+	for lo < hi {
+		chunk := c.chunks[lo>>chunkShift]
+		from := lo & (chunkLen - 1)
+		p, end := from, from+hi-lo
+		for p < end && p+8 <= len(chunk) {
+			w := binary.LittleEndian.Uint64(chunk[p:])
+			stops := ^w & 0x8080808080808080
+			k := bits.TrailingZeros64(stops|1<<63)>>3 + 1
+			x += unzigzag(squeeze(w & lebData[k]))
+			seen[x>>6] |= 1 << (x & 63)
+			p += k
+			if rest := stops & (stops - 1); rest != 0 && p < end {
+				next := bits.TrailingZeros64(rest)>>3 + 1
+				x += unzigzag(squeeze(w >> (8 * uint(k) & 63) & lebData[next-k]))
+				seen[x>>6] |= 1 << (x & 63)
+				p += next - k
+			}
+		}
+		lo += p - from
+		if lo < hi {
+			// Near the chunk's end, where a value may go on into the next.
+			u, k := c.value(lo)
+			x += unzigzag(u)
+			seen[x>>6] |= 1 << (x & 63)
+			lo += k
+		}
+	}
+}
+
+// moveDown copies the n bytes at from to to, which lies at or below from;
 // the two ranges may overlap.
-func (c *chunked[T]) moveDown(to, from, n int) {
+func (c *chunked) moveDown(to, from, n int) {
 	for n > 0 {
 		src := c.chunks[from>>chunkShift][from&(chunkLen-1):]
 		dst := c.chunks[to>>chunkShift][to&(chunkLen-1):]
 		// Within one chunk copy is a memmove; across two the ranges are
-		// disjoint. Either way no value is read after it is overwritten.
+		// disjoint. Either way no byte is read after it is overwritten.
 		m := copy(dst[:min(n, len(dst))], src[:min(n, len(src))])
 		to, from, n = to+m, from+m, n-m
 	}
 }
 
-// truncate keeps the first n values and moves the chunks past them to the
-// spare list — all but a first chunk that append has not yet grown to
-// full size, which is small and goes to the collector.
-func (c *chunked[T]) truncate(n int) {
+// truncate keeps the first n bytes and moves the chunks past them to the
+// spare list. That includes a first chunk that append has not yet grown to
+// full size: the list hands it out first, as the first chunk again, so a
+// small graph reloaded at every depth grows it once, not once a depth.
+func (c *chunked) truncate(n int) {
 	keep := (n + chunkLen - 1) >> chunkShift
 	for k := len(c.chunks) - 1; k >= keep; k-- {
-		if cap(c.chunks[k]) >= chunkLen {
-			c.spare = append(c.spare, c.chunks[k][:0])
-		}
+		c.spare = append(c.spare, c.chunks[k][:0])
 		c.chunks[k] = nil
 	}
 	c.chunks = c.chunks[:keep]
@@ -136,13 +297,13 @@ func (c *chunked[T]) truncate(n int) {
 }
 
 // bytes is what the store holds, spare chunks included.
-func (c *chunked[T]) bytes() int64 {
+func (c *chunked) bytes() int64 {
 	b := int64(cap(c.chunks)+cap(c.spare)) * 24
 	for _, chunk := range c.chunks {
-		b += int64(cap(chunk)) * 4
+		b += int64(cap(chunk))
 	}
 	for _, chunk := range c.spare {
-		b += int64(cap(chunk)) * 4
+		b += int64(cap(chunk))
 	}
 	return b
 }
@@ -152,13 +313,15 @@ func (c *chunked[T]) bytes() int64 {
 //
 // The layout is indexed by clause ID: a solver numbers originals, learned
 // clauses and bus imports from one dense counter and reports learned
-// clauses in that order, so antEnd[i] is where clause base+i's antecedents
-// end in ants (they start where the previous clause's end). An ID that
+// clauses in that order, so antEnd[i] is the byte offset where clause
+// base+i's coded antecedent run ends in ants (it starts where the previous
+// clause's ends). The run codes the first antecedent against the clause's
+// own ID and each later one against the one before (appendRun). An ID that
 // never had antecedents recorded is a leaf — an original clause or a bus
 // import. A fresh solver's leaves are the formula's clauses 0..base-1 and
 // get no table entry; a persistent solver's interleave with the learned
 // clauses and get an empty one. litEnd and lits hold the Payload's clause
-// literals the same way.
+// literals the same way, each run coded from 0.
 //
 // A record lives while a live clause's derivation can reach it. Deleting a
 // clause does not delete its record — a live clause derived from it still
@@ -173,9 +336,9 @@ type Recorder struct {
 	payload Payload
 	base    sat.ClauseID
 	antEnd  []uint32
-	ants    chunked[sat.ClauseID]
+	ants    chunked
 	litEnd  []uint32 // nil when payload is IDsOnly
-	lits    chunked[lits.Lit]
+	lits    chunked
 	learned int
 
 	final  []sat.ClauseID
@@ -233,7 +396,7 @@ func (r *Recorder) advance(id sat.ClauseID) {
 // closeEntry ends the next clause's runs where the stores end now.
 func (r *Recorder) closeEntry() {
 	if uint(r.ants.n) >= forgottenBit {
-		panic("core: more than 2^31 antecedent IDs on record")
+		panic("core: more than 2^31 bytes of antecedent IDs on record")
 	}
 	r.antEnd = append(r.antEnd, uint32(r.ants.n))
 	if r.payload != IDsOnly {
@@ -241,17 +404,17 @@ func (r *Recorder) closeEntry() {
 	}
 }
 
-// RecordLearned implements sat.ProofRecorder. The slices are copied; the
-// literals are kept only by a Complete recorder.
+// RecordLearned implements sat.ProofRecorder. The slices are coded into
+// the stores; the literals are kept only by a Complete recorder.
 func (r *Recorder) RecordLearned(id sat.ClauseID, literals []lits.Lit, antecedents []sat.ClauseID) {
 	if len(antecedents) == 0 {
 		// It would read back as a leaf, and Check would take it on trust.
 		panic(fmt.Sprintf("core: learned clause %d has no antecedents", id))
 	}
 	r.advance(id)
-	r.ants.append(antecedents)
+	appendRun(&r.ants, antecedents, id)
 	if r.payload == Complete {
-		r.lits.append(literals)
+		appendRun(&r.lits, literals, 0)
 	}
 	r.closeEntry()
 	r.learned++
@@ -263,7 +426,7 @@ func (r *Recorder) RecordLearned(id sat.ClauseID, literals []lits.Lit, anteceden
 func (r *Recorder) AddLeaf(id sat.ClauseID, literals []lits.Lit) {
 	r.advance(id)
 	if r.payload != IDsOnly {
-		r.lits.append(literals)
+		appendRun(&r.lits, literals, 0)
 	}
 	r.closeEntry()
 }
@@ -288,7 +451,7 @@ func (r *Recorder) ResetFinal() { r.proved = false }
 func (r *Recorder) NumLearnedRecorded() int { return r.learned }
 
 // ApproxBytes returns the bytes the recorder holds: the capacity of its
-// chunks (spare ones included), tables and traversal scratch. The paper's
+// byte chunks (spare ones included), tables and traversal scratch. The paper's
 // §3.1 claims this is negligible beside the clause database; the overhead
 // experiment checks.
 func (r *Recorder) ApproxBytes() int64 {
@@ -297,8 +460,8 @@ func (r *Recorder) ApproxBytes() int64 {
 		8*int64(cap(r.seen))
 }
 
-// span returns where id's run lies in the store whose end table is given;
-// IDs the table does not cover have none.
+// span returns the bytes id's run lies in, in the store whose end table is
+// given; IDs the table does not cover have none.
 func (r *Recorder) span(end []uint32, id sat.ClauseID) (lo, hi int) {
 	i := int(id - r.base)
 	if i < 0 || i >= len(end) {
@@ -331,9 +494,10 @@ func (r *Recorder) Core() []int {
 // Forget implements sat.ProofRecorder: live names every learned clause the
 // solver still holds, and the records neither they nor a recorded final
 // conflict can reach are dropped. The reachable antecedent runs slide down
-// over the dropped ones inside the chunks they occupy, and the chunks the
-// store no longer needs become spares. A Complete recorder keeps every
-// record, because Check replays them all.
+// over the dropped ones inside the chunks they occupy — a run is coded
+// against its own clause's ID, so its bytes mean the same wherever they
+// lie — and the chunks the store no longer needs become spares. A Complete
+// recorder keeps every record, because Check replays them all.
 func (r *Recorder) Forget(live []sat.ClauseID) {
 	if r.payload == Complete {
 		return
@@ -430,10 +594,7 @@ func (r *Recorder) sweep(top, bottom int, collect bool) {
 			}
 			continue
 		}
-		for i := lo; i < hi; i++ {
-			a := r.ants.at(i)
-			r.seen[a>>6] |= 1 << (a & 63)
-		}
+		markRun(&r.ants, r.seen, lo, hi, int64(id))
 	}
 }
 
@@ -443,7 +604,7 @@ func (r *Recorder) sweep(top, bottom int, collect bool) {
 func (r *Recorder) clause(id sat.ClauseID, originals *cnf.Formula, buf []lits.Lit) ([]lits.Lit, bool) {
 	if id >= r.base && r.payload != IDsOnly {
 		lo, hi := r.span(r.litEnd, id)
-		return r.lits.appendTo(buf[:0], lo, hi), true
+		return decodeRun(&r.lits, buf[:0], lo, hi, 0), true
 	}
 	if originals == nil || id < 0 || int(id) >= len(originals.Clauses) {
 		return nil, false

@@ -206,25 +206,26 @@ func TestRecorderApproxBytes(t *testing.T) {
 	}
 	r.RecordLearned(10, nil, []sat.ClauseID{1, 2, 3})
 	one := r.ApproxBytes()
-	if one < 3*4+4 {
-		t.Errorf("%d bytes cannot hold three antecedent IDs and a table entry", one)
+	if one < 3+4 {
+		t.Errorf("%d bytes cannot hold three one-byte antecedent deltas and a table entry", one)
 	}
 	// An accounting, not an estimate: what is reported is what is held.
-	// 1000 more clauses of 40 antecedents fill two 64 KB chunks and part of
-	// a third, and every chunk is counted whole.
+	// 4000 more clauses of 40 antecedents, coded in 41 or 42 bytes each,
+	// fill two 64 KB chunks and part of a third, and every chunk is counted
+	// whole.
 	ants := make([]sat.ClauseID, 40)
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 4000; i++ {
 		r.RecordLearned(sat.ClauseID(11+i), nil, ants)
 	}
 	held := int64(cap(r.antEnd))*4 + int64(cap(r.ants.chunks))*24
 	for _, c := range r.ants.chunks {
-		held += int64(cap(c)) * 4
+		held += int64(cap(c))
 	}
-	if got := r.ApproxBytes(); got != held || len(r.ants.chunks) != 3 || held < 3*chunkLen*4 {
+	if got := r.ApproxBytes(); got != held || len(r.ants.chunks) != 3 || held < 3*chunkLen {
 		t.Errorf("ApproxBytes = %d with %d chunks, recorder holds %d", got, len(r.ants.chunks), held)
 	}
 	// Extraction scratch stays with the recorder and is counted too.
-	r.RecordFinal([]sat.ClauseID{1010})
+	r.RecordFinal([]sat.ClauseID{4010})
 	r.Core()
 	if got := r.ApproxBytes(); got <= held {
 		t.Errorf("ApproxBytes = %d after an extraction, want above %d", got, held)

@@ -152,10 +152,10 @@ func TestForgetKeepsCores(t *testing.T) {
 			}
 		}
 		if counted.calls > 0 && rec.ants.n >= ref.ants.n {
-			t.Errorf("%s: %d collections left %d antecedent IDs of %d", name, counted.calls, rec.ants.n, ref.ants.n)
+			t.Errorf("%s: %d collections left %d bytes of antecedent runs of %d", name, counted.calls, rec.ants.n, ref.ants.n)
 		}
 		total += counted.calls
-		t.Logf("%s: %d UNSAT answers, %d collections, %d of %d antecedent IDs kept", name, len(got), counted.calls, rec.ants.n, ref.ants.n)
+		t.Logf("%s: %d UNSAT answers, %d collections, %d of %d bytes of antecedent runs kept", name, len(got), counted.calls, rec.ants.n, ref.ants.n)
 	}
 	if total < 20 {
 		t.Errorf("%d collections across every case: the deletion path is barely exercised", total)
@@ -185,12 +185,13 @@ func TestForgetMatchesReferenceTraversal(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		maxAnts := 6
 		if seed%3 == 0 {
-			maxAnts = 150 // past one chunk within a few hundred clauses
+			maxAnts = 400 // ~350 bytes a run: past one chunk within a few hundred clauses
 		}
 		rec := NewRecorderWith(0, WithLeaves)
 		ref := &refGraph{deps: map[sat.ClauseID][]sat.ClauseID{}, leaves: map[sat.ClauseID][]lits.Lit{}}
 		var leaves, live []sat.ClauseID
 		next := sat.ClauseID(0)
+		freed := false // a collection handed a chunk to the spare list
 		pick := func() sat.ClauseID {
 			if len(live) > 0 && rng.Intn(3) > 0 {
 				return live[rng.Intn(len(live))]
@@ -220,6 +221,7 @@ func TestForgetMatchesReferenceTraversal(t *testing.T) {
 			// rest.
 			live = slices.DeleteFunc(live, func(sat.ClauseID) bool { return rng.Intn(2) == 0 })
 			rec.Forget(live)
+			freed = freed || len(rec.ants.spare) > 0
 
 			final := make([]sat.ClauseID, 1+rng.Intn(4))
 			for i := range final {
@@ -242,7 +244,7 @@ func TestForgetMatchesReferenceTraversal(t *testing.T) {
 			rec.ResetFinal()
 			live = live[:len(live)/2]
 		}
-		if maxAnts > 6 && len(rec.ants.spare) == 0 {
+		if maxAnts > 6 && !freed {
 			t.Errorf("seed %d: collections over %d chunks freed none", seed, len(rec.ants.chunks))
 		}
 		if rec.NumLearnedRecorded() != len(ref.deps) {
@@ -253,27 +255,39 @@ func TestForgetMatchesReferenceTraversal(t *testing.T) {
 
 // TestForgetDropsUnreachableRecords pins one collection: the record no
 // live clause reaches loses its run and is marked forgotten, the others
-// slide down, and a traversal that reaches the forgotten one panics.
+// slide down byte for byte, and a traversal that reaches the forgotten one
+// panics.
 func TestForgetDropsUnreachableRecords(t *testing.T) {
-	// Originals 0..3; 4 <- {0,1}; 5 <- {4,2}; 6 <- {3,3,3}; 7 <- {5}.
-	r := NewRecorder(4)
-	r.RecordLearned(4, nil, []sat.ClauseID{0, 1})
-	r.RecordLearned(5, nil, []sat.ClauseID{4, 2})
-	r.RecordLearned(6, nil, []sat.ClauseID{3, 3, 3})
-	r.RecordLearned(7, nil, []sat.ClauseID{5})
-	r.Forget([]sat.ClauseID{7})
-	if want := []uint32{2, 4, 4 | forgottenBit, 5}; !slices.Equal(r.antEnd, want) {
+	// Originals 0..299; 300 <- {0,1}; 301 <- {300,2}; 302 <- {3,3,3};
+	// 303 <- {301}. A delta of -300 or -298 codes in two bytes, the others
+	// in one: runs of 3, 3, 4 and 1 bytes.
+	r := NewRecorder(300)
+	records := map[sat.ClauseID][]sat.ClauseID{300: {0, 1}, 301: {300, 2}, 302: {3, 3, 3}, 303: {301}}
+	for id := sat.ClauseID(300); id <= 303; id++ {
+		r.RecordLearned(id, nil, records[id])
+	}
+	if want := []uint32{3, 6, 10, 11}; !slices.Equal(r.antEnd, want) {
+		t.Fatalf("antEnd = %v before the collection, want %v", r.antEnd, want)
+	}
+	r.Forget([]sat.ClauseID{303})
+	if want := []uint32{3, 6, 6 | forgottenBit, 7}; !slices.Equal(r.antEnd, want) {
 		t.Fatalf("antEnd = %#x, want %#x", r.antEnd, want)
 	}
-	if got := r.ants.appendTo(nil, 0, r.ants.n); !slices.Equal(got, []sat.ClauseID{0, 1, 4, 2, 5}) {
-		t.Fatalf("antecedent store = %v after the collection", got)
+	if r.ants.n != 7 {
+		t.Fatalf("the store holds %d bytes after the collection, want 7", r.ants.n)
 	}
-	r.RecordFinal([]sat.ClauseID{7})
+	for _, id := range []sat.ClauseID{300, 301, 303} {
+		lo, hi := r.span(r.antEnd, id)
+		if got := decodeRun(&r.ants, nil, lo, hi, id); !slices.Equal(got, records[id]) {
+			t.Fatalf("record %d reads %v after the collection, want %v", id, got, records[id])
+		}
+	}
+	r.RecordFinal([]sat.ClauseID{303})
 	if got := r.Core(); !slices.Equal(got, []int{0, 1, 2}) {
 		t.Fatalf("core = %v, want [0 1 2]", got)
 	}
 
-	r.RecordFinal([]sat.ClauseID{6})
+	r.RecordFinal([]sat.ClauseID{302})
 	defer func() {
 		if recover() == nil {
 			t.Error("a core through a forgotten record did not panic")
@@ -298,25 +312,35 @@ func TestCompleteRecorderNeverForgets(t *testing.T) {
 // chunks below it, to zero keeps none, and growth takes the spares back
 // before it allocates anything.
 func TestChunkedTruncate(t *testing.T) {
-	var c chunked[sat.ClauseID]
+	var c chunked
+	// Byte i of the store holds i mod 251, so a byte out of place shows.
 	fill := func(n int) {
-		xs := make([]sat.ClauseID, n)
-		for i := range xs {
-			xs[i] = sat.ClauseID(c.n + i)
+		for end := c.n + n; c.n < end; {
+			c.putByte(byte(c.n % 251))
 		}
-		c.append(xs)
 	}
 	check := func(what string, n int) {
 		t.Helper()
 		if c.n != n {
-			t.Fatalf("%s: %d values, want %d", what, c.n, n)
+			t.Fatalf("%s: %d bytes, want %d", what, c.n, n)
 		}
 		for i := 0; i < n; i++ {
-			if c.at(i) != sat.ClauseID(i) {
-				t.Fatalf("%s: value %d reads %d", what, i, c.at(i))
+			if got := c.chunks[i>>chunkShift][i&(chunkLen-1)]; got != byte(i%251) {
+				t.Fatalf("%s: byte %d reads %d", what, i, got)
 			}
 		}
 	}
+	// A first chunk that append has grown only part way is a spare too, and
+	// the first chunk again when the store grows back.
+	fill(100)
+	first := &c.chunks[0][0]
+	c.truncate(0)
+	fill(1)
+	if len(c.spare) != 0 || &c.chunks[0][0] != first {
+		t.Fatalf("truncated to zero from one small chunk: %d spares, the first chunk reused %v", len(c.spare), &c.chunks[0][0] == first)
+	}
+	c.truncate(0)
+
 	// What the chunks hold, spares included; bytes adds the slice headers.
 	held := func() int64 { return c.bytes() - 24*int64(cap(c.chunks)+cap(c.spare)) }
 	fill(3*chunkLen + 5)
@@ -337,13 +361,9 @@ func TestChunkedTruncate(t *testing.T) {
 	if len(c.chunks) != 0 || len(c.spare) != 4 {
 		t.Fatalf("truncated to zero: %d chunks, %d spares", len(c.chunks), len(c.spare))
 	}
-	xs := make([]sat.ClauseID, 3*chunkLen)
-	for i := range xs {
-		xs[i] = sat.ClauseID(i)
-	}
 	if allocs := testing.AllocsPerRun(3, func() {
 		c.truncate(0)
-		c.append(xs)
+		fill(3 * chunkLen)
 	}); allocs != 0 {
 		t.Errorf("regrowing from the spares allocated %.0f times", allocs)
 	}
@@ -358,15 +378,18 @@ func TestChunkedTruncate(t *testing.T) {
 // last graph grew, and the next graph grows into it.
 func TestReloadAfterMultiChunkGraph(t *testing.T) {
 	ants := make([]sat.ClauseID, 50)
+	const clauses = 6000
 	record := func(r *Recorder, base int) {
 		for i := range ants {
 			ants[i] = sat.ClauseID(i)
 		}
-		for i := 0; i < 1400; i++ { // 70 000 IDs: four chunks and part of a fifth
+		// 300 000 IDs, nearly all a byte each: four chunks and part of a
+		// fifth.
+		for i := 0; i < clauses; i++ {
 			r.RecordLearned(sat.ClauseID(base+i), nil, ants)
 			ants[i%len(ants)] = sat.ClauseID(base + i)
 		}
-		r.RecordFinal([]sat.ClauseID{sat.ClauseID(base + 1399)})
+		r.RecordFinal([]sat.ClauseID{sat.ClauseID(base + clauses - 1)})
 	}
 	r := NewRecorder(100)
 	record(r, 100)

@@ -69,17 +69,49 @@ func TestFullRecorderCoreMatchesSimplified(t *testing.T) {
 	}
 }
 
+// recodeFirst returns the recorder r would be had its first learned
+// clause's literals and antecedents been what edit makes of them. The runs
+// are coded, so a record cannot be changed where it lies without moving
+// every one after it; the copy is recorded afresh.
+func recodeFirst(r *Recorder, edit func(literals []lits.Lit, ants []sat.ClauseID)) *Recorder {
+	out := NewRecorderWith(int(r.base), r.payload)
+	var literals []lits.Lit
+	var ants []sat.ClauseID
+	first := true
+	for i := range r.antEnd {
+		id := r.base + sat.ClauseID(i)
+		literals, _ = r.clause(id, nil, literals)
+		lo, hi := r.span(r.antEnd, id)
+		if lo == hi {
+			out.AddLeaf(id, literals)
+			continue
+		}
+		ants = decodeRun(&r.ants, ants[:0], lo, hi, id)
+		if first {
+			edit(literals, ants)
+			first = false
+		}
+		out.RecordLearned(id, literals, ants)
+	}
+	out.RecordFinal(r.final)
+	return out
+}
+
 func TestFullRecorderDetectsCorruptedProof(t *testing.T) {
 	f := php(3)
 	rec, res := solveWithFull(t, f)
 	if res.Status != sat.Unsat || rec.NumLearnedRecorded() == 0 {
 		t.Skip("need a learned-clause proof")
 	}
+	if err := rec.Check(f); err != nil {
+		t.Fatalf("the proof before corruption: %v", err)
+	}
 	// Corrupt one learned clause: flip its first literal to a fresh
 	// variable that occurs nowhere else. RUP from the recorded
-	// antecedents must now fail somewhere. (The first stored literal is the
-	// first learned clause's: a fresh solver's recorder is given no leaves.)
-	rec.lits.chunks[0][0] = lits.PosLit(lits.Var(f.NumVars + 1000))
+	// antecedents must now fail somewhere.
+	rec = recodeFirst(rec, func(literals []lits.Lit, _ []sat.ClauseID) {
+		literals[0] = lits.PosLit(lits.Var(f.NumVars + 1000))
+	})
 	if err := rec.Check(f); err == nil {
 		t.Fatal("corrupted proof passed the checker")
 	} else if !strings.Contains(err.Error(), "RUP") {
@@ -94,15 +126,16 @@ func TestFullRecorderDetectsDroppedAntecedents(t *testing.T) {
 		t.Fatal(res.Status)
 	}
 	// Drop the antecedents of the first learned clause down to one (the
-	// flat store cannot hold an empty list — that is a leaf — so the
-	// survivor is repeated): its derivation can no longer be justified.
-	if rec.NumLearnedRecorded() == 0 || rec.antEnd[0] < 2 {
+	// store cannot hold an empty list — that is a leaf — so the survivor is
+	// repeated): its derivation can no longer be justified.
+	if rec.NumLearnedRecorded() == 0 || len(decodeRun(&rec.ants, nil, 0, int(rec.antEnd[0]), rec.base)) < 2 {
 		t.Skip("no suitable record")
 	}
-	first := rec.ants.chunks[0][:rec.antEnd[0]]
-	for i := range first {
-		first[i] = first[0]
-	}
+	rec = recodeFirst(rec, func(_ []lits.Lit, ants []sat.ClauseID) {
+		for i := range ants {
+			ants[i] = ants[0]
+		}
+	})
 	if err := rec.Check(f); err == nil {
 		t.Fatal("proof with dropped antecedents passed the checker")
 	}

@@ -62,7 +62,11 @@ func (g *refGraph) vars(core []int, nVars int, aux func(lits.Var) bool) []lits.V
 // bus imports (leaves registered after learned clauses) interleaved on one
 // ID counter — and after every round compares core and core variables with
 // the reference. Records persist across rounds; the final marker does not.
-// The larger graphs span several storage chunks.
+// The larger graphs span several storage chunks. Every fourth graph has
+// large ID gaps: its first ID lies past 2^27, above originals the recorder
+// holds nothing for, so an antecedent reaching back to one codes in four or
+// five bytes, and tens of thousands of IDs nobody registers separate its
+// rounds.
 func TestRecorderMatchesReferenceTraversal(t *testing.T) {
 	const nVars = 60
 	aux := func(v lits.Var) bool { return v%7 == 0 }
@@ -70,19 +74,23 @@ func TestRecorderMatchesReferenceTraversal(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		maxAnts := 4
 		if seed%10 == 0 {
-			maxAnts = 120 // ~60 per clause: past one chunk within a few hundred clauses
+			maxAnts = 120 // ~60 per clause, ~100 bytes: past one chunk within a thousand clauses
 		}
 		// Unregistered leaves are legal too (the recorder then holds no
 		// literals for them): every third graph leaves some out.
 		registerAll := seed%3 != 0
-		rec := NewRecorderWith(0, WithLeaves)
+		base, gap := 0, 4
+		if seed%4 == 0 {
+			base, gap = 1<<27+int(seed)<<12, 1<<16
+		}
+		rec := NewRecorderWith(base, WithLeaves)
 		ref := &refGraph{deps: map[sat.ClauseID][]sat.ClauseID{}, leaves: map[sat.ClauseID][]lits.Lit{}}
-		next := sat.ClauseID(0)
+		next := sat.ClauseID(base)
 		for round := 0; round < 5; round++ {
 			for step := 0; step < 400; step++ {
 				id := next
 				next++
-				if id < 3 || rng.Intn(3) == 0 {
+				if int(id) < base+3 || rng.Intn(3) == 0 {
 					cl := make([]lits.Lit, 1+rng.Intn(4))
 					for i := range cl {
 						// Some variables lie beyond nVars and must be ignored.
@@ -129,7 +137,7 @@ func TestRecorderMatchesReferenceTraversal(t *testing.T) {
 			if rec.HasProof() || rec.Core() != nil {
 				t.Fatalf("seed %d round %d: final marker survived ResetFinal", seed, round)
 			}
-			next += sat.ClauseID(rng.Intn(4)) // leaves nobody registers before the next round
+			next += sat.ClauseID(rng.Intn(gap)) // leaves nobody registers before the next round
 		}
 		if len(rec.ants.chunks) > 1 != (maxAnts > 4) {
 			t.Errorf("seed %d: %d antecedent chunks with up to %d antecedents per clause", seed, len(rec.ants.chunks), maxAnts)
@@ -186,7 +194,7 @@ func TestRecorderAllocations(t *testing.T) {
 			r.RecordLearned(sat.ClauseID(100+i), nil, ants)
 		}
 	})
-	chunks := float64(clauses * len(ants) / chunkLen)
+	chunks := float64(r.ants.n / chunkLen)
 	if record > chunks+100 {
 		t.Errorf("recording %d clauses allocated %.0f times; want about one per chunk (%.0f) plus table growth", clauses, record, chunks)
 	}

@@ -8,10 +8,15 @@ import "repro/internal/lits"
 // position is tracked so membership tests and targeted removals are O(1)
 // and O(log n).
 //
-// The comparator consults mutable solver state (scores, guidance mode).
-// Scores only change at the periodic VSIDS rescore and at the dynamic
-// guidance switch, and both events call rebuild(), so heap order is always
-// consistent with the comparator between those points.
+// The comparator consults mutable solver state (scores, guidance mode), and
+// every change to it restores the heap order at once. The periodic VSIDS
+// rescore, the dynamic guidance switch, SetGuidance and the re-arming of
+// guidance at a SolveAssuming change keys wholesale and call rebuild().
+// install (AddClause, ImportClause) only raises cha_score keys, one
+// occurrence at a time, and sifts each raised literal up. Between those
+// points no key moves, so the top of the heap, once assigned literals are
+// skipped, is the comparator's best unassigned literal
+// (TestDecisionIsHeapArgmax).
 type litHeap struct {
 	s    *Solver
 	heap []lits.Lit
@@ -74,7 +79,7 @@ func (h *litHeap) grow(nVars int) {
 }
 
 // rebuild re-establishes the heap property after a bulk comparator change
-// (VSIDS rescore or guidance switch). O(n).
+// (see litHeap). O(n).
 func (h *litHeap) rebuild() {
 	for i := len(h.heap)/2 - 1; i >= 0; i-- {
 		h.down(i)

@@ -230,6 +230,10 @@ type Stats struct {
 	// at which it happened.
 	GuidanceSwitched bool
 	SwitchDecision   int64
+	// GuidedDecisions counts the decisions taken on a variable whose
+	// guidance score is above zero while guidance was active: how many of
+	// Decisions the refined ordering chose rather than cha_score.
+	GuidedDecisions int64
 
 	SolveTime time.Duration
 }
@@ -239,6 +243,7 @@ type Stats struct {
 // the earliest solve whose dynamic switch fired).
 func (s *Stats) Add(other Stats) {
 	s.Decisions += other.Decisions
+	s.GuidedDecisions += other.GuidedDecisions
 	s.Implications += other.Implications
 	s.Conflicts += other.Conflicts
 	s.Restarts += other.Restarts

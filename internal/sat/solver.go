@@ -740,6 +740,15 @@ func (s *Solver) cancelUntil(level int) {
 	s.qhead = len(s.trail)
 }
 
+// switchGuidance is the dynamic strategy's hand-over: the rest of the call
+// orders decisions by cha_score alone.
+func (s *Solver) switchGuidance() {
+	s.guidActive = false
+	s.stats.GuidanceSwitched = true
+	s.stats.SwitchDecision = s.stats.Decisions
+	s.heap.rebuild()
+}
+
 // better is the decision comparator: guidance score first (while active),
 // then cha_score, then literal index. See litHeap.
 func (s *Solver) better(a, b lits.Lit) bool {
@@ -1325,10 +1334,7 @@ func (s *Solver) solve() Result {
 		// exceeds the threshold, fall back to pure VSIDS for good.
 		if s.guidActive && s.opts.SwitchAfterDecisions > 0 &&
 			s.stats.Decisions > s.opts.SwitchAfterDecisions {
-			s.guidActive = false
-			s.stats.GuidanceSwitched = true
-			s.stats.SwitchDecision = s.stats.Decisions
-			s.heap.rebuild()
+			s.switchGuidance()
 		}
 
 		// Assumptions first: each occupies its own decision level ahead of
@@ -1360,6 +1366,9 @@ func (s *Solver) solve() Result {
 			return Result{Status: Sat, Model: s.model(), Stats: s.stats}
 		}
 		s.stats.Decisions++
+		if s.guidActive && s.guid[l.Var()] > 0 {
+			s.stats.GuidedDecisions++
+		}
 		if s.opts.MaxDecisions > 0 && s.stats.Decisions > s.opts.MaxDecisions {
 			return Result{Status: Unknown, Stats: s.stats}
 		}

@@ -422,10 +422,10 @@ func TestStatusString(t *testing.T) {
 }
 
 func TestStatsAdd(t *testing.T) {
-	a := Stats{Decisions: 1, Conflicts: 2, MaxLevel: 3}
-	b := Stats{Decisions: 10, Conflicts: 20, MaxLevel: 2, GuidanceSwitched: true}
+	a := Stats{Decisions: 1, Conflicts: 2, MaxLevel: 3, GuidedDecisions: 1}
+	b := Stats{Decisions: 10, Conflicts: 20, MaxLevel: 2, GuidanceSwitched: true, GuidedDecisions: 4}
 	a.Add(b)
-	if a.Decisions != 11 || a.Conflicts != 22 || a.MaxLevel != 3 || !a.GuidanceSwitched {
+	if a.Decisions != 11 || a.Conflicts != 22 || a.MaxLevel != 3 || !a.GuidanceSwitched || a.GuidedDecisions != 5 {
 		t.Errorf("Add wrong: %+v", a)
 	}
 }
