@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -541,5 +542,41 @@ func TestRefineDeterministic(t *testing.T) {
 	if a.Total(0, Conflicts) == 0 {
 		t.Error("refine grid spent no conflicts: the comparison is vacuous")
 	}
-	wantAll(t, out, "TOTAL", "rows where refinement spends fewer conflicts", "x")
+	wantAll(t, out, "TOTAL", "rows where refinement spends fewer conflicts", "x", " switch ")
+
+	// Each dynamic column's switch cell is "-" when the switch fired at no
+	// depth, else one of the decision counts at which it fired.
+	fired := 0
+	for i, m := range a.Models {
+		var fields []string
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) > 0 && f[0] == m.Name {
+				fields = f
+			}
+		}
+		if len(fields) != 10 {
+			t.Fatalf("%s: row %q, want 10 columns", m.Name, fields)
+		}
+		for _, c := range []int{1, 3} {
+			at := map[string]bool{}
+			for _, d := range a.Cells[i][c].PerDepth {
+				if d.Stats.GuidanceSwitched {
+					at[strconv.FormatInt(d.Stats.SwitchDecision, 10)] = true
+				}
+			}
+			got := fields[4+4*(c/2)]
+			switch {
+			case len(at) == 0 && got != "-":
+				t.Errorf("%s/%s: switch column %q, but the switch never fired", m.Name, a.Columns[c].Name, got)
+			case len(at) > 0 && !at[got]:
+				t.Errorf("%s/%s: switch column %q, not a decision count it fired at (%v)", m.Name, a.Columns[c].Name, got, at)
+			}
+			if len(at) > 0 {
+				fired++
+			}
+		}
+	}
+	if fired == 0 {
+		t.Error("the dynamic switch fired on no row: the switch column is vacuous")
+	}
 }

@@ -40,7 +40,8 @@ func argmax(s *Solver) lits.Lit {
 
 // stepper drives a solver through the search loop's own pieces —
 // propagate, analyze, cancelUntil, addLearned, rescore, pickBranch — and
-// checks every decision against argmax before taking it.
+// checks every decision against argmax before taking it, and the heap's
+// invariants after every step.
 type stepper struct {
 	t         *testing.T
 	name      string
@@ -59,6 +60,7 @@ func (st *stepper) run(phase string, n, rescoreEvery, restartEvery int) {
 	st.t.Helper()
 	s := st.s
 	for taken := 0; taken < n && !st.unsat; {
+		st.checkHeap(phase)
 		if confl := s.propagate(); confl != crefUndef {
 			if s.decisionLevel() == 0 {
 				st.unsat = true
@@ -99,13 +101,48 @@ func (st *stepper) run(phase string, n, rescoreEvery, restartEvery int) {
 			s.cancelUntil(0)
 		}
 	}
+	st.checkHeap(phase)
+}
+
+// checkHeap checks that the decision heap holds at most one entry per
+// variable, that its position index agrees with it both ways, that it is in
+// heap order, and that every unassigned variable is queued: a variable
+// absent from the heap could never be decided.
+func (st *stepper) checkHeap(phase string) {
+	st.t.Helper()
+	s, h := st.s, st.s.heap
+	if len(h.heap) > s.nVars {
+		st.t.Fatalf("%s, %s: %d heap entries for %d variables", st.name, phase, len(h.heap), s.nVars)
+	}
+	for i, v := range h.heap {
+		if v < 1 || int(v) > s.nVars {
+			st.t.Fatalf("%s, %s: heap[%d] = %v, outside variables 1..%d", st.name, phase, i, v, s.nVars)
+		}
+		if h.pos[v] != int32(i) {
+			st.t.Fatalf("%s, %s: heap[%d] = %v, whose position reads %d", st.name, phase, i, v, h.pos[v])
+		}
+		if parent := (i - 1) / 2; i > 0 && s.better(v, h.heap[parent]) {
+			st.t.Fatalf("%s, %s: heap[%d] = %v ranks above its parent %v", st.name, phase, i, v, h.heap[parent])
+		}
+	}
+	for v := lits.Var(1); int(v) <= s.nVars; v++ {
+		pos := h.pos[v]
+		if pos >= 0 && (int(pos) >= len(h.heap) || h.heap[pos] != v) {
+			st.t.Fatalf("%s, %s: %v is queued at %d, which holds something else", st.name, phase, v, pos)
+		}
+		if pos < 0 && s.vals[lits.PosLit(v).Index()] == 0 {
+			st.t.Fatalf("%s, %s: unassigned %v is not queued", st.name, phase, v)
+		}
+	}
 }
 
 // TestDecisionIsHeapArgmax: every decision the solver takes is the best
 // unassigned literal under (guidance desc, cha_score desc, index asc) —
-// the order litHeap keeps — through conflicts and backjumps, rescores,
-// restarts, variables and clauses added to the live solver (install raises
-// keys), the dynamic switch, and new guidance. Ties in guidance and in
+// the order varHeap keeps, one variable at a time — through conflicts and
+// backjumps, rescores, restarts, variables and clauses added to the live
+// solver and clauses imported into it (install raises keys), the dynamic
+// switch, new guidance, and Load into a used solver's storage, larger then
+// smaller. Ties in guidance and in
 // cha_score are frequent: guidance takes three values, and cha_score
 // starts at occurrence counts. With phase saving the rule picks the
 // variable and the saved phase its polarity.
@@ -152,6 +189,18 @@ func TestDecisionIsHeapArgmax(t *testing.T) {
 			st.unsat = st.unsat || st.s.status == Unsat
 			st.run("after AddVars/AddClause", 300, 7, 97)
 
+			// Clauses from a peer, over variables old and new.
+			for i := 0; i < 40 && !st.unsat; i++ {
+				c := cnf.Clause{
+					lits.MkLit(lits.Var(1+rng.Intn(more)), rng.Intn(2) == 0),
+					lits.MkLit(lits.Var(1+rng.Intn(more)), rng.Intn(2) == 0),
+					lits.MkLit(lits.Var(1+rng.Intn(more)), rng.Intn(2) == 0),
+				}
+				st.s.ImportClause(c)
+			}
+			st.unsat = st.unsat || st.s.status == Unsat
+			st.run("after ImportClause", 300, 7, 97)
+
 			st.s.switchGuidance()
 			st.run("after the dynamic switch", 300, 5, 89)
 
@@ -162,6 +211,28 @@ func TestDecisionIsHeapArgmax(t *testing.T) {
 				t.Errorf("%s: %d decisions checked, %d rescores", st.name, st.decisions, st.rescores)
 			}
 			t.Logf("%s: %d decisions checked, %d conflicts, %d rescores, refuted %v", st.name, st.decisions, st.conflicts, st.rescores, st.unsat)
+		}
+	}
+
+	// One solver's storage, used on the largest formula, then loaded with
+	// each of the others in decreasing size: the heap and its index must
+	// not carry entries past the new variable count.
+	opts := Defaults()
+	opts.Guidance = guidance(formulas[2].f.NumVars)
+	s := New(formulas[2].f, opts)
+	(&stepper{t: t, name: "used", s: s}).run("guided", 300, 7, 97)
+	for _, tc := range []struct {
+		name string
+		f    *cnf.Formula
+	}{formulas[0], formulas[1]} {
+		opts.Guidance = guidance(tc.f.NumVars)
+		s.Load(tc.f, opts)
+		st := &stepper{t: t, name: tc.name + " (loaded over a used solver)", s: s}
+		st.run("guided", 300, 7, 97)
+		s.switchGuidance()
+		st.run("after the dynamic switch", 300, 5, 89)
+		if st.decisions < 300 {
+			t.Errorf("%s: %d decisions checked", st.name, st.decisions)
 		}
 	}
 }

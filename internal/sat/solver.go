@@ -56,7 +56,7 @@ type tables struct {
 	chaScore []float64 // per lit: Chaff decaying sum
 	newCount []int32   // per lit: conflict-clause literal counts since last rescore
 
-	heap       *litHeap
+	heap       *varHeap
 	savedPhase []int8 // per var: 0 unknown, +1 true, -1 false
 
 	seen    []bool // per var scratch for analyze
@@ -270,7 +270,7 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 	}
 	clear(s.importSeen)
 	if s.heap == nil {
-		s.heap = new(litHeap)
+		s.heap = new(varHeap)
 	}
 	s.heap.reset(s, n)
 
@@ -401,8 +401,7 @@ func (s *Solver) AddVars(n int) {
 	}
 	s.heap.grow(n)
 	for v := lits.Var(s.nVars + 1); int(v) <= n; v++ {
-		s.heap.insert(lits.PosLit(v))
-		s.heap.insert(lits.NegLit(v))
+		s.heap.insert(v)
 	}
 	s.nVars = n
 }
@@ -448,7 +447,7 @@ func (s *Solver) install(c cref) {
 	for _, w := range norm {
 		l := lits.Lit(w)
 		s.chaScore[l.Index()]++
-		if pos := s.heap.pos[l.Index()]; pos >= 0 {
+		if pos := s.heap.pos[l.Var()]; pos >= 0 {
 			s.heap.up(int(pos))
 		}
 	}
@@ -732,8 +731,7 @@ func (s *Solver) cancelUntil(level int) {
 		}
 		s.vals[l.Index()], s.vals[l.Neg().Index()] = 0, 0
 		s.reason[v] = crefUndef
-		s.heap.insert(lits.PosLit(v))
-		s.heap.insert(lits.NegLit(v))
+		s.heap.insert(v)
 	}
 	s.trail = s.trail[:limit]
 	s.trailLim = s.trailLim[:level]
@@ -749,39 +747,49 @@ func (s *Solver) switchGuidance() {
 	s.heap.rebuild()
 }
 
-// better is the decision comparator: guidance score first (while active),
-// then cha_score, then literal index. See litHeap.
-func (s *Solver) better(a, b lits.Lit) bool {
+// better is the decision comparator over variables: guidance score first
+// (while active), then the higher of the two cha_scores, then index. So the
+// best variable holds the best literal under (guidance desc, cha_score
+// desc, literal index asc): a lower variable's literals have lower indices.
+func (s *Solver) better(a, b lits.Var) bool {
 	if s.guidActive {
-		ga, gb := s.guid[a.Var()], s.guid[b.Var()]
+		ga, gb := s.guid[a], s.guid[b]
 		if ga != gb {
 			return ga > gb
 		}
 	}
-	ca, cb := s.chaScore[a.Index()], s.chaScore[b.Index()]
+	pa, pb := lits.PosLit(a).Index(), lits.PosLit(b).Index()
+	ca := max(s.chaScore[pa], s.chaScore[pa+1])
+	cb := max(s.chaScore[pb], s.chaScore[pb+1])
 	if ca != cb {
 		return ca > cb
 	}
 	return a < b
 }
 
-// pickBranch pops the best unassigned literal off the decision heap,
-// returning LitUndef when every variable is assigned.
+// pickBranch pops the best unassigned variable off the decision heap and
+// returns its polarity: the saved one under phase saving, else the literal
+// with the higher cha_score, the positive one on a tie. LitUndef when every
+// variable is assigned.
 func (s *Solver) pickBranch() lits.Lit {
 	for !s.heap.empty() {
-		l := s.heap.popMax()
-		if s.vals[l.Index()] != 0 {
+		v := s.heap.popMax()
+		p := lits.PosLit(v)
+		if s.vals[p.Index()] != 0 {
 			continue
 		}
 		if s.opts.PhaseSaving {
-			switch s.savedPhase[l.Var()] {
+			switch s.savedPhase[v] {
 			case 1:
-				return lits.PosLit(l.Var())
+				return p
 			case -1:
-				return lits.NegLit(l.Var())
+				return p.Neg()
 			}
 		}
-		return l
+		if s.chaScore[p.Neg().Index()] > s.chaScore[p.Index()] {
+			return p.Neg()
+		}
+		return p
 	}
 	return lits.LitUndef
 }
