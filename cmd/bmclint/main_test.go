@@ -15,7 +15,7 @@ import (
 // demands must be present in the registry the vet tool serves, so
 // a future refactor cannot silently drop one from the gate.
 func TestAllAnalyzersRegistered(t *testing.T) {
-	want := []string{"litsafe", "hotpath", "ctxflow", "metricname", "eventexhaustive", "lockorder"}
+	want := []string{"litsafe", "hotpath", "ctxflow", "eventexhaustive", "lockorder"}
 	got := map[string]bool{}
 	for _, a := range lint.All() {
 		if a.Name == "" || a.Doc == "" || a.Run == nil {

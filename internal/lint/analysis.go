@@ -60,14 +60,6 @@ func (p *Pass) ImportPackageFact(path string) (any, bool) {
 	return p.facts.get(path, p.Analyzer)
 }
 
-// FactPackages returns, sorted, the import paths of every package a
-// fact of this analyzer is available for — the whole-program view for
-// analyzers (like lockorder's cycle detection) that fold every
-// dependency's contribution rather than chasing specific call edges.
-func (p *Pass) FactPackages() []string {
-	return p.facts.packages(p.Analyzer.Name)
-}
-
 // Diagnostic is one finding, positioned and attributed to its analyzer.
 type Diagnostic struct {
 	Analyzer string

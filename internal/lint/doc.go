@@ -11,9 +11,11 @@
 // at a time, but an analyzer that declares a FactType may export one
 // gob-serialized package fact per package (Pass.ExportPackageFact) and
 // import the facts of every dependency analyzed before it
-// (Pass.ImportPackageFact / Pass.FactPackages). cmd/go visits packages
-// in dependency order; RunVetTool reads each dependency's fact file
-// from the .cfg's PackageVetx table and writes the merged store
+// (Pass.ImportPackageFact). hotpath is the only analyzer that does: the
+// solver's hot path runs through other packages' code, while every other
+// analyzer's subject lies within one package. cmd/go visits packages in
+// dependency order; RunVetTool reads each dependency's fact file from
+// the .cfg's PackageVetx table and writes the merged store
 // (dependencies' facts plus its own) to VetxOutput, so cmd/go's build
 // cache carries the whole-program view from unit to unit. Only the main
 // module produces facts: fact-only units from std or a dependency
@@ -52,16 +54,17 @@
 //     imported clauses go into the solver's arena and its per-conflict
 //     buffers and need none.
 //
-//   - lockorder: the whole-program lock-acquisition graph over
-//     sync.Mutex/RWMutex struct fields must be acyclic — two functions
-//     taking the same two locks in opposite orders deadlock under the
-//     right schedule, which go test -race does not catch. Each
-//     function's held-lock analysis is defer-aware and intraprocedural;
-//     a LockFact carries per-function acquisition summaries and
-//     lock-order edges across packages, cycles are reported once per
-//     lock set at a local closing edge, and channel sends or
-//     sat SolveAssuming calls while holding any lock are flagged
-//     (a send can block indefinitely; a solve runs unbounded search).
+//   - lockorder: no channel send and no sat Solve/SolveAssuming call
+//     while holding any lock (a send can block indefinitely; a solve
+//     runs unbounded search), and each package's lock-acquisition graph
+//     over sync.Mutex/RWMutex struct fields must be acyclic — two
+//     functions taking the same two locks in opposite orders deadlock
+//     under the right schedule, which go test -race does not catch. The
+//     analysis is package-local: each function's held-lock walk is
+//     defer-aware, calls into the same package fold in the callee's
+//     summary (computed to a fixpoint), and cycles are reported once per
+//     lock set at a closing edge. No edge in the tree crosses a package,
+//     and its one pair of nested locks is benchmark/decorator.go's.
 //
 //   - ctxflow: in the solver layers (internal/sat, internal/racer,
 //     internal/portfolio, internal/engine) a function holding a
@@ -74,19 +77,16 @@
 //     chains before judging; only an unresolvable target falls back to
 //     the argument heuristic.
 //
-//   - metricname: metric names reaching obs.Name or a Registry
-//     constructor must be snake_case compile-time constants (wrapper
-//     functions are traced to a fixpoint), and obs.Name label keys —
-//     the even positions of its key,value variadic tail — must be
-//     lower_snake identifiers. Keeps the metrics namespace greppable
-//     and the dashboards stable.
-//
 //   - eventexhaustive: switches over engine.EventKind must name every
 //     member — a default clause does not excuse omissions, because
 //     observers silently dropping a new event kind is exactly how the
 //     progress printer rotted before. Switches over sat.Status,
-//     engine.Verdict/Query/Kind, and core.Strategy need only be
-//     exhaustive when they lack a default.
+//     engine.Verdict/Kind, and core.Strategy need only be exhaustive
+//     when they lack a default.
+//
+// Metric names are not linted: internal/remote's TestMetricCatalogue
+// runs every engine shape and checks each registered name against a
+// golden list, the snake_case convention, and README.
 //
 // False positives are suppressed in place with
 //

@@ -21,7 +21,6 @@ var exhaustiveTypes = []exhaustiveType{
 	{"internal/engine", "EventKind", true},
 	{"internal/sat", "Status", false},
 	{"internal/engine", "Verdict", false},
-	{"internal/engine", "Query", false},
 	{"internal/engine", "Kind", false},
 	{"internal/core", "Strategy", false},
 }
@@ -31,7 +30,7 @@ var exhaustiveTypes = []exhaustiveType{
 var EventExhaustive = &Analyzer{
 	Name: "eventexhaustive",
 	Doc: "requires switches over engine.EventKind (strictly: a default clause does not " +
-		"excuse missing members) and over sat.Status, engine.Verdict/Query/Kind, and " +
+		"excuse missing members) and over sat.Status, engine.Verdict/Kind, and " +
 		"core.Strategy (lax: a default clause handles the remainder) to cover every " +
 		"declared constant of the type, so adding an enum member cannot silently " +
 		"fall through an existing consumer",

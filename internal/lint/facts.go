@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
 )
 
 // Facts infrastructure: an analyzer may export one serializable value
@@ -90,19 +89,6 @@ func (fs *FactStore) get(pkgPath string, a *Analyzer) (any, bool) {
 	}
 	fs.decoded[pkgPath][a.Name] = v
 	return v, true
-}
-
-// packages returns, sorted, every package path holding a fact for the
-// analyzer.
-func (fs *FactStore) packages(analyzer string) []string {
-	var out []string
-	for pkg, byAnalyzer := range fs.raw {
-		if _, ok := byAnalyzer[analyzer]; ok {
-			out = append(out, pkg)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Merge copies every fact of other into fs (other wins on conflicts —

@@ -39,8 +39,8 @@ func TestFactStoreRoundTrip(t *testing.T) {
 
 	merged := NewFactStore()
 	merged.Merge(back)
-	if pkgs := merged.packages(HotPath.Name); len(pkgs) != 1 || pkgs[0] != "example.com/obs" {
-		t.Errorf("merged packages = %v", pkgs)
+	if _, ok := merged.get("example.com/obs", HotPath); !ok {
+		t.Error("merged store lost the fact")
 	}
 }
 

@@ -28,7 +28,7 @@ func FuzzUnitcheckerCfg(f *testing.F) {
 		}
 		// A decodable store must be queryable without panicking.
 		for _, a := range All() {
-			for _, pkg := range fs.packages(a.Name) {
+			for pkg := range fs.raw {
 				fs.get(pkg, a)
 			}
 		}

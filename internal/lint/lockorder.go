@@ -8,53 +8,37 @@ import (
 	"strings"
 )
 
-// OpRef is one blocking operation recorded in a lock summary: a short
+// opRef is one blocking operation recorded in a lock summary: a short
 // description and the rendered source position of the op itself, so a
 // diagnostic at a call site can name what happens behind the call.
-type OpRef struct {
-	Desc string
-	Pos  string
+type opRef struct {
+	desc string
+	pos  string
 }
 
-// LockSummary is one function's lock behavior as seen by its callers:
-// the lock keys it (transitively) acquires, and the channel sends and
-// solver calls it (transitively) performs — the ops that must not run
-// under a held lock.
-type LockSummary struct {
-	Acquires []string
-	Sends    []OpRef
-	Solves   []OpRef
+// lockSummary is one function's lock behavior as seen by its callers in
+// the same package: the lock keys it (transitively) acquires, and the
+// channel sends and solver calls it (transitively) performs — the ops
+// that must not run under a held lock.
+type lockSummary struct {
+	acquires map[string]bool
+	sends    map[opRef]bool
+	solves   map[opRef]bool
 }
 
-// LockEdge records that the To lock was acquired while From was held.
-type LockEdge struct {
-	From string
-	To   string
-	Pos  string
-}
-
-// LockFact is the lockorder analyzer's package fact: per-function lock
-// summaries (keyed like hotpath's funcKey) plus the package's local
-// acquisition-order edges. Cycle detection in any later package folds
-// the edges of every fact-bearing dependency into its own.
-type LockFact struct {
-	Funcs map[string]LockSummary
-	Edges []LockEdge
-}
-
-// LockOrder builds the whole-program lock-acquisition graph over named
+// LockOrder builds each package's lock-acquisition graph over named
 // sync.Mutex/RWMutex fields and package-level mutexes, reporting
 // acquisition-order cycles (potential deadlocks), channel sends under a
 // held lock, and solver calls under a held lock.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc: "builds the whole-program lock-acquisition graph over sync.Mutex/RWMutex " +
-		"struct fields and package-level mutexes (edges cross package boundaries via " +
-		"per-function HeldLocks facts); a cycle in the graph is a potential deadlock " +
-		"and a finding, and channel sends or sat.Solver Solve/SolveAssuming calls " +
-		"while any lock is held are flagged as blocking-under-lock hazards",
-	Run:      runLockOrder,
-	FactType: func() any { return new(LockFact) },
+	Doc: "builds each package's lock-acquisition graph over sync.Mutex/RWMutex " +
+		"struct fields and package-level mutexes, with calls to functions of the same " +
+		"package folded in through their lock summaries; a cycle in the graph is a " +
+		"potential deadlock and a finding, and channel sends or sat.Solver " +
+		"Solve/SolveAssuming calls while any lock is held are flagged as " +
+		"blocking-under-lock hazards",
+	Run: runLockOrder,
 }
 
 // lockKey renders the identity of a mutex: "pkgpath:Type.field" for a
@@ -91,59 +75,27 @@ func lockKey(pass *Pass, recv ast.Expr) string {
 	return ""
 }
 
-// lockAcc accumulates one function's summary during the walk.
-type lockAcc struct {
-	acquires map[string]bool
-	sends    map[OpRef]bool
-	solves   map[OpRef]bool
+func newLockSummary() *lockSummary {
+	return &lockSummary{acquires: map[string]bool{}, sends: map[opRef]bool{}, solves: map[opRef]bool{}}
 }
 
-func newLockAcc() *lockAcc {
-	return &lockAcc{acquires: map[string]bool{}, sends: map[OpRef]bool{}, solves: map[OpRef]bool{}}
-}
+func (s *lockSummary) size() int { return len(s.acquires) + len(s.sends) + len(s.solves) }
 
-func (a *lockAcc) size() int { return len(a.acquires) + len(a.sends) + len(a.solves) }
-
-func (a *lockAcc) mergeSummary(s LockSummary) {
-	for _, k := range s.Acquires {
-		a.acquires[k] = true
+func (s *lockSummary) merge(o *lockSummary) {
+	for k := range o.acquires {
+		s.acquires[k] = true
 	}
-	for _, op := range s.Sends {
-		a.sends[op] = true
+	for op := range o.sends {
+		s.sends[op] = true
 	}
-	for _, op := range s.Solves {
-		a.solves[op] = true
+	for op := range o.solves {
+		s.solves[op] = true
 	}
 }
 
-func (a *lockAcc) summary() LockSummary {
-	var s LockSummary
-	for k := range a.acquires {
-		s.Acquires = append(s.Acquires, k)
-	}
-	sort.Strings(s.Acquires)
-	s.Sends = sortedOps(a.sends)
-	s.Solves = sortedOps(a.solves)
-	return s
-}
-
-func sortedOps(m map[OpRef]bool) []OpRef {
-	var out []OpRef
-	for op := range m {
-		out = append(out, op)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos != out[j].Pos {
-			return out[i].Pos < out[j].Pos
-		}
-		return out[i].Desc < out[j].Desc
-	})
-	return out
-}
-
-// localLockEdge is a LockEdge still carrying its real token position,
-// so cycle findings can be reported at the closing edge.
-type localLockEdge struct {
+// lockEdge records that the to lock was acquired while from was held,
+// at pos, so cycle findings can be reported at the closing edge.
+type lockEdge struct {
 	from, to string
 	pos      token.Pos
 }
@@ -151,14 +103,14 @@ type localLockEdge struct {
 // lockWalker performs the defer-aware, source-order held-lock walk over
 // one function body. Branch bodies see the held set of their entry
 // point; the set is immutable (every change allocates), so branches
-// cannot corrupt their siblings' view.
+// cannot corrupt their siblings' view. sums holds a summary for every
+// function declared in the package, and only for those.
 type lockWalker struct {
 	pass   *Pass
-	decls  map[*types.Func]*ast.FuncDecl
-	sums   map[*types.Func]LockSummary
+	sums   map[*types.Func]*lockSummary
 	report bool
-	cur    *lockAcc
-	edges  *[]localLockEdge
+	cur    *lockSummary
+	edges  []lockEdge
 }
 
 func (w *lockWalker) pos(p token.Pos) string { return w.pass.Fset.Position(p).String() }
@@ -200,42 +152,34 @@ func (w *lockWalker) call(x *ast.CallExpr, held []string) {
 	}
 	if (callee.Name() == "Solve" || callee.Name() == "SolveAssuming") && callee.Signature().Recv() != nil &&
 		isNamedType(callee.Signature().Recv().Type(), "internal/sat", "Solver") {
-		op := OpRef{Desc: "(*sat.Solver)." + callee.Name(), Pos: w.pos(x.Pos())}
+		op := opRef{desc: "(*sat.Solver)." + callee.Name(), pos: w.pos(x.Pos())}
 		w.cur.solves[op] = true
 		if w.report && len(held) > 0 {
-			w.pass.Reportf(x.Pos(), "%s called while holding %s; solver calls can block indefinitely — release the lock first", op.Desc, held[len(held)-1])
+			w.pass.Reportf(x.Pos(), "%s called while holding %s; solver calls can block indefinitely — release the lock first", op.desc, held[len(held)-1])
 		}
 		return
 	}
 
-	var sum LockSummary
-	if _, local := w.decls[callee]; local {
-		sum = w.sums[callee]
-	} else if callee.Pkg() != w.pass.Pkg {
-		if v, ok := w.pass.ImportPackageFact(callee.Pkg().Path()); ok {
-			if f, ok := v.(*LockFact); ok {
-				sum = f.Funcs[funcKey(callee)]
-			}
-		}
-	}
-	w.cur.mergeSummary(sum)
-	if len(held) == 0 {
+	sum, local := w.sums[callee]
+	if !local {
 		return
 	}
-	if w.report {
-		for _, acq := range sum.Acquires {
-			for _, h := range held {
-				if h != acq {
-					*w.edges = append(*w.edges, localLockEdge{from: h, to: acq, pos: x.Pos()})
-				}
+	w.cur.merge(sum)
+	if !w.report || len(held) == 0 {
+		return
+	}
+	for acq := range sum.acquires {
+		for _, h := range held {
+			if h != acq {
+				w.edges = append(w.edges, lockEdge{from: h, to: acq, pos: x.Pos()})
 			}
 		}
-		for _, op := range sum.Sends {
-			w.pass.Reportf(x.Pos(), "call to %s performs a channel send (%s) while holding %s; a blocked send deadlocks every contender for the lock", callee.Name(), op.Pos, held[len(held)-1])
-		}
-		for _, op := range sum.Solves {
-			w.pass.Reportf(x.Pos(), "call to %s reaches %s (%s) while holding %s; solver calls can block indefinitely — release the lock first", callee.Name(), op.Desc, op.Pos, held[len(held)-1])
-		}
+	}
+	for op := range sum.sends {
+		w.pass.Reportf(x.Pos(), "call to %s performs a channel send (%s) while holding %s; a blocked send deadlocks every contender for the lock", callee.Name(), op.pos, held[len(held)-1])
+	}
+	for op := range sum.solves {
+		w.pass.Reportf(x.Pos(), "call to %s reaches %s (%s) while holding %s; solver calls can block indefinitely — release the lock first", callee.Name(), op.desc, op.pos, held[len(held)-1])
 	}
 }
 
@@ -267,7 +211,7 @@ func (w *lockWalker) exprs(held []string, exprs ...ast.Expr) {
 // function's summary. Direct violations inside it still report.
 func (w *lockWalker) lit(x *ast.FuncLit) {
 	saved := w.cur
-	w.cur = newLockAcc()
+	w.cur = newLockSummary()
 	w.block(x.Body.List, nil)
 	w.cur = saved
 }
@@ -292,7 +236,7 @@ func (w *lockWalker) stmt(s ast.Stmt, held []string) []string {
 					if w.report {
 						for _, h := range held {
 							if h != key {
-								*w.edges = append(*w.edges, localLockEdge{from: h, to: key, pos: call.Pos()})
+								w.edges = append(w.edges, lockEdge{from: h, to: key, pos: call.Pos()})
 							}
 						}
 					}
@@ -304,7 +248,7 @@ func (w *lockWalker) stmt(s ast.Stmt, held []string) []string {
 		w.exprs(held, x.X)
 		return held
 	case *ast.SendStmt:
-		op := OpRef{Desc: "channel send", Pos: w.pos(x.Arrow)}
+		op := opRef{desc: "channel send", pos: w.pos(x.Arrow)}
 		w.cur.sends[op] = true
 		if w.report && len(held) > 0 {
 			w.pass.Reportf(x.Arrow, "channel send while holding %s; a blocked send deadlocks every contender for the lock", held[len(held)-1])
@@ -419,6 +363,7 @@ func removeLock(held []string, key string) []string {
 
 func runLockOrder(pass *Pass) error {
 	decls := map[*types.Func]*ast.FuncDecl{}
+	sums := map[*types.Func]*lockSummary{}
 	for _, f := range pass.Files {
 		if pass.InTestFile(f.Pos()) {
 			continue
@@ -430,25 +375,22 @@ func runLockOrder(pass *Pass) error {
 			}
 			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
 				decls[obj] = fd
+				sums[obj] = newLockSummary()
 			}
 		}
 	}
-	if len(decls) == 0 {
-		return nil
-	}
 
-	// Fixpoint over the local call graph: run the walk in summary mode
-	// until no function's summary grows. The universe of keys and op
+	// Fixpoint over the package's call graph: run the walk in summary
+	// mode until no function's summary grows. The universe of keys and op
 	// positions is finite, so this terminates; the iteration cap is a
 	// backstop against pathological graphs.
-	sums := map[*types.Func]LockSummary{}
 	for iter := 0; iter < 16; iter++ {
 		changed := false
 		for obj, fd := range decls {
-			w := &lockWalker{pass: pass, decls: decls, sums: sums, cur: newLockAcc()}
+			w := &lockWalker{pass: pass, sums: sums, cur: newLockSummary()}
 			w.block(fd.Body.List, nil)
-			if w.cur.size() != summarySize(sums[obj]) {
-				sums[obj] = w.cur.summary()
+			if w.cur.size() != sums[obj].size() {
+				sums[obj] = w.cur
 				changed = true
 			}
 		}
@@ -457,74 +399,48 @@ func runLockOrder(pass *Pass) error {
 		}
 	}
 
-	// Report pass with stable summaries, collecting the local edges.
-	var edges []localLockEdge
-	for obj, fd := range decls {
-		w := &lockWalker{pass: pass, decls: decls, sums: sums, report: true, cur: newLockAcc(), edges: &edges}
+	// Report pass with stable summaries, collecting the edges.
+	w := &lockWalker{pass: pass, sums: sums, report: true}
+	for _, fd := range decls {
+		w.cur = newLockSummary()
 		w.block(fd.Body.List, nil)
-		_ = obj
 	}
-
-	fact := &LockFact{Funcs: map[string]LockSummary{}}
-	for obj, sum := range sums {
-		if len(sum.Acquires)+len(sum.Sends)+len(sum.Solves) > 0 {
-			fact.Funcs[funcKey(obj)] = sum
-		}
-	}
-	for _, e := range edges {
-		fact.Edges = append(fact.Edges, LockEdge{From: e.from, To: e.to, Pos: pass.Fset.Position(e.pos).String()})
-	}
-	if len(fact.Funcs) > 0 || len(fact.Edges) > 0 {
-		if err := pass.ExportPackageFact(fact); err != nil {
-			return err
-		}
-	}
-
-	reportLockCycles(pass, edges)
+	reportLockCycles(pass, w.edges)
 	return nil
 }
 
-func summarySize(s LockSummary) int { return len(s.Acquires) + len(s.Sends) + len(s.Solves) }
-
-// reportLockCycles folds every dependency's exported edges into this
-// package's local ones and reports each acquisition-order cycle that a
-// local edge closes, deduplicated by the set of locks involved.
-func reportLockCycles(pass *Pass, local []localLockEdge) {
+// reportLockCycles reports each acquisition-order cycle among the
+// package's edges, deduplicated by the set of locks involved.
+func reportLockCycles(pass *Pass, edges []lockEdge) {
 	// Deterministic edge order: the report pass walks functions in map
 	// order, and the cycle dedupe keeps the first closing edge seen —
 	// sort so "first" is stable across runs.
-	sort.Slice(local, func(i, j int) bool { return local[i].pos < local[j].pos })
+	sort.Slice(edges, func(i, j int) bool {
+		a, b := edges[i], edges[j]
+		if a.pos != b.pos {
+			return a.pos < b.pos
+		}
+		if a.from != b.from {
+			return a.from < b.from
+		}
+		return a.to < b.to
+	})
 	adj := map[string][]string{}
-	add := func(from, to string) {
-		adj[from] = append(adj[from], to)
-	}
-	self := pass.Pkg.Path()
-	for _, pkgPath := range pass.FactPackages() {
-		if pkgPath == self {
-			continue
-		}
-		if v, ok := pass.ImportPackageFact(pkgPath); ok {
-			if f, ok := v.(*LockFact); ok {
-				for _, e := range f.Edges {
-					add(e.From, e.To)
-				}
-			}
-		}
-	}
-	for _, e := range local {
-		add(e.from, e.to)
+	for _, e := range edges {
+		adj[e.from] = append(adj[e.from], e.to)
 	}
 
 	seen := map[string]bool{}
-	for _, e := range local {
+	for _, e := range edges {
 		// A cycle through this edge exists iff e.from is reachable from
 		// e.to in the rest of the graph.
 		path := lockPath(adj, e.to, e.from)
 		if path == nil {
 			continue
 		}
-		cycle := append([]string{e.from, e.to}, path[1:]...)
-		dedupe := append([]string(nil), cycle...)
+		// path runs e.to … e.from and names each lock of the cycle once.
+		cycle := append([]string{e.from}, path...)
+		dedupe := append([]string(nil), path...)
 		sort.Strings(dedupe)
 		key := strings.Join(dedupe, "|")
 		if seen[key] {

@@ -1,7 +1,6 @@
 package lint_test
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/lint"
@@ -9,35 +8,5 @@ import (
 )
 
 func TestLockOrder(t *testing.T) {
-	linttest.RunDeps(t, ".", []*lint.Analyzer{lint.LockOrder},
-		"lo/internal/core", "lo/internal/sat", "lo/use")
-}
-
-// TestLockOrderPreFactsMisses proves the cycle and the send-through-
-// callee findings are fact-borne: analyzing the use package alone
-// (empty fact store) must not produce them — LockBoard's acquisition
-// and Notify's send are invisible without core's fact — while the
-// direct findings (the literal send, the solver call) survive.
-func TestLockOrderPreFactsMisses(t *testing.T) {
-	pkg, err := linttest.Load(".", "lo/use")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := lint.RunAnalyzers(pkg, []*lint.Analyzer{lint.LockOrder}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := 0
-	for _, d := range diags {
-		if strings.Contains(d.Message, "lock order cycle") {
-			t.Errorf("fact-blind run found the cross-package cycle: %s", d)
-		}
-		if strings.Contains(d.Message, "performs a channel send") {
-			t.Errorf("fact-blind run found the send behind the callee: %s", d)
-		}
-		direct++
-	}
-	if direct == 0 {
-		t.Error("fact-blind run lost the direct findings too")
-	}
+	linttest.Run(t, ".", []*lint.Analyzer{lint.LockOrder}, "lo/use")
 }

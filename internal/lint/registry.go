@@ -9,7 +9,6 @@ func All() []*Analyzer {
 		LitSafe,
 		HotPath,
 		CtxFlow,
-		MetricName,
 		EventExhaustive,
 		LockOrder,
 	}

@@ -1,15 +1,17 @@
-// Package use closes the lockorder corpus: it acquires locks in the
-// reverse of core's canonical order (a cycle visible only through the
-// imported edge and LockBoard's summary), sends on channels under a
-// held lock both directly and through core.Notify, and calls the
-// solver under a lock.
+// Package use is the lockorder corpus: it acquires two locks in both
+// orders (a cycle that closes only through LockBoard's summary), sends
+// on channels under a held lock both directly and through Notify, and
+// calls the solver under a lock.
 package use
 
 import (
-	"lo/internal/core"
 	"lo/internal/sat"
 	"sync"
 )
+
+type Board struct{ Mu sync.Mutex }
+
+type Reg struct{ Mu sync.Mutex }
 
 type server struct {
 	mu sync.Mutex
@@ -17,19 +19,18 @@ type server struct {
 }
 
 // Bad holds Reg.Mu while LockBoard acquires Board.Mu — the reverse of
-// core.WithBoth's order. The cycle is detectable only via facts: the
-// Board→Reg edge lives in core's fact, and LockBoard's acquisition is
-// known only from its summary.
-func Bad(r *core.Reg, b *core.Board) {
+// WithBoth's order. The acquisition is visible only through LockBoard's
+// summary.
+func Bad(r *Reg, b *Board) {
 	r.Mu.Lock()
-	core.LockBoard(b) // want `lock order cycle`
+	LockBoard(b) // want `lock order cycle`
 	r.Mu.Unlock()
 }
 
 func (s *server) Publish() {
 	s.mu.Lock()
-	core.Notify(s.ch) // want `performs a channel send .* while holding`
-	s.ch <- 2         // want `channel send while holding`
+	Notify(s.ch) // want `performs a channel send .* while holding`
+	s.ch <- 2    // want `channel send while holding`
 	s.mu.Unlock()
 }
 
@@ -41,6 +42,27 @@ func (s *server) Run(solver *sat.Solver) bool {
 
 // Good holds nothing while delegating to the canonical-order helper:
 // no findings.
-func Good(b *core.Board, r *core.Reg) {
-	core.WithBoth(b, r)
+func Good(b *Board, r *Reg) {
+	WithBoth(b, r)
+}
+
+// WithBoth acquires Board.Mu then Reg.Mu — the canonical order. The
+// cycle with Bad is reported once, at Bad's earlier closing edge.
+func WithBoth(b *Board, r *Reg) {
+	b.Mu.Lock()
+	r.Mu.Lock()
+	r.Mu.Unlock()
+	b.Mu.Unlock()
+}
+
+// LockBoard's acquisition is visible to callers via its summary.
+func LockBoard(b *Board) {
+	b.Mu.Lock()
+	b.Mu.Unlock()
+}
+
+// Notify performs a channel send; calling it under a held lock is the
+// finding, reported at the caller via this summary.
+func Notify(ch chan int) {
+	ch <- 1
 }

@@ -60,20 +60,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// constOf resolves the named constant an identifier or selector
-// denotes, or nil.
-func constOf(info *types.Info, e ast.Expr) *types.Const {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		c, _ := info.Uses[x].(*types.Const)
-		return c
-	case *ast.SelectorExpr:
-		c, _ := info.Uses[x.Sel].(*types.Const)
-		return c
-	}
-	return nil
-}
-
 // isConversion reports whether the call expression is a type
 // conversion, returning the target type.
 func isConversion(info *types.Info, call *ast.CallExpr) (types.Type, bool) {

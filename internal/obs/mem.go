@@ -2,8 +2,8 @@ package obs
 
 import "runtime"
 
-// Memory gauge names. Like the solver_* family these are compile-time
-// constants so the metricname analyzer can vet them.
+// Memory gauge names. Like the solver_* family they are in the metric
+// catalogue internal/remote's TestMetricCatalogue checks.
 const (
 	metricMemHeapAlloc  = "mem_heap_alloc"
 	metricMemTotalAlloc = "mem_total_alloc"

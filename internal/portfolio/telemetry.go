@@ -10,8 +10,8 @@ import (
 	"repro/internal/sat"
 )
 
-// Portfolio metric base names (family_metric convention, enforced by
-// bmclint/metricname).
+// Portfolio metric base names (family_metric convention, enforced with
+// the catalogue by internal/remote's TestMetricCatalogue).
 const (
 	metricPortfolioRaces          = "portfolio_races_total"
 	metricPortfolioWins           = "portfolio_wins_total"

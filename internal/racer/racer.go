@@ -45,7 +45,7 @@ import (
 )
 
 // Racer and clause-bus metric base names (family_metric convention,
-// enforced by bmclint/metricname).
+// enforced with the catalogue by internal/remote's TestMetricCatalogue).
 const (
 	metricRacerConflicts  = "racer_conflicts_total"
 	metricRacerWins       = "racer_wins_total"

@@ -16,8 +16,12 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/engine"
+	"repro/internal/lits"
 	"repro/internal/obs"
+	"repro/internal/portfolio"
 	"repro/internal/racer"
+	"repro/internal/sat"
+	"repro/internal/unroll"
 )
 
 // fastOpts are executor options tuned for tests: short timeouts, no
@@ -377,6 +381,64 @@ func TestWorkerReconnect(t *testing.T) {
 	snap := reg.Snapshot()
 	if n := snap.Counters[obs.Name(metricRemoteReconnects, "worker", "w0")]; n == 0 {
 		t.Error("transient worker failure never reconnected")
+	}
+}
+
+// TestWorkerRaceRejected: a race whose frames skip a depth is rejected by
+// the worker (the frame-gap check in beginLive), which counts the error;
+// the coordinator logs the rejection and re-races the attempt locally,
+// once, to a decided result.
+func TestWorkerRaceRejected(t *testing.T) {
+	reg := obs.NewRegistry()
+	opts := fastOpts()
+	opts.Metrics = reg
+	var rejected atomic.Int64
+	opts.Logf = func(format string, args ...any) {
+		if strings.Contains(format, "race rejected") {
+			rejected.Add(1)
+		}
+	}
+	e, err := NewLoopback(1, opts, WorkerOptions{Metrics: reg})
+	if err != nil {
+		t.Fatalf("NewLoopback: %v", err)
+	}
+	defer e.Close()
+
+	u, err := unroll.New(bench.ParityMixer(5, 3, 10), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := u.Delta()
+	local := sat.New(cnf.New(0), sat.Defaults())
+	for k := 0; k <= 1; k++ {
+		frame := d.Frame(k)
+		e.OnFrame(engine.QueryBMC, k, frame)
+		local.AddVars(frame.NumVars)
+		for _, cl := range frame.Clauses {
+			local.AddClause(cl)
+		}
+	}
+	// The link believes depth 0 is shipped, so the request carries depth 1
+	// alone to a worker that holds no frame.
+	l := e.links[0]
+	l.mu.Lock()
+	l.shipped[string(engine.QueryBMC)] = 1
+	l.mu.Unlock()
+
+	attempts := []portfolio.LiveAttempt{{Name: "vsids", Opts: sat.Defaults(), Solver: func() *sat.Solver { return local }}}
+	res := e.RaceLive(engine.QueryBMC, attempts, []lits.Lit{d.ActLit(1)}, 1, nil)
+	if res.Winner != 0 || !res.Result.Status.Decided() {
+		t.Fatalf("rejected race: winner %d, %v; want the local fallback to decide", res.Winner, res.Result.Status)
+	}
+	snap := reg.Snapshot()
+	if n := snap.Counters[metricWorkerRaceErrors]; n != 1 {
+		t.Errorf("worker counted %d race errors, want 1", n)
+	}
+	if n := snap.Counters[metricRemoteFallbacks]; n != 1 {
+		t.Errorf("coordinator ran %d fallbacks, want 1", n)
+	}
+	if n := rejected.Load(); n != 1 {
+		t.Errorf("coordinator logged %d rejections, want 1", n)
 	}
 }
 

@@ -1,9 +1,10 @@
 package remote
 
 // Metric base names for the distributed portfolio. Every name that
-// reaches an obs sink is declared here as a package-level constant so
-// the bmclint metricname checker can verify the snake_case contract at
-// compile time. Per-worker series attach a "worker" label via obs.Name.
+// reaches an obs sink is declared here as a package-level constant;
+// TestMetricCatalogue checks each against the golden catalogue, the
+// snake_case contract and README. Per-worker series attach a "worker"
+// label via obs.Name.
 const (
 	// Transport-level frame accounting, shared by both ends of a link.
 	metricNetFramesSent = "net_frames_sent_total"

@@ -32,8 +32,8 @@ type Metrics struct {
 	ClausesBytesEst *obs.Gauge
 }
 
-// Solver metric base names (family_metric convention, enforced by
-// bmclint/metricname).
+// Solver metric base names (family_metric convention, enforced with the
+// catalogue by internal/remote's TestMetricCatalogue).
 const (
 	metricSolverDecisions         = "solver_decisions_total"
 	metricSolverPropagations      = "solver_propagations_total"

@@ -25,8 +25,8 @@ type Metrics struct {
 	FrameClauses *obs.Histogram
 }
 
-// Unroller metric base names (family_metric convention, enforced by
-// bmclint/metricname).
+// Unroller metric base names (family_metric convention, enforced with the
+// catalogue by internal/remote's TestMetricCatalogue).
 const (
 	metricUnrollFrames       = "unroll_frames_total"
 	metricUnrollBuildNanos   = "unroll_build_nanos_total"
