@@ -71,7 +71,6 @@ import (
 	"repro/internal/portfolio"
 	"repro/internal/racer"
 	"repro/internal/remote"
-	"repro/internal/sat"
 	"repro/internal/unroll"
 )
 
@@ -108,7 +107,6 @@ func buildOptions(fc flagConfig) ([]engine.Option, error) {
 	}
 	eo = append(eo,
 		engine.WithBudgets(fc.depth, fc.conflicts),
-		engine.WithSolver(sat.Defaults()),
 		engine.WithSwitchDivisor(fc.divisor))
 
 	switch fc.score {
@@ -270,7 +268,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		conflicts  = fs.Int64("conflicts", 0, "per-instance conflict budget (0 = unlimited)")
 		timeout    = fs.Duration("timeout", 0, "total wall-clock budget (0 = none)")
 		scoreMode  = fs.String("score", "weighted-sum", "bmc_score rule: weighted-sum|unweighted-sum|last-core-only|exp-decay")
-		divisor    = fs.Int("switch-divisor", core.SwitchDivisor, "dynamic switch divisor (decisions > lits/divisor)")
+		divisor    = fs.Int("switch-divisor", core.SwitchDivisor, "dynamic switch divisor: revert to VSIDS after lits/divisor decisions (0 selects the paper's 64)")
 		jsonOut    = fs.Bool("json", false, "emit the unified engine.Result as JSON on stdout")
 		verbose    = fs.Bool("v", false, "stream per-depth statistics as the check runs (switch: the decision count at which the dynamic ordering fell back to VSIDS at that depth, - if it did not; guided: the share of decisions taken on a variable with a positive bmc_score while guidance was active; -json has them as stats.SwitchDecision and stats.GuidedDecisions in each per_depth row)")
 		witness    = fs.Bool("witness", false, "print the counter-example trace")

@@ -71,6 +71,7 @@ func TestValidateFlags(t *testing.T) {
 		{"negative jobs", flagConfig{engine: "bmc", order: "portfolio", jobs: -1}, "jobs"},
 		{"negative depth", flagConfig{engine: "bmc", order: "dynamic", depth: -2}, "max depth"},
 		{"negative conflicts", flagConfig{engine: "bmc", order: "dynamic", conflicts: -1}, "conflict budget"},
+		{"negative switch divisor", flagConfig{engine: "bmc", order: "dynamic", divisor: -1}, "switch divisor"},
 		{"jobs without portfolio", flagConfig{engine: "bmc", order: "dynamic", jobs: 4}, "jobs require"},
 		{"strategies without portfolio", flagConfig{engine: "bmc", order: "dynamic", strategies: "vsids"}, "strategy set requires"},
 		{"share without incremental", flagConfig{engine: "bmc", order: "portfolio", shareSet: true}, "exchange requires"},
@@ -129,6 +130,7 @@ func TestCLIEndToEnd(t *testing.T) {
 		{"witness", []string{"-depth=12", "-witness", failing}, 1, "frame  0 inputs:"},
 		{"budget", []string{"-conflicts=1", "-depth=6", holding}, 2, "budget exhausted"},
 		{"bad flags", []string{"-jobs=3", holding}, 2, ""},
+		{"negative switch divisor", []string{"-switch-divisor=-1", holding}, 2, ""},
 		{"missing file", []string{"/nonexistent/x.aag"}, 2, ""},
 	}
 	for _, tc := range cases {

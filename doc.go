@@ -39,7 +39,8 @@
 //	internal/core        the conflict dependency graph (one flat recorder
 //	                     for fresh and persistent solvers, optional literal
 //	                     payload), unsat cores, bmc_score board, ordering
-//	                     strategies (§3.1-§3.3)
+//	                     strategies and the one rule mapping a strategy
+//	                     to solver guidance (§3.1-§3.3)
 //	internal/unroll      time-frame expansion: the whole-instance Instance,
 //	                     grown in place from depth to depth (Formula and
 //	                     StepFormula are its one-shot forms), per-frame

@@ -129,20 +129,3 @@ func TestIncrementalDeadlineInPast(t *testing.T) {
 		t.Errorf("verdict=%v depth=%d, want unknown at 0", res.Verdict, res.K)
 	}
 }
-
-// TestPortfolioClearsCallerRecorder is the regression test for the shared-
-// recorder data race: a caller-supplied Recorder on a vsids/timeaxis-only
-// strategy set used to be shared verbatim by all racing goroutines (a data
-// race on core.Recorder's slices, visible under -race and as out-of-order
-// clause-ID panics). The session must clear it.
-func TestPortfolioClearsCallerRecorder(t *testing.T) {
-	// The dangerous input: a recorder in the base solver options while no
-	// strategy in the set consumes cores.
-	solver := sat.Defaults()
-	solver.Recorder = core.NewRecorder(0)
-	res := check(t, suiteModel(t, "cnt_w4_t9"), engine.WithBudgets(9, 0), engine.WithSolver(solver),
-		engine.WithPortfolio(mustParseSet(t, "vsids,timeaxis"), 2))
-	if res.Verdict != engine.Falsified || res.K != 9 {
-		t.Errorf("verdict=%v depth=%d, want falsified at 9", res.Verdict, res.K)
-	}
-}

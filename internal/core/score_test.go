@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -137,37 +138,40 @@ func TestScoreModeStrings(t *testing.T) {
 	}
 }
 
+// TestStrategyConfigure pins the one strategy rule, Strategy.Guidance, on
+// a three-variable instance of two frames whose variable 3 is auxiliary.
 func TestStrategyConfigure(t *testing.T) {
-	f := cnf.New(3)
-	f.Add(1, 2, 3)
-	f.Add(-1, -2)
-	// 5 literals total.
+	in := Layout{NumVars: 3, Frames: 2, VarInfo: func(v lits.Var) (int, bool) {
+		return int(v) - 1, v == 3
+	}}
+	const numLits = 5
 	b := NewScoreBoard(WeightedSum)
 	b.Update([]lits.Var{2}, 4)
 
-	var opts sat.Options
-	OrderVSIDS.Configure(&opts, b, f)
-	if opts.Guidance != nil || opts.SwitchAfterDecisions != 0 {
-		t.Errorf("vsids must not set guidance")
+	if g, sw := OrderVSIDS.Guidance(b, in, numLits, SwitchDivisor, nil); g != nil || sw != 0 {
+		t.Errorf("vsids must not set guidance: %v, switch %d", g, sw)
 	}
 
-	opts = sat.Options{}
-	OrderStatic.Configure(&opts, b, f)
-	if opts.Guidance == nil || opts.Guidance[2] != 4 {
-		t.Errorf("static guidance wrong: %v", opts.Guidance)
-	}
-	if opts.SwitchAfterDecisions != 0 {
-		t.Errorf("static must not switch")
+	g, sw := OrderStatic.Guidance(b, in, numLits, SwitchDivisor, nil)
+	if !slices.Equal(g, []float64{0, 0, 4, 0}) || sw != 0 {
+		t.Errorf("static guidance %v, switch %d; want the board's scores, never switched", g, sw)
 	}
 
-	opts = sat.Options{}
-	OrderDynamic.Configure(&opts, b, f)
-	if opts.Guidance == nil {
-		t.Errorf("dynamic guidance missing")
+	g, sw = OrderDynamic.Guidance(b, in, numLits, SwitchDivisor, nil)
+	if !slices.Equal(g, []float64{0, 0, 4, 0}) {
+		t.Errorf("dynamic guidance %v, want the board's scores", g)
 	}
 	// 5 literals / 64 < 1 -> clamped to 1.
-	if opts.SwitchAfterDecisions != 1 {
-		t.Errorf("switch threshold=%d, want clamp to 1", opts.SwitchAfterDecisions)
+	if sw != 1 {
+		t.Errorf("switch threshold=%d, want clamp to 1", sw)
+	}
+
+	// Time axis: frame f of 2 scores 2-f, the auxiliary nothing — written
+	// over the caller's array, whatever it held.
+	buf := []float64{9, 9, 9, 9, 9}
+	g, sw = OrderTimeAxis.Guidance(b, in, numLits, SwitchDivisor, buf)
+	if !slices.Equal(g, []float64{0, 2, 1, 0}) || sw != 0 || &g[0] != &buf[0] {
+		t.Errorf("time-axis guidance %v, switch %d (over the caller's array: %v)", g, sw, &g[0] == &buf[0])
 	}
 }
 

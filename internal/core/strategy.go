@@ -1,7 +1,10 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/cnf"
+	"repro/internal/lits"
 	"repro/internal/sat"
 )
 
@@ -26,10 +29,10 @@ const (
 
 // OrderTimeAxis is the Shtrichman-style frame ordering (earliest frames
 // first), the related-work comparator discussed in the paper's
-// introduction. Its guidance scores depend on the unrolling, so it is
-// configured by internal/engine rather than by Configure; the value lives
-// at an offset so Strategy stays a single field across packages (and so the
-// portfolio engine can list it in a StrategySet).
+// introduction. Its guidance scores come from the instance's Layout rather
+// than from the score board; the value lives at an offset so Strategy stays
+// a single field across packages (and so the portfolio engine can list it
+// in a StrategySet).
 const OrderTimeAxis Strategy = 100
 
 // String implements fmt.Stringer.
@@ -69,50 +72,59 @@ func ParseStrategy(s string) (Strategy, bool) {
 // SwitchDivisor decisions (paper §3.3 uses 64).
 const SwitchDivisor = 64
 
-// Configure applies the strategy to solver options for formula f, using
-// the scores accumulated in board. For OrderVSIDS it leaves opts untouched.
-// The divisor parameter of the dynamic threshold is SwitchDivisor; use
-// ConfigureWithDivisor to ablate it.
-func (s Strategy) Configure(opts *sat.Options, board *ScoreBoard, f *cnf.Formula) {
-	s.ConfigureWithDivisor(opts, board, f, SwitchDivisor)
+// Layout is what the ordering rule reads of an instance besides its
+// literal count: its variables, the time frames it spans, and per variable
+// its frame and whether it is an auxiliary of the encoding (an activation
+// guard, a disequality helper), which the time-axis ordering leaves
+// unscored. Only the time-axis ordering calls VarInfo.
+type Layout struct {
+	NumVars int
+	Frames  int
+	VarInfo func(v lits.Var) (frame int, aux bool)
 }
 
-// ConfigureWithDivisor is Configure with an explicit switch divisor
-// (dynamic strategy only; divisor <= 0 disables the switch).
-func (s Strategy) ConfigureWithDivisor(opts *sat.Options, board *ScoreBoard, f *cnf.Formula, divisor int) {
-	numLits := 0
-	if s == OrderDynamic && divisor > 0 {
-		numLits = f.NumLiterals()
-	}
-	opts.Guidance = nil
-	s.ConfigureSized(opts, board, f.NumVars, numLits, divisor)
-}
-
-// ConfigureSized is ConfigureWithDivisor for a depth loop that configures
-// a growing instance again and again: the formula is known by its variable
-// and literal counts, so a caller that keeps the literal count as the
-// instance grows need not have every clause walked for it, and the scores
-// are written over the array of the guidance opts comes with where that is
-// large enough (ScoreBoard.GuidanceInto) — the caller's last one, which it
-// must be done with.
-func (s Strategy) ConfigureSized(opts *sat.Options, board *ScoreBoard, numVars, numLits, divisor int) {
+// Guidance is the one rule that maps an ordering strategy to solver
+// guidance, for fresh and persistent solvers alike: the guidance scores
+// (sat.Options.Guidance, sat.Solver.SetGuidance) and the dynamic switch
+// threshold for an instance of the given layout and literal count.
+//
+//   - OrderVSIDS: no guidance — the solver's own heuristic.
+//   - OrderStatic: the board's bmc_scores, never switched off.
+//   - OrderDynamic: the board's bmc_scores until numLits/divisor decisions
+//     (at least one) have been made; divisor <= 0 never switches.
+//   - OrderTimeAxis: frame f of the layout scores Frames−f, auxiliaries 0.
+//
+// The scores are written over buf's array where that is large enough — a
+// caller that asks at every depth and is done with the last answer passes
+// it back — and into a new one of exactly the size otherwise.
+func (s Strategy) Guidance(board *ScoreBoard, in Layout, numLits, divisor int, buf []float64) (scores []float64, switchAfter int64) {
 	switch s {
-	case OrderVSIDS, OrderTimeAxis:
-		// Deliberate no-ops: VSIDS is the solver's own heuristic, and
-		// the time-axis ordering is encoded by the unroller's variable
-		// numbering, not by solver options.
 	case OrderStatic:
-		opts.Guidance = board.GuidanceInto(opts.Guidance, numVars)
-		opts.SwitchAfterDecisions = 0
+		return board.GuidanceInto(buf, in.NumVars), 0
 	case OrderDynamic:
-		opts.Guidance = board.GuidanceInto(opts.Guidance, numVars)
 		if divisor > 0 {
-			opts.SwitchAfterDecisions = int64(numLits / divisor)
-			if opts.SwitchAfterDecisions < 1 {
-				opts.SwitchAfterDecisions = 1
-			}
-		} else {
-			opts.SwitchAfterDecisions = 0
+			switchAfter = max(int64(numLits/divisor), 1)
 		}
+		return board.GuidanceInto(buf, in.NumVars), switchAfter
+	case OrderTimeAxis:
+		g := slices.Grow(buf[:0], in.NumVars+1)[:in.NumVars+1]
+		g[0] = 0
+		for v := 1; v <= in.NumVars; v++ {
+			g[v] = 0
+			if frame, aux := in.VarInfo(lits.Var(v)); !aux {
+				g[v] = float64(in.Frames - frame)
+			}
+		}
+		return g, 0
+	default:
+		return nil, 0
 	}
+}
+
+// ConfigureWithDivisor applies Guidance for formula f to opts. A formula
+// carries no frame layout, so it serves the board-fed strategies only. Kept
+// for benchmark/driver.go, which builds one solver per depth by hand; the
+// benchmark PR deletes it.
+func (s Strategy) ConfigureWithDivisor(opts *sat.Options, board *ScoreBoard, f *cnf.Formula, divisor int) {
+	opts.Guidance, opts.SwitchAfterDecisions = s.Guidance(board, Layout{NumVars: f.NumVars}, f.NumLiterals(), divisor, nil)
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/portfolio"
 	"repro/internal/racer"
-	"repro/internal/sat"
 )
 
 // Kind selects the verification engine a session runs.
@@ -74,13 +73,11 @@ type Config struct {
 	// board (bmc, base and step).
 	ScoreMode core.ScoreMode
 	// SwitchDivisor overrides the dynamic strategy's switch threshold
-	// divisor (0 selects core.SwitchDivisor).
+	// divisor (0 selects the paper's core.SwitchDivisor, 64; negative is
+	// rejected).
 	SwitchDivisor int
-	// Solver carries the base solver options; per-strategy fields
-	// (Guidance, SwitchAfterDecisions, Recorder, Stop) are managed by the
-	// session.
-	Solver sat.Options
-	// PerInstanceConflicts bounds each SAT call (0 = unlimited).
+	// PerInstanceConflicts bounds each SAT call (0 = unlimited). Every
+	// solver otherwise runs sat.Defaults().
 	PerInstanceConflicts int64
 	// ForceRecording attaches proof recorders even for strategies that do
 	// not consume cores (the §3.1 overhead experiment).
@@ -148,13 +145,12 @@ func WithBudgets(maxDepth int, perInstanceConflicts int64) Option {
 	}
 }
 
-// WithSolver replaces the base solver options (default sat.Defaults()).
-func WithSolver(opts sat.Options) Option { return func(c *Config) { c.Solver = opts } }
-
 // WithScoreMode selects the bmc_score accumulation rule.
 func WithScoreMode(m core.ScoreMode) Option { return func(c *Config) { c.ScoreMode = m } }
 
-// WithSwitchDivisor overrides the dynamic strategy's switch divisor.
+// WithSwitchDivisor overrides the dynamic strategy's switch divisor: the
+// ordering reverts to VSIDS after #literals/d decisions. 0 selects the
+// paper's 64 (core.SwitchDivisor); Validate rejects a negative d.
 func WithSwitchDivisor(d int) Option { return func(c *Config) { c.SwitchDivisor = d } }
 
 // WithForceRecording attaches proof recorders unconditionally.
@@ -180,7 +176,6 @@ func defaultConfig() Config {
 		Kind:     BMC,
 		MaxDepth: 20,
 		Ordering: core.OrderDynamic,
-		Solver:   sat.Defaults(),
 	}
 }
 
@@ -210,6 +205,12 @@ func (c *Config) Validate() error {
 	}
 	if c.Jobs < 0 {
 		return fmt.Errorf("engine: jobs must be >= 0 (0 = one solver per strategy), got %d", c.Jobs)
+	}
+	if c.SwitchDivisor < 0 {
+		return fmt.Errorf("engine: switch divisor must be >= 0 (0 = the paper's %d), got %d", core.SwitchDivisor, c.SwitchDivisor)
+	}
+	if c.ScoreMode.String() == "unknown" {
+		return fmt.Errorf("engine: unknown score mode %d (valid: weighted-sum, unweighted-sum, last-core-only, exp-decay)", int(c.ScoreMode))
 	}
 	if !c.Portfolio {
 		if c.Jobs > 0 {

@@ -42,6 +42,9 @@ func TestConfigValidate(t *testing.T) {
 		{"kind sequential timeaxis", mk(WithEngine(KInduction), WithOrdering(core.OrderTimeAxis)), ""},
 		{"kind warm with exchange", mk(WithEngine(KInduction), WithPortfolio(nil, 0), WithIncremental(),
 			WithExchange(exchange)), ""},
+		{"switch divisor 0 is the paper's", mk(WithSwitchDivisor(0)), ""},
+		{"switch divisor", mk(WithSwitchDivisor(16)), ""},
+		{"every score mode", mk(WithScoreMode(core.ExpDecay)), ""},
 
 		{"unknown engine", mk(WithEngine(Kind(42))), "unknown engine kind"},
 		{"negative depth", mk(WithBudgets(-1, 0)), "max depth"},
@@ -51,6 +54,10 @@ func TestConfigValidate(t *testing.T) {
 		{"strategies without portfolio", mk(func(c *Config) { c.Strategies = portfolio.DefaultSet() }),
 			"strategy set requires a portfolio"},
 		{"unknown ordering", mk(WithOrdering(core.Strategy(7))), "unknown ordering"},
+		{"negative switch divisor", mk(WithSwitchDivisor(-1)), "switch divisor"},
+		{"negative switch divisor on a warm portfolio", mk(WithPortfolio(nil, 0), WithIncremental(), WithSwitchDivisor(-8)),
+			"switch divisor"},
+		{"unknown score mode", mk(WithScoreMode(core.ScoreMode(4))), "unknown score mode"},
 		{"exchange without portfolio", mk(WithIncremental(), WithExchange(exchange)),
 			"exchange requires an incremental portfolio"},
 		{"exchange without incremental", mk(WithPortfolio(nil, 0), WithExchange(exchange)),

@@ -217,10 +217,10 @@ type Session struct {
 
 // New builds a session for property propIdx of the circuit. The
 // configuration starts from defaults (BMC engine, dynamic ordering,
-// depth 20, sat.Defaults solver, LocalExecutor) and is refined by the
-// options; it is validated here, so a non-nil error means either an
-// invalid knob combination (Config.Validate's message names it) or a
-// structurally invalid circuit/property index.
+// depth 20, LocalExecutor; every solver runs sat.Defaults()) and is
+// refined by the options; it is validated here, so a non-nil error means
+// either an invalid knob combination (Config.Validate's message names it)
+// or a structurally invalid circuit/property index.
 func New(c *circuit.Circuit, propIdx int, opts ...Option) (*Session, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -297,24 +297,4 @@ func (s *Session) emit(e Event) {
 	if s.cfg.Progress != nil {
 		s.cfg.Progress(e)
 	}
-}
-
-// solverBase derives the solver options every fresh-solver attempt
-// starts from: the config's base options with the session-managed fields
-// cleared, the per-instance conflict budget applied, and the context's
-// deadline and Done channel plumbed into sat.Options.Deadline/Stop (the
-// warm pools get the same three through poolConfig and the race's stop).
-func (s *Session) solverBase(ctx context.Context) sat.Options {
-	so := s.cfg.Solver
-	so.Guidance = nil
-	so.SwitchAfterDecisions = 0
-	so.Recorder = nil
-	so.Stop = ctx.Done()
-	if s.cfg.PerInstanceConflicts > 0 {
-		so.MaxConflicts = s.cfg.PerInstanceConflicts
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		so.Deadline = dl
-	}
-	return so
 }

@@ -4,37 +4,60 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/circuit"
+	"repro/internal/core"
+	"repro/internal/lits"
 	"repro/internal/unroll"
 )
 
-// TestFrameGuidanceLeavesStepAuxUnscored: the cold portfolio's time-axis
-// guidance must score circuit variables by frame and leave the step
-// encoding's disequality auxiliaries (allocated past the frame-stable
-// range) at zero — branching on helper variables first would defeat the
-// Shtrichman ordering.
+// TestFrameGuidanceLeavesStepAuxUnscored: the time-axis guidance of the one
+// strategy rule (core.Strategy.Guidance) must score every circuit variable
+// of frame f at Frames−f, earlier frames higher, and leave the step
+// encoding's auxiliaries — disequality helpers, and on the warm numbering
+// activation guards — at zero: branching on helper variables first would
+// defeat the Shtrichman ordering. The scratch step instance (freshSeq) and
+// the step delta (the warm pool's source) lay the same query out in
+// different numberings and go through the same function; which variables
+// are circuit variables is derived from each numbering's VarFor, not from
+// the VarInfo under test.
 func TestFrameGuidanceLeavesStepAuxUnscored(t *testing.T) {
 	u, err := unroll.New(bench.Twin(4, 0, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const k = 2
-	f := unroll.StepFormula(u, k)
-	if f.NumVars <= u.NumVars(k+1) {
-		t.Fatalf("step formula has no aux variables: %d <= %d", f.NumVars, u.NumVars(k+1))
-	}
-	g := frameGuidance(nil, u, k+2, f.NumVars)
-	if len(g) != f.NumVars+1 {
-		t.Fatalf("guidance length %d, want %d", len(g), f.NumVars+1)
-	}
-	for v := u.NumVars(k+1) + 1; v <= f.NumVars; v++ {
-		if g[v] != 0 {
-			t.Fatalf("aux var %d scored %v, want 0", v, g[v])
+	inst := u.StepInstance()
+	f := inst.Extend(k)
+	sd := u.StepDelta()
+	for _, c := range []struct {
+		name   string
+		in     core.Layout
+		varFor func(n circuit.NodeID, frame int) lits.Var
+	}{
+		{"scratch", core.Layout{NumVars: f.NumVars, Frames: inst.Frames(), VarInfo: inst.VarInfo}, u.VarFor},
+		{"warm", core.Layout{NumVars: sd.NumVars(k), Frames: sd.Frames(k), VarInfo: sd.VarInfo}, sd.VarFor},
+	} {
+		g, switchAfter := core.OrderTimeAxis.Guidance(nil, c.in, f.NumLiterals(), core.SwitchDivisor, nil)
+		if len(g) != c.in.NumVars+1 || switchAfter != 0 {
+			t.Fatalf("%s: guidance length %d, switch %d; want %d, 0", c.name, len(g), switchAfter, c.in.NumVars+1)
 		}
-	}
-	// Circuit variables score by frame, earlier frames strictly higher.
-	v0 := int(u.VarFor(u.Circuit().Latches()[0], 0))
-	v3 := int(u.VarFor(u.Circuit().Latches()[0], k+1))
-	if g[v0] <= g[v3] || g[v3] <= 0 {
-		t.Fatalf("frame scores not decreasing: frame0=%v frame%d=%v", g[v0], k+1, g[v3])
+		want := make([]float64, len(g))
+		for frame := 0; frame < k+2; frame++ {
+			for n := circuit.NodeID(1); int(n) < u.Circuit().NumNodes(); n++ {
+				want[c.varFor(n, frame)] = float64(k + 2 - frame)
+			}
+		}
+		aux := 0
+		for v := 1; v <= c.in.NumVars; v++ {
+			if want[v] == 0 {
+				aux++
+			}
+			if g[v] != want[v] {
+				t.Fatalf("%s: variable %d scored %v, want %v", c.name, v, g[v], want[v])
+			}
+		}
+		if aux == 0 {
+			t.Fatalf("%s: the depth-%d step instance has no auxiliary variables", c.name, k)
+		}
 	}
 }

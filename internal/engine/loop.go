@@ -52,11 +52,11 @@ type sequence interface {
 // recorders are rewritten by the next one, which they may be because every
 // Executor is done with them when Race returns.
 type freshSeq struct {
+	plan
 	exec  Executor
 	query Query
 	u     *unroll.Unroller
 	inst  *unroll.Instance // the query's instance, at the last depth raced
-	set   portfolio.StrategySet
 	// solvers, recs and guidance are per strategy and live as long as the
 	// check: each depth loads the solver, reloads its recorder
 	// (core.Recorder.Reload) and writes the guidance over what the last
@@ -65,13 +65,8 @@ type freshSeq struct {
 	recs     []*core.Recorder // nil entries unless record
 	guidance [][]float64
 	jobs     int
-	opts     sat.Options    // per-attempt starting point (solverBase)
 	metrics  []*sat.Metrics // per strategy, nil without a registry
 	board    *core.ScoreBoard
-	divisor  int
-	// record attaches a proof recorder to every attempt, so whichever
-	// racer wins an UNSAT depth has a core to contribute.
-	record bool
 }
 
 func (q *freshSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
@@ -79,16 +74,12 @@ func (q *freshSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
 	f := q.inst.Extend(k)
 	encodeWall := time.Since(encodeStart)
 
+	in := core.Layout{NumVars: f.NumVars, Frames: q.inst.Frames(), VarInfo: q.inst.VarInfo}
 	attempts := make([]portfolio.Attempt, len(q.set))
 	for i, st := range q.set {
 		so := q.opts
 		so.Metrics = q.metrics[i]
-		so.Guidance = q.guidance[i]
-		if st == core.OrderTimeAxis {
-			so.Guidance = frameGuidance(so.Guidance, q.u, q.inst.Frames(), f.NumVars)
-		} else {
-			st.ConfigureSized(&so, q.board, f.NumVars, q.inst.NumLiterals(), q.divisor)
-		}
+		so.Guidance, so.SwitchAfterDecisions = st.Guidance(q.board, in, q.inst.NumLiterals(), q.divisor, q.guidance[i])
 		q.guidance[i] = so.Guidance
 		if q.record {
 			q.recs[i].Reload(f.NumClauses())
@@ -116,25 +107,6 @@ func (q *freshSeq) trace(model lits.Assignment, k int) *unroll.Trace {
 	return q.u.ExtractTrace(model, k)
 }
 
-// frameGuidance builds the Shtrichman-style time-axis scores for an
-// instance spanning the given number of frames: variables of frame 0
-// score highest, later frames lower, and variables past the unroller's
-// frame-stable range (the step encoding's disequality auxiliaries) score
-// zero. The scores are written over buf's array where it is large enough.
-func frameGuidance(buf []float64, u *unroll.Unroller, frames, nVars int) []float64 {
-	g := append(buf[:0], 0)
-	framed := u.NumVars(frames - 1)
-	for v := 1; v <= nVars; v++ {
-		score := 0.0
-		if v <= framed {
-			_, frame := u.NodeOf(lits.Var(v))
-			score = float64(frames - frame)
-		}
-		g = append(g, score)
-	}
-	return g
-}
-
 // warmSeq keeps one persistent solver per strategy alive across the whole
 // check (racer.Pool, raced through Executor.RaceLive): each depth builds
 // only the new frame's clauses, a solver takes the frames it is missing
@@ -155,10 +127,61 @@ func (w warmSeq) trace(model lits.Assignment, k int) *unroll.Trace {
 	return w.d.ExtractTrace(model, k)
 }
 
+// plan is the session resolved for one check: what both solver lifetimes
+// take from the configuration, derived once so that fresh and persistent
+// solvers cannot read it differently.
+type plan struct {
+	set portfolio.StrategySet
+	// opts is what every attempt starts from: sat.Defaults() with the
+	// per-instance conflict budget and the context's deadline. The races
+	// install their own Stop; the sequences add guidance, switch threshold,
+	// recorder and metrics.
+	opts sat.Options
+	// divisor is the dynamic switch divisor: the configured one, or the
+	// paper's core.SwitchDivisor when that is 0.
+	divisor int
+	// record attaches a proof recorder to every attempt, so whichever
+	// racer wins an UNSAT depth has a core to contribute. Recording (and
+	// the board it feeds) only pays off when some attempt reads bmc_score
+	// at the next depth — static or dynamic is raced — or when forced.
+	record bool
+}
+
+// resolve is the one place a check's plan is derived from the
+// configuration and ctx.
+func (s *Session) resolve(ctx context.Context) plan {
+	p := plan{
+		set:     portfolio.StrategySet{s.cfg.Ordering},
+		opts:    sat.Defaults(),
+		divisor: s.cfg.SwitchDivisor,
+		record:  s.cfg.ForceRecording,
+	}
+	if s.cfg.Portfolio {
+		p.set = s.cfg.Strategies
+		if len(p.set) == 0 {
+			p.set = portfolio.DefaultSet()
+		}
+	}
+	p.opts.MaxConflicts = s.cfg.PerInstanceConflicts
+	if dl, ok := ctx.Deadline(); ok {
+		p.opts.Deadline = dl
+	}
+	if p.divisor == 0 {
+		p.divisor = core.SwitchDivisor
+	}
+	for _, st := range p.set {
+		if st == core.OrderStatic || st == core.OrderDynamic {
+			p.record = true
+		}
+	}
+	return p
+}
+
 // newSequence builds the query's sequence under the session's solver
-// lifetime. Every sequence — bmc, base, step — gets the session's score
-// mode, switch divisor and recording knobs.
-func (s *Session) newSequence(ctx context.Context, u *unroll.Unroller, query Query, set portfolio.StrategySet) sequence {
+// lifetime. Every sequence — bmc, base, step — gets the same plan and a
+// score board of its own.
+func (s *Session) newSequence(u *unroll.Unroller, query Query, p plan) sequence {
+	board := core.NewScoreBoard(s.cfg.ScoreMode)
 	if s.cfg.Incremental {
 		// The step bus stays off: step sequences are SAT-dominated, where
 		// sharing perturbs phase-saving momentum.
@@ -171,7 +194,7 @@ func (s *Session) newSequence(ctx context.Context, u *unroll.Unroller, query Que
 		// can converge all racers onto the same wrong turn: keep one
 		// racer import-free as the diversity reserve.
 		ex.ReserveFirst = s.cfg.Kind == KInduction
-		cfg := s.poolConfig(ctx, query, set, ex)
+		cfg := s.poolConfig(query, p, board, ex)
 		if query == QueryStep {
 			sd := u.StepDelta()
 			sd.SetMetrics(s.unrollMetrics(query))
@@ -185,46 +208,34 @@ func (s *Session) newSequence(ctx context.Context, u *unroll.Unroller, query Que
 	if query == QueryStep {
 		inst = u.StepInstance()
 	}
+	n := len(p.set)
 	q := &freshSeq{
+		plan:     p,
 		exec:     s.executor(),
 		query:    query,
 		u:        u,
 		inst:     inst,
-		set:      set,
-		solvers:  make([]*sat.Solver, len(set)),
-		recs:     make([]*core.Recorder, len(set)),
-		guidance: make([][]float64, len(set)),
+		solvers:  make([]*sat.Solver, n),
+		recs:     make([]*core.Recorder, n),
+		guidance: make([][]float64, n),
 		jobs:     s.cfg.Jobs,
-		opts:     s.solverBase(ctx),
-		metrics:  make([]*sat.Metrics, len(set)),
-		board:    core.NewScoreBoard(s.cfg.ScoreMode),
-		divisor:  s.cfg.SwitchDivisor,
-		record:   s.cfg.ForceRecording,
+		metrics:  make([]*sat.Metrics, n),
+		board:    board,
 	}
-	if q.divisor == 0 {
-		q.divisor = core.SwitchDivisor
-	}
-	for i, st := range set {
+	for i, st := range p.set {
 		q.solvers[i] = new(sat.Solver)
 		q.metrics[i] = s.solverMetrics(query, st.String())
-		// Proof recording (and the board it feeds) only pays off when
-		// some attempt will consume the scores at the next depth.
-		if st == core.OrderStatic || st == core.OrderDynamic {
-			q.record = true
-		}
-	}
-	if q.record {
-		for i := range q.recs {
+		if p.record {
 			q.recs[i] = core.NewRecorder(0)
 		}
 	}
 	return q
 }
 
-// poolConfig translates the session config into a warm racer pool
-// configuration, routing races, frames and clause-bus payloads through
-// the Executor seam. query labels them for the executor.
-func (s *Session) poolConfig(ctx context.Context, query Query, set portfolio.StrategySet, exchange racer.ExchangeOptions) racer.Config {
+// poolConfig hands the plan and the sequence's board to a warm racer pool,
+// routing races, frames and clause-bus payloads through the Executor seam.
+// query labels them for the executor.
+func (s *Session) poolConfig(query Query, p plan, board *core.ScoreBoard, exchange racer.ExchangeOptions) racer.Config {
 	exec := s.executor()
 	exchange.OnExport = func(k int, from string, clauses []cnf.Clause) {
 		exec.OnClausePayload(query, k, from, clauses)
@@ -235,15 +246,14 @@ func (s *Session) poolConfig(ctx context.Context, query Query, set portfolio.Str
 			sink.OnFrame(query, k, frame)
 		}
 	}
-	cfg := racer.Config{
-		Strategies:           set,
-		Jobs:                 s.cfg.Jobs,
-		Solver:               s.cfg.Solver,
-		ScoreMode:            s.cfg.ScoreMode,
-		SwitchDivisor:        s.cfg.SwitchDivisor,
-		PerInstanceConflicts: s.cfg.PerInstanceConflicts,
-		ForceRecording:       s.cfg.ForceRecording,
-		Exchange:             exchange,
+	return racer.Config{
+		Strategies: p.set,
+		Jobs:       s.cfg.Jobs,
+		Opts:       p.opts,
+		Board:      board,
+		Divisor:    p.divisor,
+		Record:     p.record,
+		Exchange:   exchange,
 		Race: func(q string, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
 			return exec.RaceLive(Query(q), attempts, assumps, jobs, stop)
 		},
@@ -251,10 +261,6 @@ func (s *Session) poolConfig(ctx context.Context, query Query, set portfolio.Str
 		Metrics: s.cfg.Metrics,
 		Query:   string(query),
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		cfg.Deadline = dl
-	}
-	return cfg
 }
 
 // lane is one query's side of the depth loop: its sequence and where its
@@ -297,13 +303,7 @@ func (r *depthRun) status() sat.Status {
 // Proved needs the step UNSAT at a k whose base cases are all clean, and
 // an undecided depth ends the check as Unknown.
 func (s *Session) run(ctx context.Context, u *unroll.Unroller) (*Result, error) {
-	set := portfolio.StrategySet{s.cfg.Ordering}
-	if s.cfg.Portfolio {
-		set = s.cfg.Strategies
-		if len(set) == 0 {
-			set = portfolio.DefaultSet()
-		}
-	}
+	p := s.resolve(ctx)
 	// racing is the one predicate behind everything a shape reports as a
 	// race — telemetry, the strategy echo, per-depth winners, RaceFinished
 	// events — and behind running the k-induction queries side by side:
@@ -312,7 +312,7 @@ func (s *Session) run(ctx context.Context, u *unroll.Unroller) (*Result, error) 
 
 	res := &Result{Verdict: Unknown, K: -1}
 	newLane := func(query Query, stats *sat.Stats) *lane {
-		l := &lane{query: query, seq: s.newSequence(ctx, u, query, set), stats: stats}
+		l := &lane{query: query, seq: s.newSequence(u, query, p), stats: stats}
 		if racing {
 			l.tel = portfolio.NewTelemetry()
 			l.tel.SetMetrics(s.cfg.Metrics, string(query))
@@ -328,7 +328,7 @@ func (s *Session) run(ctx context.Context, u *unroll.Unroller) (*Result, error) 
 		res.Telemetry = base.tel
 	}
 	if racing {
-		res.Strategies, res.Jobs, res.Warm = set.Names(), s.cfg.Jobs, s.cfg.Incremental
+		res.Strategies, res.Jobs, res.Warm = p.set.Names(), s.cfg.Jobs, s.cfg.Incremental
 	}
 
 	for k := 0; k <= s.cfg.MaxDepth; k++ {

@@ -48,11 +48,13 @@ type ExchangeOptions struct {
 	ReserveFirst bool
 }
 
-// Exchange defaults: glue-ish clauses only, bounded volume per depth.
+// Exchange defaults: glue-ish clauses only, bounded volume per depth. The
+// remote executor filters the clauses it forwards between workers with the
+// same three.
 const (
-	defaultExchangeMaxLen = 8
-	defaultExchangeMaxLBD = 4
-	defaultExchangeBudget = 256
+	DefaultExchangeMaxLen = 8
+	DefaultExchangeMaxLBD = 4
+	DefaultExchangeBudget = 256
 )
 
 // withDefaults resolves the zero/negative conventions documented on the
@@ -60,19 +62,19 @@ const (
 func (e ExchangeOptions) withDefaults() ExchangeOptions {
 	switch {
 	case e.MaxLen == 0:
-		e.MaxLen = defaultExchangeMaxLen
+		e.MaxLen = DefaultExchangeMaxLen
 	case e.MaxLen < 0:
 		e.MaxLen = 0
 	}
 	switch {
 	case e.MaxLBD == 0:
-		e.MaxLBD = defaultExchangeMaxLBD
+		e.MaxLBD = DefaultExchangeMaxLBD
 	case e.MaxLBD < 0:
 		e.MaxLBD = 0
 	}
 	switch {
 	case e.PerRacerBudget == 0:
-		e.PerRacerBudget = defaultExchangeBudget
+		e.PerRacerBudget = DefaultExchangeBudget
 	case e.PerRacerBudget < 0:
 		e.PerRacerBudget = 0
 	}

@@ -39,11 +39,16 @@ func TestLateStarterMatchesEagerFeed(t *testing.T) {
 
 	// What the early racer put on the bus at each boundary.
 	exports := map[int][]cnf.Clause{}
+	opts := sat.Defaults()
+	opts.MaxConflicts = budget
+	board := core.NewScoreBoard(core.WeightedSum)
 	pool := NewPool(src, Config{
-		Strategies:           portfolio.StrategySet{early, late},
-		Jobs:                 1,
-		Solver:               sat.Defaults(),
-		PerInstanceConflicts: budget,
+		Strategies: portfolio.StrategySet{early, late},
+		Jobs:       1,
+		Opts:       opts,
+		Board:      board,
+		Divisor:    core.SwitchDivisor,
+		Record:     true,
 		Exchange: ExchangeOptions{Enabled: true, OnExport: func(k int, from string, clauses []cnf.Clause) {
 			if from == early.String() {
 				exports[k] = clauses
@@ -56,7 +61,6 @@ func TestLateStarterMatchesEagerFeed(t *testing.T) {
 	// current: every frame as it is built, the early racer's exports at
 	// every boundary. It searches exactly when the late racer does.
 	rec := core.NewRecorderWith(0, core.WithLeaves)
-	opts := lateRacer.opts
 	opts.Recorder = rec
 	ref := sat.New(cnf.New(0), opts)
 
@@ -69,7 +73,7 @@ func TestLateStarterMatchesEagerFeed(t *testing.T) {
 			rec.AddLeaf(ref.AddClause(cl), cl)
 		}
 		// The board as the depth's race will see it.
-		g, switchAfter := Guidance(late, pool.Board(), src, k, totalLits, core.SwitchDivisor)
+		g, switchAfter := late.Guidance(board, layout(src, k), totalLits, core.SwitchDivisor, nil)
 
 		out := pool.RaceDepth(k)
 		got := out.Race.Outcomes[1]
@@ -153,10 +157,11 @@ func TestForeignClausesBecomeLeaves(t *testing.T) {
 
 	var k int // the depth being raced
 	pool := NewPool(src, Config{
-		Strategies:     portfolio.StrategySet{core.OrderVSIDS, core.OrderTimeAxis},
-		Jobs:           1,
-		Solver:         sat.Defaults(),
-		ForceRecording: true,
+		Strategies: portfolio.StrategySet{core.OrderVSIDS, core.OrderTimeAxis},
+		Jobs:       1,
+		Opts:       sat.Defaults(),
+		Board:      core.NewScoreBoard(core.WeightedSum),
+		Record:     true,
 		Race: func(_ string, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
 			skipped := portfolio.AttemptOutcome{Name: attempts[0].Name, Skipped: true}
 			if k < len(foreign) {

@@ -66,35 +66,32 @@ const (
 // the right instance sequence.
 type RaceFunc func(query string, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult
 
-// Config configures a warm racer pool. The zero value is not usable on
-// its own — Strategies and the base Solver options come from the caller
-// (engine.Session translates its configuration).
+// Config configures a warm racer pool. It takes the session as
+// engine.Session resolved it for both solver lifetimes — the options every
+// attempt starts from, the score board, the switch divisor, whether to
+// record proofs — so the pool derives none of them itself; Strategies, Opts
+// and Board must be set.
 type Config struct {
-	// Strategies is the raced set, one persistent solver each (default:
-	// the full four-way portfolio.DefaultSet).
+	// Strategies is the raced set, one persistent solver each.
 	Strategies portfolio.StrategySet
 	// Jobs caps how many solvers run concurrently per depth (<= 0 means
 	// one per strategy; see portfolio.Race on why it is not clamped to
 	// GOMAXPROCS).
 	Jobs int
-	// Solver carries the base solver options; the per-strategy fields
-	// (Guidance, SwitchAfterDecisions, Recorder, Stop) are managed by the
-	// pool.
-	Solver sat.Options
-	// ScoreMode selects the bmc_score accumulation rule for the shared
-	// board.
-	ScoreMode core.ScoreMode
-	// SwitchDivisor overrides the dynamic strategy's switch divisor
-	// (default core.SwitchDivisor).
-	SwitchDivisor int
-	// PerInstanceConflicts bounds each racer's per-depth SolveAssuming
-	// call (0 = unlimited; per-call counters reset between depths).
-	PerInstanceConflicts int64
-	// Deadline bounds every solve (zero = none).
-	Deadline time.Time
-	// ForceRecording attaches CDG recorders even when no strategy
-	// consumes cores.
-	ForceRecording bool
+	// Opts is what every racer's per-depth SolveAssuming starts from:
+	// tuning, conflict budget (per-call counters reset between depths) and
+	// deadline, without hooks. The pool adds the depth's guidance and
+	// switch threshold, and each racer's recorder and metrics.
+	Opts sat.Options
+	// Board is the score board the racers read guidance from and the
+	// winners' cores are folded into.
+	Board *core.ScoreBoard
+	// Divisor is the dynamic strategy's switch divisor, as
+	// core.Strategy.Guidance takes it.
+	Divisor int
+	// Record attaches a CDG recorder to every racer, so whichever racer
+	// wins an UNSAT depth has a core to contribute to the board.
+	Record bool
 	// Exchange configures the clause bus; the zero value leaves it off.
 	Exchange ExchangeOptions
 	// Race runs each depth's race; nil selects portfolio.RaceLive (the
@@ -126,11 +123,8 @@ type racerState struct {
 	// feed is the solver, how far it is loaded, and its bus inbox. Its
 	// recorder is the racer's own cross-depth CDG (recorders are
 	// per-goroutine state and must never be shared between racers); nil
-	// when no strategy uses cores.
+	// unless Config.Record.
 	feed Feed
-	// opts is what the racer's solver was built with, minus the hooks: the
-	// depth's guidance is added to a copy of it for each attempt.
-	opts sat.Options
 	// receipts are the imports the racer's catch-up made during the
 	// running race; the pool books them once the race has joined.
 	receipts []Receipt
@@ -151,11 +145,9 @@ type racerState struct {
 // depth loop drives it sequentially, and concurrency happens only inside
 // RaceDepth's portfolio.RaceLive call.
 type Pool struct {
-	src     Source
-	cfg     Config
-	board   *core.ScoreBoard
-	racers  []*racerState
-	divisor int
+	src    Source
+	cfg    Config
+	racers []*racerState
 
 	// Cumulative formula size across the frames built so far (a racer
 	// brought to this depth holds exactly this original clause set, so one
@@ -169,50 +161,19 @@ type Pool struct {
 // query sequence (DeltaSource for BMC / induction base cases, StepSource
 // for induction step cases), and re-pulled for a racer that starts late:
 // Source.Frame must be a pure function of k, callable from several
-// goroutines at once. Mirroring the engine's fresh-solver sequence,
-// recorders are attached to every racer as soon as any strategy in the set
-// consumes cores, so whichever racer wins an UNSAT depth has a core to
-// contribute to the board.
+// goroutines at once.
 func NewPool(src Source, cfg Config) *Pool {
-	if len(cfg.Strategies) == 0 {
-		cfg.Strategies = portfolio.DefaultSet()
-	}
 	if cfg.Race == nil {
 		cfg.Race = func(_ string, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
 			return portfolio.RaceLive(attempts, assumps, jobs, stop)
 		}
 	}
 	cfg.Exchange = cfg.Exchange.withDefaults()
-	p := &Pool{
-		src:     src,
-		cfg:     cfg,
-		board:   core.NewScoreBoard(cfg.ScoreMode),
-		divisor: cfg.SwitchDivisor,
-	}
-	if p.divisor == 0 {
-		p.divisor = core.SwitchDivisor
-	}
-	useCores := cfg.ForceRecording
+	p := &Pool{src: src, cfg: cfg}
 	for _, st := range cfg.Strategies {
-		if st == core.OrderStatic || st == core.OrderDynamic {
-			useCores = true
-		}
-	}
-	for _, st := range cfg.Strategies {
-		solverOpts := cfg.Solver
-		solverOpts.Guidance = nil
-		solverOpts.SwitchAfterDecisions = 0
-		solverOpts.Recorder = nil
-		solverOpts.Stop = nil
-		if cfg.PerInstanceConflicts > 0 {
-			solverOpts.MaxConflicts = cfg.PerInstanceConflicts
-		}
-		if !cfg.Deadline.IsZero() {
-			solverOpts.Deadline = cfg.Deadline
-		}
-		r := &racerState{name: st.String(), strategy: st, opts: solverOpts}
-		r.opts.Metrics = nil
-		if useCores {
+		solverOpts := cfg.Opts
+		r := &racerState{name: st.String(), strategy: st}
+		if cfg.Record {
 			r.feed.Rec = core.NewRecorderWith(0, core.WithLeaves)
 			solverOpts.Recorder = r.feed.Rec
 		}
@@ -244,9 +205,6 @@ func (p *Pool) name(base string, pairs ...string) string {
 
 // Strategies returns the raced strategy names in set order.
 func (p *Pool) Strategies() []string { return p.cfg.Strategies.Names() }
-
-// Board returns the shared score board the pool feeds winner cores into.
-func (p *Pool) Board() *core.ScoreBoard { return p.board }
 
 // DepthOutcome is what one RaceDepth call reports back to the depth loop:
 // the race itself, the winner's core (UNSAT depths with recording), the
@@ -320,11 +278,14 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 		return p.src.Frame(d)
 	}
 
+	// Every attempt gets guidance of its own: Feed.CatchUp hands it to the
+	// solver, which keeps it.
+	in := layout(p.src, k)
 	attempts := make([]portfolio.LiveAttempt, len(p.racers))
 	warm := make([]bool, len(p.racers))
 	for i, r := range p.racers {
-		opts := r.opts
-		opts.Guidance, opts.SwitchAfterDecisions = Guidance(r.strategy, p.board, p.src, k, p.totalLits, p.divisor)
+		opts := p.cfg.Opts
+		opts.Guidance, opts.SwitchAfterDecisions = r.strategy.Guidance(p.cfg.Board, in, p.totalLits, p.cfg.Divisor, nil)
 		attempts[i] = portfolio.LiveAttempt{Name: r.name, Opts: opts, Solver: func() *sat.Solver {
 			s, got := r.feed.CatchUp(k, frames, opts.Guidance, opts.SwitchAfterDecisions)
 			r.receipts = got
@@ -373,7 +334,7 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 		out.WinnerShared = p.racers[w].feed.Imported() > 0
 		p.racers[w].mWins.Inc()
 		if out.Race.Result.Status == sat.Unsat {
-			out.FoldCore(p.racers[w].feed.Rec, p.board, k, nil, frame.NumVars, auxOf(p.src))
+			out.FoldCore(p.racers[w].feed.Rec, p.cfg.Board, k, nil, frame.NumVars, auxOf(p.src))
 		}
 	}
 	// Clear every racer's final-conflict marker: losers that decided
@@ -429,49 +390,17 @@ func (out *DepthOutcome) FoldCore(rec *core.Recorder, board *core.ScoreBoard, k 
 	board.Update(vars, k+1)
 }
 
-// Guidance computes one ordering strategy's guidance scores and
-// dynamic-switch threshold for a depth-k SolveAssuming, using the source's
-// numbering throughout: board-fed scores for static/dynamic (with the
-// dynamic switch threshold derived from totalLits/divisor), frame scores
-// for timeaxis (earlier frames higher; the encoding's auxiliary variables
-// — activation guards, disequality helpers — are left unscored), none for
-// plain VSIDS. This is the one place the strategy semantics of a live
-// solver live; the result fills the depth's attempt options and is what
-// Feed.CatchUp applies. Every call returns a slice of its own.
-func Guidance(st core.Strategy, board *core.ScoreBoard, src Source, k, totalLits, divisor int) (scores []float64, switchAfter int64) {
-	nVars := src.NumVars(k)
-	switch st {
-	case core.OrderStatic:
-		return board.Guidance(nVars), 0
-	case core.OrderDynamic:
-		if divisor > 0 {
-			switchAfter = int64(totalLits / divisor)
-			if switchAfter < 1 {
-				switchAfter = 1
-			}
-		}
-		return board.Guidance(nVars), switchAfter
-	case core.OrderTimeAxis:
-		frames := src.Frames(k)
-		g := make([]float64, nVars+1)
-		for v := 1; v <= nVars; v++ {
-			frame, aux := src.VarInfo(lits.Var(v))
-			if aux {
-				continue
-			}
-			g[v] = float64(frames - frame)
-		}
-		return g, 0
-	default: // OrderVSIDS: plain Chaff ordering
-		return nil, 0
-	}
+// layout is the depth-k instance of the source as core.Strategy.Guidance
+// reads it.
+func layout(src Source, k int) core.Layout {
+	return core.Layout{NumVars: src.NumVars(k), Frames: src.Frames(k), VarInfo: src.VarInfo}
 }
 
-// ApplyStrategy is Guidance applied to a caller-owned live solver. Kept
-// for benchmark/driver.go, which drives one solver by hand; the benchmark
-// PR deletes it.
+// ApplyStrategy applies core.Strategy.Guidance for the source's depth-k
+// instance to a caller-owned live solver. Kept for benchmark/driver.go,
+// which drives one solver by hand; the benchmark PR deletes it.
 func ApplyStrategy(s *sat.Solver, st core.Strategy, board *core.ScoreBoard, src Source, k, totalLits, divisor int) {
-	s.SetGuidance(Guidance(st, board, src, k, totalLits, divisor))
+	s.SetGuidance(st.Guidance(board, layout(src, k), totalLits, divisor, nil))
 }
 
 // CoreVars is core.Vars over a caller-kept ID-to-literals map, with the

@@ -13,16 +13,23 @@ import (
 	"repro/internal/unroll"
 )
 
-// newTestPool builds a pool over a fresh unrolling of the circuit.
+// newTestPool builds a pool over a fresh unrolling of the circuit, with
+// what the engine would resolve for an unset strategy set, options, board
+// and divisor: the four-way set, sat.Defaults(), a weighted-sum board, the
+// paper's divisor; and recorders on.
 func newTestPool(t *testing.T, c *circuit.Circuit, cfg Config) (*Pool, *unroll.Unroller) {
 	t.Helper()
 	u, err := unroll.New(c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Solver.RescoreInterval == 0 {
-		cfg.Solver = sat.Defaults()
+	if len(cfg.Strategies) == 0 {
+		cfg.Strategies = portfolio.DefaultSet()
 	}
+	if cfg.Board == nil {
+		cfg.Board = core.NewScoreBoard(core.WeightedSum)
+	}
+	cfg.Opts, cfg.Divisor, cfg.Record = sat.Defaults(), core.SwitchDivisor, true
 	return NewPool(DeltaSource(u.Delta()), cfg), u
 }
 
@@ -113,13 +120,15 @@ func TestPoolExchangeDisabledByDefault(t *testing.T) {
 // TestPoolScoreBoardFeedback: UNSAT depths must fold the winner's core
 // into the shared board when a core-consuming strategy is racing.
 func TestPoolScoreBoardFeedback(t *testing.T) {
+	board := core.NewScoreBoard(core.WeightedSum)
 	pool, _ := newTestPool(t, bench.AdderTwin(4, 6, 16), Config{
 		Strategies: portfolio.StrategySet{core.OrderVSIDS, core.OrderDynamic},
+		Board:      board,
 	})
 	for k := 0; k <= 3; k++ {
 		pool.RaceDepth(k)
 	}
-	if pool.Board().NumCores() == 0 {
+	if board.NumCores() == 0 {
 		t.Fatalf("no cores folded into the board across 4 UNSAT depths")
 	}
 }
@@ -167,7 +176,7 @@ func TestPoolRaceCleanUnderDetector(t *testing.T) {
 // TestExchangeOptionDefaults pins the zero/negative conventions.
 func TestExchangeOptionDefaults(t *testing.T) {
 	e := ExchangeOptions{}.withDefaults()
-	if e.MaxLen != defaultExchangeMaxLen || e.MaxLBD != defaultExchangeMaxLBD || e.PerRacerBudget != defaultExchangeBudget {
+	if e.MaxLen != DefaultExchangeMaxLen || e.MaxLBD != DefaultExchangeMaxLBD || e.PerRacerBudget != DefaultExchangeBudget {
 		t.Fatalf("zero value defaults wrong: %+v", e)
 	}
 	e = ExchangeOptions{MaxLen: -1, MaxLBD: -1, PerRacerBudget: -1}.withDefaults()
@@ -198,7 +207,10 @@ func BenchmarkPoolFeed(b *testing.B) {
 	src, clauses := cachedMixer(b, 30)
 	cfg := Config{
 		Strategies: portfolio.StrategySet{core.OrderDynamic},
-		Solver:     sat.Defaults(),
+		Opts:       sat.Defaults(),
+		Board:      core.NewScoreBoard(core.WeightedSum),
+		Divisor:    core.SwitchDivisor,
+		Record:     true,
 		Race:       loadOnly,
 	}
 	b.ReportAllocs()
@@ -220,7 +232,10 @@ func BenchmarkPoolLateStart(b *testing.B) {
 	var k int // the depth being raced
 	cfg := Config{
 		Strategies: portfolio.StrategySet{core.OrderDynamic},
-		Solver:     sat.Defaults(),
+		Opts:       sat.Defaults(),
+		Board:      core.NewScoreBoard(core.WeightedSum),
+		Divisor:    core.SwitchDivisor,
+		Record:     true,
 		Race: func(q string, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
 			if k < len(src.frames)-1 {
 				return portfolio.RaceResult{Winner: -1}

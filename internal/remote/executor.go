@@ -14,6 +14,7 @@ import (
 	"repro/internal/lits"
 	"repro/internal/obs"
 	"repro/internal/portfolio"
+	"repro/internal/racer"
 	"repro/internal/sat"
 )
 
@@ -24,9 +25,6 @@ const (
 	defaultPingMisses        = 3
 	defaultReconnectAttempts = 3
 	defaultReconnectBackoff  = 250 * time.Millisecond
-	defaultShareMaxLen       = 8
-	defaultShareMaxLBD       = 4
-	defaultShareBudget       = 256
 )
 
 var (
@@ -34,20 +32,14 @@ var (
 	errClosed   = errors.New("remote: executor closed")
 )
 
-// ShareOptions tunes the over-the-wire half of the clause bus: learned
+// ShareOptions switches the over-the-wire half of the clause bus: learned
 // clauses returned by worker mirrors and payloads exported by the local
-// pool are rebroadcast to the other workers under these filters. The
-// zero value enables sharing with the racer exchange defaults.
+// pool are rebroadcast to the other workers under the racer exchange's
+// default filters (racer.DefaultExchangeMaxLen, DefaultExchangeMaxLBD,
+// DefaultExchangeBudget per link and payload). The zero value shares.
 type ShareOptions struct {
 	// Off disables clause traffic entirely.
 	Off bool
-	// MaxLen drops clauses longer than this many literals (default 8).
-	MaxLen int
-	// MaxLBD bounds the glue of worker-exported clauses (default 4).
-	MaxLBD int
-	// PerLinkBudget caps the clauses forwarded to one worker per payload
-	// (default 256).
-	PerLinkBudget int
 }
 
 // Options configures a coordinator Executor. The zero value works once
@@ -73,13 +65,11 @@ type Options struct {
 	// ReconnectBackoff is the initial redial delay, doubled per attempt
 	// (default 250ms).
 	ReconnectBackoff time.Duration
-	// Share tunes clause forwarding.
+	// Share switches clause forwarding. With two or more workers, the
+	// first configured worker receives no forwarded clauses — the
+	// distributed analogue of the warm pool's ReserveFirst slot, keeping
+	// one search trajectory unpolluted.
 	Share ShareOptions
-	// NoReserve disables the import-free diversity worker. By default,
-	// with two or more workers, the first configured worker receives no
-	// forwarded clauses — the distributed analogue of the warm pool's
-	// ReserveFirst slot, keeping one search trajectory unpolluted.
-	NoReserve bool
 	// Metrics, when non-nil, receives the remote_*/net_* counters.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records one span per distributed race on the
@@ -121,15 +111,6 @@ func (o Options) withDefaults() Options {
 	if o.ReconnectBackoff <= 0 {
 		o.ReconnectBackoff = defaultReconnectBackoff
 	}
-	if o.Share.MaxLen <= 0 {
-		o.Share.MaxLen = defaultShareMaxLen
-	}
-	if o.Share.MaxLBD <= 0 {
-		o.Share.MaxLBD = defaultShareMaxLBD
-	}
-	if o.Share.PerLinkBudget <= 0 {
-		o.Share.PerLinkBudget = defaultShareBudget
-	}
 	return o
 }
 
@@ -142,7 +123,7 @@ func (o Options) withDefaults() Options {
 // a correct verdict. Frames reported through OnFrame are retained and
 // shipped per-link above a high-water mark (reset on reconnect, so a
 // fresh worker replays the whole unrolling); clause-bus payloads flow
-// both directions under ShareOptions filters.
+// both directions under the racer exchange's filters.
 //
 // A live attempt carries the options and guidance it runs under and a
 // function that loads its local solver; the executor ships the former and
@@ -542,9 +523,9 @@ func (e *Executor) RaceLive(query engine.Query, attempts []portfolio.LiveAttempt
 				Attempts: pick(wire, idxs), Jobs: jobs,
 			}
 			if shareOn {
-				req.ExportMaxLen = e.opts.Share.MaxLen
-				req.ExportMaxLBD = e.opts.Share.MaxLBD
-				req.ExportBudget = e.opts.Share.PerLinkBudget
+				req.ExportMaxLen = racer.DefaultExchangeMaxLen
+				req.ExportMaxLBD = racer.DefaultExchangeMaxLBD
+				req.ExportBudget = racer.DefaultExchangeBudget
 			}
 			return req
 		},
@@ -772,7 +753,7 @@ func (e *Executor) OnClausePayload(query engine.Query, k int, from string, claus
 	if e.opts.Share.Off || len(clauses) == 0 {
 		return
 	}
-	filtered := filterClauses(clauses, e.opts.Share.MaxLen, e.opts.Share.PerLinkBudget)
+	filtered := filterClauses(clauses, racer.DefaultExchangeMaxLen, racer.DefaultExchangeBudget)
 	if len(filtered) == 0 {
 		return
 	}
@@ -792,12 +773,10 @@ func (e *Executor) OnClausePayload(query engine.Query, k int, from string, claus
 func (e *Executor) redistribute(qs string, exports []linkExport) []cnf.Clause {
 	k := e.depthOf(qs)
 	reserve := e.reserveLink()
-	maxLen := e.opts.Share.MaxLen
-	budget := e.opts.Share.PerLinkBudget
 	healthy := e.healthyLinks()
 	var back []cnf.Clause
 	for _, ex := range exports {
-		filtered := filterClauses(ex.clauses, maxLen, budget)
+		filtered := filterClauses(ex.clauses, racer.DefaultExchangeMaxLen, racer.DefaultExchangeBudget)
 		if len(filtered) == 0 {
 			continue
 		}
@@ -842,7 +821,7 @@ func (e *Executor) depthOf(qs string) int {
 // reserveLink is the import-free diversity worker: the first configured
 // link, active only with at least two workers.
 func (e *Executor) reserveLink() *link {
-	if e.opts.NoReserve || len(e.links) < 2 {
+	if len(e.links) < 2 {
 		return nil
 	}
 	return e.links[0]

@@ -49,7 +49,8 @@ func TestMirrorLoadsWhenItRaces(t *testing.T) {
 		for _, i := range order {
 			opts := toWireOptions(sat.Defaults())
 			if i == late {
-				opts.Guidance, _ = racer.Guidance(core.OrderTimeAxis, nil, src, k, 0, 0)
+				in := core.Layout{NumVars: src.NumVars(k), Frames: src.Frames(k), VarInfo: src.VarInfo}
+				opts.Guidance, _ = core.OrderTimeAxis.Guidance(nil, in, 0, 0, nil)
 			}
 			req.Attempts = append(req.Attempts, WireAttempt{Name: names[i], Opts: opts})
 		}

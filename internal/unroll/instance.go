@@ -99,6 +99,17 @@ func (in *Instance) NumLiterals() int { return in.numLits }
 // the BMC query at depth k, k+2 for the step query.
 func (in *Instance) Frames() int { return in.frames }
 
+// VarInfo classifies variable v of the instance: its time frame, and
+// whether it is an auxiliary of the encoding — the step query's
+// disequality helpers, numbered past the frames.
+func (in *Instance) VarInfo(v lits.Var) (frame int, aux bool) {
+	if int(v) > in.u.NumVars(in.frames-1) {
+		return 0, true
+	}
+	_, frame = in.u.NodeOf(v)
+	return frame, false
+}
+
 // carve appends to dst headers over the first literals of ls, one clause
 // per size and each capped at its length, and returns what is left of ls.
 func carve(dst []cnf.Clause, ls []lits.Lit, sizes ...int) ([]cnf.Clause, []lits.Lit) {
