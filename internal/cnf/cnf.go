@@ -43,10 +43,23 @@ func (c Clause) Normalize() (Clause, bool) { return NormalizeLits(c) }
 
 // NormalizeLits is Normalize over any slice of packed literals: the solver
 // keeps its clauses in a []uint32 store and normalises them where they lie.
+// A clause that is already strictly ascending — every clause the unroller
+// emits — costs one pass and no sort. On a tautology the returned clause's
+// order is unspecified.
 func NormalizeLits[S ~[]E, E ~int32 | ~uint32](c S) (S, bool) {
-	if len(c) == 0 {
-		return c, false
+	for i := 1; i < len(c); i++ {
+		switch {
+		case c[i] <= c[i-1]:
+			return normalizeSorting(c)
+		case c[i] == c[i-1]^1:
+			return c, true // ascending, so x and ¬x are neighbours
+		}
 	}
+	return c, false
+}
+
+// normalizeSorting is NormalizeLits for a clause that is not ascending.
+func normalizeSorting[S ~[]E, E ~int32 | ~uint32](c S) (S, bool) {
 	slices.Sort(c)
 	out := c[:1]
 	for _, l := range c[1:] {

@@ -31,13 +31,23 @@ func decodeClause(data []byte) Clause {
 // solver's dedup (clauseKey) and the exchange bus both build on:
 // Normalize must sort strictly, preserve the literal set, detect
 // tautologies exactly, be idempotent, and never change the clause's
-// truth function.
+// truth function. An already ascending clause takes a one-pass path that
+// never sorts; the ascending seeds (bytes 16..31 are x1..x16, 15 down to 0
+// are ¬x1..¬x16) pin it against the sorting path, which the descending
+// permutation below always takes.
 func FuzzClauseCanon(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1})
 	f.Add([]byte{1, 1, 1})
 	f.Add([]byte{3, 200, 7, 3})
 	f.Add([]byte{0, 16, 17, 16, 255, 128})
+	// Ascending: x1 x2 x3; x1 ¬x2 x3; x1..x16; a tautology x2 ¬x2 inside an
+	// ascending run; ascending, then one literal out of order.
+	f.Add([]byte{16, 17, 18})
+	f.Add([]byte{16, 14, 18})
+	f.Add([]byte{16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31})
+	f.Add([]byte{16, 17, 14, 19})
+	f.Add([]byte{16, 18, 20, 17})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		orig := decodeClause(data)
 		work := orig.Copy()
@@ -54,6 +64,11 @@ func FuzzClauseCanon(f *testing.F) {
 		}
 		if taut != wantTaut {
 			t.Fatalf("Normalize(%v) tautology = %v, want %v", orig, taut, wantTaut)
+		}
+		desc := orig.Copy()
+		sort.Slice(desc, func(i, j int) bool { return desc[i] > desc[j] })
+		if _, sortedTaut := desc.Normalize(); sortedTaut != taut {
+			t.Fatalf("Normalize(%v) tautology = %v, but %v through the sort", orig, taut, sortedTaut)
 		}
 		if taut {
 			// A tautological clause is true under every total assignment.

@@ -51,6 +51,10 @@ type sequence interface {
 // way. Only the score board's contents survive a depth; formula, solvers and
 // recorders are rewritten by the next one, which they may be because every
 // Executor is done with them when Race returns.
+//
+// What a depth outgrows — the instance's clause list, each solver's tables,
+// each guidance buffer — grows by one rule, grow's, which sizes it for a
+// depth ahead up to the check's MaxDepth.
 type freshSeq struct {
 	plan
 	exec  Executor
@@ -67,9 +71,76 @@ type freshSeq struct {
 	jobs     int
 	metrics  []*sat.Metrics // per strategy, nil without a registry
 	board    *core.ScoreBoard
+
+	// maxDepth is the check's last depth. sizedFor is the depth the
+	// storage was last sized for (-1 before the first), sizedVars that
+	// depth's variable count.
+	maxDepth            int
+	sizedFor, sizedVars int
+}
+
+// maxSizedInstance bounds the instances grow sizes storage for, counted as
+// variables plus clauses plus literals: no solver could load a larger one
+// (its clause arena addresses 2^32 words), and the bound keeps the sizes
+// grow computes far from overflowing.
+const maxSizedInstance = 1 << 32
+
+// grow is the scratch lifetime's growth rule, applied when depth k
+// outgrows what the storage was sized for. It sizes the storage for the
+// deepest depth whose instance fits the smallest of maxDepth's size, its
+// half, its quarter, ... that holds depth k's instance (a size counts
+// variables, clauses and literals together). That is less than twice depth
+// k's size, so no depth holds more than twice what it needs; and the sizes
+// taken are maxDepth's and its halves, so storage moves O(log maxDepth)
+// times over a check, allocates about twice maxDepth's size in all, and
+// ends at exactly that size. The hints are only recorded: a solver that
+// never loads (a skipped attempt, a race won remotely) allocates nothing.
+func (q *freshSeq) grow(k int) {
+	size := func(t int) int {
+		vars, clauses, literals := q.inst.Size(t)
+		return vars + clauses + literals
+	}
+	// deepest returns the deepest depth from k to maxDepth at which within
+	// holds, given that it holds at k, or k if it holds nowhere past it.
+	// Sizes only grow with the depth, and maxDepth may be far away: gallop
+	// to the first depth where within fails, then bisect.
+	deepest := func(within func(t int) bool) int {
+		fits, over := k, -1
+		for step := 1; fits < q.maxDepth; step *= 2 {
+			t := min(k+step, q.maxDepth)
+			if !within(t) {
+				over = t
+				break
+			}
+			fits = t
+		}
+		for over > fits+1 {
+			if mid := fits + (over-fits)/2; within(mid) {
+				fits = mid
+			} else {
+				over = mid
+			}
+		}
+		return fits
+	}
+	limit := size(deepest(func(t int) bool { return size(t) <= maxSizedInstance }))
+	for at := size(k); at > 0 && at <= limit/2; {
+		limit /= 2
+	}
+	t := deepest(func(t int) bool { return size(t) <= limit })
+
+	vars, clauses, literals := q.inst.Size(t)
+	q.inst.Grow(t)
+	for _, s := range q.solvers {
+		s.Grow(vars, clauses, literals)
+	}
+	q.sizedFor, q.sizedVars = t, vars
 }
 
 func (q *freshSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
+	if k > q.sizedFor {
+		q.grow(k)
+	}
 	encodeStart := time.Now()
 	f := q.inst.Extend(k)
 	encodeWall := time.Since(encodeStart)
@@ -79,6 +150,12 @@ func (q *freshSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
 	for i, st := range q.set {
 		so := q.opts
 		so.Metrics = q.metrics[i]
+		// A strategy without guidance keeps a nil buffer; one with guidance
+		// gets its first exactly, and every later one sized by grow.
+		if g := q.guidance[i]; g != nil && cap(g) < f.NumVars+1 {
+			q.guidance[i] = nil
+			q.guidance[i] = make([]float64, 0, q.sizedVars+1)
+		}
 		so.Guidance, so.SwitchAfterDecisions = st.Guidance(q.board, in, q.inst.NumLiterals(), q.divisor, q.guidance[i])
 		q.guidance[i] = so.Guidance
 		if q.record {
@@ -221,6 +298,8 @@ func (s *Session) newSequence(u *unroll.Unroller, query Query, p plan) sequence 
 		jobs:     s.cfg.Jobs,
 		metrics:  make([]*sat.Metrics, n),
 		board:    board,
+		maxDepth: s.cfg.MaxDepth,
+		sizedFor: -1,
 	}
 	for i, st := range p.set {
 		q.solvers[i] = new(sat.Solver)

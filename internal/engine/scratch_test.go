@@ -2,12 +2,17 @@ package engine_test
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cnf"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/portfolio"
+	"repro/internal/sat"
+	"repro/internal/unroll"
 )
 
 // TestScratchAllocProportionalToFinalFormula: a scratch check allocates in
@@ -34,6 +39,109 @@ func TestScratchAllocProportionalToFinalFormula(t *testing.T) {
 	if ratio := at20 / at10; ratio >= 2.8 {
 		t.Errorf("%.1f MB to depth 10, %.1f MB to depth 20: %.2fx for twice the depth, want under 2.8x",
 			at10/(1<<20), at20/(1<<20), ratio)
+	}
+}
+
+// storageWatch is an Executor that races in process and, at the start and
+// end of every race, looks at where the formula's clause list, each
+// attempt's guidance and each attempt's formula-sized solver tables keep
+// their elements: every new place is one allocation of that storage. One
+// race at a time (a BMC check), so it needs no lock.
+type storageWatch struct {
+	engine.LocalExecutor
+	at         map[string]uintptr
+	moves      map[string]int
+	clauseRoom int           // the clause list's capacity at the last race
+	solvers    []*sat.Solver // the last race's, by attempt
+}
+
+func newStorageWatch() *storageWatch {
+	return &storageWatch{at: make(map[string]uintptr), moves: make(map[string]int)}
+}
+
+func (w *storageWatch) note(storage string, at uintptr) {
+	if at != 0 && at != w.at[storage] {
+		w.moves[storage]++
+		w.at[storage] = at
+	}
+}
+
+func (w *storageWatch) look(f *cnf.Formula, attempts []portfolio.Attempt) {
+	w.note("clause list", reflect.ValueOf(f.Clauses).Pointer())
+	w.clauseRoom = cap(f.Clauses)
+	w.solvers = w.solvers[:0]
+	for _, a := range attempts {
+		w.note(a.Name+" guidance", reflect.ValueOf(a.Opts.Guidance).Pointer())
+		for table, at := range engine.SolverTables(a.Solver) {
+			w.note(a.Name+" "+table, at)
+		}
+		w.solvers = append(w.solvers, a.Solver)
+	}
+}
+
+func (w *storageWatch) Race(q engine.Query, f *cnf.Formula, attempts []portfolio.Attempt, jobs int, stop <-chan struct{}) portfolio.RaceResult {
+	w.look(f, attempts)
+	defer w.look(f, attempts)
+	return w.LocalExecutor.Race(q, f, attempts, jobs, stop)
+}
+
+// TestScratchStorageGrowsLogarithmically: over encode_scratch's 40-depth
+// check, what a depth outgrows — the instance's clause list, the guidance,
+// every formula-sized table of the solver — is allocated at most 7 times
+// (when an outgrown table grew by an eighth, the arena alone was allocated
+// 19 times), and ends exactly as large as depth 40 needs. And a solver that
+// never loads holds nothing, though it is sized ahead like the others:
+// raced one attempt at a time, the portfolio's first strategy decides every
+// depth and the other three are skipped.
+func TestScratchStorageGrowsLogarithmically(t *testing.T) {
+	const depth, maxMoves = 40, 7
+	w := newStorageWatch()
+	gcnt := bench.GatedCounter(4, 10, 6, 16)
+	sess, err := engine.New(gcnt, 0, engine.WithBudgets(depth, 0),
+		engine.WithOrdering(core.OrderDynamic), engine.WithExecutor(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := sess.Check(context.Background()); err != nil || res.Verdict != engine.Holds || res.K != depth {
+		t.Fatalf("%v at %d (%v), want holds at %d", res.Verdict, res.K, err, depth)
+	}
+	for _, storage := range []string{"clause list", "dynamic guidance", "dynamic ca.mem", "dynamic heap.pos"} {
+		if w.moves[storage] == 0 {
+			t.Fatalf("%s never seen: the watch looks at the wrong storage (%v)", storage, w.moves)
+		}
+	}
+	t.Logf("allocations by storage: %v", w.moves)
+	for storage, n := range w.moves {
+		if n > maxMoves {
+			t.Errorf("%s allocated %d times over %d depths, want at most %d", storage, n, depth, maxMoves)
+		}
+	}
+	u, err := unroll.New(gcnt, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, clauses, _ := u.Instance().Size(depth); w.clauseRoom != clauses {
+		t.Errorf("the clause list ends with room for %d clauses, depth %d has %d", w.clauseRoom, depth, clauses)
+	}
+
+	idle := newStorageWatch()
+	sess, err = engine.New(bench.GatedCounter(3, 5, 1, 4), 0, engine.WithBudgets(8, 0),
+		engine.WithPortfolio(portfolio.DefaultSet(), 1), engine.WithExecutor(idle))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Check(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(idle.solvers) != len(portfolio.DefaultSet()) {
+		t.Fatalf("%d attempts raced, want one per strategy", len(idle.solvers))
+	}
+	for i, s := range idle.solvers[1:] {
+		for table, at := range engine.SolverTables(s) {
+			if at != 0 {
+				t.Errorf("attempt %d never loads, yet holds its %s", i+1, table)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -52,10 +53,22 @@ func BenchmarkPropagateAdder(b *testing.B) {
 	b.ReportMetric(float64(props)/b.Elapsed().Seconds(), "props/s")
 }
 
+// mallocs counts the heap allocations of one call of f, which, unlike
+// testing.AllocsPerRun, is not warmed up by a call before it.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs
+}
+
 // TestLoadAllocsBounded pins the bulk load: New allocates per solver, not
 // per clause, Load into a solver that has held the formula before allocates
-// nothing to speak of, and AddClause into a solver that has grown allocates
-// only when the arena or a watch list doubles.
+// nothing to speak of, a solver hinted (Grow) for depth 7 loads every depth
+// from 3 to 7 without allocating, and AddClause into a solver that has
+// grown allocates only when the arena or a watch list doubles.
 func TestLoadAllocsBounded(t *testing.T) {
 	const perSolver = 32
 	gcnt := bench.GatedCounter(4, 10, 6, 16)
@@ -71,6 +84,21 @@ func TestLoadAllocsBounded(t *testing.T) {
 		s := New(f, Defaults())
 		if reload := testing.AllocsPerRun(3, func() { s.Load(f, Defaults()) }); reload >= 4 {
 			t.Errorf("Load over %d clauses into a solver that has held them: %.0f allocations, want fewer than 4", f.NumClauses(), reload)
+		}
+	}
+
+	u, err := unroll.New(gcnt, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := u.Instance()
+	hinted := new(Solver)
+	hinted.Grow(in.Size(7))
+	hinted.Load(in.Extend(3), Defaults()) // makes every table, at depth 7's size
+	for k := 3; k <= 7; k++ {
+		f := in.Extend(k)
+		if n := mallocs(func() { hinted.Load(f, Defaults()) }); n != 0 {
+			t.Errorf("Load of depth %d into a solver hinted for depth 7: %d allocations, want none", k, n)
 		}
 	}
 

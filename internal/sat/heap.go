@@ -23,12 +23,13 @@ type varHeap struct {
 }
 
 // reset makes h the heap of solver s holding variables 1..nVars, in index
-// order and in the arrays it already has where they are large enough: Load
-// rebuilds it once the scores it orders by are seeded.
+// order and in the arrays it already has where they are large enough (and
+// in arrays sized for s's Grow hint where they are not): Load rebuilds it
+// once the scores it orders by are seeded.
 func (h *varHeap) reset(s *Solver, nVars int) {
 	h.s = s
-	h.heap = fit(&h.heap, nVars)[:0]
-	h.pos = fit(&h.pos, nVars+1)
+	h.heap = fit(&h.heap, nVars, s.hint.vars)[:0]
+	h.pos = fit(&h.pos, nVars+1, s.hint.vars+1)
 	h.pos[0] = -1 // no variable 0
 	for v := lits.Var(1); int(v) <= nVars; v++ {
 		h.pos[v] = int32(len(h.heap))
@@ -48,15 +49,37 @@ func (h *varHeap) insert(v lits.Var) {
 
 // popMax removes and returns the best variable. Callers must check empty()
 // first.
+//
+// It sifts bottom-up (Floyd): the hole the top leaves goes down to a leaf
+// along the better child, one comparison a level, and the last entry, which
+// almost always belongs near the bottom, is dropped into it and sifted up.
+// Sifting the last entry down from the root would compare twice a level, to
+// take it nearly all the way down again. Either way the heap holds the same
+// variables in heap order, and the next pop is the argmax of the same set.
 func (h *varHeap) popMax() lits.Var {
 	top := h.heap[0]
-	last := len(h.heap) - 1
-	h.heap[0] = h.heap[last]
-	h.heap = h.heap[:last]
 	h.pos[top] = -1
-	if last > 0 { // down places heap[0] and sets its position
-		h.down(0)
+	last := len(h.heap) - 1
+	v := h.heap[last]
+	h.heap = h.heap[:last]
+	if last == 0 {
+		return top
 	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= last {
+			break
+		}
+		if right := child + 1; right < last && h.s.better(h.heap[right], h.heap[child]) {
+			child = right
+		}
+		h.heap[i] = h.heap[child]
+		h.pos[h.heap[i]] = int32(i)
+		i = child
+	}
+	h.heap[i] = v
+	h.up(i) // sets v's position
 	return top
 }
 

@@ -68,8 +68,12 @@ func TestLoadMatchesNew(t *testing.T) {
 		{"refuted by the load", add4, guided, refuted, sat.Defaults(), sat.Unsat},
 		{"an instance over a refuted load", refuted, sat.Defaults(), instance(t, bench.GatedCounter(3, 5, 1, 4), 8), sat.Defaults(), sat.Unsat},
 	} {
-		s := new(sat.Solver)
-		for round := 0; round < 2; round++ { // the second round finds every table large enough
+		// The second round finds every table large enough; the third loads
+		// into a solver whose every table was made for a hint larger than
+		// either formula.
+		s, hinted := new(sat.Solver), new(sat.Solver)
+		hinted.Grow(2*(tc.g.NumVars+tc.f.NumVars), 2*(tc.g.NumClauses()+tc.f.NumClauses()), 2*(tc.g.NumLiterals()+tc.f.NumLiterals()))
+		for _, s := range []*sat.Solver{s, s, hinted} {
 			s.Load(tc.g, tc.gOpts)
 			before := s.Solve()
 			kept := slices.Clone(before.Model)

@@ -82,6 +82,21 @@ type tables struct {
 	// ImportClause, so the clause-sharing bus can broadcast the same clause
 	// from several senders without installing duplicates.
 	importSeen map[uint64]struct{}
+
+	// hint is the formula size Grow announced; a table Load has to replace
+	// is made large enough for it.
+	hint formulaSize
+}
+
+// formulaSize is a formula's variable, clause and literal counts.
+type formulaSize struct{ vars, clauses, lits int }
+
+// arenaWords is the arena a formula of the given clause and literal counts
+// is loaded into: its clauses, and an eighth more for the learnt clauses to
+// come (loadSlackDen).
+func arenaWords(clauses, nLits int) int {
+	words := clauses*hdrWords + nLits
+	return words + words/loadSlackDen
 }
 
 // Solver holds the complete search state for one formula. A Solver is
@@ -157,36 +172,33 @@ func New(f *cnf.Formula, opts Options) *Solver {
 	return s
 }
 
-// reloadSlackDen: a table Load finds too small is replaced by one
-// 1/reloadSlackDen larger than the formula needs. A solver reloaded with an
-// instance that grows by a frame per depth then moves its tables a number
-// of times logarithmic in the final depth, and all it ever allocates is a
-// small multiple of its final size — at the price of holding up to that
-// fraction more than it uses.
-const reloadSlackDen = 8
+// Grow announces that s will be loaded with formulas of up to vars
+// variables, clauses clauses and literals literals. Like slices.Grow it
+// sizes storage ahead, but it only records the size: the next Load that has
+// to replace a table makes it large enough for such a formula, and a solver
+// that is never loaded allocates nothing. Without a hint a table is replaced
+// by one of exactly the size the formula needs, which is how New sizes it.
+func (s *Solver) Grow(vars, clauses, literals int) {
+	s.hint = formulaSize{vars, clauses, literals}
+}
 
 // fit returns a slice of length n, its contents undefined: over *p's array
-// when that is large enough, over a new one otherwise — of exactly n where
-// *p had none, with the reload slack where it was too small. *p lets go of
-// the array it had before the new one is made, so the two are never live
-// together; p must point into the heap, or the compiler drops that store as
-// dead.
-func fit[S ~[]T, T any](p *S, n int) S {
+// when that is large enough, over a new one otherwise, with room for hint
+// elements where that is more than n. *p lets go of the array it had before
+// the new one is made, so the two are never live together; p must point
+// into the heap, or the compiler drops that store as dead.
+func fit[S ~[]T, T any](p *S, n, hint int) S {
 	if cap(*p) >= n {
 		return (*p)[:n]
 	}
-	room := n
-	if cap(*p) > 0 {
-		room += n / reloadSlackDen
-	}
 	*p = nil
-	return make(S, n, room)
+	return make(S, n, max(n, hint))
 }
 
 // zeroed is fit with every element zero.
-func zeroed[S ~[]T, T any](p *S, n int) S {
+func zeroed[S ~[]T, T any](p *S, n, hint int) S {
 	reused := cap(*p) >= n
-	s := fit(p, n)
+	s := fit(p, n, hint)
 	if reused {
 		clear(s)
 	}
@@ -219,13 +231,13 @@ func (s *Solver) reset(opts Options, nVars int) {
 // the clause arena, the watch lists and the slab they are carved from, the
 // trail, the per-variable and per-literal tables, the decision heap and the
 // analysis scratch are reused where they are large enough and replaced,
-// with head-room (reloadSlackDen), where they are not. Nothing else
-// survives — learnt clauses, scores, saved phases, the import filter,
-// counters and status all start as New starts them, so the search that
-// follows cannot tell a loaded solver from a new one. It is a reload and
-// not a reset because a search permutes the watch lists and the literals
-// inside clauses; only loading the formula again restores the order a fresh
-// solver would search in.
+// sized for the formula or for what Grow announced, where they are not.
+// Nothing else survives — learnt clauses, scores, saved phases, the import
+// filter, counters and status all start as New starts them, so the search
+// that follows cannot tell a loaded solver from a new one. It is a reload
+// and not a reset because a search permutes the watch lists and the
+// literals inside clauses; only loading the formula again restores the
+// order a fresh solver would search in.
 //
 // The formula is copied into internal storage; it is not modified and may
 // be reused. Clause IDs reported to the proof recorder match indices into
@@ -239,30 +251,27 @@ func (s *Solver) reset(opts Options, nVars int) {
 func (s *Solver) Load(f *cnf.Formula, opts Options) {
 	opts = opts.withDefaults()
 	n := f.NumVars
-	words := 0
-	for _, raw := range f.Clauses {
-		words += wordsFor(len(raw), 0)
-	}
-	words += words / loadSlackDen
+	words := arenaWords(len(f.Clauses), f.NumLiterals())
 	if uint64(words) >= uint64(crefUndef) {
 		panic("sat: clause arena exceeds 2^32 words")
 	}
 
 	s.reset(opts, n)
-	s.ca = arena{mem: fit(&s.ca.mem, words)[:0]}
+	h := s.hint
+	s.ca = arena{mem: fit(&s.ca.mem, words, arenaWords(h.clauses, h.lits))[:0]}
 	s.learnts, s.moves = s.learnts[:0], s.moves[:0]
-	s.watches = fit(&s.watches, 2*n+2) // every list is set below
-	s.vals = zeroed(&s.vals, 2*n+2)
-	s.reason = fit(&s.reason, n+1)
+	s.watches = fit(&s.watches, 2*n+2, 2*h.vars+2) // every list is set below
+	s.vals = zeroed(&s.vals, 2*n+2, 2*h.vars+2)
+	s.reason = fit(&s.reason, n+1, h.vars+1)
 	for v := range s.reason {
 		s.reason[v] = crefUndef
 	}
-	s.level = zeroed(&s.level, n+1)
-	s.trail, s.trailLim = fit(&s.trail, n)[:0], s.trailLim[:0]
-	s.chaScore = zeroed(&s.chaScore, 2*n+2)
-	s.newCount = zeroed(&s.newCount, 2*n+2)
-	s.savedPhase = zeroed(&s.savedPhase, n+1)
-	s.seen, s.toClear = zeroed(&s.seen, n+1), s.toClear[:0]
+	s.level = zeroed(&s.level, n+1, h.vars+1)
+	s.trail, s.trailLim = fit(&s.trail, n, h.vars)[:0], s.trailLim[:0]
+	s.chaScore = zeroed(&s.chaScore, 2*n+2, 2*h.vars+2)
+	s.newCount = zeroed(&s.newCount, 2*n+2, 2*h.vars+2)
+	s.savedPhase = zeroed(&s.savedPhase, n+1, h.vars+1)
+	s.seen, s.toClear = zeroed(&s.seen, n+1, h.vars+1), s.toClear[:0]
 	s.learntBuf, s.antsBuf = s.learntBuf[:0], s.antsBuf[:0]
 	s.lbdMark, s.stamps, s.liveIDs = s.lbdMark[:0], s.stamps[:0], s.liveIDs[:0]
 	if s.importSeen == nil {
@@ -311,7 +320,8 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 		// them it is garbage before its successor is made.
 		clear(s.watches)
 	}
-	slab := fit(&s.watchSlab, int(off)) // every watcher is set below
+	// Two watchers a clause bounds a formula's slab.
+	slab := fit(&s.watchSlab, int(off), 2*h.clauses) // every watcher is set below
 	s.watchSlab = slab
 
 	// Attach in formula order, which fixes the order of every watch list

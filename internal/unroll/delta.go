@@ -146,7 +146,8 @@ func (d *Delta) Frame(k int) *cnf.Formula {
 		// as Formula's empty clause makes the scratch instance unsat.
 		f.AddUnit(d.ActLit(k).Neg())
 	default:
-		f.AddClause(cnf.Clause{d.ActLit(k).Neg(), d.LitFor(bad, k)})
+		// Normalised as every clause here: actₖ is numbered past frame k.
+		f.AddClause(cnf.Clause{d.LitFor(bad, k), d.ActLit(k).Neg()})
 	}
 	d.metrics.observe(buildStart, f)
 	return f

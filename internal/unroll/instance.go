@@ -29,6 +29,13 @@ import (
 // and its simple-path constraint, whose auxiliary variables are numbered
 // past the depth's frames — and is built anew at every depth.
 //
+// Every clause is emitted normalised, in the form the solver stores it:
+// literals strictly ascending, no duplicate, no tautology. circuit.And
+// orders an AND gate's fanins by node and folds a∧a and a∧¬a, nodes are
+// numbered topologically, and a later frame's variables are all above an
+// earlier one's, so the clauses below are ascending as they are written
+// down and loading them sorts nothing (cnf.NormalizeLits).
+//
 // Extend rewrites the clause list it returned before. Literal arrays are
 // never rewritten: a cnf.Clause taken from an earlier depth stays what it
 // was.
@@ -39,6 +46,10 @@ type Instance struct {
 	// slabs holds the body's literals, one array per extension; the body's
 	// clauses are headers over them.
 	slabs []bodySlab
+	// room is what the next replacement of the clause list makes room for
+	// (Grow); without a hint the list is replaced by one of exactly the
+	// length it needs.
+	room int
 
 	frames   int // time frames whose gates the body holds
 	gatesEnd int // Clauses[:gatesEnd]: initial values and gates
@@ -61,12 +72,6 @@ type bodySlab struct {
 	lits                 []lits.Lit
 	units, frames, steps int
 }
-
-// growSlackDen: a clause list that has become too small is replaced by one
-// 1/growSlackDen larger than the depth needs, so an instance grown a frame
-// at a time replaces its list a number of times logarithmic in its final
-// size. An instance's first extension is sized exactly.
-const growSlackDen = 8
 
 // Instance returns an empty growing instance of the BMC query: Extend(k)
 // makes it Formula(k).
@@ -94,6 +99,54 @@ func (u *Unroller) newInstance(step bool) *Instance {
 // NumLiterals is Extend's formula's NumLiterals, kept as the instance
 // grows instead of counted over every clause.
 func (in *Instance) NumLiterals() int { return in.numLits }
+
+// Size returns the variable, clause and literal counts of Extend(k)'s
+// formula without building it: the closed form of the encoding below, which
+// must follow it exactly.
+func (in *Instance) Size(k int) (vars, clauses, literals int) {
+	frames := in.framesAt(k)
+	ands := in.u.c.NumAnds()
+	units := 0
+	if !in.step {
+		units = len(in.constNext) // I(V⁰): one per latch
+	}
+	tailClauses, tailLits, aux := in.tail(k)
+	return in.u.NumVars(frames-1) + aux,
+		units + frames*3*ands + (frames-1)*in.transClauses + tailClauses,
+		units + frames*7*ands + (frames-1)*in.transLits + tailLits
+}
+
+// Grow sizes the clause list ahead for depth k, like slices.Grow, but only
+// records the size: the next Extend that has to replace the list makes it
+// room for Size(k)'s clauses, and an instance never extended past its list
+// allocates nothing for it.
+func (in *Instance) Grow(k int) { _, in.room, _ = in.Size(k) }
+
+// framesAt returns the number of time frames of the depth-k instance.
+func (in *Instance) framesAt(k int) int {
+	if in.step {
+		return k + 2
+	}
+	return k + 1
+}
+
+// tail returns the clause and literal counts of the depth-k tail, and the
+// auxiliary variables it numbers past the frames.
+func (in *Instance) tail(k int) (clauses, literals, aux int) {
+	bad := in.u.c.Properties()[in.u.propIdx].Bad
+	constBad := bad == circuit.True || bad == circuit.False
+	switch {
+	case in.step && !constBad:
+		latches := len(in.constNext)
+		pairs := (k + 1) * k / 2 // frame pairs of the simple path
+		return k + 2 + pairs*(2*latches+1), k + 2 + pairs*7*latches, pairs * latches
+	case in.step || bad == circuit.False:
+		return 1, 0, 0 // the empty clause
+	case bad == circuit.True:
+		return 0, 0, 0
+	}
+	return 1, 1, 0
+}
 
 // Frames returns the number of time frames the instance spans: k+1 for
 // the BMC query at depth k, k+2 for the step query.
@@ -145,10 +198,7 @@ func (in *Instance) carveBody(gates, trans []cnf.Clause, s bodySlab) (g, t []cnf
 // it holds, and returns its formula — the same value every time, valid
 // until the next Extend.
 func (in *Instance) Extend(k int) *cnf.Formula {
-	frames := k + 1
-	if in.step {
-		frames = k + 2
-	}
+	frames := in.framesAt(k)
 	if k < 0 || frames < in.frames {
 		panic(fmt.Sprintf("unroll: cannot extend an instance of %d frames to depth %d", in.frames, k))
 	}
@@ -181,8 +231,8 @@ func (in *Instance) Extend(k int) *cnf.Formula {
 			}
 			f0, f1 := c.Fanins(n)
 			out, a, b := lits.PosLit(u.VarFor(n, frame)), u.LitFor(f0, frame), u.LitFor(f1, frame)
-			// out <-> (a & b), as cnf.Formula.AddAnd2 spells it.
-			body = append(body, out.Neg(), a, out.Neg(), b, out, a.Neg(), b.Neg())
+			// out <-> (a & b), as cnf.Formula.AddAnd2 spells it: a < b < out.
+			body = append(body, a, out.Neg(), b, out.Neg(), a.Neg(), b.Neg(), out)
 		}
 	}
 	// Latch transitions between consecutive frames.
@@ -196,9 +246,10 @@ func (in *Instance) Extend(k int) *cnf.Formula {
 			case circuit.False:
 				body = append(body, lhs.Neg())
 			default:
-				// lhs <-> next, as cnf.Formula.AddEq spells it.
+				// lhs <-> next, as cnf.Formula.AddEq spells it: rhs lies
+				// in the earlier frame, so rhs < lhs.
 				rhs := u.LitFor(next, frame)
-				body = append(body, lhs.Neg(), rhs, lhs, rhs.Neg())
+				body = append(body, rhs, lhs.Neg(), rhs.Neg(), lhs)
 			}
 		}
 	}
@@ -208,17 +259,7 @@ func (in *Instance) Extend(k int) *cnf.Formula {
 	in.bodyLits += len(body)
 
 	// The clause list: the body's headers, then room for the tail.
-	tailClauses, tailLits := 1, 1
-	switch {
-	case in.step && !constBad:
-		pairs := (k + 1) * k / 2 // frame pairs of the simple path
-		tailClauses = k + 2 + pairs*(2*len(latches)+1)
-		tailLits = k + 2 + pairs*7*len(latches)
-	case in.step || bad == circuit.False:
-		tailLits = 0 // the empty clause
-	case bad == circuit.True:
-		tailClauses, tailLits = 0, 0
-	}
+	tailClauses, tailLits, _ := in.tail(k)
 	missing := in.slabs[len(in.slabs)-1:] // slabs the list has no headers for
 	newGates := slab.units + slab.frames*3*c.NumAnds()
 	newTrans := slab.steps * in.transClauses
@@ -226,12 +267,8 @@ func (in *Instance) Extend(k int) *cnf.Formula {
 		// Headers can be carved from the slabs again, so the list is not
 		// copied but let go of before its successor is made: the two are
 		// never live together.
-		room := need
-		if cap(in.f.Clauses) > 0 {
-			room += need / growSlackDen
-		}
 		in.f.Clauses = nil
-		in.f.Clauses = make([]cnf.Clause, 0, room)
+		in.f.Clauses = make([]cnf.Clause, 0, max(need, in.room))
 		missing = in.slabs
 		newGates, newTrans = newGates+in.gatesEnd, newTrans+in.bodyEnd-in.gatesEnd
 		in.gatesEnd, in.bodyEnd = 0, 0
@@ -265,7 +302,7 @@ func (in *Instance) Extend(k int) *cnf.Formula {
 		// Simple path: the states of frames 0..k are pairwise distinct.
 		// For each pair i<j one diff variable per latch, numbered past the
 		// frames (d → latch_i ⊕ latch_j; one direction suffices), and
-		// OR(diffs).
+		// OR(diffs), whose diffs are numbered in ascending order.
 		or := make([]lits.Lit, len(latches))
 		for i := 0; i <= k; i++ {
 			for j := i + 1; j <= k; j++ {
@@ -273,8 +310,8 @@ func (in *Instance) Extend(k int) *cnf.Formula {
 					nVars++
 					d := lits.PosLit(lits.Var(nVars))
 					a, b := lits.PosLit(u.VarFor(id, i)), lits.PosLit(u.VarFor(id, j))
-					emit(d.Neg(), a, b)
-					emit(d.Neg(), a.Neg(), b.Neg())
+					emit(a, b, d.Neg())
+					emit(a.Neg(), b.Neg(), d.Neg())
 					or[l] = d
 				}
 				emit(or...)

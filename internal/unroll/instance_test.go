@@ -1,6 +1,7 @@
 package unroll
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -124,30 +125,108 @@ func TestPropertyGrownInstanceIsOneShot(t *testing.T) {
 }
 
 // TestInstanceClauseListGrowsGeometrically: an instance grown a frame at a
-// time replaces its clause list with head-room, so that it does so a number
-// of times logarithmic in the depth, and never holds more than the
-// head-room past what the depth needs.
+// time and hinted (Grow) for about twice the depth whenever a depth
+// outgrows the last hint replaces its clause list a number of times
+// logarithmic in the depth and ends at exactly the last depth's size;
+// without hints every replacement is exactly as long as the depth needs.
 func TestInstanceClauseListGrowsGeometrically(t *testing.T) {
 	u, err := New(bench.GatedCounter(3, 5, 1, 4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const depth = 200
-	in := u.Instance()
-	moves, lastCap := 0, 0
+	const maxMoves = 9 // ⌈log₂ 200⌉ + 1
+	hinted, unhinted := u.Instance(), u.Instance()
+	moves, lastCap, sizedFor := 0, 0, -1
+	var f *cnf.Formula
 	for k := 0; k <= depth; k++ {
-		f := in.Extend(k)
+		if k > sizedFor {
+			sizedFor = min(2*k+1, depth)
+			hinted.Grow(sizedFor)
+		}
+		f = hinted.Extend(k)
 		if c := cap(f.Clauses); c != lastCap {
 			moves, lastCap = moves+1, c
 		}
-		if n := len(f.Clauses); cap(f.Clauses) > n+n/growSlackDen {
-			t.Fatalf("depth %d: capacity %d for %d clauses, more than 1/%d to spare", k, cap(f.Clauses), n, growSlackDen)
+		before := cap(unhinted.f.Clauses)
+		if g := unhinted.Extend(k); cap(g.Clauses) != before && cap(g.Clauses) != len(g.Clauses) {
+			t.Fatalf("depth %d: unhinted list replaced by %d places for %d clauses", k, cap(g.Clauses), len(g.Clauses))
 		}
 	}
-	// Every depth below growSlackDen frames outgrows its head-room; from
-	// there on the list is replaced once per factor of 1+1/growSlackDen,
-	// some thirty times on the way to 200 frames.
-	if moves > depth/4 {
-		t.Errorf("clause list replaced %d times on the way to depth %d: not geometric", moves, depth)
+	if moves > maxMoves {
+		t.Errorf("hinted clause list replaced %d times on the way to depth %d, want at most %d", moves, depth, maxMoves)
+	}
+	if _, want, _ := hinted.Size(depth); cap(f.Clauses) != want || len(f.Clauses) != want {
+		t.Errorf("depth %d: %d clauses in a list of %d places, want Size's %d in exactly that many", depth, len(f.Clauses), cap(f.Clauses), want)
+	}
+}
+
+// sizeCircuits is what Size is checked on: every model of the suite and
+// the instance circuits (constant next states, constant properties, no AND
+// gate).
+func sizeCircuits() []*circuit.Circuit {
+	cs := instanceCircuits()
+	for _, m := range bench.Suite() {
+		cs = append(cs, m.Build())
+	}
+	return cs
+}
+
+// TestInstanceSizeExact: Size(k) is Extend(k)'s variable, clause and
+// literal count on both queries, so a hint sized from it is exactly what
+// the depth needs.
+func TestInstanceSizeExact(t *testing.T) {
+	const maxK = 12
+	for _, c := range sizeCircuits() {
+		u, err := New(c, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name(), err)
+		}
+		for _, q := range []struct {
+			name string
+			in   *Instance
+		}{{"bmc", u.Instance()}, {"step", u.StepInstance()}} {
+			for k := 0; k <= maxK; k++ {
+				vars, clauses, literals := q.in.Size(k) // asked ahead of the extension
+				f := q.in.Extend(k)
+				if vars != f.NumVars || clauses != f.NumClauses() || literals != f.NumLiterals() {
+					t.Fatalf("%s/%s depth %d: Size says %d variables, %d clauses, %d literals; Extend built %d, %d, %d",
+						c.Name(), q.name, k, vars, clauses, literals, f.NumVars, f.NumClauses(), f.NumLiterals())
+				}
+			}
+		}
+	}
+}
+
+// normalised fails unless every clause of f is strictly ascending with no
+// complementary pair — which, ascending, would be neighbours.
+func normalised(t *testing.T, what string, f *cnf.Formula) {
+	t.Helper()
+	for i, cl := range f.Clauses {
+		for j := 1; j < len(cl); j++ {
+			if cl[j] <= cl[j-1] || cl[j] == cl[j-1].Neg() {
+				t.Fatalf("%s: clause %d %v is not normalised", what, i, cl)
+			}
+		}
+	}
+}
+
+// TestClausesEmittedNormalised: the three encoders — the growing instance,
+// Delta and StepDelta — emit every clause in the form the solver stores,
+// so that loading them sorts nothing.
+func TestClausesEmittedNormalised(t *testing.T) {
+	const maxK = 12
+	for _, c := range sizeCircuits() {
+		u, err := New(c, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name(), err)
+		}
+		bmc, step, d, sd := u.Instance(), u.StepInstance(), u.Delta(), u.StepDelta()
+		for k := 0; k <= maxK; k++ {
+			normalised(t, fmt.Sprintf("%s bmc instance depth %d", c.Name(), k), bmc.Extend(k))
+			normalised(t, fmt.Sprintf("%s step instance depth %d", c.Name(), k), step.Extend(k))
+			normalised(t, fmt.Sprintf("%s delta frame %d", c.Name(), k), d.Frame(k))
+			normalised(t, fmt.Sprintf("%s step delta frame %d", c.Name(), k), sd.Frame(k))
+		}
 	}
 }

@@ -237,8 +237,8 @@ func (sd *StepDelta) Frame(k int) *cnf.Formula {
 				d := lits.PosLit(sd.auxVar(k, i, l))
 				a := lits.PosLit(sd.VarFor(id, i))
 				b := lits.PosLit(sd.VarFor(id, k))
-				f.AddClause(cnf.Clause{d.Neg(), a, b})
-				f.AddClause(cnf.Clause{d.Neg(), a.Neg(), b.Neg()})
+				f.AddClause(cnf.Clause{a, b, d.Neg()})
+				f.AddClause(cnf.Clause{a.Neg(), b.Neg(), d.Neg()})
 				or = append(or, d)
 			}
 			f.AddClause(or)
@@ -255,7 +255,8 @@ func (sd *StepDelta) Frame(k int) *cnf.Formula {
 		// StepFormula's empty clause.
 		f.AddUnit(sd.ActLit(k).Neg())
 	default:
-		f.AddClause(cnf.Clause{sd.ActLit(k).Neg(), sd.LitFor(bad, k+1)})
+		// Normalised as every clause here: actₖ follows frame k+1's nodes.
+		f.AddClause(cnf.Clause{sd.LitFor(bad, k+1), sd.ActLit(k).Neg()})
 	}
 	sd.metrics.observe(buildStart, f)
 	return f
