@@ -53,8 +53,8 @@ type sequence interface {
 // Executor is done with them when Race returns.
 //
 // What a depth outgrows — the instance's clause list, each solver's tables,
-// each guidance buffer — grows by one rule, grow's, which sizes it for a
-// depth ahead up to the check's MaxDepth.
+// each guidance buffer — is sized ahead for a depth up to the check's
+// MaxDepth by the rule the persistent lifetime shares (grow).
 type freshSeq struct {
 	plan
 	exec  Executor
@@ -79,56 +79,16 @@ type freshSeq struct {
 	sizedFor, sizedVars int
 }
 
-// maxSizedInstance bounds the instances grow sizes storage for, counted as
-// variables plus clauses plus literals: no solver could load a larger one
-// (its clause arena addresses 2^32 words), and the bound keeps the sizes
-// grow computes far from overflowing.
-const maxSizedInstance = 1 << 32
-
-// grow is the scratch lifetime's growth rule, applied when depth k
-// outgrows what the storage was sized for. It sizes the storage for the
-// deepest depth whose instance fits the smallest of maxDepth's size, its
-// half, its quarter, ... that holds depth k's instance (a size counts
-// variables, clauses and literals together). That is less than twice depth
-// k's size, so no depth holds more than twice what it needs; and the sizes
-// taken are maxDepth's and its halves, so storage moves O(log maxDepth)
-// times over a check, allocates about twice maxDepth's size in all, and
-// ends at exactly that size. The hints are only recorded: a solver that
-// never loads (a skipped attempt, a race won remotely) allocates nothing.
+// grow applies the growth rule both lifetimes share, unroll.GrowthDepth,
+// when depth k outgrows what the storage was sized for: the clause list
+// and every strategy's solver tables are hinted for the depth it picks. The
+// hints are only recorded: a solver that never loads (a skipped attempt, a
+// race won remotely) allocates nothing.
 func (q *freshSeq) grow(k int) {
-	size := func(t int) int {
+	t := unroll.GrowthDepth(k, q.maxDepth, func(t int) int {
 		vars, clauses, literals := q.inst.Size(t)
 		return vars + clauses + literals
-	}
-	// deepest returns the deepest depth from k to maxDepth at which within
-	// holds, given that it holds at k, or k if it holds nowhere past it.
-	// Sizes only grow with the depth, and maxDepth may be far away: gallop
-	// to the first depth where within fails, then bisect.
-	deepest := func(within func(t int) bool) int {
-		fits, over := k, -1
-		for step := 1; fits < q.maxDepth; step *= 2 {
-			t := min(k+step, q.maxDepth)
-			if !within(t) {
-				over = t
-				break
-			}
-			fits = t
-		}
-		for over > fits+1 {
-			if mid := fits + (over-fits)/2; within(mid) {
-				fits = mid
-			} else {
-				over = mid
-			}
-		}
-		return fits
-	}
-	limit := size(deepest(func(t int) bool { return size(t) <= maxSizedInstance }))
-	for at := size(k); at > 0 && at <= limit/2; {
-		limit /= 2
-	}
-	t := deepest(func(t int) bool { return size(t) <= limit })
-
+	})
 	vars, clauses, literals := q.inst.Size(t)
 	q.inst.Grow(t)
 	for _, s := range q.solvers {
@@ -332,6 +292,7 @@ func (s *Session) poolConfig(query Query, p plan, board *core.ScoreBoard, exchan
 		Board:      board,
 		Divisor:    p.divisor,
 		Record:     p.record,
+		MaxDepth:   s.cfg.MaxDepth,
 		Exchange:   exchange,
 		Race: func(q string, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
 			return exec.RaceLive(Query(q), attempts, assumps, jobs, stop)

@@ -4,12 +4,14 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/lits"
 	"repro/internal/portfolio"
 	"repro/internal/sat"
 	"repro/internal/unroll"
@@ -141,6 +143,96 @@ func TestScratchStorageGrowsLogarithmically(t *testing.T) {
 			if at != 0 {
 				t.Errorf("attempt %d never loads, yet holds its %s", i+1, table)
 			}
+		}
+	}
+}
+
+// warmWatch is storageWatch for the persistent lifetime: it hands each
+// attempt's solver out through a wrapper that keeps it, and once the race
+// has joined looks at where every solver handed out keeps the elements of
+// its per-variable and per-literal tables, and where each attempt's
+// guidance is. It counts the solvers each attempt handed out.
+type warmWatch struct {
+	storageWatch
+	loads map[string]int
+}
+
+func newWarmWatch() *warmWatch {
+	return &warmWatch{storageWatch: *newStorageWatch(), loads: make(map[string]int)}
+}
+
+func (w *warmWatch) RaceLive(q engine.Query, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
+	solvers := make([]*sat.Solver, len(attempts))
+	wrapped := slices.Clone(attempts)
+	for i, a := range attempts {
+		wrapped[i].Solver = func() *sat.Solver {
+			solvers[i] = a.Solver()
+			return solvers[i]
+		}
+	}
+	res := w.LocalExecutor.RaceLive(q, wrapped, assumps, jobs, stop)
+	for i, a := range attempts {
+		w.note(a.Name+" guidance", reflect.ValueOf(a.Opts.Guidance).Pointer())
+		if solvers[i] == nil {
+			continue
+		}
+		w.loads[a.Name]++
+		for table, at := range engine.SolverTables(solvers[i]) {
+			// The arena also holds learnt clauses, and a warm solver keeps
+			// no slab: neither is sized by variables.
+			if table != "ca.mem" && table != "watchSlab" {
+				w.note(a.Name+" "+table, at)
+			}
+		}
+	}
+	return res
+}
+
+// TestWarmStorageGrowsLogarithmically: a persistent solver grows by the
+// rule scratch solvers grow by. Over incremental_deep's 20-depth mix_w8
+// check every per-variable and per-literal table of the solver, and the
+// racer's guidance, moves at most ⌈log₂ 21⌉+1 = 6 times; 5 today. (When
+// AddVars appended a variable at a time and the pool made a new guidance
+// array at every depth, the watch table moved 11 times, the guidance 21.)
+// And a racer that never loads is never handed a solver: raced one attempt
+// at a time, the portfolio's first strategy decides every depth, and the
+// other three's solvers are never made (the pool's side of this is in
+// racer's TestLateStarterMatchesEagerFeed).
+func TestWarmStorageGrowsLogarithmically(t *testing.T) {
+	const depth, maxMoves = 20, 6
+	w := newWarmWatch()
+	sess, err := engine.New(bench.ParityMixer(8, 3, 12), 0, engine.WithBudgets(depth, 0),
+		engine.WithOrdering(core.OrderDynamic), engine.WithIncremental(), engine.WithExecutor(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := sess.Check(context.Background()); err != nil || res.Verdict != engine.Holds || res.K != depth {
+		t.Fatalf("%v at %d (%v), want holds at %d", res.Verdict, res.K, err, depth)
+	}
+	for _, storage := range []string{"dynamic guidance", "dynamic watches", "dynamic reason", "dynamic heap.pos"} {
+		if w.moves[storage] == 0 {
+			t.Fatalf("%s never seen: the watch looks at the wrong storage (%v)", storage, w.moves)
+		}
+	}
+	t.Logf("allocations by storage: %v", w.moves)
+	for storage, n := range w.moves {
+		if n > maxMoves {
+			t.Errorf("%s allocated %d times over %d depths, want at most %d", storage, n, depth, maxMoves)
+		}
+	}
+
+	idle := newWarmWatch()
+	sess, err = engine.New(bench.GatedCounter(3, 5, 1, 4), 0, engine.WithBudgets(8, 0), engine.WithIncremental(),
+		engine.WithPortfolio(portfolio.DefaultSet(), 1), engine.WithExecutor(idle))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Check(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range portfolio.DefaultSet().Names() {
+		if n := idle.loads[name]; (i == 0) != (n > 0) {
+			t.Errorf("strategy %d (%s) handed out a solver at %d depths; want every depth for the first, none for the rest", i, name, n)
 		}
 	}
 }

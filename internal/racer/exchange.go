@@ -94,6 +94,9 @@ const foreignSource = "remote"
 func (p *Pool) exchange(out *DepthOutcome, k int) {
 	ex := p.cfg.Exchange
 	for i, from := range p.racers {
+		if from.feed.Solver == nil {
+			continue // never loaded: it has learned nothing
+		}
 		clauses := from.feed.Solver.ExportLearned(from.exportMark, ex.MaxLen, ex.MaxLBD, ex.PerRacerBudget)
 		from.exportMark = from.feed.Solver.NextClauseID()
 		if len(clauses) == 0 {

@@ -72,13 +72,20 @@ func (f *Feed) Deliver(k int, from string, clauses []cnf.Clause) (Receipt, bool)
 	return Receipt{}, false
 }
 
-// CatchUp brings the solver to depth k and returns it ready to search: per
-// missing depth the frame's variables and clauses (frame(d) must return
-// the same clauses whenever it is asked), then the inbox batches of that
-// boundary, and last the depth's guidance. The receipts are those of the
-// batches it imported on the way. This is the only place a persistent
-// solver is loaded; it runs on the goroutine that is about to solve.
+// CatchUp brings the solver to depth k and returns it ready to search: the
+// depth's guidance, then per missing depth the frame's variables and
+// clauses (frame(d) must return the same clauses whenever it is asked) and
+// the inbox batches of that boundary. The receipts are those of the batches
+// it imported on the way. This is the only place a persistent solver is
+// loaded; it runs on the goroutine that is about to solve.
+//
+// The guidance goes in first, so that it already covers every variable the
+// frames add: the solver never pads it, and so never writes into the
+// caller's array — which may be the one the caller reuses at every depth.
+// Where the heap is rebuilt cannot move a decision, each decision being the
+// argmax of a strict total order.
 func (f *Feed) CatchUp(k int, frame func(d int) *cnf.Formula, guidance []float64, switchAfter int64) (*sat.Solver, []Receipt) {
+	f.Solver.SetGuidance(guidance, switchAfter)
 	var got []Receipt
 	for ; f.fed <= k; f.fed++ {
 		got = f.drain(f.fed, got)
@@ -93,7 +100,6 @@ func (f *Feed) CatchUp(k int, frame func(d int) *cnf.Formula, guidance []float64
 		f.Loaded.Inc()
 	}
 	got = f.drain(k+1, got)
-	f.Solver.SetGuidance(guidance, switchAfter)
 	return f.Solver, got
 }
 

@@ -25,12 +25,28 @@ import (
 // ImportClause in boundary order. A shortcut that loads only the racer
 // that has always won passes every test in which the first racer decides
 // every depth, and fails here.
+//
+// The late racer runs the dynamic and the time-axis strategy, in a pool
+// sized ahead for the check: once it has loaded, each depth's guidance is
+// written over the array its solver holds, also while it is behind and
+// taking bus clauses into its inbox. Both strategies score variables of
+// the frames a catch-up adds (time-axis every one, dynamic those in the
+// cores of depths the racer missed), so a solver that padded that array as
+// it added them would zero those scores: the guidance it searched under
+// must be its strategy's for the depth, as the reference's is, which gets
+// a new array at every depth.
 func TestLateStarterMatchesEagerFeed(t *testing.T) {
+	for _, late := range []core.Strategy{core.OrderDynamic, core.OrderTimeAxis} {
+		t.Run(late.String(), func(t *testing.T) { lateStarterMatchesEagerFeed(t, late) })
+	}
+}
+
+func lateStarterMatchesEagerFeed(t *testing.T, late core.Strategy) {
 	const (
 		budget   = 150
 		maxDepth = 8
 	)
-	early, late := core.OrderVSIDS, core.OrderDynamic
+	early := core.OrderVSIDS
 	u, err := unroll.New(bench.ParityMixer(5, 3, 10), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +65,7 @@ func TestLateStarterMatchesEagerFeed(t *testing.T) {
 		Board:      board,
 		Divisor:    core.SwitchDivisor,
 		Record:     true,
+		MaxDepth:   maxDepth,
 		Exchange: ExchangeOptions{Enabled: true, OnExport: func(k int, from string, clauses []cnf.Clause) {
 			if from == early.String() {
 				exports[k] = clauses
@@ -79,8 +96,9 @@ func TestLateStarterMatchesEagerFeed(t *testing.T) {
 		got := out.Race.Outcomes[1]
 		switch {
 		case got.Skipped && first < 0:
-			if fed, n := lateRacer.feed.Fed(), lateRacer.feed.Solver.NumVars(); fed != 0 || n != 0 {
-				t.Fatalf("depth %d: the late racer never raced and holds %d frames, %d variables", k, fed, n)
+			if fed := lateRacer.feed.Fed(); fed != 0 || lateRacer.feed.Solver != nil || lateRacer.guidance != nil {
+				t.Fatalf("depth %d: the late racer never raced, yet holds %d frames, a solver (%v) or guidance (%d)",
+					k, fed, lateRacer.feed.Solver != nil, len(lateRacer.guidance))
 			}
 		case got.Skipped:
 			// The early racer decided this one: the late racer falls behind
@@ -91,6 +109,9 @@ func TestLateStarterMatchesEagerFeed(t *testing.T) {
 				first = k
 			}
 			raced++
+			if !slices.Equal(lateRacer.guidance, g) {
+				t.Fatalf("depth %d: the late racer searched under guidance other than its strategy's for the depth", k)
+			}
 			ref.SetGuidance(g, switchAfter)
 			want := ref.SolveAssuming([]lits.Lit{src.Assumption(k)})
 			got.Stats.SolveTime, want.Stats.SolveTime = 0, 0
@@ -115,8 +136,9 @@ func TestLateStarterMatchesEagerFeed(t *testing.T) {
 			}
 		}
 	}
-	if first < 2 || raced < 3 {
-		t.Fatalf("the late racer first raced at depth %d and raced %d depths; the test needs it skipped at least twice and racing at least three times", first, raced)
+	if first < 2 || raced < 3 || skippedAgain == 0 {
+		t.Fatalf("the late racer first raced at depth %d, raced %d depths and fell behind again at %d; the test needs it skipped at least twice, racing at least three times, and behind again at least once",
+			first, raced, skippedAgain)
 	}
 	t.Logf("late racer first raced at depth %d, raced %d depths, fell behind again at %d, imported %d bus clauses",
 		first, raced, skippedAgain, lateRacer.feed.Imported())
@@ -182,7 +204,7 @@ func TestForeignClausesBecomeLeaves(t *testing.T) {
 
 	for k = 0; k < len(foreign); k++ {
 		out := pool.RaceDepth(k)
-		if len(out.Imported) != 0 || recipient.feed.Fed() != 0 || recipient.feed.Solver.NumVars() != 0 {
+		if len(out.Imported) != 0 || recipient.feed.Fed() != 0 || recipient.feed.Solver != nil {
 			t.Fatalf("depth %d: nothing raced here, yet imported=%v and the recipient holds %d frames", k, out.Imported, recipient.feed.Fed())
 		}
 	}

@@ -42,6 +42,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/portfolio"
 	"repro/internal/sat"
+	"repro/internal/unroll"
 )
 
 // Racer and clause-bus metric base names (family_metric convention,
@@ -92,6 +93,11 @@ type Config struct {
 	// Record attaches a CDG recorder to every racer, so whichever racer
 	// wins an UNSAT depth has a core to contribute to the board.
 	Record bool
+	// MaxDepth is the deepest depth the pool will race. The racers' solvers
+	// and guidance buffers are sized ahead for it by unroll.GrowthDepth, the
+	// rule scratch solvers grow by; at a depth past it they grow as they
+	// go.
+	MaxDepth int
 	// Exchange configures the clause bus; the zero value leaves it off.
 	Exchange ExchangeOptions
 	// Race runs each depth's race; nil selects portfolio.RaceLive (the
@@ -120,11 +126,18 @@ type Config struct {
 type racerState struct {
 	name     string
 	strategy core.Strategy
-	// feed is the solver, how far it is loaded, and its bus inbox. Its
+	// feed is the solver, how far it is loaded, and its bus inbox. The
+	// solver is made, with opts, when the racer first loads: until then
+	// feed.Solver is nil and the racer holds no solver storage. Its
 	// recorder is the racer's own cross-depth CDG (recorders are
 	// per-goroutine state and must never be shared between racers); nil
 	// unless Config.Record.
 	feed Feed
+	opts sat.Options
+	// guidance is the array the racer's guidance is written over at every
+	// depth, which its solver holds between depths; nil until the racer
+	// first loads, and for a strategy without guidance.
+	guidance []float64
 	// receipts are the imports the racer's catch-up made during the
 	// running race; the pool books them once the race has joined.
 	receipts []Receipt
@@ -154,14 +167,19 @@ type Pool struct {
 	// set of counters serves all).
 	totalClauses int
 	totalLits    int
+
+	// sizedFor is the depth the racers' storage was last sized for (-1
+	// before the first), hint that depth's Source.Size.
+	sizedFor int
+	hint     struct{ vars, clauses, literals int }
 }
 
-// NewPool builds one persistent solver per strategy over an empty clause
-// set; frames are pulled depth by depth through RaceDepth from the given
-// query sequence (DeltaSource for BMC / induction base cases, StepSource
-// for induction step cases), and re-pulled for a racer that starts late:
-// Source.Frame must be a pure function of k, callable from several
-// goroutines at once.
+// NewPool builds one racer per strategy, whose persistent solver is made
+// when it first loads; frames are pulled depth by depth through RaceDepth
+// from the given query sequence (DeltaSource for BMC / induction base
+// cases, StepSource for induction step cases), and re-pulled for a racer
+// that starts late: Source.Frame must be a pure function of k, callable
+// from several goroutines at once.
 func NewPool(src Source, cfg Config) *Pool {
 	if cfg.Race == nil {
 		cfg.Race = func(_ string, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
@@ -169,25 +187,58 @@ func NewPool(src Source, cfg Config) *Pool {
 		}
 	}
 	cfg.Exchange = cfg.Exchange.withDefaults()
-	p := &Pool{src: src, cfg: cfg}
+	p := &Pool{src: src, cfg: cfg, sizedFor: -1}
 	for _, st := range cfg.Strategies {
-		solverOpts := cfg.Opts
-		r := &racerState{name: st.String(), strategy: st}
+		r := &racerState{name: st.String(), strategy: st, opts: cfg.Opts}
 		if cfg.Record {
 			r.feed.Rec = core.NewRecorderWith(0, core.WithLeaves)
-			solverOpts.Recorder = r.feed.Rec
+			r.opts.Recorder = r.feed.Rec
 		}
 		if cfg.Metrics != nil {
-			solverOpts.Metrics = sat.NewMetrics(cfg.Metrics, p.labels("strategy", r.name)...)
+			r.opts.Metrics = sat.NewMetrics(cfg.Metrics, p.labels("strategy", r.name)...)
 			r.feed.Loaded = cfg.Metrics.Counter(p.name(metricRacerLoaded, "strategy", r.name))
 			r.mWarmConflicts = cfg.Metrics.Counter(p.name(metricRacerConflicts, "strategy", r.name, "state", "warm"))
 			r.mColdConflicts = cfg.Metrics.Counter(p.name(metricRacerConflicts, "strategy", r.name, "state", "cold"))
 			r.mWins = cfg.Metrics.Counter(p.name(metricRacerWins, "strategy", r.name))
 		}
-		r.feed.Solver = sat.New(cnf.New(0), solverOpts)
 		p.racers = append(p.racers, r)
 	}
 	return p
+}
+
+// grow applies the growth rule both lifetimes share, unroll.GrowthDepth,
+// when depth k outgrows what the racers were sized for: every solver is
+// hinted for the depth it picks, and so is every solver made later. The
+// hint is only recorded, so a racer that never loads allocates nothing.
+func (p *Pool) grow(k int) {
+	t := unroll.GrowthDepth(k, p.cfg.MaxDepth, func(t int) int {
+		vars, clauses, literals := p.src.Size(t)
+		return vars + clauses + literals
+	})
+	h := &p.hint
+	h.vars, h.clauses, h.literals = p.src.Size(t)
+	for _, r := range p.racers {
+		if r.feed.Solver != nil {
+			r.feed.Solver.Grow(h.vars, h.clauses, h.literals)
+		}
+	}
+	p.sizedFor = t
+}
+
+// catchUp is racer r's load at depth k, on the race goroutine about to
+// solve: it makes r's solver if r has none yet, sized ahead as grow last
+// hinted, and brings it to depth k under the depth's guidance, which r then
+// keeps as the array to write the next depth's over.
+func (p *Pool) catchUp(r *racerState, k int, frames func(d int) *cnf.Formula, guidance []float64, switchAfter int64) *sat.Solver {
+	if r.feed.Solver == nil {
+		s := new(sat.Solver)
+		s.Grow(p.hint.vars, p.hint.clauses, p.hint.literals)
+		s.Load(cnf.New(0), r.opts)
+		r.feed.Solver = s
+	}
+	s, got := r.feed.CatchUp(k, frames, guidance, switchAfter)
+	r.receipts, r.guidance = got, guidance
+	return s
 }
 
 // labels prepends the pool's query label (when set) to the given pairs.
@@ -261,6 +312,9 @@ func (p *Pool) RaceDepth(k int) DepthOutcome { return p.RaceDepthStop(k, nil) }
 // core folding and the clause bus — still runs after the race joins, so a
 // cancelled depth's conflicts are not thrown away.
 func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
+	if k > p.sizedFor && k <= p.cfg.MaxDepth {
+		p.grow(k)
+	}
 	encodeStart := time.Now()
 	frame := p.src.Frame(k)
 	encodeWall := time.Since(encodeStart)
@@ -278,20 +332,24 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 		return p.src.Frame(d)
 	}
 
-	// Every attempt gets guidance of its own: Feed.CatchUp hands it to the
-	// solver, which keeps it.
+	// A racer that has loaded gets its guidance written over the array its
+	// solver holds, which is at rest until Feed.CatchUp hands it back; one
+	// that has not gets a new array for each depth, which it keeps once it
+	// loads. An array that no longer fits is replaced by one sized as the
+	// solvers are.
 	in := layout(p.src, k)
 	attempts := make([]portfolio.LiveAttempt, len(p.racers))
 	warm := make([]bool, len(p.racers))
 	for i, r := range p.racers {
+		if g := r.guidance; g != nil && cap(g) < in.NumVars+1 {
+			r.guidance = make([]float64, 0, max(p.hint.vars, in.NumVars)+1)
+		}
 		opts := p.cfg.Opts
-		opts.Guidance, opts.SwitchAfterDecisions = r.strategy.Guidance(p.cfg.Board, in, p.totalLits, p.cfg.Divisor, nil)
+		opts.Guidance, opts.SwitchAfterDecisions = r.strategy.Guidance(p.cfg.Board, in, p.totalLits, p.cfg.Divisor, r.guidance)
 		attempts[i] = portfolio.LiveAttempt{Name: r.name, Opts: opts, Solver: func() *sat.Solver {
-			s, got := r.feed.CatchUp(k, frames, opts.Guidance, opts.SwitchAfterDecisions)
-			r.receipts = got
-			return s
+			return p.catchUp(r, k, frames, opts.Guidance, opts.SwitchAfterDecisions)
 		}}
-		warm[i] = r.feed.Solver.Stats().Conflicts > 0
+		warm[i] = r.feed.Solver != nil && r.feed.Solver.Stats().Conflicts > 0
 	}
 
 	out := DepthOutcome{

@@ -26,6 +26,10 @@ type Source interface {
 	Assumption(k int) lits.Lit
 	// NumVars returns the variable count once frames 0..k are added.
 	NumVars(k int) int
+	// Size returns the variable, clause and literal counts of frames
+	// 0..k taken together, exactly, without building them: what the pool
+	// sizes its solvers ahead by.
+	Size(k int) (vars, clauses, literals int)
 	// Frames returns the number of time frames the depth-k instance spans
 	// (the time-axis guidance scores frame f as Frames(k)−f).
 	Frames(k int) int
@@ -44,10 +48,11 @@ type deltaSource struct{ d *unroll.Delta }
 // the k-induction base-case sequence).
 func DeltaSource(d *unroll.Delta) Source { return deltaSource{d} }
 
-func (s deltaSource) Frame(k int) *cnf.Formula  { return s.d.Frame(k) }
-func (s deltaSource) Assumption(k int) lits.Lit { return s.d.ActLit(k) }
-func (s deltaSource) NumVars(k int) int         { return s.d.NumVars(k) }
-func (s deltaSource) Frames(k int) int          { return k + 1 }
+func (s deltaSource) Frame(k int) *cnf.Formula   { return s.d.Frame(k) }
+func (s deltaSource) Assumption(k int) lits.Lit  { return s.d.ActLit(k) }
+func (s deltaSource) NumVars(k int) int          { return s.d.NumVars(k) }
+func (s deltaSource) Size(k int) (int, int, int) { return s.d.Size(k) }
+func (s deltaSource) Frames(k int) int           { return k + 1 }
 func (s deltaSource) VarInfo(v lits.Var) (int, bool) {
 	_, frame, isAct := s.d.NodeOf(v)
 	return frame, isAct
@@ -63,5 +68,6 @@ func StepSource(sd *unroll.StepDelta) Source { return stepSource{sd} }
 func (s stepSource) Frame(k int) *cnf.Formula       { return s.sd.Frame(k) }
 func (s stepSource) Assumption(k int) lits.Lit      { return s.sd.ActLit(k) }
 func (s stepSource) NumVars(k int) int              { return s.sd.NumVars(k) }
+func (s stepSource) Size(k int) (int, int, int)     { return s.sd.Size(k) }
 func (s stepSource) Frames(k int) int               { return s.sd.Frames(k) }
 func (s stepSource) VarInfo(v lits.Var) (int, bool) { return s.sd.VarInfo(v) }

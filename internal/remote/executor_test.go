@@ -121,35 +121,54 @@ func remoteShapes() []struct {
 // a mixed suite of models, a session whose races run on remote workers
 // returns the same verdict at the same depth as the all-local session,
 // with the races demonstrably flowing through the wire (remote races
-// counted, zero fallbacks).
+// counted, zero fallbacks). The "faults" variants run the same over a
+// hostile transport (faultConn: every write split at random byte
+// boundaries and each piece delayed), which a healthy link must absorb
+// without a single fallback.
 func TestLoopbackEquivalence(t *testing.T) {
-	for _, shape := range remoteShapes() {
+	for i, shape := range remoteShapes() {
 		for _, workers := range []int{1, 2} {
-			shape, workers := shape, workers
-			t.Run(fmt.Sprintf("%s/w%d", shape.name, workers), func(t *testing.T) {
-				t.Parallel()
-				for _, name := range shape.models {
-					m := equivalenceModel(t, name)
-					base := append([]engine.Option{engine.WithBudgets(shape.depth, 0)}, shape.opts...)
-					ref := checkWith(t, m, base...)
-
-					e, reg := newLoopbackExecutor(t, workers, fastOpts())
-					res := checkWith(t, m, append(base, engine.WithExecutor(e))...)
-					e.Close()
-
-					if res.Verdict != ref.Verdict || res.K != ref.K {
-						t.Errorf("%s: remote (%v@%d) disagrees with local (%v@%d)",
-							name, res.Verdict, res.K, ref.Verdict, ref.K)
-					}
-					snap := reg.Snapshot()
-					if snap.Counters[metricRemoteRaces] == 0 {
-						t.Errorf("%s: no races went through the remote executor", name)
-					}
-					if n := snap.Counters[metricRemoteFallbacks]; n != 0 {
-						t.Errorf("%s: %d local fallbacks on a healthy loopback", name, n)
-					}
+			for _, faulty := range []bool{false, true} {
+				name := fmt.Sprintf("%s/w%d", shape.name, workers)
+				if faulty {
+					name += "/faults"
 				}
-			})
+				seed := uint64(10*i + workers)
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					loopbackEquivalence(t, shape.models, shape.depth, shape.opts, workers, faulty, seed)
+				})
+			}
+		}
+	}
+}
+
+func loopbackEquivalence(t *testing.T, models []string, depth int, opts []engine.Option, workers int, faulty bool, seed uint64) {
+	for _, name := range models {
+		m := equivalenceModel(t, name)
+		base := append([]engine.Option{engine.WithBudgets(depth, 0)}, opts...)
+		ref := checkWith(t, m, base...)
+
+		var e *Executor
+		var reg *obs.Registry
+		if faulty {
+			e, reg = newFaultyLoopbackExecutor(t, workers, fastOpts(), seed, -1)
+		} else {
+			e, reg = newLoopbackExecutor(t, workers, fastOpts())
+		}
+		res := checkWith(t, m, append(base, engine.WithExecutor(e))...)
+		e.Close()
+
+		if res.Verdict != ref.Verdict || res.K != ref.K {
+			t.Errorf("%s: remote (%v@%d) disagrees with local (%v@%d)",
+				name, res.Verdict, res.K, ref.Verdict, ref.K)
+		}
+		snap := reg.Snapshot()
+		if snap.Counters[metricRemoteRaces] == 0 {
+			t.Errorf("%s: no races went through the remote executor", name)
+		}
+		if n := snap.Counters[metricRemoteFallbacks]; n != 0 {
+			t.Errorf("%s: %d local fallbacks on a healthy loopback", name, n)
 		}
 	}
 }

@@ -14,6 +14,13 @@ import (
 // same cold-replay a real worker restart causes). Close tears down the
 // executor and joins every in-process handler.
 func NewLoopback(n int, opts Options, wopts WorkerOptions) (*Executor, error) {
+	return newLoopback(n, opts, wopts, nil)
+}
+
+// newLoopback is NewLoopback with the coordinator's and the worker's end
+// of every connection passed through wrap, when it is not nil: the seam a
+// test puts a hostile transport in.
+func newLoopback(n int, opts Options, wopts WorkerOptions, wrap func(coord, worker net.Conn) (net.Conn, net.Conn)) (*Executor, error) {
 	if n <= 0 {
 		n = 1
 	}
@@ -21,6 +28,9 @@ func NewLoopback(n int, opts Options, wopts WorkerOptions) (*Executor, error) {
 	var handlers sync.WaitGroup
 	opts.Dial = func(string) (net.Conn, error) {
 		coord, worker := net.Pipe()
+		if wrap != nil {
+			coord, worker = wrap(coord, worker)
+		}
 		handlers.Add(1)
 		go func() {
 			defer handlers.Done()

@@ -132,17 +132,15 @@ func (a *arena) touch(c cref, stamp int64) {
 func (a *arena) fits(words int) bool { return len(a.mem)+words <= cap(a.mem) }
 
 // grow moves the store to a larger array with room for at least words more
-// words. Old and new array coexist until the collector runs, which is why
-// Solver.reserve compacts instead when that makes the room.
-func (a *arena) grow(words int) {
+// words: the larger of a growth step and hint words. Old and new array
+// coexist until the collector runs, which is why Solver.reserve compacts
+// instead when that makes the room.
+func (a *arena) grow(words, hint int) {
 	need := len(a.mem) + words
 	if uint64(need) >= uint64(crefUndef) {
 		panic("sat: clause arena exceeds 2^32 words")
 	}
-	newCap := cap(a.mem) + cap(a.mem)/arenaGrowDen
-	if newCap < need {
-		newCap = need
-	}
+	newCap := max(cap(a.mem)+cap(a.mem)/arenaGrowDen, need, hint)
 	mem := make([]uint32, len(a.mem), newCap)
 	copy(mem, a.mem)
 	a.mem = mem

@@ -84,11 +84,12 @@ func (h *varHeap) popMax() lits.Var {
 }
 
 // grow extends the position index to cover variables 1..nVars (incremental
-// variable addition); new variables are absent until inserted.
-func (h *varHeap) grow(nVars int) {
-	for len(h.pos) < nVars+1 {
-		h.pos = append(h.pos, -1)
-	}
+// variable addition); new variables are absent until inserted. Where either
+// array has to move and a hint of that many variables holds nVars, it moves
+// to the hint's size.
+func (h *varHeap) grow(nVars, hint int) {
+	h.heap = room(h.heap, nVars, hint)
+	h.pos = extend(h.pos, nVars+1, hint+1, -1)
 }
 
 // rebuild re-establishes the heap property after a bulk comparator change

@@ -391,19 +391,42 @@ func TestConstantIntervalRestarts(t *testing.T) {
 // variables per depth, so what AddVars allocates for the watch table over a
 // run must be a small multiple of the table's final size. Reallocating it
 // at its exact size on every call (as AddVars once did) allocates about
-// depth/2 times that — 20x here.
+// depth/2 times that — 20x here. A solver told by Grow how many variables
+// the run ends with moves the table once, to exactly that size, and every
+// per-variable and per-literal table with it.
 func TestAddVarsGrowsWatchTableAmortised(t *testing.T) {
-	s := New(cnf.New(0), Defaults())
-	allocated := 0
-	var backing *[]watcher
-	for frame := 1; frame <= 40; frame++ {
-		s.AddVars(500 * frame)
-		if first := &s.watches[0]; first != backing {
-			backing = first
-			allocated += cap(s.watches)
+	const frames, width = 40, 500
+	for _, hinted := range []bool{false, true} {
+		s := New(cnf.New(0), Defaults())
+		if hinted {
+			s.Grow(frames*width, 0, 0)
 		}
-	}
-	if final := len(s.watches); final != 2*40*500+2 || allocated > 8*final {
-		t.Errorf("40 frames of 500 variables allocated %d watch lists for a table of %d", allocated, final)
+		allocated, moves := 0, 0
+		var backing *[]watcher
+		var reasons *cref
+		for frame := 1; frame <= frames; frame++ {
+			s.AddVars(width * frame)
+			if first := &s.watches[0]; first != backing {
+				backing = first
+				allocated += cap(s.watches)
+				moves++
+			}
+			if hinted && &s.reason[0] != reasons {
+				if reasons != nil {
+					t.Errorf("hinted: frame %d moved the reasons again", frame)
+				}
+				reasons = &s.reason[0]
+			}
+		}
+		final := len(s.watches)
+		switch {
+		case final != 2*frames*width+2:
+			t.Errorf("hinted=%v: the table has %d lists after %d variables", hinted, final, frames*width)
+		case !hinted && allocated > 8*final:
+			t.Errorf("%d frames of %d variables allocated %d watch lists for a table of %d", frames, width, allocated, final)
+		case hinted && (moves != 1 || allocated != final):
+			t.Errorf("hinted for %d variables: the table moved %d times, allocating %d lists for a table of %d; want once, at its size",
+				frames*width, moves, allocated, final)
+		}
 	}
 }

@@ -388,32 +388,56 @@ func (s *Solver) Stats() Stats {
 // lists, score tables, and decision heap in place. Growing is idempotent;
 // shrinking is not supported. Part of the incremental interface: the BMC
 // delta unroller adds one frame's worth of variables per depth.
+//
+// A table without room moves once, with every other per-variable and
+// per-literal table, to the size Grow announced when that holds n
+// variables; without such a hint each grows by append.
 func (s *Solver) AddVars(n int) {
 	if n <= s.nVars {
 		return
 	}
-	for len(s.chaScore) < 2*n+2 {
-		s.watches = append(s.watches, nil)
-		s.chaScore = append(s.chaScore, 0)
-		s.newCount = append(s.newCount, 0)
-		s.vals = append(s.vals, 0)
-	}
-	for len(s.reason) < n+1 {
-		s.reason = append(s.reason, crefUndef)
-		s.level = append(s.level, 0)
-		s.savedPhase = append(s.savedPhase, 0)
-		s.seen = append(s.seen, false)
-	}
+	hv, hl := s.hint.vars+1, 2*s.hint.vars+2
+	s.watches = extend(s.watches, 2*n+2, hl, nil)
+	s.chaScore = extend(s.chaScore, 2*n+2, hl, 0)
+	s.newCount = extend(s.newCount, 2*n+2, hl, 0)
+	s.vals = extend(s.vals, 2*n+2, hl, 0)
+	s.reason = extend(s.reason, n+1, hv, crefUndef)
+	s.level = extend(s.level, n+1, hv, 0)
+	s.savedPhase = extend(s.savedPhase, n+1, hv, 0)
+	s.seen = extend(s.seen, n+1, hv, false)
+	s.trail = room(s.trail, n, s.hint.vars)
 	if s.guid != nil {
 		for len(s.guid) < n+1 {
 			s.guid = append(s.guid, 0)
 		}
 	}
-	s.heap.grow(n)
+	s.heap.grow(n, s.hint.vars)
 	for v := lits.Var(s.nVars + 1); int(v) <= n; v++ {
 		s.heap.insert(v)
 	}
 	s.nVars = n
+}
+
+// room returns p, moved to an array of hint elements when it has no room
+// for n and hint does.
+func room[S ~[]T, T any](p S, n, hint int) S {
+	if cap(p) >= n || hint < n {
+		return p
+	}
+	q := make(S, len(p), hint)
+	copy(q, p)
+	return q
+}
+
+// extend returns p lengthened to n elements of fill: in place where it has
+// room, in an array of hint elements where that holds n, by append
+// otherwise.
+func extend[S ~[]T, T any](p S, n, hint int, fill T) S {
+	p = room(p, n, hint)
+	for len(p) < n {
+		p = append(p, fill)
+	}
+	return p
 }
 
 // AddClause attaches an original clause to a live solver and returns its
@@ -494,7 +518,8 @@ func (s *Solver) install(c cref) {
 // reserve makes room in the arena for words more words. It compacts when
 // the deleted clauses alone hold that much — growing would keep the old
 // store alive beside the new one until the collector runs — and grows
-// otherwise. Compaction moves clauses, so reserve runs before its caller
+// otherwise, to the arena Grow's hint loads into where that is more than
+// the usual step. Compaction moves clauses, so reserve runs before its caller
 // takes any cref into a local.
 func (s *Solver) reserve(words int) {
 	switch {
@@ -502,7 +527,7 @@ func (s *Solver) reserve(words int) {
 	case s.ca.wasted >= words:
 		s.compact()
 	default:
-		s.ca.grow(words)
+		s.ca.grow(words, arenaWords(s.hint.clauses, s.hint.lits))
 	}
 }
 

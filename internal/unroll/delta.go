@@ -79,6 +79,24 @@ func (d *Delta) NodeOf(v lits.Var) (n circuit.NodeID, frame int, isAct bool) {
 	return circuit.NodeID(idx%d.stride + 1), idx / d.stride, false
 }
 
+// Size returns the variable, clause and literal counts of Frame(0..k)
+// taken together, without building them: the closed form of Frame, which
+// must follow it exactly. Size(-1) is all zero.
+func (d *Delta) Size(k int) (vars, clauses, literals int) {
+	if k < 0 {
+		return 0, 0, 0
+	}
+	c := d.u.c
+	ands, latches := c.NumAnds(), c.NumLatches()
+	tc, tl := d.u.transition()
+	gc, gl := d.u.guard()
+	// The initial values; per later depth its transitions and the unit
+	// retiring the last guard; per depth its gates and its guard.
+	return d.NumVars(k),
+		latches + k*(tc+1) + (k+1)*(3*ands+gc),
+		latches + k*(tl+1) + (k+1)*(7*ands+gl)
+}
+
 // LitFor returns the CNF literal of signal s in frame f; it panics on
 // constant signals (callers must fold those).
 func (d *Delta) LitFor(s circuit.Signal, frame int) lits.Lit {
@@ -100,6 +118,9 @@ func (d *Delta) Frame(k int) *cnf.Formula {
 	}
 	c := d.u.c
 	f := cnf.New(d.NumVars(k))
+	_, before, _ := d.Size(k - 1)
+	_, after, _ := d.Size(k)
+	f.Clauses = make([]cnf.Clause, 0, after-before)
 
 	if k == 0 {
 		// I(V⁰): initial latch values.

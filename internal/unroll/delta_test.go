@@ -262,3 +262,43 @@ func TestDeltaTraceWithInputs(t *testing.T) {
 		t.Fatalf("saw %d SAT depths, want 3 (depths 2..4)", sawSat)
 	}
 }
+
+// frameSizesExact fails unless size(k) is the summed variable, clause and
+// literal count of frame(0..k) for every k up to 12 — asked ahead of the
+// frames, as a pool sizes its solvers — and every frame's clause list is
+// made at exactly its length.
+func frameSizesExact(t *testing.T, what string, size func(k int) (int, int, int), frame func(k int) *cnf.Formula) {
+	t.Helper()
+	const maxK = 12
+	if v, c, l := size(-1); v != 0 || c != 0 || l != 0 {
+		t.Fatalf("%s: Size(-1) is %d, %d, %d, want nothing", what, v, c, l)
+	}
+	var clauses, literals int
+	for k := 0; k <= maxK; k++ {
+		wantVars, wantClauses, wantLits := size(k)
+		f := frame(k)
+		clauses += f.NumClauses()
+		literals += f.NumLiterals()
+		if wantVars != f.NumVars || wantClauses != clauses || wantLits != literals {
+			t.Fatalf("%s depth %d: Size says %d variables, %d clauses, %d literals; frames 0..%d hold %d, %d, %d",
+				what, k, wantVars, wantClauses, wantLits, k, f.NumVars, clauses, literals)
+		}
+		if cap(f.Clauses) != len(f.Clauses) {
+			t.Fatalf("%s frame %d: clause list of %d clauses made with room for %d", what, k, len(f.Clauses), cap(f.Clauses))
+		}
+	}
+}
+
+// TestDeltaSizeExact: Size(k) is what Frame(0..k) hold together, on the
+// suite and on latches with constant next states under a signal property
+// and both constant ones, so a pool's hint is exactly what the depth needs.
+func TestDeltaSizeExact(t *testing.T) {
+	for _, c := range sizeCircuits() {
+		u, err := New(c, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name(), err)
+		}
+		d := u.Delta()
+		frameSizesExact(t, c.Name()+" delta", d.Size, d.Frame)
+	}
+}

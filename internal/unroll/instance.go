@@ -85,14 +85,9 @@ func (u *Unroller) newInstance(step bool) *Instance {
 	in := &Instance{u: u, step: step}
 	for _, id := range u.c.Latches() {
 		next := u.c.LatchNext(id)
-		unit := next == circuit.True || next == circuit.False
-		in.constNext = append(in.constNext, unit)
-		if unit {
-			in.transClauses, in.transLits = in.transClauses+1, in.transLits+1
-		} else {
-			in.transClauses, in.transLits = in.transClauses+2, in.transLits+4
-		}
+		in.constNext = append(in.constNext, next == circuit.True || next == circuit.False)
 	}
+	in.transClauses, in.transLits = u.transition()
 	return in
 }
 

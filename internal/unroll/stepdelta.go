@@ -76,6 +76,35 @@ func (sd *StepDelta) NumVars(k int) int { return sd.blockStart(k+1) - 1 }
 // spans (frames 0..k+1).
 func (sd *StepDelta) Frames(k int) int { return k + 2 }
 
+// Size returns the variable, clause and literal counts of Frame(0..k)
+// taken together, without building them: the closed form of Frame, which
+// must follow it exactly. Size(-1) is all zero. The simple path makes it
+// quadratic in k.
+func (sd *StepDelta) Size(k int) (vars, clauses, literals int) {
+	if k < 0 {
+		return 0, 0, 0
+	}
+	ands := sd.u.c.NumAnds()
+	tc, tl := sd.u.transition()
+	gc, gl := sd.u.guard()
+	// good(frame): P constantly violated asserts the empty clause, P never
+	// violated asserts nothing, any other P the unit ¬bad.
+	goodC, goodL := 1, 1
+	switch sd.u.c.Properties()[sd.u.propIdx].Bad {
+	case circuit.True:
+		goodL = 0
+	case circuit.False:
+		goodC, goodL = 0, 0
+	}
+	pairs := k * (k + 1) / 2 // frame pairs of the simple path
+	// Per depth the gates of its new frame (two at depth 0), one step of
+	// transitions, a good frame and a guard; per depth past 0 the unit
+	// retiring the last guard; per frame pair the disequality clauses.
+	return sd.NumVars(k),
+		(k+2)*3*ands + (k+1)*(tc+goodC+gc) + k + pairs*(2*sd.nl+1),
+		(k+2)*7*ands + (k+1)*(tl+goodL+gl) + k + pairs*7*sd.nl
+}
+
 // VarFor returns the CNF variable of node n in frame f under the step
 // delta numbering. The constant node has no variable.
 func (sd *StepDelta) VarFor(n circuit.NodeID, frame int) lits.Var {
@@ -173,6 +202,9 @@ func (sd *StepDelta) Frame(k int) *cnf.Formula {
 	}
 	c := sd.u.c
 	f := cnf.New(sd.NumVars(k))
+	_, before, _ := sd.Size(k - 1)
+	_, after, _ := sd.Size(k)
+	f.Clauses = make([]cnf.Clause, 0, after-before)
 	bad := c.Properties()[sd.u.propIdx].Bad
 
 	gates := func(frame int) {

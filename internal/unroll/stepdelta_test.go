@@ -118,3 +118,16 @@ func TestStepDeltaFrameShape(t *testing.T) {
 		}
 	}
 }
+
+// TestStepDeltaSizeExact is TestDeltaSizeExact for the step sequence, whose
+// simple path makes the size quadratic in the depth.
+func TestStepDeltaSizeExact(t *testing.T) {
+	for _, c := range sizeCircuits() {
+		u, err := New(c, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name(), err)
+		}
+		sd := u.StepDelta()
+		frameSizesExact(t, c.Name()+" step delta", sd.Size, sd.Frame)
+	}
+}
