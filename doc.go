@@ -58,8 +58,9 @@
 //	                     frames), each loaded when it is about to search
 //	                     (Feed.CatchUp, shared with the worker's mirrors),
 //	                     plus the depth-boundary clause exchange bus
-//	internal/remote      the distributed portfolio: length-prefixed gob
-//	                     wire protocol (bounded decode, fuzzed), the
+//	internal/remote      the distributed portfolio: numbered,
+//	                     length-prefixed frames in a binary codec
+//	                     (bounded decode, fuzzed; guidance as runs), the
 //	                     worker daemon holding warm per-connection mirror
 //	                     solvers, and the coordinator-side remote.Executor
 //	                     (fan-out with first-verdict-wins cancellation,

@@ -48,7 +48,10 @@ import (
 // at most once per race and not at all for an attempt it skips
 // (portfolio.RaceLive does exactly this); an executor that runs it
 // elsewhere ships Opts and never calls Solver, so the caller's solver
-// stays unloaded and costs nothing until a fallback needs it. The solvers
+// stays unloaded and costs nothing until a fallback needs it; Grow is the
+// size the caller's solvers are hinted for, by which such an executor sizes
+// the solvers it keeps instead. Opts' guidance is borrowed as Race borrows
+// it: the pool writes the next depth's over the same array. The solvers
 // are single-threaded: the executor may drive each one from at most one
 // goroutine at a time, and when the call returns every solver it asked
 // for must be at rest — the caller immediately runs depth-boundary work

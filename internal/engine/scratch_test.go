@@ -197,7 +197,9 @@ func (w *warmWatch) RaceLive(q engine.Query, attempts []portfolio.LiveAttempt, a
 // And a racer that never loads is never handed a solver: raced one attempt
 // at a time, the portfolio's first strategy decides every depth, and the
 // other three's solvers are never made (the pool's side of this is in
-// racer's TestLateStarterMatchesEagerFeed).
+// racer's TestLateStarterMatchesEagerFeed). The same two checks on a
+// loopback worker's mirrors, which the pool's hint sizes, are remote's
+// TestMirrorStorageGrowsLogarithmically.
 func TestWarmStorageGrowsLogarithmically(t *testing.T) {
 	const depth, maxMoves = 20, 6
 	w := newWarmWatch()

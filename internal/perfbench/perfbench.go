@@ -59,7 +59,7 @@ func Shapes() []experiments.Column {
 			engine.WithEngine(engine.KInduction), engine.WithPortfolio(nil, 0), engine.WithIncremental()),
 		// The warm portfolio with its races shipped to two in-process
 		// loopback workers: bmc-warm-shared plus the full wire layer
-		// (gob framing, mirror feeding, clause forwarding), so remote
+		// (frame codec, mirror feeding, clause forwarding), so remote
 		// overhead is trendable against the local shape on the same
 		// cells.
 		{Name: "bmc-warm-remote", Setup: func() ([]engine.Option, func(), error) {

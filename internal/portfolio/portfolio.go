@@ -179,6 +179,16 @@ type LiveAttempt struct {
 	// single-threaded and the call may do the whole load: call it at most
 	// once per race, from the goroutine that then solves.
 	Solver func() *sat.Solver
+	// Grow is the size the caller's solver storage is sized ahead for at
+	// this depth (sat.Solver.Grow). An executor that keeps solvers of its
+	// own for the attempt sizes them by it, so they grow as the caller's do.
+	Grow Growth
+}
+
+// Growth is a persistent solver's storage hint, as sat.Solver.Grow takes
+// it: the variables, clauses and literals to size its tables for.
+type Growth struct {
+	Vars, Clauses, Literals int
 }
 
 // RaceLive is the live-solver counterpart of Race: it runs

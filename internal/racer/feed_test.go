@@ -1,6 +1,7 @@
 package racer
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -34,7 +35,9 @@ import (
 // cores of depths the racer missed), so a solver that padded that array as
 // it added them would zero those scores: the guidance it searched under
 // must be its strategy's for the depth, as the reference's is, which gets
-// a new array at every depth.
+// a new array at every depth. Before it first races, the racer holds no
+// solver and one guidance array, written over at every depth like a loaded
+// racer's.
 func TestLateStarterMatchesEagerFeed(t *testing.T) {
 	for _, late := range []core.Strategy{core.OrderDynamic, core.OrderTimeAxis} {
 		t.Run(late.String(), func(t *testing.T) { lateStarterMatchesEagerFeed(t, late) })
@@ -82,6 +85,7 @@ func lateStarterMatchesEagerFeed(t *testing.T, late core.Strategy) {
 	ref := sat.New(cnf.New(0), opts)
 
 	first, raced, skippedAgain, totalLits := -1, 0, 0, 0
+	var idleGuidance []float64 // the idle late racer's array at the last depth
 	for k := 0; k <= maxDepth; k++ {
 		frame := src.Frame(k)
 		totalLits += frame.NumLiterals()
@@ -96,10 +100,17 @@ func lateStarterMatchesEagerFeed(t *testing.T, late core.Strategy) {
 		got := out.Race.Outcomes[1]
 		switch {
 		case got.Skipped && first < 0:
-			if fed := lateRacer.feed.Fed(); fed != 0 || lateRacer.feed.Solver != nil || lateRacer.guidance != nil {
-				t.Fatalf("depth %d: the late racer never raced, yet holds %d frames, a solver (%v) or guidance (%d)",
-					k, fed, lateRacer.feed.Solver != nil, len(lateRacer.guidance))
+			if fed := lateRacer.feed.Fed(); fed != 0 || lateRacer.feed.Solver != nil {
+				t.Fatalf("depth %d: the late racer never raced, yet holds %d frames or a solver (%v)",
+					k, fed, lateRacer.feed.Solver != nil)
 			}
+			// It holds one guidance array, the depth's written over the last
+			// depth's unless that no longer fits.
+			at := reflect.ValueOf(lateRacer.guidance).Pointer()
+			if !slices.Equal(lateRacer.guidance, g) || (cap(idleGuidance) >= len(g) && at != reflect.ValueOf(idleGuidance).Pointer()) {
+				t.Fatalf("depth %d: the idle late racer's guidance is not its strategy's for the depth, or a new array where the last one fit", k)
+			}
+			idleGuidance = lateRacer.guidance
 		case got.Skipped:
 			// The early racer decided this one: the late racer falls behind
 			// again and takes this boundary's clauses with its next frame.

@@ -135,8 +135,8 @@ type racerState struct {
 	feed Feed
 	opts sat.Options
 	// guidance is the array the racer's guidance is written over at every
-	// depth, which its solver holds between depths; nil until the racer
-	// first loads, and for a strategy without guidance.
+	// depth, from the first, which its solver holds between depths once it
+	// has loaded; nil for a strategy without guidance.
 	guidance []float64
 	// receipts are the imports the racer's catch-up made during the
 	// running race; the pool books them once the race has joined.
@@ -171,7 +171,7 @@ type Pool struct {
 	// sizedFor is the depth the racers' storage was last sized for (-1
 	// before the first), hint that depth's Source.Size.
 	sizedFor int
-	hint     struct{ vars, clauses, literals int }
+	hint     portfolio.Growth
 }
 
 // NewPool builds one racer per strategy, whose persistent solver is made
@@ -216,10 +216,10 @@ func (p *Pool) grow(k int) {
 		return vars + clauses + literals
 	})
 	h := &p.hint
-	h.vars, h.clauses, h.literals = p.src.Size(t)
+	h.Vars, h.Clauses, h.Literals = p.src.Size(t)
 	for _, r := range p.racers {
 		if r.feed.Solver != nil {
-			r.feed.Solver.Grow(h.vars, h.clauses, h.literals)
+			r.feed.Solver.Grow(h.Vars, h.Clauses, h.Literals)
 		}
 	}
 	p.sizedFor = t
@@ -227,17 +227,17 @@ func (p *Pool) grow(k int) {
 
 // catchUp is racer r's load at depth k, on the race goroutine about to
 // solve: it makes r's solver if r has none yet, sized ahead as grow last
-// hinted, and brings it to depth k under the depth's guidance, which r then
-// keeps as the array to write the next depth's over.
+// hinted, and brings it to depth k under the depth's guidance — r's own
+// array, which the solver then holds until the next depth writes over it.
 func (p *Pool) catchUp(r *racerState, k int, frames func(d int) *cnf.Formula, guidance []float64, switchAfter int64) *sat.Solver {
 	if r.feed.Solver == nil {
 		s := new(sat.Solver)
-		s.Grow(p.hint.vars, p.hint.clauses, p.hint.literals)
+		s.Grow(p.hint.Vars, p.hint.Clauses, p.hint.Literals)
 		s.Load(cnf.New(0), r.opts)
 		r.feed.Solver = s
 	}
 	s, got := r.feed.CatchUp(k, frames, guidance, switchAfter)
-	r.receipts, r.guidance = got, guidance
+	r.receipts = got
 	return s
 }
 
@@ -332,21 +332,21 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 		return p.src.Frame(d)
 	}
 
-	// A racer that has loaded gets its guidance written over the array its
-	// solver holds, which is at rest until Feed.CatchUp hands it back; one
-	// that has not gets a new array for each depth, which it keeps once it
-	// loads. An array that no longer fits is replaced by one sized as the
-	// solvers are.
+	// Each racer's guidance is written over its one array, loaded or not:
+	// the solver holding it is at rest until Feed.CatchUp hands it back, and
+	// an executor is done with it when the race returns. An array that no
+	// longer fits is replaced by one sized as the solvers are; vsids has none.
 	in := layout(p.src, k)
 	attempts := make([]portfolio.LiveAttempt, len(p.racers))
 	warm := make([]bool, len(p.racers))
 	for i, r := range p.racers {
-		if g := r.guidance; g != nil && cap(g) < in.NumVars+1 {
-			r.guidance = make([]float64, 0, max(p.hint.vars, in.NumVars)+1)
+		if r.strategy != core.OrderVSIDS && cap(r.guidance) < in.NumVars+1 {
+			r.guidance = make([]float64, 0, max(p.hint.Vars, in.NumVars)+1)
 		}
 		opts := p.cfg.Opts
 		opts.Guidance, opts.SwitchAfterDecisions = r.strategy.Guidance(p.cfg.Board, in, p.totalLits, p.cfg.Divisor, r.guidance)
-		attempts[i] = portfolio.LiveAttempt{Name: r.name, Opts: opts, Solver: func() *sat.Solver {
+		r.guidance = opts.Guidance
+		attempts[i] = portfolio.LiveAttempt{Name: r.name, Opts: opts, Grow: p.hint, Solver: func() *sat.Solver {
 			return p.catchUp(r, k, frames, opts.Guidance, opts.SwitchAfterDecisions)
 		}}
 		warm[i] = r.feed.Solver != nil && r.feed.Solver.Stats().Conflicts > 0

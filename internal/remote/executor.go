@@ -496,9 +496,11 @@ func (e *Executor) Race(query engine.Query, f *cnf.Formula, attempts []portfolio
 
 // RaceLive implements engine.Executor: the warm race, distributed. Each
 // worker races its per-(session, query, strategy) mirror solvers, loading
-// the ones that get to search with the frames they are missing. No local
-// solver is asked for unless a worker is lost mid-race: the lost slice then
-// re-races through portfolio.RaceLive, which is where its solvers load.
+// the ones that get to search with the frames they are missing, sized by
+// the pool's hint (the attempts share one) and under guidance that crosses
+// as runs, compressed here, before the first send. No local solver is
+// asked for unless a worker is lost mid-race: the lost slice then re-races
+// through portfolio.RaceLive, which is where its solvers load.
 // Clauses the mirrors learned come back in RaceResult.Foreign for the
 // caller to import.
 func (e *Executor) RaceLive(query engine.Query, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
@@ -521,6 +523,7 @@ func (e *Executor) RaceLive(query engine.Query, attempts []portfolio.LiveAttempt
 				ID: id, Query: qs, K: k, Live: true,
 				Frames: frames, Assumps: assumps,
 				Attempts: pick(wire, idxs), Jobs: jobs,
+				Grow: attempts[idxs[0]].Grow,
 			}
 			if shareOn {
 				req.ExportMaxLen = racer.DefaultExchangeMaxLen

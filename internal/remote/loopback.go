@@ -14,17 +14,17 @@ import (
 // same cold-replay a real worker restart causes). Close tears down the
 // executor and joins every in-process handler.
 func NewLoopback(n int, opts Options, wopts WorkerOptions) (*Executor, error) {
-	return newLoopback(n, opts, wopts, nil)
+	return newLoopback(n, opts, NewWorker(wopts), nil)
 }
 
-// newLoopback is NewLoopback with the coordinator's and the worker's end
-// of every connection passed through wrap, when it is not nil: the seam a
-// test puts a hostile transport in.
-func newLoopback(n int, opts Options, wopts WorkerOptions, wrap func(coord, worker net.Conn) (net.Conn, net.Conn)) (*Executor, error) {
+// newLoopback is NewLoopback over the given worker, with the coordinator's
+// and the worker's end of every connection passed through wrap, when it is
+// not nil: the seams a test watches the worker through and puts a hostile
+// transport in.
+func newLoopback(n int, opts Options, w *Worker, wrap func(coord, worker net.Conn) (net.Conn, net.Conn)) (*Executor, error) {
 	if n <= 0 {
 		n = 1
 	}
-	w := NewWorker(wopts)
 	var handlers sync.WaitGroup
 	opts.Dial = func(string) (net.Conn, error) {
 		coord, worker := net.Pipe()

@@ -11,13 +11,44 @@
 // # Wire protocol
 //
 // The transport is a plain byte stream (TCP in production, net.Pipe in
-// tests) carrying length-prefixed gob frames: a 4-byte big-endian
-// payload length followed by one gob-encoded Message. Every frame is a
-// self-contained gob stream — type descriptors are resent per frame —
-// so a decoder can pick up a connection at any frame boundary and a
-// corrupt frame cannot poison its successors. The length prefix is
-// validated against a configurable bound before any allocation, so a
-// header bomb costs nothing (FuzzWireDecode pins this).
+// tests) carrying frames:
+//
+//	length   4 bytes, big-endian: the payload's size, 1..MaxFrameBytes
+//	number   uvarint: the frame's place on its connection, counted from 0
+//	         in each direction
+//	message  the rest of the payload
+//
+// The length is checked against the receiver's bound before anything is
+// allocated, so a header bomb costs nothing (FuzzWireDecode pins this). A
+// frame whose number is not the next one — a duplicate, a replay, one of a
+// swapped pair — fails Conn.Recv, and the link ends as it does on any
+// corrupt frame, instead of applying the frame twice or out of order.
+//
+// A message is written field by field, without reflection or type
+// descriptors (codec.go), from these primitives:
+//
+//	uint     uvarint (encoding/binary)
+//	int      zigzag varint (binary.AppendVarint): every Go int, literal,
+//	         duration and counter
+//	bool     one byte, 0 or 1
+//	float    a uint of the float64's bits with their bytes reversed, so
+//	         0 takes one byte and 1.5 or 1000 three
+//	status   one byte (sat.Status, lits.TriBool)
+//	string   uint length, then the bytes
+//	list     uint count, then the elements
+//	clauses  uint clause count, uint literal total, then per clause a uint
+//	         length and its literals as ints
+//	time     int: Unix nanoseconds, 0 for the zero time
+//
+// The message is its Kind (one byte), Seq (uint), and a byte whose bits
+// 0..4 say which of Hello, Race, Result, Cancel and Clauses follow, then
+// those, in that order; each struct is its exported fields in declaration
+// order, nested structs inline and slices as lists. A guidance array
+// crosses as a list of runs (GuidanceRuns): N scores equal bit for bit to
+// the float with the bits Bits. Before a list is allocated its count is
+// checked against the bytes left, each element taking at least one; a
+// clause list's total must equal the sum of its lengths; and the message
+// must end where the payload does.
 //
 // The coordinator opens the conversation with Hello and the worker
 // answers HelloAck; version skew fails the handshake. After that the
@@ -34,20 +65,22 @@
 // the worker has not seen yet (the coordinator tracks a per-link
 // high-water mark, reset on reconnect so a fresh worker replays from
 // frame zero) plus each attempt's hook-free solver options — guidance,
-// budgets, deadline — as the pool computed them for the depth. The worker
-// keeps the frames and loads a mirror through the routine racer.Pool loads
-// its own solvers with (racer.Feed.CatchUp), when the mirror is about to
-// search, so a mirror is the same solver the pool would have raced
-// locally, and verdicts are equivalent by construction.
+// budgets, deadline — as the pool computed them for the depth, and the
+// size the pool's growth rule hints its solvers for (RaceRequest.Grow). The
+// worker keeps the frames and loads a mirror through the routine racer.Pool
+// loads its own solvers with (racer.Feed.CatchUp), when the mirror is about
+// to search: the mirror is made then, sized by the hint, and its guidance
+// runs are expanded then, over the one array the mirror keeps. A mirror is
+// the same solver the pool would have raced locally, and verdicts are
+// equivalent by construction; one that never searches holds nothing.
 package remote
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -61,7 +94,7 @@ import (
 
 // ProtocolVersion is bumped on any wire-incompatible change; the
 // handshake rejects mismatched peers.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // DefaultMaxFrameBytes bounds one frame's payload (64 MiB — a deep
 // unrolling's frame batch fits with room to spare). The bound is
@@ -78,6 +111,9 @@ var (
 	// ErrEmptyFrame: a zero-length payload (no valid Message encodes to
 	// zero bytes).
 	ErrEmptyFrame = errors.New("remote: empty frame")
+	// ErrFrameOrder: a frame's number is not the next one on its
+	// connection — it was duplicated, replayed or reordered.
+	ErrFrameOrder = errors.New("remote: frame out of order")
 )
 
 // MsgKind discriminates the Message envelope.
@@ -156,7 +192,7 @@ type WireOptions struct {
 	MaxLearntInc         float64
 	MinimizeLearned      bool
 	PhaseSaving          bool
-	Guidance             []float64
+	Guidance             GuidanceRuns
 	SwitchAfterDecisions int64
 	MaxConflicts         int64
 	MaxDecisions         int64
@@ -164,8 +200,86 @@ type WireOptions struct {
 	StopCheckEvery       int
 }
 
-// toWireOptions flattens a sat.Options into its wire mirror; the hooks do
-// not cross.
+// GuidanceRun is N consecutive guidance scores, each the float64 whose
+// bits are Bits.
+type GuidanceRun struct {
+	N    uint64
+	Bits uint64
+}
+
+// GuidanceRuns is a guidance array as it crosses the wire: its runs of
+// scores equal bit for bit, from index 0 on, so the worker rebuilds the
+// exact array. Nil is no guidance. Most of a board's scores are zero and a
+// time-axis frame's variables share one score, so the runs are far fewer
+// than the scores, and an idle mirror never expands them.
+type GuidanceRuns []GuidanceRun
+
+// compressGuidance returns g's runs.
+func compressGuidance(g []float64) GuidanceRuns {
+	if len(g) == 0 {
+		return nil
+	}
+	n := 1
+	for i := 1; i < len(g); i++ {
+		if math.Float64bits(g[i]) != math.Float64bits(g[i-1]) {
+			n++
+		}
+	}
+	runs := make(GuidanceRuns, 0, n)
+	for i := 0; i < len(g); {
+		b := math.Float64bits(g[i])
+		j := i + 1
+		for j < len(g) && math.Float64bits(g[j]) == b {
+			j++
+		}
+		runs = append(runs, GuidanceRun{N: uint64(j - i), Bits: b})
+		i = j
+	}
+	return runs
+}
+
+// covers checks, without expanding anything, that the runs hold exactly n
+// scores — the guidance of a formula of n-1 variables — or none at all.
+// It is the worker's bound against a peer that claims a run of 2^40.
+func (r GuidanceRuns) covers(n int) error {
+	if len(r) == 0 {
+		return nil
+	}
+	var sum uint64
+	for _, run := range r {
+		if run.N > uint64(n)-sum {
+			return fmt.Errorf("remote: guidance runs hold more than the %d scores of %d variables", n, n-1)
+		}
+		sum += run.N
+	}
+	if sum != uint64(n) {
+		return fmt.Errorf("remote: guidance runs hold %d scores, %d variables need %d", sum, n-1, n)
+	}
+	return nil
+}
+
+// expand writes the scores of runs that covers(n) accepted over dst's array
+// where it holds n of them, into a new array with room for max(n, room)
+// otherwise; no runs give nil.
+func (r GuidanceRuns) expand(dst []float64, n, room int) []float64 {
+	if len(r) == 0 {
+		return nil
+	}
+	if cap(dst) < n {
+		dst = make([]float64, 0, max(n, room))
+	}
+	dst = dst[:0]
+	for _, run := range r {
+		f := math.Float64frombits(run.Bits)
+		for range run.N {
+			dst = append(dst, f)
+		}
+	}
+	return dst
+}
+
+// toWireOptions flattens a sat.Options into its wire mirror, guidance as
+// runs; the hooks do not cross.
 func toWireOptions(o sat.Options) WireOptions {
 	w := WireOptions{
 		RescoreInterval:      o.RescoreInterval,
@@ -177,7 +291,7 @@ func toWireOptions(o sat.Options) WireOptions {
 		MaxLearntInc:         o.MaxLearntInc,
 		MinimizeLearned:      o.MinimizeLearned,
 		PhaseSaving:          o.PhaseSaving,
-		Guidance:             o.Guidance,
+		Guidance:             compressGuidance(o.Guidance),
 		SwitchAfterDecisions: o.SwitchAfterDecisions,
 		MaxConflicts:         o.MaxConflicts,
 		MaxDecisions:         o.MaxDecisions,
@@ -189,7 +303,8 @@ func toWireOptions(o sat.Options) WireOptions {
 	return w
 }
 
-// toSatOptions rebuilds solver options from the wire mirror.
+// toSatOptions rebuilds solver options from the wire mirror, all but the
+// guidance, which the caller expands where it is needed.
 func (w WireOptions) toSatOptions() sat.Options {
 	o := sat.Options{
 		RescoreInterval:      w.RescoreInterval,
@@ -201,7 +316,6 @@ func (w WireOptions) toSatOptions() sat.Options {
 		MaxLearntInc:         w.MaxLearntInc,
 		MinimizeLearned:      w.MinimizeLearned,
 		PhaseSaving:          w.PhaseSaving,
-		Guidance:             w.Guidance,
 		SwitchAfterDecisions: w.SwitchAfterDecisions,
 		MaxConflicts:         w.MaxConflicts,
 		MaxDecisions:         w.MaxDecisions,
@@ -231,12 +345,13 @@ type WireFrame struct {
 }
 
 // RaceRequest submits one race. Live races (Live true) address the
-// per-query mirror solvers, carrying the frames the worker is missing
-// and the depth's assumption list; cold races carry the whole formula
-// and build throwaway solvers. ExportMaxLen/ExportBudget, when nonzero,
-// ask a live race to return its mirrors' fresh learned clauses (the
-// clause bus's worker-to-coordinator half); ExportMaxLBD completes the
-// quality filter.
+// per-query mirror solvers, carrying the frames the worker is missing,
+// the depth's assumption list, and Grow, the size the coordinator's pool
+// hints its solvers for at this depth, which the mirrors are hinted for
+// too; cold races carry the whole formula and build throwaway solvers.
+// ExportMaxLen/ExportBudget, when nonzero, ask a live race to return its
+// mirrors' fresh learned clauses (the clause bus's worker-to-coordinator
+// half); ExportMaxLBD completes the quality filter.
 type RaceRequest struct {
 	ID    uint64
 	Query string
@@ -257,6 +372,8 @@ type RaceRequest struct {
 	ExportMaxLen int
 	ExportMaxLBD int
 	ExportBudget int
+
+	Grow portfolio.Growth
 }
 
 // RaceResponse answers a RaceRequest. Race.Winner indexes the request's
@@ -289,44 +406,59 @@ type ClausePayload struct {
 	Clauses []cnf.Clause
 }
 
-// decodeMessage decodes one frame payload. Self-contained: every frame
-// carries its own gob type descriptors.
-func decodeMessage(payload []byte) (*Message, error) {
-	var m Message
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("remote: frame decode: %w", err)
-	}
-	if m.Kind == 0 || m.Kind >= msgKindEnd {
-		return nil, fmt.Errorf("remote: unknown message kind %d", m.Kind)
-	}
-	return &m, nil
+// appendFrame appends the frame numbered no that carries m, length prefix
+// included, to dst.
+func appendFrame(dst []byte, no uint64, m *Message) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	dst = binary.AppendUvarint(dst, no)
+	dst = appendMessage(dst, m)
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-headerLen))
+	return dst
 }
 
-// readMessage reads one length-prefixed frame from r, allocating at
-// most maxFrame bytes for the payload (the bound is enforced before the
-// allocation — the header-bomb discipline). It returns the decoded
-// Message and the frame's total size on the wire.
-func readMessage(r io.Reader, maxFrame int) (*Message, int, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return nil, headerLen, ErrEmptyFrame
-	}
+// readFrame reads one frame from r, allocating at most maxFrame bytes for
+// the payload (the bound is enforced before the allocation — the
+// header-bomb discipline) in *buf, which it grows as needed and leaves for
+// the next call. It returns the frame's number, its message and its total
+// size on the wire.
+func readFrame(r io.Reader, maxFrame int, buf *[]byte) (uint64, *Message, int, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrameBytes
 	}
-	if n > uint32(maxFrame) {
-		return nil, headerLen, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
+	b := *buf
+	if cap(b) < headerLen {
+		b = make([]byte, headerLen)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, headerLen, fmt.Errorf("remote: truncated frame: %w", err)
+	b = b[:headerLen]
+	*buf = b
+	if _, err := io.ReadFull(r, b); err != nil {
+		return 0, nil, 0, err
 	}
-	m, err := decodeMessage(payload)
-	return m, headerLen + int(n), err
+	n := binary.BigEndian.Uint32(b)
+	if n == 0 {
+		return 0, nil, headerLen, ErrEmptyFrame
+	}
+	if n > uint32(min(maxFrame, math.MaxUint32)) {
+		return 0, nil, headerLen, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
+	}
+	if cap(b) < int(n) {
+		b = make([]byte, n, min(max(int(n), 2*cap(b)), maxFrame))
+		*buf = b
+	}
+	b = b[:n]
+	if _, err := io.ReadFull(r, b); err != nil {
+		return 0, nil, headerLen, fmt.Errorf("remote: truncated frame: %w", err)
+	}
+	no, k := binary.Uvarint(b)
+	if k <= 0 {
+		return 0, nil, headerLen + int(n), errors.New("remote: frame number truncated")
+	}
+	m, err := parseMessage(b[k:])
+	if err != nil {
+		return 0, nil, headerLen + int(n), fmt.Errorf("remote: frame decode: %w", err)
+	}
+	return no, m, headerLen + int(n), nil
 }
 
 // wireStats is the byte/frame accounting one Conn feeds; handles are
@@ -341,48 +473,48 @@ type wireStats struct {
 // Conn frames Messages over a net.Conn: writes are serialized by an
 // internal mutex (race goroutines, the heartbeat, and the reader's pong
 // replies share one connection), reads are single-reader by convention
-// (each side runs exactly one read loop). Deadlines are per call.
+// (each side runs exactly one read loop). Deadlines are per call. Each
+// direction numbers its frames, and Recv accepts only the next number.
 type Conn struct {
 	nc       net.Conn
 	maxFrame int
 	stats    wireStats
 
 	wmu  sync.Mutex
-	wbuf bytes.Buffer
+	wbuf []byte
+	sent uint64 // frames written
+
+	rbuf []byte // the reader's payload buffer
+	recv uint64 // frames accepted
 }
 
 // NewConn wraps a byte stream. maxFrame <= 0 selects
-// DefaultMaxFrameBytes.
+// DefaultMaxFrameBytes; the length prefix caps it at 4 GiB − 1.
 func NewConn(nc net.Conn, maxFrame int) *Conn {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrameBytes
 	}
-	return &Conn{nc: nc, maxFrame: maxFrame}
+	return &Conn{nc: nc, maxFrame: min(maxFrame, math.MaxUint32)}
 }
 
 // Send encodes and writes one frame. A positive timeout sets the write
 // deadline; zero writes without one. Send never partially interleaves
-// frames: the payload is staged in a buffer and written with the header
-// in one Write call.
+// frames: the frame is staged in a buffer the Conn reuses and written in
+// one Write call.
 func (c *Conn) Send(m *Message, timeout time.Duration) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.wbuf.Reset()
-	c.wbuf.Write(make([]byte, headerLen))
-	if err := gob.NewEncoder(&c.wbuf).Encode(m); err != nil {
-		return fmt.Errorf("remote: frame encode: %w", err)
-	}
-	payload := c.wbuf.Len() - headerLen
-	if payload > c.maxFrame {
+	b := appendFrame(c.wbuf[:0], c.sent, m)
+	c.wbuf = b
+	if payload := len(b) - headerLen; payload > c.maxFrame {
 		return fmt.Errorf("%w: encoding %d bytes > %d", ErrFrameTooLarge, payload, c.maxFrame)
 	}
-	b := c.wbuf.Bytes()
-	binary.BigEndian.PutUint32(b[:headerLen], uint32(payload))
 	if timeout > 0 {
 		if err := c.nc.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
 			return err
 		}
 	}
+	c.sent++
 	if _, err := c.nc.Write(b); err != nil {
 		return err
 	}
@@ -393,19 +525,24 @@ func (c *Conn) Send(m *Message, timeout time.Duration) error {
 
 // Recv reads one frame. A positive timeout sets the read deadline (the
 // caller's liveness bound — heartbeats must arrive within it); zero
-// blocks indefinitely.
+// blocks indefinitely. A frame that is not the next one fails with
+// ErrFrameOrder.
 func (c *Conn) Recv(timeout time.Duration) (*Message, error) {
 	if timeout > 0 {
 		if err := c.nc.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 			return nil, err
 		}
 	}
-	m, n, err := readMessage(c.nc, c.maxFrame)
+	no, m, n, err := readFrame(c.nc, c.maxFrame, &c.rbuf)
 	if err != nil {
 		return nil, err
 	}
 	c.stats.framesRecv.Inc()
 	c.stats.bytesRecv.Add(int64(n))
+	if no != c.recv {
+		return nil, fmt.Errorf("%w: frame %d, want %d", ErrFrameOrder, no, c.recv)
+	}
+	c.recv++
 	return m, nil
 }
 

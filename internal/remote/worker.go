@@ -68,6 +68,9 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 // goroutines.
 type Worker struct {
 	opts WorkerOptions
+	// afterRace, when non-nil, sees a live race's query state once the race
+	// and its exports are done, while the race still owns it (tests).
+	afterRace func(q *workerQuery)
 }
 
 // NewWorker builds a worker daemon.
@@ -198,7 +201,11 @@ func (w *Worker) runRace(sess *connSession, req *RaceRequest, stop <-chan struct
 	if !req.Live {
 		attempts := make([]portfolio.Attempt, len(req.Attempts))
 		for i, a := range req.Attempts {
+			if err := a.Opts.Guidance.covers(req.NumVars + 1); err != nil {
+				return &RaceResponse{ID: req.ID, Err: err.Error()}
+			}
 			attempts[i] = portfolio.Attempt{Name: a.Name, Opts: a.Opts.toSatOptions()}
+			attempts[i].Opts.Guidance = a.Opts.Guidance.expand(nil, req.NumVars+1, 0)
 		}
 		f := &cnf.Formula{NumVars: req.NumVars, Clauses: req.Formula}
 		return &RaceResponse{ID: req.ID, Race: portfolio.Race(f, attempts, req.Jobs, stop)}
@@ -220,18 +227,18 @@ func (w *Worker) runRace(sess *connSession, req *RaceRequest, stop <-chan struct
 		return &cnf.Formula{NumVars: q.history[d].NumVars, Clauses: q.history[d].Clauses}
 	}
 	attempts := make([]portfolio.LiveAttempt, len(req.Attempts))
-	for i, a := range req.Attempts {
+	for i := range req.Attempts {
+		a := &req.Attempts[i]
 		m := q.mirrors[a.Name]
 		if m == nil {
-			m = &mirror{feed: racer.Feed{Solver: sat.New(cnf.New(0), a.Opts.toSatOptions())}}
+			m = new(mirror)
 			q.mirrors[a.Name] = m
 		}
 		if len(pending) > 0 {
 			m.feed.Deliver(k, "", pending)
 		}
 		attempts[i] = portfolio.LiveAttempt{Name: a.Name, Solver: func() *sat.Solver {
-			s, _ := m.feed.CatchUp(k, frames, a.Opts.Guidance, a.Opts.SwitchAfterDecisions)
-			return s
+			return m.catchUp(k, frames, &a.Opts, req.Grow)
 		}}
 	}
 
@@ -241,9 +248,15 @@ func (w *Worker) runRace(sess *connSession, req *RaceRequest, stop <-chan struct
 	if req.ExportMaxLen > 0 || req.ExportMaxLBD > 0 {
 		for _, a := range req.Attempts {
 			m := q.mirrors[a.Name]
+			if m.feed.Solver == nil {
+				continue
+			}
 			exported = append(exported, m.feed.Solver.ExportLearned(m.mark, req.ExportMaxLen, req.ExportMaxLBD, req.ExportBudget)...)
 			m.mark = m.feed.Solver.NextClauseID()
 		}
+	}
+	if w.afterRace != nil {
+		w.afterRace(q)
 	}
 	return &RaceResponse{ID: req.ID, Race: race, Exported: exported}
 }
@@ -271,11 +284,35 @@ type workerQuery struct {
 }
 
 // mirror is one strategy's persistent worker-side solver: the solver with
-// its load state (frames of the history held, imports waiting), and the
-// learned-clause export high-water mark.
+// its load state (frames of the history held, imports waiting), the array
+// its guidance is expanded over, and the learned-clause export high-water
+// mark. The solver and the array are made when the mirror first searches.
 type mirror struct {
-	feed racer.Feed
-	mark sat.ClauseID
+	feed     racer.Feed
+	guidance []float64
+	mark     sat.ClauseID
+}
+
+// catchUp is the mirror's load at depth k, on the race goroutine about to
+// solve, as racer.Pool's is for its racers: the solver is made at the
+// first load and sized ahead by the pool's hint at every one, and the
+// attempt's guidance runs — which beginLive checked cover depth k — are
+// expanded over the mirror's one array, replaced by one sized as the
+// solver is when it no longer fits.
+func (m *mirror) catchUp(k int, frames func(d int) *cnf.Formula, opts *WireOptions, grow portfolio.Growth) *sat.Solver {
+	s := m.feed.Solver
+	if s == nil {
+		s = new(sat.Solver)
+		s.Grow(grow.Vars, grow.Clauses, grow.Literals)
+		s.Load(cnf.New(0), opts.toSatOptions())
+		m.feed.Solver = s
+	} else {
+		s.Grow(grow.Vars, grow.Clauses, grow.Literals)
+	}
+	n := frames(k).NumVars + 1
+	m.guidance = opts.Guidance.expand(m.guidance, n, grow.Vars+1)
+	s, _ = m.feed.CatchUp(k, frames, m.guidance, opts.SwitchAfterDecisions)
+	return s
 }
 
 func newConnSession() *connSession {
@@ -344,9 +381,10 @@ func (s *connSession) enqueueClauses(p *ClausePayload) {
 }
 
 // beginLive claims the request's query for one race: it validates and
-// appends the request's frames to the history, takes the pending clause
-// imports, and marks the query busy. The returned workerQuery is owned
-// by the caller until endLive.
+// appends the request's frames to the history, checks that the history
+// holds a frame and every attempt's guidance covers the last one's
+// variables, takes the pending clause imports, and marks the query busy.
+// The returned workerQuery is owned by the caller until endLive.
 func (s *connSession) beginLive(req *RaceRequest) (*workerQuery, []cnf.Clause, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -367,6 +405,15 @@ func (s *connSession) beginLive(req *RaceRequest) (*workerQuery, []cnf.Clause, e
 		default:
 			return nil, nil, fmt.Errorf("remote: frame gap for query %q: got depth %d, have %d frames",
 				req.Query, fr.K, len(q.history))
+		}
+	}
+	if len(q.history) == 0 {
+		return nil, nil, fmt.Errorf("remote: live race for query %q before its first frame", req.Query)
+	}
+	scores := q.history[len(q.history)-1].NumVars + 1
+	for _, a := range req.Attempts {
+		if err := a.Opts.Guidance.covers(scores); err != nil {
+			return nil, nil, fmt.Errorf("%w (query %q, attempt %s)", err, req.Query, a.Name)
 		}
 	}
 	pending := q.pending

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -15,10 +16,11 @@ import (
 // TestMirrorLoadsWhenItRaces drives Worker.runRace the way a coordinator
 // with one worker slot does: four attempts per request, Jobs 1, so the
 // first attempt decides and the other three are skipped. A skipped mirror
-// holds nothing. When a later request puts another strategy first, its
-// mirror takes the whole history and every clause payload that was meant
-// for it in one catch-up, and searches exactly like a reference solver
-// this test fed frame by frame, payload by payload, all along.
+// holds nothing: no solver, no expanded guidance. When a later request
+// puts another strategy first, its mirror takes the whole history and
+// every clause payload that was meant for it in one catch-up, and searches
+// exactly like a reference solver this test fed frame by frame, payload by
+// payload, all along.
 func TestMirrorLoadsWhenItRaces(t *testing.T) {
 	const lateAt = 4
 	u, err := unroll.New(bench.ParityMixer(5, 3, 10), 0)
@@ -46,11 +48,12 @@ func TestMirrorLoadsWhenItRaces(t *testing.T) {
 			Assumps: []lits.Lit{d.ActLit(k)},
 			Jobs:    1, ExportMaxLen: 8, ExportMaxLBD: 4, ExportBudget: 256,
 		}
+		in := core.Layout{NumVars: src.NumVars(k), Frames: src.Frames(k), VarInfo: src.VarInfo}
+		guidance, _ := core.OrderTimeAxis.Guidance(nil, in, 0, 0, nil)
 		for _, i := range order {
 			opts := toWireOptions(sat.Defaults())
 			if i == late {
-				in := core.Layout{NumVars: src.NumVars(k), Frames: src.Frames(k), VarInfo: src.VarInfo}
-				opts.Guidance, _ = core.OrderTimeAxis.Guidance(nil, in, 0, 0, nil)
+				opts.Guidance = compressGuidance(guidance)
 			}
 			req.Attempts = append(req.Attempts, WireAttempt{Name: names[i], Opts: opts})
 		}
@@ -81,12 +84,16 @@ func TestMirrorLoadsWhenItRaces(t *testing.T) {
 		mirrors := sess.queries["bmc"].mirrors
 		for i, n := range names {
 			raced := i == 0 || (i == late && k >= lateAt)
-			if vars := mirrors[n].feed.Solver.NumVars(); raced != (vars > 0) {
-				t.Fatalf("depth %d: mirror %s holds %d variables (raced so far: %v)", k, n, vars, raced)
+			if m := mirrors[n]; raced != (m.feed.Solver != nil) || (!raced && m.guidance != nil) {
+				t.Fatalf("depth %d: mirror %s holds a solver (%v) or guidance (%d scores); raced so far: %v",
+					k, n, m.feed.Solver != nil, len(m.guidance), raced)
 			}
 		}
 		if k >= lateAt {
-			ref.SetGuidance(req.Attempts[0].Opts.Guidance, 0)
+			if !slices.Equal(mirrors[names[late]].guidance, guidance) {
+				t.Fatalf("depth %d: the late mirror's expanded guidance is not the time-axis guidance it was sent", k)
+			}
+			ref.SetGuidance(guidance, 0)
 			want := ref.SolveAssuming(req.Assumps)
 			got := resp.Race.Outcomes[0]
 			got.Stats.SolveTime, want.Stats.SolveTime = 0, 0
