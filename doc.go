@@ -29,9 +29,10 @@
 //	                     emitting Chrome-trace JSON; every layer below
 //	                     hangs its instrumentation off these two types
 //	internal/sat         incremental CDCL solver (Chaff lineage) over a
-//	                     flat clause arena (one pointer-free []uint32 per
-//	                     solver, index watchers, bulk load into a new or
-//	                     a used solver's storage, in-place compaction):
+//	                     paged clause arena (pointer-free []uint32 pages
+//	                     that grow without copying, index watchers, bulk
+//	                     load into a new or a used solver's storage,
+//	                     in-place compaction):
 //	                     clause addition and assumption solving on a
 //	                     live solver, proof recording, guidance scores,
 //	                     cancellation, learned-clause export/import for

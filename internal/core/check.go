@@ -23,9 +23,9 @@ func (r *Recorder) Check(originals *cnf.Formula) error {
 	}
 	var target []lits.Lit
 	var ants []sat.ClauseID
-	for i := range r.antEnd {
+	for i := range r.antEnd.n {
 		id := r.base + sat.ClauseID(i)
-		lo, hi := r.span(r.antEnd, id)
+		lo, hi := r.span(&r.antEnd, id)
 		if lo == hi {
 			continue // a leaf: taken as given
 		}
@@ -36,7 +36,7 @@ func (r *Recorder) Check(originals *cnf.Formula) error {
 			return fmt.Errorf("core: learned clause %d not RUP from its antecedents: %w", id, err)
 		}
 	}
-	known := r.base + sat.ClauseID(len(r.antEnd))
+	known := r.base + sat.ClauseID(r.antEnd.n)
 	if err := r.checkRUP(nil, r.final, known, originals); err != nil {
 		return fmt.Errorf("core: final conflict not RUP: %w", err)
 	}

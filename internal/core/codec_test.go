@@ -75,7 +75,7 @@ type codedRun struct {
 
 // codedRuns is a store of random runs and what they cover.
 type codedRuns struct {
-	c        chunked
+	c        chunked[byte]
 	runs     []codedRun
 	lengths  [maxVarint + 1]int // deltas by coded length
 	extremes [2]bool            // 0 and top coded

@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/cnf"
 	"repro/internal/lits"
@@ -50,56 +51,76 @@ const (
 	Complete
 )
 
-// chunkLen is the number of bytes per storage chunk (64 KB).
+// A storage chunk is 64 KB: chunkLen bytes of coded runs, or chunkLen/4
+// entries of an end table.
 const (
 	chunkShift = 16
 	chunkLen   = 1 << chunkShift
 )
 
-// chunked is a byte sequence held in fixed-size chunks. Growing it adds a
-// chunk and copies nothing, so a recorder never holds two copies of its
-// graph: one append-grown slice keeps the old and the new backing array
-// alive side by side while it grows, and with the antecedent IDs the
-// largest thing a long check holds, that alone would lift its peak heap
-// past a 10 % bound. Truncating it hands the chunks it no longer needs to a
-// spare list, which later growth draws from before it allocates.
+// chunked is a sequence held in fixed-size chunks. Growing it adds a chunk
+// and copies nothing, so a recorder never holds two copies of its graph:
+// one append-grown slice keeps the old and the new backing array alive side
+// by side while it grows, and allocates about five times its final size on
+// the way. Truncating it hands the chunks it no longer needs to a spare
+// list, which later growth draws from before it allocates.
 //
-// The bytes are coded runs (appendRun): a value may begin in one chunk and
-// end in the next, and so may a run.
-type chunked struct {
-	chunks [][]byte // every chunk but the last holds exactly chunkLen bytes
-	spare  [][]byte // emptied chunks, taken last in first out
+// A chunked[byte] holds coded runs (appendRun): a value may begin in one
+// chunk and end in the next, and so may a run. A chunked[uint32] is an end
+// table, one entry a clause ID.
+type chunked[T byte | uint32] struct {
+	chunks [][]T // every chunk but the last is full
+	spare  [][]T // emptied chunks, taken last in first out
 	n      int
+}
+
+// shift is the log of the elements a chunk holds.
+func (c *chunked[T]) shift() int {
+	var x T
+	return chunkShift - bits.TrailingZeros(uint(unsafe.Sizeof(x)))
 }
 
 // tail returns the chunk appends go to, opening a new one when the last is
 // full.
-func (c *chunked) tail() *[]byte {
-	if k := len(c.chunks); k == 0 || len(c.chunks[k-1]) == chunkLen {
+func (c *chunked[T]) tail() *[]T {
+	if k := len(c.chunks); k == 0 || len(c.chunks[k-1]) == 1<<c.shift() {
 		c.open()
 	}
 	return &c.chunks[len(c.chunks)-1]
 }
 
-// open adds a chunk. A spare comes first. Otherwise the first chunk grows by
-// append, so a small graph stays small, and every later one is allocated
-// whole.
-func (c *chunked) open() {
-	var next []byte
+// open adds a chunk. A spare comes first. Otherwise the first chunk starts
+// empty and doubles as it fills (put), so a small graph stays small, and
+// every later one is allocated whole.
+func (c *chunked[T]) open() {
+	var next []T
 	if s := len(c.spare); s > 0 {
 		next, c.spare[s-1] = c.spare[s-1], nil
 		c.spare = c.spare[:s-1]
 	} else if len(c.chunks) > 0 {
-		next = make([]byte, 0, chunkLen)
+		next = make([]T, 0, 1<<c.shift())
 	}
 	c.chunks = append(c.chunks, next)
 }
 
-// putByte appends one byte.
-func (c *chunked) putByte(b byte) {
+// put appends one element. Only a first chunk is ever full short of a
+// chunk's length; it doubles, which allocates half what append's growth
+// rule would on the way to a whole chunk.
+func (c *chunked[T]) put(x T) {
 	last := c.tail()
-	*last = append(*last, b)
+	if n := len(*last); n == cap(*last) {
+		grown := make([]T, n, min(max(2*n, 64), 1<<c.shift()))
+		copy(grown, *last)
+		*last = grown
+	}
+	*last = append(*last, x)
 	c.n++
+}
+
+// at returns element i.
+func (c *chunked[T]) at(i int) T {
+	s := c.shift()
+	return c.chunks[i>>s][i&(1<<s-1)]
 }
 
 // maxVarint is the longest coding of one value: the zigzag delta between
@@ -169,8 +190,8 @@ var lebLen, lebCont, lebData = func() (n [65]uint8, cont [65]uint64, data [16]ui
 // where the values took four. The values the last chunk surely has room for
 // are coded straight into it, a word at a time; the one that may not fit
 // goes a byte at a time, on into the next chunk, or, in a first chunk that
-// is still growing, into what append grows it to.
-func appendRun[T ~int32](c *chunked, xs []T, prev T) {
+// is still growing, into what put grows it to.
+func appendRun[T ~int32](c *chunked[byte], xs []T, prev T) {
 	for len(xs) > 0 {
 		last := c.tail()
 		// spread's word reaches three bytes past the longest coding.
@@ -179,7 +200,7 @@ func appendRun[T ~int32](c *chunked, xs []T, prev T) {
 			w, k := spread(zigzag(int64(xs[0]) - int64(prev)))
 			prev, xs = xs[0], xs[1:]
 			for ; k > 0; k-- {
-				c.putByte(byte(w))
+				c.put(byte(w))
 				w >>= 8
 			}
 			continue
@@ -203,7 +224,7 @@ func appendRun[T ~int32](c *chunked, xs []T, prev T) {
 // bytes it takes. It reads them where they lie — a word at once while a
 // whole word lies inside the chunk, a byte at a time near the chunk's end,
 // on into the next chunk — and copies nothing.
-func (c *chunked) value(p int) (u uint64, k int) {
+func value(c *chunked[byte], p int) (u uint64, k int) {
 	if chunk, i := c.chunks[p>>chunkShift], p&(chunkLen-1); i+8 <= len(chunk) {
 		return gather(binary.LittleEndian.Uint64(chunk[i:]))
 	}
@@ -219,10 +240,10 @@ func (c *chunked) value(p int) (u uint64, k int) {
 
 // decodeRun appends to dst the values of the run coded in [lo, hi), whose
 // first value was coded against prev.
-func decodeRun[T ~int32](c *chunked, dst []T, lo, hi int, prev T) []T {
+func decodeRun[T ~int32](c *chunked[byte], dst []T, lo, hi int, prev T) []T {
 	x := int64(prev)
 	for p := lo; p < hi; {
-		u, k := c.value(p)
+		u, k := value(c, p)
 		x += unzigzag(u)
 		dst = append(dst, T(x))
 		p += k
@@ -236,7 +257,7 @@ func decodeRun[T ~int32](c *chunked, dst []T, lo, hi int, prev T) []T {
 // the one before it is decoded, so a load per value would have each value
 // wait for the last one's load; markRun reads two values to a word load
 // wherever both end inside the word.
-func markRun(c *chunked, seen []uint64, lo, hi int, x int64) {
+func markRun(c *chunked[byte], seen []uint64, lo, hi int, x int64) {
 	for lo < hi {
 		chunk := c.chunks[lo>>chunkShift]
 		from := lo & (chunkLen - 1)
@@ -258,7 +279,7 @@ func markRun(c *chunked, seen []uint64, lo, hi int, x int64) {
 		lo += p - from
 		if lo < hi {
 			// Near the chunk's end, where a value may go on into the next.
-			u, k := c.value(lo)
+			u, k := value(c, lo)
 			x += unzigzag(u)
 			seen[x>>6] |= 1 << (x & 63)
 			lo += k
@@ -268,7 +289,7 @@ func markRun(c *chunked, seen []uint64, lo, hi int, x int64) {
 
 // moveDown copies the n bytes at from to to, which lies at or below from;
 // the two ranges may overlap.
-func (c *chunked) moveDown(to, from, n int) {
+func moveDown(c *chunked[byte], to, from, n int) {
 	for n > 0 {
 		src := c.chunks[from>>chunkShift][from&(chunkLen-1):]
 		dst := c.chunks[to>>chunkShift][to&(chunkLen-1):]
@@ -279,33 +300,35 @@ func (c *chunked) moveDown(to, from, n int) {
 	}
 }
 
-// truncate keeps the first n bytes and moves the chunks past them to the
-// spare list. That includes a first chunk that append has not yet grown to
-// full size: the list hands it out first, as the first chunk again, so a
+// truncate keeps the first n elements and moves the chunks past them to
+// the spare list. That includes a first chunk not yet grown to full
+// size: the list hands it out first, as the first chunk again, so a
 // small graph reloaded at every depth grows it once, not once a depth.
-func (c *chunked) truncate(n int) {
-	keep := (n + chunkLen - 1) >> chunkShift
+func (c *chunked[T]) truncate(n int) {
+	s := c.shift()
+	keep := (n + 1<<s - 1) >> s
 	for k := len(c.chunks) - 1; k >= keep; k-- {
 		c.spare = append(c.spare, c.chunks[k][:0])
 		c.chunks[k] = nil
 	}
 	c.chunks = c.chunks[:keep]
 	if keep > 0 {
-		c.chunks[keep-1] = c.chunks[keep-1][:n-(keep-1)<<chunkShift]
+		c.chunks[keep-1] = c.chunks[keep-1][:n-(keep-1)<<s]
 	}
 	c.n = n
 }
 
 // bytes is what the store holds, spare chunks included.
-func (c *chunked) bytes() int64 {
-	b := int64(cap(c.chunks)+cap(c.spare)) * 24
+func (c *chunked[T]) bytes() int64 {
+	var elems int64
 	for _, chunk := range c.chunks {
-		b += int64(cap(chunk))
+		elems += int64(cap(chunk))
 	}
 	for _, chunk := range c.spare {
-		b += int64(cap(chunk))
+		elems += int64(cap(chunk))
 	}
-	return b
+	var x T
+	return int64(cap(c.chunks)+cap(c.spare))*24 + elems*int64(unsafe.Sizeof(x))
 }
 
 // Recorder is the Conflict Dependency Graph. It implements
@@ -313,15 +336,16 @@ func (c *chunked) bytes() int64 {
 //
 // The layout is indexed by clause ID: a solver numbers originals, learned
 // clauses and bus imports from one dense counter and reports learned
-// clauses in that order, so antEnd[i] is the byte offset where clause
-// base+i's coded antecedent run ends in ants (it starts where the previous
-// clause's ends). The run codes the first antecedent against the clause's
+// clauses in that order, so entry i of the end table antEnd is the byte
+// offset where clause base+i's coded antecedent run ends in ants (it
+// starts where the previous clause's ends). The run codes the first antecedent against the clause's
 // own ID and each later one against the one before (appendRun). An ID that
 // never had antecedents recorded is a leaf — an original clause or a bus
 // import. A fresh solver's leaves are the formula's clauses 0..base-1 and
 // get no table entry; a persistent solver's interleave with the learned
 // clauses and get an empty one. litEnd and lits hold the Payload's clause
-// literals the same way, each run coded from 0.
+// literals the same way, each run coded from 0. The end tables are chunked
+// like the runs, so no store the recorder keeps is ever copied to grow.
 //
 // A record lives while a live clause's derivation can reach it. Deleting a
 // clause does not delete its record — a live clause derived from it still
@@ -335,10 +359,10 @@ func (c *chunked) bytes() int64 {
 type Recorder struct {
 	payload Payload
 	base    sat.ClauseID
-	antEnd  []uint32
-	ants    chunked
-	litEnd  []uint32 // nil when payload is IDsOnly
-	lits    chunked
+	antEnd  chunked[uint32]
+	ants    chunked[byte]
+	litEnd  chunked[uint32] // empty when payload is IDsOnly
+	lits    chunked[byte]
 	learned int
 
 	final  []sat.ClauseID
@@ -367,14 +391,15 @@ func NewRecorderWith(numOriginals int, payload Payload) *Recorder {
 }
 
 // Reload makes r the recorder NewRecorderWith(numOriginals, payload) builds
-// with r's payload, out of the storage it already has: every chunk becomes
-// a spare, and the tables and the sweep's scratch keep their arrays. No
-// record and no final conflict survive. A scratch depth loop reloads one
+// with r's payload, out of the storage it already has: every chunk of the
+// runs and the end tables becomes a spare, and the sweep's scratch keeps
+// its arrays. No record and no final conflict survive. A scratch depth loop reloads one
 // recorder per solver at every depth, as it loads the solver
 // (sat.Solver.Load), so each depth grows only what the last left short.
 func (r *Recorder) Reload(numOriginals int) {
 	r.base = sat.ClauseID(numOriginals)
-	r.antEnd, r.litEnd = r.antEnd[:0], r.litEnd[:0]
+	r.antEnd.truncate(0)
+	r.litEnd.truncate(0)
 	r.ants.truncate(0)
 	r.lits.truncate(0)
 	r.learned = 0
@@ -385,10 +410,10 @@ func (r *Recorder) Reload(numOriginals int) {
 // registered. Clause IDs only ever grow.
 func (r *Recorder) advance(id sat.ClauseID) {
 	i := int(id - r.base)
-	if i < len(r.antEnd) {
-		panic(fmt.Sprintf("core: clause ID %d out of order (expected %d or above)", id, int(r.base)+len(r.antEnd)))
+	if i < r.antEnd.n {
+		panic(fmt.Sprintf("core: clause ID %d out of order (expected %d or above)", id, int(r.base)+r.antEnd.n))
 	}
-	for len(r.antEnd) < i {
+	for r.antEnd.n < i {
 		r.closeEntry()
 	}
 }
@@ -398,9 +423,9 @@ func (r *Recorder) closeEntry() {
 	if uint(r.ants.n) >= forgottenBit {
 		panic("core: more than 2^31 bytes of antecedent IDs on record")
 	}
-	r.antEnd = append(r.antEnd, uint32(r.ants.n))
+	r.antEnd.put(uint32(r.ants.n))
 	if r.payload != IDsOnly {
-		r.litEnd = append(r.litEnd, uint32(r.lits.n))
+		r.litEnd.put(uint32(r.lits.n))
 	}
 }
 
@@ -451,26 +476,25 @@ func (r *Recorder) ResetFinal() { r.proved = false }
 func (r *Recorder) NumLearnedRecorded() int { return r.learned }
 
 // ApproxBytes returns the bytes the recorder holds: the capacity of its
-// byte chunks (spare ones included), tables and traversal scratch. The paper's
-// §3.1 claims this is negligible beside the clause database; the overhead
-// experiment checks.
+// chunks (spare ones included), of runs and end tables alike, and its
+// traversal scratch. The paper's §3.1 claims this is negligible beside the
+// clause database; the overhead experiment checks.
 func (r *Recorder) ApproxBytes() int64 {
-	return r.ants.bytes() + r.lits.bytes() +
-		4*int64(cap(r.antEnd)+cap(r.litEnd)+cap(r.final)+cap(r.leaves)) +
-		8*int64(cap(r.seen))
+	return r.ants.bytes() + r.lits.bytes() + r.antEnd.bytes() + r.litEnd.bytes() +
+		4*int64(cap(r.final)+cap(r.leaves)) + 8*int64(cap(r.seen))
 }
 
 // span returns the bytes id's run lies in, in the store whose end table is
 // given; IDs the table does not cover have none.
-func (r *Recorder) span(end []uint32, id sat.ClauseID) (lo, hi int) {
+func (r *Recorder) span(end *chunked[uint32], id sat.ClauseID) (lo, hi int) {
 	i := int(id - r.base)
-	if i < 0 || i >= len(end) {
+	if i < 0 || i >= end.n {
 		return 0, 0
 	}
 	if i > 0 {
-		lo = int(end[i-1] &^ forgottenBit)
+		lo = int(end.at(i-1) &^ forgottenBit)
 	}
-	return lo, int(end[i] &^ forgottenBit)
+	return lo, int(end.at(i) &^ forgottenBit)
 }
 
 // Core traverses the CDG backward from the final conflict and returns the
@@ -514,31 +538,33 @@ func (r *Recorder) Forget(live []sat.ClauseID) {
 	// Below base are only leaves, which hold no record.
 	r.sweep(top, int(r.base), false)
 
-	to, lo := 0, 0
-	for i, end := range r.antEnd {
-		hi := int(end &^ forgottenBit)
-		id := int(r.base) + i
-		switch {
-		case lo == hi:
-			// A leaf, or a record forgotten before: its run stays empty.
-			r.antEnd[i] = uint32(to) | end&forgottenBit
-		case r.seen[id>>6]&(1<<(id&63)) != 0:
-			if to != lo {
-				r.ants.moveDown(to, lo, hi-lo)
+	to, lo, id := 0, 0, int(r.base)
+	for _, ends := range r.antEnd.chunks {
+		for j, end := range ends {
+			hi := int(end &^ forgottenBit)
+			switch {
+			case lo == hi:
+				// A leaf, or a record forgotten before: its run stays empty.
+				ends[j] = uint32(to) | end&forgottenBit
+			case r.seen[id>>6]&(1<<(id&63)) != 0:
+				if to != lo {
+					moveDown(&r.ants, to, lo, hi-lo)
+				}
+				to += hi - lo
+				ends[j] = uint32(to)
+			default:
+				ends[j] = uint32(to) | forgottenBit
 			}
-			to += hi - lo
-			r.antEnd[i] = uint32(to)
-		default:
-			r.antEnd[i] = uint32(to) | forgottenBit
+			lo = hi
+			id++
 		}
-		lo = hi
 	}
 	r.ants.truncate(to)
 }
 
 // above returns the lowest ID above every record and every ID in ids.
 func (r *Recorder) above(ids []sat.ClauseID) int {
-	top := int(r.base) + len(r.antEnd)
+	top := int(r.base) + r.antEnd.n
 	for _, id := range ids {
 		top = max(top, int(id)+1)
 	}
@@ -584,9 +610,9 @@ func (r *Recorder) sweep(top, bottom int, collect bool) {
 		if word&(1<<(id&63)) == 0 {
 			continue
 		}
-		lo, hi := r.span(r.antEnd, sat.ClauseID(id))
+		lo, hi := r.span(&r.antEnd, sat.ClauseID(id))
 		if lo == hi {
-			if i := id - int(r.base); i >= 0 && i < len(r.antEnd) && r.antEnd[i]&forgottenBit != 0 {
+			if i := id - int(r.base); i >= 0 && i < r.antEnd.n && r.antEnd.at(i)&forgottenBit != 0 {
 				panic(fmt.Sprintf("core: the CDG reached clause %d, whose record was forgotten", id))
 			}
 			if collect {
@@ -603,7 +629,7 @@ func (r *Recorder) sweep(top, bottom int, collect bool) {
 // scratch the result may alias.
 func (r *Recorder) clause(id sat.ClauseID, originals *cnf.Formula, buf []lits.Lit) ([]lits.Lit, bool) {
 	if id >= r.base && r.payload != IDsOnly {
-		lo, hi := r.span(r.litEnd, id)
+		lo, hi := r.span(&r.litEnd, id)
 		return decodeRun(&r.lits, buf[:0], lo, hi, 0), true
 	}
 	if originals == nil || id < 0 || int(id) >= len(originals.Clauses) {

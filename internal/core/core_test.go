@@ -217,7 +217,10 @@ func TestRecorderApproxBytes(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		r.RecordLearned(sat.ClauseID(11+i), nil, ants)
 	}
-	held := int64(cap(r.antEnd))*4 + int64(cap(r.ants.chunks))*24
+	held := int64(cap(r.antEnd.chunks)+cap(r.ants.chunks)) * 24
+	for _, c := range r.antEnd.chunks {
+		held += 4 * int64(cap(c))
+	}
 	for _, c := range r.ants.chunks {
 		held += int64(cap(c))
 	}

@@ -266,18 +266,18 @@ func TestForgetDropsUnreachableRecords(t *testing.T) {
 	for id := sat.ClauseID(300); id <= 303; id++ {
 		r.RecordLearned(id, nil, records[id])
 	}
-	if want := []uint32{3, 6, 10, 11}; !slices.Equal(r.antEnd, want) {
-		t.Fatalf("antEnd = %v before the collection, want %v", r.antEnd, want)
+	if want := []uint32{3, 6, 10, 11}; !slices.Equal(r.antEnd.slice(), want) {
+		t.Fatalf("antEnd = %v before the collection, want %v", r.antEnd.slice(), want)
 	}
 	r.Forget([]sat.ClauseID{303})
-	if want := []uint32{3, 6, 6 | forgottenBit, 7}; !slices.Equal(r.antEnd, want) {
-		t.Fatalf("antEnd = %#x, want %#x", r.antEnd, want)
+	if want := []uint32{3, 6, 6 | forgottenBit, 7}; !slices.Equal(r.antEnd.slice(), want) {
+		t.Fatalf("antEnd = %#x, want %#x", r.antEnd.slice(), want)
 	}
 	if r.ants.n != 7 {
 		t.Fatalf("the store holds %d bytes after the collection, want 7", r.ants.n)
 	}
 	for _, id := range []sat.ClauseID{300, 301, 303} {
-		lo, hi := r.span(r.antEnd, id)
+		lo, hi := r.span(&r.antEnd, id)
 		if got := decodeRun(&r.ants, nil, lo, hi, id); !slices.Equal(got, records[id]) {
 			t.Fatalf("record %d reads %v after the collection, want %v", id, got, records[id])
 		}
@@ -303,30 +303,38 @@ func TestCompleteRecorderNeverForgets(t *testing.T) {
 	r.RecordLearned(2, []lits.Lit{lits.PosLit(1)}, []sat.ClauseID{0, 1})
 	r.RecordLearned(3, []lits.Lit{lits.PosLit(2)}, []sat.ClauseID{1})
 	r.Forget([]sat.ClauseID{3})
-	if !slices.Equal(r.antEnd, []uint32{2, 3}) || r.ants.n != 3 {
-		t.Fatalf("a Complete recorder forgot: antEnd %v, %d antecedents", r.antEnd, r.ants.n)
+	if !slices.Equal(r.antEnd.slice(), []uint32{2, 3}) || r.ants.n != 3 {
+		t.Fatalf("a Complete recorder forgot: antEnd %v, %d antecedents", r.antEnd.slice(), r.ants.n)
 	}
 }
 
 // TestChunkedTruncate: truncating at a chunk boundary keeps exactly the
 // chunks below it, to zero keeps none, and growth takes the spares back
-// before it allocates anything.
+// before it allocates anything — for the coded runs' bytes and the end
+// tables' words alike.
 func TestChunkedTruncate(t *testing.T) {
-	var c chunked
-	// Byte i of the store holds i mod 251, so a byte out of place shows.
+	t.Run("runs", testChunkedTruncate[byte])
+	t.Run("end tables", testChunkedTruncate[uint32])
+}
+
+func testChunkedTruncate[T byte | uint32](t *testing.T) {
+	var c chunked[T]
+	per := 1 << c.shift() // elements a chunk holds
+	// Element i of the store holds i mod 251, so an element out of place
+	// shows.
 	fill := func(n int) {
 		for end := c.n + n; c.n < end; {
-			c.putByte(byte(c.n % 251))
+			c.put(T(c.n % 251))
 		}
 	}
 	check := func(what string, n int) {
 		t.Helper()
 		if c.n != n {
-			t.Fatalf("%s: %d bytes, want %d", what, c.n, n)
+			t.Fatalf("%s: %d elements, want %d", what, c.n, n)
 		}
 		for i := 0; i < n; i++ {
-			if got := c.chunks[i>>chunkShift][i&(chunkLen-1)]; got != byte(i%251) {
-				t.Fatalf("%s: byte %d reads %d", what, i, got)
+			if got := c.at(i); got != T(i%251) {
+				t.Fatalf("%s: element %d reads %d", what, i, got)
 			}
 		}
 	}
@@ -343,19 +351,19 @@ func TestChunkedTruncate(t *testing.T) {
 
 	// What the chunks hold, spares included; bytes adds the slice headers.
 	held := func() int64 { return c.bytes() - 24*int64(cap(c.chunks)+cap(c.spare)) }
-	fill(3*chunkLen + 5)
+	fill(3*per + 5)
 	before := held()
 
-	c.truncate(chunkLen)
-	if len(c.chunks) != 1 || len(c.chunks[0]) != chunkLen || len(c.spare) != 3 {
+	c.truncate(per)
+	if len(c.chunks) != 1 || len(c.chunks[0]) != per || len(c.spare) != 3 {
 		t.Fatalf("truncated at the first chunk boundary: %d chunks (the first of %d), %d spares", len(c.chunks), len(c.chunks[0]), len(c.spare))
 	}
-	check("at a chunk boundary", chunkLen)
+	check("at a chunk boundary", per)
 	if held() != before {
 		t.Errorf("the chunks hold %d bytes after the truncation, %d before", held(), before)
 	}
-	fill(chunkLen + 1)
-	check("grown past the boundary", 2*chunkLen+1)
+	fill(per + 1)
+	check("grown past the boundary", 2*per+1)
 
 	c.truncate(0)
 	if len(c.chunks) != 0 || len(c.spare) != 4 {
@@ -363,11 +371,11 @@ func TestChunkedTruncate(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(3, func() {
 		c.truncate(0)
-		fill(3 * chunkLen)
+		fill(3 * per)
 	}); allocs != 0 {
 		t.Errorf("regrowing from the spares allocated %.0f times", allocs)
 	}
-	check("regrown from the spares", 3*chunkLen)
+	check("regrown from the spares", 3*per)
 	if held() != before {
 		t.Errorf("the chunks hold %d bytes after regrowth, %d before", held(), before)
 	}
@@ -404,9 +412,9 @@ func TestReloadAfterMultiChunkGraph(t *testing.T) {
 	if held < before {
 		t.Errorf("ApproxBytes = %d after Reload, %d before: the storage is still held", held, before)
 	}
-	if r.HasProof() || r.Core() != nil || r.NumLearnedRecorded() != 0 || len(r.antEnd) != 0 || r.ants.n != 0 {
+	if r.HasProof() || r.Core() != nil || r.NumLearnedRecorded() != 0 || r.antEnd.n != 0 || r.ants.n != 0 {
 		t.Fatalf("Reload kept the last graph: proof %v, %d learned, %d entries, %d antecedents",
-			r.HasProof(), r.NumLearnedRecorded(), len(r.antEnd), r.ants.n)
+			r.HasProof(), r.NumLearnedRecorded(), r.antEnd.n, r.ants.n)
 	}
 	if allocs := testing.AllocsPerRun(3, func() {
 		r.Reload(60)

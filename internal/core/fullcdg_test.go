@@ -78,10 +78,10 @@ func recodeFirst(r *Recorder, edit func(literals []lits.Lit, ants []sat.ClauseID
 	var literals []lits.Lit
 	var ants []sat.ClauseID
 	first := true
-	for i := range r.antEnd {
+	for i := range r.antEnd.n {
 		id := r.base + sat.ClauseID(i)
 		literals, _ = r.clause(id, nil, literals)
-		lo, hi := r.span(r.antEnd, id)
+		lo, hi := r.span(&r.antEnd, id)
 		if lo == hi {
 			out.AddLeaf(id, literals)
 			continue
@@ -128,7 +128,7 @@ func TestFullRecorderDetectsDroppedAntecedents(t *testing.T) {
 	// Drop the antecedents of the first learned clause down to one (the
 	// store cannot hold an empty list — that is a leaf — so the survivor is
 	// repeated): its derivation can no longer be justified.
-	if rec.NumLearnedRecorded() == 0 || len(decodeRun(&rec.ants, nil, 0, int(rec.antEnd[0]), rec.base)) < 2 {
+	if rec.NumLearnedRecorded() == 0 || len(decodeRun(&rec.ants, nil, 0, int(rec.antEnd.at(0)), rec.base)) < 2 {
 		t.Skip("no suitable record")
 	}
 	rec = recodeFirst(rec, func(_ []lits.Lit, ants []sat.ClauseID) {

@@ -16,7 +16,7 @@ import (
 func SolverTables(s *sat.Solver) map[string]uintptr {
 	out := make(map[string]uintptr)
 	for _, name := range []string{
-		"ca.mem", "watches", "watchSlab", "vals", "reason", "level", "trail",
+		"ca.pages", "watches", "watchSlab", "vals", "reason", "level", "trail",
 		"chaScore", "newCount", "savedPhase", "seen", "heap.heap", "heap.pos",
 	} {
 		v := reflect.ValueOf(s).Elem()

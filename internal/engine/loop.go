@@ -89,10 +89,10 @@ func (q *freshSeq) grow(k int) {
 		vars, clauses, literals := q.inst.Size(t)
 		return vars + clauses + literals
 	})
-	vars, clauses, literals := q.inst.Size(t)
+	vars, clauses, _ := q.inst.Size(t)
 	q.inst.Grow(t)
 	for _, s := range q.solvers {
-		s.Grow(vars, clauses, literals)
+		s.Grow(vars, clauses)
 	}
 	q.sizedFor, q.sizedVars = t, vars
 }

@@ -107,7 +107,7 @@ func TestScratchStorageGrowsLogarithmically(t *testing.T) {
 	if res, err := sess.Check(context.Background()); err != nil || res.Verdict != engine.Holds || res.K != depth {
 		t.Fatalf("%v at %d (%v), want holds at %d", res.Verdict, res.K, err, depth)
 	}
-	for _, storage := range []string{"clause list", "dynamic guidance", "dynamic ca.mem", "dynamic heap.pos"} {
+	for _, storage := range []string{"clause list", "dynamic guidance", "dynamic ca.pages", "dynamic heap.pos"} {
 		if w.moves[storage] == 0 {
 			t.Fatalf("%s never seen: the watch looks at the wrong storage (%v)", storage, w.moves)
 		}
@@ -180,7 +180,7 @@ func (w *warmWatch) RaceLive(q engine.Query, attempts []portfolio.LiveAttempt, a
 		for table, at := range engine.SolverTables(solvers[i]) {
 			// The arena also holds learnt clauses, and a warm solver keeps
 			// no slab: neither is sized by variables.
-			if table != "ca.mem" && table != "watchSlab" {
+			if table != "ca.pages" && table != "watchSlab" {
 				w.note(a.Name+" "+table, at)
 			}
 		}

@@ -216,10 +216,10 @@ func (p *Pool) grow(k int) {
 		return vars + clauses + literals
 	})
 	h := &p.hint
-	h.Vars, h.Clauses, h.Literals = p.src.Size(t)
+	h.Vars, h.Clauses, _ = p.src.Size(t)
 	for _, r := range p.racers {
 		if r.feed.Solver != nil {
-			r.feed.Solver.Grow(h.Vars, h.Clauses, h.Literals)
+			r.feed.Solver.Grow(h.Vars, h.Clauses)
 		}
 	}
 	p.sizedFor = t
@@ -232,7 +232,7 @@ func (p *Pool) grow(k int) {
 func (p *Pool) catchUp(r *racerState, k int, frames func(d int) *cnf.Formula, guidance []float64, switchAfter int64) *sat.Solver {
 	if r.feed.Solver == nil {
 		s := new(sat.Solver)
-		s.Grow(p.hint.Vars, p.hint.Clauses, p.hint.Literals)
+		s.Grow(p.hint.Vars, p.hint.Clauses)
 		s.Load(cnf.New(0), r.opts)
 		r.feed.Solver = s
 	}

@@ -110,8 +110,7 @@ func appendRaceRequest(dst []byte, r *RaceRequest) []byte {
 	dst = binary.AppendVarint(dst, int64(r.ExportMaxLBD))
 	dst = binary.AppendVarint(dst, int64(r.ExportBudget))
 	dst = binary.AppendVarint(dst, int64(r.Grow.Vars))
-	dst = binary.AppendVarint(dst, int64(r.Grow.Clauses))
-	return binary.AppendVarint(dst, int64(r.Grow.Literals))
+	return binary.AppendVarint(dst, int64(r.Grow.Clauses))
 }
 
 func appendOptions(dst []byte, o *WireOptions) []byte {
@@ -423,7 +422,7 @@ func (d *decoder) raceRequest() *RaceRequest {
 		}
 	}
 	r.Jobs, r.ExportMaxLen, r.ExportMaxLBD, r.ExportBudget = d.int(), d.int(), d.int(), d.int()
-	r.Grow = portfolio.Growth{Vars: d.int(), Clauses: d.int(), Literals: d.int()}
+	r.Grow = portfolio.Growth{Vars: d.int(), Clauses: d.int()}
 	return r
 }
 

@@ -94,7 +94,7 @@ import (
 
 // ProtocolVersion is bumped on any wire-incompatible change; the
 // handshake rejects mismatched peers.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // DefaultMaxFrameBytes bounds one frame's payload (64 MiB — a deep
 // unrolling's frame batch fits with room to spare). The bound is

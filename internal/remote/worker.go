@@ -303,11 +303,11 @@ func (m *mirror) catchUp(k int, frames func(d int) *cnf.Formula, opts *WireOptio
 	s := m.feed.Solver
 	if s == nil {
 		s = new(sat.Solver)
-		s.Grow(grow.Vars, grow.Clauses, grow.Literals)
+		s.Grow(grow.Vars, grow.Clauses)
 		s.Load(cnf.New(0), opts.toSatOptions())
 		m.feed.Solver = s
 	} else {
-		s.Grow(grow.Vars, grow.Clauses, grow.Literals)
+		s.Grow(grow.Vars, grow.Clauses)
 	}
 	n := frames(k).NumVars + 1
 	m.guidance = opts.Guidance.expand(m.guidance, n, grow.Vars+1)

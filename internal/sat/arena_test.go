@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
@@ -56,19 +57,227 @@ func BenchmarkPropagateAdder(b *testing.B) {
 // mallocs counts the heap allocations of one call of f, which, unlike
 // testing.AllocsPerRun, is not warmed up by a call before it.
 func mallocs(f func()) uint64 {
+	n, _ := allocated(f)
+	return n
+}
+
+// allocated is mallocs with the bytes those allocations took.
+func allocated(f func()) (n, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	f()
 	runtime.ReadMemStats(&m1)
-	return m1.Mallocs - m0.Mallocs
+	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+}
+
+// arrays is the set of page arrays a holds, in its table or spare.
+func (a *arena) arrays() map[*uint32]bool {
+	out := make(map[*uint32]bool)
+	for _, pgs := range [][][]uint32{a.pages, a.spare} {
+		for _, pg := range pgs {
+			if cap(pg) > 0 {
+				out[unsafe.SliceData(pg)] = true
+			}
+		}
+	}
+	return out
+}
+
+// slotWatch is a proof recorder that checks, at every learnt clause, that
+// each slot of the arena's page table holds the array it held when first
+// seen, and notes how many slots the table reached.
+type slotWatch struct {
+	t     *testing.T
+	s     *Solver
+	first []*uint32
+}
+
+func (w *slotWatch) RecordLearned(id ClauseID, _ []lits.Lit, _ []ClauseID) {
+	for p, pg := range w.s.ca.pages {
+		if p == len(w.first) {
+			w.first = append(w.first, unsafe.SliceData(pg))
+		}
+		if at := unsafe.SliceData(pg); at != w.first[p] {
+			w.t.Fatalf("learning clause %d: slot %d holds %p, was made with %p", id, p, at, w.first[p])
+		}
+	}
+}
+func (w *slotWatch) RecordFinal([]ClauseID) {}
+func (w *slotWatch) Forget([]ClauseID)      {}
+
+// TestArenaNeverCopies: growing the clause store opens a page and copies
+// nothing. Pushing clauses allocates the pages it opens and the page table,
+// nothing else, and over a search whose arena spans at least four pages
+// every page's array stays in the slot it was made for.
+func TestArenaNeverCopies(t *testing.T) {
+	var a arena
+	r := rng(3)
+	ls := make([]lits.Lit, 80)
+	for i := range ls {
+		ls[i] = lits.PosLit(lits.Var(i + 1))
+	}
+	made := make([]*uint32, 0, 64)
+	opened, tableMoves := 0, 0
+	n := mallocs(func() {
+		for id := ClauseID(0); len(a.pages) < 6; id++ {
+			slots, table := len(a.pages), cap(a.pages)
+			var flags uint32
+			if r.intn(2) == 0 {
+				flags = flagLearnt
+			}
+			a.push(id, flags, int64(id), ls[:1+r.intn(len(ls))])
+			if len(a.pages) != slots {
+				opened++
+				made = append(made, unsafe.SliceData(a.pages[len(a.pages)-1]))
+			}
+			if cap(a.pages) != table {
+				tableMoves++
+			}
+		}
+	})
+	if n != uint64(opened+tableMoves) {
+		t.Errorf("pushing clauses over %d pages: %d allocations, want the %d pages opened and %d page table moves", len(a.pages), n, opened, tableMoves)
+	}
+	for p, pg := range a.pages {
+		if at := unsafe.SliceData(pg); at != made[p] || cap(pg) != pageWords {
+			t.Errorf("slot %d holds %p of %d words, the page opened there was %p", p, at, cap(pg), made[p])
+		}
+	}
+
+	opts := Defaults()
+	opts.MaxLearntFrac = 1e9 // no reduction: the learnt clauses pile up
+	s := New(pigeonhole(10, 9), opts)
+	w := &slotWatch{t: t, s: s}
+	s.opts.Recorder, s.recording = w, true
+	if r := s.Solve(); r.Status != Unsat {
+		t.Fatalf("PHP(10,9) = %v, want Unsat", r.Status)
+	}
+	if len(w.first) < 4 {
+		t.Fatalf("the arena reached %d pages, want at least 4: the test no longer exercises what it is for", len(w.first))
+	}
+}
+
+// TestLongClause: a clause longer than a page goes in through Load,
+// AddClause and ImportClause onto a page of its own, is watched and
+// propagates, keeps its page while a compaction moves the clauses below
+// it, and takes the same page again when a Load reuses the arena.
+func TestLongClause(t *testing.T) {
+	n := pageWords + 1
+	long := make(cnf.Clause, n)
+	for i := range long {
+		long[i] = lits.PosLit(lits.Var(i + 1))
+	}
+	// Units falsify every literal but the last, the watched ones last, so
+	// the clause's one propagation implies x_n.
+	var units []cnf.Clause
+	for v := n - 1; v >= 3; v-- {
+		units = append(units, cnf.Clause{lits.NegLit(lits.Var(v))})
+	}
+	units = append(units, cnf.Clause{lits.NegLit(1)}, cnf.Clause{lits.NegLit(2)})
+	f := cnf.New(n)
+	f.AddClause(long)
+	for _, u := range units {
+		f.AddClause(u)
+	}
+
+	// where finds the long clause and checks its page is its own.
+	where := func(s *Solver, how string) cref {
+		t.Helper()
+		for c, k := range s.ca.clauses {
+			if k.size() != n || k.deleted() {
+				continue
+			}
+			p := c >> pageShift
+			if c&pageMask != 0 || len(s.ca.pages[p]) != k.words() || s.ca.pages[p+1] != nil {
+				t.Fatalf("%s: the long clause is at offset %d of slot %d, its page holds %d words, the next slot %d",
+					how, c&pageMask, p, len(s.ca.pages[p]), cap(s.ca.pages[p+1]))
+			}
+			watched := 0
+			for _, ws := range s.watches {
+				for _, w := range ws {
+					if w.c == c {
+						watched++
+					}
+				}
+			}
+			if watched != 2 {
+				t.Fatalf("%s: the long clause has %d watchers, want 2", how, watched)
+			}
+			return c
+		}
+		t.Fatalf("%s: no clause of %d literals in the arena", how, n)
+		return crefUndef
+	}
+	implies := func(s *Solver, how string) {
+		t.Helper()
+		r := s.Solve()
+		if r.Status != Sat || r.Model.Value(lits.Var(n)) != lits.True || r.Model.Value(1) != lits.False {
+			t.Fatalf("%s: %v, x%d = %v, want Sat with x%d true", how, r.Status, n, r.Model.Value(lits.Var(n)), n)
+		}
+	}
+
+	loaded := New(f, Defaults())
+	where(loaded, "Load")
+	implies(loaded, "Load")
+
+	added := New(cnf.New(n), Defaults())
+	for _, c := range f.Clauses {
+		added.AddClause(c)
+	}
+	where(added, "AddClause")
+	implies(added, "AddClause")
+
+	// Imports below the long clause, every other one deleted, so the
+	// compaction moves clauses below it.
+	s := New(cnf.New(n+200), Defaults())
+	const imported = 100
+	for i := 0; i < imported; i++ {
+		s.ImportClause(cnf.Clause{lits.PosLit(lits.Var(n + 2*i + 1)), lits.PosLit(lits.Var(n + 2*i + 2))})
+	}
+	if _, ok := s.ImportClause(long); !ok {
+		t.Fatal("the long clause was not imported")
+	}
+	c := where(s, "ImportClause")
+	before := s.view(c)
+	page := unsafe.SliceData(s.ca.pages[c>>pageShift])
+	kept := s.learnts[:0]
+	for i, c := range s.learnts {
+		if i < imported && i%2 == 0 {
+			s.detach(c)
+			s.ca.free(s.ca.at(c))
+			continue
+		}
+		kept = append(kept, c)
+	}
+	s.learnts = kept
+	moved := s.learnts[0]
+	s.compact()
+	if s.learnts[0] == moved {
+		t.Fatal("the compaction moved nothing below the long clause")
+	}
+	c = where(s, "compacted")
+	if got := s.view(c); !got.equal(before) || unsafe.SliceData(s.ca.pages[c>>pageShift]) != page {
+		t.Fatalf("the compaction changed the long clause or its page")
+	}
+	for _, u := range units {
+		s.AddClause(u)
+	}
+	implies(s, "ImportClause and compaction")
+
+	s.Load(f, Defaults())
+	if c = where(s, "reloaded"); unsafe.SliceData(s.ca.pages[c>>pageShift]) != page {
+		t.Errorf("Load made the long clause a new page instead of taking its spare")
+	}
+	implies(s, "reloaded")
 }
 
 // TestLoadAllocsBounded pins the bulk load: New allocates per solver, not
 // per clause, Load into a solver that has held the formula before allocates
 // nothing to speak of, a solver hinted (Grow) for depth 7 loads every depth
-// from 3 to 7 without allocating, and AddClause into a solver that has
-// grown allocates only when the arena or a watch list doubles.
+// from 3 to 7 allocating only the arena pages its new words need and
+// letting go of none it held, and AddClause into a solver that has grown
+// allocates only when the arena opens a page or a watch list doubles.
 func TestLoadAllocsBounded(t *testing.T) {
 	const perSolver = 32
 	gcnt := bench.GatedCounter(4, 10, 6, 16)
@@ -93,12 +302,24 @@ func TestLoadAllocsBounded(t *testing.T) {
 	}
 	in := u.Instance()
 	hinted := new(Solver)
-	hinted.Grow(in.Size(7))
-	hinted.Load(in.Extend(3), Defaults()) // makes every table, at depth 7's size
+	vars, clauses, _ := in.Size(7)
+	hinted.Grow(vars, clauses)
+	hinted.Load(in.Extend(3), Defaults()) // makes every other table, at depth 7's size
 	for k := 3; k <= 7; k++ {
 		f := in.Extend(k)
-		if n := mallocs(func() { hinted.Load(f, Defaults()) }); n != 0 {
-			t.Errorf("Load of depth %d into a solver hinted for depth 7: %d allocations, want none", k, n)
+		held := hinted.ca.arrays()
+		n, bytes := allocated(func() { hinted.Load(f, Defaults()) })
+		now := hinted.ca.arrays()
+		for p := range held {
+			if !now[p] {
+				t.Errorf("Load of depth %d let go of a page it held", k)
+			}
+		}
+		// Beyond its new pages only the page table and the spare list may
+		// grow, by a few headers.
+		opened := uint64(len(now) - len(held))
+		if n > opened+2 || bytes > opened*4*pageWords+uint64(64*len(now)) {
+			t.Errorf("Load of depth %d into a solver hinted for depth 7: %d allocations of %d bytes, for %d new pages", k, n, bytes, opened)
 		}
 	}
 
@@ -198,9 +419,10 @@ type clauseView struct {
 }
 
 func (s *Solver) view(c cref) clauseView {
-	v := clauseView{id: s.ca.id(c), flags: s.ca.mem[c+hdrFlags], lits: slices.Clone(s.ca.lits(c))}
-	if s.ca.learnt(c) {
-		v.act = s.ca.act(c)
+	k := s.ca.at(c)
+	v := clauseView{id: k.id(), flags: k[hdrFlags], lits: slices.Clone(k.lits())}
+	if k.learnt() {
+		v.act = k.act()
 	}
 	return v
 }
@@ -212,23 +434,26 @@ func (v clauseView) equal(w clauseView) bool {
 // TestCompactRelocatesEveryReference stops a search half way, deletes
 // learnt clauses as reduceDB would, and compares everything that refers to
 // a clause — learnts, watchers, reasons — before and after compaction by
-// what it refers to.
+// what it refers to. The arena spans three pages, so clauses move across
+// page boundaries.
 func TestCompactRelocatesEveryReference(t *testing.T) {
 	opts := Defaults()
-	opts.MaxConflicts = 700
-	s := New(pigeonhole(8, 7), opts)
+	opts.MaxConflicts = 3000
+	opts.MaxLearntFrac = 1e9 // no reduction: the arena is as the search left it
+	s := New(pigeonhole(9, 8), opts)
 	if r := s.Solve(); r.Status != Unknown {
 		t.Fatalf("status %v, want the search stopped by its budget", r.Status)
 	}
-	if s.decisionLevel() == 0 || s.compactions != 0 {
-		t.Fatalf("want an undisturbed arena and a trail with reasons above level 0 (level %d, %d compactions)", s.decisionLevel(), s.compactions)
+	if s.decisionLevel() == 0 || s.compactions != 0 || len(s.ca.pages) < 3 {
+		t.Fatalf("want an undisturbed arena of at least 3 pages and a trail with reasons above level 0 (level %d, %d compactions, %d pages)",
+			s.decisionLevel(), s.compactions, len(s.ca.pages))
 	}
 
 	kept := s.learnts[:0]
 	for i, c := range s.learnts {
-		if i%3 == 0 && s.ca.size(c) > 2 && !s.locked(c) {
+		if k := s.ca.at(c); i%3 == 0 && k.size() > 2 && !s.locked(c, k) {
 			s.detach(c)
-			s.ca.free(c)
+			s.ca.free(k)
 			continue
 		}
 		kept = append(kept, c)
@@ -240,8 +465,8 @@ func TestCompactRelocatesEveryReference(t *testing.T) {
 
 	var all, learnts, reasons []clauseView
 	var watching [][]clauseView
-	for c := cref(0); int(c) < len(s.ca.mem); c += s.ca.words(c) {
-		if !s.ca.deleted(c) {
+	for c, k := range s.ca.clauses {
+		if !k.deleted() {
 			all = append(all, s.view(c))
 		}
 	}
@@ -260,12 +485,26 @@ func TestCompactRelocatesEveryReference(t *testing.T) {
 		}
 		watching = append(watching, vs)
 	}
-	liveWords := len(s.ca.mem) - s.ca.wasted
+	liveWords := s.ca.used() - s.ca.wasted
+	pageOf := make(map[ClauseID]cref)
+	for _, c := range s.learnts {
+		pageOf[s.ca.at(c).id()] = c >> pageShift
+	}
 
 	s.compact()
 
-	if len(s.ca.mem) != liveWords || s.ca.wasted != 0 {
-		t.Fatalf("arena holds %d words with %d wasted, want %d and 0", len(s.ca.mem), s.ca.wasted, liveWords)
+	jumped := 0
+	for _, c := range s.learnts {
+		if pageOf[s.ca.at(c).id()] != c>>pageShift {
+			jumped++
+		}
+	}
+	if jumped == 0 {
+		t.Fatal("no clause moved to another page")
+	}
+
+	if s.ca.used() != liveWords || s.ca.wasted != 0 {
+		t.Fatalf("arena holds %d words with %d wasted, want %d and 0", s.ca.used(), s.ca.wasted, liveWords)
 	}
 	same := func(what string, got func(i int) clauseView, want []clauseView) {
 		t.Helper()
@@ -275,11 +514,14 @@ func TestCompactRelocatesEveryReference(t *testing.T) {
 			}
 		}
 	}
-	c := cref(0)
-	same("clause", func(int) clauseView { v := s.view(c); c += s.ca.words(c); return v }, all)
-	if int(c) != len(s.ca.mem) {
-		t.Fatalf("walk ends at %d of %d words", c, len(s.ca.mem))
+	var after []clauseView
+	for c := range s.ca.clauses {
+		after = append(after, s.view(c))
 	}
+	if len(after) != len(all) {
+		t.Fatalf("the arena holds %d clauses, %d were live", len(after), len(all))
+	}
+	same("clause", func(i int) clauseView { return after[i] }, all)
 	same("learnt", func(i int) clauseView { return s.view(s.learnts[i]) }, learnts)
 	i := 0
 	for _, l := range s.trail {

@@ -3,6 +3,7 @@ package sat_test
 import (
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/lits"
@@ -30,59 +31,94 @@ func pigeons(p, h int) *cnf.Formula {
 	return f
 }
 
-// TestCompactionKeepsSearch runs a refutation that reduces its learnt
+// pageWatch is a Complete recorder that notes the most pages its solver's
+// arena has held.
+type pageWatch struct {
+	*core.Recorder
+	s    *sat.Solver
+	most int
+}
+
+func (w *pageWatch) RecordLearned(id sat.ClauseID, literals []lits.Lit, ants []sat.ClauseID) {
+	w.Recorder.RecordLearned(id, literals, ants)
+	w.most = max(w.most, w.s.ArenaPages())
+}
+
+// TestCompactionKeepsSearch runs refutations that reduce their learnt
 // database several times, each reduction leaving enough garbage to compact
 // the arena, and checks that moving clauses changed nothing the search, the
-// proof recorder or the clause exchange can see.
+// proof recorder or the clause exchange can see. PHP(9,8) compacts inside
+// two pages; add_w8's depth-5 instance spans three, so its compactions move
+// clauses from one page to another.
 func TestCompactionKeepsSearch(t *testing.T) {
-	f := pigeons(9, 8)
-	rec := core.NewRecorder(f.NumClauses())
-	opts := sat.Defaults()
-	opts.MaxLearntFrac = 0.0001 // the floor of 1000 learnt clauses applies
-	opts.Recorder = rec
-	s := sat.New(f, opts)
-	r := s.Solve()
-	if r.Status != sat.Unsat {
-		t.Fatalf("PHP(9,8) = %v, want Unsat", r.Status)
-	}
-	if n := s.Compactions(); n < 2 {
-		t.Fatalf("%d compactions, want several: the test no longer exercises what it is for", n)
-	}
-
-	// The search of the pointer-based clause store this arena replaced, run
-	// at its last commit. The arena is a layout: any difference is a bug.
-	got := r.Stats
-	got.SolveTime = 0
-	want := sat.Stats{
-		Decisions: 5461, Implications: 94207, Conflicts: 4680, Restarts: 24,
-		Learned: 4679, LearnedLits: 77283, Deleted: 3853, MaxLevel: 28,
-	}
-	if got != want {
-		t.Errorf("search moved:\n got %+v\nwant %+v", got, want)
-	}
-
-	// Proof IDs travel with the clauses: the recorded core is still a
-	// refutation.
-	coreF := f.Subset(rec.Core())
-	if cr := sat.New(coreF, sat.Defaults()).Solve(); cr.Status != sat.Unsat {
-		t.Errorf("core of %d clauses = %v, want Unsat", coreF.NumClauses(), cr.Status)
-	}
-
-	// What survives in the arena is still well-formed clauses over the
-	// formula's variables, and consequences of it.
-	exported := s.ExportLearned(sat.ClauseID(f.NumClauses()), 8, 0, 0)
-	if len(exported) == 0 {
-		t.Fatal("nothing to export after a search with learnt clauses left")
-	}
-	fresh := sat.New(f, sat.Defaults())
-	for _, c := range exported {
-		norm, taut := c.Copy().Normalize()
-		if taut || len(norm) != len(c) || int(c.MaxVar()) > f.NumVars {
-			t.Fatalf("exported clause %v is not a normalised clause of the formula", c)
+	for _, tc := range []struct {
+		name     string
+		f        *cnf.Formula
+		fewLearn bool // the floor of 1000 learnt clauses applies
+		pages    int
+		// The search of the pointer-based clause store this arena replaced,
+		// run at its last commit, and of the contiguous arena before pages.
+		// The layout is only a layout: any difference is a bug.
+		want sat.Stats
+	}{
+		{"PHP(9,8)", pigeons(9, 8), true, 2, sat.Stats{
+			Decisions: 5461, Implications: 94207, Conflicts: 4680, Restarts: 24,
+			Learned: 4679, LearnedLits: 77283, Deleted: 3853, MaxLevel: 28,
+		}},
+		{"add_w8 depth 5", instance(t, bench.AdderTwin(8, 0, 0), 5), false, 3, sat.Stats{
+			Decisions: 40087, Implications: 2555719, Conflicts: 18835, Restarts: 62,
+			Learned: 18834, LearnedLits: 307678, Deleted: 16074, MaxLevel: 53,
+		}},
+	} {
+		f := tc.f
+		rec := &pageWatch{Recorder: core.NewRecorderWith(f.NumClauses(), core.Complete)}
+		opts := sat.Defaults()
+		if tc.fewLearn {
+			opts.MaxLearntFrac = 0.0001
 		}
-		fresh.ImportClause(c)
-	}
-	if fr := fresh.Solve(); fr.Status != sat.Unsat {
-		t.Errorf("with %d imported clauses: %v, want Unsat", len(exported), fr.Status)
+		opts.Recorder = rec
+		s := sat.New(f, opts)
+		rec.s = s
+		r := s.Solve()
+		if r.Status != sat.Unsat {
+			t.Fatalf("%s = %v, want Unsat", tc.name, r.Status)
+		}
+		if n := s.Compactions(); n < 2 || rec.most < tc.pages {
+			t.Fatalf("%s: %d compactions over %d pages, want several over at least %d: the test no longer exercises what it is for",
+				tc.name, n, rec.most, tc.pages)
+		}
+
+		got := r.Stats
+		got.SolveTime = 0
+		if got != tc.want {
+			t.Errorf("%s: search moved:\n got %+v\nwant %+v", tc.name, got, tc.want)
+		}
+
+		// Proof IDs travel with the clauses: every learnt clause the
+		// recorder holds follows by reverse unit propagation from the
+		// antecedents it was recorded with, and the final conflict from
+		// its own. The replay reads the recorded clauses and the formula,
+		// nothing of the arena.
+		if err := rec.Check(f); err != nil {
+			t.Errorf("%s: the proof does not check: %v", tc.name, err)
+		}
+
+		// What survives in the arena is still well-formed clauses over the
+		// formula's variables, and consequences of it.
+		exported := s.ExportLearned(sat.ClauseID(f.NumClauses()), 8, 0, 0)
+		if len(exported) == 0 {
+			t.Fatalf("%s: nothing to export after a search with learnt clauses left", tc.name)
+		}
+		fresh := sat.New(f, sat.Defaults())
+		for _, c := range exported {
+			norm, taut := c.Copy().Normalize()
+			if taut || len(norm) != len(c) || int(c.MaxVar()) > f.NumVars {
+				t.Fatalf("%s: exported clause %v is not a normalised clause of the formula", tc.name, c)
+			}
+			fresh.ImportClause(c)
+		}
+		if fr := fresh.Solve(); fr.Status != sat.Unsat {
+			t.Errorf("%s: with %d imported clauses: %v, want Unsat", tc.name, len(exported), fr.Status)
+		}
 	}
 }

@@ -38,32 +38,33 @@ func (s *Solver) ExportLearned(since ClauseID, maxLen, maxLBD, limit int) []cnf.
 	ca := &s.ca
 	var cands []cref
 	for _, c := range s.learnts {
-		if ca.id(c) < since || ca.foreign(c) {
+		k := ca.at(c)
+		if k.id() < since || k.foreign() {
 			continue
 		}
-		byLen := maxLen > 0 && ca.size(c) <= maxLen
-		byLBD := maxLBD > 0 && ca.lbd(c) <= int32(maxLBD)
+		byLen := maxLen > 0 && k.size() <= maxLen
+		byLBD := maxLBD > 0 && k.lbd() <= int32(maxLBD)
 		if byLen || byLBD {
 			cands = append(cands, c)
 		}
 	}
 	if limit > 0 && len(cands) > limit {
 		sort.Slice(cands, func(i, j int) bool {
-			a, b := cands[i], cands[j]
-			if ca.lbd(a) != ca.lbd(b) {
-				return ca.lbd(a) < ca.lbd(b)
+			a, b := ca.at(cands[i]), ca.at(cands[j])
+			if a.lbd() != b.lbd() {
+				return a.lbd() < b.lbd()
 			}
-			if ca.size(a) != ca.size(b) {
-				return ca.size(a) < ca.size(b)
+			if a.size() != b.size() {
+				return a.size() < b.size()
 			}
-			return ca.id(a) < ca.id(b)
+			return a.id() < b.id()
 		})
 		cands = cands[:limit]
 	}
-	sort.Slice(cands, func(i, j int) bool { return ca.id(cands[i]) < ca.id(cands[j]) })
+	sort.Slice(cands, func(i, j int) bool { return ca.at(cands[i]).id() < ca.at(cands[j]).id() })
 	out := make([]cnf.Clause, len(cands))
 	for i, c := range cands {
-		ls := ca.lits(c)
+		ls := ca.at(c).lits()
 		out[i] = make(cnf.Clause, len(ls))
 		for k, w := range ls {
 			out[i][k] = lits.Lit(w)
@@ -96,14 +97,14 @@ func (s *Solver) ImportClause(raw cnf.Clause) (ClauseID, bool) {
 	// Normalise a tentative copy at the arena's tail; it stays only if it
 	// is neither empty, a tautology nor a repeat.
 	const flags = flagLearnt | flagForeign
-	s.reserve(wordsFor(len(raw), flags))
 	id := s.nextID
 	c := s.ca.push(id, flags, s.conflictStamp(), raw)
-	if s.ca.normalizeTail(c) || s.ca.size(c) == 0 {
+	if s.ca.normalizeTail(c) || s.ca.at(c).size() == 0 {
 		s.ca.pop(c)
 		return 0, false
 	}
-	norm := s.ca.lits(c)
+	k := s.ca.at(c)
+	norm := k.lits()
 	key := clauseKey(norm)
 	if _, dup := s.importSeen[key]; dup {
 		s.ca.pop(c)
@@ -119,7 +120,7 @@ func (s *Solver) ImportClause(raw cnf.Clause) (ClauseID, bool) {
 	s.nextID++
 	// The sender's LBD is stale in this solver's search; the length is the
 	// pessimistic stand-in (LBD <= length always holds).
-	s.ca.mem[c+hdrFlags] |= uint32(len(norm)) << lbdShift
+	k[hdrFlags] |= uint32(len(norm)) << lbdShift
 	s.learnts = append(s.learnts, c)
 	s.install(c)
 	return id, true

@@ -399,7 +399,7 @@ func TestAddVarsGrowsWatchTableAmortised(t *testing.T) {
 	for _, hinted := range []bool{false, true} {
 		s := New(cnf.New(0), Defaults())
 		if hinted {
-			s.Grow(frames*width, 0, 0)
+			s.Grow(frames*width, 0)
 		}
 		allocated, moves := 0, 0
 		var backing *[]watcher

@@ -72,7 +72,7 @@ func TestLoadMatchesNew(t *testing.T) {
 		// into a solver whose every table was made for a hint larger than
 		// either formula.
 		s, hinted := new(sat.Solver), new(sat.Solver)
-		hinted.Grow(2*(tc.g.NumVars+tc.f.NumVars), 2*(tc.g.NumClauses()+tc.f.NumClauses()), 2*(tc.g.NumLiterals()+tc.f.NumLiterals()))
+		hinted.Grow(2*(tc.g.NumVars+tc.f.NumVars), 2*(tc.g.NumClauses()+tc.f.NumClauses()))
 		for _, s := range []*sat.Solver{s, s, hinted} {
 			s.Load(tc.g, tc.gOpts)
 			before := s.Solve()

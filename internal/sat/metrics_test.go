@@ -41,8 +41,8 @@ func TestMetricsFlush(t *testing.T) {
 	for _, ws := range s.watches {
 		watchers += len(ws)
 	}
-	if est, want := opts.Metrics.ClausesBytesEst.Value(), int64(4*len(s.ca.mem)+8*watchers); est != want {
-		t.Errorf("clauses-bytes-est gauge = %d, want %d (%d arena words, %d watchers)", est, want, len(s.ca.mem), watchers)
+	if est, want := opts.Metrics.ClausesBytesEst.Value(), int64(4*s.ca.used()+8*watchers); est != want {
+		t.Errorf("clauses-bytes-est gauge = %d, want %d (%d arena words in use, %d watchers)", est, want, s.ca.used(), watchers)
 	}
 	names := reg.Snapshot().Gauges
 	for _, want := range []string{

@@ -88,16 +88,8 @@ type tables struct {
 	hint formulaSize
 }
 
-// formulaSize is a formula's variable, clause and literal counts.
-type formulaSize struct{ vars, clauses, lits int }
-
-// arenaWords is the arena a formula of the given clause and literal counts
-// is loaded into: its clauses, and an eighth more for the learnt clauses to
-// come (loadSlackDen).
-func arenaWords(clauses, nLits int) int {
-	words := clauses*hdrWords + nLits
-	return words + words/loadSlackDen
-}
+// formulaSize is a formula's variable and clause counts.
+type formulaSize struct{ vars, clauses int }
 
 // Solver holds the complete search state for one formula. A Solver is
 // reusable and incremental: build with New (or Load a formula into one a
@@ -173,13 +165,14 @@ func New(f *cnf.Formula, opts Options) *Solver {
 }
 
 // Grow announces that s will be loaded with formulas of up to vars
-// variables, clauses clauses and literals literals. Like slices.Grow it
-// sizes storage ahead, but it only records the size: the next Load that has
-// to replace a table makes it large enough for such a formula, and a solver
-// that is never loaded allocates nothing. Without a hint a table is replaced
-// by one of exactly the size the formula needs, which is how New sizes it.
-func (s *Solver) Grow(vars, clauses, literals int) {
-	s.hint = formulaSize{vars, clauses, literals}
+// variables and clauses clauses. Like slices.Grow it sizes storage ahead,
+// but it only records the size: the next Load that has to replace a table
+// makes it large enough for such a formula, and a solver that is never
+// loaded allocates nothing. Without a hint a table is replaced by one of
+// exactly the size the formula needs, which is how New sizes it. The clause
+// arena takes no hint: it grows by pages and never copies.
+func (s *Solver) Grow(vars, clauses int) {
+	s.hint = formulaSize{vars, clauses}
 }
 
 // fit returns a slice of length n, its contents undefined: over *p's array
@@ -228,10 +221,11 @@ func (s *Solver) reset(opts Options, nVars int) {
 
 // Load makes s the solver New(f, opts) builds, whatever it held and
 // wherever its last search stopped, out of the storage it already has:
-// the clause arena, the watch lists and the slab they are carved from, the
-// trail, the per-variable and per-literal tables, the decision heap and the
-// analysis scratch are reused where they are large enough and replaced,
-// sized for the formula or for what Grow announced, where they are not.
+// the clause arena's pages, the watch lists and the slab they are carved
+// from, the trail, the per-variable and per-literal tables, the decision
+// heap and the analysis scratch are reused where they are large enough and
+// replaced, sized for the formula or for what Grow announced, where they
+// are not.
 // Nothing else survives — learnt clauses, scores, saved phases, the import
 // filter, counters and status all start as New starts them, so the search
 // that follows cannot tell a loaded solver from a new one. It is a reload
@@ -245,20 +239,16 @@ func (s *Solver) reset(opts Options, nVars int) {
 // assumptions) and what its recorder was handed are copies and stay valid.
 //
 // The load allocates per solver, not per clause, and nothing at all when
-// the storage suffices: one arena sized from the formula's literal count,
-// one slab holding every watch list at its exact length, and the
+// the storage suffices: the arena pages its clauses need beyond those it
+// holds, one slab holding every watch list at its exact length, and the
 // per-variable tables.
 func (s *Solver) Load(f *cnf.Formula, opts Options) {
 	opts = opts.withDefaults()
 	n := f.NumVars
-	words := arenaWords(len(f.Clauses), f.NumLiterals())
-	if uint64(words) >= uint64(crefUndef) {
-		panic("sat: clause arena exceeds 2^32 words")
-	}
 
 	s.reset(opts, n)
 	h := s.hint
-	s.ca = arena{mem: fit(&s.ca.mem, words, arenaWords(h.clauses, h.lits))[:0]}
+	s.ca.reload(len(f.Clauses)*hdrWords + f.NumLiterals())
 	s.learnts, s.moves = s.learnts[:0], s.moves[:0]
 	s.watches = fit(&s.watches, 2*n+2, 2*h.vars+2) // every list is set below
 	s.vals = zeroed(&s.vals, 2*n+2, 2*h.vars+2)
@@ -289,16 +279,31 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 	// starts at its occurrence count in what is stored (paper §3.3), the
 	// rule install applies to clauses added later. newCount is all zero
 	// until the first conflict; until then it is this load's scratch, here
-	// the number of watchers each list will hold.
+	// the number of watchers each list will hold. The copy goes straight
+	// into the page at the arena's tail, p, filled as far as pg reaches.
 	next := s.newCount
+	p := len(s.ca.pages) - 1
+	pg := s.ca.pages[p]
 	for i, raw := range f.Clauses {
-		c := s.ca.push(ClauseID(i), 0, 0, raw)
-		if s.ca.normalizeTail(c) {
-			s.ca.pop(c)
+		w := hdrWords + len(raw)
+		if !fits(pg, w) {
+			s.ca.pages[p] = pg
+			p = s.ca.tail(w)
+			pg = s.ca.pages[p]
+		}
+		off := len(pg)
+		k := clause(pg[off : off+w])
+		k[hdrID], k[hdrSize], k[hdrFlags] = uint32(i), uint32(len(raw)), 0
+		for j, l := range raw {
+			k[hdrWords+j] = uint32(l)
+		}
+		ls, taut := cnf.NormalizeLits(k[hdrWords:])
+		if taut {
 			continue
 		}
+		k[hdrSize] = uint32(len(ls))
+		pg = pg[:off+hdrWords+len(ls)]
 		s.nClauses++
-		ls := s.ca.lits(c)
 		for _, w := range ls {
 			s.chaScore[lits.Lit(w).Index()]++
 		}
@@ -307,6 +312,7 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 			next[lits.Lit(ls[1]).Neg().Index()]++
 		}
 	}
+	s.ca.pages[p] = pg
 
 	// All watch lists lie back to back in one slab; next[i] becomes where
 	// list i's next watcher goes.
@@ -325,32 +331,38 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 	s.watchSlab = slab
 
 	// Attach in formula order, which fixes the order of every watch list
-	// and of the level-0 trail. Unit clauses are enqueued at level 0.
-	for c := cref(0); int(c) < len(s.ca.mem); c += s.ca.words(c) {
-		switch ls := s.ca.lits(c); len(ls) {
-		case 0:
-			// Empty clause: immediately unsatisfiable.
-			if s.status != Unsat {
-				s.status = Unsat
-				s.finalAnts = []ClauseID{s.ca.id(c)}
-			}
-		case 1:
-			l := lits.Lit(ls[0])
-			switch v := s.vals[l.Index()]; {
-			case v == 0:
-				s.uncheckedEnqueue(l, c)
-			case v < 0:
+	// and of the level-0 trail. Unit clauses are enqueued at level 0. The
+	// walk goes page by page; an original clause carries no stamp.
+	for p, pg := range s.ca.pages {
+		for at := 0; at < len(pg); {
+			k := clause(pg[at:])
+			c := cref(p<<pageShift | at)
+			at += hdrWords + k.size()
+			switch ls := k.lits(); len(ls) {
+			case 0:
+				// Empty clause: immediately unsatisfiable.
 				if s.status != Unsat {
 					s.status = Unsat
-					s.finalAnts = s.collectFinal(c)
+					s.finalAnts = []ClauseID{k.id()}
 				}
+			case 1:
+				l := lits.Lit(ls[0])
+				switch v := s.vals[l.Index()]; {
+				case v == 0:
+					s.uncheckedEnqueue(l, c)
+				case v < 0:
+					if s.status != Unsat {
+						s.status = Unsat
+						s.finalAnts = s.collectFinal(c)
+					}
+				}
+			default:
+				l0, l1 := lits.Lit(ls[0]), lits.Lit(ls[1])
+				slab[next[l0.Neg().Index()]] = watcher{c, l1}
+				next[l0.Neg().Index()]++
+				slab[next[l1.Neg().Index()]] = watcher{c, l0}
+				next[l1.Neg().Index()]++
 			}
-		default:
-			l0, l1 := lits.Lit(ls[0]), lits.Lit(ls[1])
-			slab[next[l0.Neg().Index()]] = watcher{c, l1}
-			next[l0.Neg().Index()]++
-			slab[next[l1.Neg().Index()]] = watcher{c, l0}
-			next[l1.Neg().Index()]++
 		}
 	}
 
@@ -454,7 +466,6 @@ func (s *Solver) AddClause(raw cnf.Clause) ClauseID {
 	}
 	id := s.nextID
 	s.nextID++
-	s.reserve(wordsFor(len(raw), 0))
 	c := s.ca.push(id, 0, 0, raw)
 	if s.ca.normalizeTail(c) {
 		s.ca.pop(c)
@@ -475,7 +486,8 @@ func (s *Solver) AddClause(raw cnf.Clause) ClauseID {
 // Shared by AddClause and ImportClause; the solver must be at decision
 // level 0.
 func (s *Solver) install(c cref) {
-	norm := s.ca.lits(c)
+	k := s.ca.at(c)
+	norm := k.lits()
 	// Occurrence-count scoring, exactly as New seeds cha_score; raising a
 	// key in the max-heap only needs an up-fix.
 	for _, w := range norm {
@@ -500,7 +512,7 @@ func (s *Solver) install(c cref) {
 		if s.status != Unsat {
 			s.status = Unsat
 			if len(norm) == 0 {
-				s.finalAnts = []ClauseID{s.ca.id(c)}
+				s.finalAnts = []ClauseID{k.id()}
 			} else {
 				s.finalAnts = s.collectFinal(c)
 			}
@@ -515,52 +527,12 @@ func (s *Solver) install(c cref) {
 	}
 }
 
-// reserve makes room in the arena for words more words. It compacts when
-// the deleted clauses alone hold that much — growing would keep the old
-// store alive beside the new one until the collector runs — and grows
-// otherwise, to the arena Grow's hint loads into where that is more than
-// the usual step. Compaction moves clauses, so reserve runs before its caller
-// takes any cref into a local.
-func (s *Solver) reserve(words int) {
-	switch {
-	case s.ca.fits(words):
-	case s.ca.wasted >= words:
-		s.compact()
-	default:
-		s.ca.grow(words, arenaWords(s.hint.clauses, s.hint.lits))
-	}
-}
-
-// move says that the clauses from one run of deleted clauses up to the next
-// go down by shift words.
-type move struct{ from, shift cref }
-
-// compact slides the live clauses down over the deleted ones, in place and
-// in order, and rewrites every cref the solver holds: the watch lists, the
-// reasons of the trail and learnts. Nothing is reordered, so the search
-// cannot observe it.
+// compact slides the live clauses down over the deleted ones, in order
+// (arena.compact), and rewrites every cref the solver holds: the watch
+// lists, the reasons of the trail and learnts. Nothing is reordered, so the
+// search cannot observe it.
 func (s *Solver) compact() {
-	ca := &s.ca
-	s.moves = s.moves[:0]
-	var to cref
-	for c, end := cref(0), cref(len(ca.mem)); c < end; {
-		w := ca.words(c)
-		if ca.deleted(c) {
-			if n := len(s.moves); n > 0 && s.moves[n-1].from == c {
-				s.moves = s.moves[:n-1] // the run goes on
-			}
-			s.moves = append(s.moves, move{c + w, c + w - to})
-		} else {
-			if to != c {
-				copy(ca.mem[to:to+w], ca.mem[c:c+w])
-			}
-			to += w
-		}
-		c += w
-	}
-	ca.mem = ca.mem[:to]
-	ca.wasted = 0
-
+	s.moves = s.ca.compact(s.moves)
 	for _, ws := range s.watches {
 		for i := range ws {
 			ws[i].c = s.moved(ws[i].c)
@@ -578,7 +550,7 @@ func (s *Solver) compact() {
 }
 
 // moved returns where compact has put the clause that was at c: down by the
-// shift of the last run of deleted clauses below it.
+// shift of the last move at or below it.
 func (s *Solver) moved(c cref) cref {
 	lo, hi := 0, len(s.moves) // the first move above c is in [lo, hi]
 	for lo < hi {
@@ -625,7 +597,7 @@ func (s *Solver) SetStop(stop <-chan struct{}) {
 // clause watching literal w is filed under ¬w, the literal whose assignment
 // falsifies w.
 func (s *Solver) attach(c cref) {
-	ls := s.ca.lits(c)
+	ls := s.ca.at(c).lits()
 	l0, l1 := lits.Lit(ls[0]), lits.Lit(ls[1])
 	s.watches[l0.Neg().Index()] = append(s.watches[l0.Neg().Index()], watcher{c, l1})
 	s.watches[l1.Neg().Index()] = append(s.watches[l1.Neg().Index()], watcher{c, l0})
@@ -635,7 +607,7 @@ func (s *Solver) attach(c cref) {
 // last watcher takes the removed one's place; list order is something the
 // search observes, so this stays a swap.
 func (s *Solver) detach(c cref) {
-	ls := s.ca.lits(c)
+	ls := s.ca.at(c).lits()
 	for _, w := range [2]lits.Lit{lits.Lit(ls[0]).Neg(), lits.Lit(ls[1]).Neg()} {
 		ws := s.watches[w.Index()]
 		for i := range ws {
@@ -666,9 +638,9 @@ func (s *Solver) uncheckedEnqueue(l lits.Lit, from cref) {
 // propagate runs Boolean constraint propagation until fixpoint; it returns
 // the first falsified clause, or crefUndef.
 func (s *Solver) propagate() cref {
-	// Enqueueing writes through s.vals but never moves it, so one load of
-	// the slice header serves the whole call.
-	vals := s.vals
+	// Enqueueing writes through s.vals but never moves it, and propagation
+	// adds no clause, so one load of each slice header serves the whole call.
+	vals, pages := s.vals, s.ca.pages
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true; scan clauses watching ¬p
 		s.qhead++
@@ -688,7 +660,7 @@ func (s *Solver) propagate() cref {
 				continue
 			}
 			c := w.c
-			ls := s.ca.lits(c)
+			ls := clause(pages[c>>pageShift][c&pageMask:]).lits()
 			// Ensure the false literal (¬p) is at position 1.
 			if ls[0] == falseLit {
 				ls[0], ls[1] = ls[1], ls[0]
@@ -843,11 +815,12 @@ func (s *Solver) analyze(confl cref) (learnt []lits.Lit, btLevel int, ants []Cla
 	stamp := s.conflictStamp()
 
 	for {
+		k := s.ca.at(c)
 		if s.recording {
-			ants = append(ants, s.ca.id(c))
+			ants = append(ants, k.id())
 		}
-		s.ca.touch(c, stamp)
-		ls := s.ca.lits(c)
+		k.touch(stamp)
+		ls := k.lits()
 		if p != lits.LitUndef {
 			ls = ls[1:]
 		}
@@ -937,7 +910,8 @@ func (s *Solver) minimize(learnt []lits.Lit, ants *[]ClauseID) []lits.Lit {
 			continue
 		}
 		redundant := true
-		for _, w := range s.ca.lits(r) {
+		k := s.ca.at(r)
+		for _, w := range k.lits() {
 			q := lits.Lit(w)
 			if q.Var() == l.Var() {
 				continue
@@ -956,7 +930,7 @@ func (s *Solver) minimize(learnt []lits.Lit, ants *[]ClauseID) []lits.Lit {
 		}
 		if redundant {
 			if s.recording {
-				*ants = append(*ants, s.ca.id(r))
+				*ants = append(*ants, k.id())
 			}
 		} else {
 			out = append(out, l)
@@ -983,8 +957,9 @@ func (s *Solver) recordLevel0Chain(v lits.Var, ants *[]ClauseID) {
 		if r == crefUndef {
 			continue
 		}
-		*ants = append(*ants, s.ca.id(r))
-		for _, w := range s.ca.lits(r) {
+		k := s.ca.at(r)
+		*ants = append(*ants, k.id())
+		for _, w := range k.lits() {
 			if q := lits.Lit(w); q.Var() != v && !s.seen[q.Var()] {
 				stack = append(stack, q.Var())
 			}
@@ -995,8 +970,9 @@ func (s *Solver) recordLevel0Chain(v lits.Var, ants *[]ClauseID) {
 // collectFinal gathers the antecedents of a level-0 conflict on clause c:
 // c itself plus the implication chains of all its literals.
 func (s *Solver) collectFinal(c cref) []ClauseID {
-	ants := []ClauseID{s.ca.id(c)}
-	for _, w := range s.ca.lits(c) {
+	k := s.ca.at(c)
+	ants := []ClauseID{k.id()}
+	for _, w := range k.lits() {
 		s.recordLevel0Chain(lits.Lit(w).Var(), &ants)
 	}
 	for _, v := range s.toClear {
@@ -1040,7 +1016,6 @@ func (s *Solver) computeLBD(cl []lits.Lit) int32 {
 // recorder, and enqueues the asserting literal.
 func (s *Solver) addLearned(learnt []lits.Lit, ants []ClauseID) {
 	flags := flagLearnt | uint32(s.lastLBD)<<lbdShift
-	s.reserve(wordsFor(len(learnt), flags))
 	id := s.nextID
 	s.nextID++
 	c := s.ca.push(id, flags, s.conflictStamp(), learnt)
@@ -1066,13 +1041,13 @@ func (s *Solver) rescore() {
 	s.heap.rebuild()
 }
 
-// locked reports whether c is the reason of its first literal's assignment
-// (such clauses must not be deleted).
-func (s *Solver) locked(c cref) bool {
-	if s.ca.size(c) == 0 {
+// locked reports whether k, the clause at c, is the reason of its first
+// literal's assignment (such clauses must not be deleted).
+func (s *Solver) locked(c cref, k clause) bool {
+	if k.size() == 0 {
 		return false
 	}
-	first := lits.Lit(s.ca.lits(c)[0])
+	first := lits.Lit(k[hdrWords])
 	return s.vals[first.Index()] > 0 && s.reason[first.Var()] == c
 }
 
@@ -1092,7 +1067,7 @@ func (s *Solver) reduceDB() {
 	// do, but this runs once per thousands of conflicts.
 	stamps := s.stamps[:0]
 	for _, c := range s.learnts {
-		stamps = append(stamps, s.ca.act(c))
+		stamps = append(stamps, s.ca.at(c).act())
 	}
 	sortInt64(stamps)
 	median := stamps[len(stamps)/2]
@@ -1100,22 +1075,23 @@ func (s *Solver) reduceDB() {
 
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
-		if s.ca.size(c) <= 2 || s.locked(c) || s.ca.act(c) > median {
+		k := s.ca.at(c)
+		if k.size() <= 2 || s.locked(c, k) || k.act() > median {
 			kept = append(kept, c)
 			continue
 		}
 		s.detach(c)
-		s.ca.free(c)
+		s.ca.free(k)
 		s.stats.Deleted++
 	}
 	s.learnts = kept
 	s.maxLearnts *= s.opts.MaxLearntInc
-	if s.ca.wasted*garbageDen >= len(s.ca.mem) {
+	if s.ca.wasted*garbageDen >= s.ca.used() {
 		s.compact()
 		if s.recording {
 			live := s.liveIDs[:0]
 			for _, c := range s.learnts {
-				live = append(live, s.ca.id(c))
+				live = append(live, s.ca.at(c).id())
 			}
 			s.liveIDs = live
 			s.opts.Recorder.Forget(live)
@@ -1205,7 +1181,7 @@ func (s *Solver) SolveAssuming(assumptions []lits.Lit) Result {
 // alike) plus every watcher. It feeds the solver_clauses_bytes_est gauge
 // and is only computed outside the search loop (once per solve call).
 func (s *Solver) clauseBytes() int64 {
-	n := int64(len(s.ca.mem)) * 4
+	n := int64(s.ca.used()) * 4
 	for _, ws := range s.watches {
 		n += int64(len(ws)) * 8
 	}
@@ -1289,11 +1265,12 @@ func (s *Solver) analyzeFinal(p lits.Lit) (failed []lits.Lit, ants []ClauseID) {
 			// never p itself, so no literal is double-counted.
 			failed = append(failed, s.trail[i])
 		} else {
+			k := s.ca.at(r)
 			if s.recording {
 				//bmclint:ignore hotpath analyzeFinal runs once per UNSAT answer, not per decision; the antecedent list is unbounded and recording is off in racing runs
-				ants = append(ants, s.ca.id(r))
+				ants = append(ants, k.id())
 			}
-			for _, w := range s.ca.lits(r) {
+			for _, w := range k.lits() {
 				q := lits.Lit(w)
 				if q.Var() == v {
 					continue
