@@ -56,8 +56,7 @@ func run() int {
 	}
 	fmt.Printf("c parsed %d vars, %d clauses\n", f.NumVars, f.NumClauses())
 
-	opts := sat.Defaults()
-	opts.MaxConflicts = *conflicts
+	opts := sat.Options{MaxConflicts: *conflicts}
 	if *timeout > 0 {
 		opts.Deadline = time.Now().Add(*timeout)
 	}
@@ -120,7 +119,7 @@ func emitCore(f *cnf.Formula, rec *core.Recorder) int {
 		fmt.Fprintln(os.Stderr, "satbmc-dimacs: no proof recorded")
 		return 2
 	}
-	check := sat.New(f.Subset(ids), sat.Defaults()).Solve()
+	check := sat.New(f.Subset(ids), sat.Options{}).Solve()
 	if check.Status != sat.Unsat {
 		fmt.Fprintln(os.Stderr, "satbmc-dimacs: internal error: extracted core is not UNSAT")
 		return 2

@@ -37,9 +37,7 @@ func main() {
 	for k := 0; k <= 9; k++ {
 		f := u.Formula(k)
 		rec := core.NewRecorder(f.NumClauses())
-		opts := sat.Defaults()
-		opts.Recorder = rec
-		res := sat.New(f, opts).Solve()
+		res := sat.New(f, sat.Options{Recorder: rec}).Solve()
 		if res.Status != sat.Unsat {
 			log.Fatalf("depth %d: expected UNSAT, got %v", k, res.Status)
 		}
@@ -51,7 +49,7 @@ func main() {
 		// over-approximate abstraction sufficient to exclude length-k
 		// counter-examples).
 		sub := f.Subset(coreIDs)
-		if check := sat.New(sub, sat.Defaults()).Solve(); check.Status != sat.Unsat {
+		if check := sat.New(sub, sat.Options{}).Solve(); check.Status != sat.Unsat {
 			log.Fatalf("depth %d: extracted core is not UNSAT", k)
 		}
 

@@ -90,7 +90,7 @@ func TestCoreOfPropagationChainExcludesPadding(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f.Add(10+i, 20+i)
 	}
-	res, rec := solveWithCore(f, sat.Defaults())
+	res, rec := solveWithCore(f, sat.Options{})
 	if res.Status != sat.Unsat {
 		t.Fatalf("status=%v", res.Status)
 	}
@@ -116,7 +116,7 @@ func TestCoreIsUnsatOnPigeonhole(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		f.Add(base+i, base+i+1)
 	}
-	res, rec := solveWithCore(f, sat.Defaults())
+	res, rec := solveWithCore(f, sat.Options{})
 	if res.Status != sat.Unsat {
 		t.Fatalf("status=%v", res.Status)
 	}
@@ -127,28 +127,32 @@ func TestCoreIsUnsatOnPigeonhole(t *testing.T) {
 	if coreF.NumClauses() > f.NumClauses() {
 		t.Fatalf("core bigger than formula")
 	}
-	res2, _ := solveWithCore(coreF, sat.Defaults())
+	res2, _ := solveWithCore(coreF, sat.Options{})
 	if res2.Status != sat.Unsat {
 		t.Fatalf("core formula must be unsat, got %v", res2.Status)
 	}
 }
 
+// TestCoreSurvivesClauseDeletion: PHP(8,7) learns past the 1000-clause
+// floor of the learnt limit, so the solver deletes learned clauses, and the
+// pseudo-ID CDG must still produce a valid (unsat) core — the point of
+// §3.1. The proof is checked by reverse unit propagation, independently of
+// the solver, and the core by solving it again.
 func TestCoreSurvivesClauseDeletion(t *testing.T) {
-	// Force aggressive learned-clause deletion; the pseudo-ID CDG must
-	// still produce a valid (unsat) core — the point of §3.1.
-	opts := sat.Defaults()
-	opts.MaxLearntFrac = 0.0001
-	opts.RestartFirst = 10
-	f := pigeonhole(7, 6)
-	res, rec := solveWithCore(f, opts)
+	f := pigeonhole(8, 7)
+	rec := NewRecorderWith(f.NumClauses(), Complete)
+	res := sat.New(f, sat.Options{Recorder: rec}).Solve()
 	if res.Status != sat.Unsat {
 		t.Fatalf("status=%v", res.Status)
 	}
 	if res.Stats.Deleted == 0 {
-		t.Logf("warning: no clauses were deleted; deletion path unexercised")
+		t.Fatalf("no learned clause was deleted (%d learned): the deletion path is unexercised", res.Stats.Learned)
+	}
+	if err := rec.Check(f); err != nil {
+		t.Fatalf("the proof does not check after %d deletions: %v", res.Stats.Deleted, err)
 	}
 	coreF := f.Subset(rec.Core())
-	res2, _ := solveWithCore(coreF, sat.Defaults())
+	res2, _ := solveWithCore(coreF, sat.Options{})
 	if res2.Status != sat.Unsat {
 		t.Fatalf("core must remain unsat under clause deletion, got %v", res2.Status)
 	}
@@ -168,7 +172,7 @@ func TestRandomUnsatCoresAreUnsat(t *testing.T) {
 			continue // only unsat instances are interesting here
 		}
 		tested++
-		res, rec := solveWithCore(f, sat.Defaults())
+		res, rec := solveWithCore(f, sat.Options{})
 		if res.Status != sat.Unsat {
 			t.Fatalf("solver disagrees with brute force")
 		}
@@ -190,7 +194,7 @@ func TestRandomUnsatCoresAreUnsat(t *testing.T) {
 func TestNoEventsOnSat(t *testing.T) {
 	f := cnf.New(2)
 	f.Add(1, 2)
-	res, rec := solveWithCore(f, sat.Defaults())
+	res, rec := solveWithCore(f, sat.Options{})
 	if res.Status != sat.Sat {
 		t.Fatalf("status=%v", res.Status)
 	}

@@ -44,14 +44,13 @@ type answer struct {
 
 // scenario runs one solve sequence, its recorder attached through wrap,
 // and returns the core of every UNSAT answer along with the recorder.
-type scenario func(opts sat.Options, wrap func(*Recorder) sat.ProofRecorder) ([]answer, *Recorder)
+type scenario func(wrap func(*Recorder) sat.ProofRecorder) ([]answer, *Recorder)
 
 // freshSolve is one sat.New(f).Solve.
 func freshSolve(f *cnf.Formula) scenario {
-	return func(opts sat.Options, wrap func(*Recorder) sat.ProofRecorder) ([]answer, *Recorder) {
+	return func(wrap func(*Recorder) sat.ProofRecorder) ([]answer, *Recorder) {
 		r := NewRecorder(f.NumClauses())
-		opts.Recorder = wrap(r)
-		if sat.New(f, opts).Solve().Status != sat.Unsat {
+		if sat.New(f, sat.Options{Recorder: wrap(r)}).Solve().Status != sat.Unsat {
 			return nil, r
 		}
 		ids := r.Core()
@@ -65,19 +64,15 @@ func freshSolve(f *cnf.Formula) scenario {
 // solver searches the same depths, and the first imports a few of its short
 // learnt clauses at the next depth, registering them as leaves.
 func persistentBMC(depths int, imports bool) scenario {
-	return func(opts sat.Options, wrap func(*Recorder) sat.ProofRecorder) ([]answer, *Recorder) {
+	return func(wrap func(*Recorder) sat.ProofRecorder) ([]answer, *Recorder) {
 		u, err := unroll.New(bench.AdderTwin(4, 0, 0), 0)
 		if err != nil {
 			panic(err)
 		}
 		d := u.Delta()
 		r := NewRecorderWith(0, WithLeaves)
-		opts.Recorder = wrap(r)
-		s := sat.New(cnf.New(0), opts)
-		senderOpts := opts
-		senderOpts.Recorder = nil
-		senderOpts.RestartFirst = 37 // a different search, so it learns what s has not
-		sender := sat.New(cnf.New(0), senderOpts)
+		s := sat.New(cnf.New(0), sat.Options{Recorder: wrap(r)})
+		sender := sat.New(cnf.New(0), sat.Options{})
 		var pending []cnf.Clause
 		var out []answer
 		for k := 0; k < depths; k++ {
@@ -115,12 +110,11 @@ func persistentBMC(depths int, imports bool) scenario {
 // the cores, clause for clause and variable for variable, of one that
 // keeps every record — on fresh solves of random formulas, pigeonholes and
 // add_w4, and on a persistent solver answering under assumptions with and
-// without imported clauses. A learnt-clause limit at its floor makes
-// reduceDB compact the arena many times per run. And a collection that
-// withholds one live clause trips the forgotten-record assertion.
+// without imported clauses. Every case learns past the learnt-clause limit
+// and must compact the arena at least once (twice on the persistent
+// solvers, three to twelve times on the fresh solves). And a collection
+// that withholds one live clause trips the forgotten-record assertion.
 func TestForgetKeepsCores(t *testing.T) {
-	opts := sat.Defaults()
-	opts.MaxLearntFrac = 1e-6
 	u, err := unroll.New(bench.AdderTwin(4, 0, 0), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -136,9 +130,9 @@ func TestForgetKeepsCores(t *testing.T) {
 	}
 	total := 0
 	for name, run := range cases {
-		want, ref := run(opts, func(r *Recorder) sat.ProofRecorder { return keepAll{r} })
+		want, ref := run(func(r *Recorder) sat.ProofRecorder { return keepAll{r} })
 		var counted *forgetting
-		got, rec := run(opts, func(r *Recorder) sat.ProofRecorder {
+		got, rec := run(func(r *Recorder) sat.ProofRecorder {
 			counted = &forgetting{Recorder: r}
 			return counted
 		})
@@ -151,7 +145,9 @@ func TestForgetKeepsCores(t *testing.T) {
 					name, i, len(got[i].ids), len(got[i].vars), len(want[i].ids), len(want[i].vars))
 			}
 		}
-		if counted.calls > 0 && rec.ants.n >= ref.ants.n {
+		if counted.calls == 0 {
+			t.Errorf("%s: no collection: the case no longer exercises forgetting", name)
+		} else if rec.ants.n >= ref.ants.n {
 			t.Errorf("%s: %d collections left %d bytes of antecedent runs of %d", name, counted.calls, rec.ants.n, ref.ants.n)
 		}
 		total += counted.calls
@@ -167,7 +163,7 @@ func TestForgetKeepsCores(t *testing.T) {
 				t.Error("a collection that withheld a live clause went unnoticed")
 			}
 		}()
-		freshSolve(u.Formula(8))(opts, func(r *Recorder) sat.ProofRecorder { return withholding{r} })
+		freshSolve(u.Formula(8))(func(r *Recorder) sat.ProofRecorder { return withholding{r} })
 	})
 }
 

@@ -19,7 +19,7 @@ func php(n int) *cnf.Formula { return pigeonhole(n+1, n) }
 func solveWithFull(t *testing.T, f *cnf.Formula) (*Recorder, sat.Result) {
 	t.Helper()
 	rec := NewRecorderWith(f.NumClauses(), Complete)
-	opts := sat.Defaults()
+	opts := sat.Options{}
 	opts.Recorder = rec
 	res := sat.New(f, opts).Solve()
 	return rec, res
@@ -50,7 +50,7 @@ func TestFullRecorderCoreMatchesSimplified(t *testing.T) {
 	}
 
 	simple := NewRecorder(f.NumClauses())
-	optsS := sat.Defaults()
+	optsS := sat.Options{}
 	optsS.Recorder = simple
 	if res := sat.New(f, optsS).Solve(); res.Status != sat.Unsat {
 		t.Fatalf("simple: %v", res.Status)
@@ -166,7 +166,7 @@ func TestFullRecorderBytesExceedSimplified(t *testing.T) {
 		t.Fatal(res.Status)
 	}
 	simple := NewRecorder(f.NumClauses())
-	opts := sat.Defaults()
+	opts := sat.Options{}
 	opts.Recorder = simple
 	if r := sat.New(f, opts).Solve(); r.Status != sat.Unsat {
 		t.Fatal(r.Status)
@@ -239,7 +239,7 @@ func TestFullRecorderOnRandomUnsat(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		sub := f.Subset(rec.Core())
-		if r := sat.New(sub, sat.Defaults()).Solve(); r.Status != sat.Unsat {
+		if r := sat.New(sub, sat.Options{}).Solve(); r.Status != sat.Unsat {
 			t.Fatalf("seed %d: core re-solve gave %v", seed, r.Status)
 		}
 	}

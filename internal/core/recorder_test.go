@@ -234,7 +234,7 @@ func BenchmarkRecorderExtract(b *testing.B) {
 	}
 	f := u.Formula(4)
 	tape := &proofTape{}
-	opts := sat.Defaults()
+	opts := sat.Options{}
 	opts.Recorder = tape
 	if r := sat.New(f, opts).Solve(); r.Status != sat.Unsat {
 		b.Fatalf("add_w8 depth 4 = %v, want Unsat", r.Status)

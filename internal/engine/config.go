@@ -76,8 +76,9 @@ type Config struct {
 	// divisor (0 selects the paper's core.SwitchDivisor, 64; negative is
 	// rejected).
 	SwitchDivisor int
-	// PerInstanceConflicts bounds each SAT call (0 = unlimited). Every
-	// solver otherwise runs sat.Defaults().
+	// PerInstanceConflicts bounds each SAT call (0 = unlimited). It is the
+	// only solver option a configuration sets; the solver's tuning is
+	// fixed in internal/sat.
 	PerInstanceConflicts int64
 	// ForceRecording attaches proof recorders even for strategies that do
 	// not consume cores (the §3.1 overhead experiment).

@@ -217,7 +217,7 @@ type Session struct {
 
 // New builds a session for property propIdx of the circuit. The
 // configuration starts from defaults (BMC engine, dynamic ordering,
-// depth 20, LocalExecutor; every solver runs sat.Defaults()) and is
+// depth 20, LocalExecutor; every solver runs the fixed tuning) and is
 // refined by the options; it is validated here, so a non-nil error means
 // either an invalid knob combination (Config.Validate's message names it)
 // or a structurally invalid circuit/property index.

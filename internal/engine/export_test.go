@@ -17,7 +17,7 @@ func SolverTables(s *sat.Solver) map[string]uintptr {
 	out := make(map[string]uintptr)
 	for _, name := range []string{
 		"ca.pages", "watches", "watchSlab", "vals", "reason", "level", "trail",
-		"chaScore", "newCount", "savedPhase", "seen", "heap.heap", "heap.pos",
+		"chaScore", "newCount", "seen", "heap.heap", "heap.pos",
 	} {
 		v := reflect.ValueOf(s).Elem()
 		for _, field := range strings.Split(name, ".") {

@@ -169,8 +169,8 @@ func (w warmSeq) trace(model lits.Assignment, k int) *unroll.Trace {
 // solvers cannot read it differently.
 type plan struct {
 	set portfolio.StrategySet
-	// opts is what every attempt starts from: sat.Defaults() with the
-	// per-instance conflict budget and the context's deadline. The races
+	// opts is what every attempt starts from: the per-instance conflict
+	// budget and the context's deadline. The races
 	// install their own Stop; the sequences add guidance, switch threshold,
 	// recorder and metrics.
 	opts sat.Options
@@ -189,7 +189,6 @@ type plan struct {
 func (s *Session) resolve(ctx context.Context) plan {
 	p := plan{
 		set:     portfolio.StrategySet{s.cfg.Ordering},
-		opts:    sat.Defaults(),
 		divisor: s.cfg.SwitchDivisor,
 		record:  s.cfg.ForceRecording,
 	}

@@ -75,8 +75,7 @@ func cdgMemoryOne(cfg Config, m bench.Model) (CDGMemoryRow, error) {
 	f := u.Formula(depth)
 
 	solve := func(rec sat.ProofRecorder) sat.Status {
-		opts := sat.Defaults()
-		opts.Recorder = rec
+		opts := sat.Options{Recorder: rec}
 		if cfg.PerInstanceConflicts > 0 {
 			opts.MaxConflicts = cfg.PerInstanceConflicts
 		}

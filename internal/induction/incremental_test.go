@@ -48,7 +48,7 @@ func TestStepDeltaEquisatisfiableWithStepFormula(t *testing.T) {
 			t.Fatal(err)
 		}
 		sd := u.StepDelta()
-		live := sat.New(cnf.New(0), sat.Defaults())
+		live := sat.New(cnf.New(0), sat.Options{})
 		for k := 0; k <= m.maxK; k++ {
 			frame := sd.Frame(k)
 			live.AddVars(frame.NumVars)
@@ -56,7 +56,7 @@ func TestStepDeltaEquisatisfiableWithStepFormula(t *testing.T) {
 				live.AddClause(cl)
 			}
 			got := live.SolveAssuming([]lits.Lit{sd.ActLit(k)})
-			want := sat.New(unroll.StepFormula(u, k), sat.Defaults()).Solve()
+			want := sat.New(unroll.StepFormula(u, k), sat.Options{}).Solve()
 			if got.Status != want.Status {
 				t.Fatalf("%s depth %d: delta=%v scratch=%v", m.name, k, got.Status, want.Status)
 			}

@@ -151,7 +151,7 @@ func TestStepFormulaShape(t *testing.T) {
 		}
 	}
 	// The step instance of an inductive property must be UNSAT.
-	if r := sat.New(f, sat.Defaults()).Solve(); r.Status != sat.Unsat {
+	if r := sat.New(f, sat.Options{}).Solve(); r.Status != sat.Unsat {
 		t.Fatalf("twin step at k=2: %v, want UNSAT", r.Status)
 	}
 }
@@ -163,7 +163,7 @@ func TestStepFormulaSatisfiableForNonInductive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := sat.New(unroll.StepFormula(u, 0), sat.Defaults()).Solve(); r.Status != sat.Sat {
+	if r := sat.New(unroll.StepFormula(u, 0), sat.Options{}).Solve(); r.Status != sat.Sat {
 		t.Fatalf("k=0 step: %v, want SAT", r.Status)
 	}
 }

@@ -45,7 +45,7 @@ func attempts(n int, opts sat.Options) []Attempt {
 
 func TestRaceUnsatVerdict(t *testing.T) {
 	f := php(6, 5)
-	res := Race(f, attempts(4, sat.Defaults()), 4, nil)
+	res := Race(f, attempts(4, sat.Options{}), 4, nil)
 	if res.Winner < 0 {
 		t.Fatalf("race had no winner")
 	}
@@ -67,7 +67,7 @@ func TestRaceUnsatVerdict(t *testing.T) {
 
 func TestRaceSatVerdictAndModel(t *testing.T) {
 	f := php(5, 5) // satisfiable: one pigeon per hole
-	res := Race(f, attempts(3, sat.Defaults()), 0, nil)
+	res := Race(f, attempts(3, sat.Options{}), 0, nil)
 	if res.Winner < 0 || res.Result.Status != sat.Sat {
 		t.Fatalf("want Sat winner, got winner=%d status=%v", res.Winner, res.Result.Status)
 	}
@@ -83,8 +83,8 @@ func TestRaceLoadsIntoKeptSolver(t *testing.T) {
 	kept := new(sat.Solver)
 	var model lits.Assignment
 	for _, f := range []*cnf.Formula{php(7, 6), php(5, 5), php(6, 5)} {
-		want := Race(f, []Attempt{{Name: "new", Opts: sat.Defaults()}}, 1, nil)
-		got := Race(f, []Attempt{{Name: "kept", Opts: sat.Defaults(), Solver: kept}}, 1, nil)
+		want := Race(f, []Attempt{{Name: "new", Opts: sat.Options{}}}, 1, nil)
+		got := Race(f, []Attempt{{Name: "kept", Opts: sat.Options{}, Solver: kept}}, 1, nil)
 		want.Result.Stats.SolveTime, got.Result.Stats.SolveTime = 0, 0
 		if got.Winner != 0 || got.Result.Status != want.Result.Status || got.Result.Stats != want.Result.Stats {
 			t.Errorf("kept solver: %v %+v, a new one: %v %+v", got.Result.Status, got.Result.Stats, want.Result.Status, want.Result.Stats)
@@ -99,7 +99,7 @@ func TestRaceLoadsIntoKeptSolver(t *testing.T) {
 }
 
 func TestRaceNoWinnerOnBudget(t *testing.T) {
-	opts := sat.Defaults()
+	opts := sat.Options{}
 	opts.MaxConflicts = 1
 	res := Race(php(9, 8), attempts(3, opts), 3, nil)
 	if res.Winner != -1 {
@@ -119,7 +119,7 @@ func TestRaceExternalStop(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan RaceResult, 1)
 	go func() {
-		done <- Race(php(11, 10), attempts(4, sat.Defaults()), 4, stop)
+		done <- Race(php(11, 10), attempts(4, sat.Options{}), 4, stop)
 	}()
 	time.Sleep(20 * time.Millisecond)
 	close(stop)
@@ -136,7 +136,7 @@ func TestRaceExternalStop(t *testing.T) {
 func TestRaceSkipsQueueAfterWin(t *testing.T) {
 	// jobs=1 serializes the attempts; the first decides, so the rest must
 	// be skipped, not solved.
-	res := Race(php(5, 4), attempts(4, sat.Defaults()), 1, nil)
+	res := Race(php(5, 4), attempts(4, sat.Options{}), 1, nil)
 	if res.Winner != 0 {
 		t.Fatalf("winner = %d, want 0 with one worker", res.Winner)
 	}
@@ -171,13 +171,13 @@ func TestRaceSharedScoreBoard(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
-				opts := sat.Defaults()
+				opts := sat.Options{}
 				opts.Guidance = board.Guidance(f.NumVars)
 				rec := core.NewRecorder(f.NumClauses())
 				opts.Recorder = rec
 				res := Race(f, []Attempt{
 					{Name: "static", Opts: opts},
-					{Name: "vsids", Opts: sat.Defaults()},
+					{Name: "vsids", Opts: sat.Options{}},
 				}, 2, nil)
 				if res.Winner >= 0 && res.Result.Status == sat.Unsat && res.Winner == 0 && rec.HasProof() {
 					board.Update(rec.CoreVars(f), round+1)
@@ -225,7 +225,7 @@ func TestTelemetryAggregation(t *testing.T) {
 	tel := NewTelemetry()
 	f := php(6, 5)
 	for k := 0; k < 3; k++ {
-		res := Race(f, attempts(3, sat.Defaults()), 3, nil)
+		res := Race(f, attempts(3, sat.Options{}), 3, nil)
 		tel.Observe(k, &res)
 	}
 	if len(tel.Depths) != 3 {
@@ -258,7 +258,7 @@ func TestRaceLiveAsksOnlyRacingAttempts(t *testing.T) {
 	var asked [3]atomic.Int32
 	live := make([]LiveAttempt, len(asked))
 	for i := range live {
-		s := sat.New(f, sat.Defaults())
+		s := sat.New(f, sat.Options{})
 		live[i] = LiveAttempt{Name: DefaultSet()[i].String(), Solver: func() *sat.Solver {
 			asked[i].Add(1)
 			return s
@@ -281,7 +281,7 @@ func TestRaceLiveAsksOnlyRacingAttempts(t *testing.T) {
 
 func TestRaceLiveVerdictAndReuse(t *testing.T) {
 	f := php(6, 5)
-	live := liveAttempts(3, f, sat.Defaults())
+	live := liveAttempts(3, f, sat.Options{})
 	res := RaceLive(live, nil, 3, nil)
 	if res.Winner < 0 || res.Result.Status != sat.Unsat {
 		t.Fatalf("want Unsat winner, got winner=%d status=%v", res.Winner, res.Result.Status)
@@ -303,7 +303,7 @@ func TestRaceLiveAssumptions(t *testing.T) {
 	// php(5,5) is sat; assuming pigeon 0 out of every hole makes it unsat
 	// under assumptions, and the solvers stay reusable afterwards.
 	f := php(5, 5)
-	live := liveAttempts(2, f, sat.Defaults())
+	live := liveAttempts(2, f, sat.Options{})
 	var block []lits.Lit
 	for hi := 0; hi < 5; hi++ {
 		block = append(block, lits.NegLit(lits.Var(hi+1)))
@@ -325,7 +325,7 @@ func TestRaceLiveExternalStop(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan RaceResult, 1)
 	go func() {
-		done <- RaceLive(liveAttempts(4, php(11, 10), sat.Defaults()), nil, 4, stop)
+		done <- RaceLive(liveAttempts(4, php(11, 10), sat.Options{}), nil, 4, stop)
 	}()
 	time.Sleep(20 * time.Millisecond)
 	close(stop)

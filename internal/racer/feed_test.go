@@ -58,7 +58,7 @@ func lateStarterMatchesEagerFeed(t *testing.T, late core.Strategy) {
 
 	// What the early racer put on the bus at each boundary.
 	exports := map[int][]cnf.Clause{}
-	opts := sat.Defaults()
+	opts := sat.Options{}
 	opts.MaxConflicts = budget
 	board := core.NewScoreBoard(core.WeightedSum)
 	pool := NewPool(src, Config{
@@ -192,7 +192,7 @@ func TestForeignClausesBecomeLeaves(t *testing.T) {
 	pool := NewPool(src, Config{
 		Strategies: portfolio.StrategySet{core.OrderVSIDS, core.OrderTimeAxis},
 		Jobs:       1,
-		Opts:       sat.Defaults(),
+		Opts:       sat.Options{},
 		Board:      core.NewScoreBoard(core.WeightedSum),
 		Record:     true,
 		Race: func(_ string, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {

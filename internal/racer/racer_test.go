@@ -15,7 +15,7 @@ import (
 
 // newTestPool builds a pool over a fresh unrolling of the circuit, with
 // what the engine would resolve for an unset strategy set, options, board
-// and divisor: the four-way set, sat.Defaults(), a weighted-sum board, the
+// and divisor: the four-way set, sat.Options{}, a weighted-sum board, the
 // paper's divisor; and recorders on.
 func newTestPool(t *testing.T, c *circuit.Circuit, cfg Config) (*Pool, *unroll.Unroller) {
 	t.Helper()
@@ -29,7 +29,7 @@ func newTestPool(t *testing.T, c *circuit.Circuit, cfg Config) (*Pool, *unroll.U
 	if cfg.Board == nil {
 		cfg.Board = core.NewScoreBoard(core.WeightedSum)
 	}
-	cfg.Opts, cfg.Divisor, cfg.Record = sat.Defaults(), core.SwitchDivisor, true
+	cfg.Opts, cfg.Divisor, cfg.Record = sat.Options{}, core.SwitchDivisor, true
 	return NewPool(DeltaSource(u.Delta()), cfg), u
 }
 
@@ -57,7 +57,7 @@ func TestPoolVerdictsMatchScratch(t *testing.T) {
 				if out.Race.Winner < 0 {
 					t.Fatalf("%s share=%v depth %d: no winner", m.name, share, k)
 				}
-				scratch := sat.New(u.Formula(k), sat.Defaults()).Solve()
+				scratch := sat.New(u.Formula(k), sat.Options{}).Solve()
 				if got := out.Race.Result.Status; got != scratch.Status {
 					t.Fatalf("%s share=%v depth %d: pool=%v scratch=%v", m.name, share, k, got, scratch.Status)
 				}
@@ -147,7 +147,7 @@ func TestPoolSubsetStrategiesAndJobs(t *testing.T) {
 		if out.Race.Winner < 0 {
 			t.Fatalf("depth %d: no winner", k)
 		}
-		scratch := sat.New(u.Formula(k), sat.Defaults()).Solve()
+		scratch := sat.New(u.Formula(k), sat.Options{}).Solve()
 		if out.Race.Result.Status != scratch.Status {
 			t.Fatalf("depth %d: pool=%v scratch=%v", k, out.Race.Result.Status, scratch.Status)
 		}
@@ -207,7 +207,7 @@ func BenchmarkPoolFeed(b *testing.B) {
 	src, clauses := cachedMixer(b, 30)
 	cfg := Config{
 		Strategies: portfolio.StrategySet{core.OrderDynamic},
-		Opts:       sat.Defaults(),
+		Opts:       sat.Options{},
 		Board:      core.NewScoreBoard(core.WeightedSum),
 		Divisor:    core.SwitchDivisor,
 		Record:     true,
@@ -232,7 +232,7 @@ func BenchmarkPoolLateStart(b *testing.B) {
 	var k int // the depth being raced
 	cfg := Config{
 		Strategies: portfolio.StrategySet{core.OrderDynamic},
-		Opts:       sat.Defaults(),
+		Opts:       sat.Options{},
 		Board:      core.NewScoreBoard(core.WeightedSum),
 		Divisor:    core.SwitchDivisor,
 		Record:     true,

@@ -34,7 +34,7 @@ const (
 // divided by its element's minimum before the list is allocated.
 const (
 	minFrameBytes   = 4  // K, NumVars, the clause list's two counts
-	minAttemptBytes = 16 // Name's length, WireOptions' fifteen fields
+	minAttemptBytes = 5  // Name's length, WireOptions' four fields
 	minRunBytes     = 2  // N, Bits
 	minOutcomeBytes = 18 // Name's length, Status, Stats' twelve fields, Wall, Wait, Canceled, Skipped
 )
@@ -114,15 +114,6 @@ func appendRaceRequest(dst []byte, r *RaceRequest) []byte {
 }
 
 func appendOptions(dst []byte, o *WireOptions) []byte {
-	dst = binary.AppendVarint(dst, int64(o.RescoreInterval))
-	dst = binary.AppendVarint(dst, int64(o.RestartFirst))
-	dst = appendFloat(dst, o.RestartInc)
-	dst = appendBool(dst, o.LubyRestarts)
-	dst = appendBool(dst, o.NoRestarts)
-	dst = appendFloat(dst, o.MaxLearntFrac)
-	dst = appendFloat(dst, o.MaxLearntInc)
-	dst = appendBool(dst, o.MinimizeLearned)
-	dst = appendBool(dst, o.PhaseSaving)
 	dst = binary.AppendUvarint(dst, uint64(len(o.Guidance)))
 	for _, r := range o.Guidance {
 		dst = binary.AppendUvarint(dst, r.N)
@@ -130,9 +121,7 @@ func appendOptions(dst []byte, o *WireOptions) []byte {
 	}
 	dst = binary.AppendVarint(dst, o.SwitchAfterDecisions)
 	dst = binary.AppendVarint(dst, o.MaxConflicts)
-	dst = binary.AppendVarint(dst, o.MaxDecisions)
-	dst = binary.AppendVarint(dst, o.DeadlineUnixNano)
-	return binary.AppendVarint(dst, int64(o.StopCheckEvery))
+	return binary.AppendVarint(dst, o.DeadlineUnixNano)
 }
 
 func appendRaceResult(dst []byte, r *portfolio.RaceResult) []byte {
@@ -192,8 +181,6 @@ func appendBool(dst []byte, b bool) []byte {
 func appendBits(dst []byte, b uint64) []byte {
 	return binary.AppendUvarint(dst, bits.ReverseBytes64(b))
 }
-
-func appendFloat(dst []byte, f float64) []byte { return appendBits(dst, math.Float64bits(f)) }
 
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
@@ -323,8 +310,6 @@ func (d *decoder) bool() bool {
 
 func (d *decoder) bits() uint64 { return bits.ReverseBytes64(d.uvarint()) }
 
-func (d *decoder) float() float64 { return math.Float64frombits(d.bits()) }
-
 // count reads a list's length and checks it against the bytes left, each
 // element taking at least `least` of them, before the caller allocates the
 // list.
@@ -427,15 +412,6 @@ func (d *decoder) raceRequest() *RaceRequest {
 }
 
 func (d *decoder) options(o *WireOptions) {
-	o.RescoreInterval = d.int()
-	o.RestartFirst = d.int()
-	o.RestartInc = d.float()
-	o.LubyRestarts = d.bool()
-	o.NoRestarts = d.bool()
-	o.MaxLearntFrac = d.float()
-	o.MaxLearntInc = d.float()
-	o.MinimizeLearned = d.bool()
-	o.PhaseSaving = d.bool()
 	if n := d.count(minRunBytes); n > 0 {
 		o.Guidance = make(GuidanceRuns, n)
 		for i := range o.Guidance {
@@ -447,9 +423,7 @@ func (d *decoder) options(o *WireOptions) {
 	}
 	o.SwitchAfterDecisions = d.varint()
 	o.MaxConflicts = d.varint()
-	o.MaxDecisions = d.varint()
 	o.DeadlineUnixNano = d.varint()
-	o.StopCheckEvery = d.int()
 }
 
 func (d *decoder) raceResult() portfolio.RaceResult {

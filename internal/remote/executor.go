@@ -15,7 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/portfolio"
 	"repro/internal/racer"
-	"repro/internal/sat"
 )
 
 // Coordinator-side defaults.
@@ -472,7 +471,7 @@ func (e *Executor) Race(query engine.Query, f *cnf.Formula, attempts []portfolio
 	wire := make([]WireAttempt, len(attempts))
 	for i, a := range attempts {
 		names[i] = a.Name
-		wire[i] = WireAttempt{Name: a.Name, Opts: toWireOptions(sanitizeOptions(a.Opts))}
+		wire[i] = WireAttempt{Name: a.Name, Opts: toWireOptions(a.Opts)}
 	}
 	res, _ := e.distribute(names,
 		func(l *link, id uint64, idxs []int) *RaceRequest {
@@ -859,17 +858,6 @@ func (e *Executor) logf(format string, args ...any) {
 	if e.opts.Logf != nil {
 		e.opts.Logf(format, args...)
 	}
-}
-
-// sanitizeOptions strips the process-local hooks from cold-race options
-// before they cross the wire (a live attempt's options never carry them).
-// Recorder traces of remotely executed attempts are therefore not
-// produced — a documented cost of shipping the race elsewhere.
-func sanitizeOptions(o sat.Options) sat.Options {
-	o.Stop = nil
-	o.Recorder = nil
-	o.Metrics = nil
-	return o
 }
 
 // partition deals n attempt indices round-robin over w workers.

@@ -434,7 +434,7 @@ func TestWorkerRaceRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := u.Delta()
-	local := sat.New(cnf.New(0), sat.Defaults())
+	local := sat.New(cnf.New(0), sat.Options{})
 	for k := 0; k <= 1; k++ {
 		frame := d.Frame(k)
 		e.OnFrame(engine.QueryBMC, k, frame)
@@ -450,7 +450,7 @@ func TestWorkerRaceRejected(t *testing.T) {
 	l.shipped[string(engine.QueryBMC)] = 1
 	l.mu.Unlock()
 
-	attempts := []portfolio.LiveAttempt{{Name: "vsids", Opts: sat.Defaults(), Solver: func() *sat.Solver { return local }}}
+	attempts := []portfolio.LiveAttempt{{Name: "vsids", Opts: sat.Options{}, Solver: func() *sat.Solver { return local }}}
 	res := e.RaceLive(engine.QueryBMC, attempts, []lits.Lit{d.ActLit(1)}, 1, nil)
 	if res.Winner != 0 || !res.Result.Status.Decided() {
 		t.Fatalf("rejected race: winner %d, %v; want the local fallback to decide", res.Winner, res.Result.Status)

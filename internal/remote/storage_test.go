@@ -23,7 +23,7 @@ func solverTables(s *sat.Solver) map[string]uintptr {
 	out := make(map[string]uintptr)
 	for _, name := range []string{
 		"watches", "vals", "reason", "level", "trail",
-		"chaScore", "newCount", "savedPhase", "seen", "heap.heap", "heap.pos",
+		"chaScore", "newCount", "seen", "heap.heap", "heap.pos",
 	} {
 		v := reflect.ValueOf(s).Elem()
 		for _, field := range strings.Split(name, ".") {

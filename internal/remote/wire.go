@@ -31,8 +31,8 @@
 //	int      zigzag varint (binary.AppendVarint): every Go int, literal,
 //	         duration and counter
 //	bool     one byte, 0 or 1
-//	float    a uint of the float64's bits with their bytes reversed, so
-//	         0 takes one byte and 1.5 or 1000 three
+//	bits     a float64's bits (GuidanceRun.Bits) as a uint with their
+//	         bytes reversed, so 0 takes one byte and 1.5 or 1000 three
 //	status   one byte (sat.Status, lits.TriBool)
 //	string   uint length, then the bytes
 //	list     uint count, then the elements
@@ -94,7 +94,7 @@ import (
 
 // ProtocolVersion is bumped on any wire-incompatible change; the
 // handshake rejects mismatched peers.
-const ProtocolVersion = 3
+const ProtocolVersion = 4
 
 // DefaultMaxFrameBytes bounds one frame's payload (64 MiB — a deep
 // unrolling's frame batch fits with room to spare). The bound is
@@ -177,27 +177,17 @@ type Hello struct {
 	Name    string
 }
 
-// WireOptions mirrors the serializable subset of sat.Options: tuning
-// parameters, budgets, and per-race guidance. Hooks (Stop, Recorder,
-// Metrics) are process-local and never cross the wire. The deadline
-// travels as absolute wall-clock nanoseconds; meaningful across
-// machines only to clock-sync precision, exact over loopback.
+// WireOptions mirrors the serializable part of sat.Options: the per-race
+// guidance and its switch, and the budgets. Hooks (Stop, Recorder,
+// Metrics) are process-local and never cross the wire, and the solver's
+// tuning is the same constants on both ends. The deadline travels as
+// absolute wall-clock nanoseconds; meaningful across machines only to
+// clock-sync precision, exact over loopback.
 type WireOptions struct {
-	RescoreInterval      int
-	RestartFirst         int
-	RestartInc           float64
-	LubyRestarts         bool
-	NoRestarts           bool
-	MaxLearntFrac        float64
-	MaxLearntInc         float64
-	MinimizeLearned      bool
-	PhaseSaving          bool
 	Guidance             GuidanceRuns
 	SwitchAfterDecisions int64
 	MaxConflicts         int64
-	MaxDecisions         int64
 	DeadlineUnixNano     int64
-	StopCheckEvery       int
 }
 
 // GuidanceRun is N consecutive guidance scores, each the float64 whose
@@ -279,23 +269,13 @@ func (r GuidanceRuns) expand(dst []float64, n, room int) []float64 {
 }
 
 // toWireOptions flattens a sat.Options into its wire mirror, guidance as
-// runs; the hooks do not cross.
+// runs. The hooks do not cross, so a remotely executed attempt records no
+// proof — a documented cost of shipping the race elsewhere.
 func toWireOptions(o sat.Options) WireOptions {
 	w := WireOptions{
-		RescoreInterval:      o.RescoreInterval,
-		RestartFirst:         o.RestartFirst,
-		RestartInc:           o.RestartInc,
-		LubyRestarts:         o.LubyRestarts,
-		NoRestarts:           o.NoRestarts,
-		MaxLearntFrac:        o.MaxLearntFrac,
-		MaxLearntInc:         o.MaxLearntInc,
-		MinimizeLearned:      o.MinimizeLearned,
-		PhaseSaving:          o.PhaseSaving,
 		Guidance:             compressGuidance(o.Guidance),
 		SwitchAfterDecisions: o.SwitchAfterDecisions,
 		MaxConflicts:         o.MaxConflicts,
-		MaxDecisions:         o.MaxDecisions,
-		StopCheckEvery:       o.StopCheckEvery,
 	}
 	if !o.Deadline.IsZero() {
 		w.DeadlineUnixNano = o.Deadline.UnixNano()
@@ -307,19 +287,8 @@ func toWireOptions(o sat.Options) WireOptions {
 // guidance, which the caller expands where it is needed.
 func (w WireOptions) toSatOptions() sat.Options {
 	o := sat.Options{
-		RescoreInterval:      w.RescoreInterval,
-		RestartFirst:         w.RestartFirst,
-		RestartInc:           w.RestartInc,
-		LubyRestarts:         w.LubyRestarts,
-		NoRestarts:           w.NoRestarts,
-		MaxLearntFrac:        w.MaxLearntFrac,
-		MaxLearntInc:         w.MaxLearntInc,
-		MinimizeLearned:      w.MinimizeLearned,
-		PhaseSaving:          w.PhaseSaving,
 		SwitchAfterDecisions: w.SwitchAfterDecisions,
 		MaxConflicts:         w.MaxConflicts,
-		MaxDecisions:         w.MaxDecisions,
-		StopCheckEvery:       w.StopCheckEvery,
 	}
 	if w.DeadlineUnixNano != 0 {
 		o.Deadline = time.Unix(0, w.DeadlineUnixNano)

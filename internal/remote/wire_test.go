@@ -9,12 +9,14 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cnf"
 	"repro/internal/lits"
+	"repro/internal/sat"
 )
 
 // encodeFrame renders one message exactly as Conn.Send renders a
@@ -48,8 +50,6 @@ func fill(t testing.TB, v reflect.Value, n *int) {
 		v.SetInt(int64(i) * int64(1-2*(i%2)) * 1000) // both signs, multi-byte
 	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		v.SetUint(uint64(i) << 20)
-	case reflect.Float64:
-		v.SetFloat(float64(i) + 0.25)
 	case reflect.String:
 		v.SetString(fmt.Sprintf("s%d", i))
 	case reflect.Slice:
@@ -108,6 +108,44 @@ func TestWireRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, &want) {
 			t.Errorf("%v: round trip mutated the message:\ngot  %+v\nwant %+v", kind, got, &want)
 		}
+	}
+}
+
+// TestOptionsPerAttempt: sat.Options holds exactly what varies from one
+// attempt to the next, and each of its fields either crosses the wire in
+// WireOptions under its own name (the deadline as Unix nanoseconds) or is
+// a process-local hook; WireOptions carries nothing else. A tuning field
+// added back to sat.Options, or a wire mirror that drifts from it, fails
+// here.
+func TestOptionsPerAttempt(t *testing.T) {
+	perAttempt := []string{"Guidance", "SwitchAfterDecisions", "MaxConflicts", "Deadline", "Stop", "Recorder", "Metrics"}
+	hooks := map[string]bool{"Stop": true, "Recorder": true, "Metrics": true}
+	onWire := map[string]string{"Deadline": "DeadlineUnixNano"}
+
+	exported := func(v any) []string {
+		var names []string
+		for typ, i := reflect.TypeOf(v), 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				names = append(names, f.Name)
+			}
+		}
+		return names
+	}
+	if got := exported(sat.Options{}); !slices.Equal(got, perAttempt) {
+		t.Errorf("sat.Options has fields %v, want exactly the per-attempt %v", got, perAttempt)
+	}
+	var want []string
+	for _, name := range perAttempt {
+		if hooks[name] {
+			continue
+		}
+		if w, ok := onWire[name]; ok {
+			name = w
+		}
+		want = append(want, name)
+	}
+	if got := exported(WireOptions{}); !slices.Equal(got, want) {
+		t.Errorf("WireOptions has fields %v, want sat.Options' %v without the hooks", got, want)
 	}
 }
 
@@ -174,7 +212,7 @@ func TestReadMessageRejects(t *testing.T) {
 			ID: 1, Query: "bmc", Live: true,
 			Attempts: []WireAttempt{{Name: "RUNS", Opts: WireOptions{Guidance: GuidanceRuns{{N: 1}}}}},
 		}})
-		at := bytes.Index(b, []byte("RUNS")) + len("RUNS") + 9 // nine one-byte option fields precede the runs
+		at := bytes.Index(b, []byte("RUNS")) + len("RUNS") // the runs are the options' first field
 		if !bytes.Equal(b[at:at+3], []byte{1, 1, 0}) {
 			t.Fatalf("run list not where expected: % x", b[at:at+3])
 		}
@@ -293,7 +331,7 @@ func TestSendEnforcesBound(t *testing.T) {
 // allocations by the configured frame limit no matter what bytes arrive
 // — this is the surface a malicious or corrupted peer controls. A frame it
 // accepts, re-encoded, must decode to the same message (compared by
-// encoding: DeepEqual calls a NaN unequal to itself).
+// encoding).
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})

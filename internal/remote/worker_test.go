@@ -34,7 +34,7 @@ func TestMirrorLoadsWhenItRaces(t *testing.T) {
 
 	w := NewWorker(WorkerOptions{})
 	sess := newConnSession()
-	ref := sat.New(cnf.New(0), toWireOptions(sat.Defaults()).toSatOptions())
+	ref := sat.New(cnf.New(0), sat.Options{})
 
 	for k := 0; k <= lateAt+1; k++ {
 		frame := d.Frame(k)
@@ -51,7 +51,7 @@ func TestMirrorLoadsWhenItRaces(t *testing.T) {
 		in := core.Layout{NumVars: src.NumVars(k), Frames: src.Frames(k), VarInfo: src.VarInfo}
 		guidance, _ := core.OrderTimeAxis.Guidance(nil, in, 0, 0, nil)
 		for _, i := range order {
-			opts := toWireOptions(sat.Defaults())
+			var opts WireOptions
 			if i == late {
 				opts.Guidance = compressGuidance(guidance)
 			}

@@ -32,7 +32,7 @@ func BenchmarkLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkSolver = New(f, Defaults())
+		sinkSolver = New(f, Options{})
 	}
 	b.ReportMetric(float64(len(f.Clauses))*float64(b.N)/b.Elapsed().Seconds(), "clauses/s")
 }
@@ -45,7 +45,7 @@ func BenchmarkPropagateAdder(b *testing.B) {
 	b.ResetTimer()
 	var props int64
 	for i := 0; i < b.N; i++ {
-		r := New(f, Defaults()).Solve()
+		r := New(f, Options{}).Solve()
 		if r.Status != Unsat {
 			b.Fatalf("add_w8 depth 4 = %v, want Unsat", r.Status)
 		}
@@ -145,9 +145,8 @@ func TestArenaNeverCopies(t *testing.T) {
 		}
 	}
 
-	opts := Defaults()
-	opts.MaxLearntFrac = 1e9 // no reduction: the learnt clauses pile up
-	s := New(pigeonhole(10, 9), opts)
+	noReduction := tuned(func(tu *tuning) { tu.maxLearntFrac = 1e9 }) // the learnt clauses pile up
+	s := New(pigeonhole(10, 9), noReduction)
 	w := &slotWatch{t: t, s: s}
 	s.opts.Recorder, s.recording = w, true
 	if r := s.Solve(); r.Status != Unsat {
@@ -217,11 +216,11 @@ func TestLongClause(t *testing.T) {
 		}
 	}
 
-	loaded := New(f, Defaults())
+	loaded := New(f, Options{})
 	where(loaded, "Load")
 	implies(loaded, "Load")
 
-	added := New(cnf.New(n), Defaults())
+	added := New(cnf.New(n), Options{})
 	for _, c := range f.Clauses {
 		added.AddClause(c)
 	}
@@ -230,7 +229,7 @@ func TestLongClause(t *testing.T) {
 
 	// Imports below the long clause, every other one deleted, so the
 	// compaction moves clauses below it.
-	s := New(cnf.New(n+200), Defaults())
+	s := New(cnf.New(n+200), Options{})
 	const imported = 100
 	for i := 0; i < imported; i++ {
 		s.ImportClause(cnf.Clause{lits.PosLit(lits.Var(n + 2*i + 1)), lits.PosLit(lits.Var(n + 2*i + 2))})
@@ -265,7 +264,7 @@ func TestLongClause(t *testing.T) {
 	}
 	implies(s, "ImportClause and compaction")
 
-	s.Load(f, Defaults())
+	s.Load(f, Options{})
 	if c = where(s, "reloaded"); unsafe.SliceData(s.ca.pages[c>>pageShift]) != page {
 		t.Errorf("Load made the long clause a new page instead of taking its spare")
 	}
@@ -286,12 +285,12 @@ func TestLoadAllocsBounded(t *testing.T) {
 		if f.NumClauses() < 20000 {
 			t.Fatalf("depth %d has %d clauses, want at least 20000", k, f.NumClauses())
 		}
-		allocs := testing.AllocsPerRun(3, func() { sinkSolver = New(f, Defaults()) })
+		allocs := testing.AllocsPerRun(3, func() { sinkSolver = New(f, Options{}) })
 		if allocs >= perSolver {
 			t.Errorf("New over %d clauses: %.0f allocations, want fewer than %d", f.NumClauses(), allocs, perSolver)
 		}
-		s := New(f, Defaults())
-		if reload := testing.AllocsPerRun(3, func() { s.Load(f, Defaults()) }); reload >= 4 {
+		s := New(f, Options{})
+		if reload := testing.AllocsPerRun(3, func() { s.Load(f, Options{}) }); reload >= 4 {
 			t.Errorf("Load over %d clauses into a solver that has held them: %.0f allocations, want fewer than 4", f.NumClauses(), reload)
 		}
 	}
@@ -304,11 +303,11 @@ func TestLoadAllocsBounded(t *testing.T) {
 	hinted := new(Solver)
 	vars, clauses, _ := in.Size(7)
 	hinted.Grow(vars, clauses)
-	hinted.Load(in.Extend(3), Defaults()) // makes every other table, at depth 7's size
+	hinted.Load(in.Extend(3), Options{}) // makes every other table, at depth 7's size
 	for k := 3; k <= 7; k++ {
 		f := in.Extend(k)
 		held := hinted.ca.arrays()
-		n, bytes := allocated(func() { hinted.Load(f, Defaults()) })
+		n, bytes := allocated(func() { hinted.Load(f, Options{}) })
 		now := hinted.ca.arrays()
 		for p := range held {
 			if !now[p] {
@@ -327,7 +326,7 @@ func TestLoadAllocsBounded(t *testing.T) {
 	// nothing is ever implied and every clause is attached.
 	const batch = 1000
 	r := rng(7)
-	s := New(cnf.New(0), Defaults())
+	s := New(cnf.New(0), Options{})
 	add := func() {
 		for i := 0; i < batch; i++ {
 			a := r.intn(16)
@@ -357,7 +356,7 @@ func TestWatchSlabIsolation(t *testing.T) {
 	f.Add(1, -2, 4)
 	f.Add(2, 3, 4)
 	f.Add(-3, -4)
-	s := New(f, Defaults())
+	s := New(f, Options{})
 
 	before := make([][]watcher, len(s.watches))
 	for i, ws := range s.watches {
@@ -396,8 +395,8 @@ func TestChaScoreSeedingOneRule(t *testing.T) {
 	f.Add(2, 3)
 	// Stored: (x1 x2) (x2 x3), so x2 leads; counted raw, x3 would.
 
-	loaded := New(f, Defaults())
-	added := New(cnf.New(0), Defaults())
+	loaded := New(f, Options{})
+	added := New(cnf.New(0), Options{})
 	for _, c := range f.Clauses {
 		added.AddClause(c)
 	}
@@ -437,9 +436,8 @@ func (v clauseView) equal(w clauseView) bool {
 // what it refers to. The arena spans three pages, so clauses move across
 // page boundaries.
 func TestCompactRelocatesEveryReference(t *testing.T) {
-	opts := Defaults()
+	opts := tuned(func(tu *tuning) { tu.maxLearntFrac = 1e9 }) // no reduction: the arena is as the search left it
 	opts.MaxConflicts = 3000
-	opts.MaxLearntFrac = 1e9 // no reduction: the arena is as the search left it
 	s := New(pigeonhole(9, 8), opts)
 	if r := s.Solve(); r.Status != Unknown {
 		t.Fatalf("status %v, want the search stopped by its budget", r.Status)
@@ -568,8 +566,8 @@ func (r *stopAfter) Forget([]ClauseID)      {}
 // search over it is the one a new solver runs.
 func TestLoadClearsTruthTable(t *testing.T) {
 	rec := &stopAfter{n: 300, stop: make(chan struct{})}
-	opts := Defaults()
-	opts.Stop, opts.StopCheckEvery, opts.Recorder = rec.stop, 1, rec
+	opts := tuned(func(tu *tuning) { tu.pollEvery = 1 })
+	opts.Stop, opts.Recorder = rec.stop, rec
 	s := New(pigeonhole(9, 8), opts)
 	if r := s.Solve(); r.Status != Interrupted {
 		t.Fatalf("status %v, want the search interrupted", r.Status)
@@ -581,12 +579,12 @@ func TestLoadClearsTruthTable(t *testing.T) {
 	held := cap(s.vals)
 
 	for _, small := range []*cnf.Formula{pigeonhole(4, 4), randomFormula(11, 9, 14, 3)} {
-		s.Load(small, Defaults())
+		s.Load(small, Options{})
 		if cap(s.vals) != held {
 			t.Fatalf("the table moved: room for %d literals, had %d", cap(s.vals), held)
 		}
 		checkTruthTable(t, s, "loaded") // PHP(4,4) has no unit: all zero
-		got, want := s.Solve(), New(small, Defaults()).Solve()
+		got, want := s.Solve(), New(small, Options{}).Solve()
 		checkTruthTable(t, s, "solved")
 		got.Stats.SolveTime, want.Stats.SolveTime = 0, 0
 		if got.Status != want.Status || got.Stats != want.Stats || !slices.Equal(got.Model, want.Model) {
@@ -603,11 +601,11 @@ func TestAddVarsGrowsTruthTable(t *testing.T) {
 	for v := 1; v <= 40; v++ {
 		big.Add(-v) // the stale values: every literal of 40 variables assigned
 	}
-	s := New(big, Defaults())
+	s := New(big, Options{})
 	units := cnf.New(3)
 	units.Add(1)
 	units.Add(-3)
-	s.Load(units, Defaults())
+	s.Load(units, Options{})
 
 	for _, n := range []int{25, 4 * 40} { // inside the old table, then past it
 		fits := 2*n+2 <= cap(s.vals)

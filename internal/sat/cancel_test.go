@@ -25,7 +25,7 @@ func (r *stubRecorder) Forget([]ClauseID)                              {}
 func TestCancelMidSearch(t *testing.T) {
 	stop := make(chan struct{})
 	rec := &stubRecorder{}
-	opts := Defaults()
+	opts := Options{}
 	opts.Stop = stop
 	opts.Recorder = rec
 
@@ -65,7 +65,7 @@ func TestCancelMidSearch(t *testing.T) {
 func TestCancelBeforeSolve(t *testing.T) {
 	stop := make(chan struct{})
 	close(stop)
-	opts := Defaults()
+	opts := Options{}
 	opts.Stop = stop
 	res := New(pigeonhole(8, 7), opts).Solve()
 	if res.Status != Interrupted {
@@ -79,7 +79,7 @@ func TestCancelBeforeSolve(t *testing.T) {
 // TestCancelNilStopUnaffected checks the default path: with no Stop
 // channel the solver behaves exactly as before (completes with a verdict).
 func TestCancelNilStopUnaffected(t *testing.T) {
-	res := New(pigeonhole(5, 4), Defaults()).Solve()
+	res := New(pigeonhole(5, 4), Options{}).Solve()
 	if res.Status != Unsat {
 		t.Fatalf("status = %v, want Unsat", res.Status)
 	}
@@ -99,7 +99,7 @@ func TestInterruptedStatusIsNotDecided(t *testing.T) {
 // must not disturb the stored result or panic.
 func TestCancelAfterVerdictHarmless(t *testing.T) {
 	stop := make(chan struct{})
-	opts := Defaults()
+	opts := Options{}
 	opts.Stop = stop
 	s := New(pigeonhole(4, 4), opts)
 	res := s.Solve()

@@ -52,32 +52,26 @@ func (w *pageWatch) RecordLearned(id sat.ClauseID, literals []lits.Lit, ants []s
 // clauses from one page to another.
 func TestCompactionKeepsSearch(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		f        *cnf.Formula
-		fewLearn bool // the floor of 1000 learnt clauses applies
-		pages    int
+		name  string
+		f     *cnf.Formula
+		pages int
 		// The search of the pointer-based clause store this arena replaced,
 		// run at its last commit, and of the contiguous arena before pages.
 		// The layout is only a layout: any difference is a bug.
 		want sat.Stats
 	}{
-		{"PHP(9,8)", pigeons(9, 8), true, 2, sat.Stats{
+		{"PHP(9,8)", pigeons(9, 8), 2, sat.Stats{
 			Decisions: 5461, Implications: 94207, Conflicts: 4680, Restarts: 24,
 			Learned: 4679, LearnedLits: 77283, Deleted: 3853, MaxLevel: 28,
 		}},
-		{"add_w8 depth 5", instance(t, bench.AdderTwin(8, 0, 0), 5), false, 3, sat.Stats{
+		{"add_w8 depth 5", instance(t, bench.AdderTwin(8, 0, 0), 5), 3, sat.Stats{
 			Decisions: 40087, Implications: 2555719, Conflicts: 18835, Restarts: 62,
 			Learned: 18834, LearnedLits: 307678, Deleted: 16074, MaxLevel: 53,
 		}},
 	} {
 		f := tc.f
 		rec := &pageWatch{Recorder: core.NewRecorderWith(f.NumClauses(), core.Complete)}
-		opts := sat.Defaults()
-		if tc.fewLearn {
-			opts.MaxLearntFrac = 0.0001
-		}
-		opts.Recorder = rec
-		s := sat.New(f, opts)
+		s := sat.New(f, sat.Options{Recorder: rec})
 		rec.s = s
 		r := s.Solve()
 		if r.Status != sat.Unsat {
@@ -109,7 +103,7 @@ func TestCompactionKeepsSearch(t *testing.T) {
 		if len(exported) == 0 {
 			t.Fatalf("%s: nothing to export after a search with learnt clauses left", tc.name)
 		}
-		fresh := sat.New(f, sat.Defaults())
+		fresh := sat.New(f, sat.Options{})
 		for _, c := range exported {
 			norm, taut := c.Copy().Normalize()
 			if taut || len(norm) != len(c) || int(c.MaxVar()) > f.NumVars {

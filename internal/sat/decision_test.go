@@ -54,7 +54,7 @@ type stepper struct {
 
 // run takes n more decisions, or stops early when the clauses are refuted
 // at level 0. Every rescoreEvery conflicts it rescores, as solve does every
-// RescoreInterval; every restartEvery decisions it restarts. A model ends
+// rescoreInterval; every restartEvery decisions it restarts. A model ends
 // nothing: the stepper backtracks to level 0 and goes on deciding.
 func (st *stepper) run(phase string, n, rescoreEvery, restartEvery int) {
 	st.t.Helper()
@@ -77,15 +77,6 @@ func (st *stepper) run(phase string, n, rescoreEvery, restartEvery int) {
 		}
 		want := argmax(s)
 		got := s.pickBranch()
-		if s.opts.PhaseSaving && want != lits.LitUndef {
-			// The variable is the rule's; the polarity the one it last had.
-			switch s.savedPhase[want.Var()] {
-			case 1:
-				want = lits.PosLit(want.Var())
-			case -1:
-				want = lits.NegLit(want.Var())
-			}
-		}
 		if got != want {
 			st.t.Fatalf("%s, %s: decision %d picks %v, the rule ranks %v first (guidance active %v)",
 				st.name, phase, st.decisions, got, want, s.guidActive)
@@ -144,8 +135,7 @@ func (st *stepper) checkHeap(phase string) {
 // switch, new guidance, and Load into a used solver's storage, larger then
 // smaller. Ties in guidance and in
 // cha_score are frequent: guidance takes three values, and cha_score
-// starts at occurrence counts. With phase saving the rule picks the
-// variable and the saved phase its polarity.
+// starts at occurrence counts.
 func TestDecisionIsHeapArgmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	guidance := func(n int) []float64 {
@@ -165,59 +155,51 @@ func TestDecisionIsHeapArgmax(t *testing.T) {
 	}
 	for _, tc := range formulas {
 		name, f := tc.name, tc.f
-		for _, phaseSaving := range []bool{false, true} {
-			opts := Defaults()
-			opts.PhaseSaving = phaseSaving
-			opts.Guidance = guidance(f.NumVars)
-			st := &stepper{t: t, name: name, s: New(f, opts)}
-			if phaseSaving {
-				st.name += " (phase saving)"
+		st := &stepper{t: t, name: name, s: New(f, Options{Guidance: guidance(f.NumVars)})}
+		st.run("guided", 300, 7, 97)
+
+		// A frame's worth of new variables and clauses over old and new.
+		more := f.NumVars + 30
+		st.s.AddVars(more)
+		for i := 0; i < 40 && !st.unsat; i++ {
+			c := cnf.Clause{
+				lits.MkLit(lits.Var(f.NumVars+1+rng.Intn(30)), rng.Intn(2) == 0),
+				lits.MkLit(lits.Var(1+rng.Intn(more)), rng.Intn(2) == 0),
+				lits.MkLit(lits.Var(1+rng.Intn(more)), rng.Intn(2) == 0),
 			}
-			st.run("guided", 300, 7, 97)
-
-			// A frame's worth of new variables and clauses over old and new.
-			more := f.NumVars + 30
-			st.s.AddVars(more)
-			for i := 0; i < 40 && !st.unsat; i++ {
-				c := cnf.Clause{
-					lits.MkLit(lits.Var(f.NumVars+1+rng.Intn(30)), rng.Intn(2) == 0),
-					lits.MkLit(lits.Var(1+rng.Intn(more)), rng.Intn(2) == 0),
-					lits.MkLit(lits.Var(1+rng.Intn(more)), rng.Intn(2) == 0),
-				}
-				st.s.AddClause(c)
-			}
-			st.unsat = st.unsat || st.s.status == Unsat
-			st.run("after AddVars/AddClause", 300, 7, 97)
-
-			// Clauses from a peer, over variables old and new.
-			for i := 0; i < 40 && !st.unsat; i++ {
-				c := cnf.Clause{
-					lits.MkLit(lits.Var(1+rng.Intn(more)), rng.Intn(2) == 0),
-					lits.MkLit(lits.Var(1+rng.Intn(more)), rng.Intn(2) == 0),
-					lits.MkLit(lits.Var(1+rng.Intn(more)), rng.Intn(2) == 0),
-				}
-				st.s.ImportClause(c)
-			}
-			st.unsat = st.unsat || st.s.status == Unsat
-			st.run("after ImportClause", 300, 7, 97)
-
-			st.s.switchGuidance()
-			st.run("after the dynamic switch", 300, 5, 89)
-
-			st.s.SetGuidance(guidance(more), 0)
-			st.run("under new guidance", 300, 11, 101)
-
-			if st.decisions < 300 || st.rescores == 0 {
-				t.Errorf("%s: %d decisions checked, %d rescores", st.name, st.decisions, st.rescores)
-			}
-			t.Logf("%s: %d decisions checked, %d conflicts, %d rescores, refuted %v", st.name, st.decisions, st.conflicts, st.rescores, st.unsat)
+			st.s.AddClause(c)
 		}
+		st.unsat = st.unsat || st.s.status == Unsat
+		st.run("after AddVars/AddClause", 300, 7, 97)
+
+		// Clauses from a peer, over variables old and new.
+		for i := 0; i < 40 && !st.unsat; i++ {
+			c := cnf.Clause{
+				lits.MkLit(lits.Var(1+rng.Intn(more)), rng.Intn(2) == 0),
+				lits.MkLit(lits.Var(1+rng.Intn(more)), rng.Intn(2) == 0),
+				lits.MkLit(lits.Var(1+rng.Intn(more)), rng.Intn(2) == 0),
+			}
+			st.s.ImportClause(c)
+		}
+		st.unsat = st.unsat || st.s.status == Unsat
+		st.run("after ImportClause", 300, 7, 97)
+
+		st.s.switchGuidance()
+		st.run("after the dynamic switch", 300, 5, 89)
+
+		st.s.SetGuidance(guidance(more), 0)
+		st.run("under new guidance", 300, 11, 101)
+
+		if st.decisions < 300 || st.rescores == 0 {
+			t.Errorf("%s: %d decisions checked, %d rescores", st.name, st.decisions, st.rescores)
+		}
+		t.Logf("%s: %d decisions checked, %d conflicts, %d rescores, refuted %v", st.name, st.decisions, st.conflicts, st.rescores, st.unsat)
 	}
 
 	// One solver's storage, used on the largest formula, then loaded with
 	// each of the others in decreasing size: the heap and its index must
 	// not carry entries past the new variable count.
-	opts := Defaults()
+	opts := Options{}
 	opts.Guidance = guidance(formulas[2].f.NumVars)
 	s := New(formulas[2].f, opts)
 	(&stepper{t: t, name: "used", s: s}).run("guided", 300, 7, 97)

@@ -31,7 +31,7 @@ func phpFormula(p, h int) *cnf.Formula {
 
 func TestExportLearnedFilterAndMark(t *testing.T) {
 	f := phpFormula(7, 6)
-	s := New(f, Defaults())
+	s := New(f, Options{})
 	if r := s.Solve(); r.Status != Unsat {
 		t.Fatalf("php(7,6) = %v, want Unsat", r.Status)
 	}
@@ -61,7 +61,7 @@ func TestExportLearnedFilterAndMark(t *testing.T) {
 }
 
 func TestImportClauseDedupAndTautology(t *testing.T) {
-	s := New(cnf.New(4), Defaults())
+	s := New(cnf.New(4), Options{})
 	cl := cnf.Clause{lits.PosLit(1), lits.NegLit(2)}
 	if _, ok := s.ImportClause(cl); !ok {
 		t.Fatalf("first import rejected")
@@ -78,7 +78,7 @@ func TestImportUnitTakesEffect(t *testing.T) {
 	// x1 free in the formula; importing the unit (x1) pins it.
 	f := cnf.New(2)
 	f.Add(1, 2)
-	s := New(f, Defaults())
+	s := New(f, Options{})
 	if _, ok := s.ImportClause(cnf.Clause{lits.PosLit(1)}); !ok {
 		t.Fatalf("unit import rejected")
 	}
@@ -92,7 +92,7 @@ func TestImportUnitTakesEffect(t *testing.T) {
 }
 
 func TestImportConflictingUnitsUnsat(t *testing.T) {
-	s := New(cnf.New(1), Defaults())
+	s := New(cnf.New(1), Options{})
 	s.ImportClause(cnf.Clause{lits.PosLit(1)})
 	s.ImportClause(cnf.Clause{lits.NegLit(1)})
 	if r := s.Solve(); r.Status != Unsat {
@@ -105,7 +105,7 @@ func TestImportConflictingUnitsUnsat(t *testing.T) {
 func TestImportForeignNotReExported(t *testing.T) {
 	f := cnf.New(6)
 	f.Add(1, 2, 3)
-	s := New(f, Defaults())
+	s := New(f, Options{})
 	mark := s.NextClauseID()
 	if _, ok := s.ImportClause(cnf.Clause{lits.PosLit(4), lits.PosLit(5)}); !ok {
 		t.Fatalf("import rejected")
@@ -129,12 +129,12 @@ func TestExchangeRoundTripPreservesVerdict(t *testing.T) {
 		{"sat", phpFormula(5, 5), Sat},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a := New(tc.f, Defaults())
+			a := New(tc.f, Options{})
 			if r := a.Solve(); r.Status != tc.want {
 				t.Fatalf("sender verdict %v, want %v", r.Status, tc.want)
 			}
 			shared := a.ExportLearned(ClauseID(tc.f.NumClauses()), 8, 4, 0)
-			b := New(tc.f, Defaults())
+			b := New(tc.f, Options{})
 			imported := 0
 			for _, cl := range shared {
 				if _, ok := b.ImportClause(cl); ok {
@@ -160,9 +160,7 @@ func TestExchangeRoundTripPreservesVerdict(t *testing.T) {
 // again — the lifecycle every persistent racer goes through per race.
 func TestSetStopReplacesChannel(t *testing.T) {
 	f := phpFormula(8, 7)
-	opts := Defaults()
-	opts.StopCheckEvery = 1
-	s := New(f, opts)
+	s := New(f, tuned(func(tu *tuning) { tu.pollEvery = 1 }))
 	stopped := make(chan struct{})
 	close(stopped)
 	s.SetStop(stopped)
@@ -179,7 +177,7 @@ func TestSetStopReplacesChannel(t *testing.T) {
 // solve under an assumption, import at the depth boundary, solve again.
 func TestImportIntoLiveIncrementalSolver(t *testing.T) {
 	f := phpFormula(6, 5)
-	s := New(f, Defaults())
+	s := New(f, Options{})
 	// Under the assumption that pigeon 0 avoids hole 0 the instance is
 	// still unsat; solve, import something, solve again.
 	r := s.SolveAssuming([]lits.Lit{lits.NegLit(1)})

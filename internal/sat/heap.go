@@ -4,7 +4,7 @@ import "repro/internal/lits"
 
 // varHeap is an indexed binary max-heap over variables, one entry each,
 // ordered by the solver's decision comparator better; pickBranch picks the
-// polarity (the saved phase, else the higher cha_score, positive on a tie).
+// polarity (the higher cha_score, positive on a tie).
 // Each variable's position is tracked, so membership tests are O(1) and a
 // raised key is sifted up in O(log n).
 //

@@ -14,7 +14,7 @@ func TestSolveAssumingSat(t *testing.T) {
 	f := cnf.New(3)
 	f.Add(1, 2)
 	f.Add(-2, 3)
-	s := New(f, Defaults())
+	s := New(f, Options{})
 	res := s.SolveAssuming([]lits.Lit{lits.NegLit(1)})
 	if res.Status != Sat {
 		t.Fatalf("status=%v", res.Status)
@@ -33,7 +33,7 @@ func TestSolveAssumingUnsatIsNotSticky(t *testing.T) {
 	f := cnf.New(3)
 	f.Add(-1, 2)
 	f.Add(-2, 3)
-	s := New(f, Defaults())
+	s := New(f, Options{})
 
 	res := s.SolveAssuming([]lits.Lit{lits.PosLit(1), lits.NegLit(3)})
 	if res.Status != Unsat {
@@ -60,7 +60,7 @@ func TestFailedAssumptionsSubset(t *testing.T) {
 	f := cnf.New(5)
 	f.Add(-1, 2)
 	f.Add(-2, 3)
-	s := New(f, Defaults())
+	s := New(f, Options{})
 	res := s.SolveAssuming([]lits.Lit{lits.PosLit(5), lits.PosLit(1), lits.NegLit(3)})
 	if res.Status != Unsat {
 		t.Fatalf("status=%v", res.Status)
@@ -81,7 +81,7 @@ func TestFailedAssumptionContradictsLevel0(t *testing.T) {
 	// Unit clause ¬x1: assuming x1 fails by itself at level 0.
 	f := cnf.New(2)
 	f.Add(-1)
-	s := New(f, Defaults())
+	s := New(f, Options{})
 	res := s.SolveAssuming([]lits.Lit{lits.PosLit(1)})
 	if res.Status != Unsat {
 		t.Fatalf("status=%v", res.Status)
@@ -95,7 +95,7 @@ func TestFailedAssumptionContradictsLevel0(t *testing.T) {
 }
 
 func TestContradictoryAssumptionPair(t *testing.T) {
-	s := New(cnf.New(2), Defaults())
+	s := New(cnf.New(2), Options{})
 	res := s.SolveAssuming([]lits.Lit{lits.PosLit(1), lits.NegLit(1)})
 	if res.Status != Unsat {
 		t.Fatalf("status=%v", res.Status)
@@ -112,7 +112,7 @@ func TestContradictoryAssumptionPair(t *testing.T) {
 func TestAddClauseGrowsSolver(t *testing.T) {
 	f := cnf.New(2)
 	f.Add(1, 2)
-	s := New(f, Defaults())
+	s := New(f, Options{})
 	// Clause over variables beyond the construction-time count.
 	s.AddClause(cnf.NewClause(-1, 5))
 	s.AddClause(cnf.NewClause(-5, 6))
@@ -131,7 +131,7 @@ func TestAddClauseGrowsSolver(t *testing.T) {
 func TestAddClauseUnitConflictIsSticky(t *testing.T) {
 	f := cnf.New(1)
 	f.Add(1)
-	s := New(f, Defaults())
+	s := New(f, Options{})
 	if res := s.Solve(); res.Status != Sat {
 		t.Fatalf("status=%v", res.Status)
 	}
@@ -150,7 +150,7 @@ func TestAddClauseSatisfiedAndFalsifiedLiterals(t *testing.T) {
 	// are already satisfied or falsified at level 0.
 	f := cnf.New(3)
 	f.Add(1)
-	s := New(f, Defaults())
+	s := New(f, Options{})
 	if res := s.Solve(); res.Status != Sat {
 		t.Fatalf("status=%v", res.Status)
 	}
@@ -180,7 +180,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 		for _, c := range full.Clauses[:cut] {
 			first.AddClause(c)
 		}
-		s := New(first, Defaults())
+		s := New(first, Options{})
 		s.Solve() // warm the clause database mid-stream
 		for _, c := range full.Clauses[cut:] {
 			s.AddClause(c)
@@ -218,7 +218,7 @@ func TestAssumptionsMatchUnits(t *testing.T) {
 				withUnits.AddUnit(l)
 			}
 		}
-		got := New(f, Defaults()).SolveAssuming(assumps)
+		got := New(f, Options{}).SolveAssuming(assumps)
 		want, _, err := bruteforce.Solve(withUnits)
 		if err != nil {
 			t.Fatal(err)
@@ -243,7 +243,7 @@ func TestAssumptionsMatchUnits(t *testing.T) {
 
 func TestPerCallStatsReset(t *testing.T) {
 	f := pigeonhole(6, 5)
-	s := New(f, Defaults())
+	s := New(f, Options{})
 	r1 := s.SolveAssuming(nil)
 	if r1.Status != Unsat || r1.Stats.Conflicts == 0 {
 		t.Fatalf("first call: %v, %d conflicts", r1.Status, r1.Stats.Conflicts)
@@ -267,7 +267,7 @@ func TestIncrementalDeterminism(t *testing.T) {
 	run := func() Result {
 		rng := rand.New(rand.NewSource(17))
 		f := randomCNF(rng, 30, 100, 3)
-		s := New(f, Defaults())
+		s := New(f, Options{})
 		s.Solve()
 		extra := randomCNF(rng, 30, 30, 3)
 		for _, c := range extra.Clauses {
@@ -288,7 +288,7 @@ func TestSetGuidanceRearmsPerCall(t *testing.T) {
 	for i := range guid {
 		guid[i] = 1
 	}
-	s := New(f, Defaults())
+	s := New(f, Options{})
 	s.SetGuidance(guid, 5)
 	r1 := s.SolveAssuming(nil)
 	if r1.Status != Unsat || !r1.Stats.GuidanceSwitched {
@@ -318,7 +318,7 @@ func TestDeadlineHonoredOnDecisionPath(t *testing.T) {
 			f.Add(-(head + i), head+i+1)
 		}
 	}
-	opts := Defaults()
+	opts := Options{}
 	opts.Deadline = time.Now().Add(-time.Second)
 	res := New(f, opts).Solve()
 	if res.Status != Unknown {
@@ -352,28 +352,41 @@ func TestStatsAddCarriesSwitchDecision(t *testing.T) {
 	}
 }
 
-// TestWithDefaultsRestartInc: RestartInc 1.0 (constant-interval geometric
-// restarts) is a legitimate setting and must survive defaulting; only the
-// zero value is defaulted, and sub-1.0 values are clamped up.
+// TestWithDefaultsRestartInc pins the tuning every solver runs, field by
+// field, to the values the tunable options used to default to: rescore
+// every 255 conflicts, Luby restarts of unit 100 (1.5 growth were they
+// geometric), a learnt limit of a third of the originals growing by 1.1,
+// no decision budget, and a Stop/deadline poll every 64 steps. Minimisation
+// has no field: it always runs, which PHP(8,7)'s learnt literals pin (19060
+// minimised, 24002 when it was switched off).
 func TestWithDefaultsRestartInc(t *testing.T) {
-	if got := (Options{RestartInc: 1.0}).withDefaults().RestartInc; got != 1.0 {
-		t.Errorf("RestartInc 1.0 overwritten to %v", got)
+	want := tuning{
+		rescoreInterval: 255,
+		restartFirst:    100,
+		restartInc:      1.5,
+		luby:            true,
+		maxLearntFrac:   1.0 / 3.0,
+		maxLearntInc:    1.1,
+		maxDecisions:    0,
+		pollEvery:       64,
 	}
-	if got := (Options{}).withDefaults().RestartInc; got != 1.5 {
-		t.Errorf("zero RestartInc defaulted to %v, want 1.5", got)
+	if got := (Options{}).tuning(); got != want {
+		t.Errorf("tuning %+v, want %+v", got, want)
 	}
-	if got := (Options{RestartInc: 0.5}).withDefaults().RestartInc; got != 1.0 {
-		t.Errorf("RestartInc 0.5 clamped to %v, want 1.0", got)
+	if got := New(cnf.New(1), Options{}).tune; got != want {
+		t.Errorf("a new solver searches with %+v, want %+v", got, want)
+	}
+	res := New(pigeonhole(8, 7), Options{}).Solve()
+	if res.Stats.Conflicts != 1644 || res.Stats.LearnedLits != 19060 {
+		t.Errorf("PHP(8,7): %d conflicts, %d learnt literals; want 1644 and 19060 as minimised",
+			res.Stats.Conflicts, res.Stats.LearnedLits)
 	}
 }
 
-// TestConstantIntervalRestarts exercises the configuration the old
-// defaulting made unexpressible end to end.
+// TestConstantIntervalRestarts: geometric restarts with growth 1.0 keep
+// every interval at the first one's length.
 func TestConstantIntervalRestarts(t *testing.T) {
-	opts := Defaults()
-	opts.LubyRestarts = false
-	opts.RestartFirst = 16
-	opts.RestartInc = 1.0
+	opts := tuned(func(tu *tuning) { tu.luby, tu.restartFirst, tu.restartInc = false, 16, 1.0 })
 	s := New(pigeonhole(6, 5), opts)
 	if lim := s.restartLimit(5); lim != 16 {
 		t.Fatalf("interval 5 budget = %d, want constant 16", lim)
@@ -397,7 +410,7 @@ func TestConstantIntervalRestarts(t *testing.T) {
 func TestAddVarsGrowsWatchTableAmortised(t *testing.T) {
 	const frames, width = 40, 500
 	for _, hinted := range []bool{false, true} {
-		s := New(cnf.New(0), Defaults())
+		s := New(cnf.New(0), Options{})
 		if hinted {
 			s.Grow(frames*width, 0)
 		}

@@ -45,10 +45,8 @@ func TestLoadMatchesNew(t *testing.T) {
 	for v := range guidance {
 		guidance[v] = float64(v % 17)
 	}
-	guided := sat.Defaults()
-	guided.Guidance, guided.SwitchAfterDecisions, guided.PhaseSaving = guidance, 40, true
-	budget := sat.Defaults()
-	budget.MaxConflicts = 60 // stops mid-search, the trail above level 0
+	guided := sat.Options{Guidance: guidance, SwitchAfterDecisions: 40}
+	budget := sat.Options{MaxConflicts: 60} // stops mid-search, the trail above level 0
 
 	shared := cnf.NewClause(1, 2) // a bus clause every case's solvers are sent
 
@@ -60,13 +58,13 @@ func TestLoadMatchesNew(t *testing.T) {
 		fOpts sat.Options
 		want  sat.Status
 	}{
-		{"smaller unsat over larger unsat", pigeons(8, 7), sat.Defaults(), pigeons(6, 5), sat.Defaults(), sat.Unsat},
-		{"larger unsat over smaller sat", pigeons(5, 5), sat.Defaults(), pigeons(8, 7), sat.Defaults(), sat.Unsat},
-		{"sat over an interrupted search", pigeons(9, 8), budget, instance(t, bench.Counter(4, 9, 0, 0), 9), sat.Defaults(), sat.Sat},
-		{"units, duplicates and tautologies", instance(t, bench.GatedCounter(3, 5, 1, 4), 6), sat.Defaults(), messy, sat.Defaults(), sat.Sat},
-		{"guided with a switch", messy, sat.Defaults(), add4, guided, sat.Unsat},
-		{"refuted by the load", add4, guided, refuted, sat.Defaults(), sat.Unsat},
-		{"an instance over a refuted load", refuted, sat.Defaults(), instance(t, bench.GatedCounter(3, 5, 1, 4), 8), sat.Defaults(), sat.Unsat},
+		{"smaller unsat over larger unsat", pigeons(8, 7), sat.Options{}, pigeons(6, 5), sat.Options{}, sat.Unsat},
+		{"larger unsat over smaller sat", pigeons(5, 5), sat.Options{}, pigeons(8, 7), sat.Options{}, sat.Unsat},
+		{"sat over an interrupted search", pigeons(9, 8), budget, instance(t, bench.Counter(4, 9, 0, 0), 9), sat.Options{}, sat.Sat},
+		{"units, duplicates and tautologies", instance(t, bench.GatedCounter(3, 5, 1, 4), 6), sat.Options{}, messy, sat.Options{}, sat.Sat},
+		{"guided with a switch", messy, sat.Options{}, add4, guided, sat.Unsat},
+		{"refuted by the load", add4, guided, refuted, sat.Options{}, sat.Unsat},
+		{"an instance over a refuted load", refuted, sat.Options{}, instance(t, bench.GatedCounter(3, 5, 1, 4), 8), sat.Options{}, sat.Unsat},
 	} {
 		// The second round finds every table large enough; the third loads
 		// into a solver whose every table was made for a hint larger than

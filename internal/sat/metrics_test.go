@@ -8,7 +8,7 @@ import (
 
 func TestMetricsFlush(t *testing.T) {
 	reg := obs.NewRegistry()
-	opts := Defaults()
+	opts := Options{}
 	opts.Metrics = NewMetrics(reg, "strategy", "vsids")
 	s := New(pigeonhole(5, 4), opts)
 	res := s.Solve()
@@ -75,13 +75,13 @@ func BenchmarkSolverMetricsOverhead(b *testing.B) {
 	f := pigeonhole(7, 6)
 	b.Run("noop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if res := New(f, Defaults()).Solve(); res.Status != Unsat {
+			if res := New(f, Options{}).Solve(); res.Status != Unsat {
 				b.Fatalf("status=%v", res.Status)
 			}
 		}
 	})
 	b.Run("instrumented", func(b *testing.B) {
-		opts := Defaults()
+		opts := Options{}
 		opts.Metrics = NewMetrics(obs.NewRegistry(), "query", "bench", "strategy", "vsids")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -99,39 +99,13 @@ type ProofRecorder interface {
 	Forget(live []ClauseID)
 }
 
-// Options configures a Solver. The zero value is usable: Defaults are
-// applied by New for any field left at its zero value.
+// Options is what varies from one attempt to the next: the paper's
+// decision order (Guidance and its switch), the budgets, and three
+// process-local hooks. The zero value is what every solver runs: no
+// guidance, no budget, no hook. The search itself — rescoring, restarts,
+// learnt-clause deletion, minimisation, polling — is fixed by the tuning
+// constants below and is the same for every attempt.
 type Options struct {
-	// RescoreInterval is the number of conflicts between Chaff-style VSIDS
-	// rescores (cha_score = cha_score/2 + new_lit_counts). Default 255.
-	RescoreInterval int
-
-	// RestartFirst is the conflict budget of the first restart interval.
-	// Default 100. RestartInc scales successive intervals when Luby is
-	// off; default 1.5.
-	RestartFirst int
-	RestartInc   float64
-	// LubyRestarts selects the Luby restart sequence (unit RestartFirst)
-	// instead of geometric growth. Default true via Defaults().
-	LubyRestarts bool
-	// NoRestarts disables restarts entirely.
-	NoRestarts bool
-
-	// MaxLearntFrac sets the initial learned-clause limit as a fraction of
-	// the original clause count (minimum floor applies). Default 1.0/3.
-	MaxLearntFrac float64
-	// MaxLearntInc is the geometric growth factor of the learned-clause
-	// limit applied at each database reduction. Default 1.1.
-	MaxLearntInc float64
-
-	// MinimizeLearned enables self-subsumption minimization of learned
-	// clauses. Default true via Defaults().
-	MinimizeLearned bool
-	// PhaseSaving reuses each variable's last assigned polarity instead of
-	// the polarity of the literal picked by score. Chaff derives phase
-	// from per-literal scores, so this is off by default.
-	PhaseSaving bool
-
 	// Guidance is an optional per-variable score (indexed by variable,
 	// entry 0 unused) consulted *before* cha_score when picking decisions:
 	// this is the paper's bmc_score. nil disables guidance.
@@ -141,6 +115,21 @@ type Options struct {
 	// paper's dynamic strategy uses #original_literals/64).
 	SwitchAfterDecisions int64
 
+	// MaxConflicts is the conflict budget; zero means unlimited.
+	MaxConflicts int64
+	// Deadline, when nonzero, aborts the solve (status Unknown) once
+	// passed; checked every pollEvery search steps.
+	Deadline time.Time
+
+	// Stop, when non-nil, requests cooperative cancellation: once the
+	// channel is closed the solve returns status Interrupted at the next
+	// poll point. A context.Context's Done() channel plugs in directly.
+	// Polling happens every pollEvery search steps (conflicts and
+	// decisions), so the single-threaded path with Stop == nil pays
+	// nothing and the cancellable path pays one counter increment per
+	// step plus a rare non-blocking channel read.
+	Stop <-chan struct{}
+
 	// Recorder receives proof events; nil disables recording.
 	Recorder ProofRecorder
 
@@ -149,69 +138,59 @@ type Options struct {
 	// the search loop is not instrumented per step).
 	Metrics *Metrics
 
-	// Budgets. Zero means unlimited.
-	MaxConflicts int64
-	MaxDecisions int64
-	// Deadline, when nonzero, aborts the solve (status Unknown) once
-	// passed; checked every few conflicts.
-	Deadline time.Time
-
-	// Stop, when non-nil, requests cooperative cancellation: once the
-	// channel is closed the solve returns status Interrupted at the next
-	// poll point. A context.Context's Done() channel plugs in directly.
-	// Polling happens every StopCheckEvery search steps (conflicts and
-	// decisions), so the single-threaded path with Stop == nil pays
-	// nothing and the cancellable path pays one counter increment per
-	// step plus a rare non-blocking channel read.
-	Stop <-chan struct{}
-	// StopCheckEvery is the polling interval for Stop in search steps.
-	// Default 64.
-	StopCheckEvery int
+	// tune replaces the tuning constants; nil means the constants. Only
+	// this package's tests set it.
+	tune *tuning
 }
 
-// Defaults returns the options used throughout the repo's experiments:
-// Chaff-style scoring with modern restart/deletion plumbing.
-func Defaults() Options {
-	return Options{
-		RescoreInterval: 255,
-		RestartFirst:    100,
-		RestartInc:      1.5,
-		LubyRestarts:    true,
-		MaxLearntFrac:   1.0 / 3.0,
-		MaxLearntInc:    1.1,
-		MinimizeLearned: true,
-	}
+// The solver's tuning: Chaff-style rescoring with Luby restarts and
+// MiniSat-style learnt-clause deletion. None is an option, because no
+// attempt varies them; a heuristic change edits them here.
+const (
+	rescoreInterval = 255     // conflicts between cha_score rescores
+	restartUnit     = 100     // conflicts in a unit of the Luby restart sequence
+	restartInc      = 1.5     // interval growth of the geometric schedule
+	maxLearntFrac   = 1.0 / 3 // initial learnt-clause limit per original clause
+	minLearnts      = 1000    // floor of the initial learnt-clause limit
+	maxLearntInc    = 1.1     // learnt-clause limit growth at each reduction
+	pollEvery       = 64      // search steps between Stop/deadline polls
+)
+
+// tuning is the search parameters a solver reads. defaultTuning holds the
+// constants; tests swap in other values through Options.tune.
+type tuning struct {
+	rescoreInterval int
+	restartFirst    int     // first restart interval, or the Luby unit
+	restartInc      float64 // geometric growth when luby is off
+	luby            bool
+	maxLearntFrac   float64
+	maxLearntInc    float64
+	maxDecisions    int64 // decision budget; zero means unlimited
+	pollEvery       int
 }
 
-// withDefaults fills zero-valued tuning fields and validates the rest.
-// Boolean flags are taken as-is (callers wanting paper defaults should
-// start from Defaults()). Only a zero RestartInc is defaulted (to 1.5):
-// RestartInc = 1.0 is a legitimate configuration meaning constant-interval
-// geometric restarts, and values below 1.0 (which would shrink intervals)
-// are clamped up to 1.0.
-func (o Options) withDefaults() Options {
-	if o.RescoreInterval <= 0 {
-		o.RescoreInterval = 255
-	}
-	if o.RestartFirst <= 0 {
-		o.RestartFirst = 100
-	}
-	if o.RestartInc == 0 {
-		o.RestartInc = 1.5
-	} else if o.RestartInc < 1.0 {
-		o.RestartInc = 1.0
-	}
-	if o.MaxLearntFrac <= 0 {
-		o.MaxLearntFrac = 1.0 / 3.0
-	}
-	if o.MaxLearntInc <= 1.0 {
-		o.MaxLearntInc = 1.1
-	}
-	if o.StopCheckEvery <= 0 {
-		o.StopCheckEvery = 64
-	}
-	return o
+var defaultTuning = tuning{
+	rescoreInterval: rescoreInterval,
+	restartFirst:    restartUnit,
+	restartInc:      restartInc,
+	luby:            true,
+	maxLearntFrac:   maxLearntFrac,
+	maxLearntInc:    maxLearntInc,
+	pollEvery:       pollEvery,
 }
+
+// tuning returns the parameters a solver loaded with o searches with.
+func (o Options) tuning() tuning {
+	if o.tune != nil {
+		return *o.tune
+	}
+	return defaultTuning
+}
+
+// Defaults returns the zero Options. It remains only for the benchmark's
+// layer driver (benchmark/driver.go) and is deleted together with that
+// file; everything else writes Options{}.
+func Defaults() Options { return Options{} }
 
 // Stats aggregates the search counters of one Solve call. Decisions and
 // Implications are the quantities plotted in the paper's Figure 7.

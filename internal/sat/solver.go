@@ -56,8 +56,7 @@ type tables struct {
 	chaScore []float64 // per lit: Chaff decaying sum
 	newCount []int32   // per lit: conflict-clause literal counts since last rescore
 
-	heap       *varHeap
-	savedPhase []int8 // per var: 0 unknown, +1 true, -1 false
+	heap *varHeap
 
 	seen    []bool // per var scratch for analyze
 	toClear []lits.Var
@@ -96,13 +95,14 @@ type formulaSize struct{ vars, clauses int }
 // finished search has left behind), then alternate AddVars/AddClause
 // (which grow the watch lists, scores, and decision heap in place) with
 // SolveAssuming calls that solve the current clause set under a literal
-// assumption list. Learned clauses, VSIDS scores, and saved phases persist
-// across calls, which is what lets a BMC loop compound its clause database
-// across unrolling depths instead of rebuilding every instance from scratch
+// assumption list. Learned clauses and VSIDS scores persist across calls,
+// which is what lets a BMC loop compound its clause database across
+// unrolling depths instead of rebuilding every instance from scratch
 // (engine.WithIncremental). Plain Solve is SolveAssuming(nil); single-use
 // callers need not know about any of this.
 type Solver struct {
 	opts  Options
+	tune  tuning
 	nVars int
 
 	tables
@@ -140,7 +140,7 @@ type Solver struct {
 	stopping      bool
 	sinceStopPoll int
 
-	// deadline polling shares the StopCheckEvery cadence and covers both
+	// deadline polling shares the pollEvery cadence and covers both
 	// the conflict and the decision path, so propagation-heavy solves with
 	// few conflicts still observe Options.Deadline.
 	hasDeadline       bool
@@ -209,6 +209,7 @@ func (s *Solver) reset(opts Options, nVars int) {
 	*s = Solver{
 		tables:      s.tables,
 		opts:        opts,
+		tune:        opts.tuning(),
 		nVars:       nVars,
 		guid:        opts.Guidance,
 		guidActive:  opts.Guidance != nil,
@@ -226,8 +227,8 @@ func (s *Solver) reset(opts Options, nVars int) {
 // heap and the analysis scratch are reused where they are large enough and
 // replaced, sized for the formula or for what Grow announced, where they
 // are not.
-// Nothing else survives — learnt clauses, scores, saved phases, the import
-// filter, counters and status all start as New starts them, so the search
+// Nothing else survives — learnt clauses, scores, the import filter,
+// counters and status all start as New starts them, so the search
 // that follows cannot tell a loaded solver from a new one. It is a reload
 // and not a reset because a search permutes the watch lists and the
 // literals inside clauses; only loading the formula again restores the
@@ -243,7 +244,6 @@ func (s *Solver) reset(opts Options, nVars int) {
 // holds, one slab holding every watch list at its exact length, and the
 // per-variable tables.
 func (s *Solver) Load(f *cnf.Formula, opts Options) {
-	opts = opts.withDefaults()
 	n := f.NumVars
 
 	s.reset(opts, n)
@@ -260,7 +260,6 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 	s.trail, s.trailLim = fit(&s.trail, n, h.vars)[:0], s.trailLim[:0]
 	s.chaScore = zeroed(&s.chaScore, 2*n+2, 2*h.vars+2)
 	s.newCount = zeroed(&s.newCount, 2*n+2, 2*h.vars+2)
-	s.savedPhase = zeroed(&s.savedPhase, n+1, h.vars+1)
 	s.seen, s.toClear = zeroed(&s.seen, n+1, h.vars+1), s.toClear[:0]
 	s.learntBuf, s.antsBuf = s.learntBuf[:0], s.antsBuf[:0]
 	s.lbdMark, s.stamps, s.liveIDs = s.lbdMark[:0], s.stamps[:0], s.liveIDs[:0]
@@ -375,10 +374,7 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 		next[i] = 0
 	}
 
-	s.maxLearnts = float64(s.nClauses) * opts.MaxLearntFrac
-	if s.maxLearnts < 1000 {
-		s.maxLearnts = 1000
-	}
+	s.maxLearnts = max(float64(s.nClauses)*s.tune.maxLearntFrac, minLearnts)
 	s.nextID = ClauseID(len(f.Clauses))
 	s.heap.rebuild()
 }
@@ -415,7 +411,6 @@ func (s *Solver) AddVars(n int) {
 	s.vals = extend(s.vals, 2*n+2, hl, 0)
 	s.reason = extend(s.reason, n+1, hv, crefUndef)
 	s.level = extend(s.level, n+1, hv, 0)
-	s.savedPhase = extend(s.savedPhase, n+1, hv, 0)
 	s.seen = extend(s.seen, n+1, hv, false)
 	s.trail = room(s.trail, n, s.hint.vars)
 	if s.guid != nil {
@@ -472,7 +467,7 @@ func (s *Solver) AddClause(raw cnf.Clause) ClauseID {
 		return id
 	}
 	s.nClauses++
-	if m := float64(s.nClauses) * s.opts.MaxLearntFrac; m > s.maxLearnts {
+	if m := float64(s.nClauses) * s.tune.maxLearntFrac; m > s.maxLearnts {
 		s.maxLearnts = m
 	}
 	s.install(c)
@@ -731,11 +726,6 @@ func (s *Solver) cancelUntil(level int) {
 	for i := len(s.trail) - 1; i >= limit; i-- {
 		l := s.trail[i]
 		v := l.Var()
-		if l.Sign() {
-			s.savedPhase[v] = -1
-		} else {
-			s.savedPhase[v] = 1
-		}
 		s.vals[l.Index()], s.vals[l.Neg().Index()] = 0, 0
 		s.reason[v] = crefUndef
 		s.heap.insert(v)
@@ -775,23 +765,14 @@ func (s *Solver) better(a, b lits.Var) bool {
 }
 
 // pickBranch pops the best unassigned variable off the decision heap and
-// returns its polarity: the saved one under phase saving, else the literal
-// with the higher cha_score, the positive one on a tie. LitUndef when every
-// variable is assigned.
+// returns its polarity, Chaff's: the literal with the higher cha_score, the
+// positive one on a tie. LitUndef when every variable is assigned.
 func (s *Solver) pickBranch() lits.Lit {
 	for !s.heap.empty() {
 		v := s.heap.popMax()
 		p := lits.PosLit(v)
 		if s.vals[p.Index()] != 0 {
 			continue
-		}
-		if s.opts.PhaseSaving {
-			switch s.savedPhase[v] {
-			case 1:
-				return p
-			case -1:
-				return p.Neg()
-			}
 		}
 		if s.chaScore[p.Neg().Index()] > s.chaScore[p.Index()] {
 			return p.Neg()
@@ -859,9 +840,7 @@ func (s *Solver) analyze(confl cref) (learnt []lits.Lit, btLevel int, ants []Cla
 	}
 	learnt[0] = p.Neg()
 
-	if s.opts.MinimizeLearned {
-		learnt = s.minimize(learnt, &ants)
-	}
+	learnt = s.minimize(learnt, &ants)
 
 	// LBD while every literal is still assigned at its level (backtracking
 	// happens after analyze returns); addLearned stamps it on the clause.
@@ -1085,7 +1064,7 @@ func (s *Solver) reduceDB() {
 		s.stats.Deleted++
 	}
 	s.learnts = kept
-	s.maxLearnts *= s.opts.MaxLearntInc
+	s.maxLearnts *= s.tune.maxLearntInc
 	if s.ca.wasted*garbageDen >= s.ca.used() {
 		s.compact()
 		if s.recording {
@@ -1101,12 +1080,12 @@ func (s *Solver) reduceDB() {
 
 // restartLimit returns the conflict budget of restart interval i.
 func (s *Solver) restartLimit(i int) int64 {
-	if s.opts.LubyRestarts {
-		return int64(s.opts.RestartFirst) * luby(i)
+	if s.tune.luby {
+		return int64(s.tune.restartFirst) * luby(i)
 	}
-	lim := float64(s.opts.RestartFirst)
+	lim := float64(s.tune.restartFirst)
 	for k := 0; k < i; k++ {
-		lim *= s.opts.RestartInc
+		lim *= s.tune.restartInc
 	}
 	return int64(lim)
 }
@@ -1189,7 +1168,7 @@ func (s *Solver) clauseBytes() int64 {
 }
 
 // interrupted polls Options.Stop; it is only called when stopping is set
-// and at most once per StopCheckEvery search steps.
+// and at most once per pollEvery search steps.
 func (s *Solver) interrupted() bool {
 	select {
 	case <-s.opts.Stop:
@@ -1200,20 +1179,20 @@ func (s *Solver) interrupted() bool {
 }
 
 // pollStop increments the step counter and checks Stop once per
-// StopCheckEvery steps. It reports true when the solve must abort.
+// pollEvery steps. It reports true when the solve must abort.
 func (s *Solver) pollStop() bool {
 	if !s.stopping {
 		return false
 	}
 	s.sinceStopPoll++
-	if s.sinceStopPoll < s.opts.StopCheckEvery {
+	if s.sinceStopPoll < s.tune.pollEvery {
 		return false
 	}
 	s.sinceStopPoll = 0
 	return s.interrupted()
 }
 
-// pollDeadline checks Options.Deadline once per StopCheckEvery search steps.
+// pollDeadline checks Options.Deadline once per pollEvery search steps.
 // It is called from both the conflict and the decision path, so
 // propagation/decision-heavy solves with few conflicts cannot overshoot the
 // deadline unboundedly; hasDeadline gates it so the common no-deadline path
@@ -1223,11 +1202,11 @@ func (s *Solver) pollDeadline() bool {
 		return false
 	}
 	s.sinceDeadlinePoll++
-	if s.sinceDeadlinePoll < s.opts.StopCheckEvery {
+	if s.sinceDeadlinePoll < s.tune.pollEvery {
 		return false
 	}
 	s.sinceDeadlinePoll = 0
-	//bmclint:ignore hotpath rate-limited to one clock read per StopCheckEvery conflicts; this is the sanctioned deadline poll
+	//bmclint:ignore hotpath rate-limited to one clock read per pollEvery search steps; this is the sanctioned deadline poll
 	return time.Now().After(s.opts.Deadline)
 }
 
@@ -1321,7 +1300,7 @@ func (s *Solver) solve() Result {
 			s.cancelUntil(btLevel)
 			s.addLearned(learnt, ants)
 
-			if s.sinceRescore >= s.opts.RescoreInterval {
+			if s.sinceRescore >= s.tune.rescoreInterval {
 				s.sinceRescore = 0
 				s.rescore()
 			}
@@ -1339,7 +1318,7 @@ func (s *Solver) solve() Result {
 
 		// No conflict: consider restarting, reducing the database, then
 		// branch.
-		if !s.opts.NoRestarts && s.conflictsLeft <= 0 {
+		if s.conflictsLeft <= 0 {
 			s.restartIdx++
 			s.conflictsLeft = s.restartLimit(s.restartIdx)
 			s.stats.Restarts++
@@ -1389,7 +1368,7 @@ func (s *Solver) solve() Result {
 		if s.guidActive && s.guid[l.Var()] > 0 {
 			s.stats.GuidedDecisions++
 		}
-		if s.opts.MaxDecisions > 0 && s.stats.Decisions > s.opts.MaxDecisions {
+		if s.tune.maxDecisions > 0 && s.stats.Decisions > s.tune.maxDecisions {
 			return Result{Status: Unknown, Stats: s.stats}
 		}
 		if s.pollDeadline() {

@@ -61,20 +61,12 @@ func bruteStatus(f *cnf.Formula) Status {
 
 // optionMatrix enumerates solver configurations that must all be correct.
 func optionMatrix() []Options {
-	base := Defaults()
-	noRestarts := base
-	noRestarts.NoRestarts = true
-	geometric := base
-	geometric.LubyRestarts = false
-	noMin := base
-	noMin.MinimizeLearned = false
-	phase := base
-	phase.PhaseSaving = true
-	tinyDB := base
-	tinyDB.MaxLearntFrac = 0.01
-	fastRescore := base
-	fastRescore.RescoreInterval = 16
-	return []Options{base, noRestarts, geometric, noMin, phase, tinyDB, fastRescore}
+	return []Options{
+		{},
+		tuned(func(tu *tuning) { tu.luby = false }),
+		tuned(func(tu *tuning) { tu.maxLearntFrac = 0.01 }),
+		tuned(func(tu *tuning) { tu.rescoreInterval = 16 }),
+	}
 }
 
 // TestPropertySolverMatchesBruteForce cross-checks the solver against
@@ -125,14 +117,14 @@ func TestPropertyOptionAgreement(t *testing.T) {
 func TestPropertyGuidanceNeverChangesStatus(t *testing.T) {
 	check := func(seed uint64) bool {
 		f := randomFormula(seed|1, 10, 45, 3)
-		plain := New(f, Defaults()).Solve()
+		plain := New(f, Options{}).Solve()
 
 		r := rng(seed*31 + 7)
 		guid := make([]float64, f.NumVars+1)
 		for i := range guid {
 			guid[i] = float64(r.intn(100))
 		}
-		o := Defaults()
+		o := Options{}
 		o.Guidance = guid
 		guided := New(f, o).Solve()
 		return plain.Status == guided.Status
@@ -147,9 +139,9 @@ func TestPropertyGuidanceNeverChangesStatus(t *testing.T) {
 func TestPropertySwitchThresholdNeverChangesStatus(t *testing.T) {
 	for seed := uint64(300); seed < 330; seed++ {
 		f := randomFormula(seed*0x94D049BB133111EB, 10, 50, 3)
-		want := New(f, Defaults()).Solve().Status
+		want := New(f, Options{}).Solve().Status
 		for _, threshold := range []int64{1, 5, 1 << 30} {
-			o := Defaults()
+			o := Options{}
 			guid := make([]float64, f.NumVars+1)
 			for i := range guid {
 				guid[i] = float64(i % 7)
@@ -170,7 +162,7 @@ func TestPropertySwitchThresholdNeverChangesStatus(t *testing.T) {
 func TestPropertyUnitImpliedFormulaEquisat(t *testing.T) {
 	for seed := uint64(400); seed < 430; seed++ {
 		f := randomFormula(seed*0xD6E8FEB86659FD93, 9, 30, 3)
-		res := New(f, Defaults()).Solve()
+		res := New(f, Options{}).Solve()
 		if res.Status != Sat {
 			continue
 		}
@@ -178,12 +170,12 @@ func TestPropertyUnitImpliedFormulaEquisat(t *testing.T) {
 		for v := lits.Var(1); int(v) <= f.NumVars; v++ {
 			g.AddUnit(lits.MkLit(v, res.Model.Value(v) == lits.False))
 		}
-		if r2 := New(g, Defaults()).Solve(); r2.Status != Sat {
+		if r2 := New(g, Options{}).Solve(); r2.Status != Sat {
 			t.Fatalf("seed %d: formula plus its own model became %v", seed, r2.Status)
 		}
 		g.Add(1)
 		g.Add(-1)
-		if r3 := New(g, Defaults()).Solve(); r3.Status != Unsat {
+		if r3 := New(g, Options{}).Solve(); r3.Status != Unsat {
 			t.Fatalf("seed %d: contradictory units still %v", seed, r3.Status)
 		}
 	}
@@ -194,7 +186,7 @@ func TestPropertyUnitImpliedFormulaEquisat(t *testing.T) {
 func TestPropertyStatsSane(t *testing.T) {
 	for seed := uint64(500); seed < 540; seed++ {
 		f := randomFormula(seed*0xA0761D6478BD642F, 11, 52, 3)
-		res := New(f, Defaults()).Solve()
+		res := New(f, Options{}).Solve()
 		s := res.Stats
 		if s.Decisions < 0 || s.Implications < 0 || s.Conflicts < 0 || s.Learned < 0 {
 			t.Fatalf("seed %d: negative counters %+v", seed, s)
@@ -216,8 +208,8 @@ func TestPropertyStatsSane(t *testing.T) {
 func TestPropertyDeterministicAcrossRuns(t *testing.T) {
 	for seed := uint64(600); seed < 620; seed++ {
 		f := randomFormula(seed*0xE7037ED1A0B428DB, 12, 55, 3)
-		a := New(f, Defaults()).Solve()
-		b := New(f, Defaults()).Solve()
+		a := New(f, Options{}).Solve()
+		b := New(f, Options{}).Solve()
 		if a.Status != b.Status || a.Stats.Decisions != b.Stats.Decisions ||
 			a.Stats.Conflicts != b.Stats.Conflicts || a.Stats.Implications != b.Stats.Implications {
 			t.Fatalf("seed %d: nondeterministic (%+v vs %+v)", seed, a.Stats, b.Stats)
@@ -253,7 +245,7 @@ func TestPropertyXorChainUnsat(t *testing.T) {
 		for i := 1; i <= n; i++ {
 			f.Add(-i)
 		}
-		res := New(f, Defaults()).Solve()
+		res := New(f, Options{}).Solve()
 		if res.Status != Unsat {
 			t.Fatalf("n=%d: xor chain with zero inputs must be UNSAT, got %v", n, res.Status)
 		}
@@ -268,9 +260,9 @@ func TestPropertyXorChainUnsat(t *testing.T) {
 func TestPropertyMaxConflictsMonotone(t *testing.T) {
 	for seed := uint64(700); seed < 715; seed++ {
 		f := randomFormula(seed*0x8EBC6AF09C88C6E3, 13, 62, 3)
-		small := Defaults()
+		small := Options{}
 		small.MaxConflicts = 2
-		big := Defaults()
+		big := Options{}
 		big.MaxConflicts = 1 << 40
 		rs := New(f, small).Solve()
 		rb := New(f, big).Solve()

@@ -11,13 +11,21 @@ import (
 
 func solve(t *testing.T, f *cnf.Formula) Result {
 	t.Helper()
-	res := New(f, Defaults()).Solve()
+	res := New(f, Options{}).Solve()
 	if res.Status == Sat {
 		if err := VerifyModel(f, res.Model); err != nil {
 			t.Fatalf("model verification failed: %v", err)
 		}
 	}
 	return res
+}
+
+// tuned returns Options whose solver searches with the tuning constants as
+// edit changes them.
+func tuned(edit func(*tuning)) Options {
+	tu := defaultTuning
+	edit(&tu)
+	return Options{tune: &tu}
 }
 
 func TestEmptyFormulaIsSat(t *testing.T) {
@@ -203,8 +211,8 @@ func TestRandomHardRatio(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f := randomCNF(rng, 40, 170, 3)
-	r1 := New(f, Defaults()).Solve()
-	r2 := New(f, Defaults()).Solve()
+	r1 := New(f, Options{}).Solve()
+	r2 := New(f, Options{}).Solve()
 	if r1.Status != r2.Status ||
 		r1.Stats.Decisions != r2.Stats.Decisions ||
 		r1.Stats.Conflicts != r2.Stats.Conflicts ||
@@ -214,7 +222,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestConflictBudget(t *testing.T) {
-	opts := Defaults()
+	opts := Options{}
 	opts.MaxConflicts = 3
 	res := New(pigeonhole(7, 6), opts).Solve()
 	if res.Status != Unknown {
@@ -226,9 +234,7 @@ func TestConflictBudget(t *testing.T) {
 }
 
 func TestDecisionBudget(t *testing.T) {
-	opts := Defaults()
-	opts.MaxDecisions = 2
-	res := New(pigeonhole(7, 6), opts).Solve()
+	res := New(pigeonhole(7, 6), tuned(func(tu *tuning) { tu.maxDecisions = 2 })).Solve()
 	if res.Status != Unknown {
 		t.Fatalf("expected Unknown under tiny decision budget, got %v", res.Status)
 	}
@@ -258,16 +264,7 @@ func TestGuidanceDrivesFirstDecision(t *testing.T) {
 	f.Add(4, 2)
 	guid := make([]float64, 5)
 	guid[4] = 10
-	opts := Defaults()
-	opts.Guidance = guid
-	opts.MaxDecisions = 1
-	res := New(f, opts).Solve()
-	// With a 1-decision budget the solve may be Unknown; what matters is
-	// which variable the first decision touched. Solve again capturing the
-	// model instead.
-	_ = res
-	opts.MaxDecisions = 0
-	s := New(f, opts)
+	s := New(f, Options{Guidance: guid})
 	l := s.pickBranch()
 	if l.Var() != 4 {
 		t.Fatalf("first decision should be x4, got %v", l)
@@ -281,7 +278,7 @@ func TestGuidanceTiebreakByChaScore(t *testing.T) {
 	f.Add(2, -3)
 	f.Add(2, 1)
 	guid := make([]float64, 4) // all zero: tie everywhere
-	opts := Defaults()
+	opts := Options{}
 	opts.Guidance = guid
 	s := New(f, opts)
 	l := s.pickBranch()
@@ -291,7 +288,7 @@ func TestGuidanceTiebreakByChaScore(t *testing.T) {
 }
 
 func TestDynamicSwitch(t *testing.T) {
-	opts := Defaults()
+	opts := Options{}
 	guid := make([]float64, 7*6+1)
 	for i := range guid {
 		guid[i] = 1 // uninformative guidance
@@ -311,7 +308,7 @@ func TestDynamicSwitch(t *testing.T) {
 }
 
 func TestNoSwitchWhenThresholdZero(t *testing.T) {
-	opts := Defaults()
+	opts := Options{}
 	guid := make([]float64, 5*4+1)
 	opts.Guidance = guid
 	res := New(pigeonhole(5, 4), opts).Solve()
@@ -320,27 +317,8 @@ func TestNoSwitchWhenThresholdZero(t *testing.T) {
 	}
 }
 
-func TestPhaseSavingOption(t *testing.T) {
-	opts := Defaults()
-	opts.PhaseSaving = true
-	rng := rand.New(rand.NewSource(11))
-	f := randomCNF(rng, 30, 120, 3)
-	res := New(f, opts).Solve()
-	if res.Status == Sat {
-		if err := VerifyModel(f, res.Model); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, _, err := bruteforce.Solve(f)
-	if err == nil && (res.Status == Sat) != want {
-		t.Fatalf("phase saving changed the answer")
-	}
-}
-
 func TestGeometricRestarts(t *testing.T) {
-	opts := Defaults()
-	opts.LubyRestarts = false
-	opts.RestartFirst = 10
+	opts := tuned(func(tu *tuning) { tu.luby, tu.restartFirst = false, 10 })
 	res := New(pigeonhole(7, 6), opts).Solve()
 	if res.Status != Unsat {
 		t.Fatalf("status=%v", res.Status)
@@ -350,42 +328,16 @@ func TestGeometricRestarts(t *testing.T) {
 	}
 }
 
-func TestNoRestarts(t *testing.T) {
-	opts := Defaults()
-	opts.NoRestarts = true
-	res := New(pigeonhole(6, 5), opts).Solve()
-	if res.Status != Unsat {
-		t.Fatalf("status=%v", res.Status)
-	}
-	if res.Stats.Restarts != 0 {
-		t.Errorf("restarts occurred despite NoRestarts")
-	}
-}
-
-func TestMinimizationOffStillCorrect(t *testing.T) {
-	opts := Defaults()
-	opts.MinimizeLearned = false
-	rng := rand.New(rand.NewSource(5))
-	for iter := 0; iter < 100; iter++ {
-		f := randomCNF(rng, 10, 42, 3)
-		res := New(f, opts).Solve()
-		want, _, err := bruteforce.Solve(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (res.Status == Sat) != want {
-			t.Fatalf("iter %d: mismatch", iter)
-		}
-	}
-}
-
+// TestReduceDBTriggersAndStaysCorrect: PHP(8,7) learns past the 1000-clause
+// floor of the learnt limit, so the database is reduced, and the answer
+// stays right.
 func TestReduceDBTriggersAndStaysCorrect(t *testing.T) {
-	// Force very aggressive clause deletion and confirm correctness.
-	opts := Defaults()
-	opts.MaxLearntFrac = 0.0001 // floor of 1000 still applies; use big instance
-	res := New(pigeonhole(8, 7), opts).Solve()
+	res := New(pigeonhole(8, 7), Options{}).Solve()
 	if res.Status != Unsat {
 		t.Fatalf("PHP(8,7) must be unsat, got %v", res.Status)
+	}
+	if res.Stats.Deleted == 0 {
+		t.Fatalf("no learnt clause was deleted (%d learned): the test no longer reduces the database", res.Stats.Learned)
 	}
 }
 

@@ -63,8 +63,8 @@ func TestDeltaFramesMatchFormula(t *testing.T) {
 			for _, cl := range d.Frame(k).Clauses {
 				union.AddClause(cl)
 			}
-			inc := sat.New(union.Copy(), sat.Defaults()).SolveAssuming([]lits.Lit{d.ActLit(k)})
-			scratch := sat.New(u.Formula(k), sat.Defaults()).Solve()
+			inc := sat.New(union.Copy(), sat.Options{}).SolveAssuming([]lits.Lit{d.ActLit(k)})
+			scratch := sat.New(u.Formula(k), sat.Options{}).Solve()
 			if inc.Status != scratch.Status {
 				t.Fatalf("circuit %d depth %d: delta=%v scratch=%v", ci, k, inc.Status, scratch.Status)
 			}
@@ -92,7 +92,7 @@ func TestDeltaActivationGuardAcrossDepths(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := u.Delta()
-	s := sat.New(cnf.New(0), sat.Defaults())
+	s := sat.New(cnf.New(0), sat.Options{})
 	for k := 0; k <= 5; k++ {
 		frame := d.Frame(k)
 		s.AddVars(frame.NumVars)
@@ -151,7 +151,7 @@ func TestDeltaExtractTraceIncremental(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := u.Delta()
-		s := sat.New(cnf.New(0), sat.Defaults())
+		s := sat.New(cnf.New(0), sat.Options{})
 		for k := 0; k <= int(tc.target); k++ {
 			frame := d.Frame(k)
 			s.AddVars(frame.NumVars)
@@ -194,7 +194,7 @@ func TestDeltaExtractTraceIncremental(t *testing.T) {
 			}
 			// The delta trace must agree with the scratch instance's
 			// trace on this input-free circuit (unique execution).
-			scratch := sat.New(u.Formula(k), sat.Defaults()).Solve()
+			scratch := sat.New(u.Formula(k), sat.Options{}).Solve()
 			if scratch.Status != sat.Sat {
 				t.Fatalf("scratch depth %d: %v", k, scratch.Status)
 			}
@@ -231,7 +231,7 @@ func TestDeltaTraceWithInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := u.Delta()
-	s := sat.New(cnf.New(0), sat.Defaults())
+	s := sat.New(cnf.New(0), sat.Options{})
 	sawSat := 0
 	for k := 0; k <= 4; k++ {
 		frame := d.Frame(k)

@@ -97,7 +97,7 @@ func TestPropertyUnrollingMatchesSimulator(t *testing.T) {
 					g.AddUnit(lits.MkLit(v, !seq[frame][i]))
 				}
 			}
-			res := sat.New(g, sat.Defaults()).Solve()
+			res := sat.New(g, sat.Options{}).Solve()
 			bads := c.Simulate(seq, 0)
 			wantSat := bads[k]
 			if wantSat && res.Status != sat.Sat {
@@ -185,7 +185,7 @@ func TestPropertyTraceRoundTrip(t *testing.T) {
 	}
 	k := 4
 	f := u.Formula(k)
-	res := sat.New(f, sat.Defaults()).Solve()
+	res := sat.New(f, sat.Options{}).Solve()
 	if res.Status != sat.Sat {
 		t.Fatalf("expected SAT at depth %d, got %v", k, res.Status)
 	}

@@ -79,7 +79,7 @@ func TestCounterSatExactlyAtTarget(t *testing.T) {
 	}
 	for k := 0; k <= 7; k++ {
 		f := u.Formula(k)
-		res := sat.New(f, sat.Defaults()).Solve()
+		res := sat.New(f, sat.Options{}).Solve()
 		wantSat := k == 5
 		if (res.Status == sat.Sat) != wantSat {
 			t.Errorf("depth %d: status=%v, want sat=%v", k, res.Status, wantSat)
@@ -107,7 +107,7 @@ func TestTraceShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := u.Formula(3)
-	res := sat.New(f, sat.Defaults()).Solve()
+	res := sat.New(f, sat.Options{}).Solve()
 	if res.Status != sat.Sat {
 		t.Fatalf("status=%v", res.Status)
 	}
@@ -133,7 +133,7 @@ func TestConstantBadTrue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sat.New(u.Formula(0), sat.Defaults()).Solve()
+	res := sat.New(u.Formula(0), sat.Options{}).Solve()
 	if res.Status != sat.Sat {
 		t.Errorf("constant-true bad must be SAT, got %v", res.Status)
 	}
@@ -148,7 +148,7 @@ func TestConstantBadFalse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sat.New(u.Formula(2), sat.Defaults()).Solve()
+	res := sat.New(u.Formula(2), sat.Options{}).Solve()
 	if res.Status != sat.Unsat {
 		t.Errorf("constant-false bad must be UNSAT, got %v", res.Status)
 	}
@@ -165,10 +165,10 @@ func TestConstantLatchNext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := sat.New(u.Formula(0), sat.Defaults()).Solve(); res.Status != sat.Sat {
+	if res := sat.New(u.Formula(0), sat.Options{}).Solve(); res.Status != sat.Sat {
 		t.Errorf("depth 0 should fail (latch init 0), got %v", res.Status)
 	}
-	if res := sat.New(u.Formula(1), sat.Defaults()).Solve(); res.Status != sat.Unsat {
+	if res := sat.New(u.Formula(1), sat.Options{}).Solve(); res.Status != sat.Unsat {
 		t.Errorf("depth 1 should hold (latch forced 1), got %v", res.Status)
 	}
 }
@@ -249,7 +249,7 @@ func TestEncodingMatchesSimulation(t *testing.T) {
 			seq[frame] = in
 		}
 
-		res := sat.New(g, sat.Defaults()).Solve()
+		res := sat.New(g, sat.Options{}).Solve()
 		if res.Status != sat.Sat {
 			t.Fatalf("iter %d: pinned-input instance must be SAT, got %v", iter, res.Status)
 		}
