@@ -39,9 +39,15 @@
 //	                     cross-solver sharing (ExportLearned/ImportClause)
 //	internal/core        the conflict dependency graph (one flat recorder
 //	                     for fresh and persistent solvers, optional literal
-//	                     payload), unsat cores, bmc_score board, ordering
+//	                     payload, one forgetting rule), unsat cores and the
+//	                     plain proof behind them, bmc_score board, ordering
 //	                     strategies and the one rule mapping a strategy
 //	                     to solver guidance (§3.1-§3.3)
+//	internal/proofcheck  the one proof checker, sharing nothing with the
+//	                     solver or the recorder (it imports lits and cnf
+//	                     alone): replays the final conflict's cone by RUP,
+//	                     under the failed assumptions, and requires its
+//	                     leaves to be exactly the reported core
 //	internal/unroll      time-frame expansion: the whole-instance Instance,
 //	                     grown in place from depth to depth (Formula and
 //	                     StepFormula are its one-shot forms), per-frame

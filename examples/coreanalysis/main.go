@@ -15,6 +15,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/proofcheck"
 	"repro/internal/sat"
 	"repro/internal/unroll"
 )
@@ -36,7 +37,7 @@ func main() {
 
 	for k := 0; k <= 9; k++ {
 		f := u.Formula(k)
-		rec := core.NewRecorder(f.NumClauses())
+		rec := core.NewRecorderWith(f.NumClauses(), core.Complete)
 		res := sat.New(f, sat.Options{Recorder: rec}).Solve()
 		if res.Status != sat.Unsat {
 			log.Fatalf("depth %d: expected UNSAT, got %v", k, res.Status)
@@ -45,12 +46,11 @@ func main() {
 		coreIDs := rec.Core()
 		coreVars := rec.CoreVarsOf(coreIDs, f, f.NumVars, nil)
 
-		// Re-verify: the core alone must still be unsatisfiable (it is the
-		// over-approximate abstraction sufficient to exclude length-k
-		// counter-examples).
-		sub := f.Subset(coreIDs)
-		if check := sat.New(sub, sat.Options{}).Solve(); check.Status != sat.Unsat {
-			log.Fatalf("depth %d: extracted core is not UNSAT", k)
+		// Certify: the recorded refutation rests on exactly the core, so
+		// the core alone is unsatisfiable (it is the over-approximate
+		// abstraction sufficient to exclude length-k counter-examples).
+		if err := proofcheck.Check(rec.Proof(f, nil), coreIDs); err != nil {
+			log.Fatalf("depth %d: %v", k, err)
 		}
 
 		nodes := u.AbstractModel(coreVars)

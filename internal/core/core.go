@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/cnf"
 	"repro/internal/lits"
+	"repro/internal/proofcheck"
 	"repro/internal/sat"
 )
 
@@ -47,7 +48,7 @@ const (
 	// formula indexed by clause ID exists to resolve a core against.
 	WithLeaves
 	// Complete also keeps every learned clause's literals — the complete
-	// CDG of the paper's §3.1, whose recorded proof Check can replay.
+	// CDG of the paper's §3.1, whose proof proofcheck can replay (Proof).
 	Complete
 )
 
@@ -240,7 +241,7 @@ func value(c *chunked[byte], p int) (u uint64, k int) {
 
 // decodeRun appends to dst the values of the run coded in [lo, hi), whose
 // first value was coded against prev.
-func decodeRun[T ~int32](c *chunked[byte], dst []T, lo, hi int, prev T) []T {
+func decodeRun[T ~int32 | ~int](c *chunked[byte], dst []T, lo, hi int, prev T) []T {
 	x := int64(prev)
 	for p := lo; p < hi; {
 		u, k := value(c, p)
@@ -433,7 +434,7 @@ func (r *Recorder) closeEntry() {
 // the stores; the literals are kept only by a Complete recorder.
 func (r *Recorder) RecordLearned(id sat.ClauseID, literals []lits.Lit, antecedents []sat.ClauseID) {
 	if len(antecedents) == 0 {
-		// It would read back as a leaf, and Check would take it on trust.
+		// It would read back as a leaf, and a proof would take it as given.
 		panic(fmt.Sprintf("core: learned clause %d has no antecedents", id))
 	}
 	r.advance(id)
@@ -520,12 +521,10 @@ func (r *Recorder) Core() []int {
 // conflict can reach are dropped. The reachable antecedent runs slide down
 // over the dropped ones inside the chunks they occupy — a run is coded
 // against its own clause's ID, so its bytes mean the same wherever they
-// lie — and the chunks the store no longer needs become spares. A Complete
-// recorder keeps every record, because Check replays them all.
+// lie — and the chunks the store no longer needs become spares. Every
+// payload forgets by this rule. A Complete recorder keeps a forgotten
+// record's literals, but Proof hands the record over as none.
 func (r *Recorder) Forget(live []sat.ClauseID) {
-	if r.payload == Complete {
-		return
-	}
 	top := r.above(live)
 	if r.proved {
 		top = max(top, r.above(r.final))
@@ -560,6 +559,46 @@ func (r *Recorder) Forget(live []sat.ClauseID) {
 		}
 	}
 	r.ants.truncate(to)
+}
+
+// Proof hands the proof r holds to proofcheck under the failed assumptions
+// of the last UNSAT answer: every clause by ID — a fresh solve's originals
+// from the formula it ran on (originals may be nil), the rest from r — and
+// the final conflict. A forgotten record, a leaf r has no literals for and
+// an ID past the table are no record, never a leaf. Only a Complete
+// recorder's learned clauses carry literals. Nil without a final conflict.
+func (r *Recorder) Proof(originals *cnf.Formula, assumptions []lits.Lit) *proofcheck.Proof {
+	if !r.proved {
+		return nil
+	}
+	held := make([]proofcheck.Clause, int(r.base)+r.antEnd.n)
+	p := &proofcheck.Proof{Clauses: make([]*proofcheck.Clause, len(held)), Assumptions: assumptions}
+	var literals []lits.Lit
+	var ants []int
+	for id := range held {
+		c, i, cid := &held[id], id-int(r.base), sat.ClauseID(id)
+		switch {
+		case i < 0 && originals != nil && id < len(originals.Clauses):
+			c.Lits = originals.Clauses[id]
+		case i < 0 || r.payload == IDsOnly || r.antEnd.at(i)&forgottenBit != 0:
+			continue
+		default:
+			n, m := len(literals), len(ants)
+			lo, hi := r.span(&r.litEnd, cid)
+			literals = decodeRun(&r.lits, literals, lo, hi, 0)
+			lo, hi = r.span(&r.antEnd, cid)
+			ants = decodeRun(&r.ants, ants, lo, hi, id)
+			if len(literals) == n && len(ants) == m {
+				continue
+			}
+			c.Lits, c.Ants = literals[n:len(literals):len(literals)], ants[m:len(ants):len(ants)]
+		}
+		p.Clauses[id] = c
+	}
+	for _, id := range r.final {
+		p.Final = append(p.Final, int(id))
+	}
+	return p
 }
 
 // above returns the lowest ID above every record and every ID in ids.

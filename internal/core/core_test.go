@@ -7,6 +7,7 @@ import (
 	"repro/internal/bruteforce"
 	"repro/internal/cnf"
 	"repro/internal/lits"
+	"repro/internal/proofcheck"
 	"repro/internal/sat"
 )
 
@@ -134,27 +135,24 @@ func TestCoreIsUnsatOnPigeonhole(t *testing.T) {
 }
 
 // TestCoreSurvivesClauseDeletion: PHP(8,7) learns past the 1000-clause
-// floor of the learnt limit, so the solver deletes learned clauses, and the
-// pseudo-ID CDG must still produce a valid (unsat) core — the point of
-// §3.1. The proof is checked by reverse unit propagation, independently of
-// the solver, and the core by solving it again.
+// floor of the learnt limit, so the solver deletes learned clauses and the
+// recorder forgets, and the pseudo-ID CDG must still produce a valid (unsat)
+// core — the point of §3.1. proofcheck replays the final conflict's cone by
+// reverse unit propagation, independently of the solver, and requires its
+// leaves to be the core.
 func TestCoreSurvivesClauseDeletion(t *testing.T) {
 	f := pigeonhole(8, 7)
-	rec := NewRecorderWith(f.NumClauses(), Complete)
+	rec := &forgetting{Recorder: NewRecorderWith(f.NumClauses(), Complete)}
 	res := sat.New(f, sat.Options{Recorder: rec}).Solve()
 	if res.Status != sat.Unsat {
 		t.Fatalf("status=%v", res.Status)
 	}
-	if res.Stats.Deleted == 0 {
-		t.Fatalf("no learned clause was deleted (%d learned): the deletion path is unexercised", res.Stats.Learned)
+	if res.Stats.Deleted == 0 || rec.calls == 0 {
+		t.Fatalf("%d of %d learned clauses deleted, %d collections: the deletion path is unexercised",
+			res.Stats.Deleted, res.Stats.Learned, rec.calls)
 	}
-	if err := rec.Check(f); err != nil {
-		t.Fatalf("the proof does not check after %d deletions: %v", res.Stats.Deleted, err)
-	}
-	coreF := f.Subset(rec.Core())
-	res2, _ := solveWithCore(coreF, sat.Options{})
-	if res2.Status != sat.Unsat {
-		t.Fatalf("core must remain unsat under clause deletion, got %v", res2.Status)
+	if err := proofcheck.Check(rec.Proof(f, nil), rec.Core()); err != nil {
+		t.Fatalf("the proof and core do not check after %d deletions: %v", res.Stats.Deleted, err)
 	}
 }
 

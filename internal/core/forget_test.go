@@ -9,6 +9,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cnf"
 	"repro/internal/lits"
+	"repro/internal/proofcheck"
 	"repro/internal/sat"
 	"repro/internal/unroll"
 )
@@ -292,15 +293,77 @@ func TestForgetDropsUnreachableRecords(t *testing.T) {
 	r.Core()
 }
 
-// TestCompleteRecorderNeverForgets: Check replays every record, so a
-// Complete recorder keeps them all.
-func TestCompleteRecorderNeverForgets(t *testing.T) {
-	r := NewRecorderWith(2, Complete)
-	r.RecordLearned(2, []lits.Lit{lits.PosLit(1)}, []sat.ClauseID{0, 1})
-	r.RecordLearned(3, []lits.Lit{lits.PosLit(2)}, []sat.ClauseID{1})
-	r.Forget([]sat.ClauseID{3})
-	if !slices.Equal(r.antEnd.slice(), []uint32{2, 3}) || r.ants.n != 3 {
-		t.Fatalf("a Complete recorder forgot: antEnd %v, %d antecedents", r.antEnd.slice(), r.ants.n)
+// both feeds every event a solver emits to two recorders and counts the
+// collections.
+type both struct {
+	a, b  *Recorder
+	calls int
+}
+
+func (r *both) RecordLearned(id sat.ClauseID, literals []lits.Lit, ants []sat.ClauseID) {
+	r.a.RecordLearned(id, literals, ants)
+	r.b.RecordLearned(id, literals, ants)
+}
+
+func (r *both) RecordFinal(ants []sat.ClauseID) {
+	r.a.RecordFinal(ants)
+	r.b.RecordFinal(ants)
+}
+
+func (r *both) Forget(live []sat.ClauseID) {
+	r.calls++
+	r.a.Forget(live)
+	r.b.Forget(live)
+}
+
+// TestCompleteRecorderForgetsLikeWithLeaves: every payload forgets by one
+// rule. On the same events — PHP(8,7)'s solve, with its collections — a
+// Complete recorder drops exactly the records a WithLeaves one drops, and
+// what it keeps still certifies its core.
+func TestCompleteRecorderForgetsLikeWithLeaves(t *testing.T) {
+	f := php(7)
+	r := &both{a: NewRecorderWith(f.NumClauses(), WithLeaves), b: NewRecorderWith(f.NumClauses(), Complete)}
+	if res := sat.New(f, sat.Options{Recorder: r}).Solve(); res.Status != sat.Unsat {
+		t.Fatal(res.Status)
+	}
+	ends := r.b.antEnd.slice()
+	forgotten := 0
+	for _, end := range ends {
+		if end&forgottenBit != 0 {
+			forgotten++
+		}
+	}
+	if r.calls == 0 || forgotten == 0 {
+		t.Fatalf("%d collections forgot %d records: the test no longer exercises what it is for", r.calls, forgotten)
+	}
+	if !slices.Equal(ends, r.a.antEnd.slice()) || !slices.Equal(r.b.ants.slice(), r.a.ants.slice()) {
+		t.Fatal("a Complete recorder kept other records than a WithLeaves one")
+	}
+	if err := proofcheck.Check(r.b.Proof(f, nil), r.b.Core()); err != nil {
+		t.Fatalf("after %d of %d records were forgotten: %v", forgotten, len(ends), err)
+	}
+}
+
+// TestProofHasNoForgottenRecord: Proof hands a forgotten record over as no
+// record, never as a leaf — a Complete recorder keeps its literals, which
+// would make it a clause taken as given — so a cone that reaches one, here
+// through a clause the collection was not told of, is rejected.
+func TestProofHasNoForgottenRecord(t *testing.T) {
+	f := cnf.New(2)
+	f.Add(1)
+	f.Add(-1, 2)
+	f.Add(-2)
+	r := NewRecorderWith(f.NumClauses(), Complete)
+	r.RecordLearned(3, []lits.Lit{lits.PosLit(2)}, []sat.ClauseID{0, 1})
+	r.Forget(nil)
+	r.RecordLearned(4, []lits.Lit{lits.PosLit(2)}, []sat.ClauseID{3})
+	r.RecordFinal([]sat.ClauseID{2, 4})
+	p := r.Proof(f, nil)
+	if p.Clauses[3] != nil {
+		t.Fatalf("forgotten record 3 handed over as %+v", *p.Clauses[3])
+	}
+	if err := proofcheck.Check(p, []int{2, 3}); err == nil {
+		t.Fatal("a cone through a forgotten record was certified")
 	}
 }
 

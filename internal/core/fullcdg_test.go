@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cnf"
 	"repro/internal/lits"
+	"repro/internal/proofcheck"
 	"repro/internal/sat"
 )
 
@@ -14,7 +15,7 @@ import (
 func php(n int) *cnf.Formula { return pigeonhole(n+1, n) }
 
 // The tests below exercise the Complete payload — the complete CDG, which
-// keeps learned-clause literals and can replay its proof.
+// keeps learned-clause literals, so proofcheck can replay its proof.
 
 func solveWithFull(t *testing.T, f *cnf.Formula) (*Recorder, sat.Result) {
 	t.Helper()
@@ -35,7 +36,7 @@ func TestFullRecorderProofChecksOnPigeonhole(t *testing.T) {
 		if !rec.HasProof() {
 			t.Fatalf("php(%d): no proof", n)
 		}
-		if err := rec.Check(f); err != nil {
+		if err := proofcheck.Check(rec.Proof(f, nil), rec.Core()); err != nil {
 			t.Fatalf("php(%d): proof check failed: %v", n, err)
 		}
 	}
@@ -69,50 +70,39 @@ func TestFullRecorderCoreMatchesSimplified(t *testing.T) {
 	}
 }
 
-// recodeFirst returns the recorder r would be had its first learned
-// clause's literals and antecedents been what edit makes of them. The runs
-// are coded, so a record cannot be changed where it lies without moving
-// every one after it; the copy is recorded afresh.
-func recodeFirst(r *Recorder, edit func(literals []lits.Lit, ants []sat.ClauseID)) *Recorder {
-	out := NewRecorderWith(int(r.base), r.payload)
-	var literals []lits.Lit
-	var ants []sat.ClauseID
-	first := true
-	for i := range r.antEnd.n {
-		id := r.base + sat.ClauseID(i)
-		literals, _ = r.clause(id, nil, literals)
-		lo, hi := r.span(&r.antEnd, id)
-		if lo == hi {
-			out.AddLeaf(id, literals)
-			continue
+// topLearned returns the final conflict's highest learned antecedent in p:
+// a clause of the cone, and its highest learned one, since a clause derived
+// from it would be higher still.
+func topLearned(t *testing.T, p *proofcheck.Proof) *proofcheck.Clause {
+	t.Helper()
+	top := -1
+	for _, a := range p.Final {
+		if len(p.Clauses[a].Ants) > 0 {
+			top = max(top, a)
 		}
-		ants = decodeRun(&r.ants, ants[:0], lo, hi, id)
-		if first {
-			edit(literals, ants)
-			first = false
-		}
-		out.RecordLearned(id, literals, ants)
 	}
-	out.RecordFinal(r.final)
-	return out
+	if top < 0 {
+		t.Fatal("the final conflict reaches no learned clause")
+	}
+	return p.Clauses[top]
 }
 
 func TestFullRecorderDetectsCorruptedProof(t *testing.T) {
 	f := php(3)
 	rec, res := solveWithFull(t, f)
-	if res.Status != sat.Unsat || rec.NumLearnedRecorded() == 0 {
-		t.Skip("need a learned-clause proof")
+	if res.Status != sat.Unsat {
+		t.Fatal(res.Status)
 	}
-	if err := rec.Check(f); err != nil {
+	if err := proofcheck.Check(rec.Proof(f, nil), rec.Core()); err != nil {
 		t.Fatalf("the proof before corruption: %v", err)
 	}
-	// Corrupt one learned clause: flip its first literal to a fresh
-	// variable that occurs nowhere else. RUP from the recorded
-	// antecedents must now fail somewhere.
-	rec = recodeFirst(rec, func(literals []lits.Lit, _ []sat.ClauseID) {
-		literals[0] = lits.PosLit(lits.Var(f.NumVars + 1000))
-	})
-	if err := rec.Check(f); err == nil {
+	// Corrupt one learned clause of the cone: swap its first literal for a
+	// fresh variable that occurs nowhere else. RUP from the recorded
+	// antecedents must now fail.
+	p := rec.Proof(f, nil)
+	cl := topLearned(t, p)
+	cl.Lits = append(cnf.Clause{lits.PosLit(lits.Var(f.NumVars + 1000))}, cl.Lits[1:]...)
+	if err := proofcheck.Check(p, rec.Core()); err == nil {
 		t.Fatal("corrupted proof passed the checker")
 	} else if !strings.Contains(err.Error(), "RUP") {
 		t.Fatalf("unexpected error: %v", err)
@@ -125,18 +115,15 @@ func TestFullRecorderDetectsDroppedAntecedents(t *testing.T) {
 	if res.Status != sat.Unsat {
 		t.Fatal(res.Status)
 	}
-	// Drop the antecedents of the first learned clause down to one (the
-	// store cannot hold an empty list — that is a leaf — so the survivor is
-	// repeated): its derivation can no longer be justified.
-	if rec.NumLearnedRecorded() == 0 || len(decodeRun(&rec.ants, nil, 0, int(rec.antEnd.at(0)), rec.base)) < 2 {
-		t.Skip("no suitable record")
+	// Drop the antecedents of a learned clause of the cone down to one:
+	// its derivation can no longer be justified.
+	p := rec.Proof(f, nil)
+	cl := topLearned(t, p)
+	if len(cl.Ants) < 2 {
+		t.Fatalf("the cone's top learned clause has %d antecedents", len(cl.Ants))
 	}
-	rec = recodeFirst(rec, func(_ []lits.Lit, ants []sat.ClauseID) {
-		for i := range ants {
-			ants[i] = ants[0]
-		}
-	})
-	if err := rec.Check(f); err == nil {
+	cl.Ants = cl.Ants[:1]
+	if err := proofcheck.Check(p, rec.Core()); err == nil {
 		t.Fatal("proof with dropped antecedents passed the checker")
 	}
 }
@@ -151,7 +138,7 @@ func TestFullRecorderNoProofOnSat(t *testing.T) {
 	if rec.HasProof() {
 		t.Fatal("SAT run must not record a final conflict")
 	}
-	if err := rec.Check(f); err == nil {
+	if err := proofcheck.Check(rec.Proof(f, nil), rec.Core()); err == nil {
 		t.Fatal("Check must fail without a final conflict")
 	}
 	if rec.Core() != nil {
@@ -191,7 +178,7 @@ func TestFullRecorderOutOfOrderPanics(t *testing.T) {
 func TestFullRecorderLevel0OnlyProof(t *testing.T) {
 	// A formula refuted by pure BCP: units 1, -2 and clause (-1 2). The
 	// proof consists of the final conflict alone (no learned clauses);
-	// Check must accept it.
+	// proofcheck must accept it.
 	f := cnf.New(2)
 	f.Add(1)
 	f.Add(-2)
@@ -203,10 +190,10 @@ func TestFullRecorderLevel0OnlyProof(t *testing.T) {
 	if rec.NumLearnedRecorded() != 0 {
 		t.Fatalf("BCP-only refutation learned %d clauses", rec.NumLearnedRecorded())
 	}
-	if err := rec.Check(f); err != nil {
+	core := rec.Core()
+	if err := proofcheck.Check(rec.Proof(f, nil), core); err != nil {
 		t.Fatalf("level-0 proof rejected: %v", err)
 	}
-	core := rec.Core()
 	if len(core) != 3 {
 		t.Fatalf("core = %v, want all three clauses", core)
 	}
@@ -218,14 +205,14 @@ func TestCheckRUPRejectsForwardReference(t *testing.T) {
 	rec := NewRecorderWith(f.NumClauses(), Complete)
 	rec.RecordLearned(1, cnf.Clause{lits.NegLit(1)}, []sat.ClauseID{2})
 	rec.RecordFinal([]sat.ClauseID{0, 1})
-	if err := rec.Check(f); err == nil {
+	if err := proofcheck.Check(rec.Proof(f, nil), rec.Core()); err == nil {
 		t.Fatal("forward antecedent reference must fail the check")
 	}
 }
 
 // TestFullRecorderOnRandomUnsat checks the full pipeline on random UNSAT
-// instances: solve, check proof, and confirm the extracted core is itself
-// unsatisfiable.
+// instances: solve, then certify the proof and that the extracted core is
+// exactly the leaves it refutes.
 func TestFullRecorderOnRandomUnsat(t *testing.T) {
 	unsatSeen := 0
 	for seed := uint64(1); seed < 160 && unsatSeen < 25; seed++ {
@@ -235,12 +222,8 @@ func TestFullRecorderOnRandomUnsat(t *testing.T) {
 			continue
 		}
 		unsatSeen++
-		if err := rec.Check(f); err != nil {
+		if err := proofcheck.Check(rec.Proof(f, nil), rec.Core()); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
-		}
-		sub := f.Subset(rec.Core())
-		if r := sat.New(sub, sat.Options{}).Solve(); r.Status != sat.Unsat {
-			t.Fatalf("seed %d: core re-solve gave %v", seed, r.Status)
 		}
 	}
 	if unsatSeen < 10 {

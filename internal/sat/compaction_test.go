@@ -7,6 +7,7 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/lits"
+	"repro/internal/proofcheck"
 	"repro/internal/sat"
 )
 
@@ -88,12 +89,12 @@ func TestCompactionKeepsSearch(t *testing.T) {
 			t.Errorf("%s: search moved:\n got %+v\nwant %+v", tc.name, got, tc.want)
 		}
 
-		// Proof IDs travel with the clauses: every learnt clause the
-		// recorder holds follows by reverse unit propagation from the
-		// antecedents it was recorded with, and the final conflict from
-		// its own. The replay reads the recorded clauses and the formula,
-		// nothing of the arena.
-		if err := rec.Check(f); err != nil {
+		// Proof IDs travel with the clauses: every learnt clause the final
+		// conflict reaches follows by reverse unit propagation from the
+		// antecedents it was recorded with, the final conflict from its
+		// own, and the leaves reached are the core. The replay reads the
+		// recorded clauses and the formula, nothing of the arena.
+		if err := proofcheck.Check(rec.Proof(f, nil), rec.Core()); err != nil {
 			t.Errorf("%s: the proof does not check: %v", tc.name, err)
 		}
 
