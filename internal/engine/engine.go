@@ -108,11 +108,14 @@ type DepthStats struct {
 	// generation, the SAT call(s), and score maintenance. EncodeWall and
 	// SolveWall split out its two dominant parts: building the depth's
 	// CNF (on every shape the cost of the depth's frame: scratch shapes
-	// grow their whole-instance formula in place by it, incremental ones
-	// build it as a delta), and the SAT call (the race's wall for portfolio
-	// runs). Loading a solver belongs to SolveWall on every shape: the
-	// whole formula's sat.Solver.Load on scratch shapes and, on incremental
-	// ones, the catch-up a solver does when it is about to search.
+	// grow their whole-instance formula in place by it before the race,
+	// incremental ones build it as a delta inside the race, when the first
+	// solver loads it — so there it is part of SolveWall too, and zero
+	// when the race ran on a remote worker), and the SAT call (the race's
+	// wall for portfolio runs). Loading a solver belongs to SolveWall on
+	// every shape: the whole formula's sat.Solver.Load on scratch shapes
+	// and, on incremental ones, the catch-up a solver does when it is
+	// about to search.
 	Wall       time.Duration `json:"wall"`
 	EncodeWall time.Duration `json:"encode_wall,omitempty"`
 	SolveWall  time.Duration `json:"solve_wall,omitempty"`

@@ -59,6 +59,13 @@ import (
 // like the attempts slice either way, and clauses learned on solvers the
 // caller does not own travel back in RaceResult.Foreign.
 //
+// Every attempt of both race methods names what it solves: the depth-K
+// instance of the query sequence its Origin unrolls (portfolio.Origin, one
+// pointer per sequence, shared by all its attempts at every depth). An
+// executor that runs attempts in another process ships Origin's circuit
+// there once and has the other end unroll depth K itself, instead of
+// shipping f or the frames; an attempt without an Origin runs in process.
+//
 // Both race methods block until the race is settled. They return the
 // first Sat/Unsat verdict in RaceResult.Result with Winner set to the
 // deciding attempt's index, or Winner == -1 when no attempt reached a
@@ -91,15 +98,12 @@ type Executor interface {
 	OnClausePayload(query Query, k int, from string, clauses []cnf.Clause)
 }
 
-// FrameSink is an optional Executor extension for implementations that
-// mirror the warm pools' solver state elsewhere. When the configured
-// executor implements it, the session reports every unrolled frame —
-// query, depth, and the frame's delta formula — right after it is built
-// and before the depth's RaceLive call; at that point no local solver has
-// loaded it, and under a healthy fleet none ever will. The frame is owned
-// by the pool and must not be mutated; an implementation may retain it
-// (remote.Executor replays retained frames to reconnecting workers, whose
-// mirrors restart empty).
+// FrameSink has no implementation, and the session calls it on nothing: a
+// distributing executor now learns what a race holds from its attempts'
+// Origin and K and unrolls the circuit where the race runs, so no frame is
+// reported anywhere. The type stays only because the frozen benchmark
+// decorator (benchmark/decorator.go) still names it; the benchmark's next
+// revision deletes both.
 type FrameSink interface {
 	OnFrame(query Query, k int, frame *cnf.Formula)
 }

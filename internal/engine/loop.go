@@ -59,8 +59,11 @@ type freshSeq struct {
 	plan
 	exec  Executor
 	query Query
-	u     *unroll.Unroller
-	inst  *unroll.Instance // the query's instance, at the last depth raced
+	// origin names the sequence on every attempt, for an executor that
+	// builds the instance where it races it.
+	origin *portfolio.Origin
+	u      *unroll.Unroller
+	inst   *unroll.Instance // the query's instance, at the last depth raced
 	// solvers, recs and guidance are per strategy and live as long as the
 	// check: each depth loads the solver, reloads its recorder
 	// (core.Recorder.Reload) and writes the guidance over what the last
@@ -122,7 +125,7 @@ func (q *freshSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
 			q.recs[i].Reload(f.NumClauses())
 			so.Recorder = q.recs[i]
 		}
-		attempts[i] = portfolio.Attempt{Name: st.String(), Opts: so, Solver: q.solvers[i]}
+		attempts[i] = portfolio.Attempt{Name: st.String(), Opts: so, Solver: q.solvers[i], Origin: q.origin, K: k}
 	}
 
 	out := racer.DepthOutcome{
@@ -249,6 +252,7 @@ func (s *Session) newSequence(u *unroll.Unroller, query Query, p plan) sequence 
 		plan:     p,
 		exec:     s.executor(),
 		query:    query,
+		origin:   &portfolio.Origin{Unroller: u, Step: query == QueryStep},
 		u:        u,
 		inst:     inst,
 		solvers:  make([]*sat.Solver, n),
@@ -271,18 +275,12 @@ func (s *Session) newSequence(u *unroll.Unroller, query Query, p plan) sequence 
 }
 
 // poolConfig hands the plan and the sequence's board to a warm racer pool,
-// routing races, frames and clause-bus payloads through the Executor seam.
+// routing races and clause-bus payloads through the Executor seam.
 // query labels them for the executor.
 func (s *Session) poolConfig(query Query, p plan, board *core.ScoreBoard, exchange racer.ExchangeOptions) racer.Config {
 	exec := s.executor()
 	exchange.OnExport = func(k int, from string, clauses []cnf.Clause) {
 		exec.OnClausePayload(query, k, from, clauses)
-	}
-	var onFrame func(k int, frame *cnf.Formula)
-	if sink, ok := exec.(FrameSink); ok {
-		onFrame = func(k int, frame *cnf.Formula) {
-			sink.OnFrame(query, k, frame)
-		}
 	}
 	return racer.Config{
 		Strategies: p.set,
@@ -296,7 +294,6 @@ func (s *Session) poolConfig(query Query, p plan, board *core.ScoreBoard, exchan
 		Race: func(q string, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
 			return exec.RaceLive(Query(q), attempts, assumps, jobs, stop)
 		},
-		OnFrame: onFrame,
 		Metrics: s.cfg.Metrics,
 		Query:   string(query),
 	}

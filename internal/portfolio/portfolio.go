@@ -40,6 +40,7 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/lits"
 	"repro/internal/sat"
+	"repro/internal/unroll"
 )
 
 // Attempt is one racer: a label (usually the strategy name), fully
@@ -60,6 +61,22 @@ type Attempt struct {
 	// between attempts; whatever state it is in — searched, cancelled
 	// mid-search, never loaded — does not matter. Nil means a new solver.
 	Solver *sat.Solver
+	// Origin and K name the formula: the depth-K instance of the query
+	// sequence Origin unrolls. An executor that runs the attempt in another
+	// process ships them instead of the formula; nil runs it in process.
+	Origin *Origin
+	K      int
+}
+
+// Origin is the query sequence a race's clauses unroll: the circuit and
+// property of Unroller, and which of its queries — the BMC one (also the
+// k-induction base case) or the k-induction step. The engine makes one per
+// sequence and stamps it, with the depth, on every attempt it races, so an
+// executor that runs attempts elsewhere ships the circuit once and the
+// other end unrolls it itself; the pointer identifies the sequence.
+type Origin struct {
+	Unroller *unroll.Unroller
+	Step     bool
 }
 
 // AttemptOutcome is the per-racer telemetry of one race.
@@ -183,6 +200,11 @@ type LiveAttempt struct {
 	// this depth (sat.Solver.Grow). An executor that keeps solvers of its
 	// own for the attempt sizes them by it, so they grow as the caller's do.
 	Grow Growth
+	// Origin and K name what Solver holds: frames 0..K of the sequence
+	// Origin unrolls. An executor that keeps solvers elsewhere loads them
+	// from its own unrolling of Origin; nil runs the attempt in process.
+	Origin *Origin
+	K      int
 }
 
 // Growth is a persistent solver's storage hint, as sat.Solver.Grow takes

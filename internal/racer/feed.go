@@ -12,11 +12,49 @@ package racer
 // the import dedup set, and with them the search, come out the same.
 
 import (
+	"sync"
+	"time"
+
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sat"
 )
+
+// DepthFrames is what the loads of one depth's race read frames from: the
+// depth's own frame, encoded by the first solver that needs it and shared
+// with every other, and older frames, encoded again for a solver that
+// starts late. A depth that no solver here loads — its race ran on a fleet
+// — encodes nothing. It is safe for the race's goroutines to use at once.
+type DepthFrames struct {
+	src   Source
+	k     int
+	once  sync.Once
+	frame *cnf.Formula
+	wall  time.Duration
+}
+
+// NewDepthFrames serves the loads of depth k of src.
+func NewDepthFrames(src Source, k int) *DepthFrames {
+	return &DepthFrames{src: src, k: k}
+}
+
+// Frame returns frame d; it is what Feed.CatchUp takes.
+func (f *DepthFrames) Frame(d int) *cnf.Formula {
+	if d != f.k {
+		return f.src.Frame(d)
+	}
+	f.once.Do(func() {
+		start := time.Now()
+		f.frame = f.src.Frame(d)
+		f.wall = time.Since(start)
+	})
+	return f.frame
+}
+
+// EncodeWall is the time the depth's own frame took to encode, zero if no
+// solver loaded it. Read it once every goroutine that loaded has joined.
+func (f *DepthFrames) EncodeWall() time.Duration { return f.wall }
 
 // Feed is the load state of one persistent solver: how many frames it
 // holds, and the bus clauses that reached it at depth boundaries it has not

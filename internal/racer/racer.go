@@ -10,11 +10,13 @@
 // even the winner's warm VSIDS and phase state are thrown away. The pool
 // keeps each racer alive instead. Every depth it
 //
-//   - builds the new frame's clauses (unroll.Delta.Frame) once and loads
-//     nobody: a racer takes the frames it is missing, and the strategy's
-//     guidance for the depth (sat.SetGuidance), when it is about to search
-//     (Feed.CatchUp, from its race goroutine) — a racer that no worker
-//     slot ever reaches, or whose races all run on a fleet, stays empty,
+//   - loads nobody up front: a racer takes the frames it is missing, and
+//     the strategy's guidance for the depth (sat.SetGuidance), when it is
+//     about to search (Feed.CatchUp, from its race goroutine), and the new
+//     frame's clauses (unroll.Delta.Frame) are built once, by the first
+//     racer that needs them — a racer that no worker slot ever reaches, or
+//     whose races all run on a fleet, stays empty, and a depth raced on a
+//     fleet encodes nothing here,
 //   - races SolveAssuming on the depth's activation literal through
 //     portfolio.RaceLive (first verdict cancels the rest cooperatively),
 //   - folds the winner's unsat core into the shared score board, and
@@ -104,12 +106,6 @@ type Config struct {
 	// in-process goroutine pool). engine.LocalExecutor injects itself
 	// here so the Executor seam covers warm races too.
 	Race RaceFunc
-	// OnFrame, when non-nil, observes every frame right after it is built
-	// and before the depth's race: depth k and the frame's delta formula.
-	// The frame must not be mutated but may be retained — this is how a
-	// frame-mirroring executor (engine.FrameSink) gets what its remote
-	// solver mirrors load.
-	OnFrame func(k int, frame *cnf.Formula)
 	// Metrics, when non-nil, receives the pool's instrumentation: each
 	// racer's solver counters (via sat.Options.Metrics), the frames each
 	// racer loaded, per-racer warm/cold conflict attribution, and per-link
@@ -161,12 +157,9 @@ type Pool struct {
 	src    Source
 	cfg    Config
 	racers []*racerState
-
-	// Cumulative formula size across the frames built so far (a racer
-	// brought to this depth holds exactly this original clause set, so one
-	// set of counters serves all).
-	totalClauses int
-	totalLits    int
+	// origin is the source's sequence, stamped on every attempt; nil for a
+	// source other than DeltaSource and StepSource.
+	origin *portfolio.Origin
 
 	// sizedFor is the depth the racers' storage was last sized for (-1
 	// before the first), hint that depth's Source.Size.
@@ -175,11 +168,13 @@ type Pool struct {
 }
 
 // NewPool builds one racer per strategy, whose persistent solver is made
-// when it first loads; frames are pulled depth by depth through RaceDepth
-// from the given query sequence (DeltaSource for BMC / induction base
-// cases, StepSource for induction step cases), and re-pulled for a racer
-// that starts late: Source.Frame must be a pure function of k, callable
-// from several goroutines at once.
+// when it first loads; frames are pulled from the given query sequence
+// (DeltaSource for BMC / induction base cases, StepSource for induction
+// step cases) by the racers that load them, and re-pulled for a racer that
+// starts late: Source.Frame must be a pure function of k, callable from
+// several goroutines at once. The attempts of a pool over DeltaSource or
+// StepSource carry their sequence's portfolio.Origin, so an executor can
+// race them on solvers that unroll the circuit themselves.
 func NewPool(src Source, cfg Config) *Pool {
 	if cfg.Race == nil {
 		cfg.Race = func(_ string, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
@@ -187,7 +182,7 @@ func NewPool(src Source, cfg Config) *Pool {
 		}
 	}
 	cfg.Exchange = cfg.Exchange.withDefaults()
-	p := &Pool{src: src, cfg: cfg, sizedFor: -1}
+	p := &Pool{src: src, cfg: cfg, origin: originOf(src), sizedFor: -1}
 	for _, st := range cfg.Strategies {
 		r := &racerState{name: st.String(), strategy: st, opts: cfg.Opts}
 		if cfg.Record {
@@ -229,14 +224,14 @@ func (p *Pool) grow(k int) {
 // solve: it makes r's solver if r has none yet, sized ahead as grow last
 // hinted, and brings it to depth k under the depth's guidance — r's own
 // array, which the solver then holds until the next depth writes over it.
-func (p *Pool) catchUp(r *racerState, k int, frames func(d int) *cnf.Formula, guidance []float64, switchAfter int64) *sat.Solver {
+func (p *Pool) catchUp(r *racerState, k int, frames *DepthFrames, guidance []float64, switchAfter int64) *sat.Solver {
 	if r.feed.Solver == nil {
 		s := new(sat.Solver)
 		s.Grow(p.hint.Vars, p.hint.Clauses)
 		s.Load(cnf.New(0), r.opts)
 		r.feed.Solver = s
 	}
-	s, got := r.feed.CatchUp(k, frames, guidance, switchAfter)
+	s, got := r.feed.CatchUp(k, frames.Frame, guidance, switchAfter)
 	r.receipts = got
 	return s
 }
@@ -272,7 +267,8 @@ type DepthOutcome struct {
 	// and wherever this depth or the one before folded no core.
 	CoreOverlap *float64
 	// FrameVars is the variable count after this depth's frame;
-	// TotalClauses/TotalLits the cumulative original-clause footprint.
+	// TotalClauses/TotalLits the cumulative original-clause footprint, as
+	// Source.Size counts it.
 	FrameVars    int
 	TotalClauses int
 	TotalLits    int
@@ -286,9 +282,11 @@ type DepthOutcome struct {
 	Exported     map[string]int64
 	Imported     map[string]int64
 	DedupDropped map[string]int64
-	// EncodeWall is the time spent building this depth's frame. Loading it
-	// — and, for a racer that starts late, every frame before it — happens
-	// inside the race and is part of the attempt's Wall and of Race.Wall.
+	// EncodeWall is the time spent building this depth's frame, which the
+	// first racer to load it does inside the race; zero when no racer here
+	// loaded it (the race ran on a fleet). Loading the frame — and, for a
+	// racer that starts late, encoding and loading every frame before it —
+	// is part of the attempt's Wall and of Race.Wall.
 	EncodeWall time.Duration
 	// WinnerWarm reports that the winning racer had searched at earlier
 	// depths (its solver carried learned clauses in); WinnerShared that
@@ -297,11 +295,12 @@ type DepthOutcome struct {
 	WinnerShared bool
 }
 
-// RaceDepth runs one full depth: build the depth-k frame, compute every
-// strategy's guidance for it, race SolveAssuming(actₖ) over attempts that
-// load their solver when a worker slot reaches them, fold the winner's
-// core into the board, and — with the bus enabled — exchange learned
-// clauses between the racers. Depths must be raced in order starting at 0.
+// RaceDepth runs one full depth: compute every strategy's guidance for the
+// depth-k instance, race SolveAssuming(actₖ) over attempts that load their
+// solver when a worker slot reaches them (the first to need the depth's
+// frame encodes it), fold the winner's core into the board, and — with the
+// bus enabled — exchange learned clauses between the racers. Depths must be
+// raced in order starting at 0.
 func (p *Pool) RaceDepth(k int) DepthOutcome { return p.RaceDepthStop(k, nil) }
 
 // RaceDepthStop is RaceDepth with an external cancellation channel: when
@@ -315,22 +314,11 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 	if k > p.sizedFor && k <= p.cfg.MaxDepth {
 		p.grow(k)
 	}
-	encodeStart := time.Now()
-	frame := p.src.Frame(k)
-	encodeWall := time.Since(encodeStart)
-	p.totalClauses += frame.NumClauses()
-	p.totalLits += frame.NumLiterals()
-	if p.cfg.OnFrame != nil {
-		p.cfg.OnFrame(k, frame)
-	}
-	// This depth's frame is shared read-only by every racer that loads it;
-	// a racer that is further behind re-encodes the frames it missed.
-	frames := func(d int) *cnf.Formula {
-		if d == k {
-			return frame
-		}
-		return p.src.Frame(d)
-	}
+	// The depth's frame is encoded only if a racer here loads it, once, and
+	// shared read-only by every racer that does.
+	frames := NewDepthFrames(p.src, k)
+	frameVars := p.src.NumVars(k)
+	_, totalClauses, totalLits := p.src.Size(k)
 
 	// Each racer's guidance is written over its one array, loaded or not:
 	// the solver holding it is at rest until Feed.CatchUp hands it back, and
@@ -344,9 +332,9 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 			r.guidance = make([]float64, 0, max(p.hint.Vars, in.NumVars)+1)
 		}
 		opts := p.cfg.Opts
-		opts.Guidance, opts.SwitchAfterDecisions = r.strategy.Guidance(p.cfg.Board, in, p.totalLits, p.cfg.Divisor, r.guidance)
+		opts.Guidance, opts.SwitchAfterDecisions = r.strategy.Guidance(p.cfg.Board, in, totalLits, p.cfg.Divisor, r.guidance)
 		r.guidance = opts.Guidance
-		attempts[i] = portfolio.LiveAttempt{Name: r.name, Opts: opts, Grow: p.hint, Solver: func() *sat.Solver {
+		attempts[i] = portfolio.LiveAttempt{Name: r.name, Opts: opts, Grow: p.hint, Origin: p.origin, K: k, Solver: func() *sat.Solver {
 			return p.catchUp(r, k, frames, opts.Guidance, opts.SwitchAfterDecisions)
 		}}
 		warm[i] = r.feed.Solver != nil && r.feed.Solver.Stats().Conflicts > 0
@@ -354,16 +342,16 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 
 	out := DepthOutcome{
 		Race:         p.cfg.Race(p.cfg.Query, attempts, []lits.Lit{p.src.Assumption(k)}, p.cfg.Jobs, stop),
-		FrameVars:    frame.NumVars,
-		TotalClauses: p.totalClauses,
-		TotalLits:    p.totalLits,
+		FrameVars:    frameVars,
+		TotalClauses: totalClauses,
+		TotalLits:    totalLits,
 		Exported:     map[string]int64{},
 		Imported:     map[string]int64{},
 		DedupDropped: map[string]int64{},
-		EncodeWall:   encodeWall,
 	}
-	// The race has joined: what the racers' catch-ups imported is booked to
-	// this depth.
+	// The race has joined: the frame's encode, if a racer here made it, is
+	// timed, and what the racers' catch-ups imported is booked to this depth.
+	out.EncodeWall = frames.EncodeWall()
 	for _, r := range p.racers {
 		for _, rc := range r.receipts {
 			p.book(&out, r, rc)
@@ -392,7 +380,7 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 		out.WinnerShared = p.racers[w].feed.Imported() > 0
 		p.racers[w].mWins.Inc()
 		if out.Race.Result.Status == sat.Unsat {
-			out.FoldCore(p.racers[w].feed.Rec, p.cfg.Board, k, nil, frame.NumVars, auxOf(p.src))
+			out.FoldCore(p.racers[w].feed.Rec, p.cfg.Board, k, nil, frameVars, auxOf(p.src))
 		}
 	}
 	// Clear every racer's final-conflict marker: losers that decided

@@ -11,15 +11,17 @@ package racer
 import (
 	"repro/internal/cnf"
 	"repro/internal/lits"
+	"repro/internal/portfolio"
 	"repro/internal/unroll"
 )
 
 // Source is the query sequence a Pool races across depths.
 type Source interface {
-	// Frame returns the clauses new at depth k. The pool asks for each
-	// depth once, in order from 0, and again for an older depth whenever a
-	// racer that starts late has to load it — possibly from several race
-	// goroutines at once: the result must depend on k alone.
+	// Frame returns the clauses new at depth k. The pool asks for depth k
+	// at most once, when the first racer loads it in depth k's race, and
+	// for an older depth whenever a racer that starts late has to load it —
+	// possibly from several race goroutines at once: the result must depend
+	// on k alone.
 	Frame(k int) *cnf.Formula
 	// Assumption returns the activation literal assumed when solving
 	// depth k.
@@ -71,3 +73,15 @@ func (s stepSource) NumVars(k int) int              { return s.sd.NumVars(k) }
 func (s stepSource) Size(k int) (int, int, int)     { return s.sd.Size(k) }
 func (s stepSource) Frames(k int) int               { return s.sd.Frames(k) }
 func (s stepSource) VarInfo(v lits.Var) (int, bool) { return s.sd.VarInfo(v) }
+
+// originOf returns the sequence a shipped source unrolls, nil for any other
+// source: a pool over one races in process only.
+func originOf(src Source) *portfolio.Origin {
+	switch s := src.(type) {
+	case deltaSource:
+		return &portfolio.Origin{Unroller: s.d.Unroller()}
+	case stepSource:
+		return &portfolio.Origin{Unroller: s.sd.Unroller(), Step: true}
+	}
+	return nil
+}

@@ -13,6 +13,7 @@ import (
 	"math/bits"
 	"time"
 
+	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/lits"
 	"repro/internal/portfolio"
@@ -26,14 +27,14 @@ const (
 	hasResult
 	hasCancel
 	hasClauses
-	hasAll = hasClauses<<1 - 1
+	hasCircuit
+	hasAll = hasCircuit<<1 - 1
 )
 
 // The fewest bytes one element of each struct list encodes to: every field
 // takes at least one byte. A list's count is checked against the bytes left
 // divided by its element's minimum before the list is allocated.
 const (
-	minFrameBytes   = 4  // K, NumVars, the clause list's two counts
 	minAttemptBytes = 5  // Name's length, WireOptions' four fields
 	minRunBytes     = 2  // N, Bits
 	minOutcomeBytes = 18 // Name's length, Status, Stats' twelve fields, Wall, Wait, Canceled, Skipped
@@ -42,20 +43,10 @@ const (
 // appendMessage appends m's encoding to dst.
 func appendMessage(dst []byte, m *Message) []byte {
 	var present byte
-	if m.Hello != nil {
-		present |= hasHello
-	}
-	if m.Race != nil {
-		present |= hasRace
-	}
-	if m.Result != nil {
-		present |= hasResult
-	}
-	if m.Cancel != nil {
-		present |= hasCancel
-	}
-	if m.Clauses != nil {
-		present |= hasClauses
+	for i, set := range [...]bool{m.Hello != nil, m.Race != nil, m.Result != nil, m.Cancel != nil, m.Clauses != nil, m.Circuit != nil} {
+		if set {
+			present |= 1 << i
+		}
 	}
 	dst = append(dst, byte(m.Kind))
 	dst = binary.AppendUvarint(dst, m.Seq)
@@ -82,6 +73,38 @@ func appendMessage(dst []byte, m *Message) []byte {
 		dst = appendString(dst, p.From)
 		dst = appendClauses(dst, p.Clauses)
 	}
+	if w := m.Circuit; w != nil {
+		dst = appendString(dst, w.Query)
+		dst = appendBool(dst, w.Step)
+		dst = binary.AppendVarint(dst, int64(w.Property))
+		dst = appendCircuit(dst, w.Circuit)
+	}
+	return dst
+}
+
+// appendCircuit writes c node by node in NodeID order, the latches' next
+// states and the properties. c must validate: every latch has its next
+// state.
+func appendCircuit(dst []byte, c *circuit.Circuit) []byte {
+	dst = binary.AppendUvarint(dst, uint64(c.NumNodes()))
+	for id := circuit.NodeID(1); int(id) < c.NumNodes(); id++ {
+		dst = append(dst, byte(c.Kind(id)))
+		switch c.Kind(id) {
+		case circuit.KindLatch:
+			dst = appendBool(dst, c.LatchInit(id).IsTrue())
+		case circuit.KindAnd:
+			a, b := c.Fanins(id)
+			dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(a)), uint64(b))
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(c.NumLatches()))
+	for _, id := range c.Latches() {
+		dst = binary.AppendUvarint(dst, uint64(c.LatchNext(id)))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(c.Properties())))
+	for _, p := range c.Properties() {
+		dst = binary.AppendUvarint(appendString(dst, p.Name), uint64(p.Bad))
+	}
 	return dst
 }
 
@@ -90,15 +113,6 @@ func appendRaceRequest(dst []byte, r *RaceRequest) []byte {
 	dst = appendString(dst, r.Query)
 	dst = binary.AppendVarint(dst, int64(r.K))
 	dst = appendBool(dst, r.Live)
-	dst = binary.AppendVarint(dst, int64(r.NumVars))
-	dst = appendClauses(dst, r.Formula)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Frames)))
-	for i := range r.Frames {
-		fr := &r.Frames[i]
-		dst = binary.AppendVarint(dst, int64(fr.K))
-		dst = binary.AppendVarint(dst, int64(fr.NumVars))
-		dst = appendClauses(dst, fr.Clauses)
-	}
 	dst = appendLits(dst, r.Assumps)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Attempts)))
 	for i := range r.Attempts {
@@ -239,6 +253,9 @@ func parseMessage(b []byte) (*Message, error) {
 	}
 	if present&hasClauses != 0 {
 		m.Clauses = &ClausePayload{Query: d.string(), K: d.int(), From: d.string(), Clauses: d.clauses()}
+	}
+	if present&hasCircuit != 0 {
+		m.Circuit = d.wireCircuit()
 	}
 	if d.err == nil && len(d.b) > 0 {
 		d.fail(fmt.Errorf("remote: %d bytes after the message", len(d.b)))
@@ -388,17 +405,7 @@ func (d *decoder) clauses() []cnf.Clause {
 }
 
 func (d *decoder) raceRequest() *RaceRequest {
-	r := &RaceRequest{
-		ID: d.uvarint(), Query: d.string(), K: d.int(), Live: d.bool(),
-		NumVars: d.int(), Formula: d.clauses(),
-	}
-	if n := d.count(minFrameBytes); n > 0 {
-		r.Frames = make([]WireFrame, n)
-		for i := range r.Frames {
-			r.Frames[i] = WireFrame{K: d.int(), NumVars: d.int(), Clauses: d.clauses()}
-		}
-	}
-	r.Assumps = d.lits()
+	r := &RaceRequest{ID: d.uvarint(), Query: d.string(), K: d.int(), Live: d.bool(), Assumps: d.lits()}
 	if n := d.count(minAttemptBytes); n > 0 {
 		r.Attempts = make([]WireAttempt, n)
 		for i := range r.Attempts {
@@ -409,6 +416,62 @@ func (d *decoder) raceRequest() *RaceRequest {
 	r.Jobs, r.ExportMaxLen, r.ExportMaxLBD, r.ExportBudget = d.int(), d.int(), d.int(), d.int()
 	r.Grow = portfolio.Growth{Vars: d.int(), Clauses: d.int()}
 	return r
+}
+
+func (d *decoder) wireCircuit() *WireCircuit {
+	w := &WireCircuit{Query: d.string(), Step: d.bool(), Property: d.int(), Circuit: d.circuit()}
+	if n := len(w.Circuit.Properties()); d.err == nil && (w.Property < 0 || w.Property >= n) {
+		d.fail(fmt.Errorf("remote: property %d of a circuit with %d", w.Property, n))
+	}
+	return w
+}
+
+// circuit rebuilds a circuit through the builder, so every node gets the ID
+// it had. The node count is checked against the bytes left before a node is
+// made; a gate's fanins must point below it and make a new gate (one the
+// builder folds or has already made came from no circuit); every latch
+// must get a next state. On an error the circuit is left part-built.
+func (d *decoder) circuit() *circuit.Circuit {
+	c := circuit.New("")
+	n := d.count(1) // every node past the constant takes a byte at least
+	if d.err == nil && n == 0 {
+		d.fail(errors.New("remote: a circuit without its constant node"))
+	}
+	for id := 1; id < n && d.err == nil; id++ {
+		switch kind := circuit.NodeKind(d.byte()); kind {
+		case circuit.KindInput:
+			c.Input("")
+		case circuit.KindLatch:
+			c.Latch("", d.bool())
+		case circuit.KindAnd:
+			if a, b := d.signal(id), d.signal(id); d.err == nil && c.And(a, b) != circuit.MkSignal(circuit.NodeID(id), false) {
+				d.fail(fmt.Errorf("remote: AND n%d (%v, %v) folds or repeats a gate", id, a, b))
+			}
+		default:
+			d.fail(fmt.Errorf("remote: node n%d of kind %d", id, kind))
+		}
+	}
+	latches := c.Latches()
+	if nexts := d.count(1); d.err == nil && nexts != len(latches) {
+		d.fail(fmt.Errorf("remote: %d next states for %d latches", nexts, len(latches)))
+	}
+	for i := 0; i < len(latches) && d.err == nil; i++ {
+		c.SetNext(circuit.MkSignal(latches[i], false), d.signal(n))
+	}
+	for i, props := 0, d.count(2); i < props && d.err == nil; i++ {
+		name := d.string()
+		c.AddProperty(name, d.signal(n))
+	}
+	return c
+}
+
+// signal reads an edge to a node below n.
+func (d *decoder) signal(n int) circuit.Signal {
+	if v := d.uvarint(); d.err == nil && v < uint64(n)<<1 {
+		return circuit.Signal(v)
+	}
+	d.fail(fmt.Errorf("remote: a signal past node n%d", n-1))
+	return circuit.False
 }
 
 func (d *decoder) options(o *WireOptions) {

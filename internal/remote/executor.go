@@ -113,24 +113,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Executor implements engine.Executor (and engine.FrameSink) by fanning
-// each race's attempts out across a fleet of bmcworker daemons,
-// round-robin, first verdict wins. Lost workers are evicted, their
-// attempts re-raced locally, and the link redialed in the background
-// with exponential backoff; with every worker gone the executor
-// degrades to plain local races, so Session.Check always completes with
-// a correct verdict. Frames reported through OnFrame are retained and
-// shipped per-link above a high-water mark (reset on reconnect, so a
-// fresh worker replays the whole unrolling); clause-bus payloads flow
-// both directions under the racer exchange's filters.
+// Executor implements engine.Executor by fanning each race's attempts out
+// across a fleet of bmcworker daemons, round-robin, first verdict wins.
+// Lost workers are evicted, their attempts re-raced locally, and the link
+// redialed in the background with exponential backoff; with every worker
+// gone the executor degrades to plain local races, so Session.Check always
+// completes with a correct verdict. Clause-bus payloads flow both
+// directions under the racer exchange's filters.
 //
-// A live attempt carries the options and guidance it runs under and a
-// function that loads its local solver; the executor ships the former and
-// calls the latter only in a fallback, so under a healthy fleet the
-// coordinator's pool holds no clause at all and a lost worker's slice
-// catches up locally at the moment it is needed. Remote mirrors load the
-// same frames, options, and guidance the local solver would, so verdicts
-// and depths are equivalent to LocalExecutor by construction. One
+// No clause of the unrolling crosses a link (see "Warm state over the
+// wire"), and a live attempt's local solver loads only in a fallback, so
+// under a healthy fleet the coordinator holds no clause and encodes no
+// frame. An attempt without an Origin races locally, as a fallback. One
 // documented divergence: winner unsat cores stay worker-side, so
 // strategy-score feedback derived from cores sees no updates under this
 // executor — ordering guidance stays flat, verdicts are unaffected.
@@ -146,24 +140,20 @@ type Executor struct {
 	// (NewLoopback joins its in-process worker handlers here).
 	onClose func()
 
-	fmu    sync.Mutex
-	frames map[string][]WireFrame
-
 	mRaces, mWins, mFallbacks, mCancels *obs.Counter
 	mClausesFwd, mClausesBack           *obs.Counter
 }
 
 // Compile-time interface checks: the executor is a drop-in for the
 // session's execution seam.
-var (
-	_ engine.Executor  = (*Executor)(nil)
-	_ engine.FrameSink = (*Executor)(nil)
-)
+var _ engine.Executor = (*Executor)(nil)
 
 // link is one worker connection and its pending-race bookkeeping. The
 // mutex guards only the fields below it — never a frame write or a
 // channel send. gen increments per (re)connect so stale failure reports
 // from a previous connection's goroutines cannot evict the current one.
+// held is the sequence whose circuit the connection last carried, per
+// query; a new connection holds none.
 type link struct {
 	addr string
 
@@ -175,7 +165,7 @@ type link struct {
 	reconnecting bool
 	gen          int
 	pending      map[uint64]chan linkResult
-	shipped      map[string]int
+	held         map[string]*portfolio.Origin
 }
 
 // linkResult delivers one race's terminal event to its distribute call:
@@ -212,7 +202,6 @@ func New(addrs []string, opts Options) (*Executor, error) {
 	e := &Executor{
 		opts:   opts,
 		closed: make(chan struct{}),
-		frames: make(map[string][]WireFrame),
 
 		mRaces:       opts.Metrics.Counter(metricRemoteRaces),
 		mWins:        opts.Metrics.Counter(metricRemoteWins),
@@ -246,19 +235,9 @@ func (e *Executor) Close() error {
 		for _, l := range e.links {
 			l.mu.Lock()
 			l.gen++ // invalidate in-flight failure reports
-			l.up = false
-			fc := l.fc
-			l.fc = nil
-			pend := l.pending
-			l.pending = nil
-			l.shipped = nil
+			fc, pend := l.down()
 			l.mu.Unlock()
-			if fc != nil {
-				fc.Close()
-			}
-			for id, ch := range pend {
-				ch <- linkResult{l: l, id: id, err: errClosed}
-			}
+			l.fail(fc, pend, errClosed)
 		}
 		e.wg.Wait()
 		if e.onClose != nil {
@@ -284,14 +263,7 @@ func (e *Executor) connect(l *link) error {
 		return err
 	}
 	fc := NewConn(nc, e.opts.MaxFrameBytes)
-	if e.opts.Metrics != nil {
-		fc.stats = wireStats{
-			framesSent: e.opts.Metrics.Counter(obs.Name(metricNetFramesSent, "worker", l.addr)),
-			framesRecv: e.opts.Metrics.Counter(obs.Name(metricNetFramesRecv, "worker", l.addr)),
-			bytesSent:  e.opts.Metrics.Counter(obs.Name(metricNetBytesSent, "worker", l.addr)),
-			bytesRecv:  e.opts.Metrics.Counter(obs.Name(metricNetBytesRecv, "worker", l.addr)),
-		}
-	}
+	fc.stats = newWireStats(e.opts.Metrics, "worker", l.addr)
 	hello := &Message{Kind: MsgHello, Hello: &Hello{Version: ProtocolVersion, Name: e.opts.Session}}
 	if err := fc.Send(hello, e.opts.ConnectTimeout); err != nil {
 		fc.Close()
@@ -318,7 +290,7 @@ func (e *Executor) connect(l *link) error {
 	l.fc = fc
 	l.up = true
 	l.pending = make(map[uint64]chan linkResult)
-	l.shipped = make(map[string]int)
+	l.held = make(map[string]*portfolio.Origin)
 	l.mu.Unlock()
 
 	e.wg.Add(2)
@@ -355,7 +327,7 @@ func (e *Executor) readLoop(l *link, fc *Conn, gen int) {
 			}
 		case MsgPong:
 			// Liveness is the Recv deadline; nothing to do.
-		case MsgHello, MsgHelloAck, MsgRace, MsgCancel, MsgClauses, MsgPing, msgKindEnd:
+		case MsgHello, MsgHelloAck, MsgRace, MsgCancel, MsgClauses, MsgPing, MsgCircuit, msgKindEnd:
 			e.logf("worker %s: unexpected %v frame", l.addr, m.Kind)
 		}
 	}
@@ -392,24 +364,14 @@ func (e *Executor) failLink(l *link, gen int, cause error) {
 		l.mu.Unlock()
 		return
 	}
-	l.up = false
-	fc := l.fc
-	l.fc = nil
-	pend := l.pending
-	l.pending = nil
-	l.shipped = nil
+	fc, pend := l.down()
 	again := !l.reconnecting && !e.isClosed() && e.opts.ReconnectAttempts > 0
 	if again {
 		l.reconnecting = true
 	}
 	l.mu.Unlock()
 
-	if fc != nil {
-		fc.Close()
-	}
-	for id, ch := range pend {
-		ch <- linkResult{l: l, id: id, err: cause}
-	}
+	l.fail(fc, pend, cause)
 	if e.isClosed() {
 		return
 	}
@@ -421,9 +383,27 @@ func (e *Executor) failLink(l *link, gen int, cause error) {
 	}
 }
 
+// down marks the link down and takes its connection and pending races;
+// the caller holds l.mu.
+func (l *link) down() (*Conn, map[uint64]chan linkResult) {
+	fc, pend := l.fc, l.pending
+	l.up, l.fc, l.pending, l.held = false, nil, nil, nil
+	return fc, pend
+}
+
+// fail closes a connection down took and fails its pending races with err.
+func (l *link) fail(fc *Conn, pend map[uint64]chan linkResult, err error) {
+	if fc != nil {
+		fc.Close()
+	}
+	for id, ch := range pend {
+		ch <- linkResult{l: l, id: id, err: err}
+	}
+}
+
 // reconnectLoop redials an evicted link with doubling backoff. On
-// success the link's shipped marks start empty, so the next race ships
-// the full frame history — cold, but sound.
+// success the link holds no circuit, so each query's next race resends its
+// circuit first, and the worker's mirrors start empty — cold, but sound.
 func (e *Executor) reconnectLoop(l *link) {
 	defer e.wg.Done()
 	defer func() {
@@ -451,144 +431,116 @@ func (e *Executor) reconnectLoop(l *link) {
 }
 
 // Race implements engine.Executor: the cold race, distributed. Each
-// worker builds throwaway solvers over the full formula for its slice
-// of the attempts.
-//
-// f is the caller's again when Race returns, as the contract requires: a
-// request is encoded, clauses and guidance included, inside the sendRace
-// call that distribute makes on this goroutine (Conn.Send stages the whole
-// frame before it writes), so no sender outlives the call holding f — a
-// lost link fails the send or the flight, it does not defer the encoding —
-// and the local fallback is portfolio.Race, which joins its workers. An
-// attempt's Solver is used by that fallback only; workers load new solvers.
+// worker builds the depth-K instance of the attempts' Origin and races
+// throwaway solvers over it for its slice of the attempts. f is read by
+// the local fallback only, portfolio.Race, which joins its workers before
+// Race returns; an attempt's Solver likewise.
 func (e *Executor) Race(query engine.Query, f *cnf.Formula, attempts []portfolio.Attempt, jobs int, stop <-chan struct{}) portfolio.RaceResult {
-	qs := string(query)
-	e.mRaces.Inc()
-	sp := e.opts.Tracer.Begin("remote", qs+" race")
-	defer sp.End()
-
-	names := make([]string, len(attempts))
 	wire := make([]WireAttempt, len(attempts))
 	for i, a := range attempts {
-		names[i] = a.Name
 		wire[i] = WireAttempt{Name: a.Name, Opts: toWireOptions(a.Opts)}
 	}
-	res, _ := e.distribute(names,
-		func(l *link, id uint64, idxs []int) *RaceRequest {
-			return &RaceRequest{
-				ID: id, Query: qs, Live: false,
-				NumVars: f.NumVars, Formula: f.Clauses,
-				Attempts: pick(wire, idxs), Jobs: jobs,
-			}
-		},
-		func(idxs []int) portfolio.RaceResult {
-			sub := make([]portfolio.Attempt, len(idxs))
-			for j, idx := range idxs {
-				sub[j] = attempts[idx]
-			}
-			return portfolio.Race(f, sub, jobs, stop)
-		},
-		stop)
-	sp.SetArg("winner", res.WinnerName())
+	req := RaceRequest{Query: string(query), Jobs: jobs}
+	var origin *portfolio.Origin
+	if len(attempts) > 0 {
+		origin, req.K = attempts[0].Origin, attempts[0].K
+	}
+	res, _ := e.distribute(origin, req, wire, func(idxs []int) portfolio.RaceResult {
+		sub := make([]portfolio.Attempt, len(idxs))
+		for j, idx := range idxs {
+			sub[j] = attempts[idx]
+		}
+		return portfolio.Race(f, sub, jobs, stop)
+	}, stop)
 	return res
 }
 
 // RaceLive implements engine.Executor: the warm race, distributed. Each
-// worker races its per-(session, query, strategy) mirror solvers, loading
-// the ones that get to search with the frames they are missing, sized by
-// the pool's hint (the attempts share one) and under guidance that crosses
-// as runs, compressed here, before the first send. No local solver is
-// asked for unless a worker is lost mid-race: the lost slice then re-races
-// through portfolio.RaceLive, which is where its solvers load.
-// Clauses the mirrors learned come back in RaceResult.Foreign for the
-// caller to import.
+// worker races its per-(session, query, strategy) mirror solvers on its own
+// unrolling of the attempts' Origin, sized by the pool's hint (the attempts
+// share one). No local solver is asked for unless a worker is lost
+// mid-race: the lost slice then re-races through portfolio.RaceLive, which
+// is where its solvers load. Clauses the mirrors learned come back in
+// RaceResult.Foreign for the caller to import.
 func (e *Executor) RaceLive(query engine.Query, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
-	qs := string(query)
-	e.mRaces.Inc()
-	sp := e.opts.Tracer.Begin("remote", qs+" race")
-	defer sp.End()
-
-	names := make([]string, len(attempts))
 	wire := make([]WireAttempt, len(attempts))
 	for i, a := range attempts {
-		names[i] = a.Name
 		wire[i] = WireAttempt{Name: a.Name, Opts: toWireOptions(a.Opts)}
 	}
-	shareOn := !e.opts.Share.Off
-	res, exports := e.distribute(names,
-		func(l *link, id uint64, idxs []int) *RaceRequest {
-			k, frames := e.takeFrames(l, qs)
-			req := &RaceRequest{
-				ID: id, Query: qs, K: k, Live: true,
-				Frames: frames, Assumps: assumps,
-				Attempts: pick(wire, idxs), Jobs: jobs,
-				Grow: attempts[idxs[0]].Grow,
-			}
-			if shareOn {
-				req.ExportMaxLen = racer.DefaultExchangeMaxLen
-				req.ExportMaxLBD = racer.DefaultExchangeMaxLBD
-				req.ExportBudget = racer.DefaultExchangeBudget
-			}
-			return req
-		},
-		func(idxs []int) portfolio.RaceResult {
-			sub := make([]portfolio.LiveAttempt, len(idxs))
-			for j, idx := range idxs {
-				sub[j] = attempts[idx]
-			}
-			return portfolio.RaceLive(sub, assumps, jobs, stop)
-		},
-		stop)
-	if shareOn && len(exports) > 0 {
-		res.Foreign = e.redistribute(qs, exports)
+	req := RaceRequest{Query: string(query), Live: true, Assumps: assumps, Jobs: jobs}
+	var origin *portfolio.Origin
+	if len(attempts) > 0 {
+		origin, req.K, req.Grow = attempts[0].Origin, attempts[0].K, attempts[0].Grow
 	}
-	sp.SetArg("winner", res.WinnerName())
+	shareOn := !e.opts.Share.Off
+	if shareOn {
+		req.ExportMaxLen = racer.DefaultExchangeMaxLen
+		req.ExportMaxLBD = racer.DefaultExchangeMaxLBD
+		req.ExportBudget = racer.DefaultExchangeBudget
+	}
+	res, exports := e.distribute(origin, req, wire, func(idxs []int) portfolio.RaceResult {
+		sub := make([]portfolio.LiveAttempt, len(idxs))
+		for j, idx := range idxs {
+			sub[j] = attempts[idx]
+		}
+		return portfolio.RaceLive(sub, assumps, jobs, stop)
+	}, stop)
+	if shareOn && len(exports) > 0 {
+		res.Foreign = e.redistribute(req.Query, req.K, exports)
+	}
 	return res
 }
 
 // distribute is the common fan-out: partition the attempt indices
-// round-robin over the healthy links, send one RaceRequest per link,
-// and drain until every flight is accounted for — first verdict wins
-// and cancels the rest. Attempts stranded on failed workers (or with no
-// worker at all) re-race through fallback, which runs them on the
-// in-process pool; the fallback is skipped when a verdict already
-// exists or the caller's stop closed, because it could no longer change
-// the answer.
+// round-robin over the healthy links, send each link req with its slice of
+// the attempts (encoded, guidance included, on this goroutine), and drain
+// until every flight is accounted for — first verdict wins and cancels the
+// rest. Attempts stranded on failed workers (or with no worker at all, or
+// no origin to unroll) re-race through fallback, on the in-process pool,
+// unless a verdict already exists or the caller's stop closed.
 func (e *Executor) distribute(
-	names []string,
-	build func(l *link, id uint64, idxs []int) *RaceRequest,
+	origin *portfolio.Origin,
+	req RaceRequest,
+	wire []WireAttempt,
 	fallback func(idxs []int) portfolio.RaceResult,
 	stop <-chan struct{},
 ) (portfolio.RaceResult, []linkExport) {
+	e.mRaces.Inc()
+	sp := e.opts.Tracer.Begin("remote", req.Query+" race")
+	defer sp.End()
 	start := time.Now()
 	res := portfolio.RaceResult{Winner: -1, Start: start}
-	res.Outcomes = make([]portfolio.AttemptOutcome, len(names))
-	for i, n := range names {
-		res.Outcomes[i] = portfolio.AttemptOutcome{Name: n, Skipped: true}
+	res.Outcomes = make([]portfolio.AttemptOutcome, len(wire))
+	for i, a := range wire {
+		res.Outcomes[i] = portfolio.AttemptOutcome{Name: a.Name, Skipped: true}
 	}
 
-	healthy := e.healthyLinks()
+	var healthy []*link
+	if origin != nil {
+		healthy = e.healthyLinks()
+	}
 	var failed []int
 	outstanding := make(map[uint64]raceFlight)
 	results := make(chan linkResult, len(healthy))
 
 	if len(healthy) == 0 {
-		for i := range names {
+		for i := range wire {
 			failed = append(failed, i)
 		}
 	} else {
-		parts := partition(len(names), len(healthy))
+		parts := partition(len(wire), len(healthy))
 		for wi, l := range healthy {
 			idxs := parts[wi]
 			if len(idxs) == 0 {
 				continue
 			}
-			id := e.reqID.Add(1)
-			if err := e.sendRace(l, build(l, id, idxs), results); err != nil {
+			r := req
+			r.ID, r.Attempts = e.reqID.Add(1), pick(wire, idxs)
+			if err := e.sendRace(l, origin, &r, results); err != nil {
 				failed = append(failed, idxs...)
 				continue
 			}
-			outstanding[id] = raceFlight{l: l, idxs: idxs}
+			outstanding[r.ID] = raceFlight{l: l, idxs: idxs}
 		}
 	}
 
@@ -656,32 +608,41 @@ func (e *Executor) distribute(
 		}
 	}
 	res.Wall = time.Since(start)
+	sp.SetArg("winner", res.WinnerName())
 	return res, exports
 }
 
-// sendRace registers the race as pending and writes its request. A nil
-// return guarantees exactly one linkResult for the ID will arrive on ch
-// (response or link failure); an error means no delivery will happen
-// and the caller owns the attempts.
-func (e *Executor) sendRace(l *link, req *RaceRequest, ch chan linkResult) error {
+// sendRace registers the race as pending and writes its request, preceded
+// by the circuit of origin if the link does not hold it for the request's
+// query. A nil return guarantees exactly one linkResult for the ID will
+// arrive on ch (response or link failure); an error means no delivery will
+// happen and the caller owns the attempts.
+func (e *Executor) sendRace(l *link, origin *portfolio.Origin, req *RaceRequest, ch chan linkResult) error {
 	l.mu.Lock()
 	if !l.up {
 		l.mu.Unlock()
 		return errLinkDown
 	}
 	fc, gen := l.fc, l.gen
+	ship := l.held[req.Query] != origin
+	l.held[req.Query] = origin
 	l.pending[req.ID] = ch
 	l.mu.Unlock()
 
-	if err := fc.Send(&Message{Kind: MsgRace, Race: req}, e.opts.WriteTimeout); err != nil {
+	var err error
+	if ship {
+		u := origin.Unroller
+		err = fc.Send(&Message{Kind: MsgCircuit, Circuit: &WireCircuit{
+			Query: req.Query, Step: origin.Step, Property: u.PropIdx(), Circuit: u.Circuit(),
+		}}, e.opts.WriteTimeout)
+	}
+	if err == nil {
+		err = fc.Send(&Message{Kind: MsgRace, Race: req}, e.opts.WriteTimeout)
+	}
+	if err != nil {
 		l.mu.Lock()
-		var mine bool
-		if l.pending != nil {
-			_, mine = l.pending[req.ID]
-			if mine {
-				delete(l.pending, req.ID)
-			}
-		}
+		_, mine := l.pending[req.ID] // a nil map, once the link is down, holds nothing
+		delete(l.pending, req.ID)
 		l.mu.Unlock()
 		e.failLink(l, gen, err)
 		if mine {
@@ -690,7 +651,6 @@ func (e *Executor) sendRace(l *link, req *RaceRequest, ch chan linkResult) error
 		// A concurrent failLink already owned the pending entry and
 		// delivered the failure to ch; report success so the caller waits
 		// for it instead of double-counting the attempts.
-		return nil
 	}
 	return nil
 }
@@ -699,51 +659,10 @@ func (e *Executor) sendRace(l *link, req *RaceRequest, ch chan linkResult) error
 // responses (Interrupted outcomes) still arrive and are drained.
 func (e *Executor) cancelOutstanding(outstanding map[uint64]raceFlight) {
 	for id, fl := range outstanding {
-		l := fl.l
-		l.mu.Lock()
-		fc, up, gen := l.fc, l.up, l.gen
-		l.mu.Unlock()
-		if !up {
-			continue
+		if e.send(fl.l, &Message{Kind: MsgCancel, Cancel: &Cancel{ID: id}}) {
+			e.mCancels.Inc()
 		}
-		if err := fc.Send(&Message{Kind: MsgCancel, Cancel: &Cancel{ID: id}}, e.opts.WriteTimeout); err != nil {
-			e.failLink(l, gen, err)
-			continue
-		}
-		e.mCancels.Inc()
 	}
-}
-
-// OnFrame implements engine.FrameSink: the session reports each
-// unrolled frame once, and the executor retains it for per-link
-// shipping (including full replays to reconnected workers).
-func (e *Executor) OnFrame(query engine.Query, k int, frame *cnf.Formula) {
-	qs := string(query)
-	e.fmu.Lock()
-	if k == len(e.frames[qs]) {
-		e.frames[qs] = append(e.frames[qs], WireFrame{K: k, NumVars: frame.NumVars, Clauses: frame.Clauses})
-	}
-	e.fmu.Unlock()
-}
-
-// takeFrames advances the link's high-water mark for the query and
-// returns the frames it has not yet been sent, plus the current depth.
-func (e *Executor) takeFrames(l *link, qs string) (int, []WireFrame) {
-	e.fmu.Lock()
-	all := e.frames[qs]
-	e.fmu.Unlock()
-	var frames []WireFrame
-	l.mu.Lock()
-	if l.up && l.shipped != nil {
-		start := l.shipped[qs]
-		if start > len(all) {
-			start = len(all)
-		}
-		frames = all[start:]
-		l.shipped[qs] = len(all)
-	}
-	l.mu.Unlock()
-	return len(all) - 1, frames
 }
 
 // OnClausePayload implements engine.Executor: a local racer exported
@@ -768,12 +687,12 @@ func (e *Executor) OnClausePayload(query engine.Query, k int, from string, claus
 	}
 }
 
-// redistribute rebroadcasts worker-exported clauses to the other workers
-// (minus the origin and the reserve link) and returns them, filtered, for
-// the local pool: its solvers import them at the depth boundary — or when
-// a fallback first loads them — so the fallback path stays warm.
-func (e *Executor) redistribute(qs string, exports []linkExport) []cnf.Clause {
-	k := e.depthOf(qs)
+// redistribute rebroadcasts the clauses that depth k's race on query qs
+// exported to the other workers (minus the link they came from and the
+// reserve link) and returns them, filtered, for the local pool: its solvers
+// import them at the depth boundary — or when a fallback first loads them —
+// so the fallback path stays warm.
+func (e *Executor) redistribute(qs string, k int, exports []linkExport) []cnf.Clause {
 	reserve := e.reserveLink()
 	healthy := e.healthyLinks()
 	var back []cnf.Clause
@@ -798,26 +717,25 @@ func (e *Executor) redistribute(qs string, exports []linkExport) []cnf.Clause {
 // forwardClauses ships one clause payload to a worker; a failed write
 // evicts the link (clause traffic is best-effort, races are not).
 func (e *Executor) forwardClauses(l *link, qs string, k int, from string, clauses []cnf.Clause) {
-	l.mu.Lock()
-	if !l.up {
-		l.mu.Unlock()
-		return
+	if e.send(l, &Message{Kind: MsgClauses, Clauses: &ClausePayload{Query: qs, K: k, From: from, Clauses: clauses}}) {
+		e.mClausesFwd.Add(int64(len(clauses)))
 	}
-	fc, gen := l.fc, l.gen
-	l.mu.Unlock()
-	msg := &Message{Kind: MsgClauses, Clauses: &ClausePayload{Query: qs, K: k, From: from, Clauses: clauses}}
-	if err := fc.Send(msg, e.opts.WriteTimeout); err != nil {
-		e.failLink(l, gen, err)
-		return
-	}
-	e.mClausesFwd.Add(int64(len(clauses)))
 }
 
-// depthOf is the query's current unrolled depth (-1 before any frame).
-func (e *Executor) depthOf(qs string) int {
-	e.fmu.Lock()
-	defer e.fmu.Unlock()
-	return len(e.frames[qs]) - 1
+// send writes m on the link's connection if it is up, and evicts the link
+// if the write fails. It reports whether m went out.
+func (e *Executor) send(l *link, m *Message) bool {
+	l.mu.Lock()
+	fc, up, gen := l.fc, l.up, l.gen
+	l.mu.Unlock()
+	if !up {
+		return false
+	}
+	if err := fc.Send(m, e.opts.WriteTimeout); err != nil {
+		e.failLink(l, gen, err)
+		return false
+	}
+	return true
 }
 
 // reserveLink is the import-free diversity worker: the first configured

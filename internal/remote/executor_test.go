@@ -352,9 +352,9 @@ func TestWorkerLostMidCheckWarm(t *testing.T) {
 }
 
 // TestWorkerReconnect: with reconnects enabled, a transiently failing
-// worker is redialed, the full frame history is replayed to it (its
-// mirrors restart empty) if the check is still running, and the check
-// reaches the correct verdict.
+// worker is redialed, its next race is preceded by the query's circuit
+// again (its mirrors restart empty) if the check is still running, and the
+// check reaches the correct verdict.
 func TestWorkerReconnect(t *testing.T) {
 	w := NewWorker(WorkerOptions{})
 	var handlers sync.WaitGroup
@@ -409,10 +409,10 @@ func TestWorkerReconnect(t *testing.T) {
 	}
 }
 
-// TestWorkerRaceRejected: a race whose frames skip a depth is rejected by
-// the worker (the frame-gap check in beginLive), which counts the error;
-// the coordinator logs the rejection and re-races the attempt locally,
-// once, to a decided result.
+// TestWorkerRaceRejected: a race for a query whose circuit the worker does
+// not hold is rejected by the worker (begin's check), which counts the
+// error; the coordinator logs the rejection and re-races the attempt
+// locally, once, to a decided result.
 func TestWorkerRaceRejected(t *testing.T) {
 	reg := obs.NewRegistry()
 	opts := fastOpts()
@@ -437,20 +437,20 @@ func TestWorkerRaceRejected(t *testing.T) {
 	local := sat.New(cnf.New(0), sat.Options{})
 	for k := 0; k <= 1; k++ {
 		frame := d.Frame(k)
-		e.OnFrame(engine.QueryBMC, k, frame)
 		local.AddVars(frame.NumVars)
 		for _, cl := range frame.Clauses {
 			local.AddClause(cl)
 		}
 	}
-	// The link believes depth 0 is shipped, so the request carries depth 1
-	// alone to a worker that holds no frame.
+	// The link believes it carried the circuit already, so the request goes
+	// alone to a worker that holds none.
+	origin := &portfolio.Origin{Unroller: u}
 	l := e.links[0]
 	l.mu.Lock()
-	l.shipped[string(engine.QueryBMC)] = 1
+	l.held[string(engine.QueryBMC)] = origin
 	l.mu.Unlock()
 
-	attempts := []portfolio.LiveAttempt{{Name: "vsids", Opts: sat.Options{}, Solver: func() *sat.Solver { return local }}}
+	attempts := []portfolio.LiveAttempt{{Name: "vsids", Origin: origin, K: 1, Solver: func() *sat.Solver { return local }}}
 	res := e.RaceLive(engine.QueryBMC, attempts, []lits.Lit{d.ActLit(1)}, 1, nil)
 	if res.Winner != 0 || !res.Result.Status.Decided() {
 		t.Fatalf("rejected race: winner %d, %v; want the local fallback to decide", res.Winner, res.Result.Status)
@@ -464,6 +464,38 @@ func TestWorkerRaceRejected(t *testing.T) {
 	}
 	if n := rejected.Load(); n != 1 {
 		t.Errorf("coordinator logged %d rejections, want 1", n)
+	}
+}
+
+// TestExecutorReuse: one executor serves three sessions on three models in
+// turn, warm and cold. Each session's sequences are new origins, so every
+// link is sent the new circuit before its first race and the worker drops
+// the mirrors of the old one; every verdict and depth is the all-local one,
+// and not a race falls back.
+func TestExecutorReuse(t *testing.T) {
+	exchange := engine.WithExchange(racer.ExchangeOptions{Enabled: true})
+	for _, shape := range []struct {
+		name string
+		opts []engine.Option
+	}{
+		{"warm", []engine.Option{engine.WithBudgets(9, 0), engine.WithPortfolio(nil, 0), engine.WithIncremental(), exchange}},
+		{"cold", []engine.Option{engine.WithBudgets(4, 0), engine.WithPortfolio(nil, 0)}},
+		{"kind-warm", []engine.Option{engine.WithBudgets(9, 0), engine.WithEngine(engine.KInduction), engine.WithPortfolio(nil, 0), engine.WithIncremental()}},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			e, reg := newLoopbackExecutor(t, 2, fastOpts())
+			for _, name := range []string{"twin_w8", "cnt_w4_t9", "add_w8"} {
+				m := equivalenceModel(t, name)
+				ref := checkWith(t, m, shape.opts...)
+				res := checkWith(t, m, append(shape.opts, engine.WithExecutor(e))...)
+				if res.Verdict != ref.Verdict || res.K != ref.K {
+					t.Errorf("%s: remote (%v@%d) disagrees with local (%v@%d)", name, res.Verdict, res.K, ref.Verdict, ref.K)
+				}
+				if n := reg.Snapshot().Counters[metricRemoteFallbacks]; n != 0 {
+					t.Fatalf("%s: %d races fell back to local solvers on a reused executor", name, n)
+				}
+			}
+		})
 	}
 }
 

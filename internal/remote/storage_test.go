@@ -10,11 +10,15 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
+	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/lits"
+	"repro/internal/obs"
 	"repro/internal/portfolio"
+	"repro/internal/racer"
 	"repro/internal/sat"
+	"repro/internal/unroll"
 )
 
 // solverTables returns where each per-variable and per-literal table of s
@@ -156,5 +160,113 @@ func TestMirrorStorageGrowsLogarithmically(t *testing.T) {
 		if held[name] != (i == 0) {
 			t.Errorf("mirror %d (%s) held a solver or guidance: %v; want the first one only", i, name, held[name])
 		}
+	}
+}
+
+// clausesReachable counts the non-empty clauses reachable from v — through
+// pointers, interfaces, structs (unexported fields too), slices, arrays and
+// maps, each pointer followed once — not looking into a value skip matches,
+// a function or a channel.
+func clausesReachable(v reflect.Value, skip func(reflect.Value) bool) int {
+	clauseType := reflect.TypeOf(cnf.Clause{})
+	type visit struct {
+		at  uintptr
+		typ reflect.Type
+	}
+	seen := make(map[visit]bool)
+	var walk func(v reflect.Value) int
+	walk = func(v reflect.Value) int {
+		if !v.IsValid() || skip(v) {
+			return 0
+		}
+		n := 0
+		switch v.Kind() {
+		case reflect.Pointer, reflect.Interface:
+			if v.IsNil() {
+				return 0
+			}
+			if v.Kind() == reflect.Pointer {
+				at := visit{v.Pointer(), v.Type()}
+				if seen[at] {
+					return 0
+				}
+				seen[at] = true
+			}
+			n = walk(v.Elem())
+		case reflect.Struct:
+			for i := range v.NumField() {
+				n += walk(v.Field(i))
+			}
+		case reflect.Slice, reflect.Array:
+			if v.Type() == clauseType {
+				if v.Len() > 0 {
+					return 1
+				}
+				return 0
+			}
+			if k := v.Type().Elem().Kind(); k <= reflect.Complex128 || k == reflect.String {
+				return 0 // no clause inside a slice of numbers
+			}
+			for i := range v.Len() {
+				n += walk(v.Index(i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				n += walk(it.Key()) + walk(it.Value())
+			}
+		}
+		return n
+	}
+	return walk(v)
+}
+
+// TestNoFrameHistory: neither end of a link keeps a frame. After the
+// fleet_wire check — mix_w8 to depth 20 on a warm portfolio, one worker
+// slot, the clause bus on — the coordinator's executor reaches no clause,
+// its pool encoded no frame, and at the end of every race the worker's
+// query holds its circuit, its source and its mirrors, and reaches no
+// clause past the mirrors' solvers.
+func TestNoFrameHistory(t *testing.T) {
+	m := equivalenceModel(t, "mix_w8")
+	u, err := unroll.New(m.Build(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := racer.NewDepthFrames(racer.DeltaSource(u.Delta()), 0)
+	held.Frame(0)
+	if n, want := clausesReachable(reflect.ValueOf(held), func(reflect.Value) bool { return false }), held.Frame(0).NumClauses(); n != want {
+		t.Fatalf("the walk finds %d of a held frame's %d clauses", n, want)
+	}
+
+	var races int
+	w := NewWorker(WorkerOptions{})
+	mirrors := reflect.TypeOf(map[string]*mirror{})
+	w.afterRace = func(q *workerQuery) {
+		races++
+		if q.u == nil || q.src == nil || q.pending != nil {
+			t.Errorf("race %d: the query holds more than its circuit, source and mirrors: %+v", races, q)
+		}
+		if n := clausesReachable(reflect.ValueOf(q), func(v reflect.Value) bool { return v.Type() == mirrors }); n != 0 {
+			t.Errorf("race %d: the query reaches %d clauses outside its mirrors", races, n)
+		}
+	}
+	e, err := newLoopback(1, fastOpts(), w, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	reg := obs.NewRegistry()
+	res := checkWith(t, m, engine.WithBudgets(20, 0), engine.WithPortfolio(nil, 1),
+		engine.WithIncremental(), engine.WithExchange(racer.ExchangeOptions{Enabled: true}),
+		engine.WithExecutor(e), engine.WithMetrics(reg))
+	if res.Verdict != engine.Holds || res.K != 20 || races != 21 {
+		t.Fatalf("check: %v@%d over %d remote races, want holds@20 over 21", res.Verdict, res.K, races)
+	}
+	if n := reg.Snapshot().Counters[obs.Name("unroll_frames_total", "query", "bmc")]; n != 0 {
+		t.Errorf("the coordinator encoded %d frames for races that all ran on the worker", n)
+	}
+	e.Close() // joins the link goroutines, which the walk would race with
+	if n := clausesReachable(reflect.ValueOf(e), func(reflect.Value) bool { return false }); n != 0 {
+		t.Errorf("the executor reaches %d clauses after the check", n)
 	}
 }

@@ -39,20 +39,29 @@
 //	clauses  uint clause count, uint literal total, then per clause a uint
 //	         length and its literals as ints
 //	time     int: Unix nanoseconds, 0 for the zero time
+//	circuit  uint node count, the constant's included; per later node, in
+//	         NodeID order, its kind byte, then a latch's initial value
+//	         (bool) or an AND gate's fanins (two uints, node<<1|negated);
+//	         the latches' next states (a list of uints); the properties
+//	         (a list of string name, uint bad signal)
 //
 // The message is its Kind (one byte), Seq (uint), and a byte whose bits
-// 0..4 say which of Hello, Race, Result, Cancel and Clauses follow, then
-// those, in that order; each struct is its exported fields in declaration
-// order, nested structs inline and slices as lists. A guidance array
-// crosses as a list of runs (GuidanceRuns): N scores equal bit for bit to
-// the float with the bits Bits. Before a list is allocated its count is
-// checked against the bytes left, each element taking at least one; a
-// clause list's total must equal the sum of its lengths; and the message
-// must end where the payload does.
+// 0..5 say which of Hello, Race, Result, Cancel, Clauses and Circuit
+// follow, then those, in that order; each struct is its exported fields in
+// declaration order, nested structs inline and slices as lists. A guidance
+// array crosses as a list of runs (GuidanceRuns): N scores equal bit for
+// bit to the float with the bits Bits. Before a list is allocated its
+// count is checked against the bytes left, each element taking at least
+// one; a clause list's total must equal the sum of its lengths; and the
+// message must end where the payload does. A circuit is rebuilt through
+// the circuit builder, so each node keeps its NodeID; the decoder rejects
+// an AND gate whose fanins do not point below it or that the builder
+// folds or has made already, a latch without a next state, a signal past
+// the last node, and a WireCircuit.Property that names no property.
 //
 // The coordinator opens the conversation with Hello and the worker
 // answers HelloAck; version skew fails the handshake. After that the
-// coordinator sends RaceRequest, Cancel, ClausePayload, and Ping
+// coordinator sends Circuit, RaceRequest, Cancel, ClausePayload, and Ping
 // frames; the worker answers with RaceResponse and Pong frames. Races
 // are correlated by request ID, so a worker can run races for distinct
 // queries concurrently (the k-induction base and step pools race in
@@ -60,19 +69,22 @@
 //
 // # Warm state over the wire
 //
-// A live (RaceLive) race cannot ship its solvers, so the protocol ships
-// what built them instead: each RaceRequest carries the unrolled frames
-// the worker has not seen yet (the coordinator tracks a per-link
-// high-water mark, reset on reconnect so a fresh worker replays from
-// frame zero) plus each attempt's hook-free solver options — guidance,
-// budgets, deadline — as the pool computed them for the depth, and the
-// size the pool's growth rule hints its solvers for (RaceRequest.Grow). The
-// worker keeps the frames and loads a mirror through the routine racer.Pool
-// loads its own solvers with (racer.Feed.CatchUp), when the mirror is about
-// to search: the mirror is made then, sized by the hint, and its guidance
-// runs are expanded then, over the one array the mirror keeps. A mirror is
-// the same solver the pool would have raced locally, and verdicts are
-// equivalent by construction; one that never searches holds nothing.
+// A live (RaceLive) race ships neither its solvers nor the frames that
+// built them, which are a pure function of the circuit, the property, the
+// query and the depth. A link is sent a query's circuit (WireCircuit)
+// before the query's first race on it — again after a reconnect, or when a
+// new session's sequence takes the query over — and a race carries its
+// depth, the assumptions, each attempt's hook-free solver options and the
+// pool's growth hint (RaceRequest.Grow). The worker unrolls the circuit
+// itself and loads a mirror through racer.Feed.CatchUp, as racer.Pool loads
+// its own solvers, when the mirror is about to search: the mirror is made
+// then, sized by the hint, the depth's frame encoded, once per race, and
+// the guidance runs expanded over the one array the mirror keeps. No frame
+// outlives its race, on either end, and a mirror is the solver the pool
+// would have raced locally. A cold race builds its own unroll.Instance. A
+// depth past unroll.Fits, a query whose circuit the connection does not
+// hold or a second race on a busy query is answered with
+// RaceResponse.Err, and the coordinator re-races the attempts locally.
 package remote
 
 import (
@@ -85,6 +97,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/lits"
 	"repro/internal/obs"
@@ -94,11 +107,11 @@ import (
 
 // ProtocolVersion is bumped on any wire-incompatible change; the
 // handshake rejects mismatched peers.
-const ProtocolVersion = 4
+const ProtocolVersion = 5
 
-// DefaultMaxFrameBytes bounds one frame's payload (64 MiB — a deep
-// unrolling's frame batch fits with room to spare). The bound is
-// checked against the length prefix before any allocation.
+// DefaultMaxFrameBytes bounds one frame's payload (64 MiB — a circuit of
+// millions of gates, or a long clause payload, fits with room to spare).
+// The bound is checked against the length prefix before any allocation.
 const DefaultMaxFrameBytes = 64 << 20
 
 // headerLen is the length-prefix size.
@@ -129,31 +142,22 @@ const (
 	MsgClauses
 	MsgPing
 	MsgPong
+	MsgCircuit
 	msgKindEnd // sentinel: first invalid kind
 )
 
+// msgKindNames are the kinds' names in log lines.
+var msgKindNames = [msgKindEnd]string{
+	MsgHello: "hello", MsgHelloAck: "hello_ack", MsgRace: "race", MsgRaceResult: "race_result",
+	MsgCancel: "cancel", MsgClauses: "clauses", MsgPing: "ping", MsgPong: "pong", MsgCircuit: "circuit",
+}
+
 // String implements fmt.Stringer for log lines.
 func (k MsgKind) String() string {
-	switch k {
-	case MsgHello:
-		return "hello"
-	case MsgHelloAck:
-		return "hello_ack"
-	case MsgRace:
-		return "race"
-	case MsgRaceResult:
-		return "race_result"
-	case MsgCancel:
-		return "cancel"
-	case MsgClauses:
-		return "clauses"
-	case MsgPing:
-		return "ping"
-	case MsgPong:
-		return "pong"
-	default:
-		return fmt.Sprintf("msgkind(%d)", uint8(k))
+	if k > 0 && k < msgKindEnd {
+		return msgKindNames[k]
 	}
+	return fmt.Sprintf("msgkind(%d)", uint8(k))
 }
 
 // Message is the wire envelope: a kind plus the payload field that kind
@@ -167,6 +171,7 @@ type Message struct {
 	Result  *RaceResponse
 	Cancel  *Cancel
 	Clauses *ClausePayload
+	Circuit *WireCircuit
 }
 
 // Hello is the handshake payload, sent by the coordinator (Name is its
@@ -303,38 +308,35 @@ type WireAttempt struct {
 	Opts WireOptions
 }
 
-// WireFrame is one unrolled depth's delta formula. K is the depth;
-// frames for a query always arrive contiguously from the worker's
-// current high-water mark. NumVars is the total variable count after
-// this frame (racer.Pool feeds the same number to sat.Solver.AddVars).
-type WireFrame struct {
-	K       int
-	NumVars int
-	Clauses []cnf.Clause
+// WireCircuit is the circuit of one query, sent before the query's first
+// race on a link and again whenever the query's circuit changes (a new
+// session on the same executor). The worker unrolls it itself: Property is
+// the index of the checked property among the circuit's, Step picks the
+// k-induction step sequence over the BMC one. Circuit crosses node by node
+// in NodeID order and is rebuilt with the same IDs, so the worker's frames
+// are the coordinator's bit for bit.
+type WireCircuit struct {
+	Query    string
+	Step     bool
+	Property int
+	Circuit  *circuit.Circuit
 }
 
-// RaceRequest submits one race. Live races (Live true) address the
-// per-query mirror solvers, carrying the frames the worker is missing,
-// the depth's assumption list, and Grow, the size the coordinator's pool
-// hints its solvers for at this depth, which the mirrors are hinted for
-// too; cold races carry the whole formula and build throwaway solvers.
-// ExportMaxLen/ExportBudget, when nonzero, ask a live race to return its
-// mirrors' fresh learned clauses (the clause bus's worker-to-coordinator
-// half); ExportMaxLBD completes the quality filter.
+// RaceRequest submits one race: depth K of Query, whose circuit the link
+// already carried. Live races (Live true) address the per-query mirror
+// solvers and carry the depth's assumption list and Grow, the size the
+// coordinator's pool hints its solvers for at this depth, which the mirrors
+// are hinted for too; cold races build throwaway solvers over the depth-K
+// instance. ExportMaxLen/ExportBudget, when nonzero, ask a live race to
+// return its mirrors' fresh learned clauses (the clause bus's
+// worker-to-coordinator half); ExportMaxLBD completes the quality filter.
 type RaceRequest struct {
 	ID    uint64
 	Query string
 	K     int
 	Live  bool
 
-	// Cold races.
-	NumVars int
-	Formula []cnf.Clause
-
-	// Live races.
-	Frames  []WireFrame
-	Assumps []lits.Lit
-
+	Assumps  []lits.Lit
 	Attempts []WireAttempt
 	Jobs     int
 
@@ -437,6 +439,13 @@ type wireStats struct {
 	framesRecv *obs.Counter
 	bytesSent  *obs.Counter
 	bytesRecv  *obs.Counter
+}
+
+// newWireStats registers a Conn's counters in reg under the label pairs; a
+// nil registry gives nil handles.
+func newWireStats(reg *obs.Registry, labels ...string) wireStats {
+	n := func(base string) *obs.Counter { return reg.Counter(obs.Name(base, labels...)) }
+	return wireStats{n(metricNetFramesSent), n(metricNetFramesRecv), n(metricNetBytesSent), n(metricNetBytesRecv)}
 }
 
 // Conn frames Messages over a net.Conn: writes are serialized by an

@@ -14,9 +14,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
+	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/lits"
 	"repro/internal/sat"
+	"repro/internal/unroll"
 )
 
 // encodeFrame renders one message exactly as Conn.Send renders a
@@ -33,10 +36,27 @@ func readOne(b []byte, maxFrame int) (uint64, *Message, int, error) {
 	return readFrame(bytes.NewReader(b), maxFrame, &buf)
 }
 
+// fillCircuit is the circuit fill puts behind a *circuit.Circuit: every
+// kind of node, a latch that starts true, a next state that points forward
+// and two properties, so that fill's Property can name the second. Its
+// nodes are unnamed, as a circuit arrives: names do not cross the wire.
+func fillCircuit() *circuit.Circuit {
+	c := circuit.New("")
+	a, b := c.Input(""), c.Input("")
+	l0, l1 := c.Latch("", true), c.Latch("", false)
+	g := c.And(a, l0.Not())
+	c.SetNext(l0, c.Xor(g, l1))
+	c.SetNext(l1, c.And(b, g).Not())
+	c.AddProperty("p0", c.And(l0, l1))
+	c.AddProperty("p1", g)
+	return c
+}
+
 // fill sets every exported field reachable from v to a value that is not
 // its zero — two elements for each slice, a new value behind each pointer —
 // numbering the leaves so no two are alike. A field of a kind the codec has
-// no primitive for fails the test, and so does an unexported field.
+// no primitive for fails the test, and so does an unexported field. A
+// circuit, which the codec carries whole, is fillCircuit's.
 func fill(t testing.TB, v reflect.Value, n *int) {
 	t.Helper()
 	*n++
@@ -65,6 +85,10 @@ func fill(t testing.TB, v reflect.Value, n *int) {
 			v.Set(reflect.ValueOf(time.Unix(0, 1_700_000_000_000_000_000+int64(i))))
 			return
 		}
+		if v.Type() == reflect.TypeOf(circuit.Circuit{}) {
+			v.Set(reflect.ValueOf(fillCircuit()).Elem())
+			return
+		}
 		for f := 0; f < v.NumField(); f++ {
 			if !v.Type().Field(f).IsExported() {
 				t.Fatalf("%s.%s is unexported: the codec cannot carry it", v.Type(), v.Type().Field(f).Name)
@@ -76,17 +100,25 @@ func fill(t testing.TB, v reflect.Value, n *int) {
 	}
 }
 
-// TestWireRoundTrip: every message kind, with every field of every payload
-// set, survives Send/Recv over a pipe unchanged — a race request with a
-// cold formula, frames and guidance runs, a response with a model, failed
-// assumptions, outcomes and exported clauses, a clause payload. The filler
-// sets each exported field non-zero, so a wire struct that gains a field
-// the codec drops fails here.
-func TestWireRoundTrip(t *testing.T) {
+// fullMessage is a message with every payload and every field of each set
+// by fill, its circuit's property index in range.
+func fullMessage(tb testing.TB) Message {
 	var full Message
 	n := 0
-	fill(t, reflect.ValueOf(&full).Elem(), &n)
-	if full.Race.Formula == nil || full.Result.Race.Result.Model == nil || full.Clauses.Clauses == nil {
+	fill(tb, reflect.ValueOf(&full).Elem(), &n)
+	full.Circuit.Property = 1
+	return full
+}
+
+// TestWireRoundTrip: every message kind, with every field of every payload
+// set, survives Send/Recv over a pipe unchanged — a race request with
+// guidance runs, a response with a model, failed assumptions, outcomes and
+// exported clauses, a clause payload, a circuit. The filler sets each
+// exported field non-zero, so a wire struct that gains a field the codec
+// drops fails here.
+func TestWireRoundTrip(t *testing.T) {
+	full := fullMessage(t)
+	if full.Race.Assumps == nil || full.Result.Race.Result.Model == nil || full.Clauses.Clauses == nil || full.Circuit.Circuit == nil {
 		t.Fatal("the filler left a payload empty")
 	}
 	coord, worker := net.Pipe()
@@ -109,6 +141,125 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Errorf("%v: round trip mutated the message:\ngot  %+v\nwant %+v", kind, got, &want)
 		}
 	}
+}
+
+// TestCircuitRoundTrip: every suite circuit crosses the wire node for node:
+// each NodeID keeps its kind, fanins, latch initial value and next state,
+// the properties survive, and the worker's unrolling of the received
+// circuit — both queries' frames, depths 0 to 5 — is the sender's bit for
+// bit.
+func TestCircuitRoundTrip(t *testing.T) {
+	for _, m := range bench.Suite() {
+		c := m.Build()
+		for prop := range c.Properties() {
+			for _, step := range []bool{false, true} {
+				sent := &WireCircuit{Query: "q", Step: step, Property: prop, Circuit: c}
+				_, msg, _, err := readOne(encodeFrame(t, &Message{Kind: MsgCircuit, Circuit: sent}), DefaultMaxFrameBytes)
+				if err != nil {
+					t.Fatalf("%s: %v", m.Name, err)
+				}
+				got := msg.Circuit
+				if got.Query != sent.Query || got.Step != step || got.Property != prop {
+					t.Fatalf("%s: header %+v, want %+v", m.Name, got, sent)
+				}
+				sameCircuit(t, m.Name, got.Circuit, c)
+				sameFrames(t, m.Name, got.Circuit, c, prop)
+			}
+		}
+	}
+}
+
+// sameCircuit fails unless got has want's nodes, node by node, and its
+// properties.
+func sameCircuit(t *testing.T, name string, got, want *circuit.Circuit) {
+	t.Helper()
+	if got.NumNodes() != want.NumNodes() {
+		t.Fatalf("%s: %d nodes, want %d", name, got.NumNodes(), want.NumNodes())
+	}
+	for id := circuit.NodeID(1); int(id) < want.NumNodes(); id++ {
+		kind := want.Kind(id)
+		if got.Kind(id) != kind {
+			t.Fatalf("%s: n%d is a %v, want a %v", name, id, got.Kind(id), kind)
+		}
+		switch kind {
+		case circuit.KindAnd:
+			ga, gb := got.Fanins(id)
+			wa, wb := want.Fanins(id)
+			if ga != wa || gb != wb {
+				t.Fatalf("%s: n%d = %v ∧ %v, want %v ∧ %v", name, id, ga, gb, wa, wb)
+			}
+		case circuit.KindLatch:
+			if got.LatchInit(id) != want.LatchInit(id) || got.LatchNext(id) != want.LatchNext(id) {
+				t.Fatalf("%s: latch n%d starts %v, next %v; want %v, %v", name, id,
+					got.LatchInit(id), got.LatchNext(id), want.LatchInit(id), want.LatchNext(id))
+			}
+		}
+	}
+	if !slices.Equal(got.Inputs(), want.Inputs()) || !slices.Equal(got.Latches(), want.Latches()) ||
+		!slices.Equal(got.Properties(), want.Properties()) {
+		t.Fatalf("%s: inputs, latches or properties differ", name)
+	}
+}
+
+// sameFrames fails unless both circuits unroll, for property prop, to the
+// same delta and step frames at depths 0..5.
+func sameFrames(t *testing.T, name string, got, want *circuit.Circuit, prop int) {
+	t.Helper()
+	gu, err := unroll.New(got, prop)
+	if err != nil {
+		t.Fatalf("%s: the received circuit does not unroll: %v", name, err)
+	}
+	wu, err := unroll.New(want, prop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gd, wd, gs, ws := gu.Delta(), wu.Delta(), gu.StepDelta(), wu.StepDelta()
+	for k := 0; k <= 5; k++ {
+		if !reflect.DeepEqual(gd.Frame(k), wd.Frame(k)) {
+			t.Fatalf("%s/%d: delta frame %d differs", name, prop, k)
+		}
+		if !reflect.DeepEqual(gs.Frame(k), ws.Frame(k)) {
+			t.Fatalf("%s/%d: step frame %d differs", name, prop, k)
+		}
+	}
+}
+
+// rawNode is one node as appendCircuit writes it; rawCircuit writes nodes,
+// next states and properties as given, so a test can make them disagree.
+type rawNode struct {
+	kind circuit.NodeKind
+	a, b uint64 // an AND gate's fanin signals
+	init bool   // a latch's
+}
+
+// rawCircuit renders a circuit message frame whose circuit claims count
+// nodes and holds the given ones after the constant, then the next states
+// and the bad signals of unnamed properties, for property index prop.
+func rawCircuit(prop int, count uint64, nodes []rawNode, nexts, bads []uint64) []byte {
+	p := []byte{0, byte(MsgCircuit), 0, hasCircuit} // frame number, kind, seq, payloads
+	p = appendString(p, "bmc")
+	p = appendBool(p, false)
+	p = binary.AppendVarint(p, int64(prop))
+	p = binary.AppendUvarint(p, count)
+	for _, nd := range nodes {
+		p = append(p, byte(nd.kind))
+		switch nd.kind {
+		case circuit.KindInput:
+		case circuit.KindLatch:
+			p = appendBool(p, nd.init)
+		default:
+			p = binary.AppendUvarint(binary.AppendUvarint(p, nd.a), nd.b)
+		}
+	}
+	p = binary.AppendUvarint(p, uint64(len(nexts)))
+	for _, n := range nexts {
+		p = binary.AppendUvarint(p, n)
+	}
+	p = binary.AppendUvarint(p, uint64(len(bads)))
+	for _, b := range bads {
+		p = binary.AppendUvarint(appendString(p, ""), b)
+	}
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(p))), p...)
 }
 
 // TestOptionsPerAttempt: sat.Options holds exactly what varies from one
@@ -244,26 +395,71 @@ func TestReadMessageRejects(t *testing.T) {
 		}
 	})
 	t.Run("runs-not-covering", func(t *testing.T) {
+		// A two-node circuit: the delta numbering gives depth 0 three
+		// variables (the input, the latch, the activation), so four scores;
+		// the scratch numbering two variables, so three.
+		c := circuit.New("tiny")
+		x := c.Input("x")
+		l := c.Latch("l", false)
+		c.SetNext(l, x)
+		c.AddProperty("bad", l)
 		w := NewWorker(WorkerOptions{})
-		x1, x2 := lits.PosLit(1), lits.PosLit(2)
-		frame := WireFrame{K: 0, NumVars: 5, Clauses: []cnf.Clause{{x1, x2}}}
-		for _, runs := range []GuidanceRuns{{{N: 5}}, {{N: 6}, {N: 1}}, {{N: 1 << 40}}, {{N: math.MaxUint64}, {N: 7}}} {
-			live := &RaceRequest{ID: 1, Query: "bmc", Live: true, Frames: []WireFrame{frame},
-				Assumps: []lits.Lit{x1}, Attempts: []WireAttempt{{Name: "static", Opts: WireOptions{Guidance: runs}}}}
-			cold := &RaceRequest{ID: 2, Query: "bmc", NumVars: 5, Formula: frame.Clauses, Attempts: live.Attempts}
-			for _, req := range []*RaceRequest{live, cold} {
-				if resp := w.runRace(newConnSession(), req, nil); resp.Err == "" {
-					t.Errorf("live %v: guidance runs %v for 5 variables raced", req.Live, runs)
+		sess := newConnSession()
+		if err := sess.install(&WireCircuit{Query: "bmc", Circuit: c}); err != nil {
+			t.Fatal(err)
+		}
+		live := func(runs GuidanceRuns) *RaceRequest {
+			return &RaceRequest{ID: 1, Query: "bmc", Live: true, Jobs: 1,
+				Assumps: []lits.Lit{sess.queries["bmc"].src.Assumption(0)}, Attempts: []WireAttempt{{Name: "static", Opts: WireOptions{Guidance: runs}}}}
+		}
+		cold := func(runs GuidanceRuns) *RaceRequest {
+			return &RaceRequest{ID: 2, Query: "bmc", Jobs: 1, Attempts: []WireAttempt{{Name: "static", Opts: WireOptions{Guidance: runs}}}}
+		}
+		for _, runs := range []GuidanceRuns{{{N: 5}}, {{N: 2}}, {{N: 3}, {N: 2}}, {{N: 1 << 40}}, {{N: math.MaxUint64}, {N: 7}}} {
+			for _, req := range []*RaceRequest{live(runs), cold(runs)} {
+				if resp := w.runRace(sess, req, nil); resp.Err == "" {
+					t.Errorf("live %v: guidance runs %v for depth 0 raced", req.Live, runs)
 				}
 			}
 		}
-		ok := &RaceRequest{ID: 3, Query: "bmc", Live: true, Frames: []WireFrame{frame}, Jobs: 1,
-			Assumps: []lits.Lit{x1}, Attempts: []WireAttempt{{Name: "static", Opts: WireOptions{Guidance: GuidanceRuns{{N: 6}}}}}}
-		if resp := w.runRace(newConnSession(), &RaceRequest{ID: 4, Query: "bmc", Live: true, Jobs: 1, Attempts: ok.Attempts}, nil); resp.Err == "" {
-			t.Error("a live race on a query without frames raced")
+		if resp := w.runRace(newConnSession(), live(GuidanceRuns{{N: 4}}), nil); resp.Err == "" {
+			t.Error("a live race on a query without its circuit raced")
 		}
-		if resp := w.runRace(newConnSession(), ok, nil); resp.Err != "" || !resp.Race.Result.Status.Decided() {
-			t.Errorf("runs covering the 5 variables: %q, %v", resp.Err, resp.Race.Result.Status)
+		for _, req := range []*RaceRequest{live(GuidanceRuns{{N: 4}}), cold(GuidanceRuns{{N: 3}})} {
+			if resp := w.runRace(sess, req, nil); resp.Err != "" || !resp.Race.Result.Status.Decided() {
+				t.Errorf("live %v: runs covering depth 0's variables: %q, %v", req.Live, resp.Err, resp.Race.Result.Status)
+			}
+		}
+	})
+	t.Run("circuit", func(t *testing.T) {
+		// n1 an input, n2 a latch, n3 = n1 ∧ ¬n2 the latch's next state and
+		// the bad signal.
+		in, latch := rawNode{kind: circuit.KindInput}, rawNode{kind: circuit.KindLatch, init: true}
+		gate := func(a, b uint64) rawNode { return rawNode{kind: circuit.KindAnd, a: a, b: b} }
+		if _, m, _, err := readOne(rawCircuit(0, 4, []rawNode{in, latch, gate(2, 5)}, []uint64{6}, []uint64{6}), 1<<20); err != nil {
+			t.Fatalf("the valid circuit: %v", err)
+		} else if got := m.Circuit.Circuit; got.NumNodes() != 4 || got.LatchNext(2) != 6 || !got.LatchInit(2).IsTrue() {
+			t.Fatalf("the valid circuit decoded as %s", got.Stats())
+		}
+		for _, tc := range []struct {
+			name  string
+			frame []byte
+		}{
+			{"node-count", rawCircuit(0, 1<<40, []rawNode{in, latch, gate(2, 5)}, []uint64{6}, []uint64{6})},
+			{"forward-fanin", rawCircuit(0, 5, []rawNode{in, latch, gate(2, 8), in}, []uint64{6}, []uint64{6})},
+			{"self-fanin", rawCircuit(0, 4, []rawNode{in, latch, gate(2, 6)}, []uint64{6}, []uint64{6})},
+			{"folded-gate", rawCircuit(0, 4, []rawNode{in, latch, gate(2, 2)}, []uint64{6}, []uint64{6})},
+			{"repeated-gate", rawCircuit(0, 5, []rawNode{in, latch, gate(2, 5), gate(2, 5)}, []uint64{6}, []uint64{6})},
+			{"unknown-kind", rawCircuit(0, 4, []rawNode{in, latch, {kind: 9}}, []uint64{6}, []uint64{6})},
+			{"unset-next", rawCircuit(0, 4, []rawNode{in, latch, gate(2, 5)}, nil, []uint64{6})},
+			{"next-past-nodes", rawCircuit(0, 4, []rawNode{in, latch, gate(2, 5)}, []uint64{8}, []uint64{6})},
+			{"bad-past-nodes", rawCircuit(0, 4, []rawNode{in, latch, gate(2, 5)}, []uint64{6}, []uint64{9})},
+			{"property-range", rawCircuit(1, 4, []rawNode{in, latch, gate(2, 5)}, []uint64{6}, []uint64{6})},
+			{"negative-property", rawCircuit(-1, 4, []rawNode{in, latch, gate(2, 5)}, []uint64{6}, []uint64{6})},
+		} {
+			if _, m, _, err := readOne(tc.frame, 1<<20); err == nil {
+				t.Errorf("%s: accepted as %s", tc.name, m.Circuit.Circuit.Stats())
+			}
 		}
 	})
 	t.Run("valid", func(t *testing.T) {
@@ -340,16 +536,16 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(encodeFrame(f, &Message{Kind: MsgHello, Hello: &Hello{Version: 1, Name: "fuzz"}}))
 	f.Add(encodeFrame(f, &Message{Kind: MsgCancel, Cancel: &Cancel{ID: 12}}))
 	f.Add(encodeFrame(f, &Message{Kind: MsgRace, Race: &RaceRequest{
-		ID: 1, Query: "bmc", Live: true,
-		Frames:   []WireFrame{{K: 0, NumVars: 2, Clauses: []cnf.Clause{{1, 2}}}},
+		ID: 1, Query: "bmc", K: 3, Live: true, Assumps: []lits.Lit{7},
 		Attempts: []WireAttempt{{Name: "vsids"}, {Name: "static", Opts: WireOptions{Guidance: GuidanceRuns{{N: 2}, {N: 1, Bits: math.Float64bits(1.5)}}}}},
 	}}))
+	for _, c := range []*circuit.Circuit{fillCircuit(), bench.Counter(3, 5, 1, 2), bench.TrafficLight(true, 0, 0)} {
+		f.Add(encodeFrame(f, &Message{Kind: MsgCircuit, Circuit: &WireCircuit{Query: "step", Step: true, Circuit: c}}))
+	}
 	f.Add(encodeFrame(f, &Message{Kind: MsgClauses, Clauses: &ClausePayload{
 		Query: "step", K: 3, From: "vsids", Clauses: []cnf.Clause{{-1, 2, 3}},
 	}}))
-	var full Message
-	n := 0
-	fill(f, reflect.ValueOf(&full).Elem(), &n)
+	full := fullMessage(f)
 	full.Kind = MsgRaceResult
 	f.Add(encodeFrame(f, &full))
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/portfolio"
 	"repro/internal/racer"
 	"repro/internal/sat"
+	"repro/internal/unroll"
 )
 
 // Worker-side defaults. The idle timeout must comfortably exceed the
@@ -59,9 +60,9 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 }
 
 // Worker executes races for remote coordinators. Each connection gets
-// its own isolated solver state — the frames of each query and
-// per-(query, strategy) persistent mirror solvers, loaded from those
-// frames when they are about to search, exactly as racer.Pool loads its
+// its own isolated solver state — the circuit of each query and
+// per-(query, strategy) persistent mirror solvers, loaded from its
+// unrolling when they are about to search, exactly as racer.Pool loads its
 // local racers — so one daemon serves many concurrent sessions, and a
 // session's mirrors die with its connection. A Worker is safe for
 // concurrent use; Serve and ServeConn may be called from any number of
@@ -105,14 +106,7 @@ func (w *Worker) Serve(ln net.Listener) error {
 // leakage past it.
 func (w *Worker) ServeConn(nc net.Conn) {
 	fc := NewConn(nc, w.opts.MaxFrameBytes)
-	if w.opts.Metrics != nil {
-		fc.stats = wireStats{
-			framesSent: w.opts.Metrics.Counter(metricNetFramesSent),
-			framesRecv: w.opts.Metrics.Counter(metricNetFramesRecv),
-			bytesSent:  w.opts.Metrics.Counter(metricNetBytesSent),
-			bytesRecv:  w.opts.Metrics.Counter(metricNetBytesRecv),
-		}
-	}
+	fc.stats = newWireStats(w.opts.Metrics)
 	defer fc.Close()
 	peer := fc.RemoteAddr()
 
@@ -133,16 +127,19 @@ func (w *Worker) ServeConn(nc net.Conn) {
 	w.logf("%s: session %q connected", peer, m.Hello.Name)
 
 	sess := newConnSession()
+	// A connection that ends answers none of its running races: they are
+	// cancelled and the connection closed before they are joined, so the
+	// coordinator fails them over to its local solvers instead of taking a
+	// race cut short here for one that could not decide.
 	var races sync.WaitGroup
-	defer races.Wait()
-	defer sess.cancelAll()
+	defer func() {
+		sess.cancelAll()
+		fc.Close()
+		races.Wait()
+	}()
 
-	var mRaces, mRaceErrs *obs.Counter
-	if w.opts.Metrics != nil {
-		w.opts.Metrics.Counter(metricWorkerConnections).Inc()
-		mRaces = w.opts.Metrics.Counter(metricWorkerRaces)
-		mRaceErrs = w.opts.Metrics.Counter(metricWorkerRaceErrors)
-	}
+	w.opts.Metrics.Counter(metricWorkerConnections).Inc()
+	mRaces, mRaceErrs := w.opts.Metrics.Counter(metricWorkerRaces), w.opts.Metrics.Counter(metricWorkerRaceErrors)
 
 	for {
 		m, err := fc.Recv(w.opts.IdleTimeout)
@@ -170,7 +167,7 @@ func (w *Worker) ServeConn(nc net.Conn) {
 				if resp.Err != "" {
 					mRaceErrs.Inc()
 				}
-				sess.unregister(req.ID)
+				sess.cancel(req.ID)
 				if err := fc.Send(&Message{Kind: MsgRaceResult, Result: resp}, w.opts.WriteTimeout); err != nil {
 					w.logf("%s: race %d response: %v", peer, req.ID, err)
 				}
@@ -182,6 +179,12 @@ func (w *Worker) ServeConn(nc net.Conn) {
 		case MsgClauses:
 			if m.Clauses != nil {
 				sess.enqueueClauses(m.Clauses)
+			}
+		case MsgCircuit:
+			if m.Circuit != nil {
+				if err := sess.install(m.Circuit); err != nil {
+					w.logf("%s: circuit of query %q: %v", peer, m.Circuit.Query, err)
+				}
 			}
 		case MsgHello, MsgHelloAck, MsgRaceResult, MsgPong, msgKindEnd:
 			w.logf("%s: unexpected %v frame", peer, m.Kind)
@@ -198,34 +201,30 @@ func (w *Worker) logf(format string, args ...any) {
 
 // runRace executes one race request against the connection's state.
 func (w *Worker) runRace(sess *connSession, req *RaceRequest, stop <-chan struct{}) *RaceResponse {
-	if !req.Live {
-		attempts := make([]portfolio.Attempt, len(req.Attempts))
-		for i, a := range req.Attempts {
-			if err := a.Opts.Guidance.covers(req.NumVars + 1); err != nil {
-				return &RaceResponse{ID: req.ID, Err: err.Error()}
-			}
-			attempts[i] = portfolio.Attempt{Name: a.Name, Opts: a.Opts.toSatOptions()}
-			attempts[i].Opts.Guidance = a.Opts.Guidance.expand(nil, req.NumVars+1, 0)
-		}
-		f := &cnf.Formula{NumVars: req.NumVars, Clauses: req.Formula}
-		return &RaceResponse{ID: req.ID, Race: portfolio.Race(f, attempts, req.Jobs, stop)}
-	}
-
-	q, pending, err := sess.beginLive(req)
+	q, pending, err := sess.begin(req)
 	if err != nil {
 		return &RaceResponse{ID: req.ID, Err: err.Error()}
 	}
-	defer sess.endLive(req.Query)
+	defer sess.end(q)
 
-	// The query is marked busy: this goroutine owns its mirrors until
-	// endLive, and hands each to at most one race goroutine. Imports are
-	// queued for the mirrors of this request at this depth's boundary and
-	// go in, with the frames a mirror is missing, when it is about to
-	// search (the import contract: it is at rest then).
-	k := len(q.history) - 1
-	frames := func(d int) *cnf.Formula {
-		return &cnf.Formula{NumVars: q.history[d].NumVars, Clauses: q.history[d].Clauses}
+	if !req.Live {
+		f := q.instance().Extend(req.K)
+		attempts := make([]portfolio.Attempt, len(req.Attempts))
+		for i, a := range req.Attempts {
+			attempts[i] = portfolio.Attempt{Name: a.Name, Opts: a.Opts.toSatOptions()}
+			attempts[i].Opts.Guidance = a.Opts.Guidance.expand(nil, f.NumVars+1, 0)
+		}
+		return &RaceResponse{ID: req.ID, Race: portfolio.Race(f, attempts, req.Jobs, stop)}
 	}
+
+	// The query is marked busy: this goroutine owns its mirrors until end,
+	// and hands each to at most one race goroutine. Imports are queued for
+	// the mirrors of this request at this depth's boundary and go in, with
+	// the frames a mirror is missing (depth k's encoded once, by the first
+	// mirror to need it), when it is about to search and at rest.
+	k := req.K
+	frames := racer.NewDepthFrames(q.src, k)
+	scores := q.src.NumVars(k) + 1
 	attempts := make([]portfolio.LiveAttempt, len(req.Attempts))
 	for i := range req.Attempts {
 		a := &req.Attempts[i]
@@ -238,7 +237,7 @@ func (w *Worker) runRace(sess *connSession, req *RaceRequest, stop <-chan struct
 			m.feed.Deliver(k, "", pending)
 		}
 		attempts[i] = portfolio.LiveAttempt{Name: a.Name, Solver: func() *sat.Solver {
-			return m.catchUp(k, frames, &a.Opts, req.Grow)
+			return m.catchUp(k, frames, scores, &a.Opts, req.Grow)
 		}}
 	}
 
@@ -270,23 +269,33 @@ type connSession struct {
 	queries map[string]*workerQuery
 }
 
-// workerQuery is one instance sequence's mirror state: the full frame
-// history (a mirror loads from it when it first gets to search, at
-// whatever depth that is), the per-strategy mirrors, and clause imports
-// awaiting the next race. busy serializes races per query — the
-// coordinator never overlaps them, so a second race for a busy query is
-// protocol misuse and is rejected rather than queued.
+// workerQuery is one query's state on a connection: the unrolling of its
+// circuit (src for live races, an unroll.Instance made per cold race), the
+// per-strategy mirrors, and clause imports awaiting the next live race.
+// busy serializes races per query — the coordinator never overlaps them,
+// so a second race for a busy query is protocol misuse and is rejected
+// rather than queued.
 type workerQuery struct {
-	history []WireFrame
+	u       *unroll.Unroller
+	step    bool
+	src     racer.Source
 	mirrors map[string]*mirror
 	pending []cnf.Clause
 	busy    bool
 }
 
+// instance returns a new, empty instance of the query for a cold race.
+func (q *workerQuery) instance() *unroll.Instance {
+	if q.step {
+		return q.u.StepInstance()
+	}
+	return q.u.Instance()
+}
+
 // mirror is one strategy's persistent worker-side solver: the solver with
-// its load state (frames of the history held, imports waiting), the array
-// its guidance is expanded over, and the learned-clause export high-water
-// mark. The solver and the array are made when the mirror first searches.
+// its load state (frames held, imports waiting), the array its guidance is
+// expanded over, and the learned-clause export high-water mark. The solver
+// and the array are made when the mirror first searches.
 type mirror struct {
 	feed     racer.Feed
 	guidance []float64
@@ -296,10 +305,10 @@ type mirror struct {
 // catchUp is the mirror's load at depth k, on the race goroutine about to
 // solve, as racer.Pool's is for its racers: the solver is made at the
 // first load and sized ahead by the pool's hint at every one, and the
-// attempt's guidance runs — which beginLive checked cover depth k — are
-// expanded over the mirror's one array, replaced by one sized as the
+// attempt's guidance runs — which begin checked cover the depth's scores —
+// are expanded over the mirror's one array, replaced by one sized as the
 // solver is when it no longer fits.
-func (m *mirror) catchUp(k int, frames func(d int) *cnf.Formula, opts *WireOptions, grow portfolio.Growth) *sat.Solver {
+func (m *mirror) catchUp(k int, frames *racer.DepthFrames, scores int, opts *WireOptions, grow portfolio.Growth) *sat.Solver {
 	s := m.feed.Solver
 	if s == nil {
 		s = new(sat.Solver)
@@ -309,9 +318,8 @@ func (m *mirror) catchUp(k int, frames func(d int) *cnf.Formula, opts *WireOptio
 	} else {
 		s.Grow(grow.Vars, grow.Clauses)
 	}
-	n := frames(k).NumVars + 1
-	m.guidance = opts.Guidance.expand(m.guidance, n, grow.Vars+1)
-	s, _ = m.feed.CatchUp(k, frames, m.guidance, opts.SwitchAfterDecisions)
+	m.guidance = opts.Guidance.expand(m.guidance, scores, grow.Vars+1)
+	s, _ = m.feed.CatchUp(k, frames.Frame, m.guidance, opts.SwitchAfterDecisions)
 	return s
 }
 
@@ -331,15 +339,8 @@ func (s *connSession) register(id uint64) <-chan struct{} {
 	return ch
 }
 
-// unregister removes a finished race; its channel (closed or not) is
-// dropped.
-func (s *connSession) unregister(id uint64) {
-	s.mu.Lock()
-	delete(s.stops, id)
-	s.mu.Unlock()
-}
-
-// cancel closes the race's stop channel, if it is still running.
+// cancel closes the race's stop channel and forgets it, if the race is
+// still running or has just finished (it no longer looks at the channel).
 func (s *connSession) cancel(id uint64) {
 	s.mu.Lock()
 	ch, ok := s.stops[id]
@@ -356,77 +357,83 @@ func (s *connSession) cancel(id uint64) {
 // teardown).
 func (s *connSession) cancelAll() {
 	s.mu.Lock()
-	chans := make([]chan struct{}, 0, len(s.stops))
-	for id, ch := range s.stops {
-		chans = append(chans, ch)
-		delete(s.stops, id)
-	}
+	stops := s.stops
+	s.stops = make(map[uint64]chan struct{})
 	s.mu.Unlock()
-	for _, ch := range chans {
+	for _, ch := range stops {
 		close(ch)
 	}
 }
 
+// install makes wc's circuit its query's, with no mirrors and no pending
+// imports; a race still running on the old state keeps it until it ends.
+func (s *connSession) install(wc *WireCircuit) error {
+	u, err := unroll.New(wc.Circuit, wc.Property)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		delete(s.queries, wc.Query)
+		return err
+	}
+	q := &workerQuery{u: u, step: wc.Step, mirrors: make(map[string]*mirror)}
+	if wc.Step {
+		q.src = racer.StepSource(u.StepDelta())
+	} else {
+		q.src = racer.DeltaSource(u.Delta())
+	}
+	s.queries[wc.Query] = q
+	return nil
+}
+
 // enqueueClauses parks a clause payload for import before the query's
-// next race.
+// next live race. A payload for a query whose circuit the connection does
+// not hold is dropped: the circuit, when it comes, starts no mirror warm.
 func (s *connSession) enqueueClauses(p *ClausePayload) {
 	s.mu.Lock()
-	q := s.queries[p.Query]
-	if q == nil {
-		q = &workerQuery{mirrors: make(map[string]*mirror)}
-		s.queries[p.Query] = q
+	if q := s.queries[p.Query]; q != nil {
+		q.pending = append(q.pending, p.Clauses...)
 	}
-	q.pending = append(q.pending, p.Clauses...)
 	s.mu.Unlock()
 }
 
-// beginLive claims the request's query for one race: it validates and
-// appends the request's frames to the history, checks that the history
-// holds a frame and every attempt's guidance covers the last one's
-// variables, takes the pending clause imports, and marks the query busy.
-// The returned workerQuery is owned by the caller until endLive.
-func (s *connSession) beginLive(req *RaceRequest) (*workerQuery, []cnf.Clause, error) {
+// begin claims the request's query for one race, owned by the caller
+// until end: the connection must hold its circuit, the depth-K instance
+// must fit unroll's size bound and every attempt's guidance must cover its
+// variables. A live race takes the pending clause imports.
+func (s *connSession) begin(req *RaceRequest) (*workerQuery, []cnf.Clause, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	q := s.queries[req.Query]
-	if q == nil {
-		q = &workerQuery{mirrors: make(map[string]*mirror)}
-		s.queries[req.Query] = q
-	}
-	if q.busy {
+	switch {
+	case q == nil:
+		return nil, nil, fmt.Errorf("remote: race for query %q, whose circuit this connection does not hold", req.Query)
+	case q.busy:
 		return nil, nil, fmt.Errorf("remote: query %q already racing", req.Query)
 	}
-	for _, fr := range req.Frames {
-		switch {
-		case fr.K < len(q.history):
-			// Replayed frame (coordinator reset its mark): already held.
-		case fr.K == len(q.history):
-			q.history = append(q.history, fr)
-		default:
-			return nil, nil, fmt.Errorf("remote: frame gap for query %q: got depth %d, have %d frames",
-				req.Query, fr.K, len(q.history))
-		}
+	size := q.src.Size
+	if !req.Live {
+		size = q.instance().Size
 	}
-	if len(q.history) == 0 {
-		return nil, nil, fmt.Errorf("remote: live race for query %q before its first frame", req.Query)
+	if !unroll.Fits(req.K, size) {
+		return nil, nil, fmt.Errorf("remote: depth %d of query %q is past the bound on an instance's size", req.K, req.Query)
 	}
-	scores := q.history[len(q.history)-1].NumVars + 1
+	vars, _, _ := size(req.K)
 	for _, a := range req.Attempts {
-		if err := a.Opts.Guidance.covers(scores); err != nil {
+		if err := a.Opts.Guidance.covers(vars + 1); err != nil {
 			return nil, nil, fmt.Errorf("%w (query %q, attempt %s)", err, req.Query, a.Name)
 		}
 	}
-	pending := q.pending
-	q.pending = nil
+	var pending []cnf.Clause
+	if req.Live {
+		pending, q.pending = q.pending, nil
+	}
 	q.busy = true
 	return q, pending, nil
 }
 
-// endLive releases the query claimed by beginLive.
-func (s *connSession) endLive(query string) {
+// end releases the query claimed by begin.
+func (s *connSession) end(q *workerQuery) {
 	s.mu.Lock()
-	if q := s.queries[query]; q != nil {
-		q.busy = false
-	}
+	q.busy = false
 	s.mu.Unlock()
 }

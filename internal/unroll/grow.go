@@ -53,6 +53,28 @@ func GrowthDepth(k, maxDepth int, size func(t int) int) int {
 	return deepest(func(t int) bool { return size(t) <= limit })
 }
 
+// Fits reports whether the depth-k instance whose variables, clauses and
+// literals size(k) counts is within the bound GrowthDepth sizes storage
+// for. It is the bound a peer's request for depth k is held to before any
+// frame is encoded: size is Instance.Size, Delta.Size or StepDelta.Size,
+// and no size it evaluates can overflow — the depths are galloped from 1,
+// so the first one past the bound is at most twice one within it.
+func Fits(k int, size func(k int) (vars, clauses, literals int)) bool {
+	total := func(t int) int {
+		vars, clauses, literals := size(t)
+		return vars + clauses + literals
+	}
+	if k < 0 || k > maxSizedInstance {
+		return false
+	}
+	for t := 1; t < k; t *= 2 {
+		if total(t) > maxSizedInstance {
+			return false
+		}
+	}
+	return total(k) <= maxSizedInstance
+}
+
 // transition returns the clause and literal counts of one step of the latch
 // transitions: a unit per latch whose next state is a constant, an
 // equivalence's two binary clauses per other latch.

@@ -1,6 +1,7 @@
 package unroll
 
 import (
+	"math"
 	"slices"
 	"testing"
 )
@@ -42,5 +43,49 @@ func TestGrowthDepth(t *testing.T) {
 	}
 	if got := GrowthDepth(0, 1<<40, quadratic); quadratic(got) > maxSizedInstance {
 		t.Errorf("a 2^40-depth check sized depth 0 for depth %d, of size %d", got, quadratic(got))
+	}
+}
+
+// TestFits: a depth fits exactly when its instance's size is within
+// maxSizedInstance — for each sizer of each circuit, the deepest depth
+// within it fits and the next does not — and a negative depth, one past the
+// bound itself or the largest int never does, however fast the size grows
+// (the step query's is quadratic in the depth).
+func TestFits(t *testing.T) {
+	for _, c := range sizeCircuits() {
+		u, err := New(c, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, size := range map[string]func(k int) (int, int, int){
+			"instance": u.Instance().Size, "step-instance": u.StepInstance().Size,
+			"delta": u.Delta().Size, "step-delta": u.StepDelta().Size,
+		} {
+			total := func(k int) int {
+				vars, clauses, literals := size(k)
+				return vars + clauses + literals
+			}
+			// The first depth past the bound: gallop, then bisect.
+			lo, hi := 0, 1
+			for total(hi) <= maxSizedInstance && hi <= maxSizedInstance {
+				lo, hi = hi, 2*hi
+			}
+			for hi-lo > 1 {
+				if mid := lo + (hi-lo)/2; total(mid) <= maxSizedInstance {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+			if !Fits(lo, size) || Fits(hi, size) {
+				t.Errorf("%s %s: depth %d (size %d) fits %v, depth %d (size %d) fits %v",
+					c.Name(), name, lo, total(lo), Fits(lo, size), hi, total(hi), Fits(hi, size))
+			}
+			for _, k := range []int{-1, maxSizedInstance + 1, math.MaxInt} {
+				if Fits(k, size) {
+					t.Errorf("%s %s: depth %d fits", c.Name(), name, k)
+				}
+			}
+		}
 	}
 }
