@@ -22,9 +22,6 @@
 // -csv switches the output to machine-readable CSV where available, -quick
 // caps depths and budgets for a fast smoke run, and -budget sets the
 // per-model wall-clock cap (the analogue of the paper's 2-hour timeout).
-// -bench-json additionally writes each experiment's grid as a perfbench
-// artifact — the same schema-versioned JSON cmd/bmcbench emits — so every
-// table feeds the same baseline/Compare machinery.
 package main
 
 import (
@@ -33,13 +30,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/experiments"
-	"repro/internal/perfbench"
 )
 
 // validExperiments is the single source of the -experiment vocabulary:
@@ -53,17 +48,6 @@ func validExperiments() []string {
 	return append(names, "cdgmemory", "all")
 }
 
-// benchJSONPath is where an experiment's artifact goes: the -bench-json
-// path itself when one experiment was selected, <stem>-<experiment><ext>
-// beside it when several were (so none overwrites another).
-func benchJSONPath(path, experiment string, several bool) string {
-	if !several {
-		return path
-	}
-	ext := filepath.Ext(path)
-	return strings.TrimSuffix(path, ext) + "-" + experiment + ext
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -73,12 +57,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tablegen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp       = fs.String("experiment", "table1", "one of "+strings.Join(validExperiments(), "|"))
-		budget    = fs.Duration("budget", 20*time.Second, "per-(model,strategy) wall-clock budget")
-		quick     = fs.Bool("quick", false, "cap depths for a fast smoke run")
-		csv       = fs.Bool("csv", false, "emit CSV instead of the text table")
-		model     = fs.String("model", bench.Fig7Model, "model for -experiment=fig7")
-		benchJSON = fs.String("bench-json", "", "also write each experiment's grid as a perfbench artifact (schema-versioned JSON) to this path (<stem>-<experiment>.json each under -experiment=all)")
+		exp    = fs.String("experiment", "table1", "one of "+strings.Join(validExperiments(), "|"))
+		budget = fs.Duration("budget", 20*time.Second, "per-(model,strategy) wall-clock budget")
+		quick  = fs.Bool("quick", false, "cap depths for a fast smoke run")
+		csv    = fs.Bool("csv", false, "emit CSV instead of the text table")
+		model  = fs.String("model", bench.Fig7Model, "model for -experiment=fig7")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -127,14 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			e.WriteCSV(stdout, g)
 		} else {
 			e.Write(stdout, g)
-		}
-		if *benchJSON != "" {
-			path, art := benchJSONPath(*benchJSON, e.Name, len(selected) > 1), perfbench.FromGrid(e.Name, g)
-			if err := art.WriteFile(path); err != nil {
-				return fail(err)
-			}
-			// On stderr, so it never disturbs piped table/CSV output.
-			fmt.Fprintf(stderr, "tablegen: wrote %s (%d cells)\n", path, len(art.Cells))
 		}
 		if len(selected) > 1 {
 			fmt.Fprintln(stdout)

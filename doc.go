@@ -21,7 +21,8 @@
 //	                     (loop.go) over instance sequence (BMC; k-induction
 //	                     base + step) × solver lifetime (fresh per depth;
 //	                     warm pools) × attempt set (a strategy set; a
-//	                     single ordering is a portfolio of one)
+//	                     single ordering is a portfolio of one);
+//	                     TestGoldenCounters pins every shape's search
 //	internal/obs         zero-dependency observability layer: lock-cheap
 //	                     metrics registry (atomic counters/gauges/
 //	                     histograms, nil-safe no-op handles when off) with
@@ -83,11 +84,6 @@
 //	                     incremental vs scratch, cold vs warm vs
 //	                     warm+sharing, refine), each a column list and a
 //	                     renderer
-//	internal/perfbench   the exact-regression gate: suites of (model ×
-//	                     shape) cells run as 1×1 experiment grids,
-//	                     schema-versioned BENCH_*.json artifacts, and a
-//	                     baseline compare pinning verdict, K, the cell set
-//	                     and deterministic search counters
 //	internal/bench       the 37-model synthetic evaluation suite
 //	cmd/bmc              CLI front end (-engine=bmc|kind, -order=vsids|
 //	                     static|dynamic|timeaxis|portfolio, -incremental,
@@ -102,9 +98,6 @@
 //	                     serves its wire/race counters as Prometheus)
 //	cmd/tablegen         paper artifacts: a lookup in the experiments
 //	                     registry and one run-render loop
-//	cmd/bmcbench         perfbench's CLI: run a suite (optionally gated
-//	                     against baselines/BENCH_quick.json), compare two
-//	                     artifacts, list the cells
 //	benchmark            the performance contract (BENCHMARK.json): four
 //	                     fixed workloads, gated end-to-end metrics and
 //	                     per-layer spans; imports internal/..., is

@@ -22,7 +22,7 @@ func warm(share bool) []engine.Option {
 // warm pool (with and without the clause bus) must return the same
 // verdict and depth as both the cold portfolio and the single incremental
 // solver, on a failing row (counter-example at a known depth), a passing
-// row, and a conflict-heavy UNSAT row.
+// row, a conflict-heavy UNSAT row and a twin circuit that holds.
 func TestWarmPortfolioMatchesColdAndIncremental(t *testing.T) {
 	for _, m := range []struct {
 		name  string
@@ -32,6 +32,7 @@ func TestWarmPortfolioMatchesColdAndIncremental(t *testing.T) {
 		{"cnt_w4_t9", func() *circuit.Circuit { return bench.Counter(4, 9, 2, 6) }, 12},
 		{"tlc", func() *circuit.Circuit { return bench.TrafficLight(false, 2, 6) }, 8},
 		{"add_w4", func() *circuit.Circuit { return bench.AdderTwin(4, 6, 16) }, 3},
+		{"twin_w8", func() *circuit.Circuit { return bench.Twin(8, 2, 6) }, 6},
 	} {
 		depth := engine.WithBudgets(m.depth, 0)
 		cold := check(t, m.build(), depth, engine.WithPortfolio(nil, 0))

@@ -105,16 +105,6 @@ func (c Clause) MaxVar() lits.Var {
 	return m
 }
 
-// Has reports whether the clause contains the literal l.
-func (c Clause) Has(l lits.Lit) bool {
-	for _, x := range c {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
 // String returns a human-readable rendering "(x1 | ~x2 | x3)".
 func (c Clause) String() string {
 	if len(c) == 0 {

@@ -73,9 +73,6 @@ func NewScoreBoard(mode ScoreMode) *ScoreBoard {
 	return &ScoreBoard{mode: mode}
 }
 
-// Mode returns the accumulation mode.
-func (b *ScoreBoard) Mode() ScoreMode { return b.mode }
-
 // NumCores returns how many unsat cores have been folded in.
 func (b *ScoreBoard) NumCores() int {
 	b.mu.Lock()

@@ -11,9 +11,10 @@ import (
 	"repro/internal/racer"
 )
 
-// goldenShapes are the seven engine shapes (plus three that pin a path of
-// their own: time-axis guidance on base and step formulas, and the
-// one-strategy warm k-induction pools), in the configurations whose
+// goldenShapes are the seven engine shapes (plus four that pin a path of
+// their own: plain VSIDS, the control column the refined orderings are
+// measured against, time-axis guidance on base and step formulas, and
+// the one-strategy warm k-induction pools), in the configurations whose
 // search is exactly repeatable: the portfolio shapes race {dynamic,
 // vsids} with jobs = 1, so the attempts run in order and dynamic — the
 // ordering fed by the score board — decides every depth.
@@ -29,6 +30,7 @@ func goldenShapes() map[string][]engine.Option {
 		"kind-sequential":         {kind},
 		"kind-portfolio":          {kind, race},
 		"kind-warm":               {kind, race, engine.WithIncremental(), exchange},
+		"bmc-scratch-vsids":       {engine.WithOrdering(core.OrderVSIDS)},
 		"bmc-scratch-timeaxis":    {engine.WithOrdering(core.OrderTimeAxis)},
 		"kind-portfolio-timeaxis": {kind, engine.WithPortfolio(portfolio.StrategySet{core.OrderTimeAxis}, 1)},
 		"kind-warm-single":        {kind, engine.WithIncremental()},
@@ -49,11 +51,16 @@ func goldenModel(t *testing.T, name string) bench.Model {
 
 // TestGoldenCounters pins verdict, K and the search counters of every
 // engine shape to the values the seven hand-written depth loops produced
-// before they were folded into one (captured at commit 7c8bd11): a
-// change to the loop that moves a counter fails here, not only in the CI
-// bench gate. The counters sum Total, BaseStats and StepStats; Falsified
-// k-induction rows leave StepStats out, because how far the cancelled
-// step race got depends on timing.
+// before they were folded into one (captured at commit 7c8bd11). With the
+// benchmark's anchor counts it is the one pin on the search: a change that
+// moves a counter fails here. The counters sum Total, BaseStats and
+// StepStats; Falsified k-induction rows leave StepStats out, because how
+// far the cancelled step race got depends on timing.
+//
+// Three rows were a second regression suite's, moved here with the
+// counters its baseline recorded: mix_w5 to its full depth 9, the one row
+// whose search restarts; cnt_w5_t13 falsified at depth 13 on a persistent
+// solver; and tlc_bug under plain VSIDS.
 //
 // The two core columns (captured at commit f72a146, before the three
 // recorders became one) pin core extraction directly on the shapes that
@@ -77,11 +84,13 @@ func TestGoldenCounters(t *testing.T) {
 		{"bmc-scratch", "twin_w8", 8, engine.Holds, 8, 73, 384, 20441, 1179, 894},
 		{"bmc-scratch", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824, 6, 5},
 		{"bmc-scratch", "gcnt_offset", 16, engine.Holds, 16, 420, 601, 61307, 6528, 4076},
+		{"bmc-scratch", "mix_w5", 9, engine.Holds, 9, 821, 3596, 514065, 5324, 2355},
 		{"bmc-incremental", "cnt_w4_t9", 12, engine.Falsified, 9, 30, 106, 5611, 1599, 1495},
 		{"bmc-incremental", "mix_w5", 6, engine.Holds, 6, 321, 1445, 185979, 3903, 2446},
 		{"bmc-incremental", "twin_w8", 8, engine.Holds, 8, 72, 384, 16198, 2061, 1608},
 		{"bmc-incremental", "tlc_bug", 5, engine.Falsified, 1, 0, 14, 717, 76, 75},
 		{"bmc-incremental", "gcnt_offset", 16, engine.Holds, 16, 295, 514, 42005, 6047, 4020},
+		{"bmc-incremental", "cnt_w5_t13", 16, engine.Falsified, 13, 65, 255, 14442, 3348, 2998},
 		{"bmc-portfolio", "cnt_w4_t9", 12, engine.Falsified, 9, 38, 111, 7963, 942, 866},
 		{"bmc-portfolio", "mix_w5", 6, engine.Holds, 6, 325, 1537, 204938, 2531, 1155},
 		{"bmc-portfolio", "twin_w8", 8, engine.Holds, 8, 73, 384, 20441, 1179, 894},
@@ -107,6 +116,11 @@ func TestGoldenCounters(t *testing.T) {
 		{"kind-warm", "twin_w8", 8, engine.Proved, 0, 16, 356, 5680, 0, 0},
 		{"kind-warm", "tlc_bug", 5, engine.Falsified, 1, 0, 14, 717, 0, 0},
 		{"kind-warm", "gcnt_offset", 16, engine.Proved, 2, 5, 11, 575, 0, 0},
+		{"bmc-scratch-vsids", "cnt_w4_t9", 12, engine.Falsified, 9, 29, 287, 17845, 0, 0},
+		{"bmc-scratch-vsids", "mix_w5", 6, engine.Holds, 6, 3875, 5772, 729413, 0, 0},
+		{"bmc-scratch-vsids", "twin_w8", 8, engine.Holds, 8, 73, 1560, 82265, 0, 0},
+		{"bmc-scratch-vsids", "tlc_bug", 5, engine.Falsified, 1, 1, 14, 824, 0, 0},
+		{"bmc-scratch-vsids", "gcnt_offset", 16, engine.Holds, 16, 389, 488, 64948, 0, 0},
 		{"bmc-scratch-timeaxis", "cnt_w4_t9", 12, engine.Falsified, 9, 29, 287, 17845, 0, 0},
 		{"bmc-scratch-timeaxis", "mix_w5", 6, engine.Holds, 6, 313, 1801, 194335, 0, 0},
 		{"bmc-scratch-timeaxis", "twin_w8", 8, engine.Holds, 8, 73, 840, 46949, 0, 0},

@@ -151,7 +151,7 @@ func (q *freshSeq) trace(model lits.Assignment, k int) *unroll.Trace {
 // check (racer.Pool, raced through Executor.RaceLive): each depth builds
 // only the new frame's clauses, a solver takes the frames it is missing
 // when it is about to search and solves under the depth's activation
-// literal, so learned clauses, VSIDS scores and saved phases compound.
+// literal, so learned clauses and VSIDS scores compound.
 type warmSeq struct {
 	pool *racer.Pool
 	// d decodes models; nil on the step sequence, whose models are
@@ -222,8 +222,9 @@ func (s *Session) resolve(ctx context.Context) plan {
 func (s *Session) newSequence(u *unroll.Unroller, query Query, p plan) sequence {
 	board := core.NewScoreBoard(s.cfg.ScoreMode)
 	if s.cfg.Incremental {
-		// The step bus stays off: step sequences are SAT-dominated, where
-		// sharing perturbs phase-saving momentum.
+		// The step bus stays off. It was turned off while the solver
+		// saved phases, which sharing perturbed on the SAT-dominated step
+		// sequences; it has not been re-measured since phase saving went.
 		var ex racer.ExchangeOptions
 		if query != QueryStep {
 			ex = s.cfg.Exchange

@@ -19,8 +19,8 @@ func overhead() Experiment {
 		Name:   "overhead",
 		Models: OverheadModels(),
 		Columns: []Column{
-			fixed("off", true, engine.WithOrdering(core.OrderVSIDS)),
-			fixed("on", true, engine.WithOrdering(core.OrderVSIDS), engine.WithForceRecording()),
+			fixed("off", engine.WithOrdering(core.OrderVSIDS)),
+			fixed("on", engine.WithOrdering(core.OrderVSIDS), engine.WithForceRecording()),
 		},
 		Write: writeOverhead,
 	}
@@ -86,7 +86,7 @@ func writeTimes(w io.Writer, g *Grid, title, unit string, mark func(*engine.Resu
 func scoreAblation() Experiment {
 	var cols []Column
 	for _, mode := range []core.ScoreMode{core.WeightedSum, core.UnweightedSum, core.LastCoreOnly, core.ExpDecay} {
-		cols = append(cols, fixed(mode.String(), true,
+		cols = append(cols, fixed(mode.String(),
 			engine.WithOrdering(core.OrderStatic), engine.WithScoreMode(mode)))
 	}
 	return Experiment{Name: "ablation", Models: AblationModels(), Columns: cols,
@@ -105,7 +105,7 @@ func ThresholdSweep(divisors ...int) Experiment {
 		if div == 0 {
 			name, st = "never(static)", core.OrderStatic
 		}
-		cols = append(cols, fixed(name, true, engine.WithOrdering(st), engine.WithSwitchDivisor(div)))
+		cols = append(cols, fixed(name, engine.WithOrdering(st), engine.WithSwitchDivisor(div)))
 	}
 	return Experiment{Name: "threshold", Models: AblationModels(), Columns: cols,
 		Write: func(w io.Writer, g *Grid) {
@@ -127,9 +127,9 @@ func timeAxis() Experiment {
 		Name:   "timeaxis",
 		Models: AblationModels(),
 		Columns: []Column{
-			fixed("bmc", true, engine.WithOrdering(core.OrderVSIDS)),
-			fixed("dynamic", true, engine.WithOrdering(core.OrderDynamic)),
-			fixed("timeaxis", true, engine.WithOrdering(core.OrderTimeAxis)),
+			fixed("bmc", engine.WithOrdering(core.OrderVSIDS)),
+			fixed("dynamic", engine.WithOrdering(core.OrderDynamic)),
+			fixed("timeaxis", engine.WithOrdering(core.OrderTimeAxis)),
 		},
 		Write: func(w io.Writer, g *Grid) {
 			writeTimes(w, g, "Related work: time-axis (Shtrichman-style) vs register-axis (this paper)", " (s)", nil)

@@ -371,9 +371,9 @@ func TestRunWarmAblationSmall(t *testing.T) {
 	g, out := runSmall(t, "warm", tinyCfg())
 	for i, row := range g.Cells {
 		for c, r := range row {
-			if r.Telemetry == nil || SpentConflicts(r) < Conflicts(r) {
+			if r.Telemetry == nil || spentConflicts(r) < Conflicts(r) {
 				t.Errorf("%s/%s: all-racer conflicts %d below the winners' %d",
-					g.Models[i].Name, g.Columns[c].Name, SpentConflicts(r), Conflicts(r))
+					g.Models[i].Name, g.Columns[c].Name, spentConflicts(r), Conflicts(r))
 			}
 		}
 	}
@@ -392,6 +392,24 @@ func TestRunWarmKindAblationSmall(t *testing.T) {
 		}
 	}
 	wantAll(t, out, "Warm k-induction", "TOTAL", "rows where warm+sharing", "proved@")
+}
+
+// TestWarmKindConflictCap: warm-kind's columns cap each SAT call at
+// 3000 conflicts, tightening the Config's budget and never loosening it.
+func TestWarmKindConflictCap(t *testing.T) {
+	e, _ := ByName("warm-kind")
+	for _, budget := range []int64{0, 50000, 1000} {
+		want := min(budget, 3000)
+		if budget == 0 {
+			want = 3000
+		}
+		for _, c := range e.Columns {
+			opts := append([]engine.Option{engine.WithBudgets(6, budget)}, c.Options()...)
+			if got := engine.NewConfig(opts...).PerInstanceConflicts; got != want {
+				t.Errorf("%s under budget %d: cap %d, want %d", c.Name, budget, got, want)
+			}
+		}
+	}
 }
 
 func TestKindAblationModelsResolve(t *testing.T) {
@@ -433,8 +451,8 @@ func TestRegistryWellFormed(t *testing.T) {
 				t.Errorf("%s: column name %q empty or duplicated", e.Name, c.Name)
 			}
 			cols[c.Name] = true
-			if (c.Options == nil) == (c.Setup == nil) {
-				t.Errorf("%s/%s: want exactly one of Options and Setup", e.Name, c.Name)
+			if c.Options == nil {
+				t.Errorf("%s/%s: no options", e.Name, c.Name)
 			}
 		}
 		models := map[string]bool{}

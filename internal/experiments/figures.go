@@ -23,8 +23,8 @@ func Figure7(model string) (Experiment, error) {
 		Name:   "fig7",
 		Models: []bench.Model{m},
 		Columns: []Column{
-			fixed("bmc", true, engine.WithOrdering(core.OrderVSIDS)),
-			fixed("ref", true, engine.WithOrdering(core.OrderDynamic)),
+			fixed("bmc", engine.WithOrdering(core.OrderVSIDS)),
+			fixed("ref", engine.WithOrdering(core.OrderDynamic)),
 		},
 		Write:    writeFigure7,
 		WriteCSV: writeFigure7CSV,

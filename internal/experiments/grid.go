@@ -14,7 +14,7 @@
 // engine results — the only place a session is built and checked — and an
 // Experiment is a default model set, a column list and the renderer that
 // lays the grid out as text (the paper's layout) and CSV. All() is the
-// registry cmd/tablegen, the root benchmarks and internal/perfbench drive.
+// registry cmd/tablegen and the root benchmarks drive.
 package experiments
 
 import (
@@ -74,24 +74,13 @@ func tighten[T int | int64](a, b T) T {
 }
 
 // Column is one engine configuration of a grid, named so its cells stay
-// stable across runs and artifacts.
+// stable across runs.
 type Column struct {
 	Name string
-	// Deterministic marks configurations whose search counters are
-	// reproducible run to run (single strategy, no racing): perfbench
-	// compares those cells exactly, while portfolio/warm cells — whose
-	// stats depend on race timing — only pin verdict and depth.
-	Deterministic bool
 	// Options builds the configuration's engine options, fresh per run.
+	// They apply after the model's and the Config's budgets, so an option
+	// may tighten those.
 	Options func() []engine.Option
-	// Setup, when non-nil, replaces Options for configurations whose
-	// options need paired teardown — perfbench's remote-loopback shape
-	// spins up worker daemons per cell and must close them after it.
-	Setup func() (opts []engine.Option, cleanup func(), err error)
-	// MaxDepth and Conflicts, when > 0, tighten the depth bound and the
-	// per-SAT-call conflict budget the model and Config give this column.
-	MaxDepth  int
-	Conflicts int64
 }
 
 // Grid is a finished experiment: Cells[i][c] is model i checked under
@@ -132,20 +121,7 @@ func (cfg Config) Run(ctx context.Context, cols []Column) (*Grid, error) {
 // config's budgets (the per-model wall-clock budget rides on the
 // context) and runs it.
 func (cfg Config) check(ctx context.Context, m bench.Model, col Column) (*engine.Result, error) {
-	var opts []engine.Option
-	if col.Setup != nil {
-		so, cleanup, err := col.Setup()
-		if err != nil {
-			return nil, err
-		}
-		defer cleanup()
-		opts = so
-	} else {
-		opts = col.Options()
-	}
-	opts = append(opts, engine.WithBudgets(
-		tighten(cfg.depthFor(m), col.MaxDepth),
-		tighten(cfg.PerInstanceConflicts, col.Conflicts)))
+	opts := append([]engine.Option{engine.WithBudgets(cfg.depthFor(m), cfg.PerInstanceConflicts)}, col.Options()...)
 	sess, err := engine.New(m.Build(), 0, opts...)
 	if err != nil {
 		return nil, err
@@ -209,12 +185,12 @@ func Conflicts(r *engine.Result) int64 {
 	return r.Total.Conflicts + r.BaseStats.Conflicts + r.StepStats.Conflicts
 }
 
-// SpentConflicts is the total search effort of ALL racers of a racing
+// spentConflicts is the total search effort of ALL racers of a racing
 // run, over every query — winners, cancelled losers and deliberately
 // aborted step races alike. The warm pools' whole point is turning loser
 // conflicts into reusable work, which winner-only counters cannot see.
 // Zero for non-racing runs (they carry no telemetry).
-func SpentConflicts(r *engine.Result) int64 {
+func spentConflicts(r *engine.Result) int64 {
 	var n int64
 	for _, t := range []*portfolio.Telemetry{r.Telemetry, r.BaseTelemetry, r.StepTelemetry} {
 		if t == nil {

@@ -18,8 +18,8 @@ func incrementalAblation() Experiment {
 		Name:   "incremental",
 		Models: AblationModels(),
 		Columns: []Column{
-			fixed("scratch", true, engine.WithOrdering(core.OrderDynamic)),
-			fixed("incremental", true, engine.WithOrdering(core.OrderDynamic), engine.WithIncremental()),
+			fixed("scratch", engine.WithOrdering(core.OrderDynamic)),
+			fixed("incremental", engine.WithOrdering(core.OrderDynamic), engine.WithIncremental()),
 		},
 		Write: writeIncremental,
 	}

@@ -26,8 +26,8 @@ func obsOverhead() Experiment {
 		Name:   "obs-overhead",
 		Models: OverheadModels(),
 		Columns: []Column{
-			fixed("off", true, bare...),
-			{Name: "on", Deterministic: true, Options: func() []engine.Option {
+			fixed("off", bare...),
+			{Name: "on", Options: func() []engine.Option {
 				return append(slices.Clone(bare),
 					engine.WithMetrics(obs.NewRegistry()), engine.WithTracer(obs.NewTracer()))
 			}},

@@ -19,9 +19,9 @@ func portfolioAblation() Experiment {
 	set := portfolio.DefaultSet()
 	var cols []Column
 	for _, st := range set {
-		cols = append(cols, fixed(st.String(), true, engine.WithOrdering(st)))
+		cols = append(cols, fixed(st.String(), engine.WithOrdering(st)))
 	}
-	cols = append(cols, fixed("portfolio", false, engine.WithPortfolio(set, 0)))
+	cols = append(cols, fixed("portfolio", engine.WithPortfolio(set, 0)))
 	return Experiment{Name: "portfolio", Models: AblationModels(), Columns: cols, Write: writePortfolio}
 }
 

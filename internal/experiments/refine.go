@@ -20,10 +20,10 @@ func refine() Experiment {
 	return Experiment{
 		Name: "refine",
 		Columns: []Column{
-			fixed("vsids", true, engine.WithOrdering(core.OrderVSIDS)),
-			fixed("dynamic", true, engine.WithOrdering(core.OrderDynamic)),
-			fixed("vsids-incr", true, engine.WithOrdering(core.OrderVSIDS), engine.WithIncremental()),
-			fixed("dynamic-incr", true, engine.WithOrdering(core.OrderDynamic), engine.WithIncremental()),
+			fixed("vsids", engine.WithOrdering(core.OrderVSIDS)),
+			fixed("dynamic", engine.WithOrdering(core.OrderDynamic)),
+			fixed("vsids-incr", engine.WithOrdering(core.OrderVSIDS), engine.WithIncremental()),
+			fixed("dynamic-incr", engine.WithOrdering(core.OrderDynamic), engine.WithIncremental()),
 		},
 		Write: writeRefine,
 	}

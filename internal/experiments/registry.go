@@ -66,9 +66,8 @@ func ByName(name string) (Experiment, bool) {
 }
 
 // fixed is a column whose options carry no per-run state.
-func fixed(name string, deterministic bool, opts ...engine.Option) Column {
-	return Column{Name: name, Deterministic: deterministic,
-		Options: func() []engine.Option { return slices.Clone(opts) }}
+func fixed(name string, opts ...engine.Option) Column {
+	return Column{Name: name, Options: func() []engine.Option { return slices.Clone(opts) }}
 }
 
 // AblationModels returns the representative suite subset the ablation

@@ -174,6 +174,3 @@ func writeDisagreements(w io.Writer, g *Grid) {
 func writeRule(w io.Writer, width int) {
 	fmt.Fprintln(w, strings.Repeat("-", width))
 }
-
-// WriteRule is writeRule for the perfbench regression renderer.
-func WriteRule(w io.Writer, width int) { writeRule(w, width) }

@@ -54,7 +54,7 @@ func figure6() Experiment {
 func confColumns() []Column {
 	cols := make([]Column, numConfs)
 	for c := range cols {
-		cols[c] = fixed(ConfNames[c], true, engine.WithOrdering(confStrategies[c]))
+		cols[c] = fixed(ConfNames[c], engine.WithOrdering(confStrategies[c]))
 	}
 	return cols
 }

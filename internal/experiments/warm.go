@@ -17,13 +17,15 @@ import (
 // coldWarmShared is the column triple of both warm ablations: the
 // per-depth-rebuild portfolio against the warm racer pool without and
 // with the clause-exchange bus (engine.WithIncremental + WithExchange),
-// on top of the given base options.
+// on top of the given base options. A positive conflicts caps each SAT
+// call; it tightens the Config's per-instance budget, never loosens it.
 func coldWarmShared(conflicts int64, base ...engine.Option) []Column {
+	capped := func(c *engine.Config) {
+		c.PerInstanceConflicts = tighten(c.PerInstanceConflicts, conflicts)
+	}
 	col := func(name string, extra ...engine.Option) Column {
-		c := fixed(name, false, slices.Concat(base,
-			[]engine.Option{engine.WithPortfolio(portfolio.DefaultSet(), 0)}, extra)...)
-		c.Conflicts = conflicts
-		return c
+		return fixed(name, slices.Concat(base,
+			[]engine.Option{engine.WithPortfolio(portfolio.DefaultSet(), 0), capped}, extra)...)
 	}
 	bus := func(share bool) engine.Option {
 		return engine.WithExchange(racer.ExchangeOptions{Enabled: share})
@@ -82,7 +84,7 @@ func KindAblationModels() []bench.Model {
 }
 
 // writeColdWarmShared renders a cold/warm/shared grid. Conflicts are
-// SpentConflicts — every racer of every query, since the pools' whole
+// spentConflicts — every racer of every query, since the pools' whole
 // point is turning loser conflicts into reusable work. The BMC table
 // tags rows T/F, shows the shared run's imported bus volume and tallies
 // the UNSAT-heavy rows (where warm databases and sharing should pay);
@@ -117,7 +119,7 @@ func writeColdWarmShared(w io.Writer, g *Grid, kind bool) {
 		}
 		fmt.Fprintf(w, "%-16s %-*s %9s %9s %9s %11d %11d %11d", m.Name, tagWidth, tag,
 			fmtDuration(cold.TotalTime), fmtDuration(warm.TotalTime), fmtDuration(shared.TotalTime),
-			SpentConflicts(cold), SpentConflicts(warm), SpentConflicts(shared))
+			spentConflicts(cold), spentConflicts(warm), spentConflicts(shared))
 		if !kind {
 			var imported int64
 			for _, n := range shared.Telemetry.ImportedClauses {
@@ -128,13 +130,13 @@ func writeColdWarmShared(w io.Writer, g *Grid, kind bool) {
 		fmt.Fprintf(w, " %6s\n", agree(g, i))
 		if kind || !m.ExpectFail {
 			rows++
-			if SpentConflicts(shared) < SpentConflicts(cold) {
+			if spentConflicts(shared) < spentConflicts(cold) {
 				fewer++
 			}
 		}
 	}
 	writeRule(w, width)
-	confCold, confWarm, confShared := g.Total(0, SpentConflicts), g.Total(1, SpentConflicts), g.Total(2, SpentConflicts)
+	confCold, confWarm, confShared := g.Total(0, spentConflicts), g.Total(1, spentConflicts), g.Total(2, spentConflicts)
 	fmt.Fprintf(w, "%-16s %-*s %9s %9s %9s %11d %11d %11d\n", "TOTAL", tagWidth, "",
 		fmtDuration(g.TotalTime(0)), fmtDuration(g.TotalTime(1)), fmtDuration(g.TotalTime(2)),
 		confCold, confWarm, confShared)

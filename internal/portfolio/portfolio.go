@@ -217,9 +217,9 @@ type Growth struct {
 // SolveAssuming(assumps) on every attempt's solver concurrently, keeps
 // the first Sat/Unsat verdict, and cancels the rest cooperatively.
 // Nothing is torn down — each racing solver gets a fresh cancellation
-// channel installed (sat.Solver.SetStop) and keeps its learned clauses,
-// scores, and saved phases afterwards, so a cancelled loser resumes from
-// exactly this state at the next race instead of burning its conflicts.
+// channel installed (sat.Solver.SetStop) and keeps its learned clauses
+// and scores afterwards, so a cancelled loser resumes from exactly this
+// state at the next race instead of burning its conflicts.
 // An attempt's Solver function runs in its worker slot, after the slot
 // has seen that the race is still open and right before SolveAssuming:
 // attempts load side by side, the load counts toward the attempt's Wall,

@@ -277,18 +277,3 @@ func (t *Telemetry) WriteSummary(w io.Writer) {
 			t.AbortedRaces, t.AbortedConflicts)
 	}
 }
-
-// WriteDepths renders the per-depth winner log (the -v view).
-func (t *Telemetry) WriteDepths(w io.Writer) {
-	fmt.Fprintf(w, "%-4s %-10s %-8s %12s %12s %10s\n",
-		"k", "winner", "status", "winConf", "loseConf", "wall")
-	for _, d := range t.Depths {
-		winner := d.Winner
-		if winner == "" {
-			winner = "-"
-		}
-		fmt.Fprintf(w, "%-4d %-10s %-8s %12d %12d %10s\n",
-			d.K, winner, d.Status, d.WinnerConflicts, d.LoserConflicts,
-			d.Wall.Round(time.Microsecond))
-	}
-}
