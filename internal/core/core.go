@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"unsafe"
 
 	"repro/internal/cnf"
@@ -373,6 +374,12 @@ type Recorder struct {
 	// bit per clause ID and the leaves Core found, highest ID first.
 	seen   []uint64
 	leaves []sat.ClauseID
+
+	// CoreVarsOf's scratch, reused across calls: a mark per variable, the
+	// variables it returns, and a clause decoded from the payload.
+	varSeen   []bool
+	vars      []lits.Var
+	clauseBuf []lits.Lit
 }
 
 // forgottenBit marks an antEnd entry whose record Forget dropped; the rest
@@ -663,18 +670,19 @@ func (r *Recorder) sweep(top, bottom int, collect bool) {
 	}
 }
 
-// clause resolves id to its literals: the payload's when the recorder
-// keeps them, the formula's otherwise (originals may be nil). buf is
-// scratch the result may alias.
-func (r *Recorder) clause(id sat.ClauseID, originals *cnf.Formula, buf []lits.Lit) ([]lits.Lit, bool) {
+// clause resolves id to its literals: the payload's, decoded into
+// clauseBuf, when the recorder keeps them, the formula's otherwise
+// (originals may be nil). The result is valid until the next call.
+func (r *Recorder) clause(id sat.ClauseID, originals *cnf.Formula) []lits.Lit {
 	if id >= r.base && r.payload != IDsOnly {
 		lo, hi := r.span(&r.litEnd, id)
-		return decodeRun(&r.lits, buf[:0], lo, hi, 0), true
+		r.clauseBuf = decodeRun(&r.lits, r.clauseBuf[:0], lo, hi, 0)
+		return r.clauseBuf
 	}
 	if originals == nil || id < 0 || int(id) >= len(originals.Clauses) {
-		return nil, false
+		return nil
 	}
-	return originals.Clauses[id], true
+	return originals.Clauses[id]
 }
 
 // Vars is the one walk from core clauses to the variables the score board
@@ -684,17 +692,26 @@ func (r *Recorder) clause(id sat.ClauseID, originals *cnf.Formula, buf []lits.Li
 // plumbing, and bmc_score ranks circuit variables only. A nil aux keeps
 // every variable (scratch numbering has no auxiliaries). Sorted ascending.
 func Vars(n int, clause func(i int) []lits.Lit, nVars int, aux func(lits.Var) bool) []lits.Var {
-	seen := make([]bool, nVars+1)
+	var seen []bool
+	return varsInto(&seen, nil, n, clause, nVars, aux)
+}
+
+// varsInto is Vars with its marks in *seen's array and its result written
+// over out's, each where it is large enough.
+func varsInto(seen *[]bool, out []lits.Var, n int, clause func(i int) []lits.Lit, nVars int, aux func(lits.Var) bool) []lits.Var {
+	marks := slices.Grow((*seen)[:0], nVars+1)[:nVars+1]
+	clear(marks)
+	*seen = marks
 	for i := 0; i < n; i++ {
 		for _, l := range clause(i) {
 			if v := l.Var(); int(v) <= nVars {
-				seen[v] = true
+				marks[v] = true
 			}
 		}
 	}
-	var out []lits.Var
+	out = out[:0]
 	for v := lits.Var(1); int(v) <= nVars; v++ {
-		if seen[v] && (aux == nil || !aux(v)) {
+		if marks[v] && (aux == nil || !aux(v)) {
 			out = append(out, v)
 		}
 	}
@@ -703,17 +720,19 @@ func Vars(n int, clause func(i int) []lits.Lit, nVars int, aux func(lits.Var) bo
 
 // CoreVarsOf maps core clause IDs (as Core returns them) to their
 // variables through Vars. Leaves the recorder holds no literals for are
-// looked up in originals, the formula the solve ran on.
+// looked up in originals, the formula the solve ran on. The result is the
+// recorder's scratch, valid until the next call: ScoreBoard.Update copies
+// what it keeps. A warmed recorder allocates nothing.
 func (r *Recorder) CoreVarsOf(ids []int, originals *cnf.Formula, nVars int, aux func(lits.Var) bool) []lits.Var {
-	var buf []lits.Lit
-	return Vars(len(ids), func(i int) []lits.Lit {
-		buf, _ = r.clause(sat.ClauseID(ids[i]), originals, buf)
-		return buf
+	r.vars = varsInto(&r.varSeen, r.vars, len(ids), func(i int) []lits.Lit {
+		return r.clause(sat.ClauseID(ids[i]), originals)
 	}, nVars, aux)
+	return r.vars
 }
 
 // CoreVars returns the sorted set of variables occurring in the unsat-core
-// clauses of formula f (which must be the formula the solve ran on).
+// clauses of formula f (which must be the formula the solve ran on), valid
+// until the next call, as CoreVarsOf's.
 func (r *Recorder) CoreVars(f *cnf.Formula) []lits.Var {
 	return r.CoreVarsOf(r.Core(), f, f.NumVars, nil)
 }

@@ -100,7 +100,8 @@ func persistentBMC(depths int, imports bool) scenario {
 				pending = sender.ExportLearned(mark, 4, 0, 8)
 			}
 			ids := r.Core()
-			out = append(out, answer{ids, r.CoreVarsOf(ids, nil, d.NumVars(k), nil)})
+			// CoreVarsOf's result is the recorder's until its next call.
+			out = append(out, answer{ids, slices.Clone(r.CoreVarsOf(ids, nil, d.NumVars(k), nil))})
 			r.ResetFinal()
 		}
 		return out, r

@@ -255,3 +255,29 @@ func BenchmarkRecorderExtract(b *testing.B) {
 	}
 	b.ReportMetric(float64(edges)*float64(b.N)/b.Elapsed().Seconds(), "antecedents/s")
 }
+
+// TestCoreVarsOfReusesScratch: once a recorder has answered CoreVarsOf, it
+// answers again without allocating — its marks, its result and the clause
+// it decodes live in the recorder — whether the core's literals come from
+// the formula (IDsOnly) or from the recorder's payload (Complete).
+func TestCoreVarsOfReusesScratch(t *testing.T) {
+	u, err := unroll.New(bench.AdderTwin(4, 0, 0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := u.Formula(5)
+	for _, payload := range []Payload{IDsOnly, Complete} {
+		rec := NewRecorderWith(f.NumClauses(), payload)
+		if res := sat.New(f, sat.Options{Recorder: rec}).Solve(); res.Status != sat.Unsat {
+			t.Fatalf("add_w4 depth 5 = %v, want Unsat", res.Status)
+		}
+		ids := rec.Core()
+		want := slices.Clone(rec.CoreVarsOf(ids, f, f.NumVars, nil))
+		if allocs := testing.AllocsPerRun(5, func() { rec.CoreVarsOf(ids, f, f.NumVars, nil) }); allocs != 0 {
+			t.Errorf("payload %d: a warmed CoreVarsOf allocated %.0f times, want none", payload, allocs)
+		}
+		if got := rec.CoreVarsOf(ids, f, f.NumVars, nil); !slices.Equal(got, want) || len(want) == 0 {
+			t.Errorf("payload %d: %d core variables, the first call gave %d", payload, len(got), len(want))
+		}
+	}
+}

@@ -79,10 +79,6 @@ const (
 	pageMask  = pageWords - 1
 )
 
-// garbageDen: reduceDB compacts once deleted clauses hold at least
-// 1/garbageDen of the words in use.
-const garbageDen = 5
-
 // arena is the clause store, in pages. Slot p of the page table holds the
 // clauses whose crefs lie in [p<<pageShift, (p+1)<<pageShift), back to back
 // from the page's start; a page's length is how far they reach. A clause
@@ -184,11 +180,12 @@ func fits(pg []uint32, w int) bool {
 // span is how many slots pg takes in the page table.
 func span(pg []uint32) int { return max(1, (cap(pg)+pageMask)>>pageShift) }
 
-// reload empties the arena for a formula of up to words words: every page
-// but the first goes to the spare list, and a first page that holds nothing
-// is made, exactly as large as the formula up to a page, where the formula
-// has words to store.
-func (a *arena) reload(words int) {
+// reload empties the arena for a formula of up to words() words: every
+// page but the first goes to the spare list, and a first page that holds
+// nothing is made, exactly as large as the formula up to a page, where the
+// formula has words to store. words is called only then, when there is no
+// first page to keep.
+func (a *arena) reload(words func() int) {
 	for p := len(a.pages) - 1; p > 0; p-- {
 		a.release(p)
 	}
@@ -196,9 +193,11 @@ func (a *arena) reload(words int) {
 	if len(a.pages) > 0 {
 		first = a.pages[0][:0]
 	}
-	if cap(first) == 0 && words > 0 {
-		if first = a.spareFor(min(words, pageWords)); first == nil {
-			first = make([]uint32, 0, min(words, pageWords))
+	if cap(first) == 0 {
+		if w := min(words(), pageWords); w > 0 {
+			if first = a.spareFor(w); first == nil {
+				first = make([]uint32, 0, w)
+			}
 		}
 	}
 	a.pages = append(a.pages[:0], first)

@@ -9,7 +9,8 @@ import "repro/internal/lits"
 // raised key is sifted up in O(log n).
 //
 // The comparator consults mutable solver state (scores, guidance mode), and
-// every change to it restores the heap order at once. The periodic VSIDS
+// every change to it restores the heap order at once. Load builds the heap
+// once the scores it orders by are seeded (build). The periodic VSIDS
 // rescore, the dynamic guidance switch, SetGuidance and the re-arming of
 // guidance at a SolveAssuming change keys wholesale and call rebuild().
 // install (AddClause, ImportClause) only raises cha_score keys, one
@@ -22,19 +23,133 @@ type varHeap struct {
 	pos  []int32 // indexed by variable; -1 when absent
 }
 
-// reset makes h the heap of solver s holding variables 1..nVars, in index
-// order and in the arrays it already has where they are large enough (and
-// in arrays sized for s's Grow hint where they are not): Load rebuilds it
-// once the scores it orders by are seeded.
+// reset makes h the heap of solver s over variables 1..nVars, in the
+// arrays it already has where they are large enough (and in arrays sized
+// for s's Grow hint where they are not). Its entries are undefined until
+// build fills them, once Load has seeded the scores they are ordered by.
 func (h *varHeap) reset(s *Solver, nVars int) {
 	h.s = s
-	h.heap = fit(&h.heap, nVars, s.hint.vars)[:0]
+	h.heap = fit(&h.heap, nVars, s.hint.vars)
 	h.pos = fit(&h.pos, nVars+1, s.hint.vars+1)
 	h.pos[0] = -1 // no variable 0
-	for v := lits.Var(1); int(v) <= nVars; v++ {
-		h.pos[v] = int32(len(h.heap))
-		h.heap = append(h.heap, v)
+}
+
+// build fills a reset heap with every variable, at load time, and reports
+// whether it sorted them. The keys are integers then as a rule: a
+// cha_score is an occurrence count, a board's bmc_score a sum of instance
+// numbers, a time-axis score a frame count. Where every variable's cha key
+// (the higher of its two cha_scores) and every guidance score is an integer
+// from 0 to n, build counting-sorts: every variable by cha key, descending
+// and in index order within a key, then, stably, only the guided ones
+// (guidance above 0) by guidance into the front. An array sorted descending
+// under better is a heap, and better is a strict total order, so every pop
+// is the argmax of the same set as after rebuild: no decision can move. Any
+// other key — ExpDecay's halved scores, a negative or NaN guidance score, a
+// key above n — falls back to rebuild.
+//
+// cnt is Load's newCount: 2n+2 zeros, which build counts in and leaves
+// zero. The position index is build's scratch until the array is final.
+func (h *varHeap) build(cnt []int32) (sorted bool) {
+	s, n := h.s, len(h.heap)
+	chaCnt, guidCnt := cnt[:n+1], cnt[n+1:2*n+2]
+	maxCha, maxGuid := 0, 0 // the highest keys counted
+	defer func() {
+		clear(chaCnt[:maxCha+1])
+		clear(guidCnt[:maxGuid+1])
+	}()
+	var guid []float64
+	if s.guidActive {
+		guid = s.guid
 	}
+	// key[v] is v's cha key, complemented where v is guided.
+	key, guided := h.pos, 0
+	for v := 1; v <= n; v++ {
+		c, ok := count(s.chaKey(lits.Var(v)), n)
+		if !ok {
+			h.rebuildAll()
+			return false
+		}
+		chaCnt[c]++
+		maxCha = max(maxCha, c)
+		key[v] = int32(c)
+		if guid != nil && guid[v] != 0 {
+			g, ok := count(guid[v], n)
+			if !ok {
+				h.rebuildAll()
+				return false
+			}
+			guidCnt[g]++
+			maxGuid = max(maxGuid, g)
+			guided++
+			key[v] = ^key[v]
+		}
+	}
+
+	// Every variable by cha key, descending: chaCnt[c] becomes where the
+	// next variable of key c goes. A guided variable goes in negated.
+	var off int32
+	for c := maxCha; c >= 0; c-- {
+		off, chaCnt[c] = off+chaCnt[c], off
+	}
+	for v := lits.Var(1); int(v) <= n; v++ {
+		c, x := key[v], v
+		if c < 0 {
+			c, x = ^c, -v
+		}
+		h.heap[chaCnt[c]] = x
+		chaCnt[c]++
+	}
+
+	if guided > 0 {
+		// The unguided variables move to the back, keeping their order; the
+		// guided ones are listed as they are passed, last first.
+		list := h.pos[:guided]
+		j, w := 0, n-1
+		for i := n - 1; i >= 0; i-- {
+			if v := h.heap[i]; v < 0 {
+				list[j] = int32(-v)
+				j++
+			} else {
+				h.heap[w] = v
+				w--
+			}
+		}
+		off = 0
+		for g := maxGuid; g >= 1; g-- {
+			off, guidCnt[g] = off+guidCnt[g], off
+		}
+		for j := guided - 1; j >= 0; j-- {
+			v := lits.Var(list[j])
+			g := int(guid[v])
+			h.heap[guidCnt[g]] = v
+			guidCnt[g]++
+		}
+	}
+
+	h.pos[0] = -1
+	for i, v := range h.heap {
+		h.pos[v] = int32(i)
+	}
+	return true
+}
+
+// count returns x as a count from 0 to n, if it is one. Whatever int(x)
+// gives for NaN, an infinity or a value out of int's range, it does not
+// convert back to x or lies outside 0..n.
+func count(x float64, n int) (int, bool) {
+	k := int(x)
+	return k, float64(k) == x && uint(k) <= uint(n)
+}
+
+// rebuildAll fills a reset heap with every variable in index order and
+// establishes the heap order by rebuild.
+func (h *varHeap) rebuildAll() {
+	for i := range h.heap {
+		v := lits.Var(i + 1)
+		h.heap[i] = v
+		h.pos[v] = int32(i)
+	}
+	h.rebuild()
 }
 
 func (h *varHeap) empty() bool { return len(h.heap) == 0 }

@@ -355,8 +355,9 @@ func TestStatsAddCarriesSwitchDecision(t *testing.T) {
 // TestWithDefaultsRestartInc pins the tuning every solver runs, field by
 // field, to the values the tunable options used to default to: rescore
 // every 255 conflicts, Luby restarts of unit 100 (1.5 growth were they
-// geometric), a learnt limit of a third of the originals growing by 1.1,
-// no decision budget, and a Stop/deadline poll every 64 steps. Minimisation
+// geometric), a learnt limit of a third of the originals, at least 1000,
+// growing by 1.1, compaction at a fifth of the arena garbage, no decision
+// budget, and a Stop/deadline poll every 64 steps. Minimisation
 // has no field: it always runs, which PHP(8,7)'s learnt literals pin (19060
 // minimised, 24002 when it was switched off).
 func TestWithDefaultsRestartInc(t *testing.T) {
@@ -366,7 +367,9 @@ func TestWithDefaultsRestartInc(t *testing.T) {
 		restartInc:      1.5,
 		luby:            true,
 		maxLearntFrac:   1.0 / 3.0,
+		minLearnts:      1000,
 		maxLearntInc:    1.1,
+		garbageDen:      5,
 		maxDecisions:    0,
 		pollEvery:       64,
 	}

@@ -153,6 +153,7 @@ const (
 	maxLearntFrac   = 1.0 / 3 // initial learnt-clause limit per original clause
 	minLearnts      = 1000    // floor of the initial learnt-clause limit
 	maxLearntInc    = 1.1     // learnt-clause limit growth at each reduction
+	garbageDen      = 5       // reduceDB compacts at 1/garbageDen of the arena garbage
 	pollEvery       = 64      // search steps between Stop/deadline polls
 )
 
@@ -164,7 +165,9 @@ type tuning struct {
 	restartInc      float64 // geometric growth when luby is off
 	luby            bool
 	maxLearntFrac   float64
+	minLearnts      float64
 	maxLearntInc    float64
+	garbageDen      int
 	maxDecisions    int64 // decision budget; zero means unlimited
 	pollEvery       int
 }
@@ -175,7 +178,9 @@ var defaultTuning = tuning{
 	restartInc:      restartInc,
 	luby:            true,
 	maxLearntFrac:   maxLearntFrac,
+	minLearnts:      minLearnts,
 	maxLearntInc:    maxLearntInc,
+	garbageDen:      garbageDen,
 	pollEvery:       pollEvery,
 }
 

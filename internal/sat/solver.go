@@ -248,7 +248,7 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 
 	s.reset(opts, n)
 	h := s.hint
-	s.ca.reload(len(f.Clauses)*hdrWords + f.NumLiterals())
+	s.ca.reload(func() int { return len(f.Clauses)*hdrWords + f.NumLiterals() })
 	s.learnts, s.moves = s.learnts[:0], s.moves[:0]
 	s.watches = fit(&s.watches, 2*n+2, 2*h.vars+2) // every list is set below
 	s.vals = zeroed(&s.vals, 2*n+2, 2*h.vars+2)
@@ -374,9 +374,9 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 		next[i] = 0
 	}
 
-	s.maxLearnts = max(float64(s.nClauses)*s.tune.maxLearntFrac, minLearnts)
+	s.maxLearnts = max(float64(s.nClauses)*s.tune.maxLearntFrac, s.tune.minLearnts)
 	s.nextID = ClauseID(len(f.Clauses))
-	s.heap.rebuild()
+	s.heap.build(s.newCount)
 }
 
 // NumVars returns the variable count of the underlying formula.
@@ -755,13 +755,16 @@ func (s *Solver) better(a, b lits.Var) bool {
 			return ga > gb
 		}
 	}
-	pa, pb := lits.PosLit(a).Index(), lits.PosLit(b).Index()
-	ca := max(s.chaScore[pa], s.chaScore[pa+1])
-	cb := max(s.chaScore[pb], s.chaScore[pb+1])
-	if ca != cb {
+	if ca, cb := s.chaKey(a), s.chaKey(b); ca != cb {
 		return ca > cb
 	}
 	return a < b
+}
+
+// chaKey is v's key in better: the higher of its two cha_scores.
+func (s *Solver) chaKey(v lits.Var) float64 {
+	p := lits.PosLit(v).Index()
+	return max(s.chaScore[p], s.chaScore[p+1])
 }
 
 // pickBranch pops the best unassigned variable off the decision heap and
@@ -1065,7 +1068,7 @@ func (s *Solver) reduceDB() {
 	}
 	s.learnts = kept
 	s.maxLearnts *= s.tune.maxLearntInc
-	if s.ca.wasted*garbageDen >= s.ca.used() {
+	if s.ca.wasted*s.tune.garbageDen >= s.ca.used() {
 		s.compact()
 		if s.recording {
 			live := s.liveIDs[:0]
@@ -1290,8 +1293,11 @@ func (s *Solver) solve() Result {
 			s.sinceRescore++
 			s.conflictsLeft--
 			if s.decisionLevel() == 0 {
+				// Kept for the calls that follow, which answer Unsat at
+				// once and record the same final conflict.
 				if s.recording {
-					s.opts.Recorder.RecordFinal(s.collectFinal(confl))
+					s.finalAnts = s.collectFinal(confl)
+					s.opts.Recorder.RecordFinal(s.finalAnts)
 				}
 				s.status = Unsat
 				return Result{Status: Unsat, Stats: s.stats}
