@@ -66,26 +66,11 @@ type ScoreBoard struct {
 	// instance numbered lastJ; Overlap compares the next core with it.
 	last  []lits.Var
 	lastJ int
-	// hint is the variable count Grow announced; scores that have to move
-	// move to an array that holds it.
-	hint int
 }
 
 // NewScoreBoard creates an empty score board with the given mode.
 func NewScoreBoard(mode ScoreMode) *ScoreBoard {
 	return &ScoreBoard{mode: mode}
-}
-
-// Grow announces that later cores may name variables up to vars. Like
-// sat.Solver.Grow it only records the size: the next Update whose core
-// outgrows the scores moves them to an array that holds vars variables.
-// The engine's scratch sequence and the warm pool call it with the
-// variable count of the depth unroll.GrowthDepth picks, as they hint their
-// solvers, so the scores move O(log depth) times over a check.
-func (b *ScoreBoard) Grow(vars int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.hint = vars
 }
 
 // NumCores returns how many unsat cores have been folded in.
@@ -205,21 +190,18 @@ func (b *ScoreBoard) NumScored() int {
 }
 
 // grow extends the scores to cover maxVar. A core names a higher variable
-// at nearly every depth. Where the array has to move and Grow's hint holds
-// maxVar, it moves to the hint's size. Without such a hint it grows by
-// append's rule, which adds only a quarter to a large array, so the scores
-// move at most depths: 14 times over gcnt_m10_big's 40, against 6 hinted
-// (TestHintedBoardGrowsLogarithmically).
+// at nearly every depth, so where the array has to move it at least
+// doubles: the scores move O(log depth) times over a check, 6 times over
+// gcnt_m10_big's 40 depths (TestBoardGrowsLogarithmically). Append's rule
+// adds only a quarter to a large array and moves them at most depths.
 func (b *ScoreBoard) grow(maxVar int) {
 	n := len(b.score)
 	if maxVar < n {
 		return
 	}
-	if cap(b.score) <= maxVar && b.hint >= maxVar {
-		score := make([]float64, n, b.hint+1)
-		copy(score, b.score)
-		b.score = score
+	if cap(b.score) <= maxVar {
+		b.score = slices.Grow(b.score, max(maxVar+1, 2*n)-n)
 	}
-	b.score = slices.Grow(b.score, maxVar+1-n)[:maxVar+1]
+	b.score = b.score[:maxVar+1]
 	clear(b.score[n:])
 }

@@ -218,45 +218,28 @@ func TestStrategyStrings(t *testing.T) {
 	}
 }
 
-// TestHintedBoardGrowsLogarithmically: a board hinted as the engine's
-// scratch sequence and the warm pool hint it — by unroll.GrowthDepth, with
-// the variable count of the depth it picks — moves its scores at most 7
-// times over gcnt_m10_big's 40 depths, the bound the solver tables are held
-// to (engine's TestScratchStorageGrowsLogarithmically), though each depth's
-// core names the depth's highest variable. Grown by append it moves more
-// than twice as often.
-func TestHintedBoardGrowsLogarithmically(t *testing.T) {
+// TestBoardGrowsLogarithmically: a board fed one core a depth, each naming
+// the depth's highest variable, moves its scores at most 7 times over
+// gcnt_m10_big's 40 depths, the bound the solver tables are held to
+// (engine's TestScratchStorageGrowsLogarithmically).
+func TestBoardGrowsLogarithmically(t *testing.T) {
 	const depth, maxMoves = 40, 7
 	u, err := unroll.New(bench.GatedCounter(4, 10, 6, 16), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := u.Instance()
-	size := func(t int) int {
-		vars, clauses, literals := in.Size(t)
-		return vars + clauses + literals
-	}
-	moves := func(hinted bool) int {
-		b := NewScoreBoard(WeightedSum)
-		n, sizedFor := 0, -1
-		for k := 0; k <= depth; k++ {
-			if hinted && k > sizedFor {
-				sizedFor = unroll.GrowthDepth(k, depth, size)
-				vars, _, _ := in.Size(sizedFor)
-				b.Grow(vars)
-			}
-			vars, _, _ := in.Size(k)
-			before := cap(b.score)
-			b.Update([]lits.Var{1, lits.Var(vars)}, k+1)
-			if cap(b.score) != before {
-				n++
-			}
+	b, moves := NewScoreBoard(WeightedSum), 0
+	for k := 0; k <= depth; k++ {
+		vars, _, _ := in.Size(k)
+		before := cap(b.score)
+		b.Update([]lits.Var{1, lits.Var(vars)}, k+1)
+		if cap(b.score) != before {
+			moves++
 		}
-		return n
 	}
-	hinted, appended := moves(true), moves(false)
-	t.Logf("scores moved %d times hinted, %d by append", hinted, appended)
-	if hinted > maxMoves || appended <= 2*hinted {
-		t.Errorf("scores moved %d times hinted (want at most %d), %d by append", hinted, maxMoves, appended)
+	t.Logf("scores moved %d times", moves)
+	if moves > maxMoves {
+		t.Errorf("scores moved %d times over %d depths, want at most %d", moves, depth, maxMoves)
 	}
 }

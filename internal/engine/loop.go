@@ -83,10 +83,10 @@ type freshSeq struct {
 }
 
 // grow applies the growth rule both lifetimes share, unroll.GrowthDepth,
-// when depth k outgrows what the storage was sized for: the clause list,
-// every strategy's solver tables and the score board are hinted for the
-// depth it picks. The hints are only recorded: a solver that never loads (a
-// skipped attempt, a race won remotely) allocates nothing.
+// when depth k outgrows what the storage was sized for: the clause list
+// and every strategy's solver tables are hinted for the depth it picks. The
+// hints are only recorded: a solver that never loads (a skipped attempt, a
+// race won remotely) allocates nothing.
 func (q *freshSeq) grow(k int) {
 	t := unroll.GrowthDepth(k, q.maxDepth, func(t int) int {
 		vars, clauses, literals := q.inst.Size(t)
@@ -97,7 +97,6 @@ func (q *freshSeq) grow(k int) {
 	for _, s := range q.solvers {
 		s.Grow(vars, clauses)
 	}
-	q.board.Grow(vars)
 	q.sizedFor, q.sizedVars = t, vars
 }
 

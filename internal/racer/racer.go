@@ -202,10 +202,9 @@ func NewPool(src Source, cfg Config) *Pool {
 }
 
 // grow applies the growth rule both lifetimes share, unroll.GrowthDepth,
-// when depth k outgrows what the racers were sized for: every solver and
-// the score board are hinted for the depth it picks, and so is every solver
-// made later. The hint is only recorded, so a racer that never loads
-// allocates nothing.
+// when depth k outgrows what the racers were sized for: every solver is
+// hinted for the depth it picks, and so is every solver made later. The
+// hint is only recorded, so a racer that never loads allocates nothing.
 func (p *Pool) grow(k int) {
 	t := unroll.GrowthDepth(k, p.cfg.MaxDepth, func(t int) int {
 		vars, clauses, literals := p.src.Size(t)
@@ -218,7 +217,6 @@ func (p *Pool) grow(k int) {
 			r.feed.Solver.Grow(h.Vars, h.Clauses)
 		}
 	}
-	p.cfg.Board.Grow(h.Vars)
 	p.sizedFor = t
 }
 

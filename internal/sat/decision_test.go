@@ -96,34 +96,17 @@ func (st *stepper) run(phase string, n, rescoreEvery, restartEvery int) {
 }
 
 // checkHeap checks that the decision heap holds at most one entry per
-// variable, that its position index agrees with it both ways, that it is in
-// heap order, and that every unassigned variable is queued: a variable
-// absent from the heap could never be decided.
+// variable and is otherwise what CheckHeap asks: a position index that
+// agrees with it both ways, heap order, and every unassigned variable
+// queued, for a variable absent from the heap could never be decided.
 func (st *stepper) checkHeap(phase string) {
 	st.t.Helper()
-	s, h := st.s, st.s.heap
-	if len(h.heap) > s.nVars {
-		st.t.Fatalf("%s, %s: %d heap entries for %d variables", st.name, phase, len(h.heap), s.nVars)
+	s := st.s
+	if len(s.heap.heap) > s.nVars {
+		st.t.Fatalf("%s, %s: %d heap entries for %d variables", st.name, phase, len(s.heap.heap), s.nVars)
 	}
-	for i, v := range h.heap {
-		if v < 1 || int(v) > s.nVars {
-			st.t.Fatalf("%s, %s: heap[%d] = %v, outside variables 1..%d", st.name, phase, i, v, s.nVars)
-		}
-		if h.pos[v] != int32(i) {
-			st.t.Fatalf("%s, %s: heap[%d] = %v, whose position reads %d", st.name, phase, i, v, h.pos[v])
-		}
-		if parent := (i - 1) / 2; i > 0 && s.better(v, h.heap[parent]) {
-			st.t.Fatalf("%s, %s: heap[%d] = %v ranks above its parent %v", st.name, phase, i, v, h.heap[parent])
-		}
-	}
-	for v := lits.Var(1); int(v) <= s.nVars; v++ {
-		pos := h.pos[v]
-		if pos >= 0 && (int(pos) >= len(h.heap) || h.heap[pos] != v) {
-			st.t.Fatalf("%s, %s: %v is queued at %d, which holds something else", st.name, phase, v, pos)
-		}
-		if pos < 0 && s.vals[lits.PosLit(v).Index()] == 0 {
-			st.t.Fatalf("%s, %s: unassigned %v is not queued", st.name, phase, v)
-		}
+	if err := s.CheckHeap(); err != nil {
+		st.t.Fatalf("%s, %s: %v", st.name, phase, err)
 	}
 }
 

@@ -68,9 +68,9 @@ func (r *opReader) formula() *cnf.Formula {
 // guidance is one of the guidance forms the solver meets, over variables
 // 1..nVars: none, sparse integer scores (a WeightedSum board), dense
 // integer ones (time-axis frames), halved ones (ExpDecay), one negative
-// score, one above nVars. The first three are integers from 0 to nVars,
-// which Load's heap build counting-sorts; it falls back to rebuild for the
-// rest.
+// score, one above nVars. Load's heap build counting-sorts under the
+// first two, integers from 0 to nVars on at most half the variables; it
+// falls back to rebuild for the rest.
 func (r *opReader) guidance(nVars int) []float64 {
 	form := r.intn(6)
 	if form == 0 {

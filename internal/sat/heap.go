@@ -39,13 +39,18 @@ func (h *varHeap) reset(s *Solver, nVars int) {
 // cha_score is an occurrence count, a board's bmc_score a sum of instance
 // numbers, a time-axis score a frame count. Where every variable's cha key
 // (the higher of its two cha_scores) and every guidance score is an integer
-// from 0 to n, build counting-sorts: every variable by cha key, descending
-// and in index order within a key, then, stably, only the guided ones
-// (guidance above 0) by guidance into the front. An array sorted descending
-// under better is a heap, and better is a strict total order, so every pop
-// is the argmax of the same set as after rebuild: no decision can move. Any
-// other key — ExpDecay's halved scores, a negative or NaN guidance score, a
-// key above n — falls back to rebuild.
+// from 0 to n, and at most half the variables are guided (guidance above
+// 0), build counting-sorts: every variable by cha key, descending and in
+// index order within a key, then, stably, only the guided ones by guidance
+// into the front. An array sorted descending under better is a heap, and
+// better is a strict total order, so every pop is the argmax of the same
+// set as after rebuild: no decision can move. Any other key — ExpDecay's
+// halved scores, a negative or NaN guidance score, a key above n — falls
+// back to rebuild, and so does guidance on more than half the variables.
+// The second sort then costs more than Floyd saves: a board guides about
+// one variable in a hundred, time-axis guidance nearly all of them, and
+// the two builds break even near half (gcnt_m10_big's depth 40 with
+// time-axis scores kept on a random share of its variables).
 //
 // cnt is Load's newCount: 2n+2 zeros, which build counts in and leaves
 // zero. The position index is build's scratch until the array is final.
@@ -58,11 +63,21 @@ func (h *varHeap) build(cnt []int32) (sorted bool) {
 		clear(guidCnt[:maxGuid+1])
 	}()
 	var guid []float64
+	guided := 0
 	if s.guidActive {
 		guid = s.guid
+		for v := 1; v <= n; v++ {
+			if guid[v] != 0 {
+				guided++
+			}
+		}
+		if guided > n/2 {
+			h.rebuildAll()
+			return false
+		}
 	}
 	// key[v] is v's cha key, complemented where v is guided.
-	key, guided := h.pos, 0
+	key := h.pos
 	for v := 1; v <= n; v++ {
 		c, ok := count(s.chaKey(lits.Var(v)), n)
 		if !ok {
@@ -80,7 +95,6 @@ func (h *varHeap) build(cnt []int32) (sorted bool) {
 			}
 			guidCnt[g]++
 			maxGuid = max(maxGuid, g)
-			guided++
 			key[v] = ^key[v]
 		}
 	}

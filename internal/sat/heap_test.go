@@ -14,10 +14,11 @@ import (
 // and keys raised by up, and a sorted build leaves every variable in
 // descending order under better. The key forms cover both of build's
 // paths: it sorts under no guidance, sparse integer guidance (a
-// WeightedSum board) and dense integer guidance (time-axis frames), and
-// falls back to rebuild under fractional guidance (ExpDecay), a negative
-// guidance score and a cha key above n. Either way newCount, its counting
-// scratch, is all zero afterwards.
+// WeightedSum board) and integer guidance on exactly half the variables,
+// and falls back to rebuild under dense integer guidance (time-axis
+// frames), fractional guidance (ExpDecay), a negative guidance score and a
+// cha key above n. Either way newCount, its counting scratch, is all zero
+// afterwards.
 func TestHeapBuildMatchesFloyd(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	sparse := func(n int) []float64 {
@@ -37,6 +38,13 @@ func TestHeapBuildMatchesFloyd(t *testing.T) {
 	}{
 		{"no guidance", nil, false, true},
 		{"sparse integer guidance", sparse, false, true},
+		{"integer guidance on half the variables", func(n int) []float64 {
+			g := make([]float64, n+1)
+			for v := 2; v <= n; v += 2 {
+				g[v] = float64(1 + rng.Intn(min(n, 12)))
+			}
+			return g
+		}, false, true},
 		{"dense integer guidance", func(n int) []float64 {
 			const frames = 6
 			g := make([]float64, n+1)
@@ -46,9 +54,10 @@ func TestHeapBuildMatchesFloyd(t *testing.T) {
 				}
 			}
 			return g
-		}, false, true},
+		}, false, false},
 		{"fractional guidance", func(n int) []float64 {
 			g := sparse(n)
+			g[1+rng.Intn(n)] = 1 // one odd score at least, halved to 0.5
 			for v := range g {
 				g[v] /= 2
 			}
