@@ -5,11 +5,16 @@
 //
 // Formulas in this package are the hand-off format between the circuit
 // unroller and the SAT solver; the solver copies clauses into its own
-// internal store, so a Formula is a plain, inspectable value.
+// internal store, so a Formula is a plain, inspectable value. A Formula is
+// flat: one array of every clause's literals back to back and one end
+// offset per clause, so a clause costs its literals and four bytes, and
+// adding one allocates nothing once the arrays have room. Clause(i) and
+// range f.Clauses hand out views of that array, never copies.
 package cnf
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -118,14 +123,18 @@ func (c Clause) String() string {
 }
 
 // Formula is a CNF formula: a conjunction of clauses over variables
-// 1..NumVars.
+// 1..NumVars, stored flat. Clause i is Lits[Ends[i-1]:Ends[i]] (the first
+// starts at 0), and i is its "original clause ID" for unsat-core purposes.
 type Formula struct {
 	// NumVars is the number of variables; variables are 1..NumVars.
 	// Clauses may use fewer variables, but never more.
 	NumVars int
-	// Clauses is the clause list. The index of a clause in this slice is
-	// its "original clause ID" for unsat-core purposes.
-	Clauses []Clause
+	// Lits holds the literals of every clause back to back, in clause
+	// order.
+	Lits []lits.Lit
+	// Ends holds one end offset into Lits per clause, ascending: its
+	// length is the clause count and its last entry len(Lits).
+	Ends []int32
 }
 
 // New creates an empty formula over n variables.
@@ -133,13 +142,40 @@ func New(n int) *Formula {
 	return &Formula{NumVars: n}
 }
 
-// AddClause appends a clause, growing NumVars if the clause mentions a
-// larger variable. It stores the slice as-is (no copy).
+// Clause returns clause i, a view of the formula's literals capped at its
+// length: appending to it copies and never reaches clause i+1.
+func (f *Formula) Clause(i int) Clause {
+	var lo int32
+	if i > 0 {
+		lo = f.Ends[i-1]
+	}
+	hi := f.Ends[i]
+	return Clause(f.Lits[lo:hi:hi])
+}
+
+// Clauses yields every clause with its ID, in order, each as Clause
+// returns it: for i, c := range f.Clauses.
+func (f *Formula) Clauses(yield func(int, Clause) bool) {
+	var lo int32
+	for i, hi := range f.Ends {
+		if !yield(i, Clause(f.Lits[lo:hi:hi])) {
+			return
+		}
+		lo = hi
+	}
+}
+
+// AddClause appends a copy of c, growing NumVars if the clause mentions a
+// larger variable; c may be reused afterwards.
 func (f *Formula) AddClause(c Clause) {
 	if mv := int(c.MaxVar()); mv > f.NumVars {
 		f.NumVars = mv
 	}
-	f.Clauses = append(f.Clauses, c)
+	f.Lits = append(f.Lits, c...)
+	if len(f.Lits) > math.MaxInt32 {
+		panic("cnf: a formula holds at most 2^31-1 literals")
+	}
+	f.Ends = append(f.Ends, int32(len(f.Lits)))
 }
 
 // Add appends a clause given as DIMACS-style ints.
@@ -153,18 +189,12 @@ func (f *Formula) AddUnit(l lits.Lit) {
 }
 
 // NumClauses returns the number of clauses.
-func (f *Formula) NumClauses() int { return len(f.Clauses) }
+func (f *Formula) NumClauses() int { return len(f.Ends) }
 
 // NumLiterals returns the total number of literal occurrences across all
 // clauses. This is the quantity the paper's dynamic strategy divides by 64
 // to derive its decision threshold.
-func (f *Formula) NumLiterals() int {
-	n := 0
-	for _, c := range f.Clauses {
-		n += len(c)
-	}
-	return n
-}
+func (f *Formula) NumLiterals() int { return len(f.Lits) }
 
 // Value evaluates the formula under an assignment: False if any clause is
 // false, True if all clauses are true, Undef otherwise.
@@ -191,20 +221,17 @@ func (f *Formula) Satisfied(a lits.Assignment) bool {
 
 // Copy returns a deep copy of the formula.
 func (f *Formula) Copy() *Formula {
-	g := &Formula{NumVars: f.NumVars, Clauses: make([]Clause, len(f.Clauses))}
-	for i, c := range f.Clauses {
-		g.Clauses[i] = c.Copy()
-	}
-	return g
+	return &Formula{NumVars: f.NumVars, Lits: slices.Clone(f.Lits), Ends: slices.Clone(f.Ends)}
 }
 
-// Subset returns a new formula containing only the clauses whose IDs
-// (indices) are listed. Clause slices are shared, not copied. The variable
-// count is preserved so variable identities remain stable.
+// Subset returns a new formula containing copies of the clauses whose IDs
+// (indices) are listed, in that order. The variable count is preserved so
+// variable identities remain stable.
 func (f *Formula) Subset(ids []int) *Formula {
-	g := &Formula{NumVars: f.NumVars, Clauses: make([]Clause, 0, len(ids))}
+	g := &Formula{NumVars: f.NumVars, Ends: make([]int32, 0, len(ids))}
 	for _, id := range ids {
-		g.Clauses = append(g.Clauses, f.Clauses[id])
+		g.Lits = append(g.Lits, f.Clause(id)...)
+		g.Ends = append(g.Ends, int32(len(g.Lits)))
 	}
 	return g
 }
@@ -212,10 +239,8 @@ func (f *Formula) Subset(ids []int) *Formula {
 // Vars returns the sorted set of variables actually occurring in clauses.
 func (f *Formula) Vars() []lits.Var {
 	seen := make([]bool, f.NumVars+1)
-	for _, c := range f.Clauses {
-		for _, l := range c {
-			seen[l.Var()] = true
-		}
+	for _, l := range f.Lits {
+		seen[l.Var()] = true
 	}
 	var out []lits.Var
 	for v := lits.Var(1); int(v) <= f.NumVars; v++ {
@@ -230,7 +255,7 @@ func (f *Formula) Vars() []lits.Var {
 // formulas only.
 func (f *Formula) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "cnf(vars=%d, clauses=%d)", f.NumVars, len(f.Clauses))
+	fmt.Fprintf(&b, "cnf(vars=%d, clauses=%d)", f.NumVars, f.NumClauses())
 	for _, c := range f.Clauses {
 		b.WriteString(" ")
 		b.WriteString(c.String())

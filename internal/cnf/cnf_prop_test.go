@@ -1,6 +1,7 @@
 package cnf
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -103,40 +104,49 @@ func TestPropertyNormalizePreservesSemantics(t *testing.T) {
 	}
 }
 
-// TestPropertyDimacsRoundTrip: write + parse reproduces the formula
-// exactly (clause order and literal order included).
+// TestPropertyDimacsRoundTrip: over random clause lists, empty clauses
+// included, the flat formula AddClause builds agrees with the list in every
+// view — Clause(i), range f.Clauses, NumClauses and NumLiterals — and
+// write + parse reproduces it exactly (clause order and literal order
+// included). AddClause copies: rewriting the clause it was given changes
+// nothing. And a clause handed out is capped: appending to it never writes
+// into the next clause.
 func TestPropertyDimacsRoundTrip(t *testing.T) {
 	check := func(clauses [][]int8) bool {
 		f := New(0)
-		maxVar := 0
+		var want []Clause
+		literals := 0
 		for _, ds := range clauses {
 			c := mkClause(ds)
-			if len(c) == 0 {
-				continue
-			}
-			if int(c.MaxVar()) > maxVar {
-				maxVar = int(c.MaxVar())
-			}
 			f.AddClause(c)
+			want = append(want, c.Copy())
+			literals += len(c)
+			for i := range c {
+				c[i] = c[i].Neg()
+			}
 		}
-		f.NumVars = maxVar
-		s := DimacsString(f)
-		g, err := ParseDimacsString(s)
-		if err != nil {
+		if f.NumClauses() != len(want) || f.NumLiterals() != literals {
 			return false
 		}
-		if g.NumVars != f.NumVars || g.NumClauses() != f.NumClauses() {
-			return false
-		}
-		for i := range f.Clauses {
-			if len(f.Clauses[i]) != len(g.Clauses[i]) {
+		n := 0
+		for i, c := range f.Clauses {
+			if i != n || !slices.Equal(c, want[i]) || !slices.Equal(f.Clause(i), want[i]) {
 				return false
 			}
-			for j := range f.Clauses[i] {
-				if f.Clauses[i][j] != g.Clauses[i][j] {
-					return false
-				}
+			n++
+		}
+		if n != len(want) {
+			return false
+		}
+		for i := 0; i+1 < len(want); i++ {
+			_ = append(f.Clause(i), lits.PosLit(99))
+			if !slices.Equal(f.Clause(i+1), want[i+1]) {
+				return false
 			}
+		}
+		g, err := ParseDimacsString(DimacsString(f))
+		if err != nil || g.NumVars != f.NumVars || !slices.Equal(g.Ends, f.Ends) || !slices.Equal(g.Lits, f.Lits) {
+			return false
 		}
 		return true
 	}
@@ -187,7 +197,7 @@ func TestParseDimacsTolerance(t *testing.T) {
 	if f.NumVars != 3 || f.NumClauses() != 2 {
 		t.Fatalf("parsed %d vars %d clauses", f.NumVars, f.NumClauses())
 	}
-	if len(f.Clauses[0]) != 2 || len(f.Clauses[1]) != 2 {
-		t.Fatalf("clause shapes wrong: %v", f.Clauses)
+	if len(f.Clause(0)) != 2 || len(f.Clause(1)) != 2 {
+		t.Fatalf("clause shapes wrong: %v", f)
 	}
 }

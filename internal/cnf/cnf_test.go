@@ -103,8 +103,8 @@ func TestFormulaSubset(t *testing.T) {
 	if g.NumClauses() != 2 || g.NumVars != 3 {
 		t.Fatalf("subset wrong shape: %v", g)
 	}
-	if g.Clauses[1].String() != "(~x2 | ~x3)" {
-		t.Errorf("subset picked wrong clause: %v", g.Clauses[1])
+	if g.Clause(1).String() != "(~x2 | ~x3)" {
+		t.Errorf("subset picked wrong clause: %v", g.Clause(1))
 	}
 }
 
@@ -112,8 +112,8 @@ func TestFormulaCopyIndependent(t *testing.T) {
 	f := New(2)
 	f.Add(1, 2)
 	g := f.Copy()
-	g.Clauses[0][0] = lits.NegLit(1)
-	if f.Clauses[0][0] != lits.PosLit(1) {
+	g.Clause(0)[0] = lits.NegLit(1)
+	if f.Clause(0)[0] != lits.PosLit(1) {
 		t.Errorf("copy shares clause storage")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -55,9 +56,12 @@ func ParseDimacs(r io.Reader) (*Formula, error) {
 			if err != nil {
 				return nil, fmt.Errorf("dimacs: line %d: bad literal %q", lineNo, tok)
 			}
+			if len(f.Lits)+len(cur) > math.MaxInt32 {
+				return nil, fmt.Errorf("dimacs: line %d: more than %d literals", lineNo, math.MaxInt32)
+			}
 			if d == 0 {
 				f.AddClause(cur)
-				cur = nil
+				cur = cur[:0]
 				continue
 			}
 			cur = append(cur, lits.FromDimacs(d))
@@ -74,8 +78,8 @@ func ParseDimacs(r io.Reader) (*Formula, error) {
 	if declVars >= 0 && f.NumVars > declVars {
 		return nil, fmt.Errorf("dimacs: formula uses variable %d but header declares %d", f.NumVars, declVars)
 	}
-	if declClauses >= 0 && len(f.Clauses) != declClauses {
-		return nil, fmt.Errorf("dimacs: header declares %d clauses but %d were read", declClauses, len(f.Clauses))
+	if declClauses >= 0 && f.NumClauses() != declClauses {
+		return nil, fmt.Errorf("dimacs: header declares %d clauses but %d were read", declClauses, f.NumClauses())
 	}
 	return f, nil
 }
@@ -94,7 +98,7 @@ func WriteDimacs(w io.Writer, f *Formula, comments ...string) error {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(bw, "p cnf %d %d\n", f.NumVars, len(f.Clauses)); err != nil {
+	if _, err := fmt.Fprintf(bw, "p cnf %d %d\n", f.NumVars, f.NumClauses()); err != nil {
 		return err
 	}
 	for _, c := range f.Clauses {

@@ -19,8 +19,8 @@ p cnf 3 2
 	if f.NumVars != 3 || f.NumClauses() != 2 {
 		t.Fatalf("shape: vars=%d clauses=%d", f.NumVars, f.NumClauses())
 	}
-	if f.Clauses[0].String() != "(x1 | ~x2)" {
-		t.Errorf("clause 0: %v", f.Clauses[0])
+	if f.Clause(0).String() != "(x1 | ~x2)" {
+		t.Errorf("clause 0: %v", f.Clause(0))
 	}
 }
 
@@ -30,8 +30,8 @@ func TestParseDimacsMultiLineClause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumClauses() != 1 || len(f.Clauses[0]) != 4 {
-		t.Fatalf("clause spanning lines not joined: %v", f.Clauses)
+	if f.NumClauses() != 1 || len(f.Clause(0)) != 4 {
+		t.Fatalf("clause spanning lines not joined: %v", f)
 	}
 }
 
@@ -103,9 +103,9 @@ func TestDimacsRoundTrip(t *testing.T) {
 		if g.NumVars != f.NumVars || g.NumClauses() != f.NumClauses() {
 			t.Fatalf("round trip shape mismatch")
 		}
-		for i := range f.Clauses {
-			if f.Clauses[i].String() != g.Clauses[i].String() {
-				t.Fatalf("clause %d mismatch: %v vs %v", i, f.Clauses[i], g.Clauses[i])
+		for i, c := range f.Clauses {
+			if c.String() != g.Clause(i).String() {
+				t.Fatalf("clause %d mismatch: %v vs %v", i, c, g.Clause(i))
 			}
 		}
 	}

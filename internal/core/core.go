@@ -585,8 +585,8 @@ func (r *Recorder) Proof(originals *cnf.Formula, assumptions []lits.Lit) *proofc
 	for id := range held {
 		c, i, cid := &held[id], id-int(r.base), sat.ClauseID(id)
 		switch {
-		case i < 0 && originals != nil && id < len(originals.Clauses):
-			c.Lits = originals.Clauses[id]
+		case i < 0 && originals != nil && id < originals.NumClauses():
+			c.Lits = originals.Clause(id)
 		case i < 0 || r.payload == IDsOnly || r.antEnd.at(i)&forgottenBit != 0:
 			continue
 		default:
@@ -679,10 +679,10 @@ func (r *Recorder) clause(id sat.ClauseID, originals *cnf.Formula) []lits.Lit {
 		r.clauseBuf = decodeRun(&r.lits, r.clauseBuf[:0], lo, hi, 0)
 		return r.clauseBuf
 	}
-	if originals == nil || id < 0 || int(id) >= len(originals.Clauses) {
+	if originals == nil || id < 0 || int(id) >= originals.NumClauses() {
 		return nil
 	}
-	return originals.Clauses[id]
+	return originals.Clause(int(id))
 }
 
 // Vars is the one walk from core clauses to the variables the score board

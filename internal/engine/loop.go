@@ -119,7 +119,7 @@ func (q *freshSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
 			q.guidance[i] = nil
 			q.guidance[i] = make([]float64, 0, q.sizedVars+1)
 		}
-		so.Guidance, so.SwitchAfterDecisions = st.Guidance(q.board, in, q.inst.NumLiterals(), q.divisor, q.guidance[i])
+		so.Guidance, so.SwitchAfterDecisions = st.Guidance(q.board, in, f.NumLiterals(), q.divisor, q.guidance[i])
 		q.guidance[i] = so.Guidance
 		if q.record {
 			q.recs[i].Reload(f.NumClauses())
@@ -132,7 +132,7 @@ func (q *freshSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
 		Race:         q.exec.Race(q.query, f, attempts, q.jobs, stop),
 		FrameVars:    f.NumVars,
 		TotalClauses: f.NumClauses(),
-		TotalLits:    q.inst.NumLiterals(),
+		TotalLits:    f.NumLiterals(),
 		EncodeWall:   encodeWall,
 	}
 

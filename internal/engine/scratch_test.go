@@ -45,16 +45,16 @@ func TestScratchAllocProportionalToFinalFormula(t *testing.T) {
 }
 
 // storageWatch is an Executor that races in process and, at the start and
-// end of every race, looks at where the formula's clause list, each
-// attempt's guidance and each attempt's formula-sized solver tables keep
-// their elements: every new place is one allocation of that storage. One
-// race at a time (a BMC check), so it needs no lock.
+// end of every race, looks at where the formula's literals and clause ends,
+// each attempt's guidance and each attempt's formula-sized solver tables
+// keep their elements: every new place is one allocation of that storage.
+// One race at a time (a BMC check), so it needs no lock.
 type storageWatch struct {
 	engine.LocalExecutor
-	at         map[string]uintptr
-	moves      map[string]int
-	clauseRoom int           // the clause list's capacity at the last race
-	solvers    []*sat.Solver // the last race's, by attempt
+	at                  map[string]uintptr
+	moves               map[string]int
+	clauseRoom, litRoom int           // the formula's capacities at the last race
+	solvers             []*sat.Solver // the last race's, by attempt
 }
 
 func newStorageWatch() *storageWatch {
@@ -69,8 +69,9 @@ func (w *storageWatch) note(storage string, at uintptr) {
 }
 
 func (w *storageWatch) look(f *cnf.Formula, attempts []portfolio.Attempt) {
-	w.note("clause list", reflect.ValueOf(f.Clauses).Pointer())
-	w.clauseRoom = cap(f.Clauses)
+	w.note("clause ends", reflect.ValueOf(f.Ends).Pointer())
+	w.note("literals", reflect.ValueOf(f.Lits).Pointer())
+	w.clauseRoom, w.litRoom = cap(f.Ends), cap(f.Lits)
 	w.solvers = w.solvers[:0]
 	for _, a := range attempts {
 		w.note(a.Name+" guidance", reflect.ValueOf(a.Opts.Guidance).Pointer())
@@ -88,7 +89,8 @@ func (w *storageWatch) Race(q engine.Query, f *cnf.Formula, attempts []portfolio
 }
 
 // TestScratchStorageGrowsLogarithmically: over encode_scratch's 40-depth
-// check, what a depth outgrows — the instance's clause list, the guidance,
+// check, what a depth outgrows — the instance's literals and clause ends,
+// the guidance,
 // every formula-sized table of the solver — is allocated at most 7 times
 // (when an outgrown table grew by an eighth, the arena alone was allocated
 // 19 times), and ends exactly as large as depth 40 needs. And a solver that
@@ -107,7 +109,7 @@ func TestScratchStorageGrowsLogarithmically(t *testing.T) {
 	if res, err := sess.Check(context.Background()); err != nil || res.Verdict != engine.Holds || res.K != depth {
 		t.Fatalf("%v at %d (%v), want holds at %d", res.Verdict, res.K, err, depth)
 	}
-	for _, storage := range []string{"clause list", "dynamic guidance", "dynamic ca.pages", "dynamic heap.pos"} {
+	for _, storage := range []string{"clause ends", "literals", "dynamic guidance", "dynamic ca.pages", "dynamic heap.pos"} {
 		if w.moves[storage] == 0 {
 			t.Fatalf("%s never seen: the watch looks at the wrong storage (%v)", storage, w.moves)
 		}
@@ -122,8 +124,9 @@ func TestScratchStorageGrowsLogarithmically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, clauses, _ := u.Instance().Size(depth); w.clauseRoom != clauses {
-		t.Errorf("the clause list ends with room for %d clauses, depth %d has %d", w.clauseRoom, depth, clauses)
+	if _, clauses, literals := u.Instance().Size(depth); w.clauseRoom != clauses || w.litRoom != literals {
+		t.Errorf("the formula ends with room for %d clauses and %d literals, depth %d has %d and %d",
+			w.clauseRoom, w.litRoom, depth, clauses, literals)
 	}
 
 	idle := newStorageWatch()

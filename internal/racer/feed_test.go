@@ -177,7 +177,7 @@ func TestForeignClausesBecomeLeaves(t *testing.T) {
 	for k := range foreign {
 		f := src.Frame(k)
 		for i := 0; i < 2; i++ {
-			cl := f.Clauses[i]
+			cl := f.Clause(i)
 			spare := lits.Var(f.NumVars - i)
 			for _, l := range cl {
 				if l.Var() == spare {

@@ -163,12 +163,13 @@ func TestMirrorStorageGrowsLogarithmically(t *testing.T) {
 	}
 }
 
-// clausesReachable counts the non-empty clauses reachable from v — through
-// pointers, interfaces, structs (unexported fields too), slices, arrays and
-// maps, each pointer followed once — not looking into a value skip matches,
-// a function or a channel.
+// clausesReachable counts the non-empty clauses reachable from v — a
+// clause slice, or a clause of a flat formula — through pointers,
+// interfaces, structs (unexported fields too), slices, arrays and maps,
+// each pointer followed once — not looking into a value skip matches, a
+// function or a channel.
 func clausesReachable(v reflect.Value, skip func(reflect.Value) bool) int {
-	clauseType := reflect.TypeOf(cnf.Clause{})
+	clauseType, formulaType := reflect.TypeOf(cnf.Clause{}), reflect.TypeOf(cnf.Formula{})
 	type visit struct {
 		at  uintptr
 		typ reflect.Type
@@ -194,6 +195,15 @@ func clausesReachable(v reflect.Value, skip func(reflect.Value) bool) int {
 			}
 			n = walk(v.Elem())
 		case reflect.Struct:
+			if v.Type() == formulaType {
+				ends, lo := v.FieldByName("Ends"), int64(0)
+				for i := range ends.Len() {
+					if hi := ends.Index(i).Int(); hi > lo {
+						n, lo = n+1, hi
+					}
+				}
+				return n
+			}
 			for i := range v.NumField() {
 				n += walk(v.Field(i))
 			}

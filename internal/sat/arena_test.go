@@ -34,7 +34,7 @@ func BenchmarkLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkSolver = New(f, Options{})
 	}
-	b.ReportMetric(float64(len(f.Clauses))*float64(b.N)/b.Elapsed().Seconds(), "clauses/s")
+	b.ReportMetric(float64(f.NumClauses())*float64(b.N)/b.Elapsed().Seconds(), "clauses/s")
 }
 
 // BenchmarkPropagateAdder is search_scratch in small: add_w8 at depth 4,

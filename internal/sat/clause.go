@@ -180,12 +180,11 @@ func fits(pg []uint32, w int) bool {
 // span is how many slots pg takes in the page table.
 func span(pg []uint32) int { return max(1, (cap(pg)+pageMask)>>pageShift) }
 
-// reload empties the arena for a formula of up to words() words: every
-// page but the first goes to the spare list, and a first page that holds
-// nothing is made, exactly as large as the formula up to a page, where the
-// formula has words to store. words is called only then, when there is no
-// first page to keep.
-func (a *arena) reload(words func() int) {
+// reload empties the arena for a formula of words words: every page but
+// the first goes to the spare list, and a first page that holds nothing is
+// made, exactly as large as the formula up to a page, where the formula has
+// words to store.
+func (a *arena) reload(words int) {
 	for p := len(a.pages) - 1; p > 0; p-- {
 		a.release(p)
 	}
@@ -194,7 +193,7 @@ func (a *arena) reload(words func() int) {
 		first = a.pages[0][:0]
 	}
 	if cap(first) == 0 {
-		if w := min(words(), pageWords); w > 0 {
+		if w := min(words, pageWords); w > 0 {
 			if first = a.spareFor(w); first == nil {
 				first = make([]uint32, 0, w)
 			}

@@ -137,7 +137,10 @@ func (o *opsRun) load(f *cnf.Formula, into *sat.Solver, r *opReader) {
 		into.Load(f, opts)
 		o.s = into
 	}
-	o.originals, o.clauses = f, slices.Clone(f.Clauses)
+	o.originals, o.clauses = f, nil
+	for _, c := range f.Clauses {
+		o.clauses = append(o.clauses, c)
+	}
 }
 
 // runOps decodes data into a sequence of solver calls, starting from sat.New

@@ -174,16 +174,16 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 	for iter := 0; iter < 120; iter++ {
 		nVars := rng.Intn(9) + 2
 		full := randomCNF(rng, nVars, rng.Intn(4*nVars)+2, 3)
-		cut := rng.Intn(len(full.Clauses))
+		cut := rng.Intn(full.NumClauses())
 
 		first := cnf.New(nVars)
-		for _, c := range full.Clauses[:cut] {
-			first.AddClause(c)
+		for i := range cut {
+			first.AddClause(full.Clause(i))
 		}
 		s := New(first, Options{})
 		s.Solve() // warm the clause database mid-stream
-		for _, c := range full.Clauses[cut:] {
-			s.AddClause(c)
+		for i := cut; i < full.NumClauses(); i++ {
+			s.AddClause(full.Clause(i))
 		}
 		res := s.Solve()
 

@@ -235,8 +235,8 @@ func (s *Solver) reset(opts Options, nVars int) {
 // order a fresh solver would search in.
 //
 // The formula is copied into internal storage; it is not modified and may
-// be reused. Clause IDs reported to the proof recorder match indices into
-// f.Clauses. Results the solver returned earlier (models, failed
+// be reused. Clause IDs reported to the proof recorder are the formula's
+// clause indices. Results the solver returned earlier (models, failed
 // assumptions) and what its recorder was handed are copies and stay valid.
 //
 // The load allocates per solver, not per clause, and nothing at all when
@@ -248,7 +248,7 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 
 	s.reset(opts, n)
 	h := s.hint
-	s.ca.reload(func() int { return len(f.Clauses)*hdrWords + f.NumLiterals() })
+	s.ca.reload(f.NumClauses()*hdrWords + f.NumLiterals())
 	s.learnts, s.moves = s.learnts[:0], s.moves[:0]
 	s.watches = fit(&s.watches, 2*n+2, 2*h.vars+2) // every list is set below
 	s.vals = zeroed(&s.vals, 2*n+2, 2*h.vars+2)
@@ -279,11 +279,16 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 	// rule install applies to clauses added later. newCount is all zero
 	// until the first conflict; until then it is this load's scratch, here
 	// the number of watchers each list will hold. The copy goes straight
-	// into the page at the arena's tail, p, filled as far as pg reaches.
+	// into the page at the arena's tail, p, filled as far as pg reaches; the
+	// walk takes each clause's literals from the formula's flat array up to
+	// its end offset.
 	next := s.newCount
 	p := len(s.ca.pages) - 1
 	pg := s.ca.pages[p]
-	for i, raw := range f.Clauses {
+	var lo int32
+	for i, hi := range f.Ends {
+		raw := f.Lits[lo:hi]
+		lo = hi
 		w := hdrWords + len(raw)
 		if !fits(pg, w) {
 			s.ca.pages[p] = pg
@@ -375,7 +380,7 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 	}
 
 	s.maxLearnts = max(float64(s.nClauses)*s.tune.maxLearntFrac, s.tune.minLearnts)
-	s.nextID = ClauseID(len(f.Clauses))
+	s.nextID = ClauseID(f.NumClauses())
 	s.heap.build(s.newCount)
 }
 

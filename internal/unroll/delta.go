@@ -117,10 +117,13 @@ func (d *Delta) Frame(k int) *cnf.Formula {
 		buildStart = time.Now()
 	}
 	c := d.u.c
-	f := cnf.New(d.NumVars(k))
-	_, before, _ := d.Size(k - 1)
-	_, after, _ := d.Size(k)
-	f.Clauses = make([]cnf.Clause, 0, after-before)
+	_, clauses, literals := d.Size(k - 1)
+	_, clausesTo, literalsTo := d.Size(k)
+	f := &cnf.Formula{
+		NumVars: d.NumVars(k),
+		Lits:    make([]lits.Lit, 0, literalsTo-literals),
+		Ends:    make([]int32, 0, clausesTo-clauses),
+	}
 
 	if k == 0 {
 		// I(V⁰): initial latch values.

@@ -3,6 +3,7 @@ package unroll
 import (
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/lits"
@@ -265,8 +266,8 @@ func TestDeltaTraceWithInputs(t *testing.T) {
 
 // frameSizesExact fails unless size(k) is the summed variable, clause and
 // literal count of frame(0..k) for every k up to 12 — asked ahead of the
-// frames, as a pool sizes its solvers — and every frame's clause list is
-// made at exactly its length.
+// frames, as a pool sizes its solvers — and every frame's literals and
+// clause ends are made at exactly their lengths.
 func frameSizesExact(t *testing.T, what string, size func(k int) (int, int, int), frame func(k int) *cnf.Formula) {
 	t.Helper()
 	const maxK = 12
@@ -283,8 +284,9 @@ func frameSizesExact(t *testing.T, what string, size func(k int) (int, int, int)
 			t.Fatalf("%s depth %d: Size says %d variables, %d clauses, %d literals; frames 0..%d hold %d, %d, %d",
 				what, k, wantVars, wantClauses, wantLits, k, f.NumVars, clauses, literals)
 		}
-		if cap(f.Clauses) != len(f.Clauses) {
-			t.Fatalf("%s frame %d: clause list of %d clauses made with room for %d", what, k, len(f.Clauses), cap(f.Clauses))
+		if cap(f.Ends) != len(f.Ends) || cap(f.Lits) != len(f.Lits) {
+			t.Fatalf("%s frame %d: %d clauses and %d literals made with room for %d and %d",
+				what, k, len(f.Ends), len(f.Lits), cap(f.Ends), cap(f.Lits))
 		}
 	}
 }
@@ -300,5 +302,39 @@ func TestDeltaSizeExact(t *testing.T) {
 		}
 		d := u.Delta()
 		frameSizesExact(t, c.Name()+" delta", d.Size, d.Frame)
+	}
+}
+
+// TestFramesAllocatePerFrameNotPerClause: Delta.Frame and StepDelta.Frame
+// write their clauses into a formula's two flat arrays, each made at its
+// exact size, so a frame costs the same few allocations whatever its
+// clause count — the formula, its two arrays and the step query's OR
+// buffer. On mix_w8 a frame holds over 3,000 clauses, step frame 15 some
+// 1,650 more than step frame 5 (its simple path spans three times the
+// pairs); building them one allocation a clause, as appended clause
+// slices were, cost 3,369 allocations a frame, and 4,195 against 5,845.
+func TestFramesAllocatePerFrameNotPerClause(t *testing.T) {
+	const maxAllocs = 4
+	m, ok := bench.ByName("mix_w8")
+	if !ok {
+		t.Fatal("model mix_w8 missing")
+	}
+	u, err := New(m.Build(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, sd := u.Delta(), u.StepDelta()
+	for _, view := range []struct {
+		name  string
+		frame func(k int) *cnf.Formula
+	}{{"Delta", d.Frame}, {"StepDelta", sd.Frame}} {
+		allocs := func(k int) float64 {
+			return testing.AllocsPerRun(10, func() { view.frame(k) })
+		}
+		at5, at15 := allocs(5), allocs(15)
+		if at5 != at15 || at15 > maxAllocs {
+			t.Errorf("%s.Frame allocates %v times at depth 5 (%d clauses), %v at depth 15 (%d clauses): want the same, at most %d",
+				view.name, at5, view.frame(5).NumClauses(), at15, view.frame(15).NumClauses(), maxAllocs)
+		}
 	}
 }

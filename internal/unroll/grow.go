@@ -1,12 +1,17 @@
 package unroll
 
-import "repro/internal/circuit"
+import (
+	"math"
+
+	"repro/internal/circuit"
+)
 
 // maxSizedInstance bounds the instances GrowthDepth sizes storage for,
-// counted as variables plus clauses plus literals: no solver could load a
-// larger one (its clause arena addresses 2^32 words), and the bound keeps
-// the sizes it computes far from overflowing.
-const maxSizedInstance = 1 << 32
+// counted as variables plus clauses plus literals: no formula could hold a
+// larger one (its end offsets are int32), nor a solver load it (its clause
+// arena addresses 2^32 words), and the bound keeps the sizes it computes
+// far from overflowing.
+const maxSizedInstance = math.MaxInt32
 
 // GrowthDepth is the one growth rule of both solver lifetimes: when depth k
 // outgrows the storage a check sized for an earlier depth, it returns the

@@ -2,6 +2,7 @@ package unroll
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/circuit"
 	"repro/internal/cnf"
@@ -14,7 +15,8 @@ import (
 // only the frames that are new. It is the one encoder of that numbering —
 // Formula and StepFormula are an Instance extended once.
 //
-// The clause list keeps the order a one-shot build gives it,
+// The formula is flat (cnf.Formula): one literal array and one end offset
+// per clause. Its clauses keep the order a one-shot build gives them,
 //
 //	[initial values] [gates of frames 0..n] [transitions 0..n-1] [tail]
 //
@@ -22,12 +24,13 @@ import (
 // ID, its place in every watch list, the level-0 trail's order — does not
 // depend on how the instance got to its depth. The gates and transitions
 // are the body: frame-stable, encoded once and kept. Growing by a frame
-// inserts its gate clauses after the last frame's, which moves the
-// transition headers up by that many places, and appends its transitions.
-// The tail is what a depth asserts about its last frame and nothing deeper
-// may keep — the BMC property unit; the step query's good and bad units
-// and its simple-path constraint, whose auxiliary variables are numbered
-// past the depth's frames — and is built anew at every depth.
+// opens a gap for its gate clauses after the last frame's, which moves the
+// transitions' literals and end offsets up by that many places, writes the
+// gates into it, and appends the frame's transitions. The tail is what a
+// depth asserts about its last frame and nothing deeper may keep — the BMC
+// property unit; the step query's good and bad units and its simple-path
+// constraint, whose auxiliary variables are numbered past the depth's
+// frames — and is written anew, over the last depth's, at every depth.
 //
 // Every clause is emitted normalised, in the form the solver stores it:
 // literals strictly ascending, no duplicate, no tautology. circuit.And
@@ -36,41 +39,26 @@ import (
 // earlier one's, so the clauses below are ascending as they are written
 // down and loading them sorts nothing (cnf.NormalizeLits).
 //
-// Extend rewrites the clause list it returned before. Literal arrays are
-// never rewritten: a cnf.Clause taken from an earlier depth stays what it
-// was.
+// Extend rewrites the arrays of the formula it returned before: a formula,
+// and any cnf.Clause taken from it, is valid until the next Extend.
 type Instance struct {
 	u    *Unroller
 	step bool // the k-induction step query, not the BMC one
 	f    cnf.Formula
-	// slabs holds the body's literals, one array per extension; the body's
-	// clauses are headers over them.
-	slabs []bodySlab
-	// room is what the next replacement of the clause list makes room for
-	// (Grow); without a hint the list is replaced by one of exactly the
-	// length it needs.
-	room int
+	// roomClauses and roomLits are what the next replacement of the
+	// formula's end offsets and literals makes room for (Grow); without a
+	// hint an array is replaced by one of exactly the length it needs.
+	roomClauses, roomLits int
 
-	frames   int // time frames whose gates the body holds
-	gatesEnd int // Clauses[:gatesEnd]: initial values and gates
-	bodyEnd  int // Clauses[gatesEnd:bodyEnd]: transitions; the tail follows
-	bodyLits int // literals in Clauses[:bodyEnd]
-	numLits  int // literals in Clauses
+	frames    int // time frames whose gates the body holds
+	gatesEnd  int // clauses [0, gatesEnd): initial values and gates
+	bodyEnd   int // clauses [gatesEnd, bodyEnd): transitions; the tail follows
+	gatesLits int // literals of the clauses below gatesEnd
+	bodyLits  int // literals of the clauses below bodyEnd
 
-	// constNext marks the latches whose next state is a constant: their
-	// transition is a unit clause instead of an equivalence's two binary
-	// ones. transClauses and transLits are one step's totals.
-	constNext               []bool
+	// transClauses and transLits count one step's transitions
+	// (Unroller.transition).
 	transClauses, transLits int
-}
-
-// bodySlab is the literals of the clauses one extension added to the body,
-// back to back: the initial values (units), the gates of its frames (per
-// AND gate two binary clauses and a ternary one), the transitions of its
-// steps (per latch a unit or two binary clauses).
-type bodySlab struct {
-	lits                 []lits.Lit
-	units, frames, steps int
 }
 
 // Instance returns an empty growing instance of the BMC query: Extend(k)
@@ -83,17 +71,9 @@ func (u *Unroller) StepInstance() *Instance { return u.newInstance(true) }
 
 func (u *Unroller) newInstance(step bool) *Instance {
 	in := &Instance{u: u, step: step}
-	for _, id := range u.c.Latches() {
-		next := u.c.LatchNext(id)
-		in.constNext = append(in.constNext, next == circuit.True || next == circuit.False)
-	}
 	in.transClauses, in.transLits = u.transition()
 	return in
 }
-
-// NumLiterals is Extend's formula's NumLiterals, kept as the instance
-// grows instead of counted over every clause.
-func (in *Instance) NumLiterals() int { return in.numLits }
 
 // Size returns the variable, clause and literal counts of Extend(k)'s
 // formula without building it: the closed form of the encoding below, which
@@ -103,7 +83,7 @@ func (in *Instance) Size(k int) (vars, clauses, literals int) {
 	ands := in.u.c.NumAnds()
 	units := 0
 	if !in.step {
-		units = len(in.constNext) // I(V⁰): one per latch
+		units = in.u.c.NumLatches() // I(V⁰): one per latch
 	}
 	tailClauses, tailLits, aux := in.tail(k)
 	return in.u.NumVars(frames-1) + aux,
@@ -111,11 +91,11 @@ func (in *Instance) Size(k int) (vars, clauses, literals int) {
 		units + frames*7*ands + (frames-1)*in.transLits + tailLits
 }
 
-// Grow sizes the clause list ahead for depth k, like slices.Grow, but only
-// records the size: the next Extend that has to replace the list makes it
-// room for Size(k)'s clauses, and an instance never extended past its list
-// allocates nothing for it.
-func (in *Instance) Grow(k int) { _, in.room, _ = in.Size(k) }
+// Grow sizes the formula's arrays ahead for depth k, like slices.Grow, but
+// only records the size: the next Extend that has to replace an array makes
+// it room for Size(k)'s clauses or literals, and an instance never extended
+// past its arrays allocates nothing for them.
+func (in *Instance) Grow(k int) { _, in.roomClauses, in.roomLits = in.Size(k) }
 
 // framesAt returns the number of time frames of the depth-k instance.
 func (in *Instance) framesAt(k int) int {
@@ -132,7 +112,7 @@ func (in *Instance) tail(k int) (clauses, literals, aux int) {
 	constBad := bad == circuit.True || bad == circuit.False
 	switch {
 	case in.step && !constBad:
-		latches := len(in.constNext)
+		latches := in.u.c.NumLatches()
 		pairs := (k + 1) * k / 2 // frame pairs of the simple path
 		return k + 2 + pairs*(2*latches+1), k + 2 + pairs*7*latches, pairs * latches
 	case in.step || bad == circuit.False:
@@ -158,35 +138,20 @@ func (in *Instance) VarInfo(v lits.Var) (frame int, aux bool) {
 	return frame, false
 }
 
-// carve appends to dst headers over the first literals of ls, one clause
-// per size and each capped at its length, and returns what is left of ls.
-func carve(dst []cnf.Clause, ls []lits.Lit, sizes ...int) ([]cnf.Clause, []lits.Lit) {
-	for _, n := range sizes {
-		dst, ls = append(dst, cnf.Clause(ls[:n:n])), ls[n:]
+// openGap returns s lengthened by n, with what followed index at moved up
+// by n places to leave s[at:at+n] for the caller to write. Where s has no
+// room for need elements it moves to a new array with room for max(need,
+// room).
+func openGap[E any](s []E, at, n, need, room int) []E {
+	if cap(s) < need {
+		t := make([]E, len(s)+n, max(need, room))
+		copy(t, s[:at])
+		copy(t[at+n:], s[at:])
+		return t
 	}
-	return dst, ls
-}
-
-// carveBody appends the headers of s's initial-value and gate clauses to
-// gates and those of its transition clauses to trans.
-func (in *Instance) carveBody(gates, trans []cnf.Clause, s bodySlab) (g, t []cnf.Clause) {
-	ls := s.lits
-	for i := 0; i < s.units; i++ {
-		gates, ls = carve(gates, ls, 1)
-	}
-	for i := s.frames * in.u.c.NumAnds(); i > 0; i-- {
-		gates, ls = carve(gates, ls, 2, 2, 3)
-	}
-	for i := 0; i < s.steps; i++ {
-		for _, unit := range in.constNext {
-			if unit {
-				trans, ls = carve(trans, ls, 1)
-			} else {
-				trans, ls = carve(trans, ls, 2, 2)
-			}
-		}
-	}
-	return gates, trans
+	s = s[:len(s)+n]
+	copy(s[at+n:], s[at:])
+	return s
 }
 
 // Extend grows the instance to depth k, which must not be below the depth
@@ -202,20 +167,41 @@ func (in *Instance) Extend(k int) *cnf.Formula {
 	constBad := bad == circuit.True || bad == circuit.False
 	latches := c.Latches()
 
-	// The body's new literals: initial values, then the gates of the new
-	// frames, then the transitions into them.
-	slab := bodySlab{frames: frames - in.frames, steps: frames - in.frames}
+	// What the body gains: the initial values on the first extension, the
+	// gates of the new frames, the transitions into them.
+	units, steps := 0, frames-in.frames
 	if in.frames == 0 {
-		slab.steps = frames - 1
+		steps = frames - 1
 		if !in.step {
-			slab.units = len(latches)
+			units = len(latches)
 		}
 	}
-	body := make([]lits.Lit, 0, slab.units+slab.frames*7*c.NumAnds()+slab.steps*in.transLits)
-	if slab.units > 0 {
+	newGates := units + (frames-in.frames)*3*c.NumAnds()
+	newGateLits := units + (frames-in.frames)*7*c.NumAnds()
+	tailClauses, tailLits, _ := in.tail(k)
+	needClauses := in.bodyEnd + newGates + steps*in.transClauses + tailClauses
+	needLits := in.bodyLits + newGateLits + steps*in.transLits + tailLits
+	if needLits > math.MaxInt32 {
+		panic(fmt.Sprintf("unroll: depth %d needs %d literals, past a formula's end offsets", k, needLits))
+	}
+
+	// Drop the tail and open the gap for the new gates between the last
+	// frame's and the transitions, whose ends move up by what it holds. An
+	// array replaced is let go of as soon as it is copied.
+	in.f.Lits = openGap(in.f.Lits[:in.bodyLits], in.gatesLits, newGateLits, needLits, in.roomLits)
+	in.f.Ends = openGap(in.f.Ends[:in.bodyEnd], in.gatesEnd, newGates, needClauses, in.roomClauses)
+	ls, ends := in.f.Lits, in.f.Ends
+	for i := in.gatesEnd + newGates; i < len(ends); i++ {
+		ends[i] += int32(newGateLits)
+	}
+
+	// Appending to what precedes the gap writes into it.
+	gls, gends := ls[:in.gatesLits], ends[:in.gatesEnd]
+	if units > 0 {
 		// I(V⁰): initial latch values.
 		for _, id := range latches {
-			body = append(body, lits.MkLit(u.VarFor(id, 0), !c.LatchInit(id).IsTrue()))
+			gls = append(gls, lits.MkLit(u.VarFor(id, 0), !c.LatchInit(id).IsTrue()))
+			gends = append(gends, int32(len(gls)))
 		}
 	}
 	// Gate relations (the combinational part of T, plus the property cone).
@@ -227,64 +213,39 @@ func (in *Instance) Extend(k int) *cnf.Formula {
 			f0, f1 := c.Fanins(n)
 			out, a, b := lits.PosLit(u.VarFor(n, frame)), u.LitFor(f0, frame), u.LitFor(f1, frame)
 			// out <-> (a & b), as cnf.Formula.AddAnd2 spells it: a < b < out.
-			body = append(body, a, out.Neg(), b, out.Neg(), a.Neg(), b.Neg(), out)
+			gls = append(gls, a, out.Neg(), b, out.Neg(), a.Neg(), b.Neg(), out)
+			end := int32(len(gls))
+			gends = append(gends, end-5, end-3, end)
 		}
 	}
+	in.gatesEnd, in.gatesLits = len(gends), len(gls)
+
 	// Latch transitions between consecutive frames.
-	for frame := frames - 1 - slab.steps; frame < frames-1; frame++ {
+	for frame := frames - 1 - steps; frame < frames-1; frame++ {
 		for _, id := range latches {
 			next := c.LatchNext(id)
 			lhs := lits.PosLit(u.VarFor(id, frame+1))
 			switch next {
 			case circuit.True:
-				body = append(body, lhs)
+				ls = append(ls, lhs)
 			case circuit.False:
-				body = append(body, lhs.Neg())
+				ls = append(ls, lhs.Neg())
 			default:
 				// lhs <-> next, as cnf.Formula.AddEq spells it: rhs lies
 				// in the earlier frame, so rhs < lhs.
 				rhs := u.LitFor(next, frame)
-				body = append(body, rhs, lhs.Neg(), rhs.Neg(), lhs)
+				ls = append(ls, rhs, lhs.Neg(), rhs.Neg(), lhs)
+				ends = append(ends, int32(len(ls)-2))
 			}
+			ends = append(ends, int32(len(ls)))
 		}
 	}
-	slab.lits = body
-	in.slabs = append(in.slabs, slab)
-	in.frames = frames
-	in.bodyLits += len(body)
+	in.frames, in.bodyEnd, in.bodyLits = frames, len(ends), len(ls)
 
-	// The clause list: the body's headers, then room for the tail.
-	tailClauses, tailLits, _ := in.tail(k)
-	missing := in.slabs[len(in.slabs)-1:] // slabs the list has no headers for
-	newGates := slab.units + slab.frames*3*c.NumAnds()
-	newTrans := slab.steps * in.transClauses
-	if need := in.bodyEnd + newGates + newTrans + tailClauses; cap(in.f.Clauses) < need {
-		// Headers can be carved from the slabs again, so the list is not
-		// copied but let go of before its successor is made: the two are
-		// never live together.
-		in.f.Clauses = nil
-		in.f.Clauses = make([]cnf.Clause, 0, max(need, in.room))
-		missing = in.slabs
-		newGates, newTrans = newGates+in.gatesEnd, newTrans+in.bodyEnd-in.gatesEnd
-		in.gatesEnd, in.bodyEnd = 0, 0
-	}
-	// Open the gap for the new gates between the last frame's and the
-	// transitions.
-	cl := in.f.Clauses[:in.bodyEnd+newGates+newTrans]
-	copy(cl[in.gatesEnd+newGates:], cl[in.gatesEnd:in.bodyEnd])
-	gates, trans := cl[in.gatesEnd:in.gatesEnd], cl[in.bodyEnd+newGates:in.bodyEnd+newGates]
-	for _, s := range missing {
-		gates, trans = in.carveBody(gates, trans, s)
-	}
-	in.gatesEnd += newGates
-	in.bodyEnd = len(cl)
-
-	// The tail, in a literal array of its own: the body's outlive it.
-	tail := make([]lits.Lit, 0, tailLits)
-	emit := func(ls ...lits.Lit) {
-		n := len(tail)
-		tail = append(tail, ls...)
-		cl = append(cl, cnf.Clause(tail[n:len(tail):len(tail)]))
+	// The tail.
+	emit := func(cl ...lits.Lit) {
+		ls = append(ls, cl...)
+		ends = append(ends, int32(len(ls)))
 	}
 	nVars := u.NumVars(frames - 1)
 	switch {
@@ -316,14 +277,13 @@ func (in *Instance) Extend(k int) *cnf.Formula {
 		// A constant property needs no reasoning: no frame is good when
 		// it is constantly violated, none is bad when it never is, and
 		// either way the instance is trivially unsatisfiable.
-		cl = append(cl, cnf.Clause{})
+		emit()
 	case bad == circuit.True:
 		// Constantly violated: every execution is a witness.
 	default:
 		// ¬P(Vᵏ): the bad signal asserted in the final frame.
 		emit(u.LitFor(bad, k))
 	}
-	in.numLits = in.bodyLits + len(tail)
-	in.f.NumVars, in.f.Clauses = nVars, cl
+	in.f.NumVars, in.f.Lits, in.f.Ends = nVars, ls, ends
 	return &in.f
 }

@@ -66,22 +66,26 @@ func instanceCircuits() []*circuit.Circuit {
 // sameFormula fails unless got is want, clause by clause in order.
 func sameFormula(t *testing.T, what string, got, want *cnf.Formula) {
 	t.Helper()
-	if got.NumVars != want.NumVars || len(got.Clauses) != len(want.Clauses) {
+	if got.NumVars != want.NumVars || got.NumClauses() != want.NumClauses() {
 		t.Fatalf("%s: %d variables and %d clauses, want %d and %d",
-			what, got.NumVars, len(got.Clauses), want.NumVars, len(want.Clauses))
+			what, got.NumVars, got.NumClauses(), want.NumVars, want.NumClauses())
 	}
 	for i, c := range got.Clauses {
-		if !slices.Equal(c, want.Clauses[i]) {
-			t.Fatalf("%s: clause %d is %v, want %v", what, i, c, want.Clauses[i])
+		if !slices.Equal(c, want.Clause(i)) {
+			t.Fatalf("%s: clause %d is %v, want %v", what, i, c, want.Clause(i))
 		}
+	}
+	if !slices.Equal(got.Lits, want.Lits) || !slices.Equal(got.Ends, want.Ends) {
+		t.Fatalf("%s: the clauses agree but the flat arrays do not", what)
 	}
 }
 
 // TestPropertyGrownInstanceIsOneShot: an instance grown a depth at a time is
 // at every depth the instance built in one go — the same variables and the
-// same clauses in the same order, so the same clause IDs — it knows its
-// literal count, and growing it never writes into a literal array an
-// earlier depth handed out.
+// same clauses in the same order, so the same clause IDs — and it is one
+// formula, rewritten in place: every Extend returns the formula the last
+// one did, so whoever still holds it after the next Extend holds the next
+// depth, never a mix of two.
 func TestPropertyGrownInstanceIsOneShot(t *testing.T) {
 	const maxK = 12
 	for _, c := range instanceCircuits() {
@@ -97,22 +101,15 @@ func TestPropertyGrownInstanceIsOneShot(t *testing.T) {
 			{"bmc", u.Instance(), u.Formula},
 			{"step", u.StepInstance(), func(k int) *cnf.Formula { return StepFormula(u, k) }},
 		} {
-			var handedOut []cnf.Clause // the last depth's clauses as it returned them
-			var asTheyWere *cnf.Formula
+			var handedOut *cnf.Formula // what the last depth returned
 			for k := 0; k <= maxK; k++ {
 				what := c.Name() + "/" + q.name
 				f := q.grown.Extend(k)
 				sameFormula(t, what, f, q.oneShot(k))
-				if got, want := q.grown.NumLiterals(), f.NumLiterals(); got != want {
-					t.Fatalf("%s depth %d: NumLiterals %d, the formula has %d", what, k, got, want)
+				if handedOut != nil && f != handedOut {
+					t.Fatalf("%s: depth %d returned a formula other than depth %d's", what, k, k-1)
 				}
-				for i, cl := range handedOut {
-					if !slices.Equal(cl, asTheyWere.Clauses[i]) {
-						t.Fatalf("%s: growing to depth %d rewrote depth %d's clause %d: %v, was %v",
-							what, k, k-1, i, cl, asTheyWere.Clauses[i])
-					}
-				}
-				handedOut, asTheyWere = slices.Clone(f.Clauses), f.Copy()
+				handedOut = f
 			}
 		}
 
@@ -126,9 +123,10 @@ func TestPropertyGrownInstanceIsOneShot(t *testing.T) {
 
 // TestInstanceClauseListGrowsGeometrically: an instance grown a frame at a
 // time and hinted (Grow) for about twice the depth whenever a depth
-// outgrows the last hint replaces its clause list a number of times
-// logarithmic in the depth and ends at exactly the last depth's size;
-// without hints every replacement is exactly as long as the depth needs.
+// outgrows the last hint replaces its literals and its clause ends each a
+// number of times logarithmic in the depth and ends at exactly the last
+// depth's size; without hints every replacement is exactly as long as the
+// depth needs.
 func TestInstanceClauseListGrowsGeometrically(t *testing.T) {
 	u, err := New(bench.GatedCounter(3, 5, 1, 4), 0)
 	if err != nil {
@@ -137,7 +135,7 @@ func TestInstanceClauseListGrowsGeometrically(t *testing.T) {
 	const depth = 200
 	const maxMoves = 9 // ⌈log₂ 200⌉ + 1
 	hinted, unhinted := u.Instance(), u.Instance()
-	moves, lastCap, sizedFor := 0, 0, -1
+	endMoves, litMoves, endCap, litCap, sizedFor := 0, 0, 0, 0, -1
 	var f *cnf.Formula
 	for k := 0; k <= depth; k++ {
 		if k > sizedFor {
@@ -145,19 +143,31 @@ func TestInstanceClauseListGrowsGeometrically(t *testing.T) {
 			hinted.Grow(sizedFor)
 		}
 		f = hinted.Extend(k)
-		if c := cap(f.Clauses); c != lastCap {
-			moves, lastCap = moves+1, c
+		if c := cap(f.Ends); c != endCap {
+			endMoves, endCap = endMoves+1, c
 		}
-		before := cap(unhinted.f.Clauses)
-		if g := unhinted.Extend(k); cap(g.Clauses) != before && cap(g.Clauses) != len(g.Clauses) {
-			t.Fatalf("depth %d: unhinted list replaced by %d places for %d clauses", k, cap(g.Clauses), len(g.Clauses))
+		if c := cap(f.Lits); c != litCap {
+			litMoves, litCap = litMoves+1, c
+		}
+		endsBefore, litsBefore := cap(unhinted.f.Ends), cap(unhinted.f.Lits)
+		g := unhinted.Extend(k)
+		if cap(g.Ends) != endsBefore && cap(g.Ends) != len(g.Ends) {
+			t.Fatalf("depth %d: unhinted clause ends replaced by %d places for %d clauses", k, cap(g.Ends), len(g.Ends))
+		}
+		if cap(g.Lits) != litsBefore && cap(g.Lits) != len(g.Lits) {
+			t.Fatalf("depth %d: unhinted literals replaced by %d places for %d literals", k, cap(g.Lits), len(g.Lits))
 		}
 	}
-	if moves > maxMoves {
-		t.Errorf("hinted clause list replaced %d times on the way to depth %d, want at most %d", moves, depth, maxMoves)
+	if endMoves > maxMoves || litMoves > maxMoves {
+		t.Errorf("hinted clause ends and literals replaced %d and %d times on the way to depth %d, want at most %d",
+			endMoves, litMoves, depth, maxMoves)
 	}
-	if _, want, _ := hinted.Size(depth); cap(f.Clauses) != want || len(f.Clauses) != want {
-		t.Errorf("depth %d: %d clauses in a list of %d places, want Size's %d in exactly that many", depth, len(f.Clauses), cap(f.Clauses), want)
+	_, clauses, literals := hinted.Size(depth)
+	if cap(f.Ends) != clauses || len(f.Ends) != clauses {
+		t.Errorf("depth %d: %d clauses in %d places, want Size's %d in exactly that many", depth, len(f.Ends), cap(f.Ends), clauses)
+	}
+	if cap(f.Lits) != literals || len(f.Lits) != literals {
+		t.Errorf("depth %d: %d literals in %d places, want Size's %d in exactly that many", depth, len(f.Lits), cap(f.Lits), literals)
 	}
 }
 

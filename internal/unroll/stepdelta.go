@@ -201,10 +201,13 @@ func (sd *StepDelta) Frame(k int) *cnf.Formula {
 		buildStart = time.Now()
 	}
 	c := sd.u.c
-	f := cnf.New(sd.NumVars(k))
-	_, before, _ := sd.Size(k - 1)
-	_, after, _ := sd.Size(k)
-	f.Clauses = make([]cnf.Clause, 0, after-before)
+	_, clauses, literals := sd.Size(k - 1)
+	_, clausesTo, literalsTo := sd.Size(k)
+	f := &cnf.Formula{
+		NumVars: sd.NumVars(k),
+		Lits:    make([]lits.Lit, 0, literalsTo-literals),
+		Ends:    make([]int32, 0, clausesTo-clauses),
+	}
 	bad := c.Properties()[sd.u.propIdx].Bad
 
 	gates := func(frame int) {
@@ -263,8 +266,9 @@ func (sd *StepDelta) Frame(k int) *cnf.Formula {
 		// (d → latch_i ⊕ latch_k) and OR(diffs) — permanent clauses, since
 		// every later depth's simple path spans these pairs too.
 		latches := c.Latches()
+		or := make(cnf.Clause, 0, len(latches))
 		for i := 0; i < k; i++ {
-			or := make(cnf.Clause, 0, len(latches))
+			or = or[:0]
 			for l, id := range latches {
 				d := lits.PosLit(sd.auxVar(k, i, l))
 				a := lits.PosLit(sd.VarFor(id, i))

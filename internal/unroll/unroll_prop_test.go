@@ -160,9 +160,9 @@ func TestPropertyFormulaGrowsMonotonically(t *testing.T) {
 		// Every clause of the previous instance except its final property
 		// unit must reappear identically.
 		for i := 0; i < prev.NumClauses()-1; i++ {
-			if have[key(prev.Clauses[i])] == 0 {
+			if have[key(prev.Clause(i))] == 0 {
 				t.Fatalf("k=%d: clause %d of the depth-%d instance vanished (%v)",
-					k, i, k-1, prev.Clauses[i])
+					k, i, k-1, prev.Clause(i))
 			}
 		}
 		prev = cur

@@ -231,13 +231,13 @@ func TestEncodingMatchesSimulation(t *testing.T) {
 		// clauses minus the last (property) clause when the bad signal is
 		// non-constant.
 		g := cnf.New(f.NumVars)
-		clauses := f.Clauses
+		clauses := f.NumClauses()
 		bad := c.Properties()[0].Bad
 		if !bad.IsConst() {
-			clauses = clauses[:len(clauses)-1]
+			clauses--
 		}
-		for _, cl := range clauses {
-			g.AddClause(cl)
+		for i := range clauses {
+			g.AddClause(f.Clause(i))
 		}
 		seq := make([][]bool, k+1)
 		for frame := 0; frame <= k; frame++ {
@@ -304,10 +304,10 @@ func TestFormulaGrowsLinearly(t *testing.T) {
 }
 
 // TestFormulaClauseListSizedOnce: Formula and StepFormula are an instance's
-// first extension, which allocates the clause list at exactly its size —
-// constant next states, which take one clause instead of two, included. A
-// list with capacity to spare was sized by a bound; one regrown by append
-// would have some too.
+// first extension, which allocates the literals and the clause ends at
+// exactly their sizes — constant next states, which take one clause instead
+// of two, included. An array with capacity to spare was sized by a bound;
+// one regrown by append would have some too.
 func TestFormulaClauseListSizedOnce(t *testing.T) {
 	constNext := circuit.New("const-next")
 	l := constNext.Latch("l", false)
@@ -322,11 +322,11 @@ func TestFormulaClauseListSizedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := 0; k <= 4; k++ {
-			if f := u.Formula(k); cap(f.Clauses) != len(f.Clauses) {
-				t.Errorf("%s: Formula(%d) has %d clauses in capacity %d", c.Name(), k, len(f.Clauses), cap(f.Clauses))
-			}
-			if sf := StepFormula(u, k); cap(sf.Clauses) != len(sf.Clauses) {
-				t.Errorf("%s: StepFormula(%d) has %d clauses in capacity %d", c.Name(), k, len(sf.Clauses), cap(sf.Clauses))
+			for name, f := range map[string]*cnf.Formula{"Formula": u.Formula(k), "StepFormula": StepFormula(u, k)} {
+				if cap(f.Ends) != len(f.Ends) || cap(f.Lits) != len(f.Lits) {
+					t.Errorf("%s: %s(%d) has %d clauses and %d literals in capacities %d and %d",
+						c.Name(), name, k, len(f.Ends), len(f.Lits), cap(f.Ends), cap(f.Lits))
+				}
 			}
 		}
 	}
