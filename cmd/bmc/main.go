@@ -16,10 +16,10 @@
 // solvers, -strategies picks the raced set).
 //
 // -incremental keeps live solvers across depths (with -order=portfolio:
-// the warm racer pool, whose -share clause bus defaults on). The flag
-// matrix is validated by engine.Config.Validate before the circuit is
-// even opened, so meaningless combinations (e.g. -share without the warm
-// portfolio) are rejected with an error naming the offending knob.
+// the warm racer pool). The flag matrix is validated by
+// engine.Config.Validate before the circuit is even opened, so meaningless
+// combinations (e.g. -jobs without a portfolio) are rejected with an error
+// naming the offending knob.
 //
 // -json emits the unified engine.Result as JSON on stdout (verdict, K,
 // per-depth stats, portfolio telemetry, trace, metrics snapshot) for
@@ -69,7 +69,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/portfolio"
-	"repro/internal/racer"
 	"repro/internal/remote"
 	"repro/internal/unroll"
 )
@@ -80,14 +79,10 @@ import (
 type flagConfig struct {
 	engine, order, strategies, score string
 	incremental                      bool
-	// shareSet records that -share was passed explicitly (its default is
-	// true, so the value alone cannot distinguish "asked for sharing"
-	// from "never mentioned it").
-	share, shareSet bool
-	jobs            int
-	depth           int
-	conflicts       int64
-	divisor         int
+	jobs                             int
+	depth                            int
+	conflicts                        int64
+	divisor                          int
 }
 
 // buildOptions translates the flags into engine options. String-level
@@ -150,13 +145,6 @@ func buildOptions(fc flagConfig) ([]engine.Option, error) {
 	}
 	if fc.incremental {
 		eo = append(eo, engine.WithIncremental())
-	}
-	// The warm portfolio's clause bus defaults on; an explicit -share on
-	// any other configuration is surfaced so Validate rejects it.
-	if fc.order == "portfolio" && fc.incremental {
-		eo = append(eo, engine.WithExchange(racer.ExchangeOptions{Enabled: fc.share}))
-	} else if fc.shareSet {
-		eo = append(eo, engine.WithExchange(racer.ExchangeOptions{Enabled: fc.share}))
 	}
 	return eo, nil
 }
@@ -222,10 +210,7 @@ func progressPrinter(w io.Writer) func(engine.Event) {
 		case engine.RaceFinished:
 			fmt.Fprintf(w, "     race  k=%-4d %-5s %s\n", e.K, e.Query, raceSummary(e.Racers))
 		case engine.ExchangeFlushed:
-			for _, x := range e.Exchange {
-				fmt.Fprintf(w, "     bus   k=%-4d %-10s exported=%d imported=%d dedup_dropped=%d\n",
-					e.K, x.Strategy, x.Exported, x.Imported, x.DedupDropped)
-			}
+			// Never emitted (engine.ExchangeFlushed).
 		}
 	}
 }
@@ -262,7 +247,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		increment  = fs.Bool("incremental", false, "keep live solvers across depths (with -order=portfolio: the warm racer pool)")
 		jobs       = fs.Int("jobs", 0, "portfolio: max concurrent solvers per depth (0 = one per strategy)")
 		strats     = fs.String("strategies", "", "portfolio: comma-separated strategy set (default vsids,static,dynamic,timeaxis)")
-		share      = fs.Bool("share", true, "warm pool: exchange short learned clauses between racers at depth boundaries")
 		depth      = fs.Int("depth", 20, "maximum unrolling depth (inclusive)")
 		prop       = fs.Int("prop", 0, "property (output) index to check")
 		conflicts  = fs.Int64("conflicts", 0, "per-instance conflict budget (0 = unlimited)")
@@ -286,20 +270,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	shareSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "share" {
-			shareSet = true
-		}
-	})
 	eo, err := buildOptions(flagConfig{
 		engine:      *engineName,
 		order:       *order,
 		strategies:  *strats,
 		score:       *scoreMode,
 		incremental: *increment,
-		share:       *share,
-		shareSet:    shareSet,
 		jobs:        *jobs,
 		depth:       *depth,
 		conflicts:   *conflicts,
@@ -355,12 +331,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		eo = append(eo, engine.WithTracer(tracer))
 	}
 	if len(workerAddrs) > 0 {
-		// Clause traffic between workers follows the local bus switch: off
-		// unless the warm portfolio's -share is in effect.
-		shareOn := *order == "portfolio" && *increment && *share
 		rex, err := remote.New(workerAddrs, remote.Options{
 			Session: fs.Arg(0),
-			Share:   remote.ShareOptions{Off: !shareOn},
 			Metrics: reg,
 			Tracer:  tracer,
 			Logf: func(format string, args ...any) {

@@ -37,7 +37,6 @@ func defaults(fc flagConfig) flagConfig {
 	if fc.depth == 0 {
 		fc.depth = 20
 	}
-	fc.share = fc.share || fc.shareSet // -share defaults true; explicit tests set shareSet
 	return fc
 }
 
@@ -54,9 +53,8 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{"default", valid, ""},
 		{"portfolio", flagConfig{engine: "bmc", order: "portfolio"}, ""},
-		{"warm portfolio with share", flagConfig{engine: "bmc", order: "portfolio", incremental: true, shareSet: true}, ""},
+		{"warm portfolio", flagConfig{engine: "bmc", order: "portfolio", incremental: true}, ""},
 		{"warm kind portfolio", flagConfig{engine: "kind", order: "portfolio", incremental: true}, ""},
-		{"warm kind portfolio with share", flagConfig{engine: "kind", order: "portfolio", incremental: true, shareSet: true}, ""},
 		{"warm kind single order", flagConfig{engine: "kind", order: "dynamic", incremental: true}, ""},
 		{"warm kind timeaxis", flagConfig{engine: "kind", order: "timeaxis", incremental: true}, ""},
 		{"cold kind timeaxis", flagConfig{engine: "kind", order: "timeaxis"}, ""},
@@ -74,9 +72,6 @@ func TestValidateFlags(t *testing.T) {
 		{"negative switch divisor", flagConfig{engine: "bmc", order: "dynamic", divisor: -1}, "switch divisor"},
 		{"jobs without portfolio", flagConfig{engine: "bmc", order: "dynamic", jobs: 4}, "jobs require"},
 		{"strategies without portfolio", flagConfig{engine: "bmc", order: "dynamic", strategies: "vsids"}, "strategy set requires"},
-		{"share without incremental", flagConfig{engine: "bmc", order: "portfolio", shareSet: true}, "exchange requires"},
-		{"share without portfolio", flagConfig{engine: "bmc", order: "dynamic", incremental: true, shareSet: true}, "exchange requires"},
-		{"share on single-order kind", flagConfig{engine: "kind", order: "dynamic", incremental: true, shareSet: true}, "exchange requires"},
 	}
 	for _, tc := range cases {
 		err := validate(defaults(tc.fc))

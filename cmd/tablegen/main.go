@@ -12,7 +12,7 @@
 //	timeaxis     related-work time-axis comparison
 //	portfolio    concurrent portfolio vs single orderings
 //	incremental  incremental vs scratch depth loop
-//	warm         cold portfolio vs warm pool vs warm+sharing (BMC depth loop)
+//	warm         cold portfolio vs warm pool (BMC depth loop)
 //	warm-kind    the same over the k-induction base/step pools
 //	refine       conflicts under vsids vs the refined ordering, whole suite
 //

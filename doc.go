@@ -5,8 +5,7 @@
 //	sess, err := engine.New(circ, propIdx,
 //	        engine.WithEngine(engine.KInduction),
 //	        engine.WithPortfolio(nil, 4),
-//	        engine.WithIncremental(),
-//	        engine.WithExchange(racer.ExchangeOptions{Enabled: true}))
+//	        engine.WithIncremental())
 //	res, err := sess.Check(ctx)
 //
 // Layout:
@@ -36,8 +35,7 @@
 //	                     in-place compaction):
 //	                     clause addition and assumption solving on a
 //	                     live solver, proof recording, guidance scores,
-//	                     cancellation, learned-clause export/import for
-//	                     cross-solver sharing (ExportLearned/ImportClause)
+//	                     cancellation
 //	internal/core        the conflict dependency graph (one flat recorder
 //	                     for fresh and persistent solvers, optional literal
 //	                     payload, one forgetting rule), unsat cores and the
@@ -59,35 +57,34 @@
 //	                     shapes, driven through engine
 //	internal/portfolio   strategy-racing engine: cancellable solver race
 //	                     (cold Race, live-solver RaceLive), worker pool,
-//	                     win/loss and clause-bus telemetry
+//	                     win/loss and warm-win telemetry
 //	internal/racer       warm portfolio pool: persistent per-strategy
 //	                     solvers living across the depths of one query
 //	                     sequence (Source: BMC/base or induction-step
 //	                     frames), each loaded when it is about to search
-//	                     (Feed.CatchUp, shared with the worker's mirrors),
-//	                     plus the depth-boundary clause exchange bus
+//	                     (Feed.CatchUp, shared with the worker's mirrors);
+//	                     no clause passes between racers, so every core
+//	                     leaf is a frame clause
 //	internal/remote      the distributed portfolio: numbered,
 //	                     length-prefixed frames in a binary codec
 //	                     (bounded decode, fuzzed; guidance as runs), the
 //	                     worker daemon holding warm per-connection mirror
 //	                     solvers, and the coordinator-side remote.Executor
 //	                     (fan-out with first-verdict-wins cancellation,
-//	                     heartbeats, reconnect + frame replay, clause-bus
-//	                     forwarding under per-link diets, local re-race
-//	                     fallback when a worker dies mid-depth)
+//	                     heartbeats, reconnect + frame replay, local
+//	                     re-race fallback when a worker dies mid-depth)
 //	internal/induction   test-only: the behavioural suite of the three
 //	                     k-induction shapes and the step-query encodings
 //	internal/experiments the evaluation as one (model × column) grid runner
 //	                     over engine sessions plus a registry of
 //	                     declarative experiment specs: paper tables/figures
 //	                     and ablations (portfolio vs best single order,
-//	                     incremental vs scratch, cold vs warm vs
-//	                     warm+sharing, refine), each a column list and a
-//	                     renderer
+//	                     incremental vs scratch, cold vs warm, refine),
+//	                     each a column list and a renderer
 //	internal/bench       the 37-model synthetic evaluation suite
 //	cmd/bmc              CLI front end (-engine=bmc|kind, -order=vsids|
 //	                     static|dynamic|timeaxis|portfolio, -incremental,
-//	                     -share, -json; the flag matrix is validated by
+//	                     -json; the flag matrix is validated by
 //	                     engine.Config.Validate before the circuit is
 //	                     opened, -v streams the session's progress
 //	                     events, -metrics/-metrics-addr/-trace expose the

@@ -3,8 +3,8 @@
 // cmd/bmcworker serves — and a coordinator-side remote.Executor plugs
 // into an engine session via engine.WithExecutor, so every depth's
 // portfolio race ships over the wire: the worker holds warm mirror
-// solvers per strategy, races them, and sends back the winning verdict
-// plus its learned-clause exports. The session neither knows nor cares
+// solvers per strategy, races them, and sends back the winning verdict.
+// The session neither knows nor cares
 // that its races left the process — the verdict matches the all-local
 // run exactly.
 //
@@ -27,7 +27,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/racer"
 	"repro/internal/remote"
 )
 
@@ -70,7 +69,6 @@ func main() {
 		opts = append(opts,
 			engine.WithPortfolio(nil, 0),
 			engine.WithIncremental(),
-			engine.WithExchange(racer.ExchangeOptions{Enabled: true}),
 			engine.WithBudgets(m.MaxDepth, 0))
 		sess, err := engine.New(m.Build(), 0, opts...)
 		if err != nil {

@@ -1,6 +1,7 @@
 package bmc_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -8,18 +9,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/portfolio"
-	"repro/internal/racer"
 )
 
 // warm is the warm-portfolio shape: the default strategy set on
-// persistent solvers, with the clause bus on or off.
-func warm(share bool) []engine.Option {
-	return []engine.Option{engine.WithPortfolio(nil, 0), engine.WithIncremental(),
-		engine.WithExchange(racer.ExchangeOptions{Enabled: share})}
-}
+// persistent solvers.
+var warm = []engine.Option{engine.WithPortfolio(nil, 0), engine.WithIncremental()}
 
 // TestWarmPortfolioMatchesColdAndIncremental: the acceptance bar — the
-// warm pool (with and without the clause bus) must return the same
+// warm pool must return the same
 // verdict and depth as both the cold portfolio and the single incremental
 // solver, on a failing row (counter-example at a known depth), a passing
 // row, a conflict-heavy UNSAT row and a twin circuit that holds.
@@ -37,45 +34,33 @@ func TestWarmPortfolioMatchesColdAndIncremental(t *testing.T) {
 		depth := engine.WithBudgets(m.depth, 0)
 		cold := check(t, m.build(), depth, engine.WithPortfolio(nil, 0))
 		incr := check(t, m.build(), depth, engine.WithIncremental())
-		for _, share := range []bool{false, true} {
-			res := check(t, m.build(), append(warm(share), depth)...)
-			if !res.Warm {
-				t.Fatalf("%s: Warm flag not set", m.name)
-			}
-			if res.Verdict != cold.Verdict || res.K != cold.K {
-				t.Fatalf("%s share=%v: warm %v@%d vs cold %v@%d",
-					m.name, share, res.Verdict, res.K, cold.Verdict, cold.K)
-			}
-			if res.Verdict != incr.Verdict || res.K != incr.K {
-				t.Fatalf("%s share=%v: warm %v@%d vs incremental %v@%d",
-					m.name, share, res.Verdict, res.K, incr.Verdict, incr.K)
-			}
-			if res.Verdict == engine.Falsified && res.Trace == nil {
-				t.Fatalf("%s share=%v: falsified without trace", m.name, share)
-			}
+		res := check(t, m.build(), append(slices.Clone(warm), depth)...)
+		if !res.Warm {
+			t.Fatalf("%s: Warm flag not set", m.name)
+		}
+		if res.Verdict != cold.Verdict || res.K != cold.K {
+			t.Fatalf("%s: warm %v@%d vs cold %v@%d",
+				m.name, res.Verdict, res.K, cold.Verdict, cold.K)
+		}
+		if res.Verdict != incr.Verdict || res.K != incr.K {
+			t.Fatalf("%s: warm %v@%d vs incremental %v@%d",
+				m.name, res.Verdict, res.K, incr.Verdict, incr.K)
+		}
+		if res.Verdict == engine.Falsified && res.Trace == nil {
+			t.Fatalf("%s: falsified without trace", m.name)
 		}
 	}
 }
 
 // TestWarmPortfolioTelemetry: the telemetry must carry per-depth wins and
-// — with the bus on — exchange traffic and warm attribution.
+// warm attribution.
 func TestWarmPortfolioTelemetry(t *testing.T) {
-	res := check(t, bench.AdderTwin(4, 6, 16), append(warm(true), engine.WithBudgets(4, 0))...)
+	res := check(t, bench.AdderTwin(4, 6, 16), append(slices.Clone(warm), engine.WithBudgets(4, 0))...)
 	if res.Verdict != engine.Holds {
 		t.Fatalf("verdict %v, want holds", res.Verdict)
 	}
 	if got := len(res.Telemetry.Depths); got != 5 {
 		t.Fatalf("observed %d depths, want 5", got)
-	}
-	var exported, imported int64
-	for _, n := range res.Telemetry.ExportedClauses {
-		exported += n
-	}
-	for _, n := range res.Telemetry.ImportedClauses {
-		imported += n
-	}
-	if exported == 0 || imported == 0 {
-		t.Fatalf("no bus traffic recorded: exported=%d imported=%d", exported, imported)
 	}
 	if res.Telemetry.WarmWins == 0 {
 		t.Fatalf("no warm wins recorded across 5 UNSAT depths")

@@ -27,8 +27,7 @@ func decodeClause(data []byte) Clause {
 	return NewClause(ds...)
 }
 
-// FuzzClauseCanon checks the clause canonicalization contract that the
-// solver's dedup (clauseKey) and the exchange bus both build on:
+// FuzzClauseCanon checks the clause canonicalization contract:
 // Normalize must sort strictly, preserve the literal set, detect
 // tautologies exactly, be idempotent, and never change the clause's
 // truth function. An already ascending clause takes a one-pass path that

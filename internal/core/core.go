@@ -336,16 +336,18 @@ func (c *chunked[T]) bytes() int64 {
 // Recorder is the Conflict Dependency Graph. It implements
 // sat.ProofRecorder.
 //
-// The layout is indexed by clause ID: a solver numbers originals, learned
-// clauses and bus imports from one dense counter and reports learned
-// clauses in that order, so entry i of the end table antEnd is the byte
-// offset where clause base+i's coded antecedent run ends in ants (it
-// starts where the previous clause's ends). The run codes the first antecedent against the clause's
-// own ID and each later one against the one before (appendRun). An ID that
-// never had antecedents recorded is a leaf — an original clause or a bus
-// import. A fresh solver's leaves are the formula's clauses 0..base-1 and
-// get no table entry; a persistent solver's interleave with the learned
-// clauses and get an empty one. litEnd and lits hold the Payload's clause
+// The layout is indexed by clause ID: a solver numbers originals and
+// learned clauses from one dense counter and reports learned clauses in
+// that order, so entry i of the end table antEnd is the byte offset where
+// clause base+i's coded antecedent run ends in ants (it starts where the
+// previous clause's ends). The run codes the first antecedent against the
+// clause's own ID and each later one against the one before (appendRun).
+// An ID that never had antecedents recorded is a leaf, and every leaf is
+// an original clause: a formula clause, or a frame clause added to a live
+// solver. No clause enters a solver from another one, so a core names only
+// clauses of the formula the solver was given. A fresh solver's leaves are
+// the formula's clauses 0..base-1 and get no table entry; a persistent
+// solver's interleave with the learned clauses and get an empty one. litEnd and lits hold the Payload's clause
 // literals the same way, each run coded from 0. The end tables are chunked
 // like the runs, so no store the recorder keeps is ever copied to grow.
 //
@@ -454,8 +456,8 @@ func (r *Recorder) RecordLearned(id sat.ClauseID, literals []lits.Lit, anteceden
 }
 
 // AddLeaf registers the literals of a clause the solver was given rather
-// than derived — an original added to a live solver, or a bus import —
-// under the ID the solver returned for it.
+// than derived — an original added to a live solver, such as a frame
+// clause — under the ID the solver returned for it.
 func (r *Recorder) AddLeaf(id sat.ClauseID, literals []lits.Lit) {
 	r.advance(id)
 	if r.payload != IDsOnly {

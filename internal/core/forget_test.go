@@ -61,10 +61,8 @@ func freshSolve(f *cnf.Formula) scenario {
 
 // persistentBMC feeds add_w4's frames to one persistent solver, depth by
 // depth as the warm pool does, and solves each depth under its activation
-// literal: every answer comes out of analyzeFinal. With imports, a second
-// solver searches the same depths, and the first imports a few of its short
-// learnt clauses at the next depth, registering them as leaves.
-func persistentBMC(depths int, imports bool) scenario {
+// literal: every answer comes out of analyzeFinal.
+func persistentBMC(depths int) scenario {
 	return func(wrap func(*Recorder) sat.ProofRecorder) ([]answer, *Recorder) {
 		u, err := unroll.New(bench.AdderTwin(4, 0, 0), 0)
 		if err != nil {
@@ -73,31 +71,13 @@ func persistentBMC(depths int, imports bool) scenario {
 		d := u.Delta()
 		r := NewRecorderWith(0, WithLeaves)
 		s := sat.New(cnf.New(0), sat.Options{Recorder: wrap(r)})
-		sender := sat.New(cnf.New(0), sat.Options{})
-		var pending []cnf.Clause
 		var out []answer
 		for k := 0; k < depths; k++ {
 			for _, c := range d.Frame(k).Clauses {
 				r.AddLeaf(s.AddClause(c), c)
-				if imports {
-					sender.AddClause(c)
-				}
 			}
-			// What the sender learnt at the depth before, as the warm pool's
-			// bus delivers it.
-			for _, c := range pending {
-				if id, ok := s.ImportClause(c); ok {
-					r.AddLeaf(id, c)
-				}
-			}
-			assume := []lits.Lit{d.ActLit(k)}
-			if s.SolveAssuming(assume).Status != sat.Unsat {
+			if s.SolveAssuming([]lits.Lit{d.ActLit(k)}).Status != sat.Unsat {
 				panic("add_w4 holds at every depth")
-			}
-			if imports {
-				mark := sender.NextClauseID()
-				sender.SolveAssuming(assume)
-				pending = sender.ExportLearned(mark, 4, 0, 8)
 			}
 			ids := r.Core()
 			// CoreVarsOf's result is the recorder's until its next call.
@@ -111,10 +91,10 @@ func persistentBMC(depths int, imports bool) scenario {
 // TestForgetKeepsCores: a recorder that forgets at every compaction gives
 // the cores, clause for clause and variable for variable, of one that
 // keeps every record — on fresh solves of random formulas, pigeonholes and
-// add_w4, and on a persistent solver answering under assumptions with and
-// without imported clauses. Every case learns past the learnt-clause limit
-// and must compact the arena at least once (twice on the persistent
-// solvers, three to twelve times on the fresh solves). And a collection
+// add_w4, and on a persistent solver answering under assumptions. Every
+// case learns past the learnt-clause limit and must compact the arena at
+// least once (twice on the persistent solver, three to twelve times on the
+// fresh solves). And a collection
 // that withholds one live clause trips the forgotten-record assertion.
 func TestForgetKeepsCores(t *testing.T) {
 	u, err := unroll.New(bench.AdderTwin(4, 0, 0), 0)
@@ -122,10 +102,9 @@ func TestForgetKeepsCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string]scenario{
-		"php 8":                   freshSolve(php(8)),
-		"add_w4 depth 8":          freshSolve(u.Formula(8)),
-		"persistent add_w4":       persistentBMC(25, false),
-		"persistent add_w4 + bus": persistentBMC(25, true),
+		"php 8":             freshSolve(php(8)),
+		"add_w4 depth 8":    freshSolve(u.Formula(8)),
+		"persistent add_w4": persistentBMC(25),
 	}
 	for _, seed := range []int64{1, 3, 4, 7} { // UNSAT after 2 000 to 9 000 conflicts
 		cases[fmt.Sprintf("random 3-sat %d", seed)] = freshSolve(randomCNF(rand.New(rand.NewSource(seed)), 150, 680, 3))

@@ -58,9 +58,9 @@ func (g *refGraph) vars(core []int, nVars int, aux func(lits.Var) bool) []lits.V
 }
 
 // TestRecorderMatchesReferenceTraversal grows random graphs the way a
-// persistent solver does — frames of leaves, runs of learned clauses and
-// bus imports (leaves registered after learned clauses) interleaved on one
-// ID counter — and after every round compares core and core variables with
+// persistent solver does — frames of leaves and runs of learned clauses,
+// a later frame's leaves registered after learned clauses, interleaved on
+// one ID counter — and after every round compares core and core variables with
 // the reference. Records persist across rounds; the final marker does not.
 // The larger graphs span several storage chunks. Every fourth graph has
 // large ID gaps: its first ID lies past 2^27, above originals the recorder
@@ -149,8 +149,8 @@ func TestRecorderMatchesReferenceTraversal(t *testing.T) {
 }
 
 // TestRecorderLearnedReachableFromTwoFinals: a learned clause recorded at
-// one depth serves the proofs of two, and a bus import registered after it
-// is a leaf like an original.
+// one depth serves the proofs of two, and a frame clause registered after
+// it is a leaf like an original.
 func TestRecorderLearnedReachableFromTwoFinals(t *testing.T) {
 	x := func(v int) []lits.Lit { return []lits.Lit{lits.PosLit(lits.Var(v))} }
 	r := NewRecorderWith(0, WithLeaves)

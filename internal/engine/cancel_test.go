@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/engine"
-	"repro/internal/racer"
 )
 
 // cancelConfigs covers every engine×incremental×portfolio shape whose
@@ -21,7 +20,6 @@ func cancelConfigs() []struct {
 	model string
 	opts  []engine.Option
 } {
-	exchange := engine.WithExchange(racer.ExchangeOptions{Enabled: true})
 	return []struct {
 		name  string
 		model string
@@ -30,11 +28,11 @@ func cancelConfigs() []struct {
 		{"bmc-scratch", "mix_w8", nil},
 		{"bmc-incremental", "mix_w8", []engine.Option{engine.WithIncremental()}},
 		{"bmc-portfolio", "mix_w8", []engine.Option{engine.WithPortfolio(nil, 0)}},
-		{"bmc-warm", "mix_w8", []engine.Option{engine.WithPortfolio(nil, 0), engine.WithIncremental(), exchange}},
+		{"bmc-warm", "mix_w8", []engine.Option{engine.WithPortfolio(nil, 0), engine.WithIncremental()}},
 		{"kind-sequential", "cnt_w6_t24", []engine.Option{engine.WithEngine(engine.KInduction)}},
 		{"kind-portfolio", "cnt_w6_t24", []engine.Option{engine.WithEngine(engine.KInduction), engine.WithPortfolio(nil, 0)}},
 		{"kind-warm", "cnt_w6_t24", []engine.Option{engine.WithEngine(engine.KInduction), engine.WithPortfolio(nil, 0),
-			engine.WithIncremental(), exchange}},
+			engine.WithIncremental()}},
 	}
 }
 

@@ -60,15 +60,6 @@ type Config struct {
 	// one persistent solver per raced strategy (a pool of one for
 	// single-strategy runs).
 	Incremental bool
-	// Exchange configures the warm pool's clause bus (Incremental +
-	// Portfolio only). For KInduction it drives the base-query pool; the
-	// step pool's bus stays off.
-	Exchange racer.ExchangeOptions
-	// ExchangeSet records that Exchange was configured explicitly, so
-	// Validate can reject it on engines that have no bus rather than
-	// silently ignoring it (racer.ExchangeOptions' zero value is
-	// indistinguishable from "never mentioned" otherwise).
-	ExchangeSet bool
 	// ScoreMode selects the bmc_score accumulation rule of every score
 	// board (bmc, base and step).
 	ScoreMode core.ScoreMode
@@ -91,10 +82,9 @@ type Config struct {
 	// in-process goroutine pool).
 	Executor Executor
 	// Metrics, when non-nil, collects instrumentation from every layer of
-	// the check — solver counters per query and strategy, clause-bus
-	// traffic per link, race outcomes, frame-build costs — and its
-	// snapshot lands in Result.Metrics. Nil (the default) keeps every hot
-	// path on its one-branch no-op.
+	// the check — solver counters per query and strategy, race outcomes,
+	// frame-build costs — and its snapshot lands in Result.Metrics. Nil
+	// (the default) keeps every hot path on its one-branch no-op.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records the check as Chrome-trace spans: the
 	// root check span, per-depth and per-race spans on each query's lane,
@@ -127,14 +117,10 @@ func WithPortfolio(set portfolio.StrategySet, jobs int) Option {
 // the warm racer pool).
 func WithIncremental() Option { return func(c *Config) { c.Incremental = true } }
 
-// WithExchange enables/configures the warm pool's clause bus. Requires
-// WithIncremental and WithPortfolio (Validate rejects the rest).
-func WithExchange(ex racer.ExchangeOptions) Option {
-	return func(c *Config) {
-		c.Exchange = ex
-		c.ExchangeSet = true
-	}
-}
+// WithExchange does nothing: no clause passes between racers. It stays
+// only because the frozen benchmark (benchmark/workloads.go) still passes
+// it; the benchmark's next revision deletes it with racer.ExchangeOptions.
+func WithExchange(racer.ExchangeOptions) Option { return func(*Config) {} }
 
 // WithBudgets sets the depth bound and the per-SAT-call conflict budget
 // (0 = unlimited conflicts). Wall-clock budgets are carried by the
@@ -223,9 +209,6 @@ func (c *Config) Validate() error {
 		if c.Ordering.String() == "unknown" {
 			return fmt.Errorf("engine: unknown ordering strategy %d (valid: vsids, static, dynamic, timeaxis)", int(c.Ordering))
 		}
-	}
-	if c.ExchangeSet && !(c.Portfolio && c.Incremental) {
-		return fmt.Errorf("engine: clause exchange requires an incremental portfolio (the bus runs between multiple persistent racers)")
 	}
 	return nil
 }

@@ -6,10 +6,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/portfolio"
-	"repro/internal/racer"
 )
 
-// TestConfigValidate enumerates the engine×ordering×incremental×sharing
+// TestConfigValidate enumerates the engine×ordering×incremental
 // matrix: every rejected combination errors out with a message naming
 // the offending knob, and every supported combination passes.
 func TestConfigValidate(t *testing.T) {
@@ -20,7 +19,6 @@ func TestConfigValidate(t *testing.T) {
 		}
 		return cfg
 	}
-	exchange := racer.ExchangeOptions{Enabled: true}
 	cases := []struct {
 		name    string
 		cfg     Config
@@ -33,15 +31,12 @@ func TestConfigValidate(t *testing.T) {
 		{"bmc portfolio", mk(WithPortfolio(nil, 0)), ""},
 		{"bmc portfolio jobs", mk(WithPortfolio(nil, 4)), ""},
 		{"bmc warm portfolio", mk(WithPortfolio(nil, 0), WithIncremental()), ""},
-		{"bmc warm with exchange", mk(WithPortfolio(nil, 0), WithIncremental(), WithExchange(exchange)), ""},
 		{"kind sequential", mk(WithEngine(KInduction)), ""},
 		{"kind incremental single order", mk(WithEngine(KInduction), WithIncremental()), ""},
 		{"kind incremental timeaxis", mk(WithEngine(KInduction), WithIncremental(), WithOrdering(core.OrderTimeAxis)), ""},
 		{"kind portfolio", mk(WithEngine(KInduction), WithPortfolio(nil, 0)), ""},
 		{"kind warm portfolio", mk(WithEngine(KInduction), WithPortfolio(nil, 2), WithIncremental()), ""},
 		{"kind sequential timeaxis", mk(WithEngine(KInduction), WithOrdering(core.OrderTimeAxis)), ""},
-		{"kind warm with exchange", mk(WithEngine(KInduction), WithPortfolio(nil, 0), WithIncremental(),
-			WithExchange(exchange)), ""},
 		{"switch divisor 0 is the paper's", mk(WithSwitchDivisor(0)), ""},
 		{"switch divisor", mk(WithSwitchDivisor(16)), ""},
 		{"every score mode", mk(WithScoreMode(core.ExpDecay)), ""},
@@ -58,12 +53,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative switch divisor on a warm portfolio", mk(WithPortfolio(nil, 0), WithIncremental(), WithSwitchDivisor(-8)),
 			"switch divisor"},
 		{"unknown score mode", mk(WithScoreMode(core.ScoreMode(4))), "unknown score mode"},
-		{"exchange without portfolio", mk(WithIncremental(), WithExchange(exchange)),
-			"exchange requires an incremental portfolio"},
-		{"exchange without incremental", mk(WithPortfolio(nil, 0), WithExchange(exchange)),
-			"exchange requires an incremental portfolio"},
-		{"exchange disabled still needs warm portfolio", mk(WithExchange(racer.ExchangeOptions{})),
-			"exchange requires an incremental portfolio"},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()

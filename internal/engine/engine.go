@@ -4,8 +4,7 @@
 //	sess, err := engine.New(circ, propIdx,
 //	        engine.WithEngine(engine.KInduction),
 //	        engine.WithPortfolio(nil, 4),
-//	        engine.WithIncremental(),
-//	        engine.WithExchange(racer.ExchangeOptions{Enabled: true}))
+//	        engine.WithIncremental())
 //	res, err := sess.Check(ctx)
 //
 // and, behind it, one depth loop (loop.go) — the paper's Fig. 5 — over
@@ -14,21 +13,20 @@
 // its base verdict made moot), the solver lifetime (fresh solvers per
 // depth, or persistent ones fed per-depth deltas with WithIncremental),
 // and the attempt set (a portfolio's strategy set; a single ordering is
-// a portfolio of one). The engine×ordering×incremental×sharing matrix is
+// a portfolio of one). The engine×ordering×incremental matrix is
 // validated in one place (Config.Validate), results come back as one
 // Result (verdict, depth, trace, per-depth stats, portfolio telemetry,
-// warm/exchange attribution), cancellation and deadlines are carried by
+// warm-win attribution), cancellation and deadlines are carried by
 // the context.Context passed to Check and plumbed down to every solver
 // through sat.Options.Stop/Deadline, and per-depth progress streams
 // through WithProgress.
 //
 // Behind the session sits the Executor seam: every race of every shape —
 // cold or warm, four strategies or one — is submitted through the
-// Executor interface, and every clause-bus payload flows through its
-// hook, so a remote executor (internal/remote: TCP workers racing the
-// same CNF, first verdict cancels the rest, clauses as the wire payload)
-// slots in behind the same session API via WithExecutor. LocalExecutor,
-// the default, wraps the in-process goroutine pool.
+// Executor interface, so a remote executor (internal/remote: TCP workers
+// that unroll the shipped circuit and race it, first verdict cancels the
+// rest) slots in behind the same session API via WithExecutor.
+// LocalExecutor, the default, wraps the in-process goroutine pool.
 package engine
 
 import (
@@ -150,7 +148,7 @@ type DepthStats struct {
 }
 
 // Result is the unified outcome of Session.Check: one struct covers
-// every engine×ordering×incremental×sharing configuration, with fields
+// every engine×ordering×incremental configuration, with fields
 // that do not apply to the ran configuration left at their zero values.
 type Result struct {
 	// Engine echoes the session's engine kind.
@@ -182,8 +180,8 @@ type Result struct {
 	Strategies []string `json:"strategies,omitempty"`
 	Jobs       int      `json:"jobs,omitempty"`
 	Warm       bool     `json:"warm,omitempty"`
-	// Telemetry records which ordering won at which depth and the
-	// clause-bus traffic (BMC portfolio runs).
+	// Telemetry records which ordering won at which depth (BMC portfolio
+	// runs).
 	Telemetry *portfolio.Telemetry `json:"telemetry,omitempty"`
 	// BaseTelemetry/StepTelemetry are the per-query race telemetries
 	// (k-induction portfolio runs).

@@ -12,7 +12,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lits"
 	"repro/internal/portfolio"
-	"repro/internal/racer"
 	"repro/internal/sat"
 )
 
@@ -53,8 +52,7 @@ func TestSessionEquivalenceSuite(t *testing.T) {
 		}{
 			{"incremental", append([]engine.Option{engine.WithIncremental()}, base...)},
 			{"portfolio", append([]engine.Option{engine.WithPortfolio(nil, 0)}, base...)},
-			{"warm", append([]engine.Option{engine.WithPortfolio(nil, 0), engine.WithIncremental(),
-				engine.WithExchange(racer.ExchangeOptions{Enabled: true})}, base...)},
+			{"warm", append([]engine.Option{engine.WithPortfolio(nil, 0), engine.WithIncremental()}, base...)},
 		}
 		for _, cfg := range configs {
 			res := checkModel(t, m, cfg.opts...)
@@ -128,8 +126,7 @@ func TestKindSessionEquivalence(t *testing.T) {
 			opts []engine.Option
 		}{
 			{"portfolio", append([]engine.Option{engine.WithPortfolio(nil, 0)}, kind...)},
-			{"warm", append([]engine.Option{engine.WithPortfolio(nil, 0), engine.WithIncremental(),
-				engine.WithExchange(racer.ExchangeOptions{Enabled: true})}, kind...)},
+			{"warm", append([]engine.Option{engine.WithPortfolio(nil, 0), engine.WithIncremental()}, kind...)},
 			{"warm-single", append([]engine.Option{engine.WithIncremental()}, kind...)},
 		} {
 			res := checkModel(t, tc.build, cfg.opts...)
@@ -159,15 +156,15 @@ func (e *countingExecutor) RaceLive(q engine.Query, attempts []portfolio.LiveAtt
 	return e.LocalExecutor.RaceLive(q, attempts, assumps, jobs, stop)
 }
 
-func (e *countingExecutor) OnClausePayload(q engine.Query, k int, from string, clauses []cnf.Clause) {
-	e.payloads.Add(int64(len(clauses)))
+func (e *countingExecutor) OnClausePayload(engine.Query, int, string, []cnf.Clause) {
+	e.payloads.Add(1)
 }
 
 // TestExecutorSeam: every race of a session — cold and warm, a portfolio
 // or a single ordering — is submitted through the configured Executor,
-// one race per depth and query, and the warm pool's clause-bus payloads
-// flow through its hook; swapping the executor does not change the
-// verdict.
+// one race per depth and query, and OnClausePayload, which only the frozen
+// benchmark still forwards, is never called; swapping the executor does
+// not change the verdict.
 func TestExecutorSeam(t *testing.T) {
 	m, ok := bench.ByName("add_w8")
 	if !ok {
@@ -189,13 +186,13 @@ func TestExecutorSeam(t *testing.T) {
 
 	warm := &countingExecutor{}
 	res = checkModel(t, m, engine.WithBudgets(depth, 0), engine.WithPortfolio(nil, 0),
-		engine.WithIncremental(), engine.WithExchange(racer.ExchangeOptions{Enabled: true}),
+		engine.WithIncremental(),
 		engine.WithExecutor(warm))
 	if warm.liveRaces.Load() != depth+1 {
 		t.Errorf("warm: %d live races through the executor, want %d", warm.liveRaces.Load(), depth+1)
 	}
-	if warm.payloads.Load() == 0 {
-		t.Error("warm: no clause-bus payloads reached the executor hook")
+	if n := warm.payloads.Load(); n != 0 {
+		t.Errorf("warm: the engine called OnClausePayload %d times; no clause passes between racers", n)
 	}
 	if res.Verdict != ref.Verdict || res.K != ref.K {
 		t.Errorf("warm: verdict changed behind a custom executor: (%v@%d) vs (%v@%d)",

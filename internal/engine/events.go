@@ -6,8 +6,8 @@ import (
 	"repro/internal/sat"
 )
 
-// Query identifies which instance sequence of a session an event (or a
-// clause-bus payload) concerns.
+// Query identifies which instance sequence of a session an event
+// concerns.
 type Query string
 
 // Queries.
@@ -43,9 +43,10 @@ const (
 	// DepthFinished, with one row per racer in Event.Racers — the
 	// per-strategy view DepthFinished collapses into its winner column.
 	RaceFinished
-	// ExchangeFlushed fires after a depth-boundary clause-bus round moved
-	// (or dropped) any clauses (warm pools with the bus enabled), with
-	// per-strategy traffic in Event.Exchange. Idle rounds emit nothing.
+	// ExchangeFlushed is never emitted: no clause passes between racers.
+	// It stays, with ExchangeRow and Event.Exchange, only because the
+	// frozen benchmark (benchmark/decorator.go) still handles it; the
+	// benchmark's next revision deletes all three.
 	ExchangeFlushed
 )
 
@@ -65,9 +66,8 @@ type RacerRow struct {
 	Skipped  bool
 }
 
-// ExchangeRow is one strategy's clause-bus traffic in an ExchangeFlushed
-// event: clauses its solver exported, accepted from others, and rejected
-// as duplicates.
+// ExchangeRow is never sent; it stays only because the frozen benchmark
+// (benchmark/decorator.go) reads its fields (see ExchangeFlushed).
 type ExchangeRow struct {
 	Strategy     string
 	Exported     int64
@@ -88,7 +88,7 @@ type Event struct {
 	// Racers carries the per-racer rows of a joined race (RaceFinished
 	// only).
 	Racers []RacerRow
-	// Exchange carries the per-strategy clause-bus rows of a flushed
-	// depth boundary (ExchangeFlushed only).
+	// Exchange is always nil; the frozen benchmark
+	// (benchmark/decorator.go) still reads it (see ExchangeFlushed).
 	Exchange []ExchangeRow
 }

@@ -7,11 +7,10 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/engine"
-	"repro/internal/racer"
 )
 
 // Example model-checks a small counter circuit through the session API:
-// one entrypoint covers every engine×ordering×incremental×sharing
+// one entrypoint covers every engine×ordering×incremental
 // configuration, and the context carries cancellation and deadlines into
 // every solver.
 func Example() {
@@ -27,7 +26,6 @@ func Example() {
 	sess, err := engine.New(c, 0,
 		engine.WithPortfolio(nil, 0), // race all four orderings per depth
 		engine.WithIncremental(),     // persistent solvers across depths
-		engine.WithExchange(racer.ExchangeOptions{Enabled: true}),
 		engine.WithBudgets(12, 0))
 	if err != nil {
 		log.Fatal(err)

@@ -9,8 +9,7 @@ import (
 // Executor is the session's execution seam: every race a Session runs —
 // cold (fresh solvers over one formula) or live (the warm pool's
 // persistent solvers under an assumption) — is submitted through this
-// interface, and every depth-boundary clause-bus payload flows through
-// its hook. LocalExecutor wraps the in-process goroutine pool;
+// interface. LocalExecutor wraps the in-process goroutine pool;
 // remote.Executor (internal/remote) fans the same calls out across a
 // fleet of bmcworker daemons over TCP. Both are installed through
 // WithExecutor and observed through the same session API, so the depth
@@ -54,10 +53,9 @@ import (
 // it: the pool writes the next depth's over the same array. The solvers
 // are single-threaded: the executor may drive each one from at most one
 // goroutine at a time, and when the call returns every solver it asked
-// for must be at rest — the caller immediately runs depth-boundary work
-// (clause exchange, core folding) on them. Outcomes are indexed exactly
-// like the attempts slice either way, and clauses learned on solvers the
-// caller does not own travel back in RaceResult.Foreign.
+// for must be at rest — the caller immediately folds the winner's core
+// from them. Outcomes are indexed exactly like the attempts slice either
+// way; nothing learned on solvers the caller does not own comes back.
 //
 // Every attempt of both race methods names what it solves: the depth-K
 // instance of the query sequence its Origin unrolls (portfolio.Origin, one
@@ -77,21 +75,16 @@ import (
 // the caller's only cancellation channel; implementations must never
 // require a second call to unwind a race.
 //
-// OnClausePayload observes one racer's exported clause-bus payload at a
-// depth boundary: query names the instance sequence, k the depth, from
-// the exporting strategy. The pool redistributes the payload locally
-// itself; the hook exists so a distributing executor can
-// forward it to its workers (the clauses are plain literal slices — the
-// designed wire format). The payload is shared with the local
-// importing side: implementations may retain the slices but must not
-// mutate them. The hook is called between races (solvers at rest) and
-// should return quickly; slow transports must buffer internally.
+// OnClausePayload is never called: no clause passes between racers. It
+// stays in the interface only because the frozen benchmark
+// (benchmark/decorator.go) still forwards it; the benchmark's next
+// revision deletes it. Implementations give it an empty body.
 //
 // # Concurrency
 //
 // The k-induction engine races its base and step queries in parallel:
 // implementations must accept concurrent Race/RaceLive calls (they are
-// always for distinct queries) and concurrent OnClausePayload calls.
+// always for distinct queries).
 type Executor interface {
 	Race(query Query, f *cnf.Formula, attempts []portfolio.Attempt, jobs int, stop <-chan struct{}) portfolio.RaceResult
 	RaceLive(query Query, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult
@@ -126,6 +119,6 @@ func (LocalExecutor) RaceLive(_ Query, attempts []portfolio.LiveAttempt, assumps
 	return portfolio.RaceLive(attempts, assumps, jobs, stop)
 }
 
-// OnClausePayload is a no-op: the local clause bus redistributes
-// in-process immediately after exporting.
+// OnClausePayload is never called; it stays only for the frozen
+// benchmark's decorator (benchmark/decorator.go).
 func (LocalExecutor) OnClausePayload(Query, int, string, []cnf.Clause) {}

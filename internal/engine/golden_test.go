@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/portfolio"
-	"repro/internal/racer"
 )
 
 // goldenShapes are the seven engine shapes (plus four that pin a path of
@@ -19,17 +18,16 @@ import (
 // vsids} with jobs = 1, so the attempts run in order and dynamic — the
 // ordering fed by the score board — decides every depth.
 func goldenShapes() map[string][]engine.Option {
-	exchange := engine.WithExchange(racer.ExchangeOptions{Enabled: true})
 	kind := engine.WithEngine(engine.KInduction)
 	race := engine.WithPortfolio(portfolio.StrategySet{core.OrderDynamic, core.OrderVSIDS}, 1)
 	return map[string][]engine.Option{
 		"bmc-scratch":             nil,
 		"bmc-incremental":         {engine.WithIncremental()},
 		"bmc-portfolio":           {race},
-		"bmc-warm":                {race, engine.WithIncremental(), exchange},
+		"bmc-warm":                {race, engine.WithIncremental()},
 		"kind-sequential":         {kind},
 		"kind-portfolio":          {kind, race},
-		"kind-warm":               {kind, race, engine.WithIncremental(), exchange},
+		"kind-warm":               {kind, race, engine.WithIncremental()},
 		"bmc-scratch-vsids":       {engine.WithOrdering(core.OrderVSIDS)},
 		"bmc-scratch-timeaxis":    {engine.WithOrdering(core.OrderTimeAxis)},
 		"kind-portfolio-timeaxis": {kind, engine.WithPortfolio(portfolio.StrategySet{core.OrderTimeAxis}, 1)},

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/lits"
 	"repro/internal/obs"
@@ -222,19 +221,7 @@ func (s *Session) resolve(ctx context.Context) plan {
 func (s *Session) newSequence(u *unroll.Unroller, query Query, p plan) sequence {
 	board := core.NewScoreBoard(s.cfg.ScoreMode)
 	if s.cfg.Incremental {
-		// The step bus stays off. It was turned off while the solver
-		// saved phases, which sharing perturbed on the SAT-dominated step
-		// sequences; it has not been re-measured since phase saving went.
-		var ex racer.ExchangeOptions
-		if query != QueryStep {
-			ex = s.cfg.Exchange
-		}
-		// The k-induction sequences spend stretches hunting models (the
-		// base instance at a failure depth is SAT), where a full-mesh bus
-		// can converge all racers onto the same wrong turn: keep one
-		// racer import-free as the diversity reserve.
-		ex.ReserveFirst = s.cfg.Kind == KInduction
-		cfg := s.poolConfig(query, p, board, ex)
+		cfg := s.poolConfig(query, p, board)
 		if query == QueryStep {
 			sd := u.StepDelta()
 			sd.SetMetrics(s.unrollMetrics(query))
@@ -276,13 +263,10 @@ func (s *Session) newSequence(u *unroll.Unroller, query Query, p plan) sequence 
 }
 
 // poolConfig hands the plan and the sequence's board to a warm racer pool,
-// routing races and clause-bus payloads through the Executor seam.
-// query labels them for the executor.
-func (s *Session) poolConfig(query Query, p plan, board *core.ScoreBoard, exchange racer.ExchangeOptions) racer.Config {
+// routing races through the Executor seam. query labels them for the
+// executor.
+func (s *Session) poolConfig(query Query, p plan, board *core.ScoreBoard) racer.Config {
 	exec := s.executor()
-	exchange.OnExport = func(k int, from string, clauses []cnf.Clause) {
-		exec.OnClausePayload(query, k, from, clauses)
-	}
 	return racer.Config{
 		Strategies: p.set,
 		Jobs:       s.cfg.Jobs,
@@ -291,7 +275,6 @@ func (s *Session) poolConfig(query Query, p plan, board *core.ScoreBoard, exchan
 		Divisor:    p.divisor,
 		Record:     p.record,
 		MaxDepth:   s.cfg.MaxDepth,
-		Exchange:   exchange,
 		Race: func(q string, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
 			return exec.RaceLive(Query(q), attempts, assumps, jobs, stop)
 		},
@@ -441,8 +424,8 @@ func (s *Session) startDepth(l *lane, k int) *depthRun {
 // raceBoth races one depth's base and step queries side by side. A base
 // verdict that makes the step moot — SAT falsifies outright, undecided
 // ends the attempt — cancels the step race so it stops burning cores on
-// a moot question (a warm step pool keeps the conflicts: its solvers and
-// clause bus survive cancellation). Cancelling ctx stops both.
+// a moot question (a warm step pool keeps the conflicts: its solvers
+// survive cancellation). Cancelling ctx stops both.
 func raceBoth(ctx context.Context, b, st *depthRun) {
 	stepCtx, cancelStep := context.WithCancel(ctx)
 	defer cancelStep()
@@ -461,27 +444,25 @@ func raceBoth(ctx context.Context, b, st *depthRun) {
 
 // finishDepths closes the depth's joined runs (one query, or base and
 // step) in the event order consumers rely on: every RaceFinished, then
-// every ExchangeFlushed, then every DepthFinished.
+// every DepthFinished.
 func (s *Session) finishDepths(res *Result, runs ...*depthRun) {
 	for _, r := range runs {
 		if r.tel == nil {
 			continue
 		}
-		race, warm, shared := &r.out.Race, r.out.WinnerWarm, r.out.WinnerShared
+		race := &r.out.Race
 		if r.aborted {
 			// A deliberately cancelled race is no evidence about any
 			// strategy — folding it into Observe would count every racer
-			// as a loser — but its bus traffic is real.
+			// as a loser.
 			r.tel.ObserveAborted(r.k, race)
-			warm, shared = false, false
 		} else {
 			r.tel.Observe(r.k, race)
+			if r.out.WinnerWarm {
+				r.tel.WarmWins++
+			}
 		}
-		r.tel.ObserveExchange(r.out.Exported, r.out.Imported, r.out.DedupDropped, warm, shared)
 		s.observeRace(r.query, r.k, race)
-	}
-	for _, r := range runs {
-		s.observeExchange(r.query, r.k, &r.out)
 	}
 	for _, r := range runs {
 		race := &r.out.Race

@@ -1,19 +1,17 @@
 package engine
 
 import (
-	"sort"
 	"strconv"
 
 	"repro/internal/obs"
 	"repro/internal/portfolio"
-	"repro/internal/racer"
 	"repro/internal/sat"
 	"repro/internal/unroll"
 )
 
 // Observability plumbing of the session: depth/race/racer spans on the
-// configured tracer and the RaceFinished/ExchangeFlushed mirrors into the
-// progress stream. Everything here is nil-safe — a session without
+// configured tracer and the RaceFinished mirror into the progress
+// stream. Everything here is nil-safe — a session without
 // WithMetrics/WithTracer pays the nil checks and nothing else.
 //
 // Trace layout: the root "check" span lives on the "engine" lane; each
@@ -96,43 +94,6 @@ func (s *Session) observeRace(query Query, k int, race *portfolio.RaceResult) {
 		}
 	}
 	s.emit(Event{Kind: RaceFinished, Query: query, K: k, Racers: rows})
-}
-
-// observeExchange mirrors one depth-boundary clause-bus round into the
-// progress stream, one row per strategy that moved (or dropped) clauses.
-// An idle round — bus off, or nothing to share — emits nothing.
-func (s *Session) observeExchange(query Query, k int, out *racer.DepthOutcome) {
-	if s.cfg.Progress == nil {
-		return
-	}
-	names := map[string]bool{}
-	for n := range out.Exported {
-		names[n] = true
-	}
-	for n := range out.Imported {
-		names[n] = true
-	}
-	for n := range out.DedupDropped {
-		names[n] = true
-	}
-	if len(names) == 0 {
-		return
-	}
-	ordered := make([]string, 0, len(names))
-	for n := range names {
-		ordered = append(ordered, n)
-	}
-	sort.Strings(ordered)
-	rows := make([]ExchangeRow, len(ordered))
-	for i, n := range ordered {
-		rows[i] = ExchangeRow{
-			Strategy:     n,
-			Exported:     out.Exported[n],
-			Imported:     out.Imported[n],
-			DedupDropped: out.DedupDropped[n],
-		}
-	}
-	s.emit(Event{Kind: ExchangeFlushed, Query: query, K: k, Exchange: rows})
 }
 
 // solverMetrics resolves the per-strategy solver metric bundle, nil when

@@ -12,7 +12,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/portfolio"
-	"repro/internal/racer"
 	"repro/internal/remote"
 )
 
@@ -185,7 +184,6 @@ func TestIdleRacersStayEmpty(t *testing.T) {
 	}
 	warm := []engine.Option{
 		engine.WithBudgets(depth, 0), engine.WithPortfolio(nil, 1), engine.WithIncremental(),
-		engine.WithExchange(racer.ExchangeOptions{Enabled: true}),
 	}
 
 	reg := obs.NewRegistry()

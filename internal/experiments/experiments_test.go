@@ -377,7 +377,7 @@ func TestRunWarmAblationSmall(t *testing.T) {
 			}
 		}
 	}
-	wantAll(t, out, "Warm racer pool", "TOTAL", "total conflicts vs cold", "UNSAT-heavy rows where warm+sharing")
+	wantAll(t, out, "Warm racer pool", "TOTAL", "total conflicts vs cold", "UNSAT-heavy rows where warm spends")
 }
 
 func TestRunWarmKindAblationSmall(t *testing.T) {
@@ -391,7 +391,7 @@ func TestRunWarmKindAblationSmall(t *testing.T) {
 			}
 		}
 	}
-	wantAll(t, out, "Warm k-induction", "TOTAL", "rows where warm+sharing", "proved@")
+	wantAll(t, out, "Warm k-induction", "TOTAL", "rows where warm spends", "proved@")
 }
 
 // TestWarmKindConflictCap: warm-kind's columns cap each SAT call at

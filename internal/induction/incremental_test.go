@@ -10,20 +10,16 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lits"
 	"repro/internal/portfolio"
-	"repro/internal/racer"
 	"repro/internal/sat"
 	"repro/internal/unroll"
 )
 
 // The racing k-induction shapes (sequential is prove's default): the
-// cold portfolio, and the warm pools with the base pool's clause bus on
-// or off.
-var coldPortfolio = []engine.Option{engine.WithPortfolio(nil, 0)}
-
-func warmPools(share bool) []engine.Option {
-	return []engine.Option{engine.WithPortfolio(nil, 0), engine.WithIncremental(),
-		engine.WithExchange(racer.ExchangeOptions{Enabled: share})}
-}
+// cold portfolio and the warm pools.
+var (
+	coldPortfolio = []engine.Option{engine.WithPortfolio(nil, 0)}
+	warmPools     = []engine.Option{engine.WithPortfolio(nil, 0), engine.WithIncremental()}
+)
 
 // TestStepDeltaEquisatisfiableWithStepFormula is the step encoding's
 // defining property: a live solver accumulating unroll.StepDelta frames
@@ -65,10 +61,9 @@ func TestStepDeltaEquisatisfiableWithStepFormula(t *testing.T) {
 }
 
 // TestWarmInductionMatchesSequentialAndPortfolio is the acceptance bar for
-// the warm k-induction shape: with and without the clause bus it must
-// report the same status and depth as the sequential prover and the cold
-// portfolio on immediately inductive, deeper-k inductive, and falsified
-// properties.
+// the warm k-induction shape: it must report the same status and depth as
+// the sequential prover and the cold portfolio on immediately inductive,
+// deeper-k inductive, and falsified properties.
 func TestWarmInductionMatchesSequentialAndPortfolio(t *testing.T) {
 	for _, m := range []struct {
 		name  string
@@ -87,28 +82,26 @@ func TestWarmInductionMatchesSequentialAndPortfolio(t *testing.T) {
 			t.Fatalf("%s: cold portfolio %v@%d vs sequential %v@%d",
 				m.name, cold.Verdict, cold.K, seq.Verdict, seq.K)
 		}
-		for _, share := range []bool{false, true} {
-			warm := prove(t, m.build(), 0, m.maxK, warmPools(share)...)
-			if !warm.Warm {
-				t.Fatalf("%s: Warm flag not set", m.name)
-			}
-			if warm.Verdict != seq.Verdict || warm.K != seq.K {
-				t.Fatalf("%s share=%v: warm %v@%d vs sequential %v@%d",
-					m.name, share, warm.Verdict, warm.K, seq.Verdict, seq.K)
-			}
-			if warm.Verdict == engine.Falsified && warm.Trace == nil {
-				t.Fatalf("%s share=%v: falsified without trace", m.name, share)
-			}
-			// Every completed depth raced the base query; the step races
-			// split between observed and aborted ones.
-			baseDepths := len(warm.BaseTelemetry.Depths)
-			if baseDepths == 0 {
-				t.Fatalf("%s share=%v: no base races observed", m.name, share)
-			}
-			if got := len(warm.StepTelemetry.Depths) + warm.StepTelemetry.AbortedRaces; got != baseDepths {
-				t.Fatalf("%s share=%v: %d step races (observed+aborted), want %d",
-					m.name, share, got, baseDepths)
-			}
+		warm := prove(t, m.build(), 0, m.maxK, warmPools...)
+		if !warm.Warm {
+			t.Fatalf("%s: Warm flag not set", m.name)
+		}
+		if warm.Verdict != seq.Verdict || warm.K != seq.K {
+			t.Fatalf("%s: warm %v@%d vs sequential %v@%d",
+				m.name, warm.Verdict, warm.K, seq.Verdict, seq.K)
+		}
+		if warm.Verdict == engine.Falsified && warm.Trace == nil {
+			t.Fatalf("%s: falsified without trace", m.name)
+		}
+		// Every completed depth raced the base query; the step races
+		// split between observed and aborted ones.
+		baseDepths := len(warm.BaseTelemetry.Depths)
+		if baseDepths == 0 {
+			t.Fatalf("%s: no base races observed", m.name)
+		}
+		if got := len(warm.StepTelemetry.Depths) + warm.StepTelemetry.AbortedRaces; got != baseDepths {
+			t.Fatalf("%s: %d step races (observed+aborted), want %d",
+				m.name, got, baseDepths)
 		}
 	}
 }
@@ -126,7 +119,7 @@ func TestWarmInductionTightBudgetMatches(t *testing.T) {
 	if seq.Verdict != engine.Unknown {
 		t.Fatalf("sequential verdict %v under a 1-conflict budget, want unknown", seq.Verdict)
 	}
-	for name, opts := range map[string][]engine.Option{"cold portfolio": coldPortfolio, "warm": warmPools(true)} {
+	for name, opts := range map[string][]engine.Option{"cold portfolio": coldPortfolio, "warm": warmPools} {
 		res := prove(t, build(), 0, 4, append(opts, budget)...)
 		if res.Verdict != seq.Verdict || res.K != seq.K {
 			t.Fatalf("%s %v@%d vs sequential %v@%d", name, res.Verdict, res.K, seq.Verdict, seq.K)
@@ -163,7 +156,7 @@ func TestPortfolioDeadlineReportsLastAttemptedDepth(t *testing.T) {
 // SAT (or undecided) is cancelled deliberately, and must land in
 // AbortedRaces — not in the per-strategy loss columns or the depth log.
 func TestPortfolioAbortedStepRacesNotCountedAsLosses(t *testing.T) {
-	for name, opts := range map[string][]engine.Option{"cold": coldPortfolio, "warm": warmPools(true)} {
+	for name, opts := range map[string][]engine.Option{"cold": coldPortfolio, "warm": warmPools} {
 		res := prove(t, bench.TrafficLight(true, 0, 0), 0, 4, opts...)
 		if res.Verdict != engine.Falsified {
 			t.Fatalf("%s: verdict %v, want falsified", name, res.Verdict)

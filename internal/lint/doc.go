@@ -35,8 +35,8 @@
 //     the literal encoding (var<<1 | sign) with a variable index.
 //
 //   - hotpath: nothing statically reachable from the solver hot-path
-//     roots — (*sat.Solver).solve, ImportClause, and analyzeFinal, the
-//     set pinned by HotPathRoots — may call time.Now/Since/Until, any
+//     roots — (*sat.Solver).solve and analyzeFinal, the set pinned by
+//     HotPathRoots — may call time.Now/Since/Until, any
 //     fmt function, construct a map, take a sync.(RW)Mutex, or hit the
 //     heap-allocation shapes escape analysis cannot save:
 //     &composite literals, slice/map literals returned per call,
@@ -50,9 +50,9 @@
 //     is the mechanized form of the obs-overhead ablation's contract
 //     (cmd/tablegen -experiment=obs-overhead). The solver's
 //     rate-limited deadline poll and analyzeFinal's once-per-answer
-//     antecedent list carry //bmclint:ignore directives; learned and
-//     imported clauses go into the solver's arena and its per-conflict
-//     buffers and need none.
+//     antecedent list carry //bmclint:ignore directives; learned
+//     clauses go into the solver's arena and its per-conflict buffers
+//     and need none.
 //
 //   - lockorder: no channel send and no sat Solve/SolveAssuming call
 //     while holding any lock (a send can block indefinitely; a solve

@@ -10,13 +10,12 @@ import (
 
 // hotpathPkg is the solver package whose exported entry points form the
 // hot-path root set. (*Solver).solve is the CDCL loop entered once per
-// SolveAssuming call, (*Solver).ImportClause runs on every clause
-// exchanged between racer workers, and (*Solver).analyzeFinal runs per
-// UNSAT answer to extract the failed-assumption core: everything
-// reachable from any of them runs per-decision/per-conflict/per-answer,
-// where the obs-overhead ablation proved the <2% cost contract — a
-// contract that holds only while no clock syscalls, formatting,
-// allocation, or lock acquisition creeps onto the path.
+// SolveAssuming call, and (*Solver).analyzeFinal runs per UNSAT answer
+// to extract the failed-assumption core: everything reachable from
+// either runs per-decision/per-conflict/per-answer, where the
+// obs-overhead ablation proved the <2% cost contract — a contract that
+// holds only while no clock syscalls, formatting, allocation, or lock
+// acquisition creeps onto the path.
 const (
 	hotpathPkg      = "internal/sat"
 	hotpathRootType = "Solver"
@@ -24,7 +23,7 @@ const (
 
 // hotpathRootFuncs is the root set: the (*Solver) methods the BFS
 // starts from. HotPathRoots exposes it for the pin test.
-var hotpathRootFuncs = []string{"solve", "ImportClause", "analyzeFinal"}
+var hotpathRootFuncs = []string{"solve", "analyzeFinal"}
 
 // HotPathRoots returns the hot-path root set in "(*Solver).name" form.
 func HotPathRoots() []string {
@@ -67,7 +66,7 @@ var HotPath = &Analyzer{
 	Doc: "forbids time.Now/Since/Until, fmt.*, map allocation, heap allocation " +
 		"(escaping composite literals, interface boxing, append growth in loops, " +
 		"capturing closures), and sync.(RW)Mutex acquisition in functions statically " +
-		"reachable from the solver hot-path roots ((*sat.Solver).solve, ImportClause, " +
+		"reachable from the solver hot-path roots ((*sat.Solver).solve and " +
 		"analyzeFinal), across package boundaries via per-package facts, enforcing " +
 		"the <2% observability-overhead contract the obs ablation measures; justified " +
 		"exceptions (e.g. the rate-limited deadline poll) carry a " +

@@ -17,7 +17,7 @@ func TestHotPath(t *testing.T) {
 // dependency whose time.Now sits two hops deep; the finding at the
 // call site exists only because the dependency's fact flattened its
 // transitive ops. The corpus also exercises every heap-allocation
-// check and all three roots.
+// check and both roots.
 func TestHotPathCrossPackage(t *testing.T) {
 	linttest.RunDeps(t, ".", []*lint.Analyzer{lint.HotPath},
 		"hp2/internal/obs", "hp2/internal/sat")
@@ -66,11 +66,10 @@ func TestHotPathOtherPackages(t *testing.T) {
 }
 
 // TestHotPathRoots pins the root set: solve is the CDCL loop,
-// ImportClause the per-exchanged-clause entry, analyzeFinal the
-// per-answer core extraction. Changing the set is a contract change
-// and must be deliberate.
+// analyzeFinal the per-answer core extraction. Changing the set is a
+// contract change and must be deliberate.
 func TestHotPathRoots(t *testing.T) {
-	want := []string{"(*Solver).solve", "(*Solver).ImportClause", "(*Solver).analyzeFinal"}
+	want := []string{"(*Solver).solve", "(*Solver).analyzeFinal"}
 	if got := lint.HotPathRoots(); !reflect.DeepEqual(got, want) {
 		t.Errorf("HotPathRoots() = %v, want %v", got, want)
 	}

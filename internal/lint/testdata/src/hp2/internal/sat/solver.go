@@ -1,6 +1,6 @@
 // Package sat is the hotpath v2 corpus: a solver whose hot path leaks
 // a clock through a package boundary (visible only via the obs fact)
-// and trips every heap-allocation check, from all three roots.
+// and trips every heap-allocation check, from both roots.
 package sat
 
 import "hp2/internal/obs"
@@ -24,10 +24,11 @@ func (s *Solver) solve() int {
 	t := obs.Tick() // want `call to obs\.Tick in solve reaches time\.Now`
 	n := obs.Count(3)
 	s.grow(int(t) + n)
+	s.note(n)
 	return s.box(n)
 }
 
-func (s *Solver) ImportClause(c int) {
+func (s *Solver) note(c int) {
 	it := &item{id: c} // want `composite literal escapes to the heap via &`
 	s.log = append(s.log, it.id)
 }

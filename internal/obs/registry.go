@@ -87,8 +87,8 @@ var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 // Name composes a metric name from a base and label key/value pairs in
 // the Prometheus inline-label convention:
 //
-//	Name("bus_imported_total", "from", "vsids", "to", "static")
-//	  == `bus_imported_total{from="vsids",to="static"}`
+//	Name("racer_conflicts_total", "strategy", "vsids", "state", "warm")
+//	  == `racer_conflicts_total{strategy="vsids",state="warm"}`
 //
 // Labels are emitted in the order given; callers should keep that order
 // stable so the same series always maps to the same handle. Label values

@@ -19,17 +19,17 @@
 // WastedConflicts). RaceLive instead races caller-owned persistent solvers
 // on an assumption list: the warm pool (internal/racer) keeps one
 // incremental solver per strategy alive across all BMC depths, races them
-// through RaceLive at each depth, and after the race exchanges short
-// learned clauses between them — winners and cancelled losers alike — so
-// wasted conflicts become the next depth's warm-start capital. A live
+// through RaceLive at each depth, so each racer's conflicts — the
+// cancelled losers' too — stay in its solver as the next depth's
+// warm-start capital. A live
 // attempt does not hand over a solver but a function that produces it,
 // loaded up to the depth being raced; RaceLive calls it in the attempt's
 // worker slot, so an attempt that is skipped, or that an executor runs
 // somewhere else, never loads anything here.
 //
 // Telemetry records both regimes: wins, cancelled and skipped runs, and
-// conflicts per strategy always; exported/imported clause counts and
-// warm-vs-cold win attribution when the pool's clause bus is active.
+// conflicts per strategy always, and warm-vs-cold win attribution for the
+// warm pool.
 package portfolio
 
 import (
@@ -112,12 +112,6 @@ type RaceResult struct {
 	// race.
 	Start time.Time
 	Wall  time.Duration
-	// Foreign carries learned clauses that came out of the race but are in
-	// none of the caller's solvers: a distributing executor's workers
-	// learned them on their mirrors. They are consequences of the raced
-	// clause set, and the caller — the warm pool — imports them at the
-	// depth boundary like any other bus clause. Nil for in-process races.
-	Foreign []cnf.Clause
 }
 
 // WinnerName returns the winning attempt's label, or "" when no attempt won.

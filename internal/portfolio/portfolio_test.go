@@ -363,25 +363,24 @@ func TestParseSetReportsAllUnknowns(t *testing.T) {
 	}
 }
 
-func TestTelemetryExchange(t *testing.T) {
+// TestTelemetryWarmWins: a summary reports the warm winners among all
+// wins, and a cold portfolio's has no warm-pool line.
+func TestTelemetryWarmWins(t *testing.T) {
 	tel := NewTelemetry()
-	tel.ObserveExchange(map[string]int64{"vsids": 5}, map[string]int64{"static": 7}, map[string]int64{"static": 3}, true, true)
-	tel.ObserveExchange(map[string]int64{"vsids": 2}, nil, nil, true, false)
-	if tel.ExportedClauses["vsids"] != 7 || tel.ImportedClauses["static"] != 7 {
-		t.Fatalf("exchange totals: %v / %v", tel.ExportedClauses, tel.ImportedClauses)
-	}
-	if tel.DedupDropped["static"] != 3 {
-		t.Fatalf("dedup drops: %v", tel.DedupDropped)
-	}
-	if tel.WarmWins != 2 || tel.SharedWins != 1 {
-		t.Fatalf("attribution: warm=%d shared=%d", tel.WarmWins, tel.SharedWins)
-	}
+	won := &RaceResult{Winner: 0, Outcomes: []AttemptOutcome{{Name: "vsids", Status: sat.Unsat}}}
+	won.Result.Status = sat.Unsat
+	tel.Observe(0, won)
 	var buf strings.Builder
 	tel.WriteSummary(&buf)
-	for _, want := range []string{"exported", "imported", "dropped", "warm pool:", "duplicate clauses dropped"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("summary missing %q:\n%s", want, buf.String())
-		}
+	if strings.Contains(buf.String(), "warm pool:") {
+		t.Fatalf("a summary without warm wins has a warm-pool line:\n%s", buf.String())
+	}
+	tel.Observe(1, won)
+	tel.WarmWins++
+	buf.Reset()
+	tel.WriteSummary(&buf)
+	if !strings.Contains(buf.String(), "warm pool: 1/2 wins by warm racers") {
+		t.Fatalf("summary missing the warm-pool line:\n%s", buf.String())
 	}
 }
 

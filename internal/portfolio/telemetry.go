@@ -48,21 +48,11 @@ type Telemetry struct {
 	ConflictsSpent  map[string]int64
 	WastedConflicts int64
 
-	// Clause-bus telemetry, fed by the warm racer pool through
-	// ObserveExchange (all zero for cold portfolios): how many learned
-	// clauses each strategy's solver put on / took off the exchange bus,
-	// and how many inbound clauses each strategy's solver rejected as
-	// duplicates it already held (the bus's dedup drops).
-	ExportedClauses map[string]int64
-	ImportedClauses map[string]int64
-	DedupDropped    map[string]int64
-	// Warm-vs-cold win attribution. WarmWins counts depth wins by a racer
-	// whose solver carried learned clauses from earlier depths (any depth
-	// > 0 winner in a warm pool); SharedWins the subset whose solver had
-	// additionally imported foreign clauses before the winning solve —
-	// the races where the clause bus could have contributed.
-	WarmWins   int
-	SharedWins int
+	// WarmWins counts depth wins by a racer whose solver carried learned
+	// clauses from earlier depths (a warm pool's winner that had searched
+	// before; zero for cold portfolios). The engine's depth loop counts
+	// them.
+	WarmWins int
 
 	// AbortedRaces counts races the caller cancelled deliberately before
 	// their verdict could matter (the k-induction step race of a depth
@@ -83,13 +73,10 @@ type Telemetry struct {
 // NewTelemetry returns an empty telemetry accumulator.
 func NewTelemetry() *Telemetry {
 	return &Telemetry{
-		Wins:            map[string]int{},
-		CancelledRuns:   map[string]int{},
-		SkippedRuns:     map[string]int{},
-		ConflictsSpent:  map[string]int64{},
-		ExportedClauses: map[string]int64{},
-		ImportedClauses: map[string]int64{},
-		DedupDropped:    map[string]int64{},
+		Wins:           map[string]int{},
+		CancelledRuns:  map[string]int{},
+		SkippedRuns:    map[string]int{},
+		ConflictsSpent: map[string]int64{},
 	}
 }
 
@@ -159,53 +146,6 @@ func (t *Telemetry) ObserveAborted(k int, r *RaceResult) {
 	}
 }
 
-// ObserveExchange folds one depth's clause-bus traffic and win
-// attribution into the totals. exported/imported/dropped map strategy
-// names to the clauses that depth moved (dropped counts inbound clauses a
-// recipient rejected as duplicates); winnerWarm/winnerShared describe the
-// depth's winning racer (both false when the race was undecided).
-func (t *Telemetry) ObserveExchange(exported, imported, dropped map[string]int64, winnerWarm, winnerShared bool) {
-	for name, n := range exported {
-		t.ExportedClauses[name] += n
-	}
-	for name, n := range imported {
-		t.ImportedClauses[name] += n
-	}
-	for name, n := range dropped {
-		t.DedupDropped[name] += n
-	}
-	if winnerWarm {
-		t.WarmWins++
-	}
-	if winnerShared {
-		t.SharedWins++
-	}
-}
-
-// dedupTotal sums the bus's duplicate drops across strategies.
-func (t *Telemetry) dedupTotal() int64 {
-	var n int64
-	for _, d := range t.DedupDropped {
-		n += d
-	}
-	return n
-}
-
-// exchangeActive reports whether any clause-bus traffic was recorded.
-func (t *Telemetry) exchangeActive() bool {
-	for _, n := range t.ExportedClauses {
-		if n > 0 {
-			return true
-		}
-	}
-	for _, n := range t.ImportedClauses {
-		if n > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Strategies returns every strategy name seen, sorted by wins (descending)
 // then name — the order the summary table uses.
 func (t *Telemetry) Strategies() []string {
@@ -233,44 +173,29 @@ func (t *Telemetry) Strategies() []string {
 }
 
 // WriteSummary renders the per-strategy scoreboard and the wasted-work
-// figure — the CLI's "which ordering won where" report. When the warm
-// pool's clause bus was active the table gains exported/imported columns
-// and a warm-vs-cold attribution line.
+// figure — the CLI's "which ordering won where" report. A warm pool's
+// summary gains a warm-vs-cold attribution line.
 func (t *Telemetry) WriteSummary(w io.Writer) {
 	// The totals line carries every conflict bucket — losers, and conflicts
 	// burned in deliberately aborted races (excluded from the per-strategy
-	// columns) — plus the bus's duplicate drops, so this line reconciles
-	// with lifetime solver stats.
+	// columns) — so this line reconciles with lifetime solver stats.
 	fmt.Fprintf(w, "portfolio: %d races, %d conflicts spent by losers",
 		len(t.Depths), t.WastedConflicts)
 	if t.AbortedConflicts > 0 {
 		fmt.Fprintf(w, ", %d in aborted races", t.AbortedConflicts)
 	}
-	if drops := t.dedupTotal(); drops > 0 {
-		fmt.Fprintf(w, ", %d duplicate clauses dropped by the bus", drops)
-	}
 	fmt.Fprintln(w)
-	exchange := t.exchangeActive()
-	fmt.Fprintf(w, "%-12s %6s %9s %8s %12s", "strategy", "wins", "cancelled", "skipped", "conflicts")
-	if exchange {
-		fmt.Fprintf(w, " %9s %9s %8s", "exported", "imported", "dropped")
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-12s %6s %9s %8s %12s\n", "strategy", "wins", "cancelled", "skipped", "conflicts")
 	for _, name := range t.Strategies() {
-		fmt.Fprintf(w, "%-12s %6d %9d %8d %12d",
+		fmt.Fprintf(w, "%-12s %6d %9d %8d %12d\n",
 			name, t.Wins[name], t.CancelledRuns[name], t.SkippedRuns[name], t.ConflictsSpent[name])
-		if exchange {
-			fmt.Fprintf(w, " %9d %9d %8d", t.ExportedClauses[name], t.ImportedClauses[name], t.DedupDropped[name])
-		}
-		fmt.Fprintln(w)
 	}
-	if t.WarmWins > 0 || t.SharedWins > 0 {
+	if t.WarmWins > 0 {
 		wins := 0
 		for _, n := range t.Wins {
 			wins += n
 		}
-		fmt.Fprintf(w, "warm pool: %d/%d wins by warm racers, %d aided by imported clauses\n",
-			t.WarmWins, wins, t.SharedWins)
+		fmt.Fprintf(w, "warm pool: %d/%d wins by warm racers\n", t.WarmWins, wins)
 	}
 	if t.AbortedRaces > 0 {
 		fmt.Fprintf(w, "aborted: %d races cancelled before their verdict mattered (%d conflicts, excluded above)\n",

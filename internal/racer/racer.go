@@ -1,8 +1,6 @@
 // Package racer implements the warm portfolio: a pool of persistent
 // per-strategy incremental SAT solvers that live across the whole BMC run,
-// raced against each other at every unrolling depth, plus the clause
-// exchange bus that redistributes their best learned clauses between
-// depths.
+// raced against each other at every unrolling depth.
 //
 // The cold portfolio (portfolio.Race driven by internal/engine) builds
 // one solver per strategy per depth: when the race is decided, every
@@ -19,20 +17,14 @@
 //     fleet encodes nothing here,
 //   - races SolveAssuming on the depth's activation literal through
 //     portfolio.RaceLive (first verdict cancels the rest cooperatively),
-//   - folds the winner's unsat core into the shared score board, and
-//   - runs the clause bus: short (length/LBD-filtered) learned clauses
-//     from all racers — the winner and the cancelled losers alike — are
-//     exported (sat.Solver.ExportLearned) and delivered to every other
-//     racer (sat.Solver.ImportClause now if it holds this depth, its
-//     inbox otherwise), so one racer's conflicts become every racer's
-//     warm-start capital at the next depth it races.
+//   - folds the winner's unsat core into the shared score board.
 //
-// Clause import into a live solver is only sound while the solver is at
-// rest, so the bus runs strictly at depth boundaries: RaceDepth exchanges
-// only after portfolio.RaceLive has joined every worker goroutine, and a
-// racer's catch-up touches only that racer's solver, recorder and inbox,
-// which keeps the pool race-detector-clean without any locking inside the
-// solver.
+// Each racer keeps only what it learned itself: no clause passes from one
+// racer to another, so every leaf of a racer's proof is a frame clause.
+// RaceDepth folds the core only after portfolio.RaceLive has joined every
+// worker goroutine, and a racer's catch-up touches only that racer's
+// solver and recorder, which keeps the pool race-detector-clean without
+// any locking inside the solver.
 package racer
 
 import (
@@ -47,16 +39,21 @@ import (
 	"repro/internal/unroll"
 )
 
-// Racer and clause-bus metric base names (family_metric convention,
-// enforced with the catalogue by internal/remote's TestMetricCatalogue).
+// Racer metric base names (family_metric convention, enforced with the
+// catalogue by internal/remote's TestMetricCatalogue).
 const (
-	metricRacerConflicts  = "racer_conflicts_total"
-	metricRacerWins       = "racer_wins_total"
-	metricRacerLoaded     = "racer_frames_loaded_total"
-	metricBusExported     = "bus_exported_total"
-	metricBusImported     = "bus_imported_total"
-	metricBusDedupDropped = "bus_dedup_dropped_total"
+	metricRacerConflicts = "racer_conflicts_total"
+	metricRacerWins      = "racer_wins_total"
+	metricRacerLoaded    = "racer_frames_loaded_total"
 )
+
+// ExchangeOptions is inert: the pool shares no clauses between its racers,
+// and nothing reads Enabled. It stays only because the frozen benchmark
+// (benchmark/workloads.go) still passes it to engine.WithExchange; the
+// benchmark's next revision deletes both.
+type ExchangeOptions struct {
+	Enabled bool
+}
 
 // RaceFunc races a set of live attempts under an assumption list and
 // returns the first verdict, cancelling the rest — portfolio.RaceLive
@@ -100,16 +97,13 @@ type Config struct {
 	// rule scratch solvers grow by; at a depth past it they grow as they
 	// go.
 	MaxDepth int
-	// Exchange configures the clause bus; the zero value leaves it off.
-	Exchange ExchangeOptions
 	// Race runs each depth's race; nil selects portfolio.RaceLive (the
 	// in-process goroutine pool). engine.LocalExecutor injects itself
 	// here so the Executor seam covers warm races too.
 	Race RaceFunc
 	// Metrics, when non-nil, receives the pool's instrumentation: each
 	// racer's solver counters (via sat.Options.Metrics), the frames each
-	// racer loaded, per-racer warm/cold conflict attribution, and per-link
-	// clause-bus traffic.
+	// racer loaded, and per-racer warm/cold conflict attribution.
 	// Query labels every series ("bmc", "base", "step"; empty means the
 	// query label is omitted).
 	Metrics *obs.Registry
@@ -122,7 +116,7 @@ type Config struct {
 type racerState struct {
 	name     string
 	strategy core.Strategy
-	// feed is the solver, how far it is loaded, and its bus inbox. The
+	// feed is the solver and how far it is loaded. The
 	// solver is made, with opts, when the racer first loads: until then
 	// feed.Solver is nil and the racer holds no solver storage. Its
 	// recorder is the racer's own cross-depth CDG (recorders are
@@ -134,12 +128,6 @@ type racerState struct {
 	// depth, from the first, which its solver holds between depths once it
 	// has loaded; nil for a strategy without guidance.
 	guidance []float64
-	// receipts are the imports the racer's catch-up made during the
-	// running race; the pool books them once the race has joined.
-	receipts []Receipt
-	// exportMark is the clause-ID high-water mark of the last export;
-	// only clauses learned after it leave through the bus.
-	exportMark sat.ClauseID
 	// obs handles (nil when Config.Metrics is off). Warm/cold split the
 	// racer's conflicts by whether its solver carried state from earlier
 	// depths into the solve.
@@ -149,8 +137,8 @@ type racerState struct {
 }
 
 // Pool owns the racers for one BMC run: it manages their lifecycle
-// (create once and empty, race every depth, load on demand), the shared
-// score board, and the clause bus. A Pool is not goroutine-safe — the
+// (create once and empty, race every depth, load on demand) and the shared
+// score board. A Pool is not goroutine-safe — the
 // depth loop drives it sequentially, and concurrency happens only inside
 // RaceDepth's portfolio.RaceLive call.
 type Pool struct {
@@ -181,7 +169,6 @@ func NewPool(src Source, cfg Config) *Pool {
 			return portfolio.RaceLive(attempts, assumps, jobs, stop)
 		}
 	}
-	cfg.Exchange = cfg.Exchange.withDefaults()
 	p := &Pool{src: src, cfg: cfg, origin: originOf(src), sizedFor: -1}
 	for _, st := range cfg.Strategies {
 		r := &racerState{name: st.String(), strategy: st, opts: cfg.Opts}
@@ -231,9 +218,7 @@ func (p *Pool) catchUp(r *racerState, k int, frames *DepthFrames, guidance []flo
 		s.Load(cnf.New(0), r.opts)
 		r.feed.Solver = s
 	}
-	s, got := r.feed.CatchUp(k, frames.Frame, guidance, switchAfter)
-	r.receipts = got
-	return s
+	return r.feed.CatchUp(k, frames.Frame, guidance, switchAfter)
 }
 
 // labels prepends the pool's query label (when set) to the given pairs.
@@ -253,8 +238,8 @@ func (p *Pool) name(base string, pairs ...string) string {
 func (p *Pool) Strategies() []string { return p.cfg.Strategies.Names() }
 
 // DepthOutcome is what one RaceDepth call reports back to the depth loop:
-// the race itself, the winner's core (UNSAT depths with recording), the
-// depth's clause-bus traffic, and the cumulative formula size.
+// the race itself, the winner's core (UNSAT depths with recording) and the
+// cumulative formula size.
 type DepthOutcome struct {
 	Race portfolio.RaceResult
 	// CoreClauses/CoreVars/RecorderBytes describe the winner's extracted
@@ -272,16 +257,6 @@ type DepthOutcome struct {
 	FrameVars    int
 	TotalClauses int
 	TotalLits    int
-	// Exported/Imported count this depth's clause-bus traffic per
-	// strategy (empty maps when the bus is off or idle); DedupDropped
-	// counts, per recipient strategy, inbound clauses its solver rejected
-	// as duplicates it already held. A clause counts as imported or
-	// dropped at the depth whose race or boundary put it into the
-	// recipient's solver: for a racer that was behind when the clause was
-	// exported, that is the depth of its next race.
-	Exported     map[string]int64
-	Imported     map[string]int64
-	DedupDropped map[string]int64
 	// EncodeWall is the time spent building this depth's frame, which the
 	// first racer to load it does inside the race; zero when no racer here
 	// loaded it (the race ran on a fleet). Loading the frame — and, for a
@@ -289,27 +264,23 @@ type DepthOutcome struct {
 	// is part of the attempt's Wall and of Race.Wall.
 	EncodeWall time.Duration
 	// WinnerWarm reports that the winning racer had searched at earlier
-	// depths (its solver carried learned clauses in); WinnerShared that
-	// it had additionally imported foreign clauses before this solve.
-	WinnerWarm   bool
-	WinnerShared bool
+	// depths (its solver carried learned clauses in).
+	WinnerWarm bool
 }
 
 // RaceDepth runs one full depth: compute every strategy's guidance for the
 // depth-k instance, race SolveAssuming(actₖ) over attempts that load their
 // solver when a worker slot reaches them (the first to need the depth's
-// frame encodes it), fold the winner's core into the board, and — with the
-// bus enabled — exchange learned clauses between the racers. Depths must be
-// raced in order starting at 0.
+// frame encodes it) and fold the winner's core into the board. Depths must
+// be raced in order starting at 0.
 func (p *Pool) RaceDepth(k int) DepthOutcome { return p.RaceDepthStop(k, nil) }
 
 // RaceDepthStop is RaceDepth with an external cancellation channel: when
 // stop closes, the depth's race is abandoned cooperatively (Winner == -1
 // unless a verdict landed first) and every racer's solver stays valid for
-// the next depth. The k-induction engine uses it to kill a step race whose
-// base case has already decided the verdict. The depth-boundary work —
-// core folding and the clause bus — still runs after the race joins, so a
-// cancelled depth's conflicts are not thrown away.
+// the next depth, with what it learned in the cancelled race. The
+// k-induction engine uses it to kill a step race whose base case has
+// already decided the verdict.
 func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 	if k > p.sizedFor && k <= p.cfg.MaxDepth {
 		p.grow(k)
@@ -345,18 +316,9 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 		FrameVars:    frameVars,
 		TotalClauses: totalClauses,
 		TotalLits:    totalLits,
-		Exported:     map[string]int64{},
-		Imported:     map[string]int64{},
-		DedupDropped: map[string]int64{},
-	}
-	// The race has joined: the frame's encode, if a racer here made it, is
-	// timed, and what the racers' catch-ups imported is booked to this depth.
-	out.EncodeWall = frames.EncodeWall()
-	for _, r := range p.racers {
-		for _, rc := range r.receipts {
-			p.book(&out, r, rc)
-		}
-		r.receipts = nil
+		// The race has joined: the frame's encode, if a racer here made it,
+		// is timed.
+		EncodeWall: frames.EncodeWall(),
 	}
 
 	if p.cfg.Metrics != nil {
@@ -377,7 +339,6 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 
 	if w := out.Race.Winner; w >= 0 {
 		out.WinnerWarm = warm[w]
-		out.WinnerShared = p.racers[w].feed.Imported() > 0
 		p.racers[w].mWins.Inc()
 		if out.Race.Result.Status == sat.Unsat {
 			out.FoldCore(p.racers[w].feed.Rec, p.cfg.Board, k, nil, frameVars, auxOf(p.src))
@@ -390,16 +351,6 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 		if r.feed.Rec != nil {
 			r.feed.Rec.ResetFinal()
 		}
-	}
-
-	if len(out.Race.Foreign) > 0 {
-		// Clauses learned where the race really ran (a fleet's workers).
-		// The first racer takes none: it is the fleet's import-free
-		// diversity slot, as the reserve link is among the workers.
-		p.deliver(&out, k, foreignSource, out.Race.Foreign, func(to int) bool { return to == 0 })
-	}
-	if p.cfg.Exchange.Enabled {
-		p.exchange(&out, k)
 	}
 	return out
 }

@@ -34,9 +34,8 @@ func newTestPool(t *testing.T, c *circuit.Circuit, cfg Config) (*Pool, *unroll.U
 }
 
 // TestPoolVerdictsMatchScratch is the pool's defining property: racing
-// persistent solvers (with and without the clause bus) must reproduce the
-// scratch instance's satisfiability at every depth, on passing and
-// failing circuits.
+// persistent solvers must reproduce the scratch instance's satisfiability
+// at every depth, on passing and failing circuits.
 func TestPoolVerdictsMatchScratch(t *testing.T) {
 	models := []struct {
 		name  string
@@ -48,72 +47,46 @@ func TestPoolVerdictsMatchScratch(t *testing.T) {
 		{"add_w4", func() *circuit.Circuit { return bench.AdderTwin(4, 6, 16) }, 3},
 	}
 	for _, m := range models {
-		for _, share := range []bool{false, true} {
-			pool, u := newTestPool(t, m.build(), Config{
-				Exchange: ExchangeOptions{Enabled: share},
-			})
-			for k := 0; k <= m.depth; k++ {
-				out := pool.RaceDepth(k)
-				if out.Race.Winner < 0 {
-					t.Fatalf("%s share=%v depth %d: no winner", m.name, share, k)
+		pool, u := newTestPool(t, m.build(), Config{})
+		for k := 0; k <= m.depth; k++ {
+			out := pool.RaceDepth(k)
+			if out.Race.Winner < 0 {
+				t.Fatalf("%s depth %d: no winner", m.name, k)
+			}
+			scratch := sat.New(u.Formula(k), sat.Options{}).Solve()
+			if got := out.Race.Result.Status; got != scratch.Status {
+				t.Fatalf("%s depth %d: pool=%v scratch=%v", m.name, k, got, scratch.Status)
+			}
+			if out.Race.Result.Status == sat.Sat {
+				tr := u.Delta().ExtractTrace(out.Race.Result.Model, k)
+				if !u.Replay(tr) {
+					t.Fatalf("%s depth %d: pool trace failed replay", m.name, k)
 				}
-				scratch := sat.New(u.Formula(k), sat.Options{}).Solve()
-				if got := out.Race.Result.Status; got != scratch.Status {
-					t.Fatalf("%s share=%v depth %d: pool=%v scratch=%v", m.name, share, k, got, scratch.Status)
-				}
-				if out.Race.Result.Status == sat.Sat {
-					tr := u.Delta().ExtractTrace(out.Race.Result.Model, k)
-					if !u.Replay(tr) {
-						t.Fatalf("%s share=%v depth %d: pool trace failed replay", m.name, share, k)
-					}
-					break
-				}
+				break
 			}
 		}
 	}
 }
 
-// TestPoolExchangeMovesClauses: on a conflict-heavy UNSAT sequence the bus
-// must actually carry traffic, and the winner attribution must mark racers
-// warm on later depths.
-func TestPoolExchangeMovesClauses(t *testing.T) {
-	pool, _ := newTestPool(t, bench.AdderTwin(4, 6, 16), Config{
-		Exchange: ExchangeOptions{Enabled: true},
-	})
-	var exported, imported int64
+// TestPoolMarksWarmWinners: on a conflict-heavy UNSAT sequence the winner
+// attribution must mark racers warm on later depths, and never at depth 0.
+func TestPoolMarksWarmWinners(t *testing.T) {
+	pool, _ := newTestPool(t, bench.AdderTwin(4, 6, 16), Config{})
 	sawWarmWin := false
 	for k := 0; k <= 4; k++ {
 		out := pool.RaceDepth(k)
 		if out.Race.Winner < 0 || out.Race.Result.Status != sat.Unsat {
 			t.Fatalf("depth %d: want an Unsat winner, got %v", k, out.Race.Result.Status)
 		}
-		for _, n := range out.Exported {
-			exported += n
-		}
-		for _, n := range out.Imported {
-			imported += n
+		if k == 0 && out.WinnerWarm {
+			t.Fatalf("depth 0: a winner marked warm before any racer searched")
 		}
 		if k > 0 && out.WinnerWarm {
 			sawWarmWin = true
 		}
 	}
-	if exported == 0 || imported == 0 {
-		t.Fatalf("bus idle on a conflict-heavy run: exported=%d imported=%d", exported, imported)
-	}
 	if !sawWarmWin {
 		t.Fatalf("no warm winner across depths 1..4")
-	}
-}
-
-// TestPoolExchangeDisabledByDefault: the zero Exchange value keeps the bus
-// off.
-func TestPoolExchangeDisabledByDefault(t *testing.T) {
-	pool, _ := newTestPool(t, bench.AdderTwin(4, 6, 16), Config{})
-	for k := 0; k <= 2; k++ {
-		out := pool.RaceDepth(k)
-		if len(out.Exported) != 0 || len(out.Imported) != 0 {
-			t.Fatalf("depth %d: bus active without Enabled", k)
-		}
 	}
 }
 
@@ -140,7 +113,6 @@ func TestPoolSubsetStrategiesAndJobs(t *testing.T) {
 	pool, u := newTestPool(t, bench.Counter(4, 9, 2, 6), Config{
 		Strategies: portfolio.StrategySet{core.OrderVSIDS, core.OrderTimeAxis},
 		Jobs:       1,
-		Exchange:   ExchangeOptions{Enabled: true},
 	})
 	for k := 0; k <= 9; k++ {
 		out := pool.RaceDepth(k)
@@ -155,37 +127,20 @@ func TestPoolSubsetStrategiesAndJobs(t *testing.T) {
 }
 
 // TestPoolRaceCleanUnderDetector hammers the full pool — concurrent
-// racers, cancellation, recorders, score-board feedback, and the clause
-// bus — across enough depths for every code path to interleave; the
-// assertion is the race detector staying quiet (CI runs -race). It also
-// doubles as the depth-boundary contract check: exchange runs after every
-// race joined, so any import racing a live Solve would trip the detector.
+// racers, cancellation, recorders and score-board feedback — across enough
+// depths for every code path to interleave; the assertion is the race
+// detector staying quiet (CI runs -race). It also doubles as the
+// depth-boundary contract check: the core fold runs after every race
+// joined, so a fold racing a live Solve would trip the detector.
 func TestPoolRaceCleanUnderDetector(t *testing.T) {
 	pool, _ := newTestPool(t, bench.ParityMixer(5, 3, 10), Config{
-		Jobs:     4,
-		Exchange: ExchangeOptions{Enabled: true, PerRacerBudget: 64},
+		Jobs: 4,
 	})
 	for k := 0; k <= 6; k++ {
 		out := pool.RaceDepth(k)
 		if out.Race.Winner < 0 {
 			t.Fatalf("depth %d: no winner", k)
 		}
-	}
-}
-
-// TestExchangeOptionDefaults pins the zero/negative conventions.
-func TestExchangeOptionDefaults(t *testing.T) {
-	e := ExchangeOptions{}.withDefaults()
-	if e.MaxLen != DefaultExchangeMaxLen || e.MaxLBD != DefaultExchangeMaxLBD || e.PerRacerBudget != DefaultExchangeBudget {
-		t.Fatalf("zero value defaults wrong: %+v", e)
-	}
-	e = ExchangeOptions{MaxLen: -1, MaxLBD: -1, PerRacerBudget: -1}.withDefaults()
-	if e.MaxLen != 0 || e.MaxLBD != 0 || e.PerRacerBudget != 0 {
-		t.Fatalf("negative values must disable: %+v", e)
-	}
-	e = ExchangeOptions{MaxLen: 3, MaxLBD: 2, PerRacerBudget: 10}.withDefaults()
-	if e.MaxLen != 3 || e.MaxLBD != 2 || e.PerRacerBudget != 10 {
-		t.Fatalf("explicit values must survive: %+v", e)
 	}
 }
 

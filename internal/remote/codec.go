@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/cnf"
 	"repro/internal/lits"
 	"repro/internal/portfolio"
 	"repro/internal/sat"
@@ -26,7 +25,6 @@ const (
 	hasRace
 	hasResult
 	hasCancel
-	hasClauses
 	hasCircuit
 	hasAll = hasCircuit<<1 - 1
 )
@@ -43,7 +41,7 @@ const (
 // appendMessage appends m's encoding to dst.
 func appendMessage(dst []byte, m *Message) []byte {
 	var present byte
-	for i, set := range [...]bool{m.Hello != nil, m.Race != nil, m.Result != nil, m.Cancel != nil, m.Clauses != nil, m.Circuit != nil} {
+	for i, set := range [...]bool{m.Hello != nil, m.Race != nil, m.Result != nil, m.Cancel != nil, m.Circuit != nil} {
 		if set {
 			present |= 1 << i
 		}
@@ -61,17 +59,10 @@ func appendMessage(dst []byte, m *Message) []byte {
 	if r := m.Result; r != nil {
 		dst = binary.AppendUvarint(dst, r.ID)
 		dst = appendRaceResult(dst, &r.Race)
-		dst = appendClauses(dst, r.Exported)
 		dst = appendString(dst, r.Err)
 	}
 	if c := m.Cancel; c != nil {
 		dst = binary.AppendUvarint(dst, c.ID)
-	}
-	if p := m.Clauses; p != nil {
-		dst = appendString(dst, p.Query)
-		dst = binary.AppendVarint(dst, int64(p.K))
-		dst = appendString(dst, p.From)
-		dst = appendClauses(dst, p.Clauses)
 	}
 	if w := m.Circuit; w != nil {
 		dst = appendString(dst, w.Query)
@@ -120,9 +111,6 @@ func appendRaceRequest(dst []byte, r *RaceRequest) []byte {
 		dst = appendOptions(dst, &r.Attempts[i].Opts)
 	}
 	dst = binary.AppendVarint(dst, int64(r.Jobs))
-	dst = binary.AppendVarint(dst, int64(r.ExportMaxLen))
-	dst = binary.AppendVarint(dst, int64(r.ExportMaxLBD))
-	dst = binary.AppendVarint(dst, int64(r.ExportBudget))
 	dst = binary.AppendVarint(dst, int64(r.Grow.Vars))
 	return binary.AppendVarint(dst, int64(r.Grow.Clauses))
 }
@@ -163,8 +151,7 @@ func appendRaceResult(dst []byte, r *portfolio.RaceResult) []byte {
 		start = r.Start.UnixNano()
 	}
 	dst = binary.AppendVarint(dst, start)
-	dst = binary.AppendVarint(dst, int64(r.Wall))
-	return appendClauses(dst, r.Foreign)
+	return binary.AppendVarint(dst, int64(r.Wall))
 }
 
 func appendStats(dst []byte, s *sat.Stats) []byte {
@@ -209,21 +196,6 @@ func appendLits(dst []byte, ls []lits.Lit) []byte {
 	return dst
 }
 
-// appendClauses writes a clause list: its clause count and literal total,
-// then each clause's length and literals.
-func appendClauses(dst []byte, cls []cnf.Clause) []byte {
-	total := 0
-	for _, cl := range cls {
-		total += len(cl)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(cls)))
-	dst = binary.AppendUvarint(dst, uint64(total))
-	for _, cl := range cls {
-		dst = appendLits(dst, cl)
-	}
-	return dst
-}
-
 // errTruncated: a field runs past the end of the payload.
 var errTruncated = errors.New("remote: message truncated")
 
@@ -246,13 +218,10 @@ func parseMessage(b []byte) (*Message, error) {
 		m.Race = d.raceRequest()
 	}
 	if present&hasResult != 0 {
-		m.Result = &RaceResponse{ID: d.uvarint(), Race: d.raceResult(), Exported: d.clauses(), Err: d.string()}
+		m.Result = &RaceResponse{ID: d.uvarint(), Race: d.raceResult(), Err: d.string()}
 	}
 	if present&hasCancel != 0 {
 		m.Cancel = &Cancel{ID: d.uvarint()}
-	}
-	if present&hasClauses != 0 {
-		m.Clauses = &ClausePayload{Query: d.string(), K: d.int(), From: d.string(), Clauses: d.clauses()}
 	}
 	if present&hasCircuit != 0 {
 		m.Circuit = d.wireCircuit()
@@ -367,43 +336,6 @@ func (d *decoder) lits() []lits.Lit {
 	return out
 }
 
-// clauses reads a clause list into one literal array and one header array;
-// each clause is capped at its own end, so appending to one cannot write
-// over the next.
-func (d *decoder) clauses() []cnf.Clause {
-	n := d.count(1)
-	total := d.count(1)
-	if d.err == nil && n > len(d.b)-total {
-		d.fail(fmt.Errorf("remote: %d clauses and %d literals claim more than the %d bytes left", n, total, len(d.b)))
-	}
-	if d.err != nil || n == 0 {
-		if total != 0 {
-			d.fail(fmt.Errorf("remote: an empty clause list claims %d literals", total))
-		}
-		return nil
-	}
-	flat := make([]lits.Lit, total)
-	out := make([]cnf.Clause, n)
-	at := 0
-	for i := range out {
-		l := d.uvarint()
-		if l > uint64(total-at) {
-			d.fail(fmt.Errorf("remote: clause list's literals exceed its total %d", total))
-			return nil
-		}
-		end := at + int(l)
-		for j := at; j < end; j++ {
-			flat[j] = d.lit()
-		}
-		out[i] = flat[at:end:end]
-		at = end
-	}
-	if d.err == nil && at != total {
-		d.fail(fmt.Errorf("remote: clause list holds %d literals, its total says %d", at, total))
-	}
-	return out
-}
-
 func (d *decoder) raceRequest() *RaceRequest {
 	r := &RaceRequest{ID: d.uvarint(), Query: d.string(), K: d.int(), Live: d.bool(), Assumps: d.lits()}
 	if n := d.count(minAttemptBytes); n > 0 {
@@ -413,7 +345,7 @@ func (d *decoder) raceRequest() *RaceRequest {
 			d.options(&r.Attempts[i].Opts)
 		}
 	}
-	r.Jobs, r.ExportMaxLen, r.ExportMaxLBD, r.ExportBudget = d.int(), d.int(), d.int(), d.int()
+	r.Jobs = d.int()
 	r.Grow = portfolio.Growth{Vars: d.int(), Clauses: d.int()}
 	return r
 }
@@ -518,7 +450,6 @@ func (d *decoder) raceResult() portfolio.RaceResult {
 		r.Start = time.Unix(0, start)
 	}
 	r.Wall = time.Duration(d.varint())
-	r.Foreign = d.clauses()
 	return r
 }
 

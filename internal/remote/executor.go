@@ -14,7 +14,6 @@ import (
 	"repro/internal/lits"
 	"repro/internal/obs"
 	"repro/internal/portfolio"
-	"repro/internal/racer"
 )
 
 // Coordinator-side defaults.
@@ -30,16 +29,6 @@ var (
 	errLinkDown = errors.New("remote: worker link down")
 	errClosed   = errors.New("remote: executor closed")
 )
-
-// ShareOptions switches the over-the-wire half of the clause bus: learned
-// clauses returned by worker mirrors and payloads exported by the local
-// pool are rebroadcast to the other workers under the racer exchange's
-// default filters (racer.DefaultExchangeMaxLen, DefaultExchangeMaxLBD,
-// DefaultExchangeBudget per link and payload). The zero value shares.
-type ShareOptions struct {
-	// Off disables clause traffic entirely.
-	Off bool
-}
 
 // Options configures a coordinator Executor. The zero value works once
 // addresses are supplied to New.
@@ -64,11 +53,6 @@ type Options struct {
 	// ReconnectBackoff is the initial redial delay, doubled per attempt
 	// (default 250ms).
 	ReconnectBackoff time.Duration
-	// Share switches clause forwarding. With two or more workers, the
-	// first configured worker receives no forwarded clauses — the
-	// distributed analogue of the warm pool's ReserveFirst slot, keeping
-	// one search trajectory unpolluted.
-	Share ShareOptions
 	// Metrics, when non-nil, receives the remote_*/net_* counters.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records one span per distributed race on the
@@ -118,8 +102,7 @@ func (o Options) withDefaults() Options {
 // Lost workers are evicted, their attempts re-raced locally, and the link
 // redialed in the background with exponential backoff; with every worker
 // gone the executor degrades to plain local races, so Session.Check always
-// completes with a correct verdict. Clause-bus payloads flow both
-// directions under the racer exchange's filters.
+// completes with a correct verdict.
 //
 // No clause of the unrolling crosses a link (see "Warm state over the
 // wire"), and a live attempt's local solver loads only in a fallback, so
@@ -141,7 +124,6 @@ type Executor struct {
 	onClose func()
 
 	mRaces, mWins, mFallbacks, mCancels *obs.Counter
-	mClausesFwd, mClausesBack           *obs.Counter
 }
 
 // Compile-time interface checks: the executor is a drop-in for the
@@ -184,12 +166,6 @@ type raceFlight struct {
 	idxs []int
 }
 
-// linkExport is one worker's returned learned clauses.
-type linkExport struct {
-	l       *link
-	clauses []cnf.Clause
-}
-
 // New connects to every worker address and returns the executor. All
 // workers must be reachable at construction time (failing fast beats
 // discovering a typo at depth 40); workers lost later are evicted and
@@ -203,12 +179,10 @@ func New(addrs []string, opts Options) (*Executor, error) {
 		opts:   opts,
 		closed: make(chan struct{}),
 
-		mRaces:       opts.Metrics.Counter(metricRemoteRaces),
-		mWins:        opts.Metrics.Counter(metricRemoteWins),
-		mFallbacks:   opts.Metrics.Counter(metricRemoteFallbacks),
-		mCancels:     opts.Metrics.Counter(metricRemoteCancels),
-		mClausesFwd:  opts.Metrics.Counter(metricRemoteClausesFwd),
-		mClausesBack: opts.Metrics.Counter(metricRemoteClausesBack),
+		mRaces:     opts.Metrics.Counter(metricRemoteRaces),
+		mWins:      opts.Metrics.Counter(metricRemoteWins),
+		mFallbacks: opts.Metrics.Counter(metricRemoteFallbacks),
+		mCancels:   opts.Metrics.Counter(metricRemoteCancels),
 	}
 	for _, addr := range addrs {
 		e.links = append(e.links, &link{
@@ -327,7 +301,7 @@ func (e *Executor) readLoop(l *link, fc *Conn, gen int) {
 			}
 		case MsgPong:
 			// Liveness is the Recv deadline; nothing to do.
-		case MsgHello, MsgHelloAck, MsgRace, MsgCancel, MsgClauses, MsgPing, MsgCircuit, msgKindEnd:
+		case MsgHello, MsgHelloAck, MsgRace, MsgCancel, MsgPing, MsgCircuit, msgKindEnd:
 			e.logf("worker %s: unexpected %v frame", l.addr, m.Kind)
 		}
 	}
@@ -445,14 +419,13 @@ func (e *Executor) Race(query engine.Query, f *cnf.Formula, attempts []portfolio
 	if len(attempts) > 0 {
 		origin, req.K = attempts[0].Origin, attempts[0].K
 	}
-	res, _ := e.distribute(origin, req, wire, func(idxs []int) portfolio.RaceResult {
+	return e.distribute(origin, req, wire, func(idxs []int) portfolio.RaceResult {
 		sub := make([]portfolio.Attempt, len(idxs))
 		for j, idx := range idxs {
 			sub[j] = attempts[idx]
 		}
 		return portfolio.Race(f, sub, jobs, stop)
 	}, stop)
-	return res
 }
 
 // RaceLive implements engine.Executor: the warm race, distributed. Each
@@ -460,8 +433,7 @@ func (e *Executor) Race(query engine.Query, f *cnf.Formula, attempts []portfolio
 // unrolling of the attempts' Origin, sized by the pool's hint (the attempts
 // share one). No local solver is asked for unless a worker is lost
 // mid-race: the lost slice then re-races through portfolio.RaceLive, which
-// is where its solvers load. Clauses the mirrors learned come back in
-// RaceResult.Foreign for the caller to import.
+// is where its solvers load.
 func (e *Executor) RaceLive(query engine.Query, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
 	wire := make([]WireAttempt, len(attempts))
 	for i, a := range attempts {
@@ -472,23 +444,13 @@ func (e *Executor) RaceLive(query engine.Query, attempts []portfolio.LiveAttempt
 	if len(attempts) > 0 {
 		origin, req.K, req.Grow = attempts[0].Origin, attempts[0].K, attempts[0].Grow
 	}
-	shareOn := !e.opts.Share.Off
-	if shareOn {
-		req.ExportMaxLen = racer.DefaultExchangeMaxLen
-		req.ExportMaxLBD = racer.DefaultExchangeMaxLBD
-		req.ExportBudget = racer.DefaultExchangeBudget
-	}
-	res, exports := e.distribute(origin, req, wire, func(idxs []int) portfolio.RaceResult {
+	return e.distribute(origin, req, wire, func(idxs []int) portfolio.RaceResult {
 		sub := make([]portfolio.LiveAttempt, len(idxs))
 		for j, idx := range idxs {
 			sub[j] = attempts[idx]
 		}
 		return portfolio.RaceLive(sub, assumps, jobs, stop)
 	}, stop)
-	if shareOn && len(exports) > 0 {
-		res.Foreign = e.redistribute(req.Query, req.K, exports)
-	}
-	return res
 }
 
 // distribute is the common fan-out: partition the attempt indices
@@ -504,7 +466,7 @@ func (e *Executor) distribute(
 	wire []WireAttempt,
 	fallback func(idxs []int) portfolio.RaceResult,
 	stop <-chan struct{},
-) (portfolio.RaceResult, []linkExport) {
+) portfolio.RaceResult {
 	e.mRaces.Inc()
 	sp := e.opts.Tracer.Begin("remote", req.Query+" race")
 	defer sp.End()
@@ -544,7 +506,6 @@ func (e *Executor) distribute(
 		}
 	}
 
-	var exports []linkExport
 	cancelSent := false
 	stopCh := stop
 	for len(outstanding) > 0 {
@@ -566,9 +527,6 @@ func (e *Executor) distribute(
 					if j < len(r.resp.Race.Outcomes) {
 						res.Outcomes[idx] = r.resp.Race.Outcomes[j]
 					}
-				}
-				if len(r.resp.Exported) > 0 {
-					exports = append(exports, linkExport{l: fl.l, clauses: r.resp.Exported})
 				}
 				w := r.resp.Race.Winner
 				if res.Winner < 0 && w >= 0 && w < len(fl.idxs) && r.resp.Race.Result.Status.Decided() {
@@ -609,7 +567,7 @@ func (e *Executor) distribute(
 	}
 	res.Wall = time.Since(start)
 	sp.SetArg("winner", res.WinnerName())
-	return res, exports
+	return res
 }
 
 // sendRace registers the race as pending and writes its request, preceded
@@ -665,62 +623,10 @@ func (e *Executor) cancelOutstanding(outstanding map[uint64]raceFlight) {
 	}
 }
 
-// OnClausePayload implements engine.Executor: a local racer exported
-// clauses at a depth boundary (this happens when the local pool
-// actually solved — fallback periods). They are forwarded to every
-// healthy worker except the reserve link, which stays import-free.
-func (e *Executor) OnClausePayload(query engine.Query, k int, from string, clauses []cnf.Clause) {
-	qs := string(query)
-	if e.opts.Share.Off || len(clauses) == 0 {
-		return
-	}
-	filtered := filterClauses(clauses, racer.DefaultExchangeMaxLen, racer.DefaultExchangeBudget)
-	if len(filtered) == 0 {
-		return
-	}
-	reserve := e.reserveLink()
-	for _, l := range e.healthyLinks() {
-		if l == reserve {
-			continue
-		}
-		e.forwardClauses(l, qs, k, from, filtered)
-	}
-}
-
-// redistribute rebroadcasts the clauses that depth k's race on query qs
-// exported to the other workers (minus the link they came from and the
-// reserve link) and returns them, filtered, for the local pool: its solvers
-// import them at the depth boundary — or when a fallback first loads them —
-// so the fallback path stays warm.
-func (e *Executor) redistribute(qs string, k int, exports []linkExport) []cnf.Clause {
-	reserve := e.reserveLink()
-	healthy := e.healthyLinks()
-	var back []cnf.Clause
-	for _, ex := range exports {
-		filtered := filterClauses(ex.clauses, racer.DefaultExchangeMaxLen, racer.DefaultExchangeBudget)
-		if len(filtered) == 0 {
-			continue
-		}
-		e.mClausesBack.Add(int64(len(filtered)))
-		from := "worker:" + ex.l.addr
-		for _, l := range healthy {
-			if l == ex.l || l == reserve {
-				continue
-			}
-			e.forwardClauses(l, qs, k, from, filtered)
-		}
-		back = append(back, filtered...)
-	}
-	return back
-}
-
-// forwardClauses ships one clause payload to a worker; a failed write
-// evicts the link (clause traffic is best-effort, races are not).
-func (e *Executor) forwardClauses(l *link, qs string, k int, from string, clauses []cnf.Clause) {
-	if e.send(l, &Message{Kind: MsgClauses, Clauses: &ClausePayload{Query: qs, K: k, From: from, Clauses: clauses}}) {
-		e.mClausesFwd.Add(int64(len(clauses)))
-	}
-}
+// OnClausePayload implements engine.Executor with an empty body: the
+// engine never calls it, and it stays only for the frozen benchmark's
+// decorator (benchmark/decorator.go).
+func (e *Executor) OnClausePayload(engine.Query, int, string, []cnf.Clause) {}
 
 // send writes m on the link's connection if it is up, and evicts the link
 // if the write fails. It reports whether m went out.
@@ -736,15 +642,6 @@ func (e *Executor) send(l *link, m *Message) bool {
 		return false
 	}
 	return true
-}
-
-// reserveLink is the import-free diversity worker: the first configured
-// link, active only with at least two workers.
-func (e *Executor) reserveLink() *link {
-	if len(e.links) < 2 {
-		return nil
-	}
-	return e.links[0]
 }
 
 // healthyLinks snapshots the up links in configuration order.
@@ -792,21 +689,6 @@ func pick(wire []WireAttempt, idxs []int) []WireAttempt {
 	out := make([]WireAttempt, len(idxs))
 	for j, idx := range idxs {
 		out[j] = wire[idx]
-	}
-	return out
-}
-
-// filterClauses applies the length filter and per-link budget.
-func filterClauses(clauses []cnf.Clause, maxLen, budget int) []cnf.Clause {
-	out := make([]cnf.Clause, 0, len(clauses))
-	for _, cl := range clauses {
-		if maxLen > 0 && len(cl) > maxLen {
-			continue
-		}
-		out = append(out, cl)
-		if budget > 0 && len(out) >= budget {
-			break
-		}
 	}
 	return out
 }

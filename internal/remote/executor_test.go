@@ -19,7 +19,6 @@ import (
 	"repro/internal/lits"
 	"repro/internal/obs"
 	"repro/internal/portfolio"
-	"repro/internal/racer"
 	"repro/internal/sat"
 	"repro/internal/unroll"
 )
@@ -89,7 +88,6 @@ func remoteShapes() []struct {
 	depth  int
 	opts   []engine.Option
 } {
-	exchange := engine.WithExchange(racer.ExchangeOptions{Enabled: true})
 	bmcModels := []string{"add_w8", "cnt_w4_t9", "twin_w8"}
 	kindModels := []string{"tlc_bug", "gcnt_offset"}
 	return []struct {
@@ -103,12 +101,12 @@ func remoteShapes() []struct {
 		// strategy at every depth (the engine seam test's bound).
 		{"bmc-portfolio", bmcModels, 4, []engine.Option{engine.WithPortfolio(nil, 0)}},
 		{"bmc-warm", bmcModels, 6, []engine.Option{
-			engine.WithPortfolio(nil, 0), engine.WithIncremental(), exchange}},
+			engine.WithPortfolio(nil, 0), engine.WithIncremental()}},
 		{"kind-portfolio", kindModels, 6, []engine.Option{
 			engine.WithEngine(engine.KInduction), engine.WithPortfolio(nil, 0)}},
 		{"kind-warm", kindModels, 6, []engine.Option{
 			engine.WithEngine(engine.KInduction), engine.WithPortfolio(nil, 0),
-			engine.WithIncremental(), exchange}},
+			engine.WithIncremental()}},
 		{"kind-warm-single", kindModels, 6, []engine.Option{
 			engine.WithEngine(engine.KInduction), engine.WithIncremental()}},
 		{"bmc-scratch-single", bmcModels, 4, nil},
@@ -197,7 +195,7 @@ func TestTCPEquivalence(t *testing.T) {
 	}
 	base := []engine.Option{
 		engine.WithBudgets(9, 0), engine.WithPortfolio(nil, 0),
-		engine.WithIncremental(), engine.WithExchange(racer.ExchangeOptions{Enabled: true}),
+		engine.WithIncremental(),
 	}
 	ref := checkWith(t, m, base...)
 
@@ -307,7 +305,7 @@ func TestWorkerLostMidCheckWarm(t *testing.T) {
 	}
 	base := []engine.Option{
 		engine.WithBudgets(9, 0), engine.WithPortfolio(nil, 0),
-		engine.WithIncremental(), engine.WithExchange(racer.ExchangeOptions{Enabled: true}),
+		engine.WithIncremental(),
 	}
 	ref := checkWith(t, m, base...)
 
@@ -390,7 +388,7 @@ func TestWorkerReconnect(t *testing.T) {
 	}
 	base := []engine.Option{
 		engine.WithBudgets(9, 0), engine.WithPortfolio(nil, 0),
-		engine.WithIncremental(), engine.WithExchange(racer.ExchangeOptions{Enabled: true}),
+		engine.WithIncremental(),
 	}
 	ref := checkWith(t, m, base...)
 	res := checkWith(t, m, append(base, engine.WithExecutor(e))...)
@@ -473,12 +471,11 @@ func TestWorkerRaceRejected(t *testing.T) {
 // the mirrors of the old one; every verdict and depth is the all-local one,
 // and not a race falls back.
 func TestExecutorReuse(t *testing.T) {
-	exchange := engine.WithExchange(racer.ExchangeOptions{Enabled: true})
 	for _, shape := range []struct {
 		name string
 		opts []engine.Option
 	}{
-		{"warm", []engine.Option{engine.WithBudgets(9, 0), engine.WithPortfolio(nil, 0), engine.WithIncremental(), exchange}},
+		{"warm", []engine.Option{engine.WithBudgets(9, 0), engine.WithPortfolio(nil, 0), engine.WithIncremental()}},
 		{"cold", []engine.Option{engine.WithBudgets(4, 0), engine.WithPortfolio(nil, 0)}},
 		{"kind-warm", []engine.Option{engine.WithBudgets(9, 0), engine.WithEngine(engine.KInduction), engine.WithPortfolio(nil, 0), engine.WithIncremental()}},
 	} {
@@ -513,7 +510,7 @@ func TestRemoteCancellation(t *testing.T) {
 	e, _ := newLoopbackExecutor(t, 2, fastOpts())
 	sess, err := engine.New(m.Build(), 0,
 		engine.WithBudgets(60, 0), engine.WithPortfolio(nil, 0),
-		engine.WithIncremental(), engine.WithExchange(racer.ExchangeOptions{Enabled: true}),
+		engine.WithIncremental(),
 		engine.WithExecutor(e))
 	if err != nil {
 		t.Fatal(err)
@@ -552,47 +549,5 @@ func TestRemoteCancellation(t *testing.T) {
 			break
 		}
 		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// TestClausePayloadReserve: local clause-bus payloads fan out to every
-// worker except the reserve link (the import-free diversity slot), and
-// the per-link filters apply.
-func TestClausePayloadReserve(t *testing.T) {
-	e, reg := newLoopbackExecutor(t, 3, fastOpts())
-	clauses := []cnf.Clause{{1, -2}, {3, 4}, make(cnf.Clause, 64)}
-	e.OnClausePayload(engine.QueryBMC, 0, "vsids", clauses)
-	// Two eligible clauses (the 64-literal one fails MaxLen) times two
-	// non-reserve links.
-	snap := reg.Snapshot()
-	if got, want := snap.Counters[metricRemoteClausesFwd], int64(4); got != want {
-		t.Errorf("forwarded %d clauses, want %d (reserve link must receive none)", got, want)
-	}
-
-	// With sharing off nothing moves.
-	opts := fastOpts()
-	opts.Share.Off = true
-	e2, reg2 := newLoopbackExecutor(t, 3, opts)
-	e2.OnClausePayload(engine.QueryBMC, 0, "vsids", clauses)
-	if got := reg2.Snapshot().Counters[metricRemoteClausesFwd]; got != 0 {
-		t.Errorf("Share.Off forwarded %d clauses", got)
-	}
-}
-
-// TestDistributedClauseBus: in a multi-worker warm run the worker
-// mirrors' learned clauses come back to the coordinator and are
-// rebroadcast to the other workers.
-func TestDistributedClauseBus(t *testing.T) {
-	m, ok := bench.ByName("mix_w6")
-	if !ok {
-		t.Fatal("model mix_w6 missing")
-	}
-	e, reg := newLoopbackExecutor(t, 2, fastOpts())
-	checkWith(t, m, engine.WithBudgets(8, 0), engine.WithPortfolio(nil, 0),
-		engine.WithIncremental(), engine.WithExchange(racer.ExchangeOptions{Enabled: true}),
-		engine.WithExecutor(e))
-	snap := reg.Snapshot()
-	if snap.Counters[metricRemoteClausesBack] == 0 {
-		t.Error("no worker-exported clauses returned to the coordinator")
 	}
 }

@@ -18,12 +18,10 @@ const (
 	metricWorkerConnections = "remote_worker_connections_total"
 
 	// Coordinator-side counters.
-	metricRemoteRaces       = "remote_races_total"
-	metricRemoteWins        = "remote_wins_total"
-	metricRemoteFallbacks   = "remote_fallback_races_total"
-	metricRemoteEvictions   = "remote_worker_evictions_total"
-	metricRemoteReconnects  = "remote_reconnects_total"
-	metricRemoteCancels     = "remote_cancels_total"
-	metricRemoteClausesFwd  = "remote_clauses_forwarded_total"
-	metricRemoteClausesBack = "remote_clauses_returned_total"
+	metricRemoteRaces      = "remote_races_total"
+	metricRemoteWins       = "remote_wins_total"
+	metricRemoteFallbacks  = "remote_fallback_races_total"
+	metricRemoteEvictions  = "remote_worker_evictions_total"
+	metricRemoteReconnects = "remote_reconnects_total"
+	metricRemoteCancels    = "remote_cancels_total"
 )

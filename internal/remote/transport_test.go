@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/racer"
 )
 
 // fault is what a faultConn does to one of its writes — one frame, as
@@ -183,7 +182,7 @@ func TestFaultConnSplitsAndCuts(t *testing.T) {
 }
 
 // faultShapes are the engine shapes the transport fault tests run: the
-// cold portfolio and the warm pool with its clause bus.
+// cold portfolio and the warm pool.
 func faultShapes() []struct {
 	name string
 	opts []engine.Option
@@ -193,8 +192,7 @@ func faultShapes() []struct {
 		opts []engine.Option
 	}{
 		{"portfolio", []engine.Option{engine.WithPortfolio(nil, 0)}},
-		{"warm", []engine.Option{engine.WithPortfolio(nil, 0), engine.WithIncremental(),
-			engine.WithExchange(racer.ExchangeOptions{Enabled: true})}},
+		{"warm", []engine.Option{engine.WithPortfolio(nil, 0), engine.WithIncremental()}},
 	}
 }
 

@@ -3,10 +3,7 @@
 // persistent mirror solvers and executes cold and warm races on demand,
 // and a coordinator-side Executor that implements engine.Executor by
 // fanning each depth's attempts out across its worker set, returning on
-// the first verdict with cancellation frames to the losers, and
-// forwarding clause-bus payloads over the wire under per-link
-// length/budget filters with a ReserveFirst-style import-free diversity
-// worker.
+// the first verdict with cancellation frames to the losers.
 //
 // # Wire protocol
 //
@@ -36,8 +33,6 @@
 //	status   one byte (sat.Status, lits.TriBool)
 //	string   uint length, then the bytes
 //	list     uint count, then the elements
-//	clauses  uint clause count, uint literal total, then per clause a uint
-//	         length and its literals as ints
 //	time     int: Unix nanoseconds, 0 for the zero time
 //	circuit  uint node count, the constant's included; per later node, in
 //	         NodeID order, its kind byte, then a latch's initial value
@@ -46,14 +41,13 @@
 //	         (a list of string name, uint bad signal)
 //
 // The message is its Kind (one byte), Seq (uint), and a byte whose bits
-// 0..5 say which of Hello, Race, Result, Cancel, Clauses and Circuit
-// follow, then those, in that order; each struct is its exported fields in
+// 0..4 say which of Hello, Race, Result, Cancel and Circuit follow, then
+// those, in that order; each struct is its exported fields in
 // declaration order, nested structs inline and slices as lists. A guidance
 // array crosses as a list of runs (GuidanceRuns): N scores equal bit for
 // bit to the float with the bits Bits. Before a list is allocated its
 // count is checked against the bytes left, each element taking at least
-// one; a clause list's total must equal the sum of its lengths; and the
-// message must end where the payload does. A circuit is rebuilt through
+// one; and the message must end where the payload does. A circuit is rebuilt through
 // the circuit builder, so each node keeps its NodeID; the decoder rejects
 // an AND gate whose fanins do not point below it or that the builder
 // folds or has made already, a latch without a next state, a signal past
@@ -61,8 +55,7 @@
 //
 // The coordinator opens the conversation with Hello and the worker
 // answers HelloAck; version skew fails the handshake. After that the
-// coordinator sends Circuit, RaceRequest, Cancel, ClausePayload, and Ping
-// frames; the worker answers with RaceResponse and Pong frames. Races
+// coordinator sends Circuit, RaceRequest, Cancel and Ping frames; the worker answers with RaceResponse and Pong frames. Races
 // are correlated by request ID, so a worker can run races for distinct
 // queries concurrently (the k-induction base and step pools race in
 // parallel) while each query's races stay strictly sequential.
@@ -98,7 +91,6 @@ import (
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/cnf"
 	"repro/internal/lits"
 	"repro/internal/obs"
 	"repro/internal/portfolio"
@@ -107,10 +99,10 @@ import (
 
 // ProtocolVersion is bumped on any wire-incompatible change; the
 // handshake rejects mismatched peers.
-const ProtocolVersion = 5
+const ProtocolVersion = 6
 
 // DefaultMaxFrameBytes bounds one frame's payload (64 MiB — a circuit of
-// millions of gates, or a long clause payload, fits with room to spare).
+// millions of gates fits with room to spare).
 // The bound is checked against the length prefix before any allocation.
 const DefaultMaxFrameBytes = 64 << 20
 
@@ -139,7 +131,6 @@ const (
 	MsgRace
 	MsgRaceResult
 	MsgCancel
-	MsgClauses
 	MsgPing
 	MsgPong
 	MsgCircuit
@@ -149,7 +140,7 @@ const (
 // msgKindNames are the kinds' names in log lines.
 var msgKindNames = [msgKindEnd]string{
 	MsgHello: "hello", MsgHelloAck: "hello_ack", MsgRace: "race", MsgRaceResult: "race_result",
-	MsgCancel: "cancel", MsgClauses: "clauses", MsgPing: "ping", MsgPong: "pong", MsgCircuit: "circuit",
+	MsgCancel: "cancel", MsgPing: "ping", MsgPong: "pong", MsgCircuit: "circuit",
 }
 
 // String implements fmt.Stringer for log lines.
@@ -170,7 +161,6 @@ type Message struct {
 	Race    *RaceRequest
 	Result  *RaceResponse
 	Cancel  *Cancel
-	Clauses *ClausePayload
 	Circuit *WireCircuit
 }
 
@@ -327,9 +317,7 @@ type WireCircuit struct {
 // solvers and carry the depth's assumption list and Grow, the size the
 // coordinator's pool hints its solvers for at this depth, which the mirrors
 // are hinted for too; cold races build throwaway solvers over the depth-K
-// instance. ExportMaxLen/ExportBudget, when nonzero, ask a live race to
-// return its mirrors' fresh learned clauses (the clause bus's
-// worker-to-coordinator half); ExportMaxLBD completes the quality filter.
+// instance.
 type RaceRequest struct {
 	ID    uint64
 	Query string
@@ -340,41 +328,24 @@ type RaceRequest struct {
 	Attempts []WireAttempt
 	Jobs     int
 
-	ExportMaxLen int
-	ExportMaxLBD int
-	ExportBudget int
-
 	Grow portfolio.Growth
 }
 
 // RaceResponse answers a RaceRequest. Race.Winner indexes the request's
 // Attempts slice (the coordinator maps it back to its global attempt
-// order). Exported carries the mirrors' fresh learned clauses when the
-// request asked for them. Err, when non-empty, reports a request the
+// order). Err, when non-empty, reports a request the
 // worker could not run (the coordinator treats it like a lost worker
 // and re-races locally).
 type RaceResponse struct {
-	ID       uint64
-	Race     portfolio.RaceResult
-	Exported []cnf.Clause
-	Err      string
+	ID   uint64
+	Race portfolio.RaceResult
+	Err  string
 }
 
 // Cancel asks the worker to close the stop channel of the identified
 // race. Unknown IDs are ignored (the race may have just finished).
 type Cancel struct {
 	ID uint64
-}
-
-// ClausePayload forwards one clause-bus export: query and depth it came
-// from, the exporting source ("strategy" locally, "worker:addr" when
-// rebroadcast), and the clauses. The worker imports them into the
-// query's mirrors before that query's next race.
-type ClausePayload struct {
-	Query   string
-	K       int
-	From    string
-	Clauses []cnf.Clause
 }
 
 // appendFrame appends the frame numbered no that carries m, length prefix

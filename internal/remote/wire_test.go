@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
-	"repro/internal/cnf"
 	"repro/internal/lits"
 	"repro/internal/sat"
 	"repro/internal/unroll"
@@ -112,13 +111,13 @@ func fullMessage(tb testing.TB) Message {
 
 // TestWireRoundTrip: every message kind, with every field of every payload
 // set, survives Send/Recv over a pipe unchanged — a race request with
-// guidance runs, a response with a model, failed assumptions, outcomes and
-// exported clauses, a clause payload, a circuit. The filler sets each
+// guidance runs, a response with a model, failed assumptions and
+// outcomes, a circuit. The filler sets each
 // exported field non-zero, so a wire struct that gains a field the codec
 // drops fails here.
 func TestWireRoundTrip(t *testing.T) {
 	full := fullMessage(t)
-	if full.Race.Assumps == nil || full.Result.Race.Result.Model == nil || full.Clauses.Clauses == nil || full.Circuit.Circuit == nil {
+	if full.Race.Assumps == nil || full.Result.Race.Result.Model == nil || full.Circuit.Circuit == nil {
 		t.Fatal("the filler left a payload empty")
 	}
 	coord, worker := net.Pipe()
@@ -302,10 +301,9 @@ func TestOptionsPerAttempt(t *testing.T) {
 
 // TestReadMessageRejects: malformed frames fail cleanly — bounded
 // allocation for header bombs, distinct errors for empty and oversized
-// frames, decode errors for garbage, lists that claim more than the frame
-// holds and clause lists whose literal total disagrees with their clauses
-// — and never panic; guidance runs that do not cover the depth's variables
-// fail the race, not the worker.
+// frames, decode errors for garbage and lists that claim more than the
+// frame holds — and never panic; guidance runs that do not cover the
+// depth's variables fail the race, not the worker.
 func TestReadMessageRejects(t *testing.T) {
 	valid := encodeFrame(t, &Message{Kind: MsgPing, Seq: 3})
 
@@ -372,26 +370,6 @@ func TestReadMessageRejects(t *testing.T) {
 		_, _, _, err := readOne(bomb, 1<<20)
 		if err == nil || !strings.Contains(err.Error(), "bytes left") {
 			t.Errorf("a run list of 2^40 in a %d-byte frame: got %v, want a count past the bytes left", len(bomb), err)
-		}
-	})
-	t.Run("clause-total", func(t *testing.T) {
-		// One clause of two literals that take two bytes each: the frame
-		// ends in count 1, total 2, length 2 and the four literal bytes.
-		b := encodeFrame(t, &Message{Kind: MsgClauses, Clauses: &ClausePayload{Query: "bmc", From: "vsids",
-			Clauses: []cnf.Clause{{1000, -1000}}}})
-		total := len(b) - 6
-		if b[total] != 2 || b[total+1] != 2 {
-			t.Fatalf("clause list not where expected: % x", b[total-1:])
-		}
-		for _, claim := range []byte{1, 3} {
-			bad := append([]byte{}, b...)
-			bad[total] = claim
-			if _, m, _, err := readOne(bad, 1<<20); err == nil {
-				t.Errorf("a clause list of 2 literals claiming %d accepted: %v", claim, m.Clauses.Clauses)
-			}
-		}
-		if _, m, _, err := readOne(b, 1<<20); err != nil || !reflect.DeepEqual(m.Clauses.Clauses, []cnf.Clause{{1000, -1000}}) {
-			t.Errorf("the unaltered clause list: %v, %v", m, err)
 		}
 	})
 	t.Run("runs-not-covering", func(t *testing.T) {
@@ -515,9 +493,7 @@ func TestSendEnforcesBound(t *testing.T) {
 	defer coord.Close()
 	defer worker.Close()
 	c := NewConn(coord, 64)
-	big := &Message{Kind: MsgClauses, Clauses: &ClausePayload{
-		Query: "bmc", Clauses: []cnf.Clause{make(cnf.Clause, 1024)},
-	}}
+	big := &Message{Kind: MsgHello, Hello: &Hello{Version: ProtocolVersion, Name: strings.Repeat("w", 1024)}}
 	if err := c.Send(big, time.Second); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized send: got %v, want ErrFrameTooLarge", err)
 	}
@@ -542,9 +518,6 @@ func FuzzWireDecode(f *testing.F) {
 	for _, c := range []*circuit.Circuit{fillCircuit(), bench.Counter(3, 5, 1, 2), bench.TrafficLight(true, 0, 0)} {
 		f.Add(encodeFrame(f, &Message{Kind: MsgCircuit, Circuit: &WireCircuit{Query: "step", Step: true, Circuit: c}}))
 	}
-	f.Add(encodeFrame(f, &Message{Kind: MsgClauses, Clauses: &ClausePayload{
-		Query: "step", K: 3, From: "vsids", Clauses: []cnf.Clause{{-1, 2, 3}},
-	}}))
 	full := fullMessage(f)
 	full.Kind = MsgRaceResult
 	f.Add(encodeFrame(f, &full))
@@ -578,6 +551,69 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if no2 != no || !bytes.Equal(appendMessage(nil, m2), appendMessage(nil, m)) {
 			t.Fatalf("re-encoded frame %d decoded as frame %d, %+v; want %+v", no, no2, m2, m)
+		}
+	})
+}
+
+// TestHandshakeRefusesOtherVersion: a peer that announces a protocol
+// version other than ProtocolVersion — here the one before it — gets no
+// session from either end. A worker answers a coordinator's Hello of that
+// version with no HelloAck and closes the connection; a coordinator whose
+// worker acknowledges with that version fails New and keeps no link.
+func TestHandshakeRefusesOtherVersion(t *testing.T) {
+	const old = ProtocolVersion - 1
+
+	t.Run("worker", func(t *testing.T) {
+		coord, worker := net.Pipe()
+		defer coord.Close()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			NewWorker(WorkerOptions{IdleTimeout: 2 * time.Second}).ServeConn(worker)
+		}()
+		c := NewConn(coord, 0)
+		if err := c.Send(&Message{Kind: MsgHello, Hello: &Hello{Version: old, Name: "old"}}, time.Second); err != nil {
+			t.Fatalf("hello: %v", err)
+		}
+		if m, err := c.Recv(time.Second); err == nil {
+			t.Errorf("a worker answered a version-%d hello with %v", old, m.Kind)
+		}
+		select {
+		case <-served:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the worker kept a version-mismatched connection open")
+		}
+	})
+
+	t.Run("coordinator", func(t *testing.T) {
+		acked := make(chan error, 1)
+		opts := fastOpts()
+		opts.Dial = func(string) (net.Conn, error) {
+			coord, worker := net.Pipe()
+			go func() {
+				defer worker.Close()
+				w := NewConn(worker, 0)
+				m, err := w.Recv(time.Second)
+				if err == nil && (m.Kind != MsgHello || m.Hello == nil || m.Hello.Version != ProtocolVersion) {
+					err = fmt.Errorf("coordinator sent %v, version %v", m.Kind, m.Hello)
+				}
+				if err == nil {
+					err = w.Send(&Message{Kind: MsgHelloAck, Hello: &Hello{Version: old, Name: "old"}}, time.Second)
+				}
+				acked <- err
+			}()
+			return coord, nil
+		}
+		e, err := New([]string{"old-worker"}, opts)
+		if err == nil {
+			e.Close()
+			t.Fatalf("a coordinator accepted a worker that acknowledged version %d", old)
+		}
+		if !strings.Contains(err.Error(), "handshake") {
+			t.Errorf("New failed with %v, want a handshake error", err)
+		}
+		if err := <-acked; err != nil {
+			t.Fatalf("the fake worker: %v", err)
 		}
 	})
 }

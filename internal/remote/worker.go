@@ -70,7 +70,7 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 type Worker struct {
 	opts WorkerOptions
 	// afterRace, when non-nil, sees a live race's query state once the race
-	// and its exports are done, while the race still owns it (tests).
+	// is done, while the race still owns it (tests).
 	afterRace func(q *workerQuery)
 }
 
@@ -176,10 +176,6 @@ func (w *Worker) ServeConn(nc net.Conn) {
 			if m.Cancel != nil {
 				sess.cancel(m.Cancel.ID)
 			}
-		case MsgClauses:
-			if m.Clauses != nil {
-				sess.enqueueClauses(m.Clauses)
-			}
 		case MsgCircuit:
 			if m.Circuit != nil {
 				if err := sess.install(m.Circuit); err != nil {
@@ -201,7 +197,7 @@ func (w *Worker) logf(format string, args ...any) {
 
 // runRace executes one race request against the connection's state.
 func (w *Worker) runRace(sess *connSession, req *RaceRequest, stop <-chan struct{}) *RaceResponse {
-	q, pending, err := sess.begin(req)
+	q, err := sess.begin(req)
 	if err != nil {
 		return &RaceResponse{ID: req.ID, Err: err.Error()}
 	}
@@ -218,10 +214,9 @@ func (w *Worker) runRace(sess *connSession, req *RaceRequest, stop <-chan struct
 	}
 
 	// The query is marked busy: this goroutine owns its mirrors until end,
-	// and hands each to at most one race goroutine. Imports are queued for
-	// the mirrors of this request at this depth's boundary and go in, with
-	// the frames a mirror is missing (depth k's encoded once, by the first
-	// mirror to need it), when it is about to search and at rest.
+	// and hands each to at most one race goroutine. A mirror takes the
+	// frames it is missing (depth k's encoded once, by the first mirror to
+	// need it) when it is about to search.
 	k := req.K
 	frames := racer.NewDepthFrames(q.src, k)
 	scores := q.src.NumVars(k) + 1
@@ -233,31 +228,16 @@ func (w *Worker) runRace(sess *connSession, req *RaceRequest, stop <-chan struct
 			m = new(mirror)
 			q.mirrors[a.Name] = m
 		}
-		if len(pending) > 0 {
-			m.feed.Deliver(k, "", pending)
-		}
 		attempts[i] = portfolio.LiveAttempt{Name: a.Name, Solver: func() *sat.Solver {
 			return m.catchUp(k, frames, scores, &a.Opts, req.Grow)
 		}}
 	}
 
 	race := portfolio.RaceLive(attempts, req.Assumps, req.Jobs, stop)
-
-	var exported []cnf.Clause
-	if req.ExportMaxLen > 0 || req.ExportMaxLBD > 0 {
-		for _, a := range req.Attempts {
-			m := q.mirrors[a.Name]
-			if m.feed.Solver == nil {
-				continue
-			}
-			exported = append(exported, m.feed.Solver.ExportLearned(m.mark, req.ExportMaxLen, req.ExportMaxLBD, req.ExportBudget)...)
-			m.mark = m.feed.Solver.NextClauseID()
-		}
-	}
 	if w.afterRace != nil {
 		w.afterRace(q)
 	}
-	return &RaceResponse{ID: req.ID, Race: race, Exported: exported}
+	return &RaceResponse{ID: req.ID, Race: race}
 }
 
 // connSession is one connection's state: the stop channels of running
@@ -270,8 +250,8 @@ type connSession struct {
 }
 
 // workerQuery is one query's state on a connection: the unrolling of its
-// circuit (src for live races, an unroll.Instance made per cold race), the
-// per-strategy mirrors, and clause imports awaiting the next live race.
+// circuit (src for live races, an unroll.Instance made per cold race) and
+// the per-strategy mirrors.
 // busy serializes races per query — the coordinator never overlaps them,
 // so a second race for a busy query is protocol misuse and is rejected
 // rather than queued.
@@ -280,7 +260,6 @@ type workerQuery struct {
 	step    bool
 	src     racer.Source
 	mirrors map[string]*mirror
-	pending []cnf.Clause
 	busy    bool
 }
 
@@ -293,13 +272,11 @@ func (q *workerQuery) instance() *unroll.Instance {
 }
 
 // mirror is one strategy's persistent worker-side solver: the solver with
-// its load state (frames held, imports waiting), the array its guidance is
-// expanded over, and the learned-clause export high-water mark. The solver
-// and the array are made when the mirror first searches.
+// its load state (frames held) and the array its guidance is expanded
+// over. The solver and the array are made when the mirror first searches.
 type mirror struct {
 	feed     racer.Feed
 	guidance []float64
-	mark     sat.ClauseID
 }
 
 // catchUp is the mirror's load at depth k, on the race goroutine about to
@@ -319,8 +296,7 @@ func (m *mirror) catchUp(k int, frames *racer.DepthFrames, scores int, opts *Wir
 		s.Grow(grow.Vars, grow.Clauses)
 	}
 	m.guidance = opts.Guidance.expand(m.guidance, scores, grow.Vars+1)
-	s, _ = m.feed.CatchUp(k, frames.Frame, m.guidance, opts.SwitchAfterDecisions)
-	return s
+	return m.feed.CatchUp(k, frames.Frame, m.guidance, opts.SwitchAfterDecisions)
 }
 
 func newConnSession() *connSession {
@@ -365,8 +341,8 @@ func (s *connSession) cancelAll() {
 	}
 }
 
-// install makes wc's circuit its query's, with no mirrors and no pending
-// imports; a race still running on the old state keeps it until it ends.
+// install makes wc's circuit its query's, with no mirrors; a race still
+// running on the old state keeps it until it ends.
 func (s *connSession) install(wc *WireCircuit) error {
 	u, err := unroll.New(wc.Circuit, wc.Property)
 	s.mu.Lock()
@@ -385,50 +361,35 @@ func (s *connSession) install(wc *WireCircuit) error {
 	return nil
 }
 
-// enqueueClauses parks a clause payload for import before the query's
-// next live race. A payload for a query whose circuit the connection does
-// not hold is dropped: the circuit, when it comes, starts no mirror warm.
-func (s *connSession) enqueueClauses(p *ClausePayload) {
-	s.mu.Lock()
-	if q := s.queries[p.Query]; q != nil {
-		q.pending = append(q.pending, p.Clauses...)
-	}
-	s.mu.Unlock()
-}
-
 // begin claims the request's query for one race, owned by the caller
 // until end: the connection must hold its circuit, the depth-K instance
 // must fit unroll's size bound and every attempt's guidance must cover its
-// variables. A live race takes the pending clause imports.
-func (s *connSession) begin(req *RaceRequest) (*workerQuery, []cnf.Clause, error) {
+// variables.
+func (s *connSession) begin(req *RaceRequest) (*workerQuery, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	q := s.queries[req.Query]
 	switch {
 	case q == nil:
-		return nil, nil, fmt.Errorf("remote: race for query %q, whose circuit this connection does not hold", req.Query)
+		return nil, fmt.Errorf("remote: race for query %q, whose circuit this connection does not hold", req.Query)
 	case q.busy:
-		return nil, nil, fmt.Errorf("remote: query %q already racing", req.Query)
+		return nil, fmt.Errorf("remote: query %q already racing", req.Query)
 	}
 	size := q.src.Size
 	if !req.Live {
 		size = q.instance().Size
 	}
 	if !unroll.Fits(req.K, size) {
-		return nil, nil, fmt.Errorf("remote: depth %d of query %q is past the bound on an instance's size", req.K, req.Query)
+		return nil, fmt.Errorf("remote: depth %d of query %q is past the bound on an instance's size", req.K, req.Query)
 	}
 	vars, _, _ := size(req.K)
 	for _, a := range req.Attempts {
 		if err := a.Opts.Guidance.covers(vars + 1); err != nil {
-			return nil, nil, fmt.Errorf("%w (query %q, attempt %s)", err, req.Query, a.Name)
+			return nil, fmt.Errorf("%w (query %q, attempt %s)", err, req.Query, a.Name)
 		}
 	}
-	var pending []cnf.Clause
-	if req.Live {
-		pending, q.pending = q.pending, nil
-	}
 	q.busy = true
-	return q, pending, nil
+	return q, nil
 }
 
 // end releases the query claimed by begin.

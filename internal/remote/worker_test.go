@@ -22,10 +22,9 @@ import (
 // first attempt decides and the other three are skipped. A skipped mirror
 // holds nothing: no solver, no expanded guidance. When a later request
 // puts another strategy first, its mirror loads every frame it missed —
-// encoded by the worker from the circuit the session was sent — and every
-// clause payload that was meant for it in one catch-up, and searches
-// exactly like a reference solver this test fed frame by frame, payload by
-// payload, all along.
+// encoded by the worker from the circuit the session was sent — in one
+// catch-up, and searches exactly like a reference solver this test fed
+// frame by frame all along.
 func TestMirrorLoadsWhenItRaces(t *testing.T) {
 	const lateAt = 4
 	c := bench.ParityMixer(5, 3, 10)
@@ -54,7 +53,7 @@ func TestMirrorLoadsWhenItRaces(t *testing.T) {
 		req := &RaceRequest{
 			ID: uint64(k + 1), Query: "bmc", K: k, Live: true,
 			Assumps: []lits.Lit{d.ActLit(k)},
-			Jobs:    1, ExportMaxLen: 8, ExportMaxLBD: 4, ExportBudget: 256,
+			Jobs:    1,
 		}
 		in := core.Layout{NumVars: src.NumVars(k), Frames: src.Frames(k), VarInfo: src.VarInfo}
 		guidance, _ := core.OrderTimeAxis.Guidance(nil, in, 0, 0, nil)
@@ -65,21 +64,9 @@ func TestMirrorLoadsWhenItRaces(t *testing.T) {
 			}
 			req.Attempts = append(req.Attempts, WireAttempt{Name: names[i], Opts: opts})
 		}
-		// The payload that reached the worker since the last race: the
-		// reference imports it after this depth's frame, as an always-fed
-		// mirror would.
-		sess.mu.Lock()
-		var pending []cnf.Clause
-		if q := sess.queries["bmc"]; q != nil {
-			pending = q.pending
-		}
-		sess.mu.Unlock()
 		ref.AddVars(frame.NumVars)
 		for _, cl := range frame.Clauses {
 			ref.AddClause(cl)
-		}
-		for _, cl := range pending {
-			ref.ImportClause(cl)
 		}
 
 		resp := w.runRace(sess, req, nil)
@@ -109,16 +96,9 @@ func TestMirrorLoadsWhenItRaces(t *testing.T) {
 				t.Fatalf("depth %d: late mirror %v %+v, eagerly fed reference %v %+v", k, got.Status, got.Stats, want.Status, want.Stats)
 			}
 		}
-		// What this race's mirrors learned comes back as the next payload.
-		if len(resp.Exported) > 0 {
-			sess.enqueueClauses(&ClausePayload{Query: "bmc", K: k, From: "test", Clauses: resp.Exported})
-		}
 	}
 	if fed := sess.queries["bmc"].mirrors[names[late]].feed.Fed(); fed != lateAt+2 {
 		t.Errorf("late mirror holds %d frames, want %d", fed, lateAt+2)
-	}
-	if n := sess.queries["bmc"].mirrors[names[late]].feed.Imported(); n == 0 {
-		t.Error("the late mirror imported nothing: the interleaving of frames and payloads went untested")
 	}
 }
 

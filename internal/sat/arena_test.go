@@ -157,10 +157,10 @@ func TestArenaNeverCopies(t *testing.T) {
 	}
 }
 
-// TestLongClause: a clause longer than a page goes in through Load,
-// AddClause and ImportClause onto a page of its own, is watched and
-// propagates, keeps its page while a compaction moves the clauses below
-// it, and takes the same page again when a Load reuses the arena.
+// TestLongClause: a clause longer than a page goes in through Load and
+// AddClause onto a page of its own, is watched and propagates, keeps its
+// page while a compaction moves the clauses below it, and takes the same
+// page again when a Load reuses the arena.
 func TestLongClause(t *testing.T) {
 	n := pageWords + 1
 	long := make(cnf.Clause, n)
@@ -227,32 +227,31 @@ func TestLongClause(t *testing.T) {
 	where(added, "AddClause")
 	implies(added, "AddClause")
 
-	// Imports below the long clause, every other one deleted, so the
+	// Clauses below the long clause, every other one deleted, so the
 	// compaction moves clauses below it.
 	s := New(cnf.New(n+200), Options{})
-	const imported = 100
-	for i := 0; i < imported; i++ {
-		s.ImportClause(cnf.Clause{lits.PosLit(lits.Var(n + 2*i + 1)), lits.PosLit(lits.Var(n + 2*i + 2))})
+	const below = 100
+	for i := 0; i < below; i++ {
+		s.AddClause(cnf.Clause{lits.PosLit(lits.Var(n + 2*i + 1)), lits.PosLit(lits.Var(n + 2*i + 2))})
 	}
-	if _, ok := s.ImportClause(long); !ok {
-		t.Fatal("the long clause was not imported")
-	}
-	c := where(s, "ImportClause")
+	s.AddClause(long)
+	c := where(s, "AddClause over others")
 	before := s.view(c)
 	page := unsafe.SliceData(s.ca.pages[c>>pageShift])
-	kept := s.learnts[:0]
-	for i, c := range s.learnts {
-		if i < imported && i%2 == 0 {
+	var short []cref
+	for c, k := range s.ca.clauses {
+		if k.size() == 2 {
+			short = append(short, c)
+		}
+	}
+	for i, c := range short {
+		if i%2 == 0 {
 			s.detach(c)
 			s.ca.free(s.ca.at(c))
-			continue
 		}
-		kept = append(kept, c)
 	}
-	s.learnts = kept
-	moved := s.learnts[0]
 	s.compact()
-	if s.learnts[0] == moved {
+	if moved := short[1]; s.moved(moved) == moved {
 		t.Fatal("the compaction moved nothing below the long clause")
 	}
 	c = where(s, "compacted")
@@ -262,7 +261,7 @@ func TestLongClause(t *testing.T) {
 	for _, u := range units {
 		s.AddClause(u)
 	}
-	implies(s, "ImportClause and compaction")
+	implies(s, "AddClause and compaction")
 
 	s.Load(f, Options{})
 	if c = where(s, "reloaded"); unsafe.SliceData(s.ca.pages[c>>pageShift]) != page {

@@ -111,3 +111,21 @@ func TestCancelAfterVerdictHarmless(t *testing.T) {
 		t.Fatalf("model incomplete")
 	}
 }
+
+// TestSetStopReplacesChannel: a closed channel interrupts the next solve;
+// installing a fresh (or nil) channel afterwards makes the solver usable
+// again — the lifecycle every persistent racer goes through per race.
+func TestSetStopReplacesChannel(t *testing.T) {
+	f := pigeonhole(8, 7)
+	s := New(f, tuned(func(tu *tuning) { tu.pollEvery = 1 }))
+	stopped := make(chan struct{})
+	close(stopped)
+	s.SetStop(stopped)
+	if r := s.Solve(); r.Status != Interrupted {
+		t.Fatalf("status %v under a closed stop channel, want Interrupted", r.Status)
+	}
+	s.SetStop(nil)
+	if r := s.Solve(); r.Status != Unsat {
+		t.Fatalf("status %v after clearing stop, want Unsat", r.Status)
+	}
+}

@@ -26,7 +26,7 @@ const crefUndef cref = math.MaxUint32
 //
 //	hdrID     proof ID
 //	hdrSize   n
-//	hdrFlags  flagLearnt | flagForeign | flagDeleted | LBD<<lbdShift
+//	hdrFlags  flagLearnt | flagDeleted
 //	hdrWords  the n literals, the two watched ones first
 //	...       learnt clauses only: actWords words of recency stamp
 //
@@ -57,19 +57,9 @@ const actWords = 2
 
 const (
 	flagLearnt = 1 << iota
-	// flagForeign marks a learned clause imported from another solver
-	// (Solver.ImportClause); foreign clauses are never re-exported, so the
-	// clause-sharing bus cannot echo.
-	flagForeign
 	// flagDeleted marks a clause reduceDB has removed; its words are
 	// garbage until the next compaction.
 	flagDeleted
-	// The remaining bits hold the literal-block distance at learn time
-	// (distinct decision levels among the clause's literals) — the
-	// Glucose-style quality measure the clause-sharing export filter uses.
-	// Foreign clauses carry their length as a pessimistic stand-in. An LBD
-	// is at most the variable count, which is below 2^30.
-	lbdShift = iota
 )
 
 // The arena's pages are 2^16 words (256 KB) long.
@@ -109,9 +99,7 @@ func (a *arena) at(c cref) clause { return a.pages[c>>pageShift][c&pageMask:] }
 func (k clause) id() ClauseID   { return ClauseID(k[hdrID]) }
 func (k clause) size() int      { return int(k[hdrSize]) }
 func (k clause) learnt() bool   { return k[hdrFlags]&flagLearnt != 0 }
-func (k clause) foreign() bool  { return k[hdrFlags]&flagForeign != 0 }
 func (k clause) deleted() bool  { return k[hdrFlags]&flagDeleted != 0 }
-func (k clause) lbd() int32     { return int32(k[hdrFlags] >> lbdShift) }
 func (k clause) lits() []uint32 { return k[hdrWords : hdrWords+k[hdrSize]] }
 
 // words is the clause's extent in its page.

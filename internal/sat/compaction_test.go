@@ -47,8 +47,8 @@ func (w *pageWatch) RecordLearned(id sat.ClauseID, literals []lits.Lit, ants []s
 
 // TestCompactionKeepsSearch runs refutations that reduce their learnt
 // database several times, each reduction leaving enough garbage to compact
-// the arena, and checks that moving clauses changed nothing the search, the
-// proof recorder or the clause exchange can see. PHP(9,8) compacts inside
+// the arena, and checks that moving clauses changed nothing the search or
+// the proof recorder can see. PHP(9,8) compacts inside
 // two pages; add_w8's depth-5 instance spans three, so its compactions move
 // clauses from one page to another.
 func TestCompactionKeepsSearch(t *testing.T) {
@@ -100,20 +100,20 @@ func TestCompactionKeepsSearch(t *testing.T) {
 
 		// What survives in the arena is still well-formed clauses over the
 		// formula's variables, and consequences of it.
-		exported := s.ExportLearned(sat.ClauseID(f.NumClauses()), 8, 0, 0)
-		if len(exported) == 0 {
-			t.Fatalf("%s: nothing to export after a search with learnt clauses left", tc.name)
+		learnts := s.LearntClauses()
+		if len(learnts) == 0 {
+			t.Fatalf("%s: no learnt clause left after a search", tc.name)
 		}
 		fresh := sat.New(f, sat.Options{})
-		for _, c := range exported {
+		for _, c := range learnts {
 			norm, taut := c.Copy().Normalize()
 			if taut || len(norm) != len(c) || int(c.MaxVar()) > f.NumVars {
-				t.Fatalf("%s: exported clause %v is not a normalised clause of the formula", tc.name, c)
+				t.Fatalf("%s: learnt clause %v is not a normalised clause of the formula", tc.name, c)
 			}
-			fresh.ImportClause(c)
+			fresh.AddClause(c)
 		}
 		if fr := fresh.Solve(); fr.Status != sat.Unsat {
-			t.Errorf("%s: with %d imported clauses: %v, want Unsat", tc.name, len(exported), fr.Status)
+			t.Errorf("%s: with %d learnt clauses added: %v, want Unsat", tc.name, len(learnts), fr.Status)
 		}
 	}
 }

@@ -114,10 +114,9 @@ func (st *stepper) checkHeap(phase string) {
 // unassigned literal under (guidance desc, cha_score desc, index asc) —
 // the order varHeap keeps, one variable at a time — through conflicts and
 // backjumps, rescores, restarts, variables and clauses added to the live
-// solver and clauses imported into it (install raises keys), the dynamic
-// switch, new guidance, and Load into a used solver's storage, larger then
-// smaller. Ties in guidance and in
-// cha_score are frequent: guidance takes three values, and cha_score
+// solver (install raises keys), the dynamic switch, new guidance, and Load
+// into a used solver's storage, larger then smaller. Ties in guidance and
+// in cha_score are frequent: guidance takes three values, and cha_score
 // starts at occurrence counts.
 func TestDecisionIsHeapArgmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -154,18 +153,6 @@ func TestDecisionIsHeapArgmax(t *testing.T) {
 		}
 		st.unsat = st.unsat || st.s.status == Unsat
 		st.run("after AddVars/AddClause", 300, 7, 97)
-
-		// Clauses from a peer, over variables old and new.
-		for i := 0; i < 40 && !st.unsat; i++ {
-			c := cnf.Clause{
-				lits.MkLit(lits.Var(1+rng.Intn(more)), rng.Intn(2) == 0),
-				lits.MkLit(lits.Var(1+rng.Intn(more)), rng.Intn(2) == 0),
-				lits.MkLit(lits.Var(1+rng.Intn(more)), rng.Intn(2) == 0),
-			}
-			st.s.ImportClause(c)
-		}
-		st.unsat = st.unsat || st.s.status == Unsat
-		st.run("after ImportClause", 300, 7, 97)
 
 		st.s.switchGuidance()
 		st.run("after the dynamic switch", 300, 5, 89)

@@ -14,6 +14,21 @@ func (s *Solver) Compactions() int { return s.compactions }
 // ArenaPages reports how many slots the arena's page table holds.
 func (s *Solver) ArenaPages() int { return len(s.ca.pages) }
 
+// LearntClauses returns copies of the live learnt clauses' literals, in the
+// order the solver keeps them.
+func (s *Solver) LearntClauses() []cnf.Clause {
+	out := make([]cnf.Clause, 0, len(s.learnts))
+	for _, c := range s.learnts {
+		ls := s.ca.at(c).lits()
+		cl := make(cnf.Clause, len(ls))
+		for i, w := range ls {
+			cl[i] = lits.Lit(w)
+		}
+		out = append(out, cl)
+	}
+	return out
+}
+
 // RandomFormula is the property tests' generator, for the external tests.
 func RandomFormula(seed uint64, nVars, nClauses, maxLen int) *cnf.Formula {
 	return randomFormula(seed, nVars, nClauses, maxLen)

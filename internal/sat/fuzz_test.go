@@ -103,9 +103,8 @@ func (r *opReader) guidance(nVars int) []float64 {
 }
 
 // opsRun is one op sequence's solver, its Complete proof recorder, and
-// what the brute-force oracle needs: every clause the solver was given
-// (imports, which are implied, aside) and the formula last loaded, whose
-// clauses the recorder looks up by ID.
+// what the brute-force oracle needs: every clause the solver was given and
+// the formula last loaded, whose clauses the recorder looks up by ID.
 type opsRun struct {
 	t         *testing.T
 	s         *sat.Solver
@@ -152,7 +151,7 @@ func runOps(t *testing.T, data []byte) *opsRun {
 	o := &opsRun{t: t}
 	o.load(r.formula(), nil, r)
 	for step := 0; step < 48 && len(r.data) > 0; step++ {
-		switch r.intn(9) {
+		switch r.intn(8) {
 		case 0:
 			o.load(r.formula(), nil, r)
 		case 1:
@@ -173,8 +172,6 @@ func runOps(t *testing.T, data []byte) *opsRun {
 			o.rec.AddLeaf(o.s.AddClause(c), c)
 			o.clauses = append(o.clauses, c)
 		case 4:
-			o.importClause(r)
-		case 5:
 			o.s.SetGuidance(r.guidance(o.s.NumVars()), int64(r.intn(4)))
 		default:
 			var assumps []lits.Lit
@@ -191,28 +188,6 @@ func runOps(t *testing.T, data []byte) *opsRun {
 	}
 	o.compactions += o.s.Compactions()
 	return o
-}
-
-// importClause hands the solver a clause the clauses so far imply, as a
-// peer's bus would: an existing clause widened by a literal, or a decoded
-// clause that brute force finds implied.
-func (o *opsRun) importClause(r *opReader) {
-	var c cnf.Clause
-	if len(o.clauses) > 0 && r.intn(2) == 0 {
-		c = append(slices.Clone(o.clauses[r.intn(len(o.clauses))]), r.lit(fuzzVars))
-	} else {
-		c = r.clause(fuzzVars)
-		negated := make([]lits.Lit, len(c))
-		for i, l := range c {
-			negated[i] = l.Neg()
-		}
-		if satisfiable(o.clauses, negated) {
-			return
-		}
-	}
-	if id, ok := o.s.ImportClause(c); ok {
-		o.rec.AddLeaf(id, c)
-	}
 }
 
 // solve checks one SolveAssuming call: its status is brute force's; a model
@@ -289,7 +264,7 @@ func satisfiable(clauses []cnf.Clause, units []lits.Lit) bool {
 }
 
 // opSeeds are FuzzSolverOps's seed inputs: byte strings from a fixed
-// generator, long enough to load, grow, import and solve many times over.
+// generator, long enough to load, grow and solve many times over.
 func opSeeds() [][]byte {
 	x := uint64(0x9e3779b97f4a7c15)
 	seeds := make([][]byte, 24)
@@ -307,7 +282,7 @@ func opSeeds() [][]byte {
 
 // FuzzSolverOps decodes its input into a sequence of solver calls over at
 // most fuzzVars variables — New, Load into used or empty storage with and
-// without Grow, AddVars, AddClause, ImportClause, SetGuidance and
+// without Grow, AddVars, AddClause, SetGuidance and
 // SolveAssuming under random assumptions — under every guidance form and a
 // tuning that reduces the learnt clauses and compacts the arena every few
 // conflicts (sat.Churning). Every answer must agree with brute force, every

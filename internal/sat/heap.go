@@ -13,7 +13,7 @@ import "repro/internal/lits"
 // once the scores it orders by are seeded (build). The periodic VSIDS
 // rescore, the dynamic guidance switch, SetGuidance and the re-arming of
 // guidance at a SolveAssuming change keys wholesale and call rebuild().
-// install (AddClause, ImportClause) only raises cha_score keys, one
+// install (AddClause) only raises cha_score keys, one
 // occurrence at a time, and sifts each raised variable up. Between those
 // points no key moves, so the top of the heap, once assigned variables are
 // skipped, holds the best unassigned literal (TestDecisionIsHeapArgmax).

@@ -25,7 +25,7 @@ func instance(t *testing.T, c *circuit.Circuit, k int) *cnf.Formula {
 
 // TestLoadMatchesNew: whatever a solver held and wherever its last search
 // stopped, Load makes it the solver New builds — the same result down to
-// every counter, the same proof, the same learnt clauses to export — and
+// every counter, the same proof, the same learnt clauses — and
 // leaves what the solver returned before untouched. One solver takes every
 // formula in turn, so it meets each one larger and smaller than what it has
 // room for.
@@ -48,7 +48,7 @@ func TestLoadMatchesNew(t *testing.T) {
 	guided := sat.Options{Guidance: guidance, SwitchAfterDecisions: 40}
 	budget := sat.Options{MaxConflicts: 60} // stops mid-search, the trail above level 0
 
-	shared := cnf.NewClause(1, 2) // a bus clause every case's solvers are sent
+	added := cnf.NewClause(1, 2) // a clause every case's solvers are given
 
 	for _, tc := range []struct {
 		name  string
@@ -75,7 +75,7 @@ func TestLoadMatchesNew(t *testing.T) {
 			s.Load(tc.g, tc.gOpts)
 			before := s.Solve()
 			kept := slices.Clone(before.Model)
-			s.ImportClause(shared)
+			s.AddClause(added)
 
 			fresh, loaded := tc.fOpts, tc.fOpts
 			freshRec, loadedRec := core.NewRecorder(tc.f.NumClauses()), core.NewRecorder(tc.f.NumClauses())
@@ -94,28 +94,21 @@ func TestLoadMatchesNew(t *testing.T) {
 			}
 			lifetime, refLifetime := s.Stats(), ref.Stats()
 			lifetime.SolveTime, refLifetime.SolveTime = 0, 0
-			if lifetime != refLifetime || s.NextClauseID() != ref.NextClauseID() {
-				t.Errorf("%s: lifetime stats %+v and next ID %d, a new solver's %+v and %d",
-					tc.name, lifetime, s.NextClauseID(), refLifetime, ref.NextClauseID())
+			if lifetime != refLifetime {
+				t.Errorf("%s: lifetime stats %+v, a new solver's %+v", tc.name, lifetime, refLifetime)
 			}
 			if gotCore, wantCore := loadedRec.Core(), freshRec.Core(); !slices.Equal(gotCore, wantCore) {
 				t.Errorf("%s: core of %d clauses, a new solver's has %d", tc.name, len(gotCore), len(wantCore))
 			}
-			since := sat.ClauseID(tc.f.NumClauses())
-			for _, by := range [][2]int{{8, 0}, {0, 3}} { // by length, by LBD
-				gotExp, wantExp := s.ExportLearned(since, by[0], by[1], 0), ref.ExportLearned(since, by[0], by[1], 0)
-				if !reflect.DeepEqual(gotExp, wantExp) {
-					t.Errorf("%s: exports %d learnt clauses, a new solver %d, or different ones", tc.name, len(gotExp), len(wantExp))
-				}
+			if gotL, wantL := s.LearntClauses(), ref.LearntClauses(); !reflect.DeepEqual(gotL, wantL) {
+				t.Errorf("%s: holds %d learnt clauses, a new solver %d, or different ones", tc.name, len(gotL), len(wantL))
 			}
 			if !slices.Equal(before.Model, kept) {
 				t.Errorf("%s: the load rewrote the model the solver had returned", tc.name)
 			}
-			// The import filter starts empty too: what the solver took in
-			// before the load is not a repeat after it.
-			gotID, gotOK := s.ImportClause(shared)
-			if wantID, wantOK := ref.ImportClause(shared); gotID != wantID || gotOK != wantOK {
-				t.Errorf("%s: import after the load = (%d, %v), into a new solver (%d, %v)", tc.name, gotID, gotOK, wantID, wantOK)
+			// The clause IDs go on from the same place.
+			if gotID, wantID := s.AddClause(added), ref.AddClause(added); gotID != wantID {
+				t.Errorf("%s: a clause added after the load gets ID %d, in a new solver %d", tc.name, gotID, wantID)
 			}
 		}
 	}

@@ -92,7 +92,7 @@ type ProofRecorder interface {
 	RecordFinal(antecedents []ClauseID)
 	// Forget reports, each time clause-database reduction compacts the
 	// clause store, the IDs of every learned clause the solver still holds
-	// — the reasons of the trail and the imported clauses among them. Any
+	// — the reasons of the trail among them. Any
 	// later antecedent is one of these, a clause added after the call, or
 	// an original. The slice is the solver's scratch, valid only during the
 	// call.

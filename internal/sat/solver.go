@@ -67,20 +67,10 @@ type tables struct {
 	learntBuf []lits.Lit
 	antsBuf   []ClauseID
 
-	// lbdMark is the per-level stamp scratch for LBD computation (Glucose's
-	// permDiff), as long as the deepest decision level a conflict has been
-	// analysed at.
-	lbdMark []int64
-
 	// reduceDB's scratch: the learnt clauses' stamps, and their IDs for the
 	// proof recorder.
 	stamps  []int64
 	liveIDs []ClauseID
-
-	// importSeen holds canonical hashes of every clause accepted by
-	// ImportClause, so the clause-sharing bus can broadcast the same clause
-	// from several senders without installing duplicates.
-	importSeen map[uint64]struct{}
 
 	// hint is the formula size Grow announced; a table Load has to replace
 	// is made large enough for it.
@@ -113,11 +103,6 @@ type Solver struct {
 
 	guid       []float64 // per var; nil when no guidance
 	guidActive bool
-
-	// lbdGen is the current stamp of the lbdMark scratch; lastLBD carries
-	// the value from analyze to addLearned within one conflict.
-	lbdGen  int64
-	lastLBD int32
 
 	maxLearnts float64
 	// nextID is the shared clause-ID counter: original clauses added after
@@ -227,9 +212,9 @@ func (s *Solver) reset(opts Options, nVars int) {
 // heap and the analysis scratch are reused where they are large enough and
 // replaced, sized for the formula or for what Grow announced, where they
 // are not.
-// Nothing else survives — learnt clauses, scores, the import filter,
-// counters and status all start as New starts them, so the search
-// that follows cannot tell a loaded solver from a new one. It is a reload
+// Nothing else survives — learnt clauses, scores, counters and status all
+// start as New starts them, so the search that follows cannot tell a
+// loaded solver from a new one. It is a reload
 // and not a reset because a search permutes the watch lists and the
 // literals inside clauses; only loading the formula again restores the
 // order a fresh solver would search in.
@@ -262,11 +247,7 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 	s.newCount = zeroed(&s.newCount, 2*n+2, 2*h.vars+2)
 	s.seen, s.toClear = zeroed(&s.seen, n+1, h.vars+1), s.toClear[:0]
 	s.learntBuf, s.antsBuf = s.learntBuf[:0], s.antsBuf[:0]
-	s.lbdMark, s.stamps, s.liveIDs = s.lbdMark[:0], s.stamps[:0], s.liveIDs[:0]
-	if s.importSeen == nil {
-		s.importSeen = make(map[uint64]struct{})
-	}
-	clear(s.importSeen)
+	s.stamps, s.liveIDs = s.stamps[:0], s.liveIDs[:0]
 	if s.heap == nil {
 		s.heap = new(varHeap)
 	}
@@ -483,8 +464,7 @@ func (s *Solver) AddClause(raw cnf.Clause) ClauseID {
 // clause in the watch lists, handling literals the level-0 trail has
 // decided: watches are chosen among non-false literals, units are
 // enqueued, and a fully falsified clause makes the solver unsatisfiable.
-// Shared by AddClause and ImportClause; the solver must be at decision
-// level 0.
+// The solver must be at decision level 0.
 func (s *Solver) install(c cref) {
 	k := s.ca.at(c)
 	norm := k.lits()
@@ -850,10 +830,6 @@ func (s *Solver) analyze(confl cref) (learnt []lits.Lit, btLevel int, ants []Cla
 
 	learnt = s.minimize(learnt, &ants)
 
-	// LBD while every literal is still assigned at its level (backtracking
-	// happens after analyze returns); addLearned stamps it on the clause.
-	s.lastLBD = s.computeLBD(learnt)
-
 	// Compute the backtrack level: the second-highest level in the clause,
 	// and move a literal of that level to position 1 for watching.
 	if len(learnt) == 1 {
@@ -977,35 +953,12 @@ func (s *Solver) conflictStamp() int64 {
 	return s.total.Conflicts + s.stats.Conflicts
 }
 
-// computeLBD returns the literal-block distance of the clause: the number
-// of distinct decision levels among its literals. Valid only while every
-// literal is assigned (i.e. inside analyze, before backtracking). The
-// per-level stamp scratch makes it O(len) without allocation.
-func (s *Solver) computeLBD(cl []lits.Lit) int32 {
-	// No literal lies above the current level, and few searches go as deep
-	// as they have variables: the scratch follows the levels reached.
-	for len(s.lbdMark) <= s.decisionLevel() {
-		s.lbdMark = append(s.lbdMark, 0)
-	}
-	s.lbdGen++
-	var n int32
-	for _, l := range cl {
-		lv := s.level[l.Var()]
-		if s.lbdMark[lv] != s.lbdGen {
-			s.lbdMark[lv] = s.lbdGen
-			n++
-		}
-	}
-	return n
-}
-
 // addLearned copies the learned clause into the arena, notifies the
 // recorder, and enqueues the asserting literal.
 func (s *Solver) addLearned(learnt []lits.Lit, ants []ClauseID) {
-	flags := flagLearnt | uint32(s.lastLBD)<<lbdShift
 	id := s.nextID
 	s.nextID++
-	c := s.ca.push(id, flags, s.conflictStamp(), learnt)
+	c := s.ca.push(id, flagLearnt, s.conflictStamp(), learnt)
 	s.stats.Learned++
 	s.stats.LearnedLits += int64(len(learnt))
 	if s.recording {

@@ -306,7 +306,7 @@ func checkTruthTable(t *testing.T, s *Solver, when string) {
 }
 
 // TestPropertyTruthTableFollowsTrail drives a live solver through random
-// interleavings of AddVars, AddClause, ImportClause and SolveAssuming — over
+// interleavings of AddVars, AddClause and SolveAssuming — over
 // the whole option matrix, so with restarts, database reduction and phase
 // saving in play — and checks the truth table after every call, every answer
 // against enumeration and every model against the clauses and assumptions
@@ -339,12 +339,6 @@ func TestPropertyTruthTableFollowsTrail(t *testing.T) {
 				s.AddClause(c)
 				f.AddClause(c)
 				checkTruthTable(t, s, "after AddClause")
-			case op == 4:
-				c := cnf.Clause(randomLits(1 + r.intn(3)))
-				if _, ok := s.ImportClause(c); ok {
-					f.AddClause(c)
-				}
-				checkTruthTable(t, s, "after ImportClause")
 			default:
 				assumps := randomLits(r.intn(3))
 				asked := f.Copy()
