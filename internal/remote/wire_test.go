@@ -518,6 +518,7 @@ func FuzzWireDecode(f *testing.F) {
 	for _, c := range []*circuit.Circuit{fillCircuit(), bench.Counter(3, 5, 1, 2), bench.TrafficLight(true, 0, 0)} {
 		f.Add(encodeFrame(f, &Message{Kind: MsgCircuit, Circuit: &WireCircuit{Query: "step", Step: true, Circuit: c}}))
 	}
+	f.Add(encodeFrame(f, &Message{Kind: MsgRaceResult, Result: &RaceResponse{ID: 7, Err: "remote: query \"bmc\" already racing"}}))
 	full := fullMessage(f)
 	full.Kind = MsgRaceResult
 	f.Add(encodeFrame(f, &full))
