@@ -30,9 +30,11 @@
 //	                     hangs its instrumentation off these two types
 //	internal/sat         incremental CDCL solver (Chaff lineage) over a
 //	                     paged clause arena (pointer-free []uint32 pages
-//	                     that grow without copying, index watchers, bulk
-//	                     load into a new or a used solver's storage,
-//	                     in-place compaction):
+//	                     that grow without copying, bulk load into a new
+//	                     or a used solver's storage, in-place compaction)
+//	                     and a paged watch store (a 12-byte record per
+//	                     literal, lists that move within pages, in-place
+//	                     compaction):
 //	                     clause addition and assumption solving on a
 //	                     live solver, proof recording, guidance scores,
 //	                     cancellation

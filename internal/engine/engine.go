@@ -129,6 +129,12 @@ type DepthStats struct {
 	CoreVars    int `json:"core_vars"`
 	// RecorderBytes is what the CDG holds (core.Recorder.ApproxBytes).
 	RecorderBytes int64 `json:"recorder_bytes"`
+	// SolverBytes is what this process's solvers hold for their clause
+	// databases as the depth ends, read from the structures
+	// (sat.Solver.Footprint): arena pages, watch pages and the per-literal
+	// watch records of every strategy's solver. Mirrors on a remote worker
+	// are not counted.
+	SolverBytes int64 `json:"solver_bytes"`
 	// CoreOverlap is the Jaccard overlap |A∩B| / |A∪B| between this
 	// depth's core variables and the previous depth's — how stable the
 	// cores the refined ordering learns from are. nil (absent from JSON) at

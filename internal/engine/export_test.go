@@ -16,7 +16,7 @@ import (
 func SolverTables(s *sat.Solver) map[string]uintptr {
 	out := make(map[string]uintptr)
 	for _, name := range []string{
-		"ca.pages", "watches", "watchSlab", "vals", "reason", "level", "trail",
+		"ca.pages", "watches.lists", "watches.pages", "vals", "reason", "level", "trail",
 		"chaScore", "newCount", "seen", "heap.heap", "heap.pos",
 	} {
 		v := reflect.ValueOf(s).Elem()

@@ -134,6 +134,9 @@ func (q *freshSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
 		TotalLits:    f.NumLiterals(),
 		EncodeWall:   encodeWall,
 	}
+	for _, s := range q.solvers {
+		out.SolverBytes += racer.SolverBytes(s)
+	}
 
 	// Scratch numbering has no auxiliary variables to keep out of a core.
 	if w := out.Race.Winner; w >= 0 && out.Race.Result.Status == sat.Unsat {
@@ -477,6 +480,7 @@ func (s *Session) finishDepths(res *Result, runs ...*depthRun) {
 			CoreClauses:    r.out.CoreClauses,
 			CoreVars:       r.out.CoreVars,
 			RecorderBytes:  r.out.RecorderBytes,
+			SolverBytes:    r.out.SolverBytes,
 			CoreOverlap:    r.out.CoreOverlap,
 		}
 		switch {

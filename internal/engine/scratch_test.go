@@ -181,9 +181,9 @@ func (w *warmWatch) RaceLive(q engine.Query, attempts []portfolio.LiveAttempt, a
 		}
 		w.loads[a.Name]++
 		for table, at := range engine.SolverTables(solvers[i]) {
-			// The arena also holds learnt clauses, and a warm solver keeps
-			// no slab: neither is sized by variables.
-			if table != "ca.pages" && table != "watchSlab" {
+			// The arena also holds learnt clauses, and the watch pages hold
+			// watchers: neither is sized by variables.
+			if table != "ca.pages" && table != "watches.pages" {
 				w.note(a.Name+" "+table, at)
 			}
 		}
@@ -214,7 +214,7 @@ func TestWarmStorageGrowsLogarithmically(t *testing.T) {
 	if res, err := sess.Check(context.Background()); err != nil || res.Verdict != engine.Holds || res.K != depth {
 		t.Fatalf("%v at %d (%v), want holds at %d", res.Verdict, res.K, err, depth)
 	}
-	for _, storage := range []string{"dynamic guidance", "dynamic watches", "dynamic reason", "dynamic heap.pos"} {
+	for _, storage := range []string{"dynamic guidance", "dynamic watches.lists", "dynamic reason", "dynamic heap.pos"} {
 		if w.moves[storage] == 0 {
 			t.Fatalf("%s never seen: the watch looks at the wrong storage (%v)", storage, w.moves)
 		}
@@ -269,4 +269,28 @@ func TestScratchPortfolioSharesStorageSafely(t *testing.T) {
 	if cancelled == 0 {
 		t.Error("no racer was ever cancelled: the check no longer reloads a solver stopped mid-search")
 	}
+}
+
+// TestSolverBytesNeverFall: every depth reports what the solvers hold for
+// their clause databases, read from the structures. A persistent solver
+// keeps every page it makes, so on a local incremental run the figure is
+// never zero and never falls from one depth to the next.
+func TestSolverBytesNeverFall(t *testing.T) {
+	sess, err := engine.New(bench.ParityMixer(5, 2, 6), 0, engine.WithBudgets(12, 0),
+		engine.WithOrdering(core.OrderDynamic), engine.WithIncremental())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Check(context.Background())
+	if err != nil || len(res.PerDepth) < 10 {
+		t.Fatalf("%v at %d over %d depths (%v), want at least 10 depths", res.Verdict, res.K, len(res.PerDepth), err)
+	}
+	var last int64
+	for _, d := range res.PerDepth {
+		if d.SolverBytes == 0 || d.SolverBytes < last {
+			t.Fatalf("depth %d: the solver holds %d bytes, %d at the depth before", d.K, d.SolverBytes, last)
+		}
+		last = d.SolverBytes
+	}
+	t.Logf("the solver holds %d bytes at depth %d", last, res.PerDepth[len(res.PerDepth)-1].K)
 }

@@ -251,6 +251,10 @@ type DepthOutcome struct {
 	// previous depth's (core.ScoreBoard.Overlap); nil at the first depth
 	// and wherever this depth or the one before folded no core.
 	CoreOverlap *float64
+	// SolverBytes is what the solvers of this process hold for their
+	// clause databases once the race has joined (SolverBytes); a race a
+	// remote worker ran adds nothing.
+	SolverBytes int64
 	// FrameVars is the variable count after this depth's frame;
 	// TotalClauses/TotalLits the cumulative original-clause footprint, as
 	// Source.Size counts it.
@@ -320,6 +324,9 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 		// is timed.
 		EncodeWall: frames.EncodeWall(),
 	}
+	for _, r := range p.racers {
+		out.SolverBytes += SolverBytes(r.feed.Solver)
+	}
 
 	if p.cfg.Metrics != nil {
 		// Attribute each racer's conflicts to its warm/cold state going
@@ -353,6 +360,16 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 		}
 	}
 	return out
+}
+
+// SolverBytes is what s holds for its clause database
+// (sat.Solver.Footprint): 0 for a solver never made. s must be at rest.
+func SolverBytes(s *sat.Solver) int64 {
+	if s == nil {
+		return 0
+	}
+	bytes, _ := s.Footprint()
+	return bytes
 }
 
 // auxOf returns the predicate for the source's auxiliary variables, which

@@ -26,7 +26,7 @@ import (
 func solverTables(s *sat.Solver) map[string]uintptr {
 	out := make(map[string]uintptr)
 	for _, name := range []string{
-		"watches", "vals", "reason", "level", "trail",
+		"watches.lists", "vals", "reason", "level", "trail",
 		"chaScore", "newCount", "seen", "heap.heap", "heap.pos",
 	} {
 		v := reflect.ValueOf(s).Elem()
@@ -137,7 +137,7 @@ func TestMirrorStorageGrowsLogarithmically(t *testing.T) {
 	}), engine.WithOrdering(core.OrderDynamic))
 	t.Logf("local racer's allocations by storage: %v", local.moves)
 	t.Logf("mirror's allocations by storage: %v", remote.moves)
-	for _, storage := range []string{"dynamic guidance", "dynamic watches", "dynamic reason", "dynamic heap.pos"} {
+	for _, storage := range []string{"dynamic guidance", "dynamic watches.lists", "dynamic reason", "dynamic heap.pos"} {
 		if remote.moves[storage] == 0 {
 			t.Fatalf("%s never seen: the watch looks at the wrong storage (%v)", storage, remote.moves)
 		}

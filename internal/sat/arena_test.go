@@ -84,6 +84,15 @@ func (a *arena) arrays() map[*uint32]bool {
 	return out
 }
 
+// arrays is the set of watch pages st holds, each with its length.
+func (st *watchStore) arrays() map[*watcher]int {
+	out := make(map[*watcher]int)
+	for _, pg := range st.pages {
+		out[unsafe.SliceData(pg)] = len(pg)
+	}
+	return out
+}
+
 // slotWatch is a proof recorder that checks, at every learnt clause, that
 // each slot of the arena's page table holds the array it held when first
 // seen, and notes how many slots the table reached.
@@ -193,8 +202,8 @@ func TestLongClause(t *testing.T) {
 					how, c&pageMask, p, len(s.ca.pages[p]), cap(s.ca.pages[p+1]))
 			}
 			watched := 0
-			for _, ws := range s.watches {
-				for _, w := range ws {
+			for i := range s.watches.lists {
+				for _, w := range s.watches.list(i) {
 					if w.c == c {
 						watched++
 					}
@@ -270,14 +279,15 @@ func TestLongClause(t *testing.T) {
 	implies(s, "reloaded")
 }
 
-// TestLoadAllocsBounded pins the bulk load: New allocates per solver, not
-// per clause, Load into a solver that has held the formula before allocates
-// nothing to speak of, a solver hinted (Grow) for depth 7 loads every depth
-// from 3 to 7 allocating only the arena pages its new words need and
-// letting go of none it held, and AddClause into a solver that has grown
-// allocates only when the arena opens a page or a watch list doubles.
+// TestLoadAllocsBounded pins the bulk load: New allocates per solver and
+// per page, not per clause, Load into a solver that has held the formula
+// before allocates nothing to speak of, a solver hinted (Grow) for depth 7
+// loads every depth from 3 to 7 allocating only the arena pages and watch
+// pages its new clauses need and letting go of none it held, and AddClause
+// into a solver that has grown allocates only when the arena opens a page
+// or the watch store one.
 func TestLoadAllocsBounded(t *testing.T) {
-	const perSolver = 32
+	const perSolver = 24
 	gcnt := bench.GatedCounter(4, 10, 6, 16)
 	for _, k := range []int{3, 7} {
 		f := unrolled(t, gcnt, k)
@@ -285,8 +295,10 @@ func TestLoadAllocsBounded(t *testing.T) {
 			t.Fatalf("depth %d has %d clauses, want at least 20000", k, f.NumClauses())
 		}
 		allocs := testing.AllocsPerRun(3, func() { sinkSolver = New(f, Options{}) })
-		if allocs >= perSolver {
-			t.Errorf("New over %d clauses: %.0f allocations, want fewer than %d", f.NumClauses(), allocs, perSolver)
+		pages := len(sinkSolver.ca.pages) + len(sinkSolver.watches.pages)
+		if allocs-float64(pages) >= perSolver {
+			t.Errorf("New over %d clauses: %.0f allocations beside its %d pages, want fewer than %d",
+				f.NumClauses(), allocs-float64(pages), pages, perSolver)
 		}
 		s := New(f, Options{})
 		if reload := testing.AllocsPerRun(3, func() { s.Load(f, Options{}) }); reload >= 4 {
@@ -305,19 +317,29 @@ func TestLoadAllocsBounded(t *testing.T) {
 	hinted.Load(in.Extend(3), Options{}) // makes every other table, at depth 7's size
 	for k := 3; k <= 7; k++ {
 		f := in.Extend(k)
-		held := hinted.ca.arrays()
+		held, watchHeld := hinted.ca.arrays(), hinted.watches.arrays()
 		n, bytes := allocated(func() { hinted.Load(f, Options{}) })
-		now := hinted.ca.arrays()
+		now, watchNow := hinted.ca.arrays(), hinted.watches.arrays()
 		for p := range held {
 			if !now[p] {
 				t.Errorf("Load of depth %d let go of a page it held", k)
 			}
 		}
-		// Beyond its new pages only the page table and the spare list may
-		// grow, by a few headers.
+		var watchBytes uint64
+		for p, n := range watchNow {
+			if watchHeld[p] == 0 {
+				watchBytes += 8 * uint64(n)
+			} else if n != watchHeld[p] {
+				t.Errorf("Load of depth %d let go of a watch page it held", k)
+			}
+		}
+		// Beyond its new pages only the two page tables and the spare list
+		// may grow, by a few headers.
 		opened := uint64(len(now) - len(held))
-		if n > opened+2 || bytes > opened*4*pageWords+uint64(64*len(now)) {
-			t.Errorf("Load of depth %d into a solver hinted for depth 7: %d allocations of %d bytes, for %d new pages", k, n, bytes, opened)
+		watchOpened := uint64(len(watchNow) - len(watchHeld))
+		if n > opened+watchOpened+3 || bytes > opened*4*pageWords+watchBytes+uint64(64*(len(now)+len(watchNow))) {
+			t.Errorf("Load of depth %d into a solver hinted for depth 7: %d allocations of %d bytes, for %d new pages and %d new watch pages",
+				k, n, bytes, opened, watchOpened)
 		}
 	}
 
@@ -345,9 +367,9 @@ func TestLoadAllocsBounded(t *testing.T) {
 	}
 }
 
-// TestWatchSlabIsolation checks the slab New carves the watch lists from:
-// every list is full, so growing one moves it instead of writing into the
-// list that follows it.
+// TestWatchSlabIsolation checks the watch pages New lays the lists out in:
+// every list is full, back to back with the next, so growing one moves it
+// instead of writing into the list that follows it.
 func TestWatchSlabIsolation(t *testing.T) {
 	f := cnf.New(4)
 	f.Add(1, 2)
@@ -357,19 +379,24 @@ func TestWatchSlabIsolation(t *testing.T) {
 	f.Add(-3, -4)
 	s := New(f, Options{})
 
-	before := make([][]watcher, len(s.watches))
-	for i, ws := range s.watches {
-		if cap(ws) != len(ws) {
-			t.Errorf("list %d: capacity %d past its %d watchers reaches into the next list", i, cap(ws), len(ws))
+	before := make([][]watcher, len(s.watches.lists))
+	next := uint32(0)
+	for i, l := range s.watches.lists {
+		if l.cap != l.n {
+			t.Errorf("list %d: room for %d past its %d watchers reaches into the next list", i, l.cap, l.n)
 		}
-		before[i] = append([]watcher(nil), ws...)
+		if l.cap > 0 && l.off != next {
+			t.Errorf("list %d starts at %d, the list before it ends at %d", i, l.off, next)
+		}
+		next += l.cap
+		before[i] = slices.Clone(s.watches.list(i))
 	}
 
-	// (x1 ∨ x2 ∨ x3) watches x1 and x2, whose lists lie first in the slab.
+	// (x1 ∨ x2 ∨ x3) watches x1 and x2, whose lists lie first in the page.
 	s.AddClause(cnf.NewClause(1, 2, 3))
 	grown := map[int]bool{lits.NegLit(1).Index(): true, lits.NegLit(2).Index(): true}
-	for i, ws := range s.watches {
-		want := before[i]
+	for i := range s.watches.lists {
+		ws, want := s.watches.list(i), before[i]
 		if grown[i] {
 			if len(ws) != len(want)+1 {
 				t.Fatalf("list %d has %d watchers, want %d", i, len(ws), len(want)+1)
@@ -475,9 +502,9 @@ func TestCompactRelocatesEveryReference(t *testing.T) {
 			reasons = append(reasons, s.view(r))
 		}
 	}
-	for _, ws := range s.watches {
+	for i := range s.watches.lists {
 		var vs []clauseView
-		for _, w := range ws {
+		for _, w := range s.watches.list(i) {
 			vs = append(vs, s.view(w.c))
 		}
 		watching = append(watching, vs)
@@ -529,7 +556,8 @@ func TestCompactRelocatesEveryReference(t *testing.T) {
 			i++
 		}
 	}
-	for li, ws := range s.watches {
+	for li := range s.watches.lists {
+		ws := s.watches.list(li)
 		if len(ws) != len(watching[li]) {
 			t.Fatalf("list %d has %d watchers, had %d", li, len(ws), len(watching[li]))
 		}

@@ -336,11 +336,3 @@ func (a *arena) compact(moves []move) []move {
 	a.wasted = 0
 	return moves
 }
-
-// watcher is an entry in a literal's watch list: the watching clause plus a
-// "blocker" literal from the clause; if the blocker is already true the
-// clause is satisfied and the watch scan can skip loading the clause.
-type watcher struct {
-	c       cref
-	blocker lits.Lit
-}

@@ -113,7 +113,7 @@ type opsRun struct {
 	clauses   []cnf.Clause
 
 	// What the run reached, for the seed corpus's own test.
-	solves, refuted, compactions int
+	solves, refuted, compactions, watchCompactions int
 }
 
 // load makes the run's solver f's: sat.New's when into is nil, into's
@@ -122,6 +122,7 @@ func (o *opsRun) load(f *cnf.Formula, into *sat.Solver, r *opReader) {
 	opts := sat.Options{Guidance: r.guidance(f.NumVars), SwitchAfterDecisions: int64(r.intn(4))}
 	if o.s != nil {
 		o.compactions += o.s.Compactions()
+		o.watchCompactions += o.s.WatchCompactions()
 	}
 	if o.rec == nil {
 		o.rec = core.NewRecorderWith(f.NumClauses(), core.Complete)
@@ -145,7 +146,7 @@ func (o *opsRun) load(f *cnf.Formula, into *sat.Solver, r *opReader) {
 // runOps decodes data into a sequence of solver calls, starting from sat.New
 // over a decoded formula, and checks every answer against brute force over
 // the clauses so far, every refutation by proofcheck, and the decision
-// heap after every call.
+// heap and the watch store after every call.
 func runOps(t *testing.T, data []byte) *opsRun {
 	r := &opReader{data: data}
 	o := &opsRun{t: t}
@@ -185,8 +186,12 @@ func runOps(t *testing.T, data []byte) *opsRun {
 		if err := o.s.CheckHeap(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		if err := o.s.CheckWatches(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 	}
 	o.compactions += o.s.Compactions()
+	o.watchCompactions += o.s.WatchCompactions()
 	return o
 }
 
@@ -285,10 +290,12 @@ func opSeeds() [][]byte {
 // without Grow, AddVars, AddClause, SetGuidance and
 // SolveAssuming under random assumptions — under every guidance form and a
 // tuning that reduces the learnt clauses and compacts the arena every few
-// conflicts (sat.Churning). Every answer must agree with brute force, every
-// refutation's recorded proof must certify it and its core, and the
-// decision heap must be the heap of the unassigned variables after every
-// call.
+// conflicts (sat.Churning), with watch pages so short that lists move and
+// the watch store compacts all the time. Every answer must agree with
+// brute force, every refutation's recorded proof must certify it and its
+// core, the decision heap must be the heap of the unassigned variables
+// and the watch store must hold every attached clause twice, in lists
+// that do not overlap, after every call.
 func FuzzSolverOps(f *testing.F) {
 	for _, seed := range opSeeds() {
 		f.Add(seed)
@@ -297,16 +304,19 @@ func FuzzSolverOps(f *testing.F) {
 }
 
 // TestSolverOpSeedsReach: the seed corpus alone reaches what FuzzSolverOps
-// is for — refutations certified under assumptions, and compactions of the
-// arena with their collections of the proof.
+// is for — refutations certified under assumptions, compactions of the
+// arena with their collections of the proof, and compactions of the watch
+// store.
 func TestSolverOpSeedsReach(t *testing.T) {
-	var solves, refuted, compactions int
+	var solves, refuted, compactions, watchCompactions int
 	for _, seed := range opSeeds() {
 		o := runOps(t, seed)
 		solves, refuted, compactions = solves+o.solves, refuted+o.refuted, compactions+o.compactions
+		watchCompactions += o.watchCompactions
 	}
-	t.Logf("%d solves, %d refuted and certified, %d compactions", solves, refuted, compactions)
-	if refuted == 0 || refuted == solves || compactions == 0 {
-		t.Errorf("%d solves, %d refuted, %d compactions: the seeds no longer reach every outcome", solves, refuted, compactions)
+	t.Logf("%d solves, %d refuted and certified, %d compactions, %d of the watch store", solves, refuted, compactions, watchCompactions)
+	if refuted == 0 || refuted == solves || compactions == 0 || watchCompactions == 0 {
+		t.Errorf("%d solves, %d refuted, %d compactions, %d of the watch store: the seeds no longer reach every outcome",
+			solves, refuted, compactions, watchCompactions)
 	}
 }

@@ -29,8 +29,8 @@ type varHeap struct {
 // build fills them, once Load has seeded the scores they are ordered by.
 func (h *varHeap) reset(s *Solver, nVars int) {
 	h.s = s
-	h.heap = fit(&h.heap, nVars, s.hint.vars)
-	h.pos = fit(&h.pos, nVars+1, s.hint.vars+1)
+	h.heap = fit(&h.heap, nVars, s.hint)
+	h.pos = fit(&h.pos, nVars+1, s.hint+1)
 	h.pos[0] = -1 // no variable 0
 }
 

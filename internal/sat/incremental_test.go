@@ -357,7 +357,8 @@ func TestStatsAddCarriesSwitchDecision(t *testing.T) {
 // every 255 conflicts, Luby restarts of unit 100 (1.5 growth were they
 // geometric), a learnt limit of a third of the originals, at least 1000,
 // growing by 1.1, compaction at a fifth of the arena garbage, no decision
-// budget, and a Stop/deadline poll every 64 steps. Minimisation
+// budget, a Stop/deadline poll every 64 steps and watch pages of up to
+// 16 384 watchers. Minimisation
 // has no field: it always runs, which PHP(8,7)'s learnt literals pin (19060
 // minimised, 24002 when it was switched off).
 func TestWithDefaultsRestartInc(t *testing.T) {
@@ -372,6 +373,7 @@ func TestWithDefaultsRestartInc(t *testing.T) {
 		garbageDen:      5,
 		maxDecisions:    0,
 		pollEvery:       64,
+		watchPage:       1 << 14,
 	}
 	if got := (Options{}).tuning(); got != want {
 		t.Errorf("tuning %+v, want %+v", got, want)
@@ -418,13 +420,13 @@ func TestAddVarsGrowsWatchTableAmortised(t *testing.T) {
 			s.Grow(frames*width, 0)
 		}
 		allocated, moves := 0, 0
-		var backing *[]watcher
+		var backing *watchList
 		var reasons *cref
 		for frame := 1; frame <= frames; frame++ {
 			s.AddVars(width * frame)
-			if first := &s.watches[0]; first != backing {
+			if first := &s.watches.lists[0]; first != backing {
 				backing = first
-				allocated += cap(s.watches)
+				allocated += cap(s.watches.lists)
 				moves++
 			}
 			if hinted && &s.reason[0] != reasons {
@@ -434,7 +436,7 @@ func TestAddVarsGrowsWatchTableAmortised(t *testing.T) {
 				reasons = &s.reason[0]
 			}
 		}
-		final := len(s.watches)
+		final := len(s.watches.lists)
 		switch {
 		case final != 2*frames*width+2:
 			t.Errorf("hinted=%v: the table has %d lists after %d variables", hinted, final, frames*width)

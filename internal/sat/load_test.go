@@ -113,3 +113,41 @@ func TestLoadMatchesNew(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyStateAllocatesNothing: a solver that has searched a formula,
+// loaded with it again and searched again with the recorder off, allocates
+// nothing. Its clause arena and its watch store reuse the pages the first
+// search made, and every table and scratch buffer is kept: the search is
+// the same, so it needs no room the first one did not. A solver whose
+// watch lists were each an array of their own allocated whenever a list
+// outgrew it.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    *cnf.Formula
+	}{
+		{"add_w4 depth 6", instance(t, bench.AdderTwin(4, 0, 0), 6)},
+		{"PHP(8,7)", pigeons(8, 7)},
+	} {
+		s := sat.New(tc.f, sat.Options{})
+		first := s.Solve()
+		if first.Status != sat.Unsat {
+			t.Fatalf("%s: %v, want Unsat", tc.name, first.Status)
+		}
+		for run := 1; run <= 3; run++ {
+			var again sat.Result
+			// One run, after one to warm up: the count is exact.
+			allocs := testing.AllocsPerRun(1, func() {
+				s.Load(tc.f, sat.Options{})
+				again = s.Solve()
+			})
+			if again.Stats.Conflicts != first.Stats.Conflicts || again.Status != first.Status {
+				t.Fatalf("%s: reloaded, %v after %d conflicts; first %v after %d",
+					tc.name, again.Status, again.Stats.Conflicts, first.Status, first.Stats.Conflicts)
+			}
+			if allocs != 0 {
+				t.Errorf("%s: reloading and searching again (run %d) allocated %.0f times, want none", tc.name, run, allocs)
+			}
+		}
+	}
+}

@@ -25,9 +25,10 @@ type Metrics struct {
 
 	// ClausesLearnt and ClausesBytesEst are clause-database gauges: the
 	// learnt clauses currently installed and the bytes the whole database
-	// occupies (4 per arena word in use, 8 per watcher; the name predates
-	// the arena, when it was an estimate), refreshed once per solve call
-	// from flushDB. Gauges, not counters: reduceDB shrinks them.
+	// holds (Solver.Footprint: the arena's pages, the watch store's pages
+	// and its 12-byte record per literal; the name predates the arena, when
+	// it was an estimate), refreshed once per solve call from flushDB.
+	// Gauges, not counters: reduceDB shrinks the first.
 	ClausesLearnt   *obs.Gauge
 	ClausesBytesEst *obs.Gauge
 }
@@ -87,7 +88,7 @@ func (m *Metrics) flush(st Stats) {
 
 // flushDB refreshes the clause-database gauges. Called once per solve
 // call, never from the search loop.
-func (m *Metrics) flushDB(learnt int, bytes int64) {
+func (m *Metrics) flushDB(bytes int64, learnt int) {
 	if m == nil {
 		return
 	}

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -32,17 +33,23 @@ func TestMetricsFlush(t *testing.T) {
 	}
 	// The clause-database gauges are flushed alongside the counters: a
 	// pigeonhole refutation must have learnt clauses installed, and the
-	// byte gauge is an accounting of the arena's words and the watchers.
+	// byte gauge is an accounting of what the arena's pages, the watch
+	// pages and the per-literal watch records hold.
 	learnt := opts.Metrics.ClausesLearnt.Value()
-	if learnt <= 0 {
-		t.Errorf("clauses-learnt gauge = %d, want > 0", learnt)
+	if learnt <= 0 || learnt != int64(len(s.learnts)) {
+		t.Errorf("clauses-learnt gauge = %d, want the %d learnt clauses held", learnt, len(s.learnts))
 	}
-	watchers := 0
-	for _, ws := range s.watches {
-		watchers += len(ws)
+	words, watchers := 0, 0
+	for _, pg := range append(slices.Clone(s.ca.pages), s.ca.spare...) {
+		words += cap(pg)
 	}
-	if est, want := opts.Metrics.ClausesBytesEst.Value(), int64(4*s.ca.used()+8*watchers); est != want {
-		t.Errorf("clauses-bytes-est gauge = %d, want %d (%d arena words in use, %d watchers)", est, want, s.ca.used(), watchers)
+	for _, pg := range s.watches.pages {
+		watchers += len(pg)
+	}
+	want := int64(4*words + 8*watchers + 12*cap(s.watches.lists))
+	if est := opts.Metrics.ClausesBytesEst.Value(); est != want || watchers == 0 {
+		t.Errorf("clauses-bytes-est gauge = %d, want %d (%d arena words held, %d watchers' room, %d records)",
+			est, want, words, watchers, cap(s.watches.lists))
 	}
 	names := reg.Snapshot().Gauges
 	for _, want := range []string{

@@ -170,6 +170,7 @@ type tuning struct {
 	garbageDen      int
 	maxDecisions    int64 // decision budget; zero means unlimited
 	pollEvery       int
+	watchPage       int // the longest watch page made for lists that fit in one
 }
 
 var defaultTuning = tuning{
@@ -182,6 +183,7 @@ var defaultTuning = tuning{
 	maxLearntInc:    maxLearntInc,
 	garbageDen:      garbageDen,
 	pollEvery:       pollEvery,
+	watchPage:       watchPageMax,
 }
 
 // tuning returns the parameters a solver loaded with o searches with.

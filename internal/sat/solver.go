@@ -35,11 +35,7 @@ type tables struct {
 	learnts []cref // the live learnt clauses, oldest first
 	moves   []move // compact's scratch
 
-	watches [][]watcher // indexed by lit.Index()
-	// watchSlab is the array Load carves every watch list from. A list that
-	// outgrows its share moves out of it; the next Load lays them all out
-	// in it again.
-	watchSlab []watcher
+	watches watchStore // every literal's watch list, in pages
 
 	// vals is the truth table, indexed by lit.Index(): +1 where the literal
 	// is true, -1 where it is false, 0 where its variable is unassigned, so
@@ -72,13 +68,10 @@ type tables struct {
 	stamps  []int64
 	liveIDs []ClauseID
 
-	// hint is the formula size Grow announced; a table Load has to replace
-	// is made large enough for it.
-	hint formulaSize
+	// hint is the variable count Grow announced; a table Load has to
+	// replace is made large enough for it.
+	hint int
 }
-
-// formulaSize is a formula's variable and clause counts.
-type formulaSize struct{ vars, clauses int }
 
 // Solver holds the complete search state for one formula. A Solver is
 // reusable and incremental: build with New (or Load a formula into one a
@@ -155,9 +148,10 @@ func New(f *cnf.Formula, opts Options) *Solver {
 // makes it large enough for such a formula, and a solver that is never
 // loaded allocates nothing. Without a hint a table is replaced by one of
 // exactly the size the formula needs, which is how New sizes it. The clause
-// arena takes no hint: it grows by pages and never copies.
+// count goes unused: the clause arena and the watch store grow by pages and
+// never copy, so there is nothing to size ahead by it.
 func (s *Solver) Grow(vars, clauses int) {
-	s.hint = formulaSize{vars, clauses}
+	s.hint = vars
 }
 
 // fit returns a slice of length n, its contents undefined: over *p's array
@@ -207,11 +201,10 @@ func (s *Solver) reset(opts Options, nVars int) {
 
 // Load makes s the solver New(f, opts) builds, whatever it held and
 // wherever its last search stopped, out of the storage it already has:
-// the clause arena's pages, the watch lists and the slab they are carved
-// from, the trail, the per-variable and per-literal tables, the decision
-// heap and the analysis scratch are reused where they are large enough and
-// replaced, sized for the formula or for what Grow announced, where they
-// are not.
+// the clause arena's pages, the watch store's pages and records, the
+// trail, the per-variable and per-literal tables, the decision heap and the
+// analysis scratch are reused where they are large enough and replaced,
+// sized for the formula or for what Grow announced, where they are not.
 // Nothing else survives — learnt clauses, scores, counters and status all
 // start as New starts them, so the search that follows cannot tell a
 // loaded solver from a new one. It is a reload
@@ -225,9 +218,8 @@ func (s *Solver) reset(opts Options, nVars int) {
 // assumptions) and what its recorder was handed are copies and stay valid.
 //
 // The load allocates per solver, not per clause, and nothing at all when
-// the storage suffices: the arena pages its clauses need beyond those it
-// holds, one slab holding every watch list at its exact length, and the
-// per-variable tables.
+// the storage suffices: the arena pages and watch pages its clauses need
+// beyond those it holds, and the per-variable tables.
 func (s *Solver) Load(f *cnf.Formula, opts Options) {
 	n := f.NumVars
 
@@ -235,17 +227,16 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 	h := s.hint
 	s.ca.reload(f.NumClauses()*hdrWords + f.NumLiterals())
 	s.learnts, s.moves = s.learnts[:0], s.moves[:0]
-	s.watches = fit(&s.watches, 2*n+2, 2*h.vars+2) // every list is set below
-	s.vals = zeroed(&s.vals, 2*n+2, 2*h.vars+2)
-	s.reason = fit(&s.reason, n+1, h.vars+1)
+	s.vals = zeroed(&s.vals, 2*n+2, 2*h+2)
+	s.reason = fit(&s.reason, n+1, h+1)
 	for v := range s.reason {
 		s.reason[v] = crefUndef
 	}
-	s.level = zeroed(&s.level, n+1, h.vars+1)
-	s.trail, s.trailLim = fit(&s.trail, n, h.vars)[:0], s.trailLim[:0]
-	s.chaScore = zeroed(&s.chaScore, 2*n+2, 2*h.vars+2)
-	s.newCount = zeroed(&s.newCount, 2*n+2, 2*h.vars+2)
-	s.seen, s.toClear = zeroed(&s.seen, n+1, h.vars+1), s.toClear[:0]
+	s.level = zeroed(&s.level, n+1, h+1)
+	s.trail, s.trailLim = fit(&s.trail, n, h)[:0], s.trailLim[:0]
+	s.chaScore = zeroed(&s.chaScore, 2*n+2, 2*h+2)
+	s.newCount = zeroed(&s.newCount, 2*n+2, 2*h+2)
+	s.seen, s.toClear = zeroed(&s.seen, n+1, h+1), s.toClear[:0]
 	s.learntBuf, s.antsBuf = s.learntBuf[:0], s.antsBuf[:0]
 	s.stamps, s.liveIDs = s.stamps[:0], s.liveIDs[:0]
 	if s.heap == nil {
@@ -299,21 +290,11 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 	}
 	s.ca.pages[p] = pg
 
-	// All watch lists lie back to back in one slab; next[i] becomes where
-	// list i's next watcher goes.
-	var off int32
-	for i, k := range next {
-		next[i] = off
-		off += k
-	}
-	if cap(s.watchSlab) < int(off) {
-		// The lists still lie in the slab about to be replaced; without
-		// them it is garbage before its successor is made.
-		clear(s.watches)
-	}
-	// Two watchers a clause bounds a formula's slab.
-	slab := fit(&s.watchSlab, int(off), 2*h.clauses) // every watcher is set below
-	s.watchSlab = slab
+	// Every list gets room for exactly its watchers, in literal order over
+	// the watch pages, so an append past them moves that list and can never
+	// write into the next one; newCount is all zero again.
+	s.watches.reload(next, 2*h+2, s.tune.watchPage)
+	wl, wp := s.watches.lists, s.watches.pages
 
 	// Attach in formula order, which fixes the order of every watch list
 	// and of the level-0 trail. Unit clauses are enqueued at level 0. The
@@ -343,21 +324,10 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 				}
 			default:
 				l0, l1 := lits.Lit(ls[0]), lits.Lit(ls[1])
-				slab[next[l0.Neg().Index()]] = watcher{c, l1}
-				next[l0.Neg().Index()]++
-				slab[next[l1.Neg().Index()]] = watcher{c, l0}
-				next[l1.Neg().Index()]++
+				put(wl, wp, l0.Neg().Index(), watcher{c, l1})
+				put(wl, wp, l1.Neg().Index(), watcher{c, l0})
 			}
 		}
-	}
-
-	// Every list gets its length as its capacity too, so an append past it
-	// moves that list and can never write into the next one.
-	off = 0
-	for i, end := range next {
-		s.watches[i] = slab[off:end:end]
-		off = end
-		next[i] = 0
 	}
 
 	s.maxLearnts = max(float64(s.nClauses)*s.tune.maxLearntFrac, s.tune.minLearnts)
@@ -390,21 +360,21 @@ func (s *Solver) AddVars(n int) {
 	if n <= s.nVars {
 		return
 	}
-	hv, hl := s.hint.vars+1, 2*s.hint.vars+2
-	s.watches = extend(s.watches, 2*n+2, hl, nil)
+	hv, hl := s.hint+1, 2*s.hint+2
+	s.watches.lists = extend(s.watches.lists, 2*n+2, hl, watchList{})
 	s.chaScore = extend(s.chaScore, 2*n+2, hl, 0)
 	s.newCount = extend(s.newCount, 2*n+2, hl, 0)
 	s.vals = extend(s.vals, 2*n+2, hl, 0)
 	s.reason = extend(s.reason, n+1, hv, crefUndef)
 	s.level = extend(s.level, n+1, hv, 0)
 	s.seen = extend(s.seen, n+1, hv, false)
-	s.trail = room(s.trail, n, s.hint.vars)
+	s.trail = room(s.trail, n, s.hint)
 	if s.guid != nil {
 		for len(s.guid) < n+1 {
 			s.guid = append(s.guid, 0)
 		}
 	}
-	s.heap.grow(n, s.hint.vars)
+	s.heap.grow(n, s.hint)
 	for v := lits.Var(s.nVars + 1); int(v) <= n; v++ {
 		s.heap.insert(v)
 	}
@@ -513,9 +483,10 @@ func (s *Solver) install(c cref) {
 // search cannot observe it.
 func (s *Solver) compact() {
 	s.moves = s.ca.compact(s.moves)
-	for _, ws := range s.watches {
-		for i := range ws {
-			ws[i].c = s.moved(ws[i].c)
+	for i := range s.watches.lists {
+		ws := s.watches.list(i)
+		for j := range ws {
+			ws[j].c = s.moved(ws[j].c)
 		}
 	}
 	for _, l := range s.trail {
@@ -527,6 +498,15 @@ func (s *Solver) compact() {
 		s.learnts[i] = s.moved(c)
 	}
 	s.compactions++
+}
+
+// tidyWatches compacts the watch store once it is untidy. It runs where no
+// list is being read, the solver's safe points: a SolveAssuming entry, a
+// restart, reduceDB — never inside propagate, which holds a list's view.
+func (s *Solver) tidyWatches() {
+	if s.watches.untidy() {
+		s.watches.compact()
+	}
 }
 
 // moved returns where compact has put the clause that was at c: down by the
@@ -579,8 +559,8 @@ func (s *Solver) SetStop(stop <-chan struct{}) {
 func (s *Solver) attach(c cref) {
 	ls := s.ca.at(c).lits()
 	l0, l1 := lits.Lit(ls[0]), lits.Lit(ls[1])
-	s.watches[l0.Neg().Index()] = append(s.watches[l0.Neg().Index()], watcher{c, l1})
-	s.watches[l1.Neg().Index()] = append(s.watches[l1.Neg().Index()], watcher{c, l0})
+	s.watches.push(l0.Neg().Index(), watcher{c, l1})
+	s.watches.push(l1.Neg().Index(), watcher{c, l0})
 }
 
 // detach removes the clause from both watch lists (used by reduceDB). The
@@ -589,11 +569,11 @@ func (s *Solver) attach(c cref) {
 func (s *Solver) detach(c cref) {
 	ls := s.ca.at(c).lits()
 	for _, w := range [2]lits.Lit{lits.Lit(ls[0]).Neg(), lits.Lit(ls[1]).Neg()} {
-		ws := s.watches[w.Index()]
+		ws := s.watches.list(w.Index())
 		for i := range ws {
 			if ws[i].c == c {
 				ws[i] = ws[len(ws)-1]
-				s.watches[w.Index()] = ws[:len(ws)-1]
+				s.watches.lists[w.Index()].n--
 				break
 			}
 		}
@@ -619,14 +599,20 @@ func (s *Solver) uncheckedEnqueue(l lits.Lit, from cref) {
 // the first falsified clause, or crefUndef.
 func (s *Solver) propagate() cref {
 	// Enqueueing writes through s.vals but never moves it, and propagation
-	// adds no clause, so one load of each slice header serves the whole call.
-	vals, pages := s.vals, s.ca.pages
+	// adds no clause or variable, so one load of each slice header serves
+	// the whole call. Watch pages never move either: a list that another
+	// watcher fills moves to other room, and p's list stays where it is.
+	// The watch page table only grows, when a list moves to a new page.
+	vals, pages, st := s.vals, s.ca.pages, &s.watches
+	wpages := st.pages
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true; scan clauses watching ¬p
 		s.qhead++
 		// attach files a clause under the negation of each literal it
 		// watches, so p's list is the clauses watching ¬p.
-		ws := s.watches[p.Index()]
+		pl := &st.lists[p.Index()]
+		at := pl.off & watchMask
+		ws := wpages[pl.off>>watchShift][at : at+pl.n]
 		falseLit := uint32(p.Neg())
 		i, j := 0, 0
 		n := len(ws)
@@ -655,8 +641,14 @@ func (s *Solver) propagate() cref {
 			for k := 2; k < len(ls); k++ {
 				if vals[ls[k]] >= 0 {
 					ls[1], ls[k] = ls[k], ls[1]
-					nw := lits.Lit(ls[1]).Neg().Index()
-					s.watches[nw] = append(s.watches[nw], watcher{c, first})
+					// push, by hand: the call is not inlined.
+					l := &st.lists[lits.Lit(ls[1]).Neg().Index()]
+					if l.n == l.cap {
+						st.grow(l)
+						wpages = st.pages
+					}
+					wpages[l.off>>watchShift][l.off&watchMask+l.n] = watcher{c, first}
+					l.n++
 					continue nextWatcher
 				}
 			}
@@ -670,13 +662,13 @@ func (s *Solver) propagate() cref {
 					j++
 					i++
 				}
-				s.watches[p.Index()] = ws[:j]
+				pl.n = uint32(j)
 				s.qhead = len(s.trail)
 				return c
 			}
 			s.uncheckedEnqueue(first, c)
 		}
-		s.watches[p.Index()] = ws[:j]
+		pl.n = uint32(j)
 	}
 	return crefUndef
 }
@@ -1026,6 +1018,7 @@ func (s *Solver) reduceDB() {
 	}
 	s.learnts = kept
 	s.maxLearnts *= s.tune.maxLearntInc
+	s.tidyWatches()
 	if s.ca.wasted*s.tune.garbageDen >= s.ca.used() {
 		s.compact()
 		if s.recording {
@@ -1086,6 +1079,7 @@ func (s *Solver) Solve() Result {
 func (s *Solver) SolveAssuming(assumptions []lits.Lit) Result {
 	start := time.Now()
 	s.cancelUntil(0)
+	s.tidyWatches()
 	s.assumps = assumptions
 	if s.status != Unsat {
 		s.status = Unknown
@@ -1105,7 +1099,7 @@ func (s *Solver) SolveAssuming(assumptions []lits.Lit) Result {
 	res.Stats.SolveTime = time.Since(start)
 	s.opts.Metrics.flush(res.Stats)
 	if s.opts.Metrics != nil {
-		s.opts.Metrics.flushDB(len(s.learnts), s.clauseBytes())
+		s.opts.Metrics.flushDB(s.Footprint())
 	}
 	// Fold this call into the lifetime totals and reset the per-call
 	// counters; enqueues made by New/AddClause before a call count toward
@@ -1116,16 +1110,18 @@ func (s *Solver) SolveAssuming(assumptions []lits.Lit) Result {
 	return res
 }
 
-// clauseBytes is the clause database's footprint: the arena's words in use
-// (headers, literals and not yet compacted garbage, originals and learnts
-// alike) plus every watcher. It feeds the solver_clauses_bytes_est gauge
-// and is only computed outside the search loop (once per solve call).
-func (s *Solver) clauseBytes() int64 {
-	n := int64(s.ca.used()) * 4
-	for _, ws := range s.watches {
-		n += int64(len(ws)) * 8
+// Footprint reports what s holds for its clause database, read from the
+// structures: the bytes of the arena's pages, spare ones included, of the
+// watch store's pages and of its per-literal records, and the live learnt
+// clauses. It feeds the solver_clauses_bytes_est gauge and the engine's
+// per-depth SolverBytes; s must be at rest.
+func (s *Solver) Footprint() (bytes int64, learnts int) {
+	for _, pgs := range [][][]uint32{s.ca.pages, s.ca.spare} {
+		for _, pg := range pgs {
+			bytes += int64(cap(pg)) * 4
+		}
 	}
-	return n
+	return bytes + s.watches.bytes(), len(s.learnts)
 }
 
 // interrupted polls Options.Stop; it is only called when stopping is set
@@ -1287,6 +1283,7 @@ func (s *Solver) solve() Result {
 			s.conflictsLeft = s.restartLimit(s.restartIdx)
 			s.stats.Restarts++
 			s.cancelUntil(0)
+			s.tidyWatches()
 			continue
 		}
 		if float64(len(s.learnts)) >= s.maxLearnts {
