@@ -91,10 +91,10 @@ func (q *freshSeq) grow(k int) {
 		vars, clauses, literals := q.inst.Size(t)
 		return vars + clauses + literals
 	})
-	vars, clauses, _ := q.inst.Size(t)
+	vars, _, _ := q.inst.Size(t)
 	q.inst.Grow(t)
 	for _, s := range q.solvers {
-		s.Grow(vars, clauses)
+		s.Grow(vars)
 	}
 	q.sizedFor, q.sizedVars = t, vars
 }

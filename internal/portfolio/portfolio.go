@@ -202,9 +202,9 @@ type LiveAttempt struct {
 }
 
 // Growth is a persistent solver's storage hint, as sat.Solver.Grow takes
-// it: the variables and clauses to size its tables for.
+// it: the variables to size its tables for.
 type Growth struct {
-	Vars, Clauses int
+	Vars int
 }
 
 // RaceLive is the live-solver counterpart of Race: it runs

@@ -197,11 +197,10 @@ func (p *Pool) grow(k int) {
 		vars, clauses, literals := p.src.Size(t)
 		return vars + clauses + literals
 	})
-	h := &p.hint
-	h.Vars, h.Clauses, _ = p.src.Size(t)
+	p.hint.Vars, _, _ = p.src.Size(t)
 	for _, r := range p.racers {
 		if r.feed.Solver != nil {
-			r.feed.Solver.Grow(h.Vars, h.Clauses)
+			r.feed.Solver.Grow(p.hint.Vars)
 		}
 	}
 	p.sizedFor = t
@@ -214,7 +213,7 @@ func (p *Pool) grow(k int) {
 func (p *Pool) catchUp(r *racerState, k int, frames *DepthFrames, guidance []float64, switchAfter int64) *sat.Solver {
 	if r.feed.Solver == nil {
 		s := new(sat.Solver)
-		s.Grow(p.hint.Vars, p.hint.Clauses)
+		s.Grow(p.hint.Vars)
 		s.Load(cnf.New(0), r.opts)
 		r.feed.Solver = s
 	}

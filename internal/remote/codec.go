@@ -111,8 +111,7 @@ func appendRaceRequest(dst []byte, r *RaceRequest) []byte {
 		dst = appendOptions(dst, &r.Attempts[i].Opts)
 	}
 	dst = binary.AppendVarint(dst, int64(r.Jobs))
-	dst = binary.AppendVarint(dst, int64(r.Grow.Vars))
-	return binary.AppendVarint(dst, int64(r.Grow.Clauses))
+	return binary.AppendVarint(dst, int64(r.Grow.Vars))
 }
 
 func appendOptions(dst []byte, o *WireOptions) []byte {
@@ -346,7 +345,7 @@ func (d *decoder) raceRequest() *RaceRequest {
 		}
 	}
 	r.Jobs = d.int()
-	r.Grow = portfolio.Growth{Vars: d.int(), Clauses: d.int()}
+	r.Grow = portfolio.Growth{Vars: d.int()}
 	return r
 }
 

@@ -99,7 +99,7 @@ import (
 
 // ProtocolVersion is bumped on any wire-incompatible change; the
 // handshake rejects mismatched peers.
-const ProtocolVersion = 6
+const ProtocolVersion = 7
 
 // DefaultMaxFrameBytes bounds one frame's payload (64 MiB — a circuit of
 // millions of gates fits with room to spare).

@@ -289,11 +289,11 @@ func (m *mirror) catchUp(k int, frames *racer.DepthFrames, scores int, opts *Wir
 	s := m.feed.Solver
 	if s == nil {
 		s = new(sat.Solver)
-		s.Grow(grow.Vars, grow.Clauses)
+		s.Grow(grow.Vars)
 		s.Load(cnf.New(0), opts.toSatOptions())
 		m.feed.Solver = s
 	} else {
-		s.Grow(grow.Vars, grow.Clauses)
+		s.Grow(grow.Vars)
 	}
 	m.guidance = opts.Guidance.expand(m.guidance, scores, grow.Vars+1)
 	return m.feed.CatchUp(k, frames.Frame, m.guidance, opts.SwitchAfterDecisions)

@@ -279,15 +279,15 @@ func TestLongClause(t *testing.T) {
 	implies(s, "reloaded")
 }
 
-// TestLoadAllocsBounded pins the bulk load: New allocates per solver and
-// per page, not per clause, Load into a solver that has held the formula
-// before allocates nothing to speak of, a solver hinted (Grow) for depth 7
-// loads every depth from 3 to 7 allocating only the arena pages and watch
-// pages its new clauses need and letting go of none it held, and AddClause
-// into a solver that has grown allocates only when the arena opens a page
-// or the watch store one.
+// TestLoadAllocsBounded pins the bulk load: New allocates per solver, not
+// per clause, Load into a solver that has held the formula before allocates
+// nothing to speak of, a solver hinted (Grow) for depth 7 loads every depth
+// from 3 to 7 allocating only the arena pages its new words need and one
+// watch page for its lists, letting go of none it held, and AddClause into
+// a solver that has grown allocates only when the arena opens a page or
+// the watch store one.
 func TestLoadAllocsBounded(t *testing.T) {
-	const perSolver = 24
+	const perSolver = 32
 	gcnt := bench.GatedCounter(4, 10, 6, 16)
 	for _, k := range []int{3, 7} {
 		f := unrolled(t, gcnt, k)
@@ -295,10 +295,8 @@ func TestLoadAllocsBounded(t *testing.T) {
 			t.Fatalf("depth %d has %d clauses, want at least 20000", k, f.NumClauses())
 		}
 		allocs := testing.AllocsPerRun(3, func() { sinkSolver = New(f, Options{}) })
-		pages := len(sinkSolver.ca.pages) + len(sinkSolver.watches.pages)
-		if allocs-float64(pages) >= perSolver {
-			t.Errorf("New over %d clauses: %.0f allocations beside its %d pages, want fewer than %d",
-				f.NumClauses(), allocs-float64(pages), pages, perSolver)
+		if allocs >= perSolver {
+			t.Errorf("New over %d clauses: %.0f allocations, want fewer than %d", f.NumClauses(), allocs, perSolver)
 		}
 		s := New(f, Options{})
 		if reload := testing.AllocsPerRun(3, func() { s.Load(f, Options{}) }); reload >= 4 {
@@ -312,8 +310,8 @@ func TestLoadAllocsBounded(t *testing.T) {
 	}
 	in := u.Instance()
 	hinted := new(Solver)
-	vars, clauses, _ := in.Size(7)
-	hinted.Grow(vars, clauses)
+	vars, _, _ := in.Size(7)
+	hinted.Grow(vars)
 	hinted.Load(in.Extend(3), Options{}) // makes every other table, at depth 7's size
 	for k := 3; k <= 7; k++ {
 		f := in.Extend(k)
@@ -325,19 +323,22 @@ func TestLoadAllocsBounded(t *testing.T) {
 				t.Errorf("Load of depth %d let go of a page it held", k)
 			}
 		}
-		var watchBytes uint64
-		for p, n := range watchNow {
-			if watchHeld[p] == 0 {
-				watchBytes += 8 * uint64(n)
-			} else if n != watchHeld[p] {
+		for p, n := range watchHeld {
+			if watchNow[p] != n {
 				t.Errorf("Load of depth %d let go of a watch page it held", k)
 			}
 		}
-		// Beyond its new pages only the two page tables and the spare list
-		// may grow, by a few headers.
+		// The watch store takes no hint: the lists that do not fit in the
+		// pages it held go to one new page, at most as long as the load's
+		// watchers. Beyond the new pages only the two page tables and the
+		// spare list may grow, by a few headers.
 		opened := uint64(len(now) - len(held))
 		watchOpened := uint64(len(watchNow) - len(watchHeld))
-		if n > opened+watchOpened+3 || bytes > opened*4*pageWords+watchBytes+uint64(64*(len(now)+len(watchNow))) {
+		if watchOpened > 1 {
+			t.Errorf("Load of depth %d opened %d watch pages, want at most 1", k, watchOpened)
+		}
+		watchBytes := 8 * 2 * uint64(f.NumClauses())
+		if n > opened+4 || bytes > opened*4*pageWords+watchBytes+uint64(64*(len(now)+len(watchNow))) {
 			t.Errorf("Load of depth %d into a solver hinted for depth 7: %d allocations of %d bytes, for %d new pages and %d new watch pages",
 				k, n, bytes, opened, watchOpened)
 		}
@@ -406,6 +407,51 @@ func TestWatchSlabIsolation(t *testing.T) {
 		if !slices.Equal(ws, want) {
 			t.Errorf("list %d changed: %v, was %v", i, ws, want)
 		}
+	}
+}
+
+// TestWatchCompactionWidePage compacts a store whose load page holds lists
+// past index 2^15, so that ordering them by offset reads the index's high
+// bits: every list must keep its watchers, in order, and the store its
+// invariants.
+func TestWatchCompactionWidePage(t *testing.T) {
+	const vars, clauses = 4000, 24000
+	r := rng(11)
+	ternary := func() cnf.Clause {
+		a := r.intn(vars)
+		b, c := (a+1+r.intn(vars/2-1))%vars, (a+vars/2+r.intn(vars/2))%vars
+		return cnf.Clause{lits.PosLit(lits.Var(a + 1)), lits.MkLit(lits.Var(b+1), r.intn(2) == 0), lits.MkLit(lits.Var(c+1), r.intn(2) == 0)}
+	}
+	f := cnf.New(vars)
+	for i := 0; i < clauses; i++ {
+		f.AddClause(ternary())
+	}
+	s := New(f, Options{})
+	if len(s.watches.pages) != 1 || s.watches.top <= 1<<15 {
+		t.Fatalf("the load takes %d pages, the first to %d: want one past %d", len(s.watches.pages), s.watches.top, 1<<15)
+	}
+	// Every list is full, so each clause added moves two of them.
+	for i := 0; i < clauses/8; i++ {
+		s.AddClause(ternary())
+	}
+	if !s.watches.untidy() {
+		t.Fatalf("%d garbage in %d held: nothing to compact", s.watches.garbage, s.watches.held)
+	}
+	before := make([][]watcher, len(s.watches.lists))
+	for i := range s.watches.lists {
+		before[i] = slices.Clone(s.watches.list(i))
+	}
+	s.watches.compact()
+	if err := s.CheckWatches(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range s.watches.lists {
+		if !slices.Equal(s.watches.list(i), before[i]) {
+			t.Fatalf("list %d holds %v after compaction, held %v", i, s.watches.list(i), before[i])
+		}
+	}
+	if s.watches.garbage*watchGarbageDen > s.watches.held {
+		t.Errorf("%d garbage in %d held after compaction", s.watches.garbage, s.watches.held)
 	}
 }
 

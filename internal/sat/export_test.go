@@ -42,9 +42,9 @@ func RandomFormula(seed uint64, nVars, nClauses, maxLen int) *cnf.Formula {
 // Churning returns o with a tuning under which the solver reduces its
 // learnt clauses before every decision and compacts its arena whenever a
 // reduction deletes anything: a learnt limit of 0 that never grows,
-// rescores every 3 conflicts and Luby restarts of unit 4. Its watch pages
-// are 4 watchers long, so lists open pages, outgrow them and move, and the
-// store compacts. FuzzSolverOps searches with it.
+// rescores every 3 conflicts and Luby restarts of unit 4. The watch pages
+// its lists grow into are 4 watchers long, so lists open pages, outgrow
+// them and move, and the store compacts. FuzzSolverOps searches with it.
 func Churning(o Options) Options {
 	tu := defaultTuning
 	tu.minLearnts, tu.maxLearntFrac, tu.maxLearntInc = 0, 0, 1

@@ -163,7 +163,7 @@ func runOps(t *testing.T, data []byte) *opsRun {
 			}
 			f := r.formula()
 			if r.intn(2) == 0 {
-				into.Grow(f.NumVars+r.intn(fuzzVars), f.NumClauses()+r.intn(64))
+				into.Grow(f.NumVars + r.intn(fuzzVars))
 			}
 			o.load(f, into, r)
 		case 2:

@@ -417,7 +417,7 @@ func TestAddVarsGrowsWatchTableAmortised(t *testing.T) {
 	for _, hinted := range []bool{false, true} {
 		s := New(cnf.New(0), Options{})
 		if hinted {
-			s.Grow(frames*width, 0)
+			s.Grow(frames * width)
 		}
 		allocated, moves := 0, 0
 		var backing *watchList

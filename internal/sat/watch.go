@@ -14,17 +14,19 @@ type watcher struct {
 	blocker lits.Lit
 }
 
-// A watch list starts at most watchPageMax-1 watchers into its page, so its
-// offset is page<<watchShift | index. Pages are made watchPageMin watchers
-// long at first, each one made after doubling, up to the tuning's page
-// length (watchPageMax by default); a page Load makes is as long as the
-// rest of the load up to that length, and a list longer than that gets a
-// page of its own length.
+// A list's offset is page<<watchShift | index, so its room starts in the
+// first watchSpan watchers of its page. A page Load makes is as long as
+// the rest of the load up to watchSpan, so a load of up to 2^18 watchers
+// lies in one page. Pages made as lists grow are
+// watchPageMin watchers long at first, each one made after doubling, up to
+// the tuning's page length (watchPageMax by default). A list longer than
+// the page it would go to gets a page of its own length.
 const (
-	watchShift   = 14
-	watchPageMax = 1 << watchShift // 128 KB
-	watchMask    = watchPageMax - 1
+	watchShift   = 18
+	watchSpan    = 1 << watchShift // 2 MB of watchers
+	watchMask    = watchSpan - 1
 	watchPageMin = 1 << 10
+	watchPageMax = 1 << 14 // 128 KB
 )
 
 // watchGarbageDen: the store is compacted once the room no list has
@@ -58,7 +60,7 @@ type watchStore struct {
 	top   int
 
 	held, garbage int
-	pageMax       int // the longest page made for a list that fits in one
+	pageMax       int // the longest page made as lists grow
 	loading       int // the room Load has still to hand out
 
 	order []uint32 // compact's scratch: the lists with room, by offset
@@ -87,7 +89,9 @@ func (st *watchStore) push(i int, w watcher) {
 
 // put appends w to list i of the store whose records and pages are lists
 // and pages, and which has room for it: Load's attach pass, which laid
-// every list out at its length and holds the two tables in locals.
+// every list out at its length and holds the two tables in locals. push
+// is not inlined, and a reload of gcnt_m10_big at depth 20 takes 10 % less
+// time through put than through push.
 func put(lists []watchList, pages [][]watcher, i int, w watcher) {
 	l := &lists[i]
 	pages[l.off>>watchShift][l.off&watchMask+l.n] = w
@@ -104,9 +108,9 @@ func grownCap(cap int) int {
 }
 
 // holds reports whether c watchers go at index top of pg: inside the first
-// watchPageMax watchers, or anywhere in a page from its start.
+// watchSpan watchers, or anywhere in a page from its start.
 func holds(pg []watcher, top, c int) bool {
-	return top+c <= min(len(pg), watchPageMax) || top == 0 && c <= len(pg)
+	return top+c <= min(len(pg), watchSpan) || top == 0 && c <= len(pg)
 }
 
 // grow gives l, a full list, more room: where it lies when it ends at the
@@ -153,9 +157,12 @@ func (st *watchStore) advance(c int) {
 	}
 	if i == len(st.pages) {
 		if i >= 1<<(32-watchShift) {
-			panic("sat: watch store exceeds 2^18 pages")
+			panic("sat: watch store exceeds 2^14 pages")
 		}
-		n := min(st.pageMax, max(watchPageMin<<min(i, watchShift), st.loading))
+		n := min(st.pageMax, watchPageMin<<min(i, watchShift))
+		if st.loading > 0 {
+			n = min(watchSpan, st.loading)
+		}
 		st.pages = append(st.pages, make([]watcher, max(c, n)))
 	}
 	// Spares hold no list, so swapping two of them renumbers nothing.
@@ -177,28 +184,20 @@ func (st *watchStore) reload(counts []int32, hint, pageMax int) {
 	for _, k := range counts {
 		st.loading += int(k)
 	}
-	if pages := st.loading/pageMax + 2; cap(st.pages) < pages {
-		st.pages = slices.Grow(st.pages, pages-len(st.pages))
-	}
+	st.pages = slices.Grow(st.pages, st.loading/watchSpan+2)
 	if len(st.pages) == 0 {
 		// An empty list lies at offset 0: with a page there, reading one
 		// needs no test for it.
-		st.pages = append(st.pages, make([]watcher, min(pageMax, max(watchPageMin, st.loading))))
+		st.advance(0)
 	}
 	lists := st.lists
 	for i, k := range counts {
-		c := int(k)
-		if c == 0 {
+		if k == 0 {
 			lists[i] = watchList{}
 			continue
 		}
-		if st.fill == 0 || !holds(st.pages[st.fill-1], st.top, c) {
-			st.advance(c)
-		}
-		lists[i] = watchList{off: uint32(st.fill-1)<<watchShift | uint32(st.top), cap: uint32(c)}
-		st.top += c
-		st.held += c
-		st.loading -= c
+		lists[i] = watchList{off: st.alloc(int(k)), cap: uint32(k)}
+		st.loading -= int(k)
 		counts[i] = 0
 	}
 }
@@ -282,8 +281,7 @@ func (st *watchStore) byOffset() []uint32 {
 }
 
 // sortPage orders lists, which all lie in one page, by index: a counting
-// sort on the index's low 7 bits into tmp, then one on its high 7 bits
-// back.
+// sort on the index's low half into tmp, then one on its high half back.
 func (st *watchStore) sortPage(lists []uint32) {
 	if len(st.tmp) < len(lists) {
 		st.tmp = nil
@@ -291,15 +289,18 @@ func (st *watchStore) sortPage(lists []uint32) {
 	}
 	tmp := st.tmp[:len(lists)]
 	st.byDigit(tmp, lists, 0)
-	st.byDigit(lists, tmp, 7)
+	st.byDigit(lists, tmp, watchDigit)
 }
 
-// byDigit copies src's lists into dst, stably ordered by the 7 bits of
-// their index from bit shift on.
+// watchDigit is half the bits of an index in a page, rounded up.
+const watchDigit = (watchShift + 1) / 2
+
+// byDigit copies src's lists into dst, stably ordered by the watchDigit
+// bits of their index from bit shift on.
 func (st *watchStore) byDigit(dst, src []uint32, shift uint) {
-	var at [1 << 7]int
+	var at [1 << watchDigit]int
 	for _, i := range src {
-		at[st.lists[i].off>>shift&(1<<7-1)]++
+		at[st.lists[i].off>>shift&(1<<watchDigit-1)]++
 	}
 	sum := 0
 	for d, k := range at {
@@ -307,7 +308,7 @@ func (st *watchStore) byDigit(dst, src []uint32, shift uint) {
 		sum += k
 	}
 	for _, i := range src {
-		d := st.lists[i].off >> shift & (1<<7 - 1)
+		d := st.lists[i].off >> shift & (1<<watchDigit - 1)
 		dst[at[d]] = i
 		at[d]++
 	}
