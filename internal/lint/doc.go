@@ -36,23 +36,19 @@
 //
 //   - hotpath: nothing statically reachable from the solver hot-path
 //     roots — (*sat.Solver).solve and analyzeFinal, the set pinned by
-//     HotPathRoots — may call time.Now/Since/Until, any
-//     fmt function, construct a map, take a sync.(RW)Mutex, or hit the
-//     heap-allocation shapes escape analysis cannot save:
-//     &composite literals, slice/map literals returned per call,
-//     append growth on zero-capacity locals in loops (a 3-arg make
-//     exempts), interface boxing at call sites, and capturing
-//     closures. Each package exports a HotPathFact summarizing the
-//     forbidden ops transitively reachable through each of its
-//     functions, so the BFS from the roots follows calls across
-//     package boundaries: a time.Now two packages below internal/sat
-//     is reported at the internal/sat call site that reaches it. This
-//     is the mechanized form of the obs-overhead ablation's contract
-//     (cmd/tablegen -experiment=obs-overhead). The solver's
-//     rate-limited deadline poll and analyzeFinal's once-per-answer
-//     antecedent list carry //bmclint:ignore directives; learned
-//     clauses go into the solver's arena and its per-conflict buffers
-//     and need none.
+//     HotPathRoots — may call time.Now/Since/Until, any fmt function,
+//     construct a map, or take a sync.(RW)Mutex. Each package exports a
+//     HotPathFact summarizing the forbidden ops transitively reachable
+//     through each of its functions, so the BFS from the roots follows
+//     calls across package boundaries: a time.Now two packages below
+//     internal/sat is reported at the internal/sat call site that
+//     reaches it. This is the mechanized form of the obs-overhead
+//     ablation's contract (cmd/tablegen -experiment=obs-overhead). The
+//     solver's rate-limited deadline poll carries the one
+//     //bmclint:ignore directive. Heap allocation is not linted: no
+//     syntactic rule sees what escapes per conflict, so internal/sat's
+//     TestSteadyStateAllocatesNothing counts it instead — a warmed
+//     solver, recorder attached, searches with zero allocations.
 //
 //   - lockorder: no channel send and no sat Solve/SolveAssuming call
 //     while holding any lock (a send can block indefinitely; a solve

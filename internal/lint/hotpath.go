@@ -14,8 +14,10 @@ import (
 // to extract the failed-assumption core: everything reachable from
 // either runs per-decision/per-conflict/per-answer, where the
 // obs-overhead ablation proved the <2% cost contract — a contract that
-// holds only while no clock syscalls, formatting, allocation, or lock
-// acquisition creeps onto the path.
+// holds only while no clock syscalls, formatting, map construction or lock
+// acquisition creeps onto the path. Heap allocation is held to its budget
+// at run time instead: internal/sat's TestSteadyStateAllocatesNothing
+// counts what a warmed solver allocates, which no syntactic check can.
 const (
 	hotpathPkg      = "internal/sat"
 	hotpathRootType = "Solver"
@@ -58,19 +60,18 @@ type HotPathFact struct {
 	Funcs map[string][]HotOp
 }
 
-// HotPath forbids clocks, fmt, heap allocation, and mutex acquisition
+// HotPath forbids clocks, fmt, map construction and mutex acquisition
 // in functions statically reachable from the solver hot-path roots,
 // following calls across package boundaries via package facts.
 var HotPath = &Analyzer{
 	Name: "hotpath",
-	Doc: "forbids time.Now/Since/Until, fmt.*, map allocation, heap allocation " +
-		"(escaping composite literals, interface boxing, append growth in loops, " +
-		"capturing closures), and sync.(RW)Mutex acquisition in functions statically " +
-		"reachable from the solver hot-path roots ((*sat.Solver).solve and " +
-		"analyzeFinal), across package boundaries via per-package facts, enforcing " +
-		"the <2% observability-overhead contract the obs ablation measures; justified " +
-		"exceptions (e.g. the rate-limited deadline poll) carry a " +
-		"//bmclint:ignore hotpath <reason>",
+	Doc: "forbids time.Now/Since/Until, fmt.*, map construction and sync.(RW)Mutex " +
+		"acquisition in functions statically reachable from the solver hot-path roots " +
+		"((*sat.Solver).solve and analyzeFinal), across package boundaries via " +
+		"per-package facts, enforcing the <2% observability-overhead contract the obs " +
+		"ablation measures; other heap allocation is held to internal/sat's runtime " +
+		"budget (TestSteadyStateAllocatesNothing), not linted; justified exceptions " +
+		"(e.g. the rate-limited deadline poll) carry a //bmclint:ignore hotpath <reason>",
 	Run:      runHotPath,
 	FactType: func() any { return new(HotPathFact) },
 }
@@ -263,50 +264,10 @@ func hotMergeOps(a, b []HotOp) []HotOp {
 func hotScanFunc(pass *Pass, decls map[*types.Func]*ast.FuncDecl, obj *types.Func, fd *ast.FuncDecl) *hotFn {
 	fn := &hotFn{}
 	name := obj.Name()
-	fresh := hotFreshSlices(pass, fd)
-	loops := hotLoopRanges(fd.Body)
-	inLoop := func(pos token.Pos) bool {
-		for _, r := range loops {
-			if r[0] <= pos && pos < r[1] {
-				return true
-			}
-		}
-		return false
-	}
-
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
-			hotScanCall(pass, decls, fn, name, fresh, inLoop, x)
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				if _, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
-					fn.direct = append(fn.direct, hotDirect{
-						desc: "heap allocation (&composite literal)",
-						pos:  x.Pos(),
-						msg: fmt.Sprintf("composite literal escapes to the heap via & in %s; "+
-							"reuse a pooled object or restructure — reachable from the solver hot path", name),
-					})
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range x.Results {
-				cl, ok := ast.Unparen(res).(*ast.CompositeLit)
-				if !ok {
-					continue
-				}
-				if tv, ok := pass.TypesInfo.Types[cl]; ok {
-					switch types.Unalias(tv.Type).(type) {
-					case *types.Slice, *types.Map:
-						fn.direct = append(fn.direct, hotDirect{
-							desc: "heap allocation (composite literal in return)",
-							pos:  cl.Pos(),
-							msg: fmt.Sprintf("slice/map literal allocated per call in return from %s; "+
-								"write into a caller-provided buffer — reachable from the solver hot path", name),
-						})
-					}
-				}
-			}
+			hotScanCall(pass, decls, fn, name, x)
 		case *ast.CompositeLit:
 			if tv, ok := pass.TypesInfo.Types[x]; ok {
 				if _, isMap := types.Unalias(tv.Type).(*types.Map); isMap {
@@ -317,15 +278,6 @@ func hotScanFunc(pass *Pass, decls map[*types.Func]*ast.FuncDecl, obj *types.Fun
 					})
 				}
 			}
-		case *ast.FuncLit:
-			if captured := hotCapturedVar(pass, fd, x); captured != "" {
-				fn.direct = append(fn.direct, hotDirect{
-					desc: "closure allocation",
-					pos:  x.Pos(),
-					msg: fmt.Sprintf("closure capturing %s allocates in %s; "+
-						"hoist it or pass state explicitly — reachable from the solver hot path", captured, name),
-				})
-			}
 		}
 		return true
 	})
@@ -333,9 +285,7 @@ func hotScanFunc(pass *Pass, decls map[*types.Func]*ast.FuncDecl, obj *types.Fun
 }
 
 // hotScanCall classifies one call expression inside fn.
-func hotScanCall(pass *Pass, decls map[*types.Func]*ast.FuncDecl, fn *hotFn, name string,
-	fresh map[*types.Var]bool, inLoop func(token.Pos) bool, x *ast.CallExpr) {
-
+func hotScanCall(pass *Pass, decls map[*types.Func]*ast.FuncDecl, fn *hotFn, name string, x *ast.CallExpr) {
 	callee := calleeFunc(pass.TypesInfo, x)
 	if callee == nil {
 		// make(map[...]) is a builtin, not a *types.Func.
@@ -349,15 +299,6 @@ func hotScanCall(pass *Pass, decls map[*types.Func]*ast.FuncDecl, fn *hotFn, nam
 					})
 				}
 			}
-		}
-		// append growth in a loop on a zero-capacity local.
-		if v := hotAppendTarget(pass, x); v != nil && fresh[v] && inLoop(x.Pos()) {
-			fn.direct = append(fn.direct, hotDirect{
-				desc: "append growth in loop",
-				pos:  x.Pos(),
-				msg: fmt.Sprintf("append grows zero-capacity slice %s in a loop in %s; "+
-					"preallocate with make(len, cap) — reachable from the solver hot path", v.Name(), name),
-			})
 		}
 		return
 	}
@@ -399,14 +340,6 @@ func hotScanCall(pass *Pass, decls map[*types.Func]*ast.FuncDecl, fn *hotFn, nam
 		return
 	}
 
-	// Interface boxing at the call site: a concrete, non-constant
-	// argument passed to an interface parameter allocates. fmt callees
-	// are banned wholesale above, so their variadic any params are not
-	// double-reported here.
-	if _, isConv := isConversion(pass.TypesInfo, x); !isConv {
-		hotScanBoxing(pass, fn, name, callee, x)
-	}
-
 	if _, local := decls[callee]; local {
 		fn.locals = append(fn.locals, callee)
 		return
@@ -421,214 +354,4 @@ func hotScanCall(pass *Pass, decls map[*types.Func]*ast.FuncDecl, fn *hotFn, nam
 		}
 	}
 	fn.cross = append(fn.cross, cs)
-}
-
-// hotScanBoxing flags concrete→interface argument conversions at a
-// call site.
-func hotScanBoxing(pass *Pass, fn *hotFn, name string, callee *types.Func, x *ast.CallExpr) {
-	sig := callee.Signature()
-	params := sig.Params()
-	if params.Len() == 0 || x.Ellipsis != token.NoPos {
-		return // a ...slice passed through does not box per element
-	}
-	for i, arg := range x.Args {
-		var pt types.Type
-		if sig.Variadic() && i >= params.Len()-1 {
-			s, ok := types.Unalias(params.At(params.Len() - 1).Type()).(*types.Slice)
-			if !ok {
-				return
-			}
-			pt = s.Elem()
-		} else if i < params.Len() {
-			pt = params.At(i).Type()
-		} else {
-			return
-		}
-		if _, isTP := types.Unalias(pt).(*types.TypeParam); isTP {
-			continue // generic instantiation, not boxing
-		}
-		if !types.IsInterface(types.Unalias(pt)) {
-			continue
-		}
-		tv, ok := pass.TypesInfo.Types[arg]
-		if !ok || tv.Value != nil || tv.Type == nil {
-			continue // constants are folded; skip
-		}
-		at := types.Default(tv.Type)
-		if types.IsInterface(at) {
-			continue
-		}
-		if b, ok := types.Unalias(at).(*types.Basic); ok && b.Kind() == types.UntypedNil {
-			continue
-		}
-		fn.direct = append(fn.direct, hotDirect{
-			desc: "interface boxing",
-			pos:  arg.Pos(),
-			msg: fmt.Sprintf("passing concrete %s to interface parameter of %s boxes and allocates in %s; "+
-				"reachable from the solver hot path", at, callee.Name(), name),
-		})
-	}
-}
-
-// hotCapturedVar returns the name of a variable the function literal
-// captures from its enclosing function, or "". A literal that captures
-// nothing compiles to a static closure and does not allocate — only
-// capturing literals are findings.
-func hotCapturedVar(pass *Pass, fd *ast.FuncDecl, lit *ast.FuncLit) string {
-	captured := ""
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if captured != "" {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := pass.TypesInfo.Uses[id].(*types.Var)
-		if !ok || v.IsField() {
-			return true
-		}
-		// Captured = declared inside the enclosing function's extent but
-		// outside the literal's own.
-		if v.Pos() >= fd.Pos() && v.Pos() < fd.End() && (v.Pos() < lit.Pos() || v.Pos() >= lit.End()) {
-			captured = v.Name()
-			return false
-		}
-		return true
-	})
-	return captured
-}
-
-// hotAppendTarget returns the local slice variable v for statements of
-// the form `v = append(v, ...)`, or nil. The surrounding assignment is
-// found by checking the builtin call's first argument against the
-// variables it could be assigned to — a self-append is the only shape
-// that matters for the growth check, and `v = append(v, ...)` always
-// has v as the first argument.
-func hotAppendTarget(pass *Pass, x *ast.CallExpr) *types.Var {
-	id, ok := ast.Unparen(x.Fun).(*ast.Ident)
-	if !ok || id.Name != "append" || len(x.Args) == 0 {
-		return nil
-	}
-	if _, ok := pass.TypesInfo.Uses[id].(*types.Builtin); !ok {
-		return nil
-	}
-	base, ok := ast.Unparen(x.Args[0]).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	v, ok := pass.TypesInfo.Uses[base].(*types.Var)
-	if !ok || v.IsField() {
-		return nil
-	}
-	return v
-}
-
-// hotFreshSlices computes the function's local slice variables that
-// start at zero capacity and are never reassigned to anything but a
-// self-append: appending to one of these in a loop reallocates on the
-// growth schedule. A 3-arg make (explicit capacity) or any nonempty
-// initializer exempts the variable.
-func hotFreshSlices(pass *Pass, fd *ast.FuncDecl) map[*types.Var]bool {
-	fresh := map[*types.Var]bool{}
-	defVar := func(id *ast.Ident) *types.Var {
-		v, _ := pass.TypesInfo.Defs[id].(*types.Var)
-		return v
-	}
-	isSlice := func(v *types.Var) bool {
-		if v == nil {
-			return false
-		}
-		_, ok := types.Unalias(v.Type()).(*types.Slice)
-		return ok
-	}
-	// Named results of slice type start nil.
-	if fd.Type.Results != nil {
-		for _, field := range fd.Type.Results.List {
-			for _, id := range field.Names {
-				if v := defVar(id); isSlice(v) {
-					fresh[v] = true
-				}
-			}
-		}
-	}
-	zeroCapInit := func(e ast.Expr) bool {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.CompositeLit:
-			return len(x.Elts) == 0
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "make" && len(x.Args) == 2 {
-				if tv, ok := pass.TypesInfo.Types[x.Args[1]]; ok && tv.Value != nil {
-					return tv.Value.String() == "0"
-				}
-			}
-		case *ast.Ident:
-			return x.Name == "nil"
-		}
-		return false
-	}
-	selfAppend := func(e ast.Expr, v *types.Var) bool {
-		call, ok := ast.Unparen(e).(*ast.CallExpr)
-		return ok && hotAppendTarget(pass, call) == v
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.DeclStmt:
-			if gd, ok := x.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok || len(vs.Values) > 0 {
-						continue
-					}
-					for _, id := range vs.Names {
-						if v := defVar(id); isSlice(v) {
-							fresh[v] = true
-						}
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for i, lhs := range x.Lhs {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				var rhs ast.Expr
-				if len(x.Rhs) == len(x.Lhs) {
-					rhs = x.Rhs[i]
-				}
-				if x.Tok == token.DEFINE {
-					if v := defVar(id); isSlice(v) && rhs != nil && zeroCapInit(rhs) {
-						fresh[v] = true
-					}
-					continue
-				}
-				v, _ := pass.TypesInfo.Uses[id].(*types.Var)
-				if v == nil {
-					continue
-				}
-				if rhs == nil || (!selfAppend(rhs, v) && !zeroCapInit(rhs)) {
-					delete(fresh, v)
-				}
-			}
-		}
-		return true
-	})
-	return fresh
-}
-
-// hotLoopRanges collects the position ranges of every for/range
-// statement body in the function.
-func hotLoopRanges(body *ast.BlockStmt) [][2]token.Pos {
-	var out [][2]token.Pos
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.ForStmt:
-			out = append(out, [2]token.Pos{x.Body.Pos(), x.Body.End()})
-		case *ast.RangeStmt:
-			out = append(out, [2]token.Pos{x.Body.Pos(), x.Body.End()})
-		}
-		return true
-	})
-	return out
 }

@@ -16,8 +16,8 @@ func TestHotPath(t *testing.T) {
 // TestHotPathCrossPackage: the hp2 corpus's solver calls into a
 // dependency whose time.Now sits two hops deep; the finding at the
 // call site exists only because the dependency's fact flattened its
-// transitive ops. The corpus also exercises every heap-allocation
-// check and both roots.
+// transitive ops. A map literal under analyzeFinal exercises the second
+// root.
 func TestHotPathCrossPackage(t *testing.T) {
 	linttest.RunDeps(t, ".", []*lint.Analyzer{lint.HotPath},
 		"hp2/internal/obs", "hp2/internal/sat")
@@ -26,7 +26,7 @@ func TestHotPathCrossPackage(t *testing.T) {
 // TestHotPathPreFactsMisses proves the cross-package finding is
 // fact-borne: analyzing the solver package alone (empty fact store —
 // the pre-facts, package-local view) must not produce it, while the
-// local heap findings survive.
+// local map finding survives.
 func TestHotPathPreFactsMisses(t *testing.T) {
 	pkg, err := linttest.Load(".", "hp2/internal/sat")
 	if err != nil {

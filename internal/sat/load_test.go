@@ -9,6 +9,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/core"
+	"repro/internal/lits"
 	"repro/internal/sat"
 	"repro/internal/unroll"
 )
@@ -114,23 +115,66 @@ func TestLoadMatchesNew(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocatesNothing: a solver that has searched a formula,
-// loaded with it again and searched again with the recorder off, allocates
-// nothing. Its clause arena and its watch store reuse the pages the first
-// search made, and every table and scratch buffer is kept: the search is
-// the same, so it needs no room the first one did not. A solver whose
-// watch lists were each an array of their own allocated whenever a list
-// outgrew it.
+// guarded returns f with every clause widened by ¬a, where a is a variable
+// of its own, and a: assuming a makes f's refutation a failed assumption.
+func guarded(f *cnf.Formula) (*cnf.Formula, lits.Lit) {
+	a := lits.PosLit(lits.Var(f.NumVars + 1))
+	g := cnf.New(f.NumVars + 1)
+	for _, c := range f.Clauses {
+		g.AddClause(append(slices.Clone(c), a.Neg()))
+	}
+	return g, a
+}
+
+// TestSteadyStateAllocatesNothing is the solver's allocation budget: a
+// solver that has searched a formula, loaded with it again and searched
+// again allocates nothing. Its clause arena and its watch store reuse the
+// pages the first search made, and every table and scratch buffer is kept:
+// the search is the same, so it needs no room the first one did not. The
+// budget holds with a recorder attached (reloaded with the solver, as a
+// scratch depth does), under static guidance and under guidance that
+// switches off, and through a failed assumption, whose one allocation is
+// the FailedAssumptions slice the caller is handed. The runs restart,
+// delete learnt clauses and compact, so every per-conflict path is in the
+// count.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
+	add4 := instance(t, bench.AdderTwin(4, 0, 0), 6)
+	php := pigeons(8, 7)
+	gphp, a := guarded(php)
+	guidance := func(f *cnf.Formula) []float64 {
+		g := make([]float64, f.NumVars+1)
+		for v := range g {
+			g[v] = float64(v % 17)
+		}
+		return g
+	}
 	for _, tc := range []struct {
-		name string
-		f    *cnf.Formula
+		name   string
+		f      *cnf.Formula
+		opts   sat.Options
+		record bool
+		assume []lits.Lit
+		allocs float64
 	}{
-		{"add_w4 depth 6", instance(t, bench.AdderTwin(4, 0, 0), 6)},
-		{"PHP(8,7)", pigeons(8, 7)},
+		{"add_w4 depth 6", add4, sat.Options{}, false, nil, 0},
+		{"PHP(8,7)", php, sat.Options{}, false, nil, 0},
+		{"add_w4 depth 6, recorded", add4, sat.Options{}, true, nil, 0},
+		{"PHP(8,7), recorded", php, sat.Options{}, true, nil, 0},
+		{"add_w4 depth 6, static guidance", add4, sat.Options{Guidance: guidance(add4)}, true, nil, 0},
+		{"PHP(8,7), static guidance", php, sat.Options{Guidance: guidance(php)}, true, nil, 0},
+		{"add_w4 depth 6, switched guidance", add4, sat.Options{Guidance: guidance(add4), SwitchAfterDecisions: 40}, true, nil, 0},
+		{"PHP(8,7), switched guidance", php, sat.Options{Guidance: guidance(php), SwitchAfterDecisions: 40}, true, nil, 0},
+		{"PHP(8,7) under a failed assumption", gphp, sat.Options{}, false, []lits.Lit{a}, 1},
+		{"PHP(8,7) under a failed assumption, recorded", gphp, sat.Options{}, true, []lits.Lit{a}, 1},
 	} {
-		s := sat.New(tc.f, sat.Options{})
-		first := s.Solve()
+		opts := tc.opts
+		var rec *core.Recorder
+		if tc.record {
+			rec = core.NewRecorder(tc.f.NumClauses())
+			opts.Recorder = rec
+		}
+		s := sat.New(tc.f, opts)
+		first := s.SolveAssuming(tc.assume)
 		if first.Status != sat.Unsat {
 			t.Fatalf("%s: %v, want Unsat", tc.name, first.Status)
 		}
@@ -138,16 +182,33 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 			var again sat.Result
 			// One run, after one to warm up: the count is exact.
 			allocs := testing.AllocsPerRun(1, func() {
-				s.Load(tc.f, sat.Options{})
-				again = s.Solve()
+				if rec != nil {
+					rec.Reload(tc.f.NumClauses())
+				}
+				s.Load(tc.f, opts)
+				again = s.SolveAssuming(tc.assume)
 			})
 			if again.Stats.Conflicts != first.Stats.Conflicts || again.Status != first.Status {
 				t.Fatalf("%s: reloaded, %v after %d conflicts; first %v after %d",
 					tc.name, again.Status, again.Stats.Conflicts, first.Status, first.Stats.Conflicts)
 			}
-			if allocs != 0 {
-				t.Errorf("%s: reloading and searching again (run %d) allocated %.0f times, want none", tc.name, run, allocs)
+			if allocs != tc.allocs {
+				t.Errorf("%s: reloading and searching again (run %d) allocated %.0f times, want %.0f", tc.name, run, allocs, tc.allocs)
 			}
+		}
+		// What the budget covers: the search restarted, reduced its learnt
+		// clauses and compacted the arena (so a recorder forgot), switched
+		// where it was told to and failed the assumption where there was one.
+		st := first.Stats
+		if st.Restarts == 0 || st.Deleted == 0 || s.Compactions() == 0 {
+			t.Errorf("%s: %d restarts, %d learnt clauses deleted, %d compactions; the budget wants all three",
+				tc.name, st.Restarts, st.Deleted, s.Compactions())
+		}
+		if switches := opts.SwitchAfterDecisions > 0; st.GuidanceSwitched != switches {
+			t.Errorf("%s: guidance switched = %v, want %v", tc.name, st.GuidanceSwitched, switches)
+		}
+		if !slices.Equal(first.FailedAssumptions, tc.assume) {
+			t.Errorf("%s: failed assumptions %v, want %v", tc.name, first.FailedAssumptions, tc.assume)
 		}
 	}
 }

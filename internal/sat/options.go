@@ -88,7 +88,8 @@ type ProofRecorder interface {
 	RecordLearned(id ClauseID, literals []lits.Lit, antecedents []ClauseID)
 	// RecordFinal reports that unsatisfiability was established, with the
 	// antecedents of the final (empty-clause) conflict. It is called at
-	// most once per Solve.
+	// most once per Solve. The slice is the solver's scratch, valid only
+	// during the call.
 	RecordFinal(antecedents []ClauseID)
 	// Forget reports, each time clause-database reduction compacts the
 	// clause store, the IDs of every learned clause the solver still holds

@@ -58,10 +58,17 @@ type tables struct {
 	toClear []lits.Var
 
 	// learntBuf and antsBuf hold the clause analyze is deriving and its
-	// antecedent IDs. Both are overwritten by the next conflict: addLearned
-	// copies the clause into the arena and recorders copy what they keep.
+	// antecedent IDs (analyzeFinal's too). Both are overwritten by the next
+	// conflict: addLearned copies the clause into the arena and recorders
+	// copy what they keep.
 	learntBuf []lits.Lit
 	antsBuf   []ClauseID
+
+	// chain is recordLevel0Chain's stack. finalAnts holds the antecedents
+	// of a level-0 refutation, which every call that follows records again;
+	// Load empties it.
+	chain     []lits.Var
+	finalAnts []ClauseID
 
 	// reduceDB's scratch: the learnt clauses' stamps, and their IDs for the
 	// proof recorder.
@@ -105,8 +112,7 @@ type Solver struct {
 	nextID    ClauseID
 	recording bool
 
-	status    Status
-	finalAnts []ClauseID
+	status Status
 
 	// assumps is the assumption list of the SolveAssuming call in progress:
 	// each literal is enqueued as the pseudo-decision of its own decision
@@ -238,6 +244,7 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 	s.newCount = zeroed(&s.newCount, 2*n+2, 2*h+2)
 	s.seen, s.toClear = zeroed(&s.seen, n+1, h+1), s.toClear[:0]
 	s.learntBuf, s.antsBuf = s.learntBuf[:0], s.antsBuf[:0]
+	s.finalAnts = s.finalAnts[:0]
 	s.stamps, s.liveIDs = s.stamps[:0], s.liveIDs[:0]
 	if s.heap == nil {
 		s.heap = new(varHeap)
@@ -309,7 +316,7 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 				// Empty clause: immediately unsatisfiable.
 				if s.status != Unsat {
 					s.status = Unsat
-					s.finalAnts = []ClauseID{k.id()}
+					s.finalAnts = append(s.finalAnts[:0], k.id())
 				}
 			case 1:
 				l := lits.Lit(ls[0])
@@ -319,7 +326,7 @@ func (s *Solver) Load(f *cnf.Formula, opts Options) {
 				case v < 0:
 					if s.status != Unsat {
 						s.status = Unsat
-						s.finalAnts = s.collectFinal(c)
+						s.collectFinal(c)
 					}
 				}
 			default:
@@ -462,9 +469,9 @@ func (s *Solver) install(c cref) {
 		if s.status != Unsat {
 			s.status = Unsat
 			if len(norm) == 0 {
-				s.finalAnts = []ClauseID{k.id()}
+				s.finalAnts = append(s.finalAnts[:0], k.id())
 			} else {
-				s.finalAnts = s.collectFinal(c)
+				s.collectFinal(c)
 			}
 		}
 	case nonFalse == 1 && !satisfied:
@@ -898,7 +905,7 @@ func (s *Solver) minimize(learnt []lits.Lit, ants *[]ClauseID) []lits.Lit {
 // by the caller via toClear) to avoid recording a chain twice within one
 // derivation.
 func (s *Solver) recordLevel0Chain(v lits.Var, ants *[]ClauseID) {
-	stack := []lits.Var{v}
+	stack := append(s.chain[:0], v)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -919,21 +926,21 @@ func (s *Solver) recordLevel0Chain(v lits.Var, ants *[]ClauseID) {
 			}
 		}
 	}
+	s.chain = stack
 }
 
-// collectFinal gathers the antecedents of a level-0 conflict on clause c:
-// c itself plus the implication chains of all its literals.
-func (s *Solver) collectFinal(c cref) []ClauseID {
+// collectFinal sets finalAnts to the antecedents of a level-0 conflict on
+// clause c: c itself plus the implication chains of all its literals.
+func (s *Solver) collectFinal(c cref) {
 	k := s.ca.at(c)
-	ants := []ClauseID{k.id()}
+	s.finalAnts = append(s.finalAnts[:0], k.id())
 	for _, w := range k.lits() {
-		s.recordLevel0Chain(lits.Lit(w).Var(), &ants)
+		s.recordLevel0Chain(lits.Lit(w).Var(), &s.finalAnts)
 	}
 	for _, v := range s.toClear {
 		s.seen[v] = false
 	}
 	s.toClear = s.toClear[:0]
-	return ants
 }
 
 // conflictStamp returns the lifetime conflict count — the recency stamp
@@ -1172,9 +1179,10 @@ func (s *Solver) pollDeadline() bool {
 // assumption that participates in the inconsistency. When proof recording
 // is on it also collects the antecedent clause IDs of the derivation, so the
 // recorder of a persistent solver can extract the unsat core over the
-// clause database exactly as for a level-0 refutation.
+// clause database exactly as for a level-0 refutation. The antecedents are
+// antsBuf's, valid until the next conflict; failed is the caller's.
 func (s *Solver) analyzeFinal(p lits.Lit) (failed []lits.Lit, ants []ClauseID) {
-	failed = []lits.Lit{p}
+	failed, ants = []lits.Lit{p}, s.antsBuf[:0]
 	if s.level[p.Var()] == 0 || s.decisionLevel() == 0 {
 		// ¬p is a level-0 consequence of the clauses alone: p fails by
 		// itself; the proof is its level-0 implication chain.
@@ -1185,6 +1193,7 @@ func (s *Solver) analyzeFinal(p lits.Lit) (failed []lits.Lit, ants []ClauseID) {
 			}
 			s.toClear = s.toClear[:0]
 		}
+		s.antsBuf = ants
 		return failed, ants
 	}
 	s.seen[p.Var()] = true
@@ -1202,7 +1211,6 @@ func (s *Solver) analyzeFinal(p lits.Lit) (failed []lits.Lit, ants []ClauseID) {
 		} else {
 			k := s.ca.at(r)
 			if s.recording {
-				//bmclint:ignore hotpath analyzeFinal runs once per UNSAT answer, not per decision; the antecedent list is unbounded and recording is off in racing runs
 				ants = append(ants, k.id())
 			}
 			for _, w := range k.lits() {
@@ -1223,6 +1231,7 @@ func (s *Solver) analyzeFinal(p lits.Lit) (failed []lits.Lit, ants []ClauseID) {
 		s.seen[v] = false
 	}
 	s.toClear = s.toClear[:0]
+	s.antsBuf = ants
 	return failed, ants
 }
 
@@ -1249,7 +1258,7 @@ func (s *Solver) solve() Result {
 				// Kept for the calls that follow, which answer Unsat at
 				// once and record the same final conflict.
 				if s.recording {
-					s.finalAnts = s.collectFinal(confl)
+					s.collectFinal(confl)
 					s.opts.Recorder.RecordFinal(s.finalAnts)
 				}
 				s.status = Unsat
