@@ -163,95 +163,10 @@ func TestAddAnd2TruthTable(t *testing.T) {
 	})
 }
 
-func TestAddOr2TruthTable(t *testing.T) {
-	f := New(3)
-	f.AddOr2(lits.PosLit(3), lits.PosLit(1), lits.NegLit(2))
-	enumerate(t, f, 3, func(a lits.Assignment) bool {
-		return a.Value(3).IsTrue() == (a.Value(1).IsTrue() || !a.Value(2).IsTrue())
-	})
-}
-
-func TestAddXor2TruthTable(t *testing.T) {
-	f := New(3)
-	f.AddXor2(lits.PosLit(3), lits.PosLit(1), lits.PosLit(2))
-	enumerate(t, f, 3, func(a lits.Assignment) bool {
-		return a.Value(3).IsTrue() == (a.Value(1).IsTrue() != a.Value(2).IsTrue())
-	})
-}
-
 func TestAddEqTruthTable(t *testing.T) {
 	f := New(2)
 	f.AddEq(lits.PosLit(2), lits.NegLit(1))
 	enumerate(t, f, 2, func(a lits.Assignment) bool {
 		return a.Value(2).IsTrue() == !a.Value(1).IsTrue()
-	})
-}
-
-func TestAddMuxTruthTable(t *testing.T) {
-	f := New(4)
-	f.AddMux(lits.PosLit(4), lits.PosLit(1), lits.PosLit(2), lits.PosLit(3))
-	enumerate(t, f, 4, func(a lits.Assignment) bool {
-		sel, x, y := a.Value(1).IsTrue(), a.Value(2).IsTrue(), a.Value(3).IsTrue()
-		want := y
-		if sel {
-			want = x
-		}
-		return a.Value(4).IsTrue() == want
-	})
-}
-
-func TestAddAndNTruthTable(t *testing.T) {
-	f := New(4)
-	f.AddAndN(lits.PosLit(4), lits.PosLit(1), lits.NegLit(2), lits.PosLit(3))
-	enumerate(t, f, 4, func(a lits.Assignment) bool {
-		want := a.Value(1).IsTrue() && !a.Value(2).IsTrue() && a.Value(3).IsTrue()
-		return a.Value(4).IsTrue() == want
-	})
-}
-
-func TestAddOrNTruthTable(t *testing.T) {
-	f := New(4)
-	f.AddOrN(lits.PosLit(4), lits.PosLit(1), lits.PosLit(2), lits.NegLit(3))
-	enumerate(t, f, 4, func(a lits.Assignment) bool {
-		want := a.Value(1).IsTrue() || a.Value(2).IsTrue() || !a.Value(3).IsTrue()
-		return a.Value(4).IsTrue() == want
-	})
-}
-
-func TestAddAndNEmpty(t *testing.T) {
-	f := New(1)
-	f.AddAndN(lits.PosLit(1))
-	a := lits.NewAssignment(1)
-	a.Set(1, lits.True)
-	if !f.Satisfied(a) {
-		t.Errorf("empty AND must force out=true")
-	}
-	a.Set(1, lits.False)
-	if f.Value(a) != lits.False {
-		t.Errorf("empty AND with out=false must be unsatisfied")
-	}
-}
-
-func TestAddOrNEmpty(t *testing.T) {
-	f := New(1)
-	f.AddOrN(lits.PosLit(1))
-	a := lits.NewAssignment(1)
-	a.Set(1, lits.False)
-	if !f.Satisfied(a) {
-		t.Errorf("empty OR must force out=false")
-	}
-}
-
-func TestAtMostOnePairwise(t *testing.T) {
-	f := New(3)
-	f.AtMostOnePairwise(lits.PosLit(1), lits.PosLit(2), lits.PosLit(3))
-	enumerate(t, f, 3, func(a lits.Assignment) bool {
-		n := 0
-		for v := lits.Var(1); v <= 3; v++ {
-			if a.Value(v).IsTrue() {
-				n++
-			}
-		}
-		return n <= 1
 	})
 }

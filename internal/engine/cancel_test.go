@@ -8,31 +8,78 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/engine"
+	"repro/internal/leakcheck"
 )
 
 // cancelConfigs covers every engine×incremental×portfolio shape whose
 // cancellation path differs. Each names the suite model that keeps that
 // engine busy for seconds: a holding parity mixer at a deep bound for
 // BMC, the deep counter (k-induction needs ~3s to reach its k=24
-// counter-example) for the induction engines.
+// counter-example) for the induction engines. small is a model the shape
+// checks to the end in well under a second: a holding parity mixer for
+// BMC, a counter falsified at depth 9 for k-induction, whose SAT base
+// aborts the step race it runs beside on the racing shapes.
 func cancelConfigs() []struct {
 	name  string
 	model string
+	small string
 	opts  []engine.Option
 } {
 	return []struct {
 		name  string
 		model string
+		small string
 		opts  []engine.Option
 	}{
-		{"bmc-scratch", "mix_w8", nil},
-		{"bmc-incremental", "mix_w8", []engine.Option{engine.WithIncremental()}},
-		{"bmc-portfolio", "mix_w8", []engine.Option{engine.WithPortfolio(nil, 0)}},
-		{"bmc-warm", "mix_w8", []engine.Option{engine.WithPortfolio(nil, 0), engine.WithIncremental()}},
-		{"kind-sequential", "cnt_w6_t24", []engine.Option{engine.WithEngine(engine.KInduction)}},
-		{"kind-portfolio", "cnt_w6_t24", []engine.Option{engine.WithEngine(engine.KInduction), engine.WithPortfolio(nil, 0)}},
-		{"kind-warm", "cnt_w6_t24", []engine.Option{engine.WithEngine(engine.KInduction), engine.WithPortfolio(nil, 0),
+		{"bmc-scratch", "mix_w8", "mix_w5", nil},
+		{"bmc-incremental", "mix_w8", "mix_w5", []engine.Option{engine.WithIncremental()}},
+		{"bmc-portfolio", "mix_w8", "mix_w5", []engine.Option{engine.WithPortfolio(nil, 0)}},
+		{"bmc-warm", "mix_w8", "mix_w5", []engine.Option{engine.WithPortfolio(nil, 0), engine.WithIncremental()}},
+		{"kind-sequential", "cnt_w6_t24", "cnt_w4_t9", []engine.Option{engine.WithEngine(engine.KInduction)}},
+		{"kind-portfolio", "cnt_w6_t24", "cnt_w4_t9", []engine.Option{engine.WithEngine(engine.KInduction), engine.WithPortfolio(nil, 0)}},
+		{"kind-warm", "cnt_w6_t24", "cnt_w4_t9", []engine.Option{engine.WithEngine(engine.KInduction), engine.WithPortfolio(nil, 0),
 			engine.WithIncremental()}},
+	}
+}
+
+// TestCheckJoinsGoroutines: every goroutine a check starts — race
+// workers, the stop forwarder, the step race beside the base — has been
+// joined by the time Check returns. The context is cancellable, so every
+// race forwards it, but is cancelled only after the goroutines are read,
+// and each check runs to its verdict. They are read the moment Check
+// returns, with no grace: a goroutine still running then, short of its
+// join, is one Check did not join.
+func TestCheckJoinsGoroutines(t *testing.T) {
+	for _, tc := range cancelConfigs() {
+		t.Run(tc.name, func(t *testing.T) {
+			m, ok := bench.ByName(tc.small)
+			if !ok {
+				t.Fatalf("model %s missing", tc.small)
+			}
+			opts := append([]engine.Option{engine.WithBudgets(m.MaxDepth, 0)}, tc.opts...)
+			sess, err := engine.New(m.Build(), 0, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			snap := leakcheck.Take()
+			res, err := sess.Check(ctx)
+			leak := snap.Check()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := engine.Holds
+			if m.ExpectFail {
+				want = engine.Falsified
+			}
+			if res.Verdict != want {
+				t.Fatalf("%s: verdict %v@%d, want %v: the check did not run to its end", m.Name, res.Verdict, res.K, want)
+			}
+			if leak != nil {
+				t.Errorf("Check: %v", leak)
+			}
+		})
 	}
 }
 

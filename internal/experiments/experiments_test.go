@@ -538,10 +538,14 @@ func TestGridKeepsFastestRepeat(t *testing.T) {
 
 // TestRefineDeterministic: the refine table's claim to exact units rests
 // on single-strategy searches being reproducible — two runs of a 3-model
-// grid must agree on every count, under both solver lifetimes.
+// grid must agree on every count, under both solver lifetimes. The grid
+// has no wall-clock budget: a cell cut short by one on a loaded machine
+// would differ by when it was cut, and the conflict cap and depth cap
+// already bound every cell.
 func TestRefineDeterministic(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Models = subset([]string{"mix_w5", "add_w4", "cnt_w4_t9"})
+	cfg.PerModelBudget = 0
 	a, out := runSmall(t, "refine", cfg)
 	b, _ := runSmall(t, "refine", cfg)
 	for i, row := range a.Cells {

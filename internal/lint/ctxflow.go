@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -18,18 +17,19 @@ var ctxflowSolverPkgs = []string{
 }
 
 // CtxFlow enforces the cancellation contract around the solver layer.
+// Whether the goroutines a check starts are joined is counted, not
+// guessed: TestCheckJoinsGoroutines (internal/engine) and
+// TestCloseJoinsGoroutines (internal/remote) read them when Check and
+// Close return (internal/leakcheck).
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "enforces the ctx/Stop cancellation contract: a function holding a " +
 		"context.Context must not manufacture context.Background()/TODO() below it, " +
-		"must actually use its ctx when calling into sat/racer/portfolio/engine, and " +
-		"every goroutine launched outside tests must be joinable — its body (or call " +
-		"arguments) must carry a context, a channel, a close, or a sync.WaitGroup hand-off",
+		"and must actually use its ctx when calling into sat/racer/portfolio/engine",
 	Run: runCtxFlow,
 }
 
 func runCtxFlow(pass *Pass) error {
-	res := newGoTargetResolver(pass)
 	for _, f := range pass.Files {
 		if pass.InTestFile(f.Pos()) {
 			continue
@@ -42,115 +42,9 @@ func runCtxFlow(pass *Pass) error {
 				}
 			case *ast.FuncLit:
 				checkCtxParams(pass, x.Type, x.Body)
-			case *ast.GoStmt:
-				checkGoJoinable(pass, res, x)
 			}
 			return true
 		})
-	}
-	return nil
-}
-
-// goTargetResolver maps a `go` statement's callee expression back to
-// the function body that will actually run, so the join-signal check
-// judges the body rather than falling back to the argument heuristic.
-// It chases named functions, method values, and locals holding a
-// single-assignment function value (`f := run; go f()`) — the shapes
-// that used to evade the check entirely.
-type goTargetResolver struct {
-	pass    *Pass
-	decls   map[*types.Func]*ast.FuncDecl
-	varInit map[*types.Var]ast.Expr
-}
-
-// goResolveDepth caps init-expression chains (f := g; h := f; ...).
-const goResolveDepth = 8
-
-func newGoTargetResolver(pass *Pass) *goTargetResolver {
-	r := &goTargetResolver{
-		pass:    pass,
-		decls:   map[*types.Func]*ast.FuncDecl{},
-		varInit: map[*types.Var]ast.Expr{},
-	}
-	record := func(v *types.Var, init ast.Expr) {
-		if v == nil {
-			return
-		}
-		if _, seen := r.varInit[v]; seen {
-			r.varInit[v] = nil // reassigned: no single init to trust
-			return
-		}
-		r.varInit[v] = init
-	}
-	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.FuncDecl:
-				if x.Body == nil {
-					break
-				}
-				if obj, ok := pass.TypesInfo.Defs[x.Name].(*types.Func); ok {
-					r.decls[obj] = x
-				}
-			case *ast.AssignStmt:
-				if len(x.Lhs) != len(x.Rhs) {
-					break
-				}
-				for i, lhs := range x.Lhs {
-					id, ok := ast.Unparen(lhs).(*ast.Ident)
-					if !ok {
-						continue
-					}
-					var v *types.Var
-					if x.Tok == token.DEFINE {
-						v, _ = pass.TypesInfo.Defs[id].(*types.Var)
-					} else {
-						v, _ = pass.TypesInfo.Uses[id].(*types.Var)
-					}
-					record(v, x.Rhs[i])
-				}
-			case *ast.ValueSpec:
-				for i, id := range x.Names {
-					v, _ := pass.TypesInfo.Defs[id].(*types.Var)
-					if i < len(x.Values) {
-						record(v, x.Values[i])
-					}
-				}
-			}
-			return true
-		})
-	}
-	return r
-}
-
-// body resolves the function body expr will invoke, or nil.
-func (r *goTargetResolver) body(e ast.Expr, depth int) *ast.BlockStmt {
-	if depth > goResolveDepth {
-		return nil
-	}
-	switch x := ast.Unparen(e).(type) {
-	case *ast.FuncLit:
-		return x.Body
-	case *ast.Ident:
-		switch obj := r.pass.TypesInfo.Uses[x].(type) {
-		case *types.Func:
-			if fd := r.decls[obj]; fd != nil {
-				return fd.Body
-			}
-		case *types.Var:
-			if init := r.varInit[obj]; init != nil {
-				return r.body(init, depth+1)
-			}
-		}
-	case *ast.SelectorExpr:
-		if f, ok := r.pass.TypesInfo.Uses[x.Sel].(*types.Func); ok {
-			if fd := r.decls[f]; fd != nil {
-				return fd.Body
-			}
-		}
 	}
 	return nil
 }
@@ -215,88 +109,4 @@ func checkCtxParams(pass *Pass, ft *ast.FuncType, body *ast.BlockStmt) {
 	if !ctxUsed && solverCall != nil {
 		pass.Reportf(ft.Pos(), "ctx parameter is never used but the body calls into the solver layer (%s); plumb ctx through or set sat.Options.Stop/Deadline", pass.Fset.Position(solverCall.Pos()))
 	}
-}
-
-// checkGoJoinable requires every launched goroutine to be joinable.
-// When the launched body can be resolved — a func literal, an
-// in-package function or method (`go p.worker()`), or a local holding
-// one (`f := run; go f()`) — it qualifies when it contains a select, a
-// channel receive/send/close, a context use, or a sync.WaitGroup
-// Done/Wait. Only an unresolvable launch (function value from
-// elsewhere, out-of-package callee) falls back to the argument
-// heuristic: a context or channel argument qualifies. Everything else
-// is the unjoined-goroutine bug class (or a deliberate fire-and-forget,
-// which must say so with //bmclint:ignore ctxflow <reason>).
-func checkGoJoinable(pass *Pass, res *goTargetResolver, g *ast.GoStmt) {
-	if body := res.body(g.Call.Fun, 0); body != nil {
-		if bodyHasJoinSignal(pass, body) {
-			return
-		}
-		pass.Reportf(g.Pos(), "goroutine has no join or cancellation signal (no select, channel op, ctx use, or WaitGroup hand-off); races must be joinable so Check can return without leaks")
-		return
-	}
-	for _, arg := range g.Call.Args {
-		tv, ok := pass.TypesInfo.Types[arg]
-		if !ok || tv.Type == nil {
-			continue
-		}
-		t := types.Unalias(tv.Type)
-		if isNamedType(t, "context", "Context") {
-			return
-		}
-		if _, isChan := t.(*types.Chan); isChan {
-			return
-		}
-	}
-	pass.Reportf(g.Pos(), "goroutine launched with no context or channel argument; it cannot be joined or cancelled")
-}
-
-// bodyHasJoinSignal scans a goroutine body for any construct that lets
-// the launcher (or a context) end or observe it.
-func bodyHasJoinSignal(pass *Pass, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch x := n.(type) {
-		case *ast.SelectStmt:
-			found = true
-		case *ast.SendStmt:
-			found = true
-		case *ast.UnaryExpr:
-			if _, isChan := types.Unalias(pass.TypesInfo.Types[x.X].Type).(*types.Chan); isChan && x.Op.String() == "<-" {
-				found = true
-			}
-		case *ast.RangeStmt:
-			if tv, ok := pass.TypesInfo.Types[x.X]; ok {
-				if _, isChan := types.Unalias(tv.Type).(*types.Chan); isChan {
-					found = true
-				}
-			}
-		case *ast.Ident:
-			if obj := pass.TypesInfo.Uses[x]; obj != nil && isNamedType(obj.Type(), "context", "Context") {
-				found = true
-			}
-		case *ast.CallExpr:
-			switch fun := ast.Unparen(x.Fun).(type) {
-			case *ast.Ident:
-				if fun.Name == "close" && len(x.Args) == 1 {
-					if _, isChan := types.Unalias(pass.TypesInfo.Types[x.Args[0]].Type).(*types.Chan); isChan {
-						found = true
-					}
-				}
-			case *ast.SelectorExpr:
-				if f, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func); ok && f.Pkg() != nil && f.Pkg().Path() == "sync" {
-					if (f.Name() == "Done" || f.Name() == "Wait") && f.Signature().Recv() != nil {
-						if n := namedFrom(f.Signature().Recv().Type()); n != nil && n.Obj().Name() == "WaitGroup" {
-							found = true
-						}
-					}
-				}
-			}
-		}
-		return !found
-	})
-	return found
 }

@@ -62,16 +62,17 @@
 //     lock set at a closing edge. No edge in the tree crosses a package,
 //     and its one pair of nested locks is benchmark/decorator.go's.
 //
-//   - ctxflow: in the solver layers (internal/sat, internal/racer,
-//     internal/portfolio, internal/engine) a function holding a
-//     context must not mint context.Background/TODO below it or drop
-//     the parameter unused, and goroutines must be joinable — a `go`
-//     statement whose body has no channel, context, or WaitGroup
-//     signal is a leak in a package whose whole point is racing and
-//     cancelling solvers. The launched body is resolved through
-//     function values, method values, and single-assignment variable
-//     chains before judging; only an unresolvable target falls back to
-//     the argument heuristic.
+//   - ctxflow: a function holding a context must not mint
+//     context.Background/TODO below it, and must use the context when
+//     its body calls into the solver layers (internal/sat,
+//     internal/racer, internal/portfolio, internal/engine) — a dropped
+//     context there is a solve nothing can cancel. Goroutine joins are
+//     not linted but counted (internal/leakcheck):
+//     TestCheckJoinsGoroutines (internal/engine) counts the goroutines
+//     the moment every engine shape's Check returns, and
+//     TestCloseJoinsGoroutines (internal/remote) reads their stacks the
+//     moment a loopback executor's Close does; no goroutine started by
+//     the call may be short of its join.
 //
 //   - eventexhaustive: switches over engine.EventKind must name every
 //     member — a default clause does not excuse omissions, because

@@ -1,10 +1,9 @@
-// Package use exercises ctxflow: fresh contexts below a held ctx,
-// ctx-less calls into the solver layer, and unjoinable goroutines.
+// Package use exercises ctxflow: fresh contexts below a held ctx, and
+// ctx-less calls into the solver layer.
 package use
 
 import (
 	"context"
-	"sync"
 
 	"c/internal/sat"
 )
@@ -25,45 +24,3 @@ func UsedCtx(ctx context.Context, n int) int {
 	opts := sat.Options{Stop: ctx.Done()}
 	return sat.Solve(n, opts)
 }
-
-func UnjoinedGoroutines(n int) {
-	go func() { // want `goroutine has no join or cancellation signal`
-		for i := 0; i < n; i++ {
-			_ = i * i
-		}
-	}()
-	go spin(n) // want `goroutine has no join or cancellation signal`
-}
-
-func JoinedGoroutines(ctx context.Context, n int) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = n
-	}()
-	<-done
-
-	go func() {
-		select {
-		case <-ctx.Done():
-		default:
-		}
-	}()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = n
-	}()
-	wg.Wait()
-
-	ch := make(chan int, 1)
-	go produce(ch, n)
-	<-ch
-	go watch(ctx)
-}
-
-func spin(n int)                 { _ = n }
-func produce(ch chan int, n int) { ch <- n }
-func watch(ctx context.Context)  { <-ctx.Done() }

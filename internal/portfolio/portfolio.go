@@ -259,10 +259,14 @@ func runRace(names []string, jobs int, stop <-chan struct{}, solveOne func(idx i
 	doCancel := func() { cancelOnce.Do(func() { close(cancel) }) }
 
 	// Forward the external stop to the racers. raceDone unblocks the
-	// forwarder when the race ends on its own.
+	// forwarder when the race ends on its own, and the race joins it
+	// through forwarded before returning.
 	raceDone := make(chan struct{})
+	var forwarded chan struct{}
 	if stop != nil {
+		forwarded = make(chan struct{})
 		go func() {
+			defer close(forwarded)
 			select {
 			case <-stop:
 				doCancel()
@@ -314,6 +318,9 @@ func runRace(names []string, jobs int, stop <-chan struct{}, solveOne func(idx i
 	close(work)
 	wg.Wait()
 	close(raceDone)
+	if forwarded != nil {
+		<-forwarded
+	}
 
 	if wi := atomic.LoadInt32(&winner); wi >= 0 {
 		res.Winner = int(wi)

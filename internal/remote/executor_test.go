@@ -16,6 +16,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/engine"
+	"repro/internal/leakcheck"
 	"repro/internal/lits"
 	"repro/internal/obs"
 	"repro/internal/portfolio"
@@ -354,6 +355,30 @@ func TestWorkerLostMidCheckWarm(t *testing.T) {
 // again (its mirrors restart empty) if the check is still running, and the
 // check reaches the correct verdict.
 func TestWorkerReconnect(t *testing.T) {
+	e, reg := newReconnectingExecutor(t)
+	m, ok := bench.ByName("cnt_w4_t9")
+	if !ok {
+		t.Fatal("model cnt_w4_t9 missing")
+	}
+	base := []engine.Option{
+		engine.WithBudgets(9, 0), engine.WithPortfolio(nil, 0),
+		engine.WithIncremental(),
+	}
+	ref := checkWith(t, m, base...)
+	res := checkWith(t, m, append(base, engine.WithExecutor(e))...)
+	if res.Verdict != ref.Verdict || res.K != ref.K {
+		t.Errorf("after reconnect: (%v@%d), want (%v@%d)", res.Verdict, res.K, ref.Verdict, ref.K)
+	}
+	if !awaitReconnect(reg) {
+		t.Error("transient worker failure never reconnected")
+	}
+}
+
+// newReconnectingExecutor builds a one-worker executor ("w0") whose first
+// connection dies after three successful worker writes and which redials
+// it, wired to a fresh registry and closed via t.Cleanup.
+func newReconnectingExecutor(t *testing.T) (*Executor, *obs.Registry) {
+	t.Helper()
 	w := NewWorker(WorkerOptions{})
 	var handlers sync.WaitGroup
 	var dials atomic.Int64
@@ -379,32 +404,21 @@ func TestWorkerReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer e.Close()
 	e.onClose = handlers.Wait
+	t.Cleanup(func() { e.Close() })
+	return e, reg
+}
 
-	m, ok := bench.ByName("cnt_w4_t9")
-	if !ok {
-		t.Fatal("model cnt_w4_t9 missing")
-	}
-	base := []engine.Option{
-		engine.WithBudgets(9, 0), engine.WithPortfolio(nil, 0),
-		engine.WithIncremental(),
-	}
-	ref := checkWith(t, m, base...)
-	res := checkWith(t, m, append(base, engine.WithExecutor(e))...)
-	if res.Verdict != ref.Verdict || res.K != ref.K {
-		t.Errorf("after reconnect: (%v@%d), want (%v@%d)", res.Verdict, res.K, ref.Verdict, ref.K)
-	}
-	// The redial runs in the background from the eviction on, so a check
-	// that finishes inside the backoff, its stranded races re-raced
-	// locally, can end before it: wait for it, within a bound.
+// awaitReconnect reports whether worker w0 reconnects within 5 s. The
+// redial runs in the background from the eviction on, so a check that
+// finishes inside the backoff, its stranded races re-raced locally, can
+// end before it.
+func awaitReconnect(reg *obs.Registry) bool {
 	reconnects := obs.Name(metricRemoteReconnects, "worker", "w0")
 	for deadline := time.Now().Add(5 * time.Second); reg.Snapshot().Counters[reconnects] == 0 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-	if reg.Snapshot().Counters[reconnects] == 0 {
-		t.Error("transient worker failure never reconnected")
-	}
+	return reg.Snapshot().Counters[reconnects] != 0
 }
 
 // TestWorkerRaceRejected: a race for a query whose circuit the worker does
@@ -471,14 +485,7 @@ func TestWorkerRaceRejected(t *testing.T) {
 // the mirrors of the old one; every verdict and depth is the all-local one,
 // and not a race falls back.
 func TestExecutorReuse(t *testing.T) {
-	for _, shape := range []struct {
-		name string
-		opts []engine.Option
-	}{
-		{"warm", []engine.Option{engine.WithBudgets(9, 0), engine.WithPortfolio(nil, 0), engine.WithIncremental()}},
-		{"cold", []engine.Option{engine.WithBudgets(4, 0), engine.WithPortfolio(nil, 0)}},
-		{"kind-warm", []engine.Option{engine.WithBudgets(9, 0), engine.WithEngine(engine.KInduction), engine.WithPortfolio(nil, 0), engine.WithIncremental()}},
-	} {
+	for _, shape := range reuseShapes() {
 		t.Run(shape.name, func(t *testing.T) {
 			e, reg := newLoopbackExecutor(t, 2, fastOpts())
 			for _, name := range []string{"twin_w8", "cnt_w4_t9", "add_w8"} {
@@ -494,6 +501,80 @@ func TestExecutorReuse(t *testing.T) {
 			}
 		})
 	}
+}
+
+// reuseShapes are the portfolio shapes an executor is reused and closed
+// under: the warm and cold BMC portfolios and the warm k-induction one.
+func reuseShapes() []struct {
+	name string
+	opts []engine.Option
+} {
+	return []struct {
+		name string
+		opts []engine.Option
+	}{
+		{"warm", []engine.Option{engine.WithBudgets(9, 0), engine.WithPortfolio(nil, 0), engine.WithIncremental()}},
+		{"cold", []engine.Option{engine.WithBudgets(4, 0), engine.WithPortfolio(nil, 0)}},
+		{"kind-warm", []engine.Option{engine.WithBudgets(9, 0), engine.WithEngine(engine.KInduction), engine.WithPortfolio(nil, 0), engine.WithIncremental()}},
+	}
+}
+
+// TestCloseJoinsGoroutines: Close joins every goroutine the executor and
+// its loopback workers started — each link's reader and heartbeat, each
+// worker's connection handler and its races, a redial — so none started
+// since the executor was built is short of its join when Close returns,
+// read with no grace. Close's last act is a join, so the goroutines are
+// judged by their stacks, not counted (leakcheck.CheckAfterJoin). The
+// check runs under a cancellable context, so every race forwards a stop,
+// that is cancelled only after the goroutines are read, so one left
+// waiting on it shows; the last case closes an executor whose link was
+// evicted and reconnected during the check.
+func TestCloseJoinsGoroutines(t *testing.T) {
+	m, ok := bench.ByName("cnt_w4_t9")
+	if !ok {
+		t.Fatal("model cnt_w4_t9 missing")
+	}
+	check := func(t *testing.T, ctx context.Context, e *Executor, opts []engine.Option) {
+		t.Helper()
+		sess, err := engine.New(m.Build(), 0, append(opts, engine.WithExecutor(e))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.Check(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict == engine.Unknown {
+			t.Fatalf("check ended Unknown at depth %d", res.K)
+		}
+	}
+	for _, shape := range reuseShapes() {
+		t.Run(shape.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			snap := leakcheck.Take()
+			e, _ := newLoopbackExecutor(t, 2, fastOpts())
+			check(t, ctx, e, shape.opts)
+			e.Close()
+			if err := snap.CheckAfterJoin(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		})
+	}
+	t.Run("reconnect", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		snap := leakcheck.Take()
+		e, reg := newReconnectingExecutor(t)
+		check(t, ctx, e, reuseShapes()[0].opts)
+		if !awaitReconnect(reg) {
+			t.Fatal("transient worker failure never reconnected")
+		}
+		e.Close()
+		if err := snap.CheckAfterJoin(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
 }
 
 // TestRemoteCancellation: cancelling a check mid-race through the

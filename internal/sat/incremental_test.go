@@ -354,24 +354,21 @@ func TestStatsAddCarriesSwitchDecision(t *testing.T) {
 
 // TestWithDefaultsRestartInc pins the tuning every solver runs, field by
 // field, to the values the tunable options used to default to: rescore
-// every 255 conflicts, Luby restarts of unit 100 (1.5 growth were they
-// geometric), a learnt limit of a third of the originals, at least 1000,
-// growing by 1.1, compaction at a fifth of the arena garbage, no decision
-// budget, a Stop/deadline poll every 64 steps and watch pages of up to
-// 16 384 watchers. Minimisation
-// has no field: it always runs, which PHP(8,7)'s learnt literals pin (19060
-// minimised, 24002 when it was switched off).
+// every 255 conflicts, Luby restarts of unit 100, a learnt limit of a
+// third of the originals, at least 1000, growing by 1.1, compaction at a
+// fifth of the arena garbage, a Stop/deadline poll every 64 steps and
+// watch pages of up to 16 384 watchers. Restarts have no other schedule
+// and decisions no budget. Minimisation has no field: it always runs,
+// which PHP(8,7)'s learnt literals pin (19060 minimised, 24002 when it
+// was switched off).
 func TestWithDefaultsRestartInc(t *testing.T) {
 	want := tuning{
 		rescoreInterval: 255,
 		restartFirst:    100,
-		restartInc:      1.5,
-		luby:            true,
 		maxLearntFrac:   1.0 / 3.0,
 		minLearnts:      1000,
 		maxLearntInc:    1.1,
 		garbageDen:      5,
-		maxDecisions:    0,
 		pollEvery:       64,
 		watchPage:       1 << 14,
 	}
@@ -385,23 +382,6 @@ func TestWithDefaultsRestartInc(t *testing.T) {
 	if res.Stats.Conflicts != 1644 || res.Stats.LearnedLits != 19060 {
 		t.Errorf("PHP(8,7): %d conflicts, %d learnt literals; want 1644 and 19060 as minimised",
 			res.Stats.Conflicts, res.Stats.LearnedLits)
-	}
-}
-
-// TestConstantIntervalRestarts: geometric restarts with growth 1.0 keep
-// every interval at the first one's length.
-func TestConstantIntervalRestarts(t *testing.T) {
-	opts := tuned(func(tu *tuning) { tu.luby, tu.restartFirst, tu.restartInc = false, 16, 1.0 })
-	s := New(pigeonhole(6, 5), opts)
-	if lim := s.restartLimit(5); lim != 16 {
-		t.Fatalf("interval 5 budget = %d, want constant 16", lim)
-	}
-	res := s.Solve()
-	if res.Status != Unsat {
-		t.Fatalf("status=%v", res.Status)
-	}
-	if res.Stats.Restarts == 0 {
-		t.Errorf("expected restarts at constant interval 16")
 	}
 }
 

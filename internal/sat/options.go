@@ -11,8 +11,8 @@ type Status int8
 
 // Solve outcomes.
 const (
-	// Unknown means the solver exhausted a budget (conflicts, decisions,
-	// or deadline) before reaching an answer.
+	// Unknown means the solver exhausted a budget (conflicts or
+	// deadline) before reaching an answer.
 	Unknown Status = iota
 	// Sat means a satisfying assignment was found.
 	Sat
@@ -150,7 +150,6 @@ type Options struct {
 const (
 	rescoreInterval = 255     // conflicts between cha_score rescores
 	restartUnit     = 100     // conflicts in a unit of the Luby restart sequence
-	restartInc      = 1.5     // interval growth of the geometric schedule
 	maxLearntFrac   = 1.0 / 3 // initial learnt-clause limit per original clause
 	minLearnts      = 1000    // floor of the initial learnt-clause limit
 	maxLearntInc    = 1.1     // learnt-clause limit growth at each reduction
@@ -162,14 +161,11 @@ const (
 // constants; tests swap in other values through Options.tune.
 type tuning struct {
 	rescoreInterval int
-	restartFirst    int     // first restart interval, or the Luby unit
-	restartInc      float64 // geometric growth when luby is off
-	luby            bool
+	restartFirst    int // the Luby unit
 	maxLearntFrac   float64
 	minLearnts      float64
 	maxLearntInc    float64
 	garbageDen      int
-	maxDecisions    int64 // decision budget; zero means unlimited
 	pollEvery       int
 	watchPage       int // the longest watch page made for lists that fit in one
 }
@@ -177,8 +173,6 @@ type tuning struct {
 var defaultTuning = tuning{
 	rescoreInterval: rescoreInterval,
 	restartFirst:    restartUnit,
-	restartInc:      restartInc,
-	luby:            true,
 	maxLearntFrac:   maxLearntFrac,
 	minLearnts:      minLearnts,
 	maxLearntInc:    maxLearntInc,

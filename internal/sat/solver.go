@@ -1040,14 +1040,7 @@ func (s *Solver) reduceDB() {
 
 // restartLimit returns the conflict budget of restart interval i.
 func (s *Solver) restartLimit(i int) int64 {
-	if s.tune.luby {
-		return int64(s.tune.restartFirst) * luby(i)
-	}
-	lim := float64(s.tune.restartFirst)
-	for k := 0; k < i; k++ {
-		lim *= s.tune.restartInc
-	}
-	return int64(lim)
+	return int64(s.tune.restartFirst) * luby(i)
 }
 
 // luby returns the i-th element (0-based) of the Luby sequence
@@ -1336,9 +1329,6 @@ func (s *Solver) solve() Result {
 		s.stats.Decisions++
 		if s.guidActive && s.guid[l.Var()] > 0 {
 			s.stats.GuidedDecisions++
-		}
-		if s.tune.maxDecisions > 0 && s.stats.Decisions > s.tune.maxDecisions {
-			return Result{Status: Unknown, Stats: s.stats}
 		}
 		if s.pollDeadline() {
 			return Result{Status: Unknown, Stats: s.stats}

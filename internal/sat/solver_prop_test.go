@@ -63,7 +63,7 @@ func bruteStatus(f *cnf.Formula) Status {
 func optionMatrix() []Options {
 	return []Options{
 		{},
-		tuned(func(tu *tuning) { tu.luby = false }),
+		tuned(func(tu *tuning) { tu.restartFirst = 4 }),
 		tuned(func(tu *tuning) { tu.maxLearntFrac = 0.01 }),
 		tuned(func(tu *tuning) { tu.rescoreInterval = 16 }),
 	}

@@ -233,13 +233,6 @@ func TestConflictBudget(t *testing.T) {
 	}
 }
 
-func TestDecisionBudget(t *testing.T) {
-	res := New(pigeonhole(7, 6), tuned(func(tu *tuning) { tu.maxDecisions = 2 })).Solve()
-	if res.Status != Unknown {
-		t.Fatalf("expected Unknown under tiny decision budget, got %v", res.Status)
-	}
-}
-
 func TestStatsPopulated(t *testing.T) {
 	res := solve(t, pigeonhole(5, 4))
 	st := res.Stats
@@ -314,17 +307,6 @@ func TestNoSwitchWhenThresholdZero(t *testing.T) {
 	res := New(pigeonhole(5, 4), opts).Solve()
 	if res.Stats.GuidanceSwitched {
 		t.Errorf("switch must not fire with threshold 0")
-	}
-}
-
-func TestGeometricRestarts(t *testing.T) {
-	opts := tuned(func(tu *tuning) { tu.luby, tu.restartFirst = false, 10 })
-	res := New(pigeonhole(7, 6), opts).Solve()
-	if res.Status != Unsat {
-		t.Fatalf("status=%v", res.Status)
-	}
-	if res.Stats.Restarts == 0 {
-		t.Errorf("expected restarts with small first interval")
 	}
 }
 
