@@ -50,11 +50,12 @@
 //	                     under the failed assumptions, and requires its
 //	                     leaves to be exactly the reported core
 //	internal/unroll      time-frame expansion: the whole-instance Instance,
-//	                     grown in place from depth to depth (Formula and
-//	                     StepFormula are its one-shot forms), per-frame
-//	                     Delta (activation-guarded properties), and
-//	                     StepDelta (incremental induction-step encoding
-//	                     with monotone simple-path constraints)
+//	                     grown in place from depth to depth (Formula is
+//	                     its one-shot form), and the per-frame Delta of
+//	                     the BMC and induction-step queries (activation-
+//	                     guarded bad literals, monotone simple paths);
+//	                     one (node, frame) numbering and one set of
+//	                     clause emitters serve all four
 //	internal/bmc         test-only: the behavioural suite of the four BMC
 //	                     shapes, driven through engine
 //	internal/portfolio   strategy-racing engine: cancellable solver race

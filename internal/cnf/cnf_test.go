@@ -133,40 +133,3 @@ func TestFormulaVars(t *testing.T) {
 		}
 	}
 }
-
-// enumerate checks a gate encoding against a reference function by brute
-// force over all assignments of the formula's variables.
-func enumerate(t *testing.T, f *Formula, n int, ref func(a lits.Assignment) bool) {
-	t.Helper()
-	for m := 0; m < 1<<n; m++ {
-		a := lits.NewAssignment(n)
-		for i := 0; i < n; i++ {
-			if m&(1<<i) != 0 {
-				a.Set(lits.Var(i+1), lits.True)
-			} else {
-				a.Set(lits.Var(i+1), lits.False)
-			}
-		}
-		want := ref(a)
-		got := f.Satisfied(a)
-		if got != want {
-			t.Errorf("assignment %0*b: formula=%v ref=%v", n, m, got, want)
-		}
-	}
-}
-
-func TestAddAnd2TruthTable(t *testing.T) {
-	f := New(3)
-	f.AddAnd2(lits.PosLit(3), lits.PosLit(1), lits.PosLit(2))
-	enumerate(t, f, 3, func(a lits.Assignment) bool {
-		return a.Value(3).IsTrue() == (a.Value(1).IsTrue() && a.Value(2).IsTrue())
-	})
-}
-
-func TestAddEqTruthTable(t *testing.T) {
-	f := New(2)
-	f.AddEq(lits.PosLit(2), lits.NegLit(1))
-	enumerate(t, f, 2, func(a lits.Assignment) bool {
-		return a.Value(2).IsTrue() == !a.Value(1).IsTrue()
-	})
-}

@@ -156,8 +156,8 @@ func (q *freshSeq) trace(model lits.Assignment, k int) *unroll.Trace {
 // literal, so learned clauses and VSIDS scores compound.
 type warmSeq struct {
 	pool *racer.Pool
-	// d decodes models; nil on the step sequence, whose models are
-	// induction counter-witnesses, never traces.
+	// d decodes models; never asked to on the step sequence, whose models
+	// are induction counter-witnesses, not traces.
 	d *unroll.Delta
 }
 
@@ -225,14 +225,12 @@ func (s *Session) newSequence(u *unroll.Unroller, query Query, p plan) sequence 
 	board := core.NewScoreBoard(s.cfg.ScoreMode)
 	if s.cfg.Incremental {
 		cfg := s.poolConfig(query, p, board)
-		if query == QueryStep {
-			sd := u.StepDelta()
-			sd.SetMetrics(s.unrollMetrics(query))
-			return warmSeq{pool: racer.NewPool(racer.StepSource(sd), cfg)}
-		}
 		d := u.Delta()
+		if query == QueryStep {
+			d = u.StepDelta()
+		}
 		d.SetMetrics(s.unrollMetrics(query))
-		return warmSeq{pool: racer.NewPool(racer.DeltaSource(d), cfg), d: d}
+		return warmSeq{pool: racer.NewPool(d, cfg), d: d}
 	}
 	inst := u.Instance()
 	if query == QueryStep {

@@ -24,7 +24,7 @@ var (
 // TestStepDeltaEquisatisfiableWithStepFormula is the step encoding's
 // defining property: a live solver accumulating unroll.StepDelta frames
 // and solving under the depth's activation literal must reproduce the
-// scratch StepFormula's satisfiability at every depth — across inductive
+// scratch step instance's satisfiability at every depth — across inductive
 // (step UNSAT early), deeper-k (step SAT then UNSAT), and falsified
 // models, and across several consecutive depths of one solver.
 func TestStepDeltaEquisatisfiableWithStepFormula(t *testing.T) {
@@ -52,7 +52,7 @@ func TestStepDeltaEquisatisfiableWithStepFormula(t *testing.T) {
 				live.AddClause(cl)
 			}
 			got := live.SolveAssuming([]lits.Lit{sd.ActLit(k)})
-			want := sat.New(unroll.StepFormula(u, k), sat.Options{}).Solve()
+			want := sat.New(u.StepInstance().Extend(k), sat.Options{}).Solve()
 			if got.Status != want.Status {
 				t.Fatalf("%s depth %d: delta=%v scratch=%v", m.name, k, got.Status, want.Status)
 			}

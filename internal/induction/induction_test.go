@@ -140,7 +140,7 @@ func TestStepFormulaShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := unroll.StepFormula(u, 2)
+	f := u.StepInstance().Extend(2)
 	// Aux variables must extend past the frame-stable range.
 	if f.NumVars <= u.NumVars(3) {
 		t.Fatalf("no aux vars allocated: %d <= %d", f.NumVars, u.NumVars(3))
@@ -163,7 +163,7 @@ func TestStepFormulaSatisfiableForNonInductive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := sat.New(unroll.StepFormula(u, 0), sat.Options{}).Solve(); r.Status != sat.Sat {
+	if r := sat.New(u.StepInstance().Extend(0), sat.Options{}).Solve(); r.Status != sat.Sat {
 		t.Fatalf("k=0 step: %v, want SAT", r.Status)
 	}
 }

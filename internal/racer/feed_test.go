@@ -117,7 +117,7 @@ func lateStarterMatchesEagerFeed(t *testing.T, late core.Strategy) {
 				t.Fatalf("depth %d: the late racer searched under guidance other than its strategy's for the depth", k)
 			}
 			ref.SetGuidance(g, switchAfter)
-			want := ref.SolveAssuming([]lits.Lit{src.Assumption(k)})
+			want := ref.SolveAssuming([]lits.Lit{src.ActLit(k)})
 			got.Stats.SolveTime, want.Stats.SolveTime = 0, 0
 			if got.Status != want.Status || got.Stats != want.Stats {
 				t.Fatalf("depth %d (first raced at %d): late racer %v %+v, eagerly fed reference %v %+v",

@@ -146,7 +146,7 @@ type Pool struct {
 	cfg    Config
 	racers []*racerState
 	// origin is the source's sequence, stamped on every attempt; nil for a
-	// source other than DeltaSource and StepSource.
+	// source other than an *unroll.Delta.
 	origin *portfolio.Origin
 
 	// sizedFor is the depth the racers' storage was last sized for (-1
@@ -157,12 +157,12 @@ type Pool struct {
 
 // NewPool builds one racer per strategy, whose persistent solver is made
 // when it first loads; frames are pulled from the given query sequence
-// (DeltaSource for BMC / induction base cases, StepSource for induction
-// step cases) by the racers that load them, and re-pulled for a racer that
-// starts late: Source.Frame must be a pure function of k, callable from
-// several goroutines at once. The attempts of a pool over DeltaSource or
-// StepSource carry their sequence's portfolio.Origin, so an executor can
-// race them on solvers that unroll the circuit themselves.
+// (Unroller.Delta for BMC / induction base cases, Unroller.StepDelta for
+// induction step cases) by the racers that load them, and re-pulled for a
+// racer that starts late: Source.Frame must be a pure function of k,
+// callable from several goroutines at once. The attempts of a pool over an
+// *unroll.Delta carry its portfolio.Origin, so an executor can race them
+// on solvers that unroll the circuit themselves.
 func NewPool(src Source, cfg Config) *Pool {
 	if cfg.Race == nil {
 		cfg.Race = func(_ string, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
@@ -315,7 +315,7 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 	}
 
 	out := DepthOutcome{
-		Race:         p.cfg.Race(p.cfg.Query, attempts, []lits.Lit{p.src.Assumption(k)}, p.cfg.Jobs, stop),
+		Race:         p.cfg.Race(p.cfg.Query, attempts, []lits.Lit{p.src.ActLit(k)}, p.cfg.Jobs, stop),
 		FrameVars:    frameVars,
 		TotalClauses: totalClauses,
 		TotalLits:    totalLits,

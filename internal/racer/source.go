@@ -2,11 +2,11 @@ package racer
 
 // A Source feeds a Pool one query sequence: the per-depth clause deltas of
 // a correlated SAT instance family, the assumption each depth is solved
-// under, and the variable geometry the ordering strategies need. The two
-// shipped sources wrap unroll.Delta (the BMC base sequence — also the
-// base case of k-induction) and unroll.StepDelta (the induction step
-// sequence); anything with activation-guarded per-depth deltas can slot
-// in.
+// under, and the variable geometry the ordering strategies need.
+// *unroll.Delta is the shipped source, from Unroller.Delta (the BMC
+// sequence — also the base case of k-induction) or Unroller.StepDelta (the
+// induction step sequence); anything with activation-guarded per-depth
+// deltas can slot in.
 
 import (
 	"repro/internal/cnf"
@@ -23,9 +23,8 @@ type Source interface {
 	// possibly from several race goroutines at once: the result must depend
 	// on k alone.
 	Frame(k int) *cnf.Formula
-	// Assumption returns the activation literal assumed when solving
-	// depth k.
-	Assumption(k int) lits.Lit
+	// ActLit returns the activation literal assumed when solving depth k.
+	ActLit(k int) lits.Lit
 	// NumVars returns the variable count once frames 0..k are added.
 	NumVars(k int) int
 	// Size returns the variable, clause and literal counts of frames
@@ -43,45 +42,15 @@ type Source interface {
 	VarInfo(v lits.Var) (frame int, aux bool)
 }
 
-// deltaSource adapts the incremental BMC unrolling.
-type deltaSource struct{ d *unroll.Delta }
+// DeltaSource returns d as a pool source: *unroll.Delta is one already.
+// Kept for benchmark/driver.go; the benchmark PR deletes it.
+func DeltaSource(d *unroll.Delta) Source { return d }
 
-// DeltaSource wraps unroll.Delta as a pool source (the BMC depth loop and
-// the k-induction base-case sequence).
-func DeltaSource(d *unroll.Delta) Source { return deltaSource{d} }
-
-func (s deltaSource) Frame(k int) *cnf.Formula   { return s.d.Frame(k) }
-func (s deltaSource) Assumption(k int) lits.Lit  { return s.d.ActLit(k) }
-func (s deltaSource) NumVars(k int) int          { return s.d.NumVars(k) }
-func (s deltaSource) Size(k int) (int, int, int) { return s.d.Size(k) }
-func (s deltaSource) Frames(k int) int           { return k + 1 }
-func (s deltaSource) VarInfo(v lits.Var) (int, bool) {
-	_, frame, isAct := s.d.NodeOf(v)
-	return frame, isAct
-}
-
-// stepSource adapts the incremental k-induction step sequence.
-type stepSource struct{ sd *unroll.StepDelta }
-
-// StepSource wraps unroll.StepDelta as a pool source (the k-induction
-// step-case sequence).
-func StepSource(sd *unroll.StepDelta) Source { return stepSource{sd} }
-
-func (s stepSource) Frame(k int) *cnf.Formula       { return s.sd.Frame(k) }
-func (s stepSource) Assumption(k int) lits.Lit      { return s.sd.ActLit(k) }
-func (s stepSource) NumVars(k int) int              { return s.sd.NumVars(k) }
-func (s stepSource) Size(k int) (int, int, int)     { return s.sd.Size(k) }
-func (s stepSource) Frames(k int) int               { return s.sd.Frames(k) }
-func (s stepSource) VarInfo(v lits.Var) (int, bool) { return s.sd.VarInfo(v) }
-
-// originOf returns the sequence a shipped source unrolls, nil for any other
-// source: a pool over one races in process only.
+// originOf returns the sequence an unroll.Delta source unrolls, nil for any
+// other source: a pool over one races in process only.
 func originOf(src Source) *portfolio.Origin {
-	switch s := src.(type) {
-	case deltaSource:
-		return &portfolio.Origin{Unroller: s.d.Unroller()}
-	case stepSource:
-		return &portfolio.Origin{Unroller: s.sd.Unroller(), Step: true}
+	if d, ok := src.(*unroll.Delta); ok {
+		return &portfolio.Origin{Unroller: d.Unroller(), Step: d.Step()}
 	}
 	return nil
 }

@@ -388,7 +388,7 @@ func TestReadMessageRejects(t *testing.T) {
 		}
 		live := func(runs GuidanceRuns) *RaceRequest {
 			return &RaceRequest{ID: 1, Query: "bmc", Live: true, Jobs: 1,
-				Assumps: []lits.Lit{sess.queries["bmc"].src.Assumption(0)}, Attempts: []WireAttempt{{Name: "static", Opts: WireOptions{Guidance: runs}}}}
+				Assumps: []lits.Lit{sess.queries["bmc"].src.ActLit(0)}, Attempts: []WireAttempt{{Name: "static", Opts: WireOptions{Guidance: runs}}}}
 		}
 		cold := func(runs GuidanceRuns) *RaceRequest {
 			return &RaceRequest{ID: 2, Query: "bmc", Jobs: 1, Attempts: []WireAttempt{{Name: "static", Opts: WireOptions{Guidance: runs}}}}

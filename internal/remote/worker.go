@@ -351,11 +351,9 @@ func (s *connSession) install(wc *WireCircuit) error {
 		delete(s.queries, wc.Query)
 		return err
 	}
-	q := &workerQuery{u: u, step: wc.Step, mirrors: make(map[string]*mirror)}
+	q := &workerQuery{u: u, step: wc.Step, src: u.Delta(), mirrors: make(map[string]*mirror)}
 	if wc.Step {
-		q.src = racer.StepSource(u.StepDelta())
-	} else {
-		q.src = racer.DeltaSource(u.Delta())
+		q.src = u.StepDelta()
 	}
 	s.queries[wc.Query] = q
 	return nil

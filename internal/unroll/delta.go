@@ -9,105 +9,108 @@ import (
 	"repro/internal/lits"
 )
 
-// Delta is the incremental counterpart of Formula: instead of rebuilding
-// the whole length-k instance, Frame(k) returns only the clauses *new* at
-// depth k, so a live solver (sat.Solver.AddClause) can accumulate the
-// unrolling one frame at a time across a whole BMC run.
+// Delta is the incremental counterpart of Instance: instead of rebuilding
+// the whole depth-k query, Frame(k) returns only the clauses *new* at depth
+// k, so a live solver (sat.Solver.AddClause) can accumulate the query one
+// frame at a time across a whole run. Unroller.Delta encodes the BMC query
+// (also the base case of k-induction), Unroller.StepDelta the k-induction
+// step query,
 //
-// The property constraint is the one part of Eq. 1 that must be retracted
-// between depths (depth k asserts ¬P(Vᵏ), depth k+1 must not), which clause
-// addition alone cannot express. Each depth's property literal is therefore
-// guarded by a fresh activation literal actₖ:
+//	⋀_{0≤i≤k+1} Gates(Vⁱ) ∧ ⋀_{0≤i≤k} T(Vⁱ, Vⁱ⁺¹)     (no initial constraint)
+//	∧ ⋀_{0≤i≤k} P(Vⁱ) ∧ ¬P(Vᵏ⁺¹)
+//	∧ ⋀_{0≤i<j≤k} state(Vⁱ) ≠ state(Vʲ)               (simple path).
 //
-//	(¬actₖ ∨ badₖ)
+// Almost all of either query is monotone in k: the gate relations, the
+// transitions, the step query's good frames P(Vⁱ) and its pairwise
+// disequalities are all still asserted at depth k+1, so they are added once
+// and never retracted. The one per-depth piece is the bad literal — ¬P(Vᵏ)
+// for BMC, ¬P(Vᵏ⁺¹) for the step — which clause addition alone cannot take
+// back. Each depth's bad literal is therefore guarded by a fresh activation
+// literal actₖ,
 //
-// Solving depth k assumes actₖ (sat.SolveAssuming), which makes the guard
-// behave exactly like the scratch instance's unit clause; Frame(k+1) then
-// adds the unit ¬actₖ, permanently neutralizing the depth-k guard.
+//	(¬actₖ ∨ bad),
 //
-// Variable numbering reserves one activation slot per frame: node n in
-// frame f maps to 1 + f·(stride+1) + (n−1) and actₖ is variable
-// (k+1)·(stride+1). Numbering is still frame-stable — the depth-k variable
-// set is a prefix of the depth-(k+1) set — so unsat-core scores transfer
-// across depths exactly as with Formula, and the variable range stays dense
-// (no gaps for the decision heap to branch on).
+// solved under the assumption actₖ (sat.SolveAssuming), which makes the
+// guard behave exactly like the scratch instance's unit clause; Frame(k+1)
+// then adds the unit ¬actₖ, permanently neutralizing the depth-k guard (in
+// the step query the new good unit then takes over its frame).
+//
+// Variables are numbered depth by depth (numbering): the BMC query's block
+// is a frame and its activation variable, the step query's the new frame,
+// its activation variable and the disequality auxiliaries of the new frame
+// pairs (frames 0 and 1 both belong to depth 0's).
 type Delta struct {
+	numbering
 	u       *Unroller
-	stride  int // node slots plus one activation slot per frame
+	step    bool // the k-induction step query, not the BMC one
 	metrics *Metrics
 }
 
-// Delta returns the incremental view of the unroller.
+// Delta returns the incremental view of the unroller's BMC query.
 func (u *Unroller) Delta() *Delta {
-	return &Delta{u: u, stride: u.stride + 1}
+	return &Delta{numbering: numbering{c: u.c, stride: u.stride, act: 1}, u: u}
+}
+
+// StepDelta returns the incremental view of the unroller's k-induction step
+// query.
+func (u *Unroller) StepDelta() *Delta {
+	nb := numbering{c: u.c, stride: u.stride, lead: 1, act: 1, pairAux: u.c.NumLatches()}
+	return &Delta{numbering: nb, u: u, step: true}
 }
 
 // Unroller returns the underlying whole-instance unroller.
 func (d *Delta) Unroller() *Unroller { return d.u }
 
-// Stride returns the number of CNF variables per time frame (including the
-// frame's activation slot).
-func (d *Delta) Stride() int { return d.stride }
+// Step reports whether the sequence is the k-induction step query's.
+func (d *Delta) Step() bool { return d.step }
 
-// NumVars returns the variable count once frames 0..k have been added.
-func (d *Delta) NumVars(k int) int { return d.stride * (k + 1) }
-
-// VarFor returns the CNF variable of node n in frame f under the delta
-// numbering. The constant node has no variable.
-func (d *Delta) VarFor(n circuit.NodeID, frame int) lits.Var {
-	if n == circuit.ConstNode {
-		panic("unroll: the constant node has no CNF variable")
-	}
-	return lits.Var(1 + frame*d.stride + int(n) - 1)
-}
-
-// ActVar returns the activation variable guarding the depth-k property.
-func (d *Delta) ActVar(k int) lits.Var { return lits.Var((k + 1) * d.stride) }
+// Frames returns the number of time frames the depth-k instance spans:
+// k+1 for the BMC query, k+2 for the step query.
+func (d *Delta) Frames(k int) int { return k + 1 + d.lead }
 
 // ActLit returns the positive activation literal assumed when solving
 // depth k.
-func (d *Delta) ActLit(k int) lits.Lit { return lits.PosLit(d.ActVar(k)) }
-
-// NodeOf inverts VarFor: it returns the circuit node and frame of CNF
-// variable v, or isAct = true when v is a frame's activation variable (in
-// which case the node is meaningless and frame is the guarded depth).
-func (d *Delta) NodeOf(v lits.Var) (n circuit.NodeID, frame int, isAct bool) {
-	idx := int(v) - 1
-	if idx%d.stride == d.stride-1 {
-		return 0, idx / d.stride, true
-	}
-	return circuit.NodeID(idx%d.stride + 1), idx / d.stride, false
+func (d *Delta) ActLit(k int) lits.Lit {
+	return lits.PosLit(lits.Var(d.base(k+d.lead) + d.stride))
 }
 
 // Size returns the variable, clause and literal counts of Frame(0..k)
 // taken together, without building them: the closed form of Frame, which
-// must follow it exactly. Size(-1) is all zero.
+// must follow it exactly. Size(-1) is all zero. The step query's simple
+// path makes it quadratic in k.
 func (d *Delta) Size(k int) (vars, clauses, literals int) {
 	if k < 0 {
 		return 0, 0, 0
 	}
-	c := d.u.c
-	ands, latches := c.NumAnds(), c.NumLatches()
-	tc, tl := d.u.transition()
+	// The body; per depth its guard, per depth past 0 the unit retiring
+	// the last guard.
+	clauses, literals = d.u.body(d.Frames(k), !d.step)
 	gc, gl := d.u.guard()
-	// The initial values; per later depth its transitions and the unit
-	// retiring the last guard; per depth its gates and its guard.
-	return d.NumVars(k),
-		latches + k*(tc+1) + (k+1)*(3*ands+gc),
-		latches + k*(tl+1) + (k+1)*(7*ands+gl)
+	clauses, literals = clauses+k+(k+1)*gc, literals+k+(k+1)*gl
+	if d.step {
+		// Per depth a good frame: P constantly violated asserts the empty
+		// clause, P never violated nothing, any other P the unit ¬bad. Per
+		// frame pair the disequality clauses.
+		goodC, goodL := 1, 1
+		switch d.u.c.Properties()[d.u.propIdx].Bad {
+		case circuit.True:
+			goodL = 0
+		case circuit.False:
+			goodC, goodL = 0, 0
+		}
+		pairs := k * (k + 1) / 2
+		clauses += (k+1)*goodC + pairs*(2*d.pairAux+1)
+		literals += (k+1)*goodL + pairs*7*d.pairAux
+	}
+	return d.NumVars(k), clauses, literals
 }
 
-// LitFor returns the CNF literal of signal s in frame f; it panics on
-// constant signals (callers must fold those).
-func (d *Delta) LitFor(s circuit.Signal, frame int) lits.Lit {
-	return lits.MkLit(d.VarFor(s.Node(), frame), s.IsNeg())
-}
-
-// Frame builds the clauses new at depth k: frame-k gate relations, the
-// latch transitions from frame k−1 (initial values for k = 0), the guarded
-// depth-k property, and — for k > 0 — the unit retiring the depth-(k−1)
-// guard. The union of Frame(0..k), with actₖ assumed, is equisatisfiable
-// with Formula(k).
+// Frame builds the clauses new at depth k: the gate relations of the new
+// frames, the transitions into them (the initial values for BMC depth 0),
+// the unit retiring the depth-(k−1) guard, the step query's good unit for
+// frame k and its disequalities between frame k and every earlier frame,
+// and the guarded depth-k bad literal. The union of Frame(0..k), with actₖ
+// assumed, is equisatisfiable with the depth-k Instance.
 func (d *Delta) Frame(k int) *cnf.Formula {
 	if k < 0 {
 		panic(fmt.Sprintf("unroll: negative depth %d", k))
@@ -116,7 +119,6 @@ func (d *Delta) Frame(k int) *cnf.Formula {
 	if d.metrics != nil {
 		buildStart = time.Now()
 	}
-	c := d.u.c
 	_, clauses, literals := d.Size(k - 1)
 	_, clausesTo, literalsTo := d.Size(k)
 	f := &cnf.Formula{
@@ -124,76 +126,61 @@ func (d *Delta) Frame(k int) *cnf.Formula {
 		Lits:    make([]lits.Lit, 0, literalsTo-literals),
 		Ends:    make([]int32, 0, clausesTo-clauses),
 	}
+	bad := d.c.Properties()[d.u.propIdx].Bad
+	last := k + d.lead // the depth's bad frame, the last it adds
 
-	if k == 0 {
-		// I(V⁰): initial latch values.
-		for _, id := range c.Latches() {
-			v := d.VarFor(id, 0)
-			f.AddUnit(lits.MkLit(v, !c.LatchInit(id).IsTrue()))
+	// The step query's gates come first, the BMC query's after the
+	// transitions: each keeps the clause order it was built with.
+	if d.step {
+		if k == 0 {
+			d.gates(f, 0)
 		}
+		d.gates(f, last)
+	}
+	if last == 0 {
+		d.initial(f)
 	} else {
-		// Latch transitions from frame k−1 to frame k.
-		for _, id := range c.Latches() {
-			next := c.LatchNext(id)
-			lhs := lits.PosLit(d.VarFor(id, k))
-			switch next {
-			case circuit.True:
-				f.AddUnit(lhs)
-			case circuit.False:
-				f.AddUnit(lhs.Neg())
-			default:
-				f.AddEq(lhs, d.LitFor(next, k-1))
-			}
-		}
-		// Retire the previous depth's property guard for good.
+		d.transitions(f, last-1)
+	}
+	if k > 0 {
+		// Retire the previous depth's guard for good.
 		f.AddUnit(d.ActLit(k - 1).Neg())
 	}
-
-	// Gate relations in frame k.
-	for n := circuit.NodeID(1); int(n) < c.NumNodes(); n++ {
-		if c.Kind(n) != circuit.KindAnd {
-			continue
+	if d.step {
+		// good(k): P holds, i.e. the bad signal is false.
+		switch bad {
+		case circuit.True:
+			// P constantly violated: no good frame exists, exactly as the
+			// step Instance's empty clause makes it unsat.
+			f.AddClause(nil)
+		case circuit.False:
+			// P trivially holds; nothing to assert.
+		default:
+			f.AddUnit(d.LitFor(bad, k).Neg())
 		}
-		f0, f1 := c.Fanins(n)
-		out := lits.PosLit(d.VarFor(n, k))
-		f.AddAnd2(out, d.LitFor(f0, k), d.LitFor(f1, k))
+		// Simple path: frame k differs from every earlier frame, the
+		// pairs' auxiliaries numbered after actₖ in turn.
+		aux := d.ActLit(k).Var() + 1
+		for i := 0; i < k; i++ {
+			d.distinct(f, i, k, aux+lits.Var(i*d.pairAux))
+		}
+	} else {
+		d.gates(f, k)
 	}
 
-	// actₖ → ¬P(Vᵏ): the guarded bad signal in frame k.
-	bad := c.Properties()[d.u.propIdx].Bad
+	// actₖ → bad: the guarded bad literal of this depth.
 	switch bad {
 	case circuit.True:
-		// Property constantly violated: every execution is a witness, the
-		// guard constrains nothing (matching Formula's empty encoding).
+		// Constantly violated: every execution is a witness and the guard
+		// constrains nothing (the step query's good frames made it unsat).
 	case circuit.False:
-		// Property can never be violated: assuming actₖ must fail, exactly
-		// as Formula's empty clause makes the scratch instance unsat.
+		// Never violated: assuming actₖ must fail, exactly as the scratch
+		// instance's empty clause.
 		f.AddUnit(d.ActLit(k).Neg())
 	default:
-		// Normalised as every clause here: actₖ is numbered past frame k.
-		f.AddClause(cnf.Clause{d.LitFor(bad, k), d.ActLit(k).Neg()})
+		// Normalised as every clause here: actₖ follows the bad frame.
+		f.AddClause(cnf.Clause{d.LitFor(bad, last), d.ActLit(k).Neg()})
 	}
 	d.metrics.observe(buildStart, f)
 	return f
-}
-
-// ExtractTrace decodes a satisfying model of the incremental depth-k solve
-// into a concrete input sequence and state trajectory (the delta-numbering
-// counterpart of Unroller.ExtractTrace).
-func (d *Delta) ExtractTrace(model lits.Assignment, k int) *Trace {
-	c := d.u.c
-	tr := &Trace{Depth: k}
-	for frame := 0; frame <= k; frame++ {
-		in := make([]bool, c.NumInputs())
-		for i, id := range c.Inputs() {
-			in[i] = model.Value(d.VarFor(id, frame)).IsTrue()
-		}
-		st := make([]bool, c.NumLatches())
-		for i, id := range c.Latches() {
-			st[i] = model.Value(d.VarFor(id, frame)).IsTrue()
-		}
-		tr.Inputs = append(tr.Inputs, in)
-		tr.States = append(tr.States, st)
-	}
-	return tr
 }

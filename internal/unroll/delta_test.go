@@ -17,25 +17,28 @@ func TestDeltaNumbering(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := u.Delta()
-	if d.Stride() != u.Stride()+1 {
-		t.Fatalf("delta stride %d, want %d", d.Stride(), u.Stride()+1)
-	}
+	stride := u.Stride() + 1 // a frame's nodes and its activation slot
 	for k := 0; k < 4; k++ {
-		if got := d.NumVars(k); got != d.Stride()*(k+1) {
+		if got := d.NumVars(k); got != stride*(k+1) {
 			t.Errorf("NumVars(%d)=%d", k, got)
 		}
-		av := d.ActVar(k)
-		if n, frame, isAct := d.NodeOf(av); !isAct || frame != k || n != 0 {
-			t.Errorf("NodeOf(act %d) = (%v,%d,%v)", k, n, frame, isAct)
+		av := d.ActLit(k).Var()
+		if int(av) != stride*(k+1) {
+			t.Errorf("act %d is variable %d, want %d", k, av, stride*(k+1))
+		}
+		if frame, aux := d.VarInfo(av); !aux || frame != k {
+			t.Errorf("VarInfo(act %d) = (%d,%v)", k, frame, aux)
 		}
 	}
-	// Round-trip every node variable of a few frames.
+	// Every node variable of a few frames is its frame's, in order.
 	for frame := 0; frame < 3; frame++ {
 		for n := circuit.NodeID(1); int(n) < c.NumNodes(); n++ {
 			v := d.VarFor(n, frame)
-			gn, gf, isAct := d.NodeOf(v)
-			if isAct || gn != n || gf != frame {
-				t.Fatalf("NodeOf(VarFor(%v,%d)) = (%v,%d,%v)", n, frame, gn, gf, isAct)
+			if want := lits.Var(1 + frame*stride + int(n) - 1); v != want {
+				t.Fatalf("VarFor(%v,%d) = %d, want %d", n, frame, v, want)
+			}
+			if gf, aux := d.VarInfo(v); aux || gf != frame {
+				t.Fatalf("VarInfo(VarFor(%v,%d)) = (%d,%v)", n, frame, gf, aux)
 			}
 		}
 	}
@@ -305,11 +308,10 @@ func TestDeltaSizeExact(t *testing.T) {
 	}
 }
 
-// TestFramesAllocatePerFrameNotPerClause: Delta.Frame and StepDelta.Frame
-// write their clauses into a formula's two flat arrays, each made at its
-// exact size, so a frame costs the same few allocations whatever its
-// clause count — the formula, its two arrays and the step query's OR
-// buffer. On mix_w8 a frame holds over 3,000 clauses, step frame 15 some
+// TestFramesAllocatePerFrameNotPerClause: Delta.Frame writes the clauses of
+// either query into a formula's two flat arrays, each made at its exact
+// size, so a frame costs the same few allocations whatever its clause
+// count — the formula and its two arrays. On mix_w8 a frame holds over 3,000 clauses, step frame 15 some
 // 1,650 more than step frame 5 (its simple path spans three times the
 // pairs); building them one allocation a clause, as appended clause
 // slices were, cost 3,369 allocations a frame, and 4,195 against 5,845.

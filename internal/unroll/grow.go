@@ -17,7 +17,7 @@ const maxSizedInstance = math.MaxInt32
 // outgrows the storage a check sized for an earlier depth, it returns the
 // depth to size that storage for. size(t) is the depth-t instance's size
 // (variables, clauses and literals together — Instance.Size for a scratch
-// check, Delta.Size or StepDelta.Size for a persistent one) and must not
+// check, Delta.Size for a persistent one) and must not
 // decrease with t.
 //
 // The depth is the deepest up to maxDepth whose instance fits the smallest
@@ -61,7 +61,7 @@ func GrowthDepth(k, maxDepth int, size func(t int) int) int {
 // Fits reports whether the depth-k instance whose variables, clauses and
 // literals size(k) counts is within the bound GrowthDepth sizes storage
 // for. It is the bound a peer's request for depth k is held to before any
-// frame is encoded: size is Instance.Size, Delta.Size or StepDelta.Size,
+// frame is encoded: size is Instance.Size or Delta.Size,
 // and no size it evaluates can overflow — the depths are galloped from 1,
 // so the first one past the bound is at most twice one within it.
 func Fits(k int, size func(k int) (vars, clauses, literals int)) bool {
@@ -78,6 +78,18 @@ func Fits(k int, size func(k int) (vars, clauses, literals int)) bool {
 		}
 	}
 	return total(k) <= maxSizedInstance
+}
+
+// body returns the clause and literal counts of the gates of a run of
+// frames and the transitions between them, plus the initial values when
+// init is set: what every encoding here builds before its property.
+func (u *Unroller) body(frames int, init bool) (clauses, literals int) {
+	ands := u.c.NumAnds()
+	tc, tl := u.transition()
+	if init {
+		clauses, literals = u.c.NumLatches(), u.c.NumLatches()
+	}
+	return clauses + frames*3*ands + (frames-1)*tc, literals + frames*7*ands + (frames-1)*tl
 }
 
 // transition returns the clause and literal counts of one step of the latch

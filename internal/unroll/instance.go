@@ -13,7 +13,7 @@ import (
 // scratch numbering, grown in place from depth to depth: Extend(k) makes it
 // the length-k instance out of whatever shorter instance it holds, encoding
 // only the frames that are new. It is the one encoder of that numbering —
-// Formula and StepFormula are an Instance extended once.
+// Formula is an Instance extended once.
 //
 // The formula is flat (cnf.Formula): one literal array and one end offset
 // per clause. Its clauses keep the order a one-shot build gives them,
@@ -32,12 +32,8 @@ import (
 // constraint, whose auxiliary variables are numbered past the depth's
 // frames — and is written anew, over the last depth's, at every depth.
 //
-// Every clause is emitted normalised, in the form the solver stores it:
-// literals strictly ascending, no duplicate, no tautology. circuit.And
-// orders an AND gate's fanins by node and folds a∧a and a∧¬a, nodes are
-// numbered topologically, and a later frame's variables are all above an
-// earlier one's, so the clauses below are ascending as they are written
-// down and loading them sorts nothing (cnf.NormalizeLits).
+// Every clause is emitted normalised (numbering.go's emitters), and so is
+// the tail below.
 //
 // Extend rewrites the arrays of the formula it returned before: a formula,
 // and any cnf.Clause taken from it, is valid until the next Extend.
@@ -55,40 +51,28 @@ type Instance struct {
 	bodyEnd   int // clauses [gatesEnd, bodyEnd): transitions; the tail follows
 	gatesLits int // literals of the clauses below gatesEnd
 	bodyLits  int // literals of the clauses below bodyEnd
-
-	// transClauses and transLits count one step's transitions
-	// (Unroller.transition).
-	transClauses, transLits int
 }
 
 // Instance returns an empty growing instance of the BMC query: Extend(k)
 // makes it Formula(k).
-func (u *Unroller) Instance() *Instance { return u.newInstance(false) }
+func (u *Unroller) Instance() *Instance { return &Instance{u: u} }
 
 // StepInstance returns an empty growing instance of the k-induction step
-// query: Extend(k) makes it StepFormula(u, k).
-func (u *Unroller) StepInstance() *Instance { return u.newInstance(true) }
-
-func (u *Unroller) newInstance(step bool) *Instance {
-	in := &Instance{u: u, step: step}
-	in.transClauses, in.transLits = u.transition()
-	return in
-}
+// query: Extend(k) makes it the depth-k step formula — frames 0..k+1
+// connected by the transition relation with no initial-state constraint,
+// the property's bad signal false in frames 0..k and asserted in frame k+1,
+// and pairwise state disequality between frames 0..k (the simple-path
+// constraint that makes k-induction complete on finite systems).
+func (u *Unroller) StepInstance() *Instance { return &Instance{u: u, step: true} }
 
 // Size returns the variable, clause and literal counts of Extend(k)'s
 // formula without building it: the closed form of the encoding below, which
 // must follow it exactly.
 func (in *Instance) Size(k int) (vars, clauses, literals int) {
 	frames := in.framesAt(k)
-	ands := in.u.c.NumAnds()
-	units := 0
-	if !in.step {
-		units = in.u.c.NumLatches() // I(V⁰): one per latch
-	}
+	clauses, literals = in.u.body(frames, !in.step)
 	tailClauses, tailLits, aux := in.tail(k)
-	return in.u.NumVars(frames-1) + aux,
-		units + frames*3*ands + (frames-1)*in.transClauses + tailClauses,
-		units + frames*7*ands + (frames-1)*in.transLits + tailLits
+	return in.u.NumVars(frames-1) + aux, clauses + tailClauses, literals + tailLits
 }
 
 // Grow sizes the formula's arrays ahead for depth k, like slices.Grow, but
@@ -134,8 +118,7 @@ func (in *Instance) VarInfo(v lits.Var) (frame int, aux bool) {
 	if int(v) > in.u.NumVars(in.frames-1) {
 		return 0, true
 	}
-	_, frame = in.u.NodeOf(v)
-	return frame, false
+	return in.u.VarInfo(v)
 }
 
 // openGap returns s lengthened by n, with what followed index at moved up
@@ -165,7 +148,6 @@ func (in *Instance) Extend(k int) *cnf.Formula {
 	u, c := in.u, in.u.c
 	bad := c.Properties()[u.propIdx].Bad
 	constBad := bad == circuit.True || bad == circuit.False
-	latches := c.Latches()
 
 	// What the body gains: the initial values on the first extension, the
 	// gates of the new frames, the transitions into them.
@@ -173,14 +155,12 @@ func (in *Instance) Extend(k int) *cnf.Formula {
 	if in.frames == 0 {
 		steps = frames - 1
 		if !in.step {
-			units = len(latches)
+			units = c.NumLatches()
 		}
 	}
 	newGates := units + (frames-in.frames)*3*c.NumAnds()
 	newGateLits := units + (frames-in.frames)*7*c.NumAnds()
-	tailClauses, tailLits, _ := in.tail(k)
-	needClauses := in.bodyEnd + newGates + steps*in.transClauses + tailClauses
-	needLits := in.bodyLits + newGateLits + steps*in.transLits + tailLits
+	_, needClauses, needLits := in.Size(k)
 	if needLits > math.MaxInt32 {
 		panic(fmt.Sprintf("unroll: depth %d needs %d literals, past a formula's end offsets", k, needLits))
 	}
@@ -188,102 +168,55 @@ func (in *Instance) Extend(k int) *cnf.Formula {
 	// Drop the tail and open the gap for the new gates between the last
 	// frame's and the transitions, whose ends move up by what it holds. An
 	// array replaced is let go of as soon as it is copied.
-	in.f.Lits = openGap(in.f.Lits[:in.bodyLits], in.gatesLits, newGateLits, needLits, in.roomLits)
-	in.f.Ends = openGap(in.f.Ends[:in.bodyEnd], in.gatesEnd, newGates, needClauses, in.roomClauses)
-	ls, ends := in.f.Lits, in.f.Ends
-	for i := in.gatesEnd + newGates; i < len(ends); i++ {
-		ends[i] += int32(newGateLits)
+	f := &in.f
+	f.Lits = openGap(f.Lits[:in.bodyLits], in.gatesLits, newGateLits, needLits, in.roomLits)
+	f.Ends = openGap(f.Ends[:in.bodyEnd], in.gatesEnd, newGates, needClauses, in.roomClauses)
+	for i := in.gatesEnd + newGates; i < len(f.Ends); i++ {
+		f.Ends[i] += int32(newGateLits)
 	}
 
 	// Appending to what precedes the gap writes into it.
-	gls, gends := ls[:in.gatesLits], ends[:in.gatesEnd]
+	gap := cnf.Formula{Lits: f.Lits[:in.gatesLits], Ends: f.Ends[:in.gatesEnd]}
 	if units > 0 {
-		// I(V⁰): initial latch values.
-		for _, id := range latches {
-			gls = append(gls, lits.MkLit(u.VarFor(id, 0), !c.LatchInit(id).IsTrue()))
-			gends = append(gends, int32(len(gls)))
-		}
+		u.initial(&gap)
 	}
-	// Gate relations (the combinational part of T, plus the property cone).
 	for frame := in.frames; frame < frames; frame++ {
-		for n := circuit.NodeID(1); int(n) < c.NumNodes(); n++ {
-			if c.Kind(n) != circuit.KindAnd {
-				continue
-			}
-			f0, f1 := c.Fanins(n)
-			out, a, b := lits.PosLit(u.VarFor(n, frame)), u.LitFor(f0, frame), u.LitFor(f1, frame)
-			// out <-> (a & b), as cnf.Formula.AddAnd2 spells it: a < b < out.
-			gls = append(gls, a, out.Neg(), b, out.Neg(), a.Neg(), b.Neg(), out)
-			end := int32(len(gls))
-			gends = append(gends, end-5, end-3, end)
-		}
+		u.gates(&gap, frame)
 	}
-	in.gatesEnd, in.gatesLits = len(gends), len(gls)
-
-	// Latch transitions between consecutive frames.
+	in.gatesEnd, in.gatesLits = len(gap.Ends), len(gap.Lits)
 	for frame := frames - 1 - steps; frame < frames-1; frame++ {
-		for _, id := range latches {
-			next := c.LatchNext(id)
-			lhs := lits.PosLit(u.VarFor(id, frame+1))
-			switch next {
-			case circuit.True:
-				ls = append(ls, lhs)
-			case circuit.False:
-				ls = append(ls, lhs.Neg())
-			default:
-				// lhs <-> next, as cnf.Formula.AddEq spells it: rhs lies
-				// in the earlier frame, so rhs < lhs.
-				rhs := u.LitFor(next, frame)
-				ls = append(ls, rhs, lhs.Neg(), rhs.Neg(), lhs)
-				ends = append(ends, int32(len(ls)-2))
-			}
-			ends = append(ends, int32(len(ls)))
-		}
+		u.transitions(f, frame)
 	}
-	in.frames, in.bodyEnd, in.bodyLits = frames, len(ends), len(ls)
+	in.frames, in.bodyEnd, in.bodyLits = frames, len(f.Ends), len(f.Lits)
 
 	// The tail.
-	emit := func(cl ...lits.Lit) {
-		ls = append(ls, cl...)
-		ends = append(ends, int32(len(ls)))
-	}
 	nVars := u.NumVars(frames - 1)
 	switch {
 	case in.step && !constBad:
 		// P holds in frames 0..k and fails in frame k+1.
 		for frame := 0; frame <= k; frame++ {
-			emit(u.LitFor(bad, frame).Neg())
+			f.AddUnit(u.LitFor(bad, frame).Neg())
 		}
-		emit(u.LitFor(bad, k+1))
-		// Simple path: the states of frames 0..k are pairwise distinct.
-		// For each pair i<j one diff variable per latch, numbered past the
-		// frames (d → latch_i ⊕ latch_j; one direction suffices), and
-		// OR(diffs), whose diffs are numbered in ascending order.
-		or := make([]lits.Lit, len(latches))
+		f.AddUnit(u.LitFor(bad, k+1))
+		// Simple path: the states of frames 0..k are pairwise distinct,
+		// each pair's auxiliaries numbered past the frames in turn.
 		for i := 0; i <= k; i++ {
 			for j := i + 1; j <= k; j++ {
-				for l, id := range latches {
-					nVars++
-					d := lits.PosLit(lits.Var(nVars))
-					a, b := lits.PosLit(u.VarFor(id, i)), lits.PosLit(u.VarFor(id, j))
-					emit(a, b, d.Neg())
-					emit(a.Neg(), b.Neg(), d.Neg())
-					or[l] = d
-				}
-				emit(or...)
+				u.distinct(f, i, j, lits.Var(nVars+1))
+				nVars += c.NumLatches()
 			}
 		}
 	case in.step || bad == circuit.False:
 		// A constant property needs no reasoning: no frame is good when
 		// it is constantly violated, none is bad when it never is, and
 		// either way the instance is trivially unsatisfiable.
-		emit()
+		f.AddClause(nil)
 	case bad == circuit.True:
 		// Constantly violated: every execution is a witness.
 	default:
 		// ¬P(Vᵏ): the bad signal asserted in the final frame.
-		emit(u.LitFor(bad, k))
+		f.AddUnit(u.LitFor(bad, k))
 	}
-	in.f.NumVars, in.f.Lits, in.f.Ends = nVars, ls, ends
-	return &in.f
+	f.NumVars = nVars
+	return f
 }

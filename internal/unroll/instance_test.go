@@ -99,7 +99,7 @@ func TestPropertyGrownInstanceIsOneShot(t *testing.T) {
 			oneShot func(k int) *cnf.Formula
 		}{
 			{"bmc", u.Instance(), u.Formula},
-			{"step", u.StepInstance(), func(k int) *cnf.Formula { return StepFormula(u, k) }},
+			{"step", u.StepInstance(), func(k int) *cnf.Formula { return u.StepInstance().Extend(k) }},
 		} {
 			var handedOut *cnf.Formula // what the last depth returned
 			for k := 0; k <= maxK; k++ {
@@ -221,8 +221,8 @@ func normalised(t *testing.T, what string, f *cnf.Formula) {
 	}
 }
 
-// TestClausesEmittedNormalised: the three encoders — the growing instance,
-// Delta and StepDelta — emit every clause in the form the solver stores,
+// TestClausesEmittedNormalised: the four encodings — both queries' growing
+// instance and Delta — emit every clause in the form the solver stores,
 // so that loading them sorts nothing.
 func TestClausesEmittedNormalised(t *testing.T) {
 	const maxK = 12

@@ -10,8 +10,8 @@ import (
 // Metrics is the unroller's bundle of obs handles, observed once per
 // Frame build (encode cost is per depth, not per clause, so nothing here
 // is hot). The handles are atomic: Frame may be called from several
-// goroutines at once. A nil *Metrics — the default on Delta and StepDelta
-// — skips even the clock read.
+// goroutines at once. A nil *Metrics — the default on a Delta — skips even
+// the clock read.
 type Metrics struct {
 	Frames     *obs.Counter // Frame(k) calls
 	BuildNanos *obs.Counter // wall time inside Frame builds
@@ -71,7 +71,3 @@ func (m *Metrics) observe(start time.Time, f *cnf.Formula) {
 // SetMetrics attaches frame-build instrumentation to the delta view
 // (nil detaches it).
 func (d *Delta) SetMetrics(m *Metrics) { d.metrics = m }
-
-// SetMetrics attaches frame-build instrumentation to the step delta view
-// (nil detaches it).
-func (sd *StepDelta) SetMetrics(m *Metrics) { sd.metrics = m }

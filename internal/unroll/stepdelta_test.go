@@ -8,7 +8,7 @@ import (
 )
 
 // TestStepDeltaNumbering checks the block-wise variable layout: dense,
-// frame-stable, and consistent between the forward maps (VarFor, ActVar)
+// frame-stable, and consistent between the forward maps (VarFor, ActLit)
 // and the inverse classification (VarInfo).
 func TestStepDeltaNumbering(t *testing.T) {
 	c := bench.TrafficLight(false, 1, 3)
@@ -51,9 +51,9 @@ func TestStepDeltaNumbering(t *testing.T) {
 			}
 		}
 		// The activation variable inverts to (guarded frame, aux=true).
-		av := sd.ActVar(k)
+		av := sd.ActLit(k).Var()
 		if int(av) > n {
-			t.Fatalf("ActVar(%d) = %d > NumVars %d", k, av, n)
+			t.Fatalf("ActLit(%d) = %d > NumVars %d", k, av, n)
 		}
 		if frame, aux := sd.VarInfo(av); frame != k+1 || !aux {
 			t.Fatalf("VarInfo(act_%d) = (%d, %v), want (%d, true)", k, frame, aux, k+1)

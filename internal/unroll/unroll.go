@@ -16,13 +16,16 @@
 // The whole-instance formulas of that numbering — the BMC query's and the
 // k-induction step query's — come from one encoder, Instance, which grows
 // an instance in place from one depth to the next, so a depth loop over
-// fresh solvers encodes each frame once; Formula and StepFormula are its
-// one-shot forms. Delta and StepDelta encode the same queries frame by
-// frame for persistent solvers, under numberings of their own.
+// fresh solvers encodes each frame once; Formula is its one-shot form.
+// Delta encodes the same two queries frame by frame for persistent
+// solvers. Both go through one numbering (numbering.go), which places a
+// persistent sequence's activation and simple-path variables between the
+// frames, and through the same clause emitters.
 package unroll
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/cnf"
@@ -32,9 +35,8 @@ import (
 // Unroller builds BMC instances of increasing depth for one circuit and
 // one property.
 type Unroller struct {
-	c       *circuit.Circuit
-	propIdx int
-	stride  int // CNF variables per frame: every node except the constant
+	numbering // the scratch numbering: frame f's nodes from 1 + f·stride
+	propIdx   int
 }
 
 // New creates an unroller for property propIdx of circuit c. The circuit
@@ -46,7 +48,7 @@ func New(c *circuit.Circuit, propIdx int) (*Unroller, error) {
 	if propIdx < 0 || propIdx >= len(c.Properties()) {
 		return nil, fmt.Errorf("unroll: property index %d out of range (%d properties)", propIdx, len(c.Properties()))
 	}
-	return &Unroller{c: c, propIdx: propIdx, stride: c.NumNodes() - 1}, nil
+	return &Unroller{numbering: numbering{c: c, stride: c.NumNodes() - 1}, propIdx: propIdx}, nil
 }
 
 // Circuit returns the underlying circuit.
@@ -58,29 +60,11 @@ func (u *Unroller) PropIdx() int { return u.propIdx }
 // Stride returns the number of CNF variables per time frame.
 func (u *Unroller) Stride() int { return u.stride }
 
-// NumVars returns the variable count of the length-k instance.
-func (u *Unroller) NumVars(k int) int { return u.stride * (k + 1) }
-
-// VarFor returns the CNF variable of node n in frame f. The constant node
-// has no variable.
-func (u *Unroller) VarFor(n circuit.NodeID, frame int) lits.Var {
-	if n == circuit.ConstNode {
-		panic("unroll: the constant node has no CNF variable")
-	}
-	return lits.Var(1 + frame*u.stride + int(n) - 1)
-}
-
 // NodeOf inverts VarFor: it returns the circuit node and frame of CNF
 // variable v.
 func (u *Unroller) NodeOf(v lits.Var) (circuit.NodeID, int) {
 	idx := int(v) - 1
 	return circuit.NodeID(idx%u.stride + 1), idx / u.stride
-}
-
-// LitFor returns the CNF literal of signal s in frame f; it panics on
-// constant signals (callers must fold those).
-func (u *Unroller) LitFor(s circuit.Signal, frame int) lits.Lit {
-	return lits.MkLit(u.VarFor(s.Node(), frame), s.IsNeg())
 }
 
 // Formula builds the length-k BMC instance (gen_cnf_formula in the paper's
@@ -97,26 +81,6 @@ type Trace struct {
 	Depth  int
 	Inputs [][]bool // [frame][input position]
 	States [][]bool // [frame][latch position]
-}
-
-// ExtractTrace decodes a satisfying model of the length-k instance into a
-// concrete input sequence and state trajectory.
-func (u *Unroller) ExtractTrace(model lits.Assignment, k int) *Trace {
-	c := u.c
-	tr := &Trace{Depth: k}
-	for frame := 0; frame <= k; frame++ {
-		in := make([]bool, c.NumInputs())
-		for i, id := range c.Inputs() {
-			in[i] = model.Value(u.VarFor(id, frame)).IsTrue()
-		}
-		st := make([]bool, c.NumLatches())
-		for i, id := range c.Latches() {
-			st[i] = model.Value(u.VarFor(id, frame)).IsTrue()
-		}
-		tr.Inputs = append(tr.Inputs, in)
-		tr.States = append(tr.States, st)
-	}
-	return tr
 }
 
 // Replay simulates the trace's inputs from the initial state and reports
@@ -140,11 +104,6 @@ func (u *Unroller) AbstractModel(coreVars []lits.Var) []circuit.NodeID {
 			out = append(out, n)
 		}
 	}
-	// insertion sort — node sets are small relative to circuits
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }

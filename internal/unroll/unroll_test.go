@@ -303,8 +303,8 @@ func TestFormulaGrowsLinearly(t *testing.T) {
 	}
 }
 
-// TestFormulaClauseListSizedOnce: Formula and StepFormula are an instance's
-// first extension, which allocates the literals and the clause ends at
+// TestFormulaClauseListSizedOnce: Formula and a new step instance's
+// Extend(k) are an instance's first extension, which allocates the literals and the clause ends at
 // exactly their sizes — constant next states, which take one clause instead
 // of two, included. An array with capacity to spare was sized by a bound;
 // one regrown by append would have some too.
@@ -322,7 +322,7 @@ func TestFormulaClauseListSizedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := 0; k <= 4; k++ {
-			for name, f := range map[string]*cnf.Formula{"Formula": u.Formula(k), "StepFormula": StepFormula(u, k)} {
+			for name, f := range map[string]*cnf.Formula{"Formula": u.Formula(k), "StepInstance": u.StepInstance().Extend(k)} {
 				if cap(f.Ends) != len(f.Ends) || cap(f.Lits) != len(f.Lits) {
 					t.Errorf("%s: %s(%d) has %d clauses and %d literals in capacities %d and %d",
 						c.Name(), name, k, len(f.Ends), len(f.Lits), cap(f.Ends), cap(f.Lits))
