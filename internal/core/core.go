@@ -385,7 +385,8 @@ type Recorder struct {
 }
 
 // forgottenBit marks an antEnd entry whose record Forget dropped; the rest
-// of the entry is still where its (now empty) run ends.
+// of the entry is still where its (now empty) run ends. On litEnd it marks
+// an ID nobody registered, which tells it from a leaf with no literals.
 const forgottenBit = 1 << 31
 
 // NewRecorder creates a simplified-CDG recorder for one solve of a formula
@@ -424,18 +425,18 @@ func (r *Recorder) advance(id sat.ClauseID) {
 		panic(fmt.Sprintf("core: clause ID %d out of order (expected %d or above)", id, int(r.base)+r.antEnd.n))
 	}
 	for r.antEnd.n < i {
-		r.closeEntry()
+		r.closeEntry(forgottenBit)
 	}
 }
 
-// closeEntry ends the next clause's runs where the stores end now.
-func (r *Recorder) closeEntry() {
+// closeEntry ends the next clause's runs where the stores end now; mark goes on litEnd.
+func (r *Recorder) closeEntry(mark uint32) {
 	if uint(r.ants.n) >= forgottenBit {
 		panic("core: more than 2^31 bytes of antecedent IDs on record")
 	}
 	r.antEnd.put(uint32(r.ants.n))
 	if r.payload != IDsOnly {
-		r.litEnd.put(uint32(r.lits.n))
+		r.litEnd.put(uint32(r.lits.n) | mark)
 	}
 }
 
@@ -451,7 +452,7 @@ func (r *Recorder) RecordLearned(id sat.ClauseID, literals []lits.Lit, anteceden
 	if r.payload == Complete {
 		appendRun(&r.lits, literals, 0)
 	}
-	r.closeEntry()
+	r.closeEntry(0)
 	r.learned++
 }
 
@@ -463,7 +464,7 @@ func (r *Recorder) AddLeaf(id sat.ClauseID, literals []lits.Lit) {
 	if r.payload != IDsOnly {
 		appendRun(&r.lits, literals, 0)
 	}
-	r.closeEntry()
+	r.closeEntry(0)
 }
 
 // RecordFinal implements sat.ProofRecorder. A persistent solver calls it
@@ -573,9 +574,9 @@ func (r *Recorder) Forget(live []sat.ClauseID) {
 // Proof hands the proof r holds to proofcheck under the failed assumptions
 // of the last UNSAT answer: every clause by ID — a fresh solve's originals
 // from the formula it ran on (originals may be nil), the rest from r — and
-// the final conflict. A forgotten record, a leaf r has no literals for and
-// an ID past the table are no record, never a leaf. Only a Complete
-// recorder's learned clauses carry literals. Nil without a final conflict.
+// the final conflict. A forgotten record, an ID nobody registered or past the
+// table is no record, and a leaf registered without literals the empty clause.
+// Only a Complete recorder's learned clauses carry literals. Nil without a proof.
 func (r *Recorder) Proof(originals *cnf.Formula, assumptions []lits.Lit) *proofcheck.Proof {
 	if !r.proved {
 		return nil
@@ -589,7 +590,7 @@ func (r *Recorder) Proof(originals *cnf.Formula, assumptions []lits.Lit) *proofc
 		switch {
 		case i < 0 && originals != nil && id < originals.NumClauses():
 			c.Lits = originals.Clause(id)
-		case i < 0 || r.payload == IDsOnly || r.antEnd.at(i)&forgottenBit != 0:
+		case i < 0 || r.payload == IDsOnly || r.antEnd.at(i)&forgottenBit != 0 || r.litEnd.at(i)&forgottenBit != 0:
 			continue
 		default:
 			n, m := len(literals), len(ants)
@@ -597,9 +598,6 @@ func (r *Recorder) Proof(originals *cnf.Formula, assumptions []lits.Lit) *proofc
 			literals = decodeRun(&r.lits, literals, lo, hi, 0)
 			lo, hi = r.span(&r.antEnd, cid)
 			ants = decodeRun(&r.ants, ants, lo, hi, id)
-			if len(literals) == n && len(ants) == m {
-				continue
-			}
 			c.Lits, c.Ants = literals[n:len(literals):len(literals)], ants[m:len(ants):len(ants)]
 		}
 		p.Clauses[id] = c
@@ -609,6 +607,17 @@ func (r *Recorder) Proof(originals *cnf.Formula, assumptions []lits.Lit) *proofc
 	}
 	return p
 }
+
+// Certify checks Proof(originals, assumptions) and Core with proofcheck and
+// returns the core, certified when the error is nil. Only a Complete
+// recorder's proof can pass; without a final conflict it is an error.
+func (r *Recorder) Certify(originals *cnf.Formula, assumptions []lits.Lit) ([]int, error) {
+	ids := r.Core()
+	return ids, proofcheck.Check(r.Proof(originals, assumptions), ids)
+}
+
+// Payload returns the literals r keeps beside the antecedent IDs.
+func (r *Recorder) Payload() Payload { return r.payload }
 
 // above returns the lowest ID above every record and every ID in ids.
 func (r *Recorder) above(ids []sat.ClauseID) int {

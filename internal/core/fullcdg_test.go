@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -252,4 +253,65 @@ func randomFormulaFull(seed uint64, nVars, nClauses, maxLen int) *cnf.Formula {
 		f.AddClause(c)
 	}
 	return f
+}
+
+// TestEmptyLeafCertifies: an empty clause registered as a leaf — what a
+// live solver is given when an encoding spells out an outright
+// contradiction — is the empty clause of the proof, not a missing record,
+// while an ID nobody registered stays no record. The final conflict that
+// rests on the empty leaf alone certifies, on every payload that keeps
+// leaves.
+func TestEmptyLeafCertifies(t *testing.T) {
+	for _, payload := range []Payload{WithLeaves, Complete} {
+		rec := NewRecorderWith(0, payload)
+		rec.AddLeaf(0, cnf.Clause{lits.PosLit(1)})
+		rec.AddLeaf(2, nil) // ID 1 is skipped: nobody registered it
+		rec.RecordFinal([]sat.ClauseID{2})
+		ids, err := rec.Certify(nil, nil)
+		if err != nil {
+			t.Fatalf("payload %d: %v", payload, err)
+		}
+		if len(ids) != 1 || ids[0] != 2 {
+			t.Errorf("payload %d: certified core %v, want [2]", payload, ids)
+		}
+		if p := rec.Proof(nil, nil); p.Clauses[1] != nil || p.Clauses[2] == nil {
+			t.Errorf("payload %d: unregistered ID on record %v, empty leaf on record %v",
+				payload, p.Clauses[1] != nil, p.Clauses[2] != nil)
+		}
+		rec.RecordFinal([]sat.ClauseID{1})
+		if _, err := rec.Certify(nil, nil); err == nil {
+			t.Errorf("payload %d: a final conflict on an unregistered ID certified", payload)
+		}
+	}
+}
+
+// TestCertifyReturnsCheckedCore: Certify returns Core's IDs on a genuine
+// refutation and an error where proofcheck rejects one — no final
+// conflict, or a recorder that keeps no learned literals.
+func TestCertifyReturnsCheckedCore(t *testing.T) {
+	f := php(4)
+	rec, res := solveWithFull(t, f)
+	if res.Status != sat.Unsat {
+		t.Fatal(res.Status)
+	}
+	ids, err := rec.Certify(f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := rec.Core(); !slices.Equal(ids, want) {
+		t.Errorf("certified %v, core %v", ids, want)
+	}
+	simple := NewRecorder(f.NumClauses())
+	if r := sat.New(f, sat.Options{Recorder: simple}).Solve(); r.Status != sat.Unsat {
+		t.Fatal(r.Status)
+	}
+	if _, err := simple.Certify(f, nil); err == nil {
+		t.Error("an IDs-only proof certified")
+	}
+	sat2 := cnf.New(1)
+	sat2.Add(1)
+	none, _ := solveWithFull(t, sat2)
+	if _, err := none.Certify(sat2, nil); err == nil {
+		t.Error("a recorder without a final conflict certified")
+	}
 }

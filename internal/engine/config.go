@@ -71,9 +71,9 @@ type Config struct {
 	// only solver option a configuration sets; the solver's tuning is
 	// fixed in internal/sat.
 	PerInstanceConflicts int64
-	// ForceRecording attaches proof recorders even for strategies that do
-	// not consume cores (the §3.1 overhead experiment).
-	ForceRecording bool
+	// Certify records complete proofs and certifies each UNSAT winner's
+	// before folding its core; a rejected or missing one fails Check.
+	Certify bool
 	// Progress, when non-nil, receives per-depth events as the check
 	// runs. It is called synchronously from the depth loop's goroutine,
 	// never concurrently.
@@ -140,8 +140,8 @@ func WithScoreMode(m core.ScoreMode) Option { return func(c *Config) { c.ScoreMo
 // paper's 64 (core.SwitchDivisor); Validate rejects a negative d.
 func WithSwitchDivisor(d int) Option { return func(c *Config) { c.SwitchDivisor = d } }
 
-// WithForceRecording attaches proof recorders unconditionally.
-func WithForceRecording() Option { return func(c *Config) { c.ForceRecording = true } }
+// WithCertify certifies every UNSAT depth's proof and core (Config.Certify).
+func WithCertify() Option { return func(c *Config) { c.Certify = true } }
 
 // WithProgress streams per-depth events to fn while the check runs.
 func WithProgress(fn func(Event)) Option { return func(c *Config) { c.Progress = fn } }

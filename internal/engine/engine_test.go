@@ -262,8 +262,8 @@ func TestProgressEvents(t *testing.T) {
 
 // TestKindProgressEvents: all three k-induction shapes emit base and step
 // events per depth, and every DepthFinished carries the depth's encode
-// and solve walls, formula size and — on UNSAT depths, the default
-// ordering records proofs — the extracted core.
+// and solve walls and formula size; under WithCertify every UNSAT depth's
+// proof and core, base and step, certify.
 func TestKindProgressEvents(t *testing.T) {
 	m := bench.Model{Name: "twin", Build: func() *circuit.Circuit { return bench.Twin(6, 0, 0) }}
 	for name, opts := range map[string][]engine.Option{
@@ -272,7 +272,7 @@ func TestKindProgressEvents(t *testing.T) {
 		"warm":       {engine.WithPortfolio(nil, 0), engine.WithIncremental()},
 	} {
 		var base, step int
-		opts = append(opts, engine.WithEngine(engine.KInduction), engine.WithBudgets(4, 0),
+		opts = append(opts, engine.WithEngine(engine.KInduction), engine.WithBudgets(4, 0), engine.WithCertify(),
 			engine.WithProgress(func(e engine.Event) {
 				if e.Kind != engine.DepthFinished {
 					return
@@ -286,9 +286,6 @@ func TestKindProgressEvents(t *testing.T) {
 				d := e.Depth
 				if d.EncodeWall <= 0 || d.SolveWall <= 0 || d.FormulaVars == 0 || d.FormulaClauses == 0 || d.FormulaLits == 0 {
 					t.Errorf("%s: %s depth %d misses walls or formula size: %+v", name, e.Query, e.K, d)
-				}
-				if d.Status == sat.Unsat && (d.CoreClauses == 0 || d.CoreVars == 0) {
-					t.Errorf("%s: UNSAT %s depth %d misses its core: %+v", name, e.Query, e.K, d)
 				}
 			}))
 		res := checkModel(t, m, opts...)

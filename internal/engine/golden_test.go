@@ -64,6 +64,13 @@ func goldenModel(t *testing.T, name string) bench.Model {
 // recorders became one) pin core extraction directly on the shapes that
 // report PerDepth: the dynamic ordering feeds on these cores, but a wrong
 // core that happens not to move the search would pass the counters alone.
+//
+// Every row runs twice, the second time under WithCertify, which records
+// complete proofs and certifies each one: certification must leave the
+// search alone, so verdict, K and counters are the table's. The core sums
+// are compared on the certified run only where the table records a core —
+// on the shapes that race no static or dynamic ordering, certification is
+// what makes them record at all.
 func TestGoldenCounters(t *testing.T) {
 	shapes := goldenShapes()
 	for _, row := range []struct {
@@ -135,28 +142,38 @@ func TestGoldenCounters(t *testing.T) {
 		{"kind-warm-single", "tlc_bug", 5, engine.Falsified, 1, 0, 14, 717, 0, 0},
 		{"kind-warm-single", "gcnt_offset", 16, engine.Proved, 2, 5, 11, 575, 0, 0},
 	} {
-		opts := append([]engine.Option{engine.WithBudgets(row.depth, 0)}, shapes[row.shape]...)
-		res := checkModel(t, goldenModel(t, row.model), opts...)
-		st := res.Total
-		st.Add(res.BaseStats)
-		if !(res.Engine == engine.KInduction && res.Verdict == engine.Falsified) {
-			st.Add(res.StepStats)
-		}
-		if res.Verdict != row.verdict || res.K != row.k {
-			t.Errorf("%s/%s: %v@%d, want %v@%d", row.shape, row.model, res.Verdict, res.K, row.verdict, row.k)
-		}
-		if st.Conflicts != row.conflicts || st.Decisions != row.decisions || st.Implications != row.propagations {
-			t.Errorf("%s/%s: %d conflicts, %d decisions, %d propagations; want %d, %d, %d", row.shape, row.model,
-				st.Conflicts, st.Decisions, st.Implications, row.conflicts, row.decisions, row.propagations)
-		}
-		coreClauses, coreVars := 0, 0
-		for _, d := range res.PerDepth {
-			coreClauses += d.CoreClauses
-			coreVars += d.CoreVars
-		}
-		if coreClauses != row.coreClauses || coreVars != row.coreVars {
-			t.Errorf("%s/%s: cores sum to %d clauses over %d variables; want %d, %d", row.shape, row.model,
-				coreClauses, coreVars, row.coreClauses, row.coreVars)
+		for _, certify := range []bool{false, true} {
+			opts := append([]engine.Option{engine.WithBudgets(row.depth, 0)}, shapes[row.shape]...)
+			what := row.shape + "/" + row.model
+			if certify {
+				opts = append(opts, engine.WithCertify())
+				what += " (certified)"
+			}
+			res := checkModel(t, goldenModel(t, row.model), opts...)
+			st := res.Total
+			st.Add(res.BaseStats)
+			if !(res.Engine == engine.KInduction && res.Verdict == engine.Falsified) {
+				st.Add(res.StepStats)
+			}
+			if res.Verdict != row.verdict || res.K != row.k {
+				t.Errorf("%s: %v@%d, want %v@%d", what, res.Verdict, res.K, row.verdict, row.k)
+			}
+			if st.Conflicts != row.conflicts || st.Decisions != row.decisions || st.Implications != row.propagations {
+				t.Errorf("%s: %d conflicts, %d decisions, %d propagations; want %d, %d, %d", what,
+					st.Conflicts, st.Decisions, st.Implications, row.conflicts, row.decisions, row.propagations)
+			}
+			coreClauses, coreVars := 0, 0
+			for _, d := range res.PerDepth {
+				coreClauses += d.CoreClauses
+				coreVars += d.CoreVars
+			}
+			if certify && row.coreClauses == 0 {
+				continue
+			}
+			if coreClauses != row.coreClauses || coreVars != row.coreVars {
+				t.Errorf("%s: cores sum to %d clauses over %d variables; want %d, %d", what,
+					coreClauses, coreVars, row.coreClauses, row.coreVars)
+			}
 		}
 	}
 }

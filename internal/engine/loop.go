@@ -140,7 +140,7 @@ func (q *freshSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
 
 	// Scratch numbering has no auxiliary variables to keep out of a core.
 	if w := out.Race.Winner; w >= 0 && out.Race.Result.Status == sat.Unsat {
-		out.FoldCore(q.recs[w], q.board, k, f, f.NumVars, nil)
+		out.Err = out.FoldCore(q.recs[w], q.board, k, f, f.NumVars, nil)
 	}
 	return out
 }
@@ -185,8 +185,10 @@ type plan struct {
 	// record attaches a proof recorder to every attempt, so whichever
 	// racer wins an UNSAT depth has a core to contribute. Recording (and
 	// the board it feeds) only pays off when some attempt reads bmc_score
-	// at the next depth — static or dynamic is raced — or when forced.
+	// at the next depth — static or dynamic is raced — or to certify.
 	record bool
+	// payload is IDsOnly, or Complete under Certify: what FoldCore certifies.
+	payload core.Payload
 }
 
 // resolve is the one place a check's plan is derived from the
@@ -195,7 +197,10 @@ func (s *Session) resolve(ctx context.Context) plan {
 	p := plan{
 		set:     portfolio.StrategySet{s.cfg.Ordering},
 		divisor: s.cfg.SwitchDivisor,
-		record:  s.cfg.ForceRecording,
+		record:  s.cfg.Certify,
+	}
+	if s.cfg.Certify {
+		p.payload = core.Complete
 	}
 	if s.cfg.Portfolio {
 		p.set = s.cfg.Strategies
@@ -257,7 +262,7 @@ func (s *Session) newSequence(u *unroll.Unroller, query Query, p plan) sequence 
 		q.solvers[i] = new(sat.Solver)
 		q.metrics[i] = s.solverMetrics(query, st.String())
 		if p.record {
-			q.recs[i] = core.NewRecorder(0)
+			q.recs[i] = core.NewRecorderWith(0, p.payload)
 		}
 	}
 	return q
@@ -275,6 +280,7 @@ func (s *Session) poolConfig(query Query, p plan, board *core.ScoreBoard) racer.
 		Board:      board,
 		Divisor:    p.divisor,
 		Record:     p.record,
+		Payload:    p.payload,
 		MaxDepth:   s.cfg.MaxDepth,
 		Race: func(q string, attempts []portfolio.LiveAttempt, assumps []lits.Lit, jobs int, stop <-chan struct{}) portfolio.RaceResult {
 			return exec.RaceLive(Query(q), attempts, assumps, jobs, stop)
@@ -365,14 +371,17 @@ func (s *Session) run(ctx context.Context, u *unroll.Unroller) (*Result, error) 
 		res.K = k
 
 		b := s.startDepth(base, k)
+		runs := []*depthRun{b}
 		var st *depthRun
 		if step != nil && racing {
 			st = s.startDepth(step, k)
+			runs = append(runs, st)
 			raceBoth(ctx, b, st)
-			s.finishDepths(res, b, st)
 		} else {
 			b.out = base.seq.raceDepth(k, ctx.Done())
-			s.finishDepths(res, b)
+		}
+		if err := s.finishDepths(res, runs...); err != nil {
+			return nil, err
 		}
 
 		switch b.status() {
@@ -398,7 +407,9 @@ func (s *Session) run(ctx context.Context, u *unroll.Unroller) (*Result, error) 
 		if st == nil {
 			st = s.startDepth(step, k)
 			st.out = step.seq.raceDepth(k, ctx.Done())
-			s.finishDepths(res, st)
+			if err := s.finishDepths(res, st); err != nil {
+				return nil, err
+			}
 		}
 		switch st.status() {
 		case sat.Unsat:
@@ -445,8 +456,8 @@ func raceBoth(ctx context.Context, b, st *depthRun) {
 
 // finishDepths closes the depth's joined runs (one query, or base and
 // step) in the event order consumers rely on: every RaceFinished, then
-// every DepthFinished.
-func (s *Session) finishDepths(res *Result, runs ...*depthRun) {
+// every DepthFinished. It returns the first run's certification failure.
+func (s *Session) finishDepths(res *Result, runs ...*depthRun) (err error) {
 	for _, r := range runs {
 		if r.tel == nil {
 			continue
@@ -498,5 +509,9 @@ func (s *Session) finishDepths(res *Result, runs ...*depthRun) {
 		if r.query == QueryBMC {
 			res.PerDepth = append(res.PerDepth, ds)
 		}
+		if r.out.Err != nil && err == nil {
+			err = fmt.Errorf("engine: depth-%d %s core won by %s on %s not certified: %w", r.k, r.query, race.WinnerName(), s.circ.Name(), r.out.Err)
+		}
 	}
+	return err
 }

@@ -8,46 +8,6 @@ import (
 	"repro/internal/engine"
 )
 
-// --- §3.1 overhead: CDG bookkeeping cost ---
-
-// overhead measures each model with the proof recorder off and on, both
-// under the plain VSIDS ordering so the search is identical and only the
-// bookkeeping differs. The paper reports ~5% runtime overhead and
-// negligible memory for maintaining the simplified CDG.
-func overhead() Experiment {
-	return Experiment{
-		Name:   "overhead",
-		Models: OverheadModels(),
-		Columns: []Column{
-			fixed("off", engine.WithOrdering(core.OrderVSIDS)),
-			fixed("on", engine.WithOrdering(core.OrderVSIDS), engine.WithForceRecording()),
-		},
-		Write: writeOverhead,
-	}
-}
-
-func writeOverhead(w io.Writer, g *Grid) {
-	fmt.Fprintln(w, "Sec. 3.1: CDG bookkeeping overhead (identical searches, recorder off vs on)")
-	fmt.Fprintf(w, "%-16s %12s %12s %10s %14s\n", "model", "off (s)", "on (s)", "overhead", "CDG bytes")
-	writeRule(w, 68)
-	for i, m := range g.Models {
-		off, on := g.Cells[i][0], g.Cells[i][1]
-		var peak int64 // peak CDG footprint across instances
-		for _, d := range on.PerDepth {
-			peak = max(peak, d.RecorderBytes)
-		}
-		fmt.Fprintf(w, "%-16s %12s %12s %10s %14d\n",
-			m.Name, fmtDuration(off.TotalTime), fmtDuration(on.TotalTime),
-			ratio(off.TotalTime, on.TotalTime), peak)
-	}
-	writeRule(w, 68)
-	var pct float64
-	if off, on := g.TotalTime(0).Seconds(), g.TotalTime(1).Seconds(); off > 0 {
-		pct = 100 * (on - off) / off
-	}
-	fmt.Fprintf(w, "aggregate overhead: %+.1f%% (paper reports about +5%%)\n", pct)
-}
-
 // --- wall-time sweeps: §3.2 score rules, §3.3 switch threshold, time axis ---
 
 // writeTimes renders a wall-time grid: one row per model, one column per

@@ -151,17 +151,6 @@ func TestRunFigure7UnknownModel(t *testing.T) {
 	}
 }
 
-func TestRunOverheadSmall(t *testing.T) {
-	g, out := runSmall(t, "overhead", tinyCfg())
-	for i, row := range g.Cells {
-		// The §3.1 design point: recording must not change the search.
-		if off, on := decisions(row[0]), decisions(row[1]); off != on {
-			t.Errorf("%s: recording changed the search (%d vs %d decisions)", g.Models[i].Name, off, on)
-		}
-	}
-	wantAll(t, out, "aggregate overhead")
-}
-
 func TestRunObsOverheadSmall(t *testing.T) {
 	g, out := runSmall(t, "obs-overhead", tinyCfg())
 	for i, row := range g.Cells {
@@ -214,12 +203,27 @@ func TestRunTimeAxisSmall(t *testing.T) {
 	wantAll(t, out, "timeaxis")
 }
 
+// TestRunCDGMemorySmall: the §3.1 table's three solves of an instance —
+// recorder off, simplified CDG, complete CDG — make identical decisions
+// (recording must not change the search), the complete CDG outweighs the
+// simplified one, and the table reports the time overhead and certified
+// proofs.
 func TestRunCDGMemorySmall(t *testing.T) {
 	res, err := RunCDGMemory(tinyCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.Rows) == 0 {
+		t.Fatal("no row: every instance was refuted by BCP alone")
+	}
 	for _, row := range res.Rows {
+		if d := row.Decisions; d[0] != d[1] || d[1] != d[2] {
+			t.Errorf("%s: recording changed the search (%d off, %d simplified, %d complete decisions)",
+				row.Name, d[0], d[1], d[2])
+		}
+		if row.Off <= 0 || row.Simplified <= 0 {
+			t.Errorf("%s: nonpositive solve time (off %v, simplified %v)", row.Name, row.Off, row.Simplified)
+		}
 		if row.FullBytes <= row.SimplifiedBytes {
 			t.Errorf("%s: complete CDG (%dB) should outweigh simplified (%dB)",
 				row.Name, row.FullBytes, row.SimplifiedBytes)
@@ -227,9 +231,7 @@ func TestRunCDGMemorySmall(t *testing.T) {
 	}
 	var out strings.Builder
 	res.Write(&out)
-	if !strings.Contains(out.String(), "certified by RUP") {
-		t.Errorf("memory table does not say its proofs are certified")
-	}
+	wantAll(t, out.String(), "aggregate overhead", "certified by RUP")
 }
 
 func TestAblationSubsetsResolve(t *testing.T) {

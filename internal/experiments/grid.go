@@ -5,11 +5,11 @@
 //	           dynamic) on all 37 models, with TOTAL and RATIO rows;
 //	Figure 6 — the same data as scatter plots (one pane per configuration);
 //	Figure 7 — per-depth decision and implication counts on one hard model;
-//	§3.1     — the bookkeeping-overhead measurement (recorder on vs off);
+//	§3.1     — the CDG's bookkeeping in time and bytes (RunCDGMemory);
 //	plus ablations of the score rule, the dynamic switch threshold and the
 //	engine shapes grown around the paper's loop.
 //
-// All of them are one experiment: a set of models checked under a handful
+// All but §3.1 are one experiment: a set of models checked under a handful
 // of engine configurations. Config.Run fills a Grid of (model × Column)
 // engine results — the only place a session is built and checked — and an
 // Experiment is a default model set, a column list and the renderer that

@@ -36,10 +36,10 @@ func (e Experiment) Run(ctx context.Context, cfg Config) (*Grid, error) {
 	return g, nil
 }
 
-// All returns every experiment in presentation order. (RunCDGMemory is
-// the one artifact not here: it solves one formula under two proof
-// recorders below the engine, so it is not a grid of engine
-// configurations.)
+// All returns every experiment in presentation order. (RunCDGMemory, §3.1,
+// is the one artifact not here: it solves one formula with no recorder and
+// under two proof recorders below the engine, so it is not a grid of
+// engine configurations.)
 func All() []Experiment {
 	fig7, err := Figure7(bench.Fig7Model)
 	if err != nil {
@@ -47,7 +47,7 @@ func All() []Experiment {
 	}
 	return []Experiment{
 		table1(), figure6(), fig7,
-		overhead(), obsOverhead(),
+		obsOverhead(),
 		scoreAblation(), ThresholdSweep(16, 64, 256, 0), timeAxis(),
 		portfolioAblation(), incrementalAblation(),
 		warmAblation(), warmKindAblation(),
@@ -82,9 +82,9 @@ func AblationModels() []bench.Model {
 	})
 }
 
-// OverheadModels returns the subset for the §3.1 bookkeeping-overhead
-// measurement: search-heavy models where the recorder has real work to do
-// (on BCP-trivial rows the overhead would drown in formula-build noise).
+// OverheadModels returns the subset for §3.1 (RunCDGMemory) and obs-overhead:
+// search-heavy models where the recorder has real work to do (on BCP-trivial
+// rows the overhead would drown in formula-build noise).
 func OverheadModels() []bench.Model {
 	return subset([]string{
 		"mix_w6", "mix_w7", "mix_w10", "pipe_s4",

@@ -92,6 +92,9 @@ type Config struct {
 	// Record attaches a CDG recorder to every racer, so whichever racer
 	// wins an UNSAT depth has a core to contribute to the board.
 	Record bool
+	// Payload is what the recorders keep beyond core.WithLeaves, which a
+	// persistent solver needs: Complete ones are certified (FoldCore).
+	Payload core.Payload
 	// MaxDepth is the deepest depth the pool will race. The racers' solvers
 	// and guidance buffers are sized ahead for it by unroll.GrowthDepth, the
 	// rule scratch solvers grow by; at a depth past it they grow as they
@@ -173,7 +176,7 @@ func NewPool(src Source, cfg Config) *Pool {
 	for _, st := range cfg.Strategies {
 		r := &racerState{name: st.String(), strategy: st, opts: cfg.Opts}
 		if cfg.Record {
-			r.feed.Rec = core.NewRecorderWith(0, core.WithLeaves)
+			r.feed.Rec = core.NewRecorderWith(0, max(cfg.Payload, core.WithLeaves))
 			r.opts.Recorder = r.feed.Rec
 		}
 		if cfg.Metrics != nil {
@@ -269,6 +272,8 @@ type DepthOutcome struct {
 	// WinnerWarm reports that the winning racer had searched at earlier
 	// depths (its solver carried learned clauses in).
 	WinnerWarm bool
+	// Err is FoldCore's: why the winner's proof failed certification.
+	Err error
 }
 
 // RaceDepth runs one full depth: compute every strategy's guidance for the
@@ -347,7 +352,7 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 		out.WinnerWarm = warm[w]
 		p.racers[w].mWins.Inc()
 		if out.Race.Result.Status == sat.Unsat {
-			out.FoldCore(p.racers[w].feed.Rec, p.cfg.Board, k, nil, frameVars, auxOf(p.src))
+			out.Err = out.FoldCore(p.racers[w].feed.Rec, p.cfg.Board, k, nil, frameVars, auxOf(p.src))
 		}
 	}
 	// Clear every racer's final-conflict marker: losers that decided
@@ -386,13 +391,23 @@ func auxOf(src Source) func(lits.Var) bool {
 // folds its variables into the score board weighted by the 1-based
 // instance number. The engine's freshSeq and the warm pool both end an
 // UNSAT depth here; originals, nVars and aux are core.Recorder.CoreVarsOf's.
-// A nil recorder, or one without a proof (the winner ran on a remote
-// worker), folds nothing.
-func (out *DepthOutcome) FoldCore(rec *core.Recorder, board *core.ScoreBoard, k int, originals *cnf.Formula, nVars int, aux func(lits.Var) bool) {
-	if rec == nil || !rec.HasProof() {
-		return
+// A core.Complete recorder's proof is certified first (Recorder.Certify):
+// a proof it rejects, or none, is an error. A nil recorder, or another one
+// without a proof (the winner ran on a remote worker), folds nothing.
+func (out *DepthOutcome) FoldCore(rec *core.Recorder, board *core.ScoreBoard, k int, originals *cnf.Formula, nVars int, aux func(lits.Var) bool) error {
+	if rec == nil || !rec.HasProof() && rec.Payload() != core.Complete {
+		return nil
 	}
-	ids := rec.Core()
+	var ids []int
+	var err error
+	if rec.Payload() == core.Complete {
+		ids, err = rec.Certify(originals, out.Race.Result.FailedAssumptions)
+	} else {
+		ids = rec.Core()
+	}
+	if err != nil {
+		return err
+	}
 	vars := rec.CoreVarsOf(ids, originals, nVars, aux)
 	out.CoreClauses = len(ids)
 	out.CoreVars = len(vars)
@@ -401,6 +416,7 @@ func (out *DepthOutcome) FoldCore(rec *core.Recorder, board *core.ScoreBoard, k 
 		out.CoreOverlap = &overlap
 	}
 	board.Update(vars, k+1)
+	return nil
 }
 
 // layout is the depth-k instance of the source as core.Strategy.Guidance

@@ -282,3 +282,72 @@ func TestFoldCoreOverlap(t *testing.T) {
 		t.Errorf("%d cores folded, want 5", board.NumCores())
 	}
 }
+
+// TestFoldCoreCertifies: a Complete recorder's proof is certified before
+// its core is folded. A genuine refutation folds; a final conflict that
+// does not refute, or none at all on an UNSAT winner (the race was won
+// where this recorder did not see it), is an error and folds nothing.
+func TestFoldCoreCertifies(t *testing.T) {
+	board := core.NewScoreBoard(core.WeightedSum)
+	for _, c := range []struct {
+		name  string
+		leaf  []lits.Lit // the second leaf beside x1
+		final bool
+		ok    bool
+	}{
+		{"refutation", []lits.Lit{lits.NegLit(1)}, true, true},
+		{"no conflict", []lits.Lit{lits.PosLit(2)}, true, false},
+		{"no proof", []lits.Lit{lits.NegLit(1)}, false, false},
+	} {
+		rec := core.NewRecorderWith(0, core.Complete)
+		rec.AddLeaf(0, []lits.Lit{lits.PosLit(1)})
+		rec.AddLeaf(1, c.leaf)
+		if c.final {
+			rec.RecordFinal([]sat.ClauseID{0, 1})
+		}
+		before := board.NumCores()
+		var out DepthOutcome
+		err := out.FoldCore(rec, board, 0, nil, 10, nil)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: FoldCore returned %v, want success %v", c.name, err, c.ok)
+		}
+		if folded := board.NumCores() > before; folded != c.ok || (out.CoreClauses == 2) != c.ok {
+			t.Errorf("%s: folded %v with %d core clauses, want a fold %v", c.name, folded, out.CoreClauses, c.ok)
+		}
+	}
+}
+
+// flipRecorder hands a recorder what a corrupt solver would: every learnt
+// clause with its first literal flipped.
+type flipRecorder struct{ sat.ProofRecorder }
+
+func (r flipRecorder) RecordLearned(id sat.ClauseID, literals []lits.Lit, antecedents []sat.ClauseID) {
+	flipped := append([]lits.Lit(nil), literals...)
+	flipped[0] = flipped[0].Neg()
+	r.ProofRecorder.RecordLearned(id, flipped, antecedents)
+}
+
+// TestPoolCertifyRejectsMutant: a warm pool with Complete recorders
+// certifies every UNSAT depth it folds, and one whose racers' recorders
+// are handed corrupt learnt clauses reports the failed certification.
+func TestPoolCertifyRejectsMutant(t *testing.T) {
+	for _, mutate := range []bool{false, true} {
+		pool, _ := newTestPool(t, bench.AdderTwin(4, 6, 16), Config{Payload: core.Complete})
+		if mutate {
+			for _, r := range pool.racers {
+				r.opts.Recorder = flipRecorder{r.feed.Rec}
+			}
+		}
+		var err error
+		for k := 0; k <= 4 && err == nil; k++ {
+			out := pool.RaceDepth(k)
+			if out.Race.Result.Status != sat.Unsat {
+				t.Fatalf("mutate %v: depth %d is %v, want unsat", mutate, k, out.Race.Result.Status)
+			}
+			err = out.Err
+		}
+		if (err != nil) != mutate {
+			t.Errorf("mutate %v: certification error %v", mutate, err)
+		}
+	}
+}

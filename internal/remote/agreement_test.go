@@ -105,7 +105,8 @@ func agreementCircuit(data []byte) *circuit.Circuit {
 // reachable; a BMC check that finds none holds to its bound; k-induction
 // proves only a property whose reachable set closes without a bad state,
 // and is otherwise undecided at its bound. The scratch shapes grow their
-// storage across every depth of both queries on the way.
+// storage across every depth of both queries on the way. The in-process
+// run certifies the proof and core of every UNSAT depth (WithCertify).
 func FuzzEngineAgreement(f *testing.F) {
 	for family := byte(0); family < 6; family++ { // the suite's generators
 		f.Add([]byte{family, 1, 2, 3}, uint8(agreementMaxDepth))
@@ -113,6 +114,9 @@ func FuzzEngineAgreement(f *testing.F) {
 	}
 	f.Add([]byte{6, 2, 5, 1, 0, 1, 1, 0, 9, 4, 3, 8, 2, 6, 1, 7, 0, 3, 5, 2, 4, 1, 6}, uint8(agreementMaxDepth))
 	f.Add([]byte{7, 0, 0, 1, 3, 0, 2, 1, 2, 0, 1}, uint8(3))
+	// A constantly violated property: the warm step pool is given the empty
+	// clause, which must certify as a leaf of its own.
+	f.Add([]byte("\x06\x01\x00\x01\x01\x05\t\x04\x80\xff\xff\xff\x01\a\x00\x03\x05\x02\x04\x01\x04"), uint8('\b'))
 	f.Fuzz(func(t *testing.T, data []byte, depth uint8) {
 		c := agreementCircuit(data)
 		if c == nil {
@@ -131,7 +135,13 @@ func FuzzEngineAgreement(f *testing.F) {
 				what := fmt.Sprintf("%s, %s %s to depth %d", c.Stats(), executor, shape.name, maxDepth)
 				opts := append([]engine.Option{engine.WithBudgets(maxDepth, 0)}, shape.opts...)
 				var ex *Executor
-				if executor == "loopback" {
+				if executor == "local" {
+					opts = append(opts, engine.WithCertify())
+				} else {
+					// Worker mirrors hold no recorder, so a race won on a
+					// worker leaves no proof to certify: the loopback side
+					// runs uncertified until workers certify their own
+					// cores (ROADMAP.md, item 1(b)(4)).
 					if ex, err = NewLoopback(1, fastOpts(), WorkerOptions{}); err != nil {
 						t.Fatalf("NewLoopback: %v", err)
 					}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -118,7 +119,8 @@ func remoteShapes() []struct {
 
 // TestLoopbackEquivalence: across every executor-using engine shape and
 // a mixed suite of models, a session whose races run on remote workers
-// returns the same verdict at the same depth as the all-local session,
+// returns the same verdict at the same depth as the all-local session
+// (which certifies every UNSAT depth's proof and core),
 // with the races demonstrably flowing through the wire (remote races
 // counted, zero fallbacks). The "faults" variants run the same over a
 // hostile transport (faultConn: every write split at random byte
@@ -146,7 +148,7 @@ func loopbackEquivalence(t *testing.T, models []string, depth int, opts []engine
 	for _, name := range models {
 		m := equivalenceModel(t, name)
 		base := append([]engine.Option{engine.WithBudgets(depth, 0)}, opts...)
-		ref := checkWith(t, m, base...)
+		ref := checkWith(t, m, append(slices.Clone(base), engine.WithCertify())...)
 
 		var e *Executor
 		var reg *obs.Registry
@@ -168,6 +170,27 @@ func loopbackEquivalence(t *testing.T, models []string, depth int, opts []engine
 		}
 		if n := snap.Counters[metricRemoteFallbacks]; n != 0 {
 			t.Errorf("%s: %d local fallbacks on a healthy loopback", name, n)
+		}
+	}
+}
+
+// TestCertifyRefusesWorkerWins: a worker's mirror holds no recorder, so
+// an UNSAT depth won on a worker leaves no proof to certify, and under
+// WithCertify the check fails rather than fold an unchecked core — on the
+// cold and the warm portfolio alike.
+func TestCertifyRefusesWorkerWins(t *testing.T) {
+	m := equivalenceModel(t, "twin_w8")
+	for _, shape := range remoteShapes()[:2] {
+		e, _ := newLoopbackExecutor(t, 1, fastOpts())
+		opts := append([]engine.Option{engine.WithBudgets(3, 0), engine.WithCertify(), engine.WithExecutor(e)}, shape.opts...)
+		sess, err := engine.New(m.Build(), 0, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sess.Check(context.Background())
+		e.Close()
+		if err == nil || !strings.Contains(err.Error(), "not certified") {
+			t.Errorf("%s: Check returned %v, want a certification failure", shape.name, err)
 		}
 	}
 }
