@@ -3,12 +3,16 @@
 // `go test -bench=.` finishes in minutes. The full-scale artifacts are
 // produced by cmd/tablegen (README, "Reproducing the paper's artifacts").
 //
-// BenchmarkExperiment/<name> runs one entry of the experiments registry —
-// table1, fig6, fig7, obs-overhead, ablation, threshold,
-// timeaxis, portfolio, incremental, warm, warm-kind, refine — renders it,
-// reports each column's total wall time, and fails on any verdict or
-// depth disagreement between the columns of a row (the soundness canary
-// for the racing, incremental and clause-exchange shapes).
+// BenchmarkExperiment/<name> fills one grid of the experiments registry,
+// renders it, reports each column's total wall time, and fails on any
+// verdict or depth disagreement between the columns of a row (the
+// soundness canary for the racing and incremental shapes).
+// BenchmarkExperiment/suite fills the whole suite grid once — vsids,
+// static and dynamic from scratch, vsids and dynamic incremental — and
+// renders its five views from it (table1, fig6, fig7, incremental,
+// refine), with the disagreement gate over all five columns; the other
+// entries are obs-overhead, ablation, threshold, timeaxis, portfolio,
+// warm and warm-kind.
 // BenchmarkCDGMemory is the one artifact measured below the engine: §3.1,
 // the CDG's bookkeeping in time and bytes.
 //
@@ -35,25 +39,44 @@ func quickCfg() experiments.Config {
 	}
 }
 
-// BenchmarkExperiment runs every registry entry once per iteration (see
-// the package comment). Reading portfolio's columns: on multi-core
-// hardware the race beats the worst single ordering by construction (it
-// ends at the first verdict); on a single core the racers are
-// time-sliced, so it only does where the spread between strategies
-// exceeds the portfolio width — the hard rows' regime, not every
-// ablation model's.
+// BenchmarkExperiment runs the suite grid and every other registry entry
+// once per iteration (see the package comment). Reading portfolio's
+// columns: on multi-core hardware the race beats the worst single
+// ordering by construction (it ends at the first verdict); on a single
+// core the racers are time-sliced, so it only does where the spread
+// between strategies exceeds the portfolio width — the hard rows'
+// regime, not every ablation model's.
 func BenchmarkExperiment(b *testing.B) {
+	type entry struct {
+		name string
+		exps []experiments.Experiment
+	}
+	entries := []entry{{name: "suite"}}
 	for _, e := range experiments.All() {
-		b.Run(e.Name, func(b *testing.B) {
+		if e.Reads != nil {
+			entries[0].exps = append(entries[0].exps, e)
+		} else {
+			entries = append(entries, entry{e.Name, []experiments.Experiment{e}})
+		}
+	}
+	for _, en := range entries {
+		b.Run(en.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				g, err := e.Run(context.Background(), quickCfg())
+				var g *experiments.Grid
+				suite, err := experiments.RunAll(context.Background(), quickCfg(), en.exps,
+					func(e experiments.Experiment, eg *experiments.Grid) {
+						e.Write(io.Discard, eg)
+						g = eg
+					})
 				if err != nil {
 					b.Fatal(err)
+				}
+				if len(suite.Models) > 0 {
+					g = suite
 				}
 				if n := g.Disagreements(); n > 0 {
 					b.Fatalf("%d verdict disagreements", n)
 				}
-				e.Write(io.Discard, g)
 				if i == b.N-1 {
 					for c, col := range g.Columns {
 						b.ReportMetric(g.TotalTime(c).Seconds(), col.Name+"_s")

@@ -4,7 +4,7 @@
 //
 //	table1       Table 1  (the headline comparison)
 //	fig6         Figure 6 (scatter panes)
-//	fig7         Figure 7 (per-depth statistics; -model picks the model)
+//	fig7         Figure 7 (per-depth statistics; -model picks the row)
 //	obs-overhead observability layer overhead (metrics+tracer)
 //	ablation     §3.2 score-rule ablation
 //	threshold    §3.3 switch-divisor sweep
@@ -18,6 +18,9 @@
 // plus cdgmemory (§3.1 below the engine: CDG time and bytes, every proof
 // certified) and all (everything).
 //
+// table1, fig6, fig7, incremental and refine are views of one suite grid,
+// which all fills once; alone, each solves only its own cells.
+//
 // -csv switches the output to machine-readable CSV where available, -quick
 // caps depths and budgets for a fast smoke run, and -budget sets the
 // per-model wall-clock cap (the analogue of the paper's 2-hour timeout).
@@ -29,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -60,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		budget = fs.Duration("budget", 20*time.Second, "per-(model,strategy) wall-clock budget")
 		quick  = fs.Bool("quick", false, "cap depths for a fast smoke run")
 		csv    = fs.Bool("csv", false, "emit CSV instead of the text table")
-		model  = fs.String("model", bench.Fig7Model, "model for -experiment=fig7")
+		model  = fs.String("model", bench.Fig7Model, "model for -experiment=fig7 (a suite model)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -94,17 +98,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "tablegen:", err)
 		return 1
 	}
-	for _, e := range selected {
-		if e.Name == "fig7" {
-			var err error
-			if e, err = experiments.Figure7(*model); err != nil {
-				return fail(err)
-			}
-		}
-		g, err := e.Run(context.Background(), cfg)
-		if err != nil {
+	var err error
+	if i := slices.IndexFunc(selected, func(e experiments.Experiment) bool { return e.Name == "fig7" }); i >= 0 {
+		if selected[i], err = selected[i].Row(*model); err != nil {
 			return fail(err)
 		}
+	}
+	_, err = experiments.RunAll(context.Background(), cfg, selected, func(e experiments.Experiment, g *experiments.Grid) {
 		if *csv && e.WriteCSV != nil {
 			e.WriteCSV(stdout, g)
 		} else {
@@ -113,6 +113,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if len(selected) > 1 {
 			fmt.Fprintln(stdout)
 		}
+	})
+	if err != nil {
+		return fail(err)
 	}
 	if cdgMemory {
 		cfg.Models = experiments.OverheadModels()

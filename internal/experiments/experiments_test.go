@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
+	"repro/internal/circuit"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/sat"
@@ -34,12 +38,19 @@ func runSmall(t *testing.T, name string, cfg Config) (*Grid, string) {
 	return runExperiment(t, e, cfg)
 }
 
-func runExperiment(t *testing.T, e Experiment, cfg Config) (*Grid, string) {
+// fillOne fills one experiment's grid under cfg.
+func fillOne(t *testing.T, e Experiment, cfg Config) *Grid {
 	t.Helper()
-	g, err := e.Run(context.Background(), cfg)
-	if err != nil {
+	var g *Grid
+	if _, err := RunAll(context.Background(), cfg, []Experiment{e}, func(_ Experiment, eg *Grid) { g = eg }); err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+func runExperiment(t *testing.T, e Experiment, cfg Config) (*Grid, string) {
+	t.Helper()
+	g := fillOne(t, e, cfg)
 	if len(g.Cells) != len(cfg.models()) {
 		t.Fatalf("got %d rows, want %d", len(g.Cells), len(cfg.models()))
 	}
@@ -48,7 +59,10 @@ func runExperiment(t *testing.T, e Experiment, cfg Config) (*Grid, string) {
 			t.Fatalf("row %d has %d cells for %d columns", i, len(row), len(e.Columns))
 		}
 		for c, r := range row {
-			if r.TotalTime <= 0 {
+			if read := e.Reads == nil || slices.Contains(e.Reads, c); read != (r != nil) {
+				t.Errorf("%s/%s: read %v but solved %v", g.Models[i].Name, e.Columns[c].Name, read, r != nil)
+			}
+			if r != nil && r.TotalTime <= 0 {
 				t.Errorf("%s/%s: nonpositive wall time", g.Models[i].Name, e.Columns[c].Name)
 			}
 		}
@@ -82,10 +96,10 @@ func TestRunTable1Small(t *testing.T) {
 		name := g.Models[i].Name
 		for c := 0; c < numConfs; c++ {
 			if g.Cells[i][c].Verdict == engine.Unknown {
-				t.Errorf("%s/%s: budget exhausted in a tiny config", name, ConfNames[c])
+				t.Errorf("%s/%s: budget exhausted in a tiny config", name, g.Columns[c].Name)
 			}
 			if row.Time[c] <= 0 {
-				t.Errorf("%s/%s: nonpositive aligned time", name, ConfNames[c])
+				t.Errorf("%s/%s: nonpositive aligned time", name, g.Columns[c].Name)
 			}
 		}
 		if want, ok := wantTF[name]; ok && row.TF != want {
@@ -101,27 +115,43 @@ func TestTable1Render(t *testing.T) {
 	writeFigure6(&f6, g)
 	writeFigure6CSV(&f6csv, g)
 
-	wantAll(t, tb, "TOTAL", "RATIO")
+	wantAll(t, tb, "TOTAL", "RATIO", "RATIO (dec)", "wins vs baseline (decisions): ")
 	if got := strings.Count(csv.String(), "\n"); got != 5 { // header + 4 rows
 		t.Errorf("csv has %d lines, want 5", got)
 	}
 	wantAll(t, f6.String(), "pane: static vs bmc", "pane: dynamic vs bmc")
+
+	// Each headline counts the rows whose aligned decisions beat the
+	// baseline's, in the table's wins line and under each scatter pane.
+	rows := alignRows(g)
+	var below [numConfs]int
+	for _, row := range rows {
+		for c := range below {
+			if row.Dec[c] < row.Dec[ConfBase] {
+				below[c]++
+			}
+		}
+	}
+	n := len(rows)
+	wantAll(t, tb, fmt.Sprintf("wins vs baseline (decisions): static %d/%d, dynamic %d/%d", below[ConfStatic], n, below[ConfDynamic], n))
+	for _, c := range []int{ConfStatic, ConfDynamic} {
+		wantAll(t, f6.String(), fmt.Sprintf("pane: %s vs bmc  (points below diagonal: refined ordering wins)\n  below the diagonal: ", g.Columns[c].Name),
+			fmt.Sprintf(", %d/%d in aligned decisions", below[c], n))
+	}
 	if !strings.HasPrefix(f6csv.String(), "model,time_bmc_s") {
 		t.Errorf("figure 6 csv header wrong: %q", f6csv.String()[:40])
 	}
 }
 
 func TestRunFigure7Small(t *testing.T) {
-	e, err := Figure7("twin_w8")
+	fig7, _ := ByName("fig7")
+	e, err := fig7.Row("twin_w8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := tinyCfg()
-	cfg.Models = nil // the experiment carries the model it was built for
-	g, err := e.Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.Models = nil // the view carries the row it was given
+	g := fillOne(t, e, cfg)
 	if len(g.Models) != 1 || g.Models[0].Name != "twin_w8" {
 		t.Fatalf("ran %d models, want twin_w8 alone", len(g.Models))
 	}
@@ -129,7 +159,7 @@ func TestRunFigure7Small(t *testing.T) {
 	if len(base) == 0 || len(base) != len(ref) {
 		t.Fatalf("series lengths inconsistent: %d base, %d ref", len(base), len(ref))
 	}
-	decBase, decRef := g.Total(0, decisions), g.Total(1, decisions)
+	decBase, decRef := g.Total(ConfBase, decisions), g.Total(ConfDynamic, decisions)
 	if decBase <= 0 || decRef <= 0 {
 		t.Errorf("decision counts must be positive, got bmc=%d ref=%d", decBase, decRef)
 	}
@@ -145,9 +175,11 @@ func TestRunFigure7Small(t *testing.T) {
 	}
 }
 
+// TestRunFigure7UnknownModel: fig7's row must be a suite model.
 func TestRunFigure7UnknownModel(t *testing.T) {
-	if _, err := Figure7("no_such_model"); err == nil {
-		t.Fatal("expected an error for an unknown model")
+	fig7, _ := ByName("fig7")
+	if _, err := fig7.Row("no_such_model"); err == nil || !strings.Contains(err.Error(), `"no_such_model"`) {
+		t.Fatalf("unknown row: error %v, want one naming it", err)
 	}
 }
 
@@ -312,26 +344,34 @@ func TestAlignRowAllFalsified(t *testing.T) {
 
 func TestScatterASCIISmoke(t *testing.T) {
 	var out strings.Builder
-	scatterASCII(&out, "pane", []float64{0.1, 1, 10}, []float64{0.05, 2, 5}, 40, 10)
+	scatterASCII(&out, []float64{0.1, 1, 10}, []float64{0.05, 2, 5}, 40, 10)
 	s := out.String()
 	if !strings.Contains(s, "o") || !strings.Contains(s, ".") {
 		t.Errorf("scatter missing points or diagonal:\n%s", s)
 	}
 	// Degenerate inputs must not panic.
-	scatterASCII(&out, "empty", nil, nil, 10, 5)
-	scatterASCII(&out, "flat", []float64{1, 1}, []float64{1, 1}, 10, 5)
-	scatterASCII(&out, "zero", []float64{0}, []float64{0}, 10, 5)
+	scatterASCII(&out, nil, nil, 10, 5)
+	scatterASCII(&out, []float64{1, 1}, []float64{1, 1}, 10, 5)
+	scatterASCII(&out, []float64{0}, []float64{0}, 10, 5)
 }
 
 func TestSeriesASCIISmoke(t *testing.T) {
 	var out strings.Builder
-	seriesASCII(&out, "chart", []int{0, 1, 2}, []int64{1, 100, 10000}, []int64{1, 10, 100}, "a", "b", 8)
+	series := func(decisions ...int64) []engine.DepthStats {
+		var ds []engine.DepthStats
+		for k, d := range decisions {
+			ds = append(ds, engine.DepthStats{K: k, Stats: sat.Stats{Decisions: d}})
+		}
+		return ds
+	}
+	dec := func(s sat.Stats) int64 { return s.Decisions }
+	seriesASCII(&out, "chart", series(1, 100, 10000), series(1, 10, 100), dec, 8)
 	s := out.String()
 	if !strings.Contains(s, "#") || !strings.Contains(s, "o") {
 		t.Errorf("series missing glyphs:\n%s", s)
 	}
-	seriesASCII(&out, "empty", nil, nil, nil, "a", "b", 8)
-	seriesASCII(&out, "flat", []int{0}, []int64{5}, []int64{5}, "a", "b", 8)
+	seriesASCII(&out, "empty", nil, nil, dec, 8)
+	seriesASCII(&out, "flat", series(5), series(5), dec, 8)
 }
 
 func TestFmtHelpers(t *testing.T) {
@@ -343,6 +383,9 @@ func TestFmtHelpers(t *testing.T) {
 	}
 	if got := ratio(0, time.Second); got != "-" {
 		t.Errorf("ratio(0) = %q", got)
+	}
+	if got := ratio[int64](400, 300); got != "75%" {
+		t.Errorf("ratio of counts = %q", got)
 	}
 }
 
@@ -362,10 +405,24 @@ func TestRunPortfolioAblationSmall(t *testing.T) {
 }
 
 func TestRunIncrementalAblationSmall(t *testing.T) {
-	_, out := runSmall(t, "incremental", tinyCfg())
-	wantAll(t, out, "Incremental vs scratch", "TOTAL", "conflicts saved", "incremental wins: ")
+	g, out := runSmall(t, "incremental", tinyCfg())
+	wantAll(t, out, "Incremental vs scratch", "TOTAL", "conflicts saved", "incremental wins: ", "MB.scr", "MB.incr")
 	if strings.Contains(out, "wins: 0/0") {
 		t.Fatalf("tiny config must contain UNSAT-heavy rows:\n%s", out)
+	}
+	// The footprint cells are the last depth's solver plus recorder bytes.
+	for i, m := range g.Models {
+		for _, c := range []int{ConfDynamic, ConfDynamicIncr} {
+			d := g.Cells[i][c].PerDepth
+			last := d[len(d)-1]
+			if last.SolverBytes <= 0 {
+				t.Errorf("%s/%s: last depth holds no solver bytes", m.Name, g.Columns[c].Name)
+			}
+			mb := fmt.Sprintf(" %.2f ", float64(last.SolverBytes+last.RecorderBytes)/(1<<20))
+			if !strings.Contains(out, mb) {
+				t.Errorf("%s/%s: footprint %q not in the table", m.Name, g.Columns[c].Name, mb)
+			}
+		}
 	}
 }
 
@@ -446,6 +503,28 @@ func TestRegistryWellFormed(t *testing.T) {
 		}
 		if len(e.Columns) == 0 {
 			t.Errorf("%s: no columns", e.Name)
+		}
+		// A view's columns are the suite's, and it reads some of them.
+		if e.Reads != nil {
+			suite := suiteColumns()
+			if len(e.Columns) != len(suite) {
+				t.Errorf("%s: a view with %d columns, the suite has %d", e.Name, len(e.Columns), len(suite))
+			}
+			for c := range min(len(e.Columns), len(suite)) {
+				if e.Columns[c].Name != suite[c].Name {
+					t.Errorf("%s: column %d is %q, the suite's is %q", e.Name, c, e.Columns[c].Name, suite[c].Name)
+				}
+			}
+			read := map[int]bool{}
+			for _, c := range e.Reads {
+				if c < 0 || c >= len(suite) || read[c] {
+					t.Errorf("%s: reads column %d out of range or twice", e.Name, c)
+				}
+				read[c] = true
+			}
+			if len(read) == 0 {
+				t.Errorf("%s: a view that reads no column", e.Name)
+			}
 		}
 		cols := map[string]bool{}
 		for _, c := range e.Columns {
@@ -538,21 +617,50 @@ func TestGridKeepsFastestRepeat(t *testing.T) {
 	}
 }
 
-// TestRefineDeterministic: the refine table's claim to exact units rests
-// on single-strategy searches being reproducible — two runs of a 3-model
-// grid must agree on every count, under both solver lifetimes. The grid
-// has no wall-clock budget: a cell cut short by one on a loaded machine
-// would differ by when it was cut, and the conflict cap and depth cap
-// already bound every cell.
+// views returns the registry's views of the suite grid.
+func views() []Experiment {
+	var vs []Experiment
+	for _, e := range All() {
+		if e.Reads != nil {
+			vs = append(vs, e)
+		}
+	}
+	return vs
+}
+
+// TestRefineDeterministic: the exact-count headlines — refine's conflicts,
+// Table 1's decisions — rest on single-strategy searches being
+// reproducible: two fills of the whole suite grid, all five columns, on
+// 3 models must agree on every count. The grid has no wall-clock budget:
+// a cell cut short by one on a loaded machine would differ by when it was
+// cut, and the conflict cap and depth cap already bound every cell.
 func TestRefineDeterministic(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Models = subset([]string{"mix_w5", "add_w4", "cnt_w4_t9"})
 	cfg.PerModelBudget = 0
-	a, out := runSmall(t, "refine", cfg)
-	b, _ := runSmall(t, "refine", cfg)
+	fill := func() (*Grid, map[string]string) {
+		outs := map[string]string{}
+		suite, err := RunAll(context.Background(), cfg, views(), func(e Experiment, g *Grid) {
+			var out strings.Builder
+			e.Write(&out, g)
+			outs[e.Name] = out.String()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return suite, outs
+	}
+	a, outs := fill()
+	b, _ := fill()
+	if n := a.Disagreements(); n != 0 {
+		t.Fatalf("%d verdict disagreements across the suite grid's five columns", n)
+	}
 	for i, row := range a.Cells {
 		for c, r := range row {
 			other := b.Cells[i][c]
+			if r == nil || other == nil {
+				t.Fatalf("%s/%s: suite cell left unsolved", a.Models[i].Name, a.Columns[c].Name)
+			}
 			x, y := r.Total, other.Total
 			x.SolveTime, y.SolveTime = 0, 0 // the one field that is a clock, not a count
 			if x != y || r.Verdict != other.Verdict || r.K != other.K {
@@ -560,9 +668,10 @@ func TestRefineDeterministic(t *testing.T) {
 			}
 		}
 	}
-	if a.Total(0, Conflicts) == 0 {
-		t.Error("refine grid spent no conflicts: the comparison is vacuous")
+	if a.Total(ConfBase, Conflicts) == 0 {
+		t.Error("suite grid spent no conflicts: the comparison is vacuous")
 	}
+	out := outs["refine"]
 	wantAll(t, out, "TOTAL", "rows where refinement spends fewer conflicts", "x", " switch ")
 
 	// Each dynamic column's switch cell is "-" when the switch fired at no
@@ -578,14 +687,14 @@ func TestRefineDeterministic(t *testing.T) {
 		if len(fields) != 10 {
 			t.Fatalf("%s: row %q, want 10 columns", m.Name, fields)
 		}
-		for _, c := range []int{1, 3} {
+		for l, c := range []int{ConfDynamic, ConfDynamicIncr} {
 			at := map[string]bool{}
 			for _, d := range a.Cells[i][c].PerDepth {
 				if d.Stats.GuidanceSwitched {
 					at[strconv.FormatInt(d.Stats.SwitchDecision, 10)] = true
 				}
 			}
-			got := fields[4+4*(c/2)]
+			got := fields[4+4*l]
 			switch {
 			case len(at) == 0 && got != "-":
 				t.Errorf("%s/%s: switch column %q, but the switch never fired", m.Name, a.Columns[c].Name, got)
@@ -599,5 +708,112 @@ func TestRefineDeterministic(t *testing.T) {
 	}
 	if fired == 0 {
 		t.Error("the dynamic switch fired on no row: the switch column is vacuous")
+	}
+}
+
+// TestViewsSolveEachCellOnce counts the sessions a fill builds, per model
+// and column, with Repeats 0 and the views' own rows: rendering all five
+// views from one fill builds one per (suite model, suite column), and
+// each view alone builds exactly its rows under the columns it reads —
+// the cells it solved when it filled a grid of its own.
+func TestViewsSolveEachCellOnce(t *testing.T) {
+	cfg := Config{DepthCap: 1, PerInstanceConflicts: 1000}
+	// A session asks its model for the circuit and its column for the
+	// options, once each and next to each other: log both, and read the
+	// log in pairs.
+	var log []string
+	counted := func(e Experiment) Experiment {
+		models := Config{Models: e.Models}.models()
+		e.Models = make([]bench.Model, len(models))
+		for i, m := range models {
+			build := m.Build
+			m.Build = func() *circuit.Circuit {
+				log = append(log, "model "+m.Name)
+				return build()
+			}
+			e.Models[i] = m
+		}
+		e.Columns = slices.Clone(e.Columns)
+		for c, col := range e.Columns {
+			e.Columns[c].Options = func() []engine.Option {
+				log = append(log, "column "+col.Name)
+				return col.Options()
+			}
+		}
+		return e
+	}
+	type cell struct{ model, column string }
+	sessions := func(exps ...Experiment) map[cell]int {
+		log = nil
+		if _, err := RunAll(context.Background(), cfg, exps, func(Experiment, *Grid) {}); err != nil {
+			t.Fatal(err)
+		}
+		if len(log)%2 != 0 {
+			t.Fatalf("log of %d entries does not pair up", len(log))
+		}
+		n := map[cell]int{}
+		for i := 0; i < len(log); i += 2 {
+			pair := []string{log[i], log[i+1]}
+			slices.Sort(pair) // "column ..." before "model ..."
+			column, cok := strings.CutPrefix(pair[0], "column ")
+			model, mok := strings.CutPrefix(pair[1], "model ")
+			if !cok || !mok {
+				t.Fatalf("log entries %d-%d are not one model and one column: %q", i, i+1, pair)
+			}
+			n[cell{model, column}]++
+		}
+		return n
+	}
+	cells := func(models []bench.Model, columns ...string) map[cell]int {
+		want := map[cell]int{}
+		for _, m := range models {
+			for _, c := range columns {
+				want[cell{m.Name, c}] = 1
+			}
+		}
+		return want
+	}
+
+	// offBy lists (up to five of) the cells built a wrong number of times.
+	offBy := func(got, want map[cell]int) string {
+		var off []string
+		for c := range want {
+			got[c] += 0 // every wanted cell is compared, built or not
+		}
+		for c, n := range got {
+			if n != want[c] {
+				off = append(off, fmt.Sprintf("%s/%s %d times, want %d", c.model, c.column, n, want[c]))
+			}
+		}
+		slices.Sort(off)
+		if len(off) == 0 {
+			return ""
+		}
+		return fmt.Sprintf("%d cells off: %s", len(off), strings.Join(off[:min(len(off), 5)], "; "))
+	}
+
+	var vs []Experiment
+	for _, v := range views() {
+		vs = append(vs, counted(v))
+	}
+	if off := offBy(sessions(vs...), cells(bench.Suite(), "vsids", "static", "dynamic", "vsids-incr", "dynamic-incr")); off != "" {
+		t.Errorf("one fill for all five views, want each suite cell once: %s", off)
+	}
+	// What each view solved when it filled a grid of its own.
+	scratch := []string{"vsids", "static", "dynamic"}
+	head := map[string]map[cell]int{
+		"table1":      cells(bench.Suite(), scratch...),
+		"fig6":        cells(bench.Suite(), scratch...),
+		"fig7":        cells(subset([]string{bench.Fig7Model}), "vsids", "dynamic"),
+		"incremental": cells(AblationModels(), "dynamic", "dynamic-incr"),
+		"refine":      cells(bench.Suite(), "vsids", "dynamic", "vsids-incr", "dynamic-incr"),
+	}
+	if len(vs) != len(head) {
+		t.Fatalf("%d views, want %d", len(vs), len(head))
+	}
+	for _, v := range vs {
+		if off := offBy(sessions(v), head[v.Name]); off != "" {
+			t.Errorf("%s alone: %s", v.Name, off)
+		}
 	}
 }

@@ -14,13 +14,15 @@
 // engine results — the only place a session is built and checked — and an
 // Experiment is a default model set, a column list and the renderer that
 // lays the grid out as text (the paper's layout) and CSV. All() is the
-// registry cmd/tablegen and the root benchmarks drive.
+// registry cmd/tablegen and the root benchmarks drive. Table 1, Figures
+// 6-7, incremental and refine are views of one suite grid (suiteColumns).
 package experiments
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/bench"
@@ -41,11 +43,11 @@ type Config struct {
 	// PerModelBudget bounds the wall-clock time of each (model, column)
 	// run — the analogue of the paper's 2-hour timeout. 0 = none.
 	PerModelBudget time.Duration
-	// Repeats re-runs fast rows (every column) up to this many times,
+	// Repeats re-runs fast rows (every solved cell) up to this many times,
 	// each cell keeping its fastest run, suppressing timer noise on rows
 	// that finish in milliseconds (single-strategy searches are
 	// deterministic, so only the wall clock varies between repeats). A
-	// row is repeated while its first column's kept run is under
+	// row is repeated while its first solved cell's kept run is under
 	// repeatBelow. Zero means run once.
 	Repeats int
 }
@@ -53,11 +55,16 @@ type Config struct {
 // repeatBelow is the wall time under which a row is worth repeating.
 const repeatBelow = 500 * time.Millisecond
 
-func (cfg Config) models() []bench.Model {
-	if cfg.Models == nil {
-		return bench.Suite()
+// models returns the config's models, else the given defaults (an
+// experiment's own rows), else the whole suite.
+func (cfg Config) models(defaults ...bench.Model) []bench.Model {
+	switch {
+	case cfg.Models != nil:
+		return cfg.Models
+	case defaults != nil:
+		return defaults
 	}
-	return cfg.Models
+	return bench.Suite()
 }
 
 func (cfg Config) depthFor(m bench.Model) int {
@@ -84,25 +91,48 @@ type Column struct {
 }
 
 // Grid is a finished experiment: Cells[i][c] is model i checked under
-// column c.
+// column c, or nil where no experiment read that cell.
 type Grid struct {
 	Models  []bench.Model
 	Columns []Column
 	Cells   [][]*engine.Result
 }
 
-// Run checks every model of the config under every column, row by row
-// and sequentially, so one cell's racing never perturbs another's
-// counters.
+// Run checks every model of the config under every column.
 func (cfg Config) Run(ctx context.Context, cols []Column) (*Grid, error) {
 	if len(cols) == 0 {
 		return nil, errors.New("experiments: grid has no columns")
 	}
-	g := &Grid{Models: cfg.models(), Columns: cols}
+	return cfg.fill(ctx, []Experiment{{Columns: cols}})
+}
+
+// fill solves, once each, the cells exps read: every experiment's rows
+// under the columns it reads (all when Reads is nil; exps share their
+// Columns). The other cells stay nil. It runs row by row and
+// sequentially, so one cell's racing never perturbs another's counters.
+func (cfg Config) fill(ctx context.Context, exps []Experiment) (*Grid, error) {
+	g := &Grid{}
+	reads := map[string][]bool{}
+	for _, e := range exps {
+		g.Columns = e.Columns
+		for _, m := range cfg.models(e.Models...) {
+			if reads[m.Name] == nil {
+				g.Models = append(g.Models, m)
+				reads[m.Name] = make([]bool, len(g.Columns))
+			}
+			for c := range g.Columns {
+				reads[m.Name][c] = reads[m.Name][c] || e.Reads == nil || slices.Contains(e.Reads, c)
+			}
+		}
+	}
 	for _, m := range g.Models {
-		row := make([]*engine.Result, len(cols))
-		for rep := 0; rep == 0 || (rep < cfg.Repeats && row[0].TotalTime < repeatBelow); rep++ {
-			for c, col := range cols {
+		row := make([]*engine.Result, len(g.Columns))
+		first := slices.Index(reads[m.Name], true)
+		for rep := 0; rep == 0 || (rep < cfg.Repeats && row[first].TotalTime < repeatBelow); rep++ {
+			for c, col := range g.Columns {
+				if !reads[m.Name][c] {
+					continue
+				}
 				r, err := cfg.check(ctx, m, col)
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s: %w", m.Name, col.Name, err)
@@ -134,16 +164,16 @@ func (cfg Config) check(ctx context.Context, m bench.Model, col Column) (*engine
 	return sess.Check(ctx)
 }
 
-// Agreed reports whether every cell of row i that reached a verdict
-// reached the same one at the same depth — the correctness half of every
-// comparison. Budget-exhausted (Unknown) cells are excluded: one
+// Agreed reports whether every solved cell of row i that reached a
+// verdict reached the same one at the same depth — the correctness half
+// of every comparison. Budget-exhausted (Unknown) cells are excluded: one
 // configuration finishing where another timed out is the expected win,
 // not a disagreement.
 func (g *Grid) Agreed(i int) bool {
 	var ref *engine.Result
 	for _, r := range g.Cells[i] {
 		switch {
-		case r.Verdict == engine.Unknown:
+		case r == nil || r.Verdict == engine.Unknown:
 		case ref == nil:
 			ref = r
 		case r.Verdict != ref.Verdict || r.K != ref.K:
@@ -164,16 +194,18 @@ func (g *Grid) Disagreements() int {
 	return n
 }
 
-// TotalTime sums column c's wall time over all rows.
+// TotalTime sums column c's wall time over its solved cells.
 func (g *Grid) TotalTime(c int) time.Duration {
 	return time.Duration(g.Total(c, func(r *engine.Result) int64 { return int64(r.TotalTime) }))
 }
 
-// Total sums count over column c.
+// Total sums count over column c's solved cells.
 func (g *Grid) Total(c int, count func(*engine.Result) int64) int64 {
 	var n int64
 	for _, row := range g.Cells {
-		n += count(row[c])
+		if row[c] != nil {
+			n += count(row[c])
+		}
 	}
 	return n
 }

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/engine"
+	"repro/internal/sat"
 )
 
 // fmtDuration renders a duration in seconds with millisecond resolution,
@@ -17,66 +19,39 @@ func fmtDuration(d time.Duration) string {
 }
 
 // ratio renders b/a as a percentage string ("62%"); "-" when a is zero.
-func ratio(a, b time.Duration) string {
+func ratio[T ~int64](a, b T) string {
 	if a <= 0 {
 		return "-"
 	}
 	return fmt.Sprintf("%.0f%%", 100*float64(b)/float64(a))
 }
 
-// scatterASCII renders log-log scatter panes like the paper's Fig. 6: one
-// point per model at (x=baseline, y=method), with the diagonal marked.
-// Points below the diagonal are wins for the method.
-func scatterASCII(w io.Writer, title string, xs, ys []float64, width, height int) {
-	fmt.Fprintf(w, "%s  (points below diagonal: refined ordering wins)\n", title)
+// scatterASCII renders a log-log scatter pane like the paper's Fig. 6:
+// one point per model at (x=baseline, y=method), with the diagonal
+// marked. Points below the diagonal are wins for the method.
+func scatterASCII(w io.Writer, xs, ys []float64, width, height int) {
 	if len(xs) == 0 {
 		fmt.Fprintln(w, "  (no data)")
 		return
 	}
+	// logOf places a value on the log axis; a zero time sits at 1 µs.
+	logOf := func(v float64) float64 { return math.Log10(max(v, 1e-6)) }
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := range xs {
-		for _, v := range []float64{xs[i], ys[i]} {
-			if v <= 0 {
-				v = 1e-6
-			}
-			if lv := math.Log10(v); lv < lo {
-				lo = lv
-			}
-			if lv := math.Log10(v); lv > hi {
-				hi = lv
-			}
-		}
+		lo, hi = min(lo, logOf(xs[i]), logOf(ys[i])), max(hi, logOf(xs[i]), logOf(ys[i]))
 	}
 	if hi-lo < 1e-9 {
 		hi = lo + 1
 	}
-	grid := make([][]byte, height)
-	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", width))
-	}
+	grid := canvas(width, height)
 	cell := func(v float64, n int) int {
-		if v <= 0 {
-			v = 1e-6
-		}
-		p := (math.Log10(v) - lo) / (hi - lo)
-		i := int(p * float64(n-1))
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		return i
+		return min(max(int((logOf(v)-lo)/(hi-lo)*float64(n-1)), 0), n-1)
 	}
-	// Diagonal.
-	for c := 0; c < width; c++ {
-		r := int(float64(c) / float64(width-1) * float64(height-1))
-		grid[height-1-r][c] = '.'
+	for c := range width { // the diagonal
+		grid[height-1-int(float64(c)/float64(width-1)*float64(height-1))][c] = '.'
 	}
 	for i := range xs {
-		c := cell(xs[i], width)
-		r := cell(ys[i], height)
-		grid[height-1-r][c] = 'o'
+		grid[height-1-cell(ys[i], height)][cell(xs[i], width)] = 'o'
 	}
 	for _, row := range grid {
 		fmt.Fprintf(w, "  |%s\n", string(row))
@@ -85,52 +60,44 @@ func scatterASCII(w io.Writer, title string, xs, ys []float64, width, height int
 	fmt.Fprintf(w, "   x: baseline BMC, y: refined (log-log, 10^%.1f .. 10^%.1f seconds)\n", lo, hi)
 }
 
-// seriesASCII renders a log-scale line chart of one or two series over
-// depth, like the paper's Fig. 7 panels.
-func seriesASCII(w io.Writer, title string, depths []int, a, b []int64, aName, bName string, height int) {
-	fmt.Fprintf(w, "%s   [%s: '#', %s: 'o']\n", title, aName, bName)
-	if len(depths) == 0 {
-		fmt.Fprintln(w, "  (no data)")
-		return
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	logOf := func(v int64) float64 {
-		if v < 1 {
-			v = 1
-		}
-		return math.Log10(float64(v))
-	}
-	for i := range depths {
-		for _, v := range []float64{logOf(a[i]), logOf(b[i])} {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
-	if hi-lo < 1e-9 {
-		hi = lo + 1
-	}
-	width := len(depths)
+// canvas returns height blank rows of width bytes.
+func canvas(width, height int) [][]byte {
 	grid := make([][]byte, height)
 	for r := range grid {
 		grid[r] = []byte(strings.Repeat(" ", width))
 	}
-	put := func(v int64, col int, ch byte) {
-		p := (logOf(v) - lo) / (hi - lo)
-		r := int(p * float64(height-1))
-		cur := grid[height-1-r][col]
-		if cur == ' ' || ch == '*' {
-			grid[height-1-r][col] = ch
-		} else if cur != ch {
-			grid[height-1-r][col] = '*' // overlap
+	return grid
+}
+
+// seriesASCII renders a log-scale line chart of one statistic over depth
+// for both runs, like the paper's Fig. 7 panels.
+func seriesASCII(w io.Writer, title string, base, ref []engine.DepthStats, stat func(sat.Stats) int64, height int) {
+	fmt.Fprintf(w, "%s   [BMC: '#', ref_ord_BMC: 'o']\n", title)
+	if len(base) == 0 {
+		fmt.Fprintln(w, "  (no data)")
+		return
+	}
+	logOf := func(d engine.DepthStats) float64 { return math.Log10(float64(max(stat(d.Stats), 1))) }
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i := range base {
+		lo, hi = min(lo, logOf(base[i]), logOf(ref[i])), max(hi, logOf(base[i]), logOf(ref[i]))
+	}
+	if hi-lo < 1e-9 {
+		hi = lo + 1
+	}
+	width := len(base)
+	grid := canvas(width, height)
+	put := func(d engine.DepthStats, col int, ch byte) {
+		cell := &grid[height-1-int((logOf(d)-lo)/(hi-lo)*float64(height-1))][col]
+		if *cell == ' ' {
+			*cell = ch
+		} else if *cell != ch {
+			*cell = '*' // overlap
 		}
 	}
-	for i := range depths {
-		put(a[i], i, '#')
-		put(b[i], i, 'o')
+	for i := range base {
+		put(base[i], i, '#')
+		put(ref[i], i, 'o')
 	}
 	for r, row := range grid {
 		mark := "        "
@@ -142,7 +109,7 @@ func seriesASCII(w io.Writer, title string, depths []int, a, b []int64, aName, b
 		fmt.Fprintf(w, "  %s|%s\n", mark, string(row))
 	}
 	fmt.Fprintf(w, "          +%s\n", strings.Repeat("-", width))
-	fmt.Fprintf(w, "           k = %d .. %d\n", depths[0], depths[len(depths)-1])
+	fmt.Fprintf(w, "           k = %d .. %d\n", base[0].K, base[width-1].K)
 }
 
 // tf renders a model's ground truth: "T" marks a row dominated by UNSAT

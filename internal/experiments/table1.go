@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/sat"
 )
@@ -22,49 +21,18 @@ type Table1Row struct {
 	TF    string
 	Depth int
 
-	Time [3]time.Duration // indexed by ConfBase/ConfStatic/ConfDynamic
-	Dec  [3]int64
-	Imp  [3]int64
-	Conf [3]int64
-}
-
-// Configuration indices into Table1Row arrays.
-const (
-	ConfBase = iota
-	ConfStatic
-	ConfDynamic
-	numConfs
-)
-
-// ConfNames are the display names of the three configurations.
-var ConfNames = [numConfs]string{"bmc", "static", "dynamic"}
-
-var confStrategies = [numConfs]core.Strategy{core.OrderVSIDS, core.OrderStatic, core.OrderDynamic}
-
-// table1 is the headline comparison — every model of the suite under all
-// three configurations — and figure6 the same grid as scatter panes.
-func table1() Experiment {
-	return Experiment{Name: "table1", Columns: confColumns(), Write: writeTable1, WriteCSV: writeTable1CSV}
-}
-
-func figure6() Experiment {
-	return Experiment{Name: "fig6", Columns: confColumns(), Write: writeFigure6, WriteCSV: writeFigure6CSV}
-}
-
-func confColumns() []Column {
-	cols := make([]Column, numConfs)
-	for c := range cols {
-		cols[c] = fixed(ConfNames[c], engine.WithOrdering(confStrategies[c]))
-	}
-	return cols
+	Time [numConfs]time.Duration // indexed by ConfBase/ConfStatic/ConfDynamic
+	Dec  [numConfs]int64
+	Imp  [numConfs]int64
+	Conf [numConfs]int64
 }
 
 // alignRows applies the paper's common-depth convention to every row of
-// a three-configuration grid.
+// the suite grid's first three columns.
 func alignRows(g *Grid) []Table1Row {
 	rows := make([]Table1Row, len(g.Cells))
 	for i, runs := range g.Cells {
-		rows[i] = alignRow([numConfs]*engine.Result(runs))
+		rows[i] = alignRow([numConfs]*engine.Result(runs[:numConfs]))
 	}
 	return rows
 }
@@ -76,12 +44,16 @@ func alignRows(g *Grid) []Table1Row {
 // convention).
 func alignRow(runs [numConfs]*engine.Result) Table1Row {
 	var row Table1Row
+	add := func(c int, wall time.Duration, st sat.Stats) {
+		row.Time[c] += wall
+		row.Dec[c] += st.Decisions
+		row.Imp[c] += st.Implications
+		row.Conf[c] += st.Conflicts
+	}
 	allFalsified := true
 	common := -1
 	for c, r := range runs {
-		if r.Verdict != engine.Falsified {
-			allFalsified = false
-		}
+		allFalsified = allFalsified && r.Verdict == engine.Falsified
 		completed := -1
 		if n := len(r.PerDepth); n > 0 {
 			last := r.PerDepth[n-1]
@@ -96,37 +68,26 @@ func alignRow(runs [numConfs]*engine.Result) Table1Row {
 	}
 	if allFalsified {
 		for c, r := range runs {
-			row.Time[c] = r.TotalTime
-			row.Dec[c] = r.Total.Decisions
-			row.Imp[c] = r.Total.Implications
-			row.Conf[c] = r.Total.Conflicts
+			add(c, r.TotalTime, r.Total)
 		}
-		row.TF = "F"
-		row.Depth = runs[ConfBase].K
+		row.TF, row.Depth = "F", runs[ConfBase].K
 		return row
 	}
 	for c, r := range runs {
 		for _, d := range r.PerDepth {
-			if d.K > common {
-				break
+			if d.K <= common {
+				add(c, d.Wall, d.Stats)
 			}
-			row.Time[c] += d.Wall
-			row.Dec[c] += d.Stats.Decisions
-			row.Imp[c] += d.Stats.Implications
-			row.Conf[c] += d.Stats.Conflicts
 		}
 	}
-	row.TF = fmt.Sprintf("(%d)", common)
-	row.Depth = common
+	row.TF, row.Depth = fmt.Sprintf("(%d)", common), common
 	return row
 }
 
 // writeTable1 renders the grid in the paper's Table 1 layout.
 func writeTable1(w io.Writer, g *Grid) {
 	rows := alignRows(g)
-	var totalTime [numConfs]time.Duration
-	var totalDec [numConfs]int64
-	var wins [numConfs]int // models where the configuration beat the baseline time
+	total, wins, decWins := tally(rows)
 	fmt.Fprintln(w, "Table 1: BMC vs refine_order BMC (both static and dynamic)")
 	fmt.Fprintf(w, "%-4s %-16s %-6s %12s %12s %12s %14s %14s %14s\n",
 		"#", "model", "T/F", "bmc (s)", "static (s)", "dynamic (s)", "dec.bmc", "dec.static", "dec.dynamic")
@@ -136,25 +97,42 @@ func writeTable1(w io.Writer, g *Grid) {
 			g.Models[i].Index, g.Models[i].Name, row.TF,
 			fmtDuration(row.Time[ConfBase]), fmtDuration(row.Time[ConfStatic]), fmtDuration(row.Time[ConfDynamic]),
 			row.Dec[ConfBase], row.Dec[ConfStatic], row.Dec[ConfDynamic])
-		for c := 0; c < numConfs; c++ {
-			totalTime[c] += row.Time[c]
-			totalDec[c] += row.Dec[c]
-			if row.Time[c] < row.Time[ConfBase] {
-				wins[c]++
-			}
-		}
 	}
 	writeRule(w, 112)
 	fmt.Fprintf(w, "%-4s %-16s %-6s %12s %12s %12s %14d %14d %14d\n",
 		"", "TOTAL", "",
-		fmtDuration(totalTime[ConfBase]), fmtDuration(totalTime[ConfStatic]), fmtDuration(totalTime[ConfDynamic]),
-		totalDec[ConfBase], totalDec[ConfStatic], totalDec[ConfDynamic])
+		fmtDuration(total.Time[ConfBase]), fmtDuration(total.Time[ConfStatic]), fmtDuration(total.Time[ConfDynamic]),
+		total.Dec[ConfBase], total.Dec[ConfStatic], total.Dec[ConfDynamic])
 	fmt.Fprintf(w, "%-4s %-16s %-6s %12s %12s %12s\n",
 		"", "RATIO", "", "100%",
-		ratio(totalTime[ConfBase], totalTime[ConfStatic]),
-		ratio(totalTime[ConfBase], totalTime[ConfDynamic]))
+		ratio(total.Time[ConfBase], total.Time[ConfStatic]),
+		ratio(total.Time[ConfBase], total.Time[ConfDynamic]))
+	fmt.Fprintf(w, "%-4s %-16s %-6s %12s %12s %12s %14s %14s %14s\n",
+		"", "RATIO (dec)", "", "", "", "", "100%",
+		ratio(total.Dec[ConfBase], total.Dec[ConfStatic]),
+		ratio(total.Dec[ConfBase], total.Dec[ConfDynamic]))
 	fmt.Fprintf(w, "\nwins vs baseline: static %d/%d, dynamic %d/%d\n",
 		wins[ConfStatic], len(rows), wins[ConfDynamic], len(rows))
+	fmt.Fprintf(w, "wins vs baseline (decisions): static %d/%d, dynamic %d/%d\n",
+		decWins[ConfStatic], len(rows), decWins[ConfDynamic], len(rows))
+}
+
+// tally sums the rows' aligned seconds and decisions, and counts per
+// configuration the rows where it beat the baseline in each.
+func tally(rows []Table1Row) (total Table1Row, secs, decs [numConfs]int) {
+	for _, row := range rows {
+		for c := range secs {
+			total.Time[c] += row.Time[c]
+			total.Dec[c] += row.Dec[c]
+			if row.Time[c] < row.Time[ConfBase] {
+				secs[c]++
+			}
+			if row.Dec[c] < row.Dec[ConfBase] {
+				decs[c]++
+			}
+		}
+	}
+	return total, secs, decs
 }
 
 // writeTable1CSV emits the raw rows for external tooling. Aligned times
@@ -174,10 +152,12 @@ func writeTable1CSV(w io.Writer, g *Grid) {
 	}
 }
 
-// writeFigure6 renders the Table 1 grid as the paper's Fig. 6 scatter
-// panes (static and dynamic vs baseline).
+// writeFigure6 renders the Table 1 cells as the paper's Fig. 6 scatter
+// panes (static and dynamic vs baseline), each captioned with how many
+// models lie below its diagonal, in seconds and in aligned decisions.
 func writeFigure6(w io.Writer, g *Grid) {
 	rows := alignRows(g)
+	_, below, decBelow := tally(rows)
 	fmt.Fprintln(w, "Figure 6: CPU time, BMC vs refine_order BMC")
 	for _, c := range []int{ConfStatic, ConfDynamic} {
 		xs := make([]float64, 0, len(rows))
@@ -186,7 +166,10 @@ func writeFigure6(w io.Writer, g *Grid) {
 			xs = append(xs, row.Time[ConfBase].Seconds())
 			ys = append(ys, row.Time[c].Seconds())
 		}
-		scatterASCII(w, fmt.Sprintf("pane: %s vs bmc", ConfNames[c]), xs, ys, 60, 20)
+		fmt.Fprintf(w, "pane: %s vs bmc  (points below diagonal: refined ordering wins)\n", g.Columns[c].Name)
+		fmt.Fprintf(w, "  below the diagonal: %d/%d models in seconds, %d/%d in aligned decisions\n",
+			below[c], len(rows), decBelow[c], len(rows))
+		scatterASCII(w, xs, ys, 60, 20)
 		fmt.Fprintln(w)
 	}
 }
