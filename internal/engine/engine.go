@@ -135,6 +135,10 @@ type DepthStats struct {
 	// watch records of every strategy's solver. Mirrors on a remote worker
 	// are not counted.
 	SolverBytes int64 `json:"solver_bytes"`
+	// Learnts is the learnt clauses those solvers hold as the depth ends
+	// (sat.Solver.Footprint), summed like SolverBytes: a race a remote
+	// worker ran reports 0.
+	Learnts int `json:"learnts"`
 	// CoreOverlap is the Jaccard overlap |A∩B| / |A∪B| between this
 	// depth's core variables and the previous depth's — how stable the
 	// cores the refined ordering learns from are. nil (absent from JSON) at

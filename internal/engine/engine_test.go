@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -294,6 +295,52 @@ func TestKindProgressEvents(t *testing.T) {
 		}
 		if base == 0 || base != step {
 			t.Errorf("%s: expected matching base/step event counts, got base=%d step=%d", name, base, step)
+		}
+	}
+}
+
+// TestStepLaneRecordsOnlyToCertify: the step query's cores rank nothing —
+// its one UNSAT depth ends the check — so its lane records a proof only
+// under WithCertify, on every k-induction shape; the base lane records as
+// before. TestGoldenCounters pins the search either way.
+func TestStepLaneRecordsOnlyToCertify(t *testing.T) {
+	m := goldenModel(t, "gcnt_offset") // base UNSAT at every depth, 2-inductive
+	shapes := goldenShapes()
+	for _, name := range []string{"kind-sequential", "kind-portfolio", "kind-warm", "kind-warm-single"} {
+		for _, certify := range []bool{false, true} {
+			what := fmt.Sprintf("%s (certify %v)", name, certify)
+			var baseCore bool
+			var proving *engine.DepthStats
+			opts := append([]engine.Option{engine.WithBudgets(8, 0),
+				engine.WithProgress(func(e engine.Event) {
+					if e.Kind != engine.DepthFinished {
+						return
+					}
+					d := e.Depth
+					switch {
+					case e.Query == engine.QueryBase:
+						baseCore = baseCore || d.Status == sat.Unsat && d.CoreClauses > 0
+					case d.Status == sat.Unsat:
+						proving = &d
+					}
+					if e.Query == engine.QueryStep && !certify && (d.CoreClauses != 0 || d.RecorderBytes != 0 || d.CoreOverlap != nil) {
+						t.Errorf("%s: step depth %d recorded a core: %d clauses, %d recorder bytes, overlap %v",
+							what, e.K, d.CoreClauses, d.RecorderBytes, d.CoreOverlap)
+					}
+				})}, shapes[name]...)
+			if certify {
+				opts = append(opts, engine.WithCertify())
+			}
+			res := checkModel(t, m, opts...)
+			if res.Verdict != engine.Proved || proving == nil || proving.K != res.K {
+				t.Fatalf("%s: %v at %d, want proved by an UNSAT step depth", what, res.Verdict, res.K)
+			}
+			if certify && proving.CoreClauses == 0 {
+				t.Errorf("%s: the proving step depth %d reports no core", what, proving.K)
+			}
+			if !baseCore {
+				t.Errorf("%s: no UNSAT base depth reports a core", what)
+			}
 		}
 	}
 }

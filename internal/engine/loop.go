@@ -135,7 +135,7 @@ func (q *freshSeq) raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome {
 		EncodeWall:   encodeWall,
 	}
 	for _, s := range q.solvers {
-		out.SolverBytes += racer.SolverBytes(s)
+		out.AddSolver(s)
 	}
 
 	// Scratch numbering has no auxiliary variables to keep out of a core.
@@ -185,7 +185,8 @@ type plan struct {
 	// record attaches a proof recorder to every attempt, so whichever
 	// racer wins an UNSAT depth has a core to contribute. Recording (and
 	// the board it feeds) only pays off when some attempt reads bmc_score
-	// at the next depth — static or dynamic is raced — or to certify.
+	// at the next depth — static or dynamic is raced — or to certify; the
+	// step lane records only to certify (newSequence).
 	record bool
 	// payload is IDsOnly, or Complete under Certify: what FoldCore certifies.
 	payload core.Payload
@@ -224,9 +225,14 @@ func (s *Session) resolve(ctx context.Context) plan {
 }
 
 // newSequence builds the query's sequence under the session's solver
-// lifetime. Every sequence — bmc, base, step — gets the same plan and a
-// score board of its own.
+// lifetime. Every sequence — bmc, base, step — gets the plan and a score
+// board of its own. A lane records proofs only when something reads them:
+// the bmc and base boards rank the next depth, but every step depth before
+// the last is SAT and the UNSAT one ends the check, so the step lane
+// records only to be certified. Its board stays empty, and its guidance
+// is what an empty board gives.
 func (s *Session) newSequence(u *unroll.Unroller, query Query, p plan) sequence {
+	p.record = p.record && (query != QueryStep || s.cfg.Certify)
 	board := core.NewScoreBoard(s.cfg.ScoreMode)
 	if s.cfg.Incremental {
 		cfg := s.poolConfig(query, p, board)
@@ -490,6 +496,7 @@ func (s *Session) finishDepths(res *Result, runs ...*depthRun) (err error) {
 			CoreVars:       r.out.CoreVars,
 			RecorderBytes:  r.out.RecorderBytes,
 			SolverBytes:    r.out.SolverBytes,
+			Learnts:        r.out.Learnts,
 			CoreOverlap:    r.out.CoreOverlap,
 		}
 		switch {

@@ -294,3 +294,22 @@ func TestSolverBytesNeverFall(t *testing.T) {
 	}
 	t.Logf("the solver holds %d bytes at depth %d", last, res.PerDepth[len(res.PerDepth)-1].K)
 }
+
+// TestLearntsReported: every depth reports the learnt clauses its solvers
+// hold as it ends, on every local shape and query. A search that learns
+// anything leaves some behind, so each shape reports them at some depth.
+func TestLearntsReported(t *testing.T) {
+	m := goldenModel(t, "mix_w5")
+	for name, opts := range goldenShapes() {
+		learnts := 0
+		checkModel(t, m, append([]engine.Option{engine.WithBudgets(6, 0),
+			engine.WithProgress(func(e engine.Event) {
+				if e.Kind == engine.DepthFinished {
+					learnts = max(learnts, e.Depth.Learnts)
+				}
+			})}, opts...)...)
+		if learnts == 0 {
+			t.Errorf("%s: no depth reports a learnt clause", name)
+		}
+	}
+}

@@ -62,7 +62,8 @@ type Feed struct {
 	Solver *sat.Solver
 	// Rec, when non-nil, is the solver's proof recorder: every frame
 	// clause is registered as a leaf with its literals, which is what
-	// resolves a core to variables.
+	// resolves a core to variables. It is nil when the pool does not record
+	// (Config.Record), and then CatchUp codes no leaf.
 	Rec *core.Recorder
 	// Loaded, when non-nil, counts the frames CatchUp loads.
 	Loaded *obs.Counter

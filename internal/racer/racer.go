@@ -90,7 +90,10 @@ type Config struct {
 	// core.Strategy.Guidance takes it.
 	Divisor int
 	// Record attaches a CDG recorder to every racer, so whichever racer
-	// wins an UNSAT depth has a core to contribute to the board.
+	// wins an UNSAT depth has a core to contribute to the board. The
+	// engine sets it only for a pool whose cores something reads — the
+	// next depth's guidance or a certifier; a pool without it folds
+	// nothing, and its board stays as it began.
 	Record bool
 	// Payload is what the recorders keep beyond core.WithLeaves, which a
 	// persistent solver needs: Complete ones are certified (FoldCore).
@@ -253,10 +256,12 @@ type DepthOutcome struct {
 	// previous depth's (core.ScoreBoard.Overlap); nil at the first depth
 	// and wherever this depth or the one before folded no core.
 	CoreOverlap *float64
-	// SolverBytes is what the solvers of this process hold for their
-	// clause databases once the race has joined (SolverBytes); a race a
-	// remote worker ran adds nothing.
+	// SolverBytes and Learnts are what the solvers of this process hold —
+	// the bytes of their clause databases and their learnt clauses — once
+	// the race has joined (AddSolver); a race a remote worker ran adds
+	// nothing.
 	SolverBytes int64
+	Learnts     int
 	// FrameVars is the variable count after this depth's frame;
 	// TotalClauses/TotalLits the cumulative original-clause footprint, as
 	// Source.Size counts it.
@@ -329,7 +334,7 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 		EncodeWall: frames.EncodeWall(),
 	}
 	for _, r := range p.racers {
-		out.SolverBytes += SolverBytes(r.feed.Solver)
+		out.AddSolver(r.feed.Solver)
 	}
 
 	if p.cfg.Metrics != nil {
@@ -366,14 +371,15 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 	return out
 }
 
-// SolverBytes is what s holds for its clause database
-// (sat.Solver.Footprint): 0 for a solver never made. s must be at rest.
-func SolverBytes(s *sat.Solver) int64 {
+// AddSolver adds what s holds (sat.Solver.Footprint) to SolverBytes and
+// Learnts: nothing for a solver never made. s must be at rest.
+func (out *DepthOutcome) AddSolver(s *sat.Solver) {
 	if s == nil {
-		return 0
+		return
 	}
-	bytes, _ := s.Footprint()
-	return bytes
+	bytes, learnts := s.Footprint()
+	out.SolverBytes += bytes
+	out.Learnts += learnts
 }
 
 // auxOf returns the predicate for the source's auxiliary variables, which

@@ -107,6 +107,9 @@ func agreementCircuit(data []byte) *circuit.Circuit {
 // and is otherwise undecided at its bound. The scratch shapes grow their
 // storage across every depth of both queries on the way. The in-process
 // run certifies the proof and core of every UNSAT depth (WithCertify).
+// A k-induction shape runs in process a second time, uncertified, which
+// is the one run whose step lane records no proof: it must search exactly
+// as the certified one wherever the search repeats (searchCounts).
 func FuzzEngineAgreement(f *testing.F) {
 	for family := byte(0); family < 6; family++ { // the suite's generators
 		f.Add([]byte{family, 1, 2, 3}, uint8(agreementMaxDepth))
@@ -130,14 +133,19 @@ func FuzzEngineAgreement(f *testing.F) {
 		badInBound := firstBad >= 0 && firstBad <= maxDepth
 		for _, shape := range remoteShapes() {
 			kind := strings.HasPrefix(shape.name, "kind")
+			executors := []string{"local", "loopback"}
+			if kind {
+				executors = []string{"local", "uncertified", "loopback"}
+			}
 			var local *engine.Result
-			for _, executor := range []string{"local", "loopback"} {
+			for _, executor := range executors {
 				what := fmt.Sprintf("%s, %s %s to depth %d", c.Stats(), executor, shape.name, maxDepth)
 				opts := append([]engine.Option{engine.WithBudgets(maxDepth, 0)}, shape.opts...)
 				var ex *Executor
-				if executor == "local" {
+				switch executor {
+				case "local":
 					opts = append(opts, engine.WithCertify())
-				} else {
+				case "loopback":
 					// Worker mirrors hold no recorder, so a race won on a
 					// worker leaves no proof to certify: the loopback side
 					// runs uncertified until workers certify their own
@@ -179,7 +187,30 @@ func FuzzEngineAgreement(f *testing.F) {
 				} else if res.Verdict != local.Verdict || res.K != local.K {
 					t.Fatalf("%s: %v at %d, in process %v at %d", what, res.Verdict, res.K, local.Verdict, local.K)
 				}
+				if executor == "uncertified" {
+					got, ok := searchCounts(res, shape.opts)
+					if want, _ := searchCounts(local, shape.opts); ok && got != want {
+						t.Fatalf("%s: searched %v (conflicts, decisions, propagations), certified %v", what, got, want)
+					}
+				}
 			}
 		}
 	})
+}
+
+// searchCounts sums a k-induction result's conflicts, decisions and
+// propagations over base and step, as TestGoldenCounters does: a falsified
+// check leaves the step out, because how far its cancelled race got
+// depends on timing. ok is false for a shape whose search does not repeat
+// — one racing several strategies on as many workers picks its winners by
+// timing.
+func searchCounts(res *engine.Result, opts []engine.Option) (counts [3]int64, ok bool) {
+	if cfg := engine.NewConfig(opts...); cfg.Portfolio && cfg.Jobs != 1 {
+		return counts, false
+	}
+	st := res.BaseStats
+	if res.Verdict != engine.Falsified {
+		st.Add(res.StepStats)
+	}
+	return [3]int64{st.Conflicts, st.Decisions, st.Implications}, true
 }
