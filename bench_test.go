@@ -3,16 +3,12 @@
 // `go test -bench=.` finishes in minutes. The full-scale artifacts are
 // produced by cmd/tablegen (README, "Reproducing the paper's artifacts").
 //
-// BenchmarkExperiment/<name> fills one grid of the experiments registry,
-// renders it, reports each column's total wall time, and fails on any
-// verdict or depth disagreement between the columns of a row (the
+// BenchmarkExperiment fills the grid of the whole experiments registry
+// once — each (model, configuration) cell solved once, however many
+// experiments read it — renders every experiment from it, reports each
+// experiment's per-column total wall time, and fails on any verdict or
+// depth disagreement between the columns of an experiment's row (the
 // soundness canary for the racing and incremental shapes).
-// BenchmarkExperiment/suite fills the whole suite grid once — vsids,
-// static and dynamic from scratch, vsids and dynamic incremental — and
-// renders its five views from it (table1, fig6, fig7, incremental,
-// refine), with the disagreement gate over all five columns; the other
-// entries are obs-overhead, ablation, threshold, timeaxis, portfolio,
-// warm and warm-kind.
 // BenchmarkCDGMemory is the one artifact measured below the engine: §3.1,
 // the CDG's bookkeeping in time and bytes.
 //
@@ -39,51 +35,29 @@ func quickCfg() experiments.Config {
 	}
 }
 
-// BenchmarkExperiment runs the suite grid and every other registry entry
-// once per iteration (see the package comment). Reading portfolio's
-// columns: on multi-core hardware the race beats the worst single
-// ordering by construction (it ends at the first verdict); on a single
-// core the racers are time-sliced, so it only does where the spread
-// between strategies exceeds the portfolio width — the hard rows'
-// regime, not every ablation model's.
+// BenchmarkExperiment runs the whole registry once per iteration (see the
+// package comment). Reading portfolio's columns: on multi-core hardware
+// the race beats the worst single ordering by construction (it ends at
+// the first verdict); on a single core the racers are time-sliced, so it
+// only does where the spread between strategies exceeds the portfolio
+// width — the hard rows' regime, not every ablation model's.
 func BenchmarkExperiment(b *testing.B) {
-	type entry struct {
-		name string
-		exps []experiments.Experiment
-	}
-	entries := []entry{{name: "suite"}}
-	for _, e := range experiments.All() {
-		if e.Reads != nil {
-			entries[0].exps = append(entries[0].exps, e)
-		} else {
-			entries = append(entries, entry{e.Name, []experiments.Experiment{e}})
-		}
-	}
-	for _, en := range entries {
-		b.Run(en.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var g *experiments.Grid
-				suite, err := experiments.RunAll(context.Background(), quickCfg(), en.exps,
-					func(e experiments.Experiment, eg *experiments.Grid) {
-						e.Write(io.Discard, eg)
-						g = eg
-					})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(suite.Models) > 0 {
-					g = suite
-				}
+	for i := 0; i < b.N; i++ {
+		err := experiments.RunAll(context.Background(), quickCfg(), experiments.All(),
+			func(e experiments.Experiment, g *experiments.Grid) {
+				e.Write(io.Discard, g)
 				if n := g.Disagreements(); n > 0 {
-					b.Fatalf("%d verdict disagreements", n)
+					b.Fatalf("%s: %d verdict disagreements", e.Name, n)
 				}
 				if i == b.N-1 {
 					for c, col := range g.Columns {
-						b.ReportMetric(g.TotalTime(c).Seconds(), col.Name+"_s")
+						b.ReportMetric(g.TotalTime(c).Seconds(), e.Name+"."+col.Name+"_s")
 					}
 				}
-			}
-		})
+			})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -18,8 +18,9 @@
 // plus cdgmemory (§3.1 below the engine: CDG time and bytes, every proof
 // certified) and all (everything).
 //
-// table1, fig6, fig7, incremental and refine are views of one suite grid,
-// which all fills once; alone, each solves only its own cells.
+// Every experiment reads named configurations of one catalogue: all
+// solves each (model, configuration) cell once, however many tables show
+// it, and an experiment alone solves only its own rows and columns.
 //
 // -csv switches the output to machine-readable CSV where available, -quick
 // caps depths and budgets for a fast smoke run, and -budget sets the
@@ -104,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	}
-	_, err = experiments.RunAll(context.Background(), cfg, selected, func(e experiments.Experiment, g *experiments.Grid) {
+	err = experiments.RunAll(context.Background(), cfg, selected, func(e experiments.Experiment, g *experiments.Grid) {
 		if *csv && e.WriteCSV != nil {
 			e.WriteCSV(stdout, g)
 		} else {

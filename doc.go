@@ -104,5 +104,5 @@
 //	                     imported by nothing
 //
 // The root package holds the paper-artifact benchmarks (bench_test.go:
-// BenchmarkExperiment/<name>, one per registry entry).
+// BenchmarkExperiment renders every registry entry from one fill).
 package repro

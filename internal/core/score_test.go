@@ -175,6 +175,20 @@ func TestStrategyConfigure(t *testing.T) {
 	if !slices.Equal(g, []float64{0, 2, 1, 0}) || sw != 0 || &g[0] != &buf[0] {
 		t.Errorf("time-axis guidance %v, switch %d (over the caller's array: %v)", g, sw, &g[0] == &buf[0])
 	}
+
+	// No board: static and dynamic are unguided and never switch, as
+	// vsids; time axis reads the layout alone. Guided says which.
+	for _, st := range []Strategy{OrderVSIDS, OrderStatic, OrderDynamic, OrderTimeAxis} {
+		for _, board := range []*ScoreBoard{b, nil} {
+			g, sw := st.Guidance(board, in, numLits, SwitchDivisor, nil)
+			if board == nil && st != OrderTimeAxis && (g != nil || sw != 0) {
+				t.Errorf("%s without a board: guidance %v, switch %d; want none", st, g, sw)
+			}
+			if st.Guided(board) != (g != nil) {
+				t.Errorf("%s (board %v): Guided %v, but guidance %v", st, board != nil, st.Guided(board), g)
+			}
+		}
+	}
 }
 
 func TestStrategyConfigureWithDivisor(t *testing.T) {

@@ -94,10 +94,16 @@ type Layout struct {
 //     (at least one) have been made; divisor <= 0 never switches.
 //   - OrderTimeAxis: frame f of the layout scores Frames−f, auxiliaries 0.
 //
+// A nil board — a sequence whose cores rank nothing — gives static and
+// dynamic no guidance either, as it gives vsids.
+//
 // The scores are written over buf's array where that is large enough — a
 // caller that asks at every depth and is done with the last answer passes
 // it back — and into a new one of exactly the size otherwise.
 func (s Strategy) Guidance(board *ScoreBoard, in Layout, numLits, divisor int, buf []float64) (scores []float64, switchAfter int64) {
+	if !s.Guided(board) {
+		return nil, 0
+	}
 	switch s {
 	case OrderStatic:
 		return board.GuidanceInto(buf, in.NumVars), 0
@@ -106,7 +112,7 @@ func (s Strategy) Guidance(board *ScoreBoard, in Layout, numLits, divisor int, b
 			switchAfter = max(int64(numLits/divisor), 1)
 		}
 		return board.GuidanceInto(buf, in.NumVars), switchAfter
-	case OrderTimeAxis:
+	default: // OrderTimeAxis
 		g := slices.Grow(buf[:0], in.NumVars+1)[:in.NumVars+1]
 		g[0] = 0
 		for v := 1; v <= in.NumVars; v++ {
@@ -116,9 +122,13 @@ func (s Strategy) Guidance(board *ScoreBoard, in Layout, numLits, divisor int, b
 			}
 		}
 		return g, 0
-	default:
-		return nil, 0
 	}
+}
+
+// Guided reports whether Guidance gives s scores under board: time-axis
+// always, static and dynamic when there is a board.
+func (s Strategy) Guided(board *ScoreBoard) bool {
+	return s == OrderTimeAxis || board != nil && (s == OrderStatic || s == OrderDynamic)
 }
 
 // ConfigureWithDivisor applies Guidance for formula f to opts. A formula

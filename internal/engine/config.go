@@ -61,7 +61,8 @@ type Config struct {
 	// single-strategy runs).
 	Incremental bool
 	// ScoreMode selects the bmc_score accumulation rule of every score
-	// board (bmc, base and step).
+	// board: the bmc and base sequences'. The k-induction step sequence
+	// has no board, since no step core is ever read.
 	ScoreMode core.ScoreMode
 	// SwitchDivisor overrides the dynamic strategy's switch threshold
 	// divisor (0 selects the paper's core.SwitchDivisor, 64; negative is

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/cnf"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/lits"
 	"repro/internal/portfolio"
@@ -340,6 +342,51 @@ func TestStepLaneRecordsOnlyToCertify(t *testing.T) {
 			}
 			if !baseCore {
 				t.Errorf("%s: no UNSAT base depth reports a core", what)
+			}
+		}
+	}
+}
+
+// TestStepLaneUnguided: the step sequence has no score board — no step
+// core is ever read — so its static and dynamic attempts run as vsids
+// does. Under dynamic no step depth reports the switch, on the scratch and
+// the warm lifetime; on the scratch one the step search under static and
+// dynamic is vsids's, count for count.
+func TestStepLaneUnguided(t *testing.T) {
+	shapes := goldenShapes()
+	for _, name := range []string{"cnt_w4_t9", "gcnt_offset"} {
+		m := goldenModel(t, name)
+		step := map[core.Strategy]sat.Stats{}
+		for _, run := range []struct {
+			shape string
+			st    core.Strategy
+		}{
+			{"kind-sequential", core.OrderVSIDS},
+			{"kind-sequential", core.OrderStatic},
+			{"kind-sequential", core.OrderDynamic},
+			{"kind-warm-single", core.OrderDynamic},
+		} {
+			what := fmt.Sprintf("%s/%s/%s", name, run.shape, run.st)
+			opts := append(slices.Clone(shapes[run.shape]), engine.WithOrdering(run.st), engine.WithBudgets(12, 0),
+				engine.WithProgress(func(e engine.Event) {
+					if e.Kind == engine.DepthFinished && e.Query == engine.QueryStep && e.Depth.Stats.GuidanceSwitched {
+						t.Errorf("%s: step depth %d switched guidance off after %d decisions", what, e.K, e.Depth.Stats.SwitchDecision)
+					}
+				}))
+			res := checkModel(t, m, opts...)
+			if res.StepStats.Conflicts == 0 {
+				t.Fatalf("%s: the step lane searched nothing", what)
+			}
+			if run.shape == "kind-sequential" {
+				step[run.st] = res.StepStats
+			}
+		}
+		base := step[core.OrderVSIDS]
+		for _, st := range []core.Strategy{core.OrderStatic, core.OrderDynamic} {
+			got := step[st]
+			if got.Conflicts != base.Conflicts || got.Decisions != base.Decisions || got.Implications != base.Implications {
+				t.Errorf("%s: step search under %s (%d conflicts, %d decisions, %d implications) is not vsids's (%d, %d, %d)",
+					name, st, got.Conflicts, got.Decisions, got.Implications, base.Conflicts, base.Decisions, base.Implications)
 			}
 		}
 	}

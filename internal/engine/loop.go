@@ -34,8 +34,8 @@ type sequence interface {
 	// raceDepth encodes the depth-k instance (or its delta frame),
 	// configures one attempt per strategy, races them through the
 	// Executor until a verdict lands or stop closes, and folds the
-	// winner's unsat core into the sequence's score board. Depths are
-	// raced in order from 0.
+	// winner's unsat core into the sequence's score board, if it has one.
+	// Depths are raced in order from 0.
 	raceDepth(k int, stop <-chan struct{}) racer.DepthOutcome
 	// trace turns a model of the depth-k instance into a counter-example.
 	trace(model lits.Assignment, k int) *unroll.Trace
@@ -71,8 +71,8 @@ type freshSeq struct {
 	recs     []*core.Recorder // nil entries unless record
 	guidance [][]float64
 	jobs     int
-	metrics  []*sat.Metrics // per strategy, nil without a registry
-	board    *core.ScoreBoard
+	metrics  []*sat.Metrics   // per strategy, nil without a registry
+	board    *core.ScoreBoard // nil on the step sequence (newSequence)
 
 	// maxDepth is the check's last depth. sizedFor is the depth the
 	// storage was last sized for (-1 before the first), sizedVars that
@@ -186,7 +186,7 @@ type plan struct {
 	// racer wins an UNSAT depth has a core to contribute. Recording (and
 	// the board it feeds) only pays off when some attempt reads bmc_score
 	// at the next depth — static or dynamic is raced — or to certify; the
-	// step lane records only to certify (newSequence).
+	// step lane has no board and records only to certify (newSequence).
 	record bool
 	// payload is IDsOnly, or Complete under Certify: what FoldCore certifies.
 	payload core.Payload
@@ -225,15 +225,18 @@ func (s *Session) resolve(ctx context.Context) plan {
 }
 
 // newSequence builds the query's sequence under the session's solver
-// lifetime. Every sequence — bmc, base, step — gets the plan and a score
-// board of its own. A lane records proofs only when something reads them:
-// the bmc and base boards rank the next depth, but every step depth before
-// the last is SAT and the UNSAT one ends the check, so the step lane
-// records only to be certified. Its board stays empty, and its guidance
-// is what an empty board gives.
+// lifetime. Every sequence — bmc, base, step — gets the plan, and the bmc
+// and base sequences a score board of their own, whose cores rank their
+// next depth. The step sequence has none: every step depth before the last
+// is SAT and the UNSAT one ends the check, so no step core is ever read.
+// Its static and dynamic attempts run unguided (core.Strategy.Guidance),
+// and it records proofs only to be certified.
 func (s *Session) newSequence(u *unroll.Unroller, query Query, p plan) sequence {
 	p.record = p.record && (query != QueryStep || s.cfg.Certify)
-	board := core.NewScoreBoard(s.cfg.ScoreMode)
+	var board *core.ScoreBoard
+	if query != QueryStep {
+		board = core.NewScoreBoard(s.cfg.ScoreMode)
+	}
 	if s.cfg.Incremental {
 		cfg := s.poolConfig(query, p, board)
 		d := u.Delta()

@@ -17,7 +17,7 @@ func writeTimes(w io.Writer, g *Grid, title, unit string, mark func(*engine.Resu
 	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "%-16s", "model")
 	for _, col := range g.Columns {
-		fmt.Fprintf(w, " %14s", col.Name+unit)
+		fmt.Fprintf(w, " %14s", col.header()+unit)
 	}
 	fmt.Fprintln(w)
 	writeRule(w, 16+15*len(g.Columns))
@@ -44,29 +44,21 @@ func writeTimes(w io.Writer, g *Grid, title, unit string, mark func(*engine.Resu
 // alternatives discussed in §3.2 (unweighted, last-core-only, exponential
 // decay), all under the static application.
 func scoreAblation() Experiment {
-	var cols []Column
-	for _, mode := range []core.ScoreMode{core.WeightedSum, core.UnweightedSum, core.LastCoreOnly, core.ExpDecay} {
-		cols = append(cols, fixed(mode.String(),
-			engine.WithOrdering(core.OrderStatic), engine.WithScoreMode(mode)))
-	}
+	cols := columns("static", "unweighted-sum", "last-core-only", "exp-decay")
+	cols[0].Header = core.WeightedSum.String()
 	return Experiment{Name: "ablation", Models: AblationModels(), Columns: cols,
 		Write: func(w io.Writer, g *Grid) {
 			writeTimes(w, g, "Sec. 3.2 ablation: bmc_score accumulation rule (static ordering)", "", nil)
 		}}
 }
 
-// ThresholdSweep sweeps the dynamic configuration's switch divisor
-// (decisions > #literals/divisor triggers the fallback to VSIDS; the paper
-// uses 64; divisor 0 means "never switch", i.e. pure static).
-func ThresholdSweep(divisors ...int) Experiment {
-	var cols []Column
-	for _, div := range divisors {
-		name, st := fmt.Sprintf("lits/%d", div), core.OrderDynamic
-		if div == 0 {
-			name, st = "never(static)", core.OrderStatic
-		}
-		cols = append(cols, fixed(name, engine.WithOrdering(st), engine.WithSwitchDivisor(div)))
-	}
+// threshold sweeps the dynamic configuration's switch divisor (decisions >
+// #literals/divisor triggers the fallback to VSIDS): 16, the paper's 64,
+// 256, and never switching, which is static.
+func threshold() Experiment {
+	cols := columns("lits/16", "dynamic", "lits/256", "static")
+	cols[1].Header = fmt.Sprintf("lits/%d", core.SwitchDivisor)
+	cols[3].Header = "never(static)"
 	return Experiment{Name: "threshold", Models: AblationModels(), Columns: cols,
 		Write: func(w io.Writer, g *Grid) {
 			writeTimes(w, g, "Sec. 3.3 ablation: dynamic switch divisor (decisions > lits/divisor)", "",
@@ -83,14 +75,9 @@ func ThresholdSweep(divisors ...int) Experiment {
 // timeAxis compares baseline, the paper's dynamic refinement, and a
 // Shtrichman-style time-axis static ordering.
 func timeAxis() Experiment {
-	return Experiment{
-		Name:   "timeaxis",
-		Models: AblationModels(),
-		Columns: []Column{
-			fixed("bmc", engine.WithOrdering(core.OrderVSIDS)),
-			fixed("dynamic", engine.WithOrdering(core.OrderDynamic)),
-			fixed("timeaxis", engine.WithOrdering(core.OrderTimeAxis)),
-		},
+	cols := columns("vsids", "dynamic", "timeaxis")
+	cols[0].Header = "bmc"
+	return Experiment{Name: "timeaxis", Models: AblationModels(), Columns: cols,
 		Write: func(w io.Writer, g *Grid) {
 			writeTimes(w, g, "Related work: time-axis (Shtrichman-style) vs register-axis (this paper)", " (s)", nil)
 		}}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"maps"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -11,6 +13,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/sat"
@@ -42,7 +45,7 @@ func runSmall(t *testing.T, name string, cfg Config) (*Grid, string) {
 func fillOne(t *testing.T, e Experiment, cfg Config) *Grid {
 	t.Helper()
 	var g *Grid
-	if _, err := RunAll(context.Background(), cfg, []Experiment{e}, func(_ Experiment, eg *Grid) { g = eg }); err != nil {
+	if err := RunAll(context.Background(), cfg, []Experiment{e}, func(_ Experiment, eg *Grid) { g = eg }); err != nil {
 		t.Fatal(err)
 	}
 	return g
@@ -59,10 +62,10 @@ func runExperiment(t *testing.T, e Experiment, cfg Config) (*Grid, string) {
 			t.Fatalf("row %d has %d cells for %d columns", i, len(row), len(e.Columns))
 		}
 		for c, r := range row {
-			if read := e.Reads == nil || slices.Contains(e.Reads, c); read != (r != nil) {
-				t.Errorf("%s/%s: read %v but solved %v", g.Models[i].Name, e.Columns[c].Name, read, r != nil)
+			if r == nil {
+				t.Fatalf("%s/%s: cell left unsolved", g.Models[i].Name, e.Columns[c].Name)
 			}
-			if r != nil && r.TotalTime <= 0 {
+			if r.TotalTime <= 0 {
 				t.Errorf("%s/%s: nonpositive wall time", g.Models[i].Name, e.Columns[c].Name)
 			}
 		}
@@ -159,7 +162,7 @@ func TestRunFigure7Small(t *testing.T) {
 	if len(base) == 0 || len(base) != len(ref) {
 		t.Fatalf("series lengths inconsistent: %d base, %d ref", len(base), len(ref))
 	}
-	decBase, decRef := g.Total(ConfBase, decisions), g.Total(ConfDynamic, decisions)
+	decBase, decRef := g.Total(0, decisions), g.Total(1, decisions)
 	if decBase <= 0 || decRef <= 0 {
 		t.Errorf("decision counts must be positive, got bmc=%d ref=%d", decBase, decRef)
 	}
@@ -223,11 +226,11 @@ func TestRunScoreAblationSmall(t *testing.T) {
 }
 
 func TestRunThresholdSweepSmall(t *testing.T) {
-	g, out := runExperiment(t, ThresholdSweep(16, 64, 0), tinyCfg())
-	if len(g.Columns) != 3 {
+	g, out := runSmall(t, "threshold", tinyCfg())
+	if len(g.Columns) != 4 {
 		t.Fatalf("columns: %v", g.Columns)
 	}
-	wantAll(t, out, "lits/16", "never(static)")
+	wantAll(t, out, "lits/16", "lits/64", "lits/256", "never(static)")
 }
 
 func TestRunTimeAxisSmall(t *testing.T) {
@@ -412,7 +415,7 @@ func TestRunIncrementalAblationSmall(t *testing.T) {
 	}
 	// The footprint cells are the last depth's solver plus recorder bytes.
 	for i, m := range g.Models {
-		for _, c := range []int{ConfDynamic, ConfDynamicIncr} {
+		for c := range g.Columns {
 			d := g.Cells[i][c].PerDepth
 			last := d[len(d)-1]
 			if last.SolverBytes <= 0 {
@@ -488,11 +491,36 @@ func TestKindAblationModelsResolve(t *testing.T) {
 	}
 }
 
+// configOf is what a column's options make of a zero engine.Config, with
+// a zero switch divisor read as the paper's and the observability sinks,
+// fresh per run, reduced to whether they are set.
+func configOf(c Column) any {
+	var cfg engine.Config
+	for _, o := range c.Options() {
+		o(&cfg)
+	}
+	if cfg.SwitchDivisor == 0 {
+		cfg.SwitchDivisor = core.SwitchDivisor
+	}
+	metrics, tracer := cfg.Metrics != nil, cfg.Tracer != nil
+	cfg.Metrics, cfg.Tracer = nil, nil
+	return struct {
+		engine.Config
+		metrics, tracer bool
+	}{cfg, metrics, tracer}
+}
+
 // TestRegistryWellFormed pins what every front end assumes of the
 // registry: unique experiment names, unique non-empty column names, a
 // text renderer, and default model sets that resolve to buildable models.
+// A column name is one configuration wherever it is read, and two names
+// are two configurations: the fill solves a (model, name) cell once for
+// every experiment that reads it, so a name that meant two configurations
+// would hand one of them the other's cells, and a configuration under two
+// names would be solved twice.
 func TestRegistryWellFormed(t *testing.T) {
 	names := map[string]bool{}
+	configs := map[string]any{}
 	for _, e := range All() {
 		if e.Name == "" || names[e.Name] {
 			t.Errorf("experiment name %q empty or duplicated", e.Name)
@@ -504,28 +532,6 @@ func TestRegistryWellFormed(t *testing.T) {
 		if len(e.Columns) == 0 {
 			t.Errorf("%s: no columns", e.Name)
 		}
-		// A view's columns are the suite's, and it reads some of them.
-		if e.Reads != nil {
-			suite := suiteColumns()
-			if len(e.Columns) != len(suite) {
-				t.Errorf("%s: a view with %d columns, the suite has %d", e.Name, len(e.Columns), len(suite))
-			}
-			for c := range min(len(e.Columns), len(suite)) {
-				if e.Columns[c].Name != suite[c].Name {
-					t.Errorf("%s: column %d is %q, the suite's is %q", e.Name, c, e.Columns[c].Name, suite[c].Name)
-				}
-			}
-			read := map[int]bool{}
-			for _, c := range e.Reads {
-				if c < 0 || c >= len(suite) || read[c] {
-					t.Errorf("%s: reads column %d out of range or twice", e.Name, c)
-				}
-				read[c] = true
-			}
-			if len(read) == 0 {
-				t.Errorf("%s: a view that reads no column", e.Name)
-			}
-		}
 		cols := map[string]bool{}
 		for _, c := range e.Columns {
 			if c.Name == "" || cols[c.Name] {
@@ -534,7 +540,16 @@ func TestRegistryWellFormed(t *testing.T) {
 			cols[c.Name] = true
 			if c.Options == nil {
 				t.Errorf("%s/%s: no options", e.Name, c.Name)
+				continue
 			}
+			cfg := configOf(c)
+			if !reflect.DeepEqual(cfg, configOf(c)) {
+				t.Errorf("%s/%s: two runs of the column differ in configuration", e.Name, c.Name)
+			}
+			if seen, ok := configs[c.Name]; ok && !reflect.DeepEqual(cfg, seen) {
+				t.Errorf("%s/%s: the name means another configuration elsewhere in the registry", e.Name, c.Name)
+			}
+			configs[c.Name] = cfg
 		}
 		models := map[string]bool{}
 		for _, m := range (Config{Models: e.Models}).models() {
@@ -549,6 +564,18 @@ func TestRegistryWellFormed(t *testing.T) {
 	}
 	if _, ok := ByName("cdgmemory"); ok {
 		t.Error("cdgmemory is not a grid and must stay out of the registry")
+	}
+	var all []string
+	for name := range configs {
+		all = append(all, name)
+	}
+	slices.Sort(all)
+	for i, a := range all {
+		for _, b := range all[i+1:] {
+			if reflect.DeepEqual(configs[a], configs[b]) {
+				t.Errorf("columns %q and %q are one configuration under two names", a, b)
+			}
+		}
 	}
 }
 
@@ -617,59 +644,55 @@ func TestGridKeepsFastestRepeat(t *testing.T) {
 	}
 }
 
-// views returns the registry's views of the suite grid.
-func views() []Experiment {
-	var vs []Experiment
-	for _, e := range All() {
-		if e.Reads != nil {
-			vs = append(vs, e)
-		}
-	}
-	return vs
-}
-
 // TestRefineDeterministic: the exact-count headlines — refine's conflicts,
 // Table 1's decisions — rest on single-strategy searches being
-// reproducible: two fills of the whole suite grid, all five columns, on
-// 3 models must agree on every count. The grid has no wall-clock budget:
-// a cell cut short by one on a loaded machine would differ by when it was
+// reproducible: two fills of the five experiments that read the paper's
+// comparison (table1, fig6, fig7, incremental and refine, over vsids,
+// static and dynamic from scratch and vsids and dynamic incremental) on 3
+// models must agree on every count. The fill has no wall-clock budget: a
+// cell cut short by one on a loaded machine would differ by when it was
 // cut, and the conflict cap and depth cap already bound every cell.
 func TestRefineDeterministic(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Models = subset([]string{"mix_w5", "add_w4", "cnt_w4_t9"})
 	cfg.PerModelBudget = 0
-	fill := func() (*Grid, map[string]string) {
-		outs := map[string]string{}
-		suite, err := RunAll(context.Background(), cfg, views(), func(e Experiment, g *Grid) {
+	var exps []Experiment
+	for _, name := range []string{"table1", "fig6", "fig7", "incremental", "refine"} {
+		e, _ := ByName(name)
+		exps = append(exps, e)
+	}
+	fill := func() (map[string]*Grid, map[string]string) {
+		grids, outs := map[string]*Grid{}, map[string]string{}
+		err := RunAll(context.Background(), cfg, exps, func(e Experiment, g *Grid) {
 			var out strings.Builder
 			e.Write(&out, g)
-			outs[e.Name] = out.String()
+			grids[e.Name], outs[e.Name] = g, out.String()
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return suite, outs
+		return grids, outs
 	}
 	a, outs := fill()
 	b, _ := fill()
-	if n := a.Disagreements(); n != 0 {
-		t.Fatalf("%d verdict disagreements across the suite grid's five columns", n)
-	}
-	for i, row := range a.Cells {
-		for c, r := range row {
-			other := b.Cells[i][c]
-			if r == nil || other == nil {
-				t.Fatalf("%s/%s: suite cell left unsolved", a.Models[i].Name, a.Columns[c].Name)
-			}
-			x, y := r.Total, other.Total
-			x.SolveTime, y.SolveTime = 0, 0 // the one field that is a clock, not a count
-			if x != y || r.Verdict != other.Verdict || r.K != other.K {
-				t.Errorf("%s/%s differs across runs: %+v vs %+v", a.Models[i].Name, a.Columns[c].Name, x, y)
+	for name, g := range a {
+		if n := g.Disagreements(); n != 0 {
+			t.Fatalf("%s: %d verdict disagreements between its columns", name, n)
+		}
+		for i, row := range g.Cells {
+			for c, r := range row {
+				other := b[name].Cells[i][c]
+				x, y := r.Total, other.Total
+				x.SolveTime, y.SolveTime = 0, 0 // the one field that is a clock, not a count
+				if x != y || r.Verdict != other.Verdict || r.K != other.K {
+					t.Errorf("%s: %s/%s differs across runs: %+v vs %+v", name, g.Models[i].Name, g.Columns[c].Name, x, y)
+				}
 			}
 		}
 	}
-	if a.Total(ConfBase, Conflicts) == 0 {
-		t.Error("suite grid spent no conflicts: the comparison is vacuous")
+	refine := a["refine"] // vsids, dynamic, vsids-incr, dynamic-incr
+	if refine.Total(0, Conflicts) == 0 {
+		t.Error("the fill spent no conflicts under vsids: the comparison is vacuous")
 	}
 	out := outs["refine"]
 	wantAll(t, out, "TOTAL", "rows where refinement spends fewer conflicts", "x", " switch ")
@@ -677,7 +700,7 @@ func TestRefineDeterministic(t *testing.T) {
 	// Each dynamic column's switch cell is "-" when the switch fired at no
 	// depth, else one of the decision counts at which it fired.
 	fired := 0
-	for i, m := range a.Models {
+	for i, m := range refine.Models {
 		var fields []string
 		for _, line := range strings.Split(out, "\n") {
 			if f := strings.Fields(line); len(f) > 0 && f[0] == m.Name {
@@ -687,9 +710,9 @@ func TestRefineDeterministic(t *testing.T) {
 		if len(fields) != 10 {
 			t.Fatalf("%s: row %q, want 10 columns", m.Name, fields)
 		}
-		for l, c := range []int{ConfDynamic, ConfDynamicIncr} {
+		for l, c := range []int{1, 3} {
 			at := map[string]bool{}
-			for _, d := range a.Cells[i][c].PerDepth {
+			for _, d := range refine.Cells[i][c].PerDepth {
 				if d.Stats.GuidanceSwitched {
 					at[strconv.FormatInt(d.Stats.SwitchDecision, 10)] = true
 				}
@@ -697,9 +720,9 @@ func TestRefineDeterministic(t *testing.T) {
 			got := fields[4+4*l]
 			switch {
 			case len(at) == 0 && got != "-":
-				t.Errorf("%s/%s: switch column %q, but the switch never fired", m.Name, a.Columns[c].Name, got)
+				t.Errorf("%s/%s: switch column %q, but the switch never fired", m.Name, refine.Columns[c].Name, got)
 			case len(at) > 0 && !at[got]:
-				t.Errorf("%s/%s: switch column %q, not a decision count it fired at (%v)", m.Name, a.Columns[c].Name, got, at)
+				t.Errorf("%s/%s: switch column %q, not a decision count it fired at (%v)", m.Name, refine.Columns[c].Name, got, at)
 			}
 			if len(at) > 0 {
 				fired++
@@ -712,10 +735,10 @@ func TestRefineDeterministic(t *testing.T) {
 }
 
 // TestViewsSolveEachCellOnce counts the sessions a fill builds, per model
-// and column, with Repeats 0 and the views' own rows: rendering all five
-// views from one fill builds one per (suite model, suite column), and
-// each view alone builds exactly its rows under the columns it reads —
-// the cells it solved when it filled a grid of its own.
+// and column, with Repeats 0 and the experiments' own rows: rendering the
+// whole registry from one fill builds one per distinct (model, column) —
+// 293 — and each experiment alone builds exactly its rows under its
+// columns.
 func TestViewsSolveEachCellOnce(t *testing.T) {
 	cfg := Config{DepthCap: 1, PerInstanceConflicts: 1000}
 	// A session asks its model for the circuit and its column for the
@@ -745,7 +768,7 @@ func TestViewsSolveEachCellOnce(t *testing.T) {
 	type cell struct{ model, column string }
 	sessions := func(exps ...Experiment) map[cell]int {
 		log = nil
-		if _, err := RunAll(context.Background(), cfg, exps, func(Experiment, *Grid) {}); err != nil {
+		if err := RunAll(context.Background(), cfg, exps, func(Experiment, *Grid) {}); err != nil {
 			t.Fatal(err)
 		}
 		if len(log)%2 != 0 {
@@ -792,28 +815,27 @@ func TestViewsSolveEachCellOnce(t *testing.T) {
 		return fmt.Sprintf("%d cells off: %s", len(off), strings.Join(off[:min(len(off), 5)], "; "))
 	}
 
-	var vs []Experiment
-	for _, v := range views() {
-		vs = append(vs, counted(v))
+	var exps []Experiment
+	union := map[cell]int{}
+	own := map[string]map[cell]int{}
+	for _, e := range All() {
+		var names []string
+		for _, c := range e.Columns {
+			names = append(names, c.Name)
+		}
+		own[e.Name] = cells(Config{Models: e.Models}.models(), names...)
+		maps.Copy(union, own[e.Name])
+		exps = append(exps, counted(e))
 	}
-	if off := offBy(sessions(vs...), cells(bench.Suite(), "vsids", "static", "dynamic", "vsids-incr", "dynamic-incr")); off != "" {
-		t.Errorf("one fill for all five views, want each suite cell once: %s", off)
+	if len(union) != 293 {
+		t.Errorf("the registry reads %d distinct cells, want 293", len(union))
 	}
-	// What each view solved when it filled a grid of its own.
-	scratch := []string{"vsids", "static", "dynamic"}
-	head := map[string]map[cell]int{
-		"table1":      cells(bench.Suite(), scratch...),
-		"fig6":        cells(bench.Suite(), scratch...),
-		"fig7":        cells(subset([]string{bench.Fig7Model}), "vsids", "dynamic"),
-		"incremental": cells(AblationModels(), "dynamic", "dynamic-incr"),
-		"refine":      cells(bench.Suite(), "vsids", "dynamic", "vsids-incr", "dynamic-incr"),
+	if off := offBy(sessions(exps...), union); off != "" {
+		t.Errorf("one fill for the whole registry, want each distinct cell once: %s", off)
 	}
-	if len(vs) != len(head) {
-		t.Fatalf("%d views, want %d", len(vs), len(head))
-	}
-	for _, v := range vs {
-		if off := offBy(sessions(v), head[v.Name]); off != "" {
-			t.Errorf("%s alone: %s", v.Name, off)
+	for _, e := range exps {
+		if off := offBy(sessions(e), own[e.Name]); off != "" {
+			t.Errorf("%s alone: %s", e.Name, off)
 		}
 	}
 }

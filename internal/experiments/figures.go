@@ -11,7 +11,7 @@ import (
 // fig7Series pairs the first row's vsids and dynamic per-depth
 // statistics over the depths both reached.
 func fig7Series(g *Grid) (base, ref []engine.DepthStats) {
-	base, ref = g.Cells[0][ConfBase].PerDepth, g.Cells[0][ConfDynamic].PerDepth
+	base, ref = g.Cells[0][0].PerDepth, g.Cells[0][1].PerDepth
 	n := min(len(base), len(ref))
 	return base[:n], ref[:n]
 }

@@ -10,12 +10,14 @@
 //	engine shapes grown around the paper's loop.
 //
 // All but §3.1 are one experiment: a set of models checked under a handful
-// of engine configurations. Config.Run fills a Grid of (model × Column)
-// engine results — the only place a session is built and checked — and an
-// Experiment is a default model set, a column list and the renderer that
-// lays the grid out as text (the paper's layout) and CSV. All() is the
-// registry cmd/tablegen and the root benchmarks drive. Table 1, Figures
-// 6-7, incremental and refine are views of one suite grid (suiteColumns).
+// of engine configurations, each a column of one catalogue that names a
+// configuration the same way wherever it is read. Config.fill solves a
+// Grid of (model × Column) engine results — the only place a session is
+// built and checked — once per distinct cell however many experiments
+// read it, and an Experiment is a default model set, the columns it reads
+// and the renderer that lays its cut of the grid out as text (the paper's
+// layout) and CSV. All() is the registry cmd/tablegen and the root
+// benchmarks drive.
 package experiments
 
 import (
@@ -81,9 +83,12 @@ func tighten[T int | int64](a, b T) T {
 }
 
 // Column is one engine configuration of a grid, named so its cells stay
-// stable across runs.
+// stable across runs; a name is one configuration wherever it is read.
 type Column struct {
 	Name string
+	// Header, when set, is what an experiment's table prints over the
+	// column instead of its name.
+	Header string
 	// Options builds the configuration's engine options, fresh per run.
 	// They apply after the model's and the Config's budgets, so an option
 	// may tighten those.
@@ -91,7 +96,7 @@ type Column struct {
 }
 
 // Grid is a finished experiment: Cells[i][c] is model i checked under
-// column c, or nil where no experiment read that cell.
+// column c.
 type Grid struct {
 	Models  []bench.Model
 	Columns []Column
@@ -107,21 +112,31 @@ func (cfg Config) Run(ctx context.Context, cols []Column) (*Grid, error) {
 }
 
 // fill solves, once each, the cells exps read: every experiment's rows
-// under the columns it reads (all when Reads is nil; exps share their
-// Columns). The other cells stay nil. It runs row by row and
-// sequentially, so one cell's racing never perturbs another's counters.
+// under its columns, a column being one configuration wherever it is read
+// (Column.Name). The grid holds each model and column once, in the order
+// they are first read; a cell that no experiment reads stays nil. It runs
+// row by row and sequentially, so one cell's racing never perturbs
+// another's counters.
 func (cfg Config) fill(ctx context.Context, exps []Experiment) (*Grid, error) {
 	g := &Grid{}
+	index := map[string]int{} // column name -> its index in g.Columns
+	for _, e := range exps {
+		for _, col := range e.Columns {
+			if _, ok := index[col.Name]; !ok {
+				index[col.Name] = len(g.Columns)
+				g.Columns = append(g.Columns, col)
+			}
+		}
+	}
 	reads := map[string][]bool{}
 	for _, e := range exps {
-		g.Columns = e.Columns
 		for _, m := range cfg.models(e.Models...) {
 			if reads[m.Name] == nil {
 				g.Models = append(g.Models, m)
 				reads[m.Name] = make([]bool, len(g.Columns))
 			}
-			for c := range g.Columns {
-				reads[m.Name][c] = reads[m.Name][c] || e.Reads == nil || slices.Contains(e.Reads, c)
+			for _, col := range e.Columns {
+				reads[m.Name][index[col.Name]] = true
 			}
 		}
 	}
@@ -145,6 +160,20 @@ func (cfg Config) fill(ctx context.Context, exps []Experiment) (*Grid, error) {
 		g.Cells = append(g.Cells, row)
 	}
 	return g, nil
+}
+
+// cut returns the grid of the given rows and columns, which g holds.
+func (g *Grid) cut(models []bench.Model, cols []Column) *Grid {
+	out := &Grid{Models: models, Columns: cols}
+	for _, m := range models {
+		i := slices.IndexFunc(g.Models, func(r bench.Model) bool { return r.Name == m.Name })
+		row := make([]*engine.Result, len(cols))
+		for c, col := range cols {
+			row[c] = g.Cells[i][slices.IndexFunc(g.Columns, func(r Column) bool { return r.Name == col.Name })]
+		}
+		out.Cells = append(out.Cells, row)
+	}
+	return out
 }
 
 // check builds one engine session on a model under a column and the

@@ -3,11 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"slices"
-
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/obs"
 )
 
 // --- observability overhead: metrics + tracing vs the no-op path ---
@@ -21,19 +16,8 @@ import (
 // path is one nil-check branch when off and a handful of atomic adds per
 // Solve call when on.
 func obsOverhead() Experiment {
-	bare := []engine.Option{engine.WithOrdering(core.OrderDynamic), engine.WithIncremental()}
-	return Experiment{
-		Name:   "obs-overhead",
-		Models: OverheadModels(),
-		Columns: []Column{
-			fixed("off", bare...),
-			{Name: "on", Options: func() []engine.Option {
-				return append(slices.Clone(bare),
-					engine.WithMetrics(obs.NewRegistry()), engine.WithTracer(obs.NewTracer()))
-			}},
-		},
-		Write: writeObsOverhead,
-	}
+	return Experiment{Name: "obs-overhead", Models: OverheadModels(),
+		Columns: columns("dynamic-incr", "dynamic-incr+obs"), Write: writeObsOverhead}
 }
 
 // writeObsOverhead normalizes the comparison per conflict: the solver

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/portfolio"
 )
 
@@ -16,13 +15,9 @@ import (
 // no fixed single ordering achieves, per Table 1) and what it costs. The
 // racing column comes last.
 func portfolioAblation() Experiment {
-	set := portfolio.DefaultSet()
-	var cols []Column
-	for _, st := range set {
-		cols = append(cols, fixed(st.String(), engine.WithOrdering(st)))
-	}
-	cols = append(cols, fixed("portfolio", engine.WithPortfolio(set, 0)))
-	return Experiment{Name: "portfolio", Models: AblationModels(), Columns: cols, Write: writePortfolio}
+	singles := portfolio.DefaultSet().Names()
+	return Experiment{Name: "portfolio", Models: AblationModels(), Columns: columns(append(singles, "portfolio")...),
+		Write: writePortfolio}
 }
 
 func writePortfolio(w io.Writer, g *Grid) {
@@ -30,7 +25,7 @@ func writePortfolio(w io.Writer, g *Grid) {
 	fmt.Fprintln(w, "Portfolio vs best single order (concurrent race of all strategies)")
 	fmt.Fprintf(w, "%-14s", "model")
 	for _, col := range g.Columns[:last] {
-		fmt.Fprintf(w, " %12s", col.Name+" (s)")
+		fmt.Fprintf(w, " %12s", col.header()+" (s)")
 	}
 	fmt.Fprintf(w, " %12s %12s %8s %6s\n", "portfolio(s)", "vs worst", "wasted", "agree")
 	width := 14 + 13*last + 13 + 13 + 9 + 7

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -9,51 +10,39 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/obs"
+	"repro/internal/portfolio"
 )
 
-// Experiment is one artifact of the evaluation: which models, under which
-// engine configurations, laid out how. Adding one is a column list, a
-// renderer over the Grid, and a line in All(); adding a view of the suite
-// grid is its rows, the suite columns it reads and a renderer (view).
+// Experiment is one artifact of the evaluation: its rows, the catalogue
+// columns it reads and the renderer that lays their cells out. Adding one
+// is its columns (new configurations go into the catalogue), a renderer
+// over the Grid, and a line in All().
 type Experiment struct {
 	Name string
 	// Models is the default model set (nil: the whole suite); a Config
 	// with its own Models overrides it.
-	Models  []bench.Model
+	Models []bench.Model
+	// Columns are the catalogue columns the experiment reads, in the
+	// order its grid holds them.
 	Columns []Column
-	// Reads, on a view of the suite grid, lists the suite columns it
-	// reads (its Columns are the suite's); nil on an experiment that
-	// reads all of its Columns.
-	Reads []int
 	// Write renders the grid as text; WriteCSV, when non-nil, as CSV.
 	Write    func(w io.Writer, g *Grid)
 	WriteCSV func(w io.Writer, g *Grid)
 }
 
-// RunAll fills the grids of exps and hands each experiment its grid, in
-// order. The views among them share one fill of the suite grid, which
-// RunAll returns (empty without a view); every other experiment fills its
-// own.
-func RunAll(ctx context.Context, cfg Config, exps []Experiment, emit func(Experiment, *Grid)) (*Grid, error) {
-	suite, err := cfg.fill(ctx, slices.DeleteFunc(slices.Clone(exps), func(e Experiment) bool { return e.Reads == nil }))
+// RunAll solves, once each, every (model, column) cell that some
+// experiment of exps reads, and hands each experiment, in order, the grid
+// of its own rows and columns.
+func RunAll(ctx context.Context, cfg Config, exps []Experiment, emit func(Experiment, *Grid)) error {
+	g, err := cfg.fill(ctx, exps)
 	if err != nil {
-		return nil, fmt.Errorf("suite %w", err)
+		return err
 	}
 	for _, e := range exps {
-		g := suite
-		if e.Reads == nil {
-			if g, err = cfg.fill(ctx, []Experiment{e}); err != nil {
-				return nil, fmt.Errorf("%s %w", e.Name, err)
-			}
-		}
-		rows := &Grid{Models: cfg.models(e.Models...), Columns: g.Columns}
-		for _, m := range rows.Models {
-			i := slices.IndexFunc(g.Models, func(r bench.Model) bool { return r.Name == m.Name })
-			rows.Cells = append(rows.Cells, g.Cells[i])
-		}
-		emit(e, rows)
+		emit(e, g.cut(cfg.models(e.Models...), e.Columns))
 	}
-	return suite, nil
+	return nil
 }
 
 // Row narrows an experiment to one model of the suite, the row
@@ -72,17 +61,17 @@ func (e Experiment) Row(model string) (Experiment, error) {
 // under two proof recorders below the engine, so it is not a grid of
 // engine configurations.)
 func All() []Experiment {
-	scratch := []int{ConfBase, ConfStatic, ConfDynamic}
 	return []Experiment{
-		view("table1", nil, scratch, writeTable1, writeTable1CSV),
-		view("fig6", nil, scratch, writeFigure6, writeFigure6CSV),
-		view("fig7", subset([]string{bench.Fig7Model}), []int{ConfBase, ConfDynamic}, writeFigure7, writeFigure7CSV),
+		{Name: "table1", Columns: columns("vsids", "static", "dynamic"), Write: writeTable1, WriteCSV: writeTable1CSV},
+		{Name: "fig6", Columns: columns("vsids", "static", "dynamic"), Write: writeFigure6, WriteCSV: writeFigure6CSV},
+		{Name: "fig7", Models: subset([]string{bench.Fig7Model}), Columns: columns("vsids", "dynamic"),
+			Write: writeFigure7, WriteCSV: writeFigure7CSV},
 		obsOverhead(),
-		scoreAblation(), ThresholdSweep(16, 64, 256, 0), timeAxis(),
+		scoreAblation(), threshold(), timeAxis(),
 		portfolioAblation(),
-		view("incremental", AblationModels(), []int{ConfDynamic, ConfDynamicIncr}, writeIncremental, nil),
+		{Name: "incremental", Models: AblationModels(), Columns: columns("dynamic", "dynamic-incr"), Write: writeIncremental},
 		warmAblation(), warmKindAblation(),
-		view("refine", nil, []int{ConfBase, ConfDynamic, ConfBaseIncr, ConfDynamicIncr}, writeRefine, nil),
+		{Name: "refine", Columns: columns("vsids", "dynamic", "vsids-incr", "dynamic-incr"), Write: writeRefine},
 	}
 }
 
@@ -96,42 +85,79 @@ func ByName(name string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// The suite grid's columns. The first numConfs are Table 1's
-// configurations, so they index a Table1Row's arrays too.
-const (
-	ConfBase = iota // vsids from scratch: the paper's plain BMC
-	ConfStatic
-	ConfDynamic
-	ConfBaseIncr // vsids on the incremental depth loop
-	ConfDynamicIncr
-
-	numConfs = ConfDynamic + 1
-)
-
-// suiteColumns is the paper's comparison, defined once: plain VSIDS
-// against the refined static and dynamic orderings from scratch, and
-// VSIDS and dynamic on the incremental depth loop (one live solver whose
-// clause database and scores compound across depths).
-func suiteColumns() []Column {
-	return []Column{
+// catalogue is every engine configuration the registry reads, each under
+// the one name it has in every experiment that reads it: a (model, name)
+// cell is solved once however many experiments show it.
+func catalogue() []Column {
+	static := engine.WithOrdering(core.OrderStatic)
+	dynamic := engine.WithOrdering(core.OrderDynamic)
+	race := engine.WithPortfolio(portfolio.DefaultSet(), 0)
+	kind := []engine.Option{engine.WithEngine(engine.KInduction), race, capConflicts(3000)}
+	cols := []Column{
+		// The paper's comparison: plain VSIDS against the refined static
+		// and dynamic orderings from scratch, and VSIDS and dynamic on the
+		// incremental depth loop (one live solver whose clause database
+		// and scores compound across depths).
 		fixed("vsids", engine.WithOrdering(core.OrderVSIDS)),
-		fixed("static", engine.WithOrdering(core.OrderStatic)),
-		fixed("dynamic", engine.WithOrdering(core.OrderDynamic)),
+		fixed("static", static),
+		fixed("dynamic", dynamic),
 		fixed("vsids-incr", engine.WithOrdering(core.OrderVSIDS), engine.WithIncremental()),
-		fixed("dynamic-incr", engine.WithOrdering(core.OrderDynamic), engine.WithIncremental()),
+		fixed("dynamic-incr", dynamic, engine.WithIncremental()),
+		// Shtrichman's time-axis ordering, the related-work comparator.
+		fixed("timeaxis", engine.WithOrdering(core.OrderTimeAxis)),
+		// §3.3: the dynamic switch at other divisors than the paper's 64.
+		fixed("lits/16", dynamic, engine.WithSwitchDivisor(16)),
+		fixed("lits/256", dynamic, engine.WithSwitchDivisor(256)),
+		// The concurrent portfolio of the four orderings, on fresh solvers
+		// per depth and as the warm racer pool; the same pair over the
+		// k-induction base and step pools (warmKindAblation).
+		fixed("portfolio", race),
+		fixed("warm", race, engine.WithIncremental()),
+		fixed("kind-portfolio", kind...),
+		fixed("kind-warm", append(kind, engine.WithIncremental())...),
+		// dynamic-incr with the observability layer on: a fresh metrics
+		// registry and tracer per run.
+		{Name: "dynamic-incr+obs", Options: func() []engine.Option {
+			return []engine.Option{dynamic, engine.WithIncremental(),
+				engine.WithMetrics(obs.NewRegistry()), engine.WithTracer(obs.NewTracer())}
+		}},
 	}
+	// §3.2: static under the other score rules (the paper's weighted sum
+	// is static itself).
+	for _, mode := range []core.ScoreMode{core.UnweightedSum, core.LastCoreOnly, core.ExpDecay} {
+		cols = append(cols, fixed(mode.String(), static, engine.WithScoreMode(mode)))
+	}
+	return cols
 }
 
-// view is a view of the suite grid: its rows (nil: the whole suite), the
-// suite columns it reads, and its renderers.
-func view(name string, models []bench.Model, reads []int, write, writeCSV func(io.Writer, *Grid)) Experiment {
-	return Experiment{Name: name, Models: models, Columns: suiteColumns(), Reads: reads, Write: write, WriteCSV: writeCSV}
+// columns returns the named catalogue columns, in order.
+func columns(names ...string) []Column {
+	all := catalogue()
+	out := make([]Column, len(names))
+	for i, name := range names {
+		c := slices.IndexFunc(all, func(col Column) bool { return col.Name == name })
+		if c < 0 {
+			panic(fmt.Sprintf("experiments: no column %q in the catalogue", name))
+		}
+		out[i] = all[c]
+	}
+	return out
 }
 
 // fixed is a column whose options carry no per-run state.
 func fixed(name string, opts ...engine.Option) Column {
 	return Column{Name: name, Options: func() []engine.Option { return slices.Clone(opts) }}
 }
+
+// capConflicts caps each SAT call at n conflicts: it tightens the Config's
+// per-instance budget, never loosens it.
+func capConflicts(n int64) engine.Option {
+	return func(c *engine.Config) { c.PerInstanceConflicts = tighten(c.PerInstanceConflicts, n) }
+}
+
+// header is what a table prints over the column: its Header, else its
+// name.
+func (c Column) header() string { return cmp.Or(c.Header, c.Name) }
 
 // AblationModels returns the representative suite subset the ablation
 // experiments run on: a few models from each regime, so one sweep stays

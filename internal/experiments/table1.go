@@ -9,6 +9,16 @@ import (
 	"repro/internal/sat"
 )
 
+// Table 1's columns (and Figure 6's), which index a Table1Row's arrays
+// too.
+const (
+	ConfBase = iota // vsids from scratch: the paper's plain BMC
+	ConfStatic
+	ConfDynamic
+
+	numConfs = ConfDynamic + 1
+)
+
 // Table1Row is one model's aligned measurements across the three
 // configurations. Following the paper, when any configuration runs out of
 // budget the comparison is restricted to the deepest unrolling depth that
@@ -28,11 +38,11 @@ type Table1Row struct {
 }
 
 // alignRows applies the paper's common-depth convention to every row of
-// the suite grid's first three columns.
+// the grid.
 func alignRows(g *Grid) []Table1Row {
 	rows := make([]Table1Row, len(g.Cells))
 	for i, runs := range g.Cells {
-		rows[i] = alignRow([numConfs]*engine.Result(runs[:numConfs]))
+		rows[i] = alignRow([numConfs]*engine.Result(runs))
 	}
 	return rows
 }

@@ -3,50 +3,30 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"slices"
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/engine"
-	"repro/internal/portfolio"
 )
 
 // --- warm pool ablations: cold portfolio vs warm pool ---
 
-// coldWarm is the column pair of both warm ablations: the
-// per-depth-rebuild portfolio against the warm racer pool
-// (engine.WithIncremental), on top of the given base options. A positive
-// conflicts caps each SAT call; it tightens the Config's per-instance
-// budget, never loosens it.
-func coldWarm(conflicts int64, base ...engine.Option) []Column {
-	capped := func(c *engine.Config) {
-		c.PerInstanceConflicts = tighten(c.PerInstanceConflicts, conflicts)
-	}
-	col := func(name string, extra ...engine.Option) Column {
-		return fixed(name, slices.Concat(base,
-			[]engine.Option{engine.WithPortfolio(portfolio.DefaultSet(), 0), capped}, extra)...)
-	}
-	return []Column{
-		col("cold"),
-		col("warm", engine.WithIncremental()),
-	}
-}
-
-// warmAblation runs the pair over the BMC depth loop.
+// warmAblation runs the per-depth-rebuild portfolio against the warm racer
+// pool (engine.WithIncremental) over the BMC depth loop.
 func warmAblation() Experiment {
-	return Experiment{Name: "warm", Models: AblationModels(), Columns: coldWarm(0),
+	return Experiment{Name: "warm", Models: AblationModels(), Columns: columns("portfolio", "warm"),
 		Write: func(w io.Writer, g *Grid) { writeColdWarm(w, g, false) }}
 }
 
 // warmKindAblation runs the pair over the k-induction base and step
-// pools. The per-instance conflict cap never binds a race winner
-// (hundreds of conflicts on these models) — it only cuts the tail of
-// doomed losers hunting models after the verdict is already in reach,
-// which would otherwise drown the comparison in SAT-search lottery noise.
+// pools, each SAT call capped at 3000 conflicts. The cap never binds a
+// race winner (hundreds of conflicts on these models) — it only cuts the
+// tail of doomed losers hunting models after the verdict is already in
+// reach, which would otherwise drown the comparison in SAT-search lottery
+// noise.
 func warmKindAblation() Experiment {
-	return Experiment{Name: "warm-kind", Models: KindAblationModels(),
-		Columns: coldWarm(3000, engine.WithEngine(engine.KInduction)),
-		Write:   func(w io.Writer, g *Grid) { writeColdWarm(w, g, true) }}
+	return Experiment{Name: "warm-kind", Models: KindAblationModels(), Columns: columns("kind-portfolio", "kind-warm"),
+		Write: func(w io.Writer, g *Grid) { writeColdWarm(w, g, true) }}
 }
 
 // KindAblationModels returns the k-induction ablation subset: immediately

@@ -69,8 +69,8 @@ type RaceFunc func(query string, attempts []portfolio.LiveAttempt, assumps []lit
 // Config configures a warm racer pool. It takes the session as
 // engine.Session resolved it for both solver lifetimes — the options every
 // attempt starts from, the score board, the switch divisor, whether to
-// record proofs — so the pool derives none of them itself; Strategies, Opts
-// and Board must be set.
+// record proofs — so the pool derives none of them itself; Strategies and
+// Opts must be set.
 type Config struct {
 	// Strategies is the raced set, one persistent solver each.
 	Strategies portfolio.StrategySet
@@ -84,7 +84,9 @@ type Config struct {
 	// switch threshold, and each racer's recorder and metrics.
 	Opts sat.Options
 	// Board is the score board the racers read guidance from and the
-	// winners' cores are folded into.
+	// winners' cores are folded into; nil for a pool whose cores rank
+	// nothing (the k-induction step pool), whose static and dynamic racers
+	// then run unguided (core.Strategy.Guidance).
 	Board *core.ScoreBoard
 	// Divisor is the dynamic strategy's switch divisor, as
 	// core.Strategy.Guidance takes it.
@@ -93,7 +95,7 @@ type Config struct {
 	// wins an UNSAT depth has a core to contribute to the board. The
 	// engine sets it only for a pool whose cores something reads — the
 	// next depth's guidance or a certifier; a pool without it folds
-	// nothing, and its board stays as it began.
+	// nothing.
 	Record bool
 	// Payload is what the recorders keep beyond core.WithLeaves, which a
 	// persistent solver needs: Complete ones are certified (FoldCore).
@@ -132,7 +134,8 @@ type racerState struct {
 	opts sat.Options
 	// guidance is the array the racer's guidance is written over at every
 	// depth, from the first, which its solver holds between depths once it
-	// has loaded; nil for a strategy without guidance.
+	// has loaded; nil for a strategy the board gives no guidance
+	// (core.Strategy.Guided).
 	guidance []float64
 	// obs handles (nil when Config.Metrics is off). Warm/cold split the
 	// racer's conflicts by whether its solver carried state from earlier
@@ -307,12 +310,13 @@ func (p *Pool) RaceDepthStop(k int, stop <-chan struct{}) DepthOutcome {
 	// Each racer's guidance is written over its one array, loaded or not:
 	// the solver holding it is at rest until Feed.CatchUp hands it back, and
 	// an executor is done with it when the race returns. An array that no
-	// longer fits is replaced by one sized as the solvers are; vsids has none.
+	// longer fits is replaced by one sized as the solvers are; an unguided
+	// racer has none.
 	in := layout(p.src, k)
 	attempts := make([]portfolio.LiveAttempt, len(p.racers))
 	warm := make([]bool, len(p.racers))
 	for i, r := range p.racers {
-		if r.strategy != core.OrderVSIDS && cap(r.guidance) < in.NumVars+1 {
+		if r.strategy.Guided(p.cfg.Board) && cap(r.guidance) < in.NumVars+1 {
 			r.guidance = make([]float64, 0, max(p.hint.Vars, in.NumVars)+1)
 		}
 		opts := p.cfg.Opts
@@ -394,9 +398,10 @@ func auxOf(src Source) func(lits.Var) bool {
 // FoldCore is the paper's update_ranking for the depth-k instance: it
 // extracts the unsat core the winner's recorder holds — one traversal —
 // reports its size and its overlap with the previous depth's core, and
-// folds its variables into the score board weighted by the 1-based
-// instance number. The engine's freshSeq and the warm pool both end an
-// UNSAT depth here; originals, nVars and aux are core.Recorder.CoreVarsOf's.
+// folds its variables into the score board, when there is one, weighted by
+// the 1-based instance number. The engine's freshSeq and the warm pool both
+// end an UNSAT depth here; originals, nVars and aux are
+// core.Recorder.CoreVarsOf's.
 // A core.Complete recorder's proof is certified first (Recorder.Certify):
 // a proof it rejects, or none, is an error. A nil recorder, or another one
 // without a proof (the winner ran on a remote worker), folds nothing.
@@ -418,6 +423,9 @@ func (out *DepthOutcome) FoldCore(rec *core.Recorder, board *core.ScoreBoard, k 
 	out.CoreClauses = len(ids)
 	out.CoreVars = len(vars)
 	out.RecorderBytes = rec.ApproxBytes()
+	if board == nil {
+		return nil
+	}
 	if overlap, ok := board.Overlap(vars, k+1); ok {
 		out.CoreOverlap = &overlap
 	}
