@@ -94,7 +94,10 @@ func (v *Verdict) UnmarshalJSON(b []byte) error {
 }
 
 // DepthStats records the solve of a single depth — the rows of the
-// paper's Fig. 7, extended with portfolio and warm-pool columns.
+// paper's Fig. 7, extended with portfolio and warm-pool columns. What the
+// depth holds in memory is read from the structures — SolverBytes,
+// RecorderBytes, Learnts and the Formula sizes — on every row, whether or
+// not the session is instrumented.
 type DepthStats struct {
 	K      int        `json:"k"`
 	Status sat.Status `json:"status"`
@@ -145,21 +148,13 @@ type DepthStats struct {
 	// depth 0 and wherever this depth or the one before folded no core: a
 	// SAT or undecided depth, recording off, or a win on a remote worker.
 	CoreOverlap *float64 `json:"core_overlap,omitempty"`
-	// HeapAllocBytes/TotalAllocBytes/GCCount are runtime memory readings
-	// (runtime.ReadMemStats) sampled as the depth finished — instrumented
-	// (WithMetrics) sessions only, zero otherwise. HeapAllocBytes is the
-	// live heap at that instant; TotalAllocBytes and GCCount count bytes
-	// allocated and GC cycles since the check started, so they grow
-	// monotonically over depths and consecutive depths subtract to
-	// per-depth figures.
-	HeapAllocBytes  int64 `json:"heap_alloc_bytes,omitempty"`
-	TotalAllocBytes int64 `json:"total_alloc_bytes,omitempty"`
-	GCCount         int64 `json:"gc_count,omitempty"`
 }
 
 // Result is the unified outcome of Session.Check: one struct covers
 // every engine×ordering×incremental configuration, with fields
 // that do not apply to the ran configuration left at their zero values.
+// Instrumenting a check (WithMetrics, WithTracer) fills Metrics and
+// changes no other field but the wall times.
 type Result struct {
 	// Engine echoes the session's engine kind.
 	Engine Kind `json:"engine"`
@@ -200,15 +195,6 @@ type Result struct {
 	// Metrics is the session registry's snapshot at the end of the check
 	// (WithMetrics sessions only).
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
-	// HeapAllocBytes/TotalAllocBytes/GCCount are the check's final memory
-	// telemetry (WithMetrics sessions only; the instantaneous readings
-	// behind them are the mem_* gauges in Metrics): the live heap as the
-	// check ended, and the bytes allocated / GC cycles spent by this
-	// check (deltas from the check's start, so repeated Checks in one
-	// process stay comparable).
-	HeapAllocBytes  int64 `json:"heap_alloc_bytes,omitempty"`
-	TotalAllocBytes int64 `json:"total_alloc_bytes,omitempty"`
-	GCCount         int64 `json:"gc_count,omitempty"`
 }
 
 // Session is one configured check of one property: circuit, property
@@ -218,12 +204,6 @@ type Session struct {
 	circ    *circuit.Circuit
 	propIdx int
 	cfg     Config
-	// mem publishes depth-boundary memory readings into the session
-	// registry; nil (no-op) without WithMetrics. memBase is the reading
-	// taken as the current Check started — the zero point of the
-	// cumulative columns (TotalAllocBytes, GCCount).
-	mem     *obs.MemSampler
-	memBase obs.MemSample
 }
 
 // New builds a session for property propIdx of the circuit. The
@@ -245,7 +225,7 @@ func New(c *circuit.Circuit, propIdx int, opts ...Option) (*Session, error) {
 	if _, err := unroll.New(c, propIdx); err != nil {
 		return nil, err
 	}
-	return &Session{circ: c, propIdx: propIdx, cfg: cfg, mem: obs.NewMemSampler(cfg.Metrics)}, nil
+	return &Session{circ: c, propIdx: propIdx, cfg: cfg}, nil
 }
 
 // Config returns a copy of the session's effective configuration.
@@ -266,9 +246,6 @@ func (s *Session) Check(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
-	if s.mem != nil {
-		s.memBase = s.mem.Sample()
-	}
 	root := s.cfg.Tracer.Begin("engine", "check")
 	root.SetArg("engine", s.cfg.Kind.String())
 	res, err := s.run(ctx, u)
@@ -279,12 +256,6 @@ func (s *Session) Check(ctx context.Context) (*Result, error) {
 	}
 	res.Engine = s.cfg.Kind
 	res.TotalTime = time.Since(start)
-	if s.mem != nil {
-		m := s.mem.Sample()
-		res.HeapAllocBytes = m.HeapAlloc
-		res.TotalAllocBytes = m.TotalAlloc - s.memBase.TotalAlloc
-		res.GCCount = m.GCCount - s.memBase.GCCount
-	}
 	if s.cfg.Metrics != nil {
 		snap := s.cfg.Metrics.Snapshot()
 		res.Metrics = &snap

@@ -514,7 +514,7 @@ func (s *Session) finishDepths(res *Result, runs ...*depthRun) (err error) {
 			ds.Winner = race.WinnerName()
 		}
 		ds.Wall = time.Since(r.start)
-		s.finishDepth(r.span, r.query, &ds)
+		s.finishDepth(r.span, r.query, ds)
 		r.stats.Add(ds.Stats)
 		if r.query == QueryBMC {
 			res.PerDepth = append(res.PerDepth, ds)

@@ -29,17 +29,10 @@ func (s *Session) beginDepth(query Query, k int) *obs.Span {
 }
 
 // finishDepth closes the depth span with the depth's outcome and emits
-// the DepthFinished event — the single exit point of every depth.
-// Instrumented sessions also stamp the depth's memory columns here: one
-// ReadMemStats per depth boundary, far from any solver loop, which is
-// why the loop passes ds before appending it to Result.PerDepth.
-func (s *Session) finishDepth(sp *obs.Span, query Query, ds *DepthStats) {
-	if s.mem != nil {
-		m := s.mem.Sample()
-		ds.HeapAllocBytes = m.HeapAlloc
-		ds.TotalAllocBytes = m.TotalAlloc - s.memBase.TotalAlloc
-		ds.GCCount = m.GCCount - s.memBase.GCCount
-	}
+// the DepthFinished event — the single exit point of every depth. It
+// takes ds by value: what a depth reports is the same with or without a
+// tracer or registry attached.
+func (s *Session) finishDepth(sp *obs.Span, query Query, ds DepthStats) {
 	if sp != nil {
 		sp.SetArg("status", ds.Status.String())
 		sp.SetArg("conflicts", ds.Stats.Conflicts)
@@ -48,7 +41,7 @@ func (s *Session) finishDepth(sp *obs.Span, query Query, ds *DepthStats) {
 		}
 		sp.End()
 	}
-	s.emit(Event{Kind: DepthFinished, Query: query, K: ds.K, Depth: *ds})
+	s.emit(Event{Kind: DepthFinished, Query: query, K: ds.K, Depth: ds})
 }
 
 // observeRace records a joined race: one race span on the query's lane,

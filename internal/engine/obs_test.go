@@ -178,7 +178,7 @@ func TestIdleRacersStayEmpty(t *testing.T) {
 		snap := reg.Snapshot()
 		for _, n := range names {
 			loaded = append(loaded, snap.Counters[obs.Name("racer_frames_loaded_total", "query", "bmc", "strategy", n)])
-			clauseBytes = append(clauseBytes, snap.Gauges[obs.Name("solver_clauses_bytes_est", "query", "bmc", "strategy", n)])
+			clauseBytes = append(clauseBytes, snap.Gauges[obs.Name("solver_clauses_bytes", "query", "bmc", "strategy", n)])
 		}
 		return loaded, clauseBytes
 	}

@@ -15,7 +15,9 @@
 //  2. The hot path is atomic, not locked. Counter.Add, Gauge.Set, and
 //     Histogram.Observe are single atomic operations; the registry's
 //     mutex is taken only when a handle is first created or a snapshot
-//     is taken.
+//     is taken. Nothing in the package samples the runtime or stops the
+//     world: every value is one a caller read from its own structures,
+//     so both rules hold with no exception.
 //  3. Handles are stable. Registry.Counter(name) returns the same
 //     *Counter for the same name forever, so callers fetch handles once
 //     at setup and increment them raw afterwards.
@@ -69,14 +71,6 @@ func (g *Gauge) Set(n int64) {
 		return
 	}
 	g.v.Store(n)
-}
-
-// Add adjusts the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
 }
 
 // Value returns the current value (0 on a nil gauge).
@@ -139,22 +133,6 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[bucketOf(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-}
-
-// Count returns the number of observations (0 on a nil histogram).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values (0 on a nil histogram).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
 }
 
 // HistogramSnapshot is the exported state of one histogram: only

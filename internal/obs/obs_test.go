@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -20,9 +21,8 @@ func TestNilSafety(t *testing.T) {
 	c.Add(3)
 	c.Inc()
 	g.Set(7)
-	g.Add(1)
 	h.Observe(42)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Fatal("nil handles must read zero")
 	}
 	if s := r.Snapshot(); len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
@@ -48,7 +48,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 // TestRegistryHandles: the same name returns the same handle, and values
-// survive into snapshots, deltas, and both text renderings.
+// survive into snapshots and both text renderings.
 func TestRegistryHandles(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter(Name("solver_conflicts_total", "strategy", "vsids"))
@@ -74,19 +74,8 @@ func TestRegistryHandles(t *testing.T) {
 		t.Fatalf("histogram snapshot = %+v", hs)
 	}
 
-	// Delta: only movement since the previous snapshot survives.
 	c.Add(2)
 	h.Observe(8)
-	d := r.Snapshot().Delta(s)
-	if got := d.Counters[`solver_conflicts_total{strategy="vsids"}`]; got != 2 {
-		t.Fatalf("counter delta = %d, want 2", got)
-	}
-	if dh := d.Histograms["race_wall_nanos"]; dh.Count != 1 || dh.Sum != 8 {
-		t.Fatalf("histogram delta = %+v", dh)
-	}
-	if empty := r.Snapshot().Delta(r.Snapshot()); len(empty.Counters) != 0 || len(empty.Histograms) != 0 {
-		t.Fatalf("idle delta not empty: %+v", empty)
-	}
 
 	var text bytes.Buffer
 	r.WriteText(&text)
@@ -110,18 +99,25 @@ func TestRegistryHandles(t *testing.T) {
 	}
 }
 
-// TestHistogramBuckets: values land in their log2 bucket.
+// TestHistogramBuckets: values land in their log2 bucket, read through
+// Snapshot. Bucket i holds 2^(i-1) <= v < 2^i, so 2^k is the first value
+// of bucket k+1: 8 and 9 share a bucket that 7 does not.
 func TestHistogramBuckets(t *testing.T) {
-	h := &Histogram{}
-	for _, v := range []int64{0, 1, 2, 3, 4, 1000} {
+	r := NewRegistry()
+	h := r.Histogram("bounds")
+	for _, v := range []int64{0, 1, 2, 3, 4, 7, 8, 9, 1000} {
 		h.Observe(v)
 	}
-	s := h.snapshot()
-	want := map[int]int64{0: 1, 1: 1, 2: 2, 3: 1, 10: 1}
-	for b, n := range want {
-		if s.Buckets[b] != n {
-			t.Errorf("bucket %d = %d, want %d (all: %v)", b, s.Buckets[b], n, s.Buckets)
-		}
+	s := r.Snapshot().Histograms["bounds"]
+	want := map[int]int64{0: 1, 1: 1, 2: 2, 3: 2, 4: 2, 10: 1}
+	if !maps.Equal(s.Buckets, want) {
+		t.Errorf("buckets = %v, want %v", s.Buckets, want)
+	}
+	if s.Count != 9 || s.Sum != 1034 {
+		t.Errorf("count=%d sum=%d, want 9/1034", s.Count, s.Sum)
+	}
+	if BucketBound(3) != 8 || BucketBound(4) != 16 {
+		t.Errorf("BucketBound(3), BucketBound(4) = %d, %d, want 8, 16", BucketBound(3), BucketBound(4))
 	}
 }
 
@@ -152,7 +148,7 @@ func TestConcurrentInstruments(t *testing.T) {
 	if got := r.Counter("shared_total").Value(); got != workers*n {
 		t.Fatalf("lost updates: %d, want %d", got, workers*n)
 	}
-	if got := r.Histogram("shared_hist").Count(); got != workers*n {
+	if got := r.Snapshot().Histograms["shared_hist"].Count; got != workers*n {
 		t.Fatalf("lost observations: %d, want %d", got, workers*n)
 	}
 	if tr.Len() != workers*(n/100) {

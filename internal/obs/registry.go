@@ -117,7 +117,7 @@ func Name(base string, labels ...string) string {
 
 // Snapshot is a point-in-time copy of a registry's contents, keyed by
 // full metric name (labels inline). It marshals directly as the -json
-// metrics block and subtracts cleanly for per-run deltas.
+// metrics block.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
@@ -152,59 +152,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Delta returns this snapshot minus prev: counter and histogram
-// count/sum/bucket values subtract (series absent from prev pass
-// through); gauges keep their current value (an instantaneous reading
-// has no meaningful difference). Zero-valued counter series are dropped,
-// so a delta over an idle interval comes back empty. A counter or
-// histogram that moved backwards — a reset, e.g. a registry swapped
-// underneath a long-lived consumer — reports its current value, the
-// Prometheus reset convention, rather than a negative delta.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	d := Snapshot{}
-	for name, v := range s.Counters {
-		dv := v - prev.Counters[name]
-		if v < prev.Counters[name] {
-			dv = v
-		}
-		if dv != 0 {
-			if d.Counters == nil {
-				d.Counters = map[string]int64{}
-			}
-			d.Counters[name] = dv
-		}
-	}
-	if len(s.Gauges) > 0 {
-		d.Gauges = make(map[string]int64, len(s.Gauges))
-		for name, v := range s.Gauges {
-			d.Gauges[name] = v
-		}
-	}
-	for name, h := range s.Histograms {
-		p := prev.Histograms[name]
-		if h.Count < p.Count {
-			p = HistogramSnapshot{}
-		}
-		dh := HistogramSnapshot{Count: h.Count - p.Count, Sum: h.Sum - p.Sum}
-		if dh.Count == 0 && dh.Sum == 0 {
-			continue
-		}
-		for i, n := range h.Buckets {
-			if dn := n - p.Buckets[i]; dn != 0 {
-				if dh.Buckets == nil {
-					dh.Buckets = map[int]int64{}
-				}
-				dh.Buckets[i] = dn
-			}
-		}
-		if d.Histograms == nil {
-			d.Histograms = map[string]HistogramSnapshot{}
-		}
-		d.Histograms[name] = dh
-	}
-	return d
 }
 
 // sortedKeys returns the map's keys in lexical order.

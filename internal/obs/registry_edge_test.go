@@ -37,94 +37,3 @@ func TestWritePrometheusEscapedLabel(t *testing.T) {
 		t.Errorf("WritePrometheus:\n%q\nwant:\n%q", b.String(), want)
 	}
 }
-
-// TestDeltaLateHandle: a series created only after the first snapshot
-// must pass through the delta at its full value.
-func TestDeltaLateHandle(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("early_total").Add(2)
-	first := reg.Snapshot()
-
-	reg.Counter("early_total").Add(3)
-	reg.Counter("late_total").Add(7)
-	reg.Gauge("late_gauge").Set(11)
-	reg.Histogram("late_hist").Observe(4)
-
-	d := reg.Snapshot().Delta(first)
-	if got := d.Counters["early_total"]; got != 3 {
-		t.Errorf("early_total delta = %d, want 3", got)
-	}
-	if got := d.Counters["late_total"]; got != 7 {
-		t.Errorf("late_total delta = %d, want 7", got)
-	}
-	if got := d.Gauges["late_gauge"]; got != 11 {
-		t.Errorf("late_gauge = %d, want 11", got)
-	}
-	h, ok := d.Histograms["late_hist"]
-	if !ok || h.Count != 1 || h.Sum != 4 {
-		t.Errorf("late_hist delta = %+v, want count=1 sum=4", h)
-	}
-}
-
-// TestDeltaCounterReset: a counter that moved backwards (registry swap)
-// reports its current value, not a negative delta; one that reset to
-// zero is dropped like any other zero-valued series.
-func TestDeltaCounterReset(t *testing.T) {
-	prev := Snapshot{Counters: map[string]int64{"c_total": 10, "z_total": 5}}
-	cur := Snapshot{Counters: map[string]int64{"c_total": 3, "z_total": 0}}
-	d := cur.Delta(prev)
-	if got := d.Counters["c_total"]; got != 3 {
-		t.Errorf("reset counter delta = %d, want current value 3", got)
-	}
-	if _, ok := d.Counters["z_total"]; ok {
-		t.Errorf("counter reset to zero should be dropped, got %d", d.Counters["z_total"])
-	}
-}
-
-// TestDeltaHistogramReset mirrors the counter convention: a histogram
-// whose count moved backwards reports its current state verbatim.
-func TestDeltaHistogramReset(t *testing.T) {
-	prev := Snapshot{Histograms: map[string]HistogramSnapshot{
-		"h": {Count: 9, Sum: 100, Buckets: map[int]int64{3: 9}},
-	}}
-	cur := Snapshot{Histograms: map[string]HistogramSnapshot{
-		"h": {Count: 2, Sum: 5, Buckets: map[int]int64{2: 2}},
-	}}
-	d := cur.Delta(prev)
-	h := d.Histograms["h"]
-	if h.Count != 2 || h.Sum != 5 || h.Buckets[2] != 2 {
-		t.Errorf("reset histogram delta = %+v, want current state", h)
-	}
-}
-
-// TestDeltaHistogramBucketBoundaries walks the log2 boundary values
-// 1, 2^k, 2^k+1 through a snapshot pair: 2^k is the first value of
-// bucket k+1 (2^k <= v < 2^(k+1)), so 8 and 9 share a bucket that 7
-// does not.
-func TestDeltaHistogramBucketBoundaries(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("bounds")
-	h.Observe(1) // bucket 1: 1 <= v < 2
-	first := reg.Snapshot()
-	if got := first.Histograms["bounds"].Buckets[1]; got != 1 {
-		t.Fatalf("Observe(1) landed in %v, want bucket 1", first.Histograms["bounds"].Buckets)
-	}
-
-	h.Observe(7) // bucket 3: 4 <= v < 8
-	h.Observe(8) // bucket 4: 8 <= v < 16
-	h.Observe(9) // bucket 4
-	d := reg.Snapshot().Delta(first)
-	hd := d.Histograms["bounds"]
-	if hd.Count != 3 || hd.Sum != 24 {
-		t.Errorf("delta count=%d sum=%d, want 3/24", hd.Count, hd.Sum)
-	}
-	if hd.Buckets[3] != 1 || hd.Buckets[4] != 2 {
-		t.Errorf("delta buckets = %v, want {3:1 4:2}", hd.Buckets)
-	}
-	if _, ok := hd.Buckets[1]; ok {
-		t.Errorf("bucket 1 unchanged since prev, must not appear in delta")
-	}
-	if BucketBound(4) != 16 {
-		t.Errorf("BucketBound(4) = %d, want 16", BucketBound(4))
-	}
-}

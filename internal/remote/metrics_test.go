@@ -12,15 +12,12 @@ import (
 )
 
 // metricCatalogue is every metric base name the tree registers: the
-// solver, unroller, portfolio, racer, process memory, and
-// the fleet's wire and coordinator. The list is golden on purpose — a
+// solver, unroller, portfolio, racer, and the fleet's wire and
+// coordinator. The list is golden on purpose — a
 // renamed constant, a new family or a dropped one fails
 // TestMetricCatalogue until this list and README's Observability table
 // say the same.
 var metricCatalogue = []string{
-	"mem_gc_count",
-	"mem_heap_alloc",
-	"mem_total_alloc",
 	"net_bytes_recv_total",
 	"net_bytes_sent_total",
 	"net_frames_recv_total",
@@ -42,7 +39,7 @@ var metricCatalogue = []string{
 	"remote_worker_evictions_total",
 	"remote_worker_race_errors_total",
 	"remote_worker_races_total",
-	"solver_clauses_bytes_est",
+	"solver_clauses_bytes",
 	"solver_clauses_learnt",
 	"solver_conflicts_per_solve",
 	"solver_conflicts_total",

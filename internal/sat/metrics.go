@@ -23,14 +23,14 @@ type Metrics struct {
 	// equal totals.
 	ConflictsPerSolve *obs.Histogram
 
-	// ClausesLearnt and ClausesBytesEst are clause-database gauges: the
+	// ClausesLearnt and ClausesBytes are clause-database gauges: the
 	// learnt clauses currently installed and the bytes the whole database
 	// holds (Solver.Footprint: the arena's pages, the watch store's pages
-	// and its 12-byte record per literal; the name predates the arena, when
-	// it was an estimate), refreshed once per solve call from flushDB.
+	// and its 12-byte record per literal), refreshed once per solve call
+	// from flushDB.
 	// Gauges, not counters: reduceDB shrinks the first.
-	ClausesLearnt   *obs.Gauge
-	ClausesBytesEst *obs.Gauge
+	ClausesLearnt *obs.Gauge
+	ClausesBytes  *obs.Gauge
 }
 
 // Solver metric base names (family_metric convention, enforced with the
@@ -46,7 +46,7 @@ const (
 	metricSolverSolveNanos        = "solver_solve_nanos_total"
 	metricSolverConflictsPerSolve = "solver_conflicts_per_solve"
 	metricSolverClausesLearnt     = "solver_clauses_learnt"
-	metricSolverClausesBytesEst   = "solver_clauses_bytes_est"
+	metricSolverClausesBytes      = "solver_clauses_bytes"
 )
 
 // NewMetrics registers the solver metric family under reg with the
@@ -66,7 +66,7 @@ func NewMetrics(reg *obs.Registry, labels ...string) *Metrics {
 		SolveNanos:        reg.Counter(n(metricSolverSolveNanos)),
 		ConflictsPerSolve: reg.Histogram(n(metricSolverConflictsPerSolve)),
 		ClausesLearnt:     reg.Gauge(n(metricSolverClausesLearnt)),
-		ClausesBytesEst:   reg.Gauge(n(metricSolverClausesBytesEst)),
+		ClausesBytes:      reg.Gauge(n(metricSolverClausesBytes)),
 	}
 }
 
@@ -93,5 +93,5 @@ func (m *Metrics) flushDB(bytes int64, learnt int) {
 		return
 	}
 	m.ClausesLearnt.Set(int64(learnt))
-	m.ClausesBytesEst.Set(bytes)
+	m.ClausesBytes.Set(bytes)
 }

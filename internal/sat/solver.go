@@ -1112,7 +1112,7 @@ func (s *Solver) SolveAssuming(assumptions []lits.Lit) Result {
 // Footprint reports what s holds for its clause database, read from the
 // structures: the bytes of the arena's pages, spare ones included, of the
 // watch store's pages and of its per-literal records, and the live learnt
-// clauses. It feeds the solver_clauses_bytes_est gauge and the engine's
+// clauses. It feeds the solver_clauses_bytes gauge and the engine's
 // per-depth SolverBytes; s must be at rest.
 func (s *Solver) Footprint() (bytes int64, learnts int) {
 	for _, pgs := range [][][]uint32{s.ca.pages, s.ca.spare} {
